@@ -105,6 +105,11 @@ struct Counters {
     epoch_size_5_16: AtomicU64,
     epoch_size_17_64: AtomicU64,
     epoch_size_gt_64: AtomicU64,
+    /// Coordinator→worker sessions opened (one connection and one worker
+    /// thread each).
+    sessions_opened: AtomicU64,
+    /// Session leases served from a site's idle list instead.
+    sessions_reused: AtomicU64,
     /// Sites joined to the cluster at runtime.
     joins: AtomicU64,
     /// Sites gracefully decommissioned at runtime.
@@ -258,6 +263,8 @@ impl Metrics {
     counter!(add_epoch_size_5_16, epoch_size_5_16, epoch_size_5_16);
     counter!(add_epoch_size_17_64, epoch_size_17_64, epoch_size_17_64);
     counter!(add_epoch_size_gt_64, epoch_size_gt_64, epoch_size_gt_64);
+    counter!(add_sessions_opened, sessions_opened, sessions_opened);
+    counter!(add_sessions_reused, sessions_reused, sessions_reused);
     counter!(add_joins, joins, joins);
     counter!(add_decommissions, decommissions, decommissions);
     counter!(add_auto_repairs, auto_repairs, auto_repairs);
@@ -345,6 +352,8 @@ impl Metrics {
             epoch_size_5_16: self.epoch_size_5_16(),
             epoch_size_17_64: self.epoch_size_17_64(),
             epoch_size_gt_64: self.epoch_size_gt_64(),
+            sessions_opened: self.sessions_opened(),
+            sessions_reused: self.sessions_reused(),
             joins: self.joins(),
             decommissions: self.decommissions(),
             auto_repairs: self.auto_repairs(),
@@ -410,6 +419,8 @@ pub struct MetricsSnapshot {
     pub epoch_size_5_16: u64,
     pub epoch_size_17_64: u64,
     pub epoch_size_gt_64: u64,
+    pub sessions_opened: u64,
+    pub sessions_reused: u64,
     pub joins: u64,
     pub decommissions: u64,
     pub auto_repairs: u64,
@@ -513,6 +524,8 @@ impl MetricsSnapshot {
             epoch_size_gt_64: self
                 .epoch_size_gt_64
                 .saturating_sub(earlier.epoch_size_gt_64),
+            sessions_opened: self.sessions_opened.saturating_sub(earlier.sessions_opened),
+            sessions_reused: self.sessions_reused.saturating_sub(earlier.sessions_reused),
             joins: self.joins.saturating_sub(earlier.joins),
             decommissions: self.decommissions.saturating_sub(earlier.decommissions),
             auto_repairs: self.auto_repairs.saturating_sub(earlier.auto_repairs),
@@ -564,8 +577,9 @@ impl MetricsSnapshot {
         )
     }
 
-    /// Human-readable summary of the commit-path durability counters: how
-    /// well group commit and epoch batching are coalescing log forces, for
+    /// Human-readable summary of the commit-path counters: how well group
+    /// commit and epoch batching are coalescing log forces, and how many
+    /// worker sessions were opened against how many leases reused one, for
     /// the fig6_6 and chaos-soak printouts alongside `forced_writes`.
     pub fn commit_path_summary(&self) -> String {
         let mean = if self.epochs_committed == 0 {
@@ -576,7 +590,8 @@ impl MetricsSnapshot {
         format!(
             "forced_writes={} physical_syncs={} batched_syncs_saved={} \
              epochs={} epoch_txns={} (mean size {mean:.1}) \
-             epoch_sizes[1|2-4|5-16|17-64|>64]={}|{}|{}|{}|{}",
+             epoch_sizes[1|2-4|5-16|17-64|>64]={}|{}|{}|{}|{} \
+             sessions_opened={} sessions_reused={}",
             self.forced_writes,
             self.physical_syncs,
             self.batched_syncs_saved,
@@ -587,6 +602,8 @@ impl MetricsSnapshot {
             self.epoch_size_5_16,
             self.epoch_size_17_64,
             self.epoch_size_gt_64,
+            self.sessions_opened,
+            self.sessions_reused,
         )
     }
 

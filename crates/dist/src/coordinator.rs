@@ -7,7 +7,11 @@ use crate::failpoint::{CrashPoint, CrashSchedule};
 use crate::message::{RemoteScan, Request, Response, UpdateRequest, WireTxnState};
 use crate::placement::SharedPlacement;
 use crate::protocol::ProtocolKind;
-use crate::{rpc_liveness, scan_rpc_deadline, with_read_retries, DEFAULT_RETRY_BACKOFF};
+use crate::{
+    collect_scan_replies, liveness_expired, reap_finished, scan_rpc_deadline, with_read_retries,
+    DEFAULT_RETRY_BACKOFF,
+};
+use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use harbor_common::codec::Wire;
 use harbor_common::time::TimestampAuthority;
 use harbor_common::{
@@ -23,7 +27,32 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-type SharedChan = Arc<Mutex<Box<dyn Channel>>>;
+/// One transaction's **session** to one site. A session is an open
+/// connection to a worker, served there by one thread; sessions outlive
+/// transactions — the coordinator leases one from the site's idle list for
+/// a transaction, an epoch wave or a historical read and puts it back after
+/// a clean terminal reply (`lease`, `release`). The mutex around this IS the
+/// per-(transaction, site) serialization point: the client thread, the
+/// commit protocol and the join-pending forwarder all talk to the site
+/// through this one slot, so at most one session per pair ever exists.
+#[derive(Default)]
+struct TxnSession {
+    /// The leased channel: `None` before first contact, and again once the
+    /// session is poisoned (any failed or out-of-step exchange) — a late
+    /// reply must never be read as the answer to a later request.
+    chan: Option<Box<dyn Channel>>,
+    /// First contact was attempted, so a missing channel means poisoned.
+    begun: bool,
+    /// The worker acknowledged the transaction's outcome (COMMIT/ABORT ack,
+    /// or its tid in an epoch's vectored ack): nothing of it is left open
+    /// on the session, which may go back to the idle list.
+    settled: bool,
+    /// Queue entries below this index reached the site through
+    /// [`Coordinator::catch_up`]; `update` must not send them again.
+    forwarded: usize,
+}
+
+type SharedSession = Arc<Mutex<TxnSession>>;
 
 /// Fault-injection points inside the commit protocol (drives the
 /// coordinator-failure scenarios of §4.3.3 / Table 4.1). Retained as the
@@ -110,7 +139,7 @@ pub struct CoordinatorConfig {
 struct TxnInner {
     queue: Vec<UpdateRequest>,
     participants: BTreeSet<SiteId>,
-    chans: HashMap<SiteId, SharedChan>,
+    chans: HashMap<SiteId, SharedSession>,
     /// Set once the commit protocol has snapshotted participants; the
     /// join-pending forwarder skips such transactions.
     committing: bool,
@@ -147,17 +176,16 @@ struct PendingCommit {
     waiter: Arc<CommitWaiter>,
 }
 
-/// Shared state between client threads, the epoch scheduler, and the
-/// per-epoch runner threads.
+/// Shared state between client threads and the epoch scheduler.
 struct EpochState {
     cfg: EpochCommitConfig,
     pending: Mutex<Vec<PendingCommit>>,
     pending_cond: Condvar,
-    /// Epochs currently running their waves; bounded by `pipeline_depth`.
-    inflight: Mutex<usize>,
-    inflight_cond: Condvar,
     epoch_seq: AtomicU64,
 }
+
+/// One closed epoch on its way from the scheduler to a runner thread.
+type EpochJob = (u64, Vec<PendingCommit>);
 
 /// A running coordinator.
 pub struct Coordinator {
@@ -184,6 +212,11 @@ pub struct Coordinator {
     bootstrapping: Mutex<BTreeSet<(SiteId, String)>>,
     shutdown: Arc<AtomicBool>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Idle sessions per site, newest last. Leases pop the newest (LIFO):
+    /// a serial workload keeps using one session per site, so the chaos
+    /// layer's `(link, ordinal, seq)` fault plan replays identically. The
+    /// list is as long as the site's peak of concurrently open leases.
+    idle: Mutex<HashMap<SiteId, Vec<Box<dyn Channel>>>>,
     /// Present iff epoch group commit is active (2PC variants with
     /// `epoch_commit` configured).
     epoch: Option<Arc<EpochState>>,
@@ -250,8 +283,6 @@ impl Coordinator {
                 cfg: ecfg,
                 pending: Mutex::new(Vec::new()),
                 pending_cond: Condvar::new(),
-                inflight: Mutex::new(0),
-                inflight_cond: Condvar::new(),
                 epoch_seq: AtomicU64::new(0),
             })),
             _ => None,
@@ -267,6 +298,7 @@ impl Coordinator {
             bootstrapping: Mutex::new(BTreeSet::new()),
             shutdown: Arc::new(AtomicBool::new(false)),
             handles: Mutex::new(Vec::new()),
+            idle: Mutex::new(HashMap::new()),
             placement,
             transport,
             epoch,
@@ -282,10 +314,25 @@ impl Coordinator {
             coordinator.handles.lock().push(h);
         }
         if let Some(es) = coordinator.epoch.clone() {
+            // The runners are started once and handed closed epochs over a
+            // rendezvous channel: the scheduler holds the epoch it closed
+            // until a runner is free to take it, so `pipeline_depth` epochs
+            // run, no epoch costs a thread and nothing counts epochs.
+            let depth = es.cfg.pipeline_depth.max(1);
+            let (jobs, runner_jobs) = bounded::<EpochJob>(0);
+            for i in 0..depth {
+                let c = coordinator.clone();
+                let rx = runner_jobs.clone();
+                let h = std::thread::Builder::new()
+                    .name(format!("epoch-runner-{i}"))
+                    .spawn(move || c.epoch_runner(rx))
+                    .map_err(|e| DbError::internal(format!("spawn epoch runner: {e}")))?;
+                coordinator.handles.lock().push(h);
+            }
             let c = coordinator.clone();
             let h = std::thread::Builder::new()
                 .name("epoch-scheduler".into())
-                .spawn(move || c.epoch_scheduler(es))
+                .spawn(move || c.epoch_scheduler(es, jobs))
                 .map_err(|e| DbError::internal(format!("spawn epoch scheduler: {e}")))?;
             coordinator.handles.lock().push(h);
         }
@@ -332,19 +379,16 @@ impl Coordinator {
         sched.arm(self.cfg.site, point);
     }
 
-    /// One commit-protocol round trip under the liveness deadline.
-    fn rpc_live(&self, chan: &mut dyn Channel, req: &Request) -> DbResult<Response> {
-        rpc_liveness(chan, req, self.cfg.rpc_deadline, Some(&self.metrics))
-    }
-
     /// Marks a site dead (failure detection normally does this on a
     /// dropped connection; tests may force it).
     pub fn mark_dead(&self, site: SiteId) {
         self.dead.lock().insert(site);
         self.partially_online.lock().remove(&site);
+        self.purge_sessions(site);
     }
 
-    /// Marks a site fully usable again (all its objects online).
+    /// Marks a site fully usable again (all its objects online). `dead`
+    /// goes first: see [`is_usable`](Self::is_usable).
     pub fn mark_alive(&self, site: SiteId) {
         self.dead.lock().remove(&site);
         self.partially_online.lock().remove(&site);
@@ -382,14 +426,17 @@ impl Coordinator {
         {
             return false;
         }
-        if !self.dead.lock().contains(&site) {
-            return true;
-        }
-        self.partially_online
+        // The announced objects first, the site second: the last
+        // announcement clears `dead` and then the site's entry here
+        // (`mark_alive`), so a reader going the other way could find the
+        // site still dead and its announcements already gone — and route a
+        // statement around an object that is online, for good.
+        let announced = self
+            .partially_online
             .lock()
             .get(&site)
-            .map(|tables| tables.contains(table))
-            .unwrap_or(false)
+            .is_some_and(|tables| tables.contains(table));
+        announced || !self.dead.lock().contains(&site)
     }
 
     // ------------------------------------------------------------------
@@ -423,6 +470,7 @@ impl Coordinator {
             }
             Ok(())
         })?;
+        // Also drops whatever sessions a previous tenant of the id left.
         self.mark_dead(site);
         self.metrics.add_joins(1);
         Ok(())
@@ -458,6 +506,7 @@ impl Coordinator {
         self.dead.lock().remove(&site);
         self.partially_online.lock().remove(&site);
         self.bootstrapping.lock().retain(|(s, _)| *s != site);
+        self.purge_sessions(site);
         Ok(affected)
     }
 
@@ -514,6 +563,7 @@ impl Coordinator {
                 self.dead.lock().remove(&site);
                 self.partially_online.lock().remove(&site);
                 self.bootstrapping.lock().retain(|(s, _)| *s != site);
+                self.purge_sessions(site);
                 self.metrics.add_decommissions(1);
                 Ok(affected)
             }
@@ -525,7 +575,7 @@ impl Coordinator {
     }
 
     /// Simulated coordinator crash: stop the server and sever every worker
-    /// connection mid-flight.
+    /// session, leased or idle.
     pub fn crash(&self) {
         self.initiate_crash();
         let handles: Vec<_> = self.handles.lock().drain(..).collect();
@@ -540,23 +590,20 @@ impl Coordinator {
     /// harness's eventual external [`crash`](Self::crash) joins them.
     fn initiate_crash(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Drop all per-transaction channels: workers see disconnects.
-        let txns: Vec<Arc<TxnCtx>> = self.txns.lock().values().cloned().collect();
+        // Drop every session, leased or idle: workers see disconnects. (The
+        // flag is up, so `release` pools nothing from here on.)
+        let txns: Vec<Arc<TxnCtx>> = self.txns.lock().drain().map(|(_, c)| c).collect();
         for ctx in txns {
             let mut g = ctx.inner.lock();
             g.chans.clear();
             g.finished = true;
         }
-        self.txns.lock().clear();
+        self.idle.lock().clear();
         // Wake parked epoch clients so they observe the shutdown flag.
         if let Some(es) = &self.epoch {
             let leftovers: Vec<PendingCommit> = es.pending.lock().drain(..).collect();
-            for p in leftovers {
-                p.waiter
-                    .resolve(Err(DbError::SiteDown("coordinator crashed".into())));
-            }
+            Self::resolve_crashed(&leftovers);
             es.pending_cond.notify_all();
-            es.inflight_cond.notify_all();
         }
     }
 
@@ -591,36 +638,248 @@ impl Coordinator {
             .ok_or(DbError::UnknownTransaction(tid))
     }
 
-    /// Opens (or reuses) the transaction's channel to `site`, sending
-    /// BEGIN on first contact.
-    fn ensure_chan(
-        &self,
-        tid: TransactionId,
-        ctx: &Arc<TxnCtx>,
-        site: SiteId,
-    ) -> DbResult<SharedChan> {
-        {
-            let g = ctx.inner.lock();
-            if let Some(c) = g.chans.get(&site) {
-                return Ok(c.clone());
+    // ------------------------------------------------------------------
+    // Sessions: long-lived coordinator → worker connections
+    // ------------------------------------------------------------------
+
+    /// Takes a session to `site` on lease — the newest idle one, else a new
+    /// connection; this is the only place the coordinator connects to a
+    /// worker — and sends `first`, the first frame of the lease's first
+    /// exchange, on it.
+    ///
+    /// A stale idle session is not a dead site: a worker that restarted at
+    /// the same address leaves dead sessions in the idle list. An idle
+    /// session found closed — by asking the transport, which over TCP knows
+    /// what a write would not reveal, or by that very first send failing —
+    /// has carried nothing, so nothing can have been executed, and the
+    /// frame goes out on a new connection before the failure counts against
+    /// the site. A failure any later in the exchange is the holder's to
+    /// classify and is never retried: a frame has left by then and may yet
+    /// be executed, and commit-protocol messages are not retransmitted.
+    fn lease(&self, site: SiteId, first: &[u8]) -> DbResult<Box<dyn Channel>> {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Err(DbError::SiteDown("coordinator crashed".into()));
+        }
+        let pooled = self.idle.lock().get_mut(&site).and_then(Vec::pop);
+        if let Some(mut chan) = pooled {
+            self.metrics.add_sessions_reused(1);
+            let sent = if chan.is_closed() {
+                Err(DbError::net(format!("idle session to {site} was closed")))
+            } else {
+                chan.send(first)
+            };
+            match sent {
+                Ok(()) => return Ok(chan),
+                Err(e) => {
+                    // Whatever else idles for the site is of the same
+                    // vintage, or the site is gone: either way it goes.
+                    self.purge_sessions(site);
+                    if !e.is_disconnect() {
+                        return Err(e);
+                    }
+                }
             }
         }
         let addr = self.placement.address(site)?;
         let mut chan = self.transport.connect(&addr)?;
-        match self.rpc_live(chan.as_mut(), &Request::Begin { tid })? {
-            Response::Ok => {}
+        self.metrics.add_sessions_opened(1);
+        chan.send(first)?;
+        Ok(chan)
+    }
+
+    /// Ends a lease: the session goes back on top of its site's idle list.
+    /// Only for a session whose last exchange ended with the expected
+    /// terminal reply; anything else is dropped by its holder instead.
+    fn release(&self, site: SiteId, chan: Box<dyn Channel>) {
+        let mut idle = self.idle.lock();
+        // Checked under the lock: `initiate_crash` raises the flag before it
+        // clears the lists, so nothing is pooled behind its back.
+        if !self.shutdown.load(Ordering::SeqCst) {
+            idle.entry(site).or_default().push(chan);
+        }
+    }
+
+    /// Closes every idle session to `site` (it was marked dead, left the
+    /// cluster, or one of its sessions just failed).
+    fn purge_sessions(&self, site: SiteId) {
+        let purged = self.idle.lock().remove(&site);
+        drop(purged);
+    }
+
+    /// Number of idle sessions to `site` (tests).
+    pub fn idle_sessions(&self, site: SiteId) -> usize {
+        self.idle.lock().get(&site).map_or(0, Vec::len)
+    }
+
+    /// One commit-protocol round trip under the liveness deadline.
+    fn rpc_live(&self, chan: &mut dyn Channel, req: &Request) -> DbResult<Response> {
+        chan.send(&req.to_vec())?;
+        self.recv_live(chan)
+    }
+
+    /// Receives one reply under the liveness deadline: a participant that
+    /// stays silent for that long is treated as failed even though its
+    /// socket never closed.
+    fn recv_live(&self, chan: &mut dyn Channel) -> DbResult<Response> {
+        match chan.recv_timeout(self.cfg.rpc_deadline)? {
+            Some(frame) => Response::from_slice(&frame),
+            None => Err(liveness_expired(
+                Some(&self.metrics),
+                &format!(
+                    "{}: no reply within {:?}",
+                    chan.peer(),
+                    self.cfg.rpc_deadline
+                ),
+            )),
+        }
+    }
+
+    /// The transaction's one session slot for `site`, created on demand.
+    fn session_slot(ctx: &TxnCtx, site: SiteId) -> SharedSession {
+        ctx.inner.lock().chans.entry(site).or_default().clone()
+    }
+
+    /// First contact of `tid` with `site`: leases a session and sends BEGIN
+    /// and the transaction's first request there back to back, then reads
+    /// both replies (the second through `read_reply`) — BEGIN costs a frame
+    /// but no round trip of its own. The site becomes a participant once
+    /// both are in, unless the transaction ended or entered commit
+    /// meanwhile (only the join-pending forwarder can lose that race): then
+    /// the session is dropped and the worker rolls the stray back on the
+    /// disconnect.
+    fn first_contact<T>(
+        &self,
+        tid: TransactionId,
+        ctx: &TxnCtx,
+        site: SiteId,
+        s: &mut TxnSession,
+        first: &Request,
+        read_reply: impl FnOnce(&mut dyn Channel) -> DbResult<T>,
+    ) -> DbResult<T> {
+        s.begun = true;
+        let mut chan = self.lease(site, &Request::Begin { tid }.to_vec())?;
+        chan.send(&first.to_vec())?;
+        let reply = match self.recv_live(chan.as_mut())? {
+            Response::Ok => read_reply(chan.as_mut())?,
             Response::Err { msg } => return Err(DbError::from_remote_msg(msg)),
             other => return Err(DbError::protocol(format!("bad BEGIN reply {other:?}"))),
-        }
-        let shared: SharedChan = Arc::new(Mutex::new(chan));
+        };
         let mut g = ctx.inner.lock();
-        let entry = g
-            .chans
-            .entry(site)
-            .or_insert_with(|| shared.clone())
-            .clone();
+        if g.finished || g.committing {
+            return Err(DbError::TransactionAborted(tid));
+        }
         g.participants.insert(site);
-        Ok(entry)
+        drop(g);
+        s.chan = Some(chan);
+        Ok(reply)
+    }
+
+    /// One commit-protocol round trip for `tid` on its session to `site`
+    /// (first contact included), under the liveness deadline. Only a clean
+    /// session survives it: a transport error, an expired deadline or a
+    /// reply of the wrong kind poisons the session, and the acknowledgement
+    /// of COMMIT or ABORT marks it settled — fit to be leased again.
+    fn txn_rpc(
+        &self,
+        tid: TransactionId,
+        ctx: &TxnCtx,
+        site: SiteId,
+        s: &mut TxnSession,
+        req: &Request,
+    ) -> DbResult<Response> {
+        let resp = if !s.begun {
+            self.first_contact(tid, ctx, site, s, req, |chan| self.recv_live(chan))
+        } else if let Some(chan) = s.chan.as_mut() {
+            self.rpc_live(chan.as_mut(), req)
+        } else if ctx.inner.lock().finished {
+            // Another thread ended the transaction (and with it the lease)
+            // under this caller: no fault of the site's.
+            Err(DbError::TransactionAborted(tid))
+        } else {
+            Err(DbError::net(format!("session to {site} was dropped")))
+        };
+        match (req, &resp) {
+            (Request::Commit { .. } | Request::Abort { .. }, Ok(Response::Ack)) => s.settled = true,
+            // A worker that could not execute the statement says so in step.
+            (Request::Update { .. }, Ok(Response::Ok | Response::Err { .. }))
+            | (Request::Prepare { .. }, Ok(Response::Vote { .. }))
+            | (Request::PrepareToCommit { .. }, Ok(Response::Ack)) => {}
+            _ => s.chan = None,
+        }
+        resp
+    }
+
+    /// [`txn_rpc`](Self::txn_rpc) for the commit protocol, which addresses
+    /// a participant through its slot.
+    fn participant_rpc(
+        &self,
+        tid: TransactionId,
+        ctx: &TxnCtx,
+        site: SiteId,
+        slot: &SharedSession,
+        req: &Request,
+    ) -> DbResult<Response> {
+        let mut s = slot.lock();
+        self.txn_rpc(tid, ctx, site, &mut s, req)
+    }
+
+    /// The sites holding a part of `table` that `req` applies to: an insert
+    /// goes only to the sites whose partition admits the row; predicate-based
+    /// updates go to every site holding any part (the predicate filters
+    /// locally).
+    fn placed_for(&self, table: &str, req: &UpdateRequest) -> DbResult<Vec<SiteId>> {
+        match req {
+            UpdateRequest::Insert { values, .. } => self.placement.sites_for_insert(table, values),
+            _ => self.placement.sites_for(table),
+        }
+    }
+
+    /// Brings `site` up to date with what it has not seen of `tid`, in queue
+    /// order: exactly the statements `update` would have sent it had its
+    /// copy of `table` been usable all along — those on `table` that are
+    /// placed on the site, and table-less CPU work queued once the site is
+    /// in the transaction. That is the whole backlog when the object just
+    /// came online (Fig 5-4), and nothing but the statement in hand on an
+    /// ordinary first contact: a statement placed on a usable site was sent
+    /// there when it was queued. Runs under the session lock, so whichever
+    /// of the join-pending forwarder and the client's next statement gets
+    /// here first does all of it and the other finds nothing left. Returns
+    /// the first reply that is not `Ok`.
+    fn catch_up(
+        &self,
+        tid: TransactionId,
+        ctx: &TxnCtx,
+        site: SiteId,
+        s: &mut TxnSession,
+        table: &str,
+    ) -> DbResult<Response> {
+        loop {
+            // Snapshot under the ctx lock, forward outside it: the queue
+            // only grows while the transaction lives (and empties when it
+            // finishes), so this resumes until the two agree.
+            let backlog: Vec<UpdateRequest> = {
+                let g = ctx.inner.lock();
+                g.queue.get(s.forwarded..).unwrap_or_default().to_vec()
+            };
+            if backlog.is_empty() {
+                return Ok(Response::Ok);
+            }
+            let taken = backlog.len();
+            for u in backlog {
+                let due = match u.table() {
+                    Some(t) => t == table && self.placed_for(t, &u)?.contains(&site),
+                    None => s.begun,
+                };
+                if due {
+                    let req = Request::Update { tid, req: u };
+                    match self.txn_rpc(tid, ctx, site, s, &req)? {
+                        Response::Ok => {}
+                        other => return Ok(other),
+                    }
+                }
+            }
+            s.forwarded += taken;
+        }
     }
 
     /// Queues and distributes one update request to every live site
@@ -629,20 +888,13 @@ impl Coordinator {
         let ctx = self.ctx(tid)?;
         // Determine targets and append to the queue under the ctx lock so
         // the join-pending forwarder sees a consistent prefix.
-        let targets: Vec<SiteId> = {
+        let (idx, targets): (usize, Vec<SiteId>) = {
             let mut g = ctx.inner.lock();
             g.queue.push(req.clone());
-            match req.table() {
+            let idx = g.queue.len() - 1;
+            let targets = match req.table() {
                 Some(table) => {
-                    // Inserts route only to sites whose partition admits
-                    // the row; predicate-based updates go to every site
-                    // holding any part (the predicate filters locally).
-                    let sites = match &req {
-                        UpdateRequest::Insert { values, .. } => {
-                            self.placement.sites_for_insert(table, values)?
-                        }
-                        _ => self.placement.sites_for(table)?,
-                    };
+                    let sites = self.placed_for(table, &req)?;
                     let placed = sites.len();
                     let live: Vec<SiteId> = sites
                         .into_iter()
@@ -665,7 +917,8 @@ impl Coordinator {
                 // Table-less work (simulated CPU) goes to current
                 // participants.
                 None => g.participants.iter().copied().collect(),
-            }
+            };
+            (idx, targets)
         };
         if targets.is_empty() {
             return Err(DbError::Unrecoverable(
@@ -673,25 +926,24 @@ impl Coordinator {
             ));
         }
         for site in targets {
-            let chan = match self.ensure_chan(tid, &ctx, site) {
-                Ok(c) => c,
-                Err(e) if e.is_disconnect() => {
-                    self.mark_dead(site);
-                    self.abort(tid)?;
-                    return Err(DbError::TransactionAborted(tid));
-                }
-                Err(e) => return Err(e),
-            };
+            let slot = Self::session_slot(&ctx, site);
             let resp = {
-                let mut c = chan.lock();
-                // harbor-lint: allow(lock-across-blocking) — the SharedChan mutex IS the per-site RPC serialization point; no other lock is ever taken under it
-                self.rpc_live(
-                    &mut **c,
-                    &Request::Update {
-                        tid,
-                        req: req.clone(),
-                    },
-                )
+                let mut s = slot.lock();
+                match req.table() {
+                    // First contact: this statement, after whatever was
+                    // due to the site while its copy was not usable.
+                    Some(table) if !s.begun => self.catch_up(tid, &ctx, site, &mut s, table),
+                    // The join-pending forwarder got here first and took
+                    // this statement along with the backlog.
+                    _ if idx < s.forwarded => Ok(Response::Ok),
+                    _ => {
+                        let update = Request::Update {
+                            tid,
+                            req: req.clone(),
+                        };
+                        self.txn_rpc(tid, &ctx, site, &mut s, &update)
+                    }
+                }
             };
             match resp {
                 Ok(Response::Ok) => {}
@@ -704,7 +956,7 @@ impl Coordinator {
                     )));
                 }
                 Ok(other) => return Err(DbError::protocol(format!("bad UPDATE reply {other:?}"))),
-                Err(_) => {
+                Err(e) if e.is_disconnect() => {
                     // Worker died mid-transaction (closed connection or an
                     // expired liveness deadline): abort and mark it dead
                     // (Fig 6-7 behaviour). §4.3.5's commit-with-(K-1)-safety
@@ -713,6 +965,12 @@ impl Coordinator {
                     self.mark_dead(site);
                     self.abort(tid)?;
                     return Err(DbError::TransactionAborted(tid));
+                }
+                // A refused BEGIN or an undecodable reply: the session is
+                // already dropped; the site is judged by the ABORT below.
+                Err(e) => {
+                    self.abort(tid)?;
+                    return Err(e);
                 }
             }
         }
@@ -730,22 +988,34 @@ impl Coordinator {
         let sites = self.placement.sites_for(table)?;
         let mut s = RemoteScan::new(table, crate::message::WireReadMode::Historical(as_of));
         scan(&mut s);
+        let request = Request::Scan(s).to_vec();
         let mut last_err = DbError::Unrecoverable("no live replica".into());
         for site in sites {
             if !self.is_usable(site, table) {
                 continue;
             }
-            let addr = self.placement.address(site)?;
             // Historical reads are idempotent, so a transient timeout or a
             // torn connection earns a bounded retry with backoff before
-            // failing over to the next replica.
+            // failing over to the next replica. The session is leased for
+            // the one scan and pooled again after its status frame; one
+            // that fails takes the site's idle list with it, so the retry
+            // connects afresh.
             let result = with_read_retries(
                 Some(&self.metrics),
                 self.cfg.read_retries,
                 DEFAULT_RETRY_BACKOFF,
                 || {
-                    let mut chan = self.transport.connect(&addr)?;
-                    scan_rpc_deadline(chan.as_mut(), &s, self.cfg.rpc_deadline)
+                    let mut chan = self.lease(site, &request)?;
+                    match collect_scan_replies(chan.as_mut(), self.cfg.rpc_deadline) {
+                        Ok(tuples) => {
+                            self.release(site, chan);
+                            Ok(tuples)
+                        }
+                        Err(e) => {
+                            self.purge_sessions(site);
+                            Err(e)
+                        }
+                    }
                 },
             );
             match result {
@@ -774,14 +1044,28 @@ impl Coordinator {
             .into_iter()
             .find(|s| self.is_usable(*s, table))
             .ok_or_else(|| DbError::Unrecoverable("no live replica".into()))?;
-        let chan = self.ensure_chan(tid, &ctx, site)?;
-        let mut s = RemoteScan::new(table, crate::message::WireReadMode::Current(tid));
-        scan(&mut s);
-        let mut c = chan.lock();
+        let mut rs = RemoteScan::new(table, crate::message::WireReadMode::Current(tid));
+        scan(&mut rs);
+        let deadline = self.cfg.rpc_deadline;
+        let slot = Self::session_slot(&ctx, site);
+        let mut s = slot.lock();
         // Lock-taking read inside a transaction: single attempt (a retry
         // could double-wait on locks), but still under the liveness deadline.
-        // harbor-lint: allow(lock-across-blocking) — the SharedChan mutex IS the per-site RPC serialization point; no other lock is ever taken under it
-        scan_rpc_deadline(&mut **c, &s, self.cfg.rpc_deadline)
+        let result = if !s.begun {
+            let first = Request::Scan(rs);
+            self.first_contact(tid, &ctx, site, &mut s, &first, |chan| {
+                collect_scan_replies(chan, deadline)
+            })
+        } else if let Some(chan) = s.chan.as_mut() {
+            // harbor-lint: allow(lock-across-blocking) — the session mutex IS the per-(transaction, site) RPC serialization point; only the brief ctx lock is ever taken under it
+            scan_rpc_deadline(chan.as_mut(), &rs, deadline)
+        } else {
+            Err(DbError::net(format!("session to {site} was dropped")))
+        };
+        if result.is_err() {
+            s.chan = None;
+        }
+        result
     }
 
     /// Commits: runs the configured protocol. Returns the commit time.
@@ -814,16 +1098,11 @@ impl Coordinator {
         let mut all_yes = true;
         let mut voters_yes: Vec<SiteId> = Vec::new();
         for site in &participants {
-            let Some(chan) = chans.get(site) else {
+            let Some(slot) = chans.get(site) else {
                 all_yes = false;
                 continue;
             };
-            let resp = {
-                let mut c = chan.lock();
-                // harbor-lint: allow(lock-across-blocking) — the SharedChan mutex IS the per-site RPC serialization point; no other lock is ever taken under it
-                self.rpc_live(&mut **c, &prepare)
-            };
-            match resp {
+            match self.participant_rpc(tid, &ctx, *site, slot, &prepare) {
                 Ok(Response::Vote { yes: true }) => voters_yes.push(*site),
                 Ok(Response::Vote { yes: false }) => all_yes = false,
                 Ok(_) => {
@@ -843,7 +1122,7 @@ impl Coordinator {
         }
         self.maybe_fail(CrashPoint::CoordAfterPrepare)?;
         if !all_yes {
-            self.abort_prepared(tid, &voters_yes, &chans)?;
+            self.abort_prepared(tid, &ctx, &voters_yes, &chans)?;
             self.finish(tid, false)?;
             return Err(DbError::TransactionAborted(tid));
         }
@@ -854,14 +1133,10 @@ impl Coordinator {
             let ptc = Request::PrepareToCommit { tid, commit_time };
             let mut sent = 0usize;
             for site in &participants {
-                let Some(chan) = chans.get(site) else {
+                let Some(slot) = chans.get(site) else {
                     continue;
                 };
-                let resp = {
-                    let mut c = chan.lock();
-                    // harbor-lint: allow(lock-across-blocking) — the SharedChan mutex IS the per-site RPC serialization point; no other lock is ever taken under it
-                    self.rpc_live(&mut **c, &ptc)
-                };
+                let resp = self.participant_rpc(tid, &ctx, *site, slot, &ptc);
                 sent += 1;
                 self.maybe_fail_counting(
                     |p| matches!(p, CrashPoint::CoordAfterPtcSent(n) if sent >= *n),
@@ -894,14 +1169,10 @@ impl Coordinator {
         let commit = Request::Commit { tid, commit_time };
         let mut sent = 0usize;
         for site in &participants {
-            let Some(chan) = chans.get(site) else {
+            let Some(slot) = chans.get(site) else {
                 continue;
             };
-            let resp = {
-                let mut c = chan.lock();
-                // harbor-lint: allow(lock-across-blocking) — the SharedChan mutex IS the per-site RPC serialization point; no other lock is ever taken under it
-                self.rpc_live(&mut **c, &commit)
-            };
+            let resp = self.participant_rpc(tid, &ctx, *site, slot, &commit);
             sent += 1;
             self.maybe_fail_counting(
                 |p| matches!(p, CrashPoint::CoordAfterCommitSent(n) if sent >= *n),
@@ -940,7 +1211,7 @@ impl Coordinator {
                 g.chans.clone(),
             )
         };
-        self.abort_prepared(tid, &participants, &chans)?;
+        self.abort_prepared(tid, &ctx, &participants, &chans)?;
         self.metrics.add_aborts(1);
         self.finish(tid, false)
     }
@@ -948,24 +1219,22 @@ impl Coordinator {
     fn abort_prepared(
         &self,
         tid: TransactionId,
+        ctx: &TxnCtx,
         sites: &[SiteId],
-        chans: &HashMap<SiteId, SharedChan>,
+        chans: &HashMap<SiteId, SharedSession>,
     ) -> DbResult<()> {
         if let Some(wal) = &self.wal {
             wal.append_forced(&LogRecord::new(tid, Lsn::NONE, LogPayload::Abort))?;
         }
         let abort = Request::Abort { tid };
         for site in sites {
-            let Some(chan) = chans.get(site) else {
+            let Some(slot) = chans.get(site) else {
                 continue;
             };
-            let resp = {
-                let mut c = chan.lock();
-                // harbor-lint: allow(lock-across-blocking) — the SharedChan mutex IS the per-site RPC serialization point; no other lock is ever taken under it
-                self.rpc_live(&mut **c, &abort)
-            };
-            if resp.is_err() {
-                self.mark_dead(*site);
+            match self.participant_rpc(tid, ctx, *site, slot, &abort) {
+                // A concurrent abort got there first.
+                Ok(_) | Err(DbError::TransactionAborted(_)) => {}
+                Err(_) => self.mark_dead(*site),
             }
         }
         if let Some(wal) = &self.wal {
@@ -986,12 +1255,26 @@ impl Coordinator {
     /// transaction that never reached it (e.g. `AfterPtcSentTo` on a
     /// transaction that aborted at PREPARE) must not survive to fire in a
     /// later, unrelated commit.
+    ///
+    /// This is where leases end: a session on which the worker acknowledged
+    /// the outcome goes back to its site's idle list; every other one is
+    /// closed here, which is also what tells its worker that the coordinator
+    /// of exactly this transaction is done with it (§4.3.2).
     fn finish(&self, tid: TransactionId, _committed: bool) -> DbResult<()> {
-        if let Some(ctx) = self.txns.lock().remove(&tid) {
+        let removed = self.txns.lock().remove(&tid);
+        let sessions = removed.map(|ctx| {
             let mut g = ctx.inner.lock();
             g.finished = true;
             g.queue.clear();
-            g.chans.clear();
+            std::mem::take(&mut g.chans)
+        });
+        for (site, slot) in sessions.into_iter().flatten() {
+            let mut s = slot.lock();
+            if let Some(chan) = s.chan.take() {
+                if s.settled {
+                    self.release(site, chan);
+                }
+            }
         }
         self.cfg
             .crash_schedule
@@ -1060,10 +1343,11 @@ impl Coordinator {
 
     /// Scheduler thread: drains the pending queue into epochs of at most
     /// `max_txns`, holds a non-full epoch open for `max_wait` to accumulate
-    /// stragglers, and launches each epoch on its own runner thread subject
-    /// to the `pipeline_depth` bound — epoch N+1's PREPARE wave may be on
-    /// the wire while epoch N is still collecting acks.
-    fn epoch_scheduler(self: &Arc<Self>, es: Arc<EpochState>) {
+    /// stragglers, and hands each closed epoch to the runner threads. The
+    /// hand-off blocks while every runner is busy, which is the
+    /// `pipeline_depth` bound — epoch N+1's PREPARE wave may be on the wire
+    /// while epoch N is still collecting acks, and no further.
+    fn epoch_scheduler(self: &Arc<Self>, es: Arc<EpochState>, jobs: Sender<EpochJob>) {
         let max_txns = es.cfg.max_txns.max(1);
         loop {
             let mut batch: Vec<PendingCommit> = Vec::new();
@@ -1073,10 +1357,9 @@ impl Coordinator {
                     if self.shutdown.load(Ordering::SeqCst) {
                         let leftovers: Vec<PendingCommit> = q.drain(..).collect();
                         drop(q);
-                        for p in leftovers {
-                            p.waiter
-                                .resolve(Err(DbError::SiteDown("coordinator crashed".into())));
-                        }
+                        Self::resolve_crashed(&leftovers);
+                        // Dropping `jobs` retires the runners once they
+                        // have drained what is already queued.
                         return;
                     }
                     if !q.is_empty() {
@@ -1105,55 +1388,31 @@ impl Coordinator {
                     break;
                 }
             }
-            // Pipeline gate: at most `pipeline_depth` epochs in flight.
-            {
-                let mut inflight = es.inflight.lock();
-                while *inflight >= es.cfg.pipeline_depth.max(1)
-                    && !self.shutdown.load(Ordering::SeqCst)
-                {
-                    es.inflight_cond
-                        .wait_for(&mut inflight, Duration::from_millis(50));
-                }
-                *inflight += 1;
-            }
-            let release_slot = |es: &EpochState| {
-                let mut inflight = es.inflight.lock();
-                *inflight = inflight.saturating_sub(1);
-                drop(inflight);
-                es.inflight_cond.notify_all();
-            };
-            if self.shutdown.load(Ordering::SeqCst) {
-                for p in batch {
-                    p.waiter
-                        .resolve(Err(DbError::SiteDown("coordinator crashed".into())));
-                }
-                release_slot(&es);
-                continue;
-            }
             let epoch = es.epoch_seq.fetch_add(1, Ordering::SeqCst);
-            // Keep handles to the waiters: if the runner thread cannot be
-            // spawned, its clients must still be unparked.
-            let waiters: Vec<Arc<CommitWaiter>> = batch.iter().map(|p| p.waiter.clone()).collect();
-            let me = self.clone();
-            let es_runner = es.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("epoch-{epoch}"))
-                .spawn(move || {
-                    me.run_epoch(epoch, batch);
-                    let mut inflight = es_runner.inflight.lock();
-                    *inflight = inflight.saturating_sub(1);
-                    drop(inflight);
-                    es_runner.inflight_cond.notify_all();
-                });
-            match spawned {
-                Ok(h) => self.handles.lock().push(h),
-                Err(e) => {
-                    for w in waiters {
-                        w.resolve(Err(DbError::internal(format!("spawn epoch runner: {e}"))));
-                    }
-                    release_slot(&es);
-                }
+            if let Err(SendError((_, batch))) = jobs.send((epoch, batch)) {
+                // Every runner is gone (none outlives a crash for long).
+                Self::resolve_crashed(&batch);
             }
+        }
+    }
+
+    /// Runner thread: executes closed epochs until the scheduler hangs up.
+    fn epoch_runner(self: &Arc<Self>, jobs: Receiver<EpochJob>) {
+        for (epoch, batch) in jobs.iter() {
+            if self.shutdown.load(Ordering::SeqCst) {
+                Self::resolve_crashed(&batch);
+            } else {
+                self.run_epoch(epoch, batch);
+            }
+        }
+    }
+
+    /// Unparks the clients of transactions a crashed coordinator will never
+    /// decide.
+    fn resolve_crashed(batch: &[PendingCommit]) {
+        for p in batch {
+            p.waiter
+                .resolve(Err(DbError::SiteDown("coordinator crashed".into())));
         }
     }
 
@@ -1162,23 +1421,18 @@ impl Coordinator {
     /// batched COMMIT wave → vectored acks. Failures abort only the
     /// affected transactions; the epoch itself always completes.
     fn run_epoch(self: &Arc<Self>, epoch: u64, batch: Vec<PendingCommit>) {
-        let crashed = |batch: &[PendingCommit]| {
-            for p in batch {
-                p.waiter.resolve(Err(DbError::SiteDown(
-                    "coordinator crashed (fail point)".into(),
-                )));
-            }
-        };
         // Wave membership: the union of all participants.
         let mut workers: BTreeSet<SiteId> = BTreeSet::new();
         for p in &batch {
             workers.extend(p.participants.iter().copied());
         }
         let bound = self.authority.now();
-        // PREPARE wave: one fresh channel per worker (the per-transaction
-        // BEGIN channels stay open so disconnect semantics are unchanged),
-        // all sends first so the prepares overlap across workers.
-        let mut chans: HashMap<SiteId, Box<dyn Channel>> = HashMap::new();
+        // PREPARE wave: one session per worker, leased for the epoch (the
+        // transactions keep their own, so what a closed connection means to
+        // a worker is unchanged), all sends first so the prepares overlap
+        // across workers. A session that fails anywhere in the wave is
+        // dropped with the map; only a fully acknowledged one is released.
+        let mut wave: HashMap<SiteId, Box<dyn Channel>> = HashMap::new();
         for site in &workers {
             let txns: Vec<(TransactionId, Vec<SiteId>)> = batch
                 .iter()
@@ -1190,15 +1444,9 @@ impl Coordinator {
                 txns,
                 time_bound: bound,
             };
-            let sent = (|| -> DbResult<Box<dyn Channel>> {
-                let addr = self.placement.address(*site)?.to_string();
-                let mut chan = self.transport.connect(&addr)?;
-                chan.send(&req.to_vec())?;
-                Ok(chan)
-            })();
-            match sent {
+            match self.lease(*site, &req.to_vec()) {
                 Ok(chan) => {
-                    chans.insert(*site, chan);
+                    wave.insert(*site, chan);
                 }
                 // Unreachable = NO vote for every txn it participates in.
                 Err(_) => self.mark_dead(*site),
@@ -1206,25 +1454,22 @@ impl Coordinator {
         }
         // Vote collection: per-txn vote vectors, one frame per worker.
         let mut votes: HashMap<(SiteId, TransactionId), bool> = HashMap::new();
-        for (site, chan) in &mut chans {
-            match Self::wave_recv(
-                chan.as_mut(),
-                self.cfg.rpc_deadline,
-                &self.shutdown,
-                &self.metrics,
-            ) {
-                Ok(Response::VoteBatch { votes: v }) => {
-                    for (tid, yes) in v {
-                        votes.insert((*site, tid), yes);
-                    }
+        wave.retain(|site, chan| match self.wave_recv(chan.as_mut()) {
+            Ok(Response::VoteBatch { votes: v }) => {
+                for (tid, yes) in v {
+                    votes.insert((*site, tid), yes);
                 }
-                // A missing or malformed vote vector is a NO for every txn
-                // on this worker (§4.3.2 generalized to the batch).
-                Ok(_) | Err(_) => self.mark_dead(*site),
+                true
             }
-        }
+            // A missing or malformed vote vector is a NO for every txn
+            // on this worker (§4.3.2 generalized to the batch).
+            Ok(_) | Err(_) => {
+                self.mark_dead(*site);
+                false
+            }
+        });
         if self.fire_from_runner(CrashPoint::CoordAfterPrepare) {
-            crashed(&batch);
+            Self::resolve_crashed(&batch);
             return;
         }
         // Per-txn decisions: commit iff every participant voted YES. A NO
@@ -1272,7 +1517,7 @@ impl Coordinator {
             }
         }
         if self.fire_from_runner(CrashPoint::CoordAfterEpochForce) {
-            crashed(&batch);
+            Self::resolve_crashed(&batch);
             return;
         }
         // COMMIT wave: per-worker outcome vectors. Aborts go only to
@@ -1296,7 +1541,7 @@ impl Coordinator {
             if commits.is_empty() && aborts.is_empty() {
                 continue;
             }
-            let Some(chan) = chans.get_mut(site) else {
+            let Some(chan) = wave.get_mut(site) else {
                 // Dead since the PREPARE wave: it recovers the outcome from
                 // its peers (§4.3.3 runs per transaction).
                 continue;
@@ -1307,6 +1552,7 @@ impl Coordinator {
                 aborts,
             };
             if chan.send(&req.to_vec()).is_err() {
+                wave.remove(site);
                 self.mark_dead(*site);
                 continue;
             }
@@ -1315,25 +1561,33 @@ impl Coordinator {
             if self.fire_from_runner_counting(
                 |p| matches!(p, CrashPoint::CoordAfterCommitSent(n) if sent >= *n),
             ) {
-                crashed(&batch);
+                Self::resolve_crashed(&batch);
                 return;
             }
         }
         // Vectored acks: one frame per worker, covering its whole batch.
+        // An acknowledged transaction has nothing left open at that worker,
+        // so its own session there is settled too; the wave's session goes
+        // back to the idle list.
         for site in waved {
-            let Some(chan) = chans.get_mut(&site) else {
+            let Some(mut chan) = wave.remove(&site) else {
                 continue;
             };
-            match Self::wave_recv(
-                chan.as_mut(),
-                self.cfg.rpc_deadline,
-                &self.shutdown,
-                &self.metrics,
-            ) {
-                Ok(Response::AckBatch { .. }) => {}
+            match self.wave_recv(chan.as_mut()) {
+                Ok(Response::AckBatch { acked }) => {
+                    for tid in acked {
+                        self.settle(tid, site);
+                    }
+                    self.release(site, chan);
+                }
                 // No ack: the worker recovers the committed outcome.
                 Ok(_) | Err(_) => self.mark_dead(site),
             }
+        }
+        // A session with nothing to commit or abort was done after its vote
+        // vector.
+        for (site, chan) in wave {
+            self.release(site, chan);
         }
         // End records (unforced) and client wake-ups.
         if let Some(wal) = &self.wal {
@@ -1367,28 +1621,32 @@ impl Coordinator {
 
     /// Receives one frame of a wave under the liveness deadline, watching
     /// the shutdown flag between poll slices.
-    fn wave_recv(
-        chan: &mut dyn Channel,
-        deadline: Duration,
-        shutdown: &AtomicBool,
-        metrics: &Metrics,
-    ) -> DbResult<Response> {
-        let expires = Instant::now() + deadline;
+    fn wave_recv(&self, chan: &mut dyn Channel) -> DbResult<Response> {
+        let expires = Instant::now() + self.cfg.rpc_deadline;
         loop {
             match chan.recv_timeout(Duration::from_millis(50))? {
                 Some(frame) => return Response::from_slice(&frame),
                 None => {
-                    if shutdown.load(Ordering::SeqCst) {
+                    if self.shutdown.load(Ordering::SeqCst) {
                         return Err(DbError::SiteDown("coordinator crashed".into()));
                     }
                     if Instant::now() >= expires {
-                        return Err(crate::liveness_expired(
-                            Some(metrics),
-                            "commit wave stalled",
-                        ));
+                        return Err(liveness_expired(Some(&self.metrics), "commit wave stalled"));
                     }
                 }
             }
+        }
+    }
+
+    /// Marks `tid`'s own session to `site` settled: the worker acknowledged
+    /// the transaction's outcome on an epoch's wave session.
+    fn settle(&self, tid: TransactionId, site: SiteId) {
+        let Ok(ctx) = self.ctx(tid) else {
+            return;
+        };
+        let slot = ctx.inner.lock().chans.get(&site).cloned();
+        if let Some(slot) = slot {
+            slot.lock().settled = true;
         }
     }
 
@@ -1438,6 +1696,9 @@ impl Coordinator {
                 Ok(None) => {}
                 Err(_) => break,
             }
+            // Threads follow connections: one that has hung up is joined
+            // now, not kept until the coordinator stops.
+            reap_finished(&self.handles);
         }
     }
 
@@ -1526,112 +1787,47 @@ impl Coordinator {
             .collect();
         let mut doomed: Vec<TransactionId> = Vec::new();
         for (tid, ctx) in pending {
-            // Snapshot the backlog under the lock but forward it OUTSIDE:
-            // connect + RPC under the held ctx mutex would stall every
-            // concurrent update/commit on this transaction for full network
-            // round trips (and is exactly the guard-across-blocking class
-            // harbor-lint flags). The queue only grows while the txn is
-            // live, so forwarding resumes from the last sent index until
-            // the locked view and the forwarded prefix agree, and only then
-            // registers the participant — still under the lock, with no
-            // blocking call in scope.
-            let mut sent = 0usize;
-            let mut chan: Option<Box<dyn Channel>> = None;
-            'txn: loop {
-                let backlog: Vec<UpdateRequest> = {
-                    let mut g = ctx.inner.lock();
-                    let stale = g.finished || g.committing || g.participants.contains(&site);
-                    let relevant = g
-                        .queue
-                        .iter()
-                        .any(|u| u.table().map(|t| t == table).unwrap_or(false));
-                    if stale || !relevant {
-                        drop(g);
-                        // A BEGIN may already have reached the new site for
-                        // a transaction we will not register (it finished or
-                        // entered commit while we forwarded): roll the stray
-                        // back so its locks release now, not by timeout.
-                        if let Some(mut c) = chan.take() {
-                            let _ = rpc_expect_ok(
-                                c.as_mut(),
-                                &Request::Abort { tid },
-                                self.cfg.rpc_deadline,
-                            );
-                        }
-                        break 'txn;
-                    }
-                    if g.queue.len() == sent {
-                        if let Some(c) = chan.take() {
-                            g.participants.insert(site);
-                            g.chans.insert(site, Arc::new(Mutex::new(c)));
-                        }
-                        break 'txn;
-                    }
-                    g.queue[sent..].to_vec()
-                };
-                // Forward: fresh connection + BEGIN on the first pass, then
-                // the unsent backlog suffix.
-                let forwarded: DbResult<()> = (|| {
-                    let c = match &mut chan {
-                        Some(c) => c,
-                        None => {
-                            let addr = self.placement.address(site)?;
-                            let mut fresh = self.transport.connect(&addr)?;
-                            rpc_expect_ok(
-                                fresh.as_mut(),
-                                &Request::Begin { tid },
-                                self.cfg.rpc_deadline,
-                            )?;
-                            chan.insert(fresh)
-                        }
-                    };
-                    for u in &backlog {
-                        let forward = match u.table() {
-                            Some(t) if t == table => true,
-                            Some(_) => false,
-                            None => true, // CPU work applies everywhere
-                        };
-                        if forward {
-                            rpc_expect_ok(
-                                c.as_mut(),
-                                &Request::Update {
-                                    tid,
-                                    req: u.clone(),
-                                },
-                                self.cfg.rpc_deadline,
-                            )?;
-                        }
-                    }
-                    Ok(())
-                })();
-                match forwarded {
-                    Ok(()) => sent += backlog.len(),
-                    // The backlog would not replay — typically a lock
-                    // timeout against the recoverer's own Phase-3 locks, a
-                    // deadlock the victim cannot see (it is blocked in this
-                    // very RPC). The *transaction* is the loser (§5.4.1:
-                    // deadlocks resolve by timeout), not the join: abort it
-                    // and bring the site online.
-                    Err(_) => {
-                        doomed.push(tid);
-                        break 'txn;
-                    }
+            // The forwarder reaches the site through the transaction's own
+            // session slot — the one `update` uses — so the two can never
+            // each open the site for the same tid, and a forward that fails
+            // leaves its session where `abort` finds it.
+            let slot = {
+                let mut g = ctx.inner.lock();
+                let stale = g.finished || g.committing || g.participants.contains(&site);
+                let relevant = g.queue.iter().any(|u| u.table() == Some(table));
+                if stale || !relevant {
+                    continue;
                 }
+                g.chans.entry(site).or_default().clone()
+            };
+            let forwarded = {
+                let mut s = slot.lock();
+                if s.begun {
+                    // The client's next statement got here first and has
+                    // caught the site up itself.
+                    Ok(Response::Ok)
+                } else {
+                    self.catch_up(tid, &ctx, site, &mut s, table)
+                }
+            };
+            match forwarded {
+                Ok(Response::Ok) => {}
+                // The transaction finished or entered commit under the
+                // forwarder; `first_contact` has dropped the session.
+                Err(DbError::TransactionAborted(_)) => {}
+                // The backlog would not replay — typically a lock timeout
+                // against the recoverer's own Phase-3 locks, a deadlock the
+                // victim cannot see (it is blocked in this very RPC). The
+                // *transaction* is the loser (§5.4.1: deadlocks resolve by
+                // timeout), not the join: abort it — the site is already a
+                // participant, so the ABORT reaches it on this session and
+                // its locks go now — and bring the site online.
+                Ok(_) | Err(_) => doomed.push(tid),
             }
         }
         for tid in doomed {
             let _ = self.abort(tid);
         }
         Ok(())
-    }
-}
-
-fn rpc_expect_ok(chan: &mut dyn Channel, req: &Request, deadline: Duration) -> DbResult<()> {
-    match rpc_liveness(chan, req, deadline, None)? {
-        Response::Ok => Ok(()),
-        // Preserve the error class across the wire: a worker that tripped
-        // on a corrupt page must not read as a protocol violation.
-        Response::Err { msg } => Err(DbError::from_remote_msg(msg)),
-        other => Err(DbError::protocol(format!("unexpected reply {other:?}"))),
     }
 }

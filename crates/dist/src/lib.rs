@@ -27,7 +27,29 @@ pub use harbor_common::config::{
 use harbor_common::codec::Wire;
 use harbor_common::{retry_with, DbError, DbResult, Metrics, RetryPolicy, Timestamp, Tuple};
 use harbor_net::Channel;
+use parking_lot::Mutex;
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Joins the threads in `handles` that have already finished and keeps the
+/// rest. Thread-per-connection servers call this on every accept tick, so
+/// the handles they hold track the connections that are open — not every
+/// connection there ever was — and a panic in a connection thread is
+/// observed when it happens instead of at shutdown.
+pub(crate) fn reap_finished(handles: &Mutex<Vec<JoinHandle<()>>>) {
+    let finished: Vec<JoinHandle<()>> = {
+        let mut live = handles.lock();
+        if !live.iter().any(|h| h.is_finished()) {
+            return;
+        }
+        let (finished, running) = live.drain(..).partition(|h| h.is_finished());
+        *live = running;
+        finished
+    };
+    for h in finished {
+        let _ = h.join();
+    }
+}
 
 /// One request/response round trip over a channel, blocking indefinitely for
 /// the reply. Prefer [`rpc_deadline`] anywhere a partitioned peer is
@@ -141,8 +163,17 @@ pub fn scan_rpc_deadline(
     scan: &RemoteScan,
     deadline: Duration,
 ) -> DbResult<Vec<Tuple>> {
+    chan.send(&Request::Scan(scan.clone()).to_vec())?;
+    collect_scan_replies(chan, deadline)
+}
+
+/// All rows of a scan whose request is already on the wire.
+pub(crate) fn collect_scan_replies(
+    chan: &mut dyn Channel,
+    deadline: Duration,
+) -> DbResult<Vec<Tuple>> {
     let mut out = Vec::new();
-    scan_rpc_streaming_deadline(chan, scan, deadline, |mut batch| {
+    drain_scan_replies(chan, deadline, |mut batch| {
         out.append(&mut batch);
         Ok(())
     })?;
@@ -215,6 +246,17 @@ fn drain_scan_stream(
     chan: &mut dyn Channel,
     req: &Request,
     deadline: Duration,
+    visit: impl FnMut(Vec<Tuple>) -> DbResult<()>,
+) -> DbResult<()> {
+    chan.send(&req.to_vec())?;
+    drain_scan_replies(chan, deadline, visit)
+}
+
+/// The receiving half of [`drain_scan_stream`], for a caller that has
+/// already sent the scan request (behind a BEGIN it pipelined it with).
+fn drain_scan_replies(
+    chan: &mut dyn Channel,
+    deadline: Duration,
     mut visit: impl FnMut(Vec<Tuple>) -> DbResult<()>,
 ) -> DbResult<()> {
     let recv_frame = |chan: &mut dyn Channel| -> DbResult<Vec<u8>> {
@@ -227,7 +269,6 @@ fn drain_scan_stream(
             ))),
         }
     };
-    chan.send(&req.to_vec())?;
     loop {
         let frame = recv_frame(chan)?;
         match Response::from_slice(&frame)? {

@@ -1,6 +1,12 @@
 //! The worker site: a thread-per-connection server executing update
 //! requests, commit-protocol steps, remote scans, and recovery lock
 //! requests against its local [`Engine`] (thesis §4.1, §6.1.6).
+//!
+//! Connections are long-lived: the coordinator keeps its sessions open
+//! across transactions, one open transaction per session at a time, so a
+//! connection thread serves many transactions in turn and "this connection
+//! closed" still means "the coordinator of the transaction open on it is
+//! gone" (§4.3.2, §5.5.1).
 
 use crate::consensus::{self, BackupState};
 use crate::failpoint::{CrashPoint, CrashSchedule};
@@ -214,6 +220,9 @@ impl Worker {
                 Ok(None) => {}
                 Err(_) => break,
             }
+            // Threads follow connections: one whose peer has hung up is
+            // joined now, not kept until the worker stops.
+            crate::reap_finished(&self.handles);
         }
     }
 
@@ -232,8 +241,11 @@ impl Worker {
     }
 
     fn serve_connection(self: &Arc<Self>, mut chan: Box<dyn Channel>) {
-        // Transactions begun on this connection (coordinator-failure
-        // detection) and recovery locks granted through it (§5.5.1).
+        // Transactions begun on this connection and not known to be decided
+        // (coordinator-failure detection), and recovery locks granted
+        // through it (§5.5.1). Both stay O(1) however long the connection
+        // lives: decided transactions leave at the next BEGIN, locks at
+        // their release.
         let mut conn_txns: Vec<TransactionId> = Vec::new();
         let mut conn_locks: Vec<(TransactionId, LockKey)> = Vec::new();
         loop {
@@ -269,9 +281,6 @@ impl Worker {
                     continue;
                 }
             };
-            if let Request::Begin { tid } = &req {
-                conn_txns.push(*tid);
-            }
             match &req {
                 Request::AcquireTableLock { tid, table } => {
                     let resp = self.handle(&req, &mut chan);
@@ -299,6 +308,12 @@ impl Worker {
                 }
                 _ => {
                     let resp = self.handle(&req, &mut chan);
+                    if let (Request::Begin { tid }, Response::Ok) = (&req, &resp) {
+                        // The session's previous transaction ended before
+                        // the coordinator leased it out again.
+                        conn_txns.retain(|t| self.is_undecided(*t));
+                        conn_txns.push(*tid);
+                    }
                     if self.shutdown.load(Ordering::SeqCst) {
                         // A crash point fired while handling (e.g. during
                         // the PREPARE vote): a crashed site sends nothing.
@@ -335,10 +350,16 @@ impl Worker {
                 // Not yet prepared, or prepared-voted-NO: safe to abort
                 // unilaterally under every protocol (§4.3.2).
                 BackupState::Pending | BackupState::PreparedNo => {
-                    let _ = self
+                    // Recorded only if the rollback went through: one that
+                    // failed (a disk fault under the undo) stays undecided,
+                    // so termination retries it instead of its tuples and
+                    // locks staying behind at a site nobody presumes dead.
+                    let aborted = self
                         .engine
                         .abort(*tid, self.cfg.protocol.worker_commit_logging());
-                    self.dist_txns.lock().entry(*tid).or_default().outcome = Some(false);
+                    if aborted.is_ok() {
+                        self.dist_txns.lock().entry(*tid).or_default().outcome = Some(false);
+                    }
                 }
                 BackupState::Committed(_) | BackupState::Aborted => {}
                 // Prepared-YES or beyond: 2PC must block for the
@@ -354,6 +375,14 @@ impl Worker {
                 }
             }
         }
+    }
+
+    /// `false` once this worker knows `tid` committed or aborted.
+    fn is_undecided(&self, tid: TransactionId) -> bool {
+        self.dist_txns
+            .lock()
+            .get(&tid)
+            .is_some_and(|info| info.outcome.is_none())
     }
 
     /// Transactions this worker holds commit-protocol state for with no
@@ -596,6 +625,12 @@ impl Worker {
                 Ok(Response::Ok)
             }
             Request::Update { tid, req } => {
+                // A statement for a transaction this site does not have open
+                // (an abort overtook it) must not take locks, or leave a
+                // tuple, that no transaction end would ever clean up.
+                if self.engine.txn_status(*tid).is_none() {
+                    return Err(DbError::UnknownTransaction(*tid));
+                }
                 self.apply_update(*tid, req)?;
                 Ok(Response::Ok)
             }
@@ -805,7 +840,14 @@ impl Worker {
         // first phase, §4.3.3): repeat the previous vote.
         match self.backup_state(tid) {
             BackupState::PreparedYes | BackupState::PreparedToCommit(_) => return Ok(true),
-            BackupState::PreparedNo | BackupState::Aborted => return Ok(false),
+            BackupState::PreparedNo | BackupState::Aborted => {
+                // The coordinator never sends a NO voter the outcome, so
+                // nothing may stay open behind a NO (a no-op when the
+                // earlier NO already rolled back).
+                self.engine
+                    .abort(tid, self.cfg.protocol.worker_commit_logging())?;
+                return Ok(false);
+            }
             _ => {}
         }
         match self

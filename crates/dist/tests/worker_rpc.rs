@@ -368,6 +368,44 @@ fn unknown_transactions_vote_no_and_abort_acks() {
     let _ = std::fs::remove_dir_all(&f.dir);
 }
 
+/// A statement that arrives after its transaction ended (an abort overtook
+/// it on the way) is refused before it touches the table: no tuple, no lock.
+#[test]
+fn a_statement_for_a_closed_transaction_takes_no_locks() {
+    let f = build("straggler");
+    let tid = TransactionId::from_parts(SiteId(0), 7);
+    let insert = Request::Update {
+        tid,
+        req: UpdateRequest::Insert {
+            table: "t".into(),
+            values: vec![Value::Int64(1), Value::Int32(1)],
+        },
+    };
+    let mut chan = f.connect();
+    for (req, want_ack) in [
+        (Request::Begin { tid }, false),
+        (insert.clone(), false),
+        (Request::Abort { tid }, true),
+    ] {
+        let reply = rpc(chan.as_mut(), &req).unwrap();
+        assert!(
+            matches!(
+                (&reply, want_ack),
+                (Response::Ok, false) | (Response::Ack, true)
+            ),
+            "{reply:?}"
+        );
+    }
+    assert!(matches!(
+        rpc(chan.as_mut(), &insert).unwrap(),
+        Response::Err { .. }
+    ));
+    assert_eq!(f.engine.locks().held_count(), 0);
+    let scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(Timestamp(1_000)));
+    assert!(scan_rpc(chan.as_mut(), &scan).unwrap().is_empty());
+    let _ = std::fs::remove_dir_all(&f.dir);
+}
+
 #[test]
 fn disk_backed_worker_survives_restart_of_its_server() {
     let f = build("restart-server");

@@ -5,9 +5,9 @@
 //! postdates `T`, and sketches "a separate deletion vector with the deletion
 //! times" that recovery could scan instead — trading a little runtime
 //! bookkeeping for recovery time. This module implements that idea as a
-//! per-table **deletion log**: an ordered map `deletion_time → record ids`,
-//! maintained whenever a deletion timestamp is written and consulted by the
-//! worker's remote-scan fast path for `ids_and_deletions_only` recovery
+//! per-table **deletion log**: an ordered set of `(deletion_time, record id)`
+//! pairs, maintained whenever a deletion timestamp is written and consulted
+//! by the worker's remote-scan fast path for `ids_and_deletions_only` recovery
 //! queries. The ablation bench (`ablations.rs` #4) measures what it buys.
 //!
 //! Like the primary-key index, the log is volatile: it reopens *cold* after
@@ -15,16 +15,18 @@
 //! on the crashed site never depends on it — only the (live) recovery
 //! buddies answer deletion queries, and their logs are warm.
 
-use harbor_common::{DbResult, RecordId, TableId, Timestamp};
+use harbor_common::{DbResult, PageId, RecordId, TableId, Timestamp};
 use harbor_storage::BufferPool;
 use harbor_wal::record::TsField;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 struct Inner {
     built: bool,
-    /// deletion time → tuples deleted at that time.
-    by_time: BTreeMap<u64, Vec<RecordId>>,
+    /// `(deletion time, tuple)`, ordered by time: a bulk load that deletes
+    /// tens of thousands of versions at one commit time costs a tree insert
+    /// per tuple, not a scan of everything already deleted at that time.
+    by_time: BTreeSet<(u64, RecordId)>,
 }
 
 /// Per-table ordered log of deletion timestamps.
@@ -40,7 +42,7 @@ impl DeletionLog {
             table,
             inner: Mutex::new(Inner {
                 built: true,
-                by_time: BTreeMap::new(),
+                by_time: BTreeSet::new(),
             }),
         }
     }
@@ -51,7 +53,7 @@ impl DeletionLog {
             table,
             inner: Mutex::new(Inner {
                 built: false,
-                by_time: BTreeMap::new(),
+                by_time: BTreeSet::new(),
             }),
         }
     }
@@ -69,10 +71,7 @@ impl DeletionLog {
         if !g.built {
             return;
         }
-        let e = g.by_time.entry(ts.0).or_default();
-        if !e.contains(&rid) {
-            e.push(rid);
-        }
+        g.by_time.insert((ts.0, rid));
     }
 
     /// Removes a record (undelete in recovery Phase 1, or physical removal
@@ -85,12 +84,7 @@ impl DeletionLog {
         if !g.built {
             return;
         }
-        if let Some(e) = g.by_time.get_mut(&ts.0) {
-            e.retain(|r| *r != rid);
-            if e.is_empty() {
-                g.by_time.remove(&ts.0);
-            }
-        }
+        g.by_time.remove(&(ts.0, rid));
     }
 
     /// All `(rid, deletion_time)` pairs with `deletion_time > after`,
@@ -106,9 +100,11 @@ impl DeletionLog {
         if !g.built {
             self.build_locked(pool, &mut g)?;
         }
+        // The smallest pair of the first admitted time.
+        let first = (after.0 + 1, RecordId::new(PageId::new(TableId(0), 0), 0));
         Ok(g.by_time
-            .range(after.0 + 1..)
-            .flat_map(|(ts, rids)| rids.iter().map(|r| (*r, Timestamp(*ts))))
+            .range(first..)
+            .map(|(ts, rid)| (*rid, Timestamp(*ts)))
             .collect())
     }
 
@@ -121,16 +117,13 @@ impl DeletionLog {
 
     fn build_locked(&self, pool: &BufferPool, g: &mut Inner) -> DbResult<()> {
         let table = pool.table(self.table)?;
-        let mut by_time: BTreeMap<u64, Vec<RecordId>> = BTreeMap::new();
+        let mut by_time = BTreeSet::new();
         for pid in table.all_page_ids() {
             pool.with_page(None, pid, |page| {
                 for slot in page.occupied_slots() {
                     let del = page.timestamp(slot, TsField::Deletion)?;
                     if del.is_valid_commit_time() {
-                        by_time
-                            .entry(del.0)
-                            .or_default()
-                            .push(RecordId::new(pid, slot));
+                        by_time.insert((del.0, RecordId::new(pid, slot)));
                     }
                 }
                 Ok(())
@@ -143,10 +136,79 @@ impl DeletionLog {
 
     /// Total recorded deletions (tests).
     pub fn len(&self) -> usize {
-        self.inner.lock().by_time.values().map(|v| v.len()).sum()
+        self.inner.lock().by_time.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    fn rid(i: u32) -> RecordId {
+        RecordId::new(PageId::new(TableId(7), i / 100), (i % 100) as u16)
+    }
+
+    /// `deleted_after` on a warm log never touches the pool it is handed.
+    fn pairs(log: &DeletionLog, after: u64) -> Vec<(RecordId, Timestamp)> {
+        let metrics = harbor_common::Metrics::new();
+        let locks = harbor_storage::LockManager::new(Duration::from_millis(10), metrics.clone());
+        let pool = BufferPool::new(
+            2,
+            std::sync::Arc::new(locks),
+            harbor_storage::PagePolicy::steal_no_force(),
+            metrics,
+        );
+        log.deleted_after(&pool, Timestamp(after)).unwrap()
+    }
+
+    #[test]
+    fn bulk_deletions_at_one_time_are_not_quadratic() {
+        let log = DeletionLog::fresh(TableId(7));
+        let started = Instant::now();
+        for i in 0..50_000 {
+            log.note(rid(i), Timestamp(9));
+        }
+        // Repeats (recovery re-notes what it re-applies) change nothing.
+        for i in 0..50_000 {
+            log.note(rid(i), Timestamp(9));
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "100k notes at one timestamp took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(log.len(), 50_000);
+    }
+
+    #[test]
+    fn deleted_after_returns_each_pair_once_in_time_order() {
+        let log = DeletionLog::fresh(TableId(7));
+        // Noted out of order, with a repeat and an invalid (uncommitted) time.
+        log.note(rid(3), Timestamp(12));
+        log.note(rid(1), Timestamp(10));
+        log.note(rid(2), Timestamp(12));
+        log.note(rid(2), Timestamp(12));
+        log.note(rid(4), Timestamp(11));
+        log.note(rid(5), Timestamp::UNCOMMITTED);
+        assert_eq!(
+            pairs(&log, 10),
+            vec![
+                (rid(4), Timestamp(11)),
+                (rid(2), Timestamp(12)),
+                (rid(3), Timestamp(12)),
+            ]
+        );
+        assert_eq!(pairs(&log, 0).len(), 4);
+        assert!(pairs(&log, 12).is_empty());
+        // Removing the last pair of a time leaves nothing behind.
+        log.unnote(rid(4), Timestamp(11));
+        log.unnote(rid(4), Timestamp(11));
+        assert_eq!(log.len(), 3);
+        assert_eq!(pairs(&log, 10).len(), 2);
     }
 }

@@ -8,11 +8,18 @@
 //! seq)` where `ordinal` numbers the channels opened on a directed link in
 //! creation order and `seq` is a per-channel logical event counter — never
 //! of wall-clock time — so the same seed replays the identical fault
-//! trace, and a failing soak seed reproduces from the log. The ordinal
-//! matters: the commit protocols open a fresh channel per transaction, and
-//! without it every transaction would replay the same few-`seq` prefix of
-//! its link's plan, so a fault stream that misses in that prefix could
-//! never fire at all.
+//! trace, and a failing soak seed reproduces from the log. The coordinator
+//! keeps its sessions to a worker open across transactions, so `seq` runs
+//! on through many of them and a long run samples deep into one channel's
+//! plan. The ordinal is for the channel that comes *after* a fault: a
+//! session severed by a drop, a disconnect or an expired deadline is never
+//! reused, and its replacement must draw a fresh slice of the link's plan,
+//! not replay from `seq` 0 the very prefix that has just cut the link —
+//! which, the plan being a pure function, it would do for ever. (The same
+//! goes for the short-lived channels recovery and consensus open.) Which
+//! session carries which transaction is therefore part of the replayed
+//! schedule: the coordinator leases sessions newest-first, which a serial
+//! workload turns into one session per link.
 //!
 //! Fault semantics on an ordered stream (the transports model TCP, §6.1.6):
 //!
@@ -160,10 +167,11 @@ struct ChaosState {
     trace: Mutex<Vec<FaultRecord>>,
     metrics: Metrics,
     /// Next channel ordinal per directed link. Every channel on a link
-    /// samples a *fresh* slice of the fault plan: without this, short-lived
-    /// channels (one per transaction in the commit protocols) would replay
-    /// the first few `seq` values of the same link forever, and any fault
-    /// stream that misses in that prefix could never fire at all.
+    /// samples a *fresh* slice of the fault plan: without this, the channel
+    /// opened to replace a severed one (and every short-lived recovery or
+    /// consensus channel) would replay the first few `seq` values of the
+    /// same link forever, and a fault in that prefix would cut every
+    /// replacement exactly where it cut the original.
     link_ordinals: Mutex<HashMap<String, u64>>,
 }
 
@@ -556,6 +564,10 @@ impl Channel for ChaosChannel {
 
     fn peer(&self) -> String {
         self.peer_label()
+    }
+
+    fn is_closed(&self) -> bool {
+        self.inner.as_ref().is_none_or(|c| c.is_closed())
     }
 }
 

@@ -10,10 +10,21 @@
 //!   injected per-message latency, for deterministic tests and for figure
 //!   harnesses that model the paper's 85 Mb/s LAN.
 //!
+//! A connection is long-lived: the accepting side gives it a thread, which
+//! serves request after request until the peer hangs up, and the connecting
+//! side keeps it for as long as it has use for the peer (the coordinator
+//! leases its worker connections to one transaction at a time and pools
+//! them in between). Nothing here opens or closes a connection per message
+//! or per transaction.
+//!
 //! Failure detection is "the detection of an abruptly closed TCP socket
 //! connection as a signal for failure" (§5.5.1): both transports surface a
 //! closed peer as [`DbError::Net`], and [`DbError::is_disconnect`] is true
-//! for it.
+//! for it. A connection that is merely silent — a partition — never closes;
+//! callers bound every receive with a deadline instead. A pooled connection
+//! whose peer went away while it idled is found out *before* it carries the
+//! next frame ([`Channel::is_closed`]): over TCP the write would succeed
+//! and the loss show only at the read, too late to send that frame again.
 
 pub mod chaos;
 pub mod inmem;
@@ -50,6 +61,17 @@ pub trait Channel: Send {
 
     /// Human-readable peer address (diagnostics).
     fn peer(&self) -> String;
+
+    /// Whether a connection *with no exchange in progress* is known to be
+    /// unusable: the peer has closed it, or bytes nobody asked for are
+    /// waiting on it. Never blocks and consumes nothing. `false` means only
+    /// "not known" — a transport whose `send` already fails on a closed peer
+    /// needs no override. Holders of idle connections ask this before
+    /// handing over a frame that must not be sent twice: over TCP a write to
+    /// a peer that has gone succeeds, and the loss shows only at the read.
+    fn is_closed(&self) -> bool {
+        false
+    }
 }
 
 /// Accepts inbound connections at one address.

@@ -359,6 +359,20 @@ impl Channel for TcpChannel {
     fn peer(&self) -> String {
         self.peer.clone()
     }
+
+    fn is_closed(&self) -> bool {
+        // A non-blocking peek: an idle connection that is open has nothing
+        // to read (`WouldBlock`); end-of-stream, a reset, or unrequested
+        // bytes all mean it must not carry another exchange.
+        if self.stream.set_nonblocking(true).is_err() {
+            return true;
+        }
+        let idle = matches!(
+            self.stream.peek(&mut [0u8; 1]),
+            Err(e) if e.kind() == ErrorKind::WouldBlock
+        );
+        !(idle && self.stream.set_nonblocking(false).is_ok())
+    }
 }
 
 #[cfg(test)]
@@ -391,6 +405,35 @@ mod tests {
             .unwrap();
         let mut server = l.accept().unwrap();
         assert!(server.recv().unwrap_err().is_corrupt());
+    }
+
+    #[test]
+    fn is_closed_sees_what_a_write_would_not() {
+        let (t, l, addr) = bind();
+        let mut client = t.connect(&addr).unwrap();
+        let mut server = l.accept().unwrap();
+        assert!(!client.is_closed(), "open and idle");
+        client.send(b"ping").unwrap();
+        assert_eq!(server.recv().unwrap(), b"ping");
+        server.send(b"pong").unwrap();
+        // The check left the socket blocking: the timed read waits.
+        assert_eq!(
+            client
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap()
+                .unwrap(),
+            b"pong"
+        );
+        assert!(!client.is_closed());
+        drop(server);
+        // The FIN crosses loopback asynchronously.
+        let seen = std::time::Instant::now() + Duration::from_secs(5);
+        while !client.is_closed() {
+            assert!(std::time::Instant::now() < seen, "close never seen");
+            std::thread::yield_now();
+        }
+        // The very write that would have carried a frame still succeeds.
+        assert!(client.send(b"lost").is_ok());
     }
 
     #[test]

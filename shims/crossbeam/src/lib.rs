@@ -2,7 +2,8 @@
 //!
 //! The build container has no access to a crates.io mirror, so the workspace
 //! vendors the part it uses: `crossbeam::channel` with MPMC `unbounded` and
-//! `bounded` channels, cloneable senders *and* receivers, and the same
+//! `bounded` channels (capacity 0 = rendezvous), cloneable senders *and*
+//! receivers, and the same
 //! disconnect semantics (send fails once every receiver is gone; recv drains
 //! the queue and then fails once every sender is gone).
 //!
@@ -25,15 +26,39 @@ pub mod channel {
     struct Shared<T> {
         queue: Mutex<VecDeque<(T, MsgClock)>>,
         cap: Option<usize>,
+        /// Receivers of a rendezvous channel parked in a blocking receive
+        /// (changed under the queue lock): what its senders wait for.
+        parked: AtomicUsize,
         senders: AtomicUsize,
         receivers: AtomicUsize,
         not_empty: Condvar,
         not_full: Condvar,
     }
 
+    type Queue<'a, T> = std::sync::MutexGuard<'a, VecDeque<(T, MsgClock)>>;
+
     impl<T> Shared<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(T, MsgClock)>> {
+        fn lock(&self) -> Queue<'_, T> {
             self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// A receiver's wait for a value; on a rendezvous channel it is
+        /// counted, so that a sender knows somebody is there to take one.
+        fn park<'a>(&self, q: Queue<'a, T>, slice: Duration) -> Queue<'a, T> {
+            let rendezvous = self.cap == Some(0);
+            if rendezvous {
+                self.parked.fetch_add(1, Ordering::SeqCst);
+                self.not_full.notify_one();
+            }
+            let q = self
+                .not_empty
+                .wait_timeout(q, slice)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            if rendezvous {
+                self.parked.fetch_sub(1, Ordering::SeqCst);
+            }
+            q
         }
     }
 
@@ -73,6 +98,7 @@ pub mod channel {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             cap,
+            parked: AtomicUsize::new(0),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
             not_empty: Condvar::new(),
@@ -90,10 +116,11 @@ pub mod channel {
         with_cap(None)
     }
 
+    /// `bounded(0)` is a rendezvous channel, as in crossbeam: `send` blocks
+    /// until a receiver is parked in `recv`/`recv_timeout` to take the value
+    /// (a `try_recv` never meets a sender here, which crossbeam allows).
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        // crossbeam's cap-0 rendezvous channel is not reproduced; treat it
-        // as a capacity-1 channel, which preserves the backpressure intent.
-        with_cap(Some(cap.max(1)))
+        with_cap(Some(cap))
     }
 
     impl<T> Sender<T> {
@@ -104,8 +131,14 @@ pub mod channel {
                 if shared.receivers.load(Ordering::SeqCst) == 0 {
                     return Err(SendError(value));
                 }
-                match shared.cap {
-                    Some(cap) if q.len() >= cap => {
+                // A rendezvous channel has room for one value per receiver
+                // already waiting for it.
+                let room = match shared.cap {
+                    Some(0) => Some(shared.parked.load(Ordering::SeqCst)),
+                    cap => cap,
+                };
+                match room {
+                    Some(room) if q.len() >= room => {
                         q = shared
                             .not_full
                             .wait_timeout(q, Duration::from_millis(50))
@@ -135,11 +168,7 @@ pub mod channel {
                 if shared.senders.load(Ordering::SeqCst) == 0 {
                     return Err(RecvError);
                 }
-                q = shared
-                    .not_empty
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
+                q = shared.park(q, Duration::from_millis(50));
             }
         }
 
@@ -175,11 +204,7 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                q = shared
-                    .not_empty
-                    .wait_timeout(q, (deadline - now).min(Duration::from_millis(50)))
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
+                q = shared.park(q, (deadline - now).min(Duration::from_millis(50)));
             }
         }
 
@@ -290,6 +315,29 @@ pub mod channel {
             t.join().unwrap();
             assert_eq!(rx.recv(), Ok(2));
             assert_eq!(rx.recv(), Ok(3));
+        }
+
+        #[test]
+        fn zero_capacity_is_a_rendezvous() {
+            let (tx, rx) = bounded(0);
+            let sent = std::sync::Arc::new(AtomicUsize::new(0));
+            let t = {
+                let sent = sent.clone();
+                std::thread::spawn(move || {
+                    for i in 0..2 {
+                        tx.send(i).unwrap();
+                        sent.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+            };
+            // Nobody is receiving: nothing is buffered on the sender's word.
+            std::thread::sleep(Duration::from_millis(30));
+            assert_eq!(sent.load(Ordering::SeqCst), 0);
+            assert!(rx.is_empty());
+            assert_eq!(rx.recv(), Ok(0));
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(1));
+            t.join().unwrap();
+            assert_eq!(rx.recv(), Err(RecvError));
         }
 
         #[test]

@@ -3,6 +3,11 @@
 //! mid-commit elects the backup and drives the transaction to a consistent
 //! outcome with *no external intervention* — the property that lets
 //! optimized 3PC run without any coordinator log.
+//!
+//! The coordinator's sessions to the workers outlive transactions, so each
+//! scenario also holds a crash to closing *every* session: the ones leased
+//! to the in-doubt transaction (that is what the workers detect) and the
+//! ones idling in the pool.
 
 use harbor::{Cluster, ClusterConfig, TableSpec, TransportKind};
 use harbor_common::{SiteId, StorageConfig, Timestamp, Value};
@@ -37,13 +42,22 @@ fn scenario(name: &str, fail: FailPoint, expect_rows: usize) {
         latency: None,
         bandwidth: None,
     };
-    cfg.tables = vec![TableSpec::small("t")];
+    cfg.tables = vec![TableSpec::small("t"), TableSpec::small("u")];
     cfg.auto_consensus = true;
     let cluster = Cluster::build(temp_dir(name), cfg).unwrap();
-    cluster
-        .insert_one("t", vec![Value::Int64(0), Value::Int32(0)])
-        .unwrap();
     let coordinator = cluster.coordinator();
+    // Two transactions open at once (on tables of their own, so neither
+    // waits for the other's locks) leave two sessions per site behind. The
+    // in-doubt transaction below leases one; the other stays idle.
+    let row0 = |table: &str| UpdateRequest::Insert {
+        table: table.into(),
+        values: vec![Value::Int64(0), Value::Int32(0)],
+    };
+    let (t1, t2) = (coordinator.begin().unwrap(), coordinator.begin().unwrap());
+    coordinator.update(t1, row0("t")).unwrap();
+    coordinator.update(t2, row0("u")).unwrap();
+    coordinator.commit(t1).unwrap();
+    coordinator.commit(t2).unwrap();
     let tid = coordinator.begin().unwrap();
     coordinator
         .update(
@@ -54,8 +68,18 @@ fn scenario(name: &str, fail: FailPoint, expect_rows: usize) {
             },
         )
         .unwrap();
+    for site in cluster.worker_sites() {
+        assert_eq!(coordinator.idle_sessions(site), 1, "{name}: {site}");
+    }
     coordinator.set_fail_point(fail);
     assert!(coordinator.commit(tid).is_err(), "{name}: coordinator died");
+    for site in cluster.worker_sites() {
+        assert_eq!(coordinator.idle_sessions(site), 0, "{name}: {site}");
+    }
+    assert!(
+        coordinator.begin().is_err(),
+        "{name}: a crashed coordinator"
+    );
     // No manual resolution: the workers' disconnect detection elects the
     // backup and finishes the transaction. Poll until both replicas agree
     // on the expected outcome.

@@ -46,8 +46,10 @@ fn chaos_cluster(dir: &PathBuf, seed: u64) -> Cluster {
     Cluster::build(dir, cfg).unwrap()
 }
 
-fn run_seed(seed: u64) -> harbor::ChaosRunReport {
-    let dir = temp_dir(&format!("seed-{seed:x}"));
+/// `tag` keeps the directories of tests that run the same seed at the same
+/// time apart.
+fn run_seed(tag: &str, seed: u64) -> harbor::ChaosRunReport {
+    let dir = temp_dir(&format!("{tag}-{seed:x}"));
     let cluster = chaos_cluster(&dir, seed);
     let report = cluster.run_chaos(&ChaosRunConfig::soak(seed)).unwrap();
     drop(cluster);
@@ -77,7 +79,7 @@ fn pinned_seeds_hold_invariants() {
         "ShimSan arming must track debug_assertions"
     );
     for seed in SEEDS {
-        let report = run_seed(seed);
+        let report = run_seed("pinned", seed);
         assert!(
             report.committed > 0,
             "seed {seed:#x}: workload made no progress\nschedule:\n  {}",
@@ -401,8 +403,8 @@ fn front_door_seed_holds_invariants() {
 #[test]
 fn same_seed_replays_identical_fault_trace() {
     let seed = SEEDS[0];
-    let a = run_seed(seed);
-    let b = run_seed(seed);
+    let a = run_seed("replay", seed);
+    let b = run_seed("replay", seed);
     assert_eq!(
         a.schedule, b.schedule,
         "event schedule diverged across identical-seed runs"

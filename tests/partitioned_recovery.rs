@@ -8,8 +8,8 @@
 use harbor::{recover_site, RecoveryConfig, RecoveryContext};
 use harbor_common::{FieldType, Metrics, SiteId, StorageConfig, Timestamp, Value};
 use harbor_dist::{
-    Coordinator, CoordinatorConfig, Copy, Part, Placement, ProtocolKind, UpdateRequest, Worker,
-    WorkerConfig,
+    rpc, Coordinator, CoordinatorConfig, Copy, Part, Placement, ProtocolKind, Request, Response,
+    UpdateRequest, Worker, WorkerConfig,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_exec::{collect, Expr, ReadMode, SeqScan};
@@ -23,6 +23,8 @@ const KEY_COL: usize = 2; // stored column of the id field
 
 struct Fixture {
     dir: PathBuf,
+    /// The network's own counters (messages sent, by either side).
+    net: Metrics,
     transport: Arc<dyn Transport>,
     placement: Placement,
     coordinator: Arc<Coordinator>,
@@ -50,13 +52,14 @@ fn open_engine(dir: &std::path::Path, site: SiteId) -> Arc<Engine> {
     e
 }
 
-fn build() -> Fixture {
+fn build(name: &str) -> Fixture {
     let dir = std::env::temp_dir()
         .join("harbor-partitioned-tests")
-        .join(format!("emp-{}", std::process::id()));
+        .join(format!("{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let transport: Arc<dyn Transport> = Arc::new(InMemNetwork::new(Metrics::new()));
+    let net = Metrics::new();
+    let transport: Arc<dyn Transport> = Arc::new(InMemNetwork::new(net.clone()));
     let sites = [SiteId(1), SiteId(2), SiteId(3)];
     let mut placement = Placement::new();
     // Copy 1: full replica on S1. Copy 2: S2 holds id < 1000, S3 the rest.
@@ -126,6 +129,7 @@ fn build() -> Fixture {
     .unwrap();
     Fixture {
         dir,
+        net,
         transport,
         placement,
         coordinator,
@@ -135,18 +139,31 @@ fn build() -> Fixture {
     }
 }
 
+fn employee(id: i64, salary: i32) -> UpdateRequest {
+    UpdateRequest::Insert {
+        table: "employees".into(),
+        values: vec![Value::Int64(id), Value::Int32(salary)],
+    }
+}
+
 fn insert(f: &Fixture, id: i64, salary: i32) {
     let tid = f.coordinator.begin().unwrap();
-    f.coordinator
-        .update(
-            tid,
-            UpdateRequest::Insert {
-                table: "employees".into(),
-                values: vec![Value::Int64(id), Value::Int32(salary)],
-            },
-        )
-        .unwrap();
+    f.coordinator.update(tid, employee(id, salary)).unwrap();
     f.coordinator.commit(tid).unwrap();
+}
+
+/// Messages sent on the network since `before`, once the `expected` ones
+/// are all counted (a sender counts a frame after handing it over, so the
+/// last reply of a connection may be read before it is counted).
+fn messages_since(f: &Fixture, before: &harbor_common::MetricsSnapshot, expected: u64) -> u64 {
+    let patience = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let sent = f.net.snapshot().since(before).messages_sent;
+        if sent >= expected || std::time::Instant::now() > patience {
+            return sent;
+        }
+        std::thread::yield_now();
+    }
 }
 
 fn ids_at(f: &Fixture, site: SiteId) -> Vec<i64> {
@@ -204,7 +221,7 @@ fn recover(f: &mut Fixture, site: SiteId) {
 
 #[test]
 fn partitioned_copies_route_and_recover() {
-    let mut f = build();
+    let mut f = build("emp");
     // Load employees on both sides of the partition boundary.
     for id in 0..40i64 {
         insert(&f, id, (id * 10) as i32);
@@ -266,6 +283,60 @@ fn partitioned_copies_route_and_recover() {
     // Shut down.
     f.coordinator.crash();
     for (_, w) in f.workers.drain() {
+        w.stop();
+    }
+    let _ = std::fs::remove_dir_all(&f.dir);
+}
+
+/// One transaction writes on both sides of the partition boundary, with CPU
+/// work in between. A site joins a transaction at the first statement that
+/// is placed on it and is sent that statement, not the ones queued before
+/// it: each row lands in its own partition only, and work done before a
+/// site joined is not done again there. The same holds when the site joins
+/// late because its object only then came online (Fig 5-4): the forwarded
+/// backlog is what the site would have been sent had it been up.
+#[test]
+fn a_transaction_spanning_partitions_keeps_each_row_in_its_own() {
+    let f = build("span");
+    let c = &f.coordinator;
+    let work = UpdateRequest::SimulateWork { cycles: 10 };
+
+    let before = f.net.snapshot();
+    let tid = c.begin().unwrap();
+    c.update(tid, employee(5, 1)).unwrap(); // S1, S2: BEGIN + UPDATE each
+    c.update(tid, work.clone()).unwrap(); // S1, S2
+    c.update(tid, employee(1005, 1)).unwrap(); // S1; S3: BEGIN + UPDATE
+    let sent = messages_since(&f, &before, 2 * (4 + 2 + 3));
+    assert_eq!(sent, 2 * (4 + 2 + 3), "requests and their replies");
+    c.commit(tid).unwrap();
+    assert_eq!(ids_at(&f, SiteId(1)), vec![5, 1005]);
+    assert_eq!(ids_at(&f, SiteId(2)), vec![5]);
+    assert_eq!(ids_at(&f, SiteId(3)), vec![1005]);
+
+    // S3 is out (it misses nothing that commits) while the next
+    // transaction writes both partitions, and comes online before it ends.
+    c.mark_dead(SiteId(3));
+    let tid = c.begin().unwrap();
+    c.update(tid, employee(6, 1)).unwrap();
+    c.update(tid, work).unwrap();
+    c.update(tid, employee(1006, 1)).unwrap();
+    let mut chan = f.transport.connect(c.addr()).unwrap();
+    let online = Request::RecComingOnline {
+        site: SiteId(3),
+        table: "employees".into(),
+    };
+    assert!(matches!(
+        rpc(chan.as_mut(), &online).unwrap(),
+        Response::AllDone
+    ));
+    c.update(tid, employee(1007, 1)).unwrap();
+    c.commit(tid).unwrap();
+    assert_eq!(ids_at(&f, SiteId(1)), vec![5, 6, 1005, 1006, 1007]);
+    assert_eq!(ids_at(&f, SiteId(2)), vec![5, 6]);
+    assert_eq!(ids_at(&f, SiteId(3)), vec![1005, 1006, 1007]);
+
+    c.crash();
+    for w in f.workers.values() {
         w.stop();
     }
     let _ = std::fs::remove_dir_all(&f.dir);
