@@ -894,13 +894,20 @@ impl Cluster {
         Ok(())
     }
 
-    /// Stops everything (graceful end of an experiment).
+    /// Stops everything (graceful end of an experiment). Every site is told
+    /// to stop before any is waited for: a site's threads notice the flag
+    /// within their 50 ms poll slice, so the whole cluster takes about one
+    /// slice to stop, not one per site.
     pub fn shutdown(&self) {
-        self.coordinator.crash();
         let workers: Vec<WorkerHandle> = {
             let mut g = self.workers.lock();
             g.drain().map(|(_, h)| h).collect()
         };
+        self.coordinator.initiate_crash();
+        for h in &workers {
+            h.worker.initiate_crash();
+        }
+        self.coordinator.crash();
         for h in &workers {
             h.worker.stop();
         }

@@ -4,12 +4,11 @@
 //! serves the timestamp authority and the join-pending protocol (Fig 5-4).
 
 use crate::failpoint::{CrashPoint, CrashSchedule};
-use crate::message::{RemoteScan, Request, Response, UpdateRequest, WireTxnState};
+use crate::message::{RemoteScan, Request, Response, UpdateRequest, WireTxnState, BEGIN_REFUSED};
 use crate::placement::SharedPlacement;
 use crate::protocol::ProtocolKind;
 use crate::{
-    collect_scan_replies, liveness_expired, reap_finished, scan_rpc_deadline, with_read_retries,
-    DEFAULT_RETRY_BACKOFF,
+    collect_scan_replies, liveness_expired, reap_finished, with_read_retries, DEFAULT_RETRY_BACKOFF,
 };
 use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use harbor_common::codec::Wire;
@@ -54,6 +53,11 @@ struct TxnSession {
 
 type SharedSession = Arc<Mutex<TxnSession>>;
 
+/// What an exchange on a poisoned session fails with.
+fn session_dropped(site: SiteId) -> DbError {
+    DbError::net(format!("session to {site} was dropped"))
+}
+
 /// Fault-injection points inside the commit protocol (drives the
 /// coordinator-failure scenarios of §4.3.3 / Table 4.1). Retained as the
 /// coordinator-local arming API; internally each point is an entry in the
@@ -78,7 +82,8 @@ pub enum FailPoint {
 /// covering every decision record of the epoch, one COMMIT wave, vectored
 /// acks. A NO vote or a dead worker aborts only the affected transactions,
 /// never the epoch. Applies to the 2PC variants only (the 3PC variants keep
-/// the paper-faithful serial path); `None` disables batching everywhere.
+/// the paper-faithful per-transaction path: one round per phase for each
+/// transaction); `None` disables batching everywhere.
 #[derive(Clone, Copy, Debug)]
 pub struct EpochCommitConfig {
     /// Maximum transactions per epoch.
@@ -124,8 +129,8 @@ pub struct CoordinatorConfig {
     pub read_retries: u32,
     /// Cluster-wide crash schedule probed by [`FailPoint`]s.
     pub crash_schedule: Arc<CrashSchedule>,
-    /// Batch commits into epochs (2PC variants only; `None` = the serial
-    /// paper-faithful path).
+    /// Batch commits into epochs (2PC variants only; `None` = the
+    /// paper-faithful per-transaction path).
     pub epoch_commit: Option<EpochCommitConfig>,
     /// Refuse updates to any object down to its *last* live copy
     /// ([`DbError::Degraded`]) instead of committing with zero surviving
@@ -277,7 +282,7 @@ impl Coordinator {
             }
         }
         // Epoch batching applies only to the 2PC variants; the 3PC variants
-        // keep the serial paper-faithful path regardless of config.
+        // keep the paper-faithful per-transaction path regardless of config.
         let epoch = match (cfg.epoch_commit, cfg.protocol.is_three_phase()) {
             (Some(ecfg), false) => Some(Arc::new(EpochState {
                 cfg: ecfg,
@@ -587,8 +592,10 @@ impl Coordinator {
     /// The crash itself, without reaping threads. Epoch runner and scheduler
     /// threads fire crash points from inside threads tracked in `handles`,
     /// and a thread cannot join itself — they call this and unwind; the
-    /// harness's eventual external [`crash`](Self::crash) joins them.
-    fn initiate_crash(&self) {
+    /// harness's eventual external [`crash`](Self::crash) joins them. A
+    /// cluster shutting down calls it on every site before it joins any, so
+    /// the sites' poll slices run out side by side.
+    pub fn initiate_crash(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Drop every session, leased or idle: workers see disconnects. (The
         // flag is up, so `release` pools nothing from here on.)
@@ -711,59 +718,24 @@ impl Coordinator {
         self.idle.lock().get(&site).map_or(0, Vec::len)
     }
 
-    /// One commit-protocol round trip under the liveness deadline.
-    fn rpc_live(&self, chan: &mut dyn Channel, req: &Request) -> DbResult<Response> {
-        chan.send(&req.to_vec())?;
-        self.recv_live(chan)
-    }
-
-    /// Receives one reply under the liveness deadline: a participant that
-    /// stays silent for that long is treated as failed even though its
-    /// socket never closed.
-    fn recv_live(&self, chan: &mut dyn Channel) -> DbResult<Response> {
-        match chan.recv_timeout(self.cfg.rpc_deadline)? {
-            Some(frame) => Response::from_slice(&frame),
-            None => Err(liveness_expired(
-                Some(&self.metrics),
-                &format!(
-                    "{}: no reply within {:?}",
-                    chan.peer(),
-                    self.cfg.rpc_deadline
-                ),
-            )),
-        }
-    }
-
-    /// The transaction's one session slot for `site`, created on demand.
-    fn session_slot(ctx: &TxnCtx, site: SiteId) -> SharedSession {
-        ctx.inner.lock().chans.entry(site).or_default().clone()
-    }
-
-    /// First contact of `tid` with `site`: leases a session and sends BEGIN
-    /// and the transaction's first request there back to back, then reads
-    /// both replies (the second through `read_reply`) — BEGIN costs a frame
-    /// but no round trip of its own. The site becomes a participant once
-    /// both are in, unless the transaction ended or entered commit
-    /// meanwhile (only the join-pending forwarder can lose that race): then
-    /// the session is dropped and the worker rolls the stray back on the
-    /// disconnect.
-    fn first_contact<T>(
+    /// First contact of `tid` with `site`: leases a session and sends the
+    /// encoded request `first` there under the begin marker — one frame, and
+    /// one reply for the caller to read. The site is a participant from the moment the
+    /// frame is handed to the transport, so whatever becomes of the reply
+    /// the ABORT or termination round reaches it — unless the transaction
+    /// ended or entered commit meanwhile (only the join-pending forwarder can
+    /// lose that race): then the session is dropped instead and the worker
+    /// rolls the stray back on the disconnect. Never neither.
+    fn first_contact(
         &self,
         tid: TransactionId,
         ctx: &TxnCtx,
         site: SiteId,
         s: &mut TxnSession,
-        first: &Request,
-        read_reply: impl FnOnce(&mut dyn Channel) -> DbResult<T>,
-    ) -> DbResult<T> {
+        first: &[u8],
+    ) -> DbResult<()> {
         s.begun = true;
-        let mut chan = self.lease(site, &Request::Begin { tid }.to_vec())?;
-        chan.send(&first.to_vec())?;
-        let reply = match self.recv_live(chan.as_mut())? {
-            Response::Ok => read_reply(chan.as_mut())?,
-            Response::Err { msg } => return Err(DbError::from_remote_msg(msg)),
-            other => return Err(DbError::protocol(format!("bad BEGIN reply {other:?}"))),
-        };
+        let chan = self.lease(site, &Request::mark_beginning(tid, first))?;
         let mut g = ctx.inner.lock();
         if g.finished || g.committing {
             return Err(DbError::TransactionAborted(tid));
@@ -771,33 +743,82 @@ impl Coordinator {
         g.participants.insert(site);
         drop(g);
         s.chan = Some(chan);
-        Ok(reply)
+        Ok(())
     }
 
-    /// One commit-protocol round trip for `tid` on its session to `site`
-    /// (first contact included), under the liveness deadline. Only a clean
-    /// session survives it: a transport error, an expired deadline or a
-    /// reply of the wrong kind poisons the session, and the acknowledgement
-    /// of COMMIT or ABORT marks it settled — fit to be leased again.
-    fn txn_rpc(
+    /// The sending half of an exchange: hands `frame`, an encoded request,
+    /// to `tid`'s session at `site` (first contact included). A session
+    /// that fails here is poisoned.
+    fn hand(
         &self,
         tid: TransactionId,
         ctx: &TxnCtx,
         site: SiteId,
         s: &mut TxnSession,
-        req: &Request,
-    ) -> DbResult<Response> {
-        let resp = if !s.begun {
-            self.first_contact(tid, ctx, site, s, req, |chan| self.recv_live(chan))
-        } else if let Some(chan) = s.chan.as_mut() {
-            self.rpc_live(chan.as_mut(), req)
-        } else if ctx.inner.lock().finished {
-            // Another thread ended the transaction (and with it the lease)
-            // under this caller: no fault of the site's.
-            Err(DbError::TransactionAborted(tid))
-        } else {
-            Err(DbError::net(format!("session to {site} was dropped")))
+        frame: &[u8],
+    ) -> DbResult<()> {
+        if !s.begun {
+            return self.first_contact(tid, ctx, site, s, frame);
+        }
+        let Some(chan) = s.chan.as_mut() else {
+            return Err(if ctx.inner.lock().finished {
+                // Another thread ended the transaction (and with it the
+                // lease) under this caller: no fault of the site's.
+                DbError::TransactionAborted(tid)
+            } else {
+                session_dropped(site)
+            });
         };
+        let sent = chan.send(frame);
+        if sent.is_err() {
+            s.chan = None;
+        }
+        sent
+    }
+
+    /// The receiving half: the reply to the `req` that [`hand`](Self::hand)
+    /// gave `site`, awaited until `expires` — a participant that stays
+    /// silent that long is treated as failed even though its socket never
+    /// closed. Only a clean session survives it: a transport error, an
+    /// expired deadline or a reply of the wrong kind poisons the session,
+    /// and the acknowledgement of COMMIT or ABORT marks it settled — fit to
+    /// be leased again.
+    fn reply(
+        &self,
+        ctx: &TxnCtx,
+        site: SiteId,
+        s: &mut TxnSession,
+        req: &Request,
+        expires: Instant,
+    ) -> DbResult<Response> {
+        let Some(chan) = s.chan.as_mut() else {
+            return Err(session_dropped(site));
+        };
+        // Never a zero wait: a reply that is already in must still be read
+        // when an earlier site has used the round's deadline up.
+        let left = expires
+            .saturating_duration_since(Instant::now())
+            .max(Duration::from_millis(1));
+        let mut resp = match chan.recv_timeout(left) {
+            Ok(Some(frame)) => Response::from_slice(&frame),
+            Ok(None) => Err(liveness_expired(
+                Some(&self.metrics),
+                &format!(
+                    "{}: no reply within {:?}",
+                    chan.peer(),
+                    self.cfg.rpc_deadline
+                ),
+            )),
+            Err(e) => Err(e),
+        };
+        if let Ok(Response::Err { msg }) = &resp {
+            if msg.starts_with(BEGIN_REFUSED) {
+                resp = Err(DbError::protocol(msg.clone()));
+            }
+        }
+        if let Err(e) = &resp {
+            Self::forget_if_refused(ctx, site, e);
+        }
         match (req, &resp) {
             (Request::Commit { .. } | Request::Abort { .. }, Ok(Response::Ack)) => s.settled = true,
             // A worker that could not execute the statement says so in step.
@@ -809,18 +830,89 @@ impl Coordinator {
         resp
     }
 
-    /// [`txn_rpc`](Self::txn_rpc) for the commit protocol, which addresses
-    /// a participant through its slot.
-    fn participant_rpc(
+    /// A worker that refused the begin marker has nothing of the transaction
+    /// open: it stops being a participant, so no ABORT of this transaction
+    /// can end whatever else holds the id there.
+    fn forget_if_refused(ctx: &TxnCtx, site: SiteId, e: &DbError) {
+        if matches!(e, DbError::Protocol(msg) if msg.starts_with(BEGIN_REFUSED)) {
+            ctx.inner.lock().participants.remove(&site);
+        }
+    }
+
+    /// One exchange with one site: [`hand`](Self::hand), then
+    /// [`reply`](Self::reply) under the liveness deadline.
+    fn txn_rpc(
         &self,
         tid: TransactionId,
         ctx: &TxnCtx,
         site: SiteId,
-        slot: &SharedSession,
+        s: &mut TxnSession,
         req: &Request,
     ) -> DbResult<Response> {
-        let mut s = slot.lock();
-        self.txn_rpc(tid, ctx, site, &mut s, req)
+        self.hand(tid, ctx, site, s, &req.to_vec())?;
+        self.reply(ctx, site, s, req, Instant::now() + self.cfg.rpc_deadline)
+    }
+
+    /// One protocol step as one scatter-gather round (§4.3, Figs 4-2…4-5:
+    /// the coordinator sends to *all* workers, then collects): locks `tid`'s
+    /// session at every one of `sites` in site order, hands `req` — encoded
+    /// once — to each, and only then reads the replies, under one liveness
+    /// deadline: the round lasts as long as its slowest worker, not the sum
+    /// of them, and any number of silent ones cost one `rpc_deadline`. The
+    /// caller acts on the replies afterwards, in site order, so a serial
+    /// client still takes a deterministic sequence of decisions. `before`
+    /// runs on each session ahead of its frame and may answer for the site,
+    /// which is then sent nothing.
+    fn round(
+        &self,
+        tid: TransactionId,
+        ctx: &TxnCtx,
+        sites: &[SiteId],
+        req: &Request,
+        before: impl Fn(SiteId, &mut TxnSession) -> Option<DbResult<Response>>,
+    ) -> Vec<(SiteId, DbResult<Response>)> {
+        debug_assert!(sites.windows(2).all(|w| w[0] < w[1]), "one lock order");
+        let slots: Vec<SharedSession> = {
+            let mut g = ctx.inner.lock();
+            if g.finished {
+                // Another thread ended the transaction: no slot of it is
+                // left, and none may be made.
+                let ended = |site: &SiteId| (*site, Err(DbError::TransactionAborted(tid)));
+                return sites.iter().map(ended).collect();
+            }
+            let slot = |site: &SiteId| g.chans.entry(*site).or_default().clone();
+            sites.iter().map(slot).collect()
+        };
+        // Held until the round is in: the session mutex is the
+        // per-(transaction, site) serialization point. Site order is the one
+        // lock order, and only the brief ctx lock is ever taken under it.
+        let mut sessions: Vec<_> = slots.iter().map(|slot| slot.lock()).collect();
+        let frame = req.to_vec();
+        let handed: Vec<Option<DbResult<Response>>> = sites
+            .iter()
+            .zip(sessions.iter_mut())
+            .map(|(site, s)| {
+                before(*site, s).or_else(|| self.hand(tid, ctx, *site, s, &frame).err().map(Err))
+            })
+            .collect();
+        let expires = Instant::now() + self.cfg.rpc_deadline;
+        // The site handed its frame last is awaited first: by the time its
+        // reply is in the others' usually are too, so the caller parks once
+        // a round, not once a site — and on a busy CPU every park is a
+        // chance to wait out another thread's time slice. What each reply
+        // is does not depend on when it is read; the list is in site order.
+        let mut replies: Vec<(SiteId, DbResult<Response>)> = sites
+            .iter()
+            .zip(sessions.iter_mut())
+            .zip(handed)
+            .rev()
+            .map(|((site, s), answered)| {
+                let resp = answered.unwrap_or_else(|| self.reply(ctx, *site, s, req, expires));
+                (*site, resp)
+            })
+            .collect();
+        replies.reverse();
+        replies
     }
 
     /// The sites holding a part of `table` that `req` applies to: an insert
@@ -834,17 +926,19 @@ impl Coordinator {
         }
     }
 
-    /// Brings `site` up to date with what it has not seen of `tid`, in queue
-    /// order: exactly the statements `update` would have sent it had its
-    /// copy of `table` been usable all along — those on `table` that are
-    /// placed on the site, and table-less CPU work queued once the site is
-    /// in the transaction. That is the whole backlog when the object just
-    /// came online (Fig 5-4), and nothing but the statement in hand on an
-    /// ordinary first contact: a statement placed on a usable site was sent
-    /// there when it was queued. Runs under the session lock, so whichever
-    /// of the join-pending forwarder and the client's next statement gets
-    /// here first does all of it and the other finds nothing left. Returns
-    /// the first reply that is not `Ok`.
+    /// Brings `site` up to date with what it has not seen of `tid` below
+    /// queue index `upto`, in queue order: exactly the statements `update`
+    /// would have sent it had its copy of `table` been usable all along —
+    /// those on `table` that are placed on the site, and table-less CPU work
+    /// queued once the site is in the transaction. That is the whole backlog
+    /// when the object just came online (Fig 5-4), and nothing at all ahead
+    /// of the statement in hand on an ordinary first contact: a statement
+    /// placed on a usable site was sent there when it was queued. Runs under
+    /// the session lock, so whichever of the join-pending forwarder and the
+    /// client's next statement gets here first does all of it and the other
+    /// finds nothing left; a statement queued behind `upto` was routed with
+    /// the site already usable, and its own `update` sends it. Returns the
+    /// first reply that is not `Ok`.
     fn catch_up(
         &self,
         tid: TransactionId,
@@ -852,34 +946,29 @@ impl Coordinator {
         site: SiteId,
         s: &mut TxnSession,
         table: &str,
+        upto: usize,
     ) -> DbResult<Response> {
-        loop {
-            // Snapshot under the ctx lock, forward outside it: the queue
-            // only grows while the transaction lives (and empties when it
-            // finishes), so this resumes until the two agree.
-            let backlog: Vec<UpdateRequest> = {
-                let g = ctx.inner.lock();
-                g.queue.get(s.forwarded..).unwrap_or_default().to_vec()
+        // Snapshot under the ctx lock, forward outside it (the queue empties
+        // when the transaction finishes).
+        let backlog: Vec<UpdateRequest> = {
+            let g = ctx.inner.lock();
+            g.queue.get(s.forwarded..upto).unwrap_or_default().to_vec()
+        };
+        for u in backlog {
+            let due = match u.table() {
+                Some(t) => t == table && self.placed_for(t, &u)?.contains(&site),
+                None => s.begun,
             };
-            if backlog.is_empty() {
-                return Ok(Response::Ok);
-            }
-            let taken = backlog.len();
-            for u in backlog {
-                let due = match u.table() {
-                    Some(t) => t == table && self.placed_for(t, &u)?.contains(&site),
-                    None => s.begun,
-                };
-                if due {
-                    let req = Request::Update { tid, req: u };
-                    match self.txn_rpc(tid, ctx, site, s, &req)? {
-                        Response::Ok => {}
-                        other => return Ok(other),
-                    }
+            if due {
+                let req = Request::Update { tid, req: u };
+                match self.txn_rpc(tid, ctx, site, s, &req)? {
+                    Response::Ok => {}
+                    other => return Ok(other),
                 }
             }
-            s.forwarded += taken;
         }
+        s.forwarded = upto;
+        Ok(Response::Ok)
     }
 
     /// Queues and distributes one update request to every live site
@@ -925,52 +1014,70 @@ impl Coordinator {
                 "no live replica available for update".into(),
             ));
         }
-        for site in targets {
-            let slot = Self::session_slot(&ctx, site);
-            let resp = {
-                let mut s = slot.lock();
-                match req.table() {
-                    // First contact: this statement, after whatever was
-                    // due to the site while its copy was not usable.
-                    Some(table) if !s.begun => self.catch_up(tid, &ctx, site, &mut s, table),
+        // A statement on a table takes page locks that are held until
+        // commit — an insert X-locks the table's last non-full page — so it
+        // visits its sites one at a time, in placement order, each after the
+        // reply of the one before. Transactions that meet on a page then
+        // queue at the first site they share, and one that is past it holds
+        // there what the others need: taking the sites in one order is what
+        // keeps lock waits from closing a cycle across replicas. Sent to
+        // several replicas at once, one transaction wins a page here and
+        // another there, and only the lock timeout parts them — and not
+        // only at the first site: when a page fills, two loaders are past
+        // it together, and the replicas' pages need not fill alike.
+        // Table-less work takes no locks and goes out as one round.
+        let update = Request::Update { tid, req };
+        let table = match &update {
+            Request::Update { req, .. } => req.table(),
+            _ => None,
+        };
+        let at_once = if table.is_some() { 1 } else { targets.len() };
+        for sites in targets.chunks(at_once) {
+            let replies = self.round(tid, &ctx, sites, &update, |site, s| {
+                if idx < s.forwarded {
                     // The join-pending forwarder got here first and took
                     // this statement along with the backlog.
-                    _ if idx < s.forwarded => Ok(Response::Ok),
-                    _ => {
-                        let update = Request::Update {
-                            tid,
-                            req: req.clone(),
-                        };
-                        self.txn_rpc(tid, &ctx, site, &mut s, &update)
+                    return Some(Ok(Response::Ok));
+                }
+                // First contact: this statement, after whatever was due to
+                // the site while its copy was not usable.
+                let table = table.filter(|_| !s.begun)?;
+                match self.catch_up(tid, &ctx, site, s, table, idx) {
+                    Ok(Response::Ok) => None,
+                    behind => Some(behind),
+                }
+            });
+            for (site, resp) in replies {
+                match resp {
+                    Ok(Response::Ok) => {}
+                    Ok(Response::Err { msg }) => {
+                        // Worker could not execute (lock timeout,
+                        // constraint): abort everywhere.
+                        self.abort(tid)?;
+                        return Err(DbError::protocol(format!(
+                            "update failed at {site}: {msg}; transaction aborted"
+                        )));
                     }
-                }
-            };
-            match resp {
-                Ok(Response::Ok) => {}
-                Ok(Response::Err { msg }) => {
-                    // Worker could not execute (lock timeout, constraint):
-                    // abort everywhere.
-                    self.abort(tid)?;
-                    return Err(DbError::protocol(format!(
-                        "update failed at {site}: {msg}; transaction aborted"
-                    )));
-                }
-                Ok(other) => return Err(DbError::protocol(format!("bad UPDATE reply {other:?}"))),
-                Err(e) if e.is_disconnect() => {
-                    // Worker died mid-transaction (closed connection or an
-                    // expired liveness deadline): abort and mark it dead
-                    // (Fig 6-7 behaviour). §4.3.5's commit-with-(K-1)-safety
-                    // alternative applies only once commit processing has
-                    // begun.
-                    self.mark_dead(site);
-                    self.abort(tid)?;
-                    return Err(DbError::TransactionAborted(tid));
-                }
-                // A refused BEGIN or an undecodable reply: the session is
-                // already dropped; the site is judged by the ABORT below.
-                Err(e) => {
-                    self.abort(tid)?;
-                    return Err(e);
+                    Ok(other) => {
+                        return Err(DbError::protocol(format!("bad UPDATE reply {other:?}")))
+                    }
+                    Err(e) if e.is_disconnect() => {
+                        // Worker died mid-transaction (closed connection or
+                        // an expired liveness deadline): abort and mark it
+                        // dead (Fig 6-7 behaviour). §4.3.5's
+                        // commit-with-(K-1)-safety alternative applies only
+                        // once commit processing has begun. Whoever else
+                        // failed in the round is judged by the ABORT round.
+                        self.mark_dead(site);
+                        self.abort(tid)?;
+                        return Err(DbError::TransactionAborted(tid));
+                    }
+                    // A refused begin or an undecodable reply: the session
+                    // is already dropped.
+                    Err(e) => {
+                        self.abort(tid)?;
+                        return Err(e);
+                    }
                 }
             }
         }
@@ -1047,37 +1154,33 @@ impl Coordinator {
         let mut rs = RemoteScan::new(table, crate::message::WireReadMode::Current(tid));
         scan(&mut rs);
         let deadline = self.cfg.rpc_deadline;
-        let slot = Self::session_slot(&ctx, site);
+        let slot = ctx.inner.lock().chans.entry(site).or_default().clone();
         let mut s = slot.lock();
         // Lock-taking read inside a transaction: single attempt (a retry
         // could double-wait on locks), but still under the liveness deadline.
-        let result = if !s.begun {
-            let first = Request::Scan(rs);
-            self.first_contact(tid, &ctx, site, &mut s, &first, |chan| {
-                collect_scan_replies(chan, deadline)
-            })
-        } else if let Some(chan) = s.chan.as_mut() {
-            // harbor-lint: allow(lock-across-blocking) — the session mutex IS the per-(transaction, site) RPC serialization point; only the brief ctx lock is ever taken under it
-            scan_rpc_deadline(chan.as_mut(), &rs, deadline)
-        } else {
-            Err(DbError::net(format!("session to {site} was dropped")))
-        };
-        if result.is_err() {
+        let result = self
+            .hand(tid, &ctx, site, &mut s, &Request::Scan(rs).to_vec())
+            .and_then(|()| match s.chan.as_mut() {
+                // Read under the session mutex: it is the
+                // per-(transaction, site) serialization point.
+                Some(chan) => collect_scan_replies(chan.as_mut(), deadline),
+                None => Err(session_dropped(site)),
+            });
+        if let Err(e) = &result {
             s.chan = None;
+            Self::forget_if_refused(&ctx, site, e);
         }
         result
     }
 
-    /// Commits: runs the configured protocol. Returns the commit time.
+    /// Commits: runs the configured protocol, one round per phase. Returns
+    /// the commit time.
     pub fn commit(&self, tid: TransactionId) -> DbResult<Timestamp> {
         let ctx = self.ctx(tid)?;
-        let (participants, chans) = {
+        let participants: Vec<SiteId> = {
             let mut g = ctx.inner.lock();
             g.committing = true;
-            (
-                g.participants.iter().copied().collect::<Vec<_>>(),
-                g.chans.clone(),
-            )
+            g.participants.iter().copied().collect()
         };
         if participants.is_empty() {
             // Read-only: nothing to agree on (§4.3: multi-phase protocols
@@ -1089,101 +1192,60 @@ impl Coordinator {
             return self.commit_via_epoch(tid, participants, es);
         }
         // Phase 1: PREPARE.
-        let bound = self.authority.now();
         let prepare = Request::Prepare {
             tid,
             workers: participants.clone(),
-            time_bound: bound,
+            time_bound: self.authority.now(),
         };
-        let mut all_yes = true;
         let mut voters_yes: Vec<SiteId> = Vec::new();
-        for site in &participants {
-            let Some(slot) = chans.get(site) else {
-                all_yes = false;
-                continue;
-            };
-            match self.participant_rpc(tid, &ctx, *site, slot, &prepare) {
-                Ok(Response::Vote { yes: true }) => voters_yes.push(*site),
-                Ok(Response::Vote { yes: false }) => all_yes = false,
-                Ok(_) => {
-                    // A nonsensical vote means the participant is broken or
-                    // the stream is desynchronized; treat it like a dead
-                    // participant (= NO vote, §4.3.2) rather than leaving
-                    // the transaction half-prepared everywhere else.
-                    self.mark_dead(*site);
-                    all_yes = false;
-                }
-                Err(_) => {
-                    // No response = NO vote (§4.3.2).
-                    self.mark_dead(*site);
-                    all_yes = false;
-                }
+        for (site, vote) in self.round(tid, &ctx, &participants, &prepare, |_, _| None) {
+            match vote {
+                Ok(Response::Vote { yes: true }) => voters_yes.push(site),
+                Ok(Response::Vote { yes: false }) => {}
+                // No response = NO vote (§4.3.2), and so is a nonsensical
+                // one: the participant is broken or the stream is
+                // desynchronized, and treating it like a dead participant
+                // beats leaving the transaction half-prepared everywhere
+                // else.
+                Ok(_) | Err(_) => self.mark_dead(site),
             }
         }
         self.maybe_fail(CrashPoint::CoordAfterPrepare)?;
-        if !all_yes {
-            self.abort_prepared(tid, &ctx, &voters_yes, &chans)?;
+        if voters_yes.len() < participants.len() {
+            self.abort_prepared(tid, &ctx, &voters_yes)?;
             self.finish(tid, false)?;
             return Err(DbError::TransactionAborted(tid));
         }
         // All YES: assign the commit time.
         let commit_time = self.authority.next_commit_time();
         if self.cfg.protocol.is_three_phase() {
-            // Phase 2: PREPARE-TO-COMMIT; all ACKs = commit point.
+            // Phase 2: PREPARE-TO-COMMIT; all ACKs = commit point. No ack
+            // (dead or deadline-expired) or a protocol-violating one: commit
+            // with the remaining workers (K-1 safety, §4.3.5) — the site
+            // will recover or be fenced.
             let ptc = Request::PrepareToCommit { tid, commit_time };
-            let mut sent = 0usize;
-            for site in &participants {
-                let Some(slot) = chans.get(site) else {
-                    continue;
-                };
-                let resp = self.participant_rpc(tid, &ctx, *site, slot, &ptc);
-                sent += 1;
-                self.maybe_fail_counting(
-                    |p| matches!(p, CrashPoint::CoordAfterPtcSent(n) if sent >= *n),
-                )?;
-                match resp {
-                    Ok(Response::Ack) => {}
-                    Ok(_) | Err(_) => {
-                        // No ack (dead or deadline-expired) or a
-                        // protocol-violating ack: commit with the remaining
-                        // workers (K-1 safety, §4.3.5) — it will recover or
-                        // be fenced.
-                        self.mark_dead(*site);
-                    }
-                }
-            }
-        } else {
+            self.counted_round(tid, &ctx, &participants, &ptc, |p| match p {
+                CrashPoint::CoordAfterPtcSent(n) => Some(*n),
+                _ => None,
+            })?;
+        } else if let Some(wal) = &self.wal {
             // 2PC commit point: force-write the COMMIT record.
-            if let Some(wal) = &self.wal {
-                wal.append_forced(&LogRecord::new(
-                    tid,
-                    Lsn::NONE,
-                    LogPayload::Commit { commit_time },
-                ))?;
-            }
+            wal.append_forced(&LogRecord::new(
+                tid,
+                Lsn::NONE,
+                LogPayload::Commit { commit_time },
+            ))?;
         }
         // The decision is durable (2PC) or the commit point has passed
         // (3PC): record it for in-doubt workers before telling anyone.
         self.decided_commits.lock().insert(tid, commit_time);
-        // Final phase: COMMIT.
+        // Final phase: COMMIT. A site that does not acknowledge will recover
+        // the commit.
         let commit = Request::Commit { tid, commit_time };
-        let mut sent = 0usize;
-        for site in &participants {
-            let Some(slot) = chans.get(site) else {
-                continue;
-            };
-            let resp = self.participant_rpc(tid, &ctx, *site, slot, &commit);
-            sent += 1;
-            self.maybe_fail_counting(
-                |p| matches!(p, CrashPoint::CoordAfterCommitSent(n) if sent >= *n),
-            )?;
-            match resp {
-                Ok(Response::Ack) => {}
-                Ok(_) | Err(_) => {
-                    self.mark_dead(*site); // it will recover the commit
-                }
-            }
-        }
+        self.counted_round(tid, &ctx, &participants, &commit, |p| match p {
+            CrashPoint::CoordAfterCommitSent(n) => Some(*n),
+            _ => None,
+        })?;
         if let Some(wal) = &self.wal {
             wal.append(&LogRecord::new(
                 tid,
@@ -1198,43 +1260,65 @@ impl Coordinator {
         Ok(commit_time)
     }
 
+    /// A round every participant is expected to acknowledge (PREPARE-TO-
+    /// COMMIT, COMMIT); one that does not is marked dead. `count_of` reads
+    /// the round's counting fail point (`AfterPtcSentTo(n)` /
+    /// `AfterCommitSentTo(n)`): while one is armed the round is split at
+    /// `n`, so that when it fires exactly the first `n` participants have
+    /// received *and processed* the frame and the rest were never sent it.
+    fn counted_round(
+        &self,
+        tid: TransactionId,
+        ctx: &TxnCtx,
+        sites: &[SiteId],
+        req: &Request,
+        count_of: impl Fn(&CrashPoint) -> Option<usize>,
+    ) -> DbResult<()> {
+        let armed = self.cfg.crash_schedule.armed();
+        let me = self.cfg.site;
+        let split = armed
+            .iter()
+            .find_map(|(site, p)| count_of(p).filter(|_| *site == me))
+            .map_or(sites.len(), |n| n.max(1).min(sites.len()));
+        let mut sent = 0;
+        for part in [&sites[..split], &sites[split..]] {
+            if part.is_empty() {
+                continue;
+            }
+            let acks = self.round(tid, ctx, part, req, |_, _| None);
+            sent += part.len();
+            self.maybe_fail_counting(|p| count_of(p).is_some_and(|n| sent >= n))?;
+            for (site, ack) in acks {
+                if !matches!(ack, Ok(Response::Ack)) {
+                    self.mark_dead(site);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Aborts the transaction everywhere.
     pub fn abort(&self, tid: TransactionId) -> DbResult<()> {
         let ctx = match self.ctx(tid) {
             Ok(c) => c,
             Err(_) => return Ok(()), // already finished
         };
-        let (participants, chans) = {
-            let g = ctx.inner.lock();
-            (
-                g.participants.iter().copied().collect::<Vec<_>>(),
-                g.chans.clone(),
-            )
-        };
-        self.abort_prepared(tid, &ctx, &participants, &chans)?;
+        let participants: Vec<SiteId> = ctx.inner.lock().participants.iter().copied().collect();
+        self.abort_prepared(tid, &ctx, &participants)?;
         self.metrics.add_aborts(1);
         self.finish(tid, false)
     }
 
-    fn abort_prepared(
-        &self,
-        tid: TransactionId,
-        ctx: &TxnCtx,
-        sites: &[SiteId],
-        chans: &HashMap<SiteId, SharedSession>,
-    ) -> DbResult<()> {
+    fn abort_prepared(&self, tid: TransactionId, ctx: &TxnCtx, sites: &[SiteId]) -> DbResult<()> {
         if let Some(wal) = &self.wal {
             wal.append_forced(&LogRecord::new(tid, Lsn::NONE, LogPayload::Abort))?;
         }
         let abort = Request::Abort { tid };
-        for site in sites {
-            let Some(slot) = chans.get(site) else {
-                continue;
-            };
-            match self.participant_rpc(tid, ctx, *site, slot, &abort) {
+        for (site, ack) in self.round(tid, ctx, sites, &abort, |_, _| None) {
+            match ack {
                 // A concurrent abort got there first.
                 Ok(_) | Err(DbError::TransactionAborted(_)) => {}
-                Err(_) => self.mark_dead(*site),
+                Err(_) => self.mark_dead(site),
             }
         }
         if let Some(wal) = &self.wal {
@@ -1807,7 +1891,8 @@ impl Coordinator {
                     // caught the site up itself.
                     Ok(Response::Ok)
                 } else {
-                    self.catch_up(tid, &ctx, site, &mut s, table)
+                    let queued = ctx.inner.lock().queue.len();
+                    self.catch_up(tid, &ctx, site, &mut s, table, queued)
                 }
             };
             match forwarded {

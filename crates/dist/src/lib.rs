@@ -15,7 +15,9 @@ pub mod worker;
 pub use consensus::{backup_action, BackupAction, BackupState};
 pub use coordinator::{Coordinator, CoordinatorConfig, EpochCommitConfig, FailPoint};
 pub use failpoint::{CrashPoint, CrashSchedule};
-pub use message::{RemoteScan, Request, Response, UpdateRequest, WireReadMode, WireTxnState};
+pub use message::{
+    RemoteScan, Request, Response, UpdateRequest, WireReadMode, WireTxnState, BEGIN_REFUSED,
+};
 pub use placement::{Copy, Part, Placement, RecoveryObject, SharedPlacement, TablePlacement};
 pub use protocol::ProtocolKind;
 pub use worker::{simulate_cpu_work, Worker, WorkerConfig};
@@ -253,7 +255,7 @@ fn drain_scan_stream(
 }
 
 /// The receiving half of [`drain_scan_stream`], for a caller that has
-/// already sent the scan request (behind a BEGIN it pipelined it with).
+/// already sent the scan request (under the begin marker, on first contact).
 fn drain_scan_replies(
     chan: &mut dyn Channel,
     deadline: Duration,

@@ -312,9 +312,15 @@ impl Wire for RemoteScan {
 /// Requests sent to a worker's server.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Request {
-    /// Start a transaction at this worker.
+    /// The begin marker: `first` is the first frame this worker sees of
+    /// `tid`. The worker begins the transaction, executes `first` and
+    /// answers as it would have answered `first` alone — or with one
+    /// [`Response::Err`] opening with [`BEGIN_REFUSED`], `first` not
+    /// executed, if it will not begin the transaction. `first` is never
+    /// itself a `Begin`.
     Begin {
         tid: TransactionId,
+        first: Box<Request>,
     },
     /// Execute one logical update request under `tid`.
     Update {
@@ -481,12 +487,35 @@ pub enum Response {
     },
 }
 
+/// How a worker's [`Response::Err`] opens when it refuses to begin a
+/// transaction: nothing of the transaction is open at the site, so the
+/// coordinator has nothing to abort there.
+pub const BEGIN_REFUSED: &str = "begin refused";
+
+/// Wire tag of [`Request::Begin`].
+const BEGIN_TAG: u8 = 0;
+
+impl Request {
+    /// The frame of `Request::Begin { tid, first }`, given the frame of
+    /// `first`: the marker is a prefix, so a request encoded once for a
+    /// whole round is marked for the sites that need it without being
+    /// encoded again.
+    pub fn mark_beginning(tid: TransactionId, first: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(9 + first.len());
+        frame.push(BEGIN_TAG);
+        frame.extend_from_slice(&tid.0.to_le_bytes());
+        frame.extend_from_slice(first);
+        frame
+    }
+}
+
 impl Wire for Request {
     fn encode(&self, enc: &mut Encoder) {
         match self {
-            Request::Begin { tid } => {
-                enc.put_u8(0);
+            Request::Begin { tid, first } => {
+                enc.put_u8(BEGIN_TAG);
                 enc.put_u64(tid.0);
+                first.encode(enc);
             }
             Request::Update { tid, req } => {
                 enc.put_u8(1);
@@ -612,10 +641,25 @@ impl Wire for Request {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
-        Ok(match dec.get_u8()? {
-            0 => Request::Begin {
-                tid: TransactionId(dec.get_u64()?),
-            },
+        let tag = dec.get_u8()?;
+        if tag != BEGIN_TAG {
+            return Self::decode_unmarked(tag, dec);
+        }
+        // One marker, then a plain request: a frame cannot nest markers, so
+        // decoding never recurses.
+        let tid = TransactionId(dec.get_u64()?);
+        let first = Self::decode_unmarked(dec.get_u8()?, dec)?;
+        Ok(Request::Begin {
+            tid,
+            first: Box::new(first),
+        })
+    }
+}
+
+impl Request {
+    /// Decodes the body of any request but [`Request::Begin`].
+    fn decode_unmarked(tag: u8, dec: &mut Decoder<'_>) -> DbResult<Self> {
+        Ok(match tag {
             1 => Request::Update {
                 tid: TransactionId(dec.get_u64()?),
                 req: UpdateRequest::decode(dec)?,
@@ -986,14 +1030,23 @@ mod tests {
     #[test]
     fn requests_round_trip() {
         let tid = TransactionId::from_parts(SiteId(1), 7);
-        round_trip_req(Request::Begin { tid });
-        round_trip_req(Request::Update {
+        let insert = Request::Update {
             tid,
             req: UpdateRequest::Insert {
                 table: "sales".into(),
                 values: vec![Value::Int64(1), Value::Int32(2), Value::Str("x".into())],
             },
-        });
+        };
+        round_trip_req(insert.clone());
+        let marked = Request::Begin {
+            tid,
+            first: Box::new(insert.clone()),
+        };
+        let frame = Request::mark_beginning(tid, &insert.to_vec());
+        assert_eq!(marked.to_vec(), frame);
+        round_trip_req(marked);
+        // A marker inside a marker is not a frame.
+        assert!(Request::from_slice(&Request::mark_beginning(tid, &frame)).is_err());
         round_trip_req(Request::Update {
             tid,
             req: UpdateRequest::UpdateByKey {

@@ -12,6 +12,7 @@ use crate::consensus::{self, BackupState};
 use crate::failpoint::{CrashPoint, CrashSchedule};
 use crate::message::{
     RemoteScan, Request, Response, TuplesFrameBuilder, UpdateRequest, WireReadMode, WireTxnState,
+    BEGIN_REFUSED,
 };
 use crate::protocol::ProtocolKind;
 use harbor_common::codec::Wire;
@@ -244,8 +245,8 @@ impl Worker {
         // Transactions begun on this connection and not known to be decided
         // (coordinator-failure detection), and recovery locks granted
         // through it (§5.5.1). Both stay O(1) however long the connection
-        // lives: decided transactions leave at the next BEGIN, locks at
-        // their release.
+        // lives: decided transactions leave at the next begin marker, locks
+        // at their release.
         let mut conn_txns: Vec<TransactionId> = Vec::new();
         let mut conn_locks: Vec<(TransactionId, LockKey)> = Vec::new();
         loop {
@@ -281,6 +282,30 @@ impl Worker {
                     continue;
                 }
             };
+            // The begin marker: open the transaction, then serve the frame
+            // it rode in on as any other — one reply either way.
+            let req = match req {
+                Request::Begin { tid, first } => match self.begin_txn(tid) {
+                    Ok(()) => {
+                        // The session's previous transaction ended before
+                        // the coordinator leased it out again.
+                        conn_txns.retain(|t| self.is_undecided(*t));
+                        conn_txns.push(tid);
+                        *first
+                    }
+                    Err(e) => {
+                        let refused = Response::Err {
+                            msg: format!("{BEGIN_REFUSED}: {e}"),
+                        };
+                        if chan.send(&refused.to_vec()).is_err() {
+                            self.on_disconnect(&conn_txns, &conn_locks);
+                            return;
+                        }
+                        continue;
+                    }
+                },
+                unmarked => unmarked,
+            };
             match &req {
                 Request::AcquireTableLock { tid, table } => {
                     let resp = self.handle(&req, &mut chan);
@@ -308,12 +333,6 @@ impl Worker {
                 }
                 _ => {
                     let resp = self.handle(&req, &mut chan);
-                    if let (Request::Begin { tid }, Response::Ok) = (&req, &resp) {
-                        // The session's previous transaction ended before
-                        // the coordinator leased it out again.
-                        conn_txns.retain(|t| self.is_undecided(*t));
-                        conn_txns.push(*tid);
-                    }
                     if self.shutdown.load(Ordering::SeqCst) {
                         // A crash point fired while handling (e.g. during
                         // the PREPARE vote): a crashed site sends nothing.
@@ -375,6 +394,22 @@ impl Worker {
                 }
             }
         }
+    }
+
+    /// Opens `tid` here for the frame that carries the begin marker. Never
+    /// a second time: a duplicated first frame finds the transaction open
+    /// and a late one finds it decided, and neither may open it again — what
+    /// it then executed no transaction end would ever clean up.
+    fn begin_txn(&self, tid: TransactionId) -> DbResult<()> {
+        let dist = self.dist_txns.lock();
+        let ended = dist.get(&tid).is_some_and(|info| info.outcome.is_some());
+        drop(dist);
+        if ended {
+            return Err(DbError::protocol(format!("{tid} already ended here")));
+        }
+        self.engine.begin(tid)?;
+        self.dist_txns.lock().insert(tid, DistTxn::default());
+        Ok(())
     }
 
     /// `false` once this worker knows `tid` committed or aborted.
@@ -619,11 +654,8 @@ impl Worker {
         chan: &mut Box<dyn Channel>,
     ) -> DbResult<Response> {
         match req {
-            Request::Begin { tid } => {
-                self.engine.begin(*tid)?;
-                self.dist_txns.lock().insert(*tid, DistTxn::default());
-                Ok(Response::Ok)
-            }
+            // `serve_connection` opens the marker before it gets here.
+            Request::Begin { .. } => Err(DbError::protocol("nested begin marker")),
             Request::Update { tid, req } => {
                 // A statement for a transaction this site does not have open
                 // (an abort overtook it) must not take locks, or leave a

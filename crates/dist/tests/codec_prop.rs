@@ -15,8 +15,7 @@ fn sample_requests() -> Vec<Request> {
     scan.ins_after = Some(Timestamp(10));
     scan.del_after = Some(Timestamp(10));
     scan.ids_and_deletions_only = true;
-    vec![
-        Request::Begin { tid },
+    let plain = vec![
         Request::Update {
             tid,
             req: UpdateRequest::Insert {
@@ -73,7 +72,23 @@ fn sample_requests() -> Vec<Request> {
             commits: vec![(tid, Timestamp(42))],
             aborts: vec![TransactionId(0x0001_0000_0000_002b)],
         },
-    ]
+    ];
+    // The begin marker rides the first frame a worker sees of a
+    // transaction: a statement, an in-transaction scan or a PREPARE.
+    let marked: Vec<Request> = plain
+        .iter()
+        .filter(|r| {
+            matches!(
+                r,
+                Request::Update { .. } | Request::Scan(_) | Request::Prepare { .. }
+            )
+        })
+        .map(|first| Request::Begin {
+            tid,
+            first: Box::new(first.clone()),
+        })
+        .collect();
+    plain.into_iter().chain(marked).collect()
 }
 
 fn sample_responses() -> Vec<Response> {
@@ -186,6 +201,26 @@ proptest! {
         }
         decode_is_total(&bytes, as_request);
     }
+}
+
+/// The begin marker is one encoding whatever it marks: a prefix of the
+/// marked request's own frame, decoding back to both, and never nesting.
+#[test]
+fn begin_marker_round_trips_and_does_not_nest() {
+    let tid = TransactionId(0x0001_0000_0000_002a);
+    let mut seen = 0;
+    for req in sample_requests() {
+        let frame = req.to_vec();
+        assert_eq!(Request::from_slice(&frame).unwrap(), req);
+        let Request::Begin { tid: marked, first } = &req else {
+            continue;
+        };
+        seen += 1;
+        assert_eq!(*marked, tid);
+        assert_eq!(Request::mark_beginning(tid, &first.to_vec()), frame);
+        assert!(Request::from_slice(&Request::mark_beginning(tid, &frame)).is_err());
+    }
+    assert_eq!(seen, 4, "two statements, a scan and a PREPARE");
 }
 
 /// Deterministic regression for the count guard itself: a `Prepare` frame

@@ -1,11 +1,12 @@
 //! Worker-server RPC integration: streamed scans, predicate updates over
 //! the wire, failure detection, and the timestamp authority endpoint.
 
+use harbor_common::codec::Wire;
 use harbor_common::time::TimestampAuthority;
 use harbor_common::{FieldType, Metrics, SiteId, StorageConfig, Timestamp, TransactionId, Value};
 use harbor_dist::{
     rpc, scan_rpc, scan_rpc_streaming, ProtocolKind, RemoteScan, Request, Response, UpdateRequest,
-    WireReadMode, Worker, WorkerConfig,
+    WireReadMode, Worker, WorkerConfig, BEGIN_REFUSED,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_exec::Expr;
@@ -78,12 +79,13 @@ impl Fixture {
     fn txn(&self, seq: u64, reqs: Vec<UpdateRequest>) -> Timestamp {
         let tid = TransactionId::from_parts(SiteId(0), seq);
         let mut chan = self.connect();
-        assert!(matches!(
-            rpc(chan.as_mut(), &Request::Begin { tid }).unwrap(),
-            Response::Ok
-        ));
-        for req in reqs {
-            match rpc(chan.as_mut(), &Request::Update { tid, req }).unwrap() {
+        for (i, req) in reqs.into_iter().enumerate() {
+            // The first statement carries the begin marker.
+            let mut update = Request::Update { tid, req };
+            if i == 0 {
+                update = begin(tid, update);
+            }
+            match rpc(chan.as_mut(), &update).unwrap() {
                 Response::Ok => {}
                 other => panic!("update failed: {other:?}"),
             }
@@ -121,6 +123,30 @@ impl Fixture {
         .unwrap();
         t
     }
+}
+
+/// `first` under the begin marker for `tid`.
+fn begin(tid: TransactionId, first: Request) -> Request {
+    Request::Begin {
+        tid,
+        first: Box::new(first),
+    }
+}
+
+fn insert(tid: TransactionId, id: i64) -> Request {
+    Request::Update {
+        tid,
+        req: UpdateRequest::Insert {
+            table: "t".into(),
+            values: vec![Value::Int64(id), Value::Int32(id as i32)],
+        },
+    }
+}
+
+/// Every version of every row of `t`, committed or not.
+fn all_rows(chan: &mut dyn harbor_net::Channel) -> usize {
+    let scan = RemoteScan::new("t", WireReadMode::SeeDeletedLocked(TransactionId(0)));
+    scan_rpc(chan, &scan).unwrap().len()
 }
 
 #[test]
@@ -374,17 +400,10 @@ fn unknown_transactions_vote_no_and_abort_acks() {
 fn a_statement_for_a_closed_transaction_takes_no_locks() {
     let f = build("straggler");
     let tid = TransactionId::from_parts(SiteId(0), 7);
-    let insert = Request::Update {
-        tid,
-        req: UpdateRequest::Insert {
-            table: "t".into(),
-            values: vec![Value::Int64(1), Value::Int32(1)],
-        },
-    };
+    let insert = insert(tid, 1);
     let mut chan = f.connect();
     for (req, want_ack) in [
-        (Request::Begin { tid }, false),
-        (insert.clone(), false),
+        (begin(tid, insert.clone()), false),
         (Request::Abort { tid }, true),
     ] {
         let reply = rpc(chan.as_mut(), &req).unwrap();
@@ -403,6 +422,199 @@ fn a_statement_for_a_closed_transaction_takes_no_locks() {
     assert_eq!(f.engine.locks().held_count(), 0);
     let scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(Timestamp(1_000)));
     assert!(scan_rpc(chan.as_mut(), &scan).unwrap().is_empty());
+    let _ = std::fs::remove_dir_all(&f.dir);
+}
+
+/// The begin marker: the first frame of a transaction opens it and is
+/// executed, for one reply; a frame without the marker opens nothing.
+#[test]
+fn a_marked_first_frame_begins_and_executes_with_one_reply() {
+    let f = build("marker");
+    let tid = TransactionId::from_parts(SiteId(0), 11);
+    let mut chan = f.connect();
+    // Unmarked, for a transaction the worker has never seen: refused.
+    match rpc(chan.as_mut(), &insert(tid, 1)).unwrap() {
+        Response::Err { msg } => assert!(msg.contains("unknown transaction"), "{msg}"),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(f.engine.locks().held_count(), 0);
+    assert!(matches!(
+        rpc(chan.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
+        Response::Ok
+    ));
+    assert!(f.engine.txn_status(tid).is_some());
+    // Exactly one reply: the next frame on the session is the answer to
+    // the next request, and the transaction runs on without a marker.
+    assert!(matches!(
+        rpc(chan.as_mut(), &Request::Ping).unwrap(),
+        Response::Ok
+    ));
+    assert!(matches!(
+        rpc(chan.as_mut(), &insert(tid, 2)).unwrap(),
+        Response::Ok
+    ));
+    assert_eq!(all_rows(chan.as_mut()), 2);
+    // The marker is the same for a scan and a PREPARE: each opens its
+    // transaction and answers as the request alone would have.
+    let reader = TransactionId::from_parts(SiteId(0), 12);
+    let scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(Timestamp(1_000)));
+    let mut other = f.connect();
+    other
+        .send(&begin(reader, Request::Scan(scan)).to_vec())
+        .unwrap();
+    let Response::Tuples { batch, done: true } =
+        Response::from_slice(&other.recv().unwrap()).unwrap()
+    else {
+        panic!("scan stream");
+    };
+    assert!(batch.is_empty(), "nothing is committed yet");
+    assert!(matches!(
+        Response::from_slice(&other.recv().unwrap()).unwrap(),
+        Response::Ok
+    ));
+    assert!(f.engine.txn_status(reader).is_some());
+    let voter = TransactionId::from_parts(SiteId(0), 13);
+    let prepare = Request::Prepare {
+        tid: voter,
+        workers: vec![SiteId(1)],
+        time_bound: Timestamp(1),
+    };
+    assert!(matches!(
+        rpc(other.as_mut(), &begin(voter, prepare)).unwrap(),
+        Response::Vote { yes: true }
+    ));
+    let _ = std::fs::remove_dir_all(&f.dir);
+}
+
+/// The chaos layer can deliver a frame twice. The copy of a first frame
+/// finds the transaction open and is refused whole: nothing is applied a
+/// second time, and the refusal is one reply.
+#[test]
+fn a_duplicated_first_frame_does_not_apply_twice() {
+    let f = build("marker-dup");
+    let tid = TransactionId::from_parts(SiteId(0), 21);
+    let first = begin(tid, insert(tid, 1)).to_vec();
+    let mut chan = f.connect();
+    chan.send(&first).unwrap();
+    chan.send(&first).unwrap();
+    assert!(matches!(
+        Response::from_slice(&chan.recv().unwrap()).unwrap(),
+        Response::Ok
+    ));
+    match Response::from_slice(&chan.recv().unwrap()).unwrap() {
+        Response::Err { msg } => assert!(msg.starts_with(BEGIN_REFUSED), "{msg}"),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(all_rows(chan.as_mut()), 1);
+    // The transaction the original opened is untouched by the refusal.
+    assert!(f.engine.txn_status(tid).is_some());
+    assert!(matches!(
+        rpc(chan.as_mut(), &Request::Abort { tid }).unwrap(),
+        Response::Ack
+    ));
+    assert_eq!(all_rows(chan.as_mut()), 0);
+    assert_eq!(f.engine.locks().held_count(), 0);
+    let _ = std::fs::remove_dir_all(&f.dir);
+}
+
+/// A first frame that arrives after its transaction ended here — committed
+/// or aborted — must not open it again: no transaction end would ever come
+/// for what it executed.
+#[test]
+fn a_late_first_frame_cannot_reopen_an_ended_transaction() {
+    let f = build("marker-late");
+    let committed = TransactionId::from_parts(SiteId(0), 1);
+    f.txn(
+        1,
+        vec![UpdateRequest::Insert {
+            table: "t".into(),
+            values: vec![Value::Int64(1), Value::Int32(1)],
+        }],
+    );
+    let aborted = TransactionId::from_parts(SiteId(0), 2);
+    let mut chan = f.connect();
+    assert!(matches!(
+        rpc(chan.as_mut(), &begin(aborted, insert(aborted, 2))).unwrap(),
+        Response::Ok
+    ));
+    assert!(matches!(
+        rpc(chan.as_mut(), &Request::Abort { tid: aborted }).unwrap(),
+        Response::Ack
+    ));
+    // An ABORT that overtook its transaction's first frame ends it too.
+    let overtaken = TransactionId::from_parts(SiteId(0), 3);
+    assert!(matches!(
+        rpc(chan.as_mut(), &Request::Abort { tid: overtaken }).unwrap(),
+        Response::Ack
+    ));
+    for tid in [committed, aborted, overtaken] {
+        match rpc(chan.as_mut(), &begin(tid, insert(tid, 9))).unwrap() {
+            Response::Err { msg } => assert!(msg.starts_with(BEGIN_REFUSED), "{msg}"),
+            other => panic!("{tid}: {other:?}"),
+        }
+        assert!(f.engine.txn_status(tid).is_none(), "{tid} reopened");
+    }
+    assert_eq!(f.engine.locks().held_count(), 0);
+    assert_eq!(all_rows(chan.as_mut()), 1, "only the committed row");
+    // What the worker knows of the outcomes is what it knew before.
+    assert!(matches!(
+        f.worker.backup_state(committed),
+        harbor_dist::BackupState::Committed(_)
+    ));
+    assert_eq!(
+        f.worker.backup_state(aborted),
+        harbor_dist::BackupState::Aborted
+    );
+    let _ = std::fs::remove_dir_all(&f.dir);
+}
+
+/// A begin is refused while the id is still open from a predecessor whose
+/// session was poisoned and has not been seen to close. The refusal is
+/// exactly one `Err` — the frame under the marker is not executed and gets
+/// no reply of its own — so the refused session stays in step, and the
+/// predecessor is rolled back by its own disconnect, not by the newcomer.
+#[test]
+fn a_refused_begin_is_one_reply_and_leaves_the_session_in_step() {
+    let f = build("marker-refused");
+    let tid = TransactionId::from_parts(SiteId(0), 31);
+    let mut poisoned = f.connect();
+    assert!(matches!(
+        rpc(poisoned.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
+        Response::Ok
+    ));
+    let mut chan = f.connect();
+    match rpc(chan.as_mut(), &begin(tid, insert(tid, 2))).unwrap() {
+        Response::Err { msg } => assert!(msg.starts_with(BEGIN_REFUSED), "{msg}"),
+        other => panic!("{other:?}"),
+    }
+    // In step: each later request gets its own answer, not a stale one.
+    assert!(matches!(
+        rpc(chan.as_mut(), &Request::Ping).unwrap(),
+        Response::Ok
+    ));
+    match rpc(chan.as_mut(), &Request::QueryTxnState { tid }).unwrap() {
+        Response::TxnState { state } => assert_eq!(state, harbor_dist::WireTxnState::Pending),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(all_rows(chan.as_mut()), 1, "the refused insert did not run");
+    // The refused session closing ends nothing; the poisoned one does.
+    drop(chan);
+    std::thread::sleep(std::time::Duration::from_millis(150));
+    assert!(f.engine.txn_status(tid).is_some());
+    drop(poisoned);
+    let mut probe = f.connect();
+    for _ in 0..100 {
+        if f.engine.txn_status(tid).is_none() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert!(
+        f.engine.txn_status(tid).is_none(),
+        "rolled back on disconnect"
+    );
+    assert_eq!(all_rows(probe.as_mut()), 0);
+    assert_eq!(f.engine.locks().held_count(), 0);
     let _ = std::fs::remove_dir_all(&f.dir);
 }
 

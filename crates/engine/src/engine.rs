@@ -684,16 +684,21 @@ impl Engine {
                 }
             }
             self.undo_chain(tid, last_lsn)?;
+            for (rid, key) in &insertions {
+                self.unindex(*rid, *key);
+            }
         } else {
             // Logless rollback: remove newly inserted tuples; deletions need
             // no undo because their timestamps were never written (§4.1).
-            for (rid, _) in insertions.iter().rev() {
+            // Each tuple is forgotten as it goes: a rollback that a disk
+            // fault stops part-way is retried (by the connection's close,
+            // by termination), and must resume, not remove a tuple twice.
+            for (rid, key) in insertions.iter().rev() {
                 self.pool.remove_tuple(Some(tid), *rid)?;
-            }
-        }
-        for (rid, key) in &insertions {
-            if let Ok(idx) = self.index(rid.page.table) {
-                idx.remove(*key, *rid);
+                self.unindex(*rid, *key);
+                if let Some(st) = self.txns.lock().get_mut(&tid) {
+                    st.insertions.pop();
+                }
             }
         }
         if let Some(wal) = &self.wal {
@@ -715,6 +720,13 @@ impl Engine {
         self.locks.release_all(tid);
         self.metrics.add_aborts(1);
         Ok(())
+    }
+
+    /// Drops the key-index entry of a tuple that a rollback removed.
+    fn unindex(&self, rid: RecordId, key: i64) {
+        if let Ok(idx) = self.index(rid.page.table) {
+            idx.remove(key, rid);
+        }
     }
 
     /// Walks one transaction's log chain backwards, applying inverses and

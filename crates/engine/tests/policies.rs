@@ -175,3 +175,87 @@ fn concurrent_transactions_on_disjoint_tables_commit_independently() {
     assert_eq!(e.locks().held_count(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A logless rollback that a disk fault stops part-way must be resumable:
+/// the connection's close and the termination protocol both retry a failed
+/// abort, and a retry that started over would try to remove a tuple it had
+/// already removed ("remove of empty slot"), fail for ever, and leave the
+/// transaction's locks behind — where they block every later recovery that
+/// needs the table lock at this site.
+#[test]
+fn a_rollback_stopped_by_a_disk_fault_resumes_where_it_failed() {
+    use harbor_storage::{DiskFaultConfig, DiskFaultKind, DiskFaultPlan, TargetedFault};
+    let dir = temp_dir("abort-resumes");
+    // The table and page are not known until rows are in: build the plan
+    // around the first data page of the first table, and check below.
+    let first_page = {
+        let probe = Engine::open(
+            dir.join("probe"),
+            EngineOptions::harbor(SiteId(1), StorageConfig::for_tests()),
+        )
+        .unwrap();
+        let def = probe.create_table("t", fields()).unwrap();
+        probe.begin(tid(1)).unwrap();
+        let rid = probe.insert(tid(1), def.id, row(0)).unwrap();
+        (def.id, rid.page.page_no)
+    };
+    let plan = DiskFaultPlan::new(DiskFaultConfig::targeted_only(
+        7,
+        vec![TargetedFault {
+            table: first_page.0,
+            page: first_page.1,
+            ordinal: 0,
+            kind: DiskFaultKind::ReadError,
+        }],
+    ));
+    let e = Engine::open(
+        dir.join("site"),
+        EngineOptions::harbor(SiteId(1), StorageConfig::for_tests()).with_disk_faults(plan.clone()),
+    )
+    .unwrap();
+    let def = e.create_table("t", fields()).unwrap();
+    assert_eq!(def.id, first_page.0);
+    // One transaction inserts until its rows span two pages: the rollback
+    // undoes the second page's first, then comes back to the first page.
+    let t = tid(2);
+    e.begin(t).unwrap();
+    let mut pages = Vec::new();
+    let mut id = 0;
+    while pages.len() < 2 {
+        let rid = e.insert(t, def.id, row(id)).unwrap();
+        if pages.last() != Some(&rid.page.page_no) {
+            pages.push(rid.page.page_no);
+        }
+        id += 1;
+    }
+    assert_eq!(pages[0], first_page.1);
+    // Cache gone cold: the rollback has to read both pages back, and the
+    // first read of the first page fails.
+    e.pool().flush_all().unwrap();
+    let heap = e.pool().table(def.id).unwrap();
+    e.pool().deregister_table(def.id);
+    e.pool().register_table(heap);
+    plan.set_enabled(true);
+    let first = e.abort(t, StepLogging::OFF);
+    assert!(first.is_err(), "the injected read error stops the rollback");
+    assert_eq!(plan.injected(), 1);
+    assert!(
+        e.txn_status(t).is_some(),
+        "still open: nothing is forgotten"
+    );
+    e.abort(t, StepLogging::OFF)
+        .expect("the retry resumes with the tuples that are left");
+    assert!(e.txn_status(t).is_none());
+    assert_eq!(e.locks().held_count(), 0);
+    let mut left = 0;
+    for pid in e.pool().table(def.id).unwrap().all_page_ids() {
+        e.pool()
+            .with_page(None, pid, |page| {
+                left += page.occupied_slots().count();
+                Ok(())
+            })
+            .unwrap();
+    }
+    assert_eq!(left, 0, "every inserted row is gone");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,0 +1,402 @@
+//! A protocol step is one scatter-gather round (§4.3, Figs 4-2…4-5): the
+//! coordinator hands the frame to every participant and then collects, so a
+//! step lasts as long as its slowest worker and any number of silent ones
+//! cost one liveness deadline. What a round buys, and the two things it
+//! must not break: a statement that takes locks still visits its sites one
+//! at a time, in one order, and a counting fail point still means "exactly
+//! the first `n`".
+
+use harbor::{Cluster, ClusterConfig, TableSpec};
+use harbor_common::{DbError, DbResult, Metrics, SiteId, StorageConfig, Timestamp, Value};
+use harbor_dist::{
+    BackupState, Coordinator, CoordinatorConfig, FailPoint, Placement, ProtocolKind, UpdateRequest,
+    Worker, WorkerConfig,
+};
+use harbor_engine::{Engine, EngineOptions};
+use harbor_net::{Channel, ChaosConfig, InMemNetwork, Listener, Transport};
+use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join("harbor-commit-rounds")
+        .join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn insert(id: i64) -> UpdateRequest {
+    UpdateRequest::Insert {
+        table: "t".into(),
+        values: vec![Value::Int64(id), Value::Int32(id as i32)],
+    }
+}
+
+/// The committed ids of `t` at one replica, sorted.
+fn ids_at(engine: &Arc<Engine>) -> Vec<i64> {
+    let def = engine.table_def("t").unwrap();
+    let mut scan = harbor_exec::SeqScan::new(
+        engine.pool().clone(),
+        def.id,
+        harbor_exec::ReadMode::Historical(Timestamp(1_000_000)),
+    )
+    .unwrap();
+    let mut ids: Vec<i64> = harbor_exec::collect(&mut scan)
+        .unwrap()
+        .iter()
+        .map(|t| t.get(2).as_i64().unwrap())
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+fn three_workers(name: &str, chaos: Option<ChaosConfig>, rpc_deadline: Duration) -> Cluster {
+    let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 3);
+    cfg.storage = StorageConfig::for_tests();
+    cfg.tables = vec![TableSpec::small("t")];
+    cfg.chaos = chaos;
+    cfg.rpc_deadline = rpc_deadline;
+    Cluster::build(temp_dir(name), cfg).unwrap()
+}
+
+/// The lock-order rule. A transactional insert X-locks the table's last
+/// non-full page until commit, so concurrent loaders of one table queue at
+/// the first site in placement order — as long as every statement takes its
+/// sites in that order, one reply at a time. The day `update` fans a locking
+/// statement out, one loader wins the page at one site and another at the
+/// next, and only the 500 ms lock timeout parts them: this test then sees
+/// timeouts and aborts. A full fan-out fails it outright. Sending to the
+/// first site alone and to the rest at once fails it about one run in four
+/// *beside two busy loops*, and not otherwise: each time a page fills, two
+/// loaders are past the first site together and race for the next page at
+/// the other two; once a loser has aborted the replicas' pages no longer
+/// fill alike, and it happens at every page.
+#[test]
+fn concurrent_loaders_of_one_table_never_deadlock_across_replicas() {
+    let cluster = Arc::new(three_workers(
+        "leader",
+        None,
+        harbor_dist::DEFAULT_RPC_DEADLINE,
+    ));
+    let loaders: Vec<_> = (0..4i64)
+        .map(|loader| {
+            let cluster = cluster.clone();
+            std::thread::spawn(move || -> usize {
+                (0..200)
+                    .filter(|i| cluster.run_txn(vec![insert(loader * 1000 + i)]).is_err())
+                    .count()
+            })
+        })
+        .collect();
+    let aborted: usize = loaders.into_iter().map(|h| h.join().unwrap()).sum();
+    assert_eq!(aborted, 0, "transactions aborted");
+    assert_eq!(cluster.coordinator().metrics().snapshot().aborts, 0);
+    let mut expected: Vec<i64> = (0..4i64)
+        .flat_map(|l| (0..200).map(move |i| l * 1000 + i))
+        .collect();
+    expected.sort_unstable();
+    for site in cluster.worker_sites() {
+        let m = cluster.worker_metrics(site).unwrap().snapshot();
+        assert_eq!(m.lock_timeouts, 0, "lock timeouts at {site}");
+        assert_eq!(ids_at(&cluster.engine(site).unwrap()), expected, "{site}");
+    }
+    cluster.shutdown();
+}
+
+// ----------------------------------------------------------------------
+// (a) A round lasts as long as its slowest worker.
+// ----------------------------------------------------------------------
+
+/// A network whose *accepting* side answers late: every frame a server
+/// sends on a connection it accepted waits `delay` first, in the server's
+/// own thread — the workers' replies are slow, the coordinator's requests
+/// are not. (`InMemNetwork::with_latency` would not do: it sleeps in the
+/// sender of every frame, so the coordinator's own sends would queue up.)
+struct SlowReplies {
+    inner: Arc<dyn Transport>,
+    delay: Duration,
+}
+
+struct SlowListener {
+    inner: Box<dyn Listener>,
+    delay: Duration,
+}
+
+struct SlowChannel {
+    inner: Box<dyn Channel>,
+    delay: Duration,
+}
+
+impl Transport for SlowReplies {
+    fn listen(&self, addr: &str) -> DbResult<Box<dyn Listener>> {
+        Ok(Box::new(SlowListener {
+            inner: self.inner.listen(addr)?,
+            delay: self.delay,
+        }))
+    }
+
+    fn connect(&self, addr: &str) -> DbResult<Box<dyn Channel>> {
+        self.inner.connect(addr)
+    }
+}
+
+impl SlowListener {
+    fn slow(&self, inner: Box<dyn Channel>) -> Box<dyn Channel> {
+        Box::new(SlowChannel {
+            inner,
+            delay: self.delay,
+        })
+    }
+}
+
+impl Listener for SlowListener {
+    fn accept(&self) -> DbResult<Box<dyn Channel>> {
+        Ok(self.slow(self.inner.accept()?))
+    }
+
+    fn accept_timeout(&self, timeout: Duration) -> DbResult<Option<Box<dyn Channel>>> {
+        Ok(self.inner.accept_timeout(timeout)?.map(|c| self.slow(c)))
+    }
+
+    fn local_addr(&self) -> String {
+        self.inner.local_addr()
+    }
+}
+
+impl Channel for SlowChannel {
+    fn send(&mut self, frame: &[u8]) -> DbResult<()> {
+        std::thread::sleep(self.delay);
+        self.inner.send(frame)
+    }
+
+    fn recv(&mut self) -> DbResult<Vec<u8>> {
+        self.inner.recv()
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>> {
+        self.inner.recv_timeout(timeout)
+    }
+
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+
+    fn is_closed(&self) -> bool {
+        self.inner.is_closed()
+    }
+}
+
+/// Three Opt3pc participants whose every reply takes `d`: the three phases
+/// of a commit cost about `3·d`. Sent to one worker at a time they cost
+/// `3·(3·d)`; the bound sits between the two. Statements are rounds too,
+/// unless they take locks.
+#[test]
+fn a_commit_round_lasts_as_long_as_its_slowest_worker() {
+    let d = Duration::from_millis(40);
+    let dir = temp_dir("slowest");
+    let transport: Arc<dyn Transport> = Arc::new(SlowReplies {
+        inner: Arc::new(InMemNetwork::new(Metrics::new())),
+        delay: d,
+    });
+    let sites: Vec<SiteId> = (1..=3).map(SiteId).collect();
+    let mut placement = Placement::new();
+    let mut workers = Vec::new();
+    for site in &sites {
+        let engine = Engine::open(
+            dir.join(format!("site-{}", site.0)),
+            EngineOptions::harbor(*site, StorageConfig::for_tests()),
+        )
+        .unwrap();
+        engine
+            .create_table("t", TableSpec::small("t").user_fields)
+            .unwrap();
+        let cfg = WorkerConfig {
+            site: *site,
+            addr: format!("slowest-site-{}", site.0),
+            protocol: ProtocolKind::Opt3pc,
+            checkpoint_every: None,
+            peers: HashMap::new(),
+            coordinator: None,
+            auto_consensus: false,
+            use_deletion_log: true,
+            scan_batch: harbor_common::config::DEFAULT_SCAN_BATCH,
+            crash_schedule: Default::default(),
+        };
+        let worker = Worker::start(engine.clone(), transport.clone(), cfg).unwrap();
+        placement.set_address(*site, worker.addr());
+        workers.push((worker, engine));
+    }
+    placement.add_replicated_table("t", &sites);
+    let coordinator = Coordinator::start(
+        CoordinatorConfig {
+            site: SiteId(0),
+            addr: "slowest-coordinator".into(),
+            protocol: ProtocolKind::Opt3pc,
+            log_dir: None,
+            group_commit: harbor_wal::GroupCommit::enabled(),
+            disk: harbor_common::DiskProfile::fast(),
+            rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
+            read_retries: harbor_dist::DEFAULT_READ_RETRIES,
+            crash_schedule: Default::default(),
+            epoch_commit: None,
+            degrade_read_only: false,
+        },
+        placement,
+        transport.clone(),
+        Metrics::new(),
+    )
+    .unwrap();
+
+    let tid = coordinator.begin().unwrap();
+    let started = Instant::now();
+    coordinator.update(tid, insert(1)).unwrap();
+    let locking = started.elapsed();
+    assert!(
+        locking >= 3 * d,
+        "a statement that takes locks visits its sites in turn: {locking:?}"
+    );
+    let started = Instant::now();
+    let work = UpdateRequest::SimulateWork { cycles: 10 };
+    coordinator.update(tid, work).unwrap();
+    let lock_free = started.elapsed();
+    assert!(
+        lock_free >= d && lock_free < 2 * d,
+        "one that takes none is one round: {lock_free:?}"
+    );
+    let started = Instant::now();
+    coordinator.commit(tid).unwrap();
+    let commit = started.elapsed();
+    assert!(commit >= 3 * d, "three phases, three replies: {commit:?}");
+    assert!(
+        commit < 2 * (3 * d),
+        "a 3-phase commit took {commit:?} with replies {d:?} late"
+    );
+    for (_, engine) in &workers {
+        assert_eq!(ids_at(engine), vec![1]);
+    }
+    coordinator.crash();
+    for (worker, _) in &workers {
+        worker.crash();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ----------------------------------------------------------------------
+// (b) Any number of silent participants cost one liveness deadline.
+// ----------------------------------------------------------------------
+
+#[test]
+fn two_silent_participants_cost_one_deadline() {
+    let deadline = Duration::from_millis(400);
+    let cluster = three_workers("silent", Some(ChaosConfig::quiet(11)), deadline);
+    let coordinator = cluster.coordinator();
+    let chaos = cluster.chaos().unwrap();
+    chaos.set_enabled(true);
+    cluster.run_txn(vec![insert(0)]).unwrap();
+
+    let tid = coordinator.begin().unwrap();
+    coordinator.update(tid, insert(1)).unwrap();
+    // Partitioned during PREPARE: the frames to sites 2 and 3 vanish, the
+    // connections stay open.
+    chaos.partition(&["coordinator"], &["site-2", "site-3"], true);
+    let before = coordinator.metrics().snapshot();
+    let started = Instant::now();
+    let err = coordinator.commit(tid).unwrap_err();
+    let took = started.elapsed();
+    assert!(matches!(err, DbError::TransactionAborted(_)), "{err}");
+    assert!(took >= deadline, "aborted before the deadline: {took:?}");
+    assert!(
+        took < deadline * 3 / 2,
+        "two silent participants cost {took:?}, not one deadline of {deadline:?}"
+    );
+    assert_eq!(
+        coordinator.metrics().snapshot().since(&before).rpc_timeouts,
+        2
+    );
+    assert!(coordinator.is_dead(SiteId(2)) && coordinator.is_dead(SiteId(3)));
+    assert!(!coordinator.is_dead(SiteId(1)));
+    // The survivor voted YES and was sent the ABORT: nothing of the
+    // transaction is left there.
+    let survivor = cluster.engine(SiteId(1)).unwrap();
+    assert!(survivor.active_txns().is_empty());
+    assert_eq!(survivor.locks().held_count(), 0);
+    assert_eq!(ids_at(&survivor), vec![0]);
+    chaos.heal();
+    cluster.shutdown();
+}
+
+// ----------------------------------------------------------------------
+// (c) A counting fail point still means "exactly the first n".
+// ----------------------------------------------------------------------
+
+#[test]
+fn a_counting_fail_point_splits_the_round() {
+    let cluster = three_workers("split", None, harbor_dist::DEFAULT_RPC_DEADLINE);
+    let coordinator = cluster.coordinator();
+    cluster.run_txn(vec![insert(0)]).unwrap();
+    let tid = coordinator.begin().unwrap();
+    coordinator.update(tid, insert(1)).unwrap();
+    coordinator.set_fail_point(FailPoint::AfterPtcSentTo(1));
+    assert!(coordinator.commit(tid).is_err(), "the coordinator died");
+    // At the moment `commit` returns: the first participant has received
+    // and processed PREPARE-TO-COMMIT, the others were never sent it.
+    let state = |site: u16| cluster.worker(SiteId(site)).unwrap().backup_state(tid);
+    assert!(
+        matches!(state(1), BackupState::PreparedToCommit(_)),
+        "{:?}",
+        state(1)
+    );
+    assert_eq!(state(2), BackupState::PreparedYes);
+    assert_eq!(state(3), BackupState::PreparedYes);
+    // Table 4.1: a backup that is prepared-to-commit replays the last two
+    // phases, and the transaction commits everywhere.
+    let backup = cluster.worker(SiteId(1)).unwrap();
+    assert!(backup.resolve_by_consensus(tid).unwrap());
+    for site in cluster.worker_sites() {
+        let engine = cluster.engine(site).unwrap();
+        let settled = Instant::now() + Duration::from_secs(5);
+        while ids_at(&engine) != vec![0, 1] || engine.locks().held_count() != 0 {
+            assert!(Instant::now() < settled, "{site} never committed");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    cluster.shutdown();
+}
+
+// ----------------------------------------------------------------------
+// (d) What a transaction costs in frames.
+// ----------------------------------------------------------------------
+
+/// A one-insert Opt3pc transaction is four exchanges with each worker — the
+/// statement (which carries the begin marker: first contact is one frame
+/// and one reply), PREPARE, PREPARE-TO-COMMIT, COMMIT — so eight frames per
+/// worker, whatever the order they travel in.
+#[test]
+fn a_one_insert_transaction_is_eight_frames_per_worker() {
+    let cluster = three_workers("frames", None, harbor_dist::DEFAULT_RPC_DEADLINE);
+    let net = cluster.net_metrics();
+    let start = net.snapshot();
+    let sent = |expected: u64| {
+        // A sender counts a frame after handing it over, so the last reply
+        // may be read before it is counted.
+        let patience = Instant::now() + Duration::from_secs(5);
+        loop {
+            let sent = net.snapshot().since(&start).messages_sent;
+            if sent >= expected || Instant::now() > patience {
+                return sent;
+            }
+            std::thread::yield_now();
+        }
+    };
+    // The first transaction opens the sessions, the others reuse them: the
+    // same frames either way.
+    for txns in 1..=3u64 {
+        cluster.run_txn(vec![insert(txns as i64)]).unwrap();
+        assert_eq!(sent(txns * 3 * 8), txns * 3 * 8);
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(sent(0), 3 * 3 * 8, "and nothing after them");
+    cluster.shutdown();
+}

@@ -303,11 +303,11 @@ fn a_transaction_spanning_partitions_keeps_each_row_in_its_own() {
 
     let before = f.net.snapshot();
     let tid = c.begin().unwrap();
-    c.update(tid, employee(5, 1)).unwrap(); // S1, S2: BEGIN + UPDATE each
+    c.update(tid, employee(5, 1)).unwrap(); // S1, S2: the begin marker rides the UPDATE
     c.update(tid, work.clone()).unwrap(); // S1, S2
-    c.update(tid, employee(1005, 1)).unwrap(); // S1; S3: BEGIN + UPDATE
-    let sent = messages_since(&f, &before, 2 * (4 + 2 + 3));
-    assert_eq!(sent, 2 * (4 + 2 + 3), "requests and their replies");
+    c.update(tid, employee(1005, 1)).unwrap(); // S1; S3: marked UPDATE
+    let sent = messages_since(&f, &before, 2 * (2 + 2 + 2));
+    assert_eq!(sent, 2 * (2 + 2 + 2), "requests and their replies");
     c.commit(tid).unwrap();
     assert_eq!(ids_at(&f, SiteId(1)), vec![5, 1005]);
     assert_eq!(ids_at(&f, SiteId(2)), vec![5]);

@@ -118,7 +118,15 @@ fn a_long_lived_cluster_does_not_grow_per_transaction() {
         "one lease per transaction and site"
     );
     assert_eq!(cluster_counts(&cluster, "t"), vec![8000; 3]);
+    // Every site is told to stop before any is joined: one 50 ms poll slice
+    // for the cluster, not one per site.
+    let stopping = std::time::Instant::now();
     cluster.shutdown();
+    let took = stopping.elapsed();
+    assert!(
+        took < Duration::from_millis(120),
+        "shutting down 3 workers took {took:?}"
+    );
 }
 
 /// (b) A worker that crashes under pooled sessions and rejoins at the same
