@@ -5,7 +5,7 @@
 //! targets.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use harbor_bench::{median_ns, BenchReport, Scale};
+use harbor_bench::{BenchReport, Scale};
 use harbor_common::codec::Wire;
 use harbor_common::time::visible_at;
 use harbor_common::{DiskProfile, Metrics, PageId, SiteId, TableId, Timestamp, TransactionId};
@@ -270,17 +270,15 @@ fn bench_transport(c: &mut Criterion) {
 
 /// The read-hot-path microbenchmark behind `BENCH_scan.json`: one hot
 /// (fully resident) table, timed with manual median-of-N wall clocks so the
-/// JSON baseline carries exact nanosecond medians rather than the shim's
-/// mean. Covers the batched seq scan, the recovery range scan, the legacy
-/// materialize-then-encode shipping path, and the zero-copy transcode path
-/// the worker now uses for unpredicated scans.
+/// JSON baseline carries exact nanosecond medians (and the fastest and
+/// slowest sample) rather than the shim's mean. Every row runs shipped
+/// code: the decode sink (`SeqScan`), an index probe, and the worker's scan
+/// service loop (`ship_scan`) with the frames dropped instead of sent.
 fn bench_scan(_c: &mut Criterion) {
-    use harbor_common::codec::Encoder;
-    use harbor_common::tuple::{raw_version_timestamps, transcode_fixed_to_wire};
     use harbor_common::{FieldType, StorageConfig, Tuple, Value};
-    use harbor_dist::message::TuplesFrameBuilder;
+    use harbor_dist::{ship_scan, RemoteScan, WireReadMode};
     use harbor_engine::{Engine, EngineOptions};
-    use harbor_exec::{collect, index_lookup, Admission, ParallelSeqScan, ReadMode, SeqScan};
+    use harbor_exec::{collect, index_lookup, Expr, ReadMode, SeqScan};
 
     let scale = Scale::from_env();
     let rows: i64 = if smoke_only() {
@@ -324,11 +322,10 @@ fn bench_scan(_c: &mut Criterion) {
         );
         e.insert_recovered(def.id, &t).unwrap();
     }
-    // Flush populates the per-page zone maps, so the chunked scan exercises
-    // its fully-visible fast path exactly as a warm production replica would.
+    // Flush populates the per-page zone maps, so the scan exercises its
+    // fully-visible fast path exactly as a warm production replica would.
     e.pool().flush_all().unwrap();
     let pool = e.pool().clone();
-    let desc = pool.table(def.id).unwrap().desc().clone();
 
     let mut report = BenchReport::new("scan");
     report
@@ -339,7 +336,9 @@ fn bench_scan(_c: &mut Criterion) {
         .config("deleted_fraction", "0.5")
         .config("pool_shards", pool.num_shards());
 
-    let mut measure = |name: &str, mut f: Box<dyn FnMut() -> usize + '_>| {
+    // `units` is what one call of `f` is divided by: the table's rows for a
+    // scan, 1 for a lookup.
+    let mut measure = |name: &str, units: u64, mut f: Box<dyn FnMut() -> usize + '_>| {
         let expect = f(); // warm-up: pool resident, branch predictors primed
         let mut samples = Vec::with_capacity(iters);
         for _ in 0..iters {
@@ -348,56 +347,47 @@ fn bench_scan(_c: &mut Criterion) {
             samples.push(t0.elapsed().as_nanos());
             assert_eq!(n, expect, "{name}: unstable cardinality");
         }
-        let med = median_ns(samples);
+        samples.sort_unstable();
+        let med = samples[iters / 2];
         println!(
-            "scan/{name:<36} {:>10.1} ns/row  ({} rows)",
-            med as f64 / rows as f64,
+            "scan/{name:<36} {:>10.1} ns/{}  ({} rows)",
+            med as f64 / units as f64,
+            if units == 1 { "lookup" } else { "row" },
             expect
         );
-        report.entry(name, med, rows as u64);
+        let spread = [
+            ("min_ns", samples[0].to_string()),
+            ("max_ns", samples[iters - 1].to_string()),
+        ];
+        report.entry_with(name, med, units, &spread);
+    };
+    let ship = |scan: &RemoteScan| {
+        let (mut shipped, mut bytes) = (0usize, 0usize);
+        ship_scan(&e, scan, 512, |frame, done| {
+            shipped += frame.rows() as usize;
+            bytes += frame.finish(done).len();
+            Ok(())
+        })
+        .unwrap();
+        black_box(bytes);
+        shipped
     };
 
     measure(
-        "seq_scan_batched",
+        "seq_scan",
+        rows as u64,
         Box::new(|| {
-            // Pinned to scalar admission: this is the pre-chunking baseline
-            // row the CI bench-smoke regression gate compares against.
-            let mut s = SeqScan::new(pool.clone(), def.id, ReadMode::Historical(Timestamp(15)))
-                .unwrap()
-                .with_admission(Admission::Scalar);
+            let mut s =
+                SeqScan::new(pool.clone(), def.id, ReadMode::Historical(Timestamp(15))).unwrap();
             collect(&mut s).unwrap().len()
         }),
     );
-    measure(
-        "seq_scan_chunked",
-        Box::new(|| {
-            let mut s = SeqScan::new(pool.clone(), def.id, ReadMode::Historical(Timestamp(15)))
-                .unwrap()
-                .with_admission(Admission::Chunked);
-            collect(&mut s).unwrap().len()
-        }),
-    );
-    for workers in [2usize, 4] {
-        measure(
-            &format!("seq_scan_parallel{workers}"),
-            Box::new(|| {
-                let mut s = ParallelSeqScan::new(
-                    pool.clone(),
-                    def.id,
-                    ReadMode::Historical(Timestamp(15)),
-                    workers,
-                )
-                .unwrap();
-                collect(&mut s).unwrap().len()
-            }),
-        );
-    }
-    // Point reads: one key probed per iteration — full-scan-and-filter vs
-    // the tuple-id index (thesis §5.3). Same `rows` denominator, so the
-    // ns/row ratio is exactly the median ratio the acceptance bar uses.
+    // Point reads: one key per iteration — full-scan-and-filter against the
+    // tuple-id index (thesis §5.3), each reported per lookup.
     let probe_key = rows / 2;
     measure(
         "point_read_scan",
+        1,
         Box::new(|| {
             let mut s =
                 SeqScan::new(pool.clone(), def.id, ReadMode::Historical(Timestamp(15))).unwrap();
@@ -410,6 +400,7 @@ fn bench_scan(_c: &mut Criterion) {
     );
     measure(
         "point_read_index",
+        1,
         Box::new(|| {
             index_lookup(&e, def.id, probe_key, ReadMode::Historical(Timestamp(15)))
                 .unwrap()
@@ -418,6 +409,7 @@ fn bench_scan(_c: &mut Criterion) {
     );
     measure(
         "recovery_range_scan",
+        rows as u64,
         Box::new(|| {
             let mut s = SeqScan::new(
                 pool.clone(),
@@ -429,66 +421,22 @@ fn bench_scan(_c: &mut Criterion) {
         }),
     );
     measure(
-        "ship_encode_materialized",
+        "ship_zero_copy",
+        rows as u64,
         Box::new(|| {
-            let mut s = SeqScan::new(
-                pool.clone(),
-                def.id,
-                ReadMode::SeeDeletedHistorical(Timestamp(25)),
-            )
-            .unwrap();
-            let tuples = collect(&mut s).unwrap();
-            let mut total = 0usize;
-            for batch in tuples.chunks(512) {
-                let mut enc = Encoder::new();
-                enc.put_u8(5);
-                enc.put_bool(false);
-                enc.put_u32(batch.len() as u32);
-                for t in batch {
-                    t.write_wire(&mut enc);
-                }
-                total += enc.len();
-            }
-            black_box(total);
-            tuples.len()
+            ship(&RemoteScan::new(
+                "t",
+                WireReadMode::SeeDeletedHistorical(Timestamp(25)),
+            ))
         }),
     );
     measure(
-        "ship_zero_copy",
+        "ship_filtered",
+        rows as u64,
         Box::new(|| {
-            let mode = ReadMode::SeeDeletedHistorical(Timestamp(25));
-            let heap = pool.table(def.id).unwrap();
-            let mut pages = Vec::new();
-            for (seg, _) in heap.prune(&Default::default()) {
-                pages.extend(heap.segment_page_ids(seg));
-            }
-            let mut frame = TuplesFrameBuilder::new();
-            let mut shipped = 0usize;
-            let mut total = 0usize;
-            for pid in pages {
-                pool.with_page(mode.lock_tid(), pid, |page| {
-                    for slot in page.occupied_slots() {
-                        let bytes = page.read(slot)?;
-                        let (ins, del) = raw_version_timestamps(bytes)?;
-                        let Some(masked) = mode.admit(ins, del) else {
-                            continue;
-                        };
-                        transcode_fixed_to_wire(&desc, bytes, masked, frame.encoder())?;
-                        frame.note_row();
-                    }
-                    Ok(())
-                })
-                .unwrap();
-                if frame.rows() >= 512 {
-                    let full = std::mem::replace(&mut frame, TuplesFrameBuilder::new());
-                    shipped += full.rows() as usize;
-                    total += full.finish(false).len();
-                }
-            }
-            shipped += frame.rows() as usize;
-            total += frame.finish(true).len();
-            black_box(total);
-            shipped
+            let mut scan = RemoteScan::new("t", WireReadMode::Historical(Timestamp(15)));
+            scan.predicate = Some(Expr::col(3).lt(Expr::lit(500)));
+            ship(&scan)
         }),
     );
 

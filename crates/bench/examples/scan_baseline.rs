@@ -1,22 +1,16 @@
 //! Standalone read-hot-path measurement: seq scan, recovery range scan, and
-//! wire-shipping encode over one hot (fully resident) table.
+//! the worker's scan-and-ship loop over one hot (fully resident) table.
 //!
 //! Run before/after read-path changes to capture throughput deltas:
 //! `cargo run --release -p harbor-bench --example scan_baseline [rows]`
 
 use std::time::Instant;
 
-use harbor_common::codec::Encoder;
-use harbor_common::tuple::{raw_version_timestamps, transcode_fixed_to_wire};
+use harbor_bench::median_ns;
 use harbor_common::{FieldType, SiteId, StorageConfig, Timestamp, Tuple, Value};
-use harbor_dist::message::TuplesFrameBuilder;
+use harbor_dist::{ship_scan, RemoteScan, WireReadMode};
 use harbor_engine::{Engine, EngineOptions};
 use harbor_exec::{collect, ReadMode, SeqScan};
-
-fn median_ns(mut samples: Vec<u128>) -> u128 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 fn bench(name: &str, rows: usize, iters: usize, mut f: impl FnMut() -> usize) {
     // Warm-up pass populates the buffer pool and the branch predictors.
@@ -97,65 +91,18 @@ fn main() {
         collect(&mut s).unwrap().len()
     });
 
-    bench("scan_ship_encode", rows as usize, iters, || {
-        let mut s = SeqScan::new(
-            pool.clone(),
-            def.id,
-            ReadMode::SeeDeletedHistorical(Timestamp(25)),
-        )
+    // The worker's scan service loop as shipped: admitted rows transcode
+    // from page bytes into pre-framed batches; the frames are dropped here
+    // instead of sent.
+    bench("scan_ship", rows as usize, iters, || {
+        let scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(Timestamp(25)));
+        let (mut shipped, mut total) = (0usize, 0usize);
+        ship_scan(&e, &scan, 512, |frame, done| {
+            shipped += frame.rows() as usize;
+            total += frame.finish(done).len();
+            Ok(())
+        })
         .unwrap();
-        let tuples = collect(&mut s).unwrap();
-        let mut total = 0usize;
-        for batch in tuples.chunks(512) {
-            // Mirrors Response::Tuples encoding: tag, done, count, wire tuples.
-            let mut enc = Encoder::new();
-            enc.put_u8(5);
-            enc.put_bool(false);
-            enc.put_u32(batch.len() as u32);
-            for t in batch {
-                t.write_wire(&mut enc);
-            }
-            total += enc.len();
-        }
-        assert!(total > 0);
-        tuples.len()
-    });
-
-    // The post-overhaul worker shipping path: admitted rows are transcoded
-    // straight from page bytes into the outgoing frame, no Tuple materialized.
-    let desc = pool.table(def.id).unwrap().desc().clone();
-    bench("scan_ship_zero_copy", rows as usize, iters, || {
-        let mode = ReadMode::SeeDeletedHistorical(Timestamp(25));
-        let heap = pool.table(def.id).unwrap();
-        let mut pages = Vec::new();
-        for (seg, _) in heap.prune(&Default::default()) {
-            pages.extend(heap.segment_page_ids(seg));
-        }
-        let mut frame = TuplesFrameBuilder::new();
-        let mut total = 0usize;
-        let mut shipped = 0usize;
-        for pid in pages {
-            pool.with_page(mode.lock_tid(), pid, |page| {
-                for slot in page.occupied_slots() {
-                    let bytes = page.read(slot)?;
-                    let (ins, del) = raw_version_timestamps(bytes)?;
-                    let Some(masked) = mode.admit(ins, del) else {
-                        continue;
-                    };
-                    transcode_fixed_to_wire(&desc, bytes, masked, frame.encoder())?;
-                    frame.note_row();
-                }
-                Ok(())
-            })
-            .unwrap();
-            if frame.rows() >= 512 {
-                let full = std::mem::replace(&mut frame, TuplesFrameBuilder::new());
-                shipped += full.rows() as usize;
-                total += full.finish(false).len();
-            }
-        }
-        shipped += frame.rows() as usize;
-        total += frame.finish(true).len();
         assert!(total > 0);
         shipped
     });

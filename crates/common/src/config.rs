@@ -22,17 +22,6 @@ pub const PAGE_PAYLOAD: usize = PAGE_SIZE - PAGE_CRC_LEN;
 /// site can start applying before the stream finishes.
 pub const DEFAULT_SCAN_BATCH: usize = 512;
 
-/// Worker threads a partitioned sequential scan fans its page range across
-/// (exec-side `ParallelSeqScan` and the worker's zero-copy scan service).
-/// Kept small: the fan-out is aligned with the sharded buffer pool, and the
-/// merge preserves partition order, so extra threads past the shard count
-/// only add channel traffic.
-pub const DEFAULT_SCAN_WORKERS: usize = 2;
-
-/// Minimum pruned-page count per scan worker before a scan parallelises:
-/// below this the thread spawn plus channel hops exceed the scan itself.
-pub const PARALLEL_SCAN_MIN_PAGES: usize = 8;
-
 /// Applier threads draining the Phase-2 recovery pipeline on the recovering
 /// site (tuples are fetched from buddies by separate fetcher threads).
 pub const DEFAULT_PHASE2_APPLIERS: usize = 2;

@@ -20,7 +20,7 @@ pub use message::{
 };
 pub use placement::{Copy, Part, Placement, RecoveryObject, SharedPlacement, TablePlacement};
 pub use protocol::ProtocolKind;
-pub use worker::{simulate_cpu_work, Worker, WorkerConfig};
+pub use worker::{ship_scan, simulate_cpu_work, Worker, WorkerConfig};
 
 pub use harbor_common::config::{
     DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF, DEFAULT_RPC_DEADLINE, DEFAULT_SCAN_BATCH,

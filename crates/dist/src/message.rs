@@ -422,15 +422,6 @@ pub enum Request {
     DecommissionSite {
         site: SiteId,
     },
-    /// Index-backed point read: all versions of the tuple with primary key
-    /// `key` visible under `mode` (§5.3's tuple-id index). Answered with a
-    /// single non-streamed [`Response::Tuples`] (`done = true`) — the probe
-    /// touches a handful of record ids, never a page range.
-    PointRead {
-        table: String,
-        key: i64,
-        mode: WireReadMode,
-    },
 }
 
 /// Worker-visible transaction state, for consensus (§4.3.3 / Table 4.1).
@@ -631,12 +622,6 @@ impl Wire for Request {
                 enc.put_u8(18);
                 enc.put_u16(site.0);
             }
-            Request::PointRead { table, key, mode } => {
-                enc.put_u8(19);
-                enc.put_str(table);
-                enc.put_i64(*key);
-                mode.encode(enc);
-            }
         }
     }
 
@@ -762,11 +747,6 @@ impl Request {
             },
             18 => Request::DecommissionSite {
                 site: SiteId(dec.get_u16()?),
-            },
-            19 => Request::PointRead {
-                table: dec.get_str()?,
-                key: dec.get_i64()?,
-                mode: WireReadMode::decode(dec)?,
             },
             t => return Err(DbError::corrupt(format!("bad request tag {t}"))),
         })
@@ -920,9 +900,9 @@ impl Wire for Response {
 
 /// Incrementally built, pre-framed `Response::Tuples` message.
 ///
-/// The zero-copy scan service transcodes admitted rows from page bytes
-/// straight into this buffer; `finish` patches the frame length, done flag,
-/// and row count once the batch is complete. The output is byte-identical
+/// The scan service (`worker::ship_scan`) transcodes admitted rows from page
+/// bytes straight into this buffer; `finish` patches the frame length, done
+/// flag, and row count once the batch is complete. The output is byte-identical
 /// to `Response::Tuples { batch, done }.to_framed_vec()` (asserted by the
 /// wire tests), so the receiving side needs no changes.
 pub struct TuplesFrameBuilder {
@@ -1116,16 +1096,6 @@ mod tests {
             addr: "127.0.0.1:4077".into(),
         });
         round_trip_req(Request::DecommissionSite { site: SiteId(7) });
-        round_trip_req(Request::PointRead {
-            table: "sales".into(),
-            key: -42,
-            mode: WireReadMode::Historical(Timestamp(10)),
-        });
-        round_trip_req(Request::PointRead {
-            table: "sales".into(),
-            key: 7,
-            mode: WireReadMode::Current(tid),
-        });
     }
 
     #[test]

@@ -16,13 +16,13 @@ use crate::message::{
 };
 use crate::protocol::ProtocolKind;
 use harbor_common::codec::Wire;
-use harbor_common::tuple::{
-    raw_version_timestamps, transcode_fixed_cols_to_wire, transcode_fixed_to_wire,
-};
+use harbor_common::schema::NUM_VERSION_COLS;
+use harbor_common::tuple::FixedLayout;
 use harbor_common::{DbError, DbResult, SiteId, Timestamp, TransactionId, Tuple, Value};
 use harbor_engine::Engine;
-use harbor_exec::op::Operator;
-use harbor_exec::{run_update_by_key, Expr, ReadMode, SeqScan};
+use harbor_exec::{
+    key_probes, run_update_by_key, scan_pages, visit_key, visit_page, ReadMode, ScanRow,
+};
 use harbor_net::{Channel, Transport};
 use harbor_storage::{LockKey, LockMode, ScanBounds};
 use parking_lot::Mutex;
@@ -777,10 +777,7 @@ impl Worker {
                 Ok(Response::Ok)
             }
             Request::SegmentBounds { table } => {
-                let def = self
-                    .engine
-                    .table_def(table)
-                    .ok_or_else(|| DbError::Schema(format!("no table {table:?}")))?;
+                let def = table_def(&self.engine, table)?;
                 let heap = self.engine.pool().table(def.id)?;
                 let segments = heap
                     .segments()
@@ -797,20 +794,14 @@ impl Worker {
                 Ok(Response::SegmentBounds { segments })
             }
             Request::AcquireTableLock { tid, table } => {
-                let def = self
-                    .engine
-                    .table_def(table)
-                    .ok_or_else(|| DbError::Schema(format!("no table {table:?}")))?;
+                let def = table_def(&self.engine, table)?;
                 self.engine
                     .locks()
                     .acquire(*tid, LockKey::Table(def.id), LockMode::Shared)?;
                 Ok(Response::Ok)
             }
             Request::ReleaseTableLock { tid, table } => {
-                let def = self
-                    .engine
-                    .table_def(table)
-                    .ok_or_else(|| DbError::Schema(format!("no table {table:?}")))?;
+                let def = table_def(&self.engine, table)?;
                 self.engine.locks().release(*tid, LockKey::Table(def.id));
                 // The lock owner id is dedicated to this one recovery
                 // object, so drop any stragglers it may hold too.
@@ -827,18 +818,6 @@ impl Worker {
                     BackupState::Aborted => WireTxnState::Aborted,
                 };
                 Ok(Response::TxnState { state })
-            }
-            Request::PointRead { table, key, mode } => {
-                let def = self
-                    .engine
-                    .table_def(table)
-                    .ok_or_else(|| DbError::Schema(format!("no table {table:?}")))?;
-                let batch =
-                    harbor_exec::index_lookup(&self.engine, def.id, *key, read_mode(*mode))?
-                        .into_iter()
-                        .map(|(_, t)| t)
-                        .collect();
-                Ok(Response::Tuples { batch, done: true })
             }
             Request::Ping => Ok(Response::Ok),
             Request::GetTime
@@ -929,44 +908,29 @@ impl Worker {
     fn apply_update(&self, tid: TransactionId, req: &UpdateRequest) -> DbResult<()> {
         match req {
             UpdateRequest::Insert { table, values } => {
-                let def = self
-                    .engine
-                    .table_def(table)
-                    .ok_or_else(|| DbError::Schema(format!("no table {table:?}")))?;
+                let def = table_def(&self.engine, table)?;
                 self.engine.insert(tid, def.id, values.clone())?;
                 Ok(())
             }
             UpdateRequest::InsertMany { table, rows } => {
-                let def = self
-                    .engine
-                    .table_def(table)
-                    .ok_or_else(|| DbError::Schema(format!("no table {table:?}")))?;
+                let def = table_def(&self.engine, table)?;
                 for row in rows {
                     self.engine.insert(tid, def.id, row.clone())?;
                 }
                 Ok(())
             }
             UpdateRequest::DeleteWhere { table, pred } => {
-                let def = self
-                    .engine
-                    .table_def(table)
-                    .ok_or_else(|| DbError::Schema(format!("no table {table:?}")))?;
+                let def = table_def(&self.engine, table)?;
                 harbor_exec::run_delete(&self.engine, tid, def.id, pred)?;
                 Ok(())
             }
             UpdateRequest::UpdateByKey { table, key, set } => {
-                let def = self
-                    .engine
-                    .table_def(table)
-                    .ok_or_else(|| DbError::Schema(format!("no table {table:?}")))?;
+                let def = table_def(&self.engine, table)?;
                 run_update_by_key(&self.engine, tid, def.id, *key, |user| apply_set(user, set))?;
                 Ok(())
             }
             UpdateRequest::UpdateWhere { table, pred, set } => {
-                let def = self
-                    .engine
-                    .table_def(table)
-                    .ok_or_else(|| DbError::Schema(format!("no table {table:?}")))?;
+                let def = table_def(&self.engine, table)?;
                 harbor_exec::run_update(&self.engine, tid, def.id, pred, |user| {
                     apply_set(user, set)
                 })?;
@@ -981,270 +945,34 @@ impl Worker {
 
     /// Streams a scan's result in batches.
     fn stream_scan(&self, scan: &RemoteScan, chan: &mut Box<dyn Channel>) -> DbResult<()> {
-        let def = self
-            .engine
-            .table_def(&scan.table)
-            .ok_or_else(|| DbError::Schema(format!("no table {:?}", scan.table)))?;
         // Deletion-log fast path (§5.2 footnote): a pure deletion query is
         // answered from the ordered deletion log — cost proportional to the
         // number of deletions rather than to the segments they touched.
         if self.cfg.use_deletion_log && scan.ids_and_deletions_only && scan.ins_after.is_none() {
             if let Some(after) = scan.del_after {
-                return self.stream_deletions_from_log(scan, def.id, after, chan);
+                return self.stream_deletions_from_log(scan, after, chan);
             }
         }
-        let mode = read_mode(scan.mode);
-        let bounds = ScanBounds {
-            ins_at_or_before: scan.ins_at_or_before,
-            ins_after: scan.ins_after,
-            del_after: scan.del_after,
-            uncommitted_from_segment: None,
-        };
-        // Residual predicate: the pruning bounds re-applied per tuple plus
-        // the recovery predicate. Timestamps are columns 0 and 1.
-        let mut residual: Option<Expr> = scan.predicate.clone();
-        let mut add = |e: Expr| {
-            residual = Some(match residual.take() {
-                Some(r) => r.and(e),
-                None => e,
-            });
-        };
-        if let Some(t) = scan.ins_at_or_before {
-            add(Expr::col(0).le(Expr::time(t)));
-        }
-        if let Some(t) = scan.ins_after {
-            add(Expr::col(0).gt(Expr::time(t)));
-            // `insertion_time != uncommitted` (§5.4.1): modes that can see
-            // uncommitted tuples must not ship them.
-            add(Expr::col(0).ne(Expr::time(Timestamp::UNCOMMITTED)));
-        }
-        if let Some(t) = scan.del_after {
-            add(Expr::col(1).gt(Expr::time(t)));
-        }
-        // Zero-copy fast path: with no user predicate, both the visibility
-        // rule and the residual range checks run on the raw version pair,
-        // and admitted rows transcode from page bytes straight into the
-        // pre-framed outgoing buffer — no intermediate `Tuple` vectors.
-        let desc = self.engine.pool().table(def.id)?.desc().clone();
-        if scan.predicate.is_none() && desc.has_version_columns() {
-            return self.stream_scan_zero_copy(scan, def.id, mode, bounds, &desc, chan);
-        }
-        let mut op = SeqScan::with_bounds(self.engine.pool().clone(), def.id, mode, bounds)?;
-        op.open()?;
-        let scan_batch = self.cfg.scan_batch.max(1);
-        let shipped = &self.engine.metrics().clone();
-        let mut fetched: Vec<Tuple> = Vec::with_capacity(scan_batch);
-        let mut batch = Vec::with_capacity(scan_batch);
-        loop {
-            fetched.clear();
-            let done = !op.next_batch(scan_batch, &mut fetched)?;
-            for tup in fetched.drain(..) {
-                let keep = match &residual {
-                    Some(p) => p.eval_bool(&tup)?,
-                    None => true,
-                };
-                if keep {
-                    let out = if scan.ids_and_deletions_only {
-                        // (tuple_id, deletion_time) pairs (§5.3).
-                        Tuple2::project_id_del(&tup)?
-                    } else {
-                        tup
-                    };
-                    batch.push(out);
-                }
-            }
-            if batch.len() >= scan_batch || done {
-                shipped.add_recovery_tuples_shipped(batch.len() as u64);
-                let resp = Response::Tuples {
-                    batch: std::mem::take(&mut batch),
-                    done,
-                };
-                // Pre-framed: one copy, one syscall on TCP.
-                let framed = resp.to_framed_vec();
-                shipped.add_recovery_bytes_shipped((framed.len() - 4) as u64);
-                chan.send_framed(&framed)?;
-                self.maybe_crash_serving_scan(scan)?;
-                if done {
-                    break;
-                }
-            }
-        }
-        op.close();
-        Ok(())
-    }
-
-    /// The zero-copy service path behind [`stream_scan`](Self::stream_scan):
-    /// walks the pruned pages itself, applies `ReadMode::admit` plus the
-    /// §5.4.1 residual range checks to the raw timestamps at their fixed
-    /// slot offsets, and re-encodes admitted rows from page bytes into the
-    /// outgoing [`TuplesFrameBuilder`] — never materializing a `Tuple`.
-    fn stream_scan_zero_copy(
-        &self,
-        scan: &RemoteScan,
-        table: harbor_common::TableId,
-        mode: ReadMode,
-        bounds: ScanBounds,
-        desc: &harbor_common::TupleDesc,
-        chan: &mut Box<dyn Channel>,
-    ) -> DbResult<()> {
-        let pool = self.engine.pool().clone();
-        let heap = pool.table(table)?;
-        let mut pages = Vec::new();
-        for (seg, _) in heap.prune(&bounds) {
-            pages.extend(heap.segment_page_ids(seg));
-        }
-        let scan_batch = self.cfg.scan_batch.max(1);
-        let metrics = self.engine.metrics().clone();
-        let lock_tid = mode.lock_tid();
-        // Fan out across contiguous page partitions when the scan is
-        // lock-free and large enough to amortise the worker threads. Locked
-        // modes stay serial: transactional page locks must be acquired by
-        // the one thread that owns the transaction.
-        let workers = if lock_tid.is_some() {
-            1
-        } else {
-            harbor_common::config::DEFAULT_SCAN_WORKERS
-                .min(pages.len() / harbor_common::config::PARALLEL_SCAN_MIN_PAGES)
-                .max(1)
-        };
-        if workers > 1 {
-            return self.stream_scan_zero_copy_parallel(
-                scan, &pool, &pages, workers, mode, desc, &metrics, chan,
-            );
-        }
-        let mut frame = TuplesFrameBuilder::new();
-        let mut admitted = 0u64;
-        let mut skipped = 0u64;
-        for pid in pages {
-            let (a, s) =
-                transcode_page_into_frame(scan, &pool, lock_tid, pid, mode, desc, &mut frame)?;
-            admitted += a;
-            skipped += s;
-            if frame.rows() as usize >= scan_batch {
-                let full = std::mem::take(&mut frame);
-                self.ship_zero_copy_frame(full, false, &metrics, chan)?;
-                self.maybe_crash_serving_scan(scan)?;
-            }
-        }
-        self.ship_zero_copy_frame(frame, true, &metrics, chan)?;
-        self.maybe_crash_serving_scan(scan)?;
-        metrics.add_scan_rows_admitted(admitted);
-        metrics.add_scan_rows_skipped_predecode(skipped);
-        Ok(())
-    }
-
-    /// Partitioned variant of the zero-copy scan service: the pruned page
-    /// range splits into `workers` contiguous partitions, each walked by
-    /// its own thread transcoding admitted rows into pre-framed buffers.
-    /// Frames travel through bounded channels to this (merging) thread,
-    /// which ships them in strict partition order, so for a given page list
-    /// the shipped row sequence is identical to the serial path's and
-    /// independent of thread interleaving. One final empty `done` frame
-    /// ends the stream exactly as the serial path would.
-    ///
-    /// Two invariants the lint/witness planes watch for: a worker finishes
-    /// and sends a frame only *after* the frame latch it was built under is
-    /// released (a blocked channel send must never hold a page latch), and
-    /// the pool draws no RNG and reads no wall clock — disk-fault ordinals
-    /// are per-(table, page, direction), so chaos traces replay
-    /// byte-identically however the partitions interleave.
-    #[allow(clippy::too_many_arguments)]
-    fn stream_scan_zero_copy_parallel(
-        &self,
-        scan: &RemoteScan,
-        pool: &harbor_storage::BufferPool,
-        pages: &[harbor_common::PageId],
-        workers: usize,
-        mode: ReadMode,
-        desc: &harbor_common::TupleDesc,
-        metrics: &harbor_common::Metrics,
-        chan: &mut Box<dyn Channel>,
-    ) -> DbResult<()> {
-        let scan_batch = self.cfg.scan_batch.max(1);
-        let per = pages.len().div_ceil(workers).max(1);
-        std::thread::scope(|s| -> DbResult<()> {
-            let mut rxs = Vec::with_capacity(workers);
-            for (i, part) in pages.chunks(per).enumerate() {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<DbResult<(Vec<u8>, u32)>>(4);
-                rxs.push(rx);
-                std::thread::Builder::new()
-                    .name(format!("worker-{}-scan-{i}", self.cfg.site.0))
-                    .spawn_scoped(s, move || {
-                        let mut frame = TuplesFrameBuilder::new();
-                        let (mut admitted, mut skipped) = (0u64, 0u64);
-                        for &pid in part {
-                            match transcode_page_into_frame(
-                                scan, pool, None, pid, mode, desc, &mut frame,
-                            ) {
-                                Ok((a, sk)) => {
-                                    admitted += a;
-                                    skipped += sk;
-                                }
-                                Err(e) => {
-                                    let _ = tx.send(Err(e));
-                                    return;
-                                }
-                            }
-                            if frame.rows() as usize >= scan_batch {
-                                let full = std::mem::take(&mut frame);
-                                let rows = full.rows();
-                                // The page latch dropped when the transcode
-                                // returned; the potentially-blocking send
-                                // holds no guard.
-                                if tx.send(Ok((full.finish(false), rows))).is_err() {
-                                    return; // merger gone: stop quietly
-                                }
-                            }
-                        }
-                        if frame.rows() > 0 {
-                            let rows = frame.rows();
-                            let _ = tx.send(Ok((frame.finish(false), rows)));
-                        }
-                        metrics.add_scan_rows_admitted(admitted);
-                        metrics.add_scan_rows_skipped_predecode(skipped);
-                    })
-                    .map_err(|e| DbError::internal(format!("spawn scan worker: {e}")))?;
-            }
-            // Merge: drain partitions in order. A send/crash error returned
-            // here drops the receivers, which unblocks and retires every
-            // worker before the scope joins them.
-            for rx in &rxs {
-                loop {
-                    match rx.recv() {
-                        Ok(Ok((framed, rows))) => {
-                            metrics.add_recovery_tuples_shipped(rows as u64);
-                            let payload = (framed.len() - 4) as u64;
-                            metrics.add_recovery_bytes_shipped(payload);
-                            metrics.add_scan_bytes_zero_copy(payload);
-                            chan.send_framed(&framed)?;
-                            self.maybe_crash_serving_scan(scan)?;
-                        }
-                        Ok(Err(e)) => return Err(e),
-                        Err(_) => break, // partition exhausted
-                    }
-                }
-            }
-            Ok(())
-        })?;
-        self.ship_zero_copy_frame(TuplesFrameBuilder::new(), true, metrics, chan)?;
-        self.maybe_crash_serving_scan(scan)?;
-        Ok(())
-    }
-
-    fn ship_zero_copy_frame(
-        &self,
-        frame: TuplesFrameBuilder,
-        done: bool,
-        metrics: &harbor_common::Metrics,
-        chan: &mut Box<dyn Channel>,
-    ) -> DbResult<()> {
-        let rows = frame.rows() as u64;
-        let framed = frame.finish(done);
-        let payload = (framed.len() - 4) as u64;
-        metrics.add_recovery_tuples_shipped(rows);
-        metrics.add_recovery_bytes_shipped(payload);
-        metrics.add_scan_bytes_zero_copy(payload);
-        chan.send_framed(&framed)
+        let metrics = self.engine.metrics();
+        ship_scan(&self.engine, scan, self.cfg.scan_batch, |frame, done| {
+            let rows = frame.rows() as u64;
+            let framed = frame.finish(done);
+            let payload = (framed.len() - 4) as u64;
+            metrics.add_recovery_tuples_shipped(rows);
+            metrics.add_recovery_bytes_shipped(payload);
+            metrics.add_scan_bytes_zero_copy(payload);
+            chan.send_framed(&framed)?;
+            // A scan is the one long CPU-bound request a connection thread
+            // serves, and nothing above makes it wait (the in-memory
+            // transport queues without bound). On a saturated core the
+            // scheduler would let it run out its slice ahead of the short
+            // protocol steps of concurrent transactions; giving the core up
+            // between batches keeps their tail latency where it was when
+            // scans blocked on a merge channel (EXPERIMENTS.md, "One page
+            // visitor").
+            std::thread::yield_now();
+            self.maybe_crash_serving_scan(scan)
+        })
     }
 
     /// Probes the buddy-death crash points while serving a recovery scan:
@@ -1271,10 +999,10 @@ impl Worker {
     fn stream_deletions_from_log(
         &self,
         scan: &RemoteScan,
-        table: harbor_common::TableId,
         after: Timestamp,
         chan: &mut Box<dyn Channel>,
     ) -> DbResult<()> {
+        let table = table_def(&self.engine, &scan.table)?.id;
         let dlog = self.engine.deletion_log(table)?;
         let entries = dlog.deleted_after(self.engine.pool(), after)?;
         let hwm = match scan.mode {
@@ -1318,7 +1046,8 @@ impl Worker {
                     continue;
                 }
             }
-            batch.push(Tuple2::project_id_del(&tup)?);
+            // (tuple_id, deletion_time): the key is the first user field.
+            batch.push(Tuple::new(vec![tup.get(2).clone(), tup.get(1).clone()]));
             if batch.len() >= scan_batch {
                 shipped.add_recovery_tuples_shipped(batch.len() as u64);
                 let framed = Response::Tuples {
@@ -1339,54 +1068,70 @@ impl Worker {
     }
 }
 
-/// Transcodes one page's admitted rows into `frame` under the page latch
-/// (plus a page lock when `lock_tid` is set), returning the
-/// `(admitted, skipped)` deltas. The latch guard is released before this
-/// returns — callers are free to block on channel or socket sends.
-fn transcode_page_into_frame(
+/// The scan service. Walks `scan`'s rows through the page visitor — or,
+/// when its predicate pins the key column, through the tuple-id index (the
+/// rule SQL's planner applies: [`key_probes`]) — and transcodes each from
+/// page bytes into a pre-framed `Response::Tuples`. `ship` gets the frame,
+/// and whether it ends the stream, each time a page or a key leaves
+/// `scan_batch` rows in it, and once more at the end. No page latch is held
+/// while `ship` runs. Plain reads, filtered reads and every recovery range
+/// go out through this one loop; it is public so the benches time it as it
+/// is.
+pub fn ship_scan(
+    engine: &Engine,
     scan: &RemoteScan,
-    pool: &harbor_storage::BufferPool,
-    lock_tid: Option<TransactionId>,
-    pid: harbor_common::PageId,
-    mode: ReadMode,
-    desc: &harbor_common::TupleDesc,
-    frame: &mut TuplesFrameBuilder,
-) -> DbResult<(u64, u64)> {
-    // (tuple_id, deletion_time) projection: key is the first user field.
-    let id_del_cols = [2usize, 1usize];
-    let mut admitted = 0u64;
-    let mut skipped = 0u64;
-    pool.with_page(lock_tid, pid, |page| {
-        for slot in page.occupied_slots() {
-            let bytes = page.read(slot)?;
-            let (ins, del) = raw_version_timestamps(bytes)?;
-            let Some(masked) = mode.admit(ins, del) else {
-                skipped += 1;
-                continue;
-            };
-            // Residual bounds, re-applied per tuple exactly as the
-            // legacy path's Expr did: insertion checks see the raw
-            // value, the deletion check sees the masked one.
-            let reject = scan.ins_at_or_before.is_some_and(|t| ins > t)
-                || scan
-                    .ins_after
-                    .is_some_and(|t| ins <= t || ins == Timestamp::UNCOMMITTED)
-                || scan.del_after.is_some_and(|t| masked <= t);
-            if reject {
-                skipped += 1;
-                continue;
-            }
-            if scan.ids_and_deletions_only {
-                transcode_fixed_cols_to_wire(desc, bytes, &id_del_cols, masked, frame.encoder())?;
-            } else {
-                transcode_fixed_to_wire(desc, bytes, masked, frame.encoder())?;
-            }
+    scan_batch: usize,
+    mut ship: impl FnMut(TuplesFrameBuilder, bool) -> DbResult<()>,
+) -> DbResult<()> {
+    let table = table_def(engine, &scan.table)?.id;
+    let mode = read_mode(scan.mode);
+    let bounds = ScanBounds {
+        ins_at_or_before: scan.ins_at_or_before,
+        ins_after: scan.ins_after,
+        del_after: scan.del_after,
+        uncommitted_from_segment: None,
+    };
+    let pool = engine.pool();
+    let heap = pool.table(table)?;
+    let layout = FixedLayout::new(heap.desc());
+    let pred = scan.predicate.as_ref();
+    let put = |frame: &mut TuplesFrameBuilder, row: ScanRow<'_>| {
+        let ids_only = scan.ids_and_deletions_only;
+        if row.ship(heap.desc(), &layout, pred, ids_only, frame.encoder())? {
             frame.note_row();
-            admitted += 1;
         }
         Ok(())
-    })?;
-    Ok((admitted, skipped))
+    };
+    let mut frame = TuplesFrameBuilder::new();
+    let mut ship_if_full = |frame: &mut TuplesFrameBuilder| -> DbResult<()> {
+        if frame.rows() as usize >= scan_batch.max(1) {
+            ship(std::mem::take(frame), false)?;
+        }
+        Ok(())
+    };
+    match pred.and_then(|p| key_probes(p, NUM_VERSION_COLS)) {
+        Some(keys) => {
+            for key in keys {
+                visit_key(engine, table, key, mode, &bounds, |row| {
+                    put(&mut frame, row)
+                })?;
+                ship_if_full(&mut frame)?;
+            }
+        }
+        None => {
+            for pid in scan_pages(&heap, &bounds) {
+                visit_page(pool, &heap, pid, mode, &bounds, |row| put(&mut frame, row))?;
+                ship_if_full(&mut frame)?;
+            }
+        }
+    }
+    ship(frame, true)
+}
+
+fn table_def(engine: &Engine, name: &str) -> DbResult<harbor_engine::TableDef> {
+    engine
+        .table_def(name)
+        .ok_or_else(|| DbError::Schema(format!("no table {name:?}")))
 }
 
 /// Maps a wire-expressible read mode onto the engine's.
@@ -1399,20 +1144,6 @@ fn read_mode(mode: WireReadMode) -> ReadMode {
         // outlive the table lock's release. Latch-only access suffices.
         WireReadMode::SeeDeletedLocked(_) => ReadMode::SeeDeleted,
         WireReadMode::Current(tid) => ReadMode::Current(tid),
-    }
-}
-
-/// Helper namespace for tuple projections used by recovery queries.
-struct Tuple2;
-
-impl Tuple2 {
-    /// `(tuple_id, deletion_time)` from a stored tuple: key is the first
-    /// user field (column 2).
-    fn project_id_del(t: &harbor_common::Tuple) -> DbResult<harbor_common::Tuple> {
-        Ok(harbor_common::Tuple::new(vec![
-            t.get(2).clone(),
-            t.get(1).clone(),
-        ]))
     }
 }
 

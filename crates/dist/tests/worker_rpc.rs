@@ -180,46 +180,11 @@ fn streamed_scan_crosses_batch_boundaries() {
     let _ = std::fs::remove_dir_all(&f.dir);
 }
 
-/// A scan wide enough to cross the parallel fan-out threshold must return
-/// exactly the serial path's row sequence: the merge drains partitions in
-/// page order, so ids come back in insertion order however the worker
-/// threads interleave.
+/// A key-equality scan is answered from the tuple-id index (§5.3): the
+/// right versions under each snapshot, without walking the table.
 #[test]
-fn parallel_scan_preserves_serial_row_order() {
-    let f = build("par-scan");
-    const N: i64 = 2500; // ~18 pages at 28 bytes/tuple: >= 2 partitions
-    let rows: Vec<Vec<Value>> = (0..N)
-        .map(|i| vec![Value::Int64(i), Value::Int32(i as i32)])
-        .collect();
-    let t = f.txn(
-        1,
-        vec![UpdateRequest::InsertMany {
-            table: "t".into(),
-            rows,
-        }],
-    );
-    let def = f.engine.table_def("t").unwrap();
-    let pages = f.engine.pool().table(def.id).unwrap().all_page_ids().len();
-    assert!(
-        pages >= 2 * harbor_common::config::PARALLEL_SCAN_MIN_PAGES,
-        "fixture too small to trigger the fan-out ({pages} pages)"
-    );
-    let mut chan = f.connect();
-    let tuples = scan_rpc(
-        chan.as_mut(),
-        &RemoteScan::new("t", WireReadMode::Historical(t)),
-    )
-    .unwrap();
-    assert_eq!(tuples.len(), N as usize);
-    for (i, tup) in tuples.iter().enumerate() {
-        assert_eq!(tup.get(2), &Value::Int64(i as i64), "row order diverged");
-    }
-    let _ = std::fs::remove_dir_all(&f.dir);
-}
-
-#[test]
-fn point_read_rpc_respects_visibility() {
-    let f = build("point-read");
+fn key_scan_respects_visibility() {
+    let f = build("key-scan");
     let rows: Vec<Vec<Value>> = (0..50i64)
         .map(|i| vec![Value::Int64(i), Value::Int32(i as i32)])
         .collect();
@@ -246,21 +211,10 @@ fn point_read_rpc_respects_visibility() {
         ],
     );
     let mut chan = f.connect();
-    let point = |chan: &mut Box<dyn harbor_net::Channel>, key: i64, mode: WireReadMode| match rpc(
-        chan.as_mut(),
-        &Request::PointRead {
-            table: "t".into(),
-            key,
-            mode,
-        },
-    )
-    .unwrap()
-    {
-        Response::Tuples { batch, done } => {
-            assert!(done, "point reads are single-frame");
-            batch
-        }
-        other => panic!("{other:?}"),
+    let point = |chan: &mut Box<dyn harbor_net::Channel>, key: i64, mode: WireReadMode| {
+        let mut scan = RemoteScan::new("t", mode);
+        scan.predicate = Some(Expr::col(2).eq(Expr::lit(key)));
+        scan_rpc(chan.as_mut(), &scan).unwrap()
     };
     // Latest snapshot: the updated version only.
     let rows = point(&mut chan, 7, WireReadMode::Historical(t2));
@@ -275,19 +229,57 @@ fn point_read_rpc_respects_visibility() {
     assert_eq!(point(&mut chan, 9, WireReadMode::Historical(t1)).len(), 1);
     // Absent key.
     assert!(point(&mut chan, 5000, WireReadMode::Historical(t2)).is_empty());
-    // Unknown table is an error, not a crash.
-    match rpc(
-        chan.as_mut(),
-        &Request::PointRead {
-            table: "nope".into(),
-            key: 1,
-            mode: WireReadMode::Historical(t2),
-        },
-    )
-    .unwrap()
-    {
-        Response::Err { msg } => assert!(msg.contains("nope")),
-        other => panic!("{other:?}"),
+    // Phase-2 form: both versions of key 7, with the rest of the predicate
+    // and the bounds applied to the index hits.
+    let mut scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(t2));
+    scan.predicate = Some(
+        Expr::col(2)
+            .eq(Expr::lit(7i64))
+            .and(Expr::col(3).lt(Expr::lit(100))),
+    );
+    assert_eq!(scan_rpc(chan.as_mut(), &scan).unwrap().len(), 1);
+    scan.predicate = Some(Expr::col(2).eq(Expr::lit(7i64)));
+    assert_eq!(scan_rpc(chan.as_mut(), &scan).unwrap().len(), 2);
+    scan.ins_after = Some(t1);
+    let rows = scan_rpc(chan.as_mut(), &scan).unwrap();
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0].get(3), &Value::Int32(700));
+    let _ = std::fs::remove_dir_all(&f.dir);
+}
+
+/// The key rule reads the rows it returns, not the table; an unknown table
+/// is an error, not a crash.
+#[test]
+fn key_scan_examines_only_its_hits() {
+    let f = build("key-scan-cost");
+    let rows: Vec<Vec<Value>> = (0..2000i64)
+        .map(|i| vec![Value::Int64(i), Value::Int32(i as i32)])
+        .collect();
+    let t = f.txn(
+        1,
+        vec![UpdateRequest::InsertMany {
+            table: "t".into(),
+            rows,
+        }],
+    );
+    let examined = || {
+        let m = f.engine.metrics().snapshot();
+        m.scan_rows_admitted + m.scan_rows_skipped_predecode
+    };
+    let mut chan = f.connect();
+    let mut scan = RemoteScan::new("t", WireReadMode::Historical(t));
+    scan.predicate = Some(
+        Expr::col(2)
+            .ge(Expr::lit(100i64))
+            .and(Expr::col(2).lt(Expr::lit(110i64))),
+    );
+    let before = examined();
+    assert_eq!(scan_rpc(chan.as_mut(), &scan).unwrap().len(), 10);
+    assert_eq!(examined() - before, 10);
+    scan.table = "nope".into();
+    match scan_rpc(chan.as_mut(), &scan) {
+        Err(e) => assert!(e.to_string().contains("nope"), "{e}"),
+        Ok(rows) => panic!("{} rows from an unknown table", rows.len()),
     }
     let _ = std::fs::remove_dir_all(&f.dir);
 }

@@ -178,6 +178,44 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A deleter commits while an indexed update is waiting for the row's
+    /// page: the update has to judge the row by what the page says once it
+    /// holds the lock — deleted — not by a read taken before it waited.
+    #[test]
+    fn update_by_key_reads_the_row_under_its_lock() {
+        use harbor_storage::LockKey;
+        let (e, table, dir) = setup("updkey-race");
+        let t = tid(1);
+        e.begin(t).unwrap();
+        run_insert(&e, t, table, vec![Value::Int64(3), Value::Int32(0)]).unwrap();
+        e.commit(t, Timestamp(1), StepLogging::OFF).unwrap();
+        // The deleter holds the page exclusively until it commits.
+        let deleter = tid(2);
+        e.begin(deleter).unwrap();
+        let victim = Expr::col(2).eq(Expr::lit(3i64));
+        assert_eq!(run_delete(&e, deleter, table, &victim).unwrap(), 1);
+        let updater = tid(3);
+        let update = std::thread::spawn({
+            let e = e.clone();
+            move || {
+                e.begin(updater).unwrap();
+                let hit = run_update_by_key(&e, updater, table, 3, |v| v.to_vec());
+                e.abort(updater, StepLogging::OFF).unwrap();
+                hit
+            }
+        });
+        // The table intention lock is the step before the page lock: once
+        // the updater holds it, its probe is done and it is (about to be)
+        // parked behind the deleter.
+        while !e.locks().holders(LockKey::Table(table)).contains(&updater) {
+            std::thread::yield_now();
+        }
+        e.commit(deleter, Timestamp(2), StepLogging::OFF).unwrap();
+        let hit = update.join().unwrap().unwrap();
+        assert!(!hit, "a row deleted at 2 was updated as if live");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn update_by_predicate_rewrites_matching_rows() {
         let (e, table, dir) = setup("updpred");

@@ -20,7 +20,6 @@ pub use expr::{ArithOp, CmpOp, Expr};
 pub use join::NestedLoopsJoin;
 pub use op::{collect, Filter, Limit, Operator, Project, Values};
 pub use scan::{
-    admit_chunk, index_lookup, scan_page_chunked, scan_rids, Admission, ParallelSeqScan, ReadMode,
-    SeqScan,
+    index_lookup, scan_pages, scan_rids, visit_key, visit_page, ReadMode, ScanRow, SeqScan,
 };
-pub use sql::{execute as execute_sql, query as query_sql};
+pub use sql::{execute as execute_sql, key_probes, query as query_sql};

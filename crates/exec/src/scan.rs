@@ -14,25 +14,27 @@
 //! Scans prune whole segments via the [`ScanBounds`] annotations before
 //! touching any page (§4.2).
 //!
-//! Scanning is **batched and late-materializing**: the fast path reads the
-//! insertion/deletion timestamps at their fixed offsets straight from the
-//! page bytes and applies [`ReadMode::admit`] *before* decoding, so rows the
-//! visibility check rejects are never materialized. Admitted rows decode
-//! directly into the caller's batch buffer ([`Operator::next_batch`]); the
-//! tuple-at-a-time [`Operator::next`] remains as a shim.
+//! Every read walks pages through **one visitor** ([`visit_page`], and
+//! [`visit_key`] for index probes): it takes the page lock or latch, skips
+//! or fast-paths whole pages from their zone-map summary, admits rows on
+//! their raw timestamp words ([`ReadMode::admit`]), re-applies the bounds
+//! per row, and hands each admitted row to a sink as a [`ScanRow`] —
+//! raw bytes borrowed under the pin. Rows the visibility check rejects are
+//! never materialized. [`SeqScan`] (decode), [`scan_rids`] (decode, keep
+//! the record id), [`index_lookup`] and the worker's scan service
+//! ([`ScanRow::ship`]) are its sinks.
 
+use crate::expr::Expr;
 use crate::op::Operator;
-use harbor_common::codec::Decoder;
-use harbor_common::config::DEFAULT_SCAN_BATCH;
+use harbor_common::codec::Encoder;
+use harbor_common::schema::{COL_DELETION_TS, NUM_VERSION_COLS};
 use harbor_common::time::visible_at;
-use harbor_common::tuple::{raw_version_timestamps, FixedLayout};
+use harbor_common::tuple::{transcode_fixed_cols_to_wire, transcode_fixed_to_wire, FixedLayout};
 use harbor_common::{
-    DbError, DbResult, Metrics, PageId, RecordId, TableId, Timestamp, TransactionId, Tuple,
-    TupleDesc,
+    DbResult, PageId, RecordId, TableId, Timestamp, TransactionId, Tuple, TupleDesc,
 };
 use harbor_storage::{BufferPool, ScanBounds, SegmentedHeapFile, ZoneEntry};
 use std::collections::VecDeque;
-use std::sync::mpsc;
 use std::sync::Arc;
 
 /// Visibility/locking mode for reads.
@@ -67,9 +69,9 @@ impl ReadMode {
 
     /// Visibility decision for a raw (insertion, deletion) pair. Returns
     /// the possibly-rewritten deletion time (historical modes mask
-    /// deletions after their time). Public so the zero-copy wire-shipping
-    /// path and the equivalence tests can apply the exact same rule to raw
-    /// page bytes.
+    /// deletions after their time). The visitor applies it to the raw
+    /// timestamp words before anything is decoded; the equivalence
+    /// proptests rebuild every sink's output from it alone.
     pub fn admit(&self, ins: Timestamp, del: Timestamp) -> Option<Timestamp> {
         match self {
             ReadMode::Current(_) => {
@@ -88,66 +90,11 @@ impl ReadMode {
     }
 }
 
-/// Admission strategy for scans: the original scalar per-row
-/// [`ReadMode::admit`] branch, or the chunked compare-mask kernel with
-/// zone-map fast paths. Chunked is the default; Scalar remains for
-/// comparison benches and the equivalence proptests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Admission {
-    Scalar,
-    #[default]
-    Chunked,
-}
-
-/// Chunked admission kernel: decides visibility for up to 64 slots at once.
-///
-/// `occ` is the page's occupancy word for the chunk (bit `i` = slot
-/// `chunk*64 + i` is live); `ins`/`del` are the raw timestamp columns
-/// gathered from the fixed slot offsets (lanes of unoccupied slots may hold
-/// garbage — `occ` masks them out). Returns `(admit, zero_del)`: bit `i` of
-/// `admit` means slot `i` is visible, bit `i` of `zero_del` means its
-/// deletion timestamp must be rewritten to ZERO (the §5.3 "deletions after
-/// the HWM appear undone" mask; only [`ReadMode::SeeDeletedHistorical`]
-/// sets it). The per-lane compares are branch-free so the compiler can
-/// autovectorize each mode's loop; equivalence with the scalar
-/// [`ReadMode::admit`] is pinned by proptests in `scan_equivalence.rs`.
-pub fn admit_chunk(mode: &ReadMode, occ: u64, ins: &[u64; 64], del: &[u64; 64]) -> (u64, u64) {
-    const UNC: u64 = u64::MAX;
-    let mut admit = 0u64;
-    let mut zero = 0u64;
-    match *mode {
-        ReadMode::Current(_) => {
-            for i in 0..64 {
-                let ok = ((ins[i] != UNC) & (del[i] == 0)) as u64;
-                admit |= ok << i;
-            }
-        }
-        ReadMode::Historical(t) => {
-            let t = t.0;
-            for i in 0..64 {
-                let ok = ((ins[i] != UNC) & (ins[i] <= t) & ((del[i] == 0) | (del[i] > t))) as u64;
-                admit |= ok << i;
-            }
-        }
-        ReadMode::SeeDeleted | ReadMode::SeeDeletedLocked(_) => admit = u64::MAX,
-        ReadMode::SeeDeletedHistorical(t) => {
-            let t = t.0;
-            for i in 0..64 {
-                let ok = ((ins[i] != UNC) & (ins[i] <= t)) as u64;
-                admit |= ok << i;
-                let z = (del[i] > t) as u64;
-                zero |= z << i;
-            }
-        }
-    }
-    (admit & occ, zero & occ)
-}
-
 /// Whole-page visibility classification from a zone-map summary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ZoneClass {
-    /// Every occupied slot is visible with no timestamp rewriting: decode
-    /// straight from the occupancy words, no per-row admission.
+    /// Every occupied slot is visible with no timestamp rewriting: hand rows
+    /// out straight from the occupancy words, no per-row admission.
     AllVisible,
     /// No occupied slot is visible: skip the page entirely.
     NoneVisible,
@@ -164,153 +111,249 @@ fn ts_word(data: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
-fn zone_class(mode: &ReadMode, z: &ZoneEntry) -> ZoneClass {
-    if z.rows == 0 {
-        return ZoneClass::NoneVisible;
-    }
-    match *mode {
-        ReadMode::Historical(t) => {
-            if z.min_del > Timestamp::ZERO && z.max_del <= t {
-                // Every row carries a deletion at or before t.
-                ZoneClass::NoneVisible
-            } else if !z.any_uncommitted && z.ins_max <= t && z.min_nonzero_del > t {
-                ZoneClass::AllVisible
-            } else {
-                ZoneClass::Mixed
-            }
-        }
-        ReadMode::Current(_) => {
-            if z.min_del > Timestamp::ZERO {
-                ZoneClass::NoneVisible
-            } else if !z.any_uncommitted && z.max_del == Timestamp::ZERO {
-                ZoneClass::AllVisible
-            } else {
-                ZoneClass::Mixed
-            }
-        }
-        // See-deleted modes admit every occupied slot anyway (handled
-        // before zone lookup); the historical variant rewrites deletion
-        // timestamps, so no whole-page shortcut applies.
-        _ => ZoneClass::Mixed,
+/// Classifies a page for a lock-free historical read at `t`.
+fn zone_class(t: Timestamp, z: &ZoneEntry) -> ZoneClass {
+    if z.rows == 0 || (z.min_del > Timestamp::ZERO && z.max_del <= t) {
+        // Empty, or every row carries a deletion at or before t.
+        ZoneClass::NoneVisible
+    } else if !z.any_uncommitted && z.ins_max <= t && z.min_nonzero_del > t {
+        ZoneClass::AllVisible
+    } else {
+        ZoneClass::Mixed
     }
 }
 
-/// Scans one page with the chunked kernel, appending admitted tuples to
-/// `out`. Returns `(admitted, skipped)` row counts; the caller owns
-/// metrics. Zone-map fast paths apply to lock-free [`ReadMode::Historical`]
-/// scans: a fully-dead page is skipped without faulting it in, a
-/// fully-visible page decodes straight off the occupancy words, and a page
-/// without a summary gets one computed lazily under the read latch (safe:
-/// mutators invalidate under the frame *write* latch, so the store is
-/// latch-serialized). The page latch is released before this returns — no
-/// guard ever crosses a channel send in the parallel scan.
-pub fn scan_page_chunked(
+/// One admitted row, handed to a sink while its page is pinned. The bytes
+/// are borrowed from the frame: a sink may decode, transcode or copy them,
+/// but nothing borrowed outlives the call — in particular no `ScanRow`
+/// ever crosses a channel send.
+pub struct ScanRow<'a> {
+    pub rid: RecordId,
+    /// The row's fixed-width stored encoding.
+    pub bytes: &'a [u8],
+    /// Deletion time as the mode sees it (§5.3: a deletion after the
+    /// historical time reads as "not deleted"), which may differ from the
+    /// stored one in `bytes`.
+    pub del: Timestamp,
+}
+
+impl ScanRow<'_> {
+    /// Materializes the row, with the masked deletion time in place.
+    #[inline]
+    pub fn decode(&self, layout: &FixedLayout) -> DbResult<Tuple> {
+        let mut tup = layout.decode(self.bytes)?;
+        if ts_word(self.bytes, 8) != self.del.0 {
+            tup.set_deletion_ts(self.del);
+        }
+        Ok(tup)
+    }
+
+    /// The wire sink: appends the row to `enc` in the self-describing wire
+    /// layout — the full row, or the `(tuple_id, deletion_time)` projection
+    /// of the §5.3 deletion queries — transcoding from the page bytes.
+    /// `pred`, if any, is evaluated first on a scratch decode. Returns
+    /// whether the row was written.
+    #[inline]
+    pub fn ship(
+        &self,
+        desc: &TupleDesc,
+        layout: &FixedLayout,
+        pred: Option<&Expr>,
+        ids_and_deletions_only: bool,
+        enc: &mut Encoder,
+    ) -> DbResult<bool> {
+        if let Some(p) = pred {
+            if !p.eval_bool(&self.decode(layout)?)? {
+                return Ok(false);
+            }
+        }
+        if ids_and_deletions_only {
+            // The key is the first user field.
+            let cols = [NUM_VERSION_COLS, COL_DELETION_TS];
+            transcode_fixed_cols_to_wire(desc, self.bytes, &cols, self.del, enc)?;
+        } else {
+            transcode_fixed_to_wire(desc, self.bytes, self.del, enc)?;
+        }
+        Ok(true)
+    }
+}
+
+/// The §5.4.1 residual range checks: the segment-pruning bounds re-applied
+/// to one row. Insertion checks see the stored time, the deletion check the
+/// masked one. An uncommitted insertion satisfies `ins_after` only under
+/// the `uncommitted_from_segment` disjunct (recovery Phase 1).
+#[inline]
+fn in_bounds(b: &ScanBounds, ins: u64, del: u64) -> bool {
+    b.ins_at_or_before.is_none_or(|t| ins <= t.0)
+        && b.ins_after
+            .is_none_or(|t| ins > t.0 && (ins != u64::MAX || b.uncommitted_from_segment.is_some()))
+        && b.del_after.is_none_or(|t| del > t.0)
+}
+
+/// Pages a scan with `bounds` has to visit, in scan order (§4.2 pruning).
+pub fn scan_pages(heap: &SegmentedHeapFile, bounds: &ScanBounds) -> Vec<PageId> {
+    let mut pages = Vec::new();
+    for (seg, _) in heap.prune(bounds) {
+        pages.extend(heap.segment_page_ids(seg));
+    }
+    pages
+}
+
+/// The page visitor: the one place a read pins a page and decides which of
+/// its rows a read at `mode` with `bounds` sees. Every admitted row goes to
+/// `sink` in slot order, under the pin.
+///
+/// * **Lock and latch.** A mode with a [`ReadMode::lock_tid`] takes the
+///   page's shared lock first, then the read latch; the latch is released
+///   before this returns. Lock acquisitions happen on the calling thread,
+///   which is the thread that owns the transaction.
+/// * **Zone map** (lock-free [`ReadMode::Historical`] only): a page whose
+///   summary says nothing is visible is skipped without being faulted in; a
+///   fully visible page hands out rows straight off the occupancy words; a
+///   page without a summary gets one computed here under the read latch
+///   (safe: mutators invalidate under the frame *write* latch, so the store
+///   is latch-serialized).
+/// * **Per-row visibility.** Otherwise each occupied slot's two leading
+///   timestamp words go through [`ReadMode::admit`], then the bounds.
+///
+/// `only` narrows the visit to one slot (an index probe); an empty or
+/// out-of-range slot admits nothing. Row counts go to the pool's
+/// `scan_rows_*` metrics.
+fn visit(
+    pool: &BufferPool,
+    heap: &SegmentedHeapFile,
+    pid: PageId,
+    only: Option<u16>,
+    mode: ReadMode,
+    bounds: &ScanBounds,
+    sink: &mut impl FnMut(ScanRow<'_>) -> DbResult<()>,
+) -> DbResult<()> {
+    let metrics = pool.metrics();
+    let zone_t = match mode {
+        ReadMode::Historical(t) if only.is_none() => Some(t),
+        _ => None,
+    };
+    if let Some(t) = zone_t {
+        if let Some(z) = heap.zone_entry(pid.page_no) {
+            if zone_class(t, &z) == ZoneClass::NoneVisible {
+                metrics.add_scan_rows_skipped_predecode(z.rows as u64);
+                return Ok(());
+            }
+        }
+    }
+    let unbounded = bounds.ins_at_or_before.is_none()
+        && bounds.ins_after.is_none()
+        && bounds.del_after.is_none();
+    let mut admitted = 0u64;
+    let mut skipped = 0u64;
+    let result = pool.with_page(mode.lock_tid(), pid, |page| {
+        let class = zone_t.map_or(ZoneClass::Mixed, |t| {
+            let z = heap.zone_entry(pid.page_no).unwrap_or_else(|| {
+                let z = ZoneEntry::compute(page);
+                heap.store_zone(pid.page_no, z);
+                z
+            });
+            zone_class(t, &z)
+        });
+        if class == ZoneClass::NoneVisible {
+            skipped += page.used() as u64;
+            return Ok(());
+        }
+        // Every occupied slot is in, as stored: no per-row decision.
+        let all = class == ZoneClass::AllVisible && unbounded;
+        let tsize = page.tuple_size();
+        let data = page.slot_data();
+        let chunks = match only {
+            Some(slot) => slot as usize / 64..slot as usize / 64 + 1,
+            None => 0..page.slot_count().div_ceil(64),
+        };
+        for chunk in chunks {
+            let mut occ = page.occupancy_word(chunk);
+            if let Some(slot) = only {
+                occ &= 1 << (slot % 64);
+            }
+            while occ != 0 {
+                let slot = chunk * 64 + occ.trailing_zeros() as usize;
+                occ &= occ - 1;
+                let bytes = &data[slot * tsize..(slot + 1) * tsize];
+                let (ins, stored) = (ts_word(bytes, 0), ts_word(bytes, 8));
+                let del = if all {
+                    stored
+                } else {
+                    match mode.admit(Timestamp(ins), Timestamp(stored)) {
+                        Some(del) if unbounded || in_bounds(bounds, ins, del.0) => del.0,
+                        _ => {
+                            skipped += 1;
+                            continue;
+                        }
+                    }
+                };
+                sink(ScanRow {
+                    rid: RecordId::new(pid, slot as u16),
+                    bytes,
+                    del: Timestamp(del),
+                })?;
+                admitted += 1;
+            }
+        }
+        Ok(())
+    });
+    metrics.add_scan_rows_admitted(admitted);
+    metrics.add_scan_rows_skipped_predecode(skipped);
+    result
+}
+
+/// Visits every row of page `pid` that a read at `mode` with `bounds` sees
+/// (see [`visit`] for the contract a sink works under).
+pub fn visit_page(
     pool: &BufferPool,
     heap: &SegmentedHeapFile,
     pid: PageId,
     mode: ReadMode,
-    desc: &TupleDesc,
-    out: &mut Vec<Tuple>,
-) -> DbResult<(u64, u64)> {
-    let use_zone = matches!(mode, ReadMode::Historical(_));
-    if use_zone {
-        if let Some(z) = heap.zone_entry(pid.page_no) {
-            if zone_class(&mode, &z) == ZoneClass::NoneVisible {
-                return Ok((0, z.rows as u64));
-            }
-        }
-    }
-    let mut admitted = 0u64;
-    let mut skipped = 0u64;
-    let layout = FixedLayout::new(desc);
-    pool.with_page(mode.lock_tid(), pid, |page| {
-        let class = match mode {
-            ReadMode::SeeDeleted | ReadMode::SeeDeletedLocked(_) => ZoneClass::AllVisible,
-            ReadMode::Historical(_) => {
-                let z = heap.zone_entry(pid.page_no).unwrap_or_else(|| {
-                    let z = ZoneEntry::compute(page);
-                    heap.store_zone(pid.page_no, z);
-                    z
-                });
-                zone_class(&mode, &z)
-            }
-            _ => ZoneClass::Mixed,
-        };
-        let tsize = page.tuple_size();
-        let data = page.slot_data();
-        let chunks = page.slot_count().div_ceil(64);
-        match class {
-            ZoneClass::NoneVisible => {
-                skipped += page.used() as u64;
-            }
-            ZoneClass::AllVisible => {
-                out.reserve(page.used());
-                for chunk in 0..chunks {
-                    let mut occ = page.occupancy_word(chunk);
-                    // Decode contiguous runs of occupied slots so the hot
-                    // loop advances a byte cursor instead of re-deriving
-                    // slot offsets from bit positions.
-                    while occ != 0 {
-                        let start = occ.trailing_zeros() as usize;
-                        let run = (occ >> start).trailing_ones() as usize;
-                        occ &= !(((1u128 << run) - 1) as u64) << start;
-                        let first = (chunk * 64 + start) * tsize;
-                        let mut rest = &data[first..first + run * tsize];
-                        for _ in 0..run {
-                            out.push(layout.decode(rest)?);
-                            rest = &rest[tsize..];
-                        }
-                        admitted += run as u64;
-                    }
-                }
-            }
-            ZoneClass::Mixed => {
-                let mut ins = [0u64; 64];
-                let mut del = [0u64; 64];
-                for chunk in 0..chunks {
-                    let occ = page.occupancy_word(chunk);
-                    if occ == 0 {
-                        continue;
-                    }
-                    let base = chunk * 64;
-                    let lanes = 64.min(page.slot_count() - base);
-                    for i in 0..lanes {
-                        let off = (base + i) * tsize;
-                        ins[i] = ts_word(data, off);
-                        del[i] = ts_word(data, off + 8);
-                    }
-                    let (admit, zero) = admit_chunk(&mode, occ, &ins, &del);
-                    skipped += (occ & !admit).count_ones() as u64;
-                    let mut m = admit;
-                    while m != 0 {
-                        let i = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let slot = base + i;
-                        let bytes = &data[slot * tsize..(slot + 1) * tsize];
-                        let mut tup = layout.decode(bytes)?;
-                        if zero >> i & 1 == 1 {
-                            tup.set_deletion_ts(Timestamp::ZERO);
-                        }
-                        out.push(tup);
-                        admitted += 1;
-                    }
-                }
-            }
-        }
-        Ok(())
-    })?;
-    Ok((admitted, skipped))
+    bounds: &ScanBounds,
+    mut sink: impl FnMut(ScanRow<'_>) -> DbResult<()>,
+) -> DbResult<()> {
+    visit(pool, heap, pid, None, mode, bounds, &mut sink)
 }
 
-/// Scans one table's pruned segments, applying the mode's visibility rule.
-/// The page latch is never held across `next()`/`next_batch()` calls.
+/// Visits the versions of primary key `key` that a read at `mode` with
+/// `bounds` sees, through the engine's tuple-id index (§5.3): one
+/// single-slot page visit per indexed version, so a probe locks before it
+/// reads, a version removed since it was indexed admits nothing, and a
+/// damaged page surfaces as the typed error it is.
+pub fn visit_key(
+    engine: &harbor_engine::Engine,
+    table: TableId,
+    key: i64,
+    mode: ReadMode,
+    bounds: &ScanBounds,
+    mut sink: impl FnMut(ScanRow<'_>) -> DbResult<()>,
+) -> DbResult<()> {
+    let pool = engine.pool();
+    let heap = pool.table(table)?;
+    for rid in engine.index(table)?.lookup(pool, key)? {
+        visit(
+            pool,
+            &heap,
+            rid.page,
+            Some(rid.slot),
+            mode,
+            bounds,
+            &mut sink,
+        )?;
+    }
+    Ok(())
+}
+
+/// Scans one table's pruned segments, applying the mode's visibility rule
+/// and the bounds. The decode sink of the page visitor: the page latch is
+/// never held across `next()`/`next_batch()` calls.
 pub struct SeqScan {
     pool: Arc<BufferPool>,
-    table: TableId,
+    heap: Arc<SegmentedHeapFile>,
     mode: ReadMode,
     bounds: ScanBounds,
-    desc: TupleDesc,
-    admission: Admission,
+    layout: FixedLayout,
     pages: Vec<PageId>,
     page_idx: usize,
     /// Rows buffered for the tuple-at-a-time `next()` shim, drained
@@ -331,120 +374,54 @@ impl SeqScan {
         bounds: ScanBounds,
     ) -> DbResult<Self> {
         let heap = pool.table(table)?;
-        let desc = heap.desc().clone();
+        let layout = FixedLayout::new(heap.desc());
         Ok(SeqScan {
             pool,
-            table,
+            heap,
             mode,
             bounds,
-            desc,
-            admission: Admission::default(),
+            layout,
             pages: Vec::new(),
             page_idx: 0,
             buffer: VecDeque::new(),
         })
     }
 
-    /// Overrides the admission strategy (benches and equivalence tests).
-    pub fn with_admission(mut self, admission: Admission) -> Self {
-        self.admission = admission;
-        self
-    }
-
-    fn load_pages(&mut self) -> DbResult<()> {
-        let heap = self.pool.table(self.table)?;
-        self.pages.clear();
-        for (seg, _) in heap.prune(&self.bounds) {
-            self.pages.extend(heap.segment_page_ids(seg));
-        }
+    fn load_pages(&mut self) {
+        self.pages = scan_pages(&self.heap, &self.bounds);
         self.page_idx = 0;
         self.buffer.clear();
-        Ok(())
     }
 
     /// Scans forward, appending admitted tuples to `out`, until at least
     /// `min_rows` have been appended or the pages run out. Returns `false`
     /// when the scan is exhausted.
-    ///
-    /// Fast path (any stored table: the version pair leads every row): the
-    /// visibility check runs on the raw timestamps at their fixed slot
-    /// offsets, and only admitted rows are decoded — straight into `out`,
-    /// with no per-page vector and no clones.
     fn fill_into(&mut self, min_rows: usize, out: &mut Vec<Tuple>) -> DbResult<bool> {
-        if self.admission == Admission::Chunked && self.desc.has_version_columns() {
-            return self.fill_into_chunked(min_rows, out);
-        }
         let start = out.len();
-        let fast = self.desc.has_version_columns();
-        let mode = self.mode;
-        let desc = &self.desc;
-        let mut admitted = 0u64;
-        let mut skipped = 0u64;
-        while self.page_idx < self.pages.len() {
-            if out.len() - start >= min_rows {
-                break;
-            }
+        while self.page_idx < self.pages.len() && out.len() - start < min_rows {
             let pid = self.pages[self.page_idx];
             self.page_idx += 1;
-            self.pool.with_page(mode.lock_tid(), pid, |page| {
-                for slot in page.occupied_slots() {
-                    let bytes = page.read(slot)?;
-                    let (ins, del) = if fast {
-                        raw_version_timestamps(bytes)?
-                    } else {
-                        // Degenerate schema without the leading version
-                        // pair: fall back to decode-first.
-                        let t = Tuple::read_fixed(desc, &mut Decoder::new(bytes))?;
-                        (t.insertion_ts()?, t.deletion_ts()?)
-                    };
-                    match mode.admit(ins, del) {
-                        None => skipped += 1,
-                        Some(masked_del) => {
-                            let mut tup = Tuple::read_fixed(desc, &mut Decoder::new(bytes))?;
-                            if masked_del != del {
-                                tup.set_deletion_ts(masked_del);
-                            }
-                            out.push(tup);
-                            admitted += 1;
-                        }
-                    }
-                }
-                Ok(())
-            })?;
+            let layout = &self.layout;
+            visit_page(
+                &self.pool,
+                &self.heap,
+                pid,
+                self.mode,
+                &self.bounds,
+                |row| {
+                    out.push(row.decode(layout)?);
+                    Ok(())
+                },
+            )?;
         }
-        let metrics = self.pool.metrics();
-        metrics.add_scan_rows_admitted(admitted);
-        metrics.add_scan_rows_skipped_predecode(skipped);
-        Ok(self.page_idx < self.pages.len())
-    }
-
-    /// Chunked-kernel variant of [`SeqScan::fill_into`]: per-page zone-map
-    /// classification plus the 64-lane compare-mask admission.
-    fn fill_into_chunked(&mut self, min_rows: usize, out: &mut Vec<Tuple>) -> DbResult<bool> {
-        let start = out.len();
-        let heap = self.pool.table(self.table)?;
-        let mut admitted = 0u64;
-        let mut skipped = 0u64;
-        while self.page_idx < self.pages.len() {
-            if out.len() - start >= min_rows {
-                break;
-            }
-            let pid = self.pages[self.page_idx];
-            self.page_idx += 1;
-            let (a, s) = scan_page_chunked(&self.pool, &heap, pid, self.mode, &self.desc, out)?;
-            admitted += a;
-            skipped += s;
-        }
-        let metrics = self.pool.metrics();
-        metrics.add_scan_rows_admitted(admitted);
-        metrics.add_scan_rows_skipped_predecode(skipped);
         Ok(self.page_idx < self.pages.len())
     }
 }
 
 impl Operator for SeqScan {
     fn open(&mut self) -> DbResult<()> {
-        self.load_pages()
+        self.load_pages();
+        Ok(())
     }
 
     fn next(&mut self) -> DbResult<Option<Tuple>> {
@@ -480,203 +457,14 @@ impl Operator for SeqScan {
     }
 
     fn rewind(&mut self) -> DbResult<()> {
-        self.load_pages()
+        self.load_pages();
+        Ok(())
     }
 
     fn close(&mut self) {}
 
     fn tuple_desc(&self) -> TupleDesc {
-        self.desc.clone()
-    }
-}
-
-/// Partitioned scan fan-out: splits the pruned page range into contiguous
-/// partitions, scans each on its own worker thread with the chunked kernel,
-/// and merges batches through bounded channels **in partition order** — the
-/// output sequence is byte-identical to a single-threaded [`SeqScan`] over
-/// the same pages (contiguous partitions drained in order reproduce page
-/// order; slot order within a page is fixed). Workers draw no RNG and read
-/// no wall clock, and each page belongs to exactly one partition, so
-/// per-page disk-fault ordinals fire identically regardless of worker
-/// interleaving — chaos traces replay unchanged.
-///
-/// Lock-free modes only benefit from fan-out; a mode that takes
-/// transactional locks ([`ReadMode::lock_tid`]) degrades to one worker so
-/// all its lock acquisitions happen on a single thread.
-pub struct ParallelSeqScan {
-    pool: Arc<BufferPool>,
-    table: TableId,
-    mode: ReadMode,
-    bounds: ScanBounds,
-    desc: TupleDesc,
-    workers: usize,
-    state: Option<ParState>,
-}
-
-struct ParState {
-    /// One receiver per partition, drained strictly in order.
-    rxs: Vec<mpsc::Receiver<DbResult<Vec<Tuple>>>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    cur: usize,
-    pending: VecDeque<Tuple>,
-}
-
-impl ParallelSeqScan {
-    pub fn new(
-        pool: Arc<BufferPool>,
-        table: TableId,
-        mode: ReadMode,
-        workers: usize,
-    ) -> DbResult<Self> {
-        Self::with_bounds(pool, table, mode, ScanBounds::all(), workers)
-    }
-
-    pub fn with_bounds(
-        pool: Arc<BufferPool>,
-        table: TableId,
-        mode: ReadMode,
-        bounds: ScanBounds,
-        workers: usize,
-    ) -> DbResult<Self> {
-        let heap = pool.table(table)?;
-        let desc = heap.desc().clone();
-        Ok(ParallelSeqScan {
-            pool,
-            table,
-            mode,
-            bounds,
-            desc,
-            workers: workers.max(1),
-            state: None,
-        })
-    }
-
-    fn shutdown(&mut self) {
-        if let Some(st) = self.state.take() {
-            // Dropping the receivers unblocks any worker parked on a full
-            // channel; then the joins are prompt.
-            drop(st.rxs);
-            for h in st.handles {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-impl Operator for ParallelSeqScan {
-    fn open(&mut self) -> DbResult<()> {
-        self.shutdown();
-        let heap = self.pool.table(self.table)?;
-        let mut pages = Vec::new();
-        for (seg, _) in heap.prune(&self.bounds) {
-            pages.extend(heap.segment_page_ids(seg));
-        }
-        let workers = if self.mode.lock_tid().is_some() {
-            1
-        } else {
-            self.workers.min(pages.len().max(1))
-        };
-        let per = pages.len().div_ceil(workers);
-        let mut rxs = Vec::new();
-        let mut handles = Vec::new();
-        for part in pages.chunks(per.max(1)) {
-            let (tx, rx) = mpsc::sync_channel::<DbResult<Vec<Tuple>>>(4);
-            let part = part.to_vec();
-            let pool = self.pool.clone();
-            let heap = heap.clone();
-            let mode = self.mode;
-            let desc = self.desc.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut batch: Vec<Tuple> = Vec::new();
-                let mut admitted = 0u64;
-                let mut skipped = 0u64;
-                for pid in part {
-                    match scan_page_chunked(&pool, &heap, pid, mode, &desc, &mut batch) {
-                        Ok((a, s)) => {
-                            admitted += a;
-                            skipped += s;
-                            if batch.len() >= DEFAULT_SCAN_BATCH
-                                && tx.send(Ok(std::mem::take(&mut batch))).is_err()
-                            {
-                                return; // merger went away
-                            }
-                        }
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-                if !batch.is_empty() {
-                    let _ = tx.send(Ok(batch));
-                }
-                let metrics = pool.metrics();
-                metrics.add_scan_rows_admitted(admitted);
-                metrics.add_scan_rows_skipped_predecode(skipped);
-            }));
-            rxs.push(rx);
-        }
-        self.state = Some(ParState {
-            rxs,
-            handles,
-            cur: 0,
-            pending: VecDeque::new(),
-        });
-        Ok(())
-    }
-
-    fn next(&mut self) -> DbResult<Option<Tuple>> {
-        let mut batch = Vec::new();
-        self.next_batch(1, &mut batch)?;
-        Ok(batch.into_iter().next())
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Vec<Tuple>) -> DbResult<bool> {
-        let st = self
-            .state
-            .as_mut()
-            .ok_or_else(|| DbError::Internal("ParallelSeqScan used before open()".into()))?;
-        let mut budget = max;
-        loop {
-            while budget > 0 {
-                match st.pending.pop_front() {
-                    Some(t) => {
-                        out.push(t);
-                        budget -= 1;
-                    }
-                    None => break,
-                }
-            }
-            if budget == 0 {
-                return Ok(!st.pending.is_empty() || st.cur < st.rxs.len());
-            }
-            if st.cur >= st.rxs.len() {
-                return Ok(false);
-            }
-            match st.rxs[st.cur].recv() {
-                Ok(Ok(batch)) => st.pending.extend(batch),
-                Ok(Err(e)) => return Err(e),
-                Err(_) => st.cur += 1, // this partition is exhausted
-            }
-        }
-    }
-
-    fn rewind(&mut self) -> DbResult<()> {
-        self.open()
-    }
-
-    fn close(&mut self) {
-        self.shutdown();
-    }
-
-    fn tuple_desc(&self) -> TupleDesc {
-        self.desc.clone()
-    }
-}
-
-impl Drop for ParallelSeqScan {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.heap.desc().clone()
     }
 }
 
@@ -690,49 +478,22 @@ pub fn scan_rids(
     mut pred: impl FnMut(&Tuple) -> DbResult<bool>,
 ) -> DbResult<Vec<(RecordId, Tuple)>> {
     let heap = pool.table(table)?;
-    let desc = heap.desc().clone();
-    let fast = desc.has_version_columns();
+    let layout = FixedLayout::new(heap.desc());
     let mut out = Vec::new();
     // Per-page scratch, reused across pages; the predicate runs outside the
     // page latch (it may reach back into the engine).
     let mut page_buf: Vec<(RecordId, Tuple)> = Vec::new();
-    let mut admitted = 0u64;
-    let mut skipped = 0u64;
-    for (seg, _) in heap.prune(&bounds) {
-        for pid in heap.segment_page_ids(seg) {
-            pool.with_page(mode.lock_tid(), pid, |page| {
-                for slot in page.occupied_slots() {
-                    let bytes = page.read(slot)?;
-                    let (ins, del) = if fast {
-                        raw_version_timestamps(bytes)?
-                    } else {
-                        let t = Tuple::read_fixed(&desc, &mut Decoder::new(bytes))?;
-                        (t.insertion_ts()?, t.deletion_ts()?)
-                    };
-                    match mode.admit(ins, del) {
-                        None => skipped += 1,
-                        Some(masked) => {
-                            let mut tup = Tuple::read_fixed(&desc, &mut Decoder::new(bytes))?;
-                            if masked != del {
-                                tup.set_deletion_ts(masked);
-                            }
-                            page_buf.push((RecordId::new(pid, slot), tup));
-                            admitted += 1;
-                        }
-                    }
-                }
-                Ok(())
-            })?;
-            for (rid, tup) in page_buf.drain(..) {
-                if pred(&tup)? {
-                    out.push((rid, tup));
-                }
+    for pid in scan_pages(&heap, &bounds) {
+        visit_page(pool, &heap, pid, mode, &bounds, |row| {
+            page_buf.push((row.rid, row.decode(&layout)?));
+            Ok(())
+        })?;
+        for (rid, tup) in page_buf.drain(..) {
+            if pred(&tup)? {
+                out.push((rid, tup));
             }
         }
     }
-    let metrics: &Metrics = pool.metrics();
-    metrics.add_scan_rows_admitted(admitted);
-    metrics.add_scan_rows_skipped_predecode(skipped);
     Ok(out)
 }
 
@@ -743,29 +504,12 @@ pub fn index_lookup(
     key: i64,
     mode: ReadMode,
 ) -> DbResult<Vec<(RecordId, Tuple)>> {
-    let idx = engine.index(table)?;
-    let rids = idx.lookup(engine.pool(), key)?;
+    let layout = FixedLayout::new(engine.pool().table(table)?.desc());
     let mut out = Vec::new();
-    for rid in rids {
-        let tup = match engine.read_tuple(rid) {
-            Ok(t) => t,
-            Err(_) => continue, // removed concurrently
-        };
-        let ins = tup.insertion_ts()?;
-        let del = tup.deletion_ts()?;
-        if let Some(tid) = mode.lock_tid() {
-            engine
-                .pool()
-                .lock_page(tid, rid.page, harbor_storage::LockMode::Shared)?;
-        }
-        if let Some(masked) = mode.admit(ins, del) {
-            let mut tup = tup;
-            if masked != del {
-                tup.set_deletion_ts(masked);
-            }
-            out.push((rid, tup));
-        }
-    }
+    visit_key(engine, table, key, mode, &ScanBounds::all(), |row| {
+        out.push((row.rid, row.decode(&layout)?));
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -942,6 +686,53 @@ mod tests {
         )
         .unwrap();
         assert_eq!(hits.len(), 2, "both versions of tuple 4");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A probe that lands on a damaged page reports the damage; it must
+    /// not read as "no such row", or scrub repair and replica failover
+    /// never hear of it.
+    #[test]
+    fn index_lookup_surfaces_a_corrupt_page() {
+        use harbor_storage::{DiskFaultConfig, DiskFaultKind, DiskFaultPlan, TargetedFault};
+        let dir = std::env::temp_dir()
+            .join("harbor-scan-tests")
+            .join(format!("idx-fault-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // The first write of the table's first data page lands with a bit
+        // flipped: the next fault-in fails its checksum.
+        let plan = DiskFaultPlan::new(DiskFaultConfig::targeted_only(
+            7,
+            vec![TargetedFault {
+                table: TableId(1),
+                page: 1,
+                ordinal: 0,
+                kind: DiskFaultKind::BitFlip,
+            }],
+        ));
+        let opts = EngineOptions::harbor(SiteId(0), StorageConfig::for_tests());
+        let e = Engine::open(&dir, opts.with_disk_faults(plan.clone())).unwrap();
+        let fields = vec![
+            ("id".into(), FieldType::Int64),
+            ("v".into(), FieldType::Int32),
+        ];
+        let table = e.create_table("t", fields).unwrap().id;
+        build_history(&e, table);
+        let hit = index_lookup(&e, table, 1, ReadMode::SeeDeleted).unwrap();
+        assert_eq!(
+            (hit[0].0.page.table, hit[0].0.page.page_no),
+            (TableId(1), 1)
+        );
+        plan.set_enabled(true);
+        e.pool().flush_all().unwrap();
+        plan.set_enabled(false);
+        assert_eq!(plan.injected(), 1);
+        // Drop the resident frames so the probe has to fault the page in.
+        let heap = e.pool().table(table).unwrap();
+        e.pool().deregister_table(table);
+        e.pool().register_table(heap);
+        let err = index_lookup(&e, table, 1, ReadMode::Historical(Timestamp(7))).unwrap_err();
+        assert!(err.is_corrupt(), "expected a corruption error: {err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

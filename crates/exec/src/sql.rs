@@ -354,7 +354,7 @@ const INDEX_PROBE_CAP: i64 = 256;
 /// predicate is always re-applied as a residual filter, so the probe set
 /// only needs to be a *superset* of the qualifying keys — contradictory
 /// bounds simply yield an empty probe set.
-fn key_probes(pred: &Expr, key_col: usize) -> Option<Vec<i64>> {
+pub fn key_probes(pred: &Expr, key_col: usize) -> Option<Vec<i64>> {
     fn gather(
         e: &Expr,
         key_col: usize,

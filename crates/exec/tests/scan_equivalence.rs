@@ -1,36 +1,38 @@
-//! Equivalence properties for the batched, late-materializing read path.
+//! Equivalence properties for the one page visitor.
 //!
-//! The overhaul changed *when* visibility runs (on raw timestamps, before
-//! decoding) and *how* admitted rows reach the wire (transcoded straight
-//! from page bytes). Neither is allowed to change *what* a scan returns:
-//!
-//! 1. For every `ReadMode`, every segment bound, and any mix of live /
-//!    deleted / uncommitted / future-masked tuples, the batched `SeqScan`
-//!    must yield exactly the tuples the legacy decode-everything-then-
-//!    filter scan yields — same values, same order within a page, same
-//!    masked-deletion rewriting.
-//! 2. The zero-copy wire transcode of an admitted row must be byte-
-//!    identical to materializing the tuple (with its masked deletion) and
-//!    running the legacy `write_wire` encoder.
+//! Every read reaches pages through `harbor_exec::scan`'s visitor and leaves
+//! through a sink: decoded tuples (`SeqScan`), tuples with their record ids
+//! (`scan_rids`), wire bytes — the full row or the `(tuple_id,
+//! deletion_time)` projection, with or without a predicate (`ScanRow::ship`)
+//! — and index probes (`index_lookup`). Whatever the sink, *what* a read at
+//! mode M with bounds B returns is fixed by one reference, written here
+//! from the scalar [`ReadMode::admit`] alone: decode every occupied slot of
+//! every page, admit it, re-apply the bounds, apply the predicate. Pages
+//! carry holes, uncommitted rows and rows deleted after the read time, with
+//! zone maps present (flushed) or computed lazily.
 
 use harbor_common::codec::{Decoder, Encoder};
-use harbor_common::tuple::{raw_version_timestamps, transcode_fixed_to_wire};
+use harbor_common::tuple::FixedLayout;
 use harbor_common::{
-    FieldType, SiteId, StorageConfig, TableId, Timestamp, TransactionId, Tuple, Value,
+    FieldType, RecordId, SiteId, StorageConfig, TableId, Timestamp, TransactionId, Tuple, Value,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_exec::{
-    admit_chunk, collect, index_lookup, op::Operator, Admission, ParallelSeqScan, ReadMode, SeqScan,
+    collect, index_lookup, op::Operator, scan_pages, scan_rids, visit_page, Expr, ReadMode, SeqScan,
 };
 use harbor_storage::{BufferPool, ScanBounds};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// Commit times are drawn from a small range so that a read time or a bound
+/// often *equals* a row's timestamp — the boundary every rule turns on.
+const T_MAX: u64 = 6;
+
 /// Insertion times: committed small values plus in-flight (uncommitted).
 fn ins_ts() -> impl Strategy<Value = Timestamp> {
     prop_oneof![
-        (1u64..=40).prop_map(Timestamp),
+        (1u64..=T_MAX).prop_map(Timestamp),
         Just(Timestamp::UNCOMMITTED),
     ]
 }
@@ -38,54 +40,80 @@ fn ins_ts() -> impl Strategy<Value = Timestamp> {
 /// Deletion times: mostly live, sometimes deleted at a small time (which a
 /// historical mode with an earlier time must mask back to "not deleted").
 fn del_ts() -> impl Strategy<Value = Timestamp> {
-    prop_oneof![Just(Timestamp::ZERO), (1u64..=40).prop_map(Timestamp),]
+    prop_oneof![Just(Timestamp::ZERO), (1u64..=T_MAX).prop_map(Timestamp),]
 }
 
-/// One stored row: version pair plus user payload (ASCII so the fixed-str
-/// round trip is exact).
-#[allow(clippy::type_complexity)]
-fn rows() -> impl Strategy<Value = Vec<(Timestamp, Timestamp, i32, String)>> {
-    proptest::collection::vec(
+/// One stored row: version pair, user payload (ASCII so the fixed-str round
+/// trip is exact), and whether the row is removed again to leave a hole.
+type Row = (Timestamp, Timestamp, i32, String, bool);
+
+/// A stretch of rows: either each with its own version pair, or — so that
+/// whole pages are uniformly visible or uniformly dead and the zone-map
+/// shortcuts fire — all sharing one (or one of two), but for a stray row in 64.
+fn run() -> impl Strategy<Value = Vec<Row>> {
+    let payload = || {
         (
-            ins_ts(),
-            del_ts(),
             any::<i32>(),
             proptest::collection::vec(0x20u8..0x7f, 0..=12)
                 .prop_map(|b| String::from_utf8(b).unwrap()),
-        ),
-        1..200,
-    )
+            (0u8..6).prop_map(|n| n == 0),
+        )
+    };
+    let flat = |(ins, del, (v, pad, hole))| (ins, del, v, pad, hole);
+    prop_oneof![
+        proptest::collection::vec((ins_ts(), del_ts(), payload()), 1..150)
+            .prop_map(move |rows| rows.into_iter().map(flat).collect()),
+        (
+            proptest::collection::vec(((1u64..=T_MAX).prop_map(Timestamp), del_ts()), 1..3),
+            proptest::collection::vec((0u8..64, ins_ts(), del_ts(), payload()), 80..250)
+        )
+            .prop_map(move |(shared, rows)| rows
+                .into_iter()
+                .map(|(pick, ins, del, p)| match pick {
+                    0 => flat((ins, del, p)),
+                    n => {
+                        let (ins, del) = shared[n as usize % shared.len()];
+                        flat((ins, del, p))
+                    }
+                })
+                .collect()),
+    ]
 }
 
+fn rows() -> impl Strategy<Value = Vec<Row>> {
+    proptest::collection::vec(run(), 1..4).prop_map(|runs| runs.concat())
+}
+
+/// Unbounded half the time (the whole-page fast path needs no bounds);
+/// otherwise any mix of the three bounds, with or without recovery Phase
+/// 1's "or uncommitted" disjunct.
 fn bounds() -> impl Strategy<Value = ScanBounds> {
-    (
-        proptest::option::of(0u64..=45),
-        proptest::option::of(0u64..=45),
-        proptest::option::of(0u64..=45),
-    )
-        .prop_map(|(at_or_before, after, del_after)| ScanBounds {
-            ins_at_or_before: at_or_before.map(Timestamp),
-            ins_after: after.map(Timestamp),
-            del_after: del_after.map(Timestamp),
-            ..ScanBounds::all()
-        })
+    let bound = || proptest::option::of((0u64..=T_MAX + 1).prop_map(Timestamp));
+    prop_oneof![
+        Just(ScanBounds::all()),
+        (bound(), bound(), bound(), proptest::option::of(0u32..3)).prop_map(
+            |(ins_at_or_before, ins_after, del_after, uncommitted_from_segment)| ScanBounds {
+                ins_at_or_before,
+                ins_after,
+                del_after,
+                uncommitted_from_segment,
+            }
+        ),
+    ]
 }
 
-/// Builds a one-table engine holding exactly `rows`, written with raw
-/// timestamps (bypassing commit-time validation so uncommitted and
-/// already-deleted rows land on pages like they do mid-flight).
-fn build(
-    rows: &[(Timestamp, Timestamp, i32, String)],
-) -> (Arc<Engine>, TableId, std::path::PathBuf) {
-    build_mod(rows, i64::MAX)
+/// No predicate, or one over a user column.
+fn predicate() -> impl Strategy<Value = Option<Expr>> {
+    proptest::option::of(any::<i32>().prop_map(|v| Expr::col(3).lt(Expr::lit(v))))
 }
 
-/// Like [`build`], but keys wrap at `modulus` so the same tuple id appears
-/// in several versions (exercising multi-version index probes).
-fn build_mod(
-    rows: &[(Timestamp, Timestamp, i32, String)],
-    modulus: i64,
-) -> (Arc<Engine>, TableId, std::path::PathBuf) {
+/// Builds a one-table engine holding `rows`, written with raw timestamps
+/// (bypassing commit-time validation so uncommitted and already-deleted
+/// rows land on pages like they do mid-flight) and annotated per segment as
+/// the commit path would, so pruning is live. Keys wrap at `modulus`, so one
+/// tuple id can appear in several versions. `flush` leaves every page with
+/// a stored zone-map entry; otherwise scans compute them lazily.
+fn build(rows: &[Row], modulus: i64, flush: bool) -> (Arc<Engine>, TableId, std::path::PathBuf) {
     static CASE: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join("harbor-scan-equiv").join(format!(
         "{}-{}",
@@ -108,8 +136,9 @@ fn build_mod(
             ],
         )
         .unwrap();
-    let desc = e.pool().table(def.id).unwrap().desc().clone();
-    for (i, (ins, del, v, pad)) in rows.iter().enumerate() {
+    let heap = e.pool().table(def.id).unwrap();
+    let mut holes = Vec::new();
+    for (i, (ins, del, v, pad, hole)) in rows.iter().enumerate() {
         let tup = Tuple::versioned(
             *ins,
             *del,
@@ -120,42 +149,65 @@ fn build_mod(
             ],
         );
         let mut enc = Encoder::new();
-        tup.write_fixed(&desc, &mut enc).unwrap();
-        e.pool()
+        tup.write_fixed(heap.desc(), &mut enc).unwrap();
+        let rid = e
+            .pool()
             .insert_tuple_bytes(None, def.id, enc.as_slice())
             .unwrap();
+        if ins.is_valid_commit_time() {
+            heap.note_insert_commit(rid.page.page_no, *ins);
+        }
+        if del.is_valid_commit_time() {
+            heap.note_delete(rid.page.page_no, *del);
+        }
+        if *hole {
+            holes.push(rid);
+        }
+    }
+    for rid in holes {
+        e.pool().remove_tuple(None, rid).unwrap();
+    }
+    if flush {
+        e.pool().flush_all().unwrap();
     }
     (e, def.id, dir)
 }
 
-/// The pre-overhaul read path, reconstructed: decode every slot first, then
-/// apply the mode's visibility rule to the decoded timestamps.
-fn legacy_scan(
+/// The specification: every occupied slot of *every* page (no pruning),
+/// decoded first, then admitted by the scalar rule, the bounds re-applied
+/// (§5.4.1: insertion checks on the stored time — an uncommitted row passes
+/// `ins_after` only under Phase 1's disjunct — and the deletion check on
+/// the masked time), then the predicate.
+fn reference(
     pool: &Arc<BufferPool>,
     table: TableId,
     mode: ReadMode,
     bounds: &ScanBounds,
-) -> Vec<Tuple> {
+    pred: Option<&Expr>,
+) -> Vec<(RecordId, Tuple)> {
     let heap = pool.table(table).unwrap();
-    let desc = heap.desc().clone();
-    let mut pages = Vec::new();
-    for (seg, _) in heap.prune(bounds) {
-        pages.extend(heap.segment_page_ids(seg));
-    }
     let mut out = Vec::new();
-    for pid in pages {
-        pool.with_page(mode.lock_tid(), pid, |page| {
+    for pid in heap.all_page_ids() {
+        pool.with_page(None, pid, |page| {
             for slot in page.occupied_slots() {
                 let mut dec = Decoder::new(page.read(slot)?);
-                let tup = Tuple::read_fixed(&desc, &mut dec)?;
+                let mut tup = Tuple::read_fixed(heap.desc(), &mut dec)?;
                 let ins = tup.insertion_ts()?;
-                let del = tup.deletion_ts()?;
-                if let Some(masked) = mode.admit(ins, del) {
-                    let mut tup = tup;
-                    if masked != del {
-                        tup.set_deletion_ts(masked);
-                    }
-                    out.push(tup);
+                let Some(del) = mode.admit(ins, tup.deletion_ts()?) else {
+                    continue;
+                };
+                let in_bounds = bounds.ins_at_or_before.is_none_or(|t| ins <= t)
+                    && bounds.ins_after.is_none_or(|t| {
+                        let or_uncommitted = bounds.uncommitted_from_segment.is_some();
+                        ins > t && (or_uncommitted || !ins.is_uncommitted())
+                    })
+                    && bounds.del_after.is_none_or(|t| del > t);
+                if !in_bounds {
+                    continue;
+                }
+                tup.set_deletion_ts(del);
+                if pred.is_none_or(|p| p.eval_bool(&tup).unwrap()) {
+                    out.push((RecordId::new(pid, slot), tup));
                 }
             }
             Ok(())
@@ -165,9 +217,8 @@ fn legacy_scan(
     out
 }
 
-/// Wire bytes of a scan result under the legacy materialize-then-encode
-/// scheme, for byte-level comparison.
-fn wire_bytes(tuples: &[Tuple]) -> Vec<u8> {
+/// Wire bytes of `tuples` under the materialize-then-encode scheme.
+fn wire_bytes<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> Vec<u8> {
     let mut enc = Encoder::new();
     for t in tuples {
         t.write_wire(&mut enc);
@@ -175,49 +226,106 @@ fn wire_bytes(tuples: &[Tuple]) -> Vec<u8> {
     enc.into_bytes()
 }
 
+/// What the wire sink writes for a whole scan.
+fn shipped(
+    pool: &Arc<BufferPool>,
+    table: TableId,
+    mode: ReadMode,
+    bounds: &ScanBounds,
+    pred: Option<&Expr>,
+    ids_and_deletions_only: bool,
+) -> Vec<u8> {
+    let heap = pool.table(table).unwrap();
+    let layout = FixedLayout::new(heap.desc());
+    let mut enc = Encoder::new();
+    for pid in scan_pages(&heap, bounds) {
+        visit_page(pool, &heap, pid, mode, bounds, |row| {
+            row.ship(heap.desc(), &layout, pred, ids_and_deletions_only, &mut enc)?;
+            Ok(())
+        })
+        .unwrap();
+    }
+    enc.into_bytes()
+}
+
+const LOCKER: u64 = 7777;
+
+fn locker() -> TransactionId {
+    TransactionId::from_parts(SiteId(0), LOCKER)
+}
+
 fn all_modes(hist_t: u64) -> Vec<ReadMode> {
-    let tid = TransactionId::from_parts(SiteId(0), 7777);
     vec![
-        ReadMode::Current(tid),
+        ReadMode::Current(locker()),
         ReadMode::Historical(Timestamp(hist_t)),
         ReadMode::SeeDeleted,
-        ReadMode::SeeDeletedLocked(tid),
+        ReadMode::SeeDeletedLocked(locker()),
         ReadMode::SeeDeletedHistorical(Timestamp(hist_t)),
     ]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Every sink of the visitor ≡ the reference, for every mode and bound:
+    /// same rows, same order, same masked deletion times, same record ids,
+    /// and — for the wire sinks — the same bytes as materializing the
+    /// reference's tuples and encoding those.
     #[test]
-    fn batched_scan_matches_legacy_for_every_mode(
+    fn every_sink_matches_the_reference(
         rows in rows(),
-        hist_t in 0u64..=45,
+        hist_t in 0u64..=T_MAX + 1,
         bounds in bounds(),
+        pred in predicate(),
+        flush in any::<bool>(),
     ) {
-        let (e, table, dir) = build(&rows);
+        let (e, table, dir) = build(&rows, i64::MAX, flush);
         let pool = e.pool().clone();
         for mode in all_modes(hist_t) {
-            let expected = legacy_scan(&pool, table, mode, &bounds);
-            let mut scan =
-                SeqScan::with_bounds(pool.clone(), table, mode, bounds).unwrap();
+            let plain = reference(&pool, table, mode, &bounds, None);
+            let filtered = reference(&pool, table, mode, &bounds, pred.as_ref());
+
+            // Decode sink.
+            let mut scan = SeqScan::with_bounds(pool.clone(), table, mode, bounds).unwrap();
             let got = collect(&mut scan).unwrap();
-            prop_assert_eq!(&expected, &got, "mode {:?}", mode);
-            prop_assert_eq!(
-                wire_bytes(&expected),
-                wire_bytes(&got),
-                "wire bytes diverged under {:?}",
-                mode
-            );
-            e.locks().release_all(TransactionId::from_parts(SiteId(0), 7777));
+            prop_assert!(got.iter().eq(plain.iter().map(|(_, t)| t)), "SeqScan under {:?}", mode);
+
+            // Rid sink, with and without a predicate.
+            let got = scan_rids(&pool, table, mode, bounds, |_| Ok(true)).unwrap();
+            prop_assert_eq!(&got, &plain, "scan_rids under {:?}", mode);
+            let got = scan_rids(&pool, table, mode, bounds, |t| {
+                pred.as_ref().map_or(Ok(true), |p| p.eval_bool(t))
+            })
+            .unwrap();
+            prop_assert_eq!(&got, &filtered, "scan_rids + predicate under {:?}", mode);
+
+            // Wire sinks: full row and (tuple_id, deletion_time), each with
+            // and without the predicate.
+            for (want, p) in [(&plain, None), (&filtered, pred.as_ref())] {
+                prop_assert_eq!(
+                    shipped(&pool, table, mode, &bounds, p, false),
+                    wire_bytes(want.iter().map(|(_, t)| t)),
+                    "wire/full under {:?}, predicate {:?}", mode, p
+                );
+                let id_del: Vec<Tuple> = want
+                    .iter()
+                    .map(|(_, t)| Tuple::new(vec![t.get(2).clone(), t.get(1).clone()]))
+                    .collect();
+                prop_assert_eq!(
+                    shipped(&pool, table, mode, &bounds, p, true),
+                    wire_bytes(&id_del),
+                    "wire/id-del under {:?}, predicate {:?}", mode, p
+                );
+            }
+            e.locks().release_all(locker());
         }
         drop((e, pool));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn next_shim_matches_batched_drain(rows in rows(), hist_t in 0u64..=45) {
-        let (e, table, dir) = build(&rows);
+    fn next_shim_matches_batched_drain(rows in rows(), hist_t in 0u64..=T_MAX + 1) {
+        let (e, table, dir) = build(&rows, i64::MAX, false);
         let pool = e.pool().clone();
         for mode in [
             ReadMode::SeeDeleted,
@@ -238,183 +346,33 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The branch-free chunk kernel ≡ the scalar `admit` rule, lane for
-    /// lane, for every mode: same admission bit, and the zero-mask yields
-    /// exactly the masked deletion timestamp the scalar path computes.
+    /// Index point reads ≡ the reference filtered by key, for present,
+    /// absent, multi-version, deleted and uncommitted keys, under every
+    /// mode. The rows land behind the engine's back, so the first probe
+    /// exercises the lazy batched rebuild too.
     #[test]
-    fn chunk_kernel_matches_scalar_admit(
-        pairs in proptest::collection::vec((ins_ts(), del_ts()), 64),
-        occ in any::<u64>(),
-        hist_t in 0u64..=45,
-    ) {
-        let mut ins = [0u64; 64];
-        let mut del = [0u64; 64];
-        for (i, (a, b)) in pairs.iter().enumerate() {
-            ins[i] = a.0;
-            del[i] = b.0;
-        }
-        for mode in all_modes(hist_t) {
-            let (admit, zero) = admit_chunk(&mode, occ, &ins, &del);
-            for lane in 0..64 {
-                let occupied = occ >> lane & 1 == 1;
-                let a = admit >> lane & 1 == 1;
-                let scalar = mode.admit(Timestamp(ins[lane]), Timestamp(del[lane]));
-                if !occupied {
-                    prop_assert!(!a, "lane {} admitted while vacant ({:?})", lane, mode);
-                    prop_assert!(zero >> lane & 1 == 0);
-                    continue;
-                }
-                prop_assert_eq!(a, scalar.is_some(), "lane {} under {:?}", lane, mode);
-                if let Some(masked) = scalar {
-                    let kernel_masked = if zero >> lane & 1 == 1 {
-                        Timestamp::ZERO
-                    } else {
-                        Timestamp(del[lane])
-                    };
-                    prop_assert_eq!(kernel_masked, masked, "mask lane {} under {:?}", lane, mode);
-                }
-            }
-        }
-    }
-
-    /// Explicit operator-level check on top of the kernel property: a scan
-    /// forced down the chunked path returns exactly what the scalar
-    /// admission path returns, for every mode and bound.
-    #[test]
-    fn chunked_scan_matches_scalar_scan(
-        rows in rows(),
-        hist_t in 0u64..=45,
-        bounds in bounds(),
-    ) {
-        let (e, table, dir) = build(&rows);
-        let pool = e.pool().clone();
-        for mode in all_modes(hist_t) {
-            let mut scalar = SeqScan::with_bounds(pool.clone(), table, mode, bounds)
-                .unwrap()
-                .with_admission(Admission::Scalar);
-            let expected = collect(&mut scalar).unwrap();
-            let mut chunked = SeqScan::with_bounds(pool.clone(), table, mode, bounds)
-                .unwrap()
-                .with_admission(Admission::Chunked);
-            let got = collect(&mut chunked).unwrap();
-            prop_assert_eq!(&expected, &got, "admission paths diverged under {:?}", mode);
-            e.locks().release_all(TransactionId::from_parts(SiteId(0), 7777));
-        }
-        drop((e, pool));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The partitioned scan ≡ the single-threaded scan: same rows in the
-    /// same order (the merge drains partitions in page order), for every
-    /// mode, bound, and worker count.
-    #[test]
-    fn parallel_scan_matches_serial(
-        rows in rows(),
-        hist_t in 0u64..=45,
-        bounds in bounds(),
-        workers in 2usize..=4,
-    ) {
-        let (e, table, dir) = build(&rows);
-        let pool = e.pool().clone();
-        for mode in all_modes(hist_t) {
-            let mut serial = SeqScan::with_bounds(pool.clone(), table, mode, bounds).unwrap();
-            let expected = collect(&mut serial).unwrap();
-            e.locks().release_all(TransactionId::from_parts(SiteId(0), 7777));
-            let mut par =
-                ParallelSeqScan::with_bounds(pool.clone(), table, mode, bounds, workers).unwrap();
-            let got = collect(&mut par).unwrap();
-            prop_assert_eq!(
-                &expected, &got,
-                "parallel({}) diverged under {:?}", workers, mode
-            );
-            e.locks().release_all(TransactionId::from_parts(SiteId(0), 7777));
-        }
-        drop((e, pool));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Index point reads ≡ full scan + key filter, for present, absent,
-    /// multi-version, deleted and uncommitted keys, under every mode. The
-    /// rows land behind the engine's back, so the first probe exercises the
-    /// lazy batched rebuild too.
-    #[test]
-    fn index_reads_match_scan_filter(rows in rows(), hist_t in 0u64..=45) {
-        let (e, table, dir) = build_mod(&rows, 8);
+    fn index_reads_match_scan_filter(rows in rows(), hist_t in 0u64..=T_MAX + 1) {
+        let (e, table, dir) = build(&rows, 8, false);
         e.index(table).unwrap().invalidate();
         let pool = e.pool().clone();
         let rebuilds_before = pool.metrics().snapshot().index_rebuilds;
         for mode in all_modes(hist_t) {
             for key in [0i64, 3, 7, 8, -1, 100] {
-                let mut expected: Vec<Tuple> = legacy_scan(&pool, table, mode, &ScanBounds::all())
-                    .into_iter()
-                    .filter(|t| t.get(2) == &Value::Int64(key))
-                    .collect();
-                let mut got: Vec<Tuple> = index_lookup(&e, table, key, mode)
-                    .unwrap()
-                    .into_iter()
-                    .map(|(_, t)| t)
-                    .collect();
+                let by_key = Expr::col(2).eq(Expr::lit(key));
+                let mut expected = reference(&pool, table, mode, &ScanBounds::all(), Some(&by_key));
+                let mut got = index_lookup(&e, table, key, mode).unwrap();
                 // Index probes return record-id order, the scan page order:
                 // compare as multisets.
-                expected.sort_by_key(|t| wire_bytes(std::slice::from_ref(t)));
-                got.sort_by_key(|t| wire_bytes(std::slice::from_ref(t)));
+                expected.sort_by_key(|(rid, _)| (rid.page.page_no, rid.slot));
+                got.sort_by_key(|(rid, _)| (rid.page.page_no, rid.slot));
                 prop_assert_eq!(&expected, &got, "key {} under {:?}", key, mode);
-                e.locks().release_all(TransactionId::from_parts(SiteId(0), 7777));
+                e.locks().release_all(locker());
             }
         }
         prop_assert!(
             pool.metrics().snapshot().index_rebuilds > rebuilds_before,
             "cold probe must have rebuilt the index"
         );
-        drop((e, pool));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Zero-copy transcode ≡ materialize + `write_wire`, byte for byte,
-    /// including the masked deletion override.
-    #[test]
-    fn zero_copy_transcode_matches_materialized_wire(
-        rows in rows(),
-        hist_t in 0u64..=45,
-    ) {
-        let (e, table, dir) = build(&rows);
-        let pool = e.pool().clone();
-        let heap = pool.table(table).unwrap();
-        let desc = heap.desc().clone();
-        for mode in all_modes(hist_t) {
-            let mut pages = Vec::new();
-            for (seg, _) in heap.prune(&ScanBounds::all()) {
-                pages.extend(heap.segment_page_ids(seg));
-            }
-            for pid in pages {
-                pool.with_page(mode.lock_tid(), pid, |page| {
-                    for slot in page.occupied_slots() {
-                        let bytes = page.read(slot)?;
-                        let (ins, del) = raw_version_timestamps(bytes)?;
-                        let Some(masked) = mode.admit(ins, del) else {
-                            continue;
-                        };
-                        let mut zero_copy = Encoder::new();
-                        transcode_fixed_to_wire(&desc, bytes, masked, &mut zero_copy)?;
-                        let mut dec = Decoder::new(bytes);
-                        let mut tup = Tuple::read_fixed(&desc, &mut dec)?;
-                        if masked != del {
-                            tup.set_deletion_ts(masked);
-                        }
-                        let mut materialized = Encoder::new();
-                        tup.write_wire(&mut materialized);
-                        assert_eq!(
-                            zero_copy.as_slice(),
-                            materialized.as_slice(),
-                            "transcode bytes diverged at {pid:?} slot {slot}"
-                        );
-                    }
-                    Ok(())
-                })
-                .unwrap();
-            }
-            e.locks().release_all(TransactionId::from_parts(SiteId(0), 7777));
-        }
         drop((e, pool));
         let _ = std::fs::remove_dir_all(&dir);
     }
