@@ -7,9 +7,9 @@
 //!
 //! - `steady_tcp` — N clients against a healthy cluster: the baseline SLO.
 //! - `crash_recovery` — the same workload while a worker site fail-stop
-//!   crashes mid-run and is brought back with HARBOR's three recovery
-//!   phases: the paper's headline claim, quoted as a p99 instead of a
-//!   throughput dip.
+//!   crashes an eighth of the way into the run and, from half way, is
+//!   brought back with HARBOR's three recovery phases: the paper's headline
+//!   claim, quoted as a p99 instead of a throughput dip.
 //! - `overload_burst` — 4x the clients against a deliberately tiny front
 //!   door (few permits, shallow queue): admission control must shed with
 //!   `retry_after` hints instead of stalling sockets, and the p99 of
@@ -25,7 +25,7 @@ use harbor_dist::ProtocolKind;
 use harbor_front::{FrontConfig, FrontServer};
 use harbor_net::{TcpTransport, Transport};
 use harbor_workload::{insert_request, run_front_clients, DriverConfig, DriverReport};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn build_cluster(name: &str, protocol: ProtocolKind, workers: usize, clients: usize) -> Cluster {
     let mut cfg = ClusterConfig::new(protocol, workers);
@@ -177,16 +177,27 @@ fn main() {
     // fault thread crashes a worker once the run is warm, lets the degraded
     // window accumulate latency samples, then runs HARBOR recovery
     // (Phase 1 historical catch-up, Phase 2 deltas, Phase 3 locked
-    // handoff) while the workload keeps going.
+    // handoff) while the workload keeps going. The schedule is in commits,
+    // not milliseconds: the whole run is shorter than the sleeps it used to
+    // be timed by, and a crash after the last client has left measures
+    // nothing.
     let cluster = build_cluster("crash", ProtocolKind::Opt3pc, 3, clients);
     let crash = run_scenario(&cluster, FrontConfig::default(), &driver_cfg, |cluster| {
-        std::thread::sleep(Duration::from_millis(150));
+        let total = (clients * txns_per_client) as u64;
+        let patience = Instant::now() + Duration::from_secs(10);
+        let until_committed = |n: u64| {
+            let commits = || cluster.coordinator().metrics().snapshot().commits;
+            while commits() < n && Instant::now() < patience {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        };
+        until_committed(total / 8);
         if let Some(chaos) = cluster.chaos() {
             chaos.set_enabled(true);
         }
         let victim = SiteId(2);
         cluster.crash_worker(victim).expect("crash worker");
-        std::thread::sleep(Duration::from_millis(250));
+        until_committed(total / 2);
         let rec = cluster
             .recover_worker_harbor(victim)
             .expect("harbor recovery");

@@ -149,6 +149,10 @@ struct TxnInner {
     /// join-pending forwarder skips such transactions.
     committing: bool,
     finished: bool,
+    /// The PREPARE that rode the last statement, once that statement's
+    /// exchange is over: the participant list it named, and who voted YES on
+    /// it. `commit` counts the votes only if that is still the list.
+    rode: Option<(Vec<SiteId>, Vec<SiteId>)>,
 }
 
 struct TxnCtx {
@@ -631,6 +635,7 @@ impl Coordinator {
                 chans: HashMap::new(),
                 committing: false,
                 finished: false,
+                rode: None,
             }),
         });
         self.txns.lock().insert(tid, ctx);
@@ -823,6 +828,7 @@ impl Coordinator {
             (Request::Commit { .. } | Request::Abort { .. }, Ok(Response::Ack)) => s.settled = true,
             // A worker that could not execute the statement says so in step.
             (Request::Update { .. }, Ok(Response::Ok | Response::Err { .. }))
+            | (Request::LastUpdate { .. }, Ok(Response::Vote { .. } | Response::Err { .. }))
             | (Request::Prepare { .. }, Ok(Response::Vote { .. }))
             | (Request::PrepareToCommit { .. }, Ok(Response::Ack)) => {}
             _ => s.chan = None,
@@ -974,14 +980,34 @@ impl Coordinator {
     /// Queues and distributes one update request to every live site
     /// holding the relevant data (§4.1).
     pub fn update(&self, tid: TransactionId, req: UpdateRequest) -> DbResult<()> {
+        self.statement(tid, req, false)
+    }
+
+    /// [`update`](Self::update) for the statement the client's
+    /// [`commit`](Self::commit) follows. The PREPARE then rides on it — one
+    /// exchange with each site instead of two — where a worker's PREPARE
+    /// forces nothing (a statement that takes locks visits its sites one at
+    /// a time, so a force riding on it would be K forces in series) and
+    /// commits are not batched into epochs. Elsewhere it is `update`.
+    pub fn update_last(&self, tid: TransactionId, req: UpdateRequest) -> DbResult<()> {
+        self.statement(tid, req, true)
+    }
+
+    fn statement(&self, tid: TransactionId, req: UpdateRequest, last: bool) -> DbResult<()> {
         let ctx = self.ctx(tid)?;
+        let rides =
+            last && !self.cfg.protocol.worker_prepare_logging().force && self.epoch.is_none();
         // Determine targets and append to the queue under the ctx lock so
         // the join-pending forwarder sees a consistent prefix.
-        let (idx, targets): (usize, Vec<SiteId>) = {
+        let (idx, targets, workers) = {
             let mut g = ctx.inner.lock();
-            g.queue.push(req.clone());
-            let idx = g.queue.len() - 1;
-            let targets = match req.table() {
+            if g.rode.is_some() {
+                // Its sites have voted: they execute nothing more.
+                return Err(DbError::protocol(format!(
+                    "{tid}: a statement after the one sent as its last"
+                )));
+            }
+            let targets: Vec<SiteId> = match req.table() {
                 Some(table) => {
                     let sites = self.placed_for(table, &req)?;
                     let placed = sites.len();
@@ -1007,13 +1033,24 @@ impl Coordinator {
                 // participants.
                 None => g.participants.iter().copied().collect(),
             };
-            (idx, targets)
+            if targets.is_empty() {
+                return Err(DbError::Unrecoverable(
+                    "no live replica available for update".into(),
+                ));
+            }
+            // Queued only now that it has somewhere to go: a statement
+            // refused above was sent to no site, and a site that joins the
+            // transaction later must not be the only one to execute it.
+            g.queue.push(req.clone());
+            // The list the riding PREPARE names is the one `commit` will
+            // find unless a site joins meanwhile.
+            let mut workers = BTreeSet::new();
+            if rides {
+                workers.extend(g.participants.iter().chain(&targets).copied());
+            }
+            let workers: Vec<SiteId> = workers.into_iter().collect();
+            (g.queue.len() - 1, targets, workers)
         };
-        if targets.is_empty() {
-            return Err(DbError::Unrecoverable(
-                "no live replica available for update".into(),
-            ));
-        }
         // A statement on a table takes page locks that are held until
         // commit — an insert X-locks the table's last non-full page — so it
         // visits its sites one at a time, in placement order, each after the
@@ -1026,12 +1063,22 @@ impl Coordinator {
         // only at the first site: when a page fills, two loaders are past
         // it together, and the replicas' pages need not fill alike.
         // Table-less work takes no locks and goes out as one round.
-        let update = Request::Update { tid, req };
+        let update = if rides {
+            Request::LastUpdate {
+                tid,
+                req,
+                workers: workers.clone(),
+                time_bound: self.authority.now(),
+            }
+        } else {
+            Request::Update { tid, req }
+        };
         let table = match &update {
-            Request::Update { req, .. } => req.table(),
+            Request::Update { req, .. } | Request::LastUpdate { req, .. } => req.table(),
             _ => None,
         };
         let at_once = if table.is_some() { 1 } else { targets.len() };
+        let mut voted_yes: Vec<SiteId> = Vec::new();
         for sites in targets.chunks(at_once) {
             let replies = self.round(tid, &ctx, sites, &update, |site, s| {
                 if idx < s.forwarded {
@@ -1049,7 +1096,15 @@ impl Coordinator {
             });
             for (site, resp) in replies {
                 match resp {
+                    // Executed; and not asked to vote, if the join-pending
+                    // forwarder took the statement there with the backlog.
                     Ok(Response::Ok) => {}
+                    Ok(Response::Vote { yes: true }) if rides => voted_yes.push(site),
+                    Ok(Response::Vote { yes: false }) if rides => {
+                        // The NO voter has rolled back; the rest must.
+                        self.abort(tid)?;
+                        return Err(DbError::TransactionAborted(tid));
+                    }
                     Ok(Response::Err { msg }) => {
                         // Worker could not execute (lock timeout,
                         // constraint): abort everywhere.
@@ -1080,6 +1135,13 @@ impl Coordinator {
                     }
                 }
             }
+        }
+        if rides {
+            // Only now, with the statement's exchange over: until `commit`
+            // snapshots the participants the join-pending forwarder may
+            // still add one (the statement may have waited out a Phase-3
+            // table lock), and `commit` must see that the list has grown.
+            ctx.inner.lock().rode = Some((workers, voted_yes));
         }
         Ok(())
     }
@@ -1173,14 +1235,17 @@ impl Coordinator {
         result
     }
 
-    /// Commits: runs the configured protocol, one round per phase. Returns
-    /// the commit time.
+    /// Commits: runs the configured protocol, one round per phase — less the
+    /// PREPARE round where every vote already rode in on the last statement
+    /// ([`update_last`](Self::update_last)). The one function that decides a
+    /// transaction, whichever way its statements came. Returns the commit
+    /// time.
     pub fn commit(&self, tid: TransactionId) -> DbResult<Timestamp> {
         let ctx = self.ctx(tid)?;
-        let participants: Vec<SiteId> = {
+        let (participants, rode): (Vec<SiteId>, _) = {
             let mut g = ctx.inner.lock();
             g.committing = true;
-            g.participants.iter().copied().collect()
+            (g.participants.iter().copied().collect(), g.rode.take())
         };
         if participants.is_empty() {
             // Read-only: nothing to agree on (§4.3: multi-phase protocols
@@ -1191,14 +1256,26 @@ impl Coordinator {
         if let Some(es) = self.epoch.clone() {
             return self.commit_via_epoch(tid, participants, es);
         }
-        // Phase 1: PREPARE.
+        // Phase 1: PREPARE, to every participant that has not voted yet. A
+        // vote that rode in on the last statement counts only if it was
+        // cast on this very list: the §4.3.3 consensus needs every
+        // participant to know every other, and a duplicate PREPARE repeats
+        // the vote and refreshes the list it is kept with.
+        let mut voters_yes = match rode {
+            Some((named, yes)) if named == participants => yes,
+            _ => Vec::new(),
+        };
+        let unasked: Vec<SiteId> = participants
+            .iter()
+            .copied()
+            .filter(|site| !voters_yes.contains(site))
+            .collect();
         let prepare = Request::Prepare {
             tid,
             workers: participants.clone(),
             time_bound: self.authority.now(),
         };
-        let mut voters_yes: Vec<SiteId> = Vec::new();
-        for (site, vote) in self.round(tid, &ctx, &participants, &prepare, |_, _| None) {
+        for (site, vote) in self.round(tid, &ctx, &unasked, &prepare, |_, _| None) {
             match vote {
                 Ok(Response::Vote { yes: true }) => voters_yes.push(site),
                 Ok(Response::Vote { yes: false }) => {}
@@ -1210,6 +1287,7 @@ impl Coordinator {
                 Ok(_) | Err(_) => self.mark_dead(site),
             }
         }
+        voters_yes.sort_unstable();
         self.maybe_fail(CrashPoint::CoordAfterPrepare)?;
         if voters_yes.len() < participants.len() {
             self.abort_prepared(tid, &ctx, &voters_yes)?;

@@ -102,6 +102,23 @@ fn get_set(dec: &mut Decoder<'_>) -> DbResult<Vec<(u16, Value)>> {
     Ok(out)
 }
 
+fn put_sites(enc: &mut Encoder, sites: &[SiteId]) {
+    enc.put_u32(sites.len() as u32);
+    for s in sites {
+        enc.put_u16(s.0);
+    }
+}
+
+fn get_sites(dec: &mut Decoder<'_>) -> DbResult<Vec<SiteId>> {
+    let n = dec.get_u32()? as usize;
+    let n = checked_count(dec, n)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(SiteId(dec.get_u16()?));
+    }
+    Ok(out)
+}
+
 impl Wire for UpdateRequest {
     fn encode(&self, enc: &mut Encoder) {
         match self {
@@ -327,6 +344,17 @@ pub enum Request {
         tid: TransactionId,
         req: UpdateRequest,
     },
+    /// A transaction's last statement with its PREPARE riding on it: the
+    /// worker executes `req` as it would an [`Request::Update`] and, if that
+    /// succeeded, votes as it would on a [`Request::Prepare`] naming
+    /// `workers` and `time_bound`. One reply: the [`Response::Vote`], or the
+    /// statement's [`Response::Err`] with nothing prepared.
+    LastUpdate {
+        tid: TransactionId,
+        req: UpdateRequest,
+        workers: Vec<SiteId>,
+        time_bound: Timestamp,
+    },
     /// First commit phase: vote request. Carries the participant set (3PC
     /// consensus needs it) and the coordinator clock lower bound.
     Prepare {
@@ -485,6 +513,12 @@ pub const BEGIN_REFUSED: &str = "begin refused";
 
 /// Wire tag of [`Request::Begin`].
 const BEGIN_TAG: u8 = 0;
+/// Wire tag of [`Request::Update`].
+const UPDATE_TAG: u8 = 1;
+/// Wire tag of [`Request::LastUpdate`]: the frame is this tag, the frame of
+/// the statement as a [`Request::Update`], and the PREPARE's participant
+/// list and time bound as a trailer.
+const LAST_UPDATE_TAG: u8 = 19;
 
 impl Request {
     /// The frame of `Request::Begin { tid, first }`, given the frame of
@@ -509,9 +543,22 @@ impl Wire for Request {
                 first.encode(enc);
             }
             Request::Update { tid, req } => {
-                enc.put_u8(1);
+                enc.put_u8(UPDATE_TAG);
                 enc.put_u64(tid.0);
                 req.encode(enc);
+            }
+            Request::LastUpdate {
+                tid,
+                req,
+                workers,
+                time_bound,
+            } => {
+                enc.put_u8(LAST_UPDATE_TAG);
+                enc.put_u8(UPDATE_TAG);
+                enc.put_u64(tid.0);
+                req.encode(enc);
+                put_sites(enc, workers);
+                enc.put_u64(time_bound.0);
             }
             Request::Prepare {
                 tid,
@@ -520,10 +567,7 @@ impl Wire for Request {
             } => {
                 enc.put_u8(2);
                 enc.put_u64(tid.0);
-                enc.put_u32(workers.len() as u32);
-                for w in workers {
-                    enc.put_u16(w.0);
-                }
+                put_sites(enc, workers);
                 enc.put_u64(time_bound.0);
             }
             Request::PrepareToCommit { tid, commit_time } => {
@@ -589,10 +633,7 @@ impl Wire for Request {
                 enc.put_u32(txns.len() as u32);
                 for (tid, workers) in txns {
                     enc.put_u64(tid.0);
-                    enc.put_u32(workers.len() as u32);
-                    for w in workers {
-                        enc.put_u16(w.0);
-                    }
+                    put_sites(enc, workers);
                 }
                 enc.put_u64(time_bound.0);
             }
@@ -645,24 +686,31 @@ impl Request {
     /// Decodes the body of any request but [`Request::Begin`].
     fn decode_unmarked(tag: u8, dec: &mut Decoder<'_>) -> DbResult<Self> {
         Ok(match tag {
-            1 => Request::Update {
+            UPDATE_TAG => Request::Update {
                 tid: TransactionId(dec.get_u64()?),
                 req: UpdateRequest::decode(dec)?,
             },
-            2 => {
-                let tid = TransactionId(dec.get_u64()?);
-                let n = dec.get_u32()? as usize;
-                let n = checked_count(dec, n)?;
-                let mut workers = Vec::with_capacity(n);
-                for _ in 0..n {
-                    workers.push(SiteId(dec.get_u16()?));
+            LAST_UPDATE_TAG => {
+                // The trailer rides on a statement and on nothing else: what
+                // follows the tag is read as one, never decoded as a request.
+                let riding_on = dec.get_u8()?;
+                if riding_on != UPDATE_TAG {
+                    return Err(DbError::corrupt(format!(
+                        "a PREPARE rides a statement, not request tag {riding_on}"
+                    )));
                 }
-                Request::Prepare {
-                    tid,
-                    workers,
+                Request::LastUpdate {
+                    tid: TransactionId(dec.get_u64()?),
+                    req: UpdateRequest::decode(dec)?,
+                    workers: get_sites(dec)?,
                     time_bound: Timestamp(dec.get_u64()?),
                 }
             }
+            2 => Request::Prepare {
+                tid: TransactionId(dec.get_u64()?),
+                workers: get_sites(dec)?,
+                time_bound: Timestamp(dec.get_u64()?),
+            },
             3 => Request::PrepareToCommit {
                 tid: TransactionId(dec.get_u64()?),
                 commit_time: Timestamp(dec.get_u64()?),
@@ -706,14 +754,7 @@ impl Request {
                 let n = checked_count(dec, n)?;
                 let mut txns = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let tid = TransactionId(dec.get_u64()?);
-                    let m = dec.get_u32()? as usize;
-                    let m = checked_count(dec, m)?;
-                    let mut workers = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        workers.push(SiteId(dec.get_u16()?));
-                    }
-                    txns.push((tid, workers));
+                    txns.push((TransactionId(dec.get_u64()?), get_sites(dec)?));
                 }
                 Request::PrepareBatch {
                     epoch,
@@ -1027,6 +1068,20 @@ mod tests {
         round_trip_req(marked);
         // A marker inside a marker is not a frame.
         assert!(Request::from_slice(&Request::mark_beginning(tid, &frame)).is_err());
+        let Request::Update { req, .. } = insert else {
+            unreachable!()
+        };
+        let last = Request::LastUpdate {
+            tid,
+            req,
+            workers: vec![SiteId(1), SiteId(2)],
+            time_bound: Timestamp(99),
+        };
+        round_trip_req(last.clone());
+        round_trip_req(Request::Begin {
+            tid,
+            first: Box::new(last),
+        });
         round_trip_req(Request::Update {
             tid,
             req: UpdateRequest::UpdateByKey {

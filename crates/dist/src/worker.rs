@@ -437,6 +437,16 @@ impl Worker {
         out
     }
 
+    /// The participant list of `tid` as the last PREPARE this worker saw
+    /// named it — who the consensus protocol would ask (§4.3.3). Empty if no
+    /// PREPARE has arrived.
+    pub fn participants(&self, tid: TransactionId) -> Vec<SiteId> {
+        let dist = self.dist_txns.lock();
+        dist.get(&tid)
+            .map(|i| i.workers.clone())
+            .unwrap_or_default()
+    }
+
     /// This worker's consensus-relevant state for `tid` (Fig 4-5).
     pub fn backup_state(&self, tid: TransactionId) -> BackupState {
         let dist = self.dist_txns.lock();
@@ -473,12 +483,7 @@ impl Worker {
     /// lowest-ranked live participant as backup coordinator; if that is
     /// this site, drives the outcome per Table 4.1.
     pub fn resolve_by_consensus(self: &Arc<Self>, tid: TransactionId) -> DbResult<bool> {
-        let workers = {
-            let dist = self.dist_txns.lock();
-            dist.get(&tid)
-                .map(|i| i.workers.clone())
-                .unwrap_or_default()
-        };
+        let workers = self.participants(tid);
         // Let in-flight protocol messages land before deciding.
         if workers.is_empty() {
             // No PREPARE ever arrived: commit processing never began, so
@@ -657,28 +662,32 @@ impl Worker {
             // `serve_connection` opens the marker before it gets here.
             Request::Begin { .. } => Err(DbError::protocol("nested begin marker")),
             Request::Update { tid, req } => {
-                // A statement for a transaction this site does not have open
-                // (an abort overtook it) must not take locks, or leave a
-                // tuple, that no transaction end would ever clean up.
-                if self.engine.txn_status(*tid).is_none() {
-                    return Err(DbError::UnknownTransaction(*tid));
-                }
                 self.apply_update(*tid, req)?;
                 Ok(Response::Ok)
+            }
+            Request::LastUpdate {
+                tid,
+                req,
+                workers,
+                time_bound,
+            } => {
+                // A copy of the frame finds the vote cast: the statement is
+                // not applied again, and the PREPARE repeats its vote as any
+                // duplicate PREPARE does. A statement that fails is answered
+                // as a failed statement, with nothing prepared.
+                let dist = self.dist_txns.lock();
+                let voted = dist.get(tid).is_some_and(|info| info.voted.is_some());
+                drop(dist);
+                if !voted {
+                    self.apply_update(*tid, req)?;
+                }
+                self.answer_prepare(*tid, workers, *time_bound)
             }
             Request::Prepare {
                 tid,
                 workers,
                 time_bound,
-            } => {
-                if self.fire_crash(CrashPoint::WorkerDuringPrepareVote) {
-                    // Crash while producing the vote: the coordinator sees a
-                    // dead participant, not a vote (§4.3.2 treats that as NO).
-                    return Err(DbError::SiteDown("worker crashed (fail point)".into()));
-                }
-                let yes = self.vote_on_prepare(*tid, workers, *time_bound)?;
-                Ok(Response::Vote { yes })
-            }
+            } => self.answer_prepare(*tid, workers, *time_bound),
             Request::PrepareBatch {
                 txns, time_bound, ..
             } => {
@@ -829,6 +838,23 @@ impl Worker {
         }
     }
 
+    /// The reply to one transaction's PREPARE, whether it came as a frame
+    /// of its own or riding the last statement.
+    fn answer_prepare(
+        &self,
+        tid: TransactionId,
+        workers: &[SiteId],
+        time_bound: Timestamp,
+    ) -> DbResult<Response> {
+        if self.fire_crash(CrashPoint::WorkerDuringPrepareVote) {
+            // Crash while producing the vote: the coordinator sees a
+            // dead participant, not a vote (§4.3.2 treats that as NO).
+            return Err(DbError::SiteDown("worker crashed (fail point)".into()));
+        }
+        let yes = self.vote_on_prepare(tid, workers, time_bound)?;
+        Ok(Response::Vote { yes })
+    }
+
     /// Votes on one PREPARE (§4.3.2) — shared by the serial and batched
     /// first phases, so both populate the same per-txn consensus state.
     fn vote_on_prepare(
@@ -906,6 +932,12 @@ impl Worker {
 
     /// Executes one logical update request (§4.1).
     fn apply_update(&self, tid: TransactionId, req: &UpdateRequest) -> DbResult<()> {
+        // A statement for a transaction this site does not have open (an
+        // abort overtook it) must not take locks, or leave a tuple, that no
+        // transaction end would ever clean up.
+        if self.engine.txn_status(tid).is_none() {
+            return Err(DbError::UnknownTransaction(tid));
+        }
         match req {
             UpdateRequest::Insert { table, values } => {
                 let def = table_def(&self.engine, table)?;

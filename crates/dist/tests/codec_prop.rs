@@ -33,6 +33,15 @@ fn sample_requests() -> Vec<Request> {
                 ],
             },
         },
+        Request::LastUpdate {
+            tid,
+            req: UpdateRequest::Insert {
+                table: "sales".into(),
+                values: vec![Value::Int64(8), Value::Int32(1), Value::Str("y".into())],
+            },
+            workers: vec![SiteId(1), SiteId(2), SiteId(3)],
+            time_bound: Timestamp(41),
+        },
         Request::Prepare {
             tid,
             workers: vec![SiteId(1), SiteId(2), SiteId(3)],
@@ -74,13 +83,17 @@ fn sample_requests() -> Vec<Request> {
         },
     ];
     // The begin marker rides the first frame a worker sees of a
-    // transaction: a statement, an in-transaction scan or a PREPARE.
+    // transaction: a statement (the last one, with its PREPARE trailer,
+    // included), an in-transaction scan or a PREPARE.
     let marked: Vec<Request> = plain
         .iter()
         .filter(|r| {
             matches!(
                 r,
-                Request::Update { .. } | Request::Scan(_) | Request::Prepare { .. }
+                Request::Update { .. }
+                    | Request::LastUpdate { .. }
+                    | Request::Scan(_)
+                    | Request::Prepare { .. }
             )
         })
         .map(|first| Request::Begin {
@@ -220,7 +233,57 @@ fn begin_marker_round_trips_and_does_not_nest() {
         assert_eq!(Request::mark_beginning(tid, &first.to_vec()), frame);
         assert!(Request::from_slice(&Request::mark_beginning(tid, &frame)).is_err());
     }
-    assert_eq!(seen, 4, "two statements, a scan and a PREPARE");
+    assert_eq!(seen, 5, "three statements, a scan and a PREPARE");
+}
+
+/// The PREPARE trailer rides a statement and nothing else. The frame is the
+/// tag, the statement's own `Update` frame, the trailer — so what sits in
+/// the statement's place is checked to be one and never decoded as a
+/// request: no marker and no other request can be nested there.
+#[test]
+fn prepare_trailer_rides_only_a_statement() {
+    let mut seen = 0;
+    for req in sample_requests() {
+        let Request::LastUpdate {
+            tid,
+            req: stmt,
+            workers,
+            time_bound,
+        } = &req
+        else {
+            continue;
+        };
+        seen += 1;
+        let frame = req.to_vec();
+        let statement = Request::Update {
+            tid: *tid,
+            req: stmt.clone(),
+        }
+        .to_vec();
+        assert_eq!(frame[1..1 + statement.len()], statement[..]);
+        // The same trailer behind anything that is not a statement.
+        let trailer = &frame[1 + statement.len()..];
+        let riding_on = |inner: Vec<u8>| [&frame[..1], &inner[..], trailer].concat();
+        assert_eq!(Request::from_slice(&riding_on(statement)).unwrap(), req);
+        for inner in [
+            Request::Prepare {
+                tid: *tid,
+                workers: workers.clone(),
+                time_bound: *time_bound,
+            },
+            Request::Abort { tid: *tid },
+            Request::Ping,
+            req.clone(),
+            Request::Begin {
+                tid: *tid,
+                first: Box::new(req.clone()),
+            },
+        ] {
+            let err = Request::from_slice(&riding_on(inner.to_vec())).unwrap_err();
+            assert!(err.to_string().contains("rides a statement"), "{err}");
+        }
+    }
+    assert_eq!(seen, 1);
 }
 
 /// Deterministic regression for the count guard itself: a `Prepare` frame

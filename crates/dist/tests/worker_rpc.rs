@@ -509,6 +509,148 @@ fn a_duplicated_first_frame_does_not_apply_twice() {
     let _ = std::fs::remove_dir_all(&f.dir);
 }
 
+/// `insert(tid, id)` as the transaction's last statement, its PREPARE riding.
+fn last_insert(tid: TransactionId, table: &str, id: i64) -> Request {
+    Request::LastUpdate {
+        tid,
+        req: UpdateRequest::Insert {
+            table: table.into(),
+            values: vec![Value::Int64(id), Value::Int32(id as i32)],
+        },
+        workers: vec![SiteId(1)],
+        time_bound: Timestamp(1),
+    }
+}
+
+/// The last statement carries the PREPARE: one frame, one reply, and the
+/// reply is the vote — the worker is prepared, with the participant list
+/// the consensus protocol will need, and the rest of the protocol follows.
+#[test]
+fn a_last_statement_executes_then_votes_in_one_reply() {
+    let f = build("last");
+    let tid = TransactionId::from_parts(SiteId(0), 41);
+    let mut chan = f.connect();
+    assert!(matches!(
+        rpc(chan.as_mut(), &begin(tid, last_insert(tid, "t", 1))).unwrap(),
+        Response::Vote { yes: true }
+    ));
+    assert_eq!(
+        f.worker.backup_state(tid),
+        harbor_dist::BackupState::PreparedYes
+    );
+    assert!(matches!(
+        rpc(chan.as_mut(), &Request::Ping).unwrap(),
+        Response::Ok
+    ));
+    let t = f.authority.next_commit_time();
+    for req in [
+        Request::PrepareToCommit {
+            tid,
+            commit_time: t,
+        },
+        Request::Commit {
+            tid,
+            commit_time: t,
+        },
+    ] {
+        assert!(matches!(rpc(chan.as_mut(), &req).unwrap(), Response::Ack));
+    }
+    let scan = RemoteScan::new("t", WireReadMode::Historical(t));
+    assert_eq!(scan_rpc(chan.as_mut(), &scan).unwrap().len(), 1);
+    assert_eq!(f.engine.locks().held_count(), 0);
+    let _ = std::fs::remove_dir_all(&f.dir);
+}
+
+/// A last statement that fails is answered as a failed statement: no vote
+/// was cast, so the transaction is still pending here — the coordinator's
+/// ABORT, or its disconnect, may end it unilaterally (§4.3.2).
+#[test]
+fn a_failed_last_statement_prepares_nothing() {
+    let f = build("last-failed");
+    let tid = TransactionId::from_parts(SiteId(0), 42);
+    let mut chan = f.connect();
+    assert!(matches!(
+        rpc(chan.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
+        Response::Ok
+    ));
+    match rpc(chan.as_mut(), &last_insert(tid, "nope", 2)).unwrap() {
+        Response::Err { msg } => assert!(msg.contains("nope"), "{msg}"),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(
+        f.worker.backup_state(tid),
+        harbor_dist::BackupState::Pending
+    );
+    assert!(matches!(
+        rpc(chan.as_mut(), &Request::Abort { tid }).unwrap(),
+        Response::Ack
+    ));
+    assert_eq!(all_rows(chan.as_mut()), 0);
+    assert_eq!(f.engine.locks().held_count(), 0);
+    let _ = std::fs::remove_dir_all(&f.dir);
+}
+
+/// A NO vote riding a statement is a NO vote: the worker rolls back on the
+/// spot (Figs 4-2/4-3), what the statement just wrote included.
+#[test]
+fn a_no_vote_on_a_last_statement_rolls_back_locally() {
+    let f = build("last-no");
+    let tid = TransactionId::from_parts(SiteId(0), 43);
+    let mut chan = f.connect();
+    assert!(matches!(
+        rpc(chan.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
+        Response::Ok
+    ));
+    f.engine.poison(tid);
+    assert!(matches!(
+        rpc(chan.as_mut(), &last_insert(tid, "t", 2)).unwrap(),
+        Response::Vote { yes: false }
+    ));
+    assert_eq!(
+        f.worker.backup_state(tid),
+        harbor_dist::BackupState::Aborted
+    );
+    assert!(f.engine.txn_status(tid).is_none());
+    assert_eq!(all_rows(chan.as_mut()), 0);
+    assert_eq!(f.engine.locks().held_count(), 0);
+    let _ = std::fs::remove_dir_all(&f.dir);
+}
+
+/// The chaos layer can deliver the last frame twice. The copy finds the
+/// vote cast: it applies nothing and prepares nothing again, it repeats the
+/// vote — as a duplicate PREPARE does.
+#[test]
+fn a_duplicated_last_frame_neither_applies_nor_votes_twice() {
+    let f = build("last-dup");
+    let tid = TransactionId::from_parts(SiteId(0), 44);
+    let mut chan = f.connect();
+    assert!(matches!(
+        rpc(chan.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
+        Response::Ok
+    ));
+    let last = last_insert(tid, "t", 2).to_vec();
+    chan.send(&last).unwrap();
+    chan.send(&last).unwrap();
+    for _ in 0..2 {
+        assert!(matches!(
+            Response::from_slice(&chan.recv().unwrap()).unwrap(),
+            Response::Vote { yes: true }
+        ));
+    }
+    assert_eq!(all_rows(chan.as_mut()), 2, "rows 1 and 2, once each");
+    assert_eq!(
+        f.worker.backup_state(tid),
+        harbor_dist::BackupState::PreparedYes
+    );
+    assert!(matches!(
+        rpc(chan.as_mut(), &Request::Abort { tid }).unwrap(),
+        Response::Ack
+    ));
+    assert_eq!(all_rows(chan.as_mut()), 0);
+    assert_eq!(f.engine.locks().held_count(), 0);
+    let _ = std::fs::remove_dir_all(&f.dir);
+}
+
 /// A first frame that arrives after its transaction ended here — committed
 /// or aborted — must not open it again: no transaction end would ever come
 /// for what it executed.

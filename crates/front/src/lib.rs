@@ -41,7 +41,9 @@ impl FrontHandler for Arc<Coordinator> {
     /// begin → update* → commit, with the deadline checked before every
     /// step. Expiry mid-transaction aborts the transaction — the engine is
     /// left clean and the client gets a typed timeout it may retry (the
-    /// abort guarantees nothing half-committed).
+    /// abort guarantees nothing half-committed). The whole transaction is
+    /// in hand, so the last statement is sent as the last
+    /// ([`Coordinator::update_last`]) and may carry the PREPARE.
     fn execute(&self, ops: Vec<UpdateRequest>, deadline: Instant) -> DbResult<Timestamp> {
         let check = |what: &str| -> DbResult<()> {
             if Instant::now() >= deadline {
@@ -52,8 +54,16 @@ impl FrontHandler for Arc<Coordinator> {
         };
         check("begin")?;
         let tid = self.begin()?;
-        for op in ops {
-            if let Err(e) = check("update").and_then(|()| self.update(tid, op)) {
+        let last = ops.len().saturating_sub(1);
+        for (i, op) in ops.into_iter().enumerate() {
+            let step = check("update").and_then(|()| {
+                if i == last {
+                    self.update_last(tid, op)
+                } else {
+                    self.update(tid, op)
+                }
+            });
+            if let Err(e) = step {
                 let _ = self.abort(tid);
                 return Err(e);
             }

@@ -12,6 +12,7 @@
 use harbor::{Cluster, ClusterConfig, TableSpec, TransportKind};
 use harbor_common::{SiteId, StorageConfig, Timestamp, Value};
 use harbor_dist::{FailPoint, ProtocolKind, UpdateRequest};
+use harbor_front::FrontHandler;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -35,7 +36,10 @@ fn count_at(cluster: &Cluster, site: SiteId) -> usize {
     harbor_exec::collect(&mut scan).unwrap().len()
 }
 
-fn scenario(name: &str, fail: FailPoint, expect_rows: usize) {
+/// `through_handler`: the in-doubt transaction runs as the front door runs
+/// it, whole, so its PREPARE rides its one statement and the votes are in
+/// when `commit` starts — the coordinator's fail points are where they were.
+fn scenario(name: &str, fail: FailPoint, expect_rows: usize, through_handler: bool) {
     let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 2);
     cfg.storage = StorageConfig::for_tests();
     cfg.transport = TransportKind::InMem {
@@ -58,21 +62,24 @@ fn scenario(name: &str, fail: FailPoint, expect_rows: usize) {
     coordinator.update(t2, row0("u")).unwrap();
     coordinator.commit(t1).unwrap();
     coordinator.commit(t2).unwrap();
-    let tid = coordinator.begin().unwrap();
-    coordinator
-        .update(
-            tid,
-            UpdateRequest::Insert {
-                table: "t".into(),
-                values: vec![Value::Int64(1), Value::Int32(1)],
-            },
-        )
-        .unwrap();
-    for site in cluster.worker_sites() {
-        assert_eq!(coordinator.idle_sessions(site), 1, "{name}: {site}");
+    let row1 = UpdateRequest::Insert {
+        table: "t".into(),
+        values: vec![Value::Int64(1), Value::Int32(1)],
+    };
+    if through_handler {
+        coordinator.set_fail_point(fail);
+        let patience = Instant::now() + Duration::from_secs(60);
+        let died = coordinator.execute(vec![row1], patience);
+        assert!(died.is_err(), "{name}: coordinator died");
+    } else {
+        let tid = coordinator.begin().unwrap();
+        coordinator.update(tid, row1).unwrap();
+        for site in cluster.worker_sites() {
+            assert_eq!(coordinator.idle_sessions(site), 1, "{name}: {site}");
+        }
+        coordinator.set_fail_point(fail);
+        assert!(coordinator.commit(tid).is_err(), "{name}: coordinator died");
     }
-    coordinator.set_fail_point(fail);
-    assert!(coordinator.commit(tid).is_err(), "{name}: coordinator died");
     for site in cluster.worker_sites() {
         assert_eq!(coordinator.idle_sessions(site), 0, "{name}: {site}");
     }
@@ -108,17 +115,30 @@ fn scenario(name: &str, fail: FailPoint, expect_rows: usize) {
 
 #[test]
 fn crash_after_prepare_auto_aborts() {
-    scenario("after-prepare", FailPoint::AfterPrepare, 1);
+    scenario("after-prepare", FailPoint::AfterPrepare, 1, false);
 }
 
 #[test]
 fn crash_mid_prepare_to_commit_auto_commits() {
     // One worker reached prepared-to-commit: the backup replays the last
     // two phases and the transaction commits everywhere.
-    scenario("mid-ptc", FailPoint::AfterPtcSentTo(1), 2);
+    scenario("mid-ptc", FailPoint::AfterPtcSentTo(1), 2, false);
 }
 
 #[test]
 fn crash_mid_commit_fanout_auto_commits() {
-    scenario("mid-commit", FailPoint::AfterCommitSentTo(1), 2);
+    scenario("mid-commit", FailPoint::AfterCommitSentTo(1), 2, false);
+}
+
+/// The same two rows of Table 4.1 when the PREPARE rode the statement: with
+/// every vote in and the coordinator gone the backup finds everyone
+/// prepared-YES and aborts; one PREPARE-TO-COMMIT out, and it commits.
+#[test]
+fn crash_after_a_riding_prepare_auto_aborts() {
+    scenario("riding-after-prepare", FailPoint::AfterPrepare, 1, true);
+}
+
+#[test]
+fn crash_mid_prepare_to_commit_after_a_riding_prepare_auto_commits() {
+    scenario("riding-mid-ptc", FailPoint::AfterPtcSentTo(1), 2, true);
 }

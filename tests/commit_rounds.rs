@@ -7,12 +7,15 @@
 //! the first `n`".
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
-use harbor_common::{DbError, DbResult, Metrics, SiteId, StorageConfig, Timestamp, Value};
+use harbor_common::{
+    DbError, DbResult, DiskProfile, Metrics, SiteId, StorageConfig, Timestamp, Value,
+};
 use harbor_dist::{
     BackupState, Coordinator, CoordinatorConfig, FailPoint, Placement, ProtocolKind, UpdateRequest,
     Worker, WorkerConfig,
 };
 use harbor_engine::{Engine, EngineOptions};
+use harbor_front::FrontHandler;
 use harbor_net::{Channel, ChaosConfig, InMemNetwork, Listener, Transport};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -61,6 +64,12 @@ fn three_workers(name: &str, chaos: Option<ChaosConfig>, rpc_deadline: Duration)
     Cluster::build(temp_dir(name), cfg).unwrap()
 }
 
+/// One whole transaction the way the front door runs it: the handler knows
+/// which statement is the last, so the PREPARE may ride on it.
+fn execute(coordinator: &Arc<Coordinator>, ops: Vec<UpdateRequest>) -> DbResult<Timestamp> {
+    coordinator.execute(ops, Instant::now() + Duration::from_secs(60))
+}
+
 /// The lock-order rule. A transactional insert X-locks the table's last
 /// non-full page until commit, so concurrent loaders of one table queue at
 /// the first site in placement order — as long as every statement takes its
@@ -75,17 +84,31 @@ fn three_workers(name: &str, chaos: Option<ChaosConfig>, rpc_deadline: Duration)
 /// fill alike, and it happens at every page.
 #[test]
 fn concurrent_loaders_of_one_table_never_deadlock_across_replicas() {
-    let cluster = Arc::new(three_workers(
-        "leader",
-        None,
-        harbor_dist::DEFAULT_RPC_DEADLINE,
-    ));
+    concurrent_loaders("leader", |cluster, ops| cluster.run_txn(ops));
+}
+
+/// The same with the PREPARE riding each insert: a loader is then
+/// *prepared* at the first site while it still queues for the page at the
+/// second, which changes who holds what for how long but not the order.
+#[test]
+fn concurrent_loaders_through_the_front_door_never_deadlock_either() {
+    concurrent_loaders("leader-front", |cluster, ops| {
+        execute(cluster.coordinator(), ops)
+    });
+}
+
+fn concurrent_loaders(
+    name: &str,
+    run: impl Fn(&Cluster, Vec<UpdateRequest>) -> DbResult<Timestamp> + Send + Sync + 'static,
+) {
+    let cluster = Arc::new(three_workers(name, None, harbor_dist::DEFAULT_RPC_DEADLINE));
+    let run = Arc::new(run);
     let loaders: Vec<_> = (0..4i64)
         .map(|loader| {
-            let cluster = cluster.clone();
+            let (cluster, run) = (cluster.clone(), run.clone());
             std::thread::spawn(move || -> usize {
                 (0..200)
-                    .filter(|i| cluster.run_txn(vec![insert(loader * 1000 + i)]).is_err())
+                    .filter(|i| run(&cluster, vec![insert(loader * 1000 + i)]).is_err())
                     .count()
             })
         })
@@ -273,8 +296,18 @@ fn a_commit_round_lasts_as_long_as_its_slowest_worker() {
         commit < 2 * (3 * d),
         "a 3-phase commit took {commit:?} with replies {d:?} late"
     );
+    // Through the handler the votes come back with the statement's replies:
+    // the statement at three sites in turn, PREPARE-TO-COMMIT, COMMIT. The
+    // interactive calls above spend a sixth reply on the PREPARE round.
+    let started = Instant::now();
+    execute(&coordinator, vec![insert(2)]).unwrap();
+    let whole = started.elapsed();
+    assert!(
+        whole >= 5 * d && whole < 6 * d,
+        "statement with PREPARE riding, then two rounds: {whole:?}"
+    );
     for (_, engine) in &workers {
-        assert_eq!(ids_at(engine), vec![1]);
+        assert_eq!(ids_at(engine), vec![1, 2]);
     }
     coordinator.crash();
     for (worker, _) in &workers {
@@ -369,13 +402,13 @@ fn a_counting_fail_point_splits_the_round() {
 // (d) What a transaction costs in frames.
 // ----------------------------------------------------------------------
 
-/// A one-insert Opt3pc transaction is four exchanges with each worker — the
-/// statement (which carries the begin marker: first contact is one frame
-/// and one reply), PREPARE, PREPARE-TO-COMMIT, COMMIT — so eight frames per
-/// worker, whatever the order they travel in.
-#[test]
-fn a_one_insert_transaction_is_eight_frames_per_worker() {
-    let cluster = three_workers("frames", None, harbor_dist::DEFAULT_RPC_DEADLINE);
+/// Runs three one-insert transactions on `cluster`'s three workers and holds
+/// each to `per_worker` frames a worker, whatever order they travel in.
+fn assert_frames_per_worker(
+    cluster: Cluster,
+    per_worker: u64,
+    run: impl Fn(&Cluster, Vec<UpdateRequest>) -> DbResult<Timestamp>,
+) {
     let net = cluster.net_metrics();
     let start = net.snapshot();
     let sent = |expected: u64| {
@@ -393,10 +426,88 @@ fn a_one_insert_transaction_is_eight_frames_per_worker() {
     // The first transaction opens the sessions, the others reuse them: the
     // same frames either way.
     for txns in 1..=3u64 {
-        cluster.run_txn(vec![insert(txns as i64)]).unwrap();
-        assert_eq!(sent(txns * 3 * 8), txns * 3 * 8);
+        run(&cluster, vec![insert(txns as i64)]).unwrap();
+        assert_eq!(sent(txns * 3 * per_worker), txns * 3 * per_worker);
     }
     std::thread::sleep(Duration::from_millis(20));
-    assert_eq!(sent(0), 3 * 3 * 8, "and nothing after them");
+    assert_eq!(sent(0), 3 * 3 * per_worker, "and nothing after them");
+    for site in cluster.worker_sites() {
+        assert_eq!(ids_at(&cluster.engine(site).unwrap()), vec![1, 2, 3]);
+    }
     cluster.shutdown();
+}
+
+/// Through the interactive API a one-insert Opt3pc transaction is four
+/// exchanges with each worker — the statement (which carries the begin
+/// marker: first contact is one frame and one reply), PREPARE,
+/// PREPARE-TO-COMMIT, COMMIT — so eight frames per worker: `update` cannot
+/// know that `commit` is what the client calls next.
+#[test]
+fn a_one_insert_transaction_is_eight_frames_per_worker_call_by_call() {
+    let cluster = three_workers("frames", None, harbor_dist::DEFAULT_RPC_DEADLINE);
+    assert_frames_per_worker(cluster, 8, |cluster, ops| cluster.run_txn(ops));
+}
+
+/// The front door's handler has the whole transaction in hand, so the
+/// PREPARE rides the statement and the vote its reply: three exchanges, six
+/// frames per worker, and still no forced write anywhere.
+#[test]
+fn a_one_insert_transaction_is_six_frames_per_worker_through_the_handler() {
+    let cluster = three_workers("frames-front", None, harbor_dist::DEFAULT_RPC_DEADLINE);
+    let forces = |cluster: &Cluster| -> u64 {
+        let at = |site| {
+            cluster
+                .worker_metrics(site)
+                .unwrap()
+                .snapshot()
+                .forced_writes
+        };
+        cluster.worker_sites().into_iter().map(at).sum::<u64>()
+            + cluster.coordinator().metrics().snapshot().forced_writes
+    };
+    let before = forces(&cluster);
+    assert_frames_per_worker(cluster, 6, move |cluster, ops| {
+        let committed = execute(cluster.coordinator(), ops);
+        assert_eq!(forces(cluster), before, "optimized 3PC forces nothing");
+        committed
+    });
+}
+
+/// Optimized 2PC has no PREPARE-TO-COMMIT round, and its workers force
+/// nothing either: the statement with the vote, then COMMIT.
+#[test]
+fn optimized_2pc_is_four_frames_per_worker_through_the_handler() {
+    let mut cfg = ClusterConfig::new(ProtocolKind::Opt2pc, 3);
+    cfg.storage = StorageConfig::for_tests();
+    cfg.tables = vec![TableSpec::small("t")];
+    let cluster = Cluster::build(temp_dir("frames-2pc"), cfg).unwrap();
+    assert_frames_per_worker(cluster, 4, |cluster, ops| {
+        execute(cluster.coordinator(), ops)
+    });
+}
+
+/// Where a worker's PREPARE is a forced write it does not ride: the
+/// statement visits its sites one after the other, and so would the forces.
+/// Canonical 2PC through the handler is still statement, PREPARE, COMMIT —
+/// six frames a worker, not four — and the workers force side by side: two
+/// rounds of forces and the coordinator's own, three force times, where
+/// riding would make it five.
+#[test]
+fn a_forced_prepare_does_not_ride_the_statement() {
+    let force = Duration::from_millis(40);
+    let mut cfg = ClusterConfig::new(ProtocolKind::Trad2pc, 3);
+    cfg.storage = StorageConfig::for_tests();
+    cfg.storage.disk = DiskProfile::emulated(force);
+    cfg.tables = vec![TableSpec::small("t")];
+    let cluster = Cluster::build(temp_dir("forced"), cfg).unwrap();
+    assert_frames_per_worker(cluster, 6, |cluster, ops| {
+        let started = Instant::now();
+        let committed = execute(cluster.coordinator(), ops);
+        let took = started.elapsed();
+        assert!(
+            took >= 3 * force && took < 5 * force,
+            "three workers' PREPARE forces took {took:?} at {force:?} a force"
+        );
+        committed
+    });
 }

@@ -12,6 +12,7 @@
 use harbor::{Cluster, ClusterConfig, RecoveryConfig, TableSpec};
 use harbor_common::{SiteId, StorageConfig, Timestamp, Value};
 use harbor_dist::{CrashPoint, FailPoint, ProtocolKind, UpdateRequest};
+use harbor_front::FrontHandler;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -201,6 +202,46 @@ fn backup_crash_mid_resolution_still_aborts() {
         FailPoint::AfterPrepare,
         1, // baseline row only
     );
+}
+
+/// `WorkerDuringPrepareVote` on a PREPARE that rides the last statement: the
+/// second site executes the statement and dies producing its vote. The
+/// first has voted YES by then and the third has not seen the transaction;
+/// the coordinator sees a dead participant where a vote was due (§4.3.2: a
+/// NO), aborts, and nothing of the transaction is left anywhere.
+#[test]
+fn worker_crash_during_a_riding_prepare_vote_aborts_everywhere() {
+    let dir = temp_dir("riding-vote-crash");
+    let cluster = Cluster::build(&dir, config(3)).unwrap();
+    let coordinator = cluster.coordinator();
+    cluster
+        .insert_one("t", vec![Value::Int64(0), Value::Int32(0)])
+        .unwrap();
+    cluster.arm_crash(SiteId(2), CrashPoint::WorkerDuringPrepareVote);
+    let patience = Instant::now() + Duration::from_secs(60);
+    let err = coordinator.execute(vec![insert(1)], patience).unwrap_err();
+    assert!(
+        matches!(err, harbor_common::DbError::TransactionAborted(_)),
+        "{err}"
+    );
+    assert_eq!(cluster.reap_scheduled_crashes(), vec![SiteId(2)]);
+    assert!(coordinator.is_dead(SiteId(2)));
+    assert_eq!(coordinator.inflight(), 0);
+    let survivors = [SiteId(1), SiteId(3)];
+    await_counts(&cluster, &survivors, 1, "riding-vote-crash");
+    for site in survivors {
+        let worker = cluster.worker(site).unwrap();
+        assert!(worker.unresolved_dist_txns().is_empty(), "{site}");
+        assert!(cluster.engine(site).unwrap().active_txns().is_empty());
+    }
+    // The dead site comes back without the row it executed but never voted
+    // on, and the next transaction reaches all three.
+    cluster.recover_worker_harbor(SiteId(2)).unwrap();
+    coordinator.execute(vec![insert(2)], patience).unwrap();
+    await_counts(&cluster, &cluster.worker_sites(), 2, "riding-vote-crash");
+    assert!(cluster.crash_schedule().is_empty());
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// §5.5 buddy death via the schedule: the primary buddy crashes *while

@@ -10,9 +10,11 @@
 //! * K = 2: two workers down simultaneously, recovered one after the other.
 
 use harbor::{Cluster, ClusterConfig, RecoveryConfig, RecoveryFailPoint};
-use harbor_common::{SiteId, Timestamp, Value};
-use harbor_dist::ProtocolKind;
+use harbor_common::{SiteId, Timestamp, TransactionId, Value};
+use harbor_dist::{rpc, ProtocolKind, Request, Response, UpdateRequest};
+use harbor_front::FrontHandler;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -271,6 +273,100 @@ fn per_object_announcements_gate_update_routing() {
             per_site.push(ids);
         }
         assert_eq!(per_site[0], per_site[1], "replicas diverged on {t}");
+    }
+    cluster.shutdown();
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A site can join a transaction *while its last statement is out*: the
+/// statement waits behind the recoverer's Phase-3 table lock at a buddy,
+/// the recoverer announces the object online (Fig 5-4), and the coordinator
+/// forwards the transaction's backlog — that statement — to it. The votes
+/// that then ride in on the statement's replies were cast on a participant
+/// list that lacks the joined site, so `commit` must not count them: it
+/// runs a full PREPARE round on the list it finds, every participant ends
+/// up knowing all three (the §4.3.3 consensus would ask them), and the
+/// joined site commits the row with the others.
+#[test]
+fn a_site_that_joins_while_the_last_statement_is_blocked_gets_a_full_prepare() {
+    let dir = temp_dir("join-during-last");
+    let mut cfg = ClusterConfig::for_tests(ProtocolKind::Opt3pc);
+    cfg.num_workers = 3;
+    // The statement must sit out the table lock, not time out behind it.
+    cfg.storage.lock_timeout = Duration::from_secs(30);
+    let cluster = std::sync::Arc::new(Cluster::build(&dir, cfg).unwrap());
+    fill(&cluster, 0, 5);
+    let coordinator = cluster.coordinator().clone();
+    let (buddy, joiner) = (SiteId(1), SiteId(3));
+    // Site 3 is "recovering": routed around, its copy as good as the others'.
+    coordinator.mark_dead(joiner);
+    // Phase 3: the recoverer's table read lock at the buddy.
+    let recoverer = TransactionId::from_parts(joiner, 1);
+    let mut to_buddy = cluster
+        .transport()
+        .connect(cluster.worker(buddy).unwrap().addr())
+        .unwrap();
+    let table_lock = |chan: &mut dyn harbor_net::Channel, req: Request| {
+        assert!(matches!(rpc(chan, &req).unwrap(), Response::Ok), "{req:?}");
+    };
+    table_lock(
+        to_buddy.as_mut(),
+        Request::AcquireTableLock {
+            tid: recoverer,
+            table: "sales".into(),
+        },
+    );
+    let client = {
+        let coordinator = coordinator.clone();
+        std::thread::spawn(move || {
+            let last = UpdateRequest::Insert {
+                table: "sales".into(),
+                values: row(100, 0),
+            };
+            coordinator.execute(vec![last], Instant::now() + Duration::from_secs(60))
+        })
+    };
+    // Once the buddy has the transaction open its one statement is queued
+    // at the coordinator, and cannot finish before the lock goes.
+    let buddy_engine = cluster.engine(buddy).unwrap();
+    let patience = Instant::now() + Duration::from_secs(10);
+    let tid = loop {
+        if let Some(tid) = buddy_engine.active_txns().first() {
+            break *tid;
+        }
+        assert!(Instant::now() < patience, "the statement never arrived");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let mut to_coordinator = cluster.transport().connect(coordinator.addr()).unwrap();
+    let online = Request::RecComingOnline {
+        site: joiner,
+        table: "sales".into(),
+    };
+    assert!(matches!(
+        rpc(to_coordinator.as_mut(), &online).unwrap(),
+        Response::AllDone
+    ));
+    assert!(
+        cluster.engine(joiner).unwrap().active_txns().contains(&tid),
+        "the forwarder brought the joiner into the transaction"
+    );
+    table_lock(
+        to_buddy.as_mut(),
+        Request::ReleaseTableLock {
+            tid: recoverer,
+            table: "sales".into(),
+        },
+    );
+    client.join().unwrap().unwrap();
+    for site in cluster.worker_sites() {
+        assert_eq!(count_at(&cluster, site), 6, "at {site}");
+        assert_eq!(
+            cluster.worker(site).unwrap().participants(tid),
+            cluster.worker_sites(),
+            "the list {site} would run the consensus protocol on"
+        );
+        assert_eq!(cluster.engine(site).unwrap().locks().held_count(), 0);
     }
     cluster.shutdown();
     drop(cluster);
