@@ -11,13 +11,11 @@
 //!    under coarser vs finer segments — the pruning-precision trade-off of
 //!    §4.2 (fewer, larger segments = more data scanned per dirty segment).
 //! 4. **Deletion log** on/off.
-//! 5. **Segment-parallel Phase-2 pipeline**: applier-pool width × buddy
-//!    fan-out × scan batch for the ranged, multi-buddy catch-up.
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
 use harbor_bench::{
     experiment_dir, paper_lan, prefill, print_table, recovery_storage, rows_per_segment,
-    run_insert_txns, run_recovery_scenario_with, throughput_storage, RecoveryScenario, Scale,
+    throughput_storage, Scale,
 };
 use harbor_common::SiteId;
 use harbor_dist::ProtocolKind;
@@ -119,9 +117,6 @@ fn segment_size_sweep(scale: Scale) {
         let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 2);
         cfg.storage = storage.clone();
         cfg.tables = vec![TableSpec::paper_table("t0")];
-        // Serial Phase 2: this sweep isolates the §4.2 pruning trade-off;
-        // the segment-parallel path has its own sweep (#5 below).
-        cfg.recovery.parallel_segments = false;
         let cluster = Cluster::build(experiment_dir(&format!("ablation-seg-{seg_pages}")), cfg)
             .expect("cluster");
         let rps = rows_per_segment(&storage);
@@ -177,9 +172,6 @@ fn deletion_log_sweep(scale: Scale) {
             cfg.storage = recovery_storage(scale);
             cfg.tables = vec![TableSpec::paper_table("t0")];
             cfg.use_deletion_log = use_log;
-            // Serial Phase 2: the ranged path never takes the buddy's
-            // deletion-log fast path, which is the thing under test here.
-            cfg.recovery.parallel_segments = false;
             let cluster = Cluster::build(
                 experiment_dir(&format!("ablation-dlog-{segs}-{use_log}")),
                 cfg,
@@ -216,60 +208,6 @@ fn deletion_log_sweep(scale: Scale) {
     );
 }
 
-fn phase2_pipeline_sweep(scale: Scale) {
-    // The segment-parallel Phase-2 knobs, swept one axis at a time around
-    // the (appliers=2, fan-out=2, batch=512) default: fan-out 1 isolates
-    // the pipelining gain over serial, fan-out 2 adds the second buddy,
-    // appliers scale the local apply half, and the scan batch trades
-    // per-frame overhead against pipeline latency.
-    let rps = rows_per_segment(&recovery_storage(scale));
-    let prefill_rows = rps * scale.pick(16i64, 24, 101);
-    let inserts = scale.pick(2_000usize, 6_000, 40_000);
-    let mut rows = Vec::new();
-    for (appliers, fanout, scan_batch) in [
-        (1usize, 1usize, 512usize),
-        (2, 1, 512),
-        (1, 2, 512),
-        (2, 2, 512),
-        (4, 2, 512),
-        (2, 2, 64),
-        (2, 2, 2048),
-    ] {
-        let run = run_recovery_scenario_with(
-            &format!("ablation5-{appliers}-{fanout}-{scan_batch}"),
-            RecoveryScenario::HarborParallelSegments,
-            scale,
-            prefill_rows,
-            |cfg| {
-                cfg.recovery.phase2_appliers = appliers;
-                cfg.recovery.max_buddy_fanout = fanout;
-                cfg.scan_batch = scan_batch;
-            },
-            |cluster, tables| run_insert_txns(cluster, tables, inserts, prefill_rows + 1_000_000),
-        )
-        .expect("scenario");
-        let report = run.report.expect("harbor report");
-        rows.push(vec![
-            appliers.to_string(),
-            fanout.to_string(),
-            scan_batch.to_string(),
-            format!("{:.1}", run.elapsed.as_secs_f64() * 1e3),
-            report.ranges_fetched().to_string(),
-        ]);
-    }
-    print_table(
-        "ablation 5: segment-parallel Phase 2 — appliers x buddy fan-out x scan batch",
-        &[
-            "appliers",
-            "buddy fan-out",
-            "scan batch",
-            "recovery (ms)",
-            "ranges fetched",
-        ],
-        &rows,
-    );
-}
-
 fn main() {
     let scale = Scale::from_env();
     println!("Design ablations (scale={scale:?})");
@@ -277,5 +215,4 @@ fn main() {
     group_delay_sweep(scale);
     segment_size_sweep(scale);
     deletion_log_sweep(scale);
-    phase2_pipeline_sweep(scale);
 }

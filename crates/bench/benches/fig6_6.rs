@@ -7,9 +7,9 @@
 //! tuple copies — roughly constant for a fixed insert count), and Phase 3
 //! (near zero when no transactions run during recovery).
 //!
-//! A second pass re-runs the heaviest point with the segment-parallel
-//! Phase 2 and prints its per-range fetch timers plus the recovery
-//! throughput counters (tuples/bytes shipped, ranges fetched/reassigned).
+//! The heaviest point is then decomposed once more, per Phase-2 range:
+//! fetch timers plus the recovery throughput counters (tuples/bytes
+//! shipped, ranges fetched/reassigned).
 
 use harbor::{Cluster, ClusterConfig, ReplicationSupervisor, SupervisorConfig, TableSpec};
 use harbor_bench::{
@@ -44,6 +44,7 @@ fn main() {
         .config("prefill_rows", prefill_rows)
         .config("seg_counts", format!("{seg_counts:?}"));
     let mut rows = Vec::new();
+    let mut heaviest = None;
     for &segs in &seg_counts {
         let run = run_recovery_scenario(
             &format!("fig6_6-{segs}"),
@@ -58,7 +59,7 @@ fn main() {
             },
         )
         .expect("scenario");
-        let report = run.report.expect("harbor report");
+        let report = run.report.as_ref().expect("harbor report");
         baseline.entry(
             &format!("harbor_1table_recovery_segs{segs}"),
             run.elapsed.as_nanos(),
@@ -74,6 +75,7 @@ fn main() {
             ms(run.elapsed),
             report.tuples_copied().to_string(),
         ]);
+        heaviest = Some((segs, run));
     }
     print_table(
         "per-phase recovery time",
@@ -89,22 +91,7 @@ fn main() {
         &rows,
     );
 
-    // Second pass: the heaviest point again, with the segment-parallel
-    // Phase 2, decomposed per range.
-    let segs = *seg_counts.last().unwrap();
-    let run = run_recovery_scenario(
-        &format!("fig6_6-parallel-{segs}"),
-        RecoveryScenario::HarborParallelSegments,
-        scale,
-        prefill_rows,
-        |cluster, tables| {
-            let chosen: Vec<i64> = (0..segs as i64).collect();
-            run_historical_updates(cluster, &tables[0], &chosen, updates_per_segment, rps)?;
-            let inserts = total_txns.saturating_sub(segs * updates_per_segment);
-            run_insert_txns(cluster, tables, inserts, prefill_rows + 1_000_000)
-        },
-    )
-    .expect("parallel scenario");
+    let (segs, run) = heaviest.expect("at least one point");
     let report = run.report.as_ref().expect("harbor report");
     let mut range_rows = Vec::new();
     for obj in &report.objects {
@@ -120,7 +107,7 @@ fn main() {
     }
     println!();
     println!(
-        "segment-parallel Phase 2 at {segs} updated segments: total {:.1} ms, \
+        "Phase 2 at {segs} updated segments: total {:.1} ms, \
          {} ranges fetched, {} reassigned",
         run.elapsed.as_secs_f64() * 1e3,
         report.ranges_fetched(),
@@ -149,6 +136,11 @@ fn main() {
             m.recovery_tuples_applied,
             m.recovery_tuples_applied as f64 / secs,
         );
+        baseline.entry(
+            "recovery_tuples_shipped",
+            run.elapsed.as_nanos(),
+            m.recovery_tuples_shipped,
+        );
     }
     println!(
         "\nread hot path at quiesce (per site, per shard h/m/e/resident, storage fault plane):"
@@ -157,20 +149,8 @@ fn main() {
         println!("  {line}");
     }
     println!("commit path at quiesce (coordinator): {}", run.commit_path);
-    baseline.entry(
-        &format!("harbor_parallel_segments_recovery_segs{segs}"),
-        run.elapsed.as_nanos(),
-        report.tuples_copied() as u64,
-    );
-    if let Some(m) = &run.metrics {
-        baseline.entry(
-            "parallel_recovery_tuples_shipped",
-            run.elapsed.as_nanos(),
-            m.recovery_tuples_shipped,
-        );
-    }
 
-    // Third pass: the membership extension's re-replication datapoint.
+    // Last: the membership extension's re-replication datapoint.
     // A host of the table is lost and evicted from the catalog; the
     // replication supervisor heals the K deficit by bootstrapping a
     // brand-new copy onto a spare member (Phase-2/3 against the surviving

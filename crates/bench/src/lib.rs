@@ -390,23 +390,17 @@ mod tests {
 // Recovery experiment machinery (Figs 6-4 / 6-5 / 6-6)
 // ----------------------------------------------------------------------
 
-/// The recovery scenarios of §6.4, plus this repo's segment-parallel
-/// extension.
+/// The recovery scenarios of §6.4.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RecoveryScenario {
     /// One table, log-based recovery (the ARIES baseline).
     Aries1Table,
-    /// One table, HARBOR query-based recovery (serial Phase 2 — the
-    /// thesis' algorithm verbatim).
+    /// One table, HARBOR query-based recovery.
     Harbor1Table,
     /// Two tables, HARBOR recovering them serially.
     HarborSerial2,
-    /// Two tables, HARBOR recovering them in parallel, one buddy each.
+    /// Two tables, HARBOR recovering them in parallel.
     HarborParallel2,
-    /// One table, HARBOR with the segment-parallel, multi-buddy,
-    /// pipelined Phase 2 (ranged queries fanned across both surviving
-    /// buddies, applier pool locally).
-    HarborParallelSegments,
 }
 
 impl RecoveryScenario {
@@ -416,15 +410,12 @@ impl RecoveryScenario {
             RecoveryScenario::Harbor1Table => "HARBOR, 1 table",
             RecoveryScenario::HarborSerial2 => "HARBOR, serial, 2 tables",
             RecoveryScenario::HarborParallel2 => "HARBOR, parallel, 2 tables",
-            RecoveryScenario::HarborParallelSegments => "HARBOR, parallel segments, 1 table",
         }
     }
 
     pub fn tables(self) -> Vec<String> {
         match self {
-            RecoveryScenario::Aries1Table
-            | RecoveryScenario::Harbor1Table
-            | RecoveryScenario::HarborParallelSegments => vec!["t0".into()],
+            RecoveryScenario::Aries1Table | RecoveryScenario::Harbor1Table => vec!["t0".into()],
             _ => vec!["t0".into(), "t1".into()],
         }
     }
@@ -433,12 +424,11 @@ impl RecoveryScenario {
         matches!(self, RecoveryScenario::Aries1Table)
     }
 
-    pub const ALL: [RecoveryScenario; 5] = [
+    pub const ALL: [RecoveryScenario; 4] = [
         RecoveryScenario::Aries1Table,
         RecoveryScenario::Harbor1Table,
         RecoveryScenario::HarborSerial2,
         RecoveryScenario::HarborParallel2,
-        RecoveryScenario::HarborParallelSegments,
     ];
 }
 
@@ -492,20 +482,6 @@ pub fn run_recovery_scenario(
     prefill_rows: i64,
     workload: impl FnOnce(&Cluster, &[String]) -> DbResult<()>,
 ) -> DbResult<RecoveryRun> {
-    run_recovery_scenario_with(name, scenario, scale, prefill_rows, |_| {}, workload)
-}
-
-/// As [`run_recovery_scenario`] but lets the caller tweak the cluster
-/// config (recovery knobs, scan batch, …) before the cluster is built —
-/// the ablation harness sweeps knobs through this hook.
-pub fn run_recovery_scenario_with(
-    name: &str,
-    scenario: RecoveryScenario,
-    scale: Scale,
-    prefill_rows: i64,
-    tweak: impl FnOnce(&mut ClusterConfig),
-    workload: impl FnOnce(&Cluster, &[String]) -> DbResult<()>,
-) -> DbResult<RecoveryRun> {
     let tables = scenario.tables();
     let table_refs: Vec<&str> = tables.iter().map(|s| s.as_str()).collect();
     let protocol = if scenario.is_aries() {
@@ -522,14 +498,9 @@ pub fn run_recovery_scenario_with(
     cfg.transport = paper_lan();
     cfg.checkpoint_every = None;
     cfg.recovery.parallel_objects = scenario != RecoveryScenario::HarborSerial2;
-    // Only the extension scenario uses the segment-parallel Phase 2; the
-    // four thesis scenarios keep the serial single-buddy algorithm so the
-    // paper baselines stay comparable.
-    cfg.recovery.parallel_segments = scenario == RecoveryScenario::HarborParallelSegments;
     for t in &table_refs {
         cfg.tables.push(TableSpec::paper_table(t));
     }
-    tweak(&mut cfg);
     let cluster = Cluster::build(cfg_cluster_dir, cfg)?;
     for t in &table_refs {
         prefill(&cluster, t, prefill_rows)?;

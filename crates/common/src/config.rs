@@ -22,24 +22,6 @@ pub const PAGE_PAYLOAD: usize = PAGE_SIZE - PAGE_CRC_LEN;
 /// site can start applying before the stream finishes.
 pub const DEFAULT_SCAN_BATCH: usize = 512;
 
-/// Applier threads draining the Phase-2 recovery pipeline on the recovering
-/// site (tuples are fetched from buddies by separate fetcher threads).
-pub const DEFAULT_PHASE2_APPLIERS: usize = 2;
-
-/// Maximum number of distinct buddies a segment-parallel Phase 2 fans
-/// recovery ranges across.
-pub const DEFAULT_MAX_BUDDY_FANOUT: usize = 4;
-
-/// Maximum number of per-segment insertion-time ranges Phase 2 splits an
-/// object's catch-up into. Adjacent segment ranges are merged above this.
-pub const DEFAULT_MAX_PHASE2_RANGES: usize = 32;
-
-/// Minimum buddy-side data volume (in pages) a Phase-2 range must cover:
-/// adjacent segments are merged into one ranged query until their combined
-/// page count reaches this, so a small catch-up never pays per-range round
-/// trips that exceed its wire time.
-pub const DEFAULT_MIN_RANGE_PAGES: u64 = 8;
-
 /// Hard ceiling on a single wire frame's payload. The transports read a
 /// 4-byte length prefix and then allocate that many bytes; without a cap a
 /// corrupt or hostile prefix allocates up to 4 GiB before the first payload

@@ -945,7 +945,11 @@ impl Cluster {
 
     /// Every version a site holds, committed or deleted, as
     /// `(id, v, ins, del)` sorted.
-    fn version_history(&self, table: &str, site: SiteId) -> DbResult<Vec<(i64, i64, u64, u64)>> {
+    pub fn version_history(
+        &self,
+        table: &str,
+        site: SiteId,
+    ) -> DbResult<Vec<(i64, i64, u64, u64)>> {
         let e = self.engine(site)?;
         let def = e
             .table_def(table)

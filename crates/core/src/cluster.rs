@@ -719,8 +719,8 @@ impl Cluster {
 
     /// Joins a brand-new site into the cluster under live update traffic:
     /// allocates a full replica of every table in the placement catalog,
-    /// bootstraps each object with the segment-parallel Phase-2 catch-up
-    /// against live buddies, then runs the Phase-3 lock-and-drain handshake
+    /// bootstraps each object with the Phase-2 catch-up against live
+    /// buddies, then runs the Phase-3 lock-and-drain handshake
     /// so the new copies go current and votable. On error the site is
     /// evicted again and the cluster is exactly as before.
     pub fn join_worker(&self, site: SiteId) -> DbResult<RecoveryReport> {

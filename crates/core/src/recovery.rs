@@ -22,19 +22,14 @@
 //! All remote reads stream in batches; the local halves are batch scans so
 //! recovery time never depends on a (possibly cold) primary-key index.
 
-use crossbeam::channel;
-use harbor_common::config::{
-    DEFAULT_MAX_BUDDY_FANOUT, DEFAULT_MAX_PHASE2_RANGES, DEFAULT_MIN_RANGE_PAGES,
-    DEFAULT_PHASE2_APPLIERS,
-};
 use harbor_common::{
-    retry_with, DbError, DbResult, PageId, RetryPolicy, SiteId, TableId, Timestamp, TransactionId,
-    Tuple,
+    retry_with, DbError, DbResult, PageId, RecordId, RetryPolicy, SiteId, TableId, Timestamp,
+    TransactionId, Tuple,
 };
 use harbor_dist::{
-    rpc_deadline, rpc_liveness, scan_range_rpc_streaming, scan_rpc_streaming_deadline,
-    segment_bounds_rpc, with_read_retries, Placement, RecoveryObject, RemoteScan, Request,
-    Response, WireReadMode, DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF,
+    rpc_deadline, rpc_liveness, scan_rpc_deadline, scan_rpc_streaming_deadline, segment_bounds_rpc,
+    with_read_retries, Placement, RecoveryObject, RemoteScan, Request, Response, WireReadMode,
+    DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF,
 };
 use harbor_engine::Engine;
 use harbor_exec::{scan_rids, ReadMode};
@@ -42,7 +37,6 @@ use harbor_net::{Channel, Transport};
 use harbor_storage::{Page, ScanBounds};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,6 +56,10 @@ pub enum RecoveryFailPoint {
     WhileHoldingLocks,
 }
 
+/// How long Phase 3 keeps retrying its table-lock acquisition (deadlocks
+/// resolve by timeout and retry, §5.4.1).
+const LOCK_RETRY_FOR: Duration = Duration::from_secs(30);
+
 /// Tuning knobs for recovery.
 #[derive(Clone, Debug)]
 pub struct RecoveryConfig {
@@ -72,33 +70,9 @@ pub struct RecoveryConfig {
     pub phase2_repeat_threshold: u64,
     /// Upper bound on Phase 2 rounds (safety net under sustained load).
     pub max_phase2_rounds: u32,
-    /// How long to keep retrying the Phase 3 table-lock acquisition
-    /// (deadlocks resolve by timeout and retry, §5.4.1).
-    pub lock_retry_for: Duration,
     /// Recover multiple objects in parallel (§5.1) or serially — the
     /// comparison of Figs 6-4/6-5.
     pub parallel_objects: bool,
-    /// Segment-parallel Phase 2: partition the catch-up window into
-    /// per-segment-range recovery queries (derived from the buddy's §4.2
-    /// directory bounds), scatter them across every live buddy, and pipe
-    /// the streams through a bounded channel into a local applier pool.
-    /// `false` reproduces the thesis' serial single-buddy Phase 2.
-    pub parallel_segments: bool,
-    /// Local applier threads draining the Phase-2 pipeline. Each owns a
-    /// private bulk appender so concurrent applies never contend on a
-    /// page latch.
-    pub phase2_appliers: usize,
-    /// Upper bound on how many buddies the ranged queries fan out across
-    /// (primary buddy plus alternates from the K-safety catalog).
-    pub max_buddy_fanout: usize,
-    /// Upper bound on ranges per Phase-2 query pair; segment cuts beyond
-    /// this are merged so tiny segments don't degrade into per-segment
-    /// round trips.
-    pub max_phase2_ranges: usize,
-    /// Minimum buddy-side volume (pages) per range: adjacent segments
-    /// merge into one ranged query until their combined page count reaches
-    /// this, so small catch-ups don't pay per-range round trips.
-    pub min_range_pages: u64,
     /// Per-frame liveness deadline on every network interaction with a
     /// buddy. A buddy that stops producing bytes for this long — including
     /// a partitioned peer whose socket never closes — is treated as dead
@@ -114,13 +88,7 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             phase2_repeat_threshold: 64,
             max_phase2_rounds: 4,
-            lock_retry_for: Duration::from_secs(30),
             parallel_objects: true,
-            parallel_segments: true,
-            phase2_appliers: DEFAULT_PHASE2_APPLIERS,
-            max_buddy_fanout: DEFAULT_MAX_BUDDY_FANOUT,
-            max_phase2_ranges: DEFAULT_MAX_PHASE2_RANGES,
-            min_range_pages: DEFAULT_MIN_RANGE_PAGES,
             net_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
             fail_point: RecoveryFailPoint::None,
         }
@@ -156,12 +124,10 @@ pub struct ObjectReport {
     pub phase2_rounds: u32,
     pub checkpoint: Timestamp,
     pub hwm: Timestamp,
-    /// Per-range fetch timings from the segment-parallel Phase 2 (empty
-    /// when `parallel_segments` is off or the plan degenerates to one
-    /// unranged query).
+    /// One entry per Phase-2 range fetched, deletions and inserts alike.
     pub range_timings: Vec<RangeTiming>,
-    /// Ranges that had to be handed to another buddy because their first
-    /// owner died mid-stream (§5.5).
+    /// How often a range was handed to another buddy because the one it
+    /// was dealt to died or answered corrupt mid-stream (§5.5.2).
     pub ranges_reassigned: u64,
 }
 
@@ -334,19 +300,11 @@ pub fn recover_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<Objec
         report.phase2_rounds += 1;
         hwm = ctx.cluster_now()?.prev();
         let t0 = Instant::now();
-        let deletions = if ctx.config.parallel_segments {
-            phase2_deletions_parallel(ctx, def.id, &plan, ckpt, hwm, &mut report)?
-        } else {
-            phase2_deletions(ctx, def.id, &plan, ckpt, hwm)?
-        };
+        let deletions = phase2_deletions(ctx, def.id, &plan, ckpt, hwm, &mut report)?;
         report.phase2_deletes += t0.elapsed();
         report.deletions_copied += deletions;
         let t0 = Instant::now();
-        let copied = if ctx.config.parallel_segments {
-            phase2_inserts_parallel(ctx, def.id, &plan, ckpt, hwm, &mut report)?
-        } else {
-            phase2_inserts(ctx, def.id, &plan, ckpt, hwm)?
-        };
+        let copied = phase2_inserts(ctx, def.id, &plan, ckpt, hwm, &mut report)?;
         report.phase2_inserts += t0.elapsed();
         report.tuples_copied += copied;
         // Object-specific checkpoint: rec is consistent up to the HWM.
@@ -409,37 +367,247 @@ fn phase1(ctx: &RecoveryContext, table: TableId, t_ckpt: Timestamp) -> DbResult<
     Ok((removed, undeleted))
 }
 
+// ====================================================================
+// Phase 2 (§5.3): one walker over `(lo, hi]` ranges serves both halves.
+// ====================================================================
+
+/// The sites that can answer `obj`'s recovery queries, in catalog order:
+/// the plan's buddy, then every other live full copy (§4.3 K-safety
+/// catalog).
+fn buddies(obj: &RecoveryObject) -> Vec<SiteId> {
+    let mut all = vec![obj.buddy];
+    all.extend(obj.alternates.iter().copied());
+    all
+}
+
+/// A buddy that died, stalled past the liveness deadline, or answered from
+/// a corrupt page of its own loses the request to the next replica (§5.5).
+/// Corruption is site-local and repairable, so neither fails the recovery.
+fn buddy_lost(e: &DbError) -> bool {
+    e.is_disconnect() || e.is_corrupt()
+}
+
+fn no_live_buddy(obj: &RecoveryObject) -> DbError {
+    DbError::SiteDown(format!("no live buddy for {}", obj.table))
+}
+
+/// Runs `attempt` at each candidate in order until one is not
+/// [`buddy_lost`]; that outcome — success or a real error — is the result.
+/// When the list runs out the result is the last buddy's error, or
+/// `none_live` if there was no buddy to ask.
+fn first_live<T>(
+    candidates: impl IntoIterator<Item = SiteId>,
+    none_live: DbError,
+    mut attempt: impl FnMut(SiteId) -> DbResult<T>,
+) -> DbResult<T> {
+    let mut last_err = none_live;
+    for buddy in candidates {
+        match attempt(buddy) {
+            Err(e) if buddy_lost(&e) => last_err = e,
+            outcome => return outcome,
+        }
+    }
+    Err(last_err)
+}
+
+/// The remote half of a recovery query against `obj`, before its bounds.
+fn recovery_scan(obj: &RecoveryObject, mode: WireReadMode) -> RemoteScan {
+    let mut scan = RemoteScan::new(&obj.table, mode);
+    scan.predicate = obj.predicate.clone();
+    scan
+}
+
+/// Collects one batch of a deletion query's `(tuple_id, deletion_time)`
+/// rows.
+fn note_deletion_pairs(pairs: &mut HashMap<i64, Timestamp>, batch: &[Tuple]) -> DbResult<()> {
+    for t in batch {
+        pairs.insert(t.get(0).as_i64()?, t.get(1).as_time()?);
+    }
+    Ok(())
+}
+
+/// Cuts `(lo, hi]` into at most `shares` ranges of as equal a buddy-side
+/// page volume as whole segments allow, at segment-directory bounds falling
+/// strictly inside it.
+/// `cuts` is one `(bound, pages)` per segment on the axis being walked.
+/// Tuples timestamped in different ranges live in (mostly) disjoint
+/// segments, so the ranged scans prune to disjoint page runs. A window
+/// with no interior bound — every row of a bulk load carries one time —
+/// is one range.
+fn derive_ranges(
+    cuts: &[(Timestamp, u64)],
+    lo: Timestamp,
+    hi: Timestamp,
+    shares: usize,
+) -> Vec<(Timestamp, Timestamp)> {
+    if hi <= lo {
+        return Vec::new();
+    }
+    // Segments bounded at or below `lo` hold nothing of the window;
+    // segments bounded at or above `hi` fall to the last range.
+    let mut segs: Vec<(Timestamp, u64)> = cuts.iter().copied().filter(|(t, _)| *t > lo).collect();
+    segs.sort_unstable();
+    let shares = shares.max(1) as u64;
+    let total: u64 = segs.iter().map(|(_, pages)| (*pages).max(1)).sum();
+    let mut ranges = Vec::new();
+    let (mut prev, mut acc) = (lo, 0u64);
+    for (i, (t, pages)) in segs.iter().enumerate() {
+        acc += (*pages).max(1);
+        // Close the k-th range at the bound nearest k/shares of the volume:
+        // after this segment unless the mark lies nearer the end of the
+        // next one. The last share takes whatever remains.
+        let next = segs.get(i + 1).map_or(0, |(_, pages)| (*pages).max(1));
+        let k = ranges.len() as u64 + 1;
+        if *t < hi && *t > prev && k < shares && (2 * acc + next) * shares >= 2 * total * k {
+            ranges.push((prev, *t));
+            prev = *t;
+        }
+    }
+    ranges.push((prev, hi));
+    ranges
+}
+
+/// The one Phase-2 walker. Cuts `(lo, hi]` at the buddy's §4.2 directory
+/// bounds (`cut_of` picks the axis) into one share per live full-copy
+/// buddy, deals range *i* to buddy *i* in catalog order — the calling
+/// thread fetches share 0, every further share gets a thread — and lets
+/// `fetch` stream each range into local state. Both the fan-out (what the
+/// K-safety catalog offers) and the split (what the directory offers) are
+/// computed, so which buddy serves which range is the same on every run.
+///
+/// §5.5.2 at range granularity: `fetch` must leave nothing behind when it
+/// fails with [`buddy_lost`]; the range is then re-dealt, once every share
+/// is in, to the next buddy in catalog order that has not failed. Phase 2
+/// fails only when every buddy is gone with a range outstanding, or on an
+/// error that is not the buddy's death. Returns the rows fetched.
+fn walk_ranges(
+    ctx: &RecoveryContext,
+    obj: &RecoveryObject,
+    (lo, hi): (Timestamp, Timestamp),
+    cut_of: impl Fn(&(Timestamp, Timestamp, Timestamp, u64)) -> Timestamp,
+    report: &mut ObjectReport,
+    fetch: impl Fn(&mut dyn Channel, Timestamp, Timestamp) -> DbResult<u64> + Sync,
+) -> DbResult<u64> {
+    let buddies = buddies(obj);
+    let bounds = first_live(buddies.iter().copied(), no_live_buddy(obj), |buddy| {
+        let mut chan = ctx.connect(buddy)?;
+        segment_bounds_rpc(chan.as_mut(), &obj.table, ctx.config.net_deadline)
+    })?;
+    let cuts: Vec<(Timestamp, u64)> = bounds.iter().map(|b| (cut_of(b), b.3)).collect();
+    let ranges = derive_ranges(&cuts, lo, hi, buddies.len());
+    if ranges.is_empty() {
+        return Ok(0);
+    }
+    let metrics = ctx.engine.metrics();
+    let attempt = |buddy: SiteId, (lo, hi): (Timestamp, Timestamp)| -> DbResult<RangeTiming> {
+        let t0 = Instant::now();
+        let mut chan = ctx.connect(buddy)?;
+        let tuples = fetch(chan.as_mut(), lo, hi)?;
+        metrics.add_recovery_ranges_fetched(1);
+        Ok(RangeTiming {
+            buddy,
+            lo,
+            hi,
+            tuples,
+            elapsed: t0.elapsed(),
+        })
+    };
+    let dealt: Vec<DbResult<RangeTiming>> = std::thread::scope(|scope| {
+        let attempt = &attempt;
+        let rest: Vec<_> = ranges
+            .iter()
+            .zip(&buddies)
+            .skip(1)
+            .map(|(range, buddy)| scope.spawn(move || attempt(*buddy, *range)))
+            .collect();
+        let mut dealt = vec![attempt(buddies[0], ranges[0])];
+        dealt.extend(rest.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|_| Err(DbError::internal("phase-2 fetcher panicked")))
+        }));
+        dealt
+    });
+    let mut fetched = 0u64;
+    let mut lost: HashSet<SiteId> = HashSet::new();
+    let mut orphans: Vec<(usize, DbError)> = Vec::new();
+    for (i, outcome) in dealt.into_iter().enumerate() {
+        match outcome {
+            Ok(timing) => {
+                fetched += timing.tuples;
+                report.range_timings.push(timing);
+            }
+            Err(e) if buddy_lost(&e) => {
+                lost.insert(buddies[i]);
+                orphans.push((i, e));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    for (i, why) in orphans {
+        let next: Vec<SiteId> = (1..buddies.len())
+            .map(|k| buddies[(i + k) % buddies.len()])
+            .filter(|b| !lost.contains(b))
+            .collect();
+        let timing = first_live(next, why, |buddy| {
+            report.ranges_reassigned += 1;
+            metrics.add_recovery_ranges_reassigned(1);
+            attempt(buddy, ranges[i]).inspect_err(|e| {
+                if buddy_lost(e) {
+                    lost.insert(buddy);
+                }
+            })
+        })?;
+        fetched += timing.tuples;
+        report.range_timings.push(timing);
+    }
+    Ok(fetched)
+}
+
 /// Phase 2, first half (§5.3): copy deletion times applied after the
 /// checkpoint to tuples inserted at or before it. Returns how many.
+///
+/// The window is walked by *deletion* time, cut at the directory's
+/// `tmax_delete` bounds:
+///   SELECT REMOTELY tuple_id, deletion_time FROM recovery_object
+///     SEE DELETED HISTORICAL WITH TIME hi
+///     WHERE recovery_predicate AND insertion_time <= T_checkpoint
+///       AND deletion_time > lo
+/// Historical visibility hides deletions after `hi`, so the ranges ship
+/// disjoint `del ∈ (lo, hi]` slices and keep the buddy's deletion-log fast
+/// path (an insertion-time bound would defeat it). The pairs are the same
+/// at every replica, so a range cut short by its buddy's death has nothing
+/// to undo: whoever serves it next ships a superset of the same pairs.
 fn phase2_deletions(
     ctx: &RecoveryContext,
     table: TableId,
     plan: &[RecoveryObject],
     ckpt: Timestamp,
     hwm: Timestamp,
+    report: &mut ObjectReport,
 ) -> DbResult<u64> {
-    // SELECT REMOTELY tuple_id, deletion_time FROM recovery_object
-    //   SEE DELETED HISTORICAL WITH TIME hwm
-    //   WHERE recovery_predicate AND insertion_time <= T_checkpoint
-    //     AND deletion_time > T_checkpoint
-    let mut pairs: HashMap<i64, Timestamp> = HashMap::new();
+    let pairs: Mutex<HashMap<i64, Timestamp>> = Mutex::new(HashMap::new());
     for obj in plan {
-        let mut chan = ctx.connect(obj.buddy)?;
-        let mut scan = RemoteScan::new(&obj.table, WireReadMode::SeeDeletedHistorical(hwm));
-        scan.predicate = obj.predicate.clone();
-        scan.ins_at_or_before = Some(ckpt);
-        scan.del_after = Some(ckpt);
-        scan.ids_and_deletions_only = true;
-        scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.config.net_deadline, |batch| {
-            for t in batch {
-                let id = t.get(0).as_i64()?;
-                let del = t.get(1).as_time()?;
-                pairs.insert(id, del);
-            }
-            Ok(())
-        })?;
+        walk_ranges(
+            ctx,
+            obj,
+            (ckpt, hwm),
+            |(_, _, tmax_delete, _)| *tmax_delete,
+            report,
+            |chan, lo, hi| {
+                let mut scan = recovery_scan(obj, WireReadMode::SeeDeletedHistorical(hi));
+                scan.ins_at_or_before = Some(ckpt);
+                scan.del_after = Some(lo);
+                scan.ids_and_deletions_only = true;
+                let mut shipped = 0u64;
+                scan_rpc_streaming_deadline(chan, &scan, ctx.config.net_deadline, |batch| {
+                    shipped += batch.len() as u64;
+                    note_deletion_pairs(&mut pairs.lock(), &batch)
+                })?;
+                Ok(shipped)
+            },
+        )?;
     }
-    apply_deletion_pairs(ctx, table, &pairs)
+    apply_deletion_pairs(ctx, table, &pairs.into_inner())
 }
 
 /// For each `(tuple_id, del_time)` pair, updates the live local version:
@@ -481,472 +649,63 @@ fn apply_deletion_pairs(
 }
 
 /// Phase 2, second half (§5.3): copy whole tuples inserted in
-/// `(T_checkpoint, HWM]`. Returns how many.
+/// `(T_checkpoint, HWM]`, walked by *insertion* time and cut at the
+/// directory's `tmax_insert` bounds. Returns how many.
+///   INSERT LOCALLY INTO rec (SELECT REMOTELY * FROM recovery_object
+///     SEE DELETED HISTORICAL WITH TIME hwm
+///     WHERE recovery_predicate AND insertion_time > lo
+///       AND insertion_time <= hi)
+/// Each range streams batch by batch into an inserter of its own (a
+/// private page, so concurrent fetchers share no latch). Inserts are not
+/// idempotent, so the fetcher remembers where a range's rows went — the
+/// `RecordId`, 12 bytes, not the row — and when the buddy is lost
+/// mid-range drops what that query copied with Phase 1's own
+/// `remove_physical` (§5.5.2) before another replica is asked.
 fn phase2_inserts(
     ctx: &RecoveryContext,
     table: TableId,
     plan: &[RecoveryObject],
     ckpt: Timestamp,
     hwm: Timestamp,
+    report: &mut ObjectReport,
 ) -> DbResult<u64> {
-    // INSERT LOCALLY INTO rec (SELECT REMOTELY * FROM recovery_object
-    //   SEE DELETED HISTORICAL WITH TIME hwm
-    //   WHERE recovery_predicate AND insertion_time > T_checkpoint
-    //     AND insertion_time <= hwm)
     let engine = &ctx.engine;
     let mut copied = 0u64;
     for obj in plan {
-        let mut chan = ctx.connect(obj.buddy)?;
-        let mut scan = RemoteScan::new(&obj.table, WireReadMode::SeeDeletedHistorical(hwm));
-        scan.predicate = obj.predicate.clone();
-        scan.ins_after = Some(ckpt);
-        scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.config.net_deadline, |batch| {
-            for t in &batch {
-                engine.insert_recovered(table, t)?;
-            }
-            copied += batch.len() as u64;
-            Ok(())
-        })?;
-    }
-    Ok(copied)
-}
-
-// ====================================================================
-// Segment-parallel Phase 2: ranged queries × buddy fan-out × pipelined
-// apply. The serial functions above are the reference implementation;
-// everything below must produce byte-identical table contents.
-// ====================================================================
-
-/// The buddies a segment-parallel Phase 2 fans ranges across: the plan's
-/// primary buddy plus its live full-copy alternates (§4.3 K-safety
-/// catalog), capped by `max_buddy_fanout`.
-fn fanout_buddies(ctx: &RecoveryContext, obj: &RecoveryObject) -> Vec<SiteId> {
-    let mut buddies = Vec::with_capacity(1 + obj.alternates.len());
-    buddies.push(obj.buddy);
-    buddies.extend(obj.alternates.iter().copied());
-    buddies.truncate(ctx.config.max_buddy_fanout.max(1));
-    buddies
-}
-
-/// Fetches the object's §4.2 segment-directory bounds from the first buddy
-/// that answers (primary first, then alternates — a dead primary must not
-/// stop recovery before it even starts, §5.5).
-fn fetch_segment_bounds(
-    ctx: &RecoveryContext,
-    obj: &RecoveryObject,
-) -> DbResult<Vec<(Timestamp, Timestamp, Timestamp, u64)>> {
-    let mut last_err = None;
-    for buddy in fanout_buddies(ctx, obj) {
-        let attempt = (|| {
-            let mut chan = ctx.connect(buddy)?;
-            segment_bounds_rpc(chan.as_mut(), &obj.table, ctx.config.net_deadline)
-        })();
-        match attempt {
-            Ok(bounds) => return Ok(bounds),
-            Err(e) if e.is_disconnect() => last_err = Some(e),
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last_err.unwrap_or_else(|| DbError::SiteDown(format!("no live buddy for {}", obj.table))))
-}
-
-/// Splits `(lo, hi]` at the segment-directory cut points falling strictly
-/// inside it. Tuples timestamped in different ranges live in (mostly)
-/// disjoint segment sets, so the ranged scans prune to disjoint page runs
-/// and the buddy reads each page once across the whole fan-out.
-///
-/// Each cut carries the page count of its segment; adjacent segments merge
-/// into one range until `min_pages` accumulate, so a range is always worth
-/// at least that much buddy-side volume — a small catch-up degenerates to
-/// one unranged query instead of paying per-range round trips. At most
-/// `max_ranges` ranges are produced; surplus cuts are merged evenly.
-fn derive_ranges(
-    cuts: &[(Timestamp, u64)],
-    lo: Timestamp,
-    hi: Timestamp,
-    max_ranges: usize,
-    min_pages: u64,
-) -> Vec<(Timestamp, Timestamp)> {
-    if hi <= lo {
-        return Vec::new();
-    }
-    // Segments whose cut is at or below `lo` hold no in-window data for
-    // this axis; segments cut at or above `hi` fold into the final range.
-    let mut segs: Vec<(Timestamp, u64)> = cuts.iter().copied().filter(|(t, _)| *t > lo).collect();
-    segs.sort_unstable_by_key(|(t, _)| *t);
-    let mut cuts: Vec<Timestamp> = Vec::new();
-    let mut acc = 0u64;
-    for (t, pages) in segs {
-        acc += pages.max(1);
-        if t < hi && acc >= min_pages {
-            cuts.push(t);
-            acc = 0;
-        }
-    }
-    cuts.dedup();
-    let max_ranges = max_ranges.max(1);
-    if cuts.len() + 1 > max_ranges {
-        let total = cuts.len();
-        let keep = max_ranges - 1;
-        cuts = (0..keep)
-            .map(|i| cuts[(i + 1) * total / max_ranges])
-            .collect();
-    }
-    let mut ranges = Vec::with_capacity(cuts.len() + 1);
-    let mut prev = lo;
-    for c in cuts {
-        ranges.push((prev, c));
-        prev = c;
-    }
-    ranges.push((prev, hi));
-    ranges
-}
-
-/// One completed ranged fetch travelling down the fetch→apply pipeline.
-struct FetchedRange<T> {
-    #[allow(dead_code)] // drains may key off the timing; today none do
-    timing: RangeTiming,
-    payload: T,
-}
-
-/// The scatter-gather core shared by both Phase-2 halves: pops ranges off
-/// a work queue with one fetcher thread per live buddy, buffers each range
-/// fully at the fetcher (local apply is *not* idempotent, so nothing may
-/// be forwarded from a range that might be retried), and pipes completed
-/// ranges through a bounded channel into `appliers` drain threads — the
-/// network receive of range *n+1* overlaps the local apply of range *n*.
-///
-/// A buddy that dies mid-stream takes its fetcher down but not the phase:
-/// the broken range goes back on the queue for the survivors (§5.5).
-/// Only when every buddy is gone with ranges still outstanding does the
-/// phase fail.
-fn scatter_gather_ranges<T, F, D>(
-    ctx: &RecoveryContext,
-    obj: &RecoveryObject,
-    ranges: Vec<(Timestamp, Timestamp)>,
-    fetch: F,
-    drain: D,
-    appliers: usize,
-    report: &mut ObjectReport,
-) -> DbResult<u64>
-where
-    T: Send,
-    F: Fn(&mut dyn Channel, Timestamp, Timestamp) -> DbResult<(T, u64)> + Sync,
-    D: Fn(channel::Receiver<FetchedRange<T>>) -> DbResult<u64> + Sync,
-{
-    let buddies = fanout_buddies(ctx, obj);
-    let appliers = appliers.max(1);
-    // A single range cannot overlap anything: skip the thread machinery
-    // (spawns plus idle polling are pure overhead at small catch-up
-    // volumes, e.g. the later catch-up rounds) and fetch inline, still
-    // failing over across the fan-out.
-    if ranges.len() == 1 {
-        let (lo, hi) = ranges[0];
-        let mut last_err = None;
-        for (i, buddy) in buddies.iter().copied().enumerate() {
-            let t0 = Instant::now();
-            let result = (|| {
-                let mut chan = ctx.connect(buddy)?;
-                fetch(chan.as_mut(), lo, hi)
-            })();
-            match result {
-                Ok((payload, tuples)) => {
-                    ctx.engine.metrics().add_recovery_ranges_fetched(1);
-                    let timing = RangeTiming {
-                        buddy,
-                        lo,
-                        hi,
-                        tuples,
-                        elapsed: t0.elapsed(),
-                    };
-                    report.range_timings.push(timing.clone());
-                    report.ranges_reassigned += i as u64;
-                    let (tx, rx) = channel::bounded::<FetchedRange<T>>(1);
-                    let sent = tx.send(FetchedRange { timing, payload });
-                    assert!(sent.is_ok(), "bounded(1) send with receiver alive");
-                    drop(tx);
-                    return drain(rx);
-                }
-                // A buddy that died mid-stream — or answered from a
-                // corrupt page of its own — loses the range to the next
-                // candidate. Corruption is site-local and repairable, so
-                // it must not fail the recovery (nor mark the buddy dead).
-                Err(e) if e.is_disconnect() || e.is_corrupt() => {
-                    ctx.engine.metrics().add_recovery_ranges_reassigned(1);
-                    last_err = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        return Err(last_err
-            .unwrap_or_else(|| DbError::SiteDown(format!("no live buddy for {}", obj.table))));
-    }
-    let pending = AtomicUsize::new(ranges.len());
-    let reassigned = AtomicU64::new(0);
-    let queue: Mutex<Vec<(Timestamp, Timestamp)>> = Mutex::new(ranges);
-    let timings: Mutex<Vec<RangeTiming>> = Mutex::new(Vec::new());
-    // Bounded: a fast buddy cannot buffer the whole table ahead of the
-    // appliers; it parks until the pipeline drains (backpressure).
-    let (tx, rx) = channel::bounded::<FetchedRange<T>>(appliers * 4);
-    let (applied, fetch_err, apply_err) = std::thread::scope(|scope| {
-        let (pending, reassigned) = (&pending, &reassigned);
-        let (queue, timings) = (&queue, &timings);
-        let (fetch, drain) = (&fetch, &drain);
-        let mut applier_handles = Vec::with_capacity(appliers);
-        for _ in 0..appliers {
-            let rx = rx.clone();
-            applier_handles.push(scope.spawn(move || drain(rx)));
-        }
-        drop(rx);
-        let mut fetcher_handles = Vec::with_capacity(buddies.len());
-        for buddy in buddies {
-            let tx = tx.clone();
-            fetcher_handles.push(scope.spawn(move || -> DbResult<()> {
-                let mut chan: Option<Box<dyn Channel>> = None;
-                loop {
-                    if pending.load(Ordering::SeqCst) == 0 {
-                        return Ok(()); // every range fetched somewhere
-                    }
-                    let task = queue.lock().pop();
-                    let Some((lo, hi)) = task else {
-                        // The remaining ranges are in flight at other
-                        // fetchers: each either completes there or comes
-                        // back to the queue when that buddy dies. Wait
-                        // for one of the two — briefly, because ranged
-                        // fetches are often sub-millisecond and this tail
-                        // wait is on the recovery critical path.
-                        std::thread::sleep(Duration::from_micros(50));
-                        continue;
-                    };
-                    let t0 = Instant::now();
-                    let result = (|| {
-                        let c = match chan.as_mut() {
-                            Some(c) => c,
-                            None => chan.insert(ctx.connect(buddy)?),
-                        };
-                        fetch(c.as_mut(), lo, hi)
-                    })();
-                    match result {
-                        Ok((payload, tuples)) => {
-                            ctx.engine.metrics().add_recovery_ranges_fetched(1);
-                            pending.fetch_sub(1, Ordering::SeqCst);
-                            let timing = RangeTiming {
-                                buddy,
-                                lo,
-                                hi,
-                                tuples,
-                                elapsed: t0.elapsed(),
-                            };
-                            timings.lock().push(timing.clone());
-                            if tx.send(FetchedRange { timing, payload }).is_err() {
-                                // Every applier is gone — one of them hit
-                                // an error and the apply side reports it.
-                                return Ok(());
+        copied += walk_ranges(
+            ctx,
+            obj,
+            (ckpt, hwm),
+            |(_, tmax_insert, _, _)| *tmax_insert,
+            report,
+            |chan, lo, hi| {
+                let mut scan = recovery_scan(obj, WireReadMode::SeeDeletedHistorical(hwm));
+                scan.ins_after = Some(lo);
+                scan.ins_at_or_before = Some(hi);
+                let mut inserter = engine.recovered_inserter(table)?;
+                let mut placed: Vec<RecordId> = Vec::new();
+                let streamed =
+                    scan_rpc_streaming_deadline(chan, &scan, ctx.config.net_deadline, |batch| {
+                        for t in &batch {
+                            placed.push(inserter.insert(t)?);
+                        }
+                        engine
+                            .metrics()
+                            .add_recovery_tuples_applied(batch.len() as u64);
+                        Ok(())
+                    });
+                match streamed {
+                    Ok(()) => Ok(placed.len() as u64),
+                    Err(e) => {
+                        if buddy_lost(&e) {
+                            for rid in placed {
+                                engine.remove_physical(rid)?;
                             }
                         }
-                        Err(e) if e.is_disconnect() || e.is_corrupt() => {
-                            // §5.5: the buddy died mid-stream — or served
-                            // from a corrupt page, which is site-local and
-                            // repairable, not a recovery failure. Nothing
-                            // from the broken range was forwarded, so the
-                            // whole range is safe to hand to a survivor.
-                            ctx.engine.metrics().add_recovery_ranges_reassigned(1);
-                            reassigned.fetch_add(1, Ordering::SeqCst);
-                            queue.lock().push((lo, hi));
-                            return Ok(());
-                        }
-                        Err(e) => return Err(e),
+                        Err(e)
                     }
                 }
-            }));
-        }
-        drop(tx);
-        let mut fetch_err = None;
-        for h in fetcher_handles {
-            let joined = h
-                .join()
-                .unwrap_or_else(|_| Err(DbError::internal("phase-2 fetcher panicked")));
-            if let Err(e) = joined {
-                fetch_err.get_or_insert(e);
-            }
-        }
-        let mut applied = 0u64;
-        let mut apply_err = None;
-        for h in applier_handles {
-            let joined = h
-                .join()
-                .unwrap_or_else(|_| Err(DbError::internal("phase-2 applier panicked")));
-            match joined {
-                Ok(n) => applied += n,
-                Err(e) => {
-                    apply_err.get_or_insert(e);
-                }
-            }
-        }
-        (applied, fetch_err, apply_err)
-    });
-    if let Some(e) = apply_err {
-        return Err(e);
-    }
-    if let Some(e) = fetch_err {
-        return Err(e);
-    }
-    if pending.load(Ordering::SeqCst) > 0 {
-        return Err(DbError::SiteDown(format!(
-            "every recovery buddy for {} died before phase 2 finished",
-            obj.table
-        )));
-    }
-    report.ranges_reassigned += reassigned.load(Ordering::SeqCst);
-    let mut new_timings = timings.into_inner();
-    report.range_timings.append(&mut new_timings);
-    Ok(applied)
-}
-
-/// Segment-parallel version of [`phase2_deletions`]: the catch-up window
-/// is partitioned by *deletion* time at the directory's `tmax_delete`
-/// cuts. Each range runs `SEE DELETED HISTORICAL WITH TIME hi` with
-/// `deletion_time > lo` — historical visibility hides deletions after
-/// `hi`, so the ranges ship disjoint `del ∈ (lo, hi]` slices *and* keep
-/// the buddy's deletion-log fast path (an insertion-time range would
-/// defeat it). Pairs merge into one map; the local UPDATE stays a single
-/// batch scan.
-fn phase2_deletions_parallel(
-    ctx: &RecoveryContext,
-    table: TableId,
-    plan: &[RecoveryObject],
-    ckpt: Timestamp,
-    hwm: Timestamp,
-    report: &mut ObjectReport,
-) -> DbResult<u64> {
-    let pairs: Mutex<HashMap<i64, Timestamp>> = Mutex::new(HashMap::new());
-    for obj in plan {
-        let bounds = fetch_segment_bounds(ctx, obj)?;
-        let cuts: Vec<(Timestamp, u64)> = bounds
-            .iter()
-            .map(|(_, _, tmax_del, pages)| (*tmax_del, *pages))
-            .collect();
-        // Deletion queries ship only (id, deletion_time) pairs and the
-        // buddy's deletion log answers them without touching segments, so
-        // splitting finer than the fan-out only adds round trips.
-        let max_ranges = ctx
-            .config
-            .max_phase2_ranges
-            .min(fanout_buddies(ctx, obj).len());
-        let ranges = derive_ranges(&cuts, ckpt, hwm, max_ranges, ctx.config.min_range_pages);
-        if ranges.is_empty() {
-            continue;
-        }
-        scatter_gather_ranges(
-            ctx,
-            obj,
-            ranges,
-            |chan: &mut dyn Channel, lo, hi| {
-                let mut scan = RemoteScan::new(&obj.table, WireReadMode::SeeDeletedHistorical(hi));
-                scan.predicate = obj.predicate.clone();
-                scan.ins_at_or_before = Some(ckpt);
-                scan.del_after = Some(lo);
-                scan.ids_and_deletions_only = true;
-                let mut got: Vec<(i64, Timestamp)> = Vec::new();
-                scan_rpc_streaming_deadline(chan, &scan, ctx.config.net_deadline, |batch| {
-                    for t in batch {
-                        got.push((t.get(0).as_i64()?, t.get(1).as_time()?));
-                    }
-                    Ok(())
-                })?;
-                let n = got.len() as u64;
-                Ok((got, n))
             },
-            |rx: channel::Receiver<FetchedRange<Vec<(i64, Timestamp)>>>| {
-                let mut merged = 0u64;
-                while let Ok(done) = rx.recv() {
-                    merged += done.payload.len() as u64;
-                    let mut map = pairs.lock();
-                    for (id, del) in done.payload {
-                        map.insert(id, del);
-                    }
-                }
-                Ok(merged)
-            },
-            1, // merging pairs is trivial; one drain thread suffices
-            report,
-        )?;
-    }
-    let pairs = pairs.into_inner();
-    apply_deletion_pairs(ctx, table, &pairs)
-}
-
-/// Segment-parallel version of [`phase2_inserts`]: the `(ckpt, hwm]`
-/// window is partitioned by *insertion* time at the directory's
-/// `tmax_insert` cuts and fetched with [`Request::ScanRange`]. Fetchers
-/// buffer each range fully (inserts are not idempotent — a half-applied
-/// range could not be retried elsewhere) and the applier pool writes
-/// through per-thread bulk appenders, so concurrent applies never share a
-/// page latch.
-fn phase2_inserts_parallel(
-    ctx: &RecoveryContext,
-    table: TableId,
-    plan: &[RecoveryObject],
-    ckpt: Timestamp,
-    hwm: Timestamp,
-    report: &mut ObjectReport,
-) -> DbResult<u64> {
-    let engine = &ctx.engine;
-    let mut copied = 0u64;
-    for obj in plan {
-        let bounds = fetch_segment_bounds(ctx, obj)?;
-        let cuts: Vec<(Timestamp, u64)> = bounds
-            .iter()
-            .map(|(_, tmax_ins, _, pages)| (*tmax_ins, *pages))
-            .collect();
-        let ranges = derive_ranges(
-            &cuts,
-            ckpt,
-            hwm,
-            ctx.config.max_phase2_ranges,
-            ctx.config.min_range_pages,
-        );
-        if ranges.is_empty() {
-            continue;
-        }
-        copied += scatter_gather_ranges(
-            ctx,
-            obj,
-            ranges,
-            |chan: &mut dyn Channel, lo, hi| {
-                let mut scan = RemoteScan::new(&obj.table, WireReadMode::SeeDeletedHistorical(hwm));
-                scan.predicate = obj.predicate.clone();
-                let mut buf: Vec<Tuple> = Vec::new();
-                scan_range_rpc_streaming(
-                    chan,
-                    &scan,
-                    lo,
-                    hi,
-                    ctx.config.net_deadline,
-                    |mut batch| {
-                        buf.append(&mut batch);
-                        Ok(())
-                    },
-                )?;
-                let n = buf.len() as u64;
-                Ok((buf, n))
-            },
-            |rx: channel::Receiver<FetchedRange<Vec<Tuple>>>| {
-                let mut ins = engine.recovered_inserter(table)?;
-                let mut applied = 0u64;
-                while let Ok(done) = rx.recv() {
-                    for t in &done.payload {
-                        ins.insert(t)?;
-                    }
-                    applied += done.payload.len() as u64;
-                    engine
-                        .metrics()
-                        .add_recovery_tuples_applied(done.payload.len() as u64);
-                }
-                Ok(applied)
-            },
-            ctx.config.phase2_appliers,
-            report,
         )?;
     }
     Ok(copied)
@@ -969,39 +728,28 @@ fn phase3(
     //    retried until granted (§5.4.1). One persistent channel per buddy:
     //    the lock lives as long as the connection (a dead recoverer's locks
     //    are released by the buddy's failure detection, §5.5.1).
-    let mut lock_chans: Vec<(SiteId, Box<dyn Channel>)> = Vec::new();
+    let mut lock_chans: Vec<Box<dyn Channel>> = Vec::new();
     for obj in plan {
         // The plan's primary buddy may have died during Phase 2 (its
-        // ranges were reassigned, §5.5); Phase 3 fails over to the same
+        // ranges were re-dealt, §5.5); Phase 3 fails over to the same
         // full-copy alternates rather than aborting the whole recovery.
         // Failover covers the *whole* lock handshake, not just connect():
         // a freshly crashed buddy may still accept a connection for one
         // scheduler slice and then sever it, and that disconnect means
         // "buddy dead", not "recovery failed".
-        let mut candidates = vec![obj.buddy];
-        candidates.extend(obj.alternates.iter().copied());
-        let mut picked: Option<(SiteId, Box<dyn Channel>)> = None;
-        let mut last_err: Option<DbError> = None;
-        'candidates: for buddy in candidates {
-            let mut chan = match ctx.connect(buddy) {
-                Ok(chan) => chan,
-                Err(e) if e.is_disconnect() => {
-                    last_err = Some(e);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
+        let chan = first_live(buddies(obj), no_live_buddy(obj), |buddy| {
+            let mut chan = ctx.connect(buddy)?;
             // Deadlock timeouts at the buddy retry under a seeded, capped
-            // schedule (§5.4.1) sized to the configured lock-retry budget;
-            // the jitter decorrelates two recoveries contending for the
-            // same table while a pinned seed still replays the same pacing.
+            // schedule (§5.4.1) sized to the lock-retry budget; the jitter
+            // decorrelates two recoveries contending for the same table
+            // while a pinned seed still replays the same pacing.
             let policy = RetryPolicy::new(
-                (ctx.config.lock_retry_for.as_millis() / 8).max(1) as u32,
+                (LOCK_RETRY_FOR.as_millis() / 8) as u32,
                 Duration::from_millis(10),
                 Duration::from_millis(10),
                 0x10CC_AB1E ^ u64::from(ctx.site.0),
             );
-            let locked = retry_with(
+            retry_with(
                 &policy,
                 Some(ctx.engine.metrics()),
                 |e| matches!(e, DbError::LockTimeout { .. }),
@@ -1019,41 +767,22 @@ fn phase3(
                         other => Err(DbError::protocol(format!("bad lock reply {other:?}"))),
                     }
                 },
-            );
-            match locked {
-                Ok(()) => {
-                    picked = Some((buddy, chan));
-                    break 'candidates;
-                }
-                Err(e) if e.is_disconnect() => {
-                    last_err = Some(e);
-                    continue 'candidates;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let Some((buddy, chan)) = picked else {
-            return Err(last_err
-                .unwrap_or_else(|| DbError::SiteDown(format!("no live buddy for {}", obj.table))));
-        };
-        lock_chans.push((buddy, chan));
+            )?;
+            Ok(chan)
+        })?;
+        lock_chans.push(chan);
     }
     // 2) Missing deletions after the HWM:
     //    SELECT REMOTELY tuple_id, deletion_time ... SEE DELETED
     //      WHERE pred AND insertion_time <= hwm AND deletion_time > hwm
     let mut pairs: HashMap<i64, Timestamp> = HashMap::new();
-    for (i, obj) in plan.iter().enumerate() {
-        let chan = &mut lock_chans[i].1;
-        let mut scan = RemoteScan::new(&obj.table, WireReadMode::SeeDeletedLocked(lock_tid));
-        scan.predicate = obj.predicate.clone();
+    for (obj, chan) in plan.iter().zip(&mut lock_chans) {
+        let mut scan = recovery_scan(obj, WireReadMode::SeeDeletedLocked(lock_tid));
         scan.ins_at_or_before = Some(hwm);
         scan.del_after = Some(hwm);
         scan.ids_and_deletions_only = true;
         scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.config.net_deadline, |batch| {
-            for t in batch {
-                pairs.insert(t.get(0).as_i64()?, t.get(1).as_time()?);
-            }
-            Ok(())
+            note_deletion_pairs(&mut pairs, &batch)
         })?;
     }
     report.deletions_copied += apply_deletion_pairs(ctx, table, &pairs)?;
@@ -1061,20 +790,17 @@ fn phase3(
     //    INSERT LOCALLY INTO rec (SELECT REMOTELY * ... SEE DELETED
     //      WHERE pred AND insertion_time > hwm
     //        AND insertion_time != uncommitted)
-    for (i, obj) in plan.iter().enumerate() {
-        let chan = &mut lock_chans[i].1;
-        let mut scan = RemoteScan::new(&obj.table, WireReadMode::SeeDeletedLocked(lock_tid));
-        scan.predicate = obj.predicate.clone();
+    let mut inserter = engine.recovered_inserter(table)?;
+    for (obj, chan) in plan.iter().zip(&mut lock_chans) {
+        let mut scan = recovery_scan(obj, WireReadMode::SeeDeletedLocked(lock_tid));
         scan.ins_after = Some(hwm); // uncommitted excluded by the residual
-        let mut copied = 0u64;
         scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.config.net_deadline, |batch| {
             for t in &batch {
-                engine.insert_recovered(table, t)?;
+                inserter.insert(t)?;
             }
-            copied += batch.len() as u64;
+            report.tuples_copied += batch.len() as u64;
             Ok(())
         })?;
-        report.tuples_copied += copied;
     }
     if ctx.config.fail_point == RecoveryFailPoint::WhileHoldingLocks {
         // Simulated death of the recovering site: drop the lock channels
@@ -1109,8 +835,7 @@ fn phase3(
         }
     }
     // 5) RELEASE REMOTELY LOCK — rec is fully online.
-    for (i, obj) in plan.iter().enumerate() {
-        let chan = &mut lock_chans[i].1;
+    for (obj, chan) in plan.iter().zip(&mut lock_chans) {
         let _ = rpc_deadline(
             chan.as_mut(),
             &Request::ReleaseTableLock {
@@ -1429,10 +1154,9 @@ fn version_key(
 
 /// Fetches the buddies' full historical slice of one insertion-time
 /// window `(lo, hi]` — every version a corrupt page in that window could
-/// have held. Fails over across the buddy fan-out; a *corrupt* buddy is
-/// skipped like a dead one but not treated as unreachable (the taxonomy
-/// keeps `CorruptPage` site-local and repairable). Purely a read: local
-/// state is untouched, so a failure here aborts the scrub losslessly.
+/// have held — failing over across the buddies like Phase 2 does. Unlike
+/// Phase 2 it buffers: local state stays untouched until the whole slice
+/// is in hand, so a failure here aborts the scrub losslessly.
 fn fetch_window(
     ctx: &RecoveryContext,
     heap: &Arc<harbor_storage::SegmentedHeapFile>,
@@ -1445,45 +1169,17 @@ fn fetch_window(
     let engine = &ctx.engine;
     let mut out: Vec<Tuple> = Vec::new();
     for obj in plan {
-        let mut served = false;
-        let mut last_err: Option<DbError> = None;
-        for buddy in fanout_buddies(ctx, obj) {
-            let attempt = (|| -> DbResult<Vec<Tuple>> {
-                let mut chan = ctx.connect(buddy)?;
-                let mut scan = RemoteScan::new(&obj.table, WireReadMode::SeeDeletedHistorical(hwm));
-                scan.predicate = obj.predicate.clone();
-                let mut buf: Vec<Tuple> = Vec::new();
-                scan_range_rpc_streaming(
-                    chan.as_mut(),
-                    &scan,
-                    lo,
-                    hi,
-                    ctx.config.net_deadline,
-                    |mut batch| {
-                        buf.append(&mut batch);
-                        Ok(())
-                    },
-                )?;
-                Ok(buf)
-            })();
-            match attempt {
-                Ok(mut buf) => {
-                    let shipped = buf.len() as u64 * heap.tuple_size() as u64;
-                    report.bytes_shipped += shipped;
-                    engine.metrics().add_repair_bytes_shipped(shipped);
-                    out.append(&mut buf);
-                    served = true;
-                    break;
-                }
-                Err(e) if e.is_disconnect() || e.is_corrupt() => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        if !served {
-            return Err(last_err.unwrap_or_else(|| {
-                DbError::SiteDown(format!("no live buddy to repair {}", obj.table))
-            }));
-        }
+        let mut scan = recovery_scan(obj, WireReadMode::SeeDeletedHistorical(hwm));
+        scan.ins_after = Some(lo);
+        scan.ins_at_or_before = Some(hi);
+        let mut buf = first_live(buddies(obj), no_live_buddy(obj), |buddy| {
+            let mut chan = ctx.connect(buddy)?;
+            scan_rpc_deadline(chan.as_mut(), &scan, ctx.config.net_deadline)
+        })?;
+        let shipped = buf.len() as u64 * heap.tuple_size() as u64;
+        report.bytes_shipped += shipped;
+        engine.metrics().add_repair_bytes_shipped(shipped);
+        out.append(&mut buf);
         report.ranges_fetched += 1;
         engine.metrics().add_repair_ranges_fetched(1);
     }
@@ -1542,66 +1238,85 @@ mod tests {
         Timestamp(v)
     }
 
-    /// Cut points with one page of weight each (volume thresholds off).
+    /// Directory bounds with one page of weight each.
     fn c(cuts: &[u64]) -> Vec<(Timestamp, u64)> {
         cuts.iter().map(|v| (t(*v), 1)).collect()
     }
 
-    #[test]
-    fn derive_ranges_splits_at_interior_cuts() {
-        let cuts = c(&[5, 30, 10, 10, 99]);
-        let ranges = derive_ranges(&cuts, t(5), t(40), 32, 1);
-        assert_eq!(ranges, vec![(t(5), t(10)), (t(10), t(30)), (t(30), t(40))]);
-        // Every range is half-open `(lo, hi]` and they tile the window.
-        assert_eq!(ranges.first().unwrap().0, t(5));
-        assert_eq!(ranges.last().unwrap().1, t(40));
+    fn assert_tiles(ranges: &[(Timestamp, Timestamp)], lo: u64, hi: u64) {
+        assert_eq!(ranges.first().unwrap().0, t(lo));
+        assert_eq!(ranges.last().unwrap().1, t(hi));
         for w in ranges.windows(2) {
-            assert_eq!(w[0].1, w[1].0);
+            assert_eq!(w[0].1, w[1].0, "ranges must tile: {ranges:?}");
         }
+        assert!(ranges.iter().all(|(lo, hi)| lo < hi), "{ranges:?}");
+    }
+
+    #[test]
+    fn derive_ranges_cuts_at_interior_bounds_and_tiles() {
+        let ranges = derive_ranges(&c(&[5, 20, 10, 30]), t(5), t(40), 3);
+        assert_eq!(ranges, vec![(t(5), t(10)), (t(10), t(20)), (t(20), t(40))]);
+        assert_tiles(&ranges, 5, 40);
+        // `(lo, hi]` is half-open: a row stamped `lo` belongs to the window
+        // before and a row stamped `hi` to the last range, so bounds at 5
+        // and at or above 40 are not interior.
+        assert_eq!(
+            derive_ranges(&c(&[5, 40, 99]), t(5), t(40), 3),
+            vec![(t(5), t(40))]
+        );
     }
 
     #[test]
     fn derive_ranges_degenerates_to_one_range() {
-        // No interior cuts: one range covering the whole window.
-        assert_eq!(derive_ranges(&[], t(3), t(9), 32, 1), vec![(t(3), t(9))]);
+        // No interior bound: one range covering the whole window.
+        assert_eq!(derive_ranges(&[], t(3), t(9), 3), vec![(t(3), t(9))]);
         assert_eq!(
-            derive_ranges(&c(&[1, 9, 12]), t(3), t(9), 32, 1),
+            derive_ranges(&c(&[1, 3, 9, 12]), t(3), t(9), 3),
+            vec![(t(3), t(9))]
+        );
+        // Every row of a bulk load carries one time: nothing can split it.
+        assert_eq!(
+            derive_ranges(&c(&[2, 2, 2, 2]), t(1), t(2), 3),
+            vec![(t(1), t(2))]
+        );
+        // One buddy: one share, whatever the directory offers.
+        assert_eq!(
+            derive_ranges(&c(&[4, 5, 6]), t(3), t(9), 1),
             vec![(t(3), t(9))]
         );
         // Empty or inverted window: nothing to fetch.
-        assert!(derive_ranges(&c(&[5]), t(9), t(9), 32, 1).is_empty());
-        assert!(derive_ranges(&c(&[5]), t(9), t(3), 32, 1).is_empty());
+        assert!(derive_ranges(&c(&[5]), t(9), t(9), 3).is_empty());
+        assert!(derive_ranges(&c(&[5]), t(9), t(3), 3).is_empty());
     }
 
     #[test]
-    fn derive_ranges_merges_surplus_cuts() {
+    fn derive_ranges_never_exceeds_the_buddies_and_balances_volume() {
         let cuts = c(&(1..100).collect::<Vec<_>>());
-        let ranges = derive_ranges(&cuts, t(0), t(100), 4, 1);
-        assert_eq!(ranges.len(), 4);
-        assert_eq!(ranges.first().unwrap().0, t(0));
-        assert_eq!(ranges.last().unwrap().1, t(100));
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].1, w[1].0);
+        for shares in 1..=4 {
+            let ranges = derive_ranges(&cuts, t(0), t(100), shares);
+            assert_eq!(ranges.len(), shares);
+            assert_tiles(&ranges, 0, 100);
         }
-        // max_ranges = 1 collapses to the single unranged query.
+        // Shares follow page volume, not segment count: one 12-page
+        // segment weighs as much as the twelve one-page segments after it.
+        let mut cuts = vec![(t(10), 12)];
+        cuts.extend((11..=22).map(|v| (t(v), 1)));
         assert_eq!(
-            derive_ranges(&cuts, t(0), t(100), 1, 1),
-            vec![(t(0), t(100))]
+            derive_ranges(&cuts, t(0), t(30), 2),
+            vec![(t(0), t(10)), (t(10), t(30))]
         );
-    }
-
-    #[test]
-    fn derive_ranges_accumulates_page_volume() {
-        // Four 4-page segments with an 8-page floor: cuts emerge only
-        // every 8 accumulated pages (plus the trailing remainder range,
-        // which catches inserts past the last directory entry).
-        let cuts = vec![(t(10), 4), (t(20), 4), (t(30), 4), (t(40), 4)];
-        let ranges = derive_ranges(&cuts, t(0), t(50), 32, 8);
-        assert_eq!(ranges, vec![(t(0), t(20)), (t(20), t(40)), (t(40), t(50))]);
-        // A floor larger than the whole volume: one unranged query.
+        // The cut is the bound nearest the mark, not the first one past it:
+        // two full segments and a stub split one against two.
+        let cuts = vec![(t(10), 8), (t(20), 8), (t(30), 2)];
         assert_eq!(
-            derive_ranges(&cuts, t(0), t(50), 32, 100),
-            vec![(t(0), t(50))]
+            derive_ranges(&cuts, t(0), t(40), 2),
+            vec![(t(0), t(10)), (t(10), t(40))]
+        );
+        // Segments sharing one bound cut once, however much they weigh.
+        let cuts = vec![(t(2), 40), (t(2), 40), (t(2), 40), (t(7), 1)];
+        assert_eq!(
+            derive_ranges(&cuts, t(1), t(9), 2),
+            vec![(t(1), t(2)), (t(2), t(9))]
         );
     }
 }

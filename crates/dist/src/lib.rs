@@ -199,25 +199,8 @@ pub fn scan_rpc_streaming_deadline(
     deadline: Duration,
     visit: impl FnMut(Vec<Tuple>) -> DbResult<()>,
 ) -> DbResult<()> {
-    drain_scan_stream(chan, &Request::Scan(scan.clone()), deadline, visit)
-}
-
-/// As [`scan_rpc_streaming`] but issues a [`Request::ScanRange`]: the scan
-/// restricted to insertion times in `(ins_lo, ins_hi]`.
-pub fn scan_range_rpc_streaming(
-    chan: &mut dyn Channel,
-    scan: &RemoteScan,
-    ins_lo: Timestamp,
-    ins_hi: Timestamp,
-    deadline: Duration,
-    visit: impl FnMut(Vec<Tuple>) -> DbResult<()>,
-) -> DbResult<()> {
-    let req = Request::ScanRange {
-        scan: scan.clone(),
-        ins_lo,
-        ins_hi,
-    };
-    drain_scan_stream(chan, &req, deadline, visit)
+    chan.send(&Request::Scan(scan.clone()).to_vec())?;
+    drain_scan_replies(chan, deadline, visit)
 }
 
 /// Fetches a buddy's per-segment `(tmin_insert, tmax_insert, tmax_delete)`
@@ -239,23 +222,12 @@ pub fn segment_bounds_rpc(
     }
 }
 
-/// Drains one scan stream. `deadline` is a per-frame *liveness* deadline: a
-/// buddy that stops producing bytes for that long — the partitioned-peer
-/// case whose socket never closes — surfaces as [`DbError::SiteUnavailable`]
-/// (a disconnect), so Phase-2 range reassignment treats it exactly like a
-/// buddy death instead of hanging recovery forever.
-fn drain_scan_stream(
-    chan: &mut dyn Channel,
-    req: &Request,
-    deadline: Duration,
-    visit: impl FnMut(Vec<Tuple>) -> DbResult<()>,
-) -> DbResult<()> {
-    chan.send(&req.to_vec())?;
-    drain_scan_replies(chan, deadline, visit)
-}
-
-/// The receiving half of [`drain_scan_stream`], for a caller that has
-/// already sent the scan request (under the begin marker, on first contact).
+/// Drains the replies of a scan whose request is already on the wire.
+/// `deadline` is a per-frame *liveness* deadline: a buddy that stops
+/// producing bytes for that long — the partitioned-peer case whose socket
+/// never closes — surfaces as [`DbError::SiteUnavailable`] (a disconnect),
+/// so Phase 2 re-deals the range exactly as for a buddy death instead of
+/// hanging recovery forever.
 fn drain_scan_replies(
     chan: &mut dyn Channel,
     deadline: Duration,

@@ -407,15 +407,6 @@ pub enum Request {
     SegmentBounds {
         table: String,
     },
-    /// A ranged recovery scan: `scan` restricted to committed insertion
-    /// times in the half-open interval `(ins_lo, ins_hi]`. The worker folds
-    /// the range into the scan's segment-pruning bounds, so distinct ranges
-    /// stream disjoint tuples and can be fetched from different buddies.
-    ScanRange {
-        scan: RemoteScan,
-        ins_lo: Timestamp,
-        ins_hi: Timestamp,
-    },
     /// Epoch group commit: one PREPARE wave carrying every transaction of
     /// the epoch this worker participates in. Each entry carries the txn's
     /// full participant set (as in [`Request::Prepare`], for §4.3.3
@@ -613,16 +604,6 @@ impl Wire for Request {
                 enc.put_u8(13);
                 enc.put_str(table);
             }
-            Request::ScanRange {
-                scan,
-                ins_lo,
-                ins_hi,
-            } => {
-                enc.put_u8(14);
-                scan.encode(enc);
-                enc.put_u64(ins_lo.0);
-                enc.put_u64(ins_hi.0);
-            }
             Request::PrepareBatch {
                 epoch,
                 txns,
@@ -742,11 +723,6 @@ impl Request {
             },
             13 => Request::SegmentBounds {
                 table: dec.get_str()?,
-            },
-            14 => Request::ScanRange {
-                scan: RemoteScan::decode(dec)?,
-                ins_lo: Timestamp(dec.get_u64()?),
-                ins_hi: Timestamp(dec.get_u64()?),
             },
             15 => {
                 let epoch = dec.get_u64()?;
@@ -1161,12 +1137,25 @@ mod tests {
         scan.ins_at_or_before = Some(Timestamp(10));
         scan.del_after = Some(Timestamp(4));
         scan.ids_and_deletions_only = true;
-        round_trip_req(Request::Scan(scan.clone()));
-        round_trip_req(Request::ScanRange {
-            scan,
-            ins_lo: Timestamp(4),
-            ins_hi: Timestamp(10),
-        });
+        round_trip_req(Request::Scan(scan));
+    }
+
+    /// Tag 14 carried the ranged recovery scan until a plain `Scan` with
+    /// both insertion bounds replaced it. The number is retired, not
+    /// reused: a frame from an old peer is refused, never misread.
+    #[test]
+    fn retired_request_tag_is_rejected() {
+        let scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(Timestamp(10)));
+        let mut enc = Encoder::new();
+        enc.put_u8(14);
+        scan.encode(&mut enc);
+        enc.put_u64(4);
+        enc.put_u64(10);
+        let err = Request::from_slice(&enc.into_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, DbError::Corrupt(m) if m.contains("request tag 14")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -62,9 +62,9 @@ pub struct RecoveryObject {
     /// predicate (`None` = everything).
     pub predicate: Option<Expr>,
     /// Other live sites that can answer the same recovery queries (full
-    /// copies on sites other than `buddy`). A segment-parallel Phase 2 fans
-    /// ranges across `buddy` plus these; they also serve as fail-over
-    /// targets if `buddy` dies mid-recovery.
+    /// copies on sites other than `buddy`). Phase 2 deals its ranges
+    /// across `buddy` plus these; they also serve as fail-over targets if
+    /// `buddy` dies mid-recovery.
     pub alternates: Vec<SiteId>,
 }
 

@@ -323,7 +323,7 @@ impl Worker {
                     }
                     let _ = chan.send(&resp.to_vec());
                 }
-                Request::Scan(_) | Request::ScanRange { .. } => {
+                Request::Scan(_) => {
                     // Streaming: handle() sends the batches itself.
                     let resp = self.handle(&req, &mut chan);
                     if self.shutdown.load(Ordering::SeqCst) {
@@ -762,27 +762,6 @@ impl Worker {
             }
             Request::Scan(scan) => {
                 self.stream_scan(scan, chan)?;
-                Ok(Response::Ok)
-            }
-            Request::ScanRange {
-                scan,
-                ins_lo,
-                ins_hi,
-            } => {
-                // Fold the insertion-time range `(ins_lo, ins_hi]` into the
-                // scan's bounds: the worker then prunes segments outside the
-                // range and ships only the range's tuples, so distinct
-                // ranges stream disjoint slices of the same recovery query.
-                let mut ranged = scan.clone();
-                ranged.ins_after = Some(match ranged.ins_after {
-                    Some(t) => t.max(*ins_lo),
-                    None => *ins_lo,
-                });
-                ranged.ins_at_or_before = Some(match ranged.ins_at_or_before {
-                    Some(t) => t.min(*ins_hi),
-                    None => *ins_hi,
-                });
-                self.stream_scan(&ranged, chan)?;
                 Ok(Response::Ok)
             }
             Request::SegmentBounds { table } => {

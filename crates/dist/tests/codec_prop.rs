@@ -55,12 +55,7 @@ fn sample_requests() -> Vec<Request> {
             tid,
             commit_time: Timestamp(42),
         },
-        Request::Scan(scan.clone()),
-        Request::ScanRange {
-            scan,
-            ins_lo: Timestamp(5),
-            ins_hi: Timestamp(90),
-        },
+        Request::Scan(scan),
         Request::RecComingOnline {
             site: SiteId(2),
             table: "sales".into(),

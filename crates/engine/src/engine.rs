@@ -879,9 +879,27 @@ impl Engine {
 
     /// Physically inserts an already-committed tuple (recovery Phases 2/3:
     /// `INSERT LOCALLY` copies replica data without timestamp
-    /// reassignment). Updates segment annotations and the index.
+    /// reassignment) into whichever page the shared insert hint offers.
+    /// Updates segment annotations and the index.
     pub fn insert_recovered(&self, table_id: TableId, tuple: &Tuple) -> DbResult<RecordId> {
         let table = self.pool.table(table_id)?;
+        let (index, dlog) = (self.index(table_id)?, self.deletion_log(table_id)?);
+        self.place_recovered(&table, &index, &dlog, tuple, |bytes| {
+            self.pool.insert_tuple_bytes(None, table_id, bytes)
+        })
+    }
+
+    /// The one body of a recovered insert: validate, encode, let `append`
+    /// pick the slot, then annotate the segment, the deletion log and the
+    /// index for where the row landed.
+    fn place_recovered(
+        &self,
+        table: &SegmentedHeapFile,
+        index: &KeyIndex,
+        dlog: &DeletionLog,
+        tuple: &Tuple,
+        append: impl FnOnce(&[u8]) -> DbResult<RecordId>,
+    ) -> DbResult<RecordId> {
         let ins = tuple.insertion_ts()?;
         let del = tuple.deletion_ts()?;
         if !ins.is_valid_commit_time() {
@@ -889,23 +907,22 @@ impl Engine {
                 "insert_recovered requires a committed insertion timestamp",
             ));
         }
-        let bytes = self.encode_tuple(&table, tuple)?;
-        let rid = self.pool.insert_tuple_bytes(None, table_id, &bytes)?;
+        let bytes = self.encode_tuple(table, tuple)?;
+        let rid = append(&bytes)?;
         table.note_insert_commit(rid.page.page_no, ins);
         if del.is_valid_commit_time() {
             table.note_delete(rid.page.page_no, del);
-            self.deletion_log(table_id)?.note(rid, del);
+            dlog.note(rid, del);
         }
-        let key = self.index(table_id)?.key_from_bytes(&bytes);
-        self.index(table_id)?.insert(key, rid);
+        index.insert(index.key_from_bytes(&bytes), rid);
         Ok(rid)
     }
 
     /// A per-thread recovered-tuple inserter for `table_id`: same semantics
     /// as [`insert_recovered`](Self::insert_recovered), but appends through
-    /// a private [`harbor_storage::BulkAppender`] page cursor so several
-    /// parallel Phase-2 appliers don't contend on the shared insert hint or
-    /// page latches, and caches the table/index/deletion-log lookups.
+    /// a private [`harbor_storage::BulkAppender`] page cursor so concurrent
+    /// Phase-2 fetchers don't contend on the shared insert hint or page
+    /// latches, and caches the table/index/deletion-log lookups.
     pub fn recovered_inserter(&self, table_id: TableId) -> DbResult<RecoveredInserter<'_>> {
         Ok(RecoveredInserter {
             engine: self,
@@ -953,26 +970,14 @@ pub struct RecoveredInserter<'a> {
 }
 
 impl RecoveredInserter<'_> {
-    /// Physically inserts an already-committed tuple (recovery Phase 2's
-    /// `INSERT LOCALLY`), latch-only.
+    /// [`Engine::insert_recovered`] through this inserter's private page
+    /// cursor, latch-only.
     pub fn insert(&mut self, tuple: &Tuple) -> DbResult<RecordId> {
-        let ins = tuple.insertion_ts()?;
-        let del = tuple.deletion_ts()?;
-        if !ins.is_valid_commit_time() {
-            return Err(DbError::internal(
-                "insert_recovered requires a committed insertion timestamp",
-            ));
-        }
-        let bytes = self.engine.encode_tuple(&self.table, tuple)?;
-        let rid = self.appender.insert(&bytes)?;
-        self.table.note_insert_commit(rid.page.page_no, ins);
-        if del.is_valid_commit_time() {
-            self.table.note_delete(rid.page.page_no, del);
-            self.dlog.note(rid, del);
-        }
-        let key = self.index.key_from_bytes(&bytes);
-        self.index.insert(key, rid);
-        Ok(rid)
+        let appender = &mut self.appender;
+        self.engine
+            .place_recovered(&self.table, &self.index, &self.dlog, tuple, |bytes| {
+                appender.insert(bytes)
+            })
     }
 }
 

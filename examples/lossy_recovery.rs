@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example lossy_recovery [seed]`
 
-use harbor::{Cluster, ClusterConfig, RecoveryConfig, TableSpec};
+use harbor::{Cluster, ClusterConfig, TableSpec};
 use harbor_common::{SiteId, StorageConfig, Value};
 use harbor_dist::ProtocolKind;
 use harbor_net::ChaosConfig;
@@ -57,16 +57,7 @@ fn run(label: &str, chaos: Option<ChaosConfig>) {
     if let Some(chaos) = cluster.chaos() {
         chaos.set_enabled(true);
     }
-    // Fine-grained ranges: more Phase-2 streams for the chaos layer to cut.
-    let report = cluster
-        .recover_worker_harbor_with(
-            victim,
-            RecoveryConfig {
-                min_range_pages: 1,
-                ..RecoveryConfig::default()
-            },
-        )
-        .unwrap();
+    let report = cluster.recover_worker_harbor(victim).unwrap();
     if let Some(chaos) = cluster.chaos() {
         chaos.set_enabled(false);
     }

@@ -31,8 +31,9 @@ fn temp_dir(name: &str) -> PathBuf {
 /// Three workers over an in-memory transport wrapped in the lossy-LAN chaos
 /// profile. Deadlines are far above the engine's 200 ms lock timeout (slow
 /// replies from lock waits are normal, not liveness failures) but small
-/// enough that a blackholed link resolves in bounded wall-clock. Recovery is
-/// serial: deterministic buddy choice keeps the fault trace replayable.
+/// enough that a blackholed link resolves in bounded wall-clock. Objects
+/// recover one at a time, and Phase 2 deals its ranges to the buddies in
+/// catalog order, so which link carries which query replays with the seed.
 fn chaos_cluster(dir: &PathBuf, seed: u64) -> Cluster {
     let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 3);
     cfg.storage = StorageConfig::for_tests();
@@ -41,7 +42,6 @@ fn chaos_cluster(dir: &PathBuf, seed: u64) -> Cluster {
     cfg.disk_faults = Some(DiskFaultConfig::soak(seed));
     cfg.rpc_deadline = Duration::from_secs(2);
     cfg.recovery.parallel_objects = false;
-    cfg.recovery.parallel_segments = false;
     cfg.recovery.net_deadline = Duration::from_secs(2);
     Cluster::build(dir, cfg).unwrap()
 }
@@ -161,7 +161,6 @@ fn batched_commit_seed_holds_invariants() {
     cfg.disk_faults = Some(DiskFaultConfig::soak(seed));
     cfg.rpc_deadline = Duration::from_secs(2);
     cfg.recovery.parallel_objects = false;
-    cfg.recovery.parallel_segments = false;
     cfg.recovery.net_deadline = Duration::from_secs(2);
     cfg.epoch_commit = Some(harbor_dist::EpochCommitConfig {
         max_txns: 8,

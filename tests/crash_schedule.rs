@@ -9,7 +9,7 @@
 //! * a buddy crashing *while serving* a Phase-2 recovery scan (§5.5) has
 //!   its unfinished ranges reassigned to the surviving alternate.
 
-use harbor::{Cluster, ClusterConfig, RecoveryConfig, TableSpec};
+use harbor::{Cluster, ClusterConfig, TableSpec};
 use harbor_common::{SiteId, StorageConfig, Timestamp, Value};
 use harbor_dist::{CrashPoint, FailPoint, ProtocolKind, UpdateRequest};
 use harbor_front::FrontHandler;
@@ -275,20 +275,20 @@ fn buddy_crash_mid_phase2_scan_reassigns() {
 
     // The first buddy to serve a Phase-2 catch-up scan dies mid-stream.
     cluster.arm_crash(SiteId(2), CrashPoint::WorkerServingPhase2Scan);
-    let report = cluster
-        .recover_worker_harbor_with(
-            victim,
-            RecoveryConfig {
-                min_range_pages: 1,
-                ..RecoveryConfig::default()
-            },
-        )
-        .unwrap();
+    let report = cluster.recover_worker_harbor(victim).unwrap();
     assert!(
-        report.ranges_reassigned() >= 1 || cluster.crash_schedule().armed().is_empty(),
-        "the schedule never fired and nothing was reassigned"
+        report.ranges_reassigned() >= 1,
+        "the dead buddy's range was never re-dealt"
     );
     assert_eq!(count_at(&cluster, victim), 300);
+    // The crash point fires after a batch is on the wire, so part of the
+    // range had been applied when the stream broke: a row left behind or
+    // copied twice by the re-deal shows here.
+    assert_eq!(
+        cluster.version_history("t", victim).unwrap(),
+        cluster.version_history("t", SiteId(3)).unwrap(),
+        "victim diverged from the alternate that finished serving it"
+    );
 
     // The fired buddy fail-stopped; bring it back and verify it converges
     // to the same state as the replica that finished serving recovery.

@@ -11,10 +11,7 @@
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
 use harbor_common::{SiteId, StorageConfig, Timestamp, Tuple, Value};
-use harbor_dist::{
-    scan_range_rpc_streaming, scan_rpc, ProtocolKind, RemoteScan, UpdateRequest, WireReadMode,
-    DEFAULT_RPC_DEADLINE,
-};
+use harbor_dist::{scan_rpc, ProtocolKind, RemoteScan, UpdateRequest, WireReadMode};
 use harbor_exec::{collect, Expr, Filter, ReadMode, SeqScan};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -210,20 +207,10 @@ fn every_replica_answers_every_read_path_like_a_local_scan() {
                 );
                 let mut scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(t));
                 scan.predicate = Some(range.clone());
+                scan.ins_after = Some(t_first);
+                scan.ins_at_or_before = Some(t_lo);
                 scan.del_after = Some(t_lo);
-                let mut got = Vec::new();
-                scan_range_rpc_streaming(
-                    chan.as_mut(),
-                    &scan,
-                    t_first,
-                    t_lo,
-                    DEFAULT_RPC_DEADLINE,
-                    |mut batch| {
-                        got.append(&mut batch);
-                        Ok(())
-                    },
-                )
-                .unwrap();
+                let got = scan_rpc(chan.as_mut(), &scan).unwrap();
                 assert_same(
                     &sorted(got, true),
                     &want,
