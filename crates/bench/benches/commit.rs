@@ -17,6 +17,7 @@ use harbor::{Cluster, ClusterConfig, TableSpec};
 use harbor_bench::{
     experiment_dir, paper_lan, print_table, throughput_storage, BenchReport, Scale,
 };
+use harbor_common::metrics::Group;
 use harbor_dist::{EpochCommitConfig, ProtocolKind};
 use harbor_wal::GroupCommit;
 use harbor_workload::{insert_request, run_concurrent_streams, update_by_key_request};
@@ -106,7 +107,7 @@ fn main() {
             })
             .expect("commit streams");
         let snap = cluster.coordinator().metrics().snapshot().since(&before);
-        let commit_path = snap.commit_path_summary();
+        let commit_path = snap.summary(Group::CommitPath);
         cluster.shutdown();
 
         let tps = sample.tps();

@@ -17,6 +17,7 @@ use harbor_bench::{
     run_historical_updates, run_insert_txns, run_recovery_scenario, BenchReport, RecoveryScenario,
     Scale,
 };
+use harbor_common::metrics::Group;
 use harbor_common::SiteId;
 use harbor_dist::ProtocolKind;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -235,7 +236,7 @@ fn main() {
                 .coordinator()
                 .metrics()
                 .snapshot()
-                .membership_summary()
+                .summary(Group::Membership)
         );
         // Volume actually materialized on the spare: count its rows and
         // cross-check against the surviving buddy.

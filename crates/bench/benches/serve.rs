@@ -20,6 +20,7 @@
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
 use harbor_bench::{experiment_dir, print_table, throughput_storage, BenchReport, Scale};
+use harbor_common::metrics::Group;
 use harbor_common::{Metrics, RetryPolicy, SiteId};
 use harbor_dist::ProtocolKind;
 use harbor_front::{FrontConfig, FrontServer};
@@ -102,7 +103,7 @@ fn run_scenario(
         shed: front_metrics.requests_shed(),
         queue_peak: front_metrics.queue_peak_depth(),
         drain,
-        serving: front_metrics.snapshot().serve_summary(),
+        serving: front_metrics.snapshot().summary(Group::Serve),
     }
 }
 

@@ -11,6 +11,7 @@
 //! or `paper` (closest to thesis parameters; minutes of runtime).
 
 use harbor::{Cluster, ClusterConfig, TableSpec, TransportKind};
+use harbor_common::metrics::Group;
 use harbor_common::{DbResult, DiskProfile, StorageConfig, Timestamp, Tuple};
 use harbor_dist::ProtocolKind;
 use harbor_wal::GroupCommit;
@@ -466,9 +467,9 @@ pub fn site_read_path_summary(
         .collect();
     format!(
         "{site}: {} shards[{}] {}",
-        snap.read_path_summary(),
+        snap.summary(Group::ReadPath),
         shards.join(" "),
-        snap.scrub_summary()
+        snap.summary(Group::Scrub)
     )
 }
 
@@ -582,7 +583,7 @@ pub fn run_recovery_scenario(
         .coordinator()
         .metrics()
         .snapshot()
-        .commit_path_summary();
+        .summary(Group::CommitPath);
     cluster.shutdown();
     Ok(RecoveryRun {
         elapsed,

@@ -1,6 +1,7 @@
 //! Unified error type for every subsystem.
 
-use crate::ids::{PageId, RecordId, TableId, TransactionId};
+use crate::codec::{Decoder, Encoder, Wire};
+use crate::ids::{PageId, RecordId, SiteId, TableId, TransactionId};
 use std::fmt;
 use std::io;
 
@@ -8,10 +9,10 @@ use std::io;
 pub type DbResult<T> = Result<T, DbError>;
 
 /// All error conditions surfaced by the database.
-#[derive(Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum DbError {
-    /// Underlying file-system failure.
-    Io(io::Error),
+    /// Underlying file-system failure: the `io::Error`'s kind and text.
+    Io(io::ErrorKind, String),
     /// A lock could not be granted before the deadlock timeout expired
     /// (thesis §6.1.2 resolves deadlocks by timeout).
     LockTimeout { txn: TransactionId, what: String },
@@ -78,6 +79,9 @@ pub enum DbError {
     /// never started running against the engine) and not a disconnect
     /// (the front door answered promptly; it is shedding load on policy).
     Overloaded { retry_after_ms: u64 },
+    /// A worker would not begin `tid`: nothing of the transaction is open
+    /// at that site, so the coordinator has nothing to abort there.
+    BeginRefused { tid: TransactionId, why: String },
     /// Catch-all invariant violation.
     Internal(String),
 }
@@ -154,13 +158,16 @@ impl DbError {
         matches!(
             self,
             DbError::Net(_) | DbError::SiteDown(_) | DbError::SiteUnavailable(_)
-        ) || matches!(self, DbError::Io(e) if matches!(
-            e.kind(),
-            io::ErrorKind::ConnectionReset
-                | io::ErrorKind::ConnectionAborted
-                | io::ErrorKind::BrokenPipe
-                | io::ErrorKind::UnexpectedEof
-        ))
+        ) || matches!(
+            self,
+            DbError::Io(
+                io::ErrorKind::ConnectionReset
+                    | io::ErrorKind::ConnectionAborted
+                    | io::ErrorKind::BrokenPipe
+                    | io::ErrorKind::UnexpectedEof,
+                _
+            )
+        )
     }
 
     /// `true` for corrupt-state errors: a checksum-failed page or any other
@@ -173,48 +180,42 @@ impl DbError {
         matches!(self, DbError::Corrupt(_) | DbError::CorruptPage { .. })
     }
 
-    /// Rebuilds a classified error from a remote site's stringly
-    /// `Response::Err { msg }`. Corruption must keep its class across the
-    /// wire: a recovering site that receives "corrupt page …" from a buddy
-    /// should re-fetch the range from a *different* buddy, not retry or
-    /// declare the buddy dead. Everything else stays a protocol error.
-    pub fn from_remote_msg(msg: impl Into<String>) -> Self {
-        let msg = msg.into();
-        if msg.contains("corrupt page") || msg.contains("corrupt state") {
-            DbError::Corrupt(msg)
-        } else if msg.contains("degraded to read-only") {
-            // Degradation must keep its class too: the client should back
-            // off and retry after re-replication, not report a protocol bug.
-            DbError::Degraded(msg)
-        } else if let Some(rest) = msg
-            .find("overloaded: retry after ")
-            .map(|at| &msg[at + "overloaded: retry after ".len()..])
-        {
-            // A shed must keep both its class *and* its backoff hint across
-            // the wire, or remote clients would hot-loop on a front door
-            // that local clients back off from.
-            let ms: u64 = rest
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .unwrap_or(crate::config::DEFAULT_RETRY_AFTER_MS);
-            DbError::Overloaded { retry_after_ms: ms }
-        } else if msg.contains("deadline expired before") {
-            // A front-door deadline rejection happens *before* execution, so
-            // like a shed it is safe to surface with its real class: the
-            // client's budget is spent, but nothing ran.
-            DbError::Timeout(msg)
-        } else {
-            DbError::Protocol(msg)
+    /// Names the site a remote failure came from, in the message field of
+    /// the variants that have one. Class and other fields are untouched.
+    pub fn at(mut self, site: SiteId) -> Self {
+        use DbError::*;
+        match &mut self {
+            LockTimeout { what, .. } => *what = format!("{what} at {site}"),
+            Io(_, m)
+            | Corrupt(m)
+            | Full(m)
+            | Net(m)
+            | Timeout(m)
+            | SiteUnavailable(m)
+            | Protocol(m)
+            | SiteDown(m)
+            | Schema(m)
+            | Constraint(m)
+            | Unrecoverable(m)
+            | Degraded(m)
+            | Internal(m)
+            | BeginRefused { why: m, .. } => *m = format!("{site}: {m}"),
+            TransactionAborted(_)
+            | UnknownTransaction(_)
+            | NoSuchTable(_)
+            | NoSuchPage(_)
+            | NoSuchRecord(_)
+            | CorruptPage { .. }
+            | Overloaded { .. } => {}
         }
+        self
     }
 }
 
 impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DbError::Io(e) => write!(f, "io error: {e}"),
+            DbError::Io(_, m) => write!(f, "io error: {m}"),
             DbError::LockTimeout { txn, what } => {
                 write!(
                     f,
@@ -243,36 +244,160 @@ impl fmt::Display for DbError {
             DbError::Overloaded { retry_after_ms } => {
                 write!(f, "overloaded: retry after {retry_after_ms} ms")
             }
+            DbError::BeginRefused { tid, why } => write!(f, "begin of {tid} refused: {why}"),
             DbError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
 }
 
-impl std::error::Error for DbError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DbError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for DbError {}
 
 impl From<io::Error> for DbError {
     fn from(e: io::Error) -> Self {
-        DbError::Io(e)
+        DbError::Io(e.kind(), e.to_string())
     }
+}
+
+/// The one encoding of an error that crosses a wire (`Response::Err`
+/// between sites, `FrontReply::Err` to a client). Every variant crosses as
+/// itself with its fields, except the link class — `Io`, `Net`, `SiteDown`,
+/// `SiteUnavailable` — which describes the *sender's* links and files: a
+/// site that is answering is not dead, so those cross as `Protocol` carrying
+/// their text and a decoded reply is never a disconnect. Decoding is total:
+/// an unknown tag, a short frame or a bad string is `Corrupt`.
+impl Wire for DbError {
+    fn encode(&self, enc: &mut Encoder) {
+        use DbError::*;
+        // Tags 0..=10 share a layout: the tag, then the variant's text.
+        let text = |enc: &mut Encoder, tag: u8, m: &str| {
+            enc.put_u8(tag);
+            enc.put_str(m);
+        };
+        match self {
+            Io(..) | Net(_) | SiteDown(_) | SiteUnavailable(_) => text(enc, 5, &self.to_string()),
+            Corrupt(m) => text(enc, 0, m),
+            Full(m) => text(enc, 1, m),
+            Timeout(m) => text(enc, 2, m),
+            Schema(m) => text(enc, 3, m),
+            Constraint(m) => text(enc, 4, m),
+            Protocol(m) => text(enc, 5, m),
+            Unrecoverable(m) => text(enc, 6, m),
+            Degraded(m) => text(enc, 7, m),
+            Internal(m) => text(enc, 8, m),
+            LockTimeout { txn, what } => {
+                text(enc, 9, what);
+                enc.put_u64(txn.0);
+            }
+            BeginRefused { tid, why } => {
+                text(enc, 10, why);
+                enc.put_u64(tid.0);
+            }
+            TransactionAborted(t) => {
+                enc.put_u8(11);
+                enc.put_u64(t.0);
+            }
+            UnknownTransaction(t) => {
+                enc.put_u8(12);
+                enc.put_u64(t.0);
+            }
+            NoSuchTable(t) => {
+                enc.put_u8(13);
+                enc.put_u32(t.0);
+            }
+            NoSuchPage(p) => {
+                enc.put_u8(14);
+                put_page(enc, *p);
+            }
+            NoSuchRecord(r) => {
+                enc.put_u8(15);
+                put_page(enc, r.page);
+                enc.put_u16(r.slot);
+            }
+            CorruptPage { table, page } => {
+                enc.put_u8(16);
+                enc.put_u32(table.0);
+                enc.put_u32(*page);
+            }
+            Overloaded { retry_after_ms } => {
+                enc.put_u8(17);
+                enc.put_u64(*retry_after_ms);
+            }
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
+        use DbError::*;
+        let tag = dec.get_u8()?;
+        if tag <= 10 {
+            let m = dec.get_str()?;
+            return Ok(match tag {
+                0 => Corrupt(m),
+                1 => Full(m),
+                2 => Timeout(m),
+                3 => Schema(m),
+                4 => Constraint(m),
+                5 => Protocol(m),
+                6 => Unrecoverable(m),
+                7 => Degraded(m),
+                8 => Internal(m),
+                9 => LockTimeout {
+                    txn: TransactionId(dec.get_u64()?),
+                    what: m,
+                },
+                _ => BeginRefused {
+                    tid: TransactionId(dec.get_u64()?),
+                    why: m,
+                },
+            });
+        }
+        Ok(match tag {
+            11 => TransactionAborted(TransactionId(dec.get_u64()?)),
+            12 => UnknownTransaction(TransactionId(dec.get_u64()?)),
+            13 => NoSuchTable(TableId(dec.get_u32()?)),
+            14 => NoSuchPage(get_page(dec)?),
+            15 => NoSuchRecord(RecordId::new(get_page(dec)?, dec.get_u16()?)),
+            16 => CorruptPage {
+                table: TableId(dec.get_u32()?),
+                page: dec.get_u32()?,
+            },
+            17 => Overloaded {
+                retry_after_ms: dec.get_u64()?,
+            },
+            t => return Err(DbError::corrupt(format!("bad error tag {t}"))),
+        })
+    }
+}
+
+fn put_page(enc: &mut Encoder, p: PageId) {
+    enc.put_u32(p.table.0);
+    enc.put_u32(p.page_no);
+}
+
+fn get_page(dec: &mut Decoder<'_>) -> DbResult<PageId> {
+    Ok(PageId::new(TableId(dec.get_u32()?), dec.get_u32()?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::SiteId;
+
+    /// What the far side of a wire makes of `e`.
+    fn crossed(e: &DbError) -> DbError {
+        DbError::from_slice(&e.to_vec()).expect("decode")
+    }
 
     #[test]
     fn disconnect_classification() {
         assert!(DbError::net("peer gone").is_disconnect());
-        assert!(DbError::Io(io::Error::new(io::ErrorKind::BrokenPipe, "x")).is_disconnect());
-        assert!(!DbError::Io(io::Error::new(io::ErrorKind::NotFound, "x")).is_disconnect());
+        let pipe = DbError::from(io::Error::new(io::ErrorKind::BrokenPipe, "x"));
+        assert!(pipe.is_disconnect());
+        assert!(!DbError::from(io::Error::new(io::ErrorKind::NotFound, "x")).is_disconnect());
+        // The link class is the sender's: a site that answers is not dead.
+        assert_eq!(crossed(&pipe), DbError::protocol("io error: x"));
+        assert_eq!(
+            crossed(&DbError::net("peer gone")),
+            DbError::protocol("network error: peer gone")
+        );
         let tid = TransactionId::from_parts(SiteId(0), 1);
         assert!(!DbError::TransactionAborted(tid).is_disconnect());
         // Liveness-deadline expiry is site death; a transient per-request
@@ -297,9 +422,12 @@ mod tests {
         assert!(DbError::corrupt("bad frame").is_corrupt());
         assert!(!DbError::timeout("x").is_corrupt());
         assert!(!DbError::unavailable("x").is_corrupt());
-        // Corruption keeps its class across a stringly wire hop.
-        assert!(DbError::from_remote_msg(e.to_string()).is_corrupt());
-        assert!(!DbError::from_remote_msg("no such table T9").is_corrupt());
+        // Corruption crosses a wire as itself, and nothing else becomes it.
+        assert_eq!(crossed(&e), e);
+        assert_eq!(
+            crossed(&DbError::NoSuchTable(TableId(9))),
+            DbError::NoSuchTable(TableId(9))
+        );
     }
 
     #[test]
@@ -310,8 +438,7 @@ mod tests {
         assert!(!e.is_timeout());
         assert!(!e.is_disconnect());
         assert!(!e.is_corrupt());
-        // And it keeps its class across a stringly wire hop.
-        assert!(DbError::from_remote_msg(e.to_string()).is_degraded());
+        assert_eq!(crossed(&e), e);
     }
 
     #[test]
@@ -327,17 +454,13 @@ mod tests {
         assert!(!e.is_degraded());
         assert!(!DbError::timeout("x").is_overloaded());
         assert_eq!(DbError::timeout("x").retry_after_ms(), None);
-        // Class *and* backoff hint survive the stringly wire hop.
-        let back = DbError::from_remote_msg(e.to_string());
-        assert!(back.is_overloaded());
-        assert_eq!(back.retry_after_ms(), Some(40));
-        // A mangled hint still reconstructs the class with a sane default.
-        let back = DbError::from_remote_msg("overloaded: retry after ??? ms");
-        assert!(back.is_overloaded());
-        assert_eq!(
-            back.retry_after_ms(),
-            Some(crate::config::DEFAULT_RETRY_AFTER_MS)
-        );
+        // Class *and* backoff hint cross the wire; a mangled frame is an
+        // error of its own, never a guessed hint.
+        assert_eq!(crossed(&e), DbError::Overloaded { retry_after_ms: 40 });
+        let frame = e.to_vec();
+        assert!(DbError::from_slice(&frame[..frame.len() - 1])
+            .unwrap_err()
+            .is_corrupt());
     }
 
     #[test]

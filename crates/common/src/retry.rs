@@ -11,9 +11,7 @@
 //! Taxonomy: callers retry *transient* failures ([`DbError::Timeout`], and
 //! optionally disconnect-classified errors for connection establishment);
 //! [`DbError::SiteUnavailable`] is already an escalated verdict and must
-//! never be retried blindly. [`retry_transient`] encodes that policy and is
-//! the single place where exhausting a transient-timeout budget escalates to
-//! `SiteUnavailable`.
+//! never be retried blindly: each caller's classifier says so.
 
 use crate::error::{DbError, DbResult};
 use crate::metrics::Metrics;
@@ -109,32 +107,6 @@ pub fn retry_with<T>(
     }
 }
 
-/// [`retry_with`] under the transient-failure taxonomy: retries
-/// [`DbError::Timeout`] only — never `SiteUnavailable` (already an
-/// escalated verdict) and never any other class. If the budget is exhausted
-/// while the error is still a timeout, the slow peer graduates to
-/// [`DbError::SiteUnavailable`]: bounded retries *are* a liveness deadline,
-/// just measured in attempts instead of wall-clock.
-pub fn retry_transient<T>(
-    policy: &RetryPolicy,
-    metrics: Option<&Metrics>,
-    op: impl FnMut(u32) -> DbResult<T>,
-) -> DbResult<T> {
-    match retry_with(policy, metrics, DbError::is_timeout, op) {
-        Err(e) if e.is_timeout() => {
-            if let Some(m) = metrics {
-                m.add_rpc_timeouts(1);
-            }
-            // harbor-lint: allow(error-taxonomy) — bounded-retry exhaustion is a classification boundary: N transient timeouts in a row IS the liveness verdict
-            Err(DbError::unavailable(format!(
-                "{} retries exhausted: {e}",
-                policy.attempts
-            )))
-        }
-        other => other,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,21 +139,7 @@ mod tests {
     }
 
     #[test]
-    fn retries_timeouts_up_to_cap_then_escalates() {
-        let m = Metrics::new();
-        let calls = Cell::new(0u32);
-        let r: DbResult<()> = retry_transient(&policy(), Some(&m), |_| {
-            calls.set(calls.get() + 1);
-            Err(DbError::timeout("slow"))
-        });
-        assert_eq!(calls.get(), 4); // 1 try + 3 retries
-                                    // Exhaustion escalates: the slow peer is now presumed dead.
-        assert!(r.unwrap_err().is_disconnect());
-        assert_eq!(m.backoff_retries(), 3);
-    }
-
-    #[test]
-    fn never_retries_unavailable_or_other_classes() {
+    fn a_class_the_classifier_rejects_is_never_retried() {
         for err in [
             DbError::unavailable("dead"),
             DbError::net("closed"),
@@ -190,7 +148,7 @@ mod tests {
             let msg = err.to_string();
             let calls = Cell::new(0u32);
             let moved = Cell::new(Some(err));
-            let r: DbResult<()> = retry_transient(&policy(), None, |_| {
+            let r: DbResult<()> = retry_with(&policy(), None, DbError::is_timeout, |_| {
                 calls.set(calls.get() + 1);
                 Err(moved.take().expect("called once"))
             });
@@ -202,7 +160,7 @@ mod tests {
     #[test]
     fn success_mid_schedule_stops_retrying() {
         let m = Metrics::new();
-        let r = retry_transient(&policy(), Some(&m), |attempt| {
+        let r = retry_with(&policy(), Some(&m), DbError::is_timeout, |attempt| {
             if attempt < 2 {
                 Err(DbError::timeout("warming up"))
             } else {

@@ -65,10 +65,6 @@ impl Tuple {
         self.values[COL_DELETION_TS].as_time()
     }
 
-    pub fn set_insertion_ts(&mut self, t: Timestamp) {
-        self.values[COL_INSERTION_TS] = Value::Time(t);
-    }
-
     pub fn set_deletion_ts(&mut self, t: Timestamp) {
         self.values[COL_DELETION_TS] = Value::Time(t);
     }
@@ -124,13 +120,6 @@ impl Tuple {
             values.push(v);
         }
         Ok(Tuple { values })
-    }
-
-    /// Deserializes a fixed-width tuple through a precompiled [`FixedLayout`]
-    /// — the chunked scan's decode path, which hoists the per-field
-    /// type/offset walk out of the row loop.
-    pub fn read_layout(layout: &FixedLayout, bytes: &[u8]) -> DbResult<Tuple> {
-        layout.decode(bytes)
     }
 
     /// Serializes with a self-describing (variable) layout, for the wire.
@@ -323,19 +312,6 @@ impl FixedLayout {
         }
         Ok(Tuple { values })
     }
-}
-
-/// Reads the insertion and deletion timestamps straight from the fixed
-/// encoding of a stored tuple (the reserved version pair occupies the first
-/// 16 bytes). This is the scan fast path's pre-decode visibility probe.
-#[inline]
-pub fn raw_version_timestamps(bytes: &[u8]) -> DbResult<(Timestamp, Timestamp)> {
-    if bytes.len() < 16 {
-        return Err(DbError::corrupt("stored tuple shorter than version pair"));
-    }
-    let ins = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-    let del = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    Ok((Timestamp(ins), Timestamp(del)))
 }
 
 impl fmt::Display for Tuple {

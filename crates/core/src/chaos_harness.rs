@@ -23,6 +23,7 @@
 
 use crate::cluster::Cluster;
 use crate::supervisor::{ReplicationSupervisor, SupervisorConfig};
+use harbor_common::metrics::Group;
 use harbor_common::{DbResult, SiteId, Value};
 use harbor_dist::{CrashPoint, UpdateRequest};
 use std::collections::{BTreeMap, HashSet};
@@ -694,7 +695,7 @@ impl Cluster {
                 .push(format!("copy of {t:?} on {site} still joining at quiesce"));
         }
         let coord_metrics = self.coordinator().metrics().snapshot();
-        report.membership = coord_metrics.membership_summary();
+        report.membership = coord_metrics.summary(Group::Membership);
         report.auto_repairs = coord_metrics.auto_repairs;
         if let Some(sup) = supervisor.as_ref() {
             report.supervisor_ticks = sup.stats().ticks.load(Ordering::Relaxed);
@@ -716,9 +717,9 @@ impl Cluster {
                     .collect();
                 report.read_path.push(format!(
                     "{site}: {} shards[{}] {}",
-                    snap.read_path_summary(),
+                    snap.summary(Group::ReadPath),
                     shards.join(" "),
-                    snap.scrub_summary()
+                    snap.summary(Group::Scrub)
                 ));
             }
         }
@@ -726,7 +727,7 @@ impl Cluster {
             .coordinator()
             .metrics()
             .snapshot()
-            .commit_path_summary();
+            .summary(Group::CommitPath);
         Ok(report)
     }
 

@@ -161,9 +161,28 @@ impl ClusterConfig {
         cfg
     }
 
-    pub fn with_table(mut self, spec: TableSpec) -> Self {
-        self.tables.push(spec);
-        self
+    /// The configuration of the worker at `site`: everything but its
+    /// address book is this cluster's, whether the site is built, restarted
+    /// or joins later.
+    fn worker_config(
+        &self,
+        site: SiteId,
+        addr: String,
+        peers: HashMap<SiteId, String>,
+        coordinator: Option<String>,
+    ) -> WorkerConfig {
+        WorkerConfig {
+            site,
+            addr,
+            protocol: self.protocol,
+            checkpoint_every: self.checkpoint_every,
+            peers,
+            coordinator,
+            auto_consensus: self.auto_consensus,
+            use_deletion_log: self.use_deletion_log,
+            scan_batch: self.scan_batch,
+            crash_schedule: self.crash_schedule.clone(),
+        }
     }
 }
 
@@ -293,18 +312,12 @@ impl Cluster {
             let worker = Worker::start_with_listener(
                 engine.clone(),
                 wt,
-                WorkerConfig {
+                cfg.worker_config(
                     site,
-                    addr: addr.clone(),
-                    protocol: cfg.protocol,
-                    checkpoint_every: cfg.checkpoint_every,
-                    peers: peers.clone(),
-                    coordinator: Some(coord_listener.local_addr()),
-                    auto_consensus: cfg.auto_consensus,
-                    use_deletion_log: cfg.use_deletion_log,
-                    scan_batch: cfg.scan_batch,
-                    crash_schedule: cfg.crash_schedule.clone(),
-                },
+                    addr.clone(),
+                    peers.clone(),
+                    Some(coord_listener.local_addr()),
+                ),
                 listener,
             )?;
             workers.insert(
@@ -591,18 +604,12 @@ impl Cluster {
         let worker = Worker::start(
             engine.clone(),
             self.transport_as(&format!("site-{}", site.0)),
-            WorkerConfig {
+            self.cfg.worker_config(
                 site,
-                addr: addr.clone(),
-                protocol: self.cfg.protocol,
-                checkpoint_every: self.cfg.checkpoint_every,
+                addr.clone(),
                 peers,
-                coordinator: self.placement.coordinator_addr().ok(),
-                auto_consensus: self.cfg.auto_consensus,
-                use_deletion_log: self.cfg.use_deletion_log,
-                scan_batch: self.cfg.scan_batch,
-                crash_schedule: self.cfg.crash_schedule.clone(),
-            },
+                self.placement.coordinator_addr().ok(),
+            ),
         )?;
         let metrics = engine.metrics().clone();
         self.workers.insert_handle(
@@ -785,18 +792,12 @@ impl Cluster {
         let worker = Worker::start_with_listener(
             engine.clone(),
             wt,
-            WorkerConfig {
+            self.cfg.worker_config(
                 site,
-                addr: addr.clone(),
-                protocol: self.cfg.protocol,
-                checkpoint_every: self.cfg.checkpoint_every,
+                addr.clone(),
                 peers,
-                coordinator: self.placement.coordinator_addr().ok(),
-                auto_consensus: self.cfg.auto_consensus,
-                use_deletion_log: self.cfg.use_deletion_log,
-                scan_batch: self.cfg.scan_batch,
-                crash_schedule: self.cfg.crash_schedule.clone(),
-            },
+                self.placement.coordinator_addr().ok(),
+            ),
             listener,
         )?;
         let metrics = engine.metrics().clone();

@@ -201,7 +201,7 @@ impl RecoveryContext {
         })?;
         match reply {
             Response::Time { now } => Ok(now),
-            other => Err(DbError::protocol(format!("bad GetTime reply {other:?}"))),
+            other => Err(other.into_error("GetTime")),
         }
     }
 }
@@ -760,11 +760,7 @@ fn phase3(
                     };
                     match rpc_liveness(chan.as_mut(), &req, ctx.config.net_deadline, None)? {
                         Response::Ok => Ok(()),
-                        Response::Err { msg } => Err(DbError::LockTimeout {
-                            txn: lock_tid,
-                            what: format!("{} at {buddy} ({msg})", obj.table),
-                        }),
-                        other => Err(DbError::protocol(format!("bad lock reply {other:?}"))),
+                        other => Err(other.into_error("table-lock").at(buddy)),
                     }
                 },
             )?;
@@ -828,11 +824,7 @@ fn phase3(
         None,
     )? {
         Response::AllDone => {}
-        other => {
-            return Err(DbError::protocol(format!(
-                "bad RecComingOnline reply {other:?}"
-            )))
-        }
+        other => return Err(other.into_error("RecComingOnline")),
     }
     // 5) RELEASE REMOTELY LOCK — rec is fully online.
     for (obj, chan) in plan.iter().zip(&mut lock_chans) {
@@ -922,14 +914,14 @@ fn disk_page_ok(heap: &harbor_storage::SegmentedHeapFile, page_no: u32) -> DbRes
     let result = retry_with(
         &RetryPolicy::immediate(3),
         None,
-        |e| matches!(e, DbError::Io(_)),
+        |e| matches!(e, DbError::Io(..)),
         |_| heap.read_page(page_no).map(|_| ()),
     );
     match result {
         Ok(()) => Ok(true),
         Err(e) if e.is_corrupt() => Ok(false),
         // A page that stays unreadable is repaired like a corrupt one.
-        Err(DbError::Io(_)) => Ok(false),
+        Err(DbError::Io(..)) => Ok(false),
         Err(e) => Err(e),
     }
 }
@@ -988,7 +980,7 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
             // the disk image under it would lose the data the moment the
             // frame is evicted clean. Fail this pass instead — the caller
             // retries the scrub, and the frame keeps the tuples safe.
-            return Err(DbError::Io(std::io::Error::other(format!(
+            return Err(DbError::from(std::io::Error::other(format!(
                 "scrub: page {} of table {} stays corrupt under rewrite",
                 pid.page_no, table_name
             ))));
@@ -1054,13 +1046,13 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
         let zeroed = retry_with(
             &RetryPolicy::immediate(3),
             None,
-            |e| matches!(e, DbError::Io(_)),
+            |e| matches!(e, DbError::Io(..)),
             |_| {
                 heap.write_page(pid.page_no, &empty)?;
                 if disk_page_ok(&heap, pid.page_no)? {
                     Ok(())
                 } else {
-                    Err(DbError::Io(std::io::Error::other(
+                    Err(DbError::from(std::io::Error::other(
                         "zeroing write drew a fault",
                     )))
                 }
@@ -1070,7 +1062,7 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
             Ok(()) => {}
             // Still faulting after the schedule: leave the best-effort
             // zeroed image; the reconcile pass below re-inserts its tuples.
-            Err(DbError::Io(_)) => {}
+            Err(DbError::Io(..)) => {}
             Err(e) => return Err(e),
         }
     }
@@ -1096,7 +1088,7 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
     let reinserted = retry_with(
         &RetryPolicy::immediate(3),
         None,
-        |e| matches!(e, DbError::Io(_)),
+        |e| matches!(e, DbError::Io(..)),
         |_| {
             let mut reinserted = 0u64;
             for ((lo, hi), fetched) in &prefetched {

@@ -246,11 +246,8 @@ fn broadcast(worker: &Arc<Worker>, participants: &[SiteId], req: &Request) -> Db
         // messages are never retransmitted here — the recovering site learns
         // the outcome through recovery instead.
         match rpc_liveness(chan.as_mut(), req, CONSENSUS_DEADLINE, None) {
-            Ok(Response::Err { msg }) => {
-                return Err(DbError::protocol(format!(
-                    "consensus step rejected by {site}: {msg}"
-                )));
-            }
+            // The step was rejected, not lost: the participant says why.
+            Ok(Response::Err(e)) => return Err(e.at(*site)),
             Ok(_) => reached += 1,
             Err(_) => {} // died mid-step; it will recover
         }

@@ -4,7 +4,7 @@
 //! serves the timestamp authority and the join-pending protocol (Fig 5-4).
 
 use crate::failpoint::{CrashPoint, CrashSchedule};
-use crate::message::{RemoteScan, Request, Response, UpdateRequest, WireTxnState, BEGIN_REFUSED};
+use crate::message::{RemoteScan, Request, Response, UpdateRequest, WireTxnState};
 use crate::placement::SharedPlacement;
 use crate::protocol::ProtocolKind;
 use crate::{
@@ -804,8 +804,12 @@ impl Coordinator {
         let left = expires
             .saturating_duration_since(Instant::now())
             .max(Duration::from_millis(1));
-        let mut resp = match chan.recv_timeout(left) {
-            Ok(Some(frame)) => Response::from_slice(&frame),
+        let resp = match chan.recv_timeout(left) {
+            Ok(Some(frame)) => match Response::from_slice(&frame) {
+                // Not a reply to `req`: the site never ran it.
+                Ok(Response::Err(e @ DbError::BeginRefused { .. })) => Err(e),
+                decoded => decoded,
+            },
             Ok(None) => Err(liveness_expired(
                 Some(&self.metrics),
                 &format!(
@@ -816,19 +820,14 @@ impl Coordinator {
             )),
             Err(e) => Err(e),
         };
-        if let Ok(Response::Err { msg }) = &resp {
-            if msg.starts_with(BEGIN_REFUSED) {
-                resp = Err(DbError::protocol(msg.clone()));
-            }
-        }
         if let Err(e) = &resp {
             Self::forget_if_refused(ctx, site, e);
         }
         match (req, &resp) {
             (Request::Commit { .. } | Request::Abort { .. }, Ok(Response::Ack)) => s.settled = true,
             // A worker that could not execute the statement says so in step.
-            (Request::Update { .. }, Ok(Response::Ok | Response::Err { .. }))
-            | (Request::LastUpdate { .. }, Ok(Response::Vote { .. } | Response::Err { .. }))
+            (Request::Update { .. }, Ok(Response::Ok | Response::Err(_)))
+            | (Request::LastUpdate { .. }, Ok(Response::Vote { .. } | Response::Err(_)))
             | (Request::Prepare { .. }, Ok(Response::Vote { .. }))
             | (Request::PrepareToCommit { .. }, Ok(Response::Ack)) => {}
             _ => s.chan = None,
@@ -840,7 +839,7 @@ impl Coordinator {
     /// open: it stops being a participant, so no ABORT of this transaction
     /// can end whatever else holds the id there.
     fn forget_if_refused(ctx: &TxnCtx, site: SiteId, e: &DbError) {
-        if matches!(e, DbError::Protocol(msg) if msg.starts_with(BEGIN_REFUSED)) {
+        if matches!(e, DbError::BeginRefused { .. }) {
             ctx.inner.lock().participants.remove(&site);
         }
     }
@@ -1105,17 +1104,13 @@ impl Coordinator {
                         self.abort(tid)?;
                         return Err(DbError::TransactionAborted(tid));
                     }
-                    Ok(Response::Err { msg }) => {
+                    Ok(Response::Err(e)) => {
                         // Worker could not execute (lock timeout,
-                        // constraint): abort everywhere.
+                        // constraint): abort everywhere, and say which.
                         self.abort(tid)?;
-                        return Err(DbError::protocol(format!(
-                            "update failed at {site}: {msg}; transaction aborted"
-                        )));
+                        return Err(e.at(site));
                     }
-                    Ok(other) => {
-                        return Err(DbError::protocol(format!("bad UPDATE reply {other:?}")))
-                    }
+                    Ok(other) => return Err(other.into_error("UPDATE")),
                     Err(e) if e.is_disconnect() => {
                         // Worker died mid-transaction (closed connection or
                         // an expired liveness deadline): abort and mark it
@@ -1887,7 +1882,7 @@ impl Coordinator {
                 },
                 Request::RecComingOnline { site, table } => match self.handle_join(site, &table) {
                     Ok(()) => Response::AllDone,
-                    Err(e) => Response::Err { msg: e.to_string() },
+                    Err(e) => Response::Err(e),
                 },
                 // In-doubt 2PC workers resolve against the coordinator's
                 // forced log (presumed abort), not worker-only consensus.
@@ -1896,15 +1891,13 @@ impl Coordinator {
                 },
                 Request::JoinSite { site, addr } => match self.admit_site(site, &addr) {
                     Ok(()) => Response::Ok,
-                    Err(e) => Response::Err { msg: e.to_string() },
+                    Err(e) => Response::Err(e),
                 },
                 Request::DecommissionSite { site } => match self.decommission_site(site) {
                     Ok(_) => Response::Ok,
-                    Err(e) => Response::Err { msg: e.to_string() },
+                    Err(e) => Response::Err(e),
                 },
-                _ => Response::Err {
-                    msg: "not a coordinator request".into(),
-                },
+                _ => Response::Err(DbError::protocol("not a coordinator request")),
             };
             if chan.send(&resp.to_vec()).is_err() {
                 return;

@@ -15,9 +15,7 @@ pub mod worker;
 pub use consensus::{backup_action, BackupAction, BackupState};
 pub use coordinator::{Coordinator, CoordinatorConfig, EpochCommitConfig, FailPoint};
 pub use failpoint::{CrashPoint, CrashSchedule};
-pub use message::{
-    RemoteScan, Request, Response, UpdateRequest, WireReadMode, WireTxnState, BEGIN_REFUSED,
-};
+pub use message::{RemoteScan, Request, Response, UpdateRequest, WireReadMode, WireTxnState};
 pub use placement::{Copy, Part, Placement, RecoveryObject, SharedPlacement, TablePlacement};
 pub use protocol::ProtocolKind;
 pub use worker::{ship_scan, simulate_cpu_work, Worker, WorkerConfig};
@@ -215,10 +213,7 @@ pub fn segment_bounds_rpc(
     };
     match rpc_liveness(chan, &req, deadline, None)? {
         Response::SegmentBounds { segments } => Ok(segments),
-        Response::Err { msg } => Err(DbError::from_remote_msg(msg)),
-        other => Err(DbError::protocol(format!(
-            "unexpected segment-bounds reply {other:?}"
-        ))),
+        other => Err(other.into_error("segment-bounds")),
     }
 }
 
@@ -252,24 +247,15 @@ fn drain_scan_replies(
                     break;
                 }
             }
-            // Re-classify wire errors: a buddy reading a corrupt page of
-            // its own must surface as `Corrupt` (site-local, repairable —
-            // the fetcher fails over), not as a protocol violation.
-            Response::Err { msg } => return Err(DbError::from_remote_msg(msg)),
-            other => {
-                return Err(DbError::protocol(format!(
-                    "unexpected scan reply {other:?}"
-                )))
-            }
+            // A buddy that read a corrupt page of its own says `Corrupt`
+            // (site-local, repairable): the fetcher fails over.
+            other => return Err(other.into_error("scan")),
         }
     }
     // Final status frame.
     let frame = recv_frame(chan)?;
     match Response::from_slice(&frame)? {
         Response::Ok => Ok(()),
-        Response::Err { msg } => Err(DbError::from_remote_msg(msg)),
-        other => Err(DbError::protocol(format!(
-            "unexpected scan status {other:?}"
-        ))),
+        other => Err(other.into_error("scan status")),
     }
 }

@@ -332,7 +332,7 @@ pub enum Request {
     /// The begin marker: `first` is the first frame this worker sees of
     /// `tid`. The worker begins the transaction, executes `first` and
     /// answers as it would have answered `first` alone — or with one
-    /// [`Response::Err`] opening with [`BEGIN_REFUSED`], `first` not
+    /// [`Response::Err`] carrying [`DbError::BeginRefused`], `first` not
     /// executed, if it will not begin the transaction. `first` is never
     /// itself a `Begin`.
     Begin {
@@ -476,9 +476,8 @@ pub enum Response {
     },
     /// Fig 5-4's "all done" from the coordinator to the recovering site.
     AllDone,
-    Err {
-        msg: String,
-    },
+    /// The sender's failure, as [`DbError`]'s own wire encoding carries it.
+    Err(DbError),
     /// Per-segment `(tmin_insert, tmax_insert, tmax_delete, pages)`
     /// directory bounds, oldest segment first. The page count lets the
     /// recovering site weight its ranged catch-up queries by data volume.
@@ -496,11 +495,6 @@ pub enum Response {
         acked: Vec<TransactionId>,
     },
 }
-
-/// How a worker's [`Response::Err`] opens when it refuses to begin a
-/// transaction: nothing of the transaction is open at the site, so the
-/// coordinator has nothing to abort there.
-pub const BEGIN_REFUSED: &str = "begin refused";
 
 /// Wire tag of [`Request::Begin`].
 const BEGIN_TAG: u8 = 0;
@@ -770,6 +764,18 @@ impl Request {
     }
 }
 
+impl Response {
+    /// What the caller of an RPC makes of a reply it did not ask for: the
+    /// sender's own error if that is what came, a protocol violation
+    /// naming the reply `asked` for otherwise.
+    pub fn into_error(self, asked: &str) -> DbError {
+        match self {
+            Response::Err(e) => e,
+            other => DbError::protocol(format!("unexpected {asked} reply {other:?}")),
+        }
+    }
+}
+
 impl Wire for Response {
     fn encode(&self, enc: &mut Encoder) {
         match self {
@@ -810,9 +816,9 @@ impl Wire for Response {
                 }
             }
             Response::AllDone => enc.put_u8(6),
-            Response::Err { msg } => {
+            Response::Err(e) => {
                 enc.put_u8(7);
-                enc.put_str(msg);
+                e.encode(enc);
             }
             Response::SegmentBounds { segments } => {
                 enc.put_u8(8);
@@ -875,9 +881,7 @@ impl Wire for Response {
                 Response::Tuples { batch, done }
             }
             6 => Response::AllDone,
-            7 => Response::Err {
-                msg: dec.get_str()?,
-            },
+            7 => Response::Err(DbError::decode(dec)?),
             8 => {
                 let n = dec.get_u32()? as usize;
                 let n = checked_count(dec, n)?;
@@ -1176,7 +1180,7 @@ mod tests {
             done: true,
         });
         round_trip_resp(Response::AllDone);
-        round_trip_resp(Response::Err { msg: "boom".into() });
+        round_trip_resp(Response::Err(DbError::Constraint("boom".into())));
         round_trip_resp(Response::SegmentBounds { segments: vec![] });
         round_trip_resp(Response::SegmentBounds {
             segments: vec![

@@ -12,7 +12,6 @@ use crate::consensus::{self, BackupState};
 use crate::failpoint::{CrashPoint, CrashSchedule};
 use crate::message::{
     RemoteScan, Request, Response, TuplesFrameBuilder, UpdateRequest, WireReadMode, WireTxnState,
-    BEGIN_REFUSED,
 };
 use crate::protocol::ProtocolKind;
 use harbor_common::codec::Wire;
@@ -273,12 +272,7 @@ impl Worker {
             let req = match Request::from_slice(&frame) {
                 Ok(r) => r,
                 Err(e) => {
-                    let _ = chan.send(
-                        &Response::Err {
-                            msg: format!("bad request: {e}"),
-                        }
-                        .to_vec(),
-                    );
+                    let _ = chan.send(&Response::Err(e).to_vec());
                     continue;
                 }
             };
@@ -294,9 +288,10 @@ impl Worker {
                         *first
                     }
                     Err(e) => {
-                        let refused = Response::Err {
-                            msg: format!("{BEGIN_REFUSED}: {e}"),
-                        };
+                        let refused = Response::Err(DbError::BeginRefused {
+                            tid,
+                            why: e.to_string(),
+                        });
                         if chan.send(&refused.to_vec()).is_err() {
                             self.on_disconnect(&conn_txns, &conn_locks);
                             return;
@@ -649,7 +644,7 @@ impl Worker {
     fn handle(self: &Arc<Self>, req: &Request, chan: &mut Box<dyn Channel>) -> Response {
         match self.handle_inner(req, chan) {
             Ok(resp) => resp,
-            Err(e) => Response::Err { msg: e.to_string() },
+            Err(e) => Response::Err(e),
         }
     }
 

@@ -5,7 +5,9 @@
 //! RPC layer relies on every such frame failing *cleanly*.
 
 use harbor_common::codec::Wire;
-use harbor_common::{SiteId, Timestamp, TransactionId, Tuple, Value};
+use harbor_common::{
+    DbError, PageId, RecordId, SiteId, TableId, Timestamp, TransactionId, Tuple, Value,
+};
 use harbor_dist::{RemoteScan, Request, Response, UpdateRequest, WireReadMode, WireTxnState};
 use proptest::prelude::*;
 
@@ -99,8 +101,84 @@ fn sample_requests() -> Vec<Request> {
     plain.into_iter().chain(marked).collect()
 }
 
-fn sample_responses() -> Vec<Response> {
+/// One error of every variant, its fields drawn from `text` and `n`.
+fn every_error(text: &str, n: u64) -> Vec<DbError> {
+    let m = || text.to_string();
+    let tid = TransactionId(n);
+    let page = PageId::new(TableId(n as u32), (n >> 32) as u32);
     vec![
+        DbError::from(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            text.to_string(),
+        )),
+        DbError::LockTimeout {
+            txn: tid,
+            what: m(),
+        },
+        DbError::TransactionAborted(tid),
+        DbError::UnknownTransaction(tid),
+        DbError::NoSuchTable(page.table),
+        DbError::NoSuchPage(page),
+        DbError::NoSuchRecord(RecordId::new(page, n as u16)),
+        DbError::Corrupt(m()),
+        DbError::CorruptPage {
+            table: page.table,
+            page: page.page_no,
+        },
+        DbError::Full(m()),
+        DbError::Net(m()),
+        DbError::Timeout(m()),
+        DbError::SiteUnavailable(m()),
+        DbError::Protocol(m()),
+        DbError::SiteDown(m()),
+        DbError::Schema(m()),
+        DbError::Constraint(m()),
+        DbError::Unrecoverable(m()),
+        DbError::Degraded(m()),
+        DbError::Overloaded { retry_after_ms: n },
+        DbError::BeginRefused { tid, why: m() },
+        DbError::Internal(m()),
+    ]
+}
+
+/// The variant's ordinal, and whether it is of the link class — the
+/// sender's own links and files, which arrive as `Protocol` carrying their
+/// text while everything else arrives as itself. No wildcard arm: a new
+/// variant does not compile until it is placed here, and
+/// `every_variant_is_generated` fails until [`every_error`] makes one.
+fn variant(e: &DbError) -> (usize, bool) {
+    use DbError::*;
+    match e {
+        Io(..) => (0, true),
+        Net(_) => (1, true),
+        SiteDown(_) => (2, true),
+        SiteUnavailable(_) => (3, true),
+        LockTimeout { .. } => (4, false),
+        TransactionAborted(_) => (5, false),
+        UnknownTransaction(_) => (6, false),
+        NoSuchTable(_) => (7, false),
+        NoSuchPage(_) => (8, false),
+        NoSuchRecord(_) => (9, false),
+        Corrupt(_) => (10, false),
+        CorruptPage { .. } => (11, false),
+        Full(_) => (12, false),
+        Timeout(_) => (13, false),
+        Protocol(_) => (14, false),
+        Schema(_) => (15, false),
+        Constraint(_) => (16, false),
+        Unrecoverable(_) => (17, false),
+        Degraded(_) => (18, false),
+        Overloaded { .. } => (19, false),
+        BeginRefused { .. } => (20, false),
+        Internal(_) => (21, false),
+    }
+}
+const ERROR_VARIANTS: usize = 22;
+
+fn sample_responses() -> Vec<Response> {
+    let errors = every_error("T3.p7 — nope", 0x0001_0000_0000_002a);
+    let mut out: Vec<Response> = errors.into_iter().map(Response::Err).collect();
+    out.extend([
         Response::Ok,
         Response::Vote { yes: true },
         Response::Time { now: Timestamp(99) },
@@ -122,7 +200,6 @@ fn sample_responses() -> Vec<Response> {
             ],
             done: false,
         },
-        Response::Err { msg: "nope".into() },
         Response::SegmentBounds {
             segments: vec![(Timestamp(1), Timestamp(8), Timestamp(6), 128)],
         },
@@ -135,7 +212,8 @@ fn sample_responses() -> Vec<Response> {
         Response::AckBatch {
             acked: vec![TransactionId(0x0001_0000_0000_002a)],
         },
-    ]
+    ]);
+    out
 }
 
 /// Decoding must be total: `Ok` (the mutation happened to stay decodable)
@@ -154,7 +232,7 @@ proptest! {
 
     #[test]
     fn truncated_frames_never_panic(
-        idx in 0usize..32,
+        idx in 0usize..64,
         keep_pct in 0u32..100,
         as_request in any::<bool>(),
     ) {
@@ -170,7 +248,7 @@ proptest! {
 
     #[test]
     fn corrupted_frames_never_panic(
-        idx in 0usize..32,
+        idx in 0usize..64,
         pos in 0usize..4096,
         mask in 1u8..=255,
         as_request in any::<bool>(),
@@ -188,7 +266,7 @@ proptest! {
 
     #[test]
     fn inflated_length_prefixes_never_panic_or_overallocate(
-        idx in 0usize..32,
+        idx in 0usize..64,
         pos in 0usize..4096,
         as_request in any::<bool>(),
     ) {
@@ -209,6 +287,72 @@ proptest! {
         }
         decode_is_total(&bytes, as_request);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every variant crosses as the rule prescribes, and the class
+    /// predicates of what arrives are those of what the rule prescribes —
+    /// in particular nothing that arrives is a disconnect.
+    #[test]
+    fn every_error_crosses_by_the_rule(text in "[ -~é]{0,40}", n in any::<u64>()) {
+        for e in every_error(&text, n) {
+            let (_, link) = variant(&e);
+            let want = if link {
+                DbError::Protocol(e.to_string())
+            } else {
+                e.clone()
+            };
+            let got = DbError::from_slice(&e.to_vec()).expect("decode");
+            prop_assert_eq!(&got, &want);
+            prop_assert!(!got.is_disconnect());
+            if !link {
+                prop_assert_eq!(got.is_timeout(), e.is_timeout());
+                prop_assert_eq!(got.is_corrupt(), e.is_corrupt());
+                prop_assert_eq!(got.is_degraded(), e.is_degraded());
+                prop_assert_eq!(got.is_overloaded(), e.is_overloaded());
+                prop_assert_eq!(got.retry_after_ms(), e.retry_after_ms());
+            } else {
+                prop_assert!(e.is_disconnect());
+                prop_assert!(!(got.is_timeout() || got.is_corrupt() || got.is_degraded()));
+                prop_assert!(!got.is_overloaded() && got.retry_after_ms().is_none());
+            }
+            // The same bytes inside both reply kinds that carry one.
+            let reply = Response::Err(e.clone()).to_vec();
+            prop_assert_eq!(Response::from_slice(&reply).expect("decode"), Response::Err(want));
+        }
+    }
+
+    /// A damaged error frame is `Corrupt` or some other error — never a
+    /// panic, never an allocation the peer sized.
+    #[test]
+    fn damaged_error_frames_decode_to_an_error_or_an_error_value(
+        idx in 0usize..ERROR_VARIANTS,
+        keep_pct in 0u32..100,
+        pos in 0usize..4096,
+    ) {
+        let frame = every_error("lock on T3.p7", 42)[idx].to_vec();
+        let keep = (frame.len() as u64 * keep_pct as u64 / 100) as usize;
+        prop_assert!(DbError::from_slice(&frame[..keep]).unwrap_err().is_corrupt());
+        let mut stamped = frame.clone();
+        let pos = pos % stamped.len();
+        for b in stamped.iter_mut().skip(pos).take(4) {
+            *b = 0xff;
+        }
+        if let Err(e) = DbError::from_slice(&stamped) {
+            prop_assert!(e.is_corrupt(), "{}", e);
+        }
+    }
+}
+
+#[test]
+fn every_variant_is_generated() {
+    let mut seen: Vec<usize> = every_error("x", 1).iter().map(|e| variant(e).0).collect();
+    seen.sort_unstable();
+    assert_eq!(seen, (0..ERROR_VARIANTS).collect::<Vec<_>>());
+    // An error tag no variant owns is refused, as every other codec's is.
+    assert!(DbError::from_slice(&[200]).unwrap_err().is_corrupt());
 }
 
 /// The begin marker is one encoding whatever it marks: a prefix of the

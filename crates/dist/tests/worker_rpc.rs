@@ -3,10 +3,12 @@
 
 use harbor_common::codec::Wire;
 use harbor_common::time::TimestampAuthority;
-use harbor_common::{FieldType, Metrics, SiteId, StorageConfig, Timestamp, TransactionId, Value};
+use harbor_common::{
+    DbError, FieldType, Metrics, SiteId, StorageConfig, Timestamp, TransactionId, Value,
+};
 use harbor_dist::{
     rpc, scan_rpc, scan_rpc_streaming, ProtocolKind, RemoteScan, Request, Response, UpdateRequest,
-    WireReadMode, Worker, WorkerConfig, BEGIN_REFUSED,
+    WireReadMode, Worker, WorkerConfig,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_exec::Expr;
@@ -278,8 +280,8 @@ fn key_scan_examines_only_its_hits() {
     assert_eq!(examined() - before, 10);
     scan.table = "nope".into();
     match scan_rpc(chan.as_mut(), &scan) {
-        Err(e) => assert!(e.to_string().contains("nope"), "{e}"),
-        Ok(rows) => panic!("{} rows from an unknown table", rows.len()),
+        Err(DbError::Schema(m)) => assert!(m.contains("nope"), "{m}"),
+        other => panic!("an unknown table answered {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&f.dir);
 }
@@ -409,7 +411,7 @@ fn a_statement_for_a_closed_transaction_takes_no_locks() {
     }
     assert!(matches!(
         rpc(chan.as_mut(), &insert).unwrap(),
-        Response::Err { .. }
+        Response::Err(DbError::UnknownTransaction(t)) if t == tid
     ));
     assert_eq!(f.engine.locks().held_count(), 0);
     let scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(Timestamp(1_000)));
@@ -426,7 +428,7 @@ fn a_marked_first_frame_begins_and_executes_with_one_reply() {
     let mut chan = f.connect();
     // Unmarked, for a transaction the worker has never seen: refused.
     match rpc(chan.as_mut(), &insert(tid, 1)).unwrap() {
-        Response::Err { msg } => assert!(msg.contains("unknown transaction"), "{msg}"),
+        Response::Err(DbError::UnknownTransaction(t)) => assert_eq!(t, tid),
         other => panic!("{other:?}"),
     }
     assert_eq!(f.engine.locks().held_count(), 0);
@@ -494,7 +496,7 @@ fn a_duplicated_first_frame_does_not_apply_twice() {
         Response::Ok
     ));
     match Response::from_slice(&chan.recv().unwrap()).unwrap() {
-        Response::Err { msg } => assert!(msg.starts_with(BEGIN_REFUSED), "{msg}"),
+        Response::Err(DbError::BeginRefused { tid: refused, .. }) => assert_eq!(refused, tid),
         other => panic!("{other:?}"),
     }
     assert_eq!(all_rows(chan.as_mut()), 1);
@@ -574,7 +576,7 @@ fn a_failed_last_statement_prepares_nothing() {
         Response::Ok
     ));
     match rpc(chan.as_mut(), &last_insert(tid, "nope", 2)).unwrap() {
-        Response::Err { msg } => assert!(msg.contains("nope"), "{msg}"),
+        Response::Err(DbError::Schema(m)) => assert!(m.contains("nope"), "{m}"),
         other => panic!("{other:?}"),
     }
     assert_eq!(
@@ -683,7 +685,7 @@ fn a_late_first_frame_cannot_reopen_an_ended_transaction() {
     ));
     for tid in [committed, aborted, overtaken] {
         match rpc(chan.as_mut(), &begin(tid, insert(tid, 9))).unwrap() {
-            Response::Err { msg } => assert!(msg.starts_with(BEGIN_REFUSED), "{msg}"),
+            Response::Err(DbError::BeginRefused { tid: refused, .. }) => assert_eq!(refused, tid),
             other => panic!("{tid}: {other:?}"),
         }
         assert!(f.engine.txn_status(tid).is_none(), "{tid} reopened");
@@ -718,7 +720,7 @@ fn a_refused_begin_is_one_reply_and_leaves_the_session_in_step() {
     ));
     let mut chan = f.connect();
     match rpc(chan.as_mut(), &begin(tid, insert(tid, 2))).unwrap() {
-        Response::Err { msg } => assert!(msg.starts_with(BEGIN_REFUSED), "{msg}"),
+        Response::Err(DbError::BeginRefused { tid: refused, .. }) => assert_eq!(refused, tid),
         other => panic!("{other:?}"),
     }
     // In step: each later request gets its own answer, not a stale one.
@@ -849,27 +851,73 @@ fn corrupt_page_classifies_as_corrupt_over_the_wire() {
     let _ = std::fs::remove_dir_all(&f.dir);
 }
 
-/// The wire re-classification rules in isolation: a remote error whose
-/// message names corrupt state comes back as `Corrupt` (site-local,
-/// repairable), everything else as a protocol violation. Exercises the
-/// exact strings the `Display` impls put on the wire.
+/// What a worker's failures are on the far side of the wire: damage keeps
+/// its class and fields (site-local, repairable), and nothing else is
+/// mistaken for it or for the worker's death.
 #[test]
-fn remote_error_messages_reclassify() {
-    use harbor_common::{DbError, TableId};
-    // What a worker actually sends when a scan hits a bad checksum.
-    let wire_msg = DbError::CorruptPage {
+fn remote_errors_arrive_as_themselves() {
+    use harbor_common::TableId;
+    let crossed = |e: DbError| match Response::from_slice(&Response::Err(e).to_vec()).unwrap() {
+        Response::Err(e) => e,
+        other => panic!("{other:?}"),
+    };
+    // What a worker sends when a scan hits a bad checksum.
+    let damaged = DbError::CorruptPage {
         table: TableId(1),
         page: 3,
-    }
-    .to_string();
-    let e = DbError::from_remote_msg(wire_msg);
-    assert!(e.is_corrupt());
-    assert!(!e.is_timeout() && !e.is_disconnect());
-    let e = DbError::from_remote_msg(DbError::Corrupt("directory header".into()).to_string());
-    assert!(e.is_corrupt());
-    let e = DbError::from_remote_msg("unexpected frame");
+    };
+    let e = crossed(damaged.clone());
+    assert_eq!(e, damaged);
+    assert!(e.is_corrupt() && !e.is_timeout() && !e.is_disconnect());
+    assert_eq!(
+        crossed(DbError::corrupt("directory header")),
+        DbError::Corrupt("directory header".into())
+    );
+    let e = crossed(DbError::protocol("unexpected frame"));
+    assert_eq!(e, DbError::Protocol("unexpected frame".into()));
     assert!(!e.is_corrupt());
-    assert!(matches!(e, DbError::Protocol(_)));
+}
+
+/// Phase 3's handshake (§5.4.1) retries a deadlock timeout and nothing
+/// else, so the two must arrive apart: a held X lock is `LockTimeout`
+/// naming the table, an unknown table is not.
+#[test]
+fn table_lock_replies_tell_a_timeout_from_a_missing_table() {
+    let f = build("table-lock");
+    let holder = TransactionId::from_parts(SiteId(0), 51);
+    let recoverer = TransactionId::from_parts(SiteId(2), 0x7ec0);
+    let table_id = f.engine.table_def("t").unwrap().id;
+    f.engine.begin(holder).unwrap();
+    f.engine
+        .locks()
+        .acquire(
+            holder,
+            harbor_storage::LockKey::Table(table_id),
+            harbor_storage::LockMode::Exclusive,
+        )
+        .unwrap();
+    let mut chan = f.connect();
+    let lock = |table: &str| Request::AcquireTableLock {
+        tid: recoverer,
+        table: table.into(),
+    };
+    match rpc(chan.as_mut(), &lock("t")).unwrap() {
+        Response::Err(DbError::LockTimeout { txn, what }) => {
+            assert_eq!(txn, recoverer);
+            assert!(what.contains(&table_id.to_string()), "{what}");
+        }
+        other => panic!("{other:?}"),
+    }
+    match rpc(chan.as_mut(), &lock("nope")).unwrap() {
+        Response::Err(DbError::Schema(m)) => assert!(m.contains("nope"), "{m}"),
+        other => panic!("{other:?}"),
+    }
+    f.engine.locks().release_all(holder);
+    assert!(matches!(
+        rpc(chan.as_mut(), &lock("t")).unwrap(),
+        Response::Ok
+    ));
+    let _ = std::fs::remove_dir_all(&f.dir);
 }
 
 #[test]
@@ -877,7 +925,7 @@ fn workers_reject_coordinator_only_requests() {
     let f = build("coord-only");
     let mut chan = f.connect();
     match rpc(chan.as_mut(), &Request::GetTime).unwrap() {
-        Response::Err { msg } => assert!(msg.contains("coordinator")),
+        Response::Err(DbError::Protocol(m)) => assert!(m.contains("coordinator"), "{m}"),
         other => panic!("{other:?}"),
     }
     let _ = std::fs::remove_dir_all(&f.dir);

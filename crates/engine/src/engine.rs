@@ -266,10 +266,6 @@ impl Engine {
         self.catalog.by_name(name)
     }
 
-    pub fn table_def_by_id(&self, id: TableId) -> Option<TableDef> {
-        self.catalog.by_id(id)
-    }
-
     pub fn tables(&self) -> Vec<TableDef> {
         self.catalog.all()
     }

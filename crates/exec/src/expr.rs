@@ -74,10 +74,6 @@ impl Expr {
         Expr::Cmp(CmpOp::Eq, Box::new(self), Box::new(other))
     }
 
-    pub fn ne(self, other: Expr) -> Expr {
-        Expr::Cmp(CmpOp::Ne, Box::new(self), Box::new(other))
-    }
-
     pub fn lt(self, other: Expr) -> Expr {
         Expr::Cmp(CmpOp::Lt, Box::new(self), Box::new(other))
     }

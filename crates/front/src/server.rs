@@ -255,11 +255,6 @@ impl FrontServer {
         self.local_addr.clone()
     }
 
-    /// Permits currently inside the engine (for status printouts).
-    pub fn permits_in_use(&self) -> usize {
-        self.shared.gate.in_use()
-    }
-
     /// Current work-queue depth.
     pub fn queue_depth(&self) -> usize {
         self.shared.work.lock().len()
@@ -348,7 +343,7 @@ fn read_loop(sh: &Shared) {
             Ok(Some(frame)) => {
                 let arrival = Instant::now();
                 match FrontRequest::from_slice(&frame) {
-                    Err(e) => {
+                    Err(err) => {
                         // Framing is untrusted after a parse failure; answer
                         // best-effort and drop the session.
                         sh.reply(
@@ -356,7 +351,7 @@ fn read_loop(sh: &Shared) {
                             &FrontReply::Err {
                                 client: 0,
                                 req: 0,
-                                msg: e.to_string(),
+                                err,
                             },
                         );
                         sh.close_session(session);
@@ -409,14 +404,7 @@ fn enqueue_or_shed(sh: &Shared, work: Work) {
             req,
             ..
         } = work;
-        let ok = sh.reply(
-            &mut session,
-            &FrontReply::Err {
-                client,
-                req,
-                msg: err.to_string(),
-            },
-        );
+        let ok = sh.reply(&mut session, &FrontReply::Err { client, req, err });
         if ok {
             sh.park_session(session, true);
         } else {
@@ -468,11 +456,7 @@ fn work_loop(sh: &Shared) {
         };
         let reply = match outcome {
             Ok(ts) => FrontReply::Committed { client, req, ts },
-            Err(e) => FrontReply::Err {
-                client,
-                req,
-                msg: e.to_string(),
-            },
+            Err(err) => FrontReply::Err { client, req, err },
         };
         if sh.reply(&mut session, &reply) {
             sh.park_session(session, true);

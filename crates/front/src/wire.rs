@@ -3,9 +3,9 @@
 //! The serving protocol is deliberately tiny — a transaction is shipped
 //! whole (its [`UpdateRequest`] ops reuse the inter-site codec), executed
 //! under the server's admission gate, and answered with a commit timestamp
-//! or a stringly error that [`DbError::from_remote_msg`] re-classifies on
-//! the client side (so an `Overloaded` shed keeps its class *and* its
-//! backoff hint across the hop, exactly like the inter-site taxonomy).
+//! or the failure itself in [`DbError`]'s wire encoding (so an `Overloaded`
+//! shed keeps its class *and* its backoff hint across the hop, exactly as
+//! between sites).
 
 use harbor_common::codec::{Decoder, Encoder, Wire};
 use harbor_common::config::DEFAULT_REQUEST_DEADLINE;
@@ -56,12 +56,11 @@ pub enum FrontReply {
         req: u64,
         ts: Timestamp,
     },
-    /// Stringly error; re-classified client-side via
-    /// [`DbError::from_remote_msg`].
+    /// The request failed; `err` is the failure as the server saw it.
     Err {
         client: u64,
         req: u64,
-        msg: String,
+        err: DbError,
     },
 }
 
@@ -122,11 +121,11 @@ impl Wire for FrontReply {
                 enc.put_u64(*req);
                 enc.put_u64(ts.0);
             }
-            FrontReply::Err { client, req, msg } => {
+            FrontReply::Err { client, req, err } => {
                 enc.put_u8(2);
                 enc.put_u64(*client);
                 enc.put_u64(*req);
-                enc.put_str(msg);
+                err.encode(enc);
             }
         }
     }
@@ -142,7 +141,7 @@ impl Wire for FrontReply {
             2 => Ok(FrontReply::Err {
                 client: dec.get_u64()?,
                 req: dec.get_u64()?,
-                msg: dec.get_str()?,
+                err: DbError::decode(dec)?,
             }),
             t => Err(DbError::protocol(format!("bad FrontReply tag {t}"))),
         }
@@ -244,7 +243,7 @@ impl FrontClient {
         self.chan.send_framed(&msg.to_framed_vec())?;
         match FrontReply::from_slice(&self.recv_reply(deadline)?)? {
             FrontReply::Committed { ts, .. } => Ok(ts),
-            FrontReply::Err { msg, .. } => Err(DbError::from_remote_msg(msg)),
+            FrontReply::Err { err, .. } => Err(err),
             FrontReply::Pong => Err(DbError::protocol("unsolicited Pong")),
         }
     }
@@ -294,7 +293,7 @@ mod tests {
             FrontReply::Err {
                 client: 1,
                 req: 2,
-                msg: "overloaded: retry after 40 ms".into(),
+                err: DbError::overloaded(40),
             },
         ] {
             assert_eq!(FrontReply::from_slice(&r.to_vec()).expect("decode"), r);

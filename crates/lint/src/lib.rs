@@ -18,9 +18,10 @@
 //!   inversions under the chaos soak.
 //! * **`error-taxonomy`** — `DbError::Timeout` / `SiteUnavailable` /
 //!   `CorruptPage` may only be *constructed* at classification boundaries
-//!   (`from_remote_msg` and friends): recovery failover and scrub repair
-//!   dispatch on these classes, so ad-hoc construction elsewhere corrupts
-//!   failure handling.
+//!   (the RPC deadline helpers, checksum verification, admission control,
+//!   and the one wire decoder in `error.rs`): recovery failover and scrub
+//!   repair dispatch on these classes, so ad-hoc construction elsewhere
+//!   corrupts failure handling.
 //! * **`panic-ratchet`** — `.unwrap()` / `.expect()` counts per crate are
 //!   pinned in `lint-baseline.toml` and may only shrink (test code exempt).
 //!
@@ -97,7 +98,7 @@ pub const DETERMINISM_MODULES: [&str; 4] = [
 /// definition itself plus the classification boundaries (RPC deadline
 /// helpers, page-checksum verification, serving-path admission control).
 pub const TAXONOMY_BOUNDARIES: [&str; 4] = [
-    "common/src/error.rs",    // the taxonomy and its constructors
+    "common/src/error.rs",    // the taxonomy, its constructors, its wire decoder
     "dist/src/lib.rs",        // rpc_deadline/rpc_liveness: timeout vs liveness death
     "storage/src/file.rs",    // checksum verification: the only CorruptPage source
     "front/src/admission.rs", // load shedding: the only Overloaded source
@@ -197,13 +198,12 @@ pub(crate) const BLOCKING_METHODS: [&str; 9] = [
 
 /// Free-function / repo helper names that block internally (RPC round
 /// trips, retry loops). Matched as `name(`.
-pub(crate) const BLOCKING_HELPERS: [&str; 7] = [
+pub(crate) const BLOCKING_HELPERS: [&str; 6] = [
     "rpc_live",
     "rpc_liveness",
     "rpc_expect_ok",
     "scan_rpc_deadline",
     "with_read_retries",
-    "retry_transient",
     "retry_with",
 ];
 

@@ -284,11 +284,6 @@ impl ChaosTransport {
         self.state.partitions.lock().clear();
     }
 
-    /// `true` if any installed partition currently blocks `src → dst`.
-    pub fn is_blocked(&self, src: &str, dst: &str) -> bool {
-        self.state.blocked(src, dst)
-    }
-
     /// Copy of the fault trace so far.
     pub fn trace(&self) -> Vec<FaultRecord> {
         self.state.trace.lock().clone()

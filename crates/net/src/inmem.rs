@@ -63,12 +63,6 @@ impl InMemNetwork {
             ..InMemNetwork::new(metrics)
         }
     }
-
-    /// Forcibly unbinds an address (crash simulation: the site's listener
-    /// vanishes; established channels die when their owner drops them).
-    pub fn unbind(&self, addr: &str) {
-        self.registry.lock().listeners.remove(addr);
-    }
 }
 
 impl Transport for InMemNetwork {

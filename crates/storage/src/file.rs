@@ -120,7 +120,7 @@ impl TableFile {
         if let Some(plan) = self.fault_plan() {
             if plan.on_read(self.table_id(), page_no).is_some() {
                 self.metrics.add_disk_faults_injected(1);
-                return Err(DbError::Io(std::io::Error::other(format!(
+                return Err(DbError::from(std::io::Error::other(format!(
                     "injected disk read error (table {}, page {page_no})",
                     self.table_id()
                 ))));
@@ -526,7 +526,7 @@ mod tests {
         // Read error on the second read of page 0.
         f.write_page(0, &page).unwrap();
         assert!(f.read_page(0).is_ok());
-        assert!(matches!(f.read_page(0), Err(DbError::Io(_))));
+        assert!(matches!(f.read_page(0), Err(DbError::Io(..))));
         assert!(f.read_page(0).is_ok());
         assert_eq!(plan.injected(), 3);
         // Repair by rewriting: a clean write restamps the trailer.

@@ -115,10 +115,6 @@ impl Page {
         self.u16_at(OFF_USED) as usize
     }
 
-    pub fn free_slots(&self) -> usize {
-        self.slot_count() - self.used()
-    }
-
     pub fn is_full(&self) -> bool {
         self.used() == self.slot_count()
     }

@@ -264,11 +264,6 @@ impl SegmentedHeapFile {
         self.zones.lock().remove(&page_no);
     }
 
-    /// Number of valid zone-map entries (tests / introspection).
-    pub fn zone_entries(&self) -> usize {
-        self.zones.lock().len()
-    }
-
     /// Writes a data page, first persisting the segment directory if its
     /// annotations for this page's segment have advanced since the last
     /// persist. This ordering keeps the on-disk directory conservative with

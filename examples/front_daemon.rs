@@ -7,6 +7,7 @@
 //! Run with: `cargo run --release --example front_daemon`
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
+use harbor_common::metrics::Group;
 use harbor_common::{Metrics, SiteId, StorageConfig};
 use harbor_dist::ProtocolKind;
 use harbor_front::{FrontConfig, FrontServer};
@@ -89,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Graceful drain: stop accepting, finish everything admitted, close.
     let drain = server.shutdown();
     println!("drained in {drain:?}");
-    println!("serving {}", front_metrics.snapshot().serve_summary());
+    println!("serving {}", front_metrics.snapshot().summary(Group::Serve));
 
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

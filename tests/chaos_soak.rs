@@ -10,6 +10,7 @@
 //! fault trace are printed — re-running that seed reproduces the run.
 
 use harbor::{ChaosRunConfig, Cluster, ClusterConfig, TableSpec};
+use harbor_common::metrics::Group;
 use harbor_common::StorageConfig;
 use harbor_dist::ProtocolKind;
 use harbor_net::ChaosConfig;
@@ -193,7 +194,7 @@ fn batched_commit_seed_holds_invariants() {
     // The epoch path must actually have carried the commits: every acked
     // transaction went through an epoch, and with 4-wide bursts at least one
     // epoch must have batched more than one transaction.
-    let epochs = summary_field(&report.commit_path, "epochs=");
+    let epochs = summary_field(&report.commit_path, "epochs_committed=");
     let epoch_txns = summary_field(&report.commit_path, "epoch_txns=");
     assert!(
         epochs >= 1,
@@ -382,7 +383,7 @@ fn front_door_seed_holds_invariants() {
         front.requests_admitted(),
         front.queue_peak_depth()
     );
-    println!("  serving {}", front.snapshot().serve_summary());
+    println!("  serving {}", front.snapshot().summary(Group::Serve));
     // Routed runs replay like direct ones: byte-identical schedule and
     // fault trace for the same seed.
     let (again, _) = run(seed);
