@@ -212,7 +212,7 @@ fn bench_codec(c: &mut Criterion) {
 }
 
 /// A scan-sized streaming response (what the recovery fast path ships).
-fn scan_batch_response(rows: usize) -> harbor_dist::Response {
+fn tuples_response(rows: usize) -> harbor_dist::Response {
     let batch = (0..rows)
         .map(|i| {
             harbor_common::Tuple::versioned(
@@ -232,7 +232,7 @@ fn bench_transport(c: &mut Criterion) {
     let mut g = c.benchmark_group("transport");
     // Framing a streamed batch: encode-then-copy-behind-a-prefix (the old
     // Response→send path) vs encoding straight into the framed buffer.
-    let resp = scan_batch_response(512);
+    let resp = tuples_response(512);
     g.bench_function("frame_batch_encode_then_copy", |b| {
         b.iter(|| {
             let body = resp.to_vec();
@@ -363,7 +363,7 @@ fn bench_scan(_c: &mut Criterion) {
     };
     let ship = |scan: &RemoteScan| {
         let (mut shipped, mut bytes) = (0usize, 0usize);
-        ship_scan(&e, scan, 512, |frame, done| {
+        ship_scan(&e, scan, |frame, done| {
             shipped += frame.rows() as usize;
             bytes += frame.finish(done).len();
             Ok(())

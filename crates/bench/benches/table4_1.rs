@@ -9,12 +9,12 @@ use harbor_bench::{experiment_dir, print_table};
 use harbor_common::Timestamp;
 use harbor_common::{SiteId, StorageConfig, Value};
 use harbor_dist::{
-    backup_action, BackupAction, BackupState, FailPoint, ProtocolKind, UpdateRequest,
+    backup_action, BackupAction, BackupState, CrashPoint, ProtocolKind, UpdateRequest,
 };
 
 /// Runs one coordinator-crash scenario; returns (backup state observed,
 /// action taken, rows visible afterwards).
-fn scenario(name: &str, fail: FailPoint) -> (BackupState, BackupAction, usize) {
+fn scenario(name: &str, fail: Option<CrashPoint>) -> (BackupState, BackupAction, usize) {
     let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 2);
     cfg.storage = StorageConfig::for_tests();
     cfg.transport = TransportKind::InMem {
@@ -38,13 +38,16 @@ fn scenario(name: &str, fail: FailPoint) -> (BackupState, BackupAction, usize) {
             },
         )
         .unwrap();
-    coordinator.set_fail_point(fail);
-    let commit_result = if fail == FailPoint::None {
+    let commit_result = match fail {
         // "Pending" scenario: crash before commit processing begins.
-        coordinator.crash();
-        Err(harbor_common::DbError::SiteDown("crashed".into()))
-    } else {
-        coordinator.commit(tid)
+        None => {
+            coordinator.crash();
+            Err(harbor_common::DbError::SiteDown("crashed".into()))
+        }
+        Some(point) => {
+            cluster.arm_crash(coordinator.site(), point);
+            coordinator.commit(tid)
+        }
     };
     assert!(commit_result.is_err(), "{name}: coordinator was crashed");
     // Give the workers' disconnect detection a moment.
@@ -83,7 +86,7 @@ fn main() {
     // Pending: coordinator dies before PREPARE → abort. The worker's
     // failure detection applies the abort the moment it sees the dropped
     // connection (§4.3.2), so by observation time the state is Aborted.
-    let (st, action, n) = scenario("pending", FailPoint::None);
+    let (st, action, n) = scenario("pending", None);
     assert!(matches!(st, BackupState::Pending | BackupState::Aborted));
     assert_eq!(action, BackupAction::Abort);
     assert_eq!(n, 1, "pending transaction rolled back");
@@ -94,7 +97,7 @@ fn main() {
         "aborted".into(),
     ]);
     // Prepared, voted YES: coordinator dies after PREPARE → prepare, abort.
-    let (st, action, n) = scenario("prepared-yes", FailPoint::AfterPrepare);
+    let (st, action, n) = scenario("prepared-yes", Some(CrashPoint::CoordAfterPrepare));
     assert!(matches!(st, BackupState::PreparedYes));
     assert_eq!(action, BackupAction::PrepareThenAbort);
     assert_eq!(n, 1);
@@ -105,7 +108,7 @@ fn main() {
         "aborted".into(),
     ]);
     // Prepared-to-commit: dies mid-PTC → replay last two phases, commit.
-    let (st, action, n) = scenario("ptc", FailPoint::AfterPtcSentTo(1));
+    let (st, action, n) = scenario("ptc", Some(CrashPoint::CoordAfterPtcSent(1)));
     assert!(matches!(st, BackupState::PreparedToCommit(_)));
     assert!(matches!(action, BackupAction::PrepareToCommitThenCommit(_)));
     assert_eq!(n, 2, "transaction committed everywhere");
@@ -116,7 +119,7 @@ fn main() {
         "committed".into(),
     ]);
     // Committed at backup: dies mid-COMMIT fan-out → commit.
-    let (st, action, n) = scenario("committed", FailPoint::AfterCommitSentTo(1));
+    let (st, action, n) = scenario("committed", Some(CrashPoint::CoordAfterCommitSent(1)));
     assert!(matches!(st, BackupState::Committed(_)));
     assert!(matches!(action, BackupAction::Commit(_)));
     assert_eq!(n, 2);

@@ -97,7 +97,7 @@ fn main() {
     bench("scan_ship", rows as usize, iters, || {
         let scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(Timestamp(25)));
         let (mut shipped, mut total) = (0usize, 0usize);
-        ship_scan(&e, &scan, 512, |frame, done| {
+        ship_scan(&e, &scan, |frame, done| {
             shipped += frame.rows() as usize;
             total += frame.finish(done).len();
             Ok(())

@@ -1,12 +1,35 @@
-//! Minimal hand-rolled binary encoding helpers.
+//! The one module that knows how a field is laid out.
 //!
-//! The wire protocol, the WAL and the page format all need a compact,
-//! deterministic binary encoding. Rather than pulling in a serialization
-//! framework, everything encodes through these two little cursors; each
-//! record type owns its own layout, which keeps formats auditable (a property
-//! the DataFusion guide calls out for storage formats).
+//! The wire protocols, the WAL and the small on-disk records all share one
+//! compact, deterministic binary encoding, and three rules keep every
+//! format readable in one place:
+//!
+//! 1. **Field codecs live here, once.** [`Wire`] is implemented in this
+//!    file for the integers, `bool`, `String`, `Vec<T>` (a `u32` count, the
+//!    one count guard, then the elements), `Option<T>` (a `bool`, then
+//!    `T`), `Box<T>`, `BTreeMap<K, V>` (a `Vec` of its entries in key
+//!    order) and tuples of two to four. A `usize` crosses as a `u32`. The
+//!    id newtypes declare theirs beside their definitions.
+//! 2. **One declaration per type.** [`wire_enum!`](crate::wire_enum) and
+//!    [`wire_struct!`](crate::wire_struct) take a type as it is written plus
+//!    a tag per variant and emit the type, `encode`, `decode`, `TAGS` and
+//!    the unknown-tag arm (`Corrupt("bad <Type> tag N")`): a variant's tag
+//!    and its field list each appear once in the source, and a new frame
+//!    is one line.
+//! 3. **What is written by hand is an arm over the field codecs, never a
+//!    second encoding**, and there is a reason for each: `Request`'s begin
+//!    marker (a prefix of the marked frame, decoded without recursion) and
+//!    its `LastUpdate` (a statement's own `Update` frame, then the PREPARE
+//!    trailer); `DbError`'s link class, which crosses as `Protocol`;
+//!    `Tuple`'s `u16` field count; `FieldType`'s width, present for every
+//!    type; `TuplesFrameBuilder`'s patch offsets; and the magic in front of
+//!    the catalog and checkpoint files.
+//!
+//! Fixed-offset page, directory and log-frame headers are not records and
+//! do not go through here.
 
 use crate::error::{DbError, DbResult};
+use std::collections::BTreeMap;
 
 /// Append-only encoder over a plain `Vec<u8>`.
 #[derive(Debug, Default)]
@@ -187,10 +210,31 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Types that define their own binary layout.
+/// Types with a binary layout: a field codec below, or a declaration made
+/// with [`wire_enum!`](crate::wire_enum) / [`wire_struct!`](crate::wire_struct).
 pub trait Wire: Sized {
     fn encode(&self, enc: &mut Encoder);
     fn decode(dec: &mut Decoder<'_>) -> DbResult<Self>;
+
+    /// The elements of a sequence, after its count. `u8` overrides both
+    /// directions with one copy.
+    #[inline]
+    fn encode_all(items: &[Self], enc: &mut Encoder) {
+        for item in items {
+            item.encode(enc);
+        }
+    }
+
+    /// `n` elements, `n` having been read from the buffer: it is checked
+    /// against the bytes left before anything is allocated for it.
+    #[inline]
+    fn decode_n(dec: &mut Decoder<'_>, n: usize) -> DbResult<Vec<Self>> {
+        let mut out = Vec::with_capacity(checked_count(dec, n)?);
+        for _ in 0..n {
+            out.push(Self::decode(dec)?);
+        }
+        Ok(out)
+    }
 
     fn to_vec(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
@@ -206,10 +250,9 @@ pub trait Wire: Sized {
         let mut enc = Encoder::new();
         enc.put_u32(0); // placeholder for the length prefix
         self.encode(&mut enc);
-        let mut bytes = enc.into_bytes();
-        let len = (bytes.len() - 4) as u32;
-        bytes[..4].copy_from_slice(&len.to_le_bytes());
-        bytes
+        let len = (enc.len() - 4) as u32;
+        enc.patch_u32(0, len);
+        enc.into_bytes()
     }
 
     fn from_slice(buf: &[u8]) -> DbResult<Self> {
@@ -218,6 +261,335 @@ pub trait Wire: Sized {
         dec.finish()?;
         Ok(v)
     }
+}
+
+/// Validates a wire-declared element count before allocating for it: every
+/// element encodes to at least one byte, so a count beyond the bytes still
+/// in the buffer is provably corrupt. Without this check a mutated length
+/// prefix (u32::MAX) would make `Vec::with_capacity` allocate gigabytes
+/// before the first element decode ever fails.
+fn checked_count(dec: &Decoder<'_>, n: usize) -> DbResult<usize> {
+    if n > dec.remaining() {
+        return Err(DbError::corrupt(format!(
+            "wire count {n} exceeds {} remaining bytes",
+            dec.remaining()
+        )));
+    }
+    Ok(n)
+}
+
+/// What every declared enum's decoder makes of a tag no variant owns.
+pub fn bad_tag(ty: &str, tag: u8) -> DbError {
+    DbError::corrupt(format!("bad {ty} tag {tag}"))
+}
+
+macro_rules! wire_scalars {
+    ($($ty:ty: $put:ident, $get:ident;)*) => {$(
+        impl Wire for $ty {
+            #[inline]
+            fn encode(&self, enc: &mut Encoder) {
+                enc.$put(*self);
+            }
+            #[inline]
+            fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
+                dec.$get()
+            }
+        }
+    )*};
+}
+
+wire_scalars! {
+    u16: put_u16, get_u16;
+    u32: put_u32, get_u32;
+    u64: put_u64, get_u64;
+    i32: put_i32, get_i32;
+    i64: put_i64, get_i64;
+    bool: put_bool, get_bool;
+}
+
+impl Wire for u8 {
+    #[inline]
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u8(*self);
+    }
+    #[inline]
+    fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
+        dec.get_u8()
+    }
+    #[inline]
+    fn encode_all(items: &[Self], enc: &mut Encoder) {
+        enc.put_raw(items);
+    }
+    #[inline]
+    fn decode_n(dec: &mut Decoder<'_>, n: usize) -> DbResult<Vec<Self>> {
+        dec.get_raw(n)
+    }
+}
+
+/// An index or a column number crosses as a `u32`.
+impl Wire for usize {
+    #[inline]
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u32(*self as u32);
+    }
+    #[inline]
+    fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
+        Ok(dec.get_u32()? as usize)
+    }
+}
+
+impl Wire for String {
+    #[inline]
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_str(self);
+    }
+    #[inline]
+    fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
+        dec.get_str()
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    #[inline]
+    fn encode(&self, enc: &mut Encoder) {
+        self.len().encode(enc);
+        T::encode_all(self, enc);
+    }
+    #[inline]
+    fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
+        let n = usize::decode(dec)?;
+        T::decode_n(dec, n)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    #[inline]
+    fn encode(&self, enc: &mut Encoder) {
+        self.is_some().encode(enc);
+        if let Some(v) = self {
+            v.encode(enc);
+        }
+    }
+    #[inline]
+    fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
+        Ok(if bool::decode(dec)? {
+            Some(T::decode(dec)?)
+        } else {
+            None
+        })
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    #[inline]
+    fn encode(&self, enc: &mut Encoder) {
+        (**self).encode(enc);
+    }
+    #[inline]
+    fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
+        T::decode(dec).map(Box::new)
+    }
+}
+
+/// Entries in key order, laid out as the `Vec` of them.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn encode(&self, enc: &mut Encoder) {
+        self.len().encode(enc);
+        for (k, v) in self {
+            k.encode(enc);
+            v.encode(enc);
+        }
+    }
+    fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
+        Ok(Vec::<(K, V)>::decode(dec)?.into_iter().collect())
+    }
+}
+
+macro_rules! wire_tuples {
+    ($(($($t:ident $i:tt),+))*) => {$(
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            #[inline]
+            fn encode(&self, enc: &mut Encoder) {
+                $(self.$i.encode(enc);)+
+            }
+            #[inline]
+            fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
+                Ok(($($t::decode(dec)?,)+))
+            }
+        }
+    )*};
+}
+
+wire_tuples! { (A 0, B 1) (A 0, B 1, C 2) (A 0, B 1, C 2, D 3) }
+
+/// Declares an enum and its wire layout together: each variant is written
+/// `TAG => Variant`, `TAG => Variant(T, ..)` (up to three fields) or
+/// `TAG => Variant { field: T, .. }`, and crosses as the tag byte, then its
+/// fields in the order written, each through its own [`Wire`] codec.
+/// Attributes and doc comments pass through. `TAG as NAME` also declares
+/// `Type::NAME`, for code that writes or checks that tag itself.
+///
+/// Emits the type, `impl Wire`, `Type::TAGS` (every tag a frame can open
+/// with) and `Type::decode_tagged(tag, dec)`, the decoder behind the tag
+/// byte; a tag no variant owns is `Corrupt("bad Type tag N")`.
+///
+/// A trailing `by_hand [TAG, ..] { variants }` block adds variants the
+/// declaration cannot express. The type then supplies
+/// `fn encode_by_hand(&self, &mut Encoder)`, called for exactly those
+/// variants, and — when the block names tags — `fn decode_by_hand(tag,
+/// &mut Decoder) -> DbResult<Self>`, called for every tag that is not
+/// declared, which refuses what it does not own with [`bad_tag`].
+#[macro_export]
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal $(as $tconst:ident)? => $var:ident
+                $( ( $t0:ty $(, $t1:ty $(, $t2:ty)?)? ) )?
+                $( { $( $(#[$fmeta:meta])* $f:ident : $fty:ty ),* $(,)? } )?
+            ),* $(,)?
+        }
+        $( by_hand [$($htag:literal $(as $hconst:ident)?),*] { $($hand:tt)* } )?
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $var
+                $( ( $t0 $(, $t1 $(, $t2)?)? ) )?
+                $( { $( $(#[$fmeta])* $f : $fty ),* } )?,
+            )*
+            $($($hand)*)?
+        }
+
+        impl $name {
+            /// Every tag a frame of this type can open with.
+            pub const TAGS: &'static [u8] = &[$($tag,)* $($($htag,)*)?];
+            $($(
+                /// The variant's wire tag.
+                pub const $tconst: u8 = $tag;
+            )?)*
+            $($($(
+                /// The variant's wire tag.
+                pub const $hconst: u8 = $htag;
+            )?)*)?
+
+            /// Decodes what follows the tag byte `tag`.
+            #[inline]
+            fn decode_tagged(
+                tag: u8,
+                dec: &mut $crate::codec::Decoder<'_>,
+            ) -> $crate::DbResult<Self> {
+                Ok(match tag {
+                    $(
+                        $tag => Self::$var
+                        $( (
+                            <$t0 as $crate::codec::Wire>::decode(dec)?
+                            $(, <$t1 as $crate::codec::Wire>::decode(dec)?
+                            $(, <$t2 as $crate::codec::Wire>::decode(dec)?)?)?
+                        ) )?
+                        $( { $( $f: <$fty as $crate::codec::Wire>::decode(dec)? ),* } )?,
+                    )*
+                    t => return $crate::wire_enum!(@undeclared $name t dec $([$($htag)*])?),
+                })
+            }
+        }
+
+        impl $crate::codec::Wire for $name {
+            #[inline]
+            fn encode(&self, enc: &mut $crate::codec::Encoder) {
+                match self {
+                    $(
+                        Self::$var
+                        $( (
+                            $crate::wire_enum!(@name a $t0)
+                            $(, $crate::wire_enum!(@name b $t1)
+                            $(, $crate::wire_enum!(@name c $t2))?)?
+                        ) )?
+                        $( { $($f),* } )?
+                        => {
+                            enc.put_u8($tag);
+                            $(
+                                <$t0 as $crate::codec::Wire>::encode(a, enc);
+                                $(
+                                    <$t1 as $crate::codec::Wire>::encode(b, enc);
+                                    $(<$t2 as $crate::codec::Wire>::encode(c, enc);)?
+                                )?
+                            )?
+                            $($( <$fty as $crate::codec::Wire>::encode($f, enc); )*)?
+                        }
+                    )*
+                    $( _ => $crate::wire_enum!(@by_hand self enc [$($htag)*]), )?
+                }
+            }
+
+            #[inline]
+            fn decode(dec: &mut $crate::codec::Decoder<'_>) -> $crate::DbResult<Self> {
+                let tag = dec.get_u8()?;
+                Self::decode_tagged(tag, dec)
+            }
+        }
+    };
+    // A binding for a tuple variant's field (the type only says there is one).
+    (@name $x:ident $t:ty) => { $x };
+    // The two hooks of a `by_hand` block; its tag list only says the block is there.
+    (@by_hand $this:ident $enc:ident [$($htag:literal)*]) => { $this.encode_by_hand($enc) };
+    (@undeclared $name:ident $t:ident $dec:ident $([])?) => {
+        Err($crate::codec::bad_tag(stringify!($name), $t))
+    };
+    (@undeclared $name:ident $t:ident $dec:ident [$($htag:literal)+]) => {
+        $name::decode_by_hand($t, $dec)
+    };
+}
+
+/// Declares a struct and its wire layout together: the fields cross in the
+/// order written, each through its own [`Wire`] codec, with nothing before,
+/// between or after them. Takes `struct Name { field: T, .. }` or the
+/// newtype `struct Name(T);`; attributes and doc comments pass through.
+#[macro_export]
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $f:ident : $fty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $f : $fty ),*
+        }
+
+        impl $crate::codec::Wire for $name {
+            #[inline]
+            fn encode(&self, enc: &mut $crate::codec::Encoder) {
+                $( <$fty as $crate::codec::Wire>::encode(&self.$f, enc); )*
+            }
+            #[inline]
+            fn decode(dec: &mut $crate::codec::Decoder<'_>) -> $crate::DbResult<Self> {
+                Ok($name { $( $f: <$fty as $crate::codec::Wire>::decode(dec)? ),* })
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident ( $fvis:vis $fty:ty );
+    ) => {
+        $(#[$meta])*
+        $vis struct $name($fvis $fty);
+
+        impl $crate::codec::Wire for $name {
+            #[inline]
+            fn encode(&self, enc: &mut $crate::codec::Encoder) {
+                <$fty as $crate::codec::Wire>::encode(&self.0, enc);
+            }
+            #[inline]
+            fn decode(dec: &mut $crate::codec::Decoder<'_>) -> $crate::DbResult<Self> {
+                <$fty as $crate::codec::Wire>::decode(dec).map($name)
+            }
+        }
+    };
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ pub const PAGE_PAYLOAD: usize = PAGE_SIZE - PAGE_CRC_LEN;
 /// Tuples per `Response::Tuples` batch when a worker streams a scan back to
 /// a peer. Large enough to amortise framing, small enough that a recovering
 /// site can start applying before the stream finishes.
-pub const DEFAULT_SCAN_BATCH: usize = 512;
+pub const SCAN_BATCH: usize = 512;
 
 /// Hard ceiling on a single wire frame's payload. The transports read a
 /// 4-byte length prefix and then allocate that many bytes; without a cap a

@@ -1,6 +1,6 @@
 //! Unified error type for every subsystem.
 
-use crate::codec::{Decoder, Encoder, Wire};
+use crate::codec::{Encoder, Wire};
 use crate::ids::{PageId, RecordId, SiteId, TableId, TransactionId};
 use std::fmt;
 use std::io;
@@ -8,85 +8,101 @@ use std::io;
 /// Result alias used across the workspace.
 pub type DbResult<T> = Result<T, DbError>;
 
-/// All error conditions surfaced by the database.
-#[derive(Clone, PartialEq, Debug)]
-pub enum DbError {
-    /// Underlying file-system failure: the `io::Error`'s kind and text.
-    Io(io::ErrorKind, String),
-    /// A lock could not be granted before the deadlock timeout expired
-    /// (thesis §6.1.2 resolves deadlocks by timeout).
-    LockTimeout { txn: TransactionId, what: String },
-    /// The transaction was aborted (locally or by the commit protocol).
-    TransactionAborted(TransactionId),
-    /// Unknown transaction id presented to a worker. Workers answer vote
-    /// requests for unknown transactions with NO (§4.3.2 failure handling).
-    UnknownTransaction(TransactionId),
-    /// Unknown table.
-    NoSuchTable(TableId),
-    /// Page outside the current extent of its heap file.
-    NoSuchPage(PageId),
-    /// A record id pointed at an empty slot.
-    NoSuchRecord(RecordId),
-    /// Page, heap file or log contents failed validation.
-    Corrupt(String),
-    /// A heap page's checksum trailer did not match its contents on
-    /// fault-in: the on-disk copy is damaged (torn write, bit rot, bad
-    /// sector). *Site-local and repairable* — the page can be rebuilt from
-    /// a live buddy's copy of the same key range, so this is neither a
-    /// transient [`DbError::Timeout`] (re-reading the same bytes cannot
-    /// help) nor a reason to escalate to [`DbError::SiteUnavailable`]
-    /// (the site is otherwise live).
-    CorruptPage { table: TableId, page: u32 },
-    /// The page / segment / log buffer is full.
-    Full(String),
-    /// Networking failure; carries a human-readable cause. A closed
-    /// connection doubles as failure detection (§5.5.1).
-    Net(String),
-    /// A single request exceeded its deadline. *Transient*: the peer may be
-    /// slow, the link may be lossy, or a frame was delayed — the site is not
-    /// presumed dead. Idempotent reads may retry; commit-protocol messages
-    /// must never be retransmitted blindly.
-    Timeout(String),
-    /// A liveness deadline expired (or bounded retries were exhausted): the
-    /// peer is treated as failed even though its socket never closed — the
-    /// partitioned-peer case the closed-connection detector of §5.5.1 cannot
-    /// see. Classified as a disconnect.
-    SiteUnavailable(String),
-    /// Protocol violation between sites (unexpected message, bad state).
-    Protocol(String),
-    /// The remote site has crashed or is unreachable.
-    SiteDown(String),
-    /// Schema mismatch: wrong arity or field type.
-    Schema(String),
-    /// Constraint violation detected at PREPARE (workers vote NO, §4.3.2).
-    Constraint(String),
-    /// Recovery cannot proceed (e.g. more than K replicas of an object are
-    /// down, §3.2).
-    Unrecoverable(String),
-    /// The object is down to its last live copy and the cluster is
-    /// configured to degrade to read-only rather than risk committing an
-    /// update with no surviving replica. *Transient in the large*: the
-    /// replication supervisor is (or should be) re-replicating; the write
-    /// can be retried once the object is back above its K floor. Not a
-    /// timeout and not a disconnect — the site answering is perfectly
-    /// healthy, it is declining the write on policy.
-    Degraded(String),
-    /// The serving layer declined to admit the request: its bounded queue
-    /// was over its depth/age watermark or no in-flight permit was
-    /// available within the admission budget. *Retryable by construction*
-    /// — nothing was executed, so the client may safely resubmit after
-    /// backing off at least `retry_after_ms`. Not a timeout (the deadline
-    /// never started running against the engine) and not a disconnect
-    /// (the front door answered promptly; it is shedding load on policy).
-    Overloaded { retry_after_ms: u64 },
-    /// A worker would not begin `tid`: nothing of the transaction is open
-    /// at that site, so the coordinator has nothing to abort there.
-    BeginRefused { tid: TransactionId, why: String },
-    /// Catch-all invariant violation.
-    Internal(String),
+crate::wire_enum! {
+    /// All error conditions surfaced by the database, and the one encoding
+    /// of an error that crosses a wire (`Response::Err` between sites,
+    /// `FrontReply::Err` to a client). Every variant crosses as itself with
+    /// its fields, except the link class at the end. Decoding is total: an
+    /// unknown tag, a short frame or a bad string is `Corrupt`.
+    #[derive(Clone, PartialEq, Debug)]
+    pub enum DbError {
+        /// Page, heap file or log contents failed validation.
+        0 => Corrupt(String),
+        /// The page / segment / log buffer is full.
+        1 => Full(String),
+        /// A single request exceeded its deadline. *Transient*: the peer may be
+        /// slow, the link may be lossy, or a frame was delayed — the site is not
+        /// presumed dead. Idempotent reads may retry; commit-protocol messages
+        /// must never be retransmitted blindly.
+        2 => Timeout(String),
+        /// Schema mismatch: wrong arity or field type.
+        3 => Schema(String),
+        /// Constraint violation detected at PREPARE (workers vote NO, §4.3.2).
+        4 => Constraint(String),
+        /// Protocol violation between sites (unexpected message, bad state).
+        5 => Protocol(String),
+        /// Recovery cannot proceed (e.g. more than K replicas of an object are
+        /// down, §3.2).
+        6 => Unrecoverable(String),
+        /// The object is down to its last live copy and the cluster is
+        /// configured to degrade to read-only rather than risk committing an
+        /// update with no surviving replica. *Transient in the large*: the
+        /// replication supervisor is (or should be) re-replicating; the write
+        /// can be retried once the object is back above its K floor. Not a
+        /// timeout and not a disconnect — the site answering is perfectly
+        /// healthy, it is declining the write on policy.
+        7 => Degraded(String),
+        /// Catch-all invariant violation.
+        8 => Internal(String),
+        /// A lock could not be granted before the deadlock timeout expired
+        /// (thesis §6.1.2 resolves deadlocks by timeout).
+        9 => LockTimeout { what: String, txn: TransactionId },
+        /// A worker would not begin `tid`: nothing of the transaction is open
+        /// at that site, so the coordinator has nothing to abort there.
+        10 => BeginRefused { why: String, tid: TransactionId },
+        /// The transaction was aborted (locally or by the commit protocol).
+        11 => TransactionAborted(TransactionId),
+        /// Unknown transaction id presented to a worker. Workers answer vote
+        /// requests for unknown transactions with NO (§4.3.2 failure handling).
+        12 => UnknownTransaction(TransactionId),
+        /// Unknown table.
+        13 => NoSuchTable(TableId),
+        /// Page outside the current extent of its heap file.
+        14 => NoSuchPage(PageId),
+        /// A record id pointed at an empty slot.
+        15 => NoSuchRecord(RecordId),
+        /// A heap page's checksum trailer did not match its contents on
+        /// fault-in: the on-disk copy is damaged (torn write, bit rot, bad
+        /// sector). *Site-local and repairable* — the page can be rebuilt from
+        /// a live buddy's copy of the same key range, so this is neither a
+        /// transient [`DbError::Timeout`] (re-reading the same bytes cannot
+        /// help) nor a reason to escalate to [`DbError::SiteUnavailable`]
+        /// (the site is otherwise live).
+        16 => CorruptPage { table: TableId, page: u32 },
+        /// The serving layer declined to admit the request: its bounded queue
+        /// was over its depth/age watermark or no in-flight permit was
+        /// available within the admission budget. *Retryable by construction*
+        /// — nothing was executed, so the client may safely resubmit after
+        /// backing off at least `retry_after_ms`. Not a timeout (the deadline
+        /// never started running against the engine) and not a disconnect
+        /// (the front door answered promptly; it is shedding load on policy).
+        17 => Overloaded { retry_after_ms: u64 },
+    }
+    // The link class describes the *sender's* links and files: a site that
+    // is answering is not dead, so these cross as `Protocol` carrying their
+    // text and a decoded reply is never a disconnect.
+    by_hand [] {
+        /// Underlying file-system failure: the `io::Error`'s kind and text.
+        Io(io::ErrorKind, String),
+        /// Networking failure; carries a human-readable cause. A closed
+        /// connection doubles as failure detection (§5.5.1).
+        Net(String),
+        /// A liveness deadline expired (or bounded retries were exhausted): the
+        /// peer is treated as failed even though its socket never closed — the
+        /// partitioned-peer case the closed-connection detector of §5.5.1 cannot
+        /// see. Classified as a disconnect.
+        SiteUnavailable(String),
+        /// The remote site has crashed or is unreachable.
+        SiteDown(String),
+    }
 }
 
 impl DbError {
+    /// The link class, crossing as `Protocol`.
+    fn encode_by_hand(&self, enc: &mut Encoder) {
+        DbError::Protocol(self.to_string()).encode(enc);
+    }
+
     /// Convenience constructor for corrupt-state errors.
     pub fn corrupt(msg: impl Into<String>) -> Self {
         DbError::Corrupt(msg.into())
@@ -256,125 +272,6 @@ impl From<io::Error> for DbError {
     fn from(e: io::Error) -> Self {
         DbError::Io(e.kind(), e.to_string())
     }
-}
-
-/// The one encoding of an error that crosses a wire (`Response::Err`
-/// between sites, `FrontReply::Err` to a client). Every variant crosses as
-/// itself with its fields, except the link class — `Io`, `Net`, `SiteDown`,
-/// `SiteUnavailable` — which describes the *sender's* links and files: a
-/// site that is answering is not dead, so those cross as `Protocol` carrying
-/// their text and a decoded reply is never a disconnect. Decoding is total:
-/// an unknown tag, a short frame or a bad string is `Corrupt`.
-impl Wire for DbError {
-    fn encode(&self, enc: &mut Encoder) {
-        use DbError::*;
-        // Tags 0..=10 share a layout: the tag, then the variant's text.
-        let text = |enc: &mut Encoder, tag: u8, m: &str| {
-            enc.put_u8(tag);
-            enc.put_str(m);
-        };
-        match self {
-            Io(..) | Net(_) | SiteDown(_) | SiteUnavailable(_) => text(enc, 5, &self.to_string()),
-            Corrupt(m) => text(enc, 0, m),
-            Full(m) => text(enc, 1, m),
-            Timeout(m) => text(enc, 2, m),
-            Schema(m) => text(enc, 3, m),
-            Constraint(m) => text(enc, 4, m),
-            Protocol(m) => text(enc, 5, m),
-            Unrecoverable(m) => text(enc, 6, m),
-            Degraded(m) => text(enc, 7, m),
-            Internal(m) => text(enc, 8, m),
-            LockTimeout { txn, what } => {
-                text(enc, 9, what);
-                enc.put_u64(txn.0);
-            }
-            BeginRefused { tid, why } => {
-                text(enc, 10, why);
-                enc.put_u64(tid.0);
-            }
-            TransactionAborted(t) => {
-                enc.put_u8(11);
-                enc.put_u64(t.0);
-            }
-            UnknownTransaction(t) => {
-                enc.put_u8(12);
-                enc.put_u64(t.0);
-            }
-            NoSuchTable(t) => {
-                enc.put_u8(13);
-                enc.put_u32(t.0);
-            }
-            NoSuchPage(p) => {
-                enc.put_u8(14);
-                put_page(enc, *p);
-            }
-            NoSuchRecord(r) => {
-                enc.put_u8(15);
-                put_page(enc, r.page);
-                enc.put_u16(r.slot);
-            }
-            CorruptPage { table, page } => {
-                enc.put_u8(16);
-                enc.put_u32(table.0);
-                enc.put_u32(*page);
-            }
-            Overloaded { retry_after_ms } => {
-                enc.put_u8(17);
-                enc.put_u64(*retry_after_ms);
-            }
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
-        use DbError::*;
-        let tag = dec.get_u8()?;
-        if tag <= 10 {
-            let m = dec.get_str()?;
-            return Ok(match tag {
-                0 => Corrupt(m),
-                1 => Full(m),
-                2 => Timeout(m),
-                3 => Schema(m),
-                4 => Constraint(m),
-                5 => Protocol(m),
-                6 => Unrecoverable(m),
-                7 => Degraded(m),
-                8 => Internal(m),
-                9 => LockTimeout {
-                    txn: TransactionId(dec.get_u64()?),
-                    what: m,
-                },
-                _ => BeginRefused {
-                    tid: TransactionId(dec.get_u64()?),
-                    why: m,
-                },
-            });
-        }
-        Ok(match tag {
-            11 => TransactionAborted(TransactionId(dec.get_u64()?)),
-            12 => UnknownTransaction(TransactionId(dec.get_u64()?)),
-            13 => NoSuchTable(TableId(dec.get_u32()?)),
-            14 => NoSuchPage(get_page(dec)?),
-            15 => NoSuchRecord(RecordId::new(get_page(dec)?, dec.get_u16()?)),
-            16 => CorruptPage {
-                table: TableId(dec.get_u32()?),
-                page: dec.get_u32()?,
-            },
-            17 => Overloaded {
-                retry_after_ms: dec.get_u64()?,
-            },
-            t => return Err(DbError::corrupt(format!("bad error tag {t}"))),
-        })
-    }
-}
-
-fn put_page(enc: &mut Encoder, p: PageId) {
-    enc.put_u32(p.table.0);
-    enc.put_u32(p.page_no);
-}
-
-fn get_page(dec: &mut Decoder<'_>) -> DbResult<PageId> {
-    Ok(PageId::new(TableId(dec.get_u32()?), dec.get_u32()?))
 }
 
 #[cfg(test)]

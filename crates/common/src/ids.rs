@@ -4,13 +4,16 @@
 //! catches id-category confusion (e.g. passing a table id where a page number
 //! was expected), at zero runtime cost.
 
+use crate::wire_struct;
 use std::fmt;
 
-/// Identifies one site (node) in the distributed database.
-///
-/// A site may act as a worker, a coordinator, or both (thesis §4.1).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct SiteId(pub u16);
+wire_struct! {
+    /// Identifies one site (node) in the distributed database.
+    ///
+    /// A site may act as a worker, a coordinator, or both (thesis §4.1).
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    pub struct SiteId(pub u16);
+}
 
 impl fmt::Display for SiteId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -18,11 +21,13 @@ impl fmt::Display for SiteId {
     }
 }
 
-/// Identifies one stored database object on a site: a table, or a horizontal
-/// partition of a table. Replicated copies on different sites share the same
-/// logical table name in the catalog but have independent `TableId`s.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct TableId(pub u32);
+wire_struct! {
+    /// Identifies one stored database object on a site: a table, or a horizontal
+    /// partition of a table. Replicated copies on different sites share the same
+    /// logical table name in the catalog but have independent `TableId`s.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    pub struct TableId(pub u32);
+}
 
 impl fmt::Display for TableId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -30,11 +35,13 @@ impl fmt::Display for TableId {
     }
 }
 
-/// Identifies a 4 KB page within a table's heap file.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct PageId {
-    pub table: TableId,
-    pub page_no: u32,
+wire_struct! {
+    /// Identifies a 4 KB page within a table's heap file.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    pub struct PageId {
+        pub table: TableId,
+        pub page_no: u32,
+    }
 }
 
 impl PageId {
@@ -49,11 +56,13 @@ impl fmt::Display for PageId {
     }
 }
 
-/// Physical address of a tuple: page plus slot number within the page.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct RecordId {
-    pub page: PageId,
-    pub slot: u16,
+wire_struct! {
+    /// Physical address of a tuple: page plus slot number within the page.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    pub struct RecordId {
+        pub page: PageId,
+        pub slot: u16,
+    }
 }
 
 impl RecordId {
@@ -79,13 +88,15 @@ impl fmt::Display for SegmentNo {
     }
 }
 
-/// Globally unique transaction identifier.
-///
-/// Coordinators mint transaction ids from a site-scoped counter; the site id
-/// is baked into the high bits so ids from different coordinators never
-/// collide (the thesis runs one coordinator, but §4.1 allows several).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct TransactionId(pub u64);
+wire_struct! {
+    /// Globally unique transaction identifier.
+    ///
+    /// Coordinators mint transaction ids from a site-scoped counter; the site id
+    /// is baked into the high bits so ids from different coordinators never
+    /// collide (the thesis runs one coordinator, but §4.1 allows several).
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    pub struct TransactionId(pub u64);
+}
 
 impl TransactionId {
     /// Builds an id unique across coordinators: high 16 bits = coordinator

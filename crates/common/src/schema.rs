@@ -5,6 +5,7 @@
 //! code describes only the user-visible fields and [`TupleDesc::with_version_columns`]
 //! prepends the reserved pair.
 
+use crate::codec::{bad_tag, Decoder, Encoder, Wire};
 use crate::error::{DbError, DbResult};
 use crate::value::Value;
 use std::fmt;
@@ -32,15 +33,33 @@ impl FieldType {
             FieldType::FixedStr(n) => n as usize,
         }
     }
+}
 
-    /// Compact tag for serialization.
-    pub fn tag(self) -> u8 {
-        match self {
-            FieldType::Int32 => 0,
-            FieldType::Int64 => 1,
-            FieldType::Time => 2,
-            FieldType::FixedStr(_) => 3,
-        }
+/// The catalog file's layout: a type tag, then a `u16` width that is present
+/// for every type and zero for all but `FixedStr` — which is why this is
+/// written by hand and not declared.
+impl Wire for FieldType {
+    fn encode(&self, enc: &mut Encoder) {
+        let (tag, width) = match *self {
+            FieldType::Int32 => (0, 0),
+            FieldType::Int64 => (1, 0),
+            FieldType::Time => (2, 0),
+            FieldType::FixedStr(n) => (3, n),
+        };
+        enc.put_u8(tag);
+        enc.put_u16(width);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
+        let tag = dec.get_u8()?;
+        let width = dec.get_u16()?;
+        Ok(match tag {
+            0 => FieldType::Int32,
+            1 => FieldType::Int64,
+            2 => FieldType::Time,
+            3 => FieldType::FixedStr(width),
+            t => return Err(bad_tag("FieldType", t)),
+        })
     }
 }
 

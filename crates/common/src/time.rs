@@ -12,12 +12,15 @@
 //!   so uncommitted tuples always land in the most recent segment and are
 //!   filtered by `insertion_time <= T` visibility checks for free (§5.2).
 
+use crate::wire_struct;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A logical commit timestamp ("epoch").
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct Timestamp(pub u64);
+wire_struct! {
+    /// A logical commit timestamp ("epoch").
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+    pub struct Timestamp(pub u64);
+}
 
 impl Timestamp {
     /// Deletion-field sentinel: tuple has not been deleted.

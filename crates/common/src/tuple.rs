@@ -1,6 +1,6 @@
 //! The in-memory tuple and its fixed-width on-disk encoding.
 
-use crate::codec::{Decoder, Encoder};
+use crate::codec::{Decoder, Encoder, Wire};
 use crate::error::{DbError, DbResult};
 use crate::schema::{TupleDesc, COL_DELETION_TS, COL_INSERTION_TS};
 use crate::time::Timestamp;
@@ -122,46 +122,30 @@ impl Tuple {
         Ok(Tuple { values })
     }
 
-    /// Serializes with a self-describing (variable) layout, for the wire.
+    /// Serializes with a self-describing (variable) layout, for the wire: a
+    /// `u16` field count, then each field through [`Value`]'s codec.
     pub fn write_wire(&self, enc: &mut Encoder) {
         enc.put_u16(self.values.len() as u16);
-        for v in &self.values {
-            match v {
-                Value::Int32(x) => {
-                    enc.put_u8(0);
-                    enc.put_i32(*x);
-                }
-                Value::Int64(x) => {
-                    enc.put_u8(1);
-                    enc.put_i64(*x);
-                }
-                Value::Time(t) => {
-                    enc.put_u8(2);
-                    enc.put_u64(t.0);
-                }
-                Value::Str(s) => {
-                    enc.put_u8(3);
-                    enc.put_str(s);
-                }
-            }
-        }
+        Value::encode_all(&self.values, enc);
     }
 
     /// Deserializes the wire layout.
     pub fn read_wire(dec: &mut Decoder<'_>) -> DbResult<Tuple> {
         let n = dec.get_u16()? as usize;
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = match dec.get_u8()? {
-                0 => Value::Int32(dec.get_i32()?),
-                1 => Value::Int64(dec.get_i64()?),
-                2 => Value::Time(Timestamp(dec.get_u64()?)),
-                3 => Value::Str(dec.get_str()?),
-                t => return Err(DbError::corrupt(format!("bad value tag {t}"))),
-            };
-            values.push(v);
-        }
-        Ok(Tuple { values })
+        Ok(Tuple {
+            values: Value::decode_n(dec, n)?,
+        })
+    }
+}
+
+impl Wire for Tuple {
+    #[inline]
+    fn encode(&self, enc: &mut Encoder) {
+        self.write_wire(enc);
+    }
+    #[inline]
+    fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
+        Tuple::read_wire(dec)
     }
 }
 
@@ -223,7 +207,7 @@ fn transcode_field(
     enc: &mut Encoder,
 ) -> DbResult<()> {
     if i == COL_DELETION_TS && desc.has_version_columns() {
-        enc.put_u8(2);
+        enc.put_u8(Value::TIME_TAG);
         enc.put_u64(deletion.0);
         return Ok(());
     }
@@ -232,15 +216,15 @@ fn transcode_field(
         // The fixed and wire encodings are both little-endian, so the
         // numeric payloads copy across verbatim.
         FieldType::Int32 => {
-            enc.put_u8(0);
+            enc.put_u8(Value::INT32_TAG);
             enc.put_raw(&bytes[off..off + 4]);
         }
         FieldType::Int64 => {
-            enc.put_u8(1);
+            enc.put_u8(Value::INT64_TAG);
             enc.put_raw(&bytes[off..off + 8]);
         }
         FieldType::Time => {
-            enc.put_u8(2);
+            enc.put_u8(Value::TIME_TAG);
             enc.put_raw(&bytes[off..off + 8]);
         }
         FieldType::FixedStr(n) => {
@@ -248,7 +232,7 @@ fn transcode_field(
             let end = raw.iter().position(|&b| b == 0).unwrap_or(raw.len());
             let s = std::str::from_utf8(&raw[..end])
                 .map_err(|_| DbError::corrupt("invalid utf-8 in fixed string"))?;
-            enc.put_u8(3);
+            enc.put_u8(Value::STR_TAG);
             enc.put_str(s);
         }
     }

@@ -6,16 +6,18 @@ use crate::time::Timestamp;
 use std::cmp::Ordering;
 use std::fmt;
 
-/// A single field value. The store is fixed-width: strings are padded to the
-/// declared width on disk, but carried unpadded here.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum Value {
-    Int32(i32),
-    Int64(i64),
-    /// Logical timestamp (used for the two reserved columns and exposed to
-    /// queries in `SeeDeleted` mode, §5.1).
-    Time(Timestamp),
-    Str(String),
+crate::wire_enum! {
+    /// A single field value. The store is fixed-width: strings are padded to the
+    /// declared width on disk, but carried unpadded here.
+    #[derive(Clone, PartialEq, Eq, Hash, Debug)]
+    pub enum Value {
+        0 as INT32_TAG => Int32(i32),
+        1 as INT64_TAG => Int64(i64),
+        /// Logical timestamp (used for the two reserved columns and exposed to
+        /// queries in `SeeDeleted` mode, §5.1).
+        2 as TIME_TAG => Time(Timestamp),
+        3 as STR_TAG => Str(String),
+    }
 }
 
 impl Value {
@@ -90,45 +92,12 @@ impl Value {
     }
 }
 
-impl crate::codec::Wire for Value {
-    fn encode(&self, enc: &mut crate::codec::Encoder) {
-        match self {
-            Value::Int32(x) => {
-                enc.put_u8(0);
-                enc.put_i32(*x);
-            }
-            Value::Int64(x) => {
-                enc.put_u8(1);
-                enc.put_i64(*x);
-            }
-            Value::Time(t) => {
-                enc.put_u8(2);
-                enc.put_u64(t.0);
-            }
-            Value::Str(s) => {
-                enc.put_u8(3);
-                enc.put_str(s);
-            }
-        }
-    }
-
-    fn decode(dec: &mut crate::codec::Decoder<'_>) -> DbResult<Self> {
-        Ok(match dec.get_u8()? {
-            0 => Value::Int32(dec.get_i32()?),
-            1 => Value::Int64(dec.get_i64()?),
-            2 => Value::Time(Timestamp(dec.get_u64()?)),
-            3 => Value::Str(dec.get_str()?),
-            t => return Err(DbError::corrupt(format!("bad value tag {t}"))),
-        })
-    }
-}
-
 fn tag(v: &Value) -> u8 {
     match v {
-        Value::Int32(_) => 0,
-        Value::Int64(_) => 1,
-        Value::Time(_) => 2,
-        Value::Str(_) => 3,
+        Value::Int32(_) => Value::INT32_TAG,
+        Value::Int64(_) => Value::INT64_TAG,
+        Value::Time(_) => Value::TIME_TAG,
+        Value::Str(_) => Value::STR_TAG,
     }
 }
 

@@ -93,8 +93,6 @@ pub struct ClusterConfig {
     /// Serve deletion recovery queries from the deletion log (§5.2
     /// footnote; ablation 4 compares on/off).
     pub use_deletion_log: bool,
-    /// Rows per streamed scan batch at the workers (ablation 5).
-    pub scan_batch: usize,
     /// Deterministic fault injection: when set, every inter-site link goes
     /// through a seeded [`ChaosTransport`]. The chaos layer is built
     /// *disabled* so cluster bootstrap is fault-free; tests flip it on via
@@ -142,7 +140,6 @@ impl ClusterConfig {
             recovery: RecoveryConfig::default(),
             deadlock: harbor_storage::DeadlockPolicy::Timeout,
             use_deletion_log: true,
-            scan_batch: harbor_common::config::DEFAULT_SCAN_BATCH,
             chaos: None,
             disk_faults: None,
             crash_schedule: Arc::new(CrashSchedule::new()),
@@ -180,7 +177,6 @@ impl ClusterConfig {
             coordinator,
             auto_consensus: self.auto_consensus,
             use_deletion_log: self.use_deletion_log,
-            scan_batch: self.scan_batch,
             crash_schedule: self.crash_schedule.clone(),
         }
     }

@@ -58,24 +58,6 @@ fn session_dropped(site: SiteId) -> DbError {
     DbError::net(format!("session to {site} was dropped"))
 }
 
-/// Fault-injection points inside the commit protocol (drives the
-/// coordinator-failure scenarios of §4.3.3 / Table 4.1). Retained as the
-/// coordinator-local arming API; internally each point is an entry in the
-/// cluster-wide [`CrashSchedule`], is consumed exactly once when it fires,
-/// and is cleared when the transaction finishes on *any* path — an armed
-/// point can never leak into a later transaction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum FailPoint {
-    #[default]
-    None,
-    /// Crash after sending PREPARE (before reading votes).
-    AfterPrepare,
-    /// Crash after sending PREPARE-TO-COMMIT to `n` workers.
-    AfterPtcSentTo(usize),
-    /// Crash after sending COMMIT to `n` workers.
-    AfterCommitSentTo(usize),
-}
-
 /// Epoch group commit: the coordinator batches independent transactions
 /// into *commit epochs* — one PREPARE wave carrying a vector of txn ids per
 /// participating worker, per-txn vote vectors back, one forced log write
@@ -127,7 +109,8 @@ pub struct CoordinatorConfig {
     /// Bounded retries for idempotent historical reads (never for
     /// commit-protocol messages).
     pub read_retries: u32,
-    /// Cluster-wide crash schedule probed by [`FailPoint`]s.
+    /// Cluster-wide crash schedule, probed at the coordinator's
+    /// [`CrashPoint`]s.
     pub crash_schedule: Arc<CrashSchedule>,
     /// Batch commits into epochs (2PC variants only; `None` = the
     /// paper-faithful per-transaction path).
@@ -372,20 +355,6 @@ impl Coordinator {
 
     pub fn placement(&self) -> &SharedPlacement {
         &self.placement
-    }
-
-    /// Arms a fault-injection point for the next commit. Replaces any
-    /// coordinator point already armed; `FailPoint::None` disarms.
-    pub fn set_fail_point(&self, fp: FailPoint) {
-        let sched = &self.cfg.crash_schedule;
-        sched.disarm_if(self.cfg.site, |p| p.is_coordinator_point());
-        let point = match fp {
-            FailPoint::None => return,
-            FailPoint::AfterPrepare => CrashPoint::CoordAfterPrepare,
-            FailPoint::AfterPtcSentTo(n) => CrashPoint::CoordAfterPtcSent(n),
-            FailPoint::AfterCommitSentTo(n) => CrashPoint::CoordAfterCommitSent(n),
-        };
-        sched.arm(self.cfg.site, point);
     }
 
     /// Marks a site dead (failure detection normally does this on a

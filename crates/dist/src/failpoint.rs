@@ -1,13 +1,11 @@
 //! Cluster-wide crash schedules.
 //!
-//! PR 1 could only crash the *coordinator* at three hand-armed points
-//! ([`crate::FailPoint`]). A [`CrashSchedule`] generalizes that to any site:
-//! the harness arms `(site, CrashPoint)` pairs up front, and the coordinator
+//! The harness arms `(site, CrashPoint)` pairs up front, and the coordinator
 //! and workers probe the schedule at the protocol steps named by
 //! [`CrashPoint`]. A fired point is *consumed* — it can never fire twice —
-//! and a schedule entry that is armed but never reached simply stays armed
-//! until disarmed, so a leftover point cannot leak into a later transaction
-//! (the PR-1 `FailPoint` bug this module fixes).
+//! and a coordinator point that is armed but never reached is disarmed when
+//! its transaction finishes on any path (`Coordinator::finish`), so a
+//! leftover point cannot leak into a later transaction.
 //!
 //! Worker-side points make the thesis' cascading-failure cases reachable
 //! from tests instead of only by luck: Table 4.1's backup-coordinator rows

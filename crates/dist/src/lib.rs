@@ -13,7 +13,7 @@ pub mod protocol;
 pub mod worker;
 
 pub use consensus::{backup_action, BackupAction, BackupState};
-pub use coordinator::{Coordinator, CoordinatorConfig, EpochCommitConfig, FailPoint};
+pub use coordinator::{Coordinator, CoordinatorConfig, EpochCommitConfig};
 pub use failpoint::{CrashPoint, CrashSchedule};
 pub use message::{RemoteScan, Request, Response, UpdateRequest, WireReadMode, WireTxnState};
 pub use placement::{Copy, Part, Placement, RecoveryObject, SharedPlacement, TablePlacement};
@@ -21,7 +21,7 @@ pub use protocol::ProtocolKind;
 pub use worker::{ship_scan, simulate_cpu_work, Worker, WorkerConfig};
 
 pub use harbor_common::config::{
-    DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF, DEFAULT_RPC_DEADLINE, DEFAULT_SCAN_BATCH,
+    DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF, DEFAULT_RPC_DEADLINE,
 };
 
 use harbor_common::codec::Wire;

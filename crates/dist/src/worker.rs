@@ -15,6 +15,7 @@ use crate::message::{
 };
 use crate::protocol::ProtocolKind;
 use harbor_common::codec::Wire;
+use harbor_common::config::SCAN_BATCH;
 use harbor_common::schema::NUM_VERSION_COLS;
 use harbor_common::tuple::FixedLayout;
 use harbor_common::{DbError, DbResult, SiteId, Timestamp, TransactionId, Tuple, Value};
@@ -66,8 +67,6 @@ pub struct WorkerConfig {
     /// deletion log instead of scanning segments (the §5.2-footnote
     /// deletion vector; ablation 4 measures the difference).
     pub use_deletion_log: bool,
-    /// Rows per streamed scan batch (ablation 5 sweeps this).
-    pub scan_batch: usize,
     /// Cluster-wide crash schedule; the worker probes it at the protocol
     /// steps of [`CrashPoint`] (PREPARE vote, PTC ack, recovery scans,
     /// consensus resolution).
@@ -960,7 +959,7 @@ impl Worker {
             }
         }
         let metrics = self.engine.metrics();
-        ship_scan(&self.engine, scan, self.cfg.scan_batch, |frame, done| {
+        ship_scan(&self.engine, scan, |frame, done| {
             let rows = frame.rows() as u64;
             let framed = frame.finish(done);
             let payload = (framed.len() - 4) as u64;
@@ -1015,8 +1014,7 @@ impl Worker {
             WireReadMode::SeeDeletedHistorical(t) => Some(t),
             _ => None,
         };
-        let scan_batch = self.cfg.scan_batch.max(1);
-        let mut batch = Vec::with_capacity(scan_batch);
+        let mut batch = Vec::with_capacity(SCAN_BATCH);
         let shipped = self.engine.metrics().clone();
         for (rid, del) in entries {
             // Deletions after the HWM read as "not deleted" in historical
@@ -1054,7 +1052,7 @@ impl Worker {
             }
             // (tuple_id, deletion_time): the key is the first user field.
             batch.push(Tuple::new(vec![tup.get(2).clone(), tup.get(1).clone()]));
-            if batch.len() >= scan_batch {
+            if batch.len() >= SCAN_BATCH {
                 shipped.add_recovery_tuples_shipped(batch.len() as u64);
                 let framed = Response::Tuples {
                     batch: std::mem::take(&mut batch),
@@ -1079,14 +1077,13 @@ impl Worker {
 /// rule SQL's planner applies: [`key_probes`]) — and transcodes each from
 /// page bytes into a pre-framed `Response::Tuples`. `ship` gets the frame,
 /// and whether it ends the stream, each time a page or a key leaves
-/// `scan_batch` rows in it, and once more at the end. No page latch is held
+/// [`SCAN_BATCH`] rows in it, and once more at the end. No page latch is held
 /// while `ship` runs. Plain reads, filtered reads and every recovery range
 /// go out through this one loop; it is public so the benches time it as it
 /// is.
 pub fn ship_scan(
     engine: &Engine,
     scan: &RemoteScan,
-    scan_batch: usize,
     mut ship: impl FnMut(TuplesFrameBuilder, bool) -> DbResult<()>,
 ) -> DbResult<()> {
     let table = table_def(engine, &scan.table)?.id;
@@ -1110,7 +1107,7 @@ pub fn ship_scan(
     };
     let mut frame = TuplesFrameBuilder::new();
     let mut ship_if_full = |frame: &mut TuplesFrameBuilder| -> DbResult<()> {
-        if frame.rows() as usize >= scan_batch.max(1) {
+        if frame.rows() as usize >= SCAN_BATCH {
             ship(std::mem::take(frame), false)?;
         }
         Ok(())

@@ -10,6 +10,7 @@ use harbor_common::{
 };
 use harbor_dist::{RemoteScan, Request, Response, UpdateRequest, WireReadMode, WireTxnState};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn sample_requests() -> Vec<Request> {
     let tid = TransactionId(0x0001_0000_0000_002a);
@@ -57,7 +58,19 @@ fn sample_requests() -> Vec<Request> {
             tid,
             commit_time: Timestamp(42),
         },
+        Request::Abort { tid },
         Request::Scan(scan),
+        Request::AcquireTableLock {
+            tid,
+            table: "sales".into(),
+        },
+        Request::ReleaseTableLock {
+            tid,
+            table: "sales".into(),
+        },
+        Request::QueryTxnState { tid },
+        Request::Ping,
+        Request::GetTime,
         Request::RecComingOnline {
             site: SiteId(2),
             table: "sales".into(),
@@ -78,6 +91,11 @@ fn sample_requests() -> Vec<Request> {
             commits: vec![(tid, Timestamp(42))],
             aborts: vec![TransactionId(0x0001_0000_0000_002b)],
         },
+        Request::JoinSite {
+            site: SiteId(7),
+            addr: "127.0.0.1:4077".into(),
+        },
+        Request::DecommissionSite { site: SiteId(7) },
     ];
     // The begin marker rides the first frame a worker sees of a
     // transaction: a statement (the last one, with its PREPARE trailer,
@@ -141,45 +159,20 @@ fn every_error(text: &str, n: u64) -> Vec<DbError> {
     ]
 }
 
-/// The variant's ordinal, and whether it is of the link class — the
-/// sender's own links and files, which arrive as `Protocol` carrying their
-/// text while everything else arrives as itself. No wildcard arm: a new
-/// variant does not compile until it is placed here, and
-/// `every_variant_is_generated` fails until [`every_error`] makes one.
-fn variant(e: &DbError) -> (usize, bool) {
+/// Whether `e` is of the link class — the sender's own links and files,
+/// which arrive as `Protocol` carrying their text while everything else
+/// arrives as itself.
+fn is_link_class(e: &DbError) -> bool {
     use DbError::*;
-    match e {
-        Io(..) => (0, true),
-        Net(_) => (1, true),
-        SiteDown(_) => (2, true),
-        SiteUnavailable(_) => (3, true),
-        LockTimeout { .. } => (4, false),
-        TransactionAborted(_) => (5, false),
-        UnknownTransaction(_) => (6, false),
-        NoSuchTable(_) => (7, false),
-        NoSuchPage(_) => (8, false),
-        NoSuchRecord(_) => (9, false),
-        Corrupt(_) => (10, false),
-        CorruptPage { .. } => (11, false),
-        Full(_) => (12, false),
-        Timeout(_) => (13, false),
-        Protocol(_) => (14, false),
-        Schema(_) => (15, false),
-        Constraint(_) => (16, false),
-        Unrecoverable(_) => (17, false),
-        Degraded(_) => (18, false),
-        Overloaded { .. } => (19, false),
-        BeginRefused { .. } => (20, false),
-        Internal(_) => (21, false),
-    }
+    matches!(e, Io(..) | Net(_) | SiteDown(_) | SiteUnavailable(_))
 }
-const ERROR_VARIANTS: usize = 22;
 
 fn sample_responses() -> Vec<Response> {
     let errors = every_error("T3.p7 — nope", 0x0001_0000_0000_002a);
     let mut out: Vec<Response> = errors.into_iter().map(Response::Err).collect();
     out.extend([
         Response::Ok,
+        Response::Ack,
         Response::Vote { yes: true },
         Response::Time { now: Timestamp(99) },
         Response::TxnState {
@@ -200,6 +193,7 @@ fn sample_responses() -> Vec<Response> {
             ],
             done: false,
         },
+        Response::AllDone,
         Response::SegmentBounds {
             segments: vec![(Timestamp(1), Timestamp(8), Timestamp(6), 128)],
         },
@@ -278,8 +272,8 @@ proptest! {
         let mut bytes = samples[idx % samples.len()].clone();
         // Stamp 0xFFFFFFFF over four bytes anywhere: wherever it lands on a
         // length/count prefix, the decoder sees a ~4-billion-element claim
-        // backed by a few dozen bytes. `checked_count` (and the bounded
-        // byte-reads) must reject it before allocating for it — if this
+        // backed by a few dozen bytes. The codec's one count guard (and the
+        // bounded byte-reads) must reject it before allocating for it — if this
         // over-allocated instead, the test would die on OOM, not an assert.
         let pos = pos % bytes.len();
         for i in pos..(pos + 4).min(bytes.len()) {
@@ -298,7 +292,7 @@ proptest! {
     #[test]
     fn every_error_crosses_by_the_rule(text in "[ -~é]{0,40}", n in any::<u64>()) {
         for e in every_error(&text, n) {
-            let (_, link) = variant(&e);
+            let link = is_link_class(&e);
             let want = if link {
                 DbError::Protocol(e.to_string())
             } else {
@@ -328,11 +322,12 @@ proptest! {
     /// panic, never an allocation the peer sized.
     #[test]
     fn damaged_error_frames_decode_to_an_error_or_an_error_value(
-        idx in 0usize..ERROR_VARIANTS,
+        idx in 0usize..64,
         keep_pct in 0u32..100,
         pos in 0usize..4096,
     ) {
-        let frame = every_error("lock on T3.p7", 42)[idx].to_vec();
+        let errors = every_error("lock on T3.p7", 42);
+        let frame = errors[idx % errors.len()].to_vec();
         let keep = (frame.len() as u64 * keep_pct as u64 / 100) as usize;
         prop_assert!(DbError::from_slice(&frame[..keep]).unwrap_err().is_corrupt());
         let mut stamped = frame.clone();
@@ -346,13 +341,22 @@ proptest! {
     }
 }
 
+/// The samples the properties above mutate are total over the
+/// declarations: every tag `TAGS` lists opens at least one sample's frame,
+/// so a variant added to a declaration fails here until a sample exists.
 #[test]
 fn every_variant_is_generated() {
-    let mut seen: Vec<usize> = every_error("x", 1).iter().map(|e| variant(e).0).collect();
-    seen.sort_unstable();
-    assert_eq!(seen, (0..ERROR_VARIANTS).collect::<Vec<_>>());
-    // An error tag no variant owns is refused, as every other codec's is.
+    fn opening_tags<T: Wire>(samples: &[T]) -> BTreeSet<u8> {
+        samples.iter().map(|s| s.to_vec()[0]).collect()
+    }
+    let declared = |tags: &[u8]| tags.iter().copied().collect::<BTreeSet<u8>>();
+    assert_eq!(opening_tags(&sample_requests()), declared(Request::TAGS));
+    assert_eq!(opening_tags(&sample_responses()), declared(Response::TAGS));
+    assert_eq!(opening_tags(&every_error("x", 1)), declared(DbError::TAGS));
+    // A tag no variant owns is refused, in every declared type alike.
     assert!(DbError::from_slice(&[200]).unwrap_err().is_corrupt());
+    assert!(Request::from_slice(&[200]).unwrap_err().is_corrupt());
+    assert!(Response::from_slice(&[200]).unwrap_err().is_corrupt());
 }
 
 /// The begin marker is one encoding whatever it marks: a prefix of the

@@ -92,7 +92,6 @@ fn build(
                 coordinator: None,
                 auto_consensus: false,
                 use_deletion_log: true,
-                scan_batch: harbor_common::config::DEFAULT_SCAN_BATCH,
                 crash_schedule: crash_schedule.clone(),
             },
         )

@@ -117,7 +117,6 @@ fn build_mode(name: &str, case: u64, epoch: Option<EpochCommitConfig>, streams: 
                 coordinator: None,
                 auto_consensus: false,
                 use_deletion_log: true,
-                scan_batch: harbor_common::config::DEFAULT_SCAN_BATCH,
                 crash_schedule: Default::default(),
             },
         )

@@ -71,7 +71,6 @@ fn a_refused_statement_is_not_replayed_to_a_site_that_joins_later() {
             coordinator: None,
             auto_consensus: false,
             use_deletion_log: true,
-            scan_batch: harbor_common::config::DEFAULT_SCAN_BATCH,
             crash_schedule: Default::default(),
         };
         let worker = Worker::start(engine.clone(), transport.clone(), cfg).unwrap();

@@ -57,7 +57,6 @@ fn build(name: &str) -> Fixture {
             coordinator: None,
             auto_consensus: false,
             use_deletion_log: true,
-            scan_batch: harbor_common::config::DEFAULT_SCAN_BATCH,
             crash_schedule: Default::default(),
         },
     )
@@ -779,7 +778,6 @@ fn disk_backed_worker_survives_restart_of_its_server() {
             coordinator: None,
             auto_consensus: false,
             use_deletion_log: true,
-            scan_batch: harbor_common::config::DEFAULT_SCAN_BATCH,
             crash_schedule: Default::default(),
         },
     )
@@ -953,7 +951,6 @@ fn deletion_log_fast_path_matches_segment_scan() {
                     coordinator: None,
                     auto_consensus: false,
                     use_deletion_log: false,
-                    scan_batch: harbor_common::config::DEFAULT_SCAN_BATCH,
                     crash_schedule: Default::default(),
                 },
             )

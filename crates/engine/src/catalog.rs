@@ -1,21 +1,28 @@
 //! The per-site table catalog: table names, ids, and user schemas,
 //! persisted in a small file so a restarted site can reopen its heaps.
 
+use harbor_common::codec::{Decoder, Encoder, Wire};
 use harbor_common::lockrank::{self, Rank};
-use harbor_common::{DbError, DbResult, FieldType, TableId, TupleDesc};
+use harbor_common::{wire_struct, DbError, DbResult, FieldType, TableId, TupleDesc};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Definition of one stored table.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TableDef {
-    pub id: TableId,
-    pub name: String,
-    /// User-visible fields; the stored schema prepends the version columns.
-    pub user_fields: Vec<(String, FieldType)>,
+wire_struct! {
+    /// Definition of one stored table.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct TableDef {
+        pub id: TableId,
+        pub name: String,
+        /// User-visible fields; the stored schema prepends the version columns.
+        pub user_fields: Vec<(String, FieldType)>,
+    }
 }
+
+/// What a catalog file opens with; the table definitions follow as one
+/// `Vec<TableDef>`, in id order.
+const MAGIC: &[u8; 4] = b"HBCT";
 
 impl TableDef {
     /// The stored schema (with reserved version columns).
@@ -105,100 +112,24 @@ impl Catalog {
 }
 
 fn encode(tables: &BTreeMap<u32, TableDef>) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(b"HBCT");
-    out.extend_from_slice(&(tables.len() as u32).to_le_bytes());
-    for def in tables.values() {
-        out.extend_from_slice(&def.id.0.to_le_bytes());
-        put_str(&mut out, &def.name);
-        out.extend_from_slice(&(def.user_fields.len() as u32).to_le_bytes());
-        for (name, ty) in &def.user_fields {
-            put_str(&mut out, name);
-            out.push(ty.tag());
-            let width = match ty {
-                FieldType::FixedStr(n) => *n,
-                _ => 0,
-            };
-            out.extend_from_slice(&width.to_le_bytes());
-        }
-    }
-    out
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+    let mut enc = Encoder::new();
+    enc.put_raw(MAGIC);
+    tables
+        .values()
+        .cloned()
+        .collect::<Vec<_>>()
+        .encode(&mut enc);
+    enc.into_bytes()
 }
 
 fn decode(bytes: &[u8]) -> DbResult<BTreeMap<u32, TableDef>> {
-    let mut cur = Cursor { bytes, at: 0 };
-    if cur.take(4)? != b"HBCT" {
+    let mut dec = Decoder::new(bytes);
+    if dec.get_raw(MAGIC.len())? != MAGIC {
         return Err(DbError::corrupt("bad catalog magic"));
     }
-    let n = cur.u32()?;
-    let mut out = BTreeMap::new();
-    for _ in 0..n {
-        let id = TableId(cur.u32()?);
-        let name = cur.string()?;
-        let nf = cur.u32()? as usize;
-        let mut user_fields = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            let fname = cur.string()?;
-            let tag = cur.u8()?;
-            let width = cur.u16()?;
-            let ty = match tag {
-                0 => FieldType::Int32,
-                1 => FieldType::Int64,
-                2 => FieldType::Time,
-                3 => FieldType::FixedStr(width),
-                t => return Err(DbError::corrupt(format!("bad field type tag {t}"))),
-            };
-            user_fields.push((fname, ty));
-        }
-        out.insert(
-            id.0,
-            TableDef {
-                id,
-                name,
-                user_fields,
-            },
-        );
-    }
-    Ok(out)
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> DbResult<&'a [u8]> {
-        if self.at + n > self.bytes.len() {
-            return Err(DbError::corrupt("truncated catalog"));
-        }
-        let s = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> DbResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> DbResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> DbResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> DbResult<String> {
-        let n = self.u32()? as usize;
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec()).map_err(|_| DbError::corrupt("bad utf-8 in catalog"))
-    }
+    let defs = Vec::<TableDef>::decode(&mut dec)?;
+    dec.finish()?;
+    Ok(defs.into_iter().map(|def| (def.id.0, def)).collect())
 }
 
 #[cfg(test)]
@@ -255,5 +186,31 @@ mod tests {
         assert!(cat.by_name("nope").is_none());
         assert!(cat.by_id(TableId(9)).is_none());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A damaged catalog file is `Corrupt`, never a panic: a field-list
+    /// count beyond the bytes behind it is refused before anything is
+    /// allocated for it, and so are a short file and trailing bytes.
+    #[test]
+    fn damaged_files_are_corrupt() {
+        let def = TableDef {
+            id: TableId(1),
+            name: "t".into(),
+            user_fields: fields(),
+        };
+        let bytes = encode(&BTreeMap::from([(1, def)]));
+        assert_eq!(decode(&bytes).unwrap().len(), 1);
+        // Layout: magic | table count u32 | id u32 | name (u32 + 1) | field count u32 | ...
+        let mut inflated = bytes.clone();
+        inflated[17..21].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode(&inflated).unwrap_err();
+        assert!(
+            err.is_corrupt() && err.to_string().contains("exceeds"),
+            "{err}"
+        );
+        assert!(decode(&bytes[..bytes.len() - 1]).unwrap_err().is_corrupt());
+        assert!(decode(&[&bytes[..], &[0]].concat())
+            .unwrap_err()
+            .is_corrupt());
     }
 }

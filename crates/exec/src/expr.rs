@@ -5,19 +5,21 @@
 //! expressions give those plans their WHERE clauses, including the timestamp
 //! range predicates of the recovery queries.
 
-use harbor_common::{DbResult, Timestamp, Tuple, Value};
+use harbor_common::{wire_enum, DbResult, Timestamp, Tuple, Value};
 use std::cmp::Ordering;
 use std::fmt;
 
-/// Comparison operators.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
+wire_enum! {
+    /// Comparison operators.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum CmpOp {
+        0 => Eq,
+        1 => Ne,
+        2 => Lt,
+        3 => Le,
+        4 => Gt,
+        5 => Ge,
+    }
 }
 
 impl CmpOp {
@@ -33,28 +35,32 @@ impl CmpOp {
     }
 }
 
-/// Arithmetic operators (integer semantics, wrapping on overflow).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ArithOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
+wire_enum! {
+    /// Arithmetic operators (integer semantics, wrapping on overflow).
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum ArithOp {
+        0 => Add,
+        1 => Sub,
+        2 => Mul,
+        3 => Div,
+        4 => Mod,
+    }
 }
 
-/// An expression tree over one tuple.
-#[derive(Clone, PartialEq, Debug)]
-pub enum Expr {
-    /// Column reference by index into the input tuple.
-    Col(usize),
-    /// Literal value.
-    Lit(Value),
-    Cmp(CmpOp, Box<Expr>, Box<Expr>),
-    Arith(ArithOp, Box<Expr>, Box<Expr>),
-    And(Box<Expr>, Box<Expr>),
-    Or(Box<Expr>, Box<Expr>),
-    Not(Box<Expr>),
+wire_enum! {
+    /// An expression tree over one tuple.
+    #[derive(Clone, PartialEq, Debug)]
+    pub enum Expr {
+        /// Column reference by index into the input tuple.
+        0 => Col(usize),
+        /// Literal value.
+        1 => Lit(Value),
+        2 => Cmp(CmpOp, Box<Expr>, Box<Expr>),
+        3 => Arith(ArithOp, Box<Expr>, Box<Expr>),
+        4 => And(Box<Expr>, Box<Expr>),
+        5 => Or(Box<Expr>, Box<Expr>),
+        6 => Not(Box<Expr>),
+    }
 }
 
 impl Expr {
@@ -158,96 +164,6 @@ impl Expr {
     /// Evaluates as a predicate.
     pub fn eval_bool(&self, tuple: &Tuple) -> DbResult<bool> {
         Ok(self.eval(tuple)?.as_i64()? != 0)
-    }
-}
-
-impl harbor_common::codec::Wire for Expr {
-    fn encode(&self, enc: &mut harbor_common::codec::Encoder) {
-        match self {
-            Expr::Col(i) => {
-                enc.put_u8(0);
-                enc.put_u32(*i as u32);
-            }
-            Expr::Lit(v) => {
-                enc.put_u8(1);
-                v.encode(enc);
-            }
-            Expr::Cmp(op, a, b) => {
-                enc.put_u8(2);
-                enc.put_u8(*op as u8);
-                a.encode(enc);
-                b.encode(enc);
-            }
-            Expr::Arith(op, a, b) => {
-                enc.put_u8(3);
-                enc.put_u8(*op as u8);
-                a.encode(enc);
-                b.encode(enc);
-            }
-            Expr::And(a, b) => {
-                enc.put_u8(4);
-                a.encode(enc);
-                b.encode(enc);
-            }
-            Expr::Or(a, b) => {
-                enc.put_u8(5);
-                a.encode(enc);
-                b.encode(enc);
-            }
-            Expr::Not(a) => {
-                enc.put_u8(6);
-                a.encode(enc);
-            }
-        }
-    }
-
-    fn decode(dec: &mut harbor_common::codec::Decoder<'_>) -> DbResult<Self> {
-        use harbor_common::DbError;
-        fn cmp_op(t: u8) -> DbResult<CmpOp> {
-            Ok(match t {
-                0 => CmpOp::Eq,
-                1 => CmpOp::Ne,
-                2 => CmpOp::Lt,
-                3 => CmpOp::Le,
-                4 => CmpOp::Gt,
-                5 => CmpOp::Ge,
-                _ => return Err(DbError::corrupt("bad cmp op")),
-            })
-        }
-        fn arith_op(t: u8) -> DbResult<ArithOp> {
-            Ok(match t {
-                0 => ArithOp::Add,
-                1 => ArithOp::Sub,
-                2 => ArithOp::Mul,
-                3 => ArithOp::Div,
-                4 => ArithOp::Mod,
-                _ => return Err(DbError::corrupt("bad arith op")),
-            })
-        }
-        Ok(match dec.get_u8()? {
-            0 => Expr::Col(dec.get_u32()? as usize),
-            1 => Expr::Lit(Value::decode(dec)?),
-            2 => {
-                let op = cmp_op(dec.get_u8()?)?;
-                Expr::Cmp(
-                    op,
-                    Box::new(Expr::decode(dec)?),
-                    Box::new(Expr::decode(dec)?),
-                )
-            }
-            3 => {
-                let op = arith_op(dec.get_u8()?)?;
-                Expr::Arith(
-                    op,
-                    Box::new(Expr::decode(dec)?),
-                    Box::new(Expr::decode(dec)?),
-                )
-            }
-            4 => Expr::And(Box::new(Expr::decode(dec)?), Box::new(Expr::decode(dec)?)),
-            5 => Expr::Or(Box::new(Expr::decode(dec)?), Box::new(Expr::decode(dec)?)),
-            6 => Expr::Not(Box::new(Expr::decode(dec)?)),
-            t => return Err(DbError::corrupt(format!("bad expr tag {t}"))),
-        })
     }
 }
 

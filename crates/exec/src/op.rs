@@ -35,7 +35,7 @@ pub trait Operator: Send {
 pub fn collect(op: &mut dyn Operator) -> DbResult<Vec<Tuple>> {
     op.open()?;
     let mut out = Vec::new();
-    while op.next_batch(harbor_common::config::DEFAULT_SCAN_BATCH, &mut out)? {}
+    while op.next_batch(harbor_common::config::SCAN_BATCH, &mut out)? {}
     op.close();
     Ok(out)
 }

@@ -3,9 +3,10 @@
 //! execution, graceful drain, and a property test that shed-only retry
 //! commits every acked id exactly once.
 
+use harbor_common::codec::Wire;
 use harbor_common::{DbError, DbResult, Metrics, Timestamp};
 use harbor_dist::UpdateRequest;
-use harbor_front::{FnHandler, FrontClient, FrontConfig, FrontServer};
+use harbor_front::{FnHandler, FrontClient, FrontConfig, FrontReply, FrontServer};
 use harbor_net::tcp::TcpTransport;
 use harbor_net::Transport;
 use parking_lot::Mutex;
@@ -87,6 +88,36 @@ fn steady_state_commits_over_tcp() {
     assert_eq!(metrics.requests_admitted(), 20);
     assert_eq!(metrics.requests_shed(), 0);
     assert_eq!(metrics.sessions_accepted(), 1);
+    server.shutdown();
+    assert_eq!(metrics.sessions_closed(), 1);
+}
+
+/// A frame whose tag no request owns is answered best-effort with the
+/// decoder's own `Corrupt` — as every other decoder's bad tag is — and the
+/// session is dropped: framing is untrusted after a parse failure.
+#[test]
+fn unknown_request_tag_is_answered_corrupt_and_the_session_dropped() {
+    let engine = SlowEngine::new(Duration::ZERO);
+    let (transport, server, addr, metrics) = start_tcp(FrontConfig::default(), &engine);
+    let mut chan = transport.connect(&addr).expect("connect");
+    chan.send(&[9]).expect("send");
+    let reply = chan
+        .recv_timeout(Duration::from_secs(5))
+        .expect("recv")
+        .expect("a reply before the close");
+    match FrontReply::from_slice(&reply).expect("decode") {
+        FrontReply::Err { err, .. } => {
+            assert!(err.is_corrupt(), "{err}");
+            assert!(err.to_string().contains("bad FrontRequest tag 9"), "{err}");
+        }
+        other => panic!("expected the decode failure, got {other:?}"),
+    }
+    // The server closed its end: nothing more arrives on this session.
+    assert!(!matches!(
+        chan.recv_timeout(Duration::from_secs(5)),
+        Ok(Some(_))
+    ));
+    assert!(engine.executed.lock().is_empty());
     server.shutdown();
     assert_eq!(metrics.sessions_closed(), 1);
 }

@@ -1,8 +1,9 @@
 //! Raw page-granular file I/O and the on-disk checkpoint record.
 
 use crate::fault::{DiskFaultPlan, WriteFault};
+use harbor_common::codec::{Decoder, Encoder, Wire};
 use harbor_common::config::{PAGE_PAYLOAD, PAGE_SIZE};
-use harbor_common::{DbError, DbResult, DiskProfile, Metrics, TableId, Timestamp};
+use harbor_common::{wire_struct, DbError, DbResult, DiskProfile, Metrics, TableId, Timestamp};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -226,28 +227,33 @@ impl TableFile {
     }
 }
 
-/// The on-disk checkpoint record of Fig 3-2, extended with the per-object
-/// checkpoints recovery needs (§5.3: "S adopts a finer-granularity approach
-/// to checkpointing during recovery and maintains a separate checkpoint per
-/// object").
-///
-/// Stored at a well-known location (one small file per site) and replaced
-/// atomically via write-to-temp + rename, so a crash mid-checkpoint leaves
-/// the previous record intact.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct CheckpointRecord {
-    /// All updates at or before this time are on disk (global checkpoint).
-    pub global: Timestamp,
-    /// Per-object overrides recorded during recovery; an object's effective
-    /// checkpoint is `max(global, override)`.
-    pub per_object: BTreeMap<u32, Timestamp>,
-    /// Per-table: the lowest segment index that can contain tuples inserted
-    /// by transactions not yet finished at checkpoint time. Phase 1's
-    /// `insertion_time = uncommitted` disjunct scans from here; recording it
-    /// makes the disjunct sound even when a long transaction's inserts
-    /// straddle a segment boundary.
-    pub scan_start: BTreeMap<u32, u32>,
+wire_struct! {
+    /// The on-disk checkpoint record of Fig 3-2, extended with the per-object
+    /// checkpoints recovery needs (§5.3: "S adopts a finer-granularity approach
+    /// to checkpointing during recovery and maintains a separate checkpoint per
+    /// object").
+    ///
+    /// Stored at a well-known location (one small file per site) and replaced
+    /// atomically via write-to-temp + rename, so a crash mid-checkpoint leaves
+    /// the previous record intact.
+    #[derive(Clone, Debug, PartialEq, Eq, Default)]
+    pub struct CheckpointRecord {
+        /// All updates at or before this time are on disk (global checkpoint).
+        pub global: Timestamp,
+        /// Per-object overrides recorded during recovery; an object's effective
+        /// checkpoint is `max(global, override)`.
+        pub per_object: BTreeMap<u32, Timestamp>,
+        /// Per-table: the lowest segment index that can contain tuples inserted
+        /// by transactions not yet finished at checkpoint time. Phase 1's
+        /// `insertion_time = uncommitted` disjunct scans from here; recording it
+        /// makes the disjunct sound even when a long transaction's inserts
+        /// straddle a segment boundary.
+        pub scan_start: BTreeMap<u32, u32>,
+    }
 }
+
+/// What a checkpoint file opens with; the record follows.
+const CHECKPOINT_MAGIC: &[u8; 4] = b"HBCK";
 
 impl CheckpointRecord {
     /// Effective checkpoint for one table.
@@ -276,60 +282,22 @@ impl CheckpointRecord {
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(20 + self.per_object.len() * 12 + self.scan_start.len() * 8);
-        out.extend_from_slice(b"HBCK");
-        out.extend_from_slice(&self.global.0.to_le_bytes());
-        out.extend_from_slice(&(self.per_object.len() as u32).to_le_bytes());
-        for (t, ts) in &self.per_object {
-            out.extend_from_slice(&t.to_le_bytes());
-            out.extend_from_slice(&ts.0.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.scan_start.len() as u32).to_le_bytes());
-        for (t, seg) in &self.scan_start {
-            out.extend_from_slice(&t.to_le_bytes());
-            out.extend_from_slice(&seg.to_le_bytes());
-        }
-        out
+    fn to_file_bytes(&self) -> Vec<u8> {
+        let mut enc =
+            Encoder::with_capacity(20 + self.per_object.len() * 12 + self.scan_start.len() * 8);
+        enc.put_raw(CHECKPOINT_MAGIC);
+        self.encode(&mut enc);
+        enc.into_bytes()
     }
 
-    fn decode(bytes: &[u8]) -> DbResult<Self> {
-        if bytes.len() < 16 || &bytes[..4] != b"HBCK" {
+    fn from_file_bytes(bytes: &[u8]) -> DbResult<Self> {
+        let mut dec = Decoder::new(bytes);
+        if dec.get_raw(CHECKPOINT_MAGIC.len())? != CHECKPOINT_MAGIC {
             return Err(DbError::corrupt("bad checkpoint record"));
         }
-        let global = Timestamp(u64::from_le_bytes(bytes[4..12].try_into().unwrap()));
-        let n = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let objects_end = 16 + n * 12;
-        if bytes.len() < objects_end + 4 {
-            return Err(DbError::corrupt("truncated checkpoint record"));
-        }
-        let mut per_object = BTreeMap::new();
-        for i in 0..n {
-            let off = 16 + i * 12;
-            let t = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            let ts = Timestamp(u64::from_le_bytes(
-                bytes[off + 4..off + 12].try_into().unwrap(),
-            ));
-            per_object.insert(t, ts);
-        }
-        let m =
-            u32::from_le_bytes(bytes[objects_end..objects_end + 4].try_into().unwrap()) as usize;
-        if bytes.len() != objects_end + 4 + m * 8 {
-            return Err(DbError::corrupt("truncated checkpoint record"));
-        }
-        let mut scan_start = BTreeMap::new();
-        for i in 0..m {
-            let off = objects_end + 4 + i * 8;
-            let t = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            let seg = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
-            scan_start.insert(t, seg);
-        }
-        Ok(CheckpointRecord {
-            global,
-            per_object,
-            scan_start,
-        })
+        let rec = Self::decode(&mut dec)?;
+        dec.finish()?;
+        Ok(rec)
     }
 
     /// Atomically persists the record at `path`: write `<path>.tmp`, fsync
@@ -344,7 +312,7 @@ impl CheckpointRecord {
         let tmp = path.with_extension("tmp");
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(&self.encode())?;
+            f.write_all(&self.to_file_bytes())?;
             if disk.real_fsync {
                 f.sync_data()?;
             }
@@ -365,7 +333,7 @@ impl CheckpointRecord {
     /// as all-zero (time zero predates every transaction).
     pub fn read(path: impl AsRef<Path>) -> DbResult<Self> {
         match std::fs::read(path) {
-            Ok(bytes) => Self::decode(&bytes),
+            Ok(bytes) => Self::from_file_bytes(&bytes),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Self::default()),
             Err(e) => Err(e.into()),
         }

@@ -25,9 +25,11 @@ pub use record::{LogPayload, LogRecord, RedoOp, TxnOutcome};
 
 use std::fmt;
 
-/// Log sequence number: the byte offset of a record in the log file.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct Lsn(pub u64);
+harbor_common::wire_struct! {
+    /// Log sequence number: the byte offset of a record in the log file.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+    pub struct Lsn(pub u64);
+}
 
 impl Lsn {
     /// LSN zero: "before every record"; pages start here.

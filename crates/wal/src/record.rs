@@ -9,34 +9,35 @@
 //! so it produces its own log records (§6.1.7).
 
 use crate::Lsn;
-use harbor_common::codec::{Decoder, Encoder, Wire};
-use harbor_common::{
-    DbError, DbResult, PageId, RecordId, SiteId, TableId, Timestamp, TransactionId,
-};
+use harbor_common::{wire_enum, wire_struct, PageId, RecordId, SiteId, Timestamp, TransactionId};
 
-/// Which of the two reserved timestamp fields a [`RedoOp::SetTimestamp`]
-/// touches.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TsField {
-    Insertion,
-    Deletion,
+wire_enum! {
+    /// Which of the two reserved timestamp fields a [`RedoOp::SetTimestamp`]
+    /// touches.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum TsField {
+        0 => Insertion,
+        1 => Deletion,
+    }
 }
 
-/// A physical, idempotent page operation. Redo applies it; each op carries
-/// what undo needs alongside (physiological logging).
-#[derive(Clone, PartialEq, Debug)]
-pub enum RedoOp {
-    /// Write `data` (a fixed-width encoded tuple) into `rid`'s slot.
-    InsertTuple { rid: RecordId, data: Vec<u8> },
-    /// Clear `rid`'s slot. `data` preserves the old contents for undo.
-    RemoveTuple { rid: RecordId, data: Vec<u8> },
-    /// Overwrite a timestamp field. `old` enables undo.
-    SetTimestamp {
-        rid: RecordId,
-        field: TsField,
-        old: Timestamp,
-        new: Timestamp,
-    },
+wire_enum! {
+    /// A physical, idempotent page operation. Redo applies it; each op carries
+    /// what undo needs alongside (physiological logging).
+    #[derive(Clone, PartialEq, Debug)]
+    pub enum RedoOp {
+        /// Write `data` (a fixed-width encoded tuple) into `rid`'s slot.
+        0 => InsertTuple { rid: RecordId, data: Vec<u8> },
+        /// Clear `rid`'s slot. `data` preserves the old contents for undo.
+        1 => RemoveTuple { rid: RecordId, data: Vec<u8> },
+        /// Overwrite a timestamp field. `old` enables undo.
+        2 => SetTimestamp {
+            rid: RecordId,
+            field: TsField,
+            old: Timestamp,
+            new: Timestamp,
+        },
+    }
 }
 
 impl RedoOp {
@@ -75,69 +76,66 @@ impl RedoOp {
     }
 }
 
-/// Final state of a finished transaction, recorded by `End`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TxnOutcome {
-    Committed,
-    Aborted,
+wire_enum! {
+    /// Final state of a finished transaction, recorded by `End`.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum TxnOutcome {
+        0 => Committed,
+        1 => Aborted,
+    }
 }
 
-/// Transaction status snapshot stored in checkpoint records.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CkptTxnState {
-    Active,
-    Prepared,
-    Committing,
-    Aborting,
+wire_enum! {
+    /// Transaction status snapshot stored in checkpoint records.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum CkptTxnState {
+        0 => Active,
+        1 => Prepared,
+        2 => Committing,
+        3 => Aborting,
+    }
 }
 
-/// The body of a log record.
-#[derive(Clone, PartialEq, Debug)]
-pub enum LogPayload {
-    /// Transaction start (implicit in ARIES; kept explicit for readability).
-    Begin,
-    /// A physical change, with undo information embedded in the op.
-    Update(RedoOp),
-    /// Compensation log record written while undoing. `undo_next` points at
-    /// the next record of the transaction still to be undone.
-    Clr {
-        redo: RedoOp,
-        undo_next: Lsn,
-    },
-    /// Worker vote record: the transaction is prepared (2PC first phase).
-    Prepare {
-        coordinator: SiteId,
-    },
-    /// Worker entered the prepared-to-commit state (canonical 3PC's middle
-    /// phase; the optimized variant writes nothing here).
-    PrepareToCommit {
-        commit_time: Timestamp,
-    },
-    /// Commit point, carrying the commit timestamp assigned by the
-    /// coordinator (the 2PC augmentation of §4.3.1).
-    Commit {
-        commit_time: Timestamp,
-    },
-    Abort,
-    /// Transaction fully finished; its state can be forgotten.
-    End {
-        outcome: TxnOutcome,
-    },
-    /// Fuzzy checkpoint: active-transaction table and dirty page table.
-    Checkpoint {
-        att: Vec<(TransactionId, CkptTxnState, Lsn)>,
-        dpt: Vec<(PageId, Lsn)>,
-    },
+wire_enum! {
+    /// The body of a log record.
+    #[derive(Clone, PartialEq, Debug)]
+    pub enum LogPayload {
+        /// Transaction start (implicit in ARIES; kept explicit for readability).
+        0 => Begin,
+        /// A physical change, with undo information embedded in the op.
+        1 => Update(RedoOp),
+        /// Compensation log record written while undoing. `undo_next` points at
+        /// the next record of the transaction still to be undone.
+        2 => Clr { redo: RedoOp, undo_next: Lsn },
+        /// Worker vote record: the transaction is prepared (2PC first phase).
+        3 => Prepare { coordinator: SiteId },
+        /// Worker entered the prepared-to-commit state (canonical 3PC's middle
+        /// phase; the optimized variant writes nothing here).
+        8 => PrepareToCommit { commit_time: Timestamp },
+        /// Commit point, carrying the commit timestamp assigned by the
+        /// coordinator (the 2PC augmentation of §4.3.1).
+        4 => Commit { commit_time: Timestamp },
+        5 => Abort,
+        /// Transaction fully finished; its state can be forgotten.
+        6 => End { outcome: TxnOutcome },
+        /// Fuzzy checkpoint: active-transaction table and dirty page table.
+        7 => Checkpoint {
+            att: Vec<(TransactionId, CkptTxnState, Lsn)>,
+            dpt: Vec<(PageId, Lsn)>,
+        },
+    }
 }
 
-/// A full log record: per-transaction backward chain plus payload.
-#[derive(Clone, PartialEq, Debug)]
-pub struct LogRecord {
-    /// Transaction this record belongs to. Checkpoints use a reserved id.
-    pub tid: TransactionId,
-    /// Previous record of the same transaction ([`Lsn::NONE`] for the first).
-    pub prev_lsn: Lsn,
-    pub payload: LogPayload,
+wire_struct! {
+    /// A full log record: per-transaction backward chain plus payload.
+    #[derive(Clone, PartialEq, Debug)]
+    pub struct LogRecord {
+        /// Transaction this record belongs to. Checkpoints use a reserved id.
+        pub tid: TransactionId,
+        /// Previous record of the same transaction ([`Lsn::NONE`] for the first).
+        pub prev_lsn: Lsn,
+        pub payload: LogPayload,
+    }
 }
 
 impl LogRecord {
@@ -150,191 +148,11 @@ impl LogRecord {
     }
 }
 
-fn encode_rid(enc: &mut Encoder, rid: RecordId) {
-    enc.put_u32(rid.page.table.0);
-    enc.put_u32(rid.page.page_no);
-    enc.put_u16(rid.slot);
-}
-
-fn decode_rid(dec: &mut Decoder<'_>) -> DbResult<RecordId> {
-    let table = TableId(dec.get_u32()?);
-    let page_no = dec.get_u32()?;
-    let slot = dec.get_u16()?;
-    Ok(RecordId::new(PageId::new(table, page_no), slot))
-}
-
-impl Wire for RedoOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            RedoOp::InsertTuple { rid, data } => {
-                enc.put_u8(0);
-                encode_rid(enc, *rid);
-                enc.put_bytes(data);
-            }
-            RedoOp::RemoveTuple { rid, data } => {
-                enc.put_u8(1);
-                encode_rid(enc, *rid);
-                enc.put_bytes(data);
-            }
-            RedoOp::SetTimestamp {
-                rid,
-                field,
-                old,
-                new,
-            } => {
-                enc.put_u8(2);
-                encode_rid(enc, *rid);
-                enc.put_u8(matches!(field, TsField::Deletion) as u8);
-                enc.put_u64(old.0);
-                enc.put_u64(new.0);
-            }
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
-        Ok(match dec.get_u8()? {
-            0 => RedoOp::InsertTuple {
-                rid: decode_rid(dec)?,
-                data: dec.get_bytes()?,
-            },
-            1 => RedoOp::RemoveTuple {
-                rid: decode_rid(dec)?,
-                data: dec.get_bytes()?,
-            },
-            2 => RedoOp::SetTimestamp {
-                rid: decode_rid(dec)?,
-                field: if dec.get_u8()? == 1 {
-                    TsField::Deletion
-                } else {
-                    TsField::Insertion
-                },
-                old: Timestamp(dec.get_u64()?),
-                new: Timestamp(dec.get_u64()?),
-            },
-            t => return Err(DbError::corrupt(format!("bad redo op tag {t}"))),
-        })
-    }
-}
-
-impl Wire for LogRecord {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.tid.0);
-        enc.put_u64(self.prev_lsn.0);
-        match &self.payload {
-            LogPayload::Begin => enc.put_u8(0),
-            LogPayload::Update(op) => {
-                enc.put_u8(1);
-                op.encode(enc);
-            }
-            LogPayload::Clr { redo, undo_next } => {
-                enc.put_u8(2);
-                redo.encode(enc);
-                enc.put_u64(undo_next.0);
-            }
-            LogPayload::Prepare { coordinator } => {
-                enc.put_u8(3);
-                enc.put_u16(coordinator.0);
-            }
-            LogPayload::Commit { commit_time } => {
-                enc.put_u8(4);
-                enc.put_u64(commit_time.0);
-            }
-            LogPayload::Abort => enc.put_u8(5),
-            LogPayload::End { outcome } => {
-                enc.put_u8(6);
-                enc.put_u8(matches!(outcome, TxnOutcome::Aborted) as u8);
-            }
-            LogPayload::PrepareToCommit { commit_time } => {
-                enc.put_u8(8);
-                enc.put_u64(commit_time.0);
-            }
-            LogPayload::Checkpoint { att, dpt } => {
-                enc.put_u8(7);
-                enc.put_u32(att.len() as u32);
-                for (tid, state, last_lsn) in att {
-                    enc.put_u64(tid.0);
-                    enc.put_u8(match state {
-                        CkptTxnState::Active => 0,
-                        CkptTxnState::Prepared => 1,
-                        CkptTxnState::Committing => 2,
-                        CkptTxnState::Aborting => 3,
-                    });
-                    enc.put_u64(last_lsn.0);
-                }
-                enc.put_u32(dpt.len() as u32);
-                for (pid, rec_lsn) in dpt {
-                    enc.put_u32(pid.table.0);
-                    enc.put_u32(pid.page_no);
-                    enc.put_u64(rec_lsn.0);
-                }
-            }
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
-        let tid = TransactionId(dec.get_u64()?);
-        let prev_lsn = Lsn(dec.get_u64()?);
-        let payload = match dec.get_u8()? {
-            0 => LogPayload::Begin,
-            1 => LogPayload::Update(RedoOp::decode(dec)?),
-            2 => LogPayload::Clr {
-                redo: RedoOp::decode(dec)?,
-                undo_next: Lsn(dec.get_u64()?),
-            },
-            3 => LogPayload::Prepare {
-                coordinator: SiteId(dec.get_u16()?),
-            },
-            4 => LogPayload::Commit {
-                commit_time: Timestamp(dec.get_u64()?),
-            },
-            5 => LogPayload::Abort,
-            6 => LogPayload::End {
-                outcome: if dec.get_u8()? == 1 {
-                    TxnOutcome::Aborted
-                } else {
-                    TxnOutcome::Committed
-                },
-            },
-            7 => {
-                let n = dec.get_u32()? as usize;
-                let mut att = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let tid = TransactionId(dec.get_u64()?);
-                    let state = match dec.get_u8()? {
-                        0 => CkptTxnState::Active,
-                        1 => CkptTxnState::Prepared,
-                        2 => CkptTxnState::Committing,
-                        3 => CkptTxnState::Aborting,
-                        t => return Err(DbError::corrupt(format!("bad ckpt txn state {t}"))),
-                    };
-                    att.push((tid, state, Lsn(dec.get_u64()?)));
-                }
-                let m = dec.get_u32()? as usize;
-                let mut dpt = Vec::with_capacity(m);
-                for _ in 0..m {
-                    let table = TableId(dec.get_u32()?);
-                    let page_no = dec.get_u32()?;
-                    dpt.push((PageId::new(table, page_no), Lsn(dec.get_u64()?)));
-                }
-                LogPayload::Checkpoint { att, dpt }
-            }
-            8 => LogPayload::PrepareToCommit {
-                commit_time: Timestamp(dec.get_u64()?),
-            },
-            t => return Err(DbError::corrupt(format!("bad log payload tag {t}"))),
-        };
-        Ok(LogRecord {
-            tid,
-            prev_lsn,
-            payload,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harbor_common::ids::SiteId;
+    use harbor_common::codec::Wire;
+    use harbor_common::TableId;
 
     fn rid() -> RecordId {
         RecordId::new(PageId::new(TableId(3), 7), 2)
@@ -448,5 +266,37 @@ mod tests {
             let bytes = r.to_vec();
             assert_eq!(LogRecord::from_slice(&bytes).unwrap(), r);
         }
+    }
+
+    /// What a torn or bit-rotted log tail can hold: a checkpoint whose `att`
+    /// count is inflated is refused by the count guard before anything is
+    /// allocated for it, and an outcome byte that is neither variant's is
+    /// refused rather than read as `Committed`.
+    #[test]
+    fn inflated_count_and_unknown_outcome_are_corrupt() {
+        let ckpt = LogRecord::new(
+            tid(),
+            Lsn(70),
+            LogPayload::Checkpoint {
+                att: vec![(tid(), CkptTxnState::Active, Lsn(5))],
+                dpt: vec![],
+            },
+        );
+        // Layout: tid u64 | prev_lsn u64 | tag u8 | att count u32 | ...
+        let mut bytes = ckpt.to_vec();
+        bytes[17..21].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = LogRecord::from_slice(&bytes).unwrap_err();
+        assert!(
+            err.is_corrupt() && err.to_string().contains("exceeds"),
+            "{err}"
+        );
+
+        let end = LogPayload::End {
+            outcome: TxnOutcome::Aborted,
+        };
+        let mut bytes = LogRecord::new(tid(), Lsn(60), end).to_vec();
+        *bytes.last_mut().unwrap() = 2;
+        let err = LogRecord::from_slice(&bytes).unwrap_err();
+        assert!(err.to_string().contains("bad TxnOutcome tag 2"), "{err}");
     }
 }

@@ -11,7 +11,7 @@
 
 use harbor::{Cluster, ClusterConfig, TableSpec, TransportKind};
 use harbor_common::{SiteId, StorageConfig, Timestamp, Value};
-use harbor_dist::{FailPoint, ProtocolKind, UpdateRequest};
+use harbor_dist::{CrashPoint, ProtocolKind, UpdateRequest};
 use harbor_front::FrontHandler;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -39,7 +39,7 @@ fn count_at(cluster: &Cluster, site: SiteId) -> usize {
 /// `through_handler`: the in-doubt transaction runs as the front door runs
 /// it, whole, so its PREPARE rides its one statement and the votes are in
 /// when `commit` starts — the coordinator's fail points are where they were.
-fn scenario(name: &str, fail: FailPoint, expect_rows: usize, through_handler: bool) {
+fn scenario(name: &str, fail: CrashPoint, expect_rows: usize, through_handler: bool) {
     let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 2);
     cfg.storage = StorageConfig::for_tests();
     cfg.transport = TransportKind::InMem {
@@ -67,7 +67,7 @@ fn scenario(name: &str, fail: FailPoint, expect_rows: usize, through_handler: bo
         values: vec![Value::Int64(1), Value::Int32(1)],
     };
     if through_handler {
-        coordinator.set_fail_point(fail);
+        cluster.arm_crash(coordinator.site(), fail);
         let patience = Instant::now() + Duration::from_secs(60);
         let died = coordinator.execute(vec![row1], patience);
         assert!(died.is_err(), "{name}: coordinator died");
@@ -77,7 +77,7 @@ fn scenario(name: &str, fail: FailPoint, expect_rows: usize, through_handler: bo
         for site in cluster.worker_sites() {
             assert_eq!(coordinator.idle_sessions(site), 1, "{name}: {site}");
         }
-        coordinator.set_fail_point(fail);
+        cluster.arm_crash(coordinator.site(), fail);
         assert!(coordinator.commit(tid).is_err(), "{name}: coordinator died");
     }
     for site in cluster.worker_sites() {
@@ -115,19 +115,19 @@ fn scenario(name: &str, fail: FailPoint, expect_rows: usize, through_handler: bo
 
 #[test]
 fn crash_after_prepare_auto_aborts() {
-    scenario("after-prepare", FailPoint::AfterPrepare, 1, false);
+    scenario("after-prepare", CrashPoint::CoordAfterPrepare, 1, false);
 }
 
 #[test]
 fn crash_mid_prepare_to_commit_auto_commits() {
     // One worker reached prepared-to-commit: the backup replays the last
     // two phases and the transaction commits everywhere.
-    scenario("mid-ptc", FailPoint::AfterPtcSentTo(1), 2, false);
+    scenario("mid-ptc", CrashPoint::CoordAfterPtcSent(1), 2, false);
 }
 
 #[test]
 fn crash_mid_commit_fanout_auto_commits() {
-    scenario("mid-commit", FailPoint::AfterCommitSentTo(1), 2, false);
+    scenario("mid-commit", CrashPoint::CoordAfterCommitSent(1), 2, false);
 }
 
 /// The same two rows of Table 4.1 when the PREPARE rode the statement: with
@@ -135,10 +135,15 @@ fn crash_mid_commit_fanout_auto_commits() {
 /// prepared-YES and aborts; one PREPARE-TO-COMMIT out, and it commits.
 #[test]
 fn crash_after_a_riding_prepare_auto_aborts() {
-    scenario("riding-after-prepare", FailPoint::AfterPrepare, 1, true);
+    scenario(
+        "riding-after-prepare",
+        CrashPoint::CoordAfterPrepare,
+        1,
+        true,
+    );
 }
 
 #[test]
 fn crash_mid_prepare_to_commit_after_a_riding_prepare_auto_commits() {
-    scenario("riding-mid-ptc", FailPoint::AfterPtcSentTo(1), 2, true);
+    scenario("riding-mid-ptc", CrashPoint::CoordAfterPtcSent(1), 2, true);
 }

@@ -11,8 +11,8 @@ use harbor_common::{
     DbError, DbResult, DiskProfile, Metrics, SiteId, StorageConfig, Timestamp, Value,
 };
 use harbor_dist::{
-    BackupState, Coordinator, CoordinatorConfig, FailPoint, Placement, ProtocolKind, UpdateRequest,
-    Worker, WorkerConfig,
+    BackupState, Coordinator, CoordinatorConfig, CrashPoint, Placement, ProtocolKind,
+    UpdateRequest, Worker, WorkerConfig,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_front::FrontHandler;
@@ -244,7 +244,6 @@ fn a_commit_round_lasts_as_long_as_its_slowest_worker() {
             coordinator: None,
             auto_consensus: false,
             use_deletion_log: true,
-            scan_batch: harbor_common::config::DEFAULT_SCAN_BATCH,
             crash_schedule: Default::default(),
         };
         let worker = Worker::start(engine.clone(), transport.clone(), cfg).unwrap();
@@ -371,7 +370,7 @@ fn a_counting_fail_point_splits_the_round() {
     cluster.run_txn(vec![insert(0)]).unwrap();
     let tid = coordinator.begin().unwrap();
     coordinator.update(tid, insert(1)).unwrap();
-    coordinator.set_fail_point(FailPoint::AfterPtcSentTo(1));
+    cluster.arm_crash(coordinator.site(), CrashPoint::CoordAfterPtcSent(1));
     assert!(coordinator.commit(tid).is_err(), "the coordinator died");
     // At the moment `commit` returns: the first participant has received
     // and processed PREPARE-TO-COMMIT, the others were never sent it.

@@ -11,7 +11,7 @@
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
 use harbor_common::{SiteId, StorageConfig, Timestamp, Value};
-use harbor_dist::{CrashPoint, FailPoint, ProtocolKind, UpdateRequest};
+use harbor_dist::{CrashPoint, ProtocolKind, UpdateRequest};
 use harbor_front::FrontHandler;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -82,7 +82,7 @@ fn armed_fail_point_cleared_on_commit() {
     coordinator.update(tid, insert(1)).unwrap();
     // With 2 workers the counter never reaches 99: the point stays armed
     // through the whole protocol and must be disarmed by finish().
-    coordinator.set_fail_point(FailPoint::AfterPtcSentTo(99));
+    cluster.arm_crash(coordinator.site(), CrashPoint::CoordAfterPtcSent(99));
     coordinator.commit(tid).unwrap();
     assert!(
         cluster.crash_schedule().is_empty(),
@@ -112,7 +112,7 @@ fn armed_fail_point_cleared_on_abort() {
 
     let tid = coordinator.begin().unwrap();
     coordinator.update(tid, insert(1)).unwrap();
-    coordinator.set_fail_point(FailPoint::AfterPrepare);
+    cluster.arm_crash(coordinator.site(), CrashPoint::CoordAfterPrepare);
     // Abort without ever reaching PREPARE: the point is never consumed.
     coordinator.abort(tid).unwrap();
     assert!(
@@ -134,7 +134,7 @@ fn armed_fail_point_cleared_on_abort() {
 /// the first-ranked backup (site 1) crashes mid-resolution, and the
 /// next-ranked live participant (site 2) must take over and drive the
 /// surviving replicas to the same Table 4.1 outcome (`expect_rows`).
-fn cascading_backup(name: &str, fail: FailPoint, expect_rows: usize) {
+fn cascading_backup(name: &str, fail: CrashPoint, expect_rows: usize) {
     let dir = temp_dir(name);
     let cluster = Cluster::build(&dir, config(3)).unwrap();
     let coordinator = cluster.coordinator();
@@ -144,7 +144,7 @@ fn cascading_backup(name: &str, fail: FailPoint, expect_rows: usize) {
 
     let tid = coordinator.begin().unwrap();
     coordinator.update(tid, insert(1)).unwrap();
-    coordinator.set_fail_point(fail);
+    cluster.arm_crash(coordinator.site(), fail);
     // The would-be backup dies partway through its own resolution: after
     // re-broadcasting the first phase of its Table 4.1 action but before
     // the outcome broadcast, leaving the transaction still unresolved.
@@ -188,7 +188,7 @@ fn cascading_backup(name: &str, fail: FailPoint, expect_rows: usize) {
 fn backup_crash_mid_resolution_still_commits() {
     cascading_backup(
         "cascade-commit",
-        FailPoint::AfterPtcSentTo(3),
+        CrashPoint::CoordAfterPtcSent(3),
         2, // baseline row + committed insert
     );
 }
@@ -199,7 +199,7 @@ fn backup_crash_mid_resolution_still_commits() {
 fn backup_crash_mid_resolution_still_aborts() {
     cascading_backup(
         "cascade-abort",
-        FailPoint::AfterPrepare,
+        CrashPoint::CoordAfterPrepare,
         1, // baseline row only
     );
 }

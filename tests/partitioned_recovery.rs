@@ -100,7 +100,6 @@ fn build(name: &str) -> Fixture {
                 coordinator: None,
                 auto_consensus: false,
                 use_deletion_log: true,
-                scan_batch: harbor_common::config::DEFAULT_SCAN_BATCH,
                 crash_schedule: Default::default(),
             },
         )
@@ -200,7 +199,6 @@ fn recover(f: &mut Fixture, site: SiteId) {
             coordinator: None,
             auto_consensus: false,
             use_deletion_log: true,
-            scan_batch: harbor_common::config::DEFAULT_SCAN_BATCH,
             crash_schedule: Default::default(),
         },
     )

@@ -239,7 +239,6 @@ fn worker_config(site: SiteId, addr: String) -> WorkerConfig {
         coordinator: None,
         auto_consensus: false,
         use_deletion_log: true,
-        scan_batch: harbor_common::config::DEFAULT_SCAN_BATCH,
         crash_schedule: Default::default(),
     }
 }
