@@ -46,7 +46,6 @@ fn build_cluster(name: &str, protocol: ProtocolKind, workers: usize, clients: us
         disconnect_per_mille: 0,
     });
     cfg.rpc_deadline = Duration::from_secs(2);
-    cfg.recovery.net_deadline = Duration::from_secs(2);
     // One table per client session: the experiment measures the serving
     // layer and the commit path, not page-lock contention.
     for c in 0..clients {
@@ -222,11 +221,8 @@ fn main() {
     let burst_clients = clients * 4;
     let cluster = build_cluster("burst", ProtocolKind::Opt3pc, 3, burst_clients);
     let burst_front = FrontConfig {
-        readers: 4,
-        workers: 2,
         permits: 2,
         queue_depth: burst_clients / 2,
-        max_queue_age: Duration::from_millis(30),
         permit_budget: Duration::from_millis(10),
         ..FrontConfig::default()
     };

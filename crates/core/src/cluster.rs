@@ -88,8 +88,6 @@ pub struct ClusterConfig {
     /// disconnect (3PC).
     pub auto_consensus: bool,
     pub recovery: RecoveryConfig,
-    /// Deadlock resolution at the workers (thesis default: timeouts).
-    pub deadlock: harbor_storage::DeadlockPolicy,
     /// Serve deletion recovery queries from the deletion log (§5.2
     /// footnote; ablation 4 compares on/off).
     pub use_deletion_log: bool,
@@ -112,8 +110,6 @@ pub struct ClusterConfig {
     /// frames. Must comfortably exceed the engine's lock timeout, which is
     /// a *normal* source of slow replies.
     pub rpc_deadline: Duration,
-    /// Bounded retries for idempotent historical reads at the coordinator.
-    pub read_retries: u32,
     /// Epoch group commit at the coordinator (2PC variants only; `None` =
     /// the serial paper-faithful commit path).
     pub epoch_commit: Option<harbor_dist::EpochCommitConfig>,
@@ -138,13 +134,11 @@ impl ClusterConfig {
             tables: Vec::new(),
             auto_consensus: false,
             recovery: RecoveryConfig::default(),
-            deadlock: harbor_storage::DeadlockPolicy::Timeout,
             use_deletion_log: true,
             chaos: None,
             disk_faults: None,
             crash_schedule: Arc::new(CrashSchedule::new()),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            read_retries: harbor_dist::DEFAULT_READ_RETRIES,
             epoch_commit: None,
             degrade_read_only: false,
         }
@@ -338,7 +332,6 @@ impl Cluster {
                 group_commit: cfg.group_commit,
                 disk: cfg.storage.disk,
                 rpc_deadline: cfg.rpc_deadline,
-                read_retries: cfg.read_retries,
                 crash_schedule: cfg.crash_schedule.clone(),
                 epoch_commit: cfg.epoch_commit,
                 degrade_read_only: cfg.degrade_read_only,
@@ -375,7 +368,6 @@ impl Cluster {
             logging: cfg.protocol.workers_log(),
             group_commit: cfg.group_commit,
             policy: PagePolicy::steal_no_force(),
-            deadlock: cfg.deadlock,
             disk_faults,
         };
         Engine::open(dir, opts)
@@ -656,6 +648,7 @@ impl Cluster {
             placement: self.placement.snapshot(),
             transport: self.transport_as(&format!("site-{}", site.0)),
             down: down.into_iter().filter(|s| *s != site).collect(),
+            rpc_deadline: self.cfg.rpc_deadline,
             config,
         };
         let result = (|| {
@@ -700,6 +693,7 @@ impl Cluster {
             placement: self.placement.snapshot(),
             transport: self.transport_as(&format!("site-{}", site.0)),
             down: down.into_iter().filter(|s| *s != site).collect(),
+            rpc_deadline: self.cfg.rpc_deadline,
             config: self.cfg.recovery.clone(),
         };
         crate::recovery::scrub_site(&ctx)
@@ -818,6 +812,7 @@ impl Cluster {
             placement: self.placement.snapshot(),
             transport: self.transport_as(name),
             down,
+            rpc_deadline: self.cfg.rpc_deadline,
             config: self.cfg.recovery.clone(),
         };
         // A fresh engine's checkpoint is zero, so Phase 2 copies each
@@ -874,6 +869,7 @@ impl Cluster {
                 placement: self.placement.snapshot(),
                 transport: self.transport_as(&format!("site-{}", target.0)),
                 down,
+                rpc_deadline: self.cfg.rpc_deadline,
                 config: self.cfg.recovery.clone(),
             };
             // Periodic checkpoints stay off for the bootstrap (§5.2); the

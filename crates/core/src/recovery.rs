@@ -73,12 +73,6 @@ pub struct RecoveryConfig {
     /// Recover multiple objects in parallel (§5.1) or serially — the
     /// comparison of Figs 6-4/6-5.
     pub parallel_objects: bool,
-    /// Per-frame liveness deadline on every network interaction with a
-    /// buddy. A buddy that stops producing bytes for this long — including
-    /// a partitioned peer whose socket never closes — is treated as dead
-    /// ([`harbor_common::DbError::SiteUnavailable`]), which triggers the
-    /// same range-reassignment path as a closed connection.
-    pub net_deadline: Duration,
     /// Fault injection (tests only).
     pub fail_point: RecoveryFailPoint,
 }
@@ -89,7 +83,6 @@ impl Default for RecoveryConfig {
             phase2_repeat_threshold: 64,
             max_phase2_rounds: 4,
             parallel_objects: true,
-            net_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
             fail_point: RecoveryFailPoint::None,
         }
     }
@@ -179,6 +172,12 @@ pub struct RecoveryContext {
     pub transport: Arc<dyn Transport>,
     /// Sites currently known to be down (excluded from buddy selection).
     pub down: HashSet<SiteId>,
+    /// The cluster's liveness deadline, here per frame of every exchange
+    /// with a buddy: one that stops producing bytes for this long —
+    /// including a partitioned peer whose socket never closes — is treated
+    /// as dead ([`harbor_common::DbError::SiteUnavailable`]), which triggers
+    /// the same range-reassignment path as a closed connection.
+    pub rpc_deadline: Duration,
     pub config: RecoveryConfig,
 }
 
@@ -197,7 +196,7 @@ impl RecoveryContext {
     fn cluster_now(&self) -> DbResult<Timestamp> {
         let reply = with_read_retries(None, DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF, || {
             let mut chan = self.connect_coordinator()?;
-            rpc_deadline(chan.as_mut(), &Request::GetTime, self.config.net_deadline)
+            rpc_deadline(chan.as_mut(), &Request::GetTime, self.rpc_deadline)
         })?;
         match reply {
             Response::Time { now } => Ok(now),
@@ -491,7 +490,7 @@ fn walk_ranges(
     let buddies = buddies(obj);
     let bounds = first_live(buddies.iter().copied(), no_live_buddy(obj), |buddy| {
         let mut chan = ctx.connect(buddy)?;
-        segment_bounds_rpc(chan.as_mut(), &obj.table, ctx.config.net_deadline)
+        segment_bounds_rpc(chan.as_mut(), &obj.table, ctx.rpc_deadline)
     })?;
     let cuts: Vec<(Timestamp, u64)> = bounds.iter().map(|b| (cut_of(b), b.3)).collect();
     let ranges = derive_ranges(&cuts, lo, hi, buddies.len());
@@ -599,7 +598,7 @@ fn phase2_deletions(
                 scan.del_after = Some(lo);
                 scan.ids_and_deletions_only = true;
                 let mut shipped = 0u64;
-                scan_rpc_streaming_deadline(chan, &scan, ctx.config.net_deadline, |batch| {
+                scan_rpc_streaming_deadline(chan, &scan, ctx.rpc_deadline, |batch| {
                     shipped += batch.len() as u64;
                     note_deletion_pairs(&mut pairs.lock(), &batch)
                 })?;
@@ -685,7 +684,7 @@ fn phase2_inserts(
                 let mut inserter = engine.recovered_inserter(table)?;
                 let mut placed: Vec<RecordId> = Vec::new();
                 let streamed =
-                    scan_rpc_streaming_deadline(chan, &scan, ctx.config.net_deadline, |batch| {
+                    scan_rpc_streaming_deadline(chan, &scan, ctx.rpc_deadline, |batch| {
                         for t in &batch {
                             placed.push(inserter.insert(t)?);
                         }
@@ -758,7 +757,7 @@ fn phase3(
                         tid: lock_tid,
                         table: obj.table.clone(),
                     };
-                    match rpc_liveness(chan.as_mut(), &req, ctx.config.net_deadline, None)? {
+                    match rpc_liveness(chan.as_mut(), &req, ctx.rpc_deadline, None)? {
                         Response::Ok => Ok(()),
                         other => Err(other.into_error("table-lock").at(buddy)),
                     }
@@ -777,7 +776,7 @@ fn phase3(
         scan.ins_at_or_before = Some(hwm);
         scan.del_after = Some(hwm);
         scan.ids_and_deletions_only = true;
-        scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.config.net_deadline, |batch| {
+        scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.rpc_deadline, |batch| {
             note_deletion_pairs(&mut pairs, &batch)
         })?;
     }
@@ -790,7 +789,7 @@ fn phase3(
     for (obj, chan) in plan.iter().zip(&mut lock_chans) {
         let mut scan = recovery_scan(obj, WireReadMode::SeeDeletedLocked(lock_tid));
         scan.ins_after = Some(hwm); // uncommitted excluded by the residual
-        scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.config.net_deadline, |batch| {
+        scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.rpc_deadline, |batch| {
             for t in &batch {
                 inserter.insert(t)?;
             }
@@ -820,7 +819,7 @@ fn phase3(
             site: ctx.site,
             table: table_name.to_string(),
         },
-        ctx.config.net_deadline,
+        ctx.rpc_deadline,
         None,
     )? {
         Response::AllDone => {}
@@ -834,7 +833,7 @@ fn phase3(
                 tid: lock_tid,
                 table: obj.table.clone(),
             },
-            ctx.config.net_deadline,
+            ctx.rpc_deadline,
         )?;
     }
     Ok(consistent_up_to)
@@ -1166,7 +1165,7 @@ fn fetch_window(
         scan.ins_at_or_before = Some(hi);
         let mut buf = first_live(buddies(obj), no_live_buddy(obj), |buddy| {
             let mut chan = ctx.connect(buddy)?;
-            scan_rpc_deadline(chan.as_mut(), &scan, ctx.config.net_deadline)
+            scan_rpc_deadline(chan.as_mut(), &scan, ctx.rpc_deadline)
         })?;
         let shipped = buf.len() as u64 * heap.tuple_size() as u64;
         report.bytes_shipped += shipped;

@@ -8,7 +8,8 @@ use crate::message::{RemoteScan, Request, Response, UpdateRequest, WireTxnState}
 use crate::placement::SharedPlacement;
 use crate::protocol::ProtocolKind;
 use crate::{
-    collect_scan_replies, liveness_expired, reap_finished, with_read_retries, DEFAULT_RETRY_BACKOFF,
+    collect_scan_replies, liveness_expired, with_read_retries, DEFAULT_READ_RETRIES,
+    DEFAULT_RETRY_BACKOFF,
 };
 use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use harbor_common::codec::Wire;
@@ -16,7 +17,7 @@ use harbor_common::time::TimestampAuthority;
 use harbor_common::{
     DbError, DbResult, DiskProfile, Metrics, RetryPolicy, SiteId, Timestamp, TransactionId, Tuple,
 };
-use harbor_net::{Channel, Transport};
+use harbor_net::{recv_or_stop, serve_connections, Channel, Transport};
 use harbor_wal::record::{LogPayload, LogRecord, TxnOutcome};
 use harbor_wal::{GroupCommit, LogManager, Lsn};
 use parking_lot::{Condvar, Mutex};
@@ -106,9 +107,6 @@ pub struct CoordinatorConfig {
     /// its socket never closes (partition detection, complementing §5.5.1's
     /// closed-connection detection).
     pub rpc_deadline: Duration,
-    /// Bounded retries for idempotent historical reads (never for
-    /// commit-protocol messages).
-    pub read_retries: u32,
     /// Cluster-wide crash schedule, probed at the coordinator's
     /// [`CrashPoint`]s.
     pub crash_schedule: Arc<CrashSchedule>,
@@ -301,7 +299,11 @@ impl Coordinator {
             let c = coordinator.clone();
             let h = std::thread::Builder::new()
                 .name("coordinator-server".into())
-                .spawn(move || c.server_loop(listener))
+                .spawn(move || {
+                    serve_connections(listener.as_ref(), &c.shutdown, "coordinator-conn", |chan| {
+                        c.serve_connection(chan)
+                    })
+                })
                 .map_err(|e| DbError::internal(format!("spawn coordinator server: {e}")))?;
             coordinator.handles.lock().push(h);
         }
@@ -1135,7 +1137,7 @@ impl Coordinator {
             // connects afresh.
             let result = with_read_retries(
                 Some(&self.metrics),
-                self.cfg.read_retries,
+                DEFAULT_READ_RETRIES,
                 DEFAULT_RETRY_BACKOFF,
                 || {
                     let mut chan = self.lease(site, &request)?;
@@ -1804,42 +1806,8 @@ impl Coordinator {
     // Coordinator server: timestamp authority + join-pending (Fig 5-4)
     // ------------------------------------------------------------------
 
-    fn server_loop(self: &Arc<Self>, listener: Box<dyn harbor_net::Listener>) {
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match listener.accept_timeout(Duration::from_millis(50)) {
-                Ok(Some(chan)) => {
-                    let c = self.clone();
-                    let spawned = std::thread::Builder::new()
-                        .name("coordinator-conn".into())
-                        .spawn(move || c.serve_connection(chan));
-                    // Dropping the un-spawned closure closes the connection;
-                    // the worker retries against a live server rather than
-                    // the whole loop dying.
-                    if let Ok(h) = spawned {
-                        self.handles.lock().push(h);
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => break,
-            }
-            // Threads follow connections: one that has hung up is joined
-            // now, not kept until the coordinator stops.
-            reap_finished(&self.handles);
-        }
-    }
-
     fn serve_connection(self: &Arc<Self>, mut chan: Box<dyn Channel>) {
-        loop {
-            let frame = match chan.recv_timeout(Duration::from_millis(50)) {
-                Ok(Some(f)) => f,
-                Ok(None) => {
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    continue;
-                }
-                Err(_) => return,
-            };
+        while let Ok(Some(frame)) = recv_or_stop(chan.as_mut(), &self.shutdown) {
             let req = match Request::from_slice(&frame) {
                 Ok(r) => r,
                 Err(_) => return,

@@ -27,29 +27,7 @@ pub use harbor_common::config::{
 use harbor_common::codec::Wire;
 use harbor_common::{retry_with, DbError, DbResult, Metrics, RetryPolicy, Timestamp, Tuple};
 use harbor_net::Channel;
-use parking_lot::Mutex;
-use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Joins the threads in `handles` that have already finished and keeps the
-/// rest. Thread-per-connection servers call this on every accept tick, so
-/// the handles they hold track the connections that are open — not every
-/// connection there ever was — and a panic in a connection thread is
-/// observed when it happens instead of at shutdown.
-pub(crate) fn reap_finished(handles: &Mutex<Vec<JoinHandle<()>>>) {
-    let finished: Vec<JoinHandle<()>> = {
-        let mut live = handles.lock();
-        if !live.iter().any(|h| h.is_finished()) {
-            return;
-        }
-        let (finished, running) = live.drain(..).partition(|h| h.is_finished());
-        *live = running;
-        finished
-    };
-    for h in finished {
-        let _ = h.join();
-    }
-}
 
 /// One request/response round trip over a channel, blocking indefinitely for
 /// the reply. Prefer [`rpc_deadline`] anywhere a partitioned peer is
@@ -181,16 +159,8 @@ pub(crate) fn collect_scan_replies(
 }
 
 /// Visits streamed scan batches without materializing the whole result —
-/// the recovering site processes tuples as they arrive.
-pub fn scan_rpc_streaming(
-    chan: &mut dyn Channel,
-    scan: &RemoteScan,
-    visit: impl FnMut(Vec<Tuple>) -> DbResult<()>,
-) -> DbResult<()> {
-    scan_rpc_streaming_deadline(chan, scan, DEFAULT_RPC_DEADLINE, visit)
-}
-
-/// As [`scan_rpc_streaming`] with an explicit per-frame liveness deadline.
+/// the recovering site processes tuples as they arrive — under a per-frame
+/// liveness deadline.
 pub fn scan_rpc_streaming_deadline(
     chan: &mut dyn Channel,
     scan: &RemoteScan,

@@ -125,7 +125,15 @@ impl Worker {
             let w = worker.clone();
             let h = std::thread::Builder::new()
                 .name(format!("worker-{}-acceptor", w.cfg.site.0))
-                .spawn(move || w.accept_loop(listener))
+                .spawn(move || {
+                    let conn_name = format!("worker-{}-conn", w.cfg.site.0);
+                    harbor_net::serve_connections(
+                        listener.as_ref(),
+                        &w.shutdown,
+                        &conn_name,
+                        |chan| w.serve_connection(chan),
+                    )
+                })
                 .map_err(|e| DbError::internal(format!("spawn acceptor: {e}")))?;
             worker.handles.lock().push(h);
         }
@@ -200,31 +208,6 @@ impl Worker {
         }
     }
 
-    fn accept_loop(self: &Arc<Self>, listener: Box<dyn harbor_net::Listener>) {
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match listener.accept_timeout(Duration::from_millis(50)) {
-                Ok(Some(chan)) => {
-                    let w = self.clone();
-                    let spawned = std::thread::Builder::new()
-                        .name(format!("worker-{}-conn", w.cfg.site.0))
-                        .spawn(move || w.serve_connection(chan));
-                    // Thread exhaustion must not kill the acceptor: dropping
-                    // the un-spawned closure closes the connection, and the
-                    // peer's liveness deadline classifies the site as slow,
-                    // not dead.
-                    if let Ok(h) = spawned {
-                        self.handles.lock().push(h);
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => break,
-            }
-            // Threads follow connections: one whose peer has hung up is
-            // joined now, not kept until the worker stops.
-            crate::reap_finished(&self.handles);
-        }
-    }
-
     fn checkpoint_loop(self: &Arc<Self>, every: Duration) {
         while !self.shutdown.load(Ordering::SeqCst) {
             // Sleep in small slices so crash() returns promptly.
@@ -248,14 +231,9 @@ impl Worker {
         let mut conn_txns: Vec<TransactionId> = Vec::new();
         let mut conn_locks: Vec<(TransactionId, LockKey)> = Vec::new();
         loop {
-            let frame = match chan.recv_timeout(Duration::from_millis(50)) {
+            let frame = match harbor_net::recv_or_stop(chan.as_mut(), &self.shutdown) {
                 Ok(Some(f)) => f,
-                Ok(None) => {
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return; // crash: vanish without cleanup
-                    }
-                    continue;
-                }
+                Ok(None) => return, // crash: vanish without cleanup
                 Err(_) => {
                     self.on_disconnect(&conn_txns, &conn_locks);
                     return;

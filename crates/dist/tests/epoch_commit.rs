@@ -109,7 +109,6 @@ fn build(
             group_commit: GroupCommit::enabled(),
             disk: harbor_common::DiskProfile::fast(),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            read_retries: harbor_dist::DEFAULT_READ_RETRIES,
             crash_schedule: crash_schedule.clone(),
             epoch_commit: Some(epoch),
             degrade_read_only: false,

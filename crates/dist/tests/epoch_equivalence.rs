@@ -133,7 +133,6 @@ fn build_mode(name: &str, case: u64, epoch: Option<EpochCommitConfig>, streams: 
             group_commit: GroupCommit::enabled(),
             disk: harbor_common::DiskProfile::fast(),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            read_retries: harbor_dist::DEFAULT_READ_RETRIES,
             crash_schedule: Default::default(),
             epoch_commit: epoch,
             degrade_read_only: false,

@@ -88,7 +88,6 @@ fn a_refused_statement_is_not_replayed_to_a_site_that_joins_later() {
             group_commit: harbor_wal::GroupCommit::enabled(),
             disk: harbor_common::DiskProfile::fast(),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            read_retries: harbor_dist::DEFAULT_READ_RETRIES,
             crash_schedule: Default::default(),
             epoch_commit: None,
             degrade_read_only: true,

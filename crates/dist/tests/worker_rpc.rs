@@ -7,8 +7,8 @@ use harbor_common::{
     DbError, FieldType, Metrics, SiteId, StorageConfig, Timestamp, TransactionId, Value,
 };
 use harbor_dist::{
-    rpc, scan_rpc, scan_rpc_streaming, ProtocolKind, RemoteScan, Request, Response, UpdateRequest,
-    WireReadMode, Worker, WorkerConfig,
+    rpc, scan_rpc, scan_rpc_streaming_deadline, ProtocolKind, RemoteScan, Request, Response,
+    UpdateRequest, WireReadMode, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_exec::Expr;
@@ -170,7 +170,7 @@ fn streamed_scan_crosses_batch_boundaries() {
     assert_eq!(tuples.len(), 1300);
     // Streaming visitor sees multiple batches.
     let mut batches = 0;
-    scan_rpc_streaming(chan.as_mut(), &scan, |b| {
+    scan_rpc_streaming_deadline(chan.as_mut(), &scan, DEFAULT_RPC_DEADLINE, |b| {
         if !b.is_empty() {
             batches += 1;
         }

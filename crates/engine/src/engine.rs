@@ -28,7 +28,6 @@ use harbor_common::{
     DbError, DbResult, FieldType, Metrics, RecordId, SiteId, StorageConfig, TableId, Timestamp,
     TransactionId, Tuple, Value,
 };
-use harbor_storage::lock::DeadlockPolicy;
 use harbor_storage::{
     BufferPool, Checkpointer, DiskFaultPlan, LockManager, LockMode, PagePolicy, PoolRecovery,
     SegmentedHeapFile,
@@ -83,9 +82,6 @@ pub struct EngineOptions {
     pub logging: bool,
     pub group_commit: GroupCommit,
     pub policy: PagePolicy,
-    /// Deadlock resolution: the thesis' timeouts, or the waits-for-graph
-    /// detector (extension).
-    pub deadlock: DeadlockPolicy,
     /// Seeded disk-fault plan armed on every heap file of the site (chaos
     /// harness). `None` = pristine disks.
     pub disk_faults: Option<Arc<DiskFaultPlan>>,
@@ -99,7 +95,6 @@ impl EngineOptions {
             logging: false,
             group_commit: GroupCommit::enabled(),
             policy: PagePolicy::steal_no_force(),
-            deadlock: DeadlockPolicy::Timeout,
             disk_faults: None,
         }
     }
@@ -111,7 +106,6 @@ impl EngineOptions {
             logging: true,
             group_commit: GroupCommit::enabled(),
             policy: PagePolicy::steal_no_force(),
-            deadlock: DeadlockPolicy::Timeout,
             disk_faults: None,
         }
     }
@@ -156,11 +150,7 @@ impl Engine {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let metrics = Metrics::new();
-        let locks = Arc::new(LockManager::with_policy(
-            opts.storage.lock_timeout,
-            opts.deadlock,
-            metrics.clone(),
-        ));
+        let locks = Arc::new(LockManager::new(opts.storage.lock_timeout, metrics.clone()));
         let pool = Arc::new(BufferPool::new(
             opts.storage.buffer_pool_pages,
             locks.clone(),

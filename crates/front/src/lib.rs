@@ -3,11 +3,11 @@
 //!
 //! The paper's headline claim (§6) is that the warehouse keeps serving
 //! updates *while* a site crashes and recovers. This crate is the serving
-//! path that makes that measurable end-to-end: a daemon that accepts many
-//! concurrent connections over the [`harbor_net::Transport`] abstraction
-//! with a **fixed thread budget** (sharded acceptors + multiplexed session
-//! readers + a bounded worker pool — see [`server`]), per-request deadlines
-//! propagated into the engine, an in-flight permit gate, typed
+//! path that makes that measurable end-to-end: a daemon that accepts
+//! connections over the [`harbor_net::Transport`] abstraction and serves
+//! each session on a thread of its own, as the thesis' servers do (§6.1.6 —
+//! see [`server`]), with per-request deadlines propagated into the engine,
+//! an in-flight permit gate, typed
 //! [`Overloaded`](harbor_common::DbError::Overloaded) load shedding with a
 //! backoff hint (see [`admission`]), and graceful drain on shutdown.
 //!

@@ -1,7 +1,7 @@
-//! End-to-end serving-path tests: steady state over real TCP, shed under
-//! burst (typed `Overloaded`, never a hang), deadline rejection before
-//! execution, graceful drain, and a property test that shed-only retry
-//! commits every acked id exactly once.
+//! End-to-end serving-path tests: steady state over real TCP, a cold session
+//! among idle ones, shed under burst (typed `Overloaded`, never a hang),
+//! deadline rejection before execution, graceful drain, and a property test
+//! that shed-only retry commits every acked id exactly once.
 
 use harbor_common::codec::Wire;
 use harbor_common::{DbError, DbResult, Metrics, Timestamp};
@@ -122,16 +122,54 @@ fn unknown_request_tag_is_answered_corrupt_and_the_session_dropped() {
     assert_eq!(metrics.sessions_closed(), 1);
 }
 
+/// Every session has its own thread blocked on its own socket, so a request
+/// is noticed when it arrives however many other sessions sit idle: none of
+/// them stands between a cold session and a reader.
+#[test]
+fn a_cold_session_is_answered_at_once_among_idle_ones() {
+    let engine = SlowEngine::new(Duration::ZERO);
+    let (transport, server, addr, metrics) = start_tcp(FrontConfig::default(), &engine);
+    let idle: Vec<FrontClient> = (0..64)
+        .map(|c| FrontClient::connect(&transport, &addr, c).expect("connect"))
+        .collect();
+    let mut cold = FrontClient::connect(&transport, &addr, 64).expect("connect");
+    let t0 = Instant::now();
+    while metrics.sessions_accepted() < 65 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "sessions never accepted"
+        );
+        std::thread::yield_now();
+    }
+    let mut pongs: Vec<Duration> = (0..20)
+        .map(|_| {
+            // Long enough for the session to have gone cold: a server that
+            // polls its sessions in turn has moved on to the others.
+            std::thread::sleep(Duration::from_millis(20));
+            let t = Instant::now();
+            cold.ping().expect("ping");
+            t.elapsed()
+        })
+        .collect();
+    pongs.sort_unstable();
+    let median = pongs[pongs.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "a cold session waited {median:?} (median of {pongs:?})"
+    );
+    drop((idle, cold));
+    server.shutdown();
+    assert_eq!(metrics.sessions_closed(), 65);
+}
+
 #[test]
 fn burst_sheds_typed_overloaded_and_never_hangs() {
-    // One slow worker, one permit, a 2-deep queue, and a tight age
-    // watermark: a 12-client burst must drown the gate.
+    // One permit, a 2-deep queue, and a tight permit budget: a 12-client
+    // burst must drown the gate.
     let engine = SlowEngine::new(Duration::from_millis(30));
     let cfg = FrontConfig {
-        workers: 1,
         permits: 1,
         queue_depth: 2,
-        max_queue_age: Duration::from_millis(40),
         permit_budget: Duration::from_millis(10),
         ..FrontConfig::default()
     };
@@ -183,14 +221,12 @@ fn burst_sheds_typed_overloaded_and_never_hangs() {
 
 #[test]
 fn expired_deadline_rejects_before_execution() {
-    // Worker busy for 80 ms; a request with a 15 ms budget queued behind it
-    // must be rejected as a timeout without ever executing.
+    // The one permit is out for 80 ms; a request with a 15 ms budget waiting
+    // behind it must be rejected as a timeout without ever executing.
     let engine = SlowEngine::new(Duration::from_millis(80));
     let cfg = FrontConfig {
-        workers: 1,
         permits: 1,
         queue_depth: 16,
-        max_queue_age: Duration::from_secs(10),
         permit_budget: Duration::from_secs(10),
         ..FrontConfig::default()
     };
@@ -203,7 +239,7 @@ fn expired_deadline_rejects_before_execution() {
             c.txn(&insert_op(100), Duration::from_secs(10))
         }
     });
-    std::thread::sleep(Duration::from_millis(20)); // let the slow txn occupy the worker
+    std::thread::sleep(Duration::from_millis(20)); // let the slow txn take the permit
     let mut c = FrontClient::connect(&transport, &addr, 1).expect("connect");
     let err = c
         .txn(&insert_op(200), Duration::from_millis(15))
@@ -223,10 +259,8 @@ fn expired_deadline_rejects_before_execution() {
 fn graceful_drain_completes_admitted_requests() {
     let engine = SlowEngine::new(Duration::from_millis(40));
     let cfg = FrontConfig {
-        workers: 2,
         permits: 2,
         queue_depth: 16,
-        max_queue_age: Duration::from_secs(10),
         permit_budget: Duration::from_secs(10),
         ..FrontConfig::default()
     };
@@ -243,8 +277,8 @@ fn graceful_drain_completes_admitted_requests() {
             })
         })
         .collect();
-    // Wait until all four requests are off their sockets (queued or
-    // executing), then pull the plug.
+    // Wait until all four requests are off their sockets (waiting for a
+    // permit or executing), then pull the plug.
     let t0 = Instant::now();
     while (metrics.requests_admitted() + server.queue_depth() as u64) < 4 {
         assert!(
@@ -261,6 +295,8 @@ fn graceful_drain_completes_admitted_requests() {
     assert_eq!(engine.executed.lock().len(), 4);
     assert!(metrics.drain_micros() > 0);
     assert!(took > Duration::ZERO);
+    assert_eq!(metrics.sessions_accepted(), 4);
+    assert_eq!(metrics.sessions_closed(), 4);
 }
 
 proptest! {
@@ -274,15 +310,13 @@ proptest! {
         clients in 1usize..4,
         txns in 1usize..6,
         queue_depth in 1usize..4,
-        workers in 1usize..3,
+        permits in 1usize..3,
         work_ms in 0u64..4,
     ) {
         let engine = SlowEngine::new(Duration::from_millis(work_ms));
         let cfg = FrontConfig {
-            workers,
-            permits: workers,
+            permits,
             queue_depth,
-            max_queue_age: Duration::from_millis(10),
             permit_budget: Duration::from_millis(5),
             ..FrontConfig::default()
         };

@@ -385,6 +385,10 @@ impl Listener for ChaosListener {
     fn local_addr(&self) -> String {
         self.inner.local_addr()
     }
+
+    fn close(&self) {
+        self.inner.close()
+    }
 }
 
 /// What to do with one outbound frame.

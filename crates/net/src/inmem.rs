@@ -137,11 +137,17 @@ impl Listener for InMemListener {
     fn local_addr(&self) -> String {
         self.addr.clone()
     }
+
+    /// Unbinds: with the registry's sender gone, the inbound queue reports
+    /// `Disconnected` as soon as it is empty.
+    fn close(&self) {
+        self.registry.lock().listeners.remove(&self.addr);
+    }
 }
 
 impl Drop for InMemListener {
     fn drop(&mut self) {
-        self.registry.lock().listeners.remove(&self.addr);
+        self.close();
     }
 }
 

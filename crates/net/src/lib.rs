@@ -10,8 +10,9 @@
 //!   injected per-message latency, for deterministic tests and for figure
 //!   harnesses that model the paper's 85 Mb/s LAN.
 //!
-//! A connection is long-lived: the accepting side gives it a thread, which
-//! serves request after request until the peer hangs up, and the connecting
+//! A connection is long-lived: the accepting side gives it a thread
+//! ([`serve_connections`], the one server loop), which serves request after
+//! request until the peer hangs up, and the connecting
 //! side keeps it for as long as it has use for the peer (the coordinator
 //! leases its worker connections to one transaction at a time and pools
 //! them in between). Nothing here opens or closes a connection per message
@@ -28,10 +29,12 @@
 
 pub mod chaos;
 pub mod inmem;
+pub mod serve;
 pub mod tcp;
 
 pub use chaos::{ChaosConfig, ChaosTransport, FaultKind, FaultRecord};
 pub use inmem::InMemNetwork;
+pub use serve::{recv_or_stop, serve_connections};
 pub use tcp::TcpTransport;
 
 use harbor_common::{DbError, DbResult};
@@ -83,6 +86,12 @@ pub trait Listener: Send + Sync {
     fn accept_timeout(&self, timeout: Duration) -> DbResult<Option<Box<dyn Channel>>>;
 
     fn local_addr(&self) -> String;
+
+    /// Stops listening: an accept that is blocked, and every later one, fails
+    /// once the connections already queued are handed out. A server that
+    /// holds its listener calls this to end its accept loop at once; one that
+    /// does not waits out the loop's tick, which is all the default costs.
+    fn close(&self) {}
 }
 
 /// A network: bind listeners, open connections.

@@ -61,10 +61,8 @@ struct AcceptQueue {
 ///
 /// The thread sits in a *blocking* `accept` and hands connections over a
 /// condvar-signalled queue, so `accept_timeout` is a single timed wait —
-/// truly idle between connections — instead of the 1 ms nonblocking
-/// sleep-poll it used to be (which burned a core per idle listener). The
-/// same queue serves every consumer, so the front door's acceptor shards
-/// can all pull from one listener without re-polling the socket.
+/// truly idle between connections — not a nonblocking sleep-poll, which
+/// burns a core per idle listener.
 struct TcpListenerWrap {
     local_addr: SocketAddr,
     queue: Arc<AcceptQueue>,
@@ -183,15 +181,18 @@ impl Listener for TcpListenerWrap {
     fn local_addr(&self) -> String {
         self.local_addr.to_string()
     }
+
+    fn close(&self) {
+        let mut st = self.queue.state.lock().unwrap_or_else(|p| p.into_inner());
+        st.stopped = true;
+        drop(st);
+        self.queue.cv.notify_all();
+    }
 }
 
 impl Drop for TcpListenerWrap {
     fn drop(&mut self) {
-        {
-            let mut st = self.queue.state.lock().unwrap_or_else(|p| p.into_inner());
-            st.stopped = true;
-        }
-        self.queue.cv.notify_all();
+        self.close();
         // The acceptor thread is parked in a blocking `accept`; a self-connect
         // is the portable way to wake it so it can observe `stopped` and exit.
         let mut target = self.local_addr;

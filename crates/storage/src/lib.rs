@@ -33,6 +33,6 @@ pub use checkpoint::Checkpointer;
 pub use directory::{Directory, ScanBounds, SegmentMeta};
 pub use fault::{DiskFaultConfig, DiskFaultKind, DiskFaultPlan, TargetedFault, WriteFault};
 pub use file::{CheckpointRecord, TableFile};
-pub use lock::{DeadlockPolicy, LockKey, LockManager, LockMode};
+pub use lock::{LockKey, LockManager, LockMode};
 pub use page::{slots_per_page, Page};
 pub use table::{SegmentedHeapFile, ZoneEntry};

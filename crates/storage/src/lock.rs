@@ -106,22 +106,6 @@ struct LockEntry {
 
 struct State {
     locks: HashMap<LockKey, LockEntry>,
-    /// Which key each blocked transaction is currently waiting for (every
-    /// transaction waits for at most one lock at a time). Feeds the
-    /// waits-for-graph deadlock detector.
-    waiting_for: HashMap<TransactionId, (LockKey, LockMode)>,
-}
-
-/// How deadlocks are broken.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DeadlockPolicy {
-    /// The thesis' approach (§6.1.2): wait out the timeout, then error.
-    #[default]
-    Timeout,
-    /// Extension: build the waits-for graph at block time and refuse the
-    /// wait immediately when it would close a cycle (requester = victim).
-    /// The timeout remains as a backstop.
-    WaitsForGraph,
 }
 
 /// The per-site lock manager.
@@ -129,59 +113,19 @@ pub struct LockManager {
     state: Mutex<State>,
     released: Condvar,
     timeout: Duration,
-    policy: DeadlockPolicy,
     metrics: Metrics,
 }
 
 impl LockManager {
     pub fn new(timeout: Duration, metrics: Metrics) -> Self {
-        Self::with_policy(timeout, DeadlockPolicy::Timeout, metrics)
-    }
-
-    pub fn with_policy(timeout: Duration, policy: DeadlockPolicy, metrics: Metrics) -> Self {
         LockManager {
             state: Mutex::new(State {
                 locks: HashMap::new(),
-                waiting_for: HashMap::new(),
             }),
             released: Condvar::new(),
             timeout,
-            policy,
             metrics,
         }
-    }
-
-    /// Would `tid` waiting for `key` in `mode` close a waits-for cycle?
-    /// DFS over "waiter → conflicting holders" edges.
-    fn closes_cycle(st: &State, tid: TransactionId, key: LockKey, mode: LockMode) -> bool {
-        // Conflicting holders of the key a transaction waits for.
-        let blockers = |t: TransactionId, k: LockKey, m: LockMode| -> Vec<TransactionId> {
-            st.locks
-                .get(&k)
-                .map(|e| {
-                    e.holders
-                        .iter()
-                        .filter(|(other, held)| **other != t && !m.compatible(**held))
-                        .map(|(other, _)| *other)
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        let mut stack = blockers(tid, key, mode);
-        let mut seen: Vec<TransactionId> = Vec::new();
-        while let Some(t) = stack.pop() {
-            if t == tid {
-                return true;
-            }
-            if seen.contains(&t) {
-                continue;
-            }
-            seen.push(t);
-            if let Some((k, m)) = st.waiting_for.get(&t) {
-                stack.extend(blockers(t, *k, *m));
-            }
-        }
-        false
     }
 
     /// Blocks until the lock is granted or the deadlock timeout expires
@@ -223,24 +167,8 @@ impl LockManager {
                 return Ok(());
             }
             waited = true;
-            // End the mutable borrow of the entry before graph traversal.
-            let _ = entry;
-            if self.policy == DeadlockPolicy::WaitsForGraph
-                && Self::closes_cycle(&st, tid, key, target)
-            {
-                self.metrics.add_lock_waits(1);
-                self.metrics.add_lock_timeouts(1);
-                return Err(DbError::LockTimeout {
-                    txn: tid,
-                    what: format!("{key} (waits-for cycle)"),
-                });
-            }
-            if let Some(e) = st.locks.get_mut(&key) {
-                e.waiters += 1;
-            }
-            st.waiting_for.insert(tid, (key, target));
+            entry.waiters += 1;
             let timed_out = self.released.wait_until(&mut st, deadline).timed_out();
-            st.waiting_for.remove(&tid);
             if let Some(e) = st.locks.get_mut(&key) {
                 e.waiters -= 1;
             }
@@ -426,70 +354,6 @@ mod tests {
         m.acquire(tid(1), pkey(0), Shared).unwrap();
         m.acquire(tid(1), pkey(0), IntentionShared).unwrap(); // covered
         assert!(m.has_access(tid(1), pkey(0), Shared));
-    }
-
-    #[test]
-    fn waits_for_graph_detects_cycles_immediately() {
-        let m = LockManager::with_policy(
-            Duration::from_secs(10), // long timeout: detection must not rely on it
-            DeadlockPolicy::WaitsForGraph,
-            Metrics::new(),
-        );
-        let m = Arc::new(m);
-        // Classic cross deadlock: T1 holds A wants B; T2 holds B wants A.
-        m.acquire(tid(1), pkey(0), Exclusive).unwrap();
-        m.acquire(tid(2), pkey(1), Exclusive).unwrap();
-        let m2 = m.clone();
-        let h = std::thread::spawn(move || m2.acquire(tid(1), pkey(1), Exclusive));
-        std::thread::sleep(Duration::from_millis(50));
-        let t0 = std::time::Instant::now();
-        let err = m.acquire(tid(2), pkey(0), Exclusive).unwrap_err();
-        assert!(t0.elapsed() < Duration::from_secs(1), "no timeout wait");
-        assert!(err.to_string().contains("cycle"), "{err}");
-        // Breaking the cycle lets T1 proceed.
-        m.release_all(tid(2));
-        h.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn waits_for_graph_allows_benign_waits() {
-        let m = Arc::new(LockManager::with_policy(
-            Duration::from_secs(5),
-            DeadlockPolicy::WaitsForGraph,
-            Metrics::new(),
-        ));
-        m.acquire(tid(1), pkey(0), Exclusive).unwrap();
-        let m2 = m.clone();
-        let h = std::thread::spawn(move || m2.acquire(tid(2), pkey(0), Exclusive));
-        std::thread::sleep(Duration::from_millis(30));
-        m.release_all(tid(1));
-        h.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn three_way_cycle_is_detected() {
-        let m = Arc::new(LockManager::with_policy(
-            Duration::from_secs(10),
-            DeadlockPolicy::WaitsForGraph,
-            Metrics::new(),
-        ));
-        m.acquire(tid(1), pkey(0), Exclusive).unwrap();
-        m.acquire(tid(2), pkey(1), Exclusive).unwrap();
-        m.acquire(tid(3), pkey(2), Exclusive).unwrap();
-        let spawn_wait = |t: u64, k: u32, m: &Arc<LockManager>| {
-            let m = m.clone();
-            std::thread::spawn(move || m.acquire(tid(t), pkey(k), Exclusive))
-        };
-        let h1 = spawn_wait(1, 1, &m); // T1 -> T2
-        let h2 = spawn_wait(2, 2, &m); // T2 -> T3
-        std::thread::sleep(Duration::from_millis(60));
-        // T3 -> T1 closes the 3-cycle.
-        let err = m.acquire(tid(3), pkey(0), Exclusive).unwrap_err();
-        assert!(err.to_string().contains("cycle"));
-        m.release_all(tid(3));
-        h2.join().unwrap().unwrap();
-        m.release_all(tid(2));
-        h1.join().unwrap().unwrap();
     }
 
     #[test]

@@ -28,8 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let cluster = Cluster::build(&dir, cfg)?;
 
-    // The front door: a bounded serving pipeline (acceptor shards → session
-    // readers → admission gate → worker pool) on an OS-assigned TCP port.
+    // The front door: a thread per session behind one admission gate, on an
+    // OS-assigned TCP port.
     // The cluster's coordinator is the handler; per-request deadlines are
     // checked before every begin/update/commit step.
     let front_metrics = Metrics::new();

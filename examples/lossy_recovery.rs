@@ -24,7 +24,6 @@ fn build(dir: &std::path::Path, chaos: Option<ChaosConfig>) -> Cluster {
     cfg.tables = vec![TableSpec::small("sales")];
     cfg.chaos = chaos;
     cfg.rpc_deadline = Duration::from_secs(2);
-    cfg.recovery.net_deadline = Duration::from_secs(2);
     Cluster::build(dir, cfg).unwrap()
 }
 

@@ -260,7 +260,6 @@ fn a_commit_round_lasts_as_long_as_its_slowest_worker() {
             group_commit: harbor_wal::GroupCommit::enabled(),
             disk: harbor_common::DiskProfile::fast(),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            read_retries: harbor_dist::DEFAULT_READ_RETRIES,
             crash_schedule: Default::default(),
             epoch_commit: None,
             degrade_read_only: false,

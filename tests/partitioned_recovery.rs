@@ -116,7 +116,6 @@ fn build(name: &str) -> Fixture {
             group_commit: GroupCommit::enabled(),
             disk: harbor_common::DiskProfile::fast(),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            read_retries: harbor_dist::DEFAULT_READ_RETRIES,
             crash_schedule: Default::default(),
             epoch_commit: None,
             degrade_read_only: false,
@@ -209,6 +208,7 @@ fn recover(f: &mut Fixture, site: SiteId) {
         placement: f.placement.clone(),
         transport: f.transport.clone(),
         down: HashSet::new(),
+        rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
         config: RecoveryConfig::default(),
     };
     let report = recover_site(&ctx).unwrap();

@@ -283,7 +283,6 @@ fn sites(name: &str, n: u16, tcp: bool) -> Sites {
             group_commit: harbor_wal::GroupCommit::enabled(),
             disk: harbor_common::DiskProfile::fast(),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            read_retries: harbor_dist::DEFAULT_READ_RETRIES,
             crash_schedule: Default::default(),
             epoch_commit: None,
             degrade_read_only: false,
