@@ -9,7 +9,7 @@ use harbor_bench::{BenchReport, Scale};
 use harbor_common::codec::Wire;
 use harbor_common::time::visible_at;
 use harbor_common::{DiskProfile, Metrics, PageId, SiteId, TableId, Timestamp, TransactionId};
-use harbor_storage::{slots_per_page, LockKey, LockManager, LockMode, Page, ScanBounds};
+use harbor_storage::{page_crc, slots_per_page, LockKey, LockManager, LockMode, Page, ScanBounds};
 use harbor_wal::record::{LogPayload, LogRecord};
 use harbor_wal::{GroupCommit, LogManager, Lsn};
 use std::hint::black_box;
@@ -268,14 +268,18 @@ fn bench_transport(c: &mut Criterion) {
     g.finish();
 }
 
-/// The read-hot-path microbenchmark behind `BENCH_scan.json`: one hot
-/// (fully resident) table, timed with manual median-of-N wall clocks so the
-/// JSON baseline carries exact nanosecond medians (and the fastest and
-/// slowest sample) rather than the shim's mean. Every row runs shipped
-/// code: the decode sink (`SeqScan`), an index probe, and the worker's scan
-/// service loop (`ship_scan`) with the frames dropped instead of sent.
+/// The read- and apply-hot-path microbenchmark behind `BENCH_scan.json`:
+/// one hot (fully resident) table, timed with manual median-of-N wall
+/// clocks so the JSON baseline carries exact nanosecond medians (and the
+/// fastest and slowest sample) rather than the shim's mean. Every row runs
+/// shipped code: the decode sink (`SeqScan`), an index probe, the worker's
+/// scan service loop (`ship_scan`) with the frames dropped instead of sent,
+/// and — the same rows going the other way — the recovering site's
+/// `RecoveredInserter` fed tuples (`apply_rows`) and fed `ship_zero_copy`'s
+/// own frames (`apply_wire`), each into a table of its own.
 fn bench_scan(_c: &mut Criterion) {
     use harbor_common::{FieldType, StorageConfig, Tuple, Value};
+    use harbor_dist::message::open_tuples_frame;
     use harbor_dist::{ship_scan, RemoteScan, WireReadMode};
     use harbor_engine::{Engine, EngineOptions};
     use harbor_exec::{collect, index_lookup, Expr, ReadMode, SeqScan};
@@ -305,23 +309,41 @@ fn bench_scan(_c: &mut Criterion) {
             ],
         )
         .unwrap();
-    for i in 0..rows {
-        let del = if i % 2 == 0 {
-            Timestamp::ZERO
-        } else {
-            Timestamp(20)
-        };
-        let t = Tuple::versioned(
-            Timestamp(10),
-            del,
-            vec![
-                Value::Int64(i),
-                Value::Int32((i % 1000) as i32),
-                Value::Str(format!("row-{i:08}")),
-            ],
-        );
-        e.insert_recovered(def.id, &t).unwrap();
+    let tuples: Vec<Tuple> = (0..rows)
+        .map(|i| {
+            let del = if i % 2 == 0 {
+                Timestamp::ZERO
+            } else {
+                Timestamp(20)
+            };
+            Tuple::versioned(
+                Timestamp(10),
+                del,
+                vec![
+                    Value::Int64(i),
+                    Value::Int32((i % 1000) as i32),
+                    Value::Str(format!("row-{i:08}")),
+                ],
+            )
+        })
+        .collect();
+    let mut inserter = e.recovered_inserter(def.id).unwrap();
+    for t in &tuples {
+        inserter.insert(t).unwrap();
     }
+    drop(inserter);
+    // An empty copy of the table for every sample of an apply row (and its
+    // warm-up), created before anything is timed.
+    let empty_copies = |tag: &str| -> Vec<TableId> {
+        (0..=iters)
+            .map(|k| {
+                e.create_table(&format!("{tag}{k}"), def.user_fields.clone())
+                    .unwrap()
+                    .id
+            })
+            .collect()
+    };
+    let (mut rows_targets, mut wire_targets) = (empty_copies("rows"), empty_copies("wire"));
     // Flush populates the per-page zone maps, so the scan exercises its
     // fully-visible fast path exactly as a warm production replica would.
     e.pool().flush_all().unwrap();
@@ -437,6 +459,60 @@ fn bench_scan(_c: &mut Criterion) {
             let mut scan = RemoteScan::new("t", WireReadMode::Historical(Timestamp(15)));
             scan.predicate = Some(Expr::col(3).lt(Expr::lit(500)));
             ship(&scan)
+        }),
+    );
+
+    measure(
+        "apply_rows",
+        rows as u64,
+        Box::new(|| {
+            let target = rows_targets.pop().expect("a table a sample");
+            let mut inserter = e.recovered_inserter(target).unwrap();
+            for t in &tuples {
+                inserter.insert(black_box(t)).unwrap();
+            }
+            tuples.len()
+        }),
+    );
+    let mut frames = Vec::new();
+    ship_scan(
+        &e,
+        &RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(Timestamp(25))),
+        |frame, done| {
+            frames.push(frame.finish(done));
+            Ok(())
+        },
+    )
+    .unwrap();
+    measure(
+        "apply_wire",
+        rows as u64,
+        Box::new(|| {
+            let target = wire_targets.pop().expect("a table a sample");
+            let mut inserter = e.recovered_inserter(target).unwrap();
+            let mut applied = 0;
+            for frame in &frames {
+                // A frame as the channel hands it over: without its length.
+                let (_, rows, mut wire) = open_tuples_frame(black_box(&frame[4..]))
+                    .unwrap()
+                    .expect("a tuples frame");
+                inserter.insert_wire(rows, &mut wire, |_| {}).unwrap();
+                applied += rows;
+            }
+            applied
+        }),
+    );
+    let image = pool
+        .with_page(None, PageId::new(def.id, 1), |p| Ok(*p.as_bytes()))
+        .unwrap();
+    const PAGES: usize = 1000;
+    measure(
+        "page_checksum",
+        PAGES as u64,
+        Box::new(|| {
+            let sum = (0..PAGES).fold(0u32, |acc, _| acc ^ page_crc(black_box(&image)));
+            black_box(sum);
+            PAGES
         }),
     );
 

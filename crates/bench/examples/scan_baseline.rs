@@ -55,6 +55,7 @@ fn main() {
             ],
         )
         .unwrap();
+    let mut inserter = e.recovered_inserter(def.id).unwrap();
     for i in 0..rows {
         // Half the rows deleted at t20 so visibility filtering has work to do.
         let del = if i % 2 == 0 {
@@ -71,7 +72,7 @@ fn main() {
                 Value::Str(format!("row-{i:08}")),
             ],
         );
-        e.insert_recovered(def.id, &t).unwrap();
+        inserter.insert(&t).unwrap();
     }
     let pool = e.pool().clone();
 

@@ -146,9 +146,10 @@ pub fn prefill(cluster: &Cluster, table: &str, rows: i64) -> DbResult<()> {
     for site in cluster.worker_sites() {
         let engine = cluster.engine(site)?;
         let def = engine.table_def(table).expect("prefill of existing table");
+        let mut inserter = engine.recovered_inserter(def.id)?;
         for id in 0..rows {
             let tup = Tuple::versioned(Timestamp(1), Timestamp::ZERO, paper_row(id));
-            engine.insert_recovered(def.id, &tup)?;
+            inserter.insert(&tup)?;
         }
         engine.advance_applied_clock(Timestamp(1));
         engine.checkpoint()?;

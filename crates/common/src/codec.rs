@@ -141,7 +141,8 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> DbResult<&'a [u8]> {
+    /// The next `n` bytes, borrowed.
+    pub fn take(&mut self, n: usize) -> DbResult<&'a [u8]> {
         self.need(n)?;
         let (head, tail) = self.buf.split_at(n);
         self.buf = tail;
@@ -191,6 +192,11 @@ impl<'a> Decoder<'a> {
     pub fn get_str(&mut self) -> DbResult<String> {
         let bytes = self.get_bytes()?;
         String::from_utf8(bytes).map_err(|_| DbError::corrupt("invalid utf-8 in string"))
+    }
+
+    /// Everything not yet decoded.
+    pub fn rest(&self) -> &'a [u8] {
+        self.buf
     }
 
     pub fn remaining(&self) -> usize {

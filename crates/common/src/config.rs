@@ -6,10 +6,11 @@ use std::time::Duration;
 /// pages (§6.1.1).
 pub const PAGE_SIZE: usize = 4096;
 
-/// Bytes of every on-disk page reserved for its FNV-1a checksum trailer
-/// (the page's last [`PAGE_CRC_LEN`] bytes, covering bytes
-/// `0..PAGE_SIZE - PAGE_CRC_LEN`). Stamped on every page write and
-/// verified on every fault-in, mirroring the WAL frame checksum. The
+/// Bytes of every on-disk page reserved for its checksum trailer (the
+/// page's last [`PAGE_CRC_LEN`] bytes, covering bytes
+/// `0..PAGE_SIZE - PAGE_CRC_LEN`: eight FNV-1a lanes over the payload's
+/// words, folded into one). Stamped on every page write and verified on
+/// every fault-in, as the WAL checks its frames. The
 /// slotted-page layout and the segment directory both size themselves
 /// against [`PAGE_PAYLOAD`] so neither ever writes into the trailer.
 pub const PAGE_CRC_LEN: usize = 4;

@@ -74,28 +74,33 @@ impl Tuple {
         &self.values[crate::schema::NUM_VERSION_COLS..]
     }
 
-    /// Serializes into exactly `desc.byte_width()` bytes.
-    pub fn write_fixed(&self, desc: &TupleDesc, enc: &mut Encoder) -> DbResult<()> {
-        desc.check(&self.values)?;
-        for (i, v) in self.values.iter().enumerate() {
-            match (desc.field_type(i), v) {
-                (FieldType::Int32, Value::Int32(x)) => enc.put_i32(*x),
-                (FieldType::Int64, Value::Int64(x)) => enc.put_i64(*x),
-                (FieldType::Time, Value::Time(t)) => enc.put_u64(t.0),
-                (FieldType::FixedStr(n), Value::Str(s)) => {
-                    let n = n as usize;
-                    let bytes = s.as_bytes();
-                    enc.put_raw(bytes);
+    /// Serializes into `out`, which must be exactly `desc.byte_width()`
+    /// bytes (a page slot, or a buffer of that size): every byte is written.
+    pub fn write_fixed(&self, desc: &TupleDesc, out: &mut [u8]) -> DbResult<()> {
+        // One pass decides; where it refuses, `check` words the refusal.
+        if self.values.len() != desc.len() {
+            return desc.check(&self.values);
+        }
+        if out.len() != desc.byte_width() {
+            return Err(DbError::Schema(format!(
+                "{} bytes for a {desc} row",
+                out.len()
+            )));
+        }
+        let mut rest = out;
+        for (ty, v) in desc.types().iter().zip(&self.values) {
+            let (at, after) = rest.split_at_mut(ty.width());
+            rest = after;
+            match (ty, v) {
+                (FieldType::Int32, Value::Int32(x)) => at.copy_from_slice(&x.to_le_bytes()),
+                (FieldType::Int64, Value::Int64(x)) => at.copy_from_slice(&x.to_le_bytes()),
+                (FieldType::Time, Value::Time(t)) => at.copy_from_slice(&t.0.to_le_bytes()),
+                (FieldType::FixedStr(_), Value::Str(s)) if s.len() <= at.len() => {
                     // NUL padding to the declared width.
-                    for _ in bytes.len()..n {
-                        enc.put_u8(0);
-                    }
+                    at[..s.len()].copy_from_slice(s.as_bytes());
+                    at[s.len()..].fill(0);
                 }
-                (ty, v) => {
-                    return Err(DbError::Schema(format!(
-                        "field {i}: cannot encode {v} as {ty}"
-                    )))
-                }
+                _ => return desc.check(&self.values),
             }
         }
         Ok(())
@@ -239,6 +244,46 @@ fn transcode_field(
     Ok(())
 }
 
+/// The inverse of [`transcode_fixed_to_wire`]: one wire-layout row off `dec`
+/// into `out` (a page slot: exactly `desc.byte_width()` bytes, all written),
+/// byte-identical to `Tuple::read_wire` + `write_fixed`, with no [`Tuple`]
+/// between. A row that is cut short or is not of `desc`'s field count, types
+/// and string widths is [`DbError::Corrupt`]: it came off the wire.
+pub fn transcode_wire_to_fixed(
+    desc: &TupleDesc,
+    dec: &mut Decoder<'_>,
+    out: &mut [u8],
+) -> DbResult<()> {
+    let n = dec.get_u16()? as usize;
+    if n != desc.len() || out.len() != desc.byte_width() {
+        return Err(DbError::corrupt(format!(
+            "wire row of {n} fields for {desc}"
+        )));
+    }
+    let mut rest = out;
+    for ty in desc.types() {
+        let (at, after) = rest.split_at_mut(ty.width());
+        rest = after;
+        match (*ty, dec.get_u8()?) {
+            (FieldType::Int32, Value::INT32_TAG) => at.copy_from_slice(dec.take(4)?),
+            (FieldType::Int64, Value::INT64_TAG) | (FieldType::Time, Value::TIME_TAG) => {
+                at.copy_from_slice(dec.take(8)?)
+            }
+            (FieldType::FixedStr(_), Value::STR_TAG) => {
+                let len = dec.get_u32()? as usize;
+                let raw = dec.take(len)?;
+                if len > at.len() || std::str::from_utf8(raw).is_err() {
+                    return Err(DbError::corrupt(format!("{len} wire bytes are no {ty}")));
+                }
+                at[..len].copy_from_slice(raw);
+                at[len..].fill(0);
+            }
+            (ty, tag) => return Err(DbError::corrupt(format!("wire tag {tag} is no {ty}"))),
+        }
+    }
+    Ok(())
+}
+
 /// A stored schema's fixed encoding, flattened to `(type, offset)` pairs in
 /// one contiguous vector. Built once per scan so the hot decode loop walks
 /// a local slice instead of chasing the descriptor per field.
@@ -340,10 +385,8 @@ mod tests {
     fn fixed_round_trip() {
         let d = desc();
         let t = sample();
-        let mut enc = Encoder::new();
-        t.write_fixed(&d, &mut enc).unwrap();
-        assert_eq!(enc.len(), d.byte_width());
-        let bytes = enc.into_bytes();
+        let mut bytes = vec![0xffu8; d.byte_width()];
+        t.write_fixed(&d, &mut bytes).unwrap();
         let mut dec = Decoder::new(&bytes);
         let back = Tuple::read_fixed(&d, &mut dec).unwrap();
         assert_eq!(back, t);
@@ -381,7 +424,9 @@ mod tests {
                 Value::Str("way too long for 8".into()),
             ],
         );
-        let mut enc = Encoder::new();
-        assert!(t.write_fixed(&d, &mut enc).is_err());
+        let mut bytes = vec![0u8; d.byte_width()];
+        assert!(t.write_fixed(&d, &mut bytes).is_err());
+        // A buffer that is not the schema's width is refused, not overrun.
+        assert!(sample().write_fixed(&d, &mut bytes[1..]).is_err());
     }
 }

@@ -539,8 +539,10 @@ impl Cluster {
             .lock()
             .remove(&site)
             .ok_or_else(|| DbError::SiteDown(format!("{site} is not running")))?;
-        handle.worker.crash();
+        // Hung up on between crash and join, no connection waits out a slice.
+        handle.worker.initiate_crash();
         self.coordinator.mark_dead(site);
+        handle.worker.crash();
         self.crashed.lock().insert(site);
         drop(handle); // engine dropped: unflushed pages are gone
         Ok(())
@@ -888,9 +890,9 @@ impl Cluster {
     }
 
     /// Stops everything (graceful end of an experiment). Every site is told
-    /// to stop before any is waited for: a site's threads notice the flag
-    /// within their 50 ms poll slice, so the whole cluster takes about one
-    /// slice to stop, not one per site.
+    /// to stop before any is waited for: that closes its listener and, the
+    /// coordinator going first, hangs up the sessions the workers' threads
+    /// are reading, so nothing here waits out a poll slice.
     pub fn shutdown(&self) {
         let workers: Vec<WorkerHandle> = {
             let mut g = self.workers.lock();

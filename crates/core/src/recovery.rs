@@ -22,17 +22,19 @@
 //! All remote reads stream in batches; the local halves are batch scans so
 //! recovery time never depends on a (possibly cold) primary-key index.
 
+use harbor_common::codec::{Decoder, Wire};
+use harbor_common::tuple::transcode_wire_to_fixed;
 use harbor_common::{
     retry_with, DbError, DbResult, PageId, RecordId, RetryPolicy, SiteId, TableId, Timestamp,
     TransactionId, Tuple,
 };
 use harbor_dist::{
-    rpc_deadline, rpc_liveness, scan_rpc_deadline, scan_rpc_streaming_deadline, segment_bounds_rpc,
-    with_read_retries, Placement, RecoveryObject, RemoteScan, Request, Response, WireReadMode,
-    DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF,
+    rpc_deadline, rpc_liveness, scan_rpc_streaming_deadline, segment_bounds_rpc, with_read_retries,
+    Placement, RecoveryObject, RemoteScan, Request, Response, WireReadMode, DEFAULT_READ_RETRIES,
+    DEFAULT_RETRY_BACKOFF,
 };
 use harbor_engine::Engine;
-use harbor_exec::{scan_rids, ReadMode};
+use harbor_exec::{scan_pages, scan_rids, visit_page, ReadMode};
 use harbor_net::{Channel, Transport};
 use harbor_storage::{Page, ScanBounds};
 use parking_lot::Mutex;
@@ -416,10 +418,14 @@ fn recovery_scan(obj: &RecoveryObject, mode: WireReadMode) -> RemoteScan {
     scan
 }
 
-/// Collects one batch of a deletion query's `(tuple_id, deletion_time)`
-/// rows.
-fn note_deletion_pairs(pairs: &mut HashMap<i64, Timestamp>, batch: &[Tuple]) -> DbResult<()> {
-    for t in batch {
+/// Collects one reply of a deletion query: `rows` `(tuple_id,
+/// deletion_time)` pairs.
+fn note_deletion_pairs(
+    pairs: &mut HashMap<i64, Timestamp>,
+    rows: usize,
+    wire: &mut Decoder<'_>,
+) -> DbResult<()> {
+    for t in Tuple::decode_n(wire, rows)? {
         pairs.insert(t.get(0).as_i64()?, t.get(1).as_time()?);
     }
     Ok(())
@@ -598,9 +604,9 @@ fn phase2_deletions(
                 scan.del_after = Some(lo);
                 scan.ids_and_deletions_only = true;
                 let mut shipped = 0u64;
-                scan_rpc_streaming_deadline(chan, &scan, ctx.rpc_deadline, |batch| {
-                    shipped += batch.len() as u64;
-                    note_deletion_pairs(&mut pairs.lock(), &batch)
+                scan_rpc_streaming_deadline(chan, &scan, ctx.rpc_deadline, |rows, wire| {
+                    shipped += rows as u64;
+                    note_deletion_pairs(&mut pairs.lock(), rows, wire)
                 })?;
                 Ok(shipped)
             },
@@ -655,7 +661,8 @@ fn apply_deletion_pairs(
 ///     WHERE recovery_predicate AND insertion_time > lo
 ///       AND insertion_time <= hi)
 /// Each range streams batch by batch into an inserter of its own (a
-/// private page, so concurrent fetchers share no latch). Inserts are not
+/// private page, so concurrent fetchers share no latch), every row going
+/// from the receive buffer to its page slot. Inserts are not
 /// idempotent, so the fetcher remembers where a range's rows went — the
 /// `RecordId`, 12 bytes, not the row — and when the buddy is lost
 /// mid-range drops what that query copied with Phase 1's own
@@ -684,13 +691,9 @@ fn phase2_inserts(
                 let mut inserter = engine.recovered_inserter(table)?;
                 let mut placed: Vec<RecordId> = Vec::new();
                 let streamed =
-                    scan_rpc_streaming_deadline(chan, &scan, ctx.rpc_deadline, |batch| {
-                        for t in &batch {
-                            placed.push(inserter.insert(t)?);
-                        }
-                        engine
-                            .metrics()
-                            .add_recovery_tuples_applied(batch.len() as u64);
+                    scan_rpc_streaming_deadline(chan, &scan, ctx.rpc_deadline, |rows, wire| {
+                        inserter.insert_wire(rows, wire, |rid| placed.push(rid))?;
+                        engine.metrics().add_recovery_tuples_applied(rows as u64);
                         Ok(())
                     });
                 match streamed {
@@ -776,8 +779,8 @@ fn phase3(
         scan.ins_at_or_before = Some(hwm);
         scan.del_after = Some(hwm);
         scan.ids_and_deletions_only = true;
-        scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.rpc_deadline, |batch| {
-            note_deletion_pairs(&mut pairs, &batch)
+        scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.rpc_deadline, |rows, wire| {
+            note_deletion_pairs(&mut pairs, rows, wire)
         })?;
     }
     report.deletions_copied += apply_deletion_pairs(ctx, table, &pairs)?;
@@ -789,11 +792,9 @@ fn phase3(
     for (obj, chan) in plan.iter().zip(&mut lock_chans) {
         let mut scan = recovery_scan(obj, WireReadMode::SeeDeletedLocked(lock_tid));
         scan.ins_after = Some(hwm); // uncommitted excluded by the residual
-        scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.rpc_deadline, |batch| {
-            for t in &batch {
-                inserter.insert(t)?;
-            }
-            report.tuples_copied += batch.len() as u64;
+        scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.rpc_deadline, |rows, wire| {
+            inserter.insert_wire(rows, wire, |_| {})?;
+            report.tuples_copied += rows as u64;
             Ok(())
         })?;
     }
@@ -1021,7 +1022,7 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
     // Zeroing before fetching would turn any fetch failure into silent
     // data loss: a zeroed page verifies, so no later scrub would look at
     // it again, and catch-up recovery only re-fetches past the checkpoint.
-    let prefetched: Vec<((Timestamp, Timestamp), Vec<Tuple>)> = if unmappable {
+    let prefetched: Vec<((Timestamp, Timestamp), Vec<ShippedRow>)> = if unmappable {
         Vec::new()
     } else {
         let hwm = ctx.cluster_now()?.prev();
@@ -1038,7 +1039,7 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
     };
 
     // ---- Quarantine: zero the bad pages so local scans run clean -------
-    let empty = Page::init(heap.tuple_size());
+    let mut empty = Page::init(heap.tuple_size());
     for pid in &remaining {
         // The zeroing write itself may draw a fault: rewrite until the
         // disk verifies, a few immediate attempts.
@@ -1047,7 +1048,7 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
             None,
             |e| matches!(e, DbError::Io(..)),
             |_| {
-                heap.write_page(pid.page_no, &empty)?;
+                heap.write_page(pid.page_no, &mut empty)?;
                 if disk_page_ok(&heap, pid.page_no)? {
                     Ok(())
                 } else {
@@ -1091,11 +1092,10 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
         |_| {
             let mut reinserted = 0u64;
             for ((lo, hi), fetched) in &prefetched {
-                let missing = reconcile_window(ctx, &heap, *lo, *hi, fetched)?;
-                reinserted += missing.len() as u64;
                 let mut ins = engine.recovered_inserter(def.id)?;
-                for t in &missing {
-                    ins.insert(t)?;
+                for row in reconcile_window(ctx, &heap, *lo, *hi, fetched)? {
+                    ins.insert_wire(1, &mut Decoder::new(&row.wire), |_| {})?;
+                    reinserted += 1;
                 }
             }
             // The zeroed pages invalidated any record ids the index or
@@ -1125,29 +1125,30 @@ fn merge_windows(sorted: Vec<(Timestamp, Timestamp)>) -> Vec<(Timestamp, Timesta
     merged
 }
 
-/// Diff key for one tuple version: its full encoding with the deletion
-/// timestamp zeroed. A version is identified by `(id, insertion)` plus its
-/// payload; the deletion time is excluded because a site scrubbed *before*
-/// catch-up recovery may hold a version whose deletion it has not applied
-/// yet — that version exists locally (recovery copies the deletion time
-/// later), and keying on it would re-insert a duplicate.
-fn version_key(
-    t: &Tuple,
-    desc: &harbor_common::schema::TupleDesc,
-    size: usize,
-) -> DbResult<Vec<u8>> {
-    let mut v = t.clone();
-    v.set_deletion_ts(Timestamp::ZERO);
-    let mut enc = harbor_common::codec::Encoder::with_capacity(size);
-    v.write_fixed(desc, &mut enc)?;
-    Ok(enc.into_bytes().to_vec())
+/// One row of a repair window as a buddy shipped it, and its diff key: the
+/// version's stored encoding with the deletion timestamp zeroed. A version
+/// is identified by `(id, insertion)` plus its payload; the deletion time is
+/// excluded because a site scrubbed *before* catch-up recovery may hold a
+/// version whose deletion it has not applied yet — that version exists
+/// locally (recovery copies the deletion time later), and keying on it
+/// would re-insert a duplicate.
+struct ShippedRow {
+    key: Vec<u8>,
+    wire: Vec<u8>,
+}
+
+/// `stored`, a row's fixed encoding, as its [`ShippedRow::key`].
+fn version_key(mut stored: Vec<u8>) -> Vec<u8> {
+    stored[8..16].fill(0);
+    stored
 }
 
 /// Fetches the buddies' full historical slice of one insertion-time
 /// window `(lo, hi]` — every version a corrupt page in that window could
 /// have held — failing over across the buddies like Phase 2 does. Unlike
-/// Phase 2 it buffers: local state stays untouched until the whole slice
-/// is in hand, so a failure here aborts the scrub losslessly.
+/// Phase 2 it buffers (the rows' wire bytes, no tuples): local state stays
+/// untouched until the whole slice is in hand, so a failure here aborts the
+/// scrub losslessly.
 fn fetch_window(
     ctx: &RecoveryContext,
     heap: &Arc<harbor_storage::SegmentedHeapFile>,
@@ -1156,16 +1157,28 @@ fn fetch_window(
     hi: Timestamp,
     hwm: Timestamp,
     report: &mut ScrubReport,
-) -> DbResult<Vec<Tuple>> {
+) -> DbResult<Vec<ShippedRow>> {
     let engine = &ctx.engine;
-    let mut out: Vec<Tuple> = Vec::new();
+    let mut out: Vec<ShippedRow> = Vec::new();
     for obj in plan {
         let mut scan = recovery_scan(obj, WireReadMode::SeeDeletedHistorical(hwm));
         scan.ins_after = Some(lo);
         scan.ins_at_or_before = Some(hi);
         let mut buf = first_live(buddies(obj), no_live_buddy(obj), |buddy| {
             let mut chan = ctx.connect(buddy)?;
-            scan_rpc_deadline(chan.as_mut(), &scan, ctx.rpc_deadline)
+            let mut buf = Vec::new();
+            scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.rpc_deadline, |rows, wire| {
+                for _ in 0..rows {
+                    let (row, mut stored) = (wire.rest(), vec![0u8; heap.tuple_size()]);
+                    transcode_wire_to_fixed(heap.desc(), wire, &mut stored)?;
+                    buf.push(ShippedRow {
+                        key: version_key(stored),
+                        wire: row[..row.len() - wire.remaining()].to_vec(),
+                    });
+                }
+                Ok(())
+            })?;
+            Ok(buf)
         })?;
         let shipped = buf.len() as u64 * heap.tuple_size() as u64;
         report.bytes_shipped += shipped;
@@ -1179,46 +1192,39 @@ fn fetch_window(
 
 /// Finds the tuples the zeroed pages lost inside one window: subtract
 /// every version the local heap still holds (a multiset diff over
-/// [`version_key`] — surviving segments may overlap the window) from the
-/// prefetched buddy slice, and return the leftovers.
-fn reconcile_window(
+/// [`ShippedRow::key`] — surviving segments may overlap the window) from
+/// the prefetched buddy slice, and return the leftovers.
+fn reconcile_window<'a>(
     ctx: &RecoveryContext,
     heap: &Arc<harbor_storage::SegmentedHeapFile>,
     lo: Timestamp,
     hi: Timestamp,
-    fetched: &[Tuple],
-) -> DbResult<Vec<Tuple>> {
-    let engine = &ctx.engine;
-    let desc = heap.desc().clone();
+    fetched: &'a [ShippedRow],
+) -> DbResult<Vec<&'a ShippedRow>> {
+    // The residual range checks keep uncommitted rows out of `(lo, hi]`.
     let bounds = ScanBounds {
         ins_after: Some(lo),
+        ins_at_or_before: Some(hi),
         ..Default::default()
     };
     let mut have: HashMap<Vec<u8>, u64> = HashMap::new();
-    let survivors = scan_rids(
-        engine.pool(),
-        heap.id(),
-        ReadMode::SeeDeleted,
-        bounds,
-        |t| {
-            let ins = t.insertion_ts()?;
-            Ok(ins.is_valid_commit_time() && ins > lo && ins <= hi)
-        },
-    )?;
-    for (_, t) in survivors {
-        *have
-            .entry(version_key(&t, &desc, heap.tuple_size())?)
-            .or_insert(0) += 1;
+    for pid in scan_pages(heap, &bounds) {
+        let pool = ctx.engine.pool();
+        visit_page(pool, heap, pid, ReadMode::SeeDeleted, &bounds, |row| {
+            *have.entry(version_key(row.bytes.to_vec())).or_insert(0) += 1;
+            Ok(())
+        })?;
     }
-    let mut missing: Vec<Tuple> = Vec::new();
-    for t in fetched {
-        let key = version_key(t, &desc, heap.tuple_size())?;
-        match have.get_mut(&key) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => missing.push(t.clone()),
-        }
-    }
-    Ok(missing)
+    Ok(fetched
+        .iter()
+        .filter(|row| match have.get_mut(&row.key) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                false
+            }
+            _ => true,
+        })
+        .collect())
 }
 
 #[cfg(test)]

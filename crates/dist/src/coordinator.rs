@@ -201,6 +201,8 @@ pub struct Coordinator {
     /// the coarser `dead` + `partially_online` gates instead.
     bootstrapping: Mutex<BTreeSet<(SiteId, String)>>,
     shutdown: Arc<AtomicBool>,
+    /// The server's listener, until the crash closes it.
+    listener: Mutex<Option<Arc<dyn harbor_net::Listener>>>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Idle sessions per site, newest last. Leases pop the newest (LIFO):
     /// a serial workload keeps using one session per site, so the chaos
@@ -243,6 +245,7 @@ impl Coordinator {
     ) -> DbResult<Arc<Coordinator>> {
         let placement = placement.into();
         cfg.addr = listener.local_addr();
+        let listener: Arc<dyn harbor_net::Listener> = Arc::from(listener);
         let wal = match (&cfg.log_dir, cfg.protocol.coordinator_logs()) {
             (Some(dir), true) => {
                 std::fs::create_dir_all(dir)?;
@@ -287,6 +290,7 @@ impl Coordinator {
             partially_online: Mutex::new(HashMap::new()),
             bootstrapping: Mutex::new(BTreeSet::new()),
             shutdown: Arc::new(AtomicBool::new(false)),
+            listener: Mutex::new(Some(listener.clone())),
             handles: Mutex::new(Vec::new()),
             idle: Mutex::new(HashMap::new()),
             placement,
@@ -572,6 +576,10 @@ impl Coordinator {
     /// the sites' poll slices run out side by side.
     pub fn initiate_crash(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // The accept loop ends now, not at its next tick.
+        if let Some(listener) = self.listener.lock().take() {
+            listener.close();
+        }
         // Drop every session, leased or idle: workers see disconnects. (The
         // flag is up, so `release` pools nothing from here on.)
         let txns: Vec<Arc<TxnCtx>> = self.txns.lock().drain().map(|(_, c)| c).collect();

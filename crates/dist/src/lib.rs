@@ -24,9 +24,10 @@ pub use harbor_common::config::{
     DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF, DEFAULT_RPC_DEADLINE,
 };
 
-use harbor_common::codec::Wire;
+use harbor_common::codec::{Decoder, Wire};
 use harbor_common::{retry_with, DbError, DbResult, Metrics, RetryPolicy, Timestamp, Tuple};
 use harbor_net::Channel;
+use message::open_tuples_frame;
 use std::time::Duration;
 
 /// One request/response round trip over a channel, blocking indefinitely for
@@ -151,21 +152,23 @@ pub(crate) fn collect_scan_replies(
     deadline: Duration,
 ) -> DbResult<Vec<Tuple>> {
     let mut out = Vec::new();
-    drain_scan_replies(chan, deadline, |mut batch| {
-        out.append(&mut batch);
+    drain_scan_replies(chan, deadline, |rows, wire| {
+        out.append(&mut Tuple::decode_n(wire, rows)?);
         Ok(())
     })?;
     Ok(out)
 }
 
-/// Visits streamed scan batches without materializing the whole result —
-/// the recovering site processes tuples as they arrive — under a per-frame
-/// liveness deadline.
+/// Visits a streamed scan's rows where they arrive, under a per-frame
+/// liveness deadline: `visit(rows, wire)` gets each reply's row count and a
+/// decoder standing at the first of that many wire tuples in the receive
+/// buffer, and reads exactly those — into page slots (recovery), or into
+/// tuples with [`Tuple::decode_n`].
 pub fn scan_rpc_streaming_deadline(
     chan: &mut dyn Channel,
     scan: &RemoteScan,
     deadline: Duration,
-    visit: impl FnMut(Vec<Tuple>) -> DbResult<()>,
+    visit: impl FnMut(usize, &mut Decoder<'_>) -> DbResult<()>,
 ) -> DbResult<()> {
     chan.send(&Request::Scan(scan.clone()).to_vec())?;
     drain_scan_replies(chan, deadline, visit)
@@ -196,7 +199,7 @@ pub fn segment_bounds_rpc(
 fn drain_scan_replies(
     chan: &mut dyn Channel,
     deadline: Duration,
-    mut visit: impl FnMut(Vec<Tuple>) -> DbResult<()>,
+    mut visit: impl FnMut(usize, &mut Decoder<'_>) -> DbResult<()>,
 ) -> DbResult<()> {
     let recv_frame = |chan: &mut dyn Channel| -> DbResult<Vec<u8>> {
         match chan.recv_timeout(deadline)? {
@@ -210,16 +213,15 @@ fn drain_scan_replies(
     };
     loop {
         let frame = recv_frame(chan)?;
-        match Response::from_slice(&frame)? {
-            Response::Tuples { batch, done } => {
-                visit(batch)?;
-                if done {
-                    break;
-                }
-            }
+        let Some((done, rows, mut wire)) = open_tuples_frame(&frame)? else {
             // A buddy that read a corrupt page of its own says `Corrupt`
             // (site-local, repairable): the fetcher fails over.
-            other => return Err(other.into_error("scan")),
+            return Err(Response::from_slice(&frame)?.into_error("scan"));
+        };
+        visit(rows, &mut wire)?;
+        wire.finish()?;
+        if done {
+            break;
         }
     }
     // Final status frame.

@@ -369,6 +369,20 @@ impl TuplesFrameBuilder {
     }
 }
 
+/// The receiving twin of [`TuplesFrameBuilder`]: opens a `Response::Tuples`
+/// frame without decoding its rows — `(done, rows, decoder standing at the
+/// first of the `rows` wire tuples that are the rest of the frame)`. `None`:
+/// another response, to be decoded whole.
+pub fn open_tuples_frame(frame: &[u8]) -> DbResult<Option<(bool, usize, Decoder<'_>)>> {
+    if frame.first() != Some(&Response::TUPLES_TAG) {
+        return Ok(None);
+    }
+    let mut wire = Decoder::new(&frame[1..]);
+    let done = wire.get_bool()?;
+    let rows = wire.get_u32()? as usize;
+    Ok(Some((done, rows, wire)))
+}
+
 impl Default for TuplesFrameBuilder {
     fn default() -> Self {
         Self::new()

@@ -87,6 +87,8 @@ pub struct Worker {
     /// Set by [`CrashPoint::WorkerAfterPtcAck`]: crash as soon as the reply
     /// currently being produced is on the wire.
     crash_after_reply: AtomicBool,
+    /// The server's listener, until the crash closes it.
+    listener: Mutex<Option<Arc<dyn harbor_net::Listener>>>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -110,6 +112,7 @@ impl Worker {
         listener: Box<dyn harbor_net::Listener>,
     ) -> DbResult<Arc<Worker>> {
         cfg.addr = listener.local_addr();
+        let listener: Arc<dyn harbor_net::Listener> = Arc::from(listener);
         let peers = Mutex::new(cfg.peers.clone());
         let worker = Arc::new(Worker {
             cfg,
@@ -119,6 +122,7 @@ impl Worker {
             peers,
             shutdown: Arc::new(AtomicBool::new(false)),
             crash_after_reply: AtomicBool::new(false),
+            listener: Mutex::new(Some(listener.clone())),
             handles: Mutex::new(Vec::new()),
         });
         {
@@ -168,7 +172,7 @@ impl Worker {
     /// threads. The engine's volatile state dies with the caller's `Arc`s;
     /// nothing is flushed.
     pub fn crash(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.initiate_crash();
         let handles: Vec<_> = self.handles.lock().drain(..).collect();
         for h in handles {
             let _ = h.join();
@@ -182,13 +186,17 @@ impl Worker {
     }
 
     /// Begins a fail-stop crash *from inside a serving thread* (a fired
-    /// [`CrashPoint`]): only flips the shutdown flag — the acceptor,
-    /// checkpointer and connection threads all observe it within their next
-    /// poll slice and exit, and the listener unbinds. A thread cannot join
-    /// itself, so the final [`crash`](Self::crash) join is left to the
+    /// [`CrashPoint`]): flips the shutdown flag and closes the listener — the
+    /// acceptor ends at once and the listener unbinds; the checkpointer and
+    /// connection threads observe the flag within their next poll slice (or
+    /// when the peer hangs up). A thread cannot join itself, so the final
+    /// [`crash`](Self::crash) join is left to the
     /// harness once [`is_shutdown`](Self::is_shutdown) reports true.
     pub fn initiate_crash(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(listener) = self.listener.lock().take() {
+            listener.close();
+        }
     }
 
     /// `true` once the worker has crashed or begun crashing.
@@ -235,7 +243,10 @@ impl Worker {
                 Ok(Some(f)) => f,
                 Ok(None) => return, // crash: vanish without cleanup
                 Err(_) => {
-                    self.on_disconnect(&conn_txns, &conn_locks);
+                    // Likewise when the peer hangs up on a crashed site.
+                    if !self.is_shutdown() {
+                        self.on_disconnect(&conn_txns, &conn_locks);
+                    }
                     return;
                 }
             };

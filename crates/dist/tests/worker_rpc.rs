@@ -4,7 +4,7 @@
 use harbor_common::codec::Wire;
 use harbor_common::time::TimestampAuthority;
 use harbor_common::{
-    DbError, FieldType, Metrics, SiteId, StorageConfig, Timestamp, TransactionId, Value,
+    DbError, FieldType, Metrics, SiteId, StorageConfig, Timestamp, TransactionId, Tuple, Value,
 };
 use harbor_dist::{
     rpc, scan_rpc, scan_rpc_streaming_deadline, ProtocolKind, RemoteScan, Request, Response,
@@ -168,16 +168,22 @@ fn streamed_scan_crosses_batch_boundaries() {
     let scan = RemoteScan::new("t", WireReadMode::Historical(t));
     let tuples = scan_rpc(chan.as_mut(), &scan).unwrap();
     assert_eq!(tuples.len(), 1300);
-    // Streaming visitor sees multiple batches.
-    let mut batches = 0;
-    scan_rpc_streaming_deadline(chan.as_mut(), &scan, DEFAULT_RPC_DEADLINE, |b| {
-        if !b.is_empty() {
-            batches += 1;
-        }
+    // Streaming visitor sees multiple batches, and the same rows in them.
+    let (mut batches, mut streamed) = (0, Vec::new());
+    scan_rpc_streaming_deadline(chan.as_mut(), &scan, DEFAULT_RPC_DEADLINE, |rows, wire| {
+        batches += (rows > 0) as usize;
+        streamed.append(&mut Tuple::decode_n(wire, rows)?);
         Ok(())
     })
     .unwrap();
     assert!(batches >= 3, "1300 rows should stream in >= 3 batches");
+    assert_eq!(streamed, tuples);
+    // A visitor that leaves rows of a reply unread is refused, not skipped.
+    let lazy =
+        scan_rpc_streaming_deadline(f.connect().as_mut(), &scan, DEFAULT_RPC_DEADLINE, |_, _| {
+            Ok(())
+        });
+    assert!(lazy.unwrap_err().is_corrupt());
     let _ = std::fs::remove_dir_all(&f.dir);
 }
 

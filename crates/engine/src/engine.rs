@@ -23,11 +23,13 @@ use crate::catalog::{Catalog, TableDef};
 use crate::deletion_log::DeletionLog;
 use crate::index::KeyIndex;
 use crate::txn::{LocalTxnStatus, TxnState};
-use harbor_common::codec::Encoder;
+use harbor_common::codec::Decoder;
+use harbor_common::tuple::transcode_wire_to_fixed;
 use harbor_common::{
     DbError, DbResult, FieldType, Metrics, RecordId, SiteId, StorageConfig, TableId, Timestamp,
-    TransactionId, Tuple, Value,
+    TransactionId, Tuple, TupleDesc, Value,
 };
+use harbor_storage::table::ts_word;
 use harbor_storage::{
     BufferPool, Checkpointer, DiskFaultPlan, LockManager, LockMode, PagePolicy, PoolRecovery,
     SegmentedHeapFile,
@@ -370,13 +372,6 @@ impl Engine {
         lsn
     }
 
-    /// Encodes a stored tuple for `table`.
-    fn encode_tuple(&self, table: &SegmentedHeapFile, tuple: &Tuple) -> DbResult<Vec<u8>> {
-        let mut enc = Encoder::with_capacity(table.tuple_size());
-        tuple.write_fixed(table.desc(), &mut enc)?;
-        Ok(enc.into_bytes().to_vec())
-    }
-
     /// Inserts a tuple for `tid` with an `UNCOMMITTED` insertion timestamp.
     pub fn insert(
         &self,
@@ -390,7 +385,8 @@ impl Engine {
             .ok_or_else(|| DbError::Schema("empty tuple".into()))?
             .as_i64()?;
         let tuple = Tuple::versioned(Timestamp::UNCOMMITTED, Timestamp::ZERO, user_values);
-        let bytes = self.encode_tuple(&table, &tuple)?;
+        let mut bytes = vec![0u8; table.tuple_size()];
+        tuple.write_fixed(table.desc(), &mut bytes)?;
         let rid = if self.wal.is_some() {
             let mut logger = |op: &RedoOp| self.log_update(tid, op);
             self.pool
@@ -863,59 +859,18 @@ impl Engine {
     // Recovery primitives (used by HARBOR's three-phase algorithm)
     // ------------------------------------------------------------------
 
-    /// Physically inserts an already-committed tuple (recovery Phases 2/3:
-    /// `INSERT LOCALLY` copies replica data without timestamp
-    /// reassignment) into whichever page the shared insert hint offers.
-    /// Updates segment annotations and the index.
-    pub fn insert_recovered(&self, table_id: TableId, tuple: &Tuple) -> DbResult<RecordId> {
-        let table = self.pool.table(table_id)?;
-        let (index, dlog) = (self.index(table_id)?, self.deletion_log(table_id)?);
-        self.place_recovered(&table, &index, &dlog, tuple, |bytes| {
-            self.pool.insert_tuple_bytes(None, table_id, bytes)
-        })
-    }
-
-    /// The one body of a recovered insert: validate, encode, let `append`
-    /// pick the slot, then annotate the segment, the deletion log and the
-    /// index for where the row landed.
-    fn place_recovered(
-        &self,
-        table: &SegmentedHeapFile,
-        index: &KeyIndex,
-        dlog: &DeletionLog,
-        tuple: &Tuple,
-        append: impl FnOnce(&[u8]) -> DbResult<RecordId>,
-    ) -> DbResult<RecordId> {
-        let ins = tuple.insertion_ts()?;
-        let del = tuple.deletion_ts()?;
-        if !ins.is_valid_commit_time() {
-            return Err(DbError::internal(
-                "insert_recovered requires a committed insertion timestamp",
-            ));
-        }
-        let bytes = self.encode_tuple(table, tuple)?;
-        let rid = append(&bytes)?;
-        table.note_insert_commit(rid.page.page_no, ins);
-        if del.is_valid_commit_time() {
-            table.note_delete(rid.page.page_no, del);
-            dlog.note(rid, del);
-        }
-        index.insert(index.key_from_bytes(&bytes), rid);
-        Ok(rid)
-    }
-
-    /// A per-thread recovered-tuple inserter for `table_id`: same semantics
-    /// as [`insert_recovered`](Self::insert_recovered), but appends through
-    /// a private [`harbor_storage::BulkAppender`] page cursor so concurrent
-    /// Phase-2 fetchers don't contend on the shared insert hint or page
-    /// latches, and caches the table/index/deletion-log lookups.
-    pub fn recovered_inserter(&self, table_id: TableId) -> DbResult<RecoveredInserter<'_>> {
+    /// A per-thread inserter of already-committed tuples into `table_id`
+    /// (recovery Phases 2/3: `INSERT LOCALLY` copies replica data without
+    /// timestamp reassignment; scrub's repair and a bulk load are the same
+    /// copy) through a private [`harbor_storage::BulkAppender`] page cursor:
+    /// concurrent fetchers share neither the insert hint nor a page latch.
+    pub fn recovered_inserter(&self, table_id: TableId) -> DbResult<RecoveredInserter> {
         Ok(RecoveredInserter {
-            engine: self,
             table: self.pool.table(table_id)?,
             appender: self.pool.bulk_appender(table_id)?,
             index: self.index(table_id)?,
             dlog: self.deletion_log(table_id)?,
+            placed: Vec::new(),
         })
     }
 
@@ -947,23 +902,73 @@ impl Engine {
 }
 
 /// See [`Engine::recovered_inserter`].
-pub struct RecoveredInserter<'a> {
-    engine: &'a Engine,
+pub struct RecoveredInserter {
     table: Arc<SegmentedHeapFile>,
     appender: harbor_storage::BulkAppender,
     index: Arc<KeyIndex>,
     dlog: Arc<DeletionLog>,
+    /// Where the rows of the call in progress went, their keys and deletion
+    /// times: for the index and the deletion log, once the latch is dropped
+    /// (elsewhere both are locked *before* latches).
+    placed: Vec<(RecordId, i64, Timestamp)>,
 }
 
-impl RecoveredInserter<'_> {
-    /// [`Engine::insert_recovered`] through this inserter's private page
-    /// cursor, latch-only.
+impl RecoveredInserter {
+    /// Physically inserts one already-committed tuple, encoded straight into
+    /// its page slot, and annotates the segment, the deletion log and the
+    /// index for where it landed.
     pub fn insert(&mut self, tuple: &Tuple) -> DbResult<RecordId> {
-        let appender = &mut self.appender;
-        self.engine
-            .place_recovered(&self.table, &self.index, &self.dlog, tuple, |bytes| {
-                appender.insert(bytes)
-            })
+        let mut at = None;
+        self.place(
+            1,
+            |desc, slot| tuple.write_fixed(desc, slot),
+            |rid| at = Some(rid),
+        )?;
+        at.ok_or_else(|| DbError::internal("a placed row has a record id"))
+    }
+
+    /// [`insert`](Self::insert) for the next `rows` rows of a scan reply still
+    /// in its receive buffer, each transcoded from its wire layout into its
+    /// slot. `placed` hears where each went; on an error the rows before stay.
+    pub fn insert_wire(
+        &mut self,
+        rows: usize,
+        wire: &mut Decoder<'_>,
+        placed: impl FnMut(RecordId),
+    ) -> DbResult<()> {
+        self.place(
+            rows,
+            |desc, slot| transcode_wire_to_fixed(desc, wire, slot),
+            placed,
+        )
+    }
+
+    /// The one body of a recovered insert: `encode` writes each row into the
+    /// slot the cursor offers; it must carry a committed insertion time.
+    fn place(
+        &mut self,
+        rows: usize,
+        mut encode: impl FnMut(&TupleDesc, &mut [u8]) -> DbResult<()>,
+        mut placed: impl FnMut(RecordId),
+    ) -> DbResult<()> {
+        let (desc, index, pending) = (self.table.desc(), &self.index, &mut self.placed);
+        let appended = self.appender.append(rows, |rid, slot| {
+            encode(desc, slot)?;
+            if !Timestamp(ts_word(slot, 0)).is_valid_commit_time() {
+                return Err(DbError::internal(
+                    "a recovered row requires a committed insertion timestamp",
+                ));
+            }
+            let deleted = Timestamp(ts_word(slot, 8));
+            pending.push((rid, index.key_from_bytes(slot), deleted));
+            Ok(())
+        });
+        for (rid, key, del) in self.placed.drain(..) {
+            self.dlog.note(rid, del);
+            self.index.insert(key, rid);
+            placed(rid);
+        }
+        appended
     }
 }
 

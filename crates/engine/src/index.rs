@@ -11,15 +11,93 @@
 //! A key maps to *all* versions of the tuple (an update creates a second
 //! tuple with the same id); readers filter by visibility.
 
-use harbor_common::TableId;
-use harbor_common::{DbResult, RecordId};
+use harbor_common::{DbResult, PageId, RecordId, TableId};
+use harbor_storage::table::ts_word;
 use harbor_storage::BufferPool;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
+/// A multiplicative (Fibonacci) hash of the one `i64` a key is. Tuple ids are
+/// the warehouse's own surrogate keys, mostly consecutive; a loader that
+/// chose them to collide would slow its own probes.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|b| self.write_i64(*b as i64));
+    }
+
+    fn write_i64(&mut self, key: i64) {
+        let h = (self.0 ^ key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // The map takes its bucket from the low bits: fold the high in.
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A version's place as one word: page number and slot (the table is the
+/// index's own).
+fn pack(rid: RecordId) -> u64 {
+    (rid.page.page_no as u64) << 16 | rid.slot as u64
+}
+
+/// The key → versions map. Nearly every key has one version, and that one
+/// lives in the map itself, packed: nothing is allocated per key, a bucket is
+/// 17 bytes, and the index is freed as one block. Only a key that an update
+/// gave a second version has a `Vec`, in `more`, holding the versions after
+/// the first in the order they came.
+#[derive(Default)]
 struct Inner {
     built: bool,
-    map: HashMap<i64, Vec<RecordId>>,
+    first: HashMap<i64, u64, BuildHasherDefault<KeyHasher>>,
+    more: HashMap<i64, Vec<RecordId>>,
+}
+
+impl Inner {
+    fn versions(&self, table: TableId, key: i64) -> Vec<RecordId> {
+        let Some(&at) = self.first.get(&key) else {
+            return Vec::new();
+        };
+        let first = RecordId::new(PageId::new(table, (at >> 16) as u32), at as u16);
+        let more = self.more.get(&key).into_iter().flatten();
+        std::iter::once(first).chain(more.copied()).collect()
+    }
+
+    fn insert(&mut self, key: i64, rid: RecordId) {
+        if *self.first.entry(key).or_insert(pack(rid)) != pack(rid) {
+            let more = self.more.entry(key).or_default();
+            if !more.contains(&rid) {
+                more.push(rid);
+            }
+        }
+    }
+
+    fn remove(&mut self, key: i64, rid: RecordId) {
+        let Some(first) = self.first.get_mut(&key) else {
+            return;
+        };
+        let first_goes = *first == pack(rid);
+        let Some(more) = self.more.get_mut(&key) else {
+            if first_goes {
+                self.first.remove(&key);
+            }
+            return;
+        };
+        if first_goes {
+            // The oldest of the later versions takes its place.
+            *first = pack(more.remove(0));
+        } else {
+            more.retain(|r| *r != rid);
+        }
+        if more.is_empty() {
+            self.more.remove(&key);
+        }
+    }
 }
 
 /// Primary-key index for one table.
@@ -31,22 +109,12 @@ pub struct KeyIndex {
     inner: Mutex<Inner>,
 }
 
-/// Reads the `i64` key at `key_offset` from raw tuple bytes.
-fn key_of(bytes: &[u8], key_offset: usize) -> i64 {
-    i64::from_le_bytes(bytes[key_offset..key_offset + 8].try_into().unwrap())
-}
-
 impl KeyIndex {
     /// A fresh (empty, built) index for a new table.
     pub fn fresh(table: TableId, key_offset: usize) -> Self {
-        KeyIndex {
-            table,
-            key_offset,
-            inner: Mutex::new(Inner {
-                built: true,
-                map: HashMap::new(),
-            }),
-        }
+        let index = Self::cold(table, key_offset);
+        index.inner.lock().built = true;
+        index
     }
 
     /// A cold index for a reopened table; built on first lookup.
@@ -54,10 +122,7 @@ impl KeyIndex {
         KeyIndex {
             table,
             key_offset,
-            inner: Mutex::new(Inner {
-                built: false,
-                map: HashMap::new(),
-            }),
+            inner: Mutex::default(),
         }
     }
 
@@ -67,43 +132,34 @@ impl KeyIndex {
 
     /// Extracts the key from encoded tuple bytes.
     pub fn key_from_bytes(&self, bytes: &[u8]) -> i64 {
-        key_of(bytes, self.key_offset)
+        ts_word(bytes, self.key_offset) as i64
     }
 
-    /// Registers a version. No-op while cold (the eventual build scan will
-    /// see the tuple on its page).
+    /// Registers a version (once, however often it is said). No-op while
+    /// cold (the eventual build scan will see the tuple on its page).
     pub fn insert(&self, key: i64, rid: RecordId) {
         let mut g = self.inner.lock();
-        if !g.built {
-            return;
-        }
-        let e = g.map.entry(key).or_default();
-        if !e.contains(&rid) {
-            e.push(rid);
+        if g.built {
+            g.insert(key, rid);
         }
     }
 
     /// Unregisters a version (physical removal).
     pub fn remove(&self, key: i64, rid: RecordId) {
         let mut g = self.inner.lock();
-        if !g.built {
-            return;
-        }
-        if let Some(e) = g.map.get_mut(&key) {
-            e.retain(|r| *r != rid);
-            if e.is_empty() {
-                g.map.remove(&key);
-            }
+        if g.built {
+            g.remove(key, rid);
         }
     }
 
-    /// All versions of `key`, building the index first if cold.
+    /// All versions of `key`, oldest registration first, building the index
+    /// first if cold.
     pub fn lookup(&self, pool: &BufferPool, key: i64) -> DbResult<Vec<RecordId>> {
         let mut g = self.inner.lock();
         if !g.built {
             self.build_locked(pool, &mut g)?;
         }
-        let rids = g.map.get(&key).cloned().unwrap_or_default();
+        let rids = g.versions(self.table, key);
         if rids.is_empty() {
             pool.metrics().add_index_misses(1);
         } else {
@@ -115,17 +171,14 @@ impl KeyIndex {
     /// Forces a (re)build by sequential scan.
     pub fn rebuild(&self, pool: &BufferPool) -> DbResult<()> {
         let mut g = self.inner.lock();
-        g.built = false;
-        g.map.clear();
+        *g = Inner::default();
         self.build_locked(pool, &mut g)
     }
 
     /// Drops the contents and marks the index cold (crash simulation /
     /// before recovery).
     pub fn invalidate(&self) {
-        let mut g = self.inner.lock();
-        g.built = false;
-        g.map.clear();
+        *self.inner.lock() = Inner::default();
     }
 
     /// Builds by walking occupancy words over the raw slot region — the
@@ -134,7 +187,7 @@ impl KeyIndex {
     /// occupancy/bounds re-checks.
     fn build_locked(&self, pool: &BufferPool, g: &mut Inner) -> DbResult<()> {
         let table = pool.table(self.table)?;
-        let mut map: HashMap<i64, Vec<RecordId>> = HashMap::new();
+        let mut built = Inner::default();
         for pid in table.all_page_ids() {
             pool.with_page(None, pid, |page| {
                 let tsize = page.tuple_size();
@@ -144,24 +197,22 @@ impl KeyIndex {
                     while occ != 0 {
                         let slot = chunk * 64 + occ.trailing_zeros() as usize;
                         occ &= occ - 1;
-                        let key = key_of(&data[slot * tsize..(slot + 1) * tsize], self.key_offset);
-                        map.entry(key)
-                            .or_default()
-                            .push(RecordId::new(pid, slot as u16));
+                        let key = self.key_from_bytes(&data[slot * tsize..(slot + 1) * tsize]);
+                        built.insert(key, RecordId::new(pid, slot as u16));
                     }
                 }
                 Ok(())
             })?;
         }
-        g.map = map;
-        g.built = true;
+        built.built = true;
+        *g = built;
         pool.metrics().add_index_rebuilds(1);
         Ok(())
     }
 
     /// Number of distinct keys (tests).
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().first.len()
     }
 
     pub fn is_empty(&self) -> bool {

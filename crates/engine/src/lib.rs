@@ -270,7 +270,7 @@ mod tests {
         let (e, dir) = harbor_engine("recovery-prims");
         let def = e.create_table("sales", fields()).unwrap();
         let tup = harbor_common::Tuple::versioned(Timestamp(3), Timestamp::ZERO, row(7, 70));
-        let rid = e.insert_recovered(def.id, &tup).unwrap();
+        let rid = e.recovered_inserter(def.id).unwrap().insert(&tup).unwrap();
         let table = e.pool().table(def.id).unwrap();
         assert_eq!(table.segments()[0].tmin_insert, Timestamp(3));
         e.set_deletion(rid, Timestamp(9)).unwrap();

@@ -33,6 +33,7 @@ use harbor_common::tuple::{transcode_fixed_cols_to_wire, transcode_fixed_to_wire
 use harbor_common::{
     DbResult, PageId, RecordId, TableId, Timestamp, TransactionId, Tuple, TupleDesc,
 };
+use harbor_storage::table::ts_word;
 use harbor_storage::{BufferPool, ScanBounds, SegmentedHeapFile, ZoneEntry};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -100,15 +101,6 @@ enum ZoneClass {
     NoneVisible,
     /// Per-row admission required.
     Mixed,
-}
-
-/// Little-endian timestamp word at `off` (the slice is always 8 bytes —
-/// offsets come from the page's own slot geometry).
-#[inline]
-fn ts_word(data: &[u8], off: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&data[off..off + 8]);
-    u64::from_le_bytes(b)
 }
 
 /// Classifies a page for a lock-free historical read at `t`.

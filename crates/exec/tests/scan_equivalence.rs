@@ -10,11 +10,16 @@
 //! every page, admit it, re-apply the bounds, apply the predicate. Pages
 //! carry holes, uncommitted rows and rows deleted after the read time, with
 //! zone maps present (flushed) or computed lazily.
+//!
+//! The wire sink has an inverse on the apply side, `transcode_wire_to_fixed`
+//! (receive buffer → page slot); its reference is `read_wire` + `write_fixed`,
+//! at the end of this file.
 
 use harbor_common::codec::{Decoder, Encoder};
-use harbor_common::tuple::FixedLayout;
+use harbor_common::tuple::{transcode_fixed_to_wire, transcode_wire_to_fixed, FixedLayout};
 use harbor_common::{
-    FieldType, RecordId, SiteId, StorageConfig, TableId, Timestamp, TransactionId, Tuple, Value,
+    DbResult, FieldType, RecordId, SiteId, StorageConfig, TableId, Timestamp, TransactionId, Tuple,
+    TupleDesc, Value,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_exec::{
@@ -148,12 +153,9 @@ fn build(rows: &[Row], modulus: i64, flush: bool) -> (Arc<Engine>, TableId, std:
                 Value::Str(pad.clone()),
             ],
         );
-        let mut enc = Encoder::new();
-        tup.write_fixed(heap.desc(), &mut enc).unwrap();
-        let rid = e
-            .pool()
-            .insert_tuple_bytes(None, def.id, enc.as_slice())
-            .unwrap();
+        let mut stored = vec![0u8; heap.tuple_size()];
+        tup.write_fixed(heap.desc(), &mut stored).unwrap();
+        let rid = e.pool().insert_tuple_bytes(None, def.id, &stored).unwrap();
         if ins.is_valid_commit_time() {
             heap.note_insert_commit(rid.page.page_no, *ins);
         }
@@ -375,5 +377,113 @@ proptest! {
         );
         drop((e, pool));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A stored schema over every field type, and a row that conforms to it
+/// (ASCII strings, so the fixed-width round trip is exact).
+fn schema_and_row() -> impl Strategy<Value = (TupleDesc, Tuple)> {
+    let field = prop_oneof![
+        Just(FieldType::Int32),
+        Just(FieldType::Int64),
+        Just(FieldType::Time),
+        (1u16..24).prop_map(FieldType::FixedStr),
+    ];
+    proptest::collection::vec(field, 1..8).prop_flat_map(|types| {
+        let values: Vec<BoxedStrategy<Value>> = types
+            .iter()
+            .map(|ty| match *ty {
+                FieldType::Int32 => any::<i32>().prop_map(Value::Int32).boxed(),
+                FieldType::Int64 => any::<i64>().prop_map(Value::Int64).boxed(),
+                FieldType::Time => any::<u64>().prop_map(|t| Value::Time(Timestamp(t))).boxed(),
+                FieldType::FixedStr(n) => proptest::collection::vec(0x20u8..0x7f, 0..=n as usize)
+                    .prop_map(|b| Value::Str(String::from_utf8(b).unwrap()))
+                    .boxed(),
+            })
+            .collect();
+        (values, any::<u64>(), any::<u64>()).prop_map(move |(user, ins, del)| {
+            let fields = types.iter().map(|ty| ("f", *ty)).collect();
+            (
+                TupleDesc::with_version_columns(fields),
+                Tuple::versioned(Timestamp(ins), Timestamp(del), user),
+            )
+        })
+    })
+}
+
+/// The specification of `transcode_wire_to_fixed`: materialize, then encode.
+fn wire_to_fixed_reference(desc: &TupleDesc, wire: &[u8]) -> DbResult<(Vec<u8>, usize)> {
+    let mut dec = Decoder::new(wire);
+    let tuple = Tuple::read_wire(&mut dec)?;
+    let mut stored = vec![0xaau8; desc.byte_width()];
+    tuple.write_fixed(desc, &mut stored)?;
+    Ok((stored, dec.remaining()))
+}
+
+fn wire_to_fixed(desc: &TupleDesc, wire: &[u8]) -> DbResult<(Vec<u8>, usize)> {
+    let mut dec = Decoder::new(wire);
+    // A slot may hold a removed row's bytes: all of them are overwritten.
+    let mut stored = vec![0x55u8; desc.byte_width()];
+    transcode_wire_to_fixed(desc, &mut dec, &mut stored)?;
+    Ok((stored, dec.remaining()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Receive buffer → slot ≡ `read_wire` + `write_fixed`, for every field
+    /// type; it leaves the decoder at the next row, and shipping the slot
+    /// again (`transcode_fixed_to_wire`) gives the wire bytes it came from.
+    #[test]
+    fn wire_to_slot_matches_materialize_then_encode((desc, tuple) in schema_and_row()) {
+        let mut wire = wire_bytes([&tuple]);
+        let row_len = wire.len();
+        wire.extend_from_slice(b"next row");
+        let (stored, left) = wire_to_fixed(&desc, &wire).unwrap();
+        prop_assert_eq!((&stored, left), (&wire_to_fixed_reference(&desc, &wire).unwrap().0, 8));
+        let mut back = Encoder::new();
+        transcode_fixed_to_wire(&desc, &stored, tuple.deletion_ts().unwrap(), &mut back).unwrap();
+        prop_assert_eq!(back.as_slice(), &wire[..row_len]);
+    }
+
+    /// On bytes that are not a row of the schema — cut short, a byte off, a
+    /// field or a string too many — the two still agree on whether there is
+    /// a row and which, and the transcoder's refusal is `Corrupt`, not a
+    /// panic and not a row.
+    #[test]
+    fn wire_to_slot_refuses_what_the_reference_refuses(
+        (desc, tuple) in schema_and_row(),
+        cut in 1usize..64,
+        at in 0usize..4096,
+        flip in 1u8..=255,
+    ) {
+        let wire = wire_bytes([&tuple]);
+        let truncated = wire[..wire.len().saturating_sub(cut)].to_vec();
+        let mut mutated = wire.clone();
+        mutated[at % wire.len()] ^= flip;
+        let mut wider = tuple.values().to_vec();
+        wider.push(Value::Int32(7));
+        let over_long = wire_bytes([&Tuple::new(wider)]);
+        let mut long_string = tuple.values().to_vec();
+        long_string.push(Value::Str("x".repeat(9)));
+        let long_string = wire_bytes([&Tuple::new(long_string)]);
+        let mut fields: Vec<(&str, FieldType)> =
+            (2..desc.len()).map(|i| ("f", desc.field_type(i))).collect();
+        fields.push(("s", FieldType::FixedStr(8)));
+        let with_string = TupleDesc::with_version_columns(fields);
+        for (desc, bytes, must_fail) in [
+            (&desc, &truncated, true),
+            (&desc, &over_long, true),
+            (&with_string, &long_string, true),
+            (&desc, &mutated, false),
+        ] {
+            let got = wire_to_fixed(desc, bytes);
+            match (&got, wire_to_fixed_reference(desc, bytes)) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got, &want),
+                (Err(e), Err(_)) => prop_assert!(e.is_corrupt(), "{}", e),
+                (got, want) => prop_assert!(false, "{:?} against {:?}", got, want),
+            }
+            prop_assert!(!(must_fail && got.is_ok()));
+        }
     }
 }

@@ -27,7 +27,7 @@
 
 use crate::lock::{LockKey, LockManager, LockMode};
 use crate::page::Page;
-use crate::table::SegmentedHeapFile;
+use crate::table::{ts_word, SegmentedHeapFile};
 use harbor_common::lockrank::{self, Rank};
 use harbor_common::{
     DbError, DbResult, Metrics, PageId, RecordId, TableId, Timestamp, TransactionId,
@@ -498,7 +498,7 @@ impl BufferPool {
     fn flush_frame(&self, pid: PageId, frame: &Frame) -> DbResult<()> {
         let table = self.table(pid.table)?;
         let _rank = lockrank::acquire(Rank::Frame);
-        let page = frame.page.write();
+        let mut page = frame.page.write();
         // WAL rule: log records describing this page must be durable first.
         let _wal_rank = lockrank::acquire(Rank::Wal);
         if let Some(wal) = self.wal.read().as_ref() {
@@ -508,7 +508,7 @@ impl BufferPool {
             }
         }
         // harbor-lint: allow(lock-across-blocking) — the frame latch must pin the page image across WAL force + write-back; flush-under-latch IS the WAL protocol
-        table.write_page(pid.page_no, &page)?;
+        table.write_page(pid.page_no, &mut page)?;
         // Summarize the flushed image while the write latch still pins it:
         // invalidations also run under this latch, so the store is ordered
         // against every mutation.
@@ -550,22 +550,7 @@ impl BufferPool {
         if let Some(tid) = tid {
             self.lock_page(tid, pid, LockMode::Exclusive)?;
         }
-        let frame = self.frame(pid)?;
-        let table = self.table(pid.table).ok();
-        let result = {
-            let _rank = lockrank::acquire(Rank::Frame);
-            let mut page = frame.page.write();
-            let r = f(&mut page);
-            if r.is_ok() {
-                frame.dirty.store(true, Ordering::SeqCst);
-                if let Some(t) = &table {
-                    t.invalidate_zone(pid.page_no);
-                }
-            }
-            r
-        };
-        frame.pins.fetch_sub(1, Ordering::SeqCst);
-        result
+        self.mutate_frame(pid, |page, _| f(page))
     }
 
     /// Inserts encoded tuple bytes into the table's last segment, reusing
@@ -649,7 +634,7 @@ impl BufferPool {
 
     /// A bulk append cursor for `table_id`: each cursor fills pages it
     /// allocated itself, so several cursors (e.g. parallel recovery
-    /// appliers) append concurrently without fighting over the shared
+    /// fetchers) append concurrently without fighting over the shared
     /// insert hint or each other's page latches. Free slots elsewhere in
     /// the table are *not* reused — bulk append is for catch-up loads where
     /// the table is growing anyway.
@@ -913,51 +898,98 @@ impl BufferPool {
     }
 }
 
-/// A per-thread append cursor created by [`BufferPool::bulk_appender`].
+/// A per-thread append cursor created by [`BufferPool::bulk_appender`]: the
+/// write-side twin of the page visitor a scan reads through.
 ///
-/// The cursor owns its current page: it allocated the page via
-/// [`SegmentedHeapFile::grow`] (a short directory-lock critical section)
-/// and fills it privately until full, so N cursors converge to N disjoint
-/// hot pages instead of all probing the shared insert hint. Pages the
-/// cursor abandons as full join the table's normal free-slot accounting.
+/// The cursor fills pages it allocated itself ([`SegmentedHeapFile::grow`]),
+/// so N cursors converge to N disjoint hot pages instead of all probing the
+/// shared insert hint, and keeps its page's frame **pinned** from the
+/// fault-in until it turns the page or is dropped: a row costs no pool lookup
+/// and the page is never the clock's victim. The pin is not a latch — between
+/// two [`append`](Self::append)s anyone may read, flush or mutate the page.
+/// Pages it abandons as full join the table's normal free-slot accounting.
 pub struct BulkAppender {
     pool: Arc<BufferPool>,
     table: Arc<SegmentedHeapFile>,
-    current: Option<PageId>,
+    current: Option<(PageId, Arc<Frame>)>,
 }
 
 impl BulkAppender {
-    /// Appends one encoded tuple, latch-only (recovery Phase 2 is lock-free
-    /// at both sides, §5.4).
-    pub fn insert(&mut self, bytes: &[u8]) -> DbResult<RecordId> {
-        if bytes.len() != self.table.tuple_size() {
-            return Err(DbError::Schema(format!(
-                "tuple is {} bytes, table rows are {}",
-                bytes.len(),
-                self.table.tuple_size()
-            )));
-        }
-        loop {
-            if let Some(pid) = self.current {
-                match self.pool.mutate_frame(pid, |p, _| p.insert(bytes)) {
-                    Ok(slot) => return Ok(RecordId::new(pid, slot)),
-                    Err(DbError::Full(_)) => {
-                        // Another inserter may have probed our page through
-                        // the shared candidate walk and topped it off.
-                        self.table.note_page_full(pid.page_no);
-                        self.current = None;
+    /// Appends the `rows` rows the caller has in hand, latch-only (recovery
+    /// Phase 2 is lock-free at both sides, §5.4): `fill` writes each into the
+    /// slot it is given ([`Page::insert_with`]), and its error ends the
+    /// append with the rows before it in place. The write latch is taken once
+    /// for as many rows as the page has room for, and what they did to the
+    /// page is said once, before the latch drops
+    /// ([`SegmentedHeapFile::note_appended`]) — so `fill` runs under a frame
+    /// latch: it encodes; it does not wait or lock.
+    pub fn append(
+        &mut self,
+        mut rows: usize,
+        mut fill: impl FnMut(RecordId, &mut [u8]) -> DbResult<()>,
+    ) -> DbResult<()> {
+        while rows > 0 {
+            let Some((pid, frame)) = &self.current else {
+                let pid = self.table.grow()?;
+                // The normal faulting path, for `create_page`'s reason.
+                self.current = Some((pid, self.pool.frame(pid)?));
+                continue;
+            };
+            let pid = *pid;
+            // Rows placed under this hold, and `note_appended`'s summary.
+            let mut placed = 0;
+            let mut seen = (Timestamp::UNCOMMITTED, Timestamp::ZERO, Timestamp::ZERO);
+            let room_left = {
+                let _rank = lockrank::acquire(Rank::Frame);
+                let mut page = frame.page.write();
+                let room_left = loop {
+                    if placed == rows {
+                        break Ok(true);
                     }
-                    Err(e) => return Err(e),
+                    match page.insert_with(|slot, bytes| {
+                        fill(RecordId::new(pid, slot), bytes)?;
+                        let ins = Timestamp(ts_word(bytes, 0));
+                        if ins.is_valid_commit_time() {
+                            seen = (seen.0.min(ins), seen.1.max(ins), seen.2);
+                        }
+                        let del = Timestamp(ts_word(bytes, 8));
+                        if del.is_valid_commit_time() {
+                            seen.2 = seen.2.max(del);
+                        }
+                        Ok(())
+                    }) {
+                        Ok(Some(_)) => placed += 1,
+                        Ok(None) => break Ok(false),
+                        Err(e) => break Err(e),
+                    }
+                };
+                if placed > 0 {
+                    frame.dirty.store(true, Ordering::SeqCst);
+                    self.table.note_appended(pid.page_no, seen);
                 }
+                room_left
+            };
+            rows -= placed;
+            if !room_left? {
+                // Full: by this cursor, or by an inserter probing candidates.
+                self.table.note_page_full(pid.page_no);
+                self.turn_page();
             }
-            let pid = self.table.grow()?;
-            self.pool.create_page(pid)?;
-            self.current = Some(pid);
         }
+        Ok(())
     }
 
-    pub fn table_id(&self) -> TableId {
-        self.table.id()
+    /// Lets go of the current page.
+    fn turn_page(&mut self) {
+        if let Some((_, frame)) = self.current.take() {
+            frame.pins.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+impl Drop for BulkAppender {
+    fn drop(&mut self) {
+        self.turn_page();
     }
 }
 
@@ -1174,12 +1206,16 @@ mod tests {
                     let pool = pool.clone();
                     s.spawn(move || {
                         let mut app = pool.bulk_appender(TableId(1)).unwrap();
-                        (0..per_thread)
-                            .map(|i| {
-                                app.insert(&tuple_bytes((t * per_thread + i) as i64))
-                                    .unwrap()
-                            })
-                            .collect::<Vec<_>>()
+                        let mut rids = Vec::new();
+                        // One run of all the rows: it spans several pages.
+                        app.append(per_thread, |rid, slot| {
+                            let id = t * per_thread + rids.len();
+                            slot.copy_from_slice(&tuple_bytes(id as i64));
+                            rids.push(rid);
+                            Ok(())
+                        })
+                        .unwrap();
+                        rids
                     })
                 })
                 .collect();

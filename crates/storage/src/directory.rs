@@ -326,29 +326,28 @@ impl Directory {
         Ok(Some(dropped))
     }
 
+    /// Widens the segment owning `page_no` to cover `(earliest committed
+    /// insertion, latest, latest deletion)`. A fresh segment's own values —
+    /// `(UNCOMMITTED, ZERO, ZERO)` — say "nothing of that kind".
+    pub fn note_bounds(&mut self, page_no: u32, seen: (Timestamp, Timestamp, Timestamp)) {
+        if let Some(SegmentNo(idx)) = self.segment_of_page(page_no) {
+            let m = &mut self.segments[idx as usize];
+            m.tmin_insert = m.tmin_insert.min(seen.0);
+            m.tmax_insert = m.tmax_insert.max(seen.1);
+            m.tmax_delete = m.tmax_delete.max(seen.2);
+        }
+    }
+
     /// Records a committed insertion at `ts` into the segment owning
     /// `page_no`.
     pub fn note_insert_commit(&mut self, page_no: u32, ts: Timestamp) {
-        if let Some(SegmentNo(idx)) = self.segment_of_page(page_no) {
-            let m = &mut self.segments[idx as usize];
-            if m.tmin_insert > ts {
-                m.tmin_insert = ts;
-            }
-            if m.tmax_insert < ts {
-                m.tmax_insert = ts;
-            }
-        }
+        self.note_bounds(page_no, (ts, ts, Timestamp::ZERO));
     }
 
     /// Records a deletion/update at `ts` of a tuple in the segment owning
     /// `page_no`.
     pub fn note_delete(&mut self, page_no: u32, ts: Timestamp) {
-        if let Some(SegmentNo(idx)) = self.segment_of_page(page_no) {
-            let m = &mut self.segments[idx as usize];
-            if m.tmax_delete < ts {
-                m.tmax_delete = ts;
-            }
-        }
+        self.note_bounds(page_no, (Timestamp::UNCOMMITTED, Timestamp::ZERO, ts));
     }
 
     /// Segments (index, meta) that survive pruning under `bounds`.
@@ -401,7 +400,7 @@ impl Directory {
                 page[off + 24..off + 28].copy_from_slice(&m.start_page.to_le_bytes());
                 page[off + 28..off + 32].copy_from_slice(&m.page_count.to_le_bytes());
             }
-            file.write_page(page_no, &page)?;
+            file.write_page(page_no, &mut page)?;
         }
         self.persisted = self.segments.clone();
         Ok(())

@@ -17,8 +17,9 @@
 //!   the checksum trailer lives in the page's last bytes, so a torn page
 //!   carries a stale (or zero) trailer over new contents.
 //! * **bit flip** — one bit of the written page is inverted (bit rot,
-//!   firmware bug). Detectable anywhere in the page, trailer included,
-//!   because FNV-1a's absorption step is a bijection per byte.
+//!   firmware bug). Detectable anywhere in the page, trailer included:
+//!   the flipped word's checksum lane absorbs it through a bijection
+//!   ([`crate::page_crc`]).
 //!
 //! Probabilistic rates are per-mille, like `ChaosConfig`; exact
 //! `(table, page, ordinal, kind)` coordinates can be targeted on top for

@@ -7,42 +7,62 @@ use harbor_common::{wire_struct, DbError, DbResult, DiskProfile, Metrics, TableI
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
+use std::path::Path;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// FNV-1a over the page payload — the same checksum discipline as the WAL
-/// frame format. Every absorption step `h → (h ^ b) * prime` is a bijection
-/// on u32 (the prime is odd), so any single-byte — hence single-bit —
-/// difference yields a different digest.
-pub(crate) fn page_crc(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in &bytes[..PAGE_PAYLOAD] {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+/// Lanes of [`page_crc`]: independent multiply chains, which a core overlaps.
+const CRC_LANES: usize = 8;
+const _: () = assert!(PAGE_PAYLOAD.is_multiple_of(4));
+
+/// The page checksum: [`CRC_LANES`] 32-bit FNV-1a states over the payload's
+/// little-endian words — word `i` is absorbed by lane `i % CRC_LANES` —
+/// folded by XOR with lane `l` rotated left `4 l` bits.
+///
+/// A single-bit (or single-word) difference reaches one lane. That lane's
+/// step `h → (h ^ w) * prime` is a bijection of `h` for a given `w` and of `w`
+/// for a given `h` (the prime is odd), so that lane ends different, the
+/// others as they were, and the fold — a rotation is a bijection — differs.
+pub fn page_crc(bytes: &[u8; PAGE_SIZE]) -> u32 {
+    let mut lanes = [0x811c_9dc5u32; CRC_LANES];
+    let absorb = |lanes: &mut [u32; CRC_LANES], group: &[u8]| {
+        for (lane, w) in lanes.iter_mut().zip(group.chunks_exact(4)) {
+            let w = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            *lane = (*lane ^ w).wrapping_mul(0x0100_0193);
+        }
+    };
+    // The short last group apart: the loop over whole ones is what unrolls.
+    let groups = bytes[..PAGE_PAYLOAD].chunks_exact(4 * CRC_LANES);
+    let last = groups.remainder();
+    for group in groups {
+        absorb(&mut lanes, group);
     }
-    h
+    absorb(&mut lanes, last);
+    (0u32..)
+        .zip(lanes)
+        .fold(0, |acc, (l, h)| acc ^ h.rotate_left(4 * l))
 }
 
 /// Page-granular file: the backing store of one table's heap.
 ///
-/// All access is serialized on an internal mutex; the buffer pool above
-/// ensures a page is read or written by at most one frame at a time anyway,
-/// so the mutex only orders unrelated pages, like a single disk arm would.
+/// Reads and writes are positional (the buffer pool above ensures a page is
+/// read or written by at most one frame at a time), and the file's length is
+/// tracked here — it only grows, and only through [`TableFile::write_page`].
 ///
-/// Every page carries an FNV-1a checksum trailer in its last
+/// Every page carries a checksum trailer ([`page_crc`]) in its last
 /// [`harbor_common::config::PAGE_CRC_LEN`] bytes: [`TableFile::write_page`]
-/// stamps it over the
-/// outgoing image (data pages and raw directory header pages alike) and
+/// stamps it over the outgoing image (data and directory pages alike) and
 /// [`TableFile::read_page`] verifies it on every fault-in, failing with
 /// [`DbError::CorruptPage`] on mismatch. An all-zero page is exempt: holes
 /// from out-of-order flushes legitimately read back as zeroes ("never
 /// flushed"), and a zero page cannot carry a zero trailer any other way —
 /// `page_crc` of zeroes is nonzero.
 pub struct TableFile {
-    path: PathBuf,
-    file: Mutex<File>,
+    file: File,
+    /// Bytes in the file.
+    len: AtomicU64,
     disk: DiskProfile,
     metrics: Metrics,
     /// The owning table, stamped by `SegmentedHeapFile` right after
@@ -54,38 +74,30 @@ pub struct TableFile {
 
 impl TableFile {
     pub fn create(path: impl AsRef<Path>, disk: DiskProfile, metrics: Metrics) -> DbResult<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        Ok(TableFile {
-            path,
-            file: Mutex::new(file),
-            disk,
-            metrics,
-            table: AtomicU32::new(u32::MAX),
-            faults: Mutex::new(None),
-        })
+        let mut options = OpenOptions::new();
+        options.create(true).truncate(true);
+        Self::open_with(path, &mut options, disk, metrics)
     }
 
     pub fn open(path: impl AsRef<Path>, disk: DiskProfile, metrics: Metrics) -> DbResult<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().read(true).write(true).open(&path)?;
+        Self::open_with(path, &mut OpenOptions::new(), disk, metrics)
+    }
+
+    fn open_with(
+        path: impl AsRef<Path>,
+        options: &mut OpenOptions,
+        disk: DiskProfile,
+        metrics: Metrics,
+    ) -> DbResult<Self> {
+        let file = options.read(true).write(true).open(path)?;
         Ok(TableFile {
-            path,
-            file: Mutex::new(file),
+            len: AtomicU64::new(file.metadata()?.len()),
+            file,
             disk,
             metrics,
             table: AtomicU32::new(u32::MAX),
             faults: Mutex::new(None),
         })
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Records which table this file backs (for error coordinates and
@@ -107,12 +119,6 @@ impl TableFile {
         self.faults.lock().clone()
     }
 
-    /// Number of whole pages currently in the file.
-    pub fn num_pages(&self) -> DbResult<u32> {
-        let f = self.file.lock();
-        Ok((f.metadata()?.len() / PAGE_SIZE as u64) as u32)
-    }
-
     /// Reads page `page_no` into a fresh buffer, verifying its checksum
     /// trailer. A mismatch is [`DbError::CorruptPage`] — site-local,
     /// repairable from a buddy, and deliberately *not* garbage handed to
@@ -127,74 +133,69 @@ impl TableFile {
                 ))));
             }
         }
-        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        {
-            let mut f = self.file.lock();
-            let len = f.metadata()?.len();
-            let off = page_no as u64 * PAGE_SIZE as u64;
-            if off + PAGE_SIZE as u64 > len {
-                return Err(DbError::NoSuchPage(harbor_common::PageId::new(
-                    TableId(u32::MAX),
-                    page_no,
-                )));
-            }
-            f.seek(SeekFrom::Start(off))?;
-            f.read_exact(&mut buf)?;
+        let off = page_no as u64 * PAGE_SIZE as u64;
+        if off + PAGE_SIZE as u64 > self.len.load(Ordering::SeqCst) {
+            return Err(DbError::NoSuchPage(harbor_common::PageId::new(
+                TableId(u32::MAX),
+                page_no,
+            )));
         }
+        let mut buf = Box::new([0u8; PAGE_SIZE]);
+        self.file.read_exact_at(&mut buf[..], off)?;
         self.metrics.add_page_reads(1);
         if buf.iter().all(|&b| b == 0) {
             // Hole from an out-of-order flush: never written, reads fresh.
-            return Ok(buf.try_into().unwrap());
+            return Ok(buf);
         }
-        let stored = u32::from_le_bytes(buf[PAGE_PAYLOAD..].try_into().unwrap());
-        if stored != page_crc(&buf) {
+        let t = &buf[PAGE_PAYLOAD..];
+        if u32::from_le_bytes([t[0], t[1], t[2], t[3]]) != page_crc(&buf) {
             self.metrics.add_checksum_failures(1);
             return Err(DbError::CorruptPage {
                 table: self.table_id(),
                 page: page_no,
             });
         }
-        Ok(buf.try_into().unwrap())
+        Ok(buf)
     }
 
     /// Writes page `page_no`, extending the file if needed, stamping the
-    /// checksum trailer over the outgoing image. Writes may land beyond the
-    /// current end (pages are allocated in memory and can be flushed out of
-    /// order); the intervening hole reads back as zeroes, which the buffer
-    /// pool interprets as "never flushed" — exactly the state such pages
-    /// are in after a crash.
-    pub fn write_page(&self, page_no: u32, data: &[u8; PAGE_SIZE]) -> DbResult<()> {
-        let mut image = Box::new(*data);
-        let crc = page_crc(&image[..]);
-        image[PAGE_PAYLOAD..].copy_from_slice(&crc.to_le_bytes());
+    /// checksum trailer into `data` — the caller's own image, which it holds
+    /// exclusively (the flush holds the frame's write latch); only a write
+    /// that draws an injected fault is composed in a private copy. Writes
+    /// may land beyond the current end (pages are allocated in memory and
+    /// can be flushed out of order); the intervening hole reads back as
+    /// zeroes, which the buffer pool interprets as "never flushed" — exactly
+    /// the state such pages are in after a crash.
+    pub fn write_page(&self, page_no: u32, data: &mut [u8; PAGE_SIZE]) -> DbResult<()> {
+        let crc = page_crc(data);
+        data[PAGE_PAYLOAD..].copy_from_slice(&crc.to_le_bytes());
+        let off = page_no as u64 * PAGE_SIZE as u64;
         let fault = self
             .fault_plan()
             .and_then(|p| p.on_write(self.table_id(), page_no));
         match fault {
-            None => {}
-            Some(WriteFault::FlipBit { bit }) => {
+            None => self.file.write_all_at(&data[..], off)?,
+            Some(fault) => {
                 self.metrics.add_disk_faults_injected(1);
-                image[bit / 8] ^= 1 << (bit % 8);
-            }
-            Some(WriteFault::Torn { keep }) => {
-                // Only a sector-aligned prefix of the new image reached the
-                // platter; the tail keeps its previous contents except the
-                // final sector, which was mid-write at the tear and reads
-                // back as garbage (modeled as zeroes). The checksum trailer
-                // lives there, so a torn page always fails verification.
-                self.metrics.add_disk_faults_injected(1);
-                let old = self.read_page_raw(page_no)?;
-                image[keep..].copy_from_slice(&old[keep..]);
-                let tail = PAGE_SIZE - 512;
-                image[tail..].fill(0);
+                let mut image = Box::new(*data);
+                match fault {
+                    WriteFault::FlipBit { bit } => image[bit / 8] ^= 1 << (bit % 8),
+                    WriteFault::Torn { keep } => {
+                        // Only a sector-aligned prefix of the new image
+                        // reached the platter; the tail keeps its previous
+                        // contents except the final sector, which was
+                        // mid-write at the tear and reads back as garbage
+                        // (modeled as zeroes). The checksum trailer lives
+                        // there, so a torn page always fails verification.
+                        let old = self.read_page_raw(page_no)?;
+                        image[keep..].copy_from_slice(&old[keep..]);
+                        image[PAGE_SIZE - 512..].fill(0);
+                    }
+                }
+                self.file.write_all_at(&image[..], off)?;
             }
         }
-        {
-            let mut f = self.file.lock();
-            let off = page_no as u64 * PAGE_SIZE as u64;
-            f.seek(SeekFrom::Start(off))?;
-            f.write_all(&image[..])?;
-        }
+        self.len.fetch_max(off + PAGE_SIZE as u64, Ordering::SeqCst);
         self.metrics.add_page_writes(1);
         Ok(())
     }
@@ -202,22 +203,20 @@ impl TableFile {
     /// The current on-disk bytes of `page_no` with no checksum verification
     /// and no fault injection (zeroes past EOF) — torn-write composition.
     fn read_page_raw(&self, page_no: u32) -> DbResult<Box<[u8; PAGE_SIZE]>> {
-        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        let mut f = self.file.lock();
-        let len = f.metadata()?.len();
+        let mut buf = Box::new([0u8; PAGE_SIZE]);
+        let len = self.len.load(Ordering::SeqCst);
         let off = page_no as u64 * PAGE_SIZE as u64;
         if off < len {
             let avail = ((len - off) as usize).min(PAGE_SIZE);
-            f.seek(SeekFrom::Start(off))?;
-            f.read_exact(&mut buf[..avail])?;
+            self.file.read_exact_at(&mut buf[..avail], off)?;
         }
-        Ok(buf.try_into().unwrap())
+        Ok(buf)
     }
 
     /// Durability barrier per the disk profile (checkpoints use this).
     pub fn sync(&self) -> DbResult<()> {
         if self.disk.real_fsync {
-            self.file.lock().sync_data()?;
+            self.file.sync_data()?;
         }
         if let Some(lat) = self.disk.emulated_force_latency {
             std::thread::sleep(lat);
@@ -343,6 +342,7 @@ impl CheckpointRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("harbor-storage-file-tests");
@@ -354,13 +354,11 @@ mod tests {
     fn page_io_round_trips_and_grows() {
         let path = temp("pages.tbl");
         let f = TableFile::create(&path, DiskProfile::fast(), Metrics::new()).unwrap();
-        assert_eq!(f.num_pages().unwrap(), 0);
         let mut page = [0u8; PAGE_SIZE];
         page[0] = 0xab;
-        f.write_page(0, &page).unwrap();
+        f.write_page(0, &mut page).unwrap();
         page[0] = 0xcd;
-        f.write_page(1, &page).unwrap();
-        assert_eq!(f.num_pages().unwrap(), 2);
+        f.write_page(1, &mut page).unwrap();
         assert_eq!(f.read_page(0).unwrap()[0], 0xab);
         assert_eq!(f.read_page(1).unwrap()[0], 0xcd);
         assert!(f.read_page(2).is_err());
@@ -373,8 +371,11 @@ mod tests {
         let f = TableFile::create(&path, DiskProfile::fast(), Metrics::new()).unwrap();
         let mut page = [0u8; PAGE_SIZE];
         page[9] = 0x11;
-        f.write_page(3, &page).unwrap();
-        assert_eq!(f.num_pages().unwrap(), 4);
+        f.write_page(3, &mut page).unwrap();
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            4 * PAGE_SIZE as u64
+        );
         assert!(f.read_page(1).unwrap().iter().all(|&b| b == 0));
         assert_eq!(f.read_page(3).unwrap()[9], 0x11);
         std::fs::remove_file(&path).unwrap();
@@ -428,7 +429,7 @@ mod tests {
         f.set_table(TableId(9));
         let mut page = [0u8; PAGE_SIZE];
         page[100] = 0x55;
-        f.write_page(0, &page).unwrap();
+        f.write_page(0, &mut page).unwrap();
         assert!(f.read_page(0).is_ok());
         // Flip one bit behind the file's back.
         let mut raw = std::fs::read(&path).unwrap();
@@ -477,28 +478,28 @@ mod tests {
         let mut page = [0u8; PAGE_SIZE];
         page[50] = 0xee;
         // Bit flip on the first write of page 1.
-        f.write_page(1, &page).unwrap();
+        f.write_page(1, &mut page).unwrap();
         assert!(matches!(
             f.read_page(1),
             Err(DbError::CorruptPage { page: 1, .. })
         ));
         // Torn write on the *second* write of page 2: first lands clean.
-        f.write_page(2, &page).unwrap();
+        f.write_page(2, &mut page).unwrap();
         assert!(f.read_page(2).is_ok());
         page[PAGE_PAYLOAD - 1] = 0x77; // change the tail so the tear matters
-        f.write_page(2, &page).unwrap();
+        f.write_page(2, &mut page).unwrap();
         assert!(matches!(
             f.read_page(2),
             Err(DbError::CorruptPage { page: 2, .. })
         ));
         // Read error on the second read of page 0.
-        f.write_page(0, &page).unwrap();
+        f.write_page(0, &mut page).unwrap();
         assert!(f.read_page(0).is_ok());
         assert!(matches!(f.read_page(0), Err(DbError::Io(..))));
         assert!(f.read_page(0).is_ok());
         assert_eq!(plan.injected(), 3);
         // Repair by rewriting: a clean write restamps the trailer.
-        f.write_page(1, &page).unwrap();
+        f.write_page(1, &mut page).unwrap();
         assert!(f.read_page(1).is_ok());
         std::fs::remove_file(&path).unwrap();
     }

@@ -32,7 +32,7 @@ pub use buffer::{BufferPool, BulkAppender, PagePolicy, PoolRecovery};
 pub use checkpoint::Checkpointer;
 pub use directory::{Directory, ScanBounds, SegmentMeta};
 pub use fault::{DiskFaultConfig, DiskFaultKind, DiskFaultPlan, TargetedFault, WriteFault};
-pub use file::{CheckpointRecord, TableFile};
+pub use file::{page_crc, CheckpointRecord, TableFile};
 pub use lock::{LockKey, LockManager, LockMode};
 pub use page::{slots_per_page, Page};
 pub use table::{SegmentedHeapFile, ZoneEntry};

@@ -84,6 +84,11 @@ impl Page {
         &self.buf
     }
 
+    /// The whole image, for the file layer to stamp its trailer into.
+    pub(crate) fn as_bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        &mut self.buf
+    }
+
     fn u16_at(&self, off: usize) -> u16 {
         u16::from_le_bytes(self.buf[off..off + 2].try_into().unwrap())
     }
@@ -145,26 +150,37 @@ impl Page {
     /// Inserts tuple bytes into the lowest free slot, returning the slot.
     pub fn insert(&mut self, data: &[u8]) -> DbResult<u16> {
         if data.len() != self.tuple_size() {
-            return Err(DbError::corrupt(format!(
-                "tuple width {} does not match page tuple size {}",
-                data.len(),
-                self.tuple_size()
-            )));
+            return Err(DbError::corrupt("tuple width mismatch"));
         }
-        let start = self.u16_at(OFF_FREE_HINT) as usize;
+        self.insert_with(|_, slot| {
+            slot.copy_from_slice(data);
+            Ok(())
+        })?
+        .ok_or_else(|| DbError::Full("page".into()))
+    }
+
+    /// Claims the lowest free slot and lets `fill` write the row into it —
+    /// `fill` gets the slot's number and its `tuple_size` bytes, which may
+    /// hold a removed row's, so it writes all of them. The slot counts as
+    /// occupied only once `fill` returns `Ok`. `Ok(None)`: the page is full.
+    pub fn insert_with(
+        &mut self,
+        fill: impl FnOnce(u16, &mut [u8]) -> DbResult<()>,
+    ) -> DbResult<Option<u16>> {
         let count = self.slot_count();
-        let mut found = None;
-        for slot in start..count {
-            if !self.is_occupied(slot) {
-                found = Some(slot);
-                break;
-            }
-        }
-        let Some(slot) = found else {
-            return Err(DbError::Full("page".into()));
+        let hint = self.u16_at(OFF_FREE_HINT) as usize;
+        let Some(slot) = (hint..count).find(|&s| !self.is_occupied(s)) else {
+            return Ok(None);
         };
-        self.insert_at(slot as u16, data)?;
-        Ok(slot as u16)
+        let off = self.slot_offset(slot);
+        let size = self.tuple_size();
+        fill(slot as u16, &mut self.buf[off..off + size])?;
+        self.set_occupied(slot, true);
+        self.set_u16_at(OFF_USED, self.used() as u16 + 1);
+        // Nothing below `slot` was free: the hint moves to the next free one.
+        let next = (slot + 1..count).find(|&s| !self.is_occupied(s));
+        self.set_u16_at(OFF_FREE_HINT, next.unwrap_or(count) as u16);
+        Ok(Some(slot as u16))
     }
 
     /// Inserts into a specific slot (used by redo, which must be exact).

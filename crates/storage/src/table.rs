@@ -53,10 +53,10 @@ pub struct ZoneEntry {
     pub min_nonzero_del: Timestamp,
 }
 
-/// Little-endian timestamp word at `off` (the slice is always 8 bytes —
-/// offsets come from the page's own slot geometry).
+/// Little-endian timestamp word at `off` of stored rows (a row's insertion
+/// time is its first word, its deletion time the second).
 #[inline]
-fn ts_word(data: &[u8], off: usize) -> u64 {
+pub fn ts_word(data: &[u8], off: usize) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&data[off..off + 8]);
     u64::from_le_bytes(b)
@@ -195,10 +195,6 @@ impl SegmentedHeapFile {
         self.desc.byte_width()
     }
 
-    pub fn segment_pages(&self) -> u32 {
-        self.segment_pages
-    }
-
     /// Snapshot of all segment metadata.
     pub fn segments(&self) -> Vec<SegmentMeta> {
         self.dir.lock().segments().to_vec()
@@ -268,14 +264,14 @@ impl SegmentedHeapFile {
     /// annotations for this page's segment have advanced since the last
     /// persist. This ordering keeps the on-disk directory conservative with
     /// respect to on-disk data (see `directory` module docs).
-    pub fn write_page(&self, page_no: u32, page: &Page) -> DbResult<()> {
+    pub fn write_page(&self, page_no: u32, page: &mut Page) -> DbResult<()> {
         {
             let mut dir = self.dir.lock();
             if dir.is_stale(page_no) {
                 dir.persist(&self.file)?;
             }
         }
-        self.file.write_page(page_no, page.as_bytes())
+        self.file.write_page(page_no, page.as_bytes_mut())
     }
 
     /// Durability barrier for checkpoints.
@@ -286,6 +282,15 @@ impl SegmentedHeapFile {
     /// Persists the directory unconditionally (checkpoint end).
     pub fn persist_directory(&self) -> DbResult<()> {
         self.dir.lock().persist(&self.file)
+    }
+
+    /// What one hold of `page_no`'s write latch added to the page, said
+    /// before the latch drops — so a flush, which takes the same latch, never
+    /// writes rows the zone map and the directory have not heard of: the
+    /// page's summary goes, its segment widens ([`Directory::note_bounds`]).
+    pub fn note_appended(&self, page_no: u32, seen: (Timestamp, Timestamp, Timestamp)) {
+        self.invalidate_zone(page_no);
+        self.dir.lock().note_bounds(page_no, seen);
     }
 
     /// Records a committed insertion (commit-time timestamp assignment).
@@ -498,7 +503,7 @@ mod tests {
         let mut data = vec![0u8; t.tuple_size()];
         data[16] = 9;
         page.insert(&data).unwrap();
-        t.write_page(pid.page_no, &page).unwrap();
+        t.write_page(pid.page_no, &mut page).unwrap();
         let back = t.read_page(pid.page_no).unwrap();
         assert_eq!(back.used(), 1);
         // A page that was allocated but never flushed reads as empty.
@@ -550,8 +555,8 @@ mod tests {
         let t = make(&path);
         let pid = t.grow().unwrap();
         t.note_delete(pid.page_no, Timestamp(9));
-        let page = Page::init(t.tuple_size());
-        t.write_page(pid.page_no, &page).unwrap();
+        let mut page = Page::init(t.tuple_size());
+        t.write_page(pid.page_no, &mut page).unwrap();
         // Reopen reads the directory as persisted by write_page.
         drop(t);
         let t = SegmentedHeapFile::open(

@@ -1,6 +1,9 @@
 //! Concurrent stress test for the sharded buffer pool: readers, appenders,
 //! and a capacity small enough to force continuous clock evictions across
-//! every shard, all at once.
+//! every shard, all at once. Run twice: with the appenders going through the
+//! table's shared insert hint (the transactional path), and with each its
+//! own [`harbor_storage::BulkAppender`] cursor holding a page pinned (the
+//! apply path), placing rows in runs of one to seven.
 //!
 //! Invariants checked at quiesce:
 //! * no lost pages — every tuple ever acknowledged by an appender reads
@@ -39,7 +42,19 @@ fn tuple_bytes(id: i64) -> Vec<u8> {
 
 #[test]
 fn concurrent_readers_appenders_and_evictions() {
-    let dir = std::env::temp_dir().join(format!("harbor-pool-stress-{}", std::process::id()));
+    stress(false);
+}
+
+#[test]
+fn concurrent_readers_cursors_and_evictions() {
+    stress(true);
+}
+
+fn stress(cursors: bool) {
+    let dir = std::env::temp_dir().join(format!(
+        "harbor-pool-stress-{}-{cursors}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let metrics = Metrics::new();
@@ -79,12 +94,31 @@ fn concurrent_readers_appenders_and_evictions() {
             let pool = pool.clone();
             let acked = acked.clone();
             s.spawn(move || {
-                for k in 0..ROWS_PER_APPENDER {
-                    let id = (a * ROWS_PER_APPENDER + k) as i64;
-                    let rid = pool
-                        .insert_tuple_bytes(None, TableId(1), &tuple_bytes(id))
+                let ids = (a * ROWS_PER_APPENDER) as i64..((a + 1) * ROWS_PER_APPENDER) as i64;
+                if !cursors {
+                    for id in ids {
+                        let rid = pool
+                            .insert_tuple_bytes(None, TableId(1), &tuple_bytes(id))
+                            .expect("append under pressure");
+                        acked.lock().unwrap().push((rid, id));
+                    }
+                    return;
+                }
+                let mut cursor = pool.bulk_appender(TableId(1)).unwrap();
+                let mut next = ids.start;
+                while next < ids.end {
+                    let rows = (1 + next % 7).min(ids.end - next);
+                    let mut run = Vec::new();
+                    cursor
+                        .append(rows as usize, |rid, slot| {
+                            slot.copy_from_slice(&tuple_bytes(next));
+                            run.push((rid, next));
+                            next += 1;
+                            Ok(())
+                        })
                         .expect("append under pressure");
-                    acked.lock().unwrap().push((rid, id));
+                    // Readable once the latch is dropped, i.e. now.
+                    acked.lock().unwrap().append(&mut run);
                 }
             });
         }

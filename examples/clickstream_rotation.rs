@@ -40,6 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // ---- bulk load: one fresh segment per day, appended atomically.
         let seg = table.begin_bulk_segment()?;
         let day_ts = Timestamp(day);
+        let mut inserter = engine.recovered_inserter(def.id)?;
         for _ in 0..CLICKS_PER_DAY {
             let tup = Tuple::versioned(
                 day_ts,
@@ -50,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     Value::Int32((100 + next_id % 5_000) as i32),
                 ],
             );
-            engine.insert_recovered(def.id, &tup)?;
+            inserter.insert(&tup)?;
             next_id += 1;
         }
         engine.advance_applied_clock(day_ts);
