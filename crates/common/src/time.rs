@@ -13,8 +13,10 @@
 //!   filtered by `insertion_time <= T` visibility checks for free (§5.2).
 
 use crate::wire_struct;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 wire_struct! {
     /// A logical commit timestamp ("epoch").
@@ -80,9 +82,38 @@ pub fn visible_at(insertion: Timestamp, deletion: Timestamp, t: Timestamp) -> bo
 /// what the thesis' own 4-node implementation does. Each committing update
 /// transaction advances time by one, so "current time" and "latest commit
 /// time" coincide, matching the sample tables of Chapter 5.
+///
+/// A commit time is assigned *before* COMMIT reaches the workers, so for a
+/// while a transaction holds a time below `now` and is still uncommitted on
+/// some replica's pages. §5.3 assumes a historical query at T sees every
+/// transaction with commit time ≤ T; [`watermark`](Self::watermark) is the
+/// time for which that holds.
 #[derive(Debug)]
 pub struct TimestampAuthority {
     now: AtomicU64,
+    /// Commit times [`assign`](Self::assign)ed and not yet settled.
+    unsettled: Mutex<BTreeSet<u64>>,
+}
+
+/// A commit time whose transaction may not be committed at every
+/// participant yet. Dropping it settles the time, whichever way the commit
+/// protocol is left.
+#[derive(Debug)]
+pub struct Unsettled<'a> {
+    authority: &'a TimestampAuthority,
+    time: Timestamp,
+}
+
+impl Unsettled<'_> {
+    pub fn time(&self) -> Timestamp {
+        self.time
+    }
+}
+
+impl Drop for Unsettled<'_> {
+    fn drop(&mut self) {
+        self.authority.unsettled().remove(&self.time.0);
+    }
 }
 
 impl TimestampAuthority {
@@ -92,7 +123,16 @@ impl TimestampAuthority {
         assert!(start >= Timestamp(1), "time 0 is reserved");
         TimestampAuthority {
             now: AtomicU64::new(start.0),
+            unsettled: Mutex::new(BTreeSet::new()),
         }
+    }
+
+    /// Every update of the set is one insert or one remove, so a panic
+    /// elsewhere under the lock leaves it valid.
+    fn unsettled(&self) -> MutexGuard<'_, BTreeSet<u64>> {
+        self.unsettled
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The current logical time.
@@ -105,6 +145,31 @@ impl TimestampAuthority {
         let t = self.now.fetch_add(1, Ordering::SeqCst);
         assert!(t < Timestamp::MAX_VALID.0, "logical clock exhausted");
         Timestamp(t)
+    }
+
+    /// Mints a commit time and holds it unsettled until the returned guard
+    /// drops: the caller keeps the guard until its COMMIT round is in. The
+    /// time is minted under the set's lock, so the watermark never passes a
+    /// time that is about to enter the set.
+    pub fn assign(&self) -> Unsettled<'_> {
+        let mut unsettled = self.unsettled();
+        let time = self.next_commit_time();
+        unsettled.insert(time.0);
+        Unsettled {
+            authority: self,
+            time,
+        }
+    }
+
+    /// The smallest unsettled commit time, else `now`: every transaction
+    /// with a commit time below this is committed wherever it ran. What a
+    /// "now − 1" historical reader (recovery's high-water mark, scrub, the
+    /// latest-committed snapshot) must be handed instead of `now`.
+    pub fn watermark(&self) -> Timestamp {
+        let unsettled = self.unsettled();
+        unsettled
+            .first()
+            .map_or_else(|| self.now(), |t| Timestamp(*t))
     }
 
     /// Advances the clock to at least `t` (used when a backup coordinator
@@ -164,6 +229,22 @@ mod tests {
         let b = auth.next_commit_time();
         assert!(b > a);
         assert_eq!(auth.now(), b.next());
+    }
+
+    #[test]
+    fn the_watermark_waits_for_the_oldest_unsettled_time() {
+        let auth = TimestampAuthority::default();
+        assert_eq!(auth.watermark(), auth.now());
+        let a = auth.assign();
+        let b = auth.assign();
+        assert_eq!(auth.now(), b.time().next());
+        assert_eq!(auth.watermark(), a.time());
+        // Settled out of order: the older one still holds the mark.
+        let b_time = b.time();
+        drop(b);
+        assert_eq!(auth.watermark(), a.time());
+        drop(a);
+        assert_eq!(auth.watermark(), b_time.next());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! historically — all in a few lines (see `examples/quickstart.rs`).
 
 use crate::recovery::{
-    recover_object, recover_site, RecoveryConfig, RecoveryContext, RecoveryReport,
+    recover_object, recover_site, scrub_site, RecoveryConfig, RecoveryContext, RecoveryReport,
+    ScrubReport,
 };
 use harbor_common::{
     DbError, DbResult, FieldType, Metrics, SiteId, StorageConfig, Timestamp, Tuple, Value,
@@ -151,35 +152,6 @@ impl ClusterConfig {
         cfg.tables = vec![TableSpec::small("sales")];
         cfg
     }
-
-    /// The configuration of the worker at `site`: everything but its
-    /// address book is this cluster's, whether the site is built, restarted
-    /// or joins later.
-    fn worker_config(
-        &self,
-        site: SiteId,
-        addr: String,
-        peers: HashMap<SiteId, String>,
-        coordinator: Option<String>,
-    ) -> WorkerConfig {
-        WorkerConfig {
-            site,
-            addr,
-            protocol: self.protocol,
-            checkpoint_every: self.checkpoint_every,
-            peers,
-            coordinator,
-            auto_consensus: self.auto_consensus,
-            use_deletion_log: self.use_deletion_log,
-            crash_schedule: self.crash_schedule.clone(),
-        }
-    }
-}
-
-struct WorkerHandle {
-    worker: Arc<Worker>,
-    engine: Arc<Engine>,
-    metrics: Metrics,
 }
 
 /// A running cluster.
@@ -199,7 +171,9 @@ pub struct Cluster {
     /// mutations made through either handle are visible to both.
     placement: SharedPlacement,
     coordinator: Arc<Coordinator>,
-    workers: Mutex<HashMap<SiteId, WorkerHandle>>,
+    /// The running workers. A worker holds its engine, so the site's
+    /// volatile state goes when the last handle to it does.
+    workers: Mutex<HashMap<SiteId, Arc<Worker>>>,
     crashed: Mutex<HashSet<SiteId>>,
     /// Optional transaction router: when set, [`Cluster::run_txn`] submits
     /// through it instead of driving the coordinator directly. The chaos
@@ -214,6 +188,39 @@ pub type TxnRouter = Arc<dyn Fn(Vec<UpdateRequest>) -> DbResult<Timestamp> + Sen
 
 /// Site id of the coordinator.
 pub const COORDINATOR_SITE: SiteId = SiteId(0);
+
+/// What a worker site is called: its directory under the cluster's, its
+/// identity on the chaos layer and its in-process address.
+fn site_name(site: SiteId) -> String {
+    format!("site-{}", site.0)
+}
+
+/// `name`'s identity-carrying view of the transport: chaos-wrapped when
+/// fault injection is on, the base transport otherwise.
+fn transport_as(
+    chaos: &Option<Arc<ChaosTransport>>,
+    base: &Arc<dyn Transport>,
+    name: &str,
+) -> Arc<dyn Transport> {
+    match chaos {
+        Some(ct) => Arc::new(ct.for_site(name)),
+        None => base.clone(),
+    }
+}
+
+/// Binds the listener of a site that has no address yet: TCP port 0, so
+/// the address book can be written once the port is known, or the site's
+/// name in-process.
+fn bind(
+    kind: TransportKind,
+    transport: &dyn Transport,
+    name: &str,
+) -> DbResult<Box<dyn harbor_net::Listener>> {
+    match kind {
+        TransportKind::Tcp => transport.listen("127.0.0.1:0"),
+        TransportKind::InMem { .. } => transport.listen(name),
+    }
+}
 
 impl Cluster {
     /// Builds and starts the cluster under `dir`.
@@ -242,27 +249,16 @@ impl Cluster {
             ct.set_enabled(false);
             Arc::new(ct)
         });
-        let site_transport = |name: &str| -> Arc<dyn Transport> {
-            match &chaos {
-                Some(ct) => Arc::new(ct.for_site(name)),
-                None => base.clone(),
-            }
-        };
-        let coord_transport = site_transport("coordinator");
+        let coord_transport = transport_as(&chaos, &base, "coordinator");
         // Bind all listeners first so TCP port 0 resolves before the
         // address book is built.
-        let coord_listener = match cfg.transport {
-            TransportKind::Tcp => coord_transport.listen("127.0.0.1:0")?,
-            _ => coord_transport.listen("coordinator")?,
-        };
+        let coord_listener = bind(cfg.transport, coord_transport.as_ref(), "coordinator")?;
         let mut worker_listeners = Vec::new();
         for i in 1..=cfg.num_workers {
-            let wt = site_transport(&format!("site-{i}"));
-            let l = match cfg.transport {
-                TransportKind::Tcp => wt.listen("127.0.0.1:0")?,
-                _ => wt.listen(&format!("site-{i}"))?,
-            };
-            worker_listeners.push((SiteId(i as u16), l, wt));
+            let site = SiteId(i as u16);
+            let wt = transport_as(&chaos, &base, &site_name(site));
+            let l = bind(cfg.transport, wt.as_ref(), &site_name(site))?;
+            worker_listeners.push((site, l, wt));
         }
         let mut placement = Placement::new();
         placement.set_coordinator_addr(&coord_listener.local_addr());
@@ -273,10 +269,6 @@ impl Cluster {
         for spec in &cfg.tables {
             placement.add_replicated_table(&spec.name, &worker_sites);
         }
-        let peers: HashMap<SiteId, String> = worker_listeners
-            .iter()
-            .map(|(s, l, _)| (*s, l.local_addr()))
-            .collect();
         // Per-site disk-fault plans, disarmed until a test flips them on.
         let disk_plans: HashMap<SiteId, Arc<DiskFaultPlan>> = match &cfg.disk_faults {
             Some(base) => (1..=cfg.num_workers)
@@ -287,38 +279,6 @@ impl Cluster {
                 .collect(),
             None => HashMap::new(),
         };
-        // Workers.
-        let mut workers = HashMap::new();
-        for (site, listener, wt) in worker_listeners {
-            let wdir = dir.join(format!("site-{}", site.0));
-            let engine = Self::open_engine(&wdir, site, &cfg, disk_plans.get(&site).cloned())?;
-            for spec in &cfg.tables {
-                if engine.table_def(&spec.name).is_none() {
-                    engine.create_table(&spec.name, spec.user_fields.clone())?;
-                }
-            }
-            let metrics = engine.metrics().clone();
-            let addr = listener.local_addr();
-            let worker = Worker::start_with_listener(
-                engine.clone(),
-                wt,
-                cfg.worker_config(
-                    site,
-                    addr.clone(),
-                    peers.clone(),
-                    Some(coord_listener.local_addr()),
-                ),
-                listener,
-            )?;
-            workers.insert(
-                site,
-                WorkerHandle {
-                    worker,
-                    engine,
-                    metrics,
-                },
-            );
-        }
         // Coordinator. It shares the SAME catalog handle the cluster keeps,
         // so membership changes (join/decommission/re-replication) are never
         // stale on either side.
@@ -341,7 +301,7 @@ impl Cluster {
             Metrics::new(),
             coord_listener,
         )?;
-        Ok(Cluster {
+        let cluster = Cluster {
             cfg,
             dir,
             transport: base,
@@ -350,27 +310,14 @@ impl Cluster {
             net_metrics,
             placement,
             coordinator,
-            workers: Mutex::new(workers),
+            workers: Mutex::new(HashMap::new()),
             crashed: Mutex::new(HashSet::new()),
             txn_router: Mutex::new(None),
-        })
-    }
-
-    fn open_engine(
-        dir: &Path,
-        site: SiteId,
-        cfg: &ClusterConfig,
-        disk_faults: Option<Arc<DiskFaultPlan>>,
-    ) -> DbResult<Arc<Engine>> {
-        let opts = EngineOptions {
-            site,
-            storage: cfg.storage.clone(),
-            logging: cfg.protocol.workers_log(),
-            group_commit: cfg.group_commit,
-            policy: PagePolicy::steal_no_force(),
-            disk_faults,
         };
-        Engine::open(dir, opts)
+        for (site, listener, wt) in worker_listeners {
+            cluster.start_worker(site, listener, wt)?;
+        }
+        Ok(cluster)
     }
 
     pub fn coordinator(&self) -> &Arc<Coordinator> {
@@ -424,13 +371,9 @@ impl Cluster {
         self.cfg.crash_schedule.arm(site, point);
     }
 
-    /// `site`'s identity-carrying view of the transport: chaos-wrapped when
-    /// fault injection is on, the base transport otherwise.
-    fn transport_as(&self, name: &str) -> Arc<dyn Transport> {
-        match &self.chaos {
-            Some(ct) => Arc::new(ct.for_site(name)),
-            None => self.transport.clone(),
-        }
+    /// `site`'s own view of the transport (see [`transport_as`]).
+    fn transport_of(&self, site: SiteId) -> Arc<dyn Transport> {
+        transport_as(&self.chaos, &self.transport, &site_name(site))
     }
 
     /// Transport-level counters (messages/bytes for the whole cluster).
@@ -451,29 +394,18 @@ impl Cluster {
     /// The worker server handle of a live worker (consensus tests drive
     /// `resolve_by_consensus` through this).
     pub fn worker(&self, site: SiteId) -> DbResult<Arc<Worker>> {
-        self.workers
-            .lock()
-            .get(&site)
-            .map(|h| h.worker.clone())
-            .ok_or_else(|| DbError::SiteDown(format!("{site} is not running")))
+        let running = self.workers.lock().get(&site).cloned();
+        running.ok_or_else(|| DbError::SiteDown(format!("{site} is not running")))
     }
 
     /// The engine of a live worker.
     pub fn engine(&self, site: SiteId) -> DbResult<Arc<Engine>> {
-        self.workers
-            .lock()
-            .get(&site)
-            .map(|h| h.engine.clone())
-            .ok_or_else(|| DbError::SiteDown(format!("{site} is not running")))
+        Ok(self.worker(site)?.engine().clone())
     }
 
     /// Per-site metrics.
     pub fn worker_metrics(&self, site: SiteId) -> DbResult<Metrics> {
-        self.workers
-            .lock()
-            .get(&site)
-            .map(|h| h.metrics.clone())
-            .ok_or_else(|| DbError::SiteDown(format!("{site} is not running")))
+        Ok(self.worker(site)?.engine().metrics().clone())
     }
 
     // ------------------------------------------------------------------
@@ -521,10 +453,11 @@ impl Cluster {
         self.coordinator.read_historical(table, as_of, |_| {})
     }
 
-    /// Latest-committed snapshot: historical read as of `now - 1`.
+    /// Latest-committed snapshot: a historical read just below the oldest
+    /// commit time still on its way to the workers (`now - 1` when none is).
     pub fn read_latest(&self, table: &str) -> DbResult<Vec<Tuple>> {
-        let now = self.coordinator.authority().now();
-        self.read_historical(table, now.prev())
+        let settled = self.coordinator.authority().watermark();
+        self.read_historical(table, settled.prev())
     }
 
     // ------------------------------------------------------------------
@@ -534,17 +467,14 @@ impl Cluster {
     /// Fail-stop crash of one worker: all volatile state (buffer pool,
     /// locks, in-memory lists, unforced log tail) is dropped.
     pub fn crash_worker(&self, site: SiteId) -> DbResult<()> {
-        let handle = self
-            .workers
-            .lock()
-            .remove(&site)
-            .ok_or_else(|| DbError::SiteDown(format!("{site} is not running")))?;
+        let running = self.workers.lock().remove(&site);
+        let worker = running.ok_or_else(|| DbError::SiteDown(format!("{site} is not running")))?;
         // Hung up on between crash and join, no connection waits out a slice.
-        handle.worker.initiate_crash();
+        worker.initiate_crash();
         self.coordinator.mark_dead(site);
-        handle.worker.crash();
+        worker.crash();
         self.crashed.lock().insert(site);
-        drop(handle); // engine dropped: unflushed pages are gone
+        drop(worker); // engine dropped: unflushed pages are gone
         Ok(())
     }
 
@@ -561,7 +491,7 @@ impl Cluster {
             .workers
             .lock()
             .iter()
-            .filter(|(_, h)| h.worker.is_shutdown())
+            .filter(|(_, w)| w.is_shutdown())
             .map(|(s, _)| *s)
             .collect();
         for site in &dead {
@@ -570,60 +500,81 @@ impl Cluster {
         dead
     }
 
-    fn worker_addr(&self, site: SiteId) -> String {
-        self.placement
-            .address(site)
-            .expect("address book covers all workers")
+    /// Starts the worker at `site` — built, restarted or joining, it is the
+    /// same site: its engine opened under the cluster's directory, every
+    /// table of the cluster created on it unless it is there, and a server
+    /// on `listener` whose peers and coordinator are the catalog's.
+    fn start_worker(
+        &self,
+        site: SiteId,
+        listener: Box<dyn harbor_net::Listener>,
+        transport: Arc<dyn Transport>,
+    ) -> DbResult<()> {
+        let cfg = &self.cfg;
+        let opts = EngineOptions {
+            site,
+            storage: cfg.storage.clone(),
+            logging: cfg.protocol.workers_log(),
+            group_commit: cfg.group_commit,
+            policy: PagePolicy::steal_no_force(),
+            disk_faults: self.disk_plans.get(&site).cloned(),
+        };
+        let engine = Engine::open(self.dir.join(site_name(site)), opts)?;
+        for spec in &cfg.tables {
+            if engine.table_def(&spec.name).is_none() {
+                engine.create_table(&spec.name, spec.user_fields.clone())?;
+            }
+        }
+        let (peers, coordinator) = self.placement.read(|catalog| {
+            let members = catalog.member_sites().into_iter();
+            let peers = members.filter_map(|s| Some((s, catalog.address(s).ok()?.to_string())));
+            let coordinator = catalog.coordinator_addr().ok().map(str::to_string);
+            (peers.collect(), coordinator)
+        });
+        let worker_cfg = WorkerConfig {
+            site,
+            addr: listener.local_addr(),
+            protocol: cfg.protocol,
+            checkpoint_every: cfg.checkpoint_every,
+            peers,
+            coordinator,
+            auto_consensus: cfg.auto_consensus,
+            use_deletion_log: cfg.use_deletion_log,
+            crash_schedule: cfg.crash_schedule.clone(),
+        };
+        let worker = Worker::start_with_listener(engine, transport, worker_cfg, listener)?;
+        self.workers.lock().insert(site, worker);
+        Ok(())
     }
 
-    /// Restarts a crashed worker's engine and server without running any
-    /// recovery (building block for both recovery paths).
-    fn restart_worker(&self, site: SiteId) -> DbResult<Arc<Engine>> {
+    /// Restarts a crashed worker's engine and server, at the address it
+    /// had, without running any recovery (building block for both recovery
+    /// paths).
+    fn restart_worker(&self, site: SiteId) -> DbResult<()> {
         if !self.crashed.lock().contains(&site) {
             return Err(DbError::internal(format!("{site} is not crashed")));
         }
-        let wdir = self.dir.join(format!("site-{}", site.0));
-        let engine =
-            Self::open_engine(&wdir, site, &self.cfg, self.disk_plans.get(&site).cloned())?;
-        let addr = self.worker_addr(site);
-        let peers: HashMap<SiteId, String> = self
-            .worker_sites_all()
-            .into_iter()
-            .map(|s| (s, self.worker_addr(s)))
-            .collect();
-        let worker = Worker::start(
-            engine.clone(),
-            self.transport_as(&format!("site-{}", site.0)),
-            self.cfg.worker_config(
-                site,
-                addr.clone(),
-                peers,
-                self.placement.coordinator_addr().ok(),
-            ),
-        )?;
-        let metrics = engine.metrics().clone();
-        self.workers.insert_handle(
-            site,
-            WorkerHandle {
-                worker,
-                engine: engine.clone(),
-                metrics,
-            },
-        );
-        Ok(engine)
+        let transport = self.transport_of(site);
+        let listener = transport.listen(&self.placement.address(site)?)?;
+        self.start_worker(site, listener, transport)
     }
 
-    fn worker_sites_all(&self) -> Vec<SiteId> {
-        // All placed worker sites, running or not.
-        let mut v = Vec::new();
-        for name in self.placement.table_names() {
-            if let Ok(sites) = self.placement.sites_for(&name) {
-                v.extend(sites);
-            }
-        }
-        v.sort();
-        v.dedup();
-        v
+    /// What a copy on `site` needs to catch up by querying its buddies —
+    /// after a crash, to repair a page, as a new site or as a new replica:
+    /// the site's running engine, the catalog as it stands, and the sites
+    /// the harness knows to be down.
+    fn recovery_context(&self, site: SiteId, config: RecoveryConfig) -> DbResult<RecoveryContext> {
+        let mut down = self.crashed.lock().clone();
+        down.remove(&site);
+        Ok(RecoveryContext {
+            engine: self.engine(site)?,
+            site,
+            placement: self.placement.snapshot(),
+            transport: self.transport_of(site),
+            down,
+            rpc_deadline: self.cfg.rpc_deadline,
+            config,
+        })
     }
 
     /// Brings a crashed worker back online with HARBOR's three-phase
@@ -640,29 +591,19 @@ impl Cluster {
     pub fn recover_worker_harbor_with(
         &self,
         site: SiteId,
-        config: crate::recovery::RecoveryConfig,
+        config: RecoveryConfig,
     ) -> DbResult<RecoveryReport> {
-        let engine = self.restart_worker(site)?;
-        let down: HashSet<SiteId> = self.crashed.lock().clone();
-        let ctx = RecoveryContext {
-            engine,
-            site,
-            placement: self.placement.snapshot(),
-            transport: self.transport_as(&format!("site-{}", site.0)),
-            down: down.into_iter().filter(|s| *s != site).collect(),
-            rpc_deadline: self.cfg.rpc_deadline,
-            config,
-        };
-        let result = (|| {
+        self.restart_worker(site)?;
+        let result = self.recovery_context(site, config).and_then(|ctx| {
             // With a disk-fault plan armed, the pages that survived the
             // crash may be checksum-corrupt; Phase 1's local restore would
             // trip over them. Scrub first so recovery starts from a
             // verified disk image.
             if self.disk_plans.contains_key(&site) {
-                crate::recovery::scrub_site(&ctx)?;
+                scrub_site(&ctx)?;
             }
             recover_site(&ctx)
-        })();
+        });
         match result {
             Ok(report) => {
                 self.crashed.lock().remove(&site);
@@ -672,8 +613,8 @@ impl Cluster {
             Err(e) => {
                 // The recovering site "crashes" again: stop its server and
                 // drop its engine so only durable state survives.
-                if let Some(h) = self.workers.lock().remove(&site) {
-                    h.worker.crash();
+                if let Some(w) = self.workers.lock().remove(&site) {
+                    w.crash();
                 }
                 self.coordinator.mark_dead(site);
                 Err(e)
@@ -686,27 +627,16 @@ impl Cluster {
     /// [`crate::recovery::scrub_site`]). The site must be quiesced —
     /// the chaos harness scrubs after resolving pending transactions and
     /// before any crash-recovery attempt.
-    pub fn scrub_worker(&self, site: SiteId) -> DbResult<crate::recovery::ScrubReport> {
-        let engine = self.engine(site)?;
-        let down: HashSet<SiteId> = self.crashed.lock().clone();
-        let ctx = RecoveryContext {
-            engine,
-            site,
-            placement: self.placement.snapshot(),
-            transport: self.transport_as(&format!("site-{}", site.0)),
-            down: down.into_iter().filter(|s| *s != site).collect(),
-            rpc_deadline: self.cfg.rpc_deadline,
-            config: self.cfg.recovery.clone(),
-        };
-        crate::recovery::scrub_site(&ctx)
+    pub fn scrub_worker(&self, site: SiteId) -> DbResult<ScrubReport> {
+        scrub_site(&self.recovery_context(site, self.cfg.recovery.clone())?)
     }
 
     /// Brings a crashed worker back online with the ARIES baseline: local
     /// log replay only (the thesis recovery experiments quiesce update
     /// traffic, so no distributed catch-up is involved).
     pub fn recover_worker_aries(&self, site: SiteId) -> DbResult<AriesReport> {
-        let engine = self.restart_worker(site)?;
-        let report = engine.aries_restart()?;
+        self.restart_worker(site)?;
+        let report = self.engine(site)?.aries_restart()?;
         self.crashed.lock().remove(&site);
         self.coordinator.mark_alive(site);
         Ok(report)
@@ -731,95 +661,32 @@ impl Cluster {
                 "{site} already exists; use recover_worker_harbor for crashed sites"
             )));
         }
-        let name = format!("site-{}", site.0);
-        let wt = self.transport_as(&name);
-        let listener = match self.cfg.transport {
-            TransportKind::Tcp => wt.listen("127.0.0.1:0")?,
-            _ => wt.listen(&name)?,
-        };
+        let wt = self.transport_of(site);
+        let listener = bind(self.cfg.transport, wt.as_ref(), &site_name(site))?;
+        let addr = listener.local_addr();
         // Catalog first: `admit_site` registers the address, allocates a
         // joining full copy of every table, and marks the site dead so no
         // update routes to it before the per-object announcements. From
         // here on, any failure must evict to restore the old catalog.
-        self.coordinator.admit_site(site, &listener.local_addr())?;
-        match self.bootstrap_joined_site(site, &name, wt, listener) {
-            Ok(report) => Ok(report),
-            Err(e) => {
-                if let Some(h) = self.workers.lock().remove(&site) {
-                    h.worker.crash();
-                }
-                let _ = self.coordinator.evict_site(site);
-                for h in self.workers.lock().values() {
-                    h.worker.remove_peer(site);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// The fallible tail of [`join_worker`](Self::join_worker): open the
-    /// engine, start the worker server, and run the three-phase bootstrap.
-    fn bootstrap_joined_site(
-        &self,
-        site: SiteId,
-        name: &str,
-        wt: Arc<dyn Transport>,
-        listener: Box<dyn harbor_net::Listener>,
-    ) -> DbResult<RecoveryReport> {
-        let wdir = self.dir.join(name);
-        let engine =
-            Self::open_engine(&wdir, site, &self.cfg, self.disk_plans.get(&site).cloned())?;
-        for spec in &self.cfg.tables {
-            if engine.table_def(&spec.name).is_none() {
-                engine.create_table(&spec.name, spec.user_fields.clone())?;
-            }
-        }
-        let addr = listener.local_addr();
-        let peers: HashMap<SiteId, String> = self
-            .placement
-            .member_sites()
-            .into_iter()
-            .filter_map(|s| self.placement.address(s).ok().map(|a| (s, a)))
-            .collect();
-        let worker = Worker::start_with_listener(
-            engine.clone(),
-            wt,
-            self.cfg.worker_config(
-                site,
-                addr.clone(),
-                peers,
-                self.placement.coordinator_addr().ok(),
-            ),
-            listener,
-        )?;
-        let metrics = engine.metrics().clone();
-        {
-            let mut g = self.workers.lock();
-            for h in g.values() {
-                h.worker.add_peer(site, &addr);
-            }
-            g.insert(
-                site,
-                WorkerHandle {
-                    worker,
-                    engine: engine.clone(),
-                    metrics,
-                },
-            );
-        }
-        let down: HashSet<SiteId> = self.crashed.lock().clone();
-        let ctx = RecoveryContext {
-            engine,
-            site,
-            placement: self.placement.snapshot(),
-            transport: self.transport_as(name),
-            down,
-            rpc_deadline: self.cfg.rpc_deadline,
-            config: self.cfg.recovery.clone(),
-        };
+        self.coordinator.admit_site(site, &addr)?;
         // A fresh engine's checkpoint is zero, so Phase 2 copies each
         // object's entire history — recovery *is* replica creation.
-        recover_site(&ctx)
+        let joined = self.start_worker(site, listener, wt).and_then(|()| {
+            for w in self.workers.lock().values() {
+                w.add_peer(site, &addr);
+            }
+            recover_site(&self.recovery_context(site, self.cfg.recovery.clone())?)
+        });
+        if joined.is_err() {
+            if let Some(w) = self.workers.lock().remove(&site) {
+                w.crash();
+            }
+            let _ = self.coordinator.evict_site(site);
+            for w in self.workers.lock().values() {
+                w.remove_peer(site);
+            }
+        }
+        joined
     }
 
     /// Gracefully removes a site: drains its role in in-flight commit
@@ -834,13 +701,13 @@ impl Cluster {
             affected
         } else {
             let affected = self.coordinator.decommission_site(site)?;
-            if let Some(h) = self.workers.lock().remove(&site) {
-                h.worker.stop();
+            if let Some(w) = self.workers.lock().remove(&site) {
+                w.stop();
             }
             affected
         };
-        for h in self.workers.lock().values() {
-            h.worker.remove_peer(site);
+        for w in self.workers.lock().values() {
+            w.remove_peer(site);
         }
         Ok(affected)
     }
@@ -852,41 +719,24 @@ impl Cluster {
     /// is the supervisor's repair primitive for objects below their K
     /// floor. On error the joining copy is withdrawn from the catalog.
     pub fn replicate_table_to(&self, table: &str, target: SiteId) -> DbResult<()> {
+        // The target is up, and the table is there: a worker is started
+        // with every table of the cluster created on it, whichever of them
+        // it holds a copy of.
         let engine = self.engine(target)?;
         self.coordinator.begin_bootstrap(target, table)?;
-        let result = (|| {
-            if engine.table_def(table).is_none() {
-                let spec = self
-                    .cfg
-                    .tables
-                    .iter()
-                    .find(|s| s.name == table)
-                    .ok_or_else(|| DbError::Schema(format!("no spec for table {table:?}")))?;
-                engine.create_table(table, spec.user_fields.clone())?;
-            }
-            let down: HashSet<SiteId> = self.crashed.lock().clone();
-            let ctx = RecoveryContext {
-                engine: engine.clone(),
-                site: target,
-                placement: self.placement.snapshot(),
-                transport: self.transport_as(&format!("site-{}", target.0)),
-                down,
-                rpc_deadline: self.cfg.rpc_deadline,
-                config: self.cfg.recovery.clone(),
-            };
-            // Periodic checkpoints stay off for the bootstrap (§5.2); the
-            // per-object checkpoint recorded by recovery carries the new
-            // copy until the next global checkpoint subsumes it.
-            engine.checkpointer().set_suspended(true);
-            let r = recover_object(&ctx, table);
-            engine.checkpointer().set_suspended(false);
-            r.map(|_| ())
-        })();
-        if let Err(e) = result {
+        // The context is taken with the joining copy in the catalog. Periodic
+        // checkpoints stay off for the bootstrap (§5.2); the per-object
+        // checkpoint recorded by recovery carries the new copy until the
+        // next global checkpoint subsumes it.
+        engine.checkpointer().set_suspended(true);
+        let copied = self
+            .recovery_context(target, self.cfg.recovery.clone())
+            .and_then(|ctx| recover_object(&ctx, table));
+        engine.checkpointer().set_suspended(false);
+        if copied.is_err() {
             self.coordinator.abandon_bootstrap(target, table);
-            return Err(e);
         }
-        Ok(())
+        copied.map(|_| ())
     }
 
     /// Stops everything (graceful end of an experiment). Every site is told
@@ -894,29 +744,15 @@ impl Cluster {
     /// coordinator going first, hangs up the sessions the workers' threads
     /// are reading, so nothing here waits out a poll slice.
     pub fn shutdown(&self) {
-        let workers: Vec<WorkerHandle> = {
-            let mut g = self.workers.lock();
-            g.drain().map(|(_, h)| h).collect()
-        };
+        let workers: Vec<Arc<Worker>> = self.workers.lock().drain().map(|(_, w)| w).collect();
         self.coordinator.initiate_crash();
-        for h in &workers {
-            h.worker.initiate_crash();
+        for w in &workers {
+            w.initiate_crash();
         }
         self.coordinator.crash();
-        for h in &workers {
-            h.worker.stop();
+        for w in &workers {
+            w.stop();
         }
-    }
-}
-
-/// Small extension so `restart_worker` can insert without a borrow dance.
-trait InsertHandle {
-    fn insert_handle(&self, site: SiteId, handle: WorkerHandle);
-}
-
-impl InsertHandle for Mutex<HashMap<SiteId, WorkerHandle>> {
-    fn insert_handle(&self, site: SiteId, handle: WorkerHandle) {
-        self.lock().insert(site, handle);
     }
 }
 

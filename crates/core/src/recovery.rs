@@ -193,8 +193,10 @@ impl RecoveryContext {
         self.transport.connect(self.placement.coordinator_addr()?)
     }
 
-    /// Asks the timestamp authority for the current time. Idempotent, so a
-    /// transient timeout or dropped connection gets bounded retries.
+    /// Asks the timestamp authority for the time: the oldest commit time it
+    /// has assigned whose COMMIT round is still out, else the current time.
+    /// Idempotent, so a transient timeout or dropped connection gets
+    /// bounded retries.
     fn cluster_now(&self) -> DbResult<Timestamp> {
         let reply = with_read_retries(None, DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF, || {
             let mut chan = self.connect_coordinator()?;
@@ -205,6 +207,25 @@ impl RecoveryContext {
             other => Err(other.into_error("GetTime")),
         }
     }
+
+    /// The objects this site holds: the tables the catalog places here that
+    /// the engine has.
+    fn local_objects(&self) -> Vec<String> {
+        let placed = self.placement.objects_on(self.site);
+        let names = placed.into_iter().map(|(name, _)| name);
+        names
+            .filter(|name| self.engine.table_def(name).is_some())
+            .collect()
+    }
+}
+
+/// The one place a high-water mark is read (§5.3's `HWM = now - 1`, and the
+/// time scrub reads a buddy at): just below the coordinator's commit
+/// watermark, so every transaction with a commit time at or below it is
+/// committed on every live replica's pages and a historical query as of it
+/// misses none of them.
+fn stable_hwm(ctx: &RecoveryContext) -> DbResult<Timestamp> {
+    Ok(ctx.cluster_now()?.prev())
 }
 
 /// Recovers every object on the site; returns the per-object breakdown.
@@ -215,13 +236,7 @@ pub fn recover_site(ctx: &RecoveryContext) -> DbResult<RecoveryReport> {
     let start = Instant::now();
     // §5.2: periodically scheduled checkpoints are disabled during recovery.
     ctx.engine.checkpointer().set_suspended(true);
-    let tables: Vec<String> = ctx
-        .placement
-        .objects_on(ctx.site)
-        .into_iter()
-        .map(|(name, _)| name)
-        .filter(|name| ctx.engine.table_def(name).is_some())
-        .collect();
+    let tables = ctx.local_objects();
     let mut objects = Vec::new();
     if ctx.config.parallel_objects && tables.len() > 1 {
         // Each object proceeds through its three phases at its own pace
@@ -299,7 +314,7 @@ pub fn recover_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<Objec
     let mut hwm;
     loop {
         report.phase2_rounds += 1;
-        hwm = ctx.cluster_now()?.prev();
+        hwm = stable_hwm(ctx)?;
         let t0 = Instant::now();
         let deletions = phase2_deletions(ctx, def.id, &plan, ckpt, hwm, &mut report)?;
         report.phase2_deletes += t0.elapsed();
@@ -372,15 +387,6 @@ fn phase1(ctx: &RecoveryContext, table: TableId, t_ckpt: Timestamp) -> DbResult<
 // Phase 2 (§5.3): one walker over `(lo, hi]` ranges serves both halves.
 // ====================================================================
 
-/// The sites that can answer `obj`'s recovery queries, in catalog order:
-/// the plan's buddy, then every other live full copy (§4.3 K-safety
-/// catalog).
-fn buddies(obj: &RecoveryObject) -> Vec<SiteId> {
-    let mut all = vec![obj.buddy];
-    all.extend(obj.alternates.iter().copied());
-    all
-}
-
 /// A buddy that died, stalled past the liveness deadline, or answered from
 /// a corrupt page of its own loses the request to the next replica (§5.5).
 /// Corruption is site-local and repairable, so neither fails the recovery.
@@ -411,24 +417,103 @@ fn first_live<T>(
     Err(last_err)
 }
 
-/// The remote half of a recovery query against `obj`, before its bounds.
-fn recovery_scan(obj: &RecoveryObject, mode: WireReadMode) -> RemoteScan {
-    let mut scan = RemoteScan::new(&obj.table, mode);
-    scan.predicate = obj.predicate.clone();
-    scan
+// --------------------------------------------------------------------
+// §5.3's two remote queries and what is done with their rows. Phase 2 asks
+// them historically, range by range; Phase 3 under its table locks, from the
+// HWM on; scrub asks the second for the window of a corrupt page.
+// --------------------------------------------------------------------
+
+/// The deletions a copy is missing, as `mode` reads `obj`:
+///   SELECT REMOTELY tuple_id, deletion_time FROM recovery_object
+///     SEE DELETED WHERE recovery_predicate
+///       AND insertion_time <= ins_at_or_before AND deletion_time > del_after
+fn deletions_query(
+    obj: &RecoveryObject,
+    mode: WireReadMode,
+    ins_at_or_before: Timestamp,
+    del_after: Timestamp,
+) -> RemoteScan {
+    RemoteScan {
+        predicate: obj.predicate.clone(),
+        ins_at_or_before: Some(ins_at_or_before),
+        del_after: Some(del_after),
+        ids_and_deletions_only: true,
+        ..RemoteScan::new(&obj.table, mode)
+    }
 }
 
-/// Collects one reply of a deletion query: `rows` `(tuple_id,
-/// deletion_time)` pairs.
-fn note_deletion_pairs(
-    pairs: &mut HashMap<i64, Timestamp>,
-    rows: usize,
-    wire: &mut Decoder<'_>,
-) -> DbResult<()> {
-    for t in Tuple::decode_n(wire, rows)? {
-        pairs.insert(t.get(0).as_i64()?, t.get(1).as_time()?);
+/// The tuples a copy is missing, as `mode` reads `obj`:
+///   SELECT REMOTELY * FROM recovery_object SEE DELETED
+///     WHERE recovery_predicate AND insertion_time > ins_after
+///       AND insertion_time != uncommitted
+///       [AND insertion_time <= ins_at_or_before]
+/// (the buddy's residual check on `ins_after` is what excludes the
+/// uncommitted).
+fn inserts_query(
+    obj: &RecoveryObject,
+    mode: WireReadMode,
+    ins_after: Timestamp,
+    ins_at_or_before: Option<Timestamp>,
+) -> RemoteScan {
+    RemoteScan {
+        predicate: obj.predicate.clone(),
+        ins_after: Some(ins_after),
+        ins_at_or_before,
+        ..RemoteScan::new(&obj.table, mode)
     }
-    Ok(())
+}
+
+/// Runs a [`deletions_query`] on `chan`; returns its `(tuple_id,
+/// deletion_time)` pairs — one a row, since the versions of a tuple do not
+/// overlap in time and the query asks for the one alive at its insertion
+/// bound. The pairs are the same at every replica, so a query cut short by
+/// its buddy's death has nothing to undo: whoever serves it next ships a
+/// superset of the same pairs.
+fn fetch_deletions(
+    ctx: &RecoveryContext,
+    chan: &mut dyn Channel,
+    scan: &RemoteScan,
+) -> DbResult<HashMap<i64, Timestamp>> {
+    let mut pairs = HashMap::new();
+    scan_rpc_streaming_deadline(chan, scan, ctx.rpc_deadline, |rows, wire| {
+        for t in Tuple::decode_n(wire, rows)? {
+            pairs.insert(t.get(0).as_i64()?, t.get(1).as_time()?);
+        }
+        Ok(())
+    })?;
+    Ok(pairs)
+}
+
+/// Runs an [`inserts_query`] on `chan`, reply by reply into an inserter of
+/// its own (a private page, so concurrent fetchers share no latch), every
+/// row going from the receive buffer to its page slot. Inserts are not
+/// idempotent, so it remembers where the rows went — the `RecordId`, 12
+/// bytes, not the row — and when the buddy is lost mid-stream drops what
+/// the query copied with Phase 1's own `remove_physical` (§5.5.2) before
+/// another replica is asked. Returns the rows copied.
+fn fetch_inserts(
+    ctx: &RecoveryContext,
+    table: TableId,
+    chan: &mut dyn Channel,
+    scan: &RemoteScan,
+) -> DbResult<u64> {
+    let engine = &ctx.engine;
+    let mut inserter = engine.recovered_inserter(table)?;
+    let mut placed: Vec<RecordId> = Vec::new();
+    let streamed = scan_rpc_streaming_deadline(chan, scan, ctx.rpc_deadline, |rows, wire| {
+        inserter.insert_wire(rows, wire, |rid| placed.push(rid))
+    });
+    match streamed {
+        Ok(()) => Ok(placed.len() as u64),
+        Err(e) => {
+            if buddy_lost(&e) {
+                for rid in placed {
+                    engine.remove_physical(rid)?;
+                }
+            }
+            Err(e)
+        }
+    }
 }
 
 /// Cuts `(lo, hi]` into at most `shares` ranges of as equal a buddy-side
@@ -493,7 +578,7 @@ fn walk_ranges(
     report: &mut ObjectReport,
     fetch: impl Fn(&mut dyn Channel, Timestamp, Timestamp) -> DbResult<u64> + Sync,
 ) -> DbResult<u64> {
-    let buddies = buddies(obj);
+    let buddies = &obj.buddies;
     let bounds = first_live(buddies.iter().copied(), no_live_buddy(obj), |buddy| {
         let mut chan = ctx.connect(buddy)?;
         segment_bounds_rpc(chan.as_mut(), &obj.table, ctx.rpc_deadline)
@@ -521,7 +606,7 @@ fn walk_ranges(
         let attempt = &attempt;
         let rest: Vec<_> = ranges
             .iter()
-            .zip(&buddies)
+            .zip(buddies)
             .skip(1)
             .map(|(range, buddy)| scope.spawn(move || attempt(*buddy, *range)))
             .collect();
@@ -532,15 +617,12 @@ fn walk_ranges(
         }));
         dealt
     });
-    let mut fetched = 0u64;
+    let mut timings: Vec<RangeTiming> = Vec::new();
     let mut lost: HashSet<SiteId> = HashSet::new();
     let mut orphans: Vec<(usize, DbError)> = Vec::new();
     for (i, outcome) in dealt.into_iter().enumerate() {
         match outcome {
-            Ok(timing) => {
-                fetched += timing.tuples;
-                report.range_timings.push(timing);
-            }
+            Ok(timing) => timings.push(timing),
             Err(e) if buddy_lost(&e) => {
                 lost.insert(buddies[i]);
                 orphans.push((i, e));
@@ -553,7 +635,7 @@ fn walk_ranges(
             .map(|k| buddies[(i + k) % buddies.len()])
             .filter(|b| !lost.contains(b))
             .collect();
-        let timing = first_live(next, why, |buddy| {
+        timings.push(first_live(next, why, |buddy| {
             report.ranges_reassigned += 1;
             metrics.add_recovery_ranges_reassigned(1);
             attempt(buddy, ranges[i]).inspect_err(|e| {
@@ -561,10 +643,10 @@ fn walk_ranges(
                     lost.insert(buddy);
                 }
             })
-        })?;
-        fetched += timing.tuples;
-        report.range_timings.push(timing);
+        })?);
     }
+    let fetched = timings.iter().map(|t| t.tuples).sum();
+    report.range_timings.extend(timings);
     Ok(fetched)
 }
 
@@ -579,9 +661,7 @@ fn walk_ranges(
 ///       AND deletion_time > lo
 /// Historical visibility hides deletions after `hi`, so the ranges ship
 /// disjoint `del ∈ (lo, hi]` slices and keep the buddy's deletion-log fast
-/// path (an insertion-time bound would defeat it). The pairs are the same
-/// at every replica, so a range cut short by its buddy's death has nothing
-/// to undo: whoever serves it next ships a superset of the same pairs.
+/// path (an insertion-time bound would defeat it).
 fn phase2_deletions(
     ctx: &RecoveryContext,
     table: TableId,
@@ -599,15 +679,10 @@ fn phase2_deletions(
             |(_, _, tmax_delete, _)| *tmax_delete,
             report,
             |chan, lo, hi| {
-                let mut scan = recovery_scan(obj, WireReadMode::SeeDeletedHistorical(hi));
-                scan.ins_at_or_before = Some(ckpt);
-                scan.del_after = Some(lo);
-                scan.ids_and_deletions_only = true;
-                let mut shipped = 0u64;
-                scan_rpc_streaming_deadline(chan, &scan, ctx.rpc_deadline, |rows, wire| {
-                    shipped += rows as u64;
-                    note_deletion_pairs(&mut pairs.lock(), rows, wire)
-                })?;
+                let scan = deletions_query(obj, WireReadMode::SeeDeletedHistorical(hi), ckpt, lo);
+                let range = fetch_deletions(ctx, chan, &scan)?;
+                let shipped = range.len() as u64;
+                pairs.lock().extend(range);
                 Ok(shipped)
             },
         )?;
@@ -660,13 +735,6 @@ fn apply_deletion_pairs(
 ///     SEE DELETED HISTORICAL WITH TIME hwm
 ///     WHERE recovery_predicate AND insertion_time > lo
 ///       AND insertion_time <= hi)
-/// Each range streams batch by batch into an inserter of its own (a
-/// private page, so concurrent fetchers share no latch), every row going
-/// from the receive buffer to its page slot. Inserts are not
-/// idempotent, so the fetcher remembers where a range's rows went — the
-/// `RecordId`, 12 bytes, not the row — and when the buddy is lost
-/// mid-range drops what that query copied with Phase 1's own
-/// `remove_physical` (§5.5.2) before another replica is asked.
 fn phase2_inserts(
     ctx: &RecoveryContext,
     table: TableId,
@@ -675,7 +743,6 @@ fn phase2_inserts(
     hwm: Timestamp,
     report: &mut ObjectReport,
 ) -> DbResult<u64> {
-    let engine = &ctx.engine;
     let mut copied = 0u64;
     for obj in plan {
         copied += walk_ranges(
@@ -685,28 +752,11 @@ fn phase2_inserts(
             |(_, tmax_insert, _, _)| *tmax_insert,
             report,
             |chan, lo, hi| {
-                let mut scan = recovery_scan(obj, WireReadMode::SeeDeletedHistorical(hwm));
-                scan.ins_after = Some(lo);
-                scan.ins_at_or_before = Some(hi);
-                let mut inserter = engine.recovered_inserter(table)?;
-                let mut placed: Vec<RecordId> = Vec::new();
-                let streamed =
-                    scan_rpc_streaming_deadline(chan, &scan, ctx.rpc_deadline, |rows, wire| {
-                        inserter.insert_wire(rows, wire, |rid| placed.push(rid))?;
-                        engine.metrics().add_recovery_tuples_applied(rows as u64);
-                        Ok(())
-                    });
-                match streamed {
-                    Ok(()) => Ok(placed.len() as u64),
-                    Err(e) => {
-                        if buddy_lost(&e) {
-                            for rid in placed {
-                                engine.remove_physical(rid)?;
-                            }
-                        }
-                        Err(e)
-                    }
-                }
+                let mode = WireReadMode::SeeDeletedHistorical(hwm);
+                let scan = inserts_query(obj, mode, lo, Some(hi));
+                let copied = fetch_inserts(ctx, table, chan, &scan)?;
+                ctx.engine.metrics().add_recovery_tuples_applied(copied);
+                Ok(copied)
             },
         )?;
     }
@@ -739,7 +789,7 @@ fn phase3(
         // a freshly crashed buddy may still accept a connection for one
         // scheduler slice and then sever it, and that disconnect means
         // "buddy dead", not "recovery failed".
-        let chan = first_live(buddies(obj), no_live_buddy(obj), |buddy| {
+        let chan = first_live(obj.buddies.iter().copied(), no_live_buddy(obj), |buddy| {
             let mut chan = ctx.connect(buddy)?;
             // Deadlock timeouts at the buddy retry under a seeded, capped
             // schedule (§5.4.1) sized to the lock-retry budget; the jitter
@@ -770,33 +820,20 @@ fn phase3(
         })?;
         lock_chans.push(chan);
     }
-    // 2) Missing deletions after the HWM:
-    //    SELECT REMOTELY tuple_id, deletion_time ... SEE DELETED
-    //      WHERE pred AND insertion_time <= hwm AND deletion_time > hwm
+    // 2) Missing deletions after the HWM: of tuples inserted at or before
+    //    it, deleted after it.
+    let locked = WireReadMode::SeeDeletedLocked(lock_tid);
     let mut pairs: HashMap<i64, Timestamp> = HashMap::new();
     for (obj, chan) in plan.iter().zip(&mut lock_chans) {
-        let mut scan = recovery_scan(obj, WireReadMode::SeeDeletedLocked(lock_tid));
-        scan.ins_at_or_before = Some(hwm);
-        scan.del_after = Some(hwm);
-        scan.ids_and_deletions_only = true;
-        scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.rpc_deadline, |rows, wire| {
-            note_deletion_pairs(&mut pairs, rows, wire)
-        })?;
+        let scan = deletions_query(obj, locked, hwm, hwm);
+        pairs.extend(fetch_deletions(ctx, chan.as_mut(), &scan)?);
     }
     report.deletions_copied += apply_deletion_pairs(ctx, table, &pairs)?;
-    // 3) Missing insertions after the HWM:
-    //    INSERT LOCALLY INTO rec (SELECT REMOTELY * ... SEE DELETED
-    //      WHERE pred AND insertion_time > hwm
-    //        AND insertion_time != uncommitted)
-    let mut inserter = engine.recovered_inserter(table)?;
+    // 3) Missing insertions after the HWM, with no upper bound: what is
+    //    committed at the buddy under the lock is everything.
     for (obj, chan) in plan.iter().zip(&mut lock_chans) {
-        let mut scan = recovery_scan(obj, WireReadMode::SeeDeletedLocked(lock_tid));
-        scan.ins_after = Some(hwm); // uncommitted excluded by the residual
-        scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.rpc_deadline, |rows, wire| {
-            inserter.insert_wire(rows, wire, |_| {})?;
-            report.tuples_copied += rows as u64;
-            Ok(())
-        })?;
+        let scan = inserts_query(obj, locked, hwm, None);
+        report.tuples_copied += fetch_inserts(ctx, table, chan.as_mut(), &scan)?;
     }
     if ctx.config.fail_point == RecoveryFailPoint::WhileHoldingLocks {
         // Simulated death of the recovering site: drop the lock channels
@@ -809,7 +846,7 @@ fn phase3(
     }
     // rec now holds all committed data; checkpoint at current time - 1
     // ("the current time has not expired", §5.4.1).
-    let consistent_up_to = ctx.cluster_now()?.prev();
+    let consistent_up_to = stable_hwm(ctx)?;
     engine.pool().flush_all()?;
     // 4) Join pending transactions (Fig 5-4): announce to the coordinator
     //    and wait for "all done".
@@ -893,14 +930,7 @@ impl ScrubReport {
 pub fn scrub_site(ctx: &RecoveryContext) -> DbResult<ScrubReport> {
     let start = Instant::now();
     let mut report = ScrubReport::default();
-    let tables: Vec<String> = ctx
-        .placement
-        .objects_on(ctx.site)
-        .into_iter()
-        .map(|(name, _)| name)
-        .filter(|name| ctx.engine.table_def(name).is_some())
-        .collect();
-    for name in &tables {
+    for name in &ctx.local_objects() {
         let object = scrub_object(ctx, name)?;
         report.absorb(object);
     }
@@ -1025,14 +1055,14 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
     let prefetched: Vec<((Timestamp, Timestamp), Vec<ShippedRow>)> = if unmappable {
         Vec::new()
     } else {
-        let hwm = ctx.cluster_now()?.prev();
+        let hwm = stable_hwm(ctx)?;
         let plan = ctx
             .placement
             .recovery_plan(ctx.site, table_name, &ctx.down)?;
         merge_windows(windows)
             .into_iter()
             .map(|(lo, hi)| {
-                let fetched = fetch_window(ctx, &heap, &plan, lo, hi, hwm, &mut report)?;
+                let fetched = buffer_window(ctx, &heap, &plan, (lo, hi), hwm, &mut report)?;
                 Ok(((lo, hi), fetched))
             })
             .collect::<DbResult<_>>()?
@@ -1145,26 +1175,23 @@ fn version_key(mut stored: Vec<u8>) -> Vec<u8> {
 
 /// Fetches the buddies' full historical slice of one insertion-time
 /// window `(lo, hi]` — every version a corrupt page in that window could
-/// have held — failing over across the buddies like Phase 2 does. Unlike
-/// Phase 2 it buffers (the rows' wire bytes, no tuples): local state stays
-/// untouched until the whole slice is in hand, so a failure here aborts the
-/// scrub losslessly.
-fn fetch_window(
+/// have held — with Phase 2's [`inserts_query`], failing over across the
+/// buddies like Phase 2 does. Unlike Phase 2 it buffers (the rows' wire
+/// bytes, no tuples): local state stays untouched until the whole slice is
+/// in hand, so a failure here aborts the scrub losslessly.
+fn buffer_window(
     ctx: &RecoveryContext,
     heap: &Arc<harbor_storage::SegmentedHeapFile>,
     plan: &[RecoveryObject],
-    lo: Timestamp,
-    hi: Timestamp,
+    (lo, hi): (Timestamp, Timestamp),
     hwm: Timestamp,
     report: &mut ScrubReport,
 ) -> DbResult<Vec<ShippedRow>> {
     let engine = &ctx.engine;
     let mut out: Vec<ShippedRow> = Vec::new();
     for obj in plan {
-        let mut scan = recovery_scan(obj, WireReadMode::SeeDeletedHistorical(hwm));
-        scan.ins_after = Some(lo);
-        scan.ins_at_or_before = Some(hi);
-        let mut buf = first_live(buddies(obj), no_live_buddy(obj), |buddy| {
+        let scan = inserts_query(obj, WireReadMode::SeeDeletedHistorical(hwm), lo, Some(hi));
+        let mut buf = first_live(obj.buddies.iter().copied(), no_live_buddy(obj), |buddy| {
             let mut chan = ctx.connect(buddy)?;
             let mut buf = Vec::new();
             scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.rpc_deadline, |rows, wire| {

@@ -15,7 +15,8 @@ use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use harbor_common::codec::Wire;
 use harbor_common::time::TimestampAuthority;
 use harbor_common::{
-    DbError, DbResult, DiskProfile, Metrics, RetryPolicy, SiteId, Timestamp, TransactionId, Tuple,
+    retry_with, DbError, DbResult, DiskProfile, Metrics, RetryPolicy, SiteId, Timestamp,
+    TransactionId, Tuple,
 };
 use harbor_net::{recv_or_stop, serve_connections, Channel, Transport};
 use harbor_wal::record::{LogPayload, LogRecord, TxnOutcome};
@@ -187,19 +188,20 @@ pub struct Coordinator {
     metrics: Metrics,
     txns: Mutex<HashMap<TransactionId, Arc<TxnCtx>>>,
     seq: AtomicU64,
-    /// Sites believed down; updates skip them (§4.1: "crashed sites can be
-    /// ignored by update queries").
-    dead: Mutex<BTreeSet<SiteId>>,
-    /// Per-site tables announced online while the site is still recovering
-    /// other objects — Fig 5-4's announcement is per-`rec`, so routing is
-    /// gated per (site, table) until every object on the site is back.
-    partially_online: Mutex<HashMap<SiteId, std::collections::BTreeSet<String>>>,
-    /// `(site, table)` copies being bootstrapped onto an otherwise-live
-    /// site (supervisor re-replication): routing must skip exactly this
-    /// object on this site — the rest of the site keeps serving — until
-    /// its Fig 5-4 announcement lands. The joining-site case is handled by
-    /// the coarser `dead` + `partially_online` gates instead.
-    bootstrapping: Mutex<BTreeSet<(SiteId, String)>>,
+    /// The routing gate: site → the objects placed on it that have not
+    /// announced themselves online (Fig 5-4) since the site was last marked
+    /// dead. A site with an entry is believed down (§4.1: "crashed sites can
+    /// be ignored by update queries"); the announcement is per-`rec`, so the
+    /// objects come back one by one and the entry goes with the last. The
+    /// third copy state, *joining*, is the catalog's
+    /// ([`Placement::is_copy_joining`](crate::Placement::is_copy_joining)).
+    ///
+    /// Every edit but `mark_dead` is one step toward usable — a copy leaves
+    /// a set, the entry goes, the catalog forgets the join — and
+    /// `handle_join` makes its steps before it looks at a transaction, so a
+    /// statement routed after the forwarder's first `ctx` lock finds the
+    /// announced copy usable: no reader order to obey.
+    behind: Mutex<HashMap<SiteId, BTreeSet<String>>>,
     shutdown: Arc<AtomicBool>,
     /// The server's listener, until the crash closes it.
     listener: Mutex<Option<Arc<dyn harbor_net::Listener>>>,
@@ -286,9 +288,7 @@ impl Coordinator {
             metrics,
             txns: Mutex::new(HashMap::new()),
             seq: AtomicU64::new(1),
-            dead: Mutex::new(BTreeSet::new()),
-            partially_online: Mutex::new(HashMap::new()),
-            bootstrapping: Mutex::new(BTreeSet::new()),
+            behind: Mutex::new(HashMap::new()),
             shutdown: Arc::new(AtomicBool::new(false)),
             listener: Mutex::new(Some(listener.clone())),
             handles: Mutex::new(Vec::new()),
@@ -364,22 +364,22 @@ impl Coordinator {
     }
 
     /// Marks a site dead (failure detection normally does this on a
-    /// dropped connection; tests may force it).
+    /// dropped connection; tests may force it): every object on it is
+    /// behind until it announces itself again.
     pub fn mark_dead(&self, site: SiteId) {
-        self.dead.lock().insert(site);
-        self.partially_online.lock().remove(&site);
+        let objects = self.placement.objects_on(site);
+        let objects = objects.into_iter().map(|(table, _)| table).collect();
+        self.behind.lock().insert(site, objects);
         self.purge_sessions(site);
     }
 
-    /// Marks a site fully usable again (all its objects online). `dead`
-    /// goes first: see [`is_usable`](Self::is_usable).
+    /// Marks a site fully usable again (all its objects online).
     pub fn mark_alive(&self, site: SiteId) {
-        self.dead.lock().remove(&site);
-        self.partially_online.lock().remove(&site);
+        self.behind.lock().remove(&site);
     }
 
     pub fn is_dead(&self, site: SiteId) -> bool {
-        self.dead.lock().contains(&site)
+        self.behind.lock().contains_key(&site)
     }
 
     /// The coordinator's authoritative answer for a transaction's outcome:
@@ -397,30 +397,18 @@ impl Coordinator {
         WireTxnState::Aborted
     }
 
-    /// May updates/reads of `table` be routed to `site`? True when the site
-    /// is fully alive, or when this specific object has announced it is
-    /// coming online (§5.4.2) — and never while this object is being
-    /// bootstrapped onto the site by re-replication (its copy is
-    /// incomplete; updates reach it through the recovery catch-up instead).
+    /// May updates/reads of `table` be routed to `site`? True when the
+    /// copy is online: neither behind (its site was marked dead and this
+    /// object has not announced itself since, §5.4.2) nor joining (it is
+    /// being created, by a site join or by re-replication: incomplete, and
+    /// what commits meanwhile reaches it through the recovery catch-up).
     pub fn is_usable(&self, site: SiteId, table: &str) -> bool {
-        if self
-            .bootstrapping
-            .lock()
-            .contains(&(site, table.to_string()))
-        {
-            return false;
-        }
-        // The announced objects first, the site second: the last
-        // announcement clears `dead` and then the site's entry here
-        // (`mark_alive`), so a reader going the other way could find the
-        // site still dead and its announcements already gone — and route a
-        // statement around an object that is online, for good.
-        let announced = self
-            .partially_online
+        let behind = self
+            .behind
             .lock()
             .get(&site)
             .is_some_and(|tables| tables.contains(table));
-        announced || !self.dead.lock().contains(&site)
+        !behind && !self.placement.read(|p| p.is_copy_joining(table, site))
     }
 
     // ------------------------------------------------------------------
@@ -470,16 +458,18 @@ impl Coordinator {
                 return Err(DbError::internal(format!("{site} is not a member")));
             }
             p.add_full_copy(table, site)
-        })?;
-        self.bootstrapping.lock().insert((site, table.to_string()));
-        Ok(())
+        })
     }
 
     /// Rolls back a failed single-table bootstrap: the half-built copy is
-    /// dropped from the catalog and the routing gate lifted.
+    /// dropped from the catalog. If its site was marked dead meanwhile the
+    /// copy is behind as well, and nothing will ever announce it.
     pub fn abandon_bootstrap(&self, site: SiteId, table: &str) {
-        self.bootstrapping.lock().remove(&(site, table.to_string()));
-        self.placement.mutate(|p| p.abort_copy_join(table, site));
+        if self.placement.mutate(|p| p.abort_copy_join(table, site)) {
+            if let Some(tables) = self.behind.lock().get_mut(&site) {
+                tables.remove(table);
+            }
+        }
     }
 
     /// Rolls back a failed whole-site join: every copy on `site` leaves the
@@ -487,9 +477,7 @@ impl Coordinator {
     /// tables.
     pub fn evict_site(&self, site: SiteId) -> DbResult<Vec<String>> {
         let affected = self.placement.mutate(|p| p.remove_site(site))?;
-        self.dead.lock().remove(&site);
-        self.partially_online.lock().remove(&site);
-        self.bootstrapping.lock().retain(|(s, _)| *s != site);
+        self.behind.lock().remove(&site);
         self.purge_sessions(site);
         Ok(affected)
     }
@@ -506,12 +494,10 @@ impl Coordinator {
         }
         // Stop routing new transactions to the site; remember whether it
         // was live so a refused decommission can restore it.
-        let newly_marked = self.dead.lock().insert(site);
-        let restore = |this: &Self| {
-            if newly_marked {
-                this.dead.lock().remove(&site);
-            }
-        };
+        let newly_marked = !self.is_dead(site);
+        if newly_marked {
+            self.mark_dead(site);
+        }
         // Drain: in-flight transactions (including those riding open commit
         // epochs) finish their protocol with the full participant set; only
         // a *quiet* site can leave without voting holes.
@@ -521,41 +507,33 @@ impl Coordinator {
             Duration::from_millis(25),
             0xDECA_0FF5,
         );
-        let mut attempt = 0u32;
-        loop {
-            // Snapshot the contexts first: holding the registry lock while
-            // taking each per-txn lock would invert the txns → inner rank.
-            let ctxs: Vec<Arc<TxnCtx>> = self.txns.lock().values().cloned().collect();
-            let busy = ctxs.iter().any(|ctx| {
-                let g = ctx.inner.lock();
-                !g.finished && g.participants.contains(&site)
-            });
-            if !busy {
-                break;
-            }
-            if attempt >= policy.attempts {
-                restore(self);
-                return Err(DbError::internal(format!(
-                    "decommission of {site} timed out draining in-flight transactions"
-                )));
-            }
-            std::thread::sleep(policy.delay(attempt));
-            attempt += 1;
+        let drained = retry_with(
+            &policy,
+            None,
+            |_| true,
+            |_| {
+                // Snapshot the contexts first: holding the registry lock while
+                // taking each per-txn lock would invert the txns → inner rank.
+                let ctxs: Vec<Arc<TxnCtx>> = self.txns.lock().values().cloned().collect();
+                let busy = ctxs.iter().any(|ctx| {
+                    let g = ctx.inner.lock();
+                    !g.finished && g.participants.contains(&site)
+                });
+                if busy {
+                    return Err(DbError::internal(format!(
+                        "decommission of {site} timed out draining in-flight transactions"
+                    )));
+                }
+                Ok(())
+            },
+        );
+        let evicted = drained.and_then(|()| self.evict_site(site));
+        match &evicted {
+            Ok(_) => self.metrics.add_decommissions(1),
+            Err(_) if newly_marked => self.mark_alive(site),
+            Err(_) => {}
         }
-        match self.placement.mutate(|p| p.remove_site(site)) {
-            Ok(affected) => {
-                self.dead.lock().remove(&site);
-                self.partially_online.lock().remove(&site);
-                self.bootstrapping.lock().retain(|(s, _)| *s != site);
-                self.purge_sessions(site);
-                self.metrics.add_decommissions(1);
-                Ok(affected)
-            }
-            Err(e) => {
-                restore(self);
-                Err(e)
-            }
-        }
+        evicted
     }
 
     /// Simulated coordinator crash: stop the server and sever every worker
@@ -1268,8 +1246,10 @@ impl Coordinator {
             self.finish(tid, false)?;
             return Err(DbError::TransactionAborted(tid));
         }
-        // All YES: assign the commit time.
-        let commit_time = self.authority.next_commit_time();
+        // All YES: assign the commit time, unsettled until this function
+        // is left — the COMMIT round is in, or the coordinator has crashed.
+        let assigned = self.authority.assign();
+        let commit_time = assigned.time();
         if self.cfg.protocol.is_three_phase() {
             // Phase 2: PREPARE-TO-COMMIT; all ACKs = commit point. No ack
             // (dead or deadline-expired) or a protocol-violating one: commit
@@ -1609,7 +1589,9 @@ impl Coordinator {
             return;
         }
         // Per-txn decisions: commit iff every participant voted YES. A NO
-        // or a dead worker dooms only its own transactions.
+        // or a dead worker dooms only its own transactions. The times stay
+        // unsettled until the acks are in, or this function is left early.
+        let mut assigned = Vec::new();
         let mut commit_times: Vec<Option<Timestamp>> = Vec::with_capacity(batch.len());
         let mut records: Vec<LogRecord> = Vec::with_capacity(batch.len());
         for p in &batch {
@@ -1618,7 +1600,9 @@ impl Coordinator {
                 .iter()
                 .all(|s| votes.get(&(*s, p.tid)).copied() == Some(true));
             if all_yes {
-                let t = self.authority.next_commit_time();
+                let unsettled = self.authority.assign();
+                let t = unsettled.time();
+                assigned.push(unsettled);
                 commit_times.push(Some(t));
                 records.push(LogRecord::new(
                     p.tid,
@@ -1725,6 +1709,8 @@ impl Coordinator {
         for (site, chan) in wave {
             self.release(site, chan);
         }
+        // Settled before any client hears of its commit.
+        drop(assigned);
         // End records (unforced) and client wake-ups.
         if let Some(wal) = &self.wal {
             for (p, t) in batch.iter().zip(commit_times.iter()) {
@@ -1822,8 +1808,10 @@ impl Coordinator {
             };
             let resp = match req {
                 Request::Ping => Response::Ok,
+                // Not `now`: what asks is about to read a replica as of
+                // the answer minus one.
                 Request::GetTime => Response::Time {
-                    now: self.authority.now(),
+                    now: self.authority.watermark(),
                 },
                 Request::RecComingOnline { site, table } => match self.handle_join(site, &table) {
                     Ok(()) => Response::AllDone,
@@ -1859,24 +1847,17 @@ impl Coordinator {
         // If this object was a join-pending copy (site join or supervisor
         // re-replication), the announcement is what completes it: it is now
         // caught up, locked current, and a valid recovery buddy.
-        self.bootstrapping.lock().remove(&(site, table.to_string()));
         self.placement.mutate(|p| p.finish_copy_join(table, site));
-        // Gate routing per object: only `table` starts receiving updates
-        // now; the site becomes fully alive once every object placed on it
-        // has announced (§5.4.2 is per-`rec`).
+        // Only `table` starts receiving updates now; the site is alive
+        // again once every object it was behind on has announced (§5.4.2 is
+        // per-`rec`).
         {
-            let mut partial = self.partially_online.lock();
-            let tables = partial.entry(site).or_default();
-            tables.insert(table.to_string());
-            let all_on_site: std::collections::BTreeSet<String> = self
-                .placement
-                .objects_on(site)
-                .into_iter()
-                .map(|(name, _)| name)
-                .collect();
-            if all_on_site.is_subset(tables) {
-                drop(partial);
-                self.mark_alive(site);
+            let mut behind = self.behind.lock();
+            if let Some(tables) = behind.get_mut(&site) {
+                tables.remove(table);
+                if tables.is_empty() {
+                    behind.remove(&site);
+                }
             }
         }
         let pending: Vec<(TransactionId, Arc<TxnCtx>)> = self
@@ -1930,5 +1911,162 @@ impl Coordinator {
             let _ = self.abort(tid);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::placement::Placement;
+    use harbor_net::InMemNetwork;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The routing gate as ten lines: the sites held dead, each with the
+    /// objects it has yet to announce. The third copy state, joining, is
+    /// the catalog's and is read from it, not modelled.
+    #[derive(Default)]
+    struct Gate {
+        behind: HashMap<SiteId, BTreeSet<String>>,
+    }
+
+    impl Gate {
+        fn is_dead(&self, site: SiteId) -> bool {
+            self.behind.contains_key(&site)
+        }
+
+        fn is_usable(&self, catalog: &SharedPlacement, site: SiteId, table: &str) -> bool {
+            let behind = self.behind.get(&site).is_some_and(|t| t.contains(table));
+            !behind && !catalog.read(|p| p.is_copy_joining(table, site))
+        }
+
+        fn mark_dead(&mut self, catalog: &SharedPlacement, site: SiteId) {
+            let objects = catalog.objects_on(site).into_iter().map(|(t, _)| t);
+            self.behind.insert(site, objects.collect());
+        }
+
+        fn announce(&mut self, site: SiteId, table: &str) {
+            if let Some(tables) = self.behind.get_mut(&site) {
+                tables.remove(table);
+                if tables.is_empty() {
+                    self.behind.remove(&site);
+                }
+            }
+        }
+    }
+
+    const TABLES: [&str; 3] = ["a", "b", "c"];
+
+    /// Sites 1–3 are members, 4 and 5 may join; `c` has one copy, so the
+    /// site holding it cannot always leave.
+    fn started(seed: u64) -> Arc<Coordinator> {
+        let mut placement = Placement::new();
+        for site in 1..=3 {
+            placement.set_address(SiteId(site), &format!("gate-{seed}-site-{site}"));
+        }
+        placement.add_replicated_table("a", &[SiteId(1), SiteId(2), SiteId(3)]);
+        placement.add_replicated_table("b", &[SiteId(1), SiteId(2)]);
+        placement.add_replicated_table("c", &[SiteId(3)]);
+        let cfg = CoordinatorConfig {
+            site: SiteId(0),
+            addr: format!("gate-{seed}-coordinator"),
+            protocol: ProtocolKind::Opt3pc,
+            log_dir: None,
+            group_commit: GroupCommit::enabled(),
+            disk: DiskProfile::fast(),
+            rpc_deadline: crate::DEFAULT_RPC_DEADLINE,
+            crash_schedule: Default::default(),
+            epoch_commit: None,
+            degrade_read_only: false,
+        };
+        let transport = Arc::new(InMemNetwork::new(Metrics::new()));
+        Coordinator::start(cfg, placement, transport, Metrics::new()).unwrap()
+    }
+
+    /// Random walks over everything that edits the gate, checked after every
+    /// step against [`Gate`]: `is_dead` of every site, `is_usable` of every
+    /// placed copy (routing asks about no other). First run against the
+    /// three sets this gate replaced, where it pinned their answers. Two
+    /// steps are left out because the old answer was not worth pinning:
+    /// `begin_bootstrap` onto a site held dead (the supervisor picks spares
+    /// that are up; the old gate then kept the site dead until the new copy
+    /// had announced too, though every object it went down with was back),
+    /// and `mark_alive` of a site with a joining copy (the old gate routed to
+    /// the incomplete copy; this one goes on refusing it).
+    #[test]
+    fn the_gate_answers_as_its_model_does() {
+        for seed in 0..200u64 {
+            let c = started(seed);
+            let catalog = c.placement().clone();
+            let mut model = Gate::default();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut trace: Vec<String> = Vec::new();
+            for _ in 0..60 {
+                let site = SiteId(rng.gen_range(1u16..6));
+                let table = TABLES[rng.gen_range(0usize..TABLES.len())];
+                let joining_here = catalog.joining_copies().iter().any(|(_, s)| *s == site);
+                match rng.gen_range(0u8..7) {
+                    0 => {
+                        trace.push(format!("mark_dead({site})"));
+                        c.mark_dead(site);
+                        model.mark_dead(&catalog, site);
+                    }
+                    1 => {
+                        trace.push(format!("announce({site}, {table})"));
+                        c.handle_join(site, table).unwrap();
+                        model.announce(site, table);
+                    }
+                    2 if !model.is_dead(site) => {
+                        trace.push(format!("begin_bootstrap({site}, {table})"));
+                        let _ = c.begin_bootstrap(site, table);
+                    }
+                    3 => {
+                        trace.push(format!("abandon_bootstrap({site}, {table})"));
+                        let dropped = catalog.read(|p| p.is_copy_joining(table, site));
+                        c.abandon_bootstrap(site, table);
+                        if let (true, Some(tables)) = (dropped, model.behind.get_mut(&site)) {
+                            tables.remove(table);
+                        }
+                    }
+                    4 => {
+                        trace.push(format!("admit_site({site})"));
+                        if c.admit_site(site, &format!("gate-{seed}-site-{}", site.0))
+                            .is_ok()
+                        {
+                            model.mark_dead(&catalog, site);
+                        }
+                    }
+                    5 => {
+                        trace.push(format!("evict_site({site})"));
+                        if c.evict_site(site).is_ok() {
+                            model.behind.remove(&site);
+                        }
+                    }
+                    6 if !joining_here => {
+                        trace.push(format!("mark_alive({site})"));
+                        c.mark_alive(site);
+                        model.behind.remove(&site);
+                    }
+                    _ => continue,
+                }
+                for site in (1..6).map(SiteId) {
+                    assert_eq!(
+                        c.is_dead(site),
+                        model.is_dead(site),
+                        "is_dead({site}), seed {seed}: {trace:?}"
+                    );
+                }
+                for table in TABLES {
+                    for site in catalog.sites_for(table).unwrap() {
+                        assert_eq!(
+                            c.is_usable(site, table),
+                            model.is_usable(&catalog, site, table),
+                            "is_usable({site}, {table}), seed {seed}: {trace:?}"
+                        );
+                    }
+                }
+            }
+            c.crash();
+        }
     }
 }

@@ -11,7 +11,7 @@
 use harbor_common::{DbError, DbResult, SiteId};
 use harbor_exec::Expr;
 use parking_lot::RwLock;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// One piece of one copy: a site plus the partition predicate it holds
@@ -52,20 +52,19 @@ pub struct TablePlacement {
     pub copies: Vec<Copy>,
 }
 
-/// A recovery object (§5.1): a buddy site, the object to query there, and
-/// the recovery predicate restricting it to the failed object's rows.
+/// A recovery object (§5.1): the object to query, the recovery predicate
+/// restricting it to the failed object's rows, and the sites to query it at.
 #[derive(Clone, Debug)]
 pub struct RecoveryObject {
-    pub buddy: SiteId,
     pub table: String,
     /// Conjunction of the failed part's predicate and the buddy part's
     /// predicate (`None` = everything).
     pub predicate: Option<Expr>,
-    /// Other live sites that can answer the same recovery queries (full
-    /// copies on sites other than `buddy`). Phase 2 deals its ranges
-    /// across `buddy` plus these; they also serve as fail-over targets if
-    /// `buddy` dies mid-recovery.
-    pub alternates: Vec<SiteId>,
+    /// The sites that can answer the recovery queries, in catalog order:
+    /// the plan's buddy first, then every other live full copy. Phase 2
+    /// deals its ranges across them; whoever asks one site at a time fails
+    /// over down the list (§5.5).
+    pub buddies: Vec<SiteId>,
 }
 
 /// Cluster-wide placement catalog plus the address book.
@@ -74,17 +73,18 @@ pub struct RecoveryObject {
 /// join, decommission, re-replication) edit it at runtime and bump
 /// [`version`](Self::version), so planners can tell a stale snapshot from
 /// the cluster-birth layout. Copies being bootstrapped onto a site are
-/// tracked in `joining` until their Phase-3 handshake completes; they are
-/// routable (they must absorb forwarded updates) but are never offered as
-/// recovery buddies.
+/// tracked in `joining` until their Phase-3 handshake completes: until
+/// then the coordinator routes them nothing (`Coordinator::is_usable` reads
+/// this set; what commits meanwhile reaches them through recovery's
+/// queries) and they are never offered as recovery buddies.
 #[derive(Clone, Debug, Default)]
 pub struct Placement {
     tables: HashMap<String, TablePlacement>,
     addresses: HashMap<SiteId, String>,
     coordinator_addr: Option<String>,
-    /// `(table, site)` copies allocated but not yet caught up: their data
-    /// is incomplete until recovery Phase 3 announces them online.
-    joining: BTreeSet<(String, SiteId)>,
+    /// Table → sites whose copy of it is allocated but not yet caught up:
+    /// the data is incomplete until recovery Phase 3 announces it online.
+    joining: BTreeMap<String, BTreeSet<SiteId>>,
     /// Bumped on every mutation.
     version: u64,
 }
@@ -154,8 +154,8 @@ impl Placement {
     }
 
     /// Allocates a brand-new full copy of `table` on `site`, marked
-    /// join-pending: it routes updates but serves as no one's buddy until
-    /// [`finish_copy_join`](Self::finish_copy_join).
+    /// join-pending: it is routed nothing and serves as no one's buddy
+    /// until [`finish_copy_join`](Self::finish_copy_join).
     pub fn add_full_copy(&mut self, table: &str, site: SiteId) -> DbResult<()> {
         let tp = self
             .tables
@@ -174,7 +174,10 @@ impl Placement {
         tp.copies.push(Copy {
             parts: vec![Part::full(site)],
         });
-        self.joining.insert((table.to_string(), site));
+        self.joining
+            .entry(table.to_string())
+            .or_default()
+            .insert(site);
         self.bump();
         Ok(())
     }
@@ -182,32 +185,36 @@ impl Placement {
     /// Marks the copy of `table` on `site` fully caught up (Phase-3
     /// handshake complete): it is now a valid recovery buddy.
     pub fn finish_copy_join(&mut self, table: &str, site: SiteId) {
-        if self.joining.remove(&(table.to_string(), site)) {
+        if self.joining.get_mut(table).is_some_and(|s| s.remove(&site)) {
             self.bump();
         }
     }
 
     /// Rolls back an *aborted* bootstrap: the still-joining copy of `table`
     /// on `site` leaves the catalog (its data is incomplete and never went
-    /// live). No-op if the pair is not joining.
-    pub fn abort_copy_join(&mut self, table: &str, site: SiteId) {
-        if !self.joining.remove(&(table.to_string(), site)) {
-            return;
+    /// live). Returns whether it did; `false` if the pair is not joining.
+    pub fn abort_copy_join(&mut self, table: &str, site: SiteId) -> bool {
+        if !self.joining.get_mut(table).is_some_and(|s| s.remove(&site)) {
+            return false;
         }
         if let Some(tp) = self.tables.get_mut(table) {
             tp.copies
                 .retain(|c| !c.parts.iter().all(|p| p.site == site));
         }
         self.bump();
+        true
     }
 
     pub fn is_copy_joining(&self, table: &str, site: SiteId) -> bool {
-        self.joining.contains(&(table.to_string(), site))
+        self.joining.get(table).is_some_and(|s| s.contains(&site))
     }
 
     /// All `(table, site)` copies still bootstrapping, sorted.
     pub fn joining_copies(&self) -> Vec<(String, SiteId)> {
-        self.joining.iter().cloned().collect()
+        self.joining
+            .iter()
+            .flat_map(|(table, sites)| sites.iter().map(move |site| (table.clone(), *site)))
+            .collect()
     }
 
     /// Removes `site` from the catalog: drops every copy stored wholly on
@@ -252,7 +259,9 @@ impl Placement {
                 .retain(|c| !c.parts.iter().all(|p| p.site == site));
         }
         self.addresses.remove(&site);
-        self.joining.retain(|(_, s)| *s != site);
+        for sites in self.joining.values_mut() {
+            sites.remove(&site);
+        }
         self.bump();
         affected.sort();
         Ok(affected)
@@ -376,7 +385,7 @@ impl Placement {
             p.site != failed
                 && !down.contains(&p.site)
                 && self.addresses.contains_key(&p.site)
-                && !self.joining.contains(&(table.to_string(), p.site))
+                && !self.is_copy_joining(table, p.site)
         };
         // First copy that avoids the failed site and every down site.
         for (chosen, copy) in tp.copies.iter().enumerate() {
@@ -386,8 +395,8 @@ impl Placement {
             // Other live full copies can answer the same ranged recovery
             // queries (their single part holds every row, so any recovery
             // predicate evaluates there); partitioned copies cannot serve a
-            // whole recovery object and are not offered as alternates.
-            let alternates: Vec<SiteId> = tp
+            // whole recovery object and are not offered.
+            let full_copies: Vec<SiteId> = tp
                 .copies
                 .iter()
                 .enumerate()
@@ -403,7 +412,6 @@ impl Placement {
                 .parts
                 .iter()
                 .map(|p| RecoveryObject {
-                    buddy: p.site,
                     table: table.to_string(),
                     predicate: match (&failed_pred, &p.predicate) {
                         (None, None) => None,
@@ -411,10 +419,8 @@ impl Placement {
                         (None, Some(b)) => Some(b.clone()),
                         (Some(a), Some(b)) => Some(a.clone().and(b.clone())),
                     },
-                    alternates: alternates
-                        .iter()
-                        .copied()
-                        .filter(|s| *s != p.site)
+                    buddies: std::iter::once(p.site)
+                        .chain(full_copies.iter().copied().filter(|s| *s != p.site))
                         .collect(),
                 })
                 .collect();
@@ -561,12 +567,12 @@ mod tests {
         assert_eq!(p.k_for("sales").unwrap(), 2);
         let plan = p.recovery_plan(s(1), "sales", &HashSet::new()).unwrap();
         assert_eq!(plan.len(), 1);
-        assert_eq!(plan[0].buddy, s(2));
+        assert_eq!(plan[0].buddies[0], s(2));
         assert!(plan[0].predicate.is_none());
         // With site 2 also down, site 3 serves.
         let down: HashSet<SiteId> = [s(2)].into_iter().collect();
         let plan = p.recovery_plan(s(1), "sales", &down).unwrap();
-        assert_eq!(plan[0].buddy, s(3));
+        assert_eq!(plan[0].buddies[0], s(3));
         // All copies down: unrecoverable.
         let down: HashSet<SiteId> = [s(2), s(3)].into_iter().collect();
         assert!(matches!(
@@ -599,14 +605,14 @@ mod tests {
         );
         let plan = p.recovery_plan(s(1), "employees", &HashSet::new()).unwrap();
         assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].buddy, s(2));
+        assert_eq!(plan[0].buddies[0], s(2));
         assert!(plan[0].predicate.is_some());
-        assert_eq!(plan[1].buddy, s(3));
+        assert_eq!(plan[1].buddies[0], s(3));
         // And the reverse: recover the partition on site 2 from the full
         // copy on site 1, with the partition predicate as recovery pred.
         let plan = p.recovery_plan(s(2), "employees", &HashSet::new()).unwrap();
         assert_eq!(plan.len(), 1);
-        assert_eq!(plan[0].buddy, s(1));
+        assert_eq!(plan[0].buddies[0], s(1));
         assert!(plan[0].predicate.is_some());
     }
 
@@ -616,13 +622,13 @@ mod tests {
         with_members(&mut p, 4);
         p.add_replicated_table("sales", &[s(1), s(2), s(3), s(4)]);
         let plan = p.recovery_plan(s(1), "sales", &HashSet::new()).unwrap();
-        assert_eq!(plan[0].buddy, s(2));
-        assert_eq!(plan[0].alternates, vec![s(3), s(4)]);
+        assert_eq!(plan[0].buddies[0], s(2));
+        assert_eq!(plan[0].buddies[1..], vec![s(3), s(4)]);
         // Down sites are not offered.
         let down: HashSet<SiteId> = [s(3)].into_iter().collect();
         let plan = p.recovery_plan(s(1), "sales", &down).unwrap();
-        assert_eq!(plan[0].buddy, s(2));
-        assert_eq!(plan[0].alternates, vec![s(4)]);
+        assert_eq!(plan[0].buddies[0], s(2));
+        assert_eq!(plan[0].buddies[1..], vec![s(4)]);
         // A partitioned copy is never an alternate: it cannot serve a whole
         // recovery object by itself.
         let id_col = 2;
@@ -646,8 +652,8 @@ mod tests {
             ],
         );
         let plan = p.recovery_plan(s(1), "emp", &HashSet::new()).unwrap();
-        assert_eq!(plan[0].buddy, s(2));
-        assert!(plan[0].alternates.is_empty());
+        assert_eq!(plan[0].buddies[0], s(2));
+        assert!(plan[0].buddies[1..].is_empty());
     }
 
     #[test]
@@ -672,10 +678,10 @@ mod tests {
         p.add_replicated_table("r2", &[s(3), s(4)]);
         let down: HashSet<SiteId> = [s(3)].into_iter().collect();
         let plan = p.recovery_plan(s(1), "r", &down).unwrap();
-        assert_eq!(plan[0].buddy, s(2));
+        assert_eq!(plan[0].buddies[0], s(2));
         let down: HashSet<SiteId> = [s(1)].into_iter().collect();
         let plan = p.recovery_plan(s(3), "r2", &down).unwrap();
-        assert_eq!(plan[0].buddy, s(4));
+        assert_eq!(plan[0].buddies[0], s(4));
     }
 
     /// Regression for placement-plan staleness: a site that was
@@ -695,9 +701,9 @@ mod tests {
             a.remove(&s(2));
         });
         let plan = p.recovery_plan(s(1), "sales", &HashSet::new()).unwrap();
-        assert_eq!(plan[0].buddy, s(3), "buddy must be a live member");
+        assert_eq!(plan[0].buddies[0], s(3), "buddy must be a live member");
         assert!(
-            !plan[0].alternates.contains(&s(2)),
+            !plan[0].buddies[1..].contains(&s(2)),
             "decommissioned site offered as alternate"
         );
         // A clean decommission removes the copy too, and k shrinks.
@@ -709,7 +715,7 @@ mod tests {
         assert_eq!(affected, vec!["sales".to_string()]);
         assert_eq!(p.k_for("sales").unwrap(), 1);
         let plan = p.recovery_plan(s(1), "sales", &HashSet::new()).unwrap();
-        assert_eq!(plan[0].buddy, s(3));
+        assert_eq!(plan[0].buddies[0], s(3));
     }
 
     /// A joining site's copy is allocated (and routable) before its data
@@ -732,12 +738,12 @@ mod tests {
         ));
         // The joining site itself plans against current copies only.
         let plan = p.recovery_plan(s(3), "sales", &HashSet::new()).unwrap();
-        assert_eq!(plan[0].buddy, s(1));
-        assert_eq!(plan[0].alternates, vec![s(2)]);
+        assert_eq!(plan[0].buddies[0], s(1));
+        assert_eq!(plan[0].buddies[1..], vec![s(2)]);
         // Once announced online it serves like any other copy.
         p.finish_copy_join("sales", s(3));
         let plan = p.recovery_plan(s(1), "sales", &down).unwrap();
-        assert_eq!(plan[0].buddy, s(3));
+        assert_eq!(plan[0].buddies[0], s(3));
     }
 
     #[test]

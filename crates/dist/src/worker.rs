@@ -14,6 +14,7 @@ use crate::message::{
     RemoteScan, Request, Response, TuplesFrameBuilder, UpdateRequest, WireReadMode, WireTxnState,
 };
 use crate::protocol::ProtocolKind;
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use harbor_common::codec::Wire;
 use harbor_common::config::SCAN_BATCH;
 use harbor_common::schema::NUM_VERSION_COLS;
@@ -89,6 +90,9 @@ pub struct Worker {
     crash_after_reply: AtomicBool,
     /// The server's listener, until the crash closes it.
     listener: Mutex<Option<Arc<dyn harbor_net::Listener>>>,
+    /// The line the checkpointer waits out its interval on, until the crash
+    /// hangs it up. Nothing is ever sent.
+    checkpointer: Mutex<Option<Sender<()>>>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -114,6 +118,7 @@ impl Worker {
         cfg.addr = listener.local_addr();
         let listener: Arc<dyn harbor_net::Listener> = Arc::from(listener);
         let peers = Mutex::new(cfg.peers.clone());
+        let (line, hung_up) = bounded(0);
         let worker = Arc::new(Worker {
             cfg,
             engine,
@@ -123,6 +128,7 @@ impl Worker {
             shutdown: Arc::new(AtomicBool::new(false)),
             crash_after_reply: AtomicBool::new(false),
             listener: Mutex::new(Some(listener.clone())),
+            checkpointer: Mutex::new(Some(line)),
             handles: Mutex::new(Vec::new()),
         });
         {
@@ -145,7 +151,7 @@ impl Worker {
             let w = worker.clone();
             let h = std::thread::Builder::new()
                 .name(format!("worker-{}-checkpointer", w.cfg.site.0))
-                .spawn(move || w.checkpoint_loop(every))
+                .spawn(move || w.checkpoint_loop(every, hung_up))
                 .map_err(|e| DbError::internal(format!("spawn checkpointer: {e}")))?;
             worker.handles.lock().push(h);
         }
@@ -187,16 +193,17 @@ impl Worker {
 
     /// Begins a fail-stop crash *from inside a serving thread* (a fired
     /// [`CrashPoint`]): flips the shutdown flag and closes the listener — the
-    /// acceptor ends at once and the listener unbinds; the checkpointer and
-    /// connection threads observe the flag within their next poll slice (or
-    /// when the peer hangs up). A thread cannot join itself, so the final
-    /// [`crash`](Self::crash) join is left to the
-    /// harness once [`is_shutdown`](Self::is_shutdown) reports true.
+    /// acceptor ends at once, the listener unbinds and the checkpointer
+    /// wakes; connection threads observe the flag within their next poll
+    /// slice (or when the peer hangs up). A thread cannot join itself, so
+    /// the final [`crash`](Self::crash) join is left to the harness once
+    /// [`is_shutdown`](Self::is_shutdown) reports true.
     pub fn initiate_crash(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(listener) = self.listener.lock().take() {
             listener.close();
         }
+        self.checkpointer.lock().take();
     }
 
     /// `true` once the worker has crashed or begun crashing.
@@ -216,13 +223,9 @@ impl Worker {
         }
     }
 
-    fn checkpoint_loop(self: &Arc<Self>, every: Duration) {
-        while !self.shutdown.load(Ordering::SeqCst) {
-            // Sleep in small slices so crash() returns promptly.
-            static_sleep_accumulate(self, every);
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
+    fn checkpoint_loop(self: &Arc<Self>, every: Duration, hung_up: Receiver<()>) {
+        // The interval runs out, or the crash ends the wait and the loop.
+        while let Err(RecvTimeoutError::Timeout) = hung_up.recv_timeout(every) {
             let _ = self.engine.checkpoint();
             if self.engine.is_logging() {
                 let _ = self.engine.log_checkpoint();
@@ -520,21 +523,11 @@ impl Worker {
         loop {
             match consensus::query_backup_state(self, tid, &workers) {
                 Some(BackupState::Committed(t)) => {
-                    if self.engine.txn_status(tid).is_some() {
-                        self.engine
-                            .commit(tid, t, self.cfg.protocol.worker_commit_logging())?;
-                    }
-                    self.engine.advance_applied_clock(t);
-                    let mut dist = self.dist_txns.lock();
-                    let info = dist.entry(tid).or_default();
-                    info.outcome = Some(true);
-                    info.commit_time = Some(t);
+                    self.adopt_outcome(tid, Some(t))?;
                     return Ok(true);
                 }
                 Some(BackupState::Aborted) => {
-                    self.engine
-                        .abort(tid, self.cfg.protocol.worker_commit_logging())?;
-                    self.dist_txns.lock().entry(tid).or_default().outcome = Some(false);
+                    self.adopt_outcome(tid, None)?;
                     return Ok(true);
                 }
                 _ => {
@@ -578,9 +571,9 @@ impl Worker {
     }
 
     /// Applies a decided outcome learned out-of-band (from the coordinator's
-    /// log): `Some(t)` commits at `t`, `None` aborts. Idempotent — a
-    /// transaction the engine no longer knows only has its bookkeeping
-    /// updated.
+    /// log, or from the backup that decided it): `Some(t)` commits at `t`,
+    /// `None` aborts. Idempotent — a transaction the engine no longer knows
+    /// only has its bookkeeping updated.
     fn adopt_outcome(
         self: &Arc<Self>,
         tid: TransactionId,
@@ -1157,15 +1150,4 @@ pub fn simulate_cpu_work(cycles: u64) {
         acc = std::hint::black_box(acc.wrapping_mul(6364136223846793005).wrapping_add(i));
     }
     std::hint::black_box(acc);
-}
-
-/// Sleeps `total` in short slices, checking the worker's shutdown flag.
-fn static_sleep_accumulate(w: &Worker, total: Duration) {
-    let mut left = total;
-    let slice = Duration::from_millis(20);
-    while left > Duration::ZERO && !w.shutdown.load(Ordering::SeqCst) {
-        let d = left.min(slice);
-        std::thread::sleep(d);
-        left = left.saturating_sub(d);
-    }
 }

@@ -38,8 +38,9 @@
 //!   must not `recv()` untimed, retry unboundedly, or do page I/O without
 //!   consulting the budget.
 //!
-//! Suppressed graph findings ratchet via `lint-findings.toml` (exact-match,
-//! like the panic ratchet: new findings and stale entries both fail).
+//! Suppressed graph findings ratchet in `lint-baseline.toml` beside the
+//! panic ratchet, and like it exact-match: new findings and stale entries
+//! both fail.
 //!
 //! Escape hatch: `// harbor-lint: allow(<rule>) — <reason>` on the
 //! offending line (or the line above). The reason is mandatory.
@@ -50,7 +51,7 @@ pub mod lockset;
 pub mod taint;
 
 use lexer::{lex, Token, TokenKind};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
 
 pub const RULE_DETERMINISM: &str = "determinism";
@@ -946,109 +947,107 @@ pub fn analyze_tree(root: &Path) -> std::io::Result<TreeReport> {
     Ok(report)
 }
 
-/// Parses `lint-baseline.toml` (`[unwraps]` section, `"key" = count`).
-pub fn parse_baseline(text: &str) -> BTreeMap<String, usize> {
-    let mut map = BTreeMap::new();
-    let mut in_section = false;
+/// The ratchet file, `lint-baseline.toml`: section → key → count. `[unwraps]`
+/// pins the non-test `.unwrap()`/`.expect()` count of each crate;
+/// `[allows.<rule>]` pins, per crate, the workspace-graph findings of `<rule>`
+/// that a reasoned `// harbor-lint: allow(...)` suppresses.
+pub type Baseline = BTreeMap<String, BTreeMap<String, usize>>;
+
+pub const BASELINE_FILE: &str = "lint-baseline.toml";
+
+/// Parses the ratchet file: `[section]` headers over `"key" = count` lines.
+pub fn parse_baseline(text: &str) -> Baseline {
+    let mut map = Baseline::new();
+    let mut section: Option<String> = None;
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if line.starts_with('[') {
-            in_section = line == "[unwraps]";
+        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            section = Some(name.to_string());
             continue;
         }
-        if !in_section {
-            continue;
-        }
+        let Some(section) = &section else { continue };
         if let Some((k, v)) = line.split_once('=') {
             let key = k.trim().trim_matches('"').to_string();
             if let Ok(n) = v.trim().parse::<usize>() {
-                map.insert(key, n);
+                map.entry(section.clone()).or_default().insert(key, n);
             }
         }
     }
     map
 }
 
-/// Renders the baseline file.
-pub fn render_baseline(map: &BTreeMap<String, usize>) -> String {
+/// Renders the ratchet file; a section with nothing to pin is left out.
+pub fn render_baseline(map: &Baseline) -> String {
     let mut out = String::from(
-        "# harbor-lint panic ratchet: .unwrap()/.expect() counts per crate in\n\
-         # non-test code. This file may only shrink. After removing unwraps,\n\
-         # regenerate with: cargo run -p harbor-lint -- --update-baseline\n\n\
-         [unwraps]\n",
+        "# harbor-lint ratchet. [unwraps]: .unwrap()/.expect() counts per crate in\n\
+         # non-test code. [allows.<rule>]: workspace-graph findings (lockset-race,\n\
+         # deadline-propagation) suppressed by a reasoned `// harbor-lint: allow(...)`,\n\
+         # per crate. Every count must match exactly: a higher one is a regression,\n\
+         # a lower or vanished one means this file is stale. After removing unwraps\n\
+         # or adding/removing an allow on purpose, regenerate in the same change:\n\
+         # cargo run -p harbor-lint -- --update\n",
     );
-    for (k, v) in map {
-        out.push_str(&format!("\"{k}\" = {v}\n"));
+    for (section, counts) in map.iter().filter(|(_, counts)| !counts.is_empty()) {
+        out.push_str(&format!("\n[{section}]\n"));
+        for (k, v) in counts {
+            out.push_str(&format!("\"{k}\" = {v}\n"));
+        }
     }
     out
 }
 
-/// Compares the measured counts against the committed baseline. The counts
-/// must match exactly: higher is a regression, lower means the ratchet can
-/// tighten (regenerate the baseline in the same change).
-pub fn check_ratchet(
-    current: &BTreeMap<String, usize>,
-    baseline: &BTreeMap<String, usize>,
-) -> Vec<Violation> {
+/// Compares the measured counts against the committed file, section by
+/// section. The counts must match exactly: higher is a regression, lower (or
+/// an entry with nothing left to pin) means the ratchet can tighten —
+/// regenerate the file in the same change.
+pub fn check_ratchet(current: &Baseline, committed: &Baseline) -> Vec<Violation> {
+    let violation = |msg: String| Violation {
+        file: BASELINE_FILE.into(),
+        line: 0,
+        rule: RULE_RATCHET,
+        msg,
+    };
+    let update = "`cargo run -p harbor-lint -- --update`";
+    let empty = BTreeMap::new();
+    let sections: BTreeSet<&String> = current.keys().chain(committed.keys()).collect();
     let mut out = Vec::new();
-    for (k, cur) in current {
-        match baseline.get(k) {
-            None => out.push(Violation {
-                file: "lint-baseline.toml".into(),
-                line: 0,
-                rule: RULE_RATCHET,
-                msg: format!(
-                    "crate {k} has {cur} unwrap/expect calls but no baseline entry — \
-                     run `cargo run -p harbor-lint -- --update-baseline`"
-                ),
-            }),
-            Some(base) if cur > base => out.push(Violation {
-                file: "lint-baseline.toml".into(),
-                line: 0,
-                rule: RULE_RATCHET,
-                msg: format!(
-                    "{k}: unwrap/expect count grew {base} → {cur}; the ratchet only \
-                     shrinks — propagate a DbError instead"
-                ),
-            }),
-            Some(base) if cur < base => out.push(Violation {
-                file: "lint-baseline.toml".into(),
-                line: 0,
-                rule: RULE_RATCHET,
-                msg: format!(
-                    "{k}: unwrap/expect count shrank {base} → {cur}; tighten the ratchet \
-                     with `cargo run -p harbor-lint -- --update-baseline`"
-                ),
-            }),
-            _ => {}
+    for section in sections {
+        let cur = current.get(section).unwrap_or(&empty);
+        let base = committed.get(section).unwrap_or(&empty);
+        for (k, n) in cur {
+            match base.get(k) {
+                None => out.push(violation(format!(
+                    "[{section}] {k} counts {n} but has no entry — run {update}"
+                ))),
+                Some(b) if n > b => out.push(violation(format!(
+                    "[{section}] {k} grew {b} → {n}; the ratchet only shrinks — propagate \
+                     a DbError or fix the finding (a deliberate new allow is recorded with {update})"
+                ))),
+                Some(b) if n < b => out.push(violation(format!(
+                    "[{section}] {k} shrank {b} → {n}; tighten the ratchet with {update}"
+                ))),
+                _ => {}
+            }
         }
-    }
-    for k in baseline.keys() {
-        if !current.contains_key(k) {
-            out.push(Violation {
-                file: "lint-baseline.toml".into(),
-                line: 0,
-                rule: RULE_RATCHET,
-                msg: format!(
-                    "baseline entry {k} no longer has any unwraps — tighten with \
-                     `cargo run -p harbor-lint -- --update-baseline`"
-                ),
-            });
+        for k in base.keys().filter(|k| !cur.contains_key(*k)) {
+            out.push(violation(format!(
+                "[{section}] {k} has nothing left to pin — tighten the ratchet with {update}"
+            )));
         }
     }
     out
 }
 
 // ---------------------------------------------------------------------------
-// Workspace-graph analysis (pass 1 + pass 2) and the findings ratchet
+// Workspace-graph analysis (pass 1 + pass 2)
 // ---------------------------------------------------------------------------
 
 /// Aggregate result of the full analysis: per-file rules plus the two
 /// workspace-graph passes, and the allow-suppressed graph findings that
-/// feed the `lint-findings.toml` ratchet.
+/// the ratchet pins beside the unwrap counts.
 #[derive(Debug, Default)]
 pub struct WorkspaceReport {
     pub violations: Vec<Violation>,
@@ -1057,6 +1056,19 @@ pub struct WorkspaceReport {
     pub files_scanned: usize,
     /// rule → crate → count of findings suppressed by a reasoned allow.
     pub allowed_findings: BTreeMap<&'static str, BTreeMap<String, usize>>,
+}
+
+impl WorkspaceReport {
+    /// The measured counts, in the shape of the committed ratchet file.
+    pub fn baseline(&self) -> Baseline {
+        let allows = self
+            .allowed_findings
+            .iter()
+            .map(|(rule, counts)| (format!("allows.{rule}"), counts.clone()));
+        std::iter::once(("unwraps".to_string(), self.unwraps.clone()))
+            .chain(allows)
+            .collect()
+    }
 }
 
 /// Runs everything over in-memory `(rel_path, source)` pairs — the same
@@ -1100,113 +1112,6 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
         sources.push((rel, std::fs::read_to_string(&path)?));
     }
     Ok(analyze_sources(&sources))
-}
-
-/// Parses `lint-findings.toml`: `[allows.<rule>]` sections of
-/// `"crate" = count` lines, mirroring the panic-ratchet file format.
-pub fn parse_findings(text: &str) -> BTreeMap<String, BTreeMap<String, usize>> {
-    let mut map: BTreeMap<String, BTreeMap<String, usize>> = BTreeMap::new();
-    let mut section: Option<String> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            section = name.strip_prefix("allows.").map(str::to_string);
-            continue;
-        }
-        let Some(rule) = &section else { continue };
-        if let Some((k, v)) = line.split_once('=') {
-            let key = k.trim().trim_matches('"').to_string();
-            if let Ok(n) = v.trim().parse::<usize>() {
-                map.entry(rule.clone()).or_default().insert(key, n);
-            }
-        }
-    }
-    map
-}
-
-/// Renders `lint-findings.toml`.
-pub fn render_findings(map: &BTreeMap<&'static str, BTreeMap<String, usize>>) -> String {
-    let mut out = String::from(
-        "# harbor-lint findings ratchet: counts of workspace-graph findings\n\
-         # (lockset-race, deadline-propagation) suppressed by a reasoned\n\
-         # `// harbor-lint: allow(...)` per crate. Exact-match like the panic\n\
-         # ratchet: a new suppressed finding AND a stale entry both fail CI.\n\
-         # Regenerate with: cargo run -p harbor-lint -- --update-findings\n",
-    );
-    for (rule, counts) in map {
-        out.push_str(&format!("\n[allows.{rule}]\n"));
-        for (k, v) in counts {
-            out.push_str(&format!("\"{k}\" = {v}\n"));
-        }
-    }
-    out
-}
-
-/// Exact-match check of the measured suppressed-findings counts against the
-/// committed `lint-findings.toml` (both directions, like the panic ratchet).
-pub fn check_findings_ratchet(
-    current: &BTreeMap<&'static str, BTreeMap<String, usize>>,
-    committed: &BTreeMap<String, BTreeMap<String, usize>>,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let empty = BTreeMap::new();
-    let mut rules: Vec<&str> = current.keys().copied().collect();
-    for r in committed.keys() {
-        if !rules.contains(&r.as_str()) {
-            rules.push(r);
-        }
-    }
-    rules.sort_unstable();
-    for rule in rules {
-        let cur = current
-            .iter()
-            .find(|(r, _)| ***r == *rule)
-            .map(|(_, m)| m)
-            .unwrap_or(&empty);
-        let base = committed.get(rule).unwrap_or(&empty);
-        for (k, n) in cur {
-            match base.get(k) {
-                None => out.push(Violation {
-                    file: "lint-findings.toml".into(),
-                    line: 0,
-                    rule: RULE_RATCHET,
-                    msg: format!(
-                        "{k} has {n} allow-suppressed {rule} finding(s) but no entry in \
-                         lint-findings.toml — run `cargo run -p harbor-lint -- --update-findings`"
-                    ),
-                }),
-                Some(b) if n != b => out.push(Violation {
-                    file: "lint-findings.toml".into(),
-                    line: 0,
-                    rule: RULE_RATCHET,
-                    msg: format!(
-                        "{k}: allow-suppressed {rule} findings changed {b} → {n}; \
-                         regenerate with `cargo run -p harbor-lint -- --update-findings` \
-                         so every suppression stays deliberate"
-                    ),
-                }),
-                _ => {}
-            }
-        }
-        for k in base.keys() {
-            if !cur.contains_key(k) {
-                out.push(Violation {
-                    file: "lint-findings.toml".into(),
-                    line: 0,
-                    rule: RULE_RATCHET,
-                    msg: format!(
-                        "stale lint-findings.toml entry: {k} no longer has any \
-                         allow-suppressed {rule} findings — regenerate with \
-                         `cargo run -p harbor-lint -- --update-findings`"
-                    ),
-                });
-            }
-        }
-    }
-    out
 }
 
 fn json_escape(s: &str) -> String {

@@ -21,8 +21,8 @@
 //!   treated as protecting the child's work.
 //!
 //! Every finding honours `// harbor-lint: allow(lockset-race) — reason`,
-//! and suppressed findings are counted into the `lint-findings.toml`
-//! ratchet. ShimSan (`harbor_common::shimsan`) is the dynamic complement:
+//! and suppressed findings are counted into `lint-baseline.toml`'s
+//! `[allows.lockset-race]` section. ShimSan (`harbor_common::shimsan`) is the dynamic complement:
 //! a witness next to the field confirms or refutes the static verdict
 //! under the chaos soak.
 

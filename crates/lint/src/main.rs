@@ -3,8 +3,7 @@
 //! Usage:
 //!   harbor-lint --check [--root PATH]       # lint + ratchets; exit 1 on findings
 //!   harbor-lint --check --json              # machine-readable report on stdout
-//!   harbor-lint --update-baseline [--root]  # rewrite lint-baseline.toml
-//!   harbor-lint --update-findings [--root]  # rewrite lint-findings.toml
+//!   harbor-lint --update [--root]           # rewrite lint-baseline.toml
 //!   harbor-lint --list-rules
 
 use std::path::PathBuf;
@@ -27,16 +26,14 @@ fn find_root(start: PathBuf) -> Option<PathBuf> {
 
 fn main() -> ExitCode {
     let mut check = false;
-    let mut update_baseline = false;
-    let mut update_findings = false;
+    let mut update = false;
     let mut json = false;
     let mut root_arg: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--check" => check = true,
-            "--update-baseline" => update_baseline = true,
-            "--update-findings" => update_findings = true,
+            "--update" => update = true,
             "--json" => json = true,
             "--root" => match args.next() {
                 Some(p) => root_arg = Some(PathBuf::from(p)),
@@ -58,12 +55,12 @@ fn main() -> ExitCode {
                 println!("panic-ratchet        unwrap/expect counts pinned in lint-baseline.toml, only shrink");
                 println!("lockset-race         shared fields need consistent locksets workspace-wide; no guard crosses a spawn (runtime twin: ShimSan)");
                 println!("deadline-propagation paths reachable from front-door deadline entries must thread the deadline (no untimed recv, unbounded retry, budget-blind page I/O)");
-                println!("lint-allow           every allow(<rule>) must carry a reason; graph-rule allows ratchet via lint-findings.toml");
+                println!("lint-allow           every allow(<rule>) must carry a reason; graph-rule allows ratchet in lint-baseline.toml");
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: harbor-lint [--check] [--json] [--update-baseline] [--update-findings] [--root PATH] [--list-rules]"
+                    "usage: harbor-lint [--check] [--json] [--update] [--root PATH] [--list-rules]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -73,7 +70,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if !check && !update_baseline && !update_findings {
+    if !update {
         check = true; // bare invocation behaves like --check
     }
 
@@ -96,66 +93,42 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = root.join("lint-baseline.toml");
-    if update_baseline {
-        let text = harbor_lint::render_baseline(&report.unwraps);
+    let measured = report.baseline();
+    let total: usize = report.unwraps.values().sum();
+    let suppressed: usize = report
+        .allowed_findings
+        .values()
+        .flat_map(|m| m.values())
+        .sum();
+    let baseline_path = root.join(harbor_lint::BASELINE_FILE);
+    if update {
+        let text = harbor_lint::render_baseline(&measured);
         if let Err(e) = std::fs::write(&baseline_path, text) {
             eprintln!("harbor-lint: cannot write {}: {e}", baseline_path.display());
             return ExitCode::from(2);
         }
-        let total: usize = report.unwraps.values().sum();
         println!(
-            "harbor-lint: baseline updated — {} unwrap/expect calls across {} crates",
-            total,
+            "harbor-lint: ratchet updated — {total} unwrap/expect calls across {} crates, \
+             {suppressed} reasoned graph-finding allow(s)",
             report.unwraps.len()
         );
-    }
-
-    let findings_path = root.join("lint-findings.toml");
-    if update_findings {
-        let text = harbor_lint::render_findings(&report.allowed_findings);
-        if let Err(e) = std::fs::write(&findings_path, text) {
-            eprintln!("harbor-lint: cannot write {}: {e}", findings_path.display());
-            return ExitCode::from(2);
+        if !check {
+            return ExitCode::SUCCESS;
         }
-        let total: usize = report
-            .allowed_findings
-            .values()
-            .flat_map(|m| m.values())
-            .sum();
-        println!("harbor-lint: findings ratchet updated — {total} reasoned allow(s) recorded");
-    }
-    if (update_baseline || update_findings) && !check {
-        return ExitCode::SUCCESS;
     }
 
     let mut violations = report.violations.clone();
-    let baseline = match std::fs::read_to_string(&baseline_path) {
+    let committed = match std::fs::read_to_string(&baseline_path) {
         Ok(t) => harbor_lint::parse_baseline(&t),
         Err(_) => {
             eprintln!(
-                "harbor-lint: {} missing — run --update-baseline once and commit it",
+                "harbor-lint: {} missing — run --update once and commit it",
                 baseline_path.display()
             );
             return ExitCode::from(2);
         }
     };
-    violations.extend(harbor_lint::check_ratchet(&report.unwraps, &baseline));
-
-    let findings = match std::fs::read_to_string(&findings_path) {
-        Ok(t) => harbor_lint::parse_findings(&t),
-        Err(_) => {
-            eprintln!(
-                "harbor-lint: {} missing — run --update-findings once and commit it",
-                findings_path.display()
-            );
-            return ExitCode::from(2);
-        }
-    };
-    violations.extend(harbor_lint::check_findings_ratchet(
-        &report.allowed_findings,
-        &findings,
-    ));
+    violations.extend(harbor_lint::check_ratchet(&measured, &committed));
 
     if json {
         print!("{}", harbor_lint::render_json(&report, &violations));
@@ -167,12 +140,6 @@ fn main() -> ExitCode {
     }
 
     if violations.is_empty() {
-        let total: usize = report.unwraps.values().sum();
-        let suppressed: usize = report
-            .allowed_findings
-            .values()
-            .flat_map(|m| m.values())
-            .sum();
         println!(
             "harbor-lint: clean — {} files scanned, {} non-test unwrap/expect calls (ratchet holds), {} reasoned graph-finding allow(s)",
             report.files_scanned, total, suppressed

@@ -23,7 +23,8 @@
 //!   caller that re-checks between steps).
 //!
 //! Findings honour `// harbor-lint: allow(deadline-propagation) — reason`
-//! and suppressed findings count into the `lint-findings.toml` ratchet.
+//! and suppressed findings count into `lint-baseline.toml`'s
+//! `[allows.deadline-propagation]` section.
 
 use crate::index::WorkspaceIndex;
 use crate::{Violation, RULE_DEADLINE};

@@ -3,8 +3,8 @@
 
 use harbor_lint::{
     analyze_source, analyze_sources, check_ratchet, collect_files, parse_baseline, render_baseline,
-    Violation, WorkspaceReport, RULE_ALLOW, RULE_DEADLINE, RULE_DETERMINISM, RULE_LOCKSET,
-    RULE_LOCK_BLOCKING, RULE_LOCK_RANK, RULE_TAXONOMY,
+    Baseline, Violation, WorkspaceReport, RULE_ALLOW, RULE_DEADLINE, RULE_DETERMINISM,
+    RULE_LOCKSET, RULE_LOCK_BLOCKING, RULE_LOCK_RANK, RULE_TAXONOMY,
 };
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -208,27 +208,33 @@ fn ratchet_counts_only_non_test_unwraps() {
 
 #[test]
 fn ratchet_flags_growth_and_stale_shrink() {
-    let mut baseline = BTreeMap::new();
-    baseline.insert("crates/core".to_string(), 5);
-    baseline.insert("crates/dist".to_string(), 2);
+    let unwraps = |counts: &[(&str, usize)]| -> Baseline {
+        let counts = counts.iter().map(|(k, n)| (k.to_string(), *n)).collect();
+        BTreeMap::from([("unwraps".to_string(), counts)])
+    };
+    let baseline = unwraps(&[("crates/core", 5), ("crates/dist", 2)]);
 
     // Growth is a violation.
-    let mut grown = baseline.clone();
-    grown.insert("crates/core".to_string(), 6);
+    let grown = unwraps(&[("crates/core", 6), ("crates/dist", 2)]);
     assert_eq!(check_ratchet(&grown, &baseline).len(), 1);
 
     // A shrink must tighten the committed baseline (stale file = violation).
-    let mut shrunk = baseline.clone();
-    shrunk.insert("crates/core".to_string(), 3);
+    let shrunk = unwraps(&[("crates/core", 3), ("crates/dist", 2)]);
     assert_eq!(check_ratchet(&shrunk, &baseline).len(), 1);
 
     // Exact match is clean.
     assert!(check_ratchet(&baseline, &baseline).is_empty());
 
-    // A new crate with unwraps needs a baseline entry.
-    let mut extra = baseline.clone();
-    extra.insert("crates/new".to_string(), 1);
+    // A new crate with unwraps needs a baseline entry, and so does a new
+    // section: a first suppressed graph finding.
+    let extra = unwraps(&[("crates/core", 5), ("crates/dist", 2), ("crates/new", 1)]);
     assert_eq!(check_ratchet(&extra, &baseline).len(), 1);
+    let mut allowed = baseline.clone();
+    let counts = BTreeMap::from([("crates/storage".to_string(), 1)]);
+    allowed.insert("allows.deadline-propagation".to_string(), counts);
+    assert_eq!(check_ratchet(&allowed, &baseline).len(), 1);
+    // And an entry with nothing left to pin is stale, whatever its section.
+    assert_eq!(check_ratchet(&baseline, &allowed).len(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -350,9 +356,15 @@ fn bare_allow_on_graph_rule_is_itself_a_violation() {
 
 #[test]
 fn baseline_round_trips() {
-    let mut map = BTreeMap::new();
-    map.insert("crates/storage".to_string(), 29);
-    map.insert("crates/core".to_string(), 4);
+    let unwraps = BTreeMap::from([
+        ("crates/storage".to_string(), 29),
+        ("crates/core".to_string(), 4),
+    ]);
+    let allows = BTreeMap::from([("crates/storage".to_string(), 1)]);
+    let map: Baseline = BTreeMap::from([
+        ("unwraps".to_string(), unwraps),
+        ("allows.deadline-propagation".to_string(), allows),
+    ]);
     let text = render_baseline(&map);
     assert_eq!(parse_baseline(&text), map);
 }

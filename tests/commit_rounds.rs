@@ -7,19 +7,20 @@
 //! the first `n`".
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
+use harbor_common::codec::Wire;
 use harbor_common::{
     DbError, DbResult, DiskProfile, Metrics, SiteId, StorageConfig, Timestamp, Value,
 };
 use harbor_dist::{
-    BackupState, Coordinator, CoordinatorConfig, CrashPoint, Placement, ProtocolKind,
-    UpdateRequest, Worker, WorkerConfig,
+    rpc, BackupState, Coordinator, CoordinatorConfig, CrashPoint, Placement, ProtocolKind, Request,
+    Response, UpdateRequest, Worker, WorkerConfig,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_front::FrontHandler;
 use harbor_net::{Channel, ChaosConfig, InMemNetwork, Listener, Transport};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -211,18 +212,16 @@ impl Channel for SlowChannel {
     }
 }
 
-/// Three Opt3pc participants whose every reply takes `d`: the three phases
-/// of a commit cost about `3·d`. Sent to one worker at a time they cost
-/// `3·(3·d)`; the bound sits between the two. Statements are rounds too,
-/// unless they take locks.
-#[test]
-fn a_commit_round_lasts_as_long_as_its_slowest_worker() {
-    let d = Duration::from_millis(40);
-    let dir = temp_dir("slowest");
-    let transport: Arc<dyn Transport> = Arc::new(SlowReplies {
-        inner: Arc::new(InMemNetwork::new(Metrics::new())),
-        delay: d,
-    });
+/// Three Opt3pc workers holding `t` and their coordinator, started by hand
+/// on `transport` (the cluster facade builds its own).
+struct HandBuilt {
+    dir: PathBuf,
+    coordinator: Arc<Coordinator>,
+    workers: Vec<(Arc<Worker>, Arc<Engine>)>,
+}
+
+fn hand_built(name: &str, transport: Arc<dyn Transport>) -> HandBuilt {
+    let dir = temp_dir(name);
     let sites: Vec<SiteId> = (1..=3).map(SiteId).collect();
     let mut placement = Placement::new();
     let mut workers = Vec::new();
@@ -237,7 +236,7 @@ fn a_commit_round_lasts_as_long_as_its_slowest_worker() {
             .unwrap();
         let cfg = WorkerConfig {
             site: *site,
-            addr: format!("slowest-site-{}", site.0),
+            addr: format!("{name}-site-{}", site.0),
             protocol: ProtocolKind::Opt3pc,
             checkpoint_every: None,
             peers: HashMap::new(),
@@ -254,21 +253,51 @@ fn a_commit_round_lasts_as_long_as_its_slowest_worker() {
     let coordinator = Coordinator::start(
         CoordinatorConfig {
             site: SiteId(0),
-            addr: "slowest-coordinator".into(),
+            addr: format!("{name}-coordinator"),
             protocol: ProtocolKind::Opt3pc,
             log_dir: None,
             group_commit: harbor_wal::GroupCommit::enabled(),
-            disk: harbor_common::DiskProfile::fast(),
+            disk: DiskProfile::fast(),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
             crash_schedule: Default::default(),
             epoch_commit: None,
             degrade_read_only: false,
         },
         placement,
-        transport.clone(),
+        transport,
         Metrics::new(),
     )
     .unwrap();
+    HandBuilt {
+        dir,
+        coordinator,
+        workers,
+    }
+}
+
+impl HandBuilt {
+    fn stop(self) {
+        self.coordinator.crash();
+        for (worker, _) in &self.workers {
+            worker.crash();
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Three Opt3pc participants whose every reply takes `d`: the three phases
+/// of a commit cost about `3·d`. Sent to one worker at a time they cost
+/// `3·(3·d)`; the bound sits between the two. Statements are rounds too,
+/// unless they take locks.
+#[test]
+fn a_commit_round_lasts_as_long_as_its_slowest_worker() {
+    let d = Duration::from_millis(40);
+    let transport: Arc<dyn Transport> = Arc::new(SlowReplies {
+        inner: Arc::new(InMemNetwork::new(Metrics::new())),
+        delay: d,
+    });
+    let built = hand_built("slowest", transport);
+    let (coordinator, workers) = (&built.coordinator, &built.workers);
 
     let tid = coordinator.begin().unwrap();
     let started = Instant::now();
@@ -298,20 +327,128 @@ fn a_commit_round_lasts_as_long_as_its_slowest_worker() {
     // the statement at three sites in turn, PREPARE-TO-COMMIT, COMMIT. The
     // interactive calls above spend a sixth reply on the PREPARE round.
     let started = Instant::now();
-    execute(&coordinator, vec![insert(2)]).unwrap();
+    execute(coordinator, vec![insert(2)]).unwrap();
     let whole = started.elapsed();
     assert!(
         whole >= 5 * d && whole < 6 * d,
         "statement with PREPARE riding, then two rounds: {whole:?}"
     );
-    for (_, engine) in &workers {
+    for (_, engine) in workers {
         assert_eq!(ids_at(engine), vec![1, 2]);
     }
-    coordinator.crash();
-    for (worker, _) in &workers {
-        worker.crash();
+    built.stop();
+}
+
+// ----------------------------------------------------------------------
+// (a') A commit time is not behind the clock until its round is in.
+// ----------------------------------------------------------------------
+
+/// A network that holds a COMMIT frame on its way to one address back until
+/// the test lets it go, and says so when it does.
+struct ParkedCommit {
+    inner: Arc<dyn Transport>,
+    to: String,
+    parked: mpsc::Sender<()>,
+    release: Arc<Mutex<mpsc::Receiver<()>>>,
+}
+
+struct ParkingChannel {
+    inner: Box<dyn Channel>,
+    parked: mpsc::Sender<()>,
+    release: Arc<Mutex<mpsc::Receiver<()>>>,
+}
+
+impl Transport for ParkedCommit {
+    fn listen(&self, addr: &str) -> DbResult<Box<dyn Listener>> {
+        self.inner.listen(addr)
     }
-    let _ = std::fs::remove_dir_all(&dir);
+
+    fn connect(&self, addr: &str) -> DbResult<Box<dyn Channel>> {
+        let inner = self.inner.connect(addr)?;
+        if addr != self.to {
+            return Ok(inner);
+        }
+        Ok(Box::new(ParkingChannel {
+            inner,
+            parked: self.parked.clone(),
+            release: self.release.clone(),
+        }))
+    }
+}
+
+impl Channel for ParkingChannel {
+    fn send(&mut self, frame: &[u8]) -> DbResult<()> {
+        if let Ok(Request::Commit { .. }) = Request::from_slice(frame) {
+            self.parked.send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+        self.inner.send(frame)
+    }
+
+    fn recv(&mut self) -> DbResult<Vec<u8>> {
+        self.inner.recv()
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>> {
+        self.inner.recv_timeout(timeout)
+    }
+
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+
+    fn is_closed(&self) -> bool {
+        self.inner.is_closed()
+    }
+}
+
+/// §5.3 reads a buddy as of `GetTime − 1` and assumes every transaction with
+/// a commit time at or below that is committed there. The coordinator
+/// assigns the time before COMMIT reaches the workers, so while a COMMIT
+/// round is out — here two workers have the frame and the third's is held —
+/// `GetTime` must not have passed the time the round carries: a recovery
+/// that took its high-water mark now would scan the third worker's page
+/// with the row still uncommitted on it, and Phase 3 (`insertion_time >
+/// hwm`) would never look at it again. Once the round is in, the time is
+/// history.
+#[test]
+fn get_time_stays_at_a_commit_time_until_its_round_is_in() {
+    let (parked, is_parked) = mpsc::channel();
+    let (release, released) = mpsc::channel();
+    let transport: Arc<dyn Transport> = Arc::new(ParkedCommit {
+        inner: Arc::new(InMemNetwork::new(Metrics::new())),
+        to: "watermark-site-3".into(),
+        parked,
+        release: Arc::new(Mutex::new(released)),
+    });
+    let built = hand_built("watermark", transport.clone());
+    let client = {
+        let coordinator = built.coordinator.clone();
+        std::thread::spawn(move || {
+            let tid = coordinator.begin()?;
+            coordinator.update(tid, insert(1))?;
+            coordinator.commit(tid)
+        })
+    };
+    let mut chan = transport.connect(built.coordinator.addr()).unwrap();
+    let mut get_time = || match rpc(chan.as_mut(), &Request::GetTime).unwrap() {
+        Response::Time { now } => now,
+        other => panic!("GetTime answered {other:?}"),
+    };
+    is_parked.recv().unwrap();
+    let during = get_time();
+    release.send(()).unwrap();
+    let commit_time = client.join().unwrap().unwrap();
+    let after = get_time();
+    assert!(
+        during <= commit_time,
+        "GetTime answered {during} with the COMMIT round of {commit_time} still out"
+    );
+    assert!(after > commit_time, "{after} after {commit_time} settled");
+    for (_, engine) in &built.workers {
+        assert_eq!(ids_at(engine), vec![1]);
+    }
+    built.stop();
 }
 
 // ----------------------------------------------------------------------

@@ -143,7 +143,7 @@ fn buddy_failure_mid_recovery_switches_to_another_copy() {
         .placement()
         .recovery_plan(victim, "sales", &std::collections::HashSet::new())
         .unwrap();
-    assert_eq!(plan[0].buddy, SiteId(2));
+    assert_eq!(plan[0].buddies[0], SiteId(2));
     cluster.crash_worker(SiteId(2)).unwrap();
     // With site 2 down the retry plans around it and succeeds from site 3.
     let report = cluster.recover_worker_harbor(victim).unwrap();

@@ -248,7 +248,7 @@ fn partitioned_copies_route_and_recover() {
         .recovery_plan(SiteId(2), "employees", &HashSet::new())
         .unwrap();
     assert_eq!(plan.len(), 1);
-    assert_eq!(plan[0].buddy, SiteId(1));
+    assert_eq!(plan[0].buddies[0], SiteId(1));
     assert!(plan[0].predicate.is_some());
 
     // Crash the full copy; keep loading (rows land on the partitions).
@@ -359,6 +359,6 @@ fn more_than_k_failures_is_unrecoverable() {
     let plan = placement
         .recovery_plan(SiteId(1), "r", &HashSet::new())
         .unwrap();
-    assert_eq!(plan[0].buddy, SiteId(2));
+    assert_eq!(plan[0].buddies[0], SiteId(2));
     let _ = Timestamp::ZERO;
 }

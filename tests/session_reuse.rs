@@ -76,13 +76,17 @@ fn proc_footprint() -> (usize, usize) {
     (maps, threads)
 }
 
-fn three_workers(name: &str, chaos: Option<ChaosConfig>, rpc_deadline: Duration) -> Cluster {
+fn three_workers_config(chaos: Option<ChaosConfig>, rpc_deadline: Duration) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 3);
     cfg.storage = StorageConfig::for_tests();
     cfg.tables = vec![TableSpec::small("t")];
     cfg.chaos = chaos;
     cfg.rpc_deadline = rpc_deadline;
-    Cluster::build(temp_dir(name), cfg).unwrap()
+    cfg
+}
+
+fn three_workers(name: &str, chaos: Option<ChaosConfig>, rpc_deadline: Duration) -> Cluster {
+    Cluster::build(temp_dir(name), three_workers_config(chaos, rpc_deadline)).unwrap()
 }
 
 /// (a) Eight thousand serial transactions on one cluster cost the process a
@@ -123,7 +127,8 @@ fn a_long_lived_cluster_does_not_grow_per_transaction() {
 /// A cluster with idle sessions stops without waiting out a poll slice:
 /// every server closes its listener, which ends its accept loop at once, and
 /// the coordinator hangs up its idle sessions, which ends the workers'
-/// connection threads. Each cluster is stopped right after its sessions were
+/// connection threads, and a worker's checkpointer is woken out of its
+/// interval. Each cluster is stopped right after its sessions were
 /// opened — the moment its accept loops have a whole 50 ms slice ahead of
 /// them, so a server that waits for its slice takes 40 ms and more every
 /// time. The fastest of five, because beside a busy CPU joining a dozen
@@ -133,7 +138,9 @@ fn a_cluster_with_idle_sessions_shuts_down_without_a_tick() {
     let _one = serial();
     let fastest = (0..5)
         .map(|i| {
-            let cluster = three_workers(&format!("tick{i}"), None, Duration::from_secs(5));
+            let mut cfg = three_workers_config(None, Duration::from_secs(5));
+            cfg.checkpoint_every = Some(Duration::from_secs(1));
+            let cluster = Cluster::build(temp_dir(&format!("tick{i}")), cfg).unwrap();
             cluster.run_txn(vec![insert("t", 1)]).unwrap();
             let stopping = Instant::now();
             cluster.shutdown();

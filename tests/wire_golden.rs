@@ -4,19 +4,26 @@
 //! per type, and decoded back to the value. Round-trip tests hold encode
 //! and decode to each other; only this holds both to the format.
 
+use harbor::{recover_site, scrub_site, RecoveryConfig, RecoveryContext};
 use harbor_common::codec::Wire;
+use harbor_common::config::PAGE_SIZE;
 use harbor_common::{
-    DbError, DiskProfile, FieldType, PageId, RecordId, SiteId, TableId, Timestamp, TransactionId,
-    Tuple, Value,
+    DbError, DbResult, DiskProfile, FieldType, Metrics, PageId, RecordId, SiteId, StorageConfig,
+    TableId, Timestamp, TransactionId, Tuple, Value,
 };
-use harbor_dist::{RemoteScan, Request, Response, UpdateRequest, WireReadMode, WireTxnState};
-use harbor_engine::Catalog;
+use harbor_dist::{
+    Coordinator, CoordinatorConfig, Placement, ProtocolKind, RemoteScan, Request, Response,
+    UpdateRequest, WireReadMode, WireTxnState, Worker, WorkerConfig,
+};
+use harbor_engine::{Catalog, Engine, EngineOptions};
 use harbor_exec::expr::{ArithOp, CmpOp, Expr};
 use harbor_front::{FrontReply, FrontRequest};
+use harbor_net::{Channel, InMemNetwork, Listener, Transport};
 use harbor_storage::CheckpointRecord;
 use harbor_wal::record::{CkptTxnState, LogPayload, LogRecord, RedoOp, TsField, TxnOutcome};
 use harbor_wal::Lsn;
 use std::fmt::Debug;
+use std::sync::{Arc, Mutex};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -697,4 +704,222 @@ fn checkpoint_record_is_byte_identical() {
         CheckpointRecord::default()
     );
     std::fs::remove_file(&path).expect("remove");
+}
+
+// ----------------------------------------------------------------------
+// The scans recovery sends: §5.3's two queries as Phase 2 asks them
+// (historical, one range each with one buddy), as Phase 3 asks them (under
+// its table lock, from the HWM on) and as scrub asks the second (the window
+// of a corrupt page), captured off the recovering site's connections.
+// ----------------------------------------------------------------------
+
+/// A transport that remembers every scan request sent on a connection it
+/// opened.
+struct ScanRecorder {
+    inner: Arc<dyn Transport>,
+    scans: Arc<Mutex<Vec<String>>>,
+}
+
+struct RecordedChannel {
+    inner: Box<dyn Channel>,
+    scans: Arc<Mutex<Vec<String>>>,
+}
+
+impl Transport for ScanRecorder {
+    fn listen(&self, addr: &str) -> DbResult<Box<dyn Listener>> {
+        self.inner.listen(addr)
+    }
+
+    fn connect(&self, addr: &str) -> DbResult<Box<dyn Channel>> {
+        Ok(Box::new(RecordedChannel {
+            inner: self.inner.connect(addr)?,
+            scans: self.scans.clone(),
+        }))
+    }
+}
+
+impl Channel for RecordedChannel {
+    fn send(&mut self, frame: &[u8]) -> DbResult<()> {
+        if let Ok(Request::Scan(_)) = Request::from_slice(frame) {
+            self.scans.lock().unwrap().push(hex(frame));
+        }
+        self.inner.send(frame)
+    }
+
+    fn recv(&mut self) -> DbResult<Vec<u8>> {
+        self.inner.recv()
+    }
+
+    fn recv_timeout(&mut self, timeout: std::time::Duration) -> DbResult<Option<Vec<u8>>> {
+        self.inner.recv_timeout(timeout)
+    }
+
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+
+    fn is_closed(&self) -> bool {
+        self.inner.is_closed()
+    }
+}
+
+#[test]
+fn recovery_scans_are_byte_identical() {
+    let dir = temp("recovery-scans");
+    let _ = std::fs::remove_dir_all(&dir);
+    let net: Arc<dyn Transport> = Arc::new(InMemNetwork::new(Metrics::new()));
+    let sites = [SiteId(1), SiteId(2)];
+    let addr = |site: SiteId| format!("golden-site-{}", site.0);
+    let mut placement = Placement::new();
+    placement.add_replicated_table("sales", &sites);
+    placement.set_coordinator_addr("golden-coordinator");
+    for site in sites {
+        placement.set_address(site, &addr(site));
+    }
+    let start = |site: SiteId| {
+        let engine = Engine::open(
+            dir.join(format!("site-{}", site.0)),
+            EngineOptions::harbor(site, StorageConfig::for_tests()),
+        )
+        .expect("open engine");
+        if engine.table_def("sales").is_none() {
+            let fields = vec![
+                ("id".into(), FieldType::Int64),
+                ("v".into(), FieldType::Int32),
+            ];
+            engine.create_table("sales", fields).expect("create table");
+        }
+        let cfg = WorkerConfig {
+            site,
+            addr: addr(site),
+            protocol: ProtocolKind::Opt3pc,
+            checkpoint_every: None,
+            peers: sites.iter().map(|s| (*s, addr(*s))).collect(),
+            coordinator: None,
+            auto_consensus: false,
+            use_deletion_log: true,
+            crash_schedule: Default::default(),
+        };
+        let worker = Worker::start(engine.clone(), net.clone(), cfg).expect("start worker");
+        (worker, engine)
+    };
+    let (buddy, _buddy_engine) = start(SiteId(1));
+    let (victim, victim_engine) = start(SiteId(2));
+    let coordinator = Coordinator::start(
+        CoordinatorConfig {
+            site: SiteId(0),
+            addr: "golden-coordinator".into(),
+            protocol: ProtocolKind::Opt3pc,
+            log_dir: None,
+            group_commit: harbor_wal::GroupCommit::enabled(),
+            disk: DiskProfile::fast(),
+            rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
+            crash_schedule: Default::default(),
+            epoch_commit: None,
+            degrade_read_only: false,
+        },
+        placement.clone(),
+        net.clone(),
+        Metrics::new(),
+    )
+    .expect("start coordinator");
+    let txn = |req: UpdateRequest| {
+        let tid = coordinator.begin().expect("begin");
+        coordinator.update(tid, req).expect("update");
+        coordinator.commit(tid).expect("commit")
+    };
+    let insert = |id: i64| UpdateRequest::Insert {
+        table: "sales".into(),
+        values: vec![Value::Int64(id), Value::Int32(0)],
+    };
+    // Times 1–3 before the victim's checkpoint; an update of a row it has
+    // checkpointed and two inserts, one of them while it is down, after.
+    for id in 1..=3 {
+        txn(insert(id));
+    }
+    victim_engine.checkpoint().expect("checkpoint");
+    txn(UpdateRequest::UpdateByKey {
+        table: "sales".into(),
+        key: 1,
+        set: vec![(1, Value::Int32(9))],
+    });
+    txn(insert(4));
+    victim.crash();
+    drop(victim_engine);
+    coordinator.mark_dead(SiteId(2));
+    txn(insert(5));
+
+    let (victim, victim_engine) = start(SiteId(2));
+    let scans = Arc::new(Mutex::new(Vec::new()));
+    let ctx = RecoveryContext {
+        engine: victim_engine.clone(),
+        site: SiteId(2),
+        placement,
+        transport: Arc::new(ScanRecorder {
+            inner: net.clone(),
+            scans: scans.clone(),
+        }),
+        down: Default::default(),
+        rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
+        config: RecoveryConfig::default(),
+    };
+    recover_site(&ctx).expect("recover");
+    // A page that is corrupt on disk and in no frame: scrub reads its
+    // segment's window back from the buddy.
+    let def = victim_engine.table_def("sales").expect("table");
+    let heap = victim_engine.pool().table(def.id).expect("heap");
+    victim_engine.pool().flush_all().expect("flush");
+    victim_engine.pool().deregister_table(def.id);
+    victim_engine.pool().register_table(heap.clone());
+    let page = heap
+        .all_page_ids()
+        .into_iter()
+        .find(|pid| {
+            let page = heap.read_page(pid.page_no).expect("read page");
+            let occupied = page.occupied_slots().count();
+            occupied > 0
+        })
+        .expect("an occupied page");
+    let path = dir.join("site-2").join(format!("t{}.tbl", def.id.0));
+    let mut image = std::fs::read(&path).expect("read table file");
+    image[page.page_no as usize * PAGE_SIZE + 40] ^= 0x10;
+    std::fs::write(&path, image).expect("write table file");
+    let scrubbed = scrub_site(&ctx).expect("scrub");
+    assert_eq!((scrubbed.corrupt_pages, scrubbed.ranges_fetched), (1, 1));
+
+    let golden = [
+        (
+            "Phase 2 deletions",
+            "060500000073616c6573010600000000000000000103000000000000000001030000000000000001",
+        ),
+        (
+            "Phase 2 inserts",
+            "060500000073616c6573010600000000000000000106000000000000000103000000000000000000",
+        ),
+        (
+            "Phase 3 deletions",
+            "060500000073616c65730201000000c07e0200000106000000000000000001060000000000000001",
+        ),
+        (
+            "Phase 3 inserts",
+            "060500000073616c65730201000000c07e020000000106000000000000000000",
+        ),
+        (
+            "scrub window",
+            "060500000073616c6573010600000000000000000106000000000000000100000000000000000000",
+        ),
+    ];
+    let scans = scans.lock().unwrap().clone();
+    assert_eq!(scans.len(), golden.len(), "{scans:#?}");
+    for ((what, bytes), sent) in golden.iter().zip(&scans) {
+        assert_eq!(sent, bytes, "{what}");
+        assert!(matches!(
+            Request::from_slice(&unhex(bytes)),
+            Ok(Request::Scan(_))
+        ));
+    }
+    coordinator.crash();
+    buddy.crash();
+    victim.crash();
+    let _ = std::fs::remove_dir_all(&dir);
 }
