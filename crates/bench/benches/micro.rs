@@ -331,6 +331,7 @@ fn bench_scan(_c: &mut Criterion) {
     for t in &tuples {
         inserter.insert(t).unwrap();
     }
+    inserter.flush().unwrap();
     drop(inserter);
     // An empty copy of the table for every sample of an apply row (and its
     // warm-up), created before anything is timed.
@@ -471,6 +472,7 @@ fn bench_scan(_c: &mut Criterion) {
             for t in &tuples {
                 inserter.insert(black_box(t)).unwrap();
             }
+            inserter.flush().unwrap();
             tuples.len()
         }),
     );

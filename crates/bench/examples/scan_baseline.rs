@@ -74,6 +74,7 @@ fn main() {
         );
         inserter.insert(&t).unwrap();
     }
+    inserter.flush().unwrap();
     let pool = e.pool().clone();
 
     bench("seq_scan_historical", rows as usize, iters, || {

@@ -151,6 +151,7 @@ pub fn prefill(cluster: &Cluster, table: &str, rows: i64) -> DbResult<()> {
             let tup = Tuple::versioned(Timestamp(1), Timestamp::ZERO, paper_row(id));
             inserter.insert(&tup)?;
         }
+        inserter.flush()?;
         engine.advance_applied_clock(Timestamp(1));
         engine.checkpoint()?;
         if engine.is_logging() {

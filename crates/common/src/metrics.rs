@@ -201,6 +201,9 @@ counters! {
     recovery_ranges_fetched: sum add_recovery_ranges_fetched, Recovery;
     /// Phase-2 segment ranges reassigned after a buddy failed mid-stream.
     recovery_ranges_reassigned: sum add_recovery_ranges_reassigned, Recovery;
+    /// Bulk inserters whose drop failed to place their staged rows (a drop
+    /// cannot return the error; a loader that calls `flush` sees it).
+    inserter_drop_failures: sum add_inserter_drop_failures, Recovery;
     /// Frames the chaos layer dropped (and severed the link for).
     chaos_drops: sum add_chaos_drops, Chaos;
     /// Frames the chaos layer delivered twice.

@@ -74,36 +74,11 @@ impl Tuple {
         &self.values[crate::schema::NUM_VERSION_COLS..]
     }
 
-    /// Serializes into `out`, which must be exactly `desc.byte_width()`
-    /// bytes (a page slot, or a buffer of that size): every byte is written.
+    /// Serializes into `out` as [`FixedLayout::encode`] does, walking the
+    /// descriptor instead of a layout built for it: for a row now and then.
     pub fn write_fixed(&self, desc: &TupleDesc, out: &mut [u8]) -> DbResult<()> {
-        // One pass decides; where it refuses, `check` words the refusal.
-        if self.values.len() != desc.len() {
-            return desc.check(&self.values);
-        }
-        if out.len() != desc.byte_width() {
-            return Err(DbError::Schema(format!(
-                "{} bytes for a {desc} row",
-                out.len()
-            )));
-        }
-        let mut rest = out;
-        for (ty, v) in desc.types().iter().zip(&self.values) {
-            let (at, after) = rest.split_at_mut(ty.width());
-            rest = after;
-            match (ty, v) {
-                (FieldType::Int32, Value::Int32(x)) => at.copy_from_slice(&x.to_le_bytes()),
-                (FieldType::Int64, Value::Int64(x)) => at.copy_from_slice(&x.to_le_bytes()),
-                (FieldType::Time, Value::Time(t)) => at.copy_from_slice(&t.0.to_le_bytes()),
-                (FieldType::FixedStr(_), Value::Str(s)) if s.len() <= at.len() => {
-                    // NUL padding to the declared width.
-                    at[..s.len()].copy_from_slice(s.as_bytes());
-                    at[s.len()..].fill(0);
-                }
-                _ => return desc.check(&self.values),
-            }
-        }
-        Ok(())
+        let fields = (0..desc.len()).map(|i| (desc.field_type(i), desc.field_offset(i)));
+        encode_fixed(desc, fields, &self.values, out)
     }
 
     /// Deserializes a fixed-width tuple.
@@ -285,11 +260,14 @@ pub fn transcode_wire_to_fixed(
 }
 
 /// A stored schema's fixed encoding, flattened to `(type, offset)` pairs in
-/// one contiguous vector. Built once per scan so the hot decode loop walks
-/// a local slice instead of chasing the descriptor per field.
+/// one contiguous vector. Built once per scan or per load so the hot decode
+/// and encode loops walk a local slice instead of chasing the descriptor per
+/// field.
 pub struct FixedLayout {
     fields: Vec<(FieldType, usize)>,
     width: usize,
+    /// Words a refusal.
+    desc: TupleDesc,
 }
 
 impl FixedLayout {
@@ -300,7 +278,24 @@ impl FixedLayout {
         FixedLayout {
             fields,
             width: desc.byte_width(),
+            desc: desc.clone(),
         }
+    }
+
+    /// Bytes of one stored row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Encodes one row into `out`, which must be exactly [`width`](Self::width)
+    /// bytes (a page slot, or a buffer of that size): every byte is written.
+    /// The inverse of [`decode`](Self::decode). A row of another field count,
+    /// a value of another type or a string wider than its column is
+    /// [`DbError::Schema`], worded by [`TupleDesc::check`]; `out` is then
+    /// partly written.
+    #[inline]
+    pub fn encode(&self, values: &[Value], out: &mut [u8]) -> DbResult<()> {
+        encode_fixed(&self.desc, self.fields.iter().copied(), values, out)
     }
 
     /// Decodes one stored row; equivalent to [`Tuple::read_fixed`] over the
@@ -341,6 +336,42 @@ impl FixedLayout {
         }
         Ok(Tuple { values })
     }
+}
+
+/// The one fixed-width encoder, behind [`FixedLayout::encode`] and
+/// [`Tuple::write_fixed`]: `fields` are `desc`'s `(type, offset)` pairs.
+#[inline]
+fn encode_fixed(
+    desc: &TupleDesc,
+    fields: impl ExactSizeIterator<Item = (FieldType, usize)>,
+    values: &[Value],
+    out: &mut [u8],
+) -> DbResult<()> {
+    // One pass decides; where it refuses, `check` words the refusal.
+    if values.len() != fields.len() {
+        return desc.check(values);
+    }
+    if out.len() != desc.byte_width() {
+        return Err(DbError::Schema(format!(
+            "{} bytes for a {desc} row",
+            out.len()
+        )));
+    }
+    for ((ty, off), v) in fields.zip(values) {
+        let at = &mut out[off..off + ty.width()];
+        match (ty, v) {
+            (FieldType::Int32, Value::Int32(x)) => at.copy_from_slice(&x.to_le_bytes()),
+            (FieldType::Int64, Value::Int64(x)) => at.copy_from_slice(&x.to_le_bytes()),
+            (FieldType::Time, Value::Time(t)) => at.copy_from_slice(&t.0.to_le_bytes()),
+            (FieldType::FixedStr(_), Value::Str(s)) if s.len() <= at.len() => {
+                // NUL padding to the declared width.
+                at[..s.len()].copy_from_slice(s.as_bytes());
+                at[s.len()..].fill(0);
+            }
+            _ => return desc.check(values),
+        }
+    }
+    Ok(())
 }
 
 impl fmt::Display for Tuple {

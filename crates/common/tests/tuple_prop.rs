@@ -3,6 +3,7 @@
 //! exactly the declared byte width.
 
 use harbor_common::codec::Decoder;
+use harbor_common::tuple::FixedLayout;
 use harbor_common::{FieldType, Timestamp, Tuple, TupleDesc, Value};
 use proptest::prelude::*;
 
@@ -64,7 +65,13 @@ proptest! {
         let mut dec = Decoder::new(&bytes);
         let back = Tuple::read_fixed(&desc, &mut dec).unwrap();
         dec.finish().unwrap();
-        prop_assert_eq!(back, tuple);
+        prop_assert_eq!(&back, &tuple);
+        // The layout a loader builds once encodes what it decodes.
+        let layout = FixedLayout::new(&desc);
+        let mut again = vec![0xa5u8; layout.width()];
+        layout.encode(tuple.values(), &mut again).unwrap();
+        prop_assert_eq!(&again, &bytes);
+        prop_assert_eq!(layout.decode(&again).unwrap(), tuple);
     }
 
     #[test]

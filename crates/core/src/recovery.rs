@@ -1122,11 +1122,12 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
         |_| {
             let mut reinserted = 0u64;
             for ((lo, hi), fetched) in &prefetched {
+                // The window's missing rows, back to back: one run.
+                let missing = reconcile_window(ctx, &heap, *lo, *hi, fetched)?;
+                let run: Vec<u8> = missing.iter().flat_map(|row| &row.wire).copied().collect();
                 let mut ins = engine.recovered_inserter(def.id)?;
-                for row in reconcile_window(ctx, &heap, *lo, *hi, fetched)? {
-                    ins.insert_wire(1, &mut Decoder::new(&row.wire), |_| {})?;
-                    reinserted += 1;
-                }
+                ins.insert_wire(missing.len(), &mut Decoder::new(&run), |_| {})?;
+                reinserted += missing.len() as u64;
             }
             // The zeroed pages invalidated any record ids the index or
             // deletion log cached; both rebuild lazily from a clean scan.

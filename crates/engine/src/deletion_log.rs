@@ -64,14 +64,17 @@ impl DeletionLog {
 
     /// Records that `rid` was deleted at `ts`. No-op while cold.
     pub fn note(&self, rid: RecordId, ts: Timestamp) {
-        if !ts.is_valid_commit_time() {
-            return;
-        }
+        self.note_run([(rid, ts)]);
+    }
+
+    /// [`note`](Self::note) for each `(record, deletion time)` of a run under
+    /// one lock; a pair whose time is no commit time (a live row) is skipped.
+    pub fn note_run(&self, run: impl IntoIterator<Item = (RecordId, Timestamp)>) {
         let mut g = self.inner.lock();
-        if !g.built {
-            return;
+        if g.built {
+            let deleted = run.into_iter().filter(|(_, ts)| ts.is_valid_commit_time());
+            g.by_time.extend(deleted.map(|(rid, ts)| (ts.0, rid)));
         }
-        g.by_time.insert((ts.0, rid));
     }
 
     /// Removes a record (undelete in recovery Phase 1, or physical removal

@@ -24,15 +24,15 @@ use crate::deletion_log::DeletionLog;
 use crate::index::KeyIndex;
 use crate::txn::{LocalTxnStatus, TxnState};
 use harbor_common::codec::Decoder;
-use harbor_common::tuple::transcode_wire_to_fixed;
+use harbor_common::tuple::{transcode_wire_to_fixed, FixedLayout};
 use harbor_common::{
     DbError, DbResult, FieldType, Metrics, RecordId, SiteId, StorageConfig, TableId, Timestamp,
     TransactionId, Tuple, TupleDesc, Value,
 };
 use harbor_storage::table::ts_word;
 use harbor_storage::{
-    BufferPool, Checkpointer, DiskFaultPlan, LockManager, LockMode, PagePolicy, PoolRecovery,
-    SegmentedHeapFile,
+    slots_per_page, BufferPool, Checkpointer, DiskFaultPlan, LockManager, LockMode, PagePolicy,
+    PoolRecovery, SegmentedHeapFile,
 };
 use harbor_wal::aries::{self, AriesReport};
 use harbor_wal::record::{CkptTxnState, LogPayload, LogRecord, RedoOp, TsField};
@@ -41,7 +41,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Byte offset of the primary key within an encoded tuple (after the two
 /// 8-byte version timestamps).
@@ -140,6 +140,9 @@ pub struct Engine {
     indexes: Mutex<HashMap<TableId, Arc<KeyIndex>>>,
     /// Per-table deletion logs (the §5.2-footnote deletion vector).
     deletion_logs: Mutex<HashMap<TableId, Arc<DeletionLog>>>,
+    /// Each live [`RecoveredInserter`]'s smallest staged insertion time
+    /// (`u64::MAX`: nothing staged): rows a checkpoint must not claim yet.
+    staged: Mutex<Vec<Weak<AtomicU64>>>,
     /// Transactions poisoned to vote NO at prepare (fault injection).
     poisoned: Mutex<HashSet<TransactionId>>,
 }
@@ -190,6 +193,7 @@ impl Engine {
             commit_gate: RwLock::new(()),
             indexes: Mutex::new(HashMap::new()),
             deletion_logs: Mutex::new(HashMap::new()),
+            staged: Mutex::new(Vec::new()),
             poisoned: Mutex::new(HashSet::new()),
             opts,
         };
@@ -750,7 +754,8 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Runs one HARBOR checkpoint (Fig 3-2). Picks the largest safe `T`:
-    /// the applied clock, clamped below every in-flight commit bound. Also
+    /// the applied clock, clamped below every in-flight commit bound and
+    /// every row a [`RecoveredInserter`] holds staged. Also
     /// records, per table, the lowest segment that may hold uncommitted
     /// tuples (Phase 1's scan start). Returns the checkpoint time.
     pub fn checkpoint(&self) -> DbResult<Timestamp> {
@@ -775,6 +780,11 @@ impl Engine {
                 }
             }
             drop(txns);
+            // Read before the dirty pages are: a stage placed before this
+            // read is in the snapshot, one still staged bounds `t`.
+            for floor in self.staged.lock().iter().filter_map(Weak::upgrade) {
+                t = t.min(Timestamp(floor.load(Ordering::SeqCst)).prev());
+            }
             let snapshot = self.pool.dirty_pages();
             let mut scan_start = Vec::new();
             for id in self.pool.table_ids() {
@@ -865,12 +875,25 @@ impl Engine {
     /// copy) through a private [`harbor_storage::BulkAppender`] page cursor:
     /// concurrent fetchers share neither the insert hint nor a page latch.
     pub fn recovered_inserter(&self, table_id: TableId) -> DbResult<RecoveredInserter> {
+        let table = self.pool.table(table_id)?;
+        let layout = FixedLayout::new(table.desc());
+        let floor = Arc::new(AtomicU64::new(u64::MAX));
+        {
+            let mut staged = self.staged.lock();
+            staged.retain(|s| s.strong_count() > 0);
+            staged.push(Arc::downgrade(&floor));
+        }
         Ok(RecoveredInserter {
-            table: self.pool.table(table_id)?,
             appender: self.pool.bulk_appender(table_id)?,
             index: self.index(table_id)?,
             dlog: self.deletion_log(table_id)?,
             placed: Vec::new(),
+            stage: vec![0; slots_per_page(layout.width()).max(1) * layout.width()],
+            staged: 0,
+            floor,
+            metrics: self.metrics.clone(),
+            layout,
+            table,
         })
     }
 
@@ -902,6 +925,16 @@ impl Engine {
 }
 
 /// See [`Engine::recovered_inserter`].
+///
+/// Rows handed over as tuples are *staged*: encoded into a private buffer of
+/// one page's worth of rows and placed as one run — one latch hold, one
+/// annotation, one index and one deletion-log lock — when the stage is full,
+/// on [`flush`](Self::flush), before the next [`insert_wire`](Self::insert_wire)
+/// (so rows land in the order they were handed over) and on drop. A staged
+/// row is not visible to any reader until its run is placed (PostgreSQL's
+/// `COPY` buffers rows the same way), and bounds [`Engine::checkpoint`]
+/// until then. Drop places what is left like `BufWriter` does: its error is
+/// counted (`inserter_drop_failures`), not returned — call `flush` to see it.
 pub struct RecoveredInserter {
     table: Arc<SegmentedHeapFile>,
     appender: harbor_storage::BulkAppender,
@@ -911,31 +944,74 @@ pub struct RecoveredInserter {
     /// times: for the index and the deletion log, once the latch is dropped
     /// (elsewhere both are locked *before* latches).
     placed: Vec<(RecordId, i64, Timestamp)>,
+    layout: FixedLayout,
+    /// Room for one page of rows in their stored encoding; the first
+    /// `staged` rows are waiting to be placed.
+    stage: Vec<u8>,
+    staged: usize,
+    /// The smallest insertion time staged, `u64::MAX` when nothing is; the
+    /// engine's checkpoint reads it.
+    floor: Arc<AtomicU64>,
+    metrics: Metrics,
 }
 
 impl RecoveredInserter {
-    /// Physically inserts one already-committed tuple, encoded straight into
-    /// its page slot, and annotates the segment, the deletion log and the
-    /// index for where it landed.
-    pub fn insert(&mut self, tuple: &Tuple) -> DbResult<RecordId> {
-        let mut at = None;
-        self.place(
-            1,
-            |desc, slot| tuple.write_fixed(desc, slot),
-            |rid| at = Some(rid),
-        )?;
-        at.ok_or_else(|| DbError::internal("a placed row has a record id"))
+    /// Stages one already-committed tuple in its stored encoding. A row
+    /// that does not fit the table's schema or carries no committed
+    /// insertion time is refused here, at its own call, and leaves the rows
+    /// staged before it staged. Filling the stage places it; an error doing
+    /// so is this call's, and the stage's rows not yet placed are dropped.
+    pub fn insert(&mut self, tuple: &Tuple) -> DbResult<()> {
+        let width = self.layout.width();
+        let row = &mut self.stage[self.staged * width..][..width];
+        self.layout.encode(tuple.values(), row)?;
+        let inserted = committed_insertion(row)?;
+        if inserted.0 < self.floor.load(Ordering::Relaxed) {
+            self.floor.store(inserted.0, Ordering::SeqCst);
+        }
+        self.staged += 1;
+        if self.staged * width == self.stage.len() {
+            self.flush()?;
+        }
+        Ok(())
     }
 
-    /// [`insert`](Self::insert) for the next `rows` rows of a scan reply still
-    /// in its receive buffer, each transcoded from its wire layout into its
-    /// slot. `placed` hears where each went; on an error the rows before stay.
+    /// Places the staged rows. On an error the rows before the failing one
+    /// stay placed and the rest are dropped.
+    pub fn flush(&mut self) -> DbResult<()> {
+        let rows = std::mem::take(&mut self.staged);
+        if rows == 0 {
+            return Ok(());
+        }
+        let stage = std::mem::take(&mut self.stage);
+        let mut at = 0;
+        let placed = self.place(
+            rows,
+            |_, slot| {
+                slot.copy_from_slice(&stage[at..at + slot.len()]);
+                at += slot.len();
+                Ok(())
+            },
+            |_| {},
+        );
+        self.stage = stage;
+        // Only now: until its rows are in their pages, the run bounds a
+        // checkpoint.
+        self.floor.store(u64::MAX, Ordering::SeqCst);
+        placed
+    }
+
+    /// Places the next `rows` rows of a scan reply still in its receive
+    /// buffer, each transcoded from its wire layout into its slot, after the
+    /// staged ones. `placed` hears where each went; on an error the rows
+    /// before stay.
     pub fn insert_wire(
         &mut self,
         rows: usize,
         wire: &mut Decoder<'_>,
         placed: impl FnMut(RecordId),
     ) -> DbResult<()> {
+        self.flush()?;
         self.place(
             rows,
             |desc, slot| transcode_wire_to_fixed(desc, wire, slot),
@@ -944,7 +1020,9 @@ impl RecoveredInserter {
     }
 
     /// The one body of a recovered insert: `encode` writes each row into the
-    /// slot the cursor offers; it must carry a committed insertion time.
+    /// slot the cursor offers; it must carry a committed insertion time. The
+    /// deletion log and the index hear of the run once it is placed, under
+    /// one lock each.
     fn place(
         &mut self,
         rows: usize,
@@ -954,22 +1032,39 @@ impl RecoveredInserter {
         let (desc, index, pending) = (self.table.desc(), &self.index, &mut self.placed);
         let appended = self.appender.append(rows, |rid, slot| {
             encode(desc, slot)?;
-            if !Timestamp(ts_word(slot, 0)).is_valid_commit_time() {
-                return Err(DbError::internal(
-                    "a recovered row requires a committed insertion timestamp",
-                ));
-            }
+            committed_insertion(slot)?;
             let deleted = Timestamp(ts_word(slot, 8));
             pending.push((rid, index.key_from_bytes(slot), deleted));
             Ok(())
         });
-        for (rid, key, del) in self.placed.drain(..) {
-            self.dlog.note(rid, del);
-            self.index.insert(key, rid);
-            placed(rid);
-        }
+        let run = &self.placed;
+        self.dlog
+            .note_run(run.iter().map(|&(rid, _, del)| (rid, del)));
+        self.index
+            .insert_run(run.iter().map(|&(rid, key, _)| (key, rid)));
+        self.placed.drain(..).for_each(|(rid, ..)| placed(rid));
         appended
     }
+}
+
+impl Drop for RecoveredInserter {
+    fn drop(&mut self) {
+        if self.flush().is_err() {
+            self.metrics.add_inserter_drop_failures(1);
+        }
+    }
+}
+
+/// The insertion time of a stored row, which a recovered row must have been
+/// committed at.
+fn committed_insertion(row: &[u8]) -> DbResult<Timestamp> {
+    let inserted = Timestamp(ts_word(row, 0));
+    if !inserted.is_valid_commit_time() {
+        return Err(DbError::internal(
+            "a recovered row requires a committed insertion timestamp",
+        ));
+    }
+    Ok(inserted)
 }
 
 impl std::fmt::Debug for Engine {

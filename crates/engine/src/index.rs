@@ -15,8 +15,9 @@ use harbor_common::{DbResult, PageId, RecordId, TableId};
 use harbor_storage::table::ts_word;
 use harbor_storage::BufferPool;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::RangeInclusive;
 
 /// A multiplicative (Fibonacci) hash of the one `i64` a key is. Tuple ids are
 /// the warehouse's own surrogate keys, mostly consecutive; a loader that
@@ -46,57 +47,87 @@ fn pack(rid: RecordId) -> u64 {
     (rid.page.page_no as u64) << 16 | rid.slot as u64
 }
 
+fn unpack(table: TableId, at: u64) -> RecordId {
+    RecordId::new(PageId::new(table, (at >> 16) as u32), at as u16)
+}
+
+/// Set in a key's first-version word while `more` holds later versions of
+/// the key (a packed place never reaches bit 48): a key with one version is
+/// looked up without a tree search.
+const HAS_MORE: u64 = 1 << 63;
+
+/// `key`'s entries in [`Inner::more`], oldest registration first.
+fn later(key: i64) -> RangeInclusive<(i64, u64)> {
+    (key, 0)..=(key, u64::MAX)
+}
+
 /// The key → versions map. Nearly every key has one version, and that one
 /// lives in the map itself, packed: nothing is allocated per key, a bucket is
-/// 17 bytes, and the index is freed as one block. Only a key that an update
-/// gave a second version has a `Vec`, in `more`, holding the versions after
-/// the first in the order they came.
+/// 17 bytes, and the index is freed as one block. The versions after the
+/// first of a key that an update gave more than one live in `more`, one
+/// ordered map for the whole table keyed by `(key, registration number)`: a
+/// key's later versions are one range in the order they came, and a second
+/// version costs a slot in a B-tree node, not a map entry and a `Vec` of its
+/// own.
 #[derive(Default)]
 struct Inner {
     built: bool,
     first: HashMap<i64, u64, BuildHasherDefault<KeyHasher>>,
-    more: HashMap<i64, Vec<RecordId>>,
+    more: BTreeMap<(i64, u64), u64>,
+    /// The last registration number handed out.
+    registered: u64,
 }
 
 impl Inner {
     fn versions(&self, table: TableId, key: i64) -> Vec<RecordId> {
-        let Some(&at) = self.first.get(&key) else {
+        let Some(&word) = self.first.get(&key) else {
             return Vec::new();
         };
-        let first = RecordId::new(PageId::new(table, (at >> 16) as u32), at as u16);
-        let more = self.more.get(&key).into_iter().flatten();
-        std::iter::once(first).chain(more.copied()).collect()
+        let mut versions = vec![unpack(table, word & !HAS_MORE)];
+        if word & HAS_MORE != 0 {
+            let more = self.more.range(later(key));
+            versions.extend(more.map(|(_, at)| unpack(table, *at)));
+        }
+        versions
     }
 
     fn insert(&mut self, key: i64, rid: RecordId) {
-        if *self.first.entry(key).or_insert(pack(rid)) != pack(rid) {
-            let more = self.more.entry(key).or_default();
-            if !more.contains(&rid) {
-                more.push(rid);
-            }
+        let at = pack(rid);
+        let word = self.first.entry(key).or_insert(at);
+        let said = *word & !HAS_MORE == at
+            || (*word & HAS_MORE != 0 && self.more.range(later(key)).any(|(_, v)| *v == at));
+        if !said {
+            *word |= HAS_MORE;
+            self.registered += 1;
+            self.more.insert((key, self.registered), at);
         }
     }
 
     fn remove(&mut self, key: i64, rid: RecordId) {
-        let Some(first) = self.first.get_mut(&key) else {
+        let Some(&word) = self.first.get(&key) else {
             return;
         };
-        let first_goes = *first == pack(rid);
-        let Some(more) = self.more.get_mut(&key) else {
-            if first_goes {
-                self.first.remove(&key);
-            }
-            return;
-        };
-        if first_goes {
+        let at = pack(rid);
+        let mut later_versions = self.more.range(later(key)).map(|(k, v)| (*k, *v));
+        let (goes, first) = if word & !HAS_MORE == at {
             // The oldest of the later versions takes its place.
-            *first = pack(more.remove(0));
+            match later_versions.next() {
+                Some((k, next)) => (k, next),
+                None => {
+                    self.first.remove(&key);
+                    return;
+                }
+            }
         } else {
-            more.retain(|r| *r != rid);
-        }
-        if more.is_empty() {
-            self.more.remove(&key);
-        }
+            match later_versions.find(|(_, v)| *v == at) {
+                Some((k, _)) => (k, word & !HAS_MORE),
+                None => return,
+            }
+        };
+        self.more.remove(&goes);
+        let still_more = self.more.range(later(key)).next().is_some();
+        self.first
+            .insert(key, if still_more { first | HAS_MORE } else { first });
     }
 }
 
@@ -138,9 +169,15 @@ impl KeyIndex {
     /// Registers a version (once, however often it is said). No-op while
     /// cold (the eventual build scan will see the tuple on its page).
     pub fn insert(&self, key: i64, rid: RecordId) {
+        self.insert_run([(key, rid)]);
+    }
+
+    /// [`insert`](Self::insert) for each `(key, version)` of a run, in order,
+    /// under one lock: a placed page of rows is one index call.
+    pub fn insert_run(&self, run: impl IntoIterator<Item = (i64, RecordId)>) {
         let mut g = self.inner.lock();
         if g.built {
-            g.insert(key, rid);
+            run.into_iter().for_each(|(key, rid)| g.insert(key, rid));
         }
     }
 

@@ -23,7 +23,7 @@ pub use txn::{LocalTxnStatus, TxnState};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harbor_common::{FieldType, SiteId, StorageConfig, Timestamp, TransactionId, Value};
+    use harbor_common::{FieldType, SiteId, StorageConfig, Timestamp, TransactionId, Tuple, Value};
     use std::path::PathBuf;
     use std::sync::Arc;
 
@@ -270,7 +270,10 @@ mod tests {
         let (e, dir) = harbor_engine("recovery-prims");
         let def = e.create_table("sales", fields()).unwrap();
         let tup = harbor_common::Tuple::versioned(Timestamp(3), Timestamp::ZERO, row(7, 70));
-        let rid = e.recovered_inserter(def.id).unwrap().insert(&tup).unwrap();
+        let mut inserter = e.recovered_inserter(def.id).unwrap();
+        inserter.insert(&tup).unwrap();
+        inserter.flush().unwrap();
+        let rid = e.index(def.id).unwrap().lookup(e.pool(), 7).unwrap()[0];
         let table = e.pool().table(def.id).unwrap();
         assert_eq!(table.segments()[0].tmin_insert, Timestamp(3));
         e.set_deletion(rid, Timestamp(9)).unwrap();
@@ -293,6 +296,54 @@ mod tests {
             .lookup(e.pool(), 7)
             .unwrap()
             .is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Rows an inserter holds staged are on no page yet, so a checkpoint may
+    /// not claim their time; once placed, it may.
+    #[test]
+    fn staged_rows_bound_the_checkpoint() {
+        let (e, dir) = harbor_engine("staged-ckpt");
+        let def = e.create_table("sales", fields()).unwrap();
+        let mut inserter = e.recovered_inserter(def.id).unwrap();
+        for id in 0..3 {
+            let tup = Tuple::versioned(Timestamp(3), Timestamp::ZERO, row(id, 1));
+            inserter.insert(&tup).unwrap();
+        }
+        e.advance_applied_clock(Timestamp(5));
+        assert!(e.checkpoint().unwrap() < Timestamp(3));
+        inserter.flush().unwrap();
+        assert!(e.checkpoint().unwrap() >= Timestamp(3));
+        drop(inserter);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A row the table cannot take is refused at its own `insert`; the rows
+    /// staged before it stay staged, unseen until `flush` places them.
+    #[test]
+    fn a_refused_row_leaves_the_rows_staged_before_it() {
+        let (e, dir) = harbor_engine("staged-refused");
+        let def = e.create_table("sales", fields()).unwrap();
+        let index = e.index(def.id).unwrap();
+        let mut inserter = e.recovered_inserter(def.id).unwrap();
+        let at = |ins, user| Tuple::versioned(ins, Timestamp::ZERO, user);
+        inserter.insert(&at(Timestamp(3), row(1, 1))).unwrap();
+        inserter.insert(&at(Timestamp(3), row(2, 2))).unwrap();
+        assert!(inserter
+            .insert(&at(Timestamp::UNCOMMITTED, row(3, 3)))
+            .is_err());
+        assert!(inserter
+            .insert(&at(Timestamp(3), vec![Value::Int64(4)]))
+            .is_err());
+        assert!(index.lookup(e.pool(), 1).unwrap().is_empty());
+        inserter.flush().unwrap();
+        for (key, versions) in [(1, 1), (2, 1), (3, 0), (4, 0)] {
+            let found = index.lookup(e.pool(), key).unwrap();
+            assert_eq!(found.len(), versions, "key {key}");
+        }
+        let table = e.pool().table(def.id).unwrap();
+        assert_eq!(table.segments()[0].tmax_insert, Timestamp(3));
+        drop(inserter);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,22 +2,23 @@
 //!
 //! * **Page at a time ≡ row at a time.** Whatever the
 //!   [`RecoveredInserter`](harbor_engine::RecoveredInserter) does with runs
-//!   of rows under one latch hold — tuples or wire bytes, a cursor dropped
-//!   mid-page, rows removed from the page the cursor still has pinned, a
-//!   pool smaller than the table — ends in the state a reference written
-//!   here from `Page::insert`, one row and one latch hold at a time, ends
-//!   in: the same page images, segment bounds, index and deletion log.
+//!   of rows under one latch hold — tuples staged a page at a time or wire
+//!   bytes, a flush, a cursor dropped mid-page with rows still staged, rows
+//!   removed from the page the cursor still has pinned, a pool smaller than
+//!   the table — ends in the state a reference written here from
+//!   `Page::insert`, one row and one latch hold at a time, ends in: the same
+//!   page images, segment bounds, index and deletion log.
 //! * **`KeyIndex` ≡ a `BTreeMap<i64, Vec<RecordId>>`** under inserts,
 //!   repeated inserts, removals and an invalidate-and-rebuild, with one to
-//!   four versions a key.
+//!   four versions a key; and `insert_run` ≡ one `insert` per version.
 
 use harbor_common::codec::{Decoder, Encoder};
 use harbor_common::config::PAGE_PAYLOAD;
 use harbor_common::{
-    DbError, FieldType, RecordId, SiteId, StorageConfig, TableId, Timestamp, Tuple, Value,
+    DbError, FieldType, PageId, RecordId, SiteId, StorageConfig, TableId, Timestamp, Tuple, Value,
 };
-use harbor_engine::{Engine, EngineOptions};
-use harbor_storage::SegmentMeta;
+use harbor_engine::{Engine, EngineOptions, KeyIndex, KEY_OFFSET};
+use harbor_storage::{slots_per_page, SegmentMeta};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,11 +67,15 @@ enum Op {
     /// A run of rows in hand: as tuples, one call each, or as one scan
     /// reply's wire bytes.
     Rows { rows: Vec<Row>, wire: bool },
-    /// The cursor goes, wherever on its page it stands.
+    /// The staged tuples are placed.
+    Flush,
+    /// The cursor goes, wherever on its page it stands and whatever it has
+    /// staged.
     DropCursor,
-    /// `remove_physical` of the `n`-th row placed so far (modulo): the
-    /// buddy-lost undo, often on the page the cursor holds.
-    Remove(usize),
+    /// `remove_physical` of the `n`-th version (modulo) of `key`: the
+    /// buddy-lost undo, often on the page the cursor holds. By key, because
+    /// a staged row has no record id until it is placed.
+    Remove { key: i64, n: usize },
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -80,11 +85,13 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         (proptest::collection::vec(row, 1..60), any::<bool>())
             .prop_map(|(rows, wire)| Op::Rows { rows, wire })
     };
-    let remove = || (0usize..1000).prop_map(Op::Remove);
+    let remove = || (0i64..8, 0usize..1000).prop_map(|(key, n)| Op::Remove { key, n });
     let op = prop_oneof![
         rows(),
         rows(),
         rows(),
+        rows(),
+        Just(Op::Flush),
         Just(Op::DropCursor),
         remove(),
         remove()
@@ -93,13 +100,38 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// The reference cursor: the parent commit's row-at-a-time path, spelled out
-/// over the pool's public per-page calls.
-#[derive(Default)]
+/// over the pool's public per-page calls. Tuples wait in `staged` and are
+/// written when the inserter's stage is placed: a page's worth at a time, on
+/// a flush, before wire rows and when the cursor goes.
 struct RowAtATime {
     current: Option<harbor_common::PageId>,
+    staged: Vec<Row>,
+    page_of_rows: usize,
 }
 
 impl RowAtATime {
+    fn new(e: &Engine, table: TableId) -> Self {
+        let width = e.pool().table(table).unwrap().tuple_size();
+        RowAtATime {
+            current: None,
+            staged: Vec::new(),
+            page_of_rows: slots_per_page(width),
+        }
+    }
+
+    fn stage(&mut self, e: &Engine, table: TableId, row: Row) {
+        self.staged.push(row);
+        if self.staged.len() == self.page_of_rows {
+            self.flush(e, table);
+        }
+    }
+
+    fn flush(&mut self, e: &Engine, table: TableId) {
+        for row in std::mem::take(&mut self.staged) {
+            self.insert(e, table, row);
+        }
+    }
+
     fn insert(&mut self, e: &Engine, table: TableId, row: Row) -> RecordId {
         let heap = e.pool().table(table).unwrap();
         let mut bytes = vec![0u8; heap.tuple_size()];
@@ -169,42 +201,62 @@ proptest! {
         let (old, old_table, old_dir) = engine("old");
         prop_assert_eq!(table, old_table);
         let mut cursor = None;
-        let mut reference = RowAtATime::default();
-        let mut placed: Vec<RecordId> = Vec::new();
+        let mut reference = RowAtATime::new(&old, table);
+        let versions = |e: &Engine| -> Vec<Vec<RecordId>> {
+            let index = e.index(table).unwrap();
+            (0..8).map(|key| index.lookup(e.pool(), key).unwrap()).collect()
+        };
         for op in ops {
             match op {
                 Op::Rows { rows, wire } => {
                     let cursor = cursor.get_or_insert_with(|| new.recovered_inserter(table).unwrap());
-                    let from = placed.len();
                     if wire {
                         let mut enc = Encoder::new();
                         rows.iter().for_each(|r| tuple(*r).write_wire(&mut enc));
                         let mut reply = Decoder::new(enc.as_slice());
+                        let mut placed = Vec::new();
                         cursor.insert_wire(rows.len(), &mut reply, |rid| placed.push(rid)).unwrap();
                         reply.finish().unwrap();
+                        reference.flush(&old, table);
+                        let want: Vec<RecordId> =
+                            rows.iter().map(|r| reference.insert(&old, table, *r)).collect();
+                        prop_assert_eq!(placed, want);
                     } else {
-                        placed.extend(rows.iter().map(|r| cursor.insert(&tuple(*r)).unwrap()));
+                        for row in rows {
+                            cursor.insert(&tuple(row)).unwrap();
+                            reference.stage(&old, table, row);
+                        }
                     }
-                    // One page is pinned and no more, however full the pool.
-                    prop_assert_eq!(new.pool().pinned_frames(), 1);
-                    let want: Vec<RecordId> =
-                        rows.iter().map(|r| reference.insert(&old, table, *r)).collect();
-                    prop_assert_eq!(&placed[from..], &want[..]);
+                    // One page is pinned at most, however full the pool.
+                    prop_assert!(new.pool().pinned_frames() <= 1);
+                }
+                Op::Flush => {
+                    if let Some(cursor) = &mut cursor {
+                        cursor.flush().unwrap();
+                    }
+                    reference.flush(&old, table);
                 }
                 Op::DropCursor => {
                     cursor = None;
+                    reference.flush(&old, table);
                     reference.current = None;
                     prop_assert_eq!(new.pool().pinned_frames(), 0);
                 }
-                Op::Remove(n) if !placed.is_empty() => {
-                    let rid = placed.swap_remove(n % placed.len());
-                    new.remove_physical(rid).unwrap();
-                    old.remove_physical(rid).unwrap();
+                Op::Remove { key, n } => {
+                    let index = new.index(table).unwrap();
+                    let placed = index.lookup(new.pool(), key).unwrap();
+                    if !placed.is_empty() {
+                        let rid = placed[n % placed.len()];
+                        new.remove_physical(rid).unwrap();
+                        old.remove_physical(rid).unwrap();
+                    }
                 }
-                Op::Remove(_) => {}
             }
+            // What is placed, and where, agrees at every step.
+            prop_assert_eq!(versions(&new), versions(&old));
         }
         drop(cursor);
+        reference.flush(&old, table);
         prop_assert_eq!(new.pool().pinned_frames(), 0);
         prop_assert_eq!(state(&new, table), state(&old, table));
         // And what reached the disk is what is in memory: a cold index
@@ -272,6 +324,39 @@ proptest! {
         drop((e, heap, index));
         let _ = std::fs::remove_dir_all(dir);
     }
+
+    /// `insert_run` is `insert` a version at a time under one lock: the same
+    /// registrations, repeats included, cut into runs anywhere, leave the
+    /// same versions in the same order.
+    #[test]
+    fn insert_run_matches_insert_per_version(
+        regs in proptest::collection::vec((0i64..12, 1u32..5, 0u16..6), 1..200),
+        cuts in proptest::collection::vec(1usize..16, 1..40),
+    ) {
+        let (e, table, dir) = engine("run");
+        let regs: Vec<(i64, RecordId)> = regs
+            .into_iter()
+            .map(|(key, page, slot)| (key, RecordId::new(PageId::new(table, page), slot)))
+            .collect();
+        let (per_version, by_runs) = (KeyIndex::fresh(table, KEY_OFFSET), KeyIndex::fresh(table, KEY_OFFSET));
+        regs.iter().for_each(|&(key, rid)| per_version.insert(key, rid));
+        let mut rest = &regs[..];
+        for cut in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (run, after) = rest.split_at((*cut).min(rest.len()));
+            by_runs.insert_run(run.iter().copied());
+            rest = after;
+        }
+        prop_assert_eq!(by_runs.len(), per_version.len());
+        for key in 0..12 {
+            let want = per_version.lookup(e.pool(), key).unwrap();
+            prop_assert_eq!(by_runs.lookup(e.pool(), key).unwrap(), want, "key {}", key);
+        }
+        drop(e);
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// A row that may not be recovered — no committed insertion time — ends a
@@ -307,8 +392,10 @@ fn a_refused_row_ends_the_run_with_the_rows_before_it_in_place() {
     assert_eq!(e.pool().with_page(None, placed[0].page, used).unwrap(), 2);
     assert_eq!(e.deletion_log(table).unwrap().len(), 1);
     // The next row takes the slot the refused one did not.
-    let next = cursor.insert(&tuple((4, 3, 0, 40))).unwrap();
-    assert_eq!((next.page, next.slot), (placed[0].page, 2));
-    drop((cursor, e));
+    cursor.insert(&tuple((4, 3, 0, 40))).unwrap();
+    cursor.flush().unwrap();
+    let next = RecordId::new(placed[0].page, 2);
+    assert_eq!(index.lookup(e.pool(), 4).unwrap(), vec![next]);
+    drop((cursor, index, e));
     let _ = std::fs::remove_dir_all(dir);
 }

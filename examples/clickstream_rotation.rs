@@ -54,6 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             inserter.insert(&tup)?;
             next_id += 1;
         }
+        inserter.flush()?; // the day's last rows are staged until here
         engine.advance_applied_clock(day_ts);
         engine.checkpoint()?; // make the day durable
         println!(
