@@ -585,8 +585,8 @@ impl Cluster {
     }
 
     /// As [`recover_worker_harbor`](Self::recover_worker_harbor) with an
-    /// explicit recovery configuration (fault injection, serial objects,
-    /// Phase 2 thresholds). On error the site stays crashed — the worker
+    /// explicit recovery configuration (fault injection or serial objects).
+    /// On error the site stays crashed — the worker
     /// server it briefly started is torn down so a later attempt can rebind.
     pub fn recover_worker_harbor_with(
         &self,

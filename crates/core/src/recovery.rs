@@ -11,8 +11,9 @@
 //!   buddies to copy (a) deletion times applied to pre-checkpoint tuples in
 //!   `(T_checkpoint, HWM]` and (b) whole tuples inserted in that window.
 //!   Because historical queries take no locks, the system is never
-//!   quiesced. The phase records a per-object checkpoint and repeats if the
-//!   clock has run far past the HWM.
+//!   quiesced. Each pass records a per-object checkpoint; another pass
+//!   runs while commits keep arriving and each pass copies less than half
+//!   of what the one before it did ([`repeat_phase2`]).
 //! * **Phase 3** (remote, locked, §5.4): take table-granularity read locks
 //!   on every recovery object, catch up from the HWM to the current time
 //!   with ordinary `SEE DELETED` queries, announce "`rec` coming online" to
@@ -25,8 +26,8 @@
 use harbor_common::codec::{Decoder, Wire};
 use harbor_common::tuple::transcode_wire_to_fixed;
 use harbor_common::{
-    retry_with, DbError, DbResult, PageId, RecordId, RetryPolicy, SiteId, TableId, Timestamp,
-    TransactionId, Tuple,
+    retry_with, DbError, DbResult, Metrics, PageId, RecordId, RetryPolicy, SiteId, TableId,
+    Timestamp, TransactionId, Tuple,
 };
 use harbor_dist::{
     rpc_deadline, rpc_liveness, scan_rpc_streaming_deadline, segment_bounds_rpc, with_read_retries,
@@ -62,16 +63,9 @@ pub enum RecoveryFailPoint {
 /// resolve by timeout and retry, §5.4.1).
 const LOCK_RETRY_FOR: Duration = Duration::from_secs(30);
 
-/// Tuning knobs for recovery.
+/// How a site recovers.
 #[derive(Clone, Debug)]
 pub struct RecoveryConfig {
-    /// Re-run Phase 2 if the clock has advanced more than this many ticks
-    /// past the HWM when the phase completes (§5.3: "if the HWM differs
-    /// from the current time by more than some system-configurable
-    /// threshold, Phase 2 can be repeated").
-    pub phase2_repeat_threshold: u64,
-    /// Upper bound on Phase 2 rounds (safety net under sustained load).
-    pub max_phase2_rounds: u32,
     /// Recover multiple objects in parallel (§5.1) or serially — the
     /// comparison of Figs 6-4/6-5.
     pub parallel_objects: bool,
@@ -82,8 +76,6 @@ pub struct RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            phase2_repeat_threshold: 64,
-            max_phase2_rounds: 4,
             parallel_objects: true,
             fail_point: RecoveryFailPoint::None,
         }
@@ -112,18 +104,28 @@ pub struct ObjectReport {
     /// Phase 2 remote SELECT + local INSERT of new tuples.
     pub phase2_inserts: Duration,
     pub phase3: Duration,
-    pub phase1_removed: u64,
-    pub phase1_undeleted: u64,
     pub deletions_copied: u64,
     pub tuples_copied: u64,
     pub phase2_rounds: u32,
     pub checkpoint: Timestamp,
-    pub hwm: Timestamp,
     /// One entry per Phase-2 range fetched, deletions and inserts alike.
     pub range_timings: Vec<RangeTiming>,
     /// How often a range was handed to another buddy because the one it
     /// was dealt to died or answered corrupt mid-stream (§5.5.2).
     pub ranges_reassigned: u64,
+}
+
+impl ObjectReport {
+    /// Books one Phase-2 walk here and in the site's counters; returns the
+    /// rows it fetched.
+    fn book(&mut self, (timings, reassigned): Walk, metrics: &Metrics) -> u64 {
+        metrics.add_recovery_ranges_fetched(timings.len() as u64);
+        metrics.add_recovery_ranges_reassigned(reassigned);
+        self.ranges_reassigned += reassigned;
+        let fetched = timings.iter().map(|t| t.tuples).sum();
+        self.range_timings.extend(timings);
+        fetched
+    }
 }
 
 /// Whole-site recovery summary.
@@ -193,21 +195,6 @@ impl RecoveryContext {
         self.transport.connect(self.placement.coordinator_addr()?)
     }
 
-    /// Asks the timestamp authority for the time: the oldest commit time it
-    /// has assigned whose COMMIT round is still out, else the current time.
-    /// Idempotent, so a transient timeout or dropped connection gets
-    /// bounded retries.
-    fn cluster_now(&self) -> DbResult<Timestamp> {
-        let reply = with_read_retries(None, DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF, || {
-            let mut chan = self.connect_coordinator()?;
-            rpc_deadline(chan.as_mut(), &Request::GetTime, self.rpc_deadline)
-        })?;
-        match reply {
-            Response::Time { now } => Ok(now),
-            other => Err(other.into_error("GetTime")),
-        }
-    }
-
     /// The objects this site holds: the tables the catalog places here that
     /// the engine has.
     fn local_objects(&self) -> Vec<String> {
@@ -220,12 +207,21 @@ impl RecoveryContext {
 }
 
 /// The one place a high-water mark is read (§5.3's `HWM = now - 1`, and the
-/// time scrub reads a buddy at): just below the coordinator's commit
-/// watermark, so every transaction with a commit time at or below it is
-/// committed on every live replica's pages and a historical query as of it
-/// misses none of them.
+/// time scrub reads a buddy at): just below the commit watermark `GetTime`
+/// answers — the oldest commit time whose COMMIT round is still out, else
+/// the current time — so every transaction with a commit time at or below
+/// it is committed on every live replica's pages and a historical query as
+/// of it misses none of them. Idempotent, so a transient timeout or dropped
+/// connection gets bounded retries.
 fn stable_hwm(ctx: &RecoveryContext) -> DbResult<Timestamp> {
-    Ok(ctx.cluster_now()?.prev())
+    let reply = with_read_retries(None, DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF, || {
+        let mut chan = ctx.connect_coordinator()?;
+        rpc_deadline(chan.as_mut(), &Request::GetTime, ctx.rpc_deadline)
+    })?;
+    match reply {
+        Response::Time { now } => Ok(now.prev()),
+        other => Err(other.into_error("GetTime")),
+    }
 }
 
 /// Recovers every object on the site; returns the per-object breakdown.
@@ -237,35 +233,15 @@ pub fn recover_site(ctx: &RecoveryContext) -> DbResult<RecoveryReport> {
     // §5.2: periodically scheduled checkpoints are disabled during recovery.
     ctx.engine.checkpointer().set_suspended(true);
     let tables = ctx.local_objects();
-    let mut objects = Vec::new();
-    if ctx.config.parallel_objects && tables.len() > 1 {
+    let objects: Vec<ObjectReport> = if ctx.config.parallel_objects {
         // Each object proceeds through its three phases at its own pace
         // (§5.1: "multiple rec objects ... recovered in parallel").
-        let results: Vec<DbResult<ObjectReport>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = tables
-                .iter()
-                .map(|t| {
-                    let t = t.clone();
-                    scope.spawn(move || recover_object(ctx, &t))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(DbError::internal("per-object recovery worker panicked"))
-                    })
-                })
-                .collect()
-        });
-        for r in results {
-            objects.push(r?);
-        }
+        let outcomes = fan_out(&tables, |_, t| recover_object(ctx, t));
+        outcomes.into_iter().collect::<DbResult<_>>()?
     } else {
-        for t in &tables {
-            objects.push(recover_object(ctx, t)?);
-        }
-    }
+        let outcomes = tables.iter().map(|t| recover_object(ctx, t));
+        outcomes.collect::<DbResult<_>>()?
+    };
     // All objects done: promote the global checkpoint to the weakest
     // per-object time and resume normal checkpointing (§5.3).
     let min_ckpt = objects
@@ -298,44 +274,37 @@ pub fn recover_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<Objec
 
     // ---------------- Phase 1: restore to the last checkpoint ----------
     let t0 = Instant::now();
-    let (removed, undeleted) = phase1(ctx, def.id, t_ckpt)?;
+    phase1(ctx, def.id, t_ckpt)?;
     report.phase1 = t0.elapsed();
-    report.phase1_removed = removed;
-    report.phase1_undeleted = undeleted;
     if ctx.config.fail_point == RecoveryFailPoint::AfterPhase1 {
         return Err(DbError::SiteDown("injected crash after phase 1".into()));
     }
 
-    // ---------------- Phase 2: historical catch-up (repeatable) --------
+    // ---------------- Phase 2: historical catch-up, pass by pass -------
     let plan = ctx
         .placement
         .recovery_plan(ctx.site, table_name, &ctx.down)?;
-    let mut ckpt = t_ckpt;
-    let mut hwm;
+    let (mut ckpt, mut hwm, mut before) = (t_ckpt, stable_hwm(ctx)?, u64::MAX);
     loop {
         report.phase2_rounds += 1;
-        hwm = stable_hwm(ctx)?;
         let t0 = Instant::now();
         let deletions = phase2_deletions(ctx, def.id, &plan, ckpt, hwm, &mut report)?;
         report.phase2_deletes += t0.elapsed();
         report.deletions_copied += deletions;
         let t0 = Instant::now();
-        let copied = phase2_inserts(ctx, def.id, &plan, ckpt, hwm, &mut report)?;
+        let tuples = phase2_inserts(ctx, def.id, &plan, ckpt, hwm, &mut report)?;
         report.phase2_inserts += t0.elapsed();
-        report.tuples_copied += copied;
+        report.tuples_copied += tuples;
         // Object-specific checkpoint: rec is consistent up to the HWM.
         ctx.engine.checkpointer().checkpoint_object(def.id, hwm)?;
         ctx.engine.pool().flush_all()?;
         ckpt = hwm;
-        let now = ctx.cluster_now()?;
-        let lag = now.0.saturating_sub(hwm.0);
-        if lag <= ctx.config.phase2_repeat_threshold
-            || report.phase2_rounds >= ctx.config.max_phase2_rounds
-        {
+        let (next, copied) = (stable_hwm(ctx)?, deletions + tuples);
+        if !repeat_phase2(hwm, next, copied, before) {
             break;
         }
+        (hwm, before) = (next, copied);
     }
-    report.hwm = hwm;
     if ctx.config.fail_point == RecoveryFailPoint::AfterPhase2 {
         return Err(DbError::SiteDown("injected crash after phase 2".into()));
     }
@@ -351,8 +320,46 @@ pub fn recover_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<Objec
     Ok(report)
 }
 
+/// §5.3's repeat rule, clocked by the passes themselves. A pass read as of
+/// `hwm` copied `copied` rows (deletion times plus tuples) and the pass
+/// before it `before` (`u64::MAX` for the first). Another pass runs only if
+/// a commit has settled since, so the fresh high-water mark `next` is above
+/// `hwm`; the pass copied anything; and it copied less than half of what the
+/// one before did. The counts at least halve from repeat to repeat, so
+/// Phase 2 ends within 2 + log₂ c₁ passes with no cap; Phase 3 takes
+/// whatever arrived during the last one.
+fn repeat_phase2(hwm: Timestamp, next: Timestamp, copied: u64, before: u64) -> bool {
+    next > hwm && copied > 0 && copied.saturating_mul(2) < before
+}
+
+/// Runs `job(i, item)` on every item at once — item 0 on the calling
+/// thread, each further item on a scoped thread of its own — and returns
+/// the outcomes in item order. A job that panics on a thread of its own
+/// comes back as an internal error.
+fn fan_out<I: Sync, T: Send>(
+    items: &[I],
+    job: impl Fn(usize, &I) -> DbResult<T> + Sync,
+) -> Vec<DbResult<T>> {
+    let Some((first, rest)) = items.split_first() else {
+        return Vec::new();
+    };
+    let job = &job;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..)
+            .zip(rest)
+            .map(|(i, item)| scope.spawn(move || job(i, item)))
+            .collect();
+        let mut outcomes = vec![job(0, first)];
+        outcomes.extend(handles.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|_| Err(DbError::internal("recovery thread panicked")))
+        }));
+        outcomes
+    })
+}
+
 /// Phase 1 (§5.2): two local queries against the object.
-fn phase1(ctx: &RecoveryContext, table: TableId, t_ckpt: Timestamp) -> DbResult<(u64, u64)> {
+fn phase1(ctx: &RecoveryContext, table: TableId, t_ckpt: Timestamp) -> DbResult<()> {
     let engine = &ctx.engine;
     let scan_start = engine.checkpointer().scan_start(table);
     // DELETE LOCALLY FROM rec SEE DELETED
@@ -366,7 +373,6 @@ fn phase1(ctx: &RecoveryContext, table: TableId, t_ckpt: Timestamp) -> DbResult<
         let ins = t.insertion_ts()?;
         Ok(ins.is_uncommitted() || ins > t_ckpt)
     })?;
-    let removed = victims.len() as u64;
     for (rid, _) in victims {
         engine.remove_physical(rid)?;
     }
@@ -376,15 +382,15 @@ fn phase1(ctx: &RecoveryContext, table: TableId, t_ckpt: Timestamp) -> DbResult<
     let victims = scan_rids(engine.pool(), table, ReadMode::SeeDeleted, bounds, |t| {
         Ok(t.deletion_ts()? > t_ckpt)
     })?;
-    let undeleted = victims.len() as u64;
     for (rid, _) in victims {
         engine.set_deletion(rid, Timestamp::ZERO)?;
     }
-    Ok((removed, undeleted))
+    Ok(())
 }
 
 // ====================================================================
-// Phase 2 (§5.3): one walker over `(lo, hi]` ranges serves both halves.
+// Phase 2 (§5.3): one walker over `(lo, hi]` ranges serves both halves,
+// and scrub's repair windows.
 // ====================================================================
 
 /// A buddy that died, stalled past the liveness deadline, or answered from
@@ -557,43 +563,68 @@ fn derive_ranges(
     ranges
 }
 
-/// The one Phase-2 walker. Cuts `(lo, hi]` at the buddy's §4.2 directory
-/// bounds (`cut_of` picks the axis) into one share per live full-copy
-/// buddy, deals range *i* to buddy *i* in catalog order — the calling
-/// thread fetches share 0, every further share gets a thread — and lets
-/// `fetch` stream each range into local state. Both the fan-out (what the
-/// K-safety catalog offers) and the split (what the directory offers) are
-/// computed, so which buddy serves which range is the same on every run.
+/// Which time a walk cuts its window by, at which of a segment's §4.2
+/// directory bounds.
+#[derive(Clone, Copy)]
+enum Axis {
+    /// Insertion time, at `tmax_insert`. Only the segments that can hold a
+    /// row of the window (`tmin_insert <= hi`) weigh in, so a window in the
+    /// middle of a table is not weighed by the table's whole tail.
+    Insertion,
+    /// Deletion time, at `tmax_delete`.
+    Deletion,
+}
+
+impl Axis {
+    /// The `(bound, pages)` cut list [`derive_ranges`] splits a window
+    /// ending at `hi` by, from a buddy's segment directory.
+    fn cuts(self, bounds: &[SegmentBound], hi: Timestamp) -> Vec<(Timestamp, u64)> {
+        let cut = |&(tmin_insert, tmax_insert, tmax_delete, pages): &SegmentBound| match self {
+            Axis::Insertion => (tmin_insert <= hi).then_some((tmax_insert, pages)),
+            Axis::Deletion => Some((tmax_delete, pages)),
+        };
+        bounds.iter().filter_map(cut).collect()
+    }
+}
+
+/// One segment as `Request::SegmentBounds` answers it: `tmin_insert`,
+/// `tmax_insert`, `tmax_delete`, page count.
+type SegmentBound = (Timestamp, Timestamp, Timestamp, u64);
+
+/// What one walk fetched, for its caller to book: a timing a range, and how
+/// often a range was handed to another buddy because its own was lost.
+type Walk = (Vec<RangeTiming>, u64);
+
+/// The one walker, under both halves of Phase 2 and scrub's repair
+/// windows. Cuts `(lo, hi]` on `axis` at the buddy's directory bounds into
+/// one share per live full-copy buddy, deals range *i* to buddy *i* in
+/// catalog order ([`fan_out`]) and lets `fetch` stream each range into
+/// local state. Both the fan-out (what the K-safety catalog offers) and the
+/// split (what the directory offers) are computed, so which buddy serves
+/// which range is the same on every run.
 ///
 /// §5.5.2 at range granularity: `fetch` must leave nothing behind when it
 /// fails with [`buddy_lost`]; the range is then re-dealt, once every share
-/// is in, to the next buddy in catalog order that has not failed. Phase 2
+/// is in, to the next buddy in catalog order that has not failed. A walk
 /// fails only when every buddy is gone with a range outstanding, or on an
-/// error that is not the buddy's death. Returns the rows fetched.
+/// error that is not the buddy's death.
 fn walk_ranges(
     ctx: &RecoveryContext,
     obj: &RecoveryObject,
+    axis: Axis,
     (lo, hi): (Timestamp, Timestamp),
-    cut_of: impl Fn(&(Timestamp, Timestamp, Timestamp, u64)) -> Timestamp,
-    report: &mut ObjectReport,
     fetch: impl Fn(&mut dyn Channel, Timestamp, Timestamp) -> DbResult<u64> + Sync,
-) -> DbResult<u64> {
+) -> DbResult<Walk> {
     let buddies = &obj.buddies;
     let bounds = first_live(buddies.iter().copied(), no_live_buddy(obj), |buddy| {
         let mut chan = ctx.connect(buddy)?;
         segment_bounds_rpc(chan.as_mut(), &obj.table, ctx.rpc_deadline)
     })?;
-    let cuts: Vec<(Timestamp, u64)> = bounds.iter().map(|b| (cut_of(b), b.3)).collect();
-    let ranges = derive_ranges(&cuts, lo, hi, buddies.len());
-    if ranges.is_empty() {
-        return Ok(0);
-    }
-    let metrics = ctx.engine.metrics();
+    let ranges = derive_ranges(&axis.cuts(&bounds, hi), lo, hi, buddies.len());
     let attempt = |buddy: SiteId, (lo, hi): (Timestamp, Timestamp)| -> DbResult<RangeTiming> {
         let t0 = Instant::now();
         let mut chan = ctx.connect(buddy)?;
         let tuples = fetch(chan.as_mut(), lo, hi)?;
-        metrics.add_recovery_ranges_fetched(1);
         Ok(RangeTiming {
             buddy,
             lo,
@@ -602,24 +633,10 @@ fn walk_ranges(
             elapsed: t0.elapsed(),
         })
     };
-    let dealt: Vec<DbResult<RangeTiming>> = std::thread::scope(|scope| {
-        let attempt = &attempt;
-        let rest: Vec<_> = ranges
-            .iter()
-            .zip(buddies)
-            .skip(1)
-            .map(|(range, buddy)| scope.spawn(move || attempt(*buddy, *range)))
-            .collect();
-        let mut dealt = vec![attempt(buddies[0], ranges[0])];
-        dealt.extend(rest.into_iter().map(|h| {
-            h.join()
-                .unwrap_or_else(|_| Err(DbError::internal("phase-2 fetcher panicked")))
-        }));
-        dealt
-    });
-    let mut timings: Vec<RangeTiming> = Vec::new();
+    let (mut timings, mut reassigned) = (Vec::new(), 0);
     let mut lost: HashSet<SiteId> = HashSet::new();
     let mut orphans: Vec<(usize, DbError)> = Vec::new();
+    let dealt = fan_out(&ranges, |i, range| attempt(buddies[i], *range));
     for (i, outcome) in dealt.into_iter().enumerate() {
         match outcome {
             Ok(timing) => timings.push(timing),
@@ -636,8 +653,7 @@ fn walk_ranges(
             .filter(|b| !lost.contains(b))
             .collect();
         timings.push(first_live(next, why, |buddy| {
-            report.ranges_reassigned += 1;
-            metrics.add_recovery_ranges_reassigned(1);
+            reassigned += 1;
             attempt(buddy, ranges[i]).inspect_err(|e| {
                 if buddy_lost(e) {
                     lost.insert(buddy);
@@ -645,9 +661,7 @@ fn walk_ranges(
             })
         })?);
     }
-    let fetched = timings.iter().map(|t| t.tuples).sum();
-    report.range_timings.extend(timings);
-    Ok(fetched)
+    Ok((timings, reassigned))
 }
 
 /// Phase 2, first half (§5.3): copy deletion times applied after the
@@ -672,20 +686,14 @@ fn phase2_deletions(
 ) -> DbResult<u64> {
     let pairs: Mutex<HashMap<i64, Timestamp>> = Mutex::new(HashMap::new());
     for obj in plan {
-        walk_ranges(
-            ctx,
-            obj,
-            (ckpt, hwm),
-            |(_, _, tmax_delete, _)| *tmax_delete,
-            report,
-            |chan, lo, hi| {
-                let scan = deletions_query(obj, WireReadMode::SeeDeletedHistorical(hi), ckpt, lo);
-                let range = fetch_deletions(ctx, chan, &scan)?;
-                let shipped = range.len() as u64;
-                pairs.lock().extend(range);
-                Ok(shipped)
-            },
-        )?;
+        let walk = walk_ranges(ctx, obj, Axis::Deletion, (ckpt, hwm), |chan, lo, hi| {
+            let scan = deletions_query(obj, WireReadMode::SeeDeletedHistorical(hi), ckpt, lo);
+            let range = fetch_deletions(ctx, chan, &scan)?;
+            let shipped = range.len() as u64;
+            pairs.lock().extend(range);
+            Ok(shipped)
+        })?;
+        report.book(walk, ctx.engine.metrics());
     }
     apply_deletion_pairs(ctx, table, &pairs.into_inner())
 }
@@ -743,22 +751,17 @@ fn phase2_inserts(
     hwm: Timestamp,
     report: &mut ObjectReport,
 ) -> DbResult<u64> {
+    let metrics = ctx.engine.metrics();
     let mut copied = 0u64;
     for obj in plan {
-        copied += walk_ranges(
-            ctx,
-            obj,
-            (ckpt, hwm),
-            |(_, tmax_insert, _, _)| *tmax_insert,
-            report,
-            |chan, lo, hi| {
-                let mode = WireReadMode::SeeDeletedHistorical(hwm);
-                let scan = inserts_query(obj, mode, lo, Some(hi));
-                let copied = fetch_inserts(ctx, table, chan, &scan)?;
-                ctx.engine.metrics().add_recovery_tuples_applied(copied);
-                Ok(copied)
-            },
-        )?;
+        let walk = walk_ranges(ctx, obj, Axis::Insertion, (ckpt, hwm), |chan, lo, hi| {
+            let mode = WireReadMode::SeeDeletedHistorical(hwm);
+            let scan = inserts_query(obj, mode, lo, Some(hi));
+            let copied = fetch_inserts(ctx, table, chan, &scan)?;
+            metrics.add_recovery_tuples_applied(copied);
+            Ok(copied)
+        })?;
+        copied += report.book(walk, metrics);
     }
     Ok(copied)
 }
@@ -906,19 +909,6 @@ pub struct ScrubReport {
     pub elapsed: Duration,
 }
 
-impl ScrubReport {
-    fn absorb(&mut self, other: ScrubReport) {
-        self.pages_scanned += other.pages_scanned;
-        self.corrupt_pages += other.corrupt_pages;
-        self.self_healed += other.self_healed;
-        self.pages_refetched += other.pages_refetched;
-        self.ranges_fetched += other.ranges_fetched;
-        self.tuples_reinserted += other.tuples_reinserted;
-        self.bytes_shipped += other.bytes_shipped;
-        self.full_recoveries += other.full_recoveries;
-    }
-}
-
 /// Verifies every on-disk data page of every object on the site and
 /// repairs the pages that fail (§4.2 directory mapping + replica queries).
 ///
@@ -931,8 +921,7 @@ pub fn scrub_site(ctx: &RecoveryContext) -> DbResult<ScrubReport> {
     let start = Instant::now();
     let mut report = ScrubReport::default();
     for name in &ctx.local_objects() {
-        let object = scrub_object(ctx, name)?;
-        report.absorb(object);
+        scrub_object(ctx, name, &mut report)?;
     }
     report.elapsed = start.elapsed();
     Ok(report)
@@ -960,14 +949,13 @@ fn disk_page_ok(heap: &harbor_storage::SegmentedHeapFile, page_no: u32) -> DbRes
 /// (the buffer pool would mask a bad disk image with a resident frame),
 /// then repair failures in three escalating steps — rewrite a resident
 /// frame, re-fetch the segment's window from a buddy, or fall back to a
-/// full object recovery.
-fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport> {
+/// full object recovery. Adds what it found and fixed to `report`.
+fn scrub_object(ctx: &RecoveryContext, table_name: &str, report: &mut ScrubReport) -> DbResult<()> {
     let engine = &ctx.engine;
     let def = engine
         .table_def(table_name)
         .ok_or_else(|| DbError::Schema(format!("unknown table {table_name:?}")))?;
     let heap = engine.pool().table(def.id)?;
-    let mut report = ScrubReport::default();
 
     // ---- Detect: checksum every on-disk data page ----------------------
     let mut corrupt: Vec<PageId> = Vec::new();
@@ -979,9 +967,9 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
         }
     }
     if corrupt.is_empty() {
-        return Ok(report);
+        return Ok(());
     }
-    report.corrupt_pages = corrupt.len() as u64;
+    report.corrupt_pages += corrupt.len() as u64;
 
     // ---- Self-heal: a resident frame is the authoritative copy ---------
     // A write fault corrupts the disk image while the in-memory frame
@@ -1019,7 +1007,7 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
         }
     }
     if remaining.is_empty() {
-        return Ok(report);
+        return Ok(());
     }
 
     // ---- Map: corrupt pages -> segment insertion-time windows ----------
@@ -1045,7 +1033,8 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
     windows.dedup();
 
     // ---- Fetch first: pull every repair window into memory -------------
-    // Nothing local is modified until the buddy data is in hand. The
+    // Each window is a walk of the one walker, dealt across the buddies;
+    // nothing local is modified until the buddy data is in hand. The
     // network is the likely failure (a buddy dies mid-stream, a deadline
     // expires); failing here aborts the scrub with the corrupt pages —
     // and the tuples under them — untouched, so a later pass can retry.
@@ -1061,9 +1050,9 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
             .recovery_plan(ctx.site, table_name, &ctx.down)?;
         merge_windows(windows)
             .into_iter()
-            .map(|(lo, hi)| {
-                let fetched = buffer_window(ctx, &heap, &plan, (lo, hi), hwm, &mut report)?;
-                Ok(((lo, hi), fetched))
+            .map(|window| {
+                let fetched = window_rows(ctx, &heap, &plan, window, hwm, report)?;
+                Ok((window, fetched))
             })
             .collect::<DbResult<_>>()?
     };
@@ -1103,13 +1092,13 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
         // ranged queries; restore the whole object from the buddies.
         // (Such a page was never covered by a persisted segment, so it
         // held no committed data — zeroing it lost nothing.)
-        report.full_recoveries = 1;
+        report.full_recoveries += 1;
         recover_object(ctx, table_name)?;
         report.pages_refetched += remaining.len() as u64;
         engine.metrics().add_pages_repaired(remaining.len() as u64);
         engine.index(def.id)?.invalidate();
         engine.deletion_log(def.id)?.invalidate();
-        return Ok(report);
+        return Ok(());
     }
     // Reconcile: diff each fetched slice against what the local heap
     // still holds and re-insert the difference. Retried as a whole on
@@ -1140,7 +1129,7 @@ fn scrub_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<ScrubReport
     report.tuples_reinserted += reinserted;
     report.pages_refetched += remaining.len() as u64;
     engine.metrics().add_pages_repaired(remaining.len() as u64);
-    Ok(report)
+    Ok(())
 }
 
 /// Coalesces overlapping `(lo, hi]` windows so a tuple is never fetched
@@ -1176,45 +1165,51 @@ fn version_key(mut stored: Vec<u8>) -> Vec<u8> {
 
 /// Fetches the buddies' full historical slice of one insertion-time
 /// window `(lo, hi]` — every version a corrupt page in that window could
-/// have held — with Phase 2's [`inserts_query`], failing over across the
-/// buddies like Phase 2 does. Unlike Phase 2 it buffers (the rows' wire
-/// bytes, no tuples): local state stays untouched until the whole slice is
-/// in hand, so a failure here aborts the scrub losslessly.
-fn buffer_window(
+/// have held — as a walk of Phase 2's walker with Phase 2's
+/// [`inserts_query`]. Unlike Phase 2 the sink buffers (the rows' wire bytes,
+/// no tuples), a `Vec` a range, handed over only when the range's stream
+/// has ended cleanly: a lost buddy leaves nothing behind, and local state
+/// stays untouched until the whole slice is in hand, so a failure here
+/// aborts the scrub losslessly. Returns the rows in range order.
+fn window_rows(
     ctx: &RecoveryContext,
     heap: &Arc<harbor_storage::SegmentedHeapFile>,
     plan: &[RecoveryObject],
-    (lo, hi): (Timestamp, Timestamp),
+    window: (Timestamp, Timestamp),
     hwm: Timestamp,
     report: &mut ScrubReport,
 ) -> DbResult<Vec<ShippedRow>> {
-    let engine = &ctx.engine;
+    let metrics = ctx.engine.metrics();
     let mut out: Vec<ShippedRow> = Vec::new();
     for obj in plan {
-        let scan = inserts_query(obj, WireReadMode::SeeDeletedHistorical(hwm), lo, Some(hi));
-        let mut buf = first_live(obj.buddies.iter().copied(), no_live_buddy(obj), |buddy| {
-            let mut chan = ctx.connect(buddy)?;
-            let mut buf = Vec::new();
-            scan_rpc_streaming_deadline(chan.as_mut(), &scan, ctx.rpc_deadline, |rows, wire| {
+        let slices: Mutex<Vec<(Timestamp, Vec<ShippedRow>)>> = Mutex::new(Vec::new());
+        let (timings, _) = walk_ranges(ctx, obj, Axis::Insertion, window, |chan, lo, hi| {
+            let scan = inserts_query(obj, WireReadMode::SeeDeletedHistorical(hwm), lo, Some(hi));
+            let mut slice = Vec::new();
+            scan_rpc_streaming_deadline(chan, &scan, ctx.rpc_deadline, |rows, wire| {
                 for _ in 0..rows {
                     let (row, mut stored) = (wire.rest(), vec![0u8; heap.tuple_size()]);
                     transcode_wire_to_fixed(heap.desc(), wire, &mut stored)?;
-                    buf.push(ShippedRow {
+                    slice.push(ShippedRow {
                         key: version_key(stored),
                         wire: row[..row.len() - wire.remaining()].to_vec(),
                     });
                 }
                 Ok(())
             })?;
-            Ok(buf)
+            let shipped = slice.len() as u64;
+            slices.lock().push((lo, slice));
+            Ok(shipped)
         })?;
-        let shipped = buf.len() as u64 * heap.tuple_size() as u64;
-        report.bytes_shipped += shipped;
-        engine.metrics().add_repair_bytes_shipped(shipped);
-        out.append(&mut buf);
-        report.ranges_fetched += 1;
-        engine.metrics().add_repair_ranges_fetched(1);
+        report.ranges_fetched += timings.len() as u64;
+        metrics.add_repair_ranges_fetched(timings.len() as u64);
+        let mut slices = slices.into_inner();
+        slices.sort_unstable_by_key(|(lo, _)| *lo);
+        out.extend(slices.into_iter().flat_map(|(_, slice)| slice));
     }
+    let shipped = out.len() as u64 * heap.tuple_size() as u64;
+    report.bytes_shipped += shipped;
+    metrics.add_repair_bytes_shipped(shipped);
     Ok(out)
 }
 
@@ -1343,5 +1338,50 @@ mod tests {
             derive_ranges(&cuts, t(1), t(9), 2),
             vec![(t(1), t(2)), (t(2), t(9))]
         );
+    }
+
+    #[test]
+    fn a_mid_table_window_is_cut_by_its_own_segments() {
+        // Six four-page segments inserted at 1–10, 11–20, …; a repair window
+        // over the first two, walked by two buddies.
+        let bounds: Vec<SegmentBound> = (0..6)
+            .map(|s| (t(10 * s + 1), t(10 * s + 10), t(0), 4))
+            .collect();
+        let cuts = Axis::Insertion.cuts(&bounds, t(20));
+        assert_eq!(
+            cuts,
+            vec![(t(10), 4), (t(20), 4)],
+            "the tail weighs nothing"
+        );
+        assert_eq!(
+            derive_ranges(&cuts, t(0), t(20), 2),
+            vec![(t(0), t(10)), (t(10), t(20))]
+        );
+        // Weighed by the whole table, the mark falls past the window.
+        let all: Vec<_> = bounds.iter().map(|b| (b.1, b.3)).collect();
+        assert_eq!(derive_ranges(&all, t(0), t(20), 2), vec![(t(0), t(20))]);
+        // The deletion axis keeps every segment.
+        assert_eq!(Axis::Deletion.cuts(&bounds, t(20)).len(), 6);
+    }
+
+    #[test]
+    fn phase2_repeats_only_on_a_moving_clock_and_shrinking_passes() {
+        let first = u64::MAX;
+        // (hwm, next, copied, before) → another pass?
+        let table = [
+            ((7, 7, 500, first), false, "clock not moved"),
+            ((7, 9, 0, first), false, "the pass copied nothing"),
+            ((7, 9, 500, first), true, "first pass, commits arrived"),
+            ((7, 9, 40, 100), true, "shrinking: under half"),
+            ((7, 9, 50, 100), false, "not shrinking: exactly half"),
+            ((7, 9, 90, 100), false, "not shrinking"),
+        ];
+        for ((hwm, next, copied, before), want, why) in table {
+            assert_eq!(
+                repeat_phase2(t(hwm), t(next), copied, before),
+                want,
+                "{why}"
+            );
+        }
     }
 }

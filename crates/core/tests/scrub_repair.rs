@@ -186,6 +186,46 @@ fn scrub_refetches_cold_corrupt_pages_from_a_buddy() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A repair window that spans two segments is a walk of Phase 2's walker:
+/// with two buddies it is cut between the segments — weighed by them, not
+/// by the table's tail — and dealt across both, and the repaired site still
+/// matches an untouched replica.
+#[test]
+fn a_two_segment_repair_is_dealt_across_the_buddies() {
+    let dir = temp_dir("two-buddies");
+    let mut cfg = ClusterConfig::for_tests(ProtocolKind::Opt3pc);
+    cfg.num_workers = 3;
+    let cluster = Cluster::build(&dir, cfg).unwrap();
+    load(&cluster, 3000);
+    let site = SiteId(1);
+    let reference = version_history(&cluster, SiteId(2));
+    assert_eq!(version_history(&cluster, site), reference);
+
+    evict_all(&cluster, site);
+    let e = cluster.engine(site).unwrap();
+    let heap = e.pool().table(e.table_def("sales").unwrap().id).unwrap();
+    let segments = heap.segments();
+    assert!(segments.len() >= 4, "the table must run on past the window");
+    let occupied = occupied_disk_pages(&cluster, site);
+    let tbl = table_file(&cluster, site);
+    for seg in &segments[..2] {
+        let page = occupied.iter().find(|p| seg.contains_page(**p));
+        flip_bit_on_disk(&dir, site, &tbl, *page.expect("an occupied page"));
+    }
+
+    let report = cluster.scrub_worker(site).unwrap();
+    assert_eq!(report.corrupt_pages, 2);
+    assert_eq!(report.self_healed, 0, "frames were evicted");
+    assert!(
+        report.ranges_fetched >= 2,
+        "one window, two buddies: {report:?}"
+    );
+    assert!(report.tuples_reinserted > 0);
+    assert_eq!(version_history(&cluster, site), reference);
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Regression for the fault-during-recovery window: a bit flip lands on a
 /// page *while Phase 2 is writing it*. The corrupted image must never be
 /// served as repaired state — the next scrub detects it and re-fetches

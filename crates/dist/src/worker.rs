@@ -941,12 +941,15 @@ impl Worker {
             }
         }
         let metrics = self.engine.metrics();
+        let recovery = recovery_crash_point(scan).is_some();
         ship_scan(&self.engine, scan, |frame, done| {
             let rows = frame.rows() as u64;
             let framed = frame.finish(done);
             let payload = (framed.len() - 4) as u64;
-            metrics.add_recovery_tuples_shipped(rows);
-            metrics.add_recovery_bytes_shipped(payload);
+            if recovery {
+                metrics.add_recovery_tuples_shipped(rows);
+                metrics.add_recovery_bytes_shipped(payload);
+            }
             metrics.add_scan_bytes_zero_copy(payload);
             chan.send_framed(&framed)?;
             // A scan is the one long CPU-bound request a connection thread
@@ -967,10 +970,8 @@ impl Worker {
     /// *mid-stream*, after at least one batch is on the wire, so the
     /// recovering side must detect the severed stream and reassign (§5.5).
     fn maybe_crash_serving_scan(&self, scan: &RemoteScan) -> DbResult<()> {
-        let point = match scan.mode {
-            WireReadMode::SeeDeletedHistorical(_) => CrashPoint::WorkerServingPhase2Scan,
-            WireReadMode::SeeDeletedLocked(_) => CrashPoint::WorkerServingPhase3Scan,
-            _ => return Ok(()),
+        let Some(point) = recovery_crash_point(scan) else {
+            return Ok(());
         };
         if self.fire_crash(point) {
             return Err(DbError::SiteDown(
@@ -978,6 +979,18 @@ impl Worker {
             ));
         }
         Ok(())
+    }
+}
+
+/// The crash point a scan probes while it is served, if it is recovery
+/// traffic: a Phase-2 historical catch-up scan or a Phase-3 locked one. Any
+/// other scan (a coordinator's historical or current read) is not, and moves
+/// no `recovery_*_shipped` counter.
+fn recovery_crash_point(scan: &RemoteScan) -> Option<CrashPoint> {
+    match scan.mode {
+        WireReadMode::SeeDeletedHistorical(_) => Some(CrashPoint::WorkerServingPhase2Scan),
+        WireReadMode::SeeDeletedLocked(_) => Some(CrashPoint::WorkerServingPhase3Scan),
+        _ => None,
     }
 }
 

@@ -187,6 +187,44 @@ fn streamed_scan_crosses_batch_boundaries() {
     let _ = std::fs::remove_dir_all(&f.dir);
 }
 
+/// Only recovery's scans count as recovery traffic: a coordinator's
+/// historical read moves neither ship counter, a Phase-2 catch-up scan moves
+/// both, and every scan counts its zero-copy bytes.
+#[test]
+fn only_recovery_scans_count_as_recovery_shipping() {
+    let f = build("ship-counters");
+    let rows: Vec<Vec<Value>> = (0..100i64)
+        .map(|i| vec![Value::Int64(i), Value::Int32(i as i32)])
+        .collect();
+    let t = f.txn(
+        1,
+        vec![UpdateRequest::InsertMany {
+            table: "t".into(),
+            rows,
+        }],
+    );
+    let shipped = || {
+        let m = f.engine.metrics().snapshot();
+        (
+            m.recovery_tuples_shipped,
+            m.recovery_bytes_shipped,
+            m.scan_bytes_zero_copy,
+        )
+    };
+    let mut chan = f.connect();
+    let read = RemoteScan::new("t", WireReadMode::Historical(t));
+    assert_eq!(scan_rpc(chan.as_mut(), &read).unwrap().len(), 100);
+    let (tuples, bytes, zero_copy) = shipped();
+    assert_eq!((tuples, bytes), (0, 0), "a read is not recovery traffic");
+    assert!(zero_copy > 0);
+    let catch_up = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(t));
+    assert_eq!(scan_rpc(chan.as_mut(), &catch_up).unwrap().len(), 100);
+    let (tuples, bytes, after) = shipped();
+    assert_eq!(tuples, 100);
+    assert!(bytes > 0 && after > zero_copy);
+    let _ = std::fs::remove_dir_all(&f.dir);
+}
+
 /// A key-equality scan is answered from the tuple-id index (§5.3): the
 /// right versions under each snapshot, without walking the table.
 #[test]

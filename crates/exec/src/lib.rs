@@ -2,8 +2,9 @@
 //! §6.1.5, the expression language, the three read modes (current /
 //! historical / see-deleted), and DML executors.
 //!
-//! As in the thesis implementation, there is no SQL frontend: "query plans
-//! must be manually constructed" via the builders here. The `harbor` crate
+//! The thesis implementation had no SQL frontend ("query plans must be
+//! manually constructed"); [`sql`] is a small one over the same operators,
+//! one engine at a time, for the examples and the shell. The `harbor` crate
 //! composes these pieces into the recovery queries of Chapter 5.
 
 pub mod aggregate;

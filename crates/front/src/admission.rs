@@ -14,6 +14,7 @@
 //!   the transaction to the engine), but classified as a timeout because
 //!   the budget — not the server's load policy — is what expired.
 
+use harbor_common::config::DEFAULT_RETRY_AFTER_MS;
 use harbor_common::{DbError, DbResult, Metrics};
 use parking_lot::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -122,8 +123,6 @@ pub struct AdmissionPolicy {
     /// How long a request may wait for an in-flight permit before it is
     /// shed.
     pub permit_budget: Duration,
-    /// Backoff hint stamped into sheds.
-    pub retry_after_ms: u64,
 }
 
 impl AdmissionPolicy {
@@ -155,7 +154,7 @@ impl AdmissionPolicy {
             Err(DbError::timeout("deadline expired waiting for a permit"))
         } else {
             metrics.add_requests_shed(1);
-            Err(DbError::overloaded(self.retry_after_ms))
+            Err(DbError::overloaded(DEFAULT_RETRY_AFTER_MS))
         }
     }
 }
@@ -176,7 +175,6 @@ mod tests {
         AdmissionPolicy {
             queue_depth: 4,
             permit_budget: Duration::from_millis(50),
-            retry_after_ms: 7,
         }
     }
 
@@ -202,7 +200,6 @@ mod tests {
         let none_may_wait = AdmissionPolicy {
             queue_depth: 0,
             permit_budget: Duration::from_secs(5),
-            retry_after_ms: 7,
         };
         let t0 = Instant::now();
         let err = none_may_wait
@@ -210,7 +207,7 @@ mod tests {
             .expect_err("a queue with no room sheds even beside a free permit");
         assert!(t0.elapsed() < Duration::from_secs(1), "shed must not wait");
         assert!(err.is_overloaded());
-        assert_eq!(err.retry_after_ms(), Some(7));
+        assert_eq!(err.retry_after_ms(), Some(DEFAULT_RETRY_AFTER_MS));
         assert_eq!(m.requests_shed(), 1);
         assert_eq!(gate.in_use(), 0);
     }

@@ -21,7 +21,7 @@ use crate::admission::{AdmissionPolicy, PermitGate};
 use crate::wire::{FrontReply, FrontRequest};
 use crate::FrontHandler;
 use harbor_common::codec::Wire;
-use harbor_common::config::{DEFAULT_REQUEST_DEADLINE, DEFAULT_RETRY_AFTER_MS};
+use harbor_common::config::DEFAULT_REQUEST_DEADLINE;
 use harbor_common::{DbError, DbResult, Metrics};
 use harbor_net::{recv_or_stop, serve_connections, Channel, Listener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,8 +42,6 @@ pub struct FrontConfig {
     pub permit_budget: Duration,
     /// Ceiling clamped onto client-supplied deadlines.
     pub max_deadline: Duration,
-    /// Backoff hint stamped into `Overloaded` sheds.
-    pub retry_after_ms: u64,
 }
 
 impl Default for FrontConfig {
@@ -53,7 +51,6 @@ impl Default for FrontConfig {
             queue_depth: 64,
             permit_budget: Duration::from_millis(100),
             max_deadline: Duration::from_secs(30),
-            retry_after_ms: DEFAULT_RETRY_AFTER_MS,
         }
     }
 }
@@ -89,7 +86,6 @@ impl FrontServer {
             policy: AdmissionPolicy {
                 queue_depth: cfg.queue_depth,
                 permit_budget: cfg.permit_budget,
-                retry_after_ms: cfg.retry_after_ms,
             },
             max_deadline: cfg.max_deadline,
             gate: PermitGate::new(cfg.permits.max(1), metrics.clone()),

@@ -4,6 +4,7 @@
 //! that shed-only retry commits every acked id exactly once.
 
 use harbor_common::codec::Wire;
+use harbor_common::config::DEFAULT_RETRY_AFTER_MS;
 use harbor_common::{DbError, DbResult, Metrics, Timestamp};
 use harbor_dist::UpdateRequest;
 use harbor_front::{FnHandler, FrontClient, FrontConfig, FrontReply, FrontServer};
@@ -214,7 +215,7 @@ fn burst_sheds_typed_overloaded_and_never_hangs() {
         Err(e) if e.is_overloaded() => e.retry_after_ms(),
         _ => None,
     });
-    assert_eq!(hint, Some(FrontConfig::default().retry_after_ms));
+    assert_eq!(hint, Some(DEFAULT_RETRY_AFTER_MS));
     assert!(metrics.requests_shed() as usize >= shed);
     server.shutdown();
 }

@@ -866,16 +866,6 @@ fn matching_close(tokens: &[Token], open: usize, o: &str, c: &str) -> Option<usi
 // Tree walking + the panic-ratchet baseline
 // ---------------------------------------------------------------------------
 
-/// Aggregate result over a source tree.
-#[derive(Debug, Default)]
-pub struct TreeReport {
-    pub violations: Vec<Violation>,
-    /// Non-test unwrap/expect counts keyed by crate directory
-    /// (`crates/storage`, `src`, …).
-    pub unwraps: BTreeMap<String, usize>,
-    pub files_scanned: usize,
-}
-
 /// Directories never descended into.
 const SKIP_DIRS: [&str; 6] = [
     "target",
@@ -925,26 +915,6 @@ pub fn crate_key(rel: &str) -> String {
         Some(first) => first.to_string(),
         None => rel.to_string(),
     }
-}
-
-/// Analyzes every workspace source file under `root`.
-pub fn analyze_tree(root: &Path) -> std::io::Result<TreeReport> {
-    let mut report = TreeReport::default();
-    for path in collect_files(root)? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let src = std::fs::read_to_string(&path)?;
-        let fr = analyze_source(&rel, &src);
-        report.violations.extend(fr.violations);
-        if fr.unwraps > 0 {
-            *report.unwraps.entry(crate_key(&rel)).or_insert(0) += fr.unwraps;
-        }
-        report.files_scanned += 1;
-    }
-    Ok(report)
 }
 
 /// The ratchet file, `lint-baseline.toml`: section → key → count. `[unwraps]`

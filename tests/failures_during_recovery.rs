@@ -9,11 +9,23 @@
 //!   recovery plan from the remaining replicas (§5.5.2);
 //! * K = 2: two workers down simultaneously, recovered one after the other.
 
-use harbor::{Cluster, ClusterConfig, RecoveryConfig, RecoveryFailPoint};
-use harbor_common::{SiteId, Timestamp, TransactionId, Value};
-use harbor_dist::{rpc, ProtocolKind, Request, Response, UpdateRequest};
+use harbor::RecoveryFailPoint;
+use harbor::{recover_site, Cluster, ClusterConfig, RecoveryConfig, RecoveryContext};
+use harbor_common::codec::Wire;
+use harbor_common::{
+    DbResult, DiskProfile, FieldType, Metrics, SiteId, StorageConfig, Timestamp, TransactionId,
+    Value,
+};
+use harbor_dist::{
+    rpc, Coordinator, CoordinatorConfig, Placement, ProtocolKind, Request, Response, UpdateRequest,
+    WireReadMode, Worker, WorkerConfig,
+};
+use harbor_engine::{Engine, EngineOptions};
 use harbor_front::FrontHandler;
+use harbor_net::{Channel, InMemNetwork, Listener, Transport};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -176,27 +188,185 @@ fn recovery_error_when_all_copies_are_down() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A transport that, the first time the recovering site asks a buddy for
+/// Phase-2 inserts, commits one more insert through the coordinator before
+/// the request goes out: a commit that lands while Phase 2 is running.
+struct CommitDuringPhase2 {
+    inner: Arc<dyn Transport>,
+    coordinator: Arc<Coordinator>,
+    fired: Arc<AtomicBool>,
+}
+
+struct CommitDuringPhase2Channel {
+    inner: Box<dyn Channel>,
+    coordinator: Arc<Coordinator>,
+    fired: Arc<AtomicBool>,
+}
+
+impl Transport for CommitDuringPhase2 {
+    fn listen(&self, addr: &str) -> DbResult<Box<dyn Listener>> {
+        self.inner.listen(addr)
+    }
+
+    fn connect(&self, addr: &str) -> DbResult<Box<dyn Channel>> {
+        Ok(Box::new(CommitDuringPhase2Channel {
+            inner: self.inner.connect(addr)?,
+            coordinator: self.coordinator.clone(),
+            fired: self.fired.clone(),
+        }))
+    }
+}
+
+impl Channel for CommitDuringPhase2Channel {
+    fn send(&mut self, frame: &[u8]) -> DbResult<()> {
+        if let Ok(Request::Scan(scan)) = Request::from_slice(frame) {
+            let phase2 = matches!(scan.mode, WireReadMode::SeeDeletedHistorical(_));
+            if phase2 && !scan.ids_and_deletions_only && !self.fired.swap(true, SeqCst) {
+                let insert = UpdateRequest::Insert {
+                    table: "sales".into(),
+                    values: row(100, 100),
+                };
+                let deadline = Instant::now() + Duration::from_secs(10);
+                self.coordinator.execute(vec![insert], deadline)?;
+            }
+        }
+        self.inner.send(frame)
+    }
+
+    fn recv(&mut self) -> DbResult<Vec<u8>> {
+        self.inner.recv()
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>> {
+        self.inner.recv_timeout(timeout)
+    }
+
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+
+    fn is_closed(&self) -> bool {
+        self.inner.is_closed()
+    }
+}
+
+/// Every version a site holds, deleted ones included, as a sorted list.
+fn versions(engine: &Engine) -> Vec<String> {
+    let def = engine.table_def("sales").unwrap();
+    let mut scan = harbor_exec::SeqScan::new(
+        engine.pool().clone(),
+        def.id,
+        harbor_exec::ReadMode::SeeDeleted,
+    )
+    .unwrap();
+    let rows = harbor_exec::collect(&mut scan).unwrap();
+    let mut v: Vec<String> = rows.iter().map(|t| t.to_string()).collect();
+    v.sort();
+    v
+}
+
+/// §5.3's repeat rule on a clock that moves once: a commit settles during
+/// the first pass, so a second pass copies it; nothing commits during the
+/// second, so Phase 2 stops there and the victim matches its buddy.
 #[test]
-fn phase2_repeats_until_the_lag_threshold_is_met() {
-    let dir = temp_dir("phase2-rounds");
-    let cluster = Cluster::build(&dir, ClusterConfig::for_tests(ProtocolKind::Opt3pc)).unwrap();
-    fill(&cluster, 0, 30);
-    let victim = SiteId(1);
-    cluster.crash_worker(victim).unwrap();
-    fill(&cluster, 30, 50);
-    // A zero lag threshold can never be satisfied while the clock ticks,
-    // so Phase 2 runs exactly `max_phase2_rounds` times and then proceeds;
-    // correctness must be unaffected (later rounds just copy less).
-    let cfg = RecoveryConfig {
-        phase2_repeat_threshold: 0,
-        max_phase2_rounds: 3,
-        ..RecoveryConfig::default()
+fn a_commit_during_phase2_earns_exactly_one_more_pass() {
+    let dir = temp_dir("phase2-passes");
+    let net: Arc<dyn Transport> = Arc::new(InMemNetwork::new(Metrics::new()));
+    let sites = [SiteId(1), SiteId(2)];
+    let addr = |site: SiteId| format!("passes-site-{}", site.0);
+    let mut placement = Placement::new();
+    placement.add_replicated_table("sales", &sites);
+    placement.set_coordinator_addr("passes-coordinator");
+    for site in sites {
+        placement.set_address(site, &addr(site));
+    }
+    let start = |site: SiteId| {
+        let engine = Engine::open(
+            dir.join(format!("site-{}", site.0)),
+            EngineOptions::harbor(site, StorageConfig::for_tests()),
+        )
+        .unwrap();
+        if engine.table_def("sales").is_none() {
+            let fields = vec![
+                ("id".into(), FieldType::Int64),
+                ("v".into(), FieldType::Int32),
+            ];
+            engine.create_table("sales", fields).unwrap();
+        }
+        let cfg = WorkerConfig {
+            site,
+            addr: addr(site),
+            protocol: ProtocolKind::Opt3pc,
+            checkpoint_every: None,
+            peers: sites.iter().map(|s| (*s, addr(*s))).collect(),
+            coordinator: None,
+            auto_consensus: false,
+            use_deletion_log: true,
+            crash_schedule: Default::default(),
+        };
+        let worker = Worker::start(engine.clone(), net.clone(), cfg).unwrap();
+        (worker, engine)
     };
-    let report = cluster.recover_worker_harbor_with(victim, cfg).unwrap();
-    assert_eq!(report.objects[0].phase2_rounds, 3);
-    assert_eq!(count_at(&cluster, victim), 50);
-    assert_eq!(count_at(&cluster, SiteId(2)), 50);
-    drop(cluster);
+    let (buddy, buddy_engine) = start(SiteId(1));
+    let (victim, victim_engine) = start(SiteId(2));
+    let coordinator = Coordinator::start(
+        CoordinatorConfig {
+            site: SiteId(0),
+            addr: "passes-coordinator".into(),
+            protocol: ProtocolKind::Opt3pc,
+            log_dir: None,
+            group_commit: harbor_wal::GroupCommit::enabled(),
+            disk: DiskProfile::fast(),
+            rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
+            crash_schedule: Default::default(),
+            epoch_commit: None,
+            degrade_read_only: false,
+        },
+        placement.clone(),
+        net.clone(),
+        Metrics::new(),
+    )
+    .unwrap();
+    let insert = |id: i64| {
+        let op = UpdateRequest::Insert {
+            table: "sales".into(),
+            values: row(id, id as i32),
+        };
+        coordinator
+            .execute(vec![op], Instant::now() + Duration::from_secs(10))
+            .unwrap();
+    };
+    for id in 0..3 {
+        insert(id);
+    }
+    victim.crash();
+    drop(victim_engine);
+    coordinator.mark_dead(SiteId(2));
+    for id in 3..10 {
+        insert(id);
+    }
+
+    let (victim, victim_engine) = start(SiteId(2));
+    let ctx = RecoveryContext {
+        engine: victim_engine.clone(),
+        site: SiteId(2),
+        placement,
+        transport: Arc::new(CommitDuringPhase2 {
+            inner: net.clone(),
+            coordinator: coordinator.clone(),
+            fired: Arc::new(AtomicBool::new(false)),
+        }),
+        down: Default::default(),
+        rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
+        config: RecoveryConfig::default(),
+    };
+    let report = recover_site(&ctx).unwrap();
+    assert_eq!(report.objects[0].phase2_rounds, 2, "{report:?}");
+    assert_eq!(versions(&victim_engine).len(), 11);
+    assert_eq!(versions(&victim_engine), versions(&buddy_engine));
+    coordinator.crash();
+    buddy.crash();
+    victim.crash();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

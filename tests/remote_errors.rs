@@ -6,6 +6,7 @@
 //! class and its fields.
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
+use harbor_common::config::DEFAULT_RETRY_AFTER_MS;
 use harbor_common::{DbError, Metrics, StorageConfig, Value};
 use harbor_dist::{ProtocolKind, UpdateRequest};
 use harbor_exec::Expr;
@@ -134,14 +135,15 @@ fn a_front_door_client_sees_sheds_deadlines_and_engine_errors_as_themselves() {
     // A queue with no room sheds every request, hint included.
     let shedding = FrontConfig {
         queue_depth: 0,
-        retry_after_ms: 77,
         ..FrontConfig::default()
     };
     let (transport, server) = front_door(&cluster, shedding);
     let mut client = FrontClient::connect(&transport, &server.local_addr(), 2).unwrap();
     assert_eq!(
         client.txn(&[insert("t", 3)], budget).unwrap_err(),
-        DbError::Overloaded { retry_after_ms: 77 }
+        DbError::Overloaded {
+            retry_after_ms: DEFAULT_RETRY_AFTER_MS
+        }
     );
     server.shutdown();
 
