@@ -276,12 +276,14 @@ fn bench_transport(c: &mut Criterion) {
 /// scan service loop (`ship_scan`) with the frames dropped instead of sent,
 /// and — the same rows going the other way — the recovering site's
 /// `RecoveredInserter` fed tuples (`apply_rows`) and fed `ship_zero_copy`'s
-/// own frames (`apply_wire`), each into a table of its own.
+/// own frames (`apply_wire`), each into a table of its own; and the key
+/// index fed keys in no order (`index_random`), its worst case.
 fn bench_scan(_c: &mut Criterion) {
+    use harbor_common::RecordId;
     use harbor_common::{FieldType, StorageConfig, Tuple, Value};
     use harbor_dist::message::open_tuples_frame;
     use harbor_dist::{ship_scan, RemoteScan, WireReadMode};
-    use harbor_engine::{Engine, EngineOptions};
+    use harbor_engine::{Engine, EngineOptions, KeyIndex, KEY_OFFSET};
     use harbor_exec::{collect, index_lookup, Expr, ReadMode, SeqScan};
 
     let scale = Scale::from_env();
@@ -502,6 +504,32 @@ fn bench_scan(_c: &mut Criterion) {
                 applied += rows;
             }
             applied
+        }),
+    );
+    // The key index's worst case: keys in no order, so no two form a run.
+    // Each sample registers them in a fresh index, a page of slots at a
+    // time, then looks every one up; reported per key.
+    const KEYS: u64 = 100_000;
+    let scattered: Vec<(i64, RecordId)> = (0..KEYS)
+        .map(|i| {
+            let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29) as i64;
+            let rid = RecordId::new(PageId::new(def.id, (i / 64) as u32), (i % 64) as u16);
+            (key, rid)
+        })
+        .collect();
+    measure(
+        "index_random",
+        KEYS,
+        Box::new(|| {
+            let index = KeyIndex::fresh(def.id, KEY_OFFSET);
+            for chunk in scattered.chunks(64) {
+                index.insert_run(black_box(chunk).iter().copied());
+            }
+            let found = scattered.iter().map(|(key, _)| {
+                let versions = index.lookup(&pool, black_box(*key)).unwrap();
+                versions.len()
+            });
+            found.sum()
         }),
     );
     let image = pool

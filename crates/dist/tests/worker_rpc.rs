@@ -1068,6 +1068,8 @@ fn deletion_log_fast_path_matches_segment_scan() {
         (t_load_f, Timestamp(t_end_f.0 - 1)), // HWM masks the last deletion
         (Timestamp(t_load_f.0 + 1), t_end_f), // skip the first deletion wave
         (t_end_f, t_end_f),                   // nothing qualifies
+        // Nothing comes after the last time (a peer may ask).
+        (Timestamp::UNCOMMITTED, Timestamp::UNCOMMITTED),
     ] {
         let a = query(&fast, after, hwm);
         let b = query(&slow, after, hwm);

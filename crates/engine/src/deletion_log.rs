@@ -103,8 +103,12 @@ impl DeletionLog {
         if !g.built {
             self.build_locked(pool, &mut g)?;
         }
-        // The smallest pair of the first admitted time.
-        let first = (after.0 + 1, RecordId::new(PageId::new(TableId(0), 0), 0));
+        // The smallest pair of the first admitted time; nothing comes after
+        // the last time there is.
+        let Some(next) = after.0.checked_add(1) else {
+            return Ok(Vec::new());
+        };
+        let first = (next, RecordId::new(PageId::new(TableId(0), 0), 0));
         Ok(g.by_time
             .range(first..)
             .map(|(ts, rid)| (*rid, Timestamp(*ts)))
@@ -208,6 +212,7 @@ mod tests {
         );
         assert_eq!(pairs(&log, 0).len(), 4);
         assert!(pairs(&log, 12).is_empty());
+        assert!(pairs(&log, u64::MAX).is_empty());
         // Removing the last pair of a time leaves nothing behind.
         log.unnote(rid(4), Timestamp(11));
         log.unnote(rid(4), Timestamp(11));

@@ -10,11 +10,21 @@
 //!
 //! A key maps to *all* versions of the tuple (an update creates a second
 //! tuple with the same id); readers filter by visibility.
+//!
+//! Tuple ids are the warehouse's surrogate keys: a load or a recovery
+//! places them in key order into consecutive slots of a page. Keys that
+//! arrived that way are held as a **run** — a start key, a length and the
+//! first key's place, 24 bytes for a page of keys — and every other key in
+//! a hash bucket of its own. A key in a run has exactly one version; a
+//! second version or a removal takes it out, splitting the run. Which form
+//! a key takes follows from how it arrived, so random keys cost what a
+//! plain hash costs.
 
 use harbor_common::{DbResult, PageId, RecordId, TableId};
 use harbor_storage::table::ts_word;
 use harbor_storage::BufferPool;
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::RangeInclusive;
@@ -61,27 +71,83 @@ fn later(key: i64) -> RangeInclusive<(i64, u64)> {
     (key, 0)..=(key, u64::MAX)
 }
 
-/// The key → versions map. Nearly every key has one version, and that one
-/// lives in the map itself, packed: nothing is allocated per key, a bucket is
-/// 17 bytes, and the index is freed as one block. The versions after the
-/// first of a key that an update gave more than one live in `more`, one
-/// ordered map for the whole table keyed by `(key, registration number)`: a
-/// key's later versions are one range in the order they came, and a second
-/// version costs a slot in a B-tree node, not a map entry and a `Vec` of its
-/// own.
+/// `len` consecutive keys from a start key, each with one version, in
+/// consecutive slots of one page from `at`.
+#[derive(Clone, Copy)]
+struct Run {
+    len: u32,
+    at: u64,
+}
+
+impl Run {
+    /// `key`'s place, if the run that starts at `start` holds it. (The
+    /// offset wraps below `start` to more than any length: a run never
+    /// reaches past `i64::MAX`.)
+    fn place(self, start: i64, key: i64) -> Option<u64> {
+        let off = key.wrapping_sub(start) as u64;
+        (off < self.len as u64).then(|| self.at + off)
+    }
+
+    /// Whether `key` at `at` is the next key in the next slot of the page.
+    fn extended_by(self, start: i64, key: i64, at: u64) -> bool {
+        let next = self.at + self.len as u64;
+        start.checked_add(self.len as i64) == Some(key) && at == next && at >> 16 == self.at >> 16
+    }
+}
+
+/// The key → versions map. A key is in exactly one of three places: a run
+/// in `runs`, the `open` run, or `first`.
+///
+/// `runs` holds the closed runs by start key; `hi` is at least the last key
+/// of every one of them, so a key above it — the next key of a load — skips
+/// the tree. `open` is the newest run, kept out of the tree so that the
+/// next key extends it with `len += 1` (and an update of its last key
+/// shortens it with `len -= 1`, down to one key).
+///
+/// `first` holds every other key's first version, packed: nothing is
+/// allocated per key, a bucket is 17 bytes, and the index is freed as one
+/// block. A key that extends nothing goes there and is remembered in
+/// `last`; the next key in the next slot takes it out again — if it still
+/// has that one version and no other — and the two are the open run. Keys
+/// in no order therefore cost one hash insert each, as in a plain hash.
+/// The versions after the first of a key that an update gave more than one
+/// live in `more`, one ordered map for the whole table keyed by `(key,
+/// registration number)`: a key's later versions are one range in the order
+/// they came, and a second version costs a slot in a B-tree node, not a map
+/// entry and a `Vec` of its own.
 #[derive(Default)]
 struct Inner {
     built: bool,
+    runs: BTreeMap<i64, Run>,
+    open: Option<(i64, Run)>,
+    hi: Option<i64>,
     first: HashMap<i64, u64, BuildHasherDefault<KeyHasher>>,
+    /// The key last put in `first` on its own, and its place (a hint: what
+    /// `first` holds for it now is checked before a run is started from it).
+    last: Option<(i64, u64)>,
     more: BTreeMap<(i64, u64), u64>,
     /// The last registration number handed out.
     registered: u64,
 }
 
 impl Inner {
+    /// The run that holds `key`: its start, the run, and the key's place.
+    fn run_of(&self, key: i64) -> Option<(i64, Run, u64)> {
+        let holds = |(start, run): (i64, Run)| Some((start, run, run.place(start, key)?));
+        if let Some(found) = self.open.and_then(holds) {
+            return Some(found);
+        }
+        if self.hi.is_none_or(|hi| key > hi) {
+            return None;
+        }
+        let (&start, &run) = self.runs.range(..=key).next_back()?;
+        holds((start, run))
+    }
+
     fn versions(&self, table: TableId, key: i64) -> Vec<RecordId> {
         let Some(&word) = self.first.get(&key) else {
-            return Vec::new();
+            let run = self.run_of(key);
+            return run.map_or_else(Vec::new, |(.., place)| vec![unpack(table, place)]);
         };
         let mut versions = vec![unpack(table, word & !HAS_MORE)];
         if word & HAS_MORE != 0 {
@@ -93,21 +159,117 @@ impl Inner {
 
     fn insert(&mut self, key: i64, rid: RecordId) {
         let at = pack(rid);
-        let word = self.first.entry(key).or_insert(at);
-        let said = *word & !HAS_MORE == at
-            || (*word & HAS_MORE != 0 && self.more.range(later(key)).any(|(_, v)| *v == at));
-        if !said {
-            *word |= HAS_MORE;
-            self.registered += 1;
-            self.more.insert((key, self.registered), at);
+        if let Some((start, run, place)) = self.run_of(key) {
+            if place != at {
+                // A second version: the key leaves its run.
+                self.cut(start, run, key);
+                self.add_later(key, place, at);
+            }
+            return;
+        }
+        if let Some((start, run)) = &mut self.open {
+            if run.extended_by(*start, key, at) && !self.first.contains_key(&key) {
+                run.len += 1;
+                return;
+            }
+        }
+        // The key before came on its own into the slot before, and is still
+        // just that: the two are the open run now.
+        let joins = self.last.filter(|&(prev, place)| {
+            (Run { len: 1, at: place }).extended_by(prev, key, at)
+                && self.first.get(&prev) == Some(&place)
+        });
+        match self.first.entry(key) {
+            Entry::Occupied(first) => {
+                let word = *first.get();
+                let said = word & !HAS_MORE == at
+                    || (word & HAS_MORE != 0 && self.more.range(later(key)).any(|(_, v)| *v == at));
+                if !said {
+                    self.add_later(key, word, at);
+                }
+            }
+            Entry::Vacant(slot) => match joins {
+                Some((prev, place)) => {
+                    self.first.remove(&prev);
+                    if let Some((start, run)) = self.open.replace((prev, Run { len: 2, at: place }))
+                    {
+                        self.close(start, run);
+                    }
+                }
+                None => {
+                    slot.insert(at);
+                    self.last = Some((key, at));
+                }
+            },
         }
     }
 
+    /// Files a run that no key will extend: a run of one is a hashed key.
+    fn close(&mut self, start: i64, run: Run) {
+        match run.len {
+            0 => {}
+            1 => {
+                self.first.insert(start, run.at);
+            }
+            len => {
+                let last = start + (len - 1) as i64;
+                self.hi = Some(self.hi.map_or(last, |hi| hi.max(last)));
+                self.runs.insert(start, run);
+            }
+        }
+    }
+
+    /// Takes `key` out of `run`, which starts at `start`. The keys before
+    /// and after it stay runs of their own (a key on its own is hashed);
+    /// of the open run, the piece with its tail stays open.
+    fn cut(&mut self, start: i64, run: Run, key: i64) {
+        let open = self.open.is_some_and(|(s, _)| s == start);
+        if open {
+            self.open = None;
+        } else {
+            self.runs.remove(&start);
+        }
+        let off = key.wrapping_sub(start) as u32;
+        let before = Run {
+            len: off,
+            at: run.at,
+        };
+        let after = Run {
+            len: run.len - off - 1,
+            at: run.at + off as u64 + 1,
+        };
+        // `key` is not the last key there is while `after` holds one.
+        let after_start = key.wrapping_add(1);
+        match (open, after.len) {
+            (true, 0) => self.open = (before.len > 0).then_some((start, before)),
+            (true, _) => {
+                self.close(start, before);
+                self.open = Some((after_start, after));
+            }
+            (false, _) => {
+                self.close(start, before);
+                self.close(after_start, after);
+            }
+        }
+    }
+
+    /// Registers `at` as a later version of `key`, whose first is `first`.
+    fn add_later(&mut self, key: i64, first: u64, at: u64) {
+        self.first.insert(key, first | HAS_MORE);
+        self.registered += 1;
+        self.more.insert((key, self.registered), at);
+    }
+
     fn remove(&mut self, key: i64, rid: RecordId) {
+        let at = pack(rid);
         let Some(&word) = self.first.get(&key) else {
+            if let Some((start, run, place)) = self.run_of(key) {
+                if place == at {
+                    self.cut(start, run, key);
+                }
+            }
             return;
         };
-        let at = pack(rid);
         let mut later_versions = self.more.range(later(key)).map(|(k, v)| (*k, *v));
         let (goes, first) = if word & !HAS_MORE == at {
             // The oldest of the later versions takes its place.
@@ -128,6 +290,14 @@ impl Inner {
         let still_more = self.more.range(later(key)).next().is_some();
         self.first
             .insert(key, if still_more { first | HAS_MORE } else { first });
+    }
+
+    /// Every run, the open one included.
+    fn all_runs(&self) -> impl Iterator<Item = Run> + '_ {
+        self.runs
+            .values()
+            .copied()
+            .chain(self.open.map(|(_, run)| run))
     }
 }
 
@@ -221,7 +391,8 @@ impl KeyIndex {
     /// Builds by walking occupancy words over the raw slot region — the
     /// batched path: one bitmap load per 64 slots and a direct key read at
     /// the fixed offset, instead of a per-row `page.read` with its
-    /// occupancy/bounds re-checks.
+    /// occupancy/bounds re-checks. Pages and slots are walked in order, so
+    /// keys that were loaded in order come back as runs.
     fn build_locked(&self, pool: &BufferPool, g: &mut Inner) -> DbResult<()> {
         let table = pool.table(self.table)?;
         let mut built = Inner::default();
@@ -249,10 +420,19 @@ impl KeyIndex {
 
     /// Number of distinct keys (tests).
     pub fn len(&self) -> usize {
-        self.inner.lock().first.len()
+        let g = self.inner.lock();
+        g.first.len() + g.all_runs().map(|run| run.len as usize).sum::<usize>()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// How the keys are held (tests): the runs of two keys or more, and the
+    /// keys held on their own.
+    pub fn shape(&self) -> (usize, usize) {
+        let g = self.inner.lock();
+        let runs = g.all_runs().filter(|run| run.len > 1).count();
+        (runs, g.first.len() + g.all_runs().count() - runs)
     }
 }

@@ -10,7 +10,10 @@
 //!   page images, segment bounds, index and deletion log.
 //! * **`KeyIndex` ≡ a `BTreeMap<i64, Vec<RecordId>>`** under inserts,
 //!   repeated inserts, removals and an invalidate-and-rebuild, with one to
-//!   four versions a key; and `insert_run` ≡ one `insert` per version.
+//!   four versions a key; and `insert_run` ≡ one `insert` per version. The
+//!   same map again when keys arrive in key and slot order, as runs, and
+//!   leave them; and a load in key order holds a run a page and nothing
+//!   per key.
 
 use harbor_common::codec::{Decoder, Encoder};
 use harbor_common::config::PAGE_PAYLOAD;
@@ -357,6 +360,316 @@ proptest! {
         drop(e);
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// What a loader does next, as the key index sees it.
+#[derive(Clone, Debug)]
+enum Load {
+    /// Rows for the next `n` keys after the last one, as one run.
+    Next(usize),
+    /// A row for the key `back` below the last one: a second version while
+    /// the index holds that key (at the open run's tail for 0), a jump back
+    /// when it does not.
+    Back(i64),
+    /// A row for a key far from the others: the next key skips a slot.
+    Stranger,
+    /// A new cursor: the next row starts a page.
+    TurnPage,
+    /// A version said again: the `n`-th (modulo) of all registrations.
+    Repeat(usize),
+    /// `remove_physical` of version `n` (modulo) of key `pick` (modulo).
+    Remove {
+        pick: usize,
+        n: usize,
+    },
+    Rebuild,
+}
+
+fn loads() -> impl Strategy<Value = Vec<Load>> {
+    // Mostly the next key in the next slot.
+    let next = || (1usize..=8).prop_map(Load::Next);
+    let load = prop_oneof![
+        next(),
+        next(),
+        next(),
+        next(),
+        next(),
+        next(),
+        (0i64..20).prop_map(Load::Back),
+        (0i64..3).prop_map(Load::Back),
+        Just(Load::Stranger),
+        Just(Load::TurnPage),
+        any::<usize>().prop_map(Load::Repeat),
+        (any::<usize>(), any::<usize>()).prop_map(|(pick, n)| Load::Remove { pick, n }),
+        (any::<usize>(), any::<usize>()).prop_map(|(pick, n)| Load::Remove { pick, n }),
+        Just(Load::Rebuild),
+    ];
+    proptest::collection::vec(load, 1..120)
+}
+
+/// Places `keys` as one wire run through `cursor`, returning where each went.
+fn place(cursor: &mut harbor_engine::RecoveredInserter, keys: &[i64]) -> Vec<RecordId> {
+    let mut enc = Encoder::new();
+    keys.iter()
+        .for_each(|&key| tuple((key, 1, 0, key as i32)).write_wire(&mut enc));
+    let mut reply = Decoder::new(enc.as_slice());
+    let mut placed = Vec::new();
+    cursor
+        .insert_wire(keys.len(), &mut reply, |rid| placed.push(rid))
+        .unwrap();
+    placed
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `KeyIndex` against a map of vecs when keys arrive the way a load
+    /// brings them — in key and slot order, so that they form runs — and
+    /// then leave them: second versions at the open run's tail and in the
+    /// middle of a closed run, removals of run keys and of first versions
+    /// with later ones behind them, repeats, page turns, skipped slots,
+    /// jumps back and rebuilds.
+    #[test]
+    fn key_index_with_runs_matches_a_map_of_vecs(loads in loads()) {
+        let (e, table, dir) = engine("runs");
+        let index = e.index(table).unwrap();
+        let mut cursor = e.recovered_inserter(table).unwrap();
+        let mut model: BTreeMap<i64, Vec<RecordId>> = BTreeMap::new();
+        let (mut last, mut strangers) = (0i64, 0i64);
+        for load in loads {
+            let keys: Vec<i64> = match load {
+                Load::Next(n) => {
+                    last += n as i64;
+                    (last + 1 - n as i64..=last).collect()
+                }
+                Load::Back(back) => vec![last - back],
+                Load::Stranger => {
+                    strangers += 1;
+                    vec![1_000_000 * strangers]
+                }
+                Load::TurnPage => {
+                    cursor = e.recovered_inserter(table).unwrap();
+                    vec![]
+                }
+                Load::Repeat(n) => {
+                    let said: Vec<(i64, RecordId)> = model
+                        .iter()
+                        .flat_map(|(k, v)| v.iter().map(move |rid| (*k, *rid)))
+                        .collect();
+                    if !said.is_empty() {
+                        let (key, rid) = said[n % said.len()];
+                        index.insert(key, rid);
+                    }
+                    vec![]
+                }
+                Load::Remove { pick, n } => {
+                    if !model.is_empty() {
+                        let key = *model.keys().nth(pick % model.len()).unwrap();
+                        let versions = model.get_mut(&key).unwrap();
+                        let rid = versions.remove(n % versions.len());
+                        if versions.is_empty() {
+                            model.remove(&key);
+                        }
+                        e.remove_physical(rid).unwrap();
+                        // Removing what is not there removes nothing.
+                        index.remove(key, rid);
+                    }
+                    vec![]
+                }
+                Load::Rebuild => {
+                    index.invalidate();
+                    index.rebuild(e.pool()).unwrap();
+                    model.values_mut().for_each(|v| v.sort());
+                    vec![]
+                }
+            };
+            for (key, rid) in keys.iter().zip(place(&mut cursor, &keys)) {
+                model.entry(*key).or_default().push(rid);
+            }
+            prop_assert_eq!(index.len(), model.len());
+            let probes = model.keys().copied().chain([-1, last + 1, last + 2]);
+            for key in probes {
+                let want = model.get(&key).cloned().unwrap_or_default();
+                prop_assert_eq!(index.lookup(e.pool(), key).unwrap(), want, "key {}", key);
+            }
+        }
+        drop((cursor, index, e));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The same map when the test chooses every place, so the next key may
+    /// land in a slot the index has seen before — which a load's cursor
+    /// never does and a transactional insert into a freed slot may: keys in
+    /// order into the next slots, keys at or below the last one, the cursor
+    /// stepping back, page turns, repeats and removals.
+    #[test]
+    fn key_index_with_runs_at_any_place_matches_a_map_of_vecs(
+        steps in proptest::collection::vec((0u8..10, 0u8..8, any::<usize>()), 1..300),
+    ) {
+        let (e, table, dir) = engine("places");
+        let index = KeyIndex::fresh(table, KEY_OFFSET);
+        let mut model: BTreeMap<i64, Vec<RecordId>> = BTreeMap::new();
+        let (mut last, mut page, mut slot) = (0i64, 0u32, 0u16);
+        for (what, n, pick) in steps {
+            let mut said = Vec::new();
+            let mut next_place = || {
+                slot += 1;
+                RecordId::new(PageId::new(table, page), slot - 1)
+            };
+            match what {
+                // The next keys into the next slots, as one run.
+                0..=3 => {
+                    for _ in 0..=n {
+                        last += 1;
+                        said.push((last, next_place()));
+                    }
+                    index.insert_run(said.iter().copied());
+                }
+                // A key at or below the last one into the next slot.
+                4 | 5 => {
+                    said.push((last - n as i64, next_place()));
+                    index.insert(said[0].0, said[0].1);
+                }
+                6 => slot = slot.saturating_sub(n as u16 + 1),
+                7 => (page, slot) = (page + 1, 0),
+                // A version said again, or removed.
+                _ => {
+                    let versions: Vec<(i64, RecordId)> = model
+                        .iter()
+                        .flat_map(|(k, v)| v.iter().map(move |rid| (*k, *rid)))
+                        .collect();
+                    if !versions.is_empty() {
+                        let (key, rid) = versions[pick % versions.len()];
+                        if what == 8 {
+                            index.insert(key, rid);
+                        } else {
+                            index.remove(key, rid);
+                            let left = model.get_mut(&key).unwrap();
+                            left.retain(|v| *v != rid);
+                            if left.is_empty() {
+                                model.remove(&key);
+                            }
+                        }
+                    }
+                }
+            }
+            for (key, rid) in said {
+                let versions = model.entry(key).or_default();
+                if !versions.contains(&rid) {
+                    versions.push(rid);
+                }
+            }
+            prop_assert_eq!(index.len(), model.len());
+            for key in model.keys().copied().chain([last + 1]) {
+                let want = model.get(&key).cloned().unwrap_or_default();
+                prop_assert_eq!(index.lookup(e.pool(), key).unwrap(), want, "key {}", key);
+            }
+        }
+        drop((index, e));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Loads `keys` in order through a cursor, as a bulk load does, into a
+/// table of their own; returns the engine and the table.
+fn loaded(
+    tag: &str,
+    keys: impl Iterator<Item = i64>,
+) -> (Arc<Engine>, TableId, std::path::PathBuf) {
+    let (e, table, dir) = engine(tag);
+    let mut cursor = e.recovered_inserter(table).unwrap();
+    for key in keys {
+        cursor.insert(&tuple((key, 1, 0, key as i32))).unwrap();
+    }
+    cursor.flush().unwrap();
+    (e, table, dir)
+}
+
+/// Keys loaded in order are a run a page and nothing per key; an update
+/// takes exactly one key out of its run, in the middle of a page or at the
+/// tail of the last; keys loaded out of order form no run at all.
+#[test]
+fn a_load_in_key_order_is_a_run_a_page() {
+    const KEYS: i64 = 10_000;
+    let (e, table, dir) = loaded("footprint", 0..KEYS);
+    let per_page = slots_per_page(e.pool().table(table).unwrap().tuple_size());
+    // The last page holds more than one key: it is a run too.
+    assert!(KEYS as usize % per_page != 1);
+    let pages = (KEYS as usize).div_ceil(per_page);
+    let index = e.index(table).unwrap();
+    assert_eq!(index.shape(), (pages, 0));
+    assert_eq!(index.len(), KEYS as usize);
+    let heap_pages = e.pool().table(table).unwrap().all_page_ids();
+    let rid = |key: i64| {
+        let (page, slot) = (key as usize / per_page, key as usize % per_page);
+        RecordId::new(heap_pages[page], slot as u16)
+    };
+
+    // A second version of a key in the middle of a page's run.
+    let key = (KEYS / 2 / per_page as i64) * per_page as i64 + per_page as i64 / 2;
+    let mut cursor = e.recovered_inserter(table).unwrap();
+    cursor.insert(&tuple((key, 2, 0, 0))).unwrap();
+    cursor.flush().unwrap();
+    assert_eq!(index.shape(), (pages + 1, 1));
+    assert_eq!(index.len(), KEYS as usize);
+    let versions = index.lookup(e.pool(), key).unwrap();
+    assert_eq!(versions.len(), 2);
+    assert_eq!(versions[0], rid(key));
+    // And of the last key loaded, the tail of the run still open.
+    let tail = KEYS - 1;
+    cursor.insert(&tuple((tail, 2, 0, 0))).unwrap();
+    cursor.flush().unwrap();
+    drop(cursor);
+    assert_eq!(index.shape(), (pages + 1, 2));
+    let tail_versions = index.lookup(e.pool(), tail).unwrap();
+    assert_eq!(tail_versions.len(), 2);
+    assert_eq!(tail_versions[0], rid(tail));
+    // Every other key keeps its place.
+    for k in (0..KEYS).filter(|k| ![key, tail].contains(k)) {
+        assert_eq!(index.lookup(e.pool(), k).unwrap(), vec![rid(k)], "key {k}");
+    }
+    // A rebuild walks the pages in order: the same runs and the same keys.
+    index.rebuild(e.pool()).unwrap();
+    assert_eq!(index.shape(), (pages + 1, 2));
+    assert_eq!(index.lookup(e.pool(), key).unwrap(), versions);
+    assert_eq!(index.lookup(e.pool(), tail).unwrap(), tail_versions);
+    drop((index, e));
+    let _ = std::fs::remove_dir_all(dir);
+
+    // A permutation that never puts key k + 1 right after key k.
+    let (e, table, dir) = loaded("scattered", (0..KEYS).map(|i| i * 7_919 % 10_007));
+    let index = e.index(table).unwrap();
+    assert_eq!(index.shape(), (0, KEYS as usize));
+    assert_eq!(index.len(), KEYS as usize);
+    drop((index, e));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A key that came on its own starts a run with the next key in the next
+/// slot only while it still has that one version: not once an update gave
+/// it a second, nor once its version was removed.
+#[test]
+fn a_key_that_changed_since_it_came_starts_no_run() {
+    let (e, table, dir) = engine("changed");
+    let index = KeyIndex::fresh(table, KEY_OFFSET);
+    let rid = |slot| RecordId::new(PageId::new(table, 1), slot);
+    index.insert(10, rid(0));
+    index.insert(10, rid(5));
+    index.insert(11, rid(1));
+    assert_eq!(index.lookup(e.pool(), 10).unwrap(), vec![rid(0), rid(5)]);
+    assert_eq!(index.lookup(e.pool(), 11).unwrap(), vec![rid(1)]);
+    index.insert(20, rid(8));
+    index.remove(20, rid(8));
+    index.insert(21, rid(9));
+    assert!(index.lookup(e.pool(), 20).unwrap().is_empty());
+    assert_eq!(index.lookup(e.pool(), 21).unwrap(), vec![rid(9)]);
+    assert_eq!(index.shape(), (0, 3));
+    // And one that did not change does.
+    index.insert(22, rid(10));
+    assert_eq!(index.shape(), (1, 2));
+    assert_eq!(index.lookup(e.pool(), 22).unwrap(), vec![rid(10)]);
+    drop((index, e));
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// A row that may not be recovered — no committed insertion time — ends a
