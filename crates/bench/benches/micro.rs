@@ -419,7 +419,7 @@ fn bench_scan(_c: &mut Criterion) {
             collect(&mut s)
                 .unwrap()
                 .iter()
-                .filter(|t| t.get(2) == &Value::Int64(probe_key))
+                .filter(|t| t.get(2) == Value::Int64(probe_key))
                 .count()
         }),
     );

@@ -98,6 +98,8 @@ struct DescInner {
     /// Byte offset of each field within the fixed on-disk encoding.
     offsets: Vec<usize>,
     width: usize,
+    /// Bytes of a row's wire encoding with every string at its full width.
+    wire_capacity: usize,
 }
 
 impl TupleDesc {
@@ -107,9 +109,13 @@ impl TupleDesc {
         let types: Vec<FieldType> = fields.iter().map(|(_, t)| *t).collect();
         let mut offsets = Vec::with_capacity(types.len());
         let mut width = 0usize;
+        // The field count, then a tag and a payload a field; a string's
+        // payload is a `u32` length and its bytes.
+        let mut wire_capacity = 2usize;
         for t in &types {
             offsets.push(width);
             width += t.width();
+            wire_capacity += 1 + t.width() + matches!(t, FieldType::FixedStr(_)) as usize * 4;
         }
         TupleDesc {
             inner: Arc::new(DescInner {
@@ -117,6 +123,7 @@ impl TupleDesc {
                 types,
                 offsets,
                 width,
+                wire_capacity,
             }),
         }
     }
@@ -147,6 +154,12 @@ impl TupleDesc {
     /// Total on-disk tuple width in bytes.
     pub fn byte_width(&self) -> usize {
         self.inner.width
+    }
+
+    /// Bytes a row of this schema takes on the wire at most: exactly, unless
+    /// a string is shorter than its column.
+    pub fn wire_capacity(&self) -> usize {
+        self.inner.wire_capacity
     }
 
     pub fn field_type(&self, i: usize) -> FieldType {

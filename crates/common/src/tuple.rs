@@ -1,121 +1,333 @@
-//! The in-memory tuple and its fixed-width on-disk encoding.
+//! The in-memory row, and the codecs between it and the store's slots.
+//!
+//! A [`Tuple`] is the bytes a row crosses the wire in, held as one
+//! exact-size allocation: a `u16` field count, then each field as
+//! [`Value`]'s codec writes it — a tag byte and a payload (4 bytes for
+//! `Int32`, 8 for `Int64` and `Time`, a `u32` length and UTF-8 bytes for
+//! `Str`). The encoding is canonical, so two rows are equal exactly when
+//! their bytes are. A paper row of sixteen integer fields is 94 bytes.
+//!
+//! Every row is checked field by field when it is built — from values,
+//! from a page slot or off the wire — so reading a field of one cannot fail;
+//! only a column index the row does not have can ([`Tuple::try_get`]).
+//!
+//! The row codecs, none with a [`Value`] between:
+//! * a page slot into a row: [`transcode_fixed_to_wire`] (the ship sink's
+//!   own function, which [`Tuple::from_fixed`] runs into the row) and its
+//!   projecting twin [`transcode_fixed_cols_to_wire`];
+//! * a row into a page slot: [`transcode_wire_to_fixed`], straight off a
+//!   receive buffer or from a row in memory ([`Tuple::write_fixed`]);
+//! * a row off the wire and back: [`Tuple::read_wire`] checks and copies,
+//!   [`Tuple::write_wire`] copies.
 
-use crate::codec::{Decoder, Encoder, Wire};
+use crate::codec::{bad_tag, Decoder, Encoder, Wire};
 use crate::error::{DbError, DbResult};
-use crate::schema::{TupleDesc, COL_DELETION_TS, COL_INSERTION_TS};
+use crate::schema::{TupleDesc, COL_DELETION_TS, COL_INSERTION_TS, NUM_VERSION_COLS};
 use crate::time::Timestamp;
 use crate::value::Value;
 use crate::FieldType;
 use std::fmt;
 
-/// A row: a vector of values conforming to some [`TupleDesc`].
+/// A row: its self-describing wire encoding, conforming to some
+/// [`TupleDesc`].
 ///
 /// Stored tuples carry the two reserved version columns in positions 0 and 1;
 /// query outputs may have arbitrary shapes.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Tuple {
-    values: Vec<Value>,
+    /// A `u16` field count, then the fields; checked when built.
+    wire: Box<[u8]>,
 }
 
 impl Tuple {
     pub fn new(values: Vec<Value>) -> Self {
-        Tuple { values }
+        Self::encode(&[], &values)
     }
 
     /// Builds a stored tuple from user fields plus explicit version columns.
     pub fn versioned(insertion: Timestamp, deletion: Timestamp, user: Vec<Value>) -> Self {
-        let mut values = Vec::with_capacity(user.len() + 2);
-        values.push(Value::Time(insertion));
-        values.push(Value::Time(deletion));
-        values.extend(user);
-        Tuple { values }
+        Self::encode(&[insertion, deletion], &user)
     }
 
-    pub fn values(&self) -> &[Value] {
-        &self.values
+    /// The row of `times`, then `values`, in one allocation of its size. A
+    /// row that fits 256 bytes (a paper row is 94) is written on the stack
+    /// and copied, which costs less than sizing it first.
+    fn encode(times: &[Timestamp], values: &[Value]) -> Self {
+        let mut stack = [0u8; 256];
+        if let Some(len) = write_fields(&mut stack, times, values) {
+            return Tuple {
+                wire: stack[..len].into(),
+            };
+        }
+        let size = 2 + 9 * times.len() + values.iter().map(wire_size).sum::<usize>();
+        let mut wire = vec![0; size].into_boxed_slice();
+        let written = write_fields(&mut wire, times, values);
+        debug_assert_eq!(written, Some(size));
+        Tuple { wire }
+    }
+
+    /// Decodes a stored row: its slot's bytes transcoded into the row by
+    /// [`transcode_fixed_to_wire`], `deletion` in place of the stored
+    /// deletion time (a historical read masks later deletions).
+    pub fn from_fixed(desc: &TupleDesc, bytes: &[u8], deletion: Timestamp) -> DbResult<Tuple> {
+        check_fixed_len(desc, bytes)?;
+        // A string crosses without its NUL padding. A schema without strings,
+        // whose capacity is the count, a tag a field and the slot's bytes,
+        // has rows of one size.
+        let mut size = desc.wire_capacity();
+        if size > 2 + desc.len() + desc.byte_width() {
+            for (i, ty) in desc.types().iter().enumerate() {
+                if let FieldType::FixedStr(n) = ty {
+                    let raw = &bytes[desc.field_offset(i)..][..*n as usize];
+                    size -= raw.len() - unpadded(raw).len();
+                }
+            }
+        }
+        let mut enc = Encoder::with_capacity(size);
+        transcode_fixed_to_wire(desc, bytes, deletion, &mut enc)?;
+        Ok(Tuple {
+            wire: enc.into_bytes().into_boxed_slice(),
+        })
+    }
+
+    /// Every field, in order.
+    pub fn values(&self) -> Vec<Value> {
+        self.fields().collect()
     }
 
     pub fn into_values(self) -> Vec<Value> {
-        self.values
+        self.values()
     }
 
-    pub fn get(&self, i: usize) -> &Value {
-        &self.values[i]
+    /// The user fields of a stored tuple (everything after the version pair).
+    pub fn user_values(&self) -> Vec<Value> {
+        self.fields().skip(NUM_VERSION_COLS).collect()
     }
 
-    pub fn set(&mut self, i: usize, v: Value) {
-        self.values[i] = v;
+    /// Field `i`. Panics if the row has no field `i`, as indexing a slice
+    /// does; a column index that came off the wire goes through
+    /// [`try_get`](Self::try_get).
+    pub fn get(&self, i: usize) -> Value {
+        match self.try_get(i) {
+            Ok(v) => v,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Field `i`, or [`DbError::Schema`] if the row has none. A predicate's
+    /// column read: the numbers are read in place, a string through
+    /// [`Value`]'s codec.
+    #[inline]
+    pub fn try_get(&self, i: usize) -> DbResult<Value> {
+        let (wire, at) = (&self.wire, self.seek(i)?);
+        let payload = at + 1;
+        Ok(match wire[at] {
+            Value::INT32_TAG => Value::Int32(i32::from_le_bytes(field_bytes(wire, payload)?)),
+            Value::INT64_TAG => Value::Int64(i64::from_le_bytes(field_bytes(wire, payload)?)),
+            Value::TIME_TAG => {
+                Value::Time(Timestamp(u64::from_le_bytes(field_bytes(wire, payload)?)))
+            }
+            _ => return Value::decode(&mut Decoder::new(&wire[at..])),
+        })
     }
 
     pub fn len(&self) -> usize {
-        self.values.len()
+        u16::from_le_bytes([self.wire[0], self.wire[1]]) as usize
     }
 
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
     /// Insertion timestamp of a stored tuple.
     pub fn insertion_ts(&self) -> DbResult<Timestamp> {
-        self.values[COL_INSERTION_TS].as_time()
+        self.version(COL_INSERTION_TS)
     }
 
     /// Deletion timestamp of a stored tuple.
     pub fn deletion_ts(&self) -> DbResult<Timestamp> {
-        self.values[COL_DELETION_TS].as_time()
+        self.version(COL_DELETION_TS)
     }
 
-    pub fn set_deletion_ts(&mut self, t: Timestamp) {
-        self.values[COL_DELETION_TS] = Value::Time(t);
+    /// Overwrites a stored tuple's deletion timestamp in place. A row whose
+    /// first two fields are not timestamps is [`DbError::Schema`].
+    pub fn set_deletion_ts(&mut self, t: Timestamp) -> DbResult<()> {
+        let at = self
+            .version_at(COL_DELETION_TS)
+            .ok_or_else(|| DbError::Schema(format!("{self} has no deletion time")))?;
+        self.wire[at..at + 8].copy_from_slice(&t.0.to_le_bytes());
+        Ok(())
     }
 
-    /// The user fields of a stored tuple (everything after the version pair).
-    pub fn user_values(&self) -> &[Value] {
-        &self.values[crate::schema::NUM_VERSION_COLS..]
+    /// Where version field `i` (0 or 1) keeps its 8 bytes, when fields 0
+    /// through `i` are timestamps: a tag and 8 bytes each, at fixed offsets.
+    fn version_at(&self, i: usize) -> Option<usize> {
+        let tag_at = |field: usize| 2 + 9 * field;
+        (0..=i)
+            .all(|f| self.wire.get(tag_at(f)) == Some(&Value::TIME_TAG))
+            .then_some(tag_at(i) + 1)
     }
 
-    /// Serializes into `out` as [`FixedLayout::encode`] does, walking the
-    /// descriptor instead of a layout built for it: for a row now and then.
-    pub fn write_fixed(&self, desc: &TupleDesc, out: &mut [u8]) -> DbResult<()> {
-        let fields = (0..desc.len()).map(|i| (desc.field_type(i), desc.field_offset(i)));
-        encode_fixed(desc, fields, &self.values, out)
-    }
-
-    /// Deserializes a fixed-width tuple.
-    pub fn read_fixed(desc: &TupleDesc, dec: &mut Decoder<'_>) -> DbResult<Tuple> {
-        let mut values = Vec::with_capacity(desc.len());
-        for i in 0..desc.len() {
-            let v = match desc.field_type(i) {
-                FieldType::Int32 => Value::Int32(dec.get_i32()?),
-                FieldType::Int64 => Value::Int64(dec.get_i64()?),
-                FieldType::Time => Value::Time(Timestamp(dec.get_u64()?)),
-                FieldType::FixedStr(n) => {
-                    let raw = dec.get_raw(n as usize)?;
-                    let end = raw.iter().position(|&b| b == 0).unwrap_or(raw.len());
-                    let s = std::str::from_utf8(&raw[..end])
-                        .map_err(|_| DbError::corrupt("invalid utf-8 in fixed string"))?;
-                    Value::Str(s.to_string())
-                }
-            };
-            values.push(v);
+    fn version(&self, i: usize) -> DbResult<Timestamp> {
+        match self.version_at(i) {
+            Some(at) => {
+                let mut word = [0u8; 8];
+                word.copy_from_slice(&self.wire[at..at + 8]);
+                Ok(Timestamp(u64::from_le_bytes(word)))
+            }
+            None => self.try_get(i)?.as_time(),
         }
-        Ok(Tuple { values })
     }
 
-    /// Serializes with a self-describing (variable) layout, for the wire: a
-    /// `u16` field count, then each field through [`Value`]'s codec.
-    pub fn write_wire(&self, enc: &mut Encoder) {
-        enc.put_u16(self.values.len() as u16);
-        Value::encode_all(&self.values, enc);
+    /// The row of fields `cols` of this one, in that order; a column the
+    /// row lacks is [`DbError::Schema`].
+    pub fn project(&self, cols: &[usize]) -> DbResult<Tuple> {
+        let values = cols
+            .iter()
+            .map(|&i| self.try_get(i))
+            .collect::<DbResult<_>>()?;
+        Ok(Tuple::new(values))
     }
 
-    /// Deserializes the wire layout.
-    pub fn read_wire(dec: &mut Decoder<'_>) -> DbResult<Tuple> {
-        let n = dec.get_u16()? as usize;
-        Ok(Tuple {
-            values: Value::decode_n(dec, n)?,
+    /// Where field `i` starts.
+    #[inline]
+    fn seek(&self, i: usize) -> DbResult<usize> {
+        if i >= self.len() {
+            return Err(DbError::Schema(format!(
+                "no column {i} in a row of {} fields",
+                self.len()
+            )));
+        }
+        // A stored row's user fields start right after its deletion time.
+        let (mut at, from) = match self.version_at(COL_DELETION_TS) {
+            Some(deletion) if i >= NUM_VERSION_COLS => (deletion + 8, NUM_VERSION_COLS),
+            _ => (2, 0),
+        };
+        for _ in from..i {
+            at = field_end(&self.wire, at)?;
+        }
+        Ok(at)
+    }
+
+    /// The fields in order. A built row's fields all decode, so this stops
+    /// only at the end.
+    fn fields(&self) -> impl Iterator<Item = Value> + '_ {
+        let mut dec = Decoder::new(&self.wire[2..]);
+        (0..self.len()).map_while(move |_| Value::decode(&mut dec).ok())
+    }
+
+    /// Writes this row into a page slot (`out`, exactly `desc.byte_width()`
+    /// bytes, all written) through [`transcode_wire_to_fixed`]. A row of
+    /// another field count, a value of another type or a string wider than
+    /// its column is [`DbError::Schema`], worded by [`TupleDesc::check`]; so
+    /// is an `out` of another width. `out` may then be partly written.
+    pub fn write_fixed(&self, desc: &TupleDesc, out: &mut [u8]) -> DbResult<()> {
+        if out.len() != desc.byte_width() {
+            return Err(DbError::Schema(format!(
+                "{} bytes for a {desc} row",
+                out.len()
+            )));
+        }
+        transcode_wire_to_fixed(desc, &mut Decoder::new(&self.wire), out).or_else(|e| {
+            // The transcoder refuses exactly what `check` does; `check`
+            // words it.
+            desc.check(&self.values())?;
+            Err(e)
         })
     }
+
+    /// Appends the row's wire encoding: one copy.
+    pub fn write_wire(&self, enc: &mut Encoder) {
+        enc.put_raw(&self.wire);
+    }
+
+    /// Reads one wire row: every tag, length and string is checked, then
+    /// the row's bytes are copied into a tuple of their size. A row cut
+    /// short, an unknown tag or a string that is not UTF-8 is
+    /// [`DbError::Corrupt`].
+    pub fn read_wire(dec: &mut Decoder<'_>) -> DbResult<Tuple> {
+        let row = dec.rest();
+        let mut at = 2;
+        for _ in 0..u16::from_le_bytes(field_bytes(row, 0)?) {
+            let end = field_end(row, at)?;
+            if row[at] == Value::STR_TAG && std::str::from_utf8(&row[at + 5..end]).is_err() {
+                return Err(DbError::corrupt("invalid utf-8 in string"));
+            }
+            at = end;
+        }
+        Ok(Tuple {
+            wire: dec.take(at)?.into(),
+        })
+    }
+}
+
+/// The field walker: where the field of a wire row that starts at `at`
+/// ends — its tag, then its payload. An unknown tag or a field cut short is
+/// [`DbError::Corrupt`]; a string's bytes are not looked at.
+#[inline(always)]
+fn field_end(wire: &[u8], at: usize) -> DbResult<usize> {
+    let len = match wire.get(at) {
+        Some(&Value::INT32_TAG) => 5,
+        Some(&(Value::INT64_TAG | Value::TIME_TAG)) => 9,
+        Some(&Value::STR_TAG) => 5 + u32::from_le_bytes(field_bytes(wire, at + 1)?) as usize,
+        Some(&tag) => return Err(bad_tag("Value", tag)),
+        None => return Err(cut_short(at)),
+    };
+    match at.checked_add(len) {
+        Some(end) if end <= wire.len() => Ok(end),
+        _ => Err(cut_short(at)),
+    }
+}
+
+/// Bytes `v` takes in a wire row.
+fn wire_size(v: &Value) -> usize {
+    1 + match v {
+        Value::Int32(_) => 4,
+        Value::Int64(_) | Value::Time(_) => 8,
+        Value::Str(s) => 4 + s.len(),
+    }
+}
+
+/// Writes the field count, then `times` and `values` as [`Value`]'s codec
+/// lays them out — a tag, then a payload — one copy a field. Returns the
+/// bytes written, or `None` if they do not fit `wire`.
+#[inline(always)]
+fn write_fields(wire: &mut [u8], times: &[Timestamp], values: &[Value]) -> Option<usize> {
+    let count = (times.len() + values.len()) as u16;
+    let mut at = put(wire, 0, count.to_le_bytes())?;
+    for t in times {
+        at = put(wire, at, tagged::<8, 9>(Value::TIME_TAG, t.0.to_le_bytes()))?;
+    }
+    for v in values {
+        at = match v {
+            Value::Int32(x) => put(wire, at, tagged::<4, 5>(Value::INT32_TAG, x.to_le_bytes()))?,
+            Value::Int64(x) => put(wire, at, tagged::<8, 9>(Value::INT64_TAG, x.to_le_bytes()))?,
+            Value::Time(t) => put(wire, at, tagged::<8, 9>(Value::TIME_TAG, t.0.to_le_bytes()))?,
+            Value::Str(s) => {
+                let len = (s.len() as u32).to_le_bytes();
+                let at = put(wire, at, tagged::<4, 5>(Value::STR_TAG, len))?;
+                wire.get_mut(at..at + s.len())?
+                    .copy_from_slice(s.as_bytes());
+                at + s.len()
+            }
+        };
+    }
+    Some(at)
+}
+
+/// Copies `field` into `wire` at `at`; returns where the next one goes.
+#[inline(always)]
+fn put<const M: usize>(wire: &mut [u8], at: usize, field: [u8; M]) -> Option<usize> {
+    wire.get_mut(at..at + M)?.copy_from_slice(&field);
+    Some(at + M)
+}
+
+/// `tag`, then `payload`: `M` is `N + 1`.
+#[inline(always)]
+fn tagged<const N: usize, const M: usize>(tag: u8, payload: [u8; N]) -> [u8; M] {
+    let mut field = [tag; M];
+    field[1..].copy_from_slice(&payload);
+    field
 }
 
 impl Wire for Tuple {
@@ -130,12 +342,10 @@ impl Wire for Tuple {
 }
 
 /// Transcodes the fixed-width stored encoding of a tuple straight into the
-/// self-describing wire layout, without materializing a [`Tuple`].
+/// self-describing wire layout.
 ///
 /// `deletion` overrides the stored deletion timestamp — the visibility check
-/// may mask deletions that happened after the historical read time. The
-/// output is byte-identical to `Tuple::read_fixed` + `set_deletion_ts` +
-/// `write_wire`, which the equivalence property tests assert.
+/// may mask deletions that happened after the historical read time.
 pub fn transcode_fixed_to_wire(
     desc: &TupleDesc,
     bytes: &[u8],
@@ -144,8 +354,12 @@ pub fn transcode_fixed_to_wire(
 ) -> DbResult<()> {
     check_fixed_len(desc, bytes)?;
     enc.put_u16(desc.len() as u16);
-    for i in 0..desc.len() {
-        transcode_field(desc, bytes, i, deletion, enc)?;
+    let masked = masked_column(desc);
+    let mut off = 0;
+    for (i, &ty) in desc.types().iter().enumerate() {
+        let deletion = (Some(i) == masked).then_some(deletion);
+        transcode_field(ty, &bytes[off..], deletion, enc)?;
+        off += ty.width();
     }
     Ok(())
 }
@@ -162,10 +376,23 @@ pub fn transcode_fixed_cols_to_wire(
 ) -> DbResult<()> {
     check_fixed_len(desc, bytes)?;
     enc.put_u16(cols.len() as u16);
+    let masked = masked_column(desc);
     for &i in cols {
-        transcode_field(desc, bytes, i, deletion, enc)?;
+        let deletion = (Some(i) == masked).then_some(deletion);
+        transcode_field(
+            desc.field_type(i),
+            &bytes[desc.field_offset(i)..],
+            deletion,
+            enc,
+        )?;
     }
     Ok(())
+}
+
+/// The column a masked deletion time replaces: a stored row's deletion
+/// time.
+fn masked_column(desc: &TupleDesc) -> Option<usize> {
+    desc.has_version_columns().then_some(COL_DELETION_TS)
 }
 
 fn check_fixed_len(desc: &TupleDesc, bytes: &[u8]) -> DbResult<()> {
@@ -179,38 +406,28 @@ fn check_fixed_len(desc: &TupleDesc, bytes: &[u8]) -> DbResult<()> {
     Ok(())
 }
 
+/// Appends the stored field of type `ty` that `field` starts with, or
+/// `deletion` in its place.
+#[inline(always)]
 fn transcode_field(
-    desc: &TupleDesc,
-    bytes: &[u8],
-    i: usize,
-    deletion: Timestamp,
+    ty: FieldType,
+    field: &[u8],
+    deletion: Option<Timestamp>,
     enc: &mut Encoder,
 ) -> DbResult<()> {
-    if i == COL_DELETION_TS && desc.has_version_columns() {
-        enc.put_u8(Value::TIME_TAG);
-        enc.put_u64(deletion.0);
-        return Ok(());
-    }
-    let off = desc.field_offset(i);
-    match desc.field_type(i) {
+    match (ty, deletion) {
+        (_, Some(t)) => enc.put_raw(&tagged::<8, 9>(Value::TIME_TAG, t.0.to_le_bytes())),
         // The fixed and wire encodings are both little-endian, so the
-        // numeric payloads copy across verbatim.
-        FieldType::Int32 => {
-            enc.put_u8(Value::INT32_TAG);
-            enc.put_raw(&bytes[off..off + 4]);
+        // numeric payloads copy across verbatim, a field in one append.
+        (FieldType::Int32, None) => {
+            enc.put_raw(&tagged::<4, 5>(Value::INT32_TAG, slot_bytes(field)))
         }
-        FieldType::Int64 => {
-            enc.put_u8(Value::INT64_TAG);
-            enc.put_raw(&bytes[off..off + 8]);
+        (FieldType::Int64, None) => {
+            enc.put_raw(&tagged::<8, 9>(Value::INT64_TAG, slot_bytes(field)))
         }
-        FieldType::Time => {
-            enc.put_u8(Value::TIME_TAG);
-            enc.put_raw(&bytes[off..off + 8]);
-        }
-        FieldType::FixedStr(n) => {
-            let raw = &bytes[off..off + n as usize];
-            let end = raw.iter().position(|&b| b == 0).unwrap_or(raw.len());
-            let s = std::str::from_utf8(&raw[..end])
+        (FieldType::Time, None) => enc.put_raw(&tagged::<8, 9>(Value::TIME_TAG, slot_bytes(field))),
+        (FieldType::FixedStr(n), None) => {
+            let s = std::str::from_utf8(unpadded(&field[..n as usize]))
                 .map_err(|_| DbError::corrupt("invalid utf-8 in fixed string"))?;
             enc.put_u8(Value::STR_TAG);
             enc.put_str(s);
@@ -219,171 +436,116 @@ fn transcode_field(
     Ok(())
 }
 
+/// A stored string column's bytes up to its NUL padding.
+fn unpadded(raw: &[u8]) -> &[u8] {
+    let end = raw.iter().position(|&b| b == 0).unwrap_or(raw.len());
+    &raw[..end]
+}
+
+/// The first `N` bytes of a stored field (the row's width has been
+/// checked).
+#[inline(always)]
+fn slot_bytes<const N: usize>(field: &[u8]) -> [u8; N] {
+    let mut bytes = [0u8; N];
+    bytes.copy_from_slice(&field[..N]);
+    bytes
+}
+
 /// The inverse of [`transcode_fixed_to_wire`]: one wire-layout row off `dec`
-/// into `out` (a page slot: exactly `desc.byte_width()` bytes, all written),
-/// byte-identical to `Tuple::read_wire` + `write_fixed`, with no [`Tuple`]
-/// between. A row that is cut short or is not of `desc`'s field count, types
-/// and string widths is [`DbError::Corrupt`]: it came off the wire.
+/// into `out` (a page slot: exactly `desc.byte_width()` bytes, all written).
+/// A row that is cut short or is not of `desc`'s field count, types and
+/// string widths is [`DbError::Corrupt`]: it came off the wire.
 pub fn transcode_wire_to_fixed(
     desc: &TupleDesc,
     dec: &mut Decoder<'_>,
     out: &mut [u8],
 ) -> DbResult<()> {
-    let n = dec.get_u16()? as usize;
+    // Read by index off the bytes left, write by index into the slot, and
+    // step `dec` past the row once at the end: a field is two bounds checks
+    // and one copy.
+    let wire = dec.rest();
+    let n = u16::from_le_bytes(field_bytes(wire, 0)?) as usize;
     if n != desc.len() || out.len() != desc.byte_width() {
         return Err(DbError::corrupt(format!(
             "wire row of {n} fields for {desc}"
         )));
     }
-    let mut rest = out;
-    for ty in desc.types() {
-        let (at, after) = rest.split_at_mut(ty.width());
-        rest = after;
-        match (*ty, dec.get_u8()?) {
-            (FieldType::Int32, Value::INT32_TAG) => at.copy_from_slice(dec.take(4)?),
-            (FieldType::Int64, Value::INT64_TAG) | (FieldType::Time, Value::TIME_TAG) => {
-                at.copy_from_slice(dec.take(8)?)
-            }
-            (FieldType::FixedStr(_), Value::STR_TAG) => {
-                let len = dec.get_u32()? as usize;
-                let raw = dec.take(len)?;
-                if len > at.len() || std::str::from_utf8(raw).is_err() {
+    let (mut at, mut to) = (2, 0);
+    for &ty in desc.types() {
+        match ty {
+            FieldType::Int32 => copy_field::<4, 5>(wire, &mut at, Value::INT32_TAG, out, &mut to)?,
+            FieldType::Int64 => copy_field::<8, 9>(wire, &mut at, Value::INT64_TAG, out, &mut to)?,
+            FieldType::Time => copy_field::<8, 9>(wire, &mut at, Value::TIME_TAG, out, &mut to)?,
+            FieldType::FixedStr(width) => {
+                let mut len = [0u8; 4];
+                copy_field::<4, 5>(wire, &mut at, Value::STR_TAG, &mut len, &mut 0)?;
+                let len = u32::from_le_bytes(len) as usize;
+                let raw = wire.get(at..at + len).ok_or_else(|| cut_short(at))?;
+                let slot = &mut out[to..to + width as usize];
+                if len > slot.len() || std::str::from_utf8(raw).is_err() {
                     return Err(DbError::corrupt(format!("{len} wire bytes are no {ty}")));
                 }
-                at[..len].copy_from_slice(raw);
-                at[len..].fill(0);
+                slot[..len].copy_from_slice(raw);
+                slot[len..].fill(0);
+                (at, to) = (at + len, to + slot.len());
             }
-            (ty, tag) => return Err(DbError::corrupt(format!("wire tag {tag} is no {ty}"))),
         }
     }
+    dec.take(at)?;
     Ok(())
 }
 
-/// A stored schema's fixed encoding, flattened to `(type, offset)` pairs in
-/// one contiguous vector. Built once per scan or per load so the hot decode
-/// and encode loops walk a local slice instead of chasing the descriptor per
-/// field.
-pub struct FixedLayout {
-    fields: Vec<(FieldType, usize)>,
-    width: usize,
-    /// Words a refusal.
-    desc: TupleDesc,
+/// The `N` bytes of `wire` at `at`.
+#[inline(always)]
+fn field_bytes<const N: usize>(wire: &[u8], at: usize) -> DbResult<[u8; N]> {
+    let bytes = wire.get(at..at + N).and_then(|b| b.try_into().ok());
+    bytes.ok_or_else(|| cut_short(at))
 }
 
-impl FixedLayout {
-    pub fn new(desc: &TupleDesc) -> Self {
-        let fields = (0..desc.len())
-            .map(|i| (desc.field_type(i), desc.field_offset(i)))
-            .collect();
-        FixedLayout {
-            fields,
-            width: desc.byte_width(),
-            desc: desc.clone(),
-        }
-    }
-
-    /// Bytes of one stored row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Encodes one row into `out`, which must be exactly [`width`](Self::width)
-    /// bytes (a page slot, or a buffer of that size): every byte is written.
-    /// The inverse of [`decode`](Self::decode). A row of another field count,
-    /// a value of another type or a string wider than its column is
-    /// [`DbError::Schema`], worded by [`TupleDesc::check`]; `out` is then
-    /// partly written.
-    #[inline]
-    pub fn encode(&self, values: &[Value], out: &mut [u8]) -> DbResult<()> {
-        encode_fixed(&self.desc, self.fields.iter().copied(), values, out)
-    }
-
-    /// Decodes one stored row; equivalent to [`Tuple::read_fixed`] over the
-    /// same descriptor. `#[inline]` so the per-page scan loops in other
-    /// crates can absorb it without LTO.
-    #[inline]
-    pub fn decode(&self, bytes: &[u8]) -> DbResult<Tuple> {
-        let Some(bytes) = bytes.get(..self.width) else {
-            return Err(DbError::corrupt("stored tuple shorter than its layout"));
-        };
-        let mut values = Vec::with_capacity(self.fields.len());
-        for &(ty, off) in &self.fields {
-            let v = match ty {
-                FieldType::Int32 => {
-                    let mut b = [0u8; 4];
-                    b.copy_from_slice(&bytes[off..off + 4]);
-                    Value::Int32(i32::from_le_bytes(b))
-                }
-                FieldType::Int64 => {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&bytes[off..off + 8]);
-                    Value::Int64(i64::from_le_bytes(b))
-                }
-                FieldType::Time => {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&bytes[off..off + 8]);
-                    Value::Time(Timestamp(u64::from_le_bytes(b)))
-                }
-                FieldType::FixedStr(n) => {
-                    let raw = &bytes[off..off + n as usize];
-                    let end = raw.iter().position(|&b| b == 0).unwrap_or(raw.len());
-                    let s = std::str::from_utf8(&raw[..end])
-                        .map_err(|_| DbError::corrupt("invalid utf-8 in fixed string"))?;
-                    Value::Str(s.to_string())
-                }
-            };
-            values.push(v);
-        }
-        Ok(Tuple { values })
-    }
-}
-
-/// The one fixed-width encoder, behind [`FixedLayout::encode`] and
-/// [`Tuple::write_fixed`]: `fields` are `desc`'s `(type, offset)` pairs.
-#[inline]
-fn encode_fixed(
-    desc: &TupleDesc,
-    fields: impl ExactSizeIterator<Item = (FieldType, usize)>,
-    values: &[Value],
+/// Copies the wire field at `at` — `tag`, then an `N`-byte payload; `M` is
+/// `N + 1` — to `out` at `to` as its payload alone, and moves both past it.
+#[inline(always)]
+fn copy_field<const N: usize, const M: usize>(
+    wire: &[u8],
+    at: &mut usize,
+    tag: u8,
     out: &mut [u8],
+    to: &mut usize,
 ) -> DbResult<()> {
-    // One pass decides; where it refuses, `check` words the refusal.
-    if values.len() != fields.len() {
-        return desc.check(values);
-    }
-    if out.len() != desc.byte_width() {
-        return Err(DbError::Schema(format!(
-            "{} bytes for a {desc} row",
-            out.len()
+    let field: [u8; M] = field_bytes(wire, *at)?;
+    if field[0] != tag {
+        return Err(DbError::corrupt(format!(
+            "wire tag {} where {tag} belongs",
+            field[0]
         )));
     }
-    for ((ty, off), v) in fields.zip(values) {
-        let at = &mut out[off..off + ty.width()];
-        match (ty, v) {
-            (FieldType::Int32, Value::Int32(x)) => at.copy_from_slice(&x.to_le_bytes()),
-            (FieldType::Int64, Value::Int64(x)) => at.copy_from_slice(&x.to_le_bytes()),
-            (FieldType::Time, Value::Time(t)) => at.copy_from_slice(&t.0.to_le_bytes()),
-            (FieldType::FixedStr(_), Value::Str(s)) if s.len() <= at.len() => {
-                // NUL padding to the declared width.
-                at[..s.len()].copy_from_slice(s.as_bytes());
-                at[s.len()..].fill(0);
-            }
-            _ => return desc.check(values),
-        }
-    }
+    out[*to..*to + N].copy_from_slice(&field[1..]);
+    (*at, *to) = (*at + M, *to + N);
     Ok(())
+}
+
+#[cold]
+fn cut_short(at: usize) -> DbError {
+    DbError::corrupt(format!("wire row cut short at byte {at}"))
 }
 
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, v) in self.values.iter().enumerate() {
+        for (i, v) in self.fields().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
             write!(f, "{v}")?;
         }
         write!(f, "]")
+    }
+}
+
+impl fmt::Debug for Tuple {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Tuple")?;
+        f.debug_list().entries(self.fields()).finish()
     }
 }
 
@@ -418,9 +580,11 @@ mod tests {
         let t = sample();
         let mut bytes = vec![0xffu8; d.byte_width()];
         t.write_fixed(&d, &mut bytes).unwrap();
-        let mut dec = Decoder::new(&bytes);
-        let back = Tuple::read_fixed(&d, &mut dec).unwrap();
+        let back = Tuple::from_fixed(&d, &bytes, Timestamp::ZERO).unwrap();
         assert_eq!(back, t);
+        // The masked deletion time is the row's, not the slot's.
+        let masked = Tuple::from_fixed(&d, &bytes, Timestamp(7)).unwrap();
+        assert_eq!(masked.deletion_ts().unwrap(), Timestamp(7));
     }
 
     #[test]
@@ -438,9 +602,14 @@ mod tests {
         let mut t = sample();
         assert_eq!(t.insertion_ts().unwrap(), Timestamp(4));
         assert_eq!(t.deletion_ts().unwrap(), Timestamp::ZERO);
-        t.set_deletion_ts(Timestamp(9));
+        t.set_deletion_ts(Timestamp(9)).unwrap();
         assert_eq!(t.deletion_ts().unwrap(), Timestamp(9));
         assert_eq!(t.user_values().len(), 3);
+        // A row without the pair answers through its fields, or refuses.
+        let plain = Tuple::new(vec![Value::Int64(3), Value::Int32(1)]);
+        assert_eq!(plain.insertion_ts().unwrap(), Timestamp(3));
+        assert!(plain.deletion_ts().is_err());
+        assert!(plain.clone().set_deletion_ts(Timestamp(1)).is_err());
     }
 
     #[test]
@@ -456,8 +625,35 @@ mod tests {
             ],
         );
         let mut bytes = vec![0u8; d.byte_width()];
-        assert!(t.write_fixed(&d, &mut bytes).is_err());
+        let err = t.write_fixed(&d, &mut bytes).unwrap_err();
+        assert!(
+            matches!(&err, DbError::Schema(m) if m.contains("field 4 (name) expects str(8)")),
+            "{err}"
+        );
         // A buffer that is not the schema's width is refused, not overrun.
         assert!(sample().write_fixed(&d, &mut bytes[1..]).is_err());
+    }
+
+    /// A row is a 16-byte handle on exactly its wire bytes: the paper's row
+    /// (two timestamps, an `Int64` key, thirteen `Int32`s) holds 94.
+    #[test]
+    fn a_row_is_its_wire_bytes() {
+        assert_eq!(std::mem::size_of::<Tuple>(), 16);
+        let mut user = vec![Value::Int64(7)];
+        user.extend((0..13).map(Value::Int32));
+        let row = Tuple::versioned(Timestamp(1), Timestamp::ZERO, user);
+        assert_eq!(row.wire.len(), 94);
+        assert_eq!(row.to_vec().len(), 94);
+    }
+
+    #[test]
+    fn projection_picks_fields_in_order() {
+        let t = sample();
+        let p = t.project(&[4, 2]).unwrap();
+        assert_eq!(
+            p.values(),
+            vec![Value::Str("colgate".into()), Value::Int64(42)]
+        );
+        assert!(t.project(&[5]).is_err());
     }
 }

@@ -23,7 +23,7 @@
 //! All remote reads stream in batches; the local halves are batch scans so
 //! recovery time never depends on a (possibly cold) primary-key index.
 
-use harbor_common::codec::{Decoder, Wire};
+use harbor_common::codec::Decoder;
 use harbor_common::tuple::transcode_wire_to_fixed;
 use harbor_common::{
     retry_with, DbError, DbResult, Metrics, PageId, RecordId, RetryPolicy, SiteId, TableId,
@@ -482,8 +482,9 @@ fn fetch_deletions(
 ) -> DbResult<HashMap<i64, Timestamp>> {
     let mut pairs = HashMap::new();
     scan_rpc_streaming_deadline(chan, scan, ctx.rpc_deadline, |rows, wire| {
-        for t in Tuple::decode_n(wire, rows)? {
-            pairs.insert(t.get(0).as_i64()?, t.get(1).as_time()?);
+        for _ in 0..rows {
+            let pair = Tuple::read_wire(wire)?;
+            pairs.insert(pair.try_get(0)?.as_i64()?, pair.try_get(1)?.as_time()?);
         }
         Ok(())
     })?;

@@ -77,14 +77,14 @@ fn deletes_and_updates_replicate() {
         .iter()
         .filter(|t| t.get(2).as_i64().unwrap() == 2)
         .collect();
-    assert_eq!(two[0].get(3), &Value::Int32(99));
+    assert_eq!(two[0].get(3), Value::Int32(99));
     // Time travel: before the update, id 2 still has v = 1.
     let before = cluster.read_historical("sales", t_update.prev()).unwrap();
     let two: Vec<_> = before
         .iter()
         .filter(|t| t.get(2).as_i64().unwrap() == 2)
         .collect();
-    assert_eq!(two[0].get(3), &Value::Int32(1));
+    assert_eq!(two[0].get(3), Value::Int32(1));
     drop(cluster);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -188,7 +188,7 @@ fn harbor_recovery_after_quiesced_inserts() {
             .iter()
             .filter(|t| t.get(2).as_i64().unwrap() == 7)
             .collect();
-        assert_eq!(seven[0].get(3), &Value::Int32(777), "site {site}");
+        assert_eq!(seven[0].get(3), Value::Int32(777), "site {site}");
         assert!(!ids.contains(&3), "site {site}");
     }
     // New transactions include the recovered site again.

@@ -153,7 +153,9 @@ pub(crate) fn collect_scan_replies(
 ) -> DbResult<Vec<Tuple>> {
     let mut out = Vec::new();
     drain_scan_replies(chan, deadline, |rows, wire| {
-        out.append(&mut Tuple::decode_n(wire, rows)?);
+        for _ in 0..rows {
+            out.push(Tuple::read_wire(wire)?);
+        }
         Ok(())
     })?;
     Ok(out)
@@ -163,7 +165,7 @@ pub(crate) fn collect_scan_replies(
 /// liveness deadline: `visit(rows, wire)` gets each reply's row count and a
 /// decoder standing at the first of that many wire tuples in the receive
 /// buffer, and reads exactly those — into page slots (recovery), or into
-/// tuples with [`Tuple::decode_n`].
+/// tuples with [`Tuple::read_wire`].
 pub fn scan_rpc_streaming_deadline(
     chan: &mut dyn Channel,
     scan: &RemoteScan,

@@ -17,9 +17,8 @@ use crate::protocol::ProtocolKind;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use harbor_common::codec::Wire;
 use harbor_common::config::SCAN_BATCH;
-use harbor_common::schema::NUM_VERSION_COLS;
-use harbor_common::tuple::FixedLayout;
-use harbor_common::{DbError, DbResult, SiteId, Timestamp, TransactionId, Tuple, Value};
+use harbor_common::schema::{COL_DELETION_TS, NUM_VERSION_COLS};
+use harbor_common::{DbError, DbResult, SiteId, Timestamp, TransactionId, Value};
 use harbor_engine::Engine;
 use harbor_exec::{
     key_probes, run_update_by_key, scan_pages, visit_key, visit_page, ReadMode, ScanRow,
@@ -913,11 +912,13 @@ impl Worker {
             }
             UpdateRequest::UpdateByKey { table, key, set } => {
                 let def = table_def(&self.engine, table)?;
+                check_set(&def, set)?;
                 run_update_by_key(&self.engine, tid, def.id, *key, |user| apply_set(user, set))?;
                 Ok(())
             }
             UpdateRequest::UpdateWhere { table, pred, set } => {
                 let def = table_def(&self.engine, table)?;
+                check_set(&def, set)?;
                 harbor_exec::run_update(&self.engine, tid, def.id, pred, |user| {
                     apply_set(user, set)
                 })?;
@@ -1046,7 +1047,7 @@ impl Worker {
                 }
             }
             // (tuple_id, deletion_time): the key is the first user field.
-            batch.push(Tuple::new(vec![tup.get(2).clone(), tup.get(1).clone()]));
+            batch.push(tup.project(&[NUM_VERSION_COLS, COL_DELETION_TS])?);
             if batch.len() >= SCAN_BATCH {
                 shipped.add_recovery_tuples_shipped(batch.len() as u64);
                 let framed = Response::Tuples {
@@ -1091,11 +1092,10 @@ pub fn ship_scan(
     };
     let pool = engine.pool();
     let heap = pool.table(table)?;
-    let layout = FixedLayout::new(heap.desc());
     let pred = scan.predicate.as_ref();
     let put = |frame: &mut TuplesFrameBuilder, row: ScanRow<'_>| {
         let ids_only = scan.ids_and_deletions_only;
-        if row.ship(heap.desc(), &layout, pred, ids_only, frame.encoder())? {
+        if row.ship(heap.desc(), pred, ids_only, frame.encoder())? {
             frame.note_row();
         }
         Ok(())
@@ -1145,15 +1145,27 @@ fn read_mode(mode: WireReadMode) -> ReadMode {
     }
 }
 
-/// Overwrites the listed user fields.
-fn apply_set(user: &[Value], set: &[(u16, Value)]) -> Vec<Value> {
-    let mut out = user.to_vec();
+/// Refuses a `set` list that names a user field the table does not have:
+/// the list came off the wire.
+fn check_set(def: &harbor_engine::TableDef, set: &[(u16, Value)]) -> DbResult<()> {
+    let fields = def.user_fields.len();
+    match set.iter().find(|(i, _)| *i as usize >= fields) {
+        Some((i, _)) => Err(DbError::Schema(format!(
+            "no user field {i} in {:?}, which has {fields}",
+            def.name
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Overwrites the listed user fields ([`check_set`] has seen the list).
+fn apply_set(mut user: Vec<Value>, set: &[(u16, Value)]) -> Vec<Value> {
     for (i, v) in set {
-        if (*i as usize) < out.len() {
-            out[*i as usize] = v.clone();
+        if let Some(field) = user.get_mut(*i as usize) {
+            *field = v.clone();
         }
     }
-    out
+    user
 }
 
 /// Spin loop modelling per-transaction CPU work (Fig 6-3).

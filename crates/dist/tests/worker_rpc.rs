@@ -264,11 +264,11 @@ fn key_scan_respects_visibility() {
     // Latest snapshot: the updated version only.
     let rows = point(&mut chan, 7, WireReadMode::Historical(t2));
     assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0].get(3), &Value::Int32(700));
+    assert_eq!(rows[0].get(3), Value::Int32(700));
     // Before the update: the original version.
     let rows = point(&mut chan, 7, WireReadMode::Historical(t1));
     assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0].get(3), &Value::Int32(7));
+    assert_eq!(rows[0].get(3), Value::Int32(7));
     // Deleted key: gone at t2, visible at t1.
     assert!(point(&mut chan, 9, WireReadMode::Historical(t2)).is_empty());
     assert_eq!(point(&mut chan, 9, WireReadMode::Historical(t1)).len(), 1);
@@ -288,7 +288,7 @@ fn key_scan_respects_visibility() {
     scan.ins_after = Some(t1);
     let rows = scan_rpc(chan.as_mut(), &scan).unwrap();
     assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0].get(3), &Value::Int32(700));
+    assert_eq!(rows[0].get(3), Value::Int32(700));
     let _ = std::fs::remove_dir_all(&f.dir);
 }
 
@@ -366,7 +366,7 @@ fn predicate_updates_and_deletes_over_the_wire() {
     assert_eq!(tuples.len(), 15);
     let updated = tuples
         .iter()
-        .filter(|t| t.get(3) == &Value::Int32(99))
+        .filter(|t| t.get(3) == Value::Int32(99))
         .count();
     assert_eq!(updated, 5);
     let _ = std::fs::remove_dir_all(&f.dir);
@@ -394,7 +394,7 @@ fn scan_bounds_filter_remotely() {
     scan.ins_after = Some(t1);
     let rows = scan_rpc(chan.as_mut(), &scan).unwrap();
     assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0].get(2), &Value::Int64(2));
+    assert_eq!(rows[0].get(2), Value::Int64(2));
     // ids_and_deletions_only projects to two columns.
     let mut scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(t2));
     scan.ids_and_deletions_only = true;

@@ -24,7 +24,7 @@ use crate::deletion_log::DeletionLog;
 use crate::index::KeyIndex;
 use crate::txn::{LocalTxnStatus, TxnState};
 use harbor_common::codec::Decoder;
-use harbor_common::tuple::{transcode_wire_to_fixed, FixedLayout};
+use harbor_common::tuple::transcode_wire_to_fixed;
 use harbor_common::{
     DbError, DbResult, FieldType, Metrics, RecordId, SiteId, StorageConfig, TableId, Timestamp,
     TransactionId, Tuple, TupleDesc, Value,
@@ -455,8 +455,7 @@ impl Engine {
     pub fn read_tuple(&self, rid: RecordId) -> DbResult<Tuple> {
         let table = self.pool.table(rid.page.table)?;
         let bytes = self.pool.read_tuple_bytes(None, rid)?;
-        let mut dec = harbor_common::codec::Decoder::new(&bytes);
-        Tuple::read_fixed(table.desc(), &mut dec)
+        Tuple::from_fixed(table.desc(), &bytes, Timestamp(ts_word(&bytes, 8)))
     }
 
     // ------------------------------------------------------------------
@@ -876,7 +875,7 @@ impl Engine {
     /// concurrent fetchers share neither the insert hint nor a page latch.
     pub fn recovered_inserter(&self, table_id: TableId) -> DbResult<RecoveredInserter> {
         let table = self.pool.table(table_id)?;
-        let layout = FixedLayout::new(table.desc());
+        let width = table.desc().byte_width();
         let floor = Arc::new(AtomicU64::new(u64::MAX));
         {
             let mut staged = self.staged.lock();
@@ -888,11 +887,10 @@ impl Engine {
             index: self.index(table_id)?,
             dlog: self.deletion_log(table_id)?,
             placed: Vec::new(),
-            stage: vec![0; slots_per_page(layout.width()).max(1) * layout.width()],
+            stage: vec![0; slots_per_page(width).max(1) * width],
             staged: 0,
             floor,
             metrics: self.metrics.clone(),
-            layout,
             table,
         })
     }
@@ -944,7 +942,6 @@ pub struct RecoveredInserter {
     /// times: for the index and the deletion log, once the latch is dropped
     /// (elsewhere both are locked *before* latches).
     placed: Vec<(RecordId, i64, Timestamp)>,
-    layout: FixedLayout,
     /// Room for one page of rows in their stored encoding; the first
     /// `staged` rows are waiting to be placed.
     stage: Vec<u8>,
@@ -962,9 +959,10 @@ impl RecoveredInserter {
     /// staged before it staged. Filling the stage places it; an error doing
     /// so is this call's, and the stage's rows not yet placed are dropped.
     pub fn insert(&mut self, tuple: &Tuple) -> DbResult<()> {
-        let width = self.layout.width();
+        let desc = self.table.desc();
+        let width = desc.byte_width();
         let row = &mut self.stage[self.staged * width..][..width];
-        self.layout.encode(tuple.values(), row)?;
+        tuple.write_fixed(desc, row)?;
         let inserted = committed_insertion(row)?;
         if inserted.0 < self.floor.load(Ordering::Relaxed) {
             self.floor.store(inserted.0, Ordering::SeqCst);

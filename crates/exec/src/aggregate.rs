@@ -217,11 +217,11 @@ mod tests {
         rows.sort_by_key(|t| t.get(0).as_i64().unwrap());
         assert_eq!(rows.len(), 2);
         let g1 = &rows[0];
-        assert_eq!(g1.get(1), &Value::Int64(2)); // count
-        assert_eq!(g1.get(2), &Value::Int64(30)); // sum
-        assert_eq!(g1.get(3), &Value::Int64(10)); // min
-        assert_eq!(g1.get(4), &Value::Int64(20)); // max
-        assert_eq!(g1.get(5), &Value::Int64(15)); // avg
+        assert_eq!(g1.get(1), Value::Int64(2)); // count
+        assert_eq!(g1.get(2), Value::Int64(30)); // sum
+        assert_eq!(g1.get(3), Value::Int64(10)); // min
+        assert_eq!(g1.get(4), Value::Int64(20)); // max
+        assert_eq!(g1.get(5), Value::Int64(15)); // avg
     }
 
     #[test]
@@ -235,7 +235,7 @@ mod tests {
         );
         let rows = collect(&mut agg).unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get(0), &Value::Int64(0));
+        assert_eq!(rows[0].get(0), Value::Int64(0));
     }
 
     #[test]
@@ -248,6 +248,6 @@ mod tests {
         let a = collect(&mut agg).unwrap();
         let b = collect(&mut agg).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a[0].get(0), &Value::Int64(35));
+        assert_eq!(a[0].get(0), Value::Int64(35));
     }
 }

@@ -49,7 +49,7 @@ pub fn run_update(
     tid: TransactionId,
     table: TableId,
     pred: &Expr,
-    mut f: impl FnMut(&[Value]) -> Vec<Value>,
+    mut f: impl FnMut(Vec<Value>) -> Vec<Value>,
 ) -> DbResult<usize> {
     let victims = scan_rids(
         engine.pool(),
@@ -73,7 +73,7 @@ pub fn run_update_by_key(
     tid: TransactionId,
     table: TableId,
     key: i64,
-    mut f: impl FnMut(&[Value]) -> Vec<Value>,
+    mut f: impl FnMut(Vec<Value>) -> Vec<Value>,
 ) -> DbResult<bool> {
     let hits = index_lookup(engine, table, key, ReadMode::Current(tid))?;
     // At most one live version exists per key under correct usage; update
@@ -164,7 +164,7 @@ mod tests {
         })
         .unwrap();
         assert!(hit);
-        assert!(!run_update_by_key(&e, t, table, 99, |v| v.to_vec()).unwrap());
+        assert!(!run_update_by_key(&e, t, table, 99, |v| v).unwrap());
         e.commit(t, Timestamp(2), StepLogging::OFF).unwrap();
         let mut scan =
             SeqScan::new(e.pool().clone(), table, ReadMode::Historical(Timestamp(2))).unwrap();
@@ -174,7 +174,7 @@ mod tests {
             .filter(|r| r.get(2).as_i64().unwrap() == 3)
             .collect();
         assert_eq!(v3.len(), 1);
-        assert_eq!(v3[0].get(3), &Value::Int32(77));
+        assert_eq!(v3[0].get(3), Value::Int32(77));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -199,7 +199,7 @@ mod tests {
             let e = e.clone();
             move || {
                 e.begin(updater).unwrap();
-                let hit = run_update_by_key(&e, updater, table, 3, |v| v.to_vec());
+                let hit = run_update_by_key(&e, updater, table, 3, |v| v);
                 e.abort(updater, StepLogging::OFF).unwrap();
                 hit
             }
@@ -237,7 +237,7 @@ mod tests {
             SeqScan::new(e.pool().clone(), table, ReadMode::Historical(Timestamp(2))).unwrap();
         let rows = collect(&mut scan).unwrap();
         assert_eq!(rows.len(), 6, "update preserved cardinality");
-        let doubled = rows.iter().filter(|r| r.get(3) == &Value::Int32(2)).count();
+        let doubled = rows.iter().filter(|r| r.get(3) == Value::Int32(2)).count();
         assert_eq!(doubled, 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -119,10 +119,12 @@ impl Expr {
         Expr::Arith(ArithOp::Mul, Box::new(self), Box::new(other))
     }
 
-    /// Evaluates against `tuple`.
+    /// Evaluates against `tuple`. A column the tuple does not have is
+    /// [`DbError::Schema`](harbor_common::DbError::Schema): an expression
+    /// may have come off the wire.
     pub fn eval(&self, tuple: &Tuple) -> DbResult<Value> {
         match self {
-            Expr::Col(i) => Ok(tuple.get(*i).clone()),
+            Expr::Col(i) => tuple.try_get(*i),
             Expr::Lit(v) => Ok(v.clone()),
             Expr::Cmp(op, a, b) => {
                 let a = a.eval(tuple)?;

@@ -38,21 +38,19 @@ impl Operator for NestedLoopsJoin {
 
     fn next(&mut self) -> DbResult<Option<Tuple>> {
         loop {
-            if self.current_outer.is_none() {
-                match self.outer.next()? {
+            let outer = match &mut self.current_outer {
+                Some(t) => t,
+                slot => match self.outer.next()? {
                     Some(t) => {
-                        self.current_outer = Some(t);
                         self.inner.rewind()?;
+                        slot.insert(t)
                     }
                     None => return Ok(None),
-                }
-            }
-            let outer = self.current_outer.clone().expect("set above");
+                },
+            };
             match self.inner.next()? {
                 Some(inner) => {
-                    let mut vals = outer.values().to_vec();
-                    vals.extend(inner.into_values());
-                    let joined = Tuple::new(vals);
+                    let joined = Tuple::new([outer.values(), inner.into_values()].concat());
                     if self.pred.eval_bool(&joined)? {
                         return Ok(Some(joined));
                     }
@@ -111,9 +109,9 @@ mod tests {
         let mut rows = collect(&mut join).unwrap();
         rows.sort_by_key(|t| (t.get(0).as_i64().unwrap(), t.get(3).as_i64().unwrap()));
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].get(1), &Value::Int64(20));
-        assert_eq!(rows[0].get(3), &Value::Int64(200));
-        assert_eq!(rows[2].get(3), &Value::Int64(301));
+        assert_eq!(rows[0].get(1), Value::Int64(20));
+        assert_eq!(rows[0].get(3), Value::Int64(200));
+        assert_eq!(rows[2].get(3), Value::Int64(301));
         assert_eq!(join.tuple_desc().len(), 4);
     }
 

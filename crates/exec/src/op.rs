@@ -140,10 +140,10 @@ impl Operator for Project {
     }
 
     fn next(&mut self) -> DbResult<Option<Tuple>> {
-        Ok(self
-            .input
+        self.input
             .next()?
-            .map(|t| Tuple::new(self.cols.iter().map(|&i| t.get(i).clone()).collect())))
+            .map(|t| t.project(&self.cols))
+            .transpose()
     }
 
     fn rewind(&mut self) -> DbResult<()> {
@@ -232,7 +232,7 @@ mod tests {
         let mut limited = Limit::new(Box::new(projected), 3);
         let out = collect(&mut limited).unwrap();
         assert_eq!(out.len(), 3);
-        assert_eq!(out[0].get(0), &Value::Int32(50));
+        assert_eq!(out[0].get(0), Value::Int32(50));
         assert_eq!(limited.tuple_desc().len(), 1);
         assert_eq!(limited.tuple_desc().field_name(0), "b");
     }

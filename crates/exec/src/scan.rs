@@ -22,14 +22,16 @@
 //! raw bytes borrowed under the pin. Rows the visibility check rejects are
 //! never materialized. [`SeqScan`] (decode), [`scan_rids`] (decode, keep
 //! the record id), [`index_lookup`] and the worker's scan service
-//! ([`ScanRow::ship`]) are its sinks.
+//! ([`ScanRow::ship`]) are its sinks. A decode is a transcode: the slot's
+//! bytes into the row's wire bytes ([`Tuple::from_fixed`]), one allocation
+//! a row.
 
 use crate::expr::Expr;
 use crate::op::Operator;
 use harbor_common::codec::Encoder;
 use harbor_common::schema::{COL_DELETION_TS, NUM_VERSION_COLS};
 use harbor_common::time::visible_at;
-use harbor_common::tuple::{transcode_fixed_cols_to_wire, transcode_fixed_to_wire, FixedLayout};
+use harbor_common::tuple::{transcode_fixed_cols_to_wire, transcode_fixed_to_wire};
 use harbor_common::{
     DbResult, PageId, RecordId, TableId, Timestamp, TransactionId, Tuple, TupleDesc,
 };
@@ -132,37 +134,40 @@ pub struct ScanRow<'a> {
 impl ScanRow<'_> {
     /// Materializes the row, with the masked deletion time in place.
     #[inline]
-    pub fn decode(&self, layout: &FixedLayout) -> DbResult<Tuple> {
-        let mut tup = layout.decode(self.bytes)?;
-        if ts_word(self.bytes, 8) != self.del.0 {
-            tup.set_deletion_ts(self.del);
-        }
-        Ok(tup)
+    pub fn decode(&self, desc: &TupleDesc) -> DbResult<Tuple> {
+        Tuple::from_fixed(desc, self.bytes, self.del)
     }
 
     /// The wire sink: appends the row to `enc` in the self-describing wire
     /// layout — the full row, or the `(tuple_id, deletion_time)` projection
     /// of the §5.3 deletion queries — transcoding from the page bytes.
-    /// `pred`, if any, is evaluated first on a scratch decode. Returns
+    /// `pred`, if any, is evaluated first, on the row decoded into its wire
+    /// bytes; a full row that passes goes out as those bytes. Returns
     /// whether the row was written.
     #[inline]
     pub fn ship(
         &self,
         desc: &TupleDesc,
-        layout: &FixedLayout,
         pred: Option<&Expr>,
         ids_and_deletions_only: bool,
         enc: &mut Encoder,
     ) -> DbResult<bool> {
-        if let Some(p) = pred {
-            if !p.eval_bool(&self.decode(layout)?)? {
-                return Ok(false);
+        let row = match pred {
+            Some(p) => {
+                let row = self.decode(desc)?;
+                if !p.eval_bool(&row)? {
+                    return Ok(false);
+                }
+                Some(row)
             }
-        }
+            None => None,
+        };
         if ids_and_deletions_only {
             // The key is the first user field.
             let cols = [NUM_VERSION_COLS, COL_DELETION_TS];
             transcode_fixed_cols_to_wire(desc, self.bytes, &cols, self.del, enc)?;
+        } else if let Some(row) = row {
+            row.write_wire(enc);
         } else {
             transcode_fixed_to_wire(desc, self.bytes, self.del, enc)?;
         }
@@ -345,7 +350,6 @@ pub struct SeqScan {
     heap: Arc<SegmentedHeapFile>,
     mode: ReadMode,
     bounds: ScanBounds,
-    layout: FixedLayout,
     pages: Vec<PageId>,
     page_idx: usize,
     /// Rows buffered for the tuple-at-a-time `next()` shim, drained
@@ -366,13 +370,11 @@ impl SeqScan {
         bounds: ScanBounds,
     ) -> DbResult<Self> {
         let heap = pool.table(table)?;
-        let layout = FixedLayout::new(heap.desc());
         Ok(SeqScan {
             pool,
             heap,
             mode,
             bounds,
-            layout,
             pages: Vec::new(),
             page_idx: 0,
             buffer: VecDeque::new(),
@@ -393,7 +395,7 @@ impl SeqScan {
         while self.page_idx < self.pages.len() && out.len() - start < min_rows {
             let pid = self.pages[self.page_idx];
             self.page_idx += 1;
-            let layout = &self.layout;
+            let desc = self.heap.desc();
             visit_page(
                 &self.pool,
                 &self.heap,
@@ -401,7 +403,7 @@ impl SeqScan {
                 self.mode,
                 &self.bounds,
                 |row| {
-                    out.push(row.decode(layout)?);
+                    out.push(row.decode(desc)?);
                     Ok(())
                 },
             )?;
@@ -470,14 +472,13 @@ pub fn scan_rids(
     mut pred: impl FnMut(&Tuple) -> DbResult<bool>,
 ) -> DbResult<Vec<(RecordId, Tuple)>> {
     let heap = pool.table(table)?;
-    let layout = FixedLayout::new(heap.desc());
     let mut out = Vec::new();
     // Per-page scratch, reused across pages; the predicate runs outside the
     // page latch (it may reach back into the engine).
     let mut page_buf: Vec<(RecordId, Tuple)> = Vec::new();
     for pid in scan_pages(&heap, &bounds) {
         visit_page(pool, &heap, pid, mode, &bounds, |row| {
-            page_buf.push((row.rid, row.decode(&layout)?));
+            page_buf.push((row.rid, row.decode(heap.desc())?));
             Ok(())
         })?;
         for (rid, tup) in page_buf.drain(..) {
@@ -496,10 +497,10 @@ pub fn index_lookup(
     key: i64,
     mode: ReadMode,
 ) -> DbResult<Vec<(RecordId, Tuple)>> {
-    let layout = FixedLayout::new(engine.pool().table(table)?.desc());
+    let heap = engine.pool().table(table)?;
     let mut out = Vec::new();
     visit_key(engine, table, key, mode, &ScanBounds::all(), |row| {
-        out.push((row.rid, row.decode(&layout)?));
+        out.push((row.rid, row.decode(heap.desc())?));
         Ok(())
     })?;
     Ok(out)
@@ -734,7 +735,7 @@ mod tests {
         build_history(&e, table);
         let current = index_lookup(&e, table, 4, ReadMode::Historical(Timestamp(7))).unwrap();
         assert_eq!(current.len(), 1);
-        assert_eq!(current[0].1.get(3), &Value::Int32(21));
+        assert_eq!(current[0].1.get(3), Value::Int32(21));
         let all = index_lookup(&e, table, 4, ReadMode::SeeDeleted).unwrap();
         assert_eq!(all.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -692,12 +692,11 @@ pub fn execute(engine: &Engine, tid: TransactionId, sql: &str) -> DbResult<usize
         } else {
             Expr::lit(1i64)
         };
-        return run_update(engine, tid, def.id, &pred, |user| {
-            let mut out = user.to_vec();
+        return run_update(engine, tid, def.id, &pred, |mut user| {
             for (i, v) in &sets {
-                out[*i] = v.clone();
+                user[*i] = v.clone();
             }
-            out
+            user
         });
     }
     Err(DbError::Schema(

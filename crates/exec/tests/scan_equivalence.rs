@@ -11,15 +11,20 @@
 //! carry holes, uncommitted rows and rows deleted after the read time, with
 //! zone maps present (flushed) or computed lazily.
 //!
+//! Every sink decodes by transcoding (`transcode_fixed_to_wire`), so the
+//! reference decodes another way: a `Value` at a time, by the fixed-width
+//! codec below, and builds its rows from those values.
+//!
 //! The wire sink has an inverse on the apply side, `transcode_wire_to_fixed`
-//! (receive buffer → page slot); its reference is `read_wire` + `write_fixed`,
-//! at the end of this file.
+//! (receive buffer → page slot); its reference is `read_wire`, then the same
+//! codec's encoder, at the end of this file.
 
 use harbor_common::codec::{Decoder, Encoder};
-use harbor_common::tuple::{transcode_fixed_to_wire, transcode_wire_to_fixed, FixedLayout};
+use harbor_common::schema::COL_DELETION_TS;
+use harbor_common::tuple::{transcode_fixed_to_wire, transcode_wire_to_fixed};
 use harbor_common::{
-    DbResult, FieldType, RecordId, SiteId, StorageConfig, TableId, Timestamp, TransactionId, Tuple,
-    TupleDesc, Value,
+    DbError, DbResult, FieldType, RecordId, SiteId, StorageConfig, TableId, Timestamp,
+    TransactionId, Tuple, TupleDesc, Value,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_exec::{
@@ -175,6 +180,46 @@ fn build(rows: &[Row], modulus: i64, flush: bool) -> (Arc<Engine>, TableId, std:
     (e, def.id, dir)
 }
 
+/// The reference decoder: one stored row, a `Value` at a time.
+fn decode_fixed(desc: &TupleDesc, bytes: &[u8]) -> DbResult<Vec<Value>> {
+    let mut dec = Decoder::new(bytes);
+    let mut values = Vec::with_capacity(desc.len());
+    for ty in desc.types() {
+        values.push(match *ty {
+            FieldType::Int32 => Value::Int32(dec.get_i32()?),
+            FieldType::Int64 => Value::Int64(dec.get_i64()?),
+            FieldType::Time => Value::Time(Timestamp(dec.get_u64()?)),
+            FieldType::FixedStr(n) => {
+                let raw = dec.take(n as usize)?;
+                let end = raw.iter().position(|&b| b == 0).unwrap_or(raw.len());
+                let s = std::str::from_utf8(&raw[..end])
+                    .map_err(|_| DbError::corrupt("invalid utf-8 in fixed string"))?;
+                Value::Str(s.to_string())
+            }
+        });
+    }
+    Ok(values)
+}
+
+/// The reference encoder, its inverse: each value at its field's offset,
+/// strings NUL-padded to their width.
+fn encode_fixed(desc: &TupleDesc, values: &[Value], out: &mut [u8]) -> DbResult<()> {
+    desc.check(values)?;
+    for (i, v) in values.iter().enumerate() {
+        let at = &mut out[desc.field_offset(i)..][..desc.field_type(i).width()];
+        match v {
+            Value::Int32(x) => at.copy_from_slice(&x.to_le_bytes()),
+            Value::Int64(x) => at.copy_from_slice(&x.to_le_bytes()),
+            Value::Time(t) => at.copy_from_slice(&t.0.to_le_bytes()),
+            Value::Str(s) => {
+                at.fill(0);
+                at[..s.len()].copy_from_slice(s.as_bytes());
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The specification: every occupied slot of *every* page (no pruning),
 /// decoded first, then admitted by the scalar rule, the bounds re-applied
 /// (§5.4.1: insertion checks on the stored time — an uncommitted row passes
@@ -192,10 +237,9 @@ fn reference(
     for pid in heap.all_page_ids() {
         pool.with_page(None, pid, |page| {
             for slot in page.occupied_slots() {
-                let mut dec = Decoder::new(page.read(slot)?);
-                let mut tup = Tuple::read_fixed(heap.desc(), &mut dec)?;
-                let ins = tup.insertion_ts()?;
-                let Some(del) = mode.admit(ins, tup.deletion_ts()?) else {
+                let mut values = decode_fixed(heap.desc(), page.read(slot)?)?;
+                let ins = values[0].as_time()?;
+                let Some(del) = mode.admit(ins, values[COL_DELETION_TS].as_time()?) else {
                     continue;
                 };
                 let in_bounds = bounds.ins_at_or_before.is_none_or(|t| ins <= t)
@@ -207,7 +251,8 @@ fn reference(
                 if !in_bounds {
                     continue;
                 }
-                tup.set_deletion_ts(del);
+                values[COL_DELETION_TS] = Value::Time(del);
+                let tup = Tuple::new(values);
                 if pred.is_none_or(|p| p.eval_bool(&tup).unwrap()) {
                     out.push((RecordId::new(pid, slot), tup));
                 }
@@ -238,11 +283,10 @@ fn shipped(
     ids_and_deletions_only: bool,
 ) -> Vec<u8> {
     let heap = pool.table(table).unwrap();
-    let layout = FixedLayout::new(heap.desc());
     let mut enc = Encoder::new();
     for pid in scan_pages(&heap, bounds) {
         visit_page(pool, &heap, pid, mode, bounds, |row| {
-            row.ship(heap.desc(), &layout, pred, ids_and_deletions_only, &mut enc)?;
+            row.ship(heap.desc(), pred, ids_and_deletions_only, &mut enc)?;
             Ok(())
         })
         .unwrap();
@@ -311,7 +355,7 @@ proptest! {
                 );
                 let id_del: Vec<Tuple> = want
                     .iter()
-                    .map(|(_, t)| Tuple::new(vec![t.get(2).clone(), t.get(1).clone()]))
+                    .map(|(_, t)| Tuple::new(vec![t.get(2), t.get(1)]))
                     .collect();
                 prop_assert_eq!(
                     shipped(&pool, table, mode, &bounds, p, true),
@@ -411,12 +455,13 @@ fn schema_and_row() -> impl Strategy<Value = (TupleDesc, Tuple)> {
     })
 }
 
-/// The specification of `transcode_wire_to_fixed`: materialize, then encode.
+/// The specification of `transcode_wire_to_fixed`: materialize, then encode
+/// a value at a time.
 fn wire_to_fixed_reference(desc: &TupleDesc, wire: &[u8]) -> DbResult<(Vec<u8>, usize)> {
     let mut dec = Decoder::new(wire);
     let tuple = Tuple::read_wire(&mut dec)?;
     let mut stored = vec![0xaau8; desc.byte_width()];
-    tuple.write_fixed(desc, &mut stored)?;
+    encode_fixed(desc, &tuple.values(), &mut stored)?;
     Ok((stored, dec.remaining()))
 }
 
@@ -431,9 +476,11 @@ fn wire_to_fixed(desc: &TupleDesc, wire: &[u8]) -> DbResult<(Vec<u8>, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Receive buffer → slot ≡ `read_wire` + `write_fixed`, for every field
-    /// type; it leaves the decoder at the next row, and shipping the slot
-    /// again (`transcode_fixed_to_wire`) gives the wire bytes it came from.
+    /// Receive buffer → slot ≡ `read_wire` + the reference encoder, for every
+    /// field type; it leaves the decoder at the next row, `write_fixed` of the
+    /// row in memory writes the same slot, and shipping the slot again
+    /// (`transcode_fixed_to_wire`) gives the wire bytes it came from; the
+    /// reference decoder reads the row's values back out of it.
     #[test]
     fn wire_to_slot_matches_materialize_then_encode((desc, tuple) in schema_and_row()) {
         let mut wire = wire_bytes([&tuple]);
@@ -441,6 +488,10 @@ proptest! {
         wire.extend_from_slice(b"next row");
         let (stored, left) = wire_to_fixed(&desc, &wire).unwrap();
         prop_assert_eq!((&stored, left), (&wire_to_fixed_reference(&desc, &wire).unwrap().0, 8));
+        let mut again = vec![0x33u8; desc.byte_width()];
+        tuple.write_fixed(&desc, &mut again).unwrap();
+        prop_assert_eq!(&again, &stored);
+        prop_assert_eq!(decode_fixed(&desc, &stored).unwrap(), tuple.values());
         let mut back = Encoder::new();
         transcode_fixed_to_wire(&desc, &stored, tuple.deletion_ts().unwrap(), &mut back).unwrap();
         prop_assert_eq!(back.as_slice(), &wire[..row_len]);
@@ -461,10 +512,10 @@ proptest! {
         let truncated = wire[..wire.len().saturating_sub(cut)].to_vec();
         let mut mutated = wire.clone();
         mutated[at % wire.len()] ^= flip;
-        let mut wider = tuple.values().to_vec();
+        let mut wider = tuple.values();
         wider.push(Value::Int32(7));
         let over_long = wire_bytes([&Tuple::new(wider)]);
-        let mut long_string = tuple.values().to_vec();
+        let mut long_string = tuple.values();
         long_string.push(Value::Str("x".repeat(9)));
         let long_string = wire_bytes([&Tuple::new(long_string)]);
         let mut fields: Vec<(&str, FieldType)> =

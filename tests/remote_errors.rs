@@ -7,9 +7,9 @@
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
 use harbor_common::config::DEFAULT_RETRY_AFTER_MS;
-use harbor_common::{DbError, Metrics, StorageConfig, Value};
+use harbor_common::{DbError, Metrics, StorageConfig, Timestamp, Value};
 use harbor_dist::{ProtocolKind, UpdateRequest};
-use harbor_exec::Expr;
+use harbor_exec::{Expr, ReadMode};
 use harbor_front::{FrontClient, FrontConfig, FrontServer};
 use harbor_net::tcp::TcpTransport;
 use harbor_net::Transport;
@@ -103,6 +103,91 @@ fn a_workers_failure_reaches_the_coordinators_caller_as_itself() {
 
     // Only what committed is there: keys 1 and 2.
     assert_eq!(cluster.read_latest("t").unwrap().len(), 2);
+    cluster.shutdown();
+}
+
+/// No worker was lost: every site still takes reads and writes.
+fn assert_no_site_lost(cluster: &Cluster) {
+    for site in cluster.worker_sites() {
+        assert!(!cluster.coordinator().is_dead(site), "{site} was lost");
+    }
+}
+
+/// A column number crosses the wire inside the request that names it. One
+/// the table does not have, in a read's predicate or a delete's, is the
+/// caller's `Schema` error; it costs no replica, and the next read is
+/// answered in full.
+#[test]
+fn a_predicate_column_the_table_lacks_is_refused_without_losing_a_replica() {
+    let cluster = three_workers("predicate-column");
+    let c = cluster.coordinator();
+    cluster.run_txn(vec![insert("t", 1)]).unwrap();
+    let missing = || Expr::col(99).eq(Expr::lit(1));
+
+    let as_of = c.authority().watermark().prev();
+    match c
+        .read_historical("t", as_of, |s| s.predicate = Some(missing()))
+        .unwrap_err()
+    {
+        DbError::Schema(m) => assert!(m.contains("column 99"), "{m}"),
+        other => panic!("{other:?}"),
+    }
+    assert_no_site_lost(&cluster);
+
+    let tid = c.begin().unwrap();
+    let delete = UpdateRequest::DeleteWhere {
+        table: "t".into(),
+        pred: missing(),
+    };
+    match c.update(tid, delete).unwrap_err() {
+        DbError::Schema(m) => assert!(m.starts_with("S1: ") && m.contains("column 99"), "{m}"),
+        other => panic!("{other:?}"),
+    }
+    assert_aborted_everywhere(&cluster);
+    assert_no_site_lost(&cluster);
+    assert_eq!(cluster.read_latest("t").unwrap().len(), 1);
+    cluster.shutdown();
+}
+
+/// An update's `set` list naming a field the table does not have is refused
+/// as `Schema` — by key or by predicate — and changes nothing: it is not
+/// dropped while the row is rewritten as it was.
+#[test]
+fn a_set_column_the_table_lacks_is_refused_not_ignored() {
+    let cluster = three_workers("set-column");
+    let c = cluster.coordinator();
+    cluster.run_txn(vec![insert("t", 1)]).unwrap();
+    let set = vec![(99, Value::Int32(5))];
+    for update in [
+        UpdateRequest::UpdateByKey {
+            table: "t".into(),
+            key: 1,
+            set: set.clone(),
+        },
+        UpdateRequest::UpdateWhere {
+            table: "t".into(),
+            pred: Expr::col(2).eq(Expr::lit(1i64)),
+            set: set.clone(),
+        },
+    ] {
+        let tid = c.begin().unwrap();
+        match c.update(tid, update).unwrap_err() {
+            DbError::Schema(m) => assert!(m.starts_with("S1: ") && m.contains("99"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        assert_aborted_everywhere(&cluster);
+    }
+    assert_no_site_lost(&cluster);
+    // Key 1 is one version, never deleted, as inserted.
+    for site in cluster.worker_sites() {
+        let engine = cluster.engine(site).unwrap();
+        let def = engine.table_def("t").unwrap();
+        let versions = harbor_exec::index_lookup(&engine, def.id, 1, ReadMode::SeeDeleted).unwrap();
+        assert_eq!(versions.len(), 1, "{site}");
+        let (_, row) = &versions[0];
+        assert_eq!(row.deletion_ts().unwrap(), Timestamp::ZERO, "{site}");
+        assert_eq!(row.get(3).as_i64().unwrap(), 1, "{site}");
+    }
     cluster.shutdown();
 }
 
