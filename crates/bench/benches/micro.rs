@@ -277,7 +277,8 @@ fn bench_transport(c: &mut Criterion) {
 /// and — the same rows going the other way — the recovering site's
 /// `RecoveredInserter` fed tuples (`apply_rows`) and fed `ship_zero_copy`'s
 /// own frames (`apply_wire`), each into a table of its own; and the key
-/// index fed keys in no order (`index_random`), its worst case.
+/// index fed keys in no order (`index_random`), its worst case, and fed a
+/// load of history (`index_history`), its common one.
 fn bench_scan(_c: &mut Criterion) {
     use harbor_common::RecordId;
     use harbor_common::{FieldType, StorageConfig, Tuple, Value};
@@ -527,6 +528,34 @@ fn bench_scan(_c: &mut Criterion) {
             }
             let found = scattered.iter().map(|(key, _)| {
                 let versions = index.lookup(&pool, black_box(*key)).unwrap();
+                versions.len()
+            });
+            found.sum()
+        }),
+    );
+    // The index's common case, `snapshot_reads`' load: keys in order with
+    // every fourth key's superseded version beside its successor, registered
+    // a page of 53 slots at a time as the inserter places paper rows, then
+    // every key looked up; reported per key.
+    const PAPER_SLOTS: usize = 53;
+    let history: Vec<(i64, RecordId)> = (0..KEYS as i64)
+        .flat_map(|key| std::iter::repeat_n(key, if key % 4 == 0 { 2 } else { 1 }))
+        .enumerate()
+        .map(|(i, key)| {
+            let page = PageId::new(def.id, (i / PAPER_SLOTS) as u32);
+            (key, RecordId::new(page, (i % PAPER_SLOTS) as u16))
+        })
+        .collect();
+    measure(
+        "index_history",
+        KEYS,
+        Box::new(|| {
+            let index = KeyIndex::fresh(def.id, KEY_OFFSET);
+            for page in history.chunks(PAPER_SLOTS) {
+                index.insert_run(black_box(page).iter().copied());
+            }
+            let found = (0..KEYS as i64).map(|key| {
+                let versions = index.lookup(&pool, black_box(key)).unwrap();
                 versions.len()
             });
             found.sum()

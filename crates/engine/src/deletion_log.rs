@@ -15,7 +15,8 @@
 //! on the crashed site never depends on it — only the (live) recovery
 //! buddies answer deletion queries, and their logs are warm.
 
-use harbor_common::{DbResult, PageId, RecordId, TableId, Timestamp};
+use crate::index::{pack, unpack};
+use harbor_common::{DbResult, RecordId, TableId, Timestamp};
 use harbor_storage::BufferPool;
 use harbor_wal::record::TsField;
 use parking_lot::Mutex;
@@ -23,10 +24,12 @@ use std::collections::BTreeSet;
 
 struct Inner {
     built: bool,
-    /// `(deletion time, tuple)`, ordered by time: a bulk load that deletes
-    /// tens of thousands of versions at one commit time costs a tree insert
-    /// per tuple, not a scan of everything already deleted at that time.
-    by_time: BTreeSet<(u64, RecordId)>,
+    /// `(deletion time, tuple's place)`, ordered by time: a bulk load that
+    /// deletes tens of thousands of versions at one commit time costs a tree
+    /// insert per tuple, not a scan of everything already deleted at that
+    /// time. The place is packed as the key index packs it (the table is the
+    /// log's own): 16 bytes a pair.
+    by_time: BTreeSet<(u64, u64)>,
 }
 
 /// Per-table ordered log of deletion timestamps.
@@ -73,7 +76,7 @@ impl DeletionLog {
         let mut g = self.inner.lock();
         if g.built {
             let deleted = run.into_iter().filter(|(_, ts)| ts.is_valid_commit_time());
-            g.by_time.extend(deleted.map(|(rid, ts)| (ts.0, rid)));
+            g.by_time.extend(deleted.map(|(rid, ts)| (ts.0, pack(rid))));
         }
     }
 
@@ -87,7 +90,7 @@ impl DeletionLog {
         if !g.built {
             return;
         }
-        g.by_time.remove(&(ts.0, rid));
+        g.by_time.remove(&(ts.0, pack(rid)));
     }
 
     /// All `(rid, deletion_time)` pairs with `deletion_time > after`,
@@ -108,10 +111,9 @@ impl DeletionLog {
         let Some(next) = after.0.checked_add(1) else {
             return Ok(Vec::new());
         };
-        let first = (next, RecordId::new(PageId::new(TableId(0), 0), 0));
         Ok(g.by_time
-            .range(first..)
-            .map(|(ts, rid)| (*rid, Timestamp(*ts)))
+            .range((next, 0)..)
+            .map(|(ts, at)| (unpack(self.table, *at), Timestamp(*ts)))
             .collect())
     }
 
@@ -130,7 +132,7 @@ impl DeletionLog {
                 for slot in page.occupied_slots() {
                     let del = page.timestamp(slot, TsField::Deletion)?;
                     if del.is_valid_commit_time() {
-                        by_time.insert((del.0, RecordId::new(pid, slot)));
+                        by_time.insert((del.0, pack(RecordId::new(pid, slot))));
                     }
                 }
                 Ok(())
@@ -154,6 +156,7 @@ impl DeletionLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harbor_common::PageId;
     use std::time::{Duration, Instant};
 
     fn rid(i: u32) -> RecordId {

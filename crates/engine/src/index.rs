@@ -12,13 +12,15 @@
 //! tuple with the same id); readers filter by visibility.
 //!
 //! Tuple ids are the warehouse's surrogate keys: a load or a recovery
-//! places them in key order into consecutive slots of a page. Keys that
-//! arrived that way are held as a **run** — a start key, a length and the
-//! first key's place, 24 bytes for a page of keys — and every other key in
-//! a hash bucket of its own. A key in a run has exactly one version; a
-//! second version or a removal takes it out, splitting the run. Which form
-//! a key takes follows from how it arrived, so random keys cost what a
-//! plain hash costs.
+//! places them in key order into consecutive slots of a page, and a key
+//! whose history is loaded too brings its versions side by side, oldest
+//! first. Keys that arrived that way are held as a **run** — a start key, a
+//! length, the first key's place and a mask of the slots that repeat the key
+//! before them, 32 bytes for a page of keys — and every other key in a hash
+//! bucket of its own. A version placed anywhere else, or a removal, takes
+//! the key out with all of its versions, splitting the run. Which form a
+//! key takes follows from how it arrived, so random keys cost what a plain
+//! hash costs.
 
 use harbor_common::{DbResult, PageId, RecordId, TableId};
 use harbor_storage::table::ts_word;
@@ -27,7 +29,7 @@ use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 
 /// A multiplicative (Fibonacci) hash of the one `i64` a key is. Tuple ids are
 /// the warehouse's own surrogate keys, mostly consecutive; a loader that
@@ -52,13 +54,18 @@ impl Hasher for KeyHasher {
 }
 
 /// A version's place as one word: page number and slot (the table is the
-/// index's own).
-fn pack(rid: RecordId) -> u64 {
+/// holder's own).
+pub(crate) fn pack(rid: RecordId) -> u64 {
     (rid.page.page_no as u64) << 16 | rid.slot as u64
 }
 
-fn unpack(table: TableId, at: u64) -> RecordId {
+pub(crate) fn unpack(table: TableId, at: u64) -> RecordId {
     RecordId::new(PageId::new(table, (at >> 16) as u32), at as u16)
+}
+
+/// Whether two places are on one page.
+fn same_page(a: u64, b: u64) -> bool {
+    a >> 16 == b >> 16
 }
 
 /// Set in a key's first-version word while `more` holds later versions of
@@ -71,27 +78,71 @@ fn later(key: i64) -> RangeInclusive<(i64, u64)> {
     (key, 0)..=(key, u64::MAX)
 }
 
-/// `len` consecutive keys from a start key, each with one version, in
-/// consecutive slots of one page from `at`.
+/// The position of the `n`-th (from 0) clear bit of `mask`, whose bits from
+/// 64 up count as clear.
+fn nth_clear(mask: u64, n: u64) -> u64 {
+    let clear = !mask;
+    if n >= clear.count_ones() as u64 {
+        return n + mask.count_ones() as u64;
+    }
+    // Halve the window that holds it: skip the low half whenever it has
+    // no more clear bits than are left to skip.
+    let (mut word, mut left, mut pos) = (clear, n, 0);
+    for width in [32u64, 16, 8, 4, 2, 1] {
+        let low = (word & ((1 << width) - 1)).count_ones() as u64;
+        if left >= low {
+            left -= low;
+            word >>= width;
+            pos += width;
+        }
+    }
+    pos
+}
+
+/// `len` consecutive keys from a start key, in consecutive slots of one page
+/// from `at`, each key's versions side by side in the order they came. Bit
+/// `i` of `rep` is set when slot `at + i` holds another version of the key
+/// in the slot before it; the mask covers the run's first 64 slots.
 #[derive(Clone, Copy)]
 struct Run {
     len: u32,
     at: u64,
+    rep: u64,
 }
 
 impl Run {
-    /// `key`'s place, if the run that starts at `start` holds it. (The
-    /// offset wraps below `start` to more than any length: a run never
-    /// reaches past `i64::MAX`.)
-    fn place(self, start: i64, key: i64) -> Option<u64> {
+    /// The slots the run covers.
+    fn slots(self) -> u64 {
+        self.len as u64 + self.rep.count_ones() as u64
+    }
+
+    /// `key`'s offset among the run's keys, if the run that starts at
+    /// `start` holds it. (The offset wraps below `start` to more than any
+    /// length: a run never reaches past `i64::MAX`.)
+    fn offset(self, start: i64, key: i64) -> Option<u64> {
         let off = key.wrapping_sub(start) as u64;
-        (off < self.len as u64).then(|| self.at + off)
+        (off < self.len as u64).then_some(off)
+    }
+
+    /// The slots, counted from `at`, that hold the versions of the `off`-th
+    /// key: its first slot and the repeats after it.
+    fn versions(self, off: u64) -> Range<u64> {
+        if self.rep == 0 {
+            return off..off + 1;
+        }
+        let first = nth_clear(self.rep, off);
+        let repeats = self.rep.checked_shr(first as u32 + 1).unwrap_or(0);
+        first..first + 1 + repeats.trailing_ones() as u64
+    }
+
+    /// Whether `at` is the slot after the run's last, on its page.
+    fn followed_at(self, at: u64) -> bool {
+        at == self.at + self.slots() && same_page(at, self.at)
     }
 
     /// Whether `key` at `at` is the next key in the next slot of the page.
     fn extended_by(self, start: i64, key: i64, at: u64) -> bool {
-        let next = self.at + self.len as u64;
-        start.checked_add(self.len as i64) == Some(key) && at == next && at >> 16 == self.at >> 16
+        start.checked_add(self.len as i64) == Some(key) && self.followed_at(at)
     }
 }
 
@@ -102,14 +153,16 @@ impl Run {
 /// of every one of them, so a key above it — the next key of a load — skips
 /// the tree. `open` is the newest run, kept out of the tree so that the
 /// next key extends it with `len += 1` (and an update of its last key
-/// shortens it with `len -= 1`, down to one key).
+/// shortens it with `len -= 1`, down to one key). The last key of a run,
+/// placed again in the run's next slot, sets a bit of the run's mask.
 ///
 /// `first` holds every other key's first version, packed: nothing is
 /// allocated per key, a bucket is 17 bytes, and the index is freed as one
 /// block. A key that extends nothing goes there and is remembered in
-/// `last`; the next key in the next slot takes it out again — if it still
-/// has that one version and no other — and the two are the open run. Keys
-/// in no order therefore cost one hash insert each, as in a plain hash.
+/// `last`; the next key — or the same key again — in the next slot takes it
+/// out again, if it still has that one version and no other, and the two
+/// are the open run. Keys in no order therefore cost one hash insert each,
+/// as in a plain hash.
 /// The versions after the first of a key that an update gave more than one
 /// live in `more`, one ordered map for the whole table keyed by `(key,
 /// registration number)`: a key's later versions are one range in the order
@@ -131,9 +184,9 @@ struct Inner {
 }
 
 impl Inner {
-    /// The run that holds `key`: its start, the run, and the key's place.
+    /// The run that holds `key`: its start, the run, and the key's offset.
     fn run_of(&self, key: i64) -> Option<(i64, Run, u64)> {
-        let holds = |(start, run): (i64, Run)| Some((start, run, run.place(start, key)?));
+        let holds = |(start, run): (i64, Run)| Some((start, run, run.offset(start, key)?));
         if let Some(found) = self.open.and_then(holds) {
             return Some(found);
         }
@@ -147,7 +200,10 @@ impl Inner {
     fn versions(&self, table: TableId, key: i64) -> Vec<RecordId> {
         let Some(&word) = self.first.get(&key) else {
             let run = self.run_of(key);
-            return run.map_or_else(Vec::new, |(.., place)| vec![unpack(table, place)]);
+            return run.map_or_else(Vec::new, |(_, run, off)| {
+                let slots = run.versions(off);
+                slots.map(|slot| unpack(table, run.at + slot)).collect()
+            });
         };
         let mut versions = vec![unpack(table, word & !HAS_MORE)];
         if word & HAS_MORE != 0 {
@@ -159,11 +215,20 @@ impl Inner {
 
     fn insert(&mut self, key: i64, rid: RecordId) {
         let at = pack(rid);
-        if let Some((start, run, place)) = self.run_of(key) {
-            if place != at {
-                // A second version: the key leaves its run.
-                self.cut(start, run, key);
-                self.add_later(key, place, at);
+        if let Some((start, mut run, off)) = self.run_of(key) {
+            let slots = run.versions(off);
+            if slots.contains(&at.wrapping_sub(run.at)) {
+                return;
+            }
+            let next = run.slots();
+            if off + 1 == run.len as u64 && next < 64 && run.followed_at(at) {
+                // The last key again, side by side.
+                run.rep |= 1 << next;
+                self.put(start, run);
+            } else {
+                // A version elsewhere: the key leaves its run.
+                self.cut(start, run, off);
+                self.file(key, slots.map(|slot| run.at + slot).chain([at]));
             }
             return;
         }
@@ -173,12 +238,28 @@ impl Inner {
                 return;
             }
         }
-        // The key before came on its own into the slot before, and is still
-        // just that: the two are the open run now.
+        // The key before, or this key, came on its own into the slot before
+        // and is still just that: the two are the open run now.
         let joins = self.last.filter(|&(prev, place)| {
-            (Run { len: 1, at: place }).extended_by(prev, key, at)
+            let next_key = prev.checked_add(1) == Some(key) && !self.first.contains_key(&key);
+            at == place + 1
+                && same_page(at, place)
+                && (next_key || key == prev)
                 && self.first.get(&prev) == Some(&place)
         });
+        if let Some((prev, place)) = joins {
+            self.first.remove(&prev);
+            let (len, rep) = if key == prev { (1, 0b10) } else { (2, 0) };
+            let run = Run {
+                len,
+                at: place,
+                rep,
+            };
+            if let Some((start, run)) = self.open.replace((prev, run)) {
+                self.close(start, run);
+            }
+            return;
+        }
         match self.first.entry(key) {
             Entry::Occupied(first) => {
                 let word = *first.get();
@@ -188,58 +269,63 @@ impl Inner {
                     self.add_later(key, word, at);
                 }
             }
-            Entry::Vacant(slot) => match joins {
-                Some((prev, place)) => {
-                    self.first.remove(&prev);
-                    if let Some((start, run)) = self.open.replace((prev, Run { len: 2, at: place }))
-                    {
-                        self.close(start, run);
-                    }
-                }
-                None => {
-                    slot.insert(at);
-                    self.last = Some((key, at));
-                }
-            },
+            Entry::Vacant(slot) => {
+                slot.insert(at);
+                self.last = Some((key, at));
+            }
         }
     }
 
-    /// Files a run that no key will extend: a run of one is a hashed key.
+    /// Puts back `run`, which starts at `start`, where it was found.
+    fn put(&mut self, start: i64, run: Run) {
+        match &mut self.open {
+            Some((s, open)) if *s == start => *open = run,
+            _ => {
+                self.runs.insert(start, run);
+            }
+        }
+    }
+
+    /// Files a run that no key will extend: a run of one slot is a hashed
+    /// key.
     fn close(&mut self, start: i64, run: Run) {
-        match run.len {
+        match run.slots() {
             0 => {}
             1 => {
                 self.first.insert(start, run.at);
             }
-            len => {
-                let last = start + (len - 1) as i64;
+            _ => {
+                let last = start + (run.len - 1) as i64;
                 self.hi = Some(self.hi.map_or(last, |hi| hi.max(last)));
                 self.runs.insert(start, run);
             }
         }
     }
 
-    /// Takes `key` out of `run`, which starts at `start`. The keys before
-    /// and after it stay runs of their own (a key on its own is hashed);
-    /// of the open run, the piece with its tail stays open.
-    fn cut(&mut self, start: i64, run: Run, key: i64) {
+    /// Takes the `off`-th key, with all of its versions, out of `run`, which
+    /// starts at `start`. The keys before and after it stay runs of their
+    /// own (a key on its own in one slot is hashed); of the open run, the
+    /// piece with its tail stays open.
+    fn cut(&mut self, start: i64, run: Run, off: u64) {
         let open = self.open.is_some_and(|(s, _)| s == start);
         if open {
             self.open = None;
         } else {
             self.runs.remove(&start);
         }
-        let off = key.wrapping_sub(start) as u32;
+        let gone = run.versions(off);
         let before = Run {
-            len: off,
+            len: off as u32,
             at: run.at,
+            rep: run.rep & !u64::MAX.checked_shl(gone.start as u32).unwrap_or(0),
         };
         let after = Run {
-            len: run.len - off - 1,
-            at: run.at + off as u64 + 1,
+            len: run.len - off as u32 - 1,
+            at: run.at + gone.end,
+            rep: run.rep.checked_shr(gone.end as u32).unwrap_or(0),
         };
-        // `key` is not the last key there is while `after` holds one.
-        let after_start = key.wrapping_add(1);
+        // The cut key is not the last key there is while `after` holds one.
+        let after_start = start.wrapping_add(off as i64 + 1);
         match (open, after.len) {
             (true, 0) => self.open = (before.len > 0).then_some((start, before)),
             (true, _) => {
@@ -253,6 +339,15 @@ impl Inner {
         }
     }
 
+    /// Files the versions of `key`, which is in no run and not in `first`,
+    /// oldest first.
+    fn file(&mut self, key: i64, mut versions: impl Iterator<Item = u64>) {
+        if let Some(first) = versions.next() {
+            self.first.insert(key, first);
+            versions.for_each(|at| self.add_later(key, first, at));
+        }
+    }
+
     /// Registers `at` as a later version of `key`, whose first is `first`.
     fn add_later(&mut self, key: i64, first: u64, at: u64) {
         self.first.insert(key, first | HAS_MORE);
@@ -263,9 +358,12 @@ impl Inner {
     fn remove(&mut self, key: i64, rid: RecordId) {
         let at = pack(rid);
         let Some(&word) = self.first.get(&key) else {
-            if let Some((start, run, place)) = self.run_of(key) {
-                if place == at {
-                    self.cut(start, run, key);
+            if let Some((start, run, off)) = self.run_of(key) {
+                let slots = run.versions(off);
+                if slots.contains(&at.wrapping_sub(run.at)) {
+                    self.cut(start, run, off);
+                    let left = slots.map(|slot| run.at + slot).filter(|v| *v != at);
+                    self.file(key, left);
                 }
             }
             return;
@@ -392,7 +490,7 @@ impl KeyIndex {
     /// batched path: one bitmap load per 64 slots and a direct key read at
     /// the fixed offset, instead of a per-row `page.read` with its
     /// occupancy/bounds re-checks. Pages and slots are walked in order, so
-    /// keys that were loaded in order come back as runs.
+    /// keys that were loaded in order, history and all, come back as runs.
     fn build_locked(&self, pool: &BufferPool, g: &mut Inner) -> DbResult<()> {
         let table = pool.table(self.table)?;
         let mut built = Inner::default();
@@ -428,11 +526,35 @@ impl KeyIndex {
         self.len() == 0
     }
 
-    /// How the keys are held (tests): the runs of two keys or more, and the
-    /// keys held on their own.
+    /// How the keys are held (tests): the runs of two slots or more, and
+    /// the keys held on their own.
     pub fn shape(&self) -> (usize, usize) {
         let g = self.inner.lock();
-        let runs = g.all_runs().filter(|run| run.len > 1).count();
+        let runs = g.all_runs().filter(|run| run.slots() > 1).count();
         (runs, g.first.len() + g.all_runs().count() - runs)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::nth_clear;
+
+    #[test]
+    fn nth_clear_counts_clear_bits_from_the_bottom() {
+        for mask in [
+            0u64,
+            0b10,
+            0b1010_0110,
+            u64::MAX << 1,
+            0x5555_5555_5555_5554,
+            1 << 63,
+        ] {
+            let clear: Vec<u64> = (0..128)
+                .filter(|&i| i >= 64 || mask >> i & 1 == 0)
+                .collect();
+            for (n, want) in clear.iter().enumerate() {
+                assert_eq!(nth_clear(mask, n as u64), *want, "mask {mask:#x} n {n}");
+            }
+        }
     }
 }

@@ -11,9 +11,9 @@
 //! * **`KeyIndex` ≡ a `BTreeMap<i64, Vec<RecordId>>`** under inserts,
 //!   repeated inserts, removals and an invalidate-and-rebuild, with one to
 //!   four versions a key; and `insert_run` ≡ one `insert` per version. The
-//!   same map again when keys arrive in key and slot order, as runs, and
-//!   leave them; and a load in key order holds a run a page and nothing
-//!   per key.
+//!   same map again when keys arrive in key and slot order, as runs, with
+//!   a key's versions side by side, and leave them; and a load in key
+//!   order, history and all, holds a run a page and nothing per key.
 
 use harbor_common::codec::{Decoder, Encoder};
 use harbor_common::config::PAGE_PAYLOAD;
@@ -368,9 +368,12 @@ enum Load {
     /// Rows for the next `n` keys after the last one, as one run.
     Next(usize),
     /// A row for the key `back` below the last one: a second version while
-    /// the index holds that key (at the open run's tail for 0), a jump back
-    /// when it does not.
+    /// the index holds that key, a jump back when it does not.
     Back(i64),
+    /// A row for the last key again, into the next slot: its history side by
+    /// side (at the open run's tail), or a version elsewhere after a page
+    /// turn.
+    Again,
     /// A row for a key far from the others: the next key skips a slot.
     Stranger,
     /// A new cursor: the next row starts a page.
@@ -395,8 +398,10 @@ fn loads() -> impl Strategy<Value = Vec<Load>> {
         next(),
         next(),
         next(),
-        (0i64..20).prop_map(Load::Back),
-        (0i64..3).prop_map(Load::Back),
+        (1i64..20).prop_map(Load::Back),
+        (1i64..3).prop_map(Load::Back),
+        Just(Load::Again),
+        Just(Load::Again),
         Just(Load::Stranger),
         Just(Load::TurnPage),
         any::<usize>().prop_map(Load::Repeat),
@@ -425,10 +430,11 @@ proptest! {
 
     /// `KeyIndex` against a map of vecs when keys arrive the way a load
     /// brings them — in key and slot order, so that they form runs — and
-    /// then leave them: second versions at the open run's tail and in the
-    /// middle of a closed run, removals of run keys and of first versions
-    /// with later ones behind them, repeats, page turns, skipped slots,
-    /// jumps back and rebuilds.
+    /// then leave them: versions side by side at the open run's tail, second
+    /// versions elsewhere and in the middle of a closed run (a key leaving
+    /// with all of its run versions), removals of either version of a run
+    /// key and of first versions with later ones behind them, repeats, page
+    /// turns, skipped slots, jumps back and rebuilds.
     #[test]
     fn key_index_with_runs_matches_a_map_of_vecs(loads in loads()) {
         let (e, table, dir) = engine("runs");
@@ -443,6 +449,7 @@ proptest! {
                     (last + 1 - n as i64..=last).collect()
                 }
                 Load::Back(back) => vec![last - back],
+                Load::Again => vec![last],
                 Load::Stranger => {
                     strangers += 1;
                     vec![1_000_000 * strangers]
@@ -500,11 +507,12 @@ proptest! {
     /// The same map when the test chooses every place, so the next key may
     /// land in a slot the index has seen before — which a load's cursor
     /// never does and a transactional insert into a freed slot may: keys in
-    /// order into the next slots, keys at or below the last one, the cursor
-    /// stepping back, page turns, repeats and removals.
+    /// order into the next slots, the last key again side by side, keys at
+    /// or below the last one, the cursor stepping back, page turns, repeats
+    /// and removals.
     #[test]
     fn key_index_with_runs_at_any_place_matches_a_map_of_vecs(
-        steps in proptest::collection::vec((0u8..10, 0u8..8, any::<usize>()), 1..300),
+        steps in proptest::collection::vec((0u8..12, 0u8..8, any::<usize>()), 1..300),
     ) {
         let (e, table, dir) = engine("places");
         let index = KeyIndex::fresh(table, KEY_OFFSET);
@@ -530,10 +538,17 @@ proptest! {
                     said.push((last - n as i64, next_place()));
                     index.insert(said[0].0, said[0].1);
                 }
+                // The last key again, `n` times, side by side.
+                10 | 11 => {
+                    for _ in 0..=n {
+                        said.push((last, next_place()));
+                    }
+                    index.insert_run(said.iter().copied());
+                }
                 6 => slot = slot.saturating_sub(n as u16 + 1),
                 7 => (page, slot) = (page + 1, 0),
                 // A version said again, or removed.
-                _ => {
+                8 | 9 => {
                     let versions: Vec<(i64, RecordId)> = model
                         .iter()
                         .flat_map(|(k, v)| v.iter().map(move |rid| (*k, *rid)))
@@ -552,6 +567,7 @@ proptest! {
                         }
                     }
                 }
+                _ => unreachable!(),
             }
             for (key, rid) in said {
                 let versions = model.entry(key).or_default();
@@ -641,6 +657,133 @@ fn a_load_in_key_order_is_a_run_a_page() {
     let index = e.index(table).unwrap();
     assert_eq!(index.shape(), (0, KEYS as usize));
     assert_eq!(index.len(), KEYS as usize);
+    drop((index, e));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A load of history — every fourth key's superseded version beside its
+/// successor — is a run a page too, a key on its own only where a pair
+/// straddles two pages; every key's versions come back in slot order; an
+/// update takes exactly one key out; a rebuild finds the same shape.
+#[test]
+fn a_history_load_is_a_run_a_page() {
+    const KEYS: i64 = 10_000;
+    let history = (0..KEYS).flat_map(|k| std::iter::repeat_n(k, if k % 4 == 0 { 2 } else { 1 }));
+    let slots: Vec<i64> = history.clone().collect();
+    let (e, table, dir) = loaded("history", history);
+    let per_page = slots_per_page(e.pool().table(table).unwrap().tuple_size());
+    let heap_pages = e.pool().table(table).unwrap().all_page_ids();
+    let pages = slots.len().div_ceil(per_page);
+    assert_eq!(heap_pages.len(), pages);
+    let rid = |i: usize| RecordId::new(heap_pages[i / per_page], (i % per_page) as u16);
+    let mut want: BTreeMap<i64, Vec<RecordId>> = BTreeMap::new();
+    for (i, key) in slots.iter().enumerate() {
+        want.entry(*key).or_default().push(rid(i));
+    }
+    let straddles = (1..slots.len())
+        .filter(|&i| i % per_page == 0 && slots[i] == slots[i - 1])
+        .count();
+    assert!(straddles > 0);
+    let index = e.index(table).unwrap();
+    let all_in_place = |index: &KeyIndex, want: &BTreeMap<i64, Vec<RecordId>>| {
+        for (key, versions) in want {
+            assert_eq!(
+                &index.lookup(e.pool(), *key).unwrap(),
+                versions,
+                "key {key}"
+            );
+        }
+        assert_eq!(index.len(), KEYS as usize);
+    };
+    assert_eq!(index.shape(), (pages, straddles));
+    all_in_place(&index, &want);
+
+    // A third version of a pair in the middle of a page's run.
+    let i = (pages / 2) * per_page + per_page / 2;
+    let i = (i..)
+        .find(|&i| slots[i] % 4 == 0 && slots[i + 1] == slots[i])
+        .unwrap();
+    assert!(i % per_page + 2 < per_page);
+    let key = slots[i];
+    let mut cursor = e.recovered_inserter(table).unwrap();
+    cursor.insert(&tuple((key, 2, 0, 0))).unwrap();
+    cursor.flush().unwrap();
+    drop(cursor);
+    let moved = index.lookup(e.pool(), key).unwrap();
+    assert_eq!(moved.len(), 3);
+    assert_eq!(moved[..2], [rid(i), rid(i + 1)]);
+    assert!(!heap_pages.contains(&moved[2].page));
+    *want.get_mut(&key).unwrap() = moved;
+    assert_eq!(index.shape(), (pages + 1, straddles + 1));
+    all_in_place(&index, &want);
+    // A rebuild walks the pages in order: the same runs and the same keys.
+    index.rebuild(e.pool()).unwrap();
+    assert_eq!(index.shape(), (pages + 1, straddles + 1));
+    all_in_place(&index, &want);
+    drop((index, e));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A run's repeat mask covers its first 64 slots. On a table of more than
+/// 64 slots a page: a key again at slot 63 stays in its run, a key again at
+/// slot 64 leaves it with both of its versions, a key on its own and then
+/// again starts a run, and new keys extend a run past slot 64.
+#[test]
+fn a_repeat_past_the_masks_64_slots_takes_the_key_out() {
+    let (e, _, dir) = engine("narrow");
+    let table = e
+        .create_table("narrow", vec![("id".into(), FieldType::Int64)])
+        .unwrap()
+        .id;
+    assert!(slots_per_page(e.pool().table(table).unwrap().tuple_size()) > 70);
+    let load = |keys: &[i64]| {
+        // A cursor of its own: a page of its own.
+        let mut cursor = e.recovered_inserter(table).unwrap();
+        for key in keys {
+            let row = Tuple::versioned(Timestamp(1), Timestamp::ZERO, vec![Value::Int64(*key)]);
+            cursor.insert(&row).unwrap();
+        }
+        cursor.flush().unwrap();
+    };
+    // Keys 0..=30 twice fill slots 0..=61 (30's again at 61); 31 at 62; 32
+    // at 63 and again at 64; 33 at 65 and again at 66.
+    let pairs: Vec<i64> = (0..31).flat_map(|k| [k, k]).collect();
+    load(&[&pairs[..], &[31, 32, 32, 33, 33]].concat());
+    // Keys 100..170 on one page: 70 slots.
+    load(&(100..170).collect::<Vec<_>>());
+    let pages = e.pool().table(table).unwrap().all_page_ids();
+    let at = |page: usize, slots: &[u16]| -> Vec<RecordId> {
+        slots
+            .iter()
+            .map(|s| RecordId::new(pages[page], *s))
+            .collect()
+    };
+    let mut want: Vec<(i64, Vec<RecordId>)> = (0..31)
+        .map(|k| (k, at(0, &[2 * k as u16, 2 * k as u16 + 1])))
+        .collect();
+    want.extend([
+        (31, at(0, &[62])),
+        (32, at(0, &[63, 64])),
+        (33, at(0, &[65, 66])),
+    ]);
+    want.extend((100..170).map(|k| (k, at(1, &[k as u16 - 100]))));
+    let index = e.index(table).unwrap();
+    for built in [false, true] {
+        if built {
+            index.rebuild(e.pool()).unwrap();
+        }
+        // The runs of keys 0..=31, of 33's pair and of 100..170; 32 on its
+        // own.
+        assert_eq!(index.shape(), (3, 1), "rebuilt: {built}");
+        assert_eq!(index.len(), want.len());
+        for (key, versions) in &want {
+            assert_eq!(
+                &index.lookup(e.pool(), *key).unwrap(),
+                versions,
+                "key {key}"
+            );
+        }
+    }
     drop((index, e));
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -7,7 +7,7 @@
 //! (version columns included, at indices 0 and 1).
 
 use crate::expr::Expr;
-use crate::scan::{index_lookup, scan_rids, ReadMode};
+use crate::scan::{scan_rids, visit_versions, ReadMode};
 use harbor_common::{DbResult, RecordId, TableId, TransactionId, Value};
 use harbor_engine::Engine;
 use harbor_storage::ScanBounds;
@@ -68,6 +68,14 @@ pub fn run_update(
 /// Updates the currently-visible version of the row with primary key `key`
 /// ("indexed update queries", §4.2): the common warehouse correction of one
 /// recent tuple. Returns `true` if a row was found and updated.
+///
+/// The versions are judged under their page locks, which a probe of the
+/// index comes before: while this waits for a writer that deletes the
+/// version it found, that writer may put the key's next version in. So when
+/// no version is live, the index is probed again, and the versions are read
+/// again for as long as its answer moves — every replica then updates the
+/// version the writer left, whichever side of the writer's insert its
+/// probe fell on.
 pub fn run_update_by_key(
     engine: &Engine,
     tid: TransactionId,
@@ -75,16 +83,32 @@ pub fn run_update_by_key(
     key: i64,
     mut f: impl FnMut(Vec<Value>) -> Vec<Value>,
 ) -> DbResult<bool> {
-    let hits = index_lookup(engine, table, key, ReadMode::Current(tid))?;
-    // At most one live version exists per key under correct usage; update
-    // the first.
-    match hits.first() {
-        Some((rid, tup)) => {
-            let new_values = f(tup.user_values());
-            engine.update(tid, *rid, new_values)?;
-            Ok(true)
+    let index = engine.index(table)?;
+    let (heap, mode, bounds) = (
+        engine.pool().table(table)?,
+        ReadMode::Current(tid),
+        ScanBounds::all(),
+    );
+    let mut probed = index.lookup(engine.pool(), key)?;
+    loop {
+        // At most one live version exists per key under correct usage;
+        // update the first.
+        let mut hit = None;
+        visit_versions(engine, table, &probed, mode, &bounds, |row| {
+            if hit.is_none() {
+                hit = Some((row.rid, row.decode(heap.desc())?));
+            }
+            Ok(())
+        })?;
+        if let Some((rid, tup)) = hit {
+            engine.update(tid, rid, f(tup.user_values()))?;
+            return Ok(true);
         }
-        None => Ok(false),
+        let now = index.lookup(engine.pool(), key)?;
+        if now == probed {
+            return Ok(false);
+        }
+        probed = now;
     }
 }
 
@@ -213,6 +237,54 @@ mod tests {
         e.commit(deleter, Timestamp(2), StepLogging::OFF).unwrap();
         let hit = update.join().unwrap().unwrap();
         assert!(!hit, "a row deleted at 2 was updated as if live");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two indexed updates of one key: the first deletes the live version
+    /// and, after the second has probed the index and is parked behind it,
+    /// inserts the key's next version and commits. The second must update
+    /// that next version, as it does at a replica where its probe came after
+    /// the insert — not find the deleted one and report no row.
+    #[test]
+    fn update_by_key_after_a_concurrent_update_is_not_lost() {
+        use harbor_storage::LockKey;
+        let (e, table, dir) = setup("updkey-lost");
+        let t = tid(1);
+        e.begin(t).unwrap();
+        let v1 = run_insert(&e, t, table, vec![Value::Int64(3), Value::Int32(0)]).unwrap();
+        e.commit(t, Timestamp(1), StepLogging::OFF).unwrap();
+        // The first update holds the page exclusively until it commits.
+        let first = tid(2);
+        e.begin(first).unwrap();
+        e.delete(first, v1).unwrap();
+        let second = tid(3);
+        let update = std::thread::spawn({
+            let e = e.clone();
+            move || {
+                e.begin(second).unwrap();
+                run_update_by_key(&e, second, table, 3, |v| {
+                    vec![v[0].clone(), Value::Int32(2)]
+                })
+            }
+        });
+        // Its table intention lock is taken after its probe.
+        while !e.locks().holders(LockKey::Table(table)).contains(&second) {
+            std::thread::yield_now();
+        }
+        run_insert(&e, first, table, vec![Value::Int64(3), Value::Int32(1)]).unwrap();
+        e.commit(first, Timestamp(2), StepLogging::OFF).unwrap();
+        let hit = update.join().unwrap().unwrap();
+        e.commit(second, Timestamp(3), StepLogging::OFF).unwrap();
+        let mut scan =
+            SeqScan::new(e.pool().clone(), table, ReadMode::Historical(Timestamp(3))).unwrap();
+        let live: Vec<Value> = collect(&mut scan)
+            .unwrap()
+            .iter()
+            .filter(|r| r.get(2) == Value::Int64(3))
+            .map(|r| r.get(3))
+            .collect();
+        assert!(hit, "the second update found no row; live at 3: {live:?}");
+        assert_eq!(live, vec![Value::Int32(2)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -324,11 +324,24 @@ pub fn visit_key(
     key: i64,
     mode: ReadMode,
     bounds: &ScanBounds,
+    sink: impl FnMut(ScanRow<'_>) -> DbResult<()>,
+) -> DbResult<()> {
+    let versions = engine.index(table)?.lookup(engine.pool(), key)?;
+    visit_versions(engine, table, &versions, mode, bounds, sink)
+}
+
+/// [`visit_key`] for the versions a probe of the index found.
+pub(crate) fn visit_versions(
+    engine: &harbor_engine::Engine,
+    table: TableId,
+    versions: &[RecordId],
+    mode: ReadMode,
+    bounds: &ScanBounds,
     mut sink: impl FnMut(ScanRow<'_>) -> DbResult<()>,
 ) -> DbResult<()> {
     let pool = engine.pool();
     let heap = pool.table(table)?;
-    for rid in engine.index(table)?.lookup(pool, key)? {
+    for rid in versions {
         visit(
             pool,
             &heap,
