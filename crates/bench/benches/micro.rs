@@ -574,6 +574,52 @@ fn bench_scan(_c: &mut Criterion) {
             PAGES
         }),
     );
+    // A checkpoint of a freshly bulk-loaded copy of the table (the same rows,
+    // recycled to a fixed count, so smoke and full runs write alike): the
+    // write-back of every page the load dirtied, in runs, then the
+    // directory, the sync and the record. Each copy is a site of its own,
+    // loaded before the clock starts; reported per page written.
+    const CKPT_ROWS: usize = 40_000;
+    let copy_storage = StorageConfig {
+        buffer_pool_pages: 8192,
+        segment_pages: 64,
+        ..StorageConfig::for_tests()
+    };
+    let (mut samples, mut pages) = (Vec::with_capacity(iters), 0);
+    for k in 0..=iters {
+        let site = Engine::open(
+            dir.join(format!("ckpt{k}")),
+            EngineOptions::harbor(SiteId(0), copy_storage.clone()),
+        )
+        .unwrap();
+        let copy = site.create_table("t", def.user_fields.clone()).unwrap();
+        let mut inserter = site.recovered_inserter(copy.id).unwrap();
+        for t in tuples.iter().cycle().take(CKPT_ROWS) {
+            inserter.insert(t).unwrap();
+        }
+        inserter.flush().unwrap();
+        drop(inserter);
+        pages = site.pool().dirty_pages().len();
+        let t0 = Instant::now();
+        site.checkpoint().unwrap();
+        let elapsed = t0.elapsed().as_nanos();
+        // The first copy warms the path up.
+        if k > 0 {
+            samples.push(elapsed);
+        }
+    }
+    samples.sort_unstable();
+    let med = samples[iters / 2];
+    println!(
+        "scan/{:<36} {:>10.1} ns/page  ({pages} pages)",
+        "checkpoint_flush",
+        med as f64 / pages as f64
+    );
+    let spread = [
+        ("min_ns", samples[0].to_string()),
+        ("max_ns", samples[iters - 1].to_string()),
+    ];
+    report.entry_with("checkpoint_flush", med, pages as u64, &spread);
 
     report.write().expect("write BENCH_scan.json");
     drop((e, pool));

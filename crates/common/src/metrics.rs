@@ -164,6 +164,8 @@ counters! {
     physical_syncs: sum add_physical_syncs, CommitPath;
     /// Data pages written to disk.
     page_writes: sum add_page_writes, Base;
+    /// Positional writes those pages took: a run of adjacent pages is one.
+    page_write_calls: sum add_page_write_calls, Base;
     /// Data pages read from disk.
     page_reads: sum add_page_reads, Base;
     /// Messages sent over the transport.

@@ -52,6 +52,10 @@ pub enum RecoveryFailPoint {
     None,
     /// Crash after Phase 1 completes (local state at the checkpoint).
     AfterPhase1,
+    /// Crash right after the first Phase-2 pass records its object
+    /// checkpoint: a restart resumes from it, so what the pass copied must
+    /// already be on disk.
+    AfterObjectCheckpoint,
     /// Crash after the Phase 2 historical catch-up (object checkpoint
     /// written; restart should resume from it, §5.5.1).
     AfterPhase2,
@@ -296,9 +300,16 @@ pub fn recover_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<Objec
         let tuples = phase2_inserts(ctx, def.id, &plan, ckpt, hwm, &mut report)?;
         report.phase2_inserts += t0.elapsed();
         report.tuples_copied += tuples;
-        // Object-specific checkpoint: rec is consistent up to the HWM.
-        ctx.engine.checkpointer().checkpoint_object(def.id, hwm)?;
+        // Object-specific checkpoint: rec is consistent up to the HWM —
+        // once what the pass copied is on disk (Fig 3-2's order: flush,
+        // then record).
         ctx.engine.pool().flush_all()?;
+        ctx.engine.checkpointer().checkpoint_object(def.id, hwm)?;
+        if ctx.config.fail_point == RecoveryFailPoint::AfterObjectCheckpoint {
+            return Err(DbError::SiteDown(
+                "injected crash after an object checkpoint".into(),
+            ));
+        }
         ckpt = hwm;
         let (next, copied) = (stable_hwm(ctx)?, deletions + tuples);
         if !repeat_phase2(hwm, next, copied, before) {

@@ -590,16 +590,9 @@ impl Engine {
             }
         }
         if self.pool.policy().force {
-            let mut pages: Vec<_> = insertions
-                .iter()
-                .map(|(r, _)| r.page)
-                .chain(deletions.iter().map(|r| r.page))
-                .collect();
-            pages.sort();
-            pages.dedup();
-            for pid in pages {
-                self.pool.flush_page(pid)?;
-            }
+            let pages = insertions.iter().map(|(r, _)| r.page);
+            let pages = pages.chain(deletions.iter().map(|r| r.page)).collect();
+            self.pool.write_back(pages)?;
         }
         if let Some(wal) = &self.wal {
             let last = self

@@ -28,6 +28,7 @@
 use crate::lock::{LockKey, LockManager, LockMode};
 use crate::page::Page;
 use crate::table::{ts_word, SegmentedHeapFile};
+use harbor_common::config::PAGE_SIZE;
 use harbor_common::lockrank::{self, Rank};
 use harbor_common::{
     DbError, DbResult, Metrics, PageId, RecordId, TableId, Timestamp, TransactionId,
@@ -38,6 +39,10 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// The most pages one positional write of [`BufferPool::write_back`]
+/// carries: one segment at the default segment size.
+pub const RUN_PAGES: usize = 64;
 
 /// Buffer management policy. The thesis default is STEAL/NO-FORCE; the other
 /// combinations are implemented for completeness ("though other paging
@@ -475,7 +480,7 @@ impl BufferPool {
                 // NO-STEAL: a page dirtied since victim selection must stay.
                 return Ok(false);
             }
-            self.flush_frame(pid, &frame)?;
+            self.flush_frame(pid, &frame, false)?;
         }
         let _rank = lockrank::acquire(Rank::PoolShard);
         let mut g = shard.frames.lock();
@@ -495,26 +500,72 @@ impl BufferPool {
         Ok(false)
     }
 
-    fn flush_frame(&self, pid: PageId, frame: &Frame) -> DbResult<()> {
-        let table = self.table(pid.table)?;
-        let _rank = lockrank::acquire(Rank::Frame);
-        let mut page = frame.page.write();
-        // WAL rule: log records describing this page must be durable first.
-        let _wal_rank = lockrank::acquire(Rank::Wal);
-        if let Some(wal) = self.wal.read().as_ref() {
-            let lsn = page.page_lsn();
-            if lsn > Lsn::ZERO {
-                wal.force(lsn)?;
+    /// Writes one frame back (eviction, [`Self::force_rewrite`]): a run of
+    /// one. `clean_too` writes it even if it is clean.
+    fn flush_frame(&self, pid: PageId, frame: &Arc<Frame>, clean_too: bool) -> DbResult<()> {
+        let mut buf = Vec::with_capacity(PAGE_SIZE);
+        self.write_run(&[(pid, frame.clone())], &mut buf, clean_too)
+    }
+
+    /// Writes one run of adjacent frames of one table with one positional
+    /// write, through `buf`. Each frame's latch is taken *shared*, in
+    /// ascending page order — no other path holds two frame latches, so the
+    /// order cannot deadlock: readers go on, and no writer changes a page
+    /// between its copy into `buf` and the write. The checksum is stamped in
+    /// the copy, not the frame. A frame is marked clean only once its bytes
+    /// are in the file, so a concurrent write-back that finds it clean knows
+    /// they have landed. A frame found clean under its latch (another
+    /// write-back got there first) is left out unless `clean_too`, and the
+    /// run is written as the stretches around it.
+    fn write_run(
+        &self,
+        run: &[(PageId, Arc<Frame>)],
+        buf: &mut Vec<u8>,
+        clean_too: bool,
+    ) -> DbResult<()> {
+        let Some((first, _)) = run.first() else {
+            return Ok(());
+        };
+        // Before any latch: the table map ranks below `frame`.
+        let table = self.table(first.table)?;
+        let latched: Vec<_> = run
+            .iter()
+            .map(|(pid, frame)| {
+                let rank = lockrank::acquire(Rank::Frame);
+                let page = frame.page.read();
+                // Read once: another write-back may clean it from here on.
+                let wanted = clean_too || frame.dirty.load(Ordering::SeqCst);
+                (*pid, frame, page, rank, wanted)
+            })
+            .collect();
+        let stretches = latched.chunk_by(|a, b| a.4 == b.4);
+        for stretch in stretches.filter(|s| s[0].4) {
+            // WAL rule: log records describing these pages must be durable
+            // first.
+            let lsn = stretch.iter().map(|(_, _, page, ..)| page.page_lsn()).max();
+            {
+                let _wal_rank = lockrank::acquire(Rank::Wal);
+                if let (Some(wal), Some(lsn)) = (self.wal.read().as_ref(), lsn) {
+                    if lsn > Lsn::ZERO {
+                        wal.force(lsn)?;
+                    }
+                }
+            }
+            buf.clear();
+            for (_, _, page, ..) in stretch {
+                buf.extend_from_slice(page.as_bytes());
+            }
+            // harbor-lint: allow(lock-across-blocking) — the frame latches must pin the page images across WAL force + write-back; flush-under-latch IS the WAL protocol
+            table.write_run(stretch[0].0.page_no, buf)?;
+            for (pid, frame, page, ..) in stretch {
+                // Summarize the flushed image while the latch still pins it:
+                // invalidations run under the write latch, so the store is
+                // ordered against every mutation.
+                table.store_zone(pid.page_no, crate::table::ZoneEntry::compute(page));
+                frame.dirty.store(false, Ordering::SeqCst);
+                frame.rec_lsn.store(u64::MAX, Ordering::SeqCst);
             }
         }
-        // harbor-lint: allow(lock-across-blocking) — the frame latch must pin the page image across WAL force + write-back; flush-under-latch IS the WAL protocol
-        table.write_page(pid.page_no, &mut page)?;
-        // Summarize the flushed image while the write latch still pins it:
-        // invalidations also run under this latch, so the store is ordered
-        // against every mutation.
-        table.store_zone(pid.page_no, crate::table::ZoneEntry::compute(&page));
-        frame.dirty.store(false, Ordering::SeqCst);
-        frame.rec_lsn.store(u64::MAX, Ordering::SeqCst);
         Ok(())
     }
 
@@ -809,18 +860,38 @@ impl BufferPool {
             .collect()
     }
 
-    /// Flushes one page if present and dirty.
-    pub fn flush_page(&self, pid: PageId) -> DbResult<()> {
-        let frame = {
-            let _rank = lockrank::acquire(Rank::PoolShard);
-            let g = self.shard(pid).frames.lock();
-            match g.map.get(&pid) {
-                Some(f) => f.clone(),
-                None => return Ok(()),
-            }
-        };
-        if frame.dirty.load(Ordering::SeqCst) {
-            self.flush_frame(pid, &frame)?;
+    /// The resident frame of `pid`, if any.
+    fn resident_frame(&self, pid: PageId) -> Option<Arc<Frame>> {
+        let _rank = lockrank::acquire(Rank::PoolShard);
+        self.shard(pid).frames.lock().map.get(&pid).cloned()
+    }
+
+    /// Writes back the frames of `pids` that are resident and dirty: the one
+    /// write-back path for a list of pages (a checkpoint's dirty-page
+    /// snapshot, [`Self::flush_all`], a FORCE commit's pages). The pages are
+    /// sorted, and each run of up to [`RUN_PAGES`] adjacent pages of one
+    /// table is one positional write ([`SegmentedHeapFile::write_run`]): the
+    /// bytes and the page count are those of page-at-a-time writes; only the
+    /// number of syscalls and their order differ.
+    pub fn write_back(&self, mut pids: Vec<PageId>) -> DbResult<()> {
+        pids.sort_unstable();
+        pids.dedup();
+        // Before any latch: the shard maps rank below `frame`.
+        let dirty: Vec<(PageId, Arc<Frame>)> = pids
+            .into_iter()
+            .filter_map(|pid| Some((pid, self.resident_frame(pid)?)))
+            .filter(|(_, frame)| frame.dirty.load(Ordering::SeqCst))
+            .collect();
+        let mut buf = Vec::with_capacity(dirty.len().min(RUN_PAGES) * PAGE_SIZE);
+        let mut rest = &dirty[..];
+        while let Some((first, _)) = rest.first() {
+            let adjacent = |(i, (pid, _)): &(u32, &(PageId, Arc<Frame>))| {
+                pid.table == first.table && pid.page_no.wrapping_sub(first.page_no) == *i
+            };
+            let len = (0..).zip(rest).take(RUN_PAGES).take_while(adjacent).count();
+            let (run, tail) = rest.split_at(len);
+            self.write_run(run, &mut buf, false)?;
+            rest = tail;
         }
         Ok(())
     }
@@ -829,26 +900,18 @@ impl BufferPool {
     /// the on-disk page (and its checksum) from the in-memory copy. Returns
     /// whether a frame was present. This is the scrubber's self-heal fast
     /// path: a write fault can corrupt the disk image while the frame stays
-    /// intact, and [`BufferPool::flush_page`] would skip the clean frame.
+    /// intact, and [`BufferPool::write_back`] would skip the clean frame.
     pub fn force_rewrite(&self, pid: PageId) -> DbResult<bool> {
-        let frame = {
-            let _rank = lockrank::acquire(Rank::PoolShard);
-            let g = self.shard(pid).frames.lock();
-            match g.map.get(&pid) {
-                Some(f) => f.clone(),
-                None => return Ok(false),
-            }
+        let Some(frame) = self.resident_frame(pid) else {
+            return Ok(false);
         };
-        self.flush_frame(pid, &frame)?;
+        self.flush_frame(pid, &frame, true)?;
         Ok(true)
     }
 
     /// Flushes every dirty page (checkpoint body).
     pub fn flush_all(&self) -> DbResult<()> {
-        for pid in self.dirty_pages() {
-            self.flush_page(pid)?;
-        }
-        Ok(())
+        self.write_back(self.dirty_pages())
     }
 
     /// Number of resident frames (tests / introspection).

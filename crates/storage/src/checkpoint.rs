@@ -11,6 +11,9 @@
 //!     record T to checkpoint file
 //! ```
 //!
+//! The flush loop runs in page order, a run of adjacent pages per write
+//! ([`BufferPool::write_back`]): the same pages and bytes, fewer syscalls.
+//!
 //! The engine serializes the "which commits count" decision (it holds a
 //! commit gate while computing `T` and taking the snapshot); this module
 //! performs the flushing and owns the on-disk [`CheckpointRecord`],
@@ -81,9 +84,10 @@ impl Checkpointer {
     }
 
     /// Runs the checkpoint body for time `t` over an already-taken dirty
-    /// page snapshot: flush every page, persist directories, sync, then
-    /// durably record `t` (plus the per-table scan-start segments supplied
-    /// by the engine).
+    /// page snapshot: write every page back in page order, a run of
+    /// adjacent pages at a time ([`BufferPool::write_back`]), persist
+    /// directories, sync, then durably record `t` (plus the per-table
+    /// scan-start segments supplied by the engine).
     pub fn checkpoint(
         &self,
         pool: &BufferPool,
@@ -91,9 +95,7 @@ impl Checkpointer {
         dirty_snapshot: Vec<harbor_common::PageId>,
         scan_start: Vec<(TableId, u32)>,
     ) -> DbResult<Timestamp> {
-        for pid in dirty_snapshot {
-            pool.flush_page(pid)?;
-        }
+        pool.write_back(dirty_snapshot)?;
         for id in pool.table_ids() {
             let table = pool.table(id)?;
             table.persist_directory()?;

@@ -158,46 +158,83 @@ impl TableFile {
         Ok(buf)
     }
 
-    /// Writes page `page_no`, extending the file if needed, stamping the
-    /// checksum trailer into `data` — the caller's own image, which it holds
-    /// exclusively (the flush holds the frame's write latch); only a write
-    /// that draws an injected fault is composed in a private copy. Writes
-    /// may land beyond the current end (pages are allocated in memory and
-    /// can be flushed out of order); the intervening hole reads back as
-    /// zeroes, which the buffer pool interprets as "never flushed" — exactly
-    /// the state such pages are in after a crash.
+    /// Writes page `page_no`: a run of one ([`TableFile::write_run`]).
     pub fn write_page(&self, page_no: u32, data: &mut [u8; PAGE_SIZE]) -> DbResult<()> {
-        let crc = page_crc(data);
-        data[PAGE_PAYLOAD..].copy_from_slice(&crc.to_le_bytes());
-        let off = page_no as u64 * PAGE_SIZE as u64;
-        let fault = self
-            .fault_plan()
-            .and_then(|p| p.on_write(self.table_id(), page_no));
-        match fault {
-            None => self.file.write_all_at(&data[..], off)?,
-            Some(fault) => {
-                self.metrics.add_disk_faults_injected(1);
-                let mut image = Box::new(*data);
-                match fault {
-                    WriteFault::FlipBit { bit } => image[bit / 8] ^= 1 << (bit % 8),
-                    WriteFault::Torn { keep } => {
-                        // Only a sector-aligned prefix of the new image
-                        // reached the platter; the tail keeps its previous
-                        // contents except the final sector, which was
-                        // mid-write at the tear and reads back as garbage
-                        // (modeled as zeroes). The checksum trailer lives
-                        // there, so a torn page always fails verification.
-                        let old = self.read_page_raw(page_no)?;
-                        image[keep..].copy_from_slice(&old[keep..]);
-                        image[PAGE_SIZE - 512..].fill(0);
-                    }
-                }
-                self.file.write_all_at(&image[..], off)?;
+        self.write_run(page_no, &mut data[..])
+    }
+
+    /// Writes the page images laid end to end in `run` as pages `first`,
+    /// `first + 1`, …, extending the file if needed, with one positional
+    /// write. Each page's checksum trailer is stamped into `run` — the
+    /// caller's own copy — and each page draws its own fault decision, in
+    /// page order, so a run consumes the fault plan's ordinals exactly as
+    /// page-at-a-time writes would; a page that draws a fault is composed in
+    /// a private copy and written on its own, between the stretches before
+    /// and after it. Writes may land beyond the current end (pages are
+    /// allocated in memory and can be flushed out of order); the
+    /// intervening hole reads back as zeroes, which the buffer pool
+    /// interprets as "never flushed" — exactly the state such pages are in
+    /// after a crash.
+    pub fn write_run(&self, first: u32, run: &mut [u8]) -> DbResult<()> {
+        debug_assert!(run.len().is_multiple_of(PAGE_SIZE));
+        let plan = self.fault_plan();
+        // Pages `first + from ..` are stamped but not yet written.
+        let mut from = 0;
+        for (i, page_no) in (0..run.len() / PAGE_SIZE).zip(first..) {
+            let page = <&mut [u8; PAGE_SIZE]>::try_from(&mut run[i * PAGE_SIZE..][..PAGE_SIZE])
+                .map_err(|_| DbError::internal("a run is whole pages"))?;
+            let crc = page_crc(page);
+            page[PAGE_PAYLOAD..].copy_from_slice(&crc.to_le_bytes());
+            let fault = plan
+                .as_ref()
+                .and_then(|p| p.on_write(self.table_id(), page_no));
+            if let Some(fault) = fault {
+                let image = Box::new(*page);
+                self.write_stretch(first + from as u32, &run[from * PAGE_SIZE..i * PAGE_SIZE])?;
+                self.write_faulted(page_no, image, fault)?;
+                from = i + 1;
             }
         }
-        self.len.fetch_max(off + PAGE_SIZE as u64, Ordering::SeqCst);
-        self.metrics.add_page_writes(1);
+        self.write_stretch(first + from as u32, &run[from * PAGE_SIZE..])
+    }
+
+    /// One positional write of whole, stamped pages starting at `first`.
+    fn write_stretch(&self, first: u32, pages: &[u8]) -> DbResult<()> {
+        if pages.is_empty() {
+            return Ok(());
+        }
+        let off = first as u64 * PAGE_SIZE as u64;
+        self.file.write_all_at(pages, off)?;
+        self.len
+            .fetch_max(off + pages.len() as u64, Ordering::SeqCst);
+        self.metrics
+            .add_page_writes((pages.len() / PAGE_SIZE) as u64);
+        self.metrics.add_page_write_calls(1);
         Ok(())
+    }
+
+    /// Writes one stamped page as an injected `fault` leaves it.
+    fn write_faulted(
+        &self,
+        page_no: u32,
+        mut image: Box<[u8; PAGE_SIZE]>,
+        fault: WriteFault,
+    ) -> DbResult<()> {
+        self.metrics.add_disk_faults_injected(1);
+        match fault {
+            WriteFault::FlipBit { bit } => image[bit / 8] ^= 1 << (bit % 8),
+            WriteFault::Torn { keep } => {
+                // Only a sector-aligned prefix of the new image reached the
+                // platter; the tail keeps its previous contents except the
+                // final sector, which was mid-write at the tear and reads
+                // back as garbage (modeled as zeroes). The checksum trailer
+                // lives there, so a torn page always fails verification.
+                let old = self.read_page_raw(page_no)?;
+                image[keep..].copy_from_slice(&old[keep..]);
+                image[PAGE_SIZE - 512..].fill(0);
+            }
+        }
+        self.write_stretch(page_no, &image[..])
     }
 
     /// The current on-disk bytes of `page_no` with no checksum verification

@@ -28,7 +28,7 @@ pub mod lock;
 pub mod page;
 pub mod table;
 
-pub use buffer::{BufferPool, BulkAppender, PagePolicy, PoolRecovery};
+pub use buffer::{BufferPool, BulkAppender, PagePolicy, PoolRecovery, RUN_PAGES};
 pub use checkpoint::Checkpointer;
 pub use directory::{Directory, ScanBounds, SegmentMeta};
 pub use fault::{DiskFaultConfig, DiskFaultKind, DiskFaultPlan, TargetedFault, WriteFault};

@@ -265,13 +265,23 @@ impl SegmentedHeapFile {
     /// persist. This ordering keeps the on-disk directory conservative with
     /// respect to on-disk data (see `directory` module docs).
     pub fn write_page(&self, page_no: u32, page: &mut Page) -> DbResult<()> {
+        self.write_run(page_no, &mut page.as_bytes_mut()[..])
+    }
+
+    /// Writes the page images laid end to end in `run` as data pages
+    /// `first`, `first + 1`, … with one positional write
+    /// ([`TableFile::write_run`]), persisting the directory first if it is
+    /// stale for *any* of them — the rule of [`Self::write_page`], kept for
+    /// every page of the run.
+    pub fn write_run(&self, first: u32, run: &mut [u8]) -> DbResult<()> {
         {
             let mut dir = self.dir.lock();
-            if dir.is_stale(page_no) {
+            let pages = first..first + (run.len() / PAGE_SIZE) as u32;
+            if pages.into_iter().any(|p| dir.is_stale(p)) {
                 dir.persist(&self.file)?;
             }
         }
-        self.file.write_page(page_no, page.as_bytes_mut())
+        self.file.write_run(first, run)
     }
 
     /// Durability barrier for checkpoints.

@@ -1,7 +1,8 @@
 //! Failures *during* recovery (thesis §5.5) — scenarios the thesis
 //! describes but its implementation never exercised:
 //!
-//! * the recovering site dies after Phase 1 or Phase 2 and restarts
+//! * the recovering site dies after Phase 1, right after a Phase-2 pass
+//!   records its object checkpoint, or after Phase 2, and restarts
 //!   recovery, resuming from the finer-granularity per-object checkpoint;
 //! * the recovering site dies in Phase 3 while holding remote table read
 //!   locks, and the buddies override the orphaned locks (§5.5.1);
@@ -84,15 +85,22 @@ fn recovering_site_dies_after_each_phase_and_retries() {
         .unwrap_err();
     assert!(err.to_string().contains("injected"));
     assert!(cluster.is_crashed(victim));
-    // Second attempt dies after Phase 2 — its object checkpoint survives.
+    // The next dies right after its first pass records an object
+    // checkpoint: the rows that pass copied must be on disk by then, or
+    // every later attempt resumes past rows the site no longer has.
+    let err = cluster
+        .recover_worker_harbor_with(victim, failing(RecoveryFailPoint::AfterObjectCheckpoint))
+        .unwrap_err();
+    assert!(err.to_string().contains("injected"));
+    // The next dies after Phase 2 — its object checkpoint survives.
     let err = cluster
         .recover_worker_harbor_with(victim, failing(RecoveryFailPoint::AfterPhase2))
         .unwrap_err();
     assert!(err.to_string().contains("injected"));
     // Progress continues between attempts.
     fill(&cluster, 80, 90);
-    // Third attempt completes. The per-object checkpoint from attempt 2
-    // means Phase 2 copies only what arrived since then.
+    // The last attempt completes. The per-object checkpoint from the one
+    // before means Phase 2 copies only what arrived since then.
     let report = cluster.recover_worker_harbor(victim).unwrap();
     assert!(
         report.objects[0].checkpoint > Timestamp(30),
@@ -100,7 +108,7 @@ fn recovering_site_dies_after_each_phase_and_retries() {
     );
     assert_eq!(count_at(&cluster, victim), 90);
     assert_eq!(count_at(&cluster, SiteId(2)), 90);
-    // The third attempt should not have re-copied the attempt-2 tuples.
+    // The last attempt should not have re-copied the earlier attempts' tuples.
     assert!(
         report.tuples_copied() <= 15,
         "copied {} tuples; expected only the post-attempt-2 delta",
