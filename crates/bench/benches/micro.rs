@@ -276,7 +276,8 @@ fn bench_transport(c: &mut Criterion) {
 /// scan service loop (`ship_scan`) with the frames dropped instead of sent,
 /// and — the same rows going the other way — the recovering site's
 /// `RecoveredInserter` fed tuples (`apply_rows`) and fed `ship_zero_copy`'s
-/// own frames (`apply_wire`), each into a table of its own; and the key
+/// own frames (`apply_wire`), each into a table of its own, and fed
+/// `snapshot_reads`' load of history (`load_history`); and the key
 /// index fed keys in no order (`index_random`), its worst case, and fed a
 /// load of history (`index_history`), its common one.
 fn bench_scan(_c: &mut Criterion) {
@@ -505,6 +506,50 @@ fn bench_scan(_c: &mut Criterion) {
                 applied += rows;
             }
             applied
+        }),
+    );
+    // `snapshot_reads`' load: paper rows (a key and thirteen `Int32`s) in
+    // key order, every fourth key's superseded version beside its successor,
+    // staged and placed a page at a time into an empty table of their own;
+    // reported per row.
+    let paper: Vec<(String, FieldType)> = std::iter::once(("id".into(), FieldType::Int64))
+        .chain((0..13).map(|i| (format!("f{i}"), FieldType::Int32)))
+        .collect();
+    let history_rows: Vec<Tuple> = (0..rows)
+        .flat_map(|id| {
+            let at = 2 + (id as u64 / 4) % 1000;
+            let fields = |v: i32| {
+                std::iter::once(Value::Int64(id))
+                    .chain((0..13).map(move |i| Value::Int32(v + i)))
+                    .collect::<Vec<_>>()
+            };
+            let old =
+                (id % 4 == 0).then(|| Tuple::versioned(Timestamp(1), Timestamp(at), fields(-1)));
+            let new = match old {
+                Some(_) => Tuple::versioned(Timestamp(at), Timestamp::ZERO, fields(id as i32)),
+                None => Tuple::versioned(Timestamp(1), Timestamp::ZERO, fields(id as i32)),
+            };
+            old.into_iter().chain([new])
+        })
+        .collect();
+    let mut history_targets: Vec<TableId> = (0..=iters)
+        .map(|k| {
+            e.create_table(&format!("hist{k}"), paper.clone())
+                .unwrap()
+                .id
+        })
+        .collect();
+    measure(
+        "load_history",
+        history_rows.len() as u64,
+        Box::new(|| {
+            let target = history_targets.pop().expect("a table a sample");
+            let mut inserter = e.recovered_inserter(target).unwrap();
+            for t in &history_rows {
+                inserter.insert(black_box(t)).unwrap();
+            }
+            inserter.flush().unwrap();
+            history_rows.len()
         }),
     );
     // The key index's worst case: keys in no order, so no two form a run.

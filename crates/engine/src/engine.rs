@@ -879,7 +879,6 @@ impl Engine {
             appender: self.pool.bulk_appender(table_id)?,
             index: self.index(table_id)?,
             dlog: self.deletion_log(table_id)?,
-            placed: Vec::new(),
             stage: vec![0; slots_per_page(width).max(1) * width],
             staged: 0,
             floor,
@@ -917,24 +916,22 @@ impl Engine {
 
 /// See [`Engine::recovered_inserter`].
 ///
-/// Rows handed over as tuples are *staged*: encoded into a private buffer of
-/// one page's worth of rows and placed as one run — one latch hold, one
-/// annotation, one index and one deletion-log lock — when the stage is full,
-/// on [`flush`](Self::flush), before the next [`insert_wire`](Self::insert_wire)
-/// (so rows land in the order they were handed over) and on drop. A staged
-/// row is not visible to any reader until its run is placed (PostgreSQL's
-/// `COPY` buffers rows the same way), and bounds [`Engine::checkpoint`]
-/// until then. Drop places what is left like `BufWriter` does: its error is
+/// Every row is *staged* first: encoded into a private buffer of one page's
+/// worth of rows, outside any latch — a tuple by [`Tuple::write_fixed`], a
+/// scan reply's row by [`transcode_wire_to_fixed`] — and the stage is placed
+/// whole by one [`BulkAppender::place`](harbor_storage::BulkAppender::place):
+/// when it is full, on [`flush`](Self::flush), at the end of each
+/// [`insert_wire`](Self::insert_wire) (which places what was staged before it
+/// first, so rows land in the order they were handed over) and on drop. A
+/// staged row is not visible to any reader until it is placed (PostgreSQL's
+/// `COPY` buffers rows the same way), and bounds [`Engine::checkpoint`] until
+/// then. Drop places what is left like `BufWriter` does: its error is
 /// counted (`inserter_drop_failures`), not returned — call `flush` to see it.
 pub struct RecoveredInserter {
     table: Arc<SegmentedHeapFile>,
     appender: harbor_storage::BulkAppender,
     index: Arc<KeyIndex>,
     dlog: Arc<DeletionLog>,
-    /// Where the rows of the call in progress went, their keys and deletion
-    /// times: for the index and the deletion log, once the latch is dropped
-    /// (elsewhere both are locked *before* latches).
-    placed: Vec<(RecordId, i64, Timestamp)>,
     /// Room for one page of rows in their stored encoding; the first
     /// `staged` rows are waiting to be placed.
     stage: Vec<u8>,
@@ -952,16 +949,7 @@ impl RecoveredInserter {
     /// staged before it staged. Filling the stage places it; an error doing
     /// so is this call's, and the stage's rows not yet placed are dropped.
     pub fn insert(&mut self, tuple: &Tuple) -> DbResult<()> {
-        let desc = self.table.desc();
-        let width = desc.byte_width();
-        let row = &mut self.stage[self.staged * width..][..width];
-        tuple.write_fixed(desc, row)?;
-        let inserted = committed_insertion(row)?;
-        if inserted.0 < self.floor.load(Ordering::Relaxed) {
-            self.floor.store(inserted.0, Ordering::SeqCst);
-        }
-        self.staged += 1;
-        if self.staged * width == self.stage.len() {
+        if self.stage_row(|desc, row| tuple.write_fixed(desc, row))? {
             self.flush()?;
         }
         Ok(())
@@ -970,71 +958,72 @@ impl RecoveredInserter {
     /// Places the staged rows. On an error the rows before the failing one
     /// stay placed and the rest are dropped.
     pub fn flush(&mut self) -> DbResult<()> {
-        let rows = std::mem::take(&mut self.staged);
-        if rows == 0 {
-            return Ok(());
-        }
-        let stage = std::mem::take(&mut self.stage);
-        let mut at = 0;
-        let placed = self.place(
-            rows,
-            |_, slot| {
-                slot.copy_from_slice(&stage[at..at + slot.len()]);
-                at += slot.len();
-                Ok(())
-            },
-            |_| {},
-        );
-        self.stage = stage;
-        // Only now: until its rows are in their pages, the run bounds a
-        // checkpoint.
-        self.floor.store(u64::MAX, Ordering::SeqCst);
-        placed
+        self.place(|_| {})
     }
 
-    /// Places the next `rows` rows of a scan reply still in its receive
-    /// buffer, each transcoded from its wire layout into its slot, after the
-    /// staged ones. `placed` hears where each went; on an error the rows
-    /// before stay.
+    /// Stages the next `rows` rows of a scan reply still in its receive
+    /// buffer, each transcoded from its wire layout, after the staged ones,
+    /// and places them a stage at a time. `placed` hears where each went; on
+    /// an error the rows before stay, and nothing after the failing row is
+    /// read.
     pub fn insert_wire(
         &mut self,
         rows: usize,
         wire: &mut Decoder<'_>,
-        placed: impl FnMut(RecordId),
-    ) -> DbResult<()> {
-        self.flush()?;
-        self.place(
-            rows,
-            |desc, slot| transcode_wire_to_fixed(desc, wire, slot),
-            placed,
-        )
-    }
-
-    /// The one body of a recovered insert: `encode` writes each row into the
-    /// slot the cursor offers; it must carry a committed insertion time. The
-    /// deletion log and the index hear of the run once it is placed, under
-    /// one lock each.
-    fn place(
-        &mut self,
-        rows: usize,
-        mut encode: impl FnMut(&TupleDesc, &mut [u8]) -> DbResult<()>,
         mut placed: impl FnMut(RecordId),
     ) -> DbResult<()> {
-        let (desc, index, pending) = (self.table.desc(), &self.index, &mut self.placed);
-        let appended = self.appender.append(rows, |rid, slot| {
-            encode(desc, slot)?;
-            committed_insertion(slot)?;
-            let deleted = Timestamp(ts_word(slot, 8));
-            pending.push((rid, index.key_from_bytes(slot), deleted));
-            Ok(())
+        self.flush()?;
+        for _ in 0..rows {
+            match self.stage_row(|desc, row| transcode_wire_to_fixed(desc, wire, row)) {
+                Ok(false) => {}
+                Ok(true) => self.place(&mut placed)?,
+                Err(e) => {
+                    self.place(&mut placed)?;
+                    return Err(e);
+                }
+            }
+        }
+        self.place(placed)
+    }
+
+    /// Writes the next row into the stage with `encode` and checks that it
+    /// carries a committed insertion time. Returns whether the stage is full.
+    fn stage_row(
+        &mut self,
+        encode: impl FnOnce(&TupleDesc, &mut [u8]) -> DbResult<()>,
+    ) -> DbResult<bool> {
+        let desc = self.table.desc();
+        let width = desc.byte_width();
+        let row = &mut self.stage[self.staged * width..][..width];
+        encode(desc, row)?;
+        let inserted = committed_insertion(row)?;
+        if inserted.0 < self.floor.load(Ordering::Relaxed) {
+            self.floor.store(inserted.0, Ordering::SeqCst);
+        }
+        self.staged += 1;
+        Ok(self.staged * width == self.stage.len())
+    }
+
+    /// Places the stage with one cursor call and empties it. The deletion
+    /// log, the index and `placed` hear each run of slots it went to once
+    /// its page latch is dropped (elsewhere both are locked *before*
+    /// latches), read from the stage: one lock each a run. On an error the
+    /// rows before stay placed and the rest are dropped.
+    fn place(&mut self, mut placed: impl FnMut(RecordId)) -> DbResult<()> {
+        let width = self.table.tuple_size();
+        let rows = &self.stage[..std::mem::take(&mut self.staged) * width];
+        let (index, dlog) = (&self.index, &self.dlog);
+        let result = self.appender.place(rows, |first, rows| {
+            let rids = (first.slot..).map(|slot| RecordId::new(first.page, slot));
+            let run = || rows.chunks_exact(width).zip(rids.clone());
+            dlog.note_run(run().map(|(row, rid)| (rid, Timestamp(ts_word(row, 8)))));
+            index.insert_run(run().map(|(row, rid)| (index.key_from_bytes(row), rid)));
+            run().for_each(|(_, rid)| placed(rid));
         });
-        let run = &self.placed;
-        self.dlog
-            .note_run(run.iter().map(|&(rid, _, del)| (rid, del)));
-        self.index
-            .insert_run(run.iter().map(|&(rid, key, _)| (key, rid)));
-        self.placed.drain(..).for_each(|(rid, ..)| placed(rid));
-        appended
+        // Only now: until its rows are in their pages, the stage bounds a
+        // checkpoint.
+        self.floor.store(u64::MAX, Ordering::SeqCst);
+        result
     }
 }
 

@@ -103,7 +103,7 @@ fn nth_clear(mask: u64, n: u64) -> u64 {
 /// from `at`, each key's versions side by side in the order they came. Bit
 /// `i` of `rep` is set when slot `at + i` holds another version of the key
 /// in the slot before it; the mask covers the run's first 64 slots.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Run {
     len: u32,
     at: u64,
@@ -168,13 +168,15 @@ impl Run {
 /// registration number)`: a key's later versions are one range in the order
 /// they came, and a second version costs a slot in a B-tree node, not a map
 /// entry and a `Vec` of its own.
-#[derive(Default)]
+#[derive(Default, Debug, PartialEq)]
 struct Inner {
     built: bool,
     runs: BTreeMap<i64, Run>,
     open: Option<(i64, Run)>,
     hi: Option<i64>,
     first: HashMap<i64, u64, BuildHasherDefault<KeyHasher>>,
+    /// At least every key `first` has held: a key above it is in no bucket.
+    first_max: Option<i64>,
     /// The key last put in `first` on its own, and its place (a hint: what
     /// `first` holds for it now is checked before a run is started from it).
     last: Option<(i64, u64)>,
@@ -271,8 +273,50 @@ impl Inner {
             }
             Entry::Vacant(slot) => {
                 slot.insert(at);
+                self.first_max = self.first_max.max(Some(key));
                 self.last = Some((key, at));
             }
+        }
+    }
+
+    /// Puts `key`'s first-version word in `first`.
+    fn hash(&mut self, key: i64, word: u64) {
+        self.first.insert(key, word);
+        self.first_max = self.first_max.max(Some(key));
+    }
+
+    /// Registers the versions of a run in order, leaving what one
+    /// [`insert`](Self::insert) of each would leave. A version that extends
+    /// the open run — the next key, or the run's last key again, in the run's
+    /// next slot — grows it in place with no search: a next key above `hi`
+    /// and `first_max` is in no closed run and no bucket, so `insert` would do
+    /// just that. Any other version takes `insert`.
+    fn insert_run(&mut self, run: impl Iterator<Item = (i64, RecordId)>) {
+        // The open run's last key and slot count, and the key every next
+        // key must be above, while only this loop has grown the run.
+        let mut tail = None;
+        for (key, rid) in run {
+            let at = pack(rid);
+            if let Some((start, open)) = &mut self.open {
+                let (last, slots, floor) = *tail.get_or_insert_with(|| {
+                    let last = *start + (open.len as i64 - 1);
+                    (last, open.slots(), self.hi.max(self.first_max))
+                });
+                if at == open.at + slots && same_page(at, open.at) {
+                    if key == last && slots < 64 {
+                        open.rep |= 1 << slots;
+                        tail = Some((last, slots + 1, floor));
+                        continue;
+                    }
+                    if Some(key) == last.checked_add(1) && floor.is_none_or(|f| key > f) {
+                        open.len += 1;
+                        tail = Some((key, slots + 1, floor));
+                        continue;
+                    }
+                }
+            }
+            tail = None;
+            self.insert(key, rid);
         }
     }
 
@@ -291,9 +335,7 @@ impl Inner {
     fn close(&mut self, start: i64, run: Run) {
         match run.slots() {
             0 => {}
-            1 => {
-                self.first.insert(start, run.at);
-            }
+            1 => self.hash(start, run.at),
             _ => {
                 let last = start + (run.len - 1) as i64;
                 self.hi = Some(self.hi.map_or(last, |hi| hi.max(last)));
@@ -343,14 +385,14 @@ impl Inner {
     /// oldest first.
     fn file(&mut self, key: i64, mut versions: impl Iterator<Item = u64>) {
         if let Some(first) = versions.next() {
-            self.first.insert(key, first);
+            self.hash(key, first);
             versions.for_each(|at| self.add_later(key, first, at));
         }
     }
 
     /// Registers `at` as a later version of `key`, whose first is `first`.
     fn add_later(&mut self, key: i64, first: u64, at: u64) {
-        self.first.insert(key, first | HAS_MORE);
+        self.hash(key, first | HAS_MORE);
         self.registered += 1;
         self.more.insert((key, self.registered), at);
     }
@@ -441,11 +483,12 @@ impl KeyIndex {
     }
 
     /// [`insert`](Self::insert) for each `(key, version)` of a run, in order,
-    /// under one lock: a placed page of rows is one index call.
+    /// under one lock: a placed run of rows is one index call, and its keys
+    /// that extend the open run, as a load's do, cost no lookup.
     pub fn insert_run(&self, run: impl IntoIterator<Item = (i64, RecordId)>) {
         let mut g = self.inner.lock();
         if g.built {
-            run.into_iter().for_each(|(key, rid)| g.insert(key, rid));
+            g.insert_run(run.into_iter());
         }
     }
 
@@ -537,7 +580,58 @@ impl KeyIndex {
 
 #[cfg(test)]
 mod tests {
-    use super::nth_clear;
+    use super::{nth_clear, Inner};
+    use harbor_common::{PageId, RecordId, TableId};
+
+    /// A placed page heard as a run builds the very `Inner` — runs, open
+    /// run, buckets, later versions, hints — that one `insert` a version
+    /// builds: for loads in key order with history side by side, pages begun
+    /// mid-way, keys out of order, keys again in a later page, a run past the
+    /// mask's 64 slots, and removals in between.
+    #[test]
+    fn a_run_builds_what_per_key_inserts_build() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        for case in 0..400 {
+            let (mut per_key, mut by_run) = (Inner::default(), Inner::default());
+            let (mut key, mut page, mut slot) = (next(50) as i64, 1u32, 0u16);
+            let mut said: Vec<(i64, RecordId)> = Vec::new();
+            // Half the cases load in order, so runs reach the mask's end.
+            let (per_page, jumps) = (2 + next(120) as u16, case % 2 == 0);
+            for _ in 0..next(40) + 1 {
+                let mut run = Vec::new();
+                for _ in 0..next(per_page as u64) + 1 {
+                    key += match next(16) {
+                        0..=10 => 1,
+                        11..=13 => 0,
+                        14 if jumps => -(next(30) as i64),
+                        15 if jumps => next(1000) as i64,
+                        _ => 1,
+                    };
+                    if slot == per_page || next(40) == 0 {
+                        (page, slot) = (page + 1, next(3) as u16);
+                    }
+                    let rid = RecordId::new(PageId::new(TableId(1), page), slot);
+                    slot += 1;
+                    run.push((key, rid));
+                }
+                run.iter().for_each(|&(k, rid)| per_key.insert(k, rid));
+                by_run.insert_run(run.iter().copied());
+                said.extend(run);
+                if next(4) == 0 {
+                    let (k, rid) = said[next(said.len() as u64) as usize];
+                    per_key.remove(k, rid);
+                    by_run.remove(k, rid);
+                }
+                assert_eq!(by_run, per_key, "case {case}");
+            }
+        }
+    }
 
     #[test]
     fn nth_clear_counts_clear_bits_from_the_bottom() {

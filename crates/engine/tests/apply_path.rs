@@ -14,6 +14,10 @@
 //!   same map again when keys arrive in key and slot order, as runs, with
 //!   a key's versions side by side, and leave them; and a load in key
 //!   order, history and all, holds a run a page and nothing per key.
+//! * **Holes.** A page that rows were removed from is filled around the rows
+//!   still on it exactly as row at a time fills it, for plain and history
+//!   loads, and a load heard a page at a time as index runs leaves the shape
+//!   and the versions a per-key rebuild finds.
 
 use harbor_common::codec::{Decoder, Encoder};
 use harbor_common::config::PAGE_PAYLOAD;
@@ -171,7 +175,7 @@ struct State {
     deletions: Vec<(RecordId, Timestamp)>,
 }
 
-fn state(e: &Engine, table: TableId) -> State {
+fn state(e: &Engine, table: TableId, keys: std::ops::Range<i64>) -> State {
     let heap = e.pool().table(table).unwrap();
     let pages = heap
         .all_page_ids()
@@ -188,7 +192,7 @@ fn state(e: &Engine, table: TableId) -> State {
     State {
         pages,
         segments: heap.segments(),
-        index: (-1..9)
+        index: keys
             .map(|key| index.lookup(e.pool(), key).unwrap())
             .collect(),
         deletions: dlog.deleted_after(e.pool(), Timestamp::ZERO).unwrap(),
@@ -261,7 +265,7 @@ proptest! {
         drop(cursor);
         reference.flush(&old, table);
         prop_assert_eq!(new.pool().pinned_frames(), 0);
-        prop_assert_eq!(state(&new, table), state(&old, table));
+        prop_assert_eq!(state(&new, table, -1..9), state(&old, table, -1..9));
         // And what reached the disk is what is in memory: a cold index
         // rebuilt from the pages finds the same versions.
         new.pool().flush_all().unwrap();
@@ -854,4 +858,132 @@ fn a_refused_row_ends_the_run_with_the_rows_before_it_in_place() {
     assert_eq!(index.lookup(e.pool(), 4).unwrap(), vec![next]);
     drop((cursor, index, e));
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Rows for keys `keys`, every fourth key's superseded version (deleted at
+/// the successor's insertion) side by side before it when `history`.
+fn load_rows(keys: std::ops::Range<i64>, history: bool) -> Vec<Row> {
+    keys.flat_map(|key| {
+        let old = (history && key % 4 == 0).then_some((key, 2, 5 + key as u64 % 7, -1));
+        old.into_iter().chain([(key, 3, 0, key as i32)])
+    })
+    .collect()
+}
+
+/// Rows removed by `remove_physical` from the page the cursor holds and
+/// from the one before it leave holes; the next rows, as tuples and as wire
+/// bytes, fill them around the rows still there, then run on into new pages
+/// — in the very state row at a time reaches: page images, segment bounds,
+/// index and deletion log. For a plain load and a load of history.
+#[test]
+fn a_page_with_holes_is_filled_like_row_at_a_time() {
+    for history in [false, true] {
+        let (new, table, new_dir) = engine("holes-new");
+        let (old, _, old_dir) = engine("holes-old");
+        let per_page = slots_per_page(new.pool().table(table).unwrap().tuple_size());
+        let mut cursor = new.recovered_inserter(table).unwrap();
+        let mut reference = RowAtATime::new(&old, table);
+        let first = load_rows(0..(per_page * 3 / 2) as i64, history);
+        for row in &first {
+            cursor.insert(&tuple(*row)).unwrap();
+            reference.stage(&old, table, *row);
+        }
+        cursor.flush().unwrap();
+        reference.flush(&old, table);
+        // Holes: one alone, two side by side, the page's last row, and on
+        // the page before.
+        let pages = new.pool().table(table).unwrap().all_page_ids();
+        let holes = [(1, 1), (1, 4), (1, 5), (0, 0), (0, per_page - 1), (0, 7)];
+        for (page, slot) in holes {
+            let rid = RecordId::new(pages[page], slot as u16);
+            if new.pool().read_tuple_bytes(None, rid).is_ok() {
+                new.remove_physical(rid).unwrap();
+                old.remove_physical(rid).unwrap();
+            }
+        }
+        let next = first.last().unwrap().0 + 1;
+        let staged = load_rows(next..next + 5, history);
+        for row in &staged {
+            cursor.insert(&tuple(*row)).unwrap();
+            reference.stage(&old, table, *row);
+        }
+        let wired = load_rows(next + 5..next + 5 + per_page as i64, history);
+        let mut enc = Encoder::new();
+        wired.iter().for_each(|r| tuple(*r).write_wire(&mut enc));
+        let mut reply = Decoder::new(enc.as_slice());
+        let mut placed = Vec::new();
+        cursor
+            .insert_wire(wired.len(), &mut reply, |rid| placed.push(rid))
+            .unwrap();
+        reference.flush(&old, table);
+        let want: Vec<RecordId> = wired
+            .iter()
+            .map(|r| reference.insert(&old, table, *r))
+            .collect();
+        assert_eq!(placed, want, "history: {history}");
+        // The holes on the cursor's page took the first staged rows.
+        let page_one = |rid: &RecordId| rid.page == pages[1];
+        assert!(new
+            .index(table)
+            .unwrap()
+            .lookup(new.pool(), next)
+            .unwrap()
+            .iter()
+            .all(page_one));
+        drop(cursor);
+        let keys = -1..next + 5 + per_page as i64 + 1;
+        assert_eq!(
+            state(&new, table, keys.clone()),
+            state(&old, table, keys),
+            "history: {history}"
+        );
+        drop((new, old));
+        let _ = std::fs::remove_dir_all(new_dir);
+        let _ = std::fs::remove_dir_all(old_dir);
+    }
+}
+
+/// A load heard a run at a time — wire replies of odd sizes, so a page's
+/// keys arrive in pieces that extend the open run, and tuples a stage at a
+/// time — leaves the index the shape and the versions that registering one
+/// version at a time gives: the rebuild walks the same slots in the same
+/// order, a version at a time.
+#[test]
+fn a_run_of_keys_indexes_as_per_key_insertion_does() {
+    for history in [false, true] {
+        let (e, table, dir) = engine("runs-vs-keys");
+        let rows = load_rows(0..3_000, history);
+        let mut cursor = e.recovered_inserter(table).unwrap();
+        let (tuples, wired) = rows.split_at(rows.len() / 2);
+        tuples
+            .iter()
+            .for_each(|r| cursor.insert(&tuple(*r)).unwrap());
+        let mut rest = wired;
+        for size in [1usize, 2, 3, 5, 8, 13, 21, 34].iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (reply, after) = rest.split_at((*size).min(rest.len()));
+            let mut enc = Encoder::new();
+            reply.iter().for_each(|r| tuple(*r).write_wire(&mut enc));
+            cursor
+                .insert_wire(reply.len(), &mut Decoder::new(enc.as_slice()), |_| {})
+                .unwrap();
+            rest = after;
+        }
+        drop(cursor);
+        let index = e.index(table).unwrap();
+        let versions = |index: &KeyIndex| -> Vec<Vec<RecordId>> {
+            (-1..3_001)
+                .map(|k| index.lookup(e.pool(), k).unwrap())
+                .collect()
+        };
+        let (shape, found) = (index.shape(), versions(&index));
+        assert_eq!(index.len(), 3_000);
+        index.rebuild(e.pool()).unwrap();
+        assert_eq!(index.shape(), shape, "history: {history}");
+        assert_eq!(versions(&index), found, "history: {history}");
+        drop((index, e));
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

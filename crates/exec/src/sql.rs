@@ -342,8 +342,10 @@ fn agg_func(name: &str) -> Option<AggFunc> {
 // ----------------------------------------------------------------------
 
 /// Widest key range the planner will expand into individual index probes.
-/// The key index is a hash map, so a range read costs one probe per key;
-/// past this span a sequential scan wins.
+/// The key index holds keys as runs and hashed buckets (`KeyIndex`) and has
+/// no range lookup: a range read costs one probe per key — a run search or
+/// a hash lookup, then a page access for each version found. Past this span
+/// the plan is a sequential scan, which examines every stored row.
 const INDEX_PROBE_CAP: i64 = 256;
 
 /// If `pred` restricts the key column (stored column `key_col`) to an

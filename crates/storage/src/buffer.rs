@@ -27,7 +27,7 @@
 
 use crate::lock::{LockKey, LockManager, LockMode};
 use crate::page::Page;
-use crate::table::{ts_word, SegmentedHeapFile};
+use crate::table::SegmentedHeapFile;
 use harbor_common::config::PAGE_SIZE;
 use harbor_common::lockrank::{self, Rank};
 use harbor_common::{
@@ -410,6 +410,31 @@ impl BufferPool {
         Ok(())
     }
 
+    /// Allocates a page at the end of `table` and installs its blank frame,
+    /// pinned, as one step: the frame goes in under the directory lock
+    /// ([`SegmentedHeapFile::grow_with`]), so no prober can fault the page
+    /// in before it exists, [`Self::create_page`]'s race cannot arise, and
+    /// the page costs no read. Eviction waits until that lock is released:
+    /// a write-back takes it.
+    fn born_page(&self, table: &SegmentedHeapFile) -> DbResult<(PageId, Arc<Frame>)> {
+        let born = table.grow_with(|pid| {
+            let frame = Arc::new(Frame::fresh(Page::init(table.tuple_size()), false));
+            frame.pins.fetch_add(1, Ordering::SeqCst);
+            let _rank = lockrank::acquire(Rank::PoolShard);
+            let mut frames = self.shard(pid).frames.lock();
+            if frames.map.contains_key(&pid) {
+                return Err(DbError::internal(format!(
+                    "page {pid} is resident before its birth"
+                )));
+            }
+            frames.insert(pid, frame.clone());
+            Ok((pid, frame))
+        })?;
+        self.resident.fetch_add(1, Ordering::SeqCst);
+        self.evict_to_capacity()?;
+        Ok(born)
+    }
+
     fn evict_to_capacity(&self) -> DbResult<()> {
         while self.resident.load(Ordering::SeqCst) > self.capacity {
             let Some(victim) = self.find_victim() else {
@@ -695,6 +720,7 @@ impl BufferPool {
             pool: self.clone(),
             table,
             current: None,
+            runs: Vec::new(),
         })
     }
 
@@ -964,76 +990,65 @@ impl BufferPool {
 /// A per-thread append cursor created by [`BufferPool::bulk_appender`]: the
 /// write-side twin of the page visitor a scan reads through.
 ///
-/// The cursor fills pages it allocated itself ([`SegmentedHeapFile::grow`]),
-/// so N cursors converge to N disjoint hot pages instead of all probing the
-/// shared insert hint, and keeps its page's frame **pinned** from the
-/// fault-in until it turns the page or is dropped: a row costs no pool lookup
-/// and the page is never the clock's victim. The pin is not a latch — between
-/// two [`append`](Self::append)s anyone may read, flush or mutate the page.
-/// Pages it abandons as full join the table's normal free-slot accounting.
+/// The cursor fills pages it allocated itself, each born in the pool
+/// ([`BufferPool::born_page`]), so N cursors converge to N disjoint hot pages
+/// instead of all probing the shared insert hint, and keeps its page's frame
+/// **pinned** until it turns the page or is dropped: a row costs no pool
+/// lookup and the page is never the clock's victim. The pin is not a latch —
+/// between two [`place`](Self::place)s anyone may read, flush or mutate the
+/// page, and a transactional insert may take one of its free slots. Pages it
+/// abandons as full join the table's normal free-slot accounting.
 pub struct BulkAppender {
     pool: Arc<BufferPool>,
     table: Arc<SegmentedHeapFile>,
     current: Option<(PageId, Arc<Frame>)>,
+    /// The runs of slots of the page hold in progress, `(first slot, rows)`.
+    runs: Vec<(u16, usize)>,
 }
 
 impl BulkAppender {
-    /// Appends the `rows` rows the caller has in hand, latch-only (recovery
-    /// Phase 2 is lock-free at both sides, §5.4): `fill` writes each into the
-    /// slot it is given ([`Page::insert_with`]), and its error ends the
-    /// append with the rows before it in place. The write latch is taken once
-    /// for as many rows as the page has room for, and what they did to the
-    /// page is said once, before the latch drops
-    /// ([`SegmentedHeapFile::note_appended`]) — so `fill` runs under a frame
-    /// latch: it encodes; it does not wait or lock.
-    pub fn append(
+    /// Places the rows laid end to end in `rows`, each in its stored
+    /// encoding, latch-only (recovery Phase 2 is lock-free at both sides,
+    /// §5.4): into the free slots of the cursor's page, then of pages it
+    /// allocates. A page is one write-latch hold — one [`Page::fill`], and
+    /// what the rows did to the page said once, before the latch drops
+    /// ([`SegmentedHeapFile::note_appended`]). Once it drops, `placed` hears
+    /// each run of consecutive slots, in order: its first record id and its
+    /// rows. On an error the rows before stay placed, and were heard.
+    pub fn place(
         &mut self,
-        mut rows: usize,
-        mut fill: impl FnMut(RecordId, &mut [u8]) -> DbResult<()>,
+        mut rows: &[u8],
+        mut placed: impl FnMut(RecordId, &[u8]),
     ) -> DbResult<()> {
-        while rows > 0 {
+        let width = self.table.tuple_size();
+        if !rows.len().is_multiple_of(width) {
+            return Err(DbError::internal("bulk rows are not whole rows"));
+        }
+        while !rows.is_empty() {
             let Some((pid, frame)) = &self.current else {
-                let pid = self.table.grow()?;
-                // The normal faulting path, for `create_page`'s reason.
-                self.current = Some((pid, self.pool.frame(pid)?));
+                self.current = Some(self.pool.born_page(&self.table)?);
                 continue;
             };
             let pid = *pid;
-            // Rows placed under this hold, and `note_appended`'s summary.
-            let mut placed = 0;
-            let mut seen = (Timestamp::UNCOMMITTED, Timestamp::ZERO, Timestamp::ZERO);
-            let room_left = {
+            let filled = {
                 let _rank = lockrank::acquire(Rank::Frame);
                 let mut page = frame.page.write();
-                let room_left = loop {
-                    if placed == rows {
-                        break Ok(true);
-                    }
-                    match page.insert_with(|slot, bytes| {
-                        fill(RecordId::new(pid, slot), bytes)?;
-                        let ins = Timestamp(ts_word(bytes, 0));
-                        if ins.is_valid_commit_time() {
-                            seen = (seen.0.min(ins), seen.1.max(ins), seen.2);
-                        }
-                        let del = Timestamp(ts_word(bytes, 8));
-                        if del.is_valid_commit_time() {
-                            seen.2 = seen.2.max(del);
-                        }
-                        Ok(())
-                    }) {
-                        Ok(Some(_)) => placed += 1,
-                        Ok(None) => break Ok(false),
-                        Err(e) => break Err(e),
-                    }
-                };
-                if placed > 0 {
+                let runs = &mut self.runs;
+                let filled = page.fill(rows, |slot, n| runs.push((slot, n))) * width;
+                if filled > 0 {
                     frame.dirty.store(true, Ordering::SeqCst);
-                    self.table.note_appended(pid.page_no, seen);
+                    self.table.note_appended(pid.page_no, &rows[..filled]);
                 }
-                room_left
+                filled
             };
-            rows -= placed;
-            if !room_left? {
+            let (mine, rest) = rows.split_at(filled);
+            let mut at = 0;
+            for (slot, n) in self.runs.drain(..) {
+                placed(RecordId::new(pid, slot), &mine[at..at + n * width]);
+                at += n * width;
+            }
+            rows = rest;
+            if !rows.is_empty() {
                 // Full: by this cursor, or by an inserter probing candidates.
                 self.table.note_page_full(pid.page_no);
                 self.turn_page();
@@ -1271,11 +1286,12 @@ mod tests {
                         let mut app = pool.bulk_appender(TableId(1)).unwrap();
                         let mut rids = Vec::new();
                         // One run of all the rows: it spans several pages.
-                        app.append(per_thread, |rid, slot| {
-                            let id = t * per_thread + rids.len();
-                            slot.copy_from_slice(&tuple_bytes(id as i64));
-                            rids.push(rid);
-                            Ok(())
+                        let ids = (t * per_thread) as i64..((t + 1) * per_thread) as i64;
+                        let bytes: Vec<u8> = ids.flat_map(tuple_bytes).collect();
+                        let width = tuple_bytes(0).len();
+                        app.place(&bytes, |first, rows| {
+                            let slots = first.slot..first.slot + (rows.len() / width) as u16;
+                            rids.extend(slots.map(|slot| RecordId::new(first.page, slot)));
                         })
                         .unwrap();
                         rids

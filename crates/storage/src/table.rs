@@ -294,11 +294,22 @@ impl SegmentedHeapFile {
         self.dir.lock().persist(&self.file)
     }
 
-    /// What one hold of `page_no`'s write latch added to the page, said
-    /// before the latch drops — so a flush, which takes the same latch, never
-    /// writes rows the zone map and the directory have not heard of: the
-    /// page's summary goes, its segment widens ([`Directory::note_bounds`]).
-    pub fn note_appended(&self, page_no: u32, seen: (Timestamp, Timestamp, Timestamp)) {
+    /// What one hold of `page_no`'s write latch added to the page — `rows`,
+    /// laid end to end — said before the latch drops, so a flush, which
+    /// takes the same latch, never writes rows the zone map and the
+    /// directory have not heard of: the page's summary goes, its segment
+    /// widens to the rows' committed times ([`Directory::note_bounds`]).
+    pub fn note_appended(&self, page_no: u32, rows: &[u8]) {
+        let mut seen = (Timestamp::UNCOMMITTED, Timestamp::ZERO, Timestamp::ZERO);
+        for row in rows.chunks_exact(self.tuple_size()) {
+            let (ins, del) = (Timestamp(ts_word(row, 0)), Timestamp(ts_word(row, 8)));
+            if ins.is_valid_commit_time() {
+                seen = (seen.0.min(ins), seen.1.max(ins), seen.2);
+            }
+            if del.is_valid_commit_time() {
+                seen.2 = seen.2.max(del);
+            }
+        }
         self.invalidate_zone(page_no);
         self.dir.lock().note_bounds(page_no, seen);
     }
@@ -375,6 +386,14 @@ impl SegmentedHeapFile {
     /// last one has reached its budget (§4.2). Returns the new page id; the
     /// caller materializes the page in the buffer pool.
     pub fn grow(&self) -> DbResult<PageId> {
+        self.grow_with(Ok)
+    }
+
+    /// [`grow`](Self::grow), with `birth` run on the new page before the
+    /// directory lock drops. Every list of pages — [`Self::insert_candidates`],
+    /// a scan's, a write-back's directory check — takes that lock, so no
+    /// other thread can name the page until `birth` has returned.
+    pub fn grow_with<R>(&self, birth: impl FnOnce(PageId) -> DbResult<R>) -> DbResult<R> {
         let mut dir = self.dir.lock();
         if dir.last_segment_full(self.segment_pages) {
             let seg = dir.create_segment(&self.file)?;
@@ -388,7 +407,7 @@ impl SegmentedHeapFile {
             *self.insert_hint.lock() = Some(start);
         }
         let page_no = dir.allocate_page()?;
-        Ok(PageId::new(self.id, page_no))
+        birth(PageId::new(self.id, page_no))
     }
 
     /// Extends the segment map so that `page_no` is covered, replaying the

@@ -16,7 +16,7 @@
 //! * the shard counters are consistent: every shard took traffic, and the
 //!   per-shard resident counts sum to the pool's resident total.
 
-use harbor_common::{DiskProfile, FieldType, Metrics, TableId, TupleDesc};
+use harbor_common::{DiskProfile, FieldType, Metrics, RecordId, TableId, TupleDesc};
 use harbor_storage::{BufferPool, LockManager, PagePolicy, SegmentedHeapFile};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -108,13 +108,15 @@ fn stress(cursors: bool) {
                 let mut next = ids.start;
                 while next < ids.end {
                     let rows = (1 + next % 7).min(ids.end - next);
+                    let bytes: Vec<u8> = (next..next + rows).flat_map(tuple_bytes).collect();
                     let mut run = Vec::new();
                     cursor
-                        .append(rows as usize, |rid, slot| {
-                            slot.copy_from_slice(&tuple_bytes(next));
-                            run.push((rid, next));
-                            next += 1;
-                            Ok(())
+                        .place(&bytes, |first, rows| {
+                            let width = tuple_bytes(0).len();
+                            for slot in first.slot..first.slot + (rows.len() / width) as u16 {
+                                run.push((RecordId::new(first.page, slot), next));
+                                next += 1;
+                            }
                         })
                         .expect("append under pressure");
                     // Readable once the latch is dropped, i.e. now.

@@ -101,13 +101,8 @@ impl Site {
     fn load(&self, pages: usize) {
         let rows = pages * slots_per_page(desc().byte_width());
         let mut app = self.pool.bulk_appender(TABLE).unwrap();
-        let mut id = 0;
-        app.append(rows, |_, slot| {
-            slot.copy_from_slice(&row(id, 1));
-            id += 1;
-            Ok(())
-        })
-        .unwrap();
+        let bytes: Vec<u8> = (0..rows as u64).flat_map(|id| row(id, 1)).collect();
+        app.place(&bytes, |_, _| {}).unwrap();
         drop(app);
         assert_eq!(
             self.pool.table(TABLE).unwrap().num_data_pages() as usize,
