@@ -157,53 +157,45 @@ fn segment_size_sweep(scale: Scale) {
 }
 
 fn deletion_log_sweep(scale: Scale) {
-    // Fig 6-5's single-table HARBOR scenario with the §5.2-footnote
-    // deletion log on and off: the log should flatten the growth with the
-    // number of updated historical segments.
+    // Fig 6-5's single-table HARBOR scenario, the buddy answering Phase 2's
+    // deletion queries from the §5.2-footnote deletion log: recovery should
+    // stay flat as more historical segments are updated. (The segment-scan
+    // arm is gone with the knob that chose it.)
     let rps = rows_per_segment(&recovery_storage(scale));
     let prefill_segments = scale.pick(20i64, 30, 101);
     let prefill_rows = rps * prefill_segments;
     let per_segment = scale.pick(20usize, 50, 100);
     let mut rows = Vec::new();
     for segs in [0usize, 4, 8, 12] {
-        let mut times = Vec::new();
-        for use_log in [false, true] {
-            let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 2);
-            cfg.storage = recovery_storage(scale);
-            cfg.tables = vec![TableSpec::paper_table("t0")];
-            cfg.use_deletion_log = use_log;
-            let cluster = Cluster::build(
-                experiment_dir(&format!("ablation-dlog-{segs}-{use_log}")),
-                cfg,
-            )
-            .expect("cluster");
-            prefill(&cluster, "t0", prefill_rows).expect("prefill");
-            for seg in 0..segs as i64 {
-                for k in 0..per_segment {
-                    let key = seg * rps + (k as i64 % rps);
-                    cluster
-                        .run_txn(vec![harbor_workload::update_by_key_request(
-                            "t0", key, k as i32,
-                        )])
-                        .expect("update");
-                }
+        let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 2);
+        cfg.storage = recovery_storage(scale);
+        cfg.tables = vec![TableSpec::paper_table("t0")];
+        let cluster =
+            Cluster::build(experiment_dir(&format!("ablation-dlog-{segs}")), cfg).expect("cluster");
+        prefill(&cluster, "t0", prefill_rows).expect("prefill");
+        for seg in 0..segs as i64 {
+            for k in 0..per_segment {
+                let key = seg * rps + (k as i64 % rps);
+                cluster
+                    .run_txn(vec![harbor_workload::update_by_key_request(
+                        "t0", key, k as i32,
+                    )])
+                    .expect("update");
             }
-            let victim = SiteId(1);
-            cluster.crash_worker(victim).expect("crash");
-            let t0 = std::time::Instant::now();
-            cluster.recover_worker_harbor(victim).expect("recover");
-            times.push(t0.elapsed().as_secs_f64() * 1e3);
-            cluster.shutdown();
         }
+        let victim = SiteId(1);
+        cluster.crash_worker(victim).expect("crash");
+        let t0 = std::time::Instant::now();
+        cluster.recover_worker_harbor(victim).expect("recover");
         rows.push(vec![
             segs.to_string(),
-            format!("{:.1}", times[0]),
-            format!("{:.1}", times[1]),
+            format!("{:.1}", t0.elapsed().as_secs_f64() * 1e3),
         ]);
+        cluster.shutdown();
     }
     print_table(
-        "ablation 4: deletion log (the §5.2-footnote deletion vector),          recovery time (ms) vs historical segments updated",
-        &["segments updated", "segment scans", "deletion log"],
+        "ablation 4: deletion log (the §5.2-footnote deletion vector), recovery time (ms) vs historical segments updated",
+        &["segments updated", "recovery (ms)"],
         &rows,
     );
 }

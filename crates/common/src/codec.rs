@@ -22,11 +22,12 @@
 //!    its `LastUpdate` (a statement's own `Update` frame, then the PREPARE
 //!    trailer); `DbError`'s link class, which crosses as `Protocol`;
 //!    `Tuple`'s `u16` field count; `FieldType`'s width, present for every
-//!    type; `TuplesFrameBuilder`'s patch offsets; and the magic in front of
-//!    the catalog and checkpoint files.
+//!    type; `TuplesFrameBuilder`'s patch offsets; the magic in front of a
+//!    small file ([`to_file`]); and a segment directory's header page and a
+//!    log frame's header, fixed layouts written field after field.
 //!
-//! Fixed-offset page, directory and log-frame headers are not records and
-//! do not go through here.
+//! A slotted page's header is read at fixed offsets and does not go
+//! through here.
 
 use crate::error::{DbError, DbResult};
 use std::collections::BTreeMap;
@@ -118,16 +119,24 @@ impl Encoder {
     }
 }
 
+/// The most `Box`es a decoded value may open inside one another: deeper is
+/// [`DbError::Corrupt`]. Decoding, evaluating and dropping a boxed chain
+/// recurse, so an unbounded one lets a peer overflow a thread's stack. The
+/// SQL planner refuses an expression tree deeper than this.
+pub const MAX_DEPTH: usize = 64;
+
 /// Consuming decoder over a byte slice. All reads are bounds-checked and
 /// return [`DbError::Corrupt`] on underrun, never panicking on hostile input.
 #[derive(Debug)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
+    /// `Box`es open around the value being decoded.
+    depth: usize,
 }
 
 impl<'a> Decoder<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf }
+        Decoder { buf, depth: 0 }
     }
 
     fn need(&self, n: usize) -> DbResult<()> {
@@ -214,6 +223,27 @@ impl<'a> Decoder<'a> {
             )))
         }
     }
+}
+
+/// A small file's bytes: a four-byte `magic`, then `value`.
+pub fn to_file<T: Wire>(magic: &[u8; 4], value: &T) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_raw(magic);
+    value.encode(&mut enc);
+    enc.into_bytes()
+}
+
+/// The value in a file [`to_file`] wrote under `magic`. Another magic, a
+/// short file and trailing bytes are `Corrupt`.
+pub fn from_file<T: Wire>(magic: &[u8; 4], bytes: &[u8]) -> DbResult<T> {
+    let mut dec = Decoder::new(bytes);
+    if dec.take(magic.len())? != magic {
+        let magic = String::from_utf8_lossy(magic);
+        return Err(DbError::corrupt(format!("not a {magic} file")));
+    }
+    let value = T::decode(&mut dec)?;
+    dec.finish()?;
+    Ok(value)
 }
 
 /// Types with a binary layout: a field codec below, or a declaration made
@@ -393,7 +423,13 @@ impl<T: Wire> Wire for Box<T> {
     }
     #[inline]
     fn decode(dec: &mut Decoder<'_>) -> DbResult<Self> {
-        T::decode(dec).map(Box::new)
+        if dec.depth == MAX_DEPTH {
+            return Err(DbError::corrupt("value nests too deep"));
+        }
+        dec.depth += 1;
+        let value = T::decode(dec);
+        dec.depth -= 1;
+        value.map(Box::new)
     }
 }
 

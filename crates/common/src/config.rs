@@ -1,5 +1,9 @@
 //! Runtime configuration knobs shared by the storage and transaction layers.
 
+use crate::DbResult;
+use std::fs::File;
+use std::io::Write;
+use std::path::Path;
 use std::time::Duration;
 
 /// Page size used by the heap files and buffer pool. The thesis uses 4 KB
@@ -68,7 +72,10 @@ pub const DEFAULT_RETRY_BACKOFF: Duration = Duration::from_millis(10);
 /// real `fsync` can be ~10 µs, which would flatten Figures 6-2/6-3. The
 /// profile decides, per forced write, whether to issue a real `fsync` and/or
 /// sleep an emulated latency; every force is counted either way so Table 4.2
-/// is measured from real executions. See DESIGN.md §1.
+/// is measured from real executions. Its methods are the only code that
+/// issues a durability syscall: [`Self::sync`] and [`Self::charge`] for a
+/// forced write, [`Self::replace`] for a file rewritten whole. See
+/// DESIGN.md §1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DiskProfile {
     /// Issue a real `File::sync_data` on force.
@@ -104,6 +111,71 @@ impl DiskProfile {
             emulated_force_latency: Some(latency),
         }
     }
+
+    /// Makes what was written to `file` durable: a real `sync_data` iff
+    /// `real_fsync`. [`Self::charge`] is apart, so a caller can sync under a
+    /// lock and wait after dropping it.
+    pub fn sync(&self, file: &File) -> DbResult<()> {
+        if self.real_fsync {
+            file.sync_data()?;
+        }
+        Ok(())
+    }
+
+    /// Sleeps the emulated force latency, if the profile has one.
+    pub fn charge(&self) {
+        if let Some(lat) = self.emulated_force_latency {
+            std::thread::sleep(lat);
+        }
+    }
+
+    /// Replaces the file at `path` with `bytes`: write `<path>.tmp`, sync
+    /// it, rename it over `path`, then sync the directory so the rename is
+    /// durable. A crash leaves the old file or the new one, never neither
+    /// and never a torn one. The syncs follow the profile; the emulated
+    /// latency is the caller's to [`Self::charge`].
+    pub fn replace(&self, path: &Path, bytes: &[u8]) -> DbResult<()> {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        {
+            let mut f = File::create(&tmp)?;
+            f.write_all(bytes)?;
+            self.sync(&f)?;
+        }
+        crash_point(ReplaceStep::TempWritten)?;
+        std::fs::rename(&tmp, path)?;
+        crash_point(ReplaceStep::Renamed)?;
+        if self.real_fsync {
+            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+                File::open(parent)?.sync_all()?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A step of [`DiskProfile::replace`] a crash test stops it after: armed in
+/// [`CRASH_AFTER`], the thread's next `replace` returns `SiteDown` there, its
+/// files as a crash would leave them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReplaceStep {
+    /// The temp file is written and synced; `path` is untouched.
+    TempWritten,
+    /// The temp file is renamed over `path`; the directory is not synced.
+    Renamed,
+}
+
+thread_local! {
+    /// The step this thread's next [`DiskProfile::replace`] crashes after.
+    pub static CRASH_AFTER: std::cell::Cell<Option<ReplaceStep>> = const { std::cell::Cell::new(None) };
+}
+
+fn crash_point(step: ReplaceStep) -> DbResult<()> {
+    if CRASH_AFTER.get() != Some(step) {
+        return Ok(());
+    }
+    CRASH_AFTER.set(None);
+    Err(crate::DbError::SiteDown(format!("crashed after {step:?}")))
 }
 
 impl Default for DiskProfile {

@@ -89,9 +89,6 @@ pub struct ClusterConfig {
     /// disconnect (3PC).
     pub auto_consensus: bool,
     pub recovery: RecoveryConfig,
-    /// Serve deletion recovery queries from the deletion log (§5.2
-    /// footnote; ablation 4 compares on/off).
-    pub use_deletion_log: bool,
     /// Deterministic fault injection: when set, every inter-site link goes
     /// through a seeded [`ChaosTransport`]. The chaos layer is built
     /// *disabled* so cluster bootstrap is fault-free; tests flip it on via
@@ -135,7 +132,6 @@ impl ClusterConfig {
             tables: Vec::new(),
             auto_consensus: false,
             recovery: RecoveryConfig::default(),
-            use_deletion_log: true,
             chaos: None,
             disk_faults: None,
             crash_schedule: Arc::new(CrashSchedule::new()),
@@ -539,7 +535,6 @@ impl Cluster {
             peers,
             coordinator,
             auto_consensus: cfg.auto_consensus,
-            use_deletion_log: cfg.use_deletion_log,
             crash_schedule: cfg.crash_schedule.clone(),
         };
         let worker = Worker::start_with_listener(engine, transport, worker_cfg, listener)?;

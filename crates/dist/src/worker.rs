@@ -63,10 +63,6 @@ pub struct WorkerConfig {
     /// Automatically run the consensus protocol when the coordinator's
     /// connection drops mid-commit (3PC only; 2PC blocks by design).
     pub auto_consensus: bool,
-    /// Answer `ids_and_deletions_only` recovery queries from the per-table
-    /// deletion log instead of scanning segments (the §5.2-footnote
-    /// deletion vector; ablation 4 measures the difference).
-    pub use_deletion_log: bool,
     /// Cluster-wide crash schedule; the worker probes it at the protocol
     /// steps of [`CrashPoint`] (PREPARE vote, PTC ack, recovery scans,
     /// consensus resolution).
@@ -936,7 +932,7 @@ impl Worker {
         // Deletion-log fast path (§5.2 footnote): a pure deletion query is
         // answered from the ordered deletion log — cost proportional to the
         // number of deletions rather than to the segments they touched.
-        if self.cfg.use_deletion_log && scan.ids_and_deletions_only && scan.ins_after.is_none() {
+        if scan.ids_and_deletions_only && scan.ins_after.is_none() {
             if let Some(after) = scan.del_after {
                 return self.stream_deletions_from_log(scan, after, chan);
             }

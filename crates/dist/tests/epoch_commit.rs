@@ -91,7 +91,6 @@ fn build(
                 peers: peers.clone(),
                 coordinator: None,
                 auto_consensus: false,
-                use_deletion_log: true,
                 crash_schedule: crash_schedule.clone(),
             },
         )

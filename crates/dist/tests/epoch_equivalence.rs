@@ -116,7 +116,6 @@ fn build_mode(name: &str, case: u64, epoch: Option<EpochCommitConfig>, streams: 
                 peers: peers.clone(),
                 coordinator: None,
                 auto_consensus: false,
-                use_deletion_log: true,
                 crash_schedule: Default::default(),
             },
         )

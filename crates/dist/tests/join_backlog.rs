@@ -70,7 +70,6 @@ fn a_refused_statement_is_not_replayed_to_a_site_that_joins_later() {
             peers: HashMap::new(),
             coordinator: None,
             auto_consensus: false,
-            use_deletion_log: true,
             crash_schedule: Default::default(),
         };
         let worker = Worker::start(engine.clone(), transport.clone(), cfg).unwrap();

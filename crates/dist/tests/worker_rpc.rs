@@ -56,7 +56,6 @@ fn build(name: &str) -> Fixture {
             peers: HashMap::new(),
             coordinator: None,
             auto_consensus: false,
-            use_deletion_log: true,
             crash_schedule: Default::default(),
         },
     )
@@ -821,7 +820,6 @@ fn disk_backed_worker_survives_restart_of_its_server() {
             peers: HashMap::new(),
             coordinator: None,
             auto_consensus: false,
-            use_deletion_log: true,
             crash_schedule: Default::default(),
         },
     )
@@ -973,36 +971,12 @@ fn workers_reject_coordinator_only_requests() {
     let _ = std::fs::remove_dir_all(&f.dir);
 }
 
-/// The deletion-log fast path must return exactly what the segment-scan
-/// slow path returns, for every recovery deletion-query shape.
+/// The deletion-log fast path must return exactly what the segment scan
+/// returns, for every recovery deletion-query shape. The segment scan is the
+/// same query shipping whole rows, which the log cannot answer, projected to
+/// the `(tuple_id, deletion_time)` pairs the deletion query ships.
 #[test]
 fn deletion_log_fast_path_matches_segment_scan() {
-    // Build two identical workers: one with the log, one without.
-    let build_with = |name: &str, use_log: bool| -> Fixture {
-        let mut f = build(name);
-        if !use_log {
-            // Rebuild the worker with the flag off.
-            f.worker.stop();
-            let worker = Worker::start(
-                f.engine.clone(),
-                f.transport.clone(),
-                WorkerConfig {
-                    site: SiteId(1),
-                    addr: format!("rpc-{name}-2"),
-                    protocol: ProtocolKind::Opt3pc,
-                    checkpoint_every: None,
-                    peers: HashMap::new(),
-                    coordinator: None,
-                    auto_consensus: false,
-                    use_deletion_log: false,
-                    crash_schedule: Default::default(),
-                },
-            )
-            .unwrap();
-            f.worker = worker;
-        }
-        f
-    };
     let run_workload = |f: &Fixture| -> (Timestamp, Timestamp) {
         let rows: Vec<Vec<Value>> = (0..200i64)
             .map(|i| vec![Value::Int64(i), Value::Int32(0)])
@@ -1040,42 +1014,42 @@ fn deletion_log_fast_path_matches_segment_scan() {
         );
         (t_load, t_end)
     };
-    let query = |f: &Fixture, after: Timestamp, hwm: Timestamp| -> Vec<(i64, u64)> {
+    // `(key, deletion time)` of what a deletion query with these bounds
+    // finds: from the log as a recovering site asks it, or from the
+    // segments as the same scan shipping whole rows.
+    let query = |f: &Fixture, after: Timestamp, hwm: Timestamp, ids_only: bool| {
         let mut chan = f.connect();
         let mut scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(hwm));
-        scan.ids_and_deletions_only = true;
+        scan.ids_and_deletions_only = ids_only;
         scan.del_after = Some(after);
         scan.ins_at_or_before = Some(after);
+        // A whole row's key follows its two version columns.
+        let key = if ids_only { 0 } else { 2 };
         let mut out: Vec<(i64, u64)> = scan_rpc(chan.as_mut(), &scan)
             .unwrap()
             .iter()
-            .map(|t| (t.get(0).as_i64().unwrap(), t.get(1).as_time().unwrap().0))
+            .map(|t| (t.get(key).as_i64().unwrap(), t.get(1).as_time().unwrap().0))
             .collect();
         out.sort();
         out
     };
-    let fast = build_with("dlog-fast", true);
-    let slow = build_with("dlog-slow", false);
-    let (t_load_f, t_end_f) = run_workload(&fast);
-    let (t_load_s, t_end_s) = run_workload(&slow);
-    assert_eq!(
-        (t_load_f, t_end_f),
-        (t_load_s, t_end_s),
-        "same logical history"
-    );
+    let f = build("dlog");
+    let (t_load, t_end) = run_workload(&f);
     for (after, hwm) in [
-        (t_load_f, t_end_f),                  // everything since the load
-        (t_load_f, Timestamp(t_end_f.0 - 1)), // HWM masks the last deletion
-        (Timestamp(t_load_f.0 + 1), t_end_f), // skip the first deletion wave
-        (t_end_f, t_end_f),                   // nothing qualifies
+        (t_load, t_end),                  // everything since the load
+        (t_load, Timestamp(t_end.0 - 1)), // HWM masks the last deletion
+        (Timestamp(t_load.0 + 1), t_end), // skip the first deletion wave
+        (t_end, t_end),                   // nothing qualifies
         // Nothing comes after the last time (a peer may ask).
         (Timestamp::UNCOMMITTED, Timestamp::UNCOMMITTED),
     ] {
-        let a = query(&fast, after, hwm);
-        let b = query(&slow, after, hwm);
-        assert_eq!(a, b, "fast/slow divergence at after={after} hwm={hwm}");
+        let log = query(&f, after, hwm, true);
+        let segments = query(&f, after, hwm, false);
+        assert_eq!(
+            log, segments,
+            "log/segment divergence at after={after} hwm={hwm}"
+        );
     }
-    assert!(!query(&fast, t_load_f, t_end_f).is_empty());
-    let _ = std::fs::remove_dir_all(&fast.dir);
-    let _ = std::fs::remove_dir_all(&slow.dir);
+    assert!(!query(&f, t_load, t_end, true).is_empty());
+    let _ = std::fs::remove_dir_all(&f.dir);
 }

@@ -1,12 +1,11 @@
 //! The per-site table catalog: table names, ids, and user schemas,
 //! persisted in a small file so a restarted site can reopen its heaps.
 
-use harbor_common::codec::{Decoder, Encoder, Wire};
+use harbor_common::codec;
 use harbor_common::lockrank::{self, Rank};
-use harbor_common::{wire_struct, DbError, DbResult, FieldType, TableId, TupleDesc};
+use harbor_common::{wire_struct, DbError, DbResult, DiskProfile, FieldType, TableId, TupleDesc};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 wire_struct! {
@@ -39,11 +38,13 @@ impl TableDef {
 /// Persistent catalog for one site.
 pub struct Catalog {
     path: PathBuf,
+    /// How [`Catalog::add`] makes the file durable: the engine's profile.
+    disk: DiskProfile,
     tables: Mutex<BTreeMap<u32, TableDef>>,
 }
 
 impl Catalog {
-    pub fn open(path: impl AsRef<Path>) -> DbResult<Self> {
+    pub fn open(path: impl AsRef<Path>, disk: DiskProfile) -> DbResult<Self> {
         let path = path.as_ref().to_path_buf();
         let tables = match std::fs::read(&path) {
             Ok(bytes) => decode(&bytes)?,
@@ -52,6 +53,7 @@ impl Catalog {
         };
         Ok(Catalog {
             path,
+            disk,
             tables: Mutex::new(tables),
         })
     }
@@ -77,7 +79,7 @@ impl Catalog {
             user_fields,
         };
         tables.insert(id.0, def.clone());
-        self.save(&tables)?;
+        self.disk.replace(&self.path, &encode(&tables))?;
         Ok(def)
     }
 
@@ -89,46 +91,18 @@ impl Catalog {
             .cloned()
     }
 
-    pub fn by_id(&self, id: TableId) -> Option<TableDef> {
-        let _rank = lockrank::acquire(Rank::Catalog);
-        self.tables.lock().get(&id.0).cloned()
-    }
-
     pub fn all(&self) -> Vec<TableDef> {
         let _rank = lockrank::acquire(Rank::Catalog);
         self.tables.lock().values().cloned().collect()
     }
-
-    fn save(&self, tables: &BTreeMap<u32, TableDef>) -> DbResult<()> {
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&encode(tables))?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        Ok(())
-    }
 }
 
 fn encode(tables: &BTreeMap<u32, TableDef>) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_raw(MAGIC);
-    tables
-        .values()
-        .cloned()
-        .collect::<Vec<_>>()
-        .encode(&mut enc);
-    enc.into_bytes()
+    codec::to_file(MAGIC, &tables.values().cloned().collect::<Vec<_>>())
 }
 
 fn decode(bytes: &[u8]) -> DbResult<BTreeMap<u32, TableDef>> {
-    let mut dec = Decoder::new(bytes);
-    if dec.get_raw(MAGIC.len())? != MAGIC {
-        return Err(DbError::corrupt("bad catalog magic"));
-    }
-    let defs = Vec::<TableDef>::decode(&mut dec)?;
-    dec.finish()?;
+    let defs: Vec<TableDef> = codec::from_file(MAGIC, bytes)?;
     Ok(defs.into_iter().map(|def| (def.id.0, def)).collect())
 }
 
@@ -155,13 +129,13 @@ mod tests {
     #[test]
     fn add_and_reopen() {
         let path = temp("basic");
-        let cat = Catalog::open(&path).unwrap();
+        let cat = Catalog::open(&path, DiskProfile::fast()).unwrap();
         let def = cat.add("sales", fields()).unwrap();
         assert_eq!(def.id, TableId(1));
         let def2 = cat.add("returns", fields()).unwrap();
         assert_eq!(def2.id, TableId(2));
         drop(cat);
-        let cat = Catalog::open(&path).unwrap();
+        let cat = Catalog::open(&path, DiskProfile::fast()).unwrap();
         assert_eq!(cat.all().len(), 2);
         let back = cat.by_name("sales").unwrap();
         assert_eq!(back, def);
@@ -172,7 +146,7 @@ mod tests {
     #[test]
     fn rejects_duplicate_names_and_bad_key() {
         let path = temp("dups");
-        let cat = Catalog::open(&path).unwrap();
+        let cat = Catalog::open(&path, DiskProfile::fast()).unwrap();
         cat.add("t", fields()).unwrap();
         assert!(cat.add("t", fields()).is_err());
         assert!(cat.add("u", vec![("x".into(), FieldType::Int32)]).is_err());
@@ -182,9 +156,8 @@ mod tests {
     #[test]
     fn lookup_misses_return_none() {
         let path = temp("miss");
-        let cat = Catalog::open(&path).unwrap();
+        let cat = Catalog::open(&path, DiskProfile::fast()).unwrap();
         assert!(cat.by_name("nope").is_none());
-        assert!(cat.by_id(TableId(9)).is_none());
         let _ = std::fs::remove_file(&path);
     }
 

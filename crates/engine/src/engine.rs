@@ -178,7 +178,7 @@ impl Engine {
             dir.join("checkpoint"),
             opts.storage.disk,
         )?);
-        let catalog = Catalog::open(dir.join("catalog"))?;
+        let catalog = Catalog::open(dir.join("catalog"), opts.storage.disk)?;
         let engine = Engine {
             site: opts.site,
             dir: dir.clone(),

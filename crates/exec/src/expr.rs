@@ -119,6 +119,17 @@ impl Expr {
         Expr::Arith(ArithOp::Mul, Box::new(self), Box::new(other))
     }
 
+    /// Nodes on the longest path from this one to a leaf.
+    pub fn depth(&self) -> usize {
+        1 + match self {
+            Expr::Col(_) | Expr::Lit(_) => 0,
+            Expr::Not(a) => a.depth(),
+            Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+                a.depth().max(b.depth())
+            }
+        }
+    }
+
     /// Evaluates against `tuple`. A column the tuple does not have is
     /// [`DbError::Schema`](harbor_common::DbError::Schema): an expression
     /// may have come off the wire.

@@ -24,6 +24,7 @@ use crate::expr::{ArithOp, CmpOp, Expr};
 use crate::op::{Filter, Limit, Operator, Project, Values};
 use crate::scan::{index_lookup, ReadMode, SeqScan};
 use crate::{run_delete, run_update};
+use harbor_common::codec::MAX_DEPTH;
 use harbor_common::{DbError, DbResult, FieldType, TransactionId, Tuple, TupleDesc, Value};
 use harbor_engine::Engine;
 
@@ -40,6 +41,12 @@ enum Tok {
     End,
 }
 
+/// Every symbol, a two-character one before its one-character prefix;
+/// `!=` is read as `<>`.
+const SYMBOLS: [&str; 15] = [
+    "<=", "<>", ">=", "!=", "(", ")", ",", "*", "+", "-", "/", "%", "=", "<", ">",
+];
+
 fn lex(input: &str) -> DbResult<Vec<Tok>> {
     let b = input.as_bytes();
     let mut i = 0;
@@ -48,63 +55,13 @@ fn lex(input: &str) -> DbResult<Vec<Tok>> {
         let c = b[i] as char;
         match c {
             ' ' | '\t' | '\n' | '\r' => i += 1,
-            '(' | ')' | ',' | '*' | '+' | '-' | '/' | '%' => {
-                out.push(Tok::Sym(match c {
-                    '(' => "(",
-                    ')' => ")",
-                    ',' => ",",
-                    '*' => "*",
-                    '+' => "+",
-                    '-' => "-",
-                    '/' => "/",
-                    _ => "%",
-                }));
-                i += 1;
-            }
-            '=' => {
-                out.push(Tok::Sym("="));
-                i += 1;
-            }
-            '<' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push(Tok::Sym("<="));
-                    i += 2;
-                } else if b.get(i + 1) == Some(&b'>') {
-                    out.push(Tok::Sym("<>"));
-                    i += 2;
-                } else {
-                    out.push(Tok::Sym("<"));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push(Tok::Sym(">="));
-                    i += 2;
-                } else {
-                    out.push(Tok::Sym(">"));
-                    i += 1;
-                }
-            }
-            '!' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push(Tok::Sym("<>"));
-                    i += 2;
-                } else {
-                    return Err(DbError::Schema("unexpected '!'".into()));
-                }
-            }
             '\'' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < b.len() && b[j] != b'\'' {
-                    j += 1;
-                }
-                if j >= b.len() {
-                    return Err(DbError::Schema("unterminated string literal".into()));
-                }
-                out.push(Tok::Str(input[start..j].to_string()));
-                i = j + 1;
+                let len = b[i + 1..]
+                    .iter()
+                    .position(|&c| c == b'\'')
+                    .ok_or_else(|| DbError::Schema("unterminated string literal".into()))?;
+                out.push(Tok::Str(input[i + 1..i + 1 + len].to_string()));
+                i += len + 2;
             }
             '0'..='9' => {
                 let start = i;
@@ -123,7 +80,14 @@ fn lex(input: &str) -> DbResult<Vec<Tok>> {
                 }
                 out.push(Tok::Ident(input[start..i].to_ascii_lowercase()));
             }
-            other => return Err(DbError::Schema(format!("unexpected character {other:?}"))),
+            _ => {
+                let sym = SYMBOLS
+                    .into_iter()
+                    .find(|sym| b[i..].starts_with(sym.as_bytes()))
+                    .ok_or_else(|| DbError::Schema(format!("unexpected character {c:?}")))?;
+                out.push(Tok::Sym(if sym == "!=" { "<>" } else { sym }));
+                i += sym.len();
+            }
         }
     }
     out.push(Tok::End);
@@ -138,9 +102,31 @@ struct Parser<'a> {
     toks: Vec<Tok>,
     at: usize,
     desc: Option<&'a TupleDesc>,
+    /// `NOT`s, parentheses and unary minuses open around the parse.
+    nesting: usize,
+}
+
+/// Refuses an expression tree deeper than [`MAX_DEPTH`], which a peer would
+/// refuse to decode.
+fn bounded(e: Expr) -> DbResult<Expr> {
+    if e.depth() > MAX_DEPTH {
+        return Err(DbError::Schema(format!(
+            "expression tree is deeper than {MAX_DEPTH}"
+        )));
+    }
+    Ok(e)
 }
 
 impl<'a> Parser<'a> {
+    fn new(sql: &str) -> DbResult<Self> {
+        Ok(Parser {
+            toks: lex(sql)?,
+            at: 0,
+            desc: None,
+            nesting: 0,
+        })
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.at]
     }
@@ -217,25 +203,58 @@ impl<'a> Parser<'a> {
         self.or_expr()
     }
 
-    fn or_expr(&mut self) -> DbResult<Expr> {
-        let mut e = self.and_expr()?;
-        while self.eat_kw("or") {
-            e = e.or(self.and_expr()?);
+    /// Parses with `f` one `NOT`, parenthesis or unary minus deeper,
+    /// refusing past [`MAX_DEPTH`]: the parser recurses once for each.
+    fn nested(&mut self, f: impl FnOnce(&mut Self) -> DbResult<Expr>) -> DbResult<Expr> {
+        if self.nesting == MAX_DEPTH {
+            return Err(DbError::Schema(format!(
+                "more than {MAX_DEPTH} NOTs, parentheses and minus signs nest"
+            )));
         }
-        Ok(e)
+        self.nesting += 1;
+        let e = f(self);
+        self.nesting -= 1;
+        e
+    }
+
+    fn or_expr(&mut self) -> DbResult<Expr> {
+        self.chain("or", Self::and_expr, Expr::or)
     }
 
     fn and_expr(&mut self) -> DbResult<Expr> {
-        let mut e = self.not_expr()?;
-        while self.eat_kw("and") {
-            e = e.and(self.not_expr()?);
+        self.chain("and", Self::not_expr, Expr::and)
+    }
+
+    /// Parses `term (kw term)*` and joins the terms with `join` as a
+    /// balanced tree: `n` terms add about log2(n) levels, not `n`, and still
+    /// evaluate left to right with the same short-circuits.
+    fn chain(
+        &mut self,
+        kw: &str,
+        term: fn(&mut Self) -> DbResult<Expr>,
+        join: fn(Expr, Expr) -> Expr,
+    ) -> DbResult<Expr> {
+        let mut terms = vec![term(self)?];
+        while self.eat_kw(kw) {
+            terms.push(term(self)?);
         }
-        Ok(e)
+        while terms.len() > 1 {
+            let mut pairs = std::mem::take(&mut terms).into_iter();
+            while let Some(a) = pairs.next() {
+                terms.push(match pairs.next() {
+                    Some(b) => join(a, b),
+                    None => a,
+                });
+            }
+        }
+        terms
+            .pop()
+            .map_or_else(|| Err(DbError::internal("a chain with no terms")), bounded)
     }
 
     fn not_expr(&mut self) -> DbResult<Expr> {
         if self.eat_kw("not") {
-            Ok(self.not_expr()?.not())
+            self.nested(|p| bounded(p.not_expr()?.not()))
         } else {
             self.cmp_expr()
         }
@@ -254,7 +273,7 @@ impl<'a> Parser<'a> {
         };
         self.next();
         let rhs = self.add_expr()?;
-        Ok(Expr::Cmp(op, Box::new(lhs), Box::new(rhs)))
+        bounded(Expr::Cmp(op, Box::new(lhs), Box::new(rhs)))
     }
 
     fn add_expr(&mut self) -> DbResult<Expr> {
@@ -266,7 +285,7 @@ impl<'a> Parser<'a> {
                 _ => return Ok(e),
             };
             self.next();
-            e = Expr::Arith(op, Box::new(e), Box::new(self.mul_expr()?));
+            e = bounded(Expr::Arith(op, Box::new(e), Box::new(self.mul_expr()?)))?;
         }
     }
 
@@ -280,7 +299,7 @@ impl<'a> Parser<'a> {
                 _ => return Ok(e),
             };
             self.next();
-            e = Expr::Arith(op, Box::new(e), Box::new(self.primary()?));
+            e = bounded(Expr::Arith(op, Box::new(e), Box::new(self.primary()?)))?;
         }
     }
 
@@ -288,16 +307,18 @@ impl<'a> Parser<'a> {
         match self.next() {
             Tok::Int(n) => Ok(Expr::lit(n)),
             Tok::Str(s) => Ok(Expr::lit(s.as_str())),
-            Tok::Sym("(") => {
-                let e = self.expr()?;
-                self.expect_sym(")")?;
+            Tok::Sym("(") => self.nested(|p| {
+                let e = p.expr()?;
+                p.expect_sym(")")?;
                 Ok(e)
-            }
-            Tok::Sym("-") => Ok(Expr::Arith(
-                ArithOp::Sub,
-                Box::new(Expr::lit(0i64)),
-                Box::new(self.primary()?),
-            )),
+            }),
+            Tok::Sym("-") => self.nested(|p| {
+                bounded(Expr::Arith(
+                    ArithOp::Sub,
+                    Box::new(Expr::lit(0i64)),
+                    Box::new(p.primary()?),
+                ))
+            }),
             Tok::Ident(name) => Ok(Expr::col(self.column(&name)?)),
             t => Err(DbError::Schema(format!("unexpected token {t:?}"))),
         }
@@ -454,12 +475,7 @@ fn plan_source(
 /// Runs a read-only `SELECT`, returning its rows. `AS OF <n>` picks the
 /// snapshot; otherwise the site's latest applied time is used.
 pub fn query(engine: &Engine, sql: &str) -> DbResult<Vec<Tuple>> {
-    let toks = lex(sql)?;
-    let mut p = Parser {
-        toks,
-        at: 0,
-        desc: None,
-    };
+    let mut p = Parser::new(sql)?;
     p.expect_kw("select")?;
     // Scan the select list tokens first without a schema: we need the table
     // name to bind columns, so parse in two passes — remember position.
@@ -612,12 +628,7 @@ pub fn query(engine: &Engine, sql: &str) -> DbResult<Vec<Tuple>> {
 /// Executes an `INSERT` / `DELETE` / `UPDATE` under `tid`; returns affected
 /// row count. The caller owns commit/abort.
 pub fn execute(engine: &Engine, tid: TransactionId, sql: &str) -> DbResult<usize> {
-    let toks = lex(sql)?;
-    let mut p = Parser {
-        toks,
-        at: 0,
-        desc: None,
-    };
+    let mut p = Parser::new(sql)?;
     if p.eat_kw("insert") {
         p.expect_kw("into")?;
         let table = p.ident()?;
@@ -853,6 +864,55 @@ mod tests {
         assert!(execute(&e, t, "DROP TABLE sales").is_err());
         e.abort(t, StepLogging::OFF).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The planner builds no expression tree a peer would refuse to decode,
+    /// and its recursion is bounded: `NOT`s, parentheses and minus signs
+    /// nest up to `MAX_DEPTH`, an `id + 1 + ...` chain plans while its tree
+    /// fits, and a long `OR` or `AND` list is a balanced tree that always does.
+    #[test]
+    fn expressions_nest_at_most_max_depth() {
+        let (e, dir) = setup("depth");
+        load(&e);
+        let plan = |pred: String| query(&e, &format!("SELECT * FROM sales WHERE {pred}"));
+        let nots = |n| format!("{}id = 1", "NOT ".repeat(n));
+        let parens = |n| format!("{}id{} = 1", "(".repeat(n), ")".repeat(n));
+        let minuses = |n| format!("id = {}1", "- ".repeat(n));
+        let sums = |n| format!("id{} = 1", " + 1".repeat(n));
+        let (tree, nest) = ("tree is deeper", "minus signs nest");
+        // A `NOT` is a level; `id = 1` two more.
+        for (deepest, too_deep, refusal) in [
+            (nots(MAX_DEPTH - 2), nots(MAX_DEPTH - 1), tree),
+            (nots(0), nots(100_000), nest),
+            (parens(MAX_DEPTH), parens(MAX_DEPTH + 1), nest),
+            (parens(MAX_DEPTH), parens(100_000), nest),
+            (minuses(MAX_DEPTH - 2), minuses(MAX_DEPTH - 1), tree),
+            (minuses(MAX_DEPTH - 2), minuses(100_000), nest),
+            (sums(MAX_DEPTH - 2), sums(MAX_DEPTH - 1), tree),
+        ] {
+            plan(deepest).unwrap();
+            let err = plan(too_deep).unwrap_err();
+            assert!(err.to_string().contains(refusal), "{err}");
+        }
+        for join in [" OR ", " AND "] {
+            let rows = plan(vec!["id > 0"; 1_000].join(join)).unwrap();
+            assert_eq!(rows.len(), plan("id > 0".into()).unwrap().len());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lexes_every_symbol() {
+        let syms = |sql| -> Vec<&str> {
+            let toks = lex(sql).unwrap().into_iter();
+            toks.filter_map(|t| if let Tok::Sym(s) = t { Some(s) } else { None })
+                .collect()
+        };
+        let mut all = SYMBOLS.to_vec();
+        all[3] = "<>";
+        assert_eq!(syms("a<=b<>c>=d!=e(f)g,h*i+j-k/l%m=n<o>p"), all);
+        assert_eq!(syms("a < = b > = c"), ["<", "=", ">", "="]);
+        assert!(lex("a ! b").is_err());
     }
 
     #[test]

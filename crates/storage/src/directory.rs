@@ -28,24 +28,28 @@
 //! [`Directory::is_stale`] / persist hooks to enforce this.
 
 use crate::file::TableFile;
+use harbor_common::codec::{Decoder, Encoder, Wire};
 use harbor_common::config::PAGE_SIZE;
-use harbor_common::{DbError, DbResult, SegmentNo, Timestamp};
+use harbor_common::{wire_struct, DbError, DbResult, SegmentNo, Timestamp};
 
-/// Annotations and extent of one segment.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct SegmentMeta {
-    /// Smallest committed insertion timestamp ([`Timestamp::UNCOMMITTED`]
-    /// until the first commit touches the segment).
-    pub tmin_insert: Timestamp,
-    /// Largest committed insertion timestamp ([`Timestamp::ZERO`] until the
-    /// first commit).
-    pub tmax_insert: Timestamp,
-    /// Most recent deletion/update time ([`Timestamp::ZERO`] if none).
-    pub tmax_delete: Timestamp,
-    /// First data page of the segment.
-    pub start_page: u32,
-    /// Data pages currently allocated to the segment.
-    pub page_count: u32,
+wire_struct! {
+    /// Annotations and extent of one segment: a header page's entry is
+    /// these fields in this order, [`ENTRY_LEN`] bytes.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub struct SegmentMeta {
+        /// Smallest committed insertion timestamp ([`Timestamp::UNCOMMITTED`]
+        /// until the first commit touches the segment).
+        pub tmin_insert: Timestamp,
+        /// Largest committed insertion timestamp ([`Timestamp::ZERO`] until the
+        /// first commit).
+        pub tmax_insert: Timestamp,
+        /// Most recent deletion/update time ([`Timestamp::ZERO`] if none).
+        pub tmax_delete: Timestamp,
+        /// First data page of the segment.
+        pub start_page: u32,
+        /// Data pages currently allocated to the segment.
+        pub page_count: u32,
+    }
 }
 
 impl SegmentMeta {
@@ -143,11 +147,10 @@ impl ScanBounds {
     }
 }
 
+/// A header page opens with the magic, the tuple size (`u32`), its entry
+/// count (`u16`) and the next header page's number (`u32`, 0 = none); its
+/// entries follow.
 const MAGIC: u32 = 0x4842_5347; // "HBSG"
-const HDR_MAGIC: usize = 0;
-const HDR_TUPLE_SIZE: usize = 4;
-const HDR_ENTRIES: usize = 8;
-const HDR_NEXT: usize = 10; // next header page number, 0 = none
 const HDR_LEN: usize = 14;
 const ENTRY_LEN: usize = 32;
 const ENTRIES_PER_PAGE: usize = (PAGE_SIZE - HDR_LEN) / ENTRY_LEN;
@@ -185,36 +188,26 @@ impl Directory {
         loop {
             header_pages.push(page_no);
             let page = file.read_page(page_no)?;
-            let magic = u32::from_le_bytes(page[HDR_MAGIC..HDR_MAGIC + 4].try_into().unwrap());
-            if magic != MAGIC {
+            let mut dec = Decoder::new(&page[..]);
+            if dec.get_u32()? != MAGIC {
                 return Err(DbError::corrupt(format!(
                     "bad segment directory magic on page {page_no}"
                 )));
             }
-            let ts =
-                u32::from_le_bytes(page[HDR_TUPLE_SIZE..HDR_TUPLE_SIZE + 4].try_into().unwrap());
+            let ts = dec.get_u32()?;
             if ts != expect_tuple_size {
                 return Err(DbError::corrupt(format!(
                     "directory tuple size {ts} does not match schema width {expect_tuple_size}"
                 )));
             }
-            let n =
-                u16::from_le_bytes(page[HDR_ENTRIES..HDR_ENTRIES + 2].try_into().unwrap()) as usize;
+            let n = dec.get_u16()? as usize;
             if n > ENTRIES_PER_PAGE {
                 return Err(DbError::corrupt("directory entry count out of range"));
             }
-            for i in 0..n {
-                let off = HDR_LEN + i * ENTRY_LEN;
-                let e = &page[off..off + ENTRY_LEN];
-                segments.push(SegmentMeta {
-                    tmin_insert: Timestamp(u64::from_le_bytes(e[0..8].try_into().unwrap())),
-                    tmax_insert: Timestamp(u64::from_le_bytes(e[8..16].try_into().unwrap())),
-                    tmax_delete: Timestamp(u64::from_le_bytes(e[16..24].try_into().unwrap())),
-                    start_page: u32::from_le_bytes(e[24..28].try_into().unwrap()),
-                    page_count: u32::from_le_bytes(e[28..32].try_into().unwrap()),
-                });
+            let next = dec.get_u32()?;
+            for _ in 0..n {
+                segments.push(SegmentMeta::decode(&mut dec)?);
             }
-            let next = u32::from_le_bytes(page[HDR_NEXT..HDR_NEXT + 4].try_into().unwrap());
             if next == 0 {
                 break;
             }
@@ -385,21 +378,15 @@ impl Directory {
             let page_no = *self.header_pages.get(chunk_idx).ok_or_else(|| {
                 DbError::internal("directory grew past its header chain without allocation")
             })?;
-            let mut page = [0u8; PAGE_SIZE];
-            page[HDR_MAGIC..HDR_MAGIC + 4].copy_from_slice(&MAGIC.to_le_bytes());
-            page[HDR_TUPLE_SIZE..HDR_TUPLE_SIZE + 4]
-                .copy_from_slice(&self.tuple_size.to_le_bytes());
-            page[HDR_ENTRIES..HDR_ENTRIES + 2].copy_from_slice(&(chunk.len() as u16).to_le_bytes());
             let next = self.header_pages.get(chunk_idx + 1).copied().unwrap_or(0);
-            page[HDR_NEXT..HDR_NEXT + 4].copy_from_slice(&next.to_le_bytes());
-            for (i, m) in chunk.iter().enumerate() {
-                let off = HDR_LEN + i * ENTRY_LEN;
-                page[off..off + 8].copy_from_slice(&m.tmin_insert.0.to_le_bytes());
-                page[off + 8..off + 16].copy_from_slice(&m.tmax_insert.0.to_le_bytes());
-                page[off + 16..off + 24].copy_from_slice(&m.tmax_delete.0.to_le_bytes());
-                page[off + 24..off + 28].copy_from_slice(&m.start_page.to_le_bytes());
-                page[off + 28..off + 32].copy_from_slice(&m.page_count.to_le_bytes());
-            }
+            let mut enc = Encoder::with_capacity(HDR_LEN + chunk.len() * ENTRY_LEN);
+            enc.put_u32(MAGIC);
+            enc.put_u32(self.tuple_size);
+            enc.put_u16(chunk.len() as u16);
+            enc.put_u32(next);
+            SegmentMeta::encode_all(chunk, &mut enc);
+            let mut page = [0u8; PAGE_SIZE];
+            page[..enc.len()].copy_from_slice(enc.as_slice());
             file.write_page(page_no, &mut page)?;
         }
         self.persisted = self.segments.clone();

@@ -1,13 +1,12 @@
 //! Raw page-granular file I/O and the on-disk checkpoint record.
 
 use crate::fault::{DiskFaultPlan, WriteFault};
-use harbor_common::codec::{Decoder, Encoder, Wire};
+use harbor_common::codec;
 use harbor_common::config::{PAGE_PAYLOAD, PAGE_SIZE};
 use harbor_common::{wire_struct, DbError, DbResult, DiskProfile, Metrics, TableId, Timestamp};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -252,12 +251,8 @@ impl TableFile {
 
     /// Durability barrier per the disk profile (checkpoints use this).
     pub fn sync(&self) -> DbResult<()> {
-        if self.disk.real_fsync {
-            self.file.sync_data()?;
-        }
-        if let Some(lat) = self.disk.emulated_force_latency {
-            std::thread::sleep(lat);
-        }
+        self.disk.sync(&self.file)?;
+        self.disk.charge();
         self.metrics.add_physical_syncs(1);
         Ok(())
     }
@@ -329,50 +324,12 @@ impl CheckpointRecord {
         self.per_object.insert(table.0, t);
     }
 
-    fn to_file_bytes(&self) -> Vec<u8> {
-        let mut enc =
-            Encoder::with_capacity(20 + self.per_object.len() * 12 + self.scan_start.len() * 8);
-        enc.put_raw(CHECKPOINT_MAGIC);
-        self.encode(&mut enc);
-        enc.into_bytes()
-    }
-
-    fn from_file_bytes(bytes: &[u8]) -> DbResult<Self> {
-        let mut dec = Decoder::new(bytes);
-        if dec.get_raw(CHECKPOINT_MAGIC.len())? != CHECKPOINT_MAGIC {
-            return Err(DbError::corrupt("bad checkpoint record"));
-        }
-        let rec = Self::decode(&mut dec)?;
-        dec.finish()?;
-        Ok(rec)
-    }
-
-    /// Atomically persists the record at `path`: write `<path>.tmp`, fsync
-    /// it, rename over `path`, then fsync the parent directory so the
-    /// rename itself is durable (a crash after the rename but before the
-    /// directory reaches disk could otherwise resurrect the old record —
-    /// or, on some filesystems, neither). A torn write can only ever hit
-    /// the temp file; the record the Phase-1 restore point is read from is
-    /// never overwritten in place.
+    /// Atomically persists the record at `path` ([`DiskProfile::replace`]),
+    /// then charges the emulated force latency. The record the Phase-1
+    /// restore point is read from is never overwritten in place.
     pub fn write(&self, path: impl AsRef<Path>, disk: DiskProfile) -> DbResult<()> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&self.to_file_bytes())?;
-            if disk.real_fsync {
-                f.sync_data()?;
-            }
-        }
-        std::fs::rename(&tmp, path)?;
-        if disk.real_fsync {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                File::open(parent)?.sync_all()?;
-            }
-        }
-        if let Some(lat) = disk.emulated_force_latency {
-            std::thread::sleep(lat);
-        }
+        disk.replace(path.as_ref(), &codec::to_file(CHECKPOINT_MAGIC, self))?;
+        disk.charge();
         Ok(())
     }
 
@@ -380,7 +337,7 @@ impl CheckpointRecord {
     /// as all-zero (time zero predates every transaction).
     pub fn read(path: impl AsRef<Path>) -> DbResult<Self> {
         match std::fs::read(path) {
-            Ok(bytes) => Self::from_file_bytes(&bytes),
+            Ok(bytes) => codec::from_file(CHECKPOINT_MAGIC, &bytes),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Self::default()),
             Err(e) => Err(e.into()),
         }
@@ -552,25 +509,6 @@ mod tests {
         // Repair by rewriting: a clean write restamps the trailer.
         f.write_page(1, &mut page).unwrap();
         assert!(f.read_page(1).is_ok());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn torn_checkpoint_write_keeps_previous_record() {
-        let path = temp("ckpt-torn");
-        let mut rec = CheckpointRecord::default();
-        rec.promote_global(Timestamp(77));
-        rec.write(&path, DiskProfile::fast()).unwrap();
-        // A crash mid-rewrite tears only the temp file; the live record is
-        // never opened for writing. Simulate the torn temp.
-        std::fs::write(path.with_extension("tmp"), b"HB").unwrap();
-        let back = CheckpointRecord::read(&path).unwrap();
-        assert_eq!(back.global, Timestamp(77));
-        // And a full rewrite still lands atomically over it.
-        rec.promote_global(Timestamp(99));
-        rec.write(&path, DiskProfile::real()).unwrap();
-        assert_eq!(CheckpointRecord::read(&path).unwrap().global, Timestamp(99));
-        let _ = std::fs::remove_file(path.with_extension("tmp"));
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -21,11 +21,11 @@
 
 use crate::record::LogRecord;
 use crate::Lsn;
-use harbor_common::codec::{Encoder, Wire};
+use harbor_common::codec::{Decoder, Encoder, Wire};
 use harbor_common::{DbError, DbResult, DiskProfile, Metrics};
 use parking_lot::{Condvar, Mutex};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -91,15 +91,14 @@ impl LogManager {
         metrics: Metrics,
     ) -> DbResult<Self> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let valid_end = scan_valid_end(&mut file)?;
+        let valid_end = scan_valid_end(&file)?;
         file.set_len(valid_end)?;
-        file.seek(SeekFrom::Start(valid_end))?;
         Ok(LogManager {
             path,
             inner: Mutex::new(Inner {
@@ -123,17 +122,15 @@ impl LogManager {
 
     /// Appends a record to the in-memory tail and returns its LSN.
     pub fn append(&self, record: &LogRecord) -> Lsn {
-        let mut body = Encoder::new();
-        record.encode(&mut body);
-        let body = body.into_bytes();
+        let body = record.to_vec();
+        let mut frame = Encoder::with_capacity(body.len() + FRAME_HEADER as usize);
+        frame.put_u32(body.len() as u32);
+        frame.put_u32(fnv1a(&body));
+        frame.put_raw(&body);
         let mut g = self.inner.lock();
         let lsn = Lsn(g.end_lsn);
-        let mut frame = Vec::with_capacity(body.len() + FRAME_HEADER as usize);
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
         g.end_lsn += frame.len() as u64;
-        g.buf.extend_from_slice(&frame);
+        g.buf.extend_from_slice(frame.as_slice());
         drop(g);
         self.metrics.add_log_writes(1);
         lsn
@@ -220,12 +217,7 @@ impl LogManager {
                 // Group delay timer: hold back to accumulate more records.
                 std::thread::sleep(d);
             }
-            let res = self.do_flush();
-            let mut g = self.inner.lock();
-            g.flushing = false;
-            drop(g);
-            self.cond.notify_all();
-            res?;
+            self.flush_claimed()?;
         }
     }
 
@@ -235,101 +227,56 @@ impl LogManager {
         // records were not yet durable when it was issued performs its own
         // serialized physical sync, even if a concurrent flush happened to
         // carry its bytes to the file in the meantime.
-        {
-            let g = self.inner.lock();
-            if g.durable_end > lsn.0 {
-                return Ok(()); // already durable before the call: no I/O
-            }
+        let mut g = self.inner.lock();
+        if g.durable_end > lsn.0 {
+            return Ok(()); // already durable before the call: no I/O
         }
-        loop {
-            let mut g = self.inner.lock();
-            if g.flushing {
-                self.cond.wait(&mut g);
-                continue;
-            }
-            g.flushing = true;
-            drop(g);
-            let res = self.do_flush();
-            let mut g = self.inner.lock();
-            g.flushing = false;
-            drop(g);
-            self.cond.notify_all();
-            return res;
+        while g.flushing {
+            self.cond.wait(&mut g);
         }
+        g.flushing = true;
+        drop(g);
+        self.flush_claimed()
+    }
+
+    /// Flushes as the one flusher (the caller set `flushing`), then lets the
+    /// waiting forces go.
+    fn flush_claimed(&self) -> DbResult<()> {
+        let res = self.do_flush();
+        self.inner.lock().flushing = false;
+        self.cond.notify_all();
+        res
     }
 
     /// Writes the current buffer to the file and syncs per the disk
     /// profile. The sync happens even when the buffer is empty: a solo
-    /// (non-grouped) force models one dedicated disk operation.
+    /// (non-grouped) force models one dedicated disk operation. The
+    /// emulated latency is charged after the lock is dropped, so records
+    /// appended meanwhile join the next group.
     fn do_flush(&self) -> DbResult<()> {
-        let (data, target_end, write_at) = {
-            let mut g = self.inner.lock();
-            let data = std::mem::take(&mut g.buf);
-            let write_at = g.buf_start;
-            g.buf_start = g.end_lsn;
-            (data, g.end_lsn, write_at)
-        };
-        {
-            // Write outside the inner lock would race appends to buf_start;
-            // we already advanced buf_start, so concurrent appends go to the
-            // new buffer and our slice is exclusively ours to write.
-            let mut g = self.inner.lock();
-            g.file.seek(SeekFrom::Start(write_at))?;
-            g.file.write_all(&data)?;
-            if self.disk.real_fsync {
-                g.file.sync_data()?;
-            }
-            drop(g);
-        }
-        if let Some(lat) = self.disk.emulated_force_latency {
-            std::thread::sleep(lat);
-        }
+        let mut g = self.inner.lock();
+        let data = std::mem::take(&mut g.buf);
+        let target_end = g.end_lsn;
+        let write_at = std::mem::replace(&mut g.buf_start, target_end);
+        g.file.write_all_at(&data, write_at)?;
+        self.disk.sync(&g.file)?;
+        drop(g);
+        self.disk.charge();
         self.metrics.add_physical_syncs(1);
         let mut g = self.inner.lock();
-        if g.durable_end < target_end {
-            g.durable_end = target_end;
-        }
+        g.durable_end = g.durable_end.max(target_end);
         Ok(())
     }
 
     /// Reads the record at `lsn`, whether it is still buffered or on disk.
     /// Used by rollback and by the undo pass following `prev_lsn` chains.
     pub fn read_record(&self, lsn: Lsn) -> DbResult<(LogRecord, Lsn)> {
-        let mut g = self.inner.lock();
-        if lsn.0 >= g.buf_start {
-            let off = (lsn.0 - g.buf_start) as usize;
-            if off + FRAME_HEADER as usize > g.buf.len() {
-                return Err(DbError::corrupt(format!("log read past end at {lsn}")));
-            }
-            let len = u32::from_le_bytes(g.buf[off..off + 4].try_into().unwrap()) as usize;
-            let sum = u32::from_le_bytes(g.buf[off + 4..off + 8].try_into().unwrap());
-            let start = off + FRAME_HEADER as usize;
-            if start + len > g.buf.len() {
-                return Err(DbError::corrupt("truncated buffered log record"));
-            }
-            let body = &g.buf[start..start + len];
-            if fnv1a(body) != sum {
-                return Err(DbError::corrupt("buffered log record checksum mismatch"));
-            }
-            let rec = LogRecord::from_slice(body)?;
-            Ok((rec, Lsn(lsn.0 + FRAME_HEADER + len as u64)))
-        } else {
-            g.file.seek(SeekFrom::Start(lsn.0))?;
-            let mut hdr = [0u8; 8];
-            g.file.read_exact(&mut hdr)?;
-            let len = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as usize;
-            let sum = u32::from_le_bytes(hdr[4..].try_into().unwrap());
-            let mut body = vec![0u8; len];
-            g.file.read_exact(&mut body)?;
-            // Restore append position for subsequent flushes.
-            let pos = g.buf_start;
-            g.file.seek(SeekFrom::Start(pos))?;
-            if fnv1a(&body) != sum {
-                return Err(DbError::corrupt("on-disk log record checksum mismatch"));
-            }
-            let rec = LogRecord::from_slice(&body)?;
-            Ok((rec, Lsn(lsn.0 + FRAME_HEADER + len as u64)))
-        }
+        let g = self.inner.lock();
+        let (rec, len) = match lsn.0.checked_sub(g.buf_start) {
+            Some(off) => decode_frame(g.buf.get(off as usize..).unwrap_or_default())?,
+            None => read_frame(&g.file, lsn.0, g.buf_start)?,
+        };
+        Ok((rec, Lsn(lsn.0 + len)))
     }
 
     /// Iterates `(lsn, record)` pairs from `from` to the current end,
@@ -348,38 +295,24 @@ impl LogManager {
     }
 
     /// Persists the LSN of the most recent checkpoint record to the master
-    /// file next to the log (ARIES master record).
+    /// file next to the log (ARIES master record), replacing it atomically.
     pub fn write_master(&self, ckpt: Lsn) -> DbResult<()> {
-        let master = self.master_path();
-        let mut f = File::create(master)?;
-        f.write_all(&ckpt.0.to_le_bytes())?;
-        if self.disk.real_fsync {
-            f.sync_data()?;
-        }
-        Ok(())
+        self.disk.replace(&self.master_path(), &ckpt.to_vec())
     }
 
     /// Reads the master record, if any checkpoint has been taken.
     pub fn read_master(&self) -> DbResult<Option<Lsn>> {
-        let master = self.master_path();
-        match std::fs::read(master) {
-            Ok(bytes) if bytes.len() == 8 => {
-                Ok(Some(Lsn(u64::from_le_bytes(bytes.try_into().unwrap()))))
-            }
-            Ok(_) => Err(DbError::corrupt("bad master record")),
+        match std::fs::read(self.master_path()) {
+            Ok(bytes) => Lsn::from_slice(&bytes).map(Some),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),
         }
     }
 
     fn master_path(&self) -> PathBuf {
-        let mut p = self.path.clone();
-        let name = p
-            .file_name()
-            .map(|n| format!("{}.master", n.to_string_lossy()))
-            .unwrap_or_else(|| "log.master".into());
-        p.set_file_name(name);
-        p
+        let mut path = self.path.clone().into_os_string();
+        path.push(".master");
+        path.into()
     }
 
     pub fn metrics(&self) -> &Metrics {
@@ -387,35 +320,41 @@ impl LogManager {
     }
 }
 
+/// The record framed at the start of `bytes`, and the frame's length.
+fn decode_frame(bytes: &[u8]) -> DbResult<(LogRecord, u64)> {
+    let mut dec = Decoder::new(bytes);
+    let len = dec.get_u32()?;
+    let sum = dec.get_u32()?;
+    let body = dec.take(len as usize)?;
+    if fnv1a(body) != sum {
+        return Err(DbError::corrupt("log record checksum mismatch"));
+    }
+    Ok((LogRecord::from_slice(body)?, FRAME_HEADER + len as u64))
+}
+
+/// The record framed at `at` in a log file whose first `end` bytes are
+/// frames, and the frame's length.
+fn read_frame(file: &File, at: u64, end: u64) -> DbResult<(LogRecord, u64)> {
+    let mut header = [0u8; FRAME_HEADER as usize];
+    file.read_exact_at(&mut header, at)?;
+    let len = FRAME_HEADER + Decoder::new(&header).get_u32()? as u64;
+    if at + len > end {
+        return Err(DbError::corrupt("log frame runs past the end"));
+    }
+    let mut frame = vec![0u8; len as usize];
+    file.read_exact_at(&mut frame, at)?;
+    decode_frame(&frame)
+}
+
 /// Scans frames from the start of the file, returning the offset after the
 /// last valid frame.
-fn scan_valid_end(file: &mut File) -> DbResult<u64> {
+fn scan_valid_end(file: &File) -> DbResult<u64> {
     let len = file.metadata()?.len();
-    let mut at: u64 = 0;
-    file.seek(SeekFrom::Start(0))?;
-    let mut hdr = [0u8; 8];
-    loop {
-        if at + FRAME_HEADER > len {
-            return Ok(at);
-        }
-        file.seek(SeekFrom::Start(at))?;
-        if file.read_exact(&mut hdr).is_err() {
-            return Ok(at);
-        }
-        let body_len = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as u64;
-        let sum = u32::from_le_bytes(hdr[4..].try_into().unwrap());
-        if at + FRAME_HEADER + body_len > len {
-            return Ok(at);
-        }
-        let mut body = vec![0u8; body_len as usize];
-        if file.read_exact(&mut body).is_err() {
-            return Ok(at);
-        }
-        if fnv1a(&body) != sum || LogRecord::from_slice(&body).is_err() {
-            return Ok(at);
-        }
-        at += FRAME_HEADER + body_len;
+    let mut at = 0;
+    while let Ok((_, frame)) = read_frame(file, at, len) {
+        at += frame;
     }
+    Ok(at)
 }
 
 #[cfg(test)]
@@ -424,6 +363,7 @@ mod tests {
     use crate::record::{LogPayload, LogRecord};
     use harbor_common::ids::{SiteId, TransactionId};
     use harbor_common::Timestamp;
+    use std::io::Write;
 
     fn tid(n: u64) -> TransactionId {
         TransactionId::from_parts(SiteId(0), n)
@@ -584,21 +524,6 @@ mod tests {
         assert_eq!(metrics.batched_syncs_saved(), 3);
         assert_eq!(log.scan(Lsn::ZERO).unwrap().len(), 4);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn master_record_round_trips() {
-        let path = temp_log("master");
-        let _ = std::fs::remove_file(&path);
-        let log = open(&path);
-        assert_eq!(log.read_master().unwrap(), None);
-        log.write_master(Lsn(1234)).unwrap();
-        assert_eq!(log.read_master().unwrap(), Some(Lsn(1234)));
-        std::fs::remove_file(&path).unwrap();
-        let _ = std::fs::remove_file(path.with_file_name(format!(
-            "{}.master",
-            path.file_name().unwrap().to_string_lossy()
-        )));
     }
 
     #[test]

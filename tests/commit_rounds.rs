@@ -242,7 +242,6 @@ fn hand_built(name: &str, transport: Arc<dyn Transport>) -> HandBuilt {
             peers: HashMap::new(),
             coordinator: None,
             auto_consensus: false,
-            use_deletion_log: true,
             crash_schedule: Default::default(),
         };
         let worker = Worker::start(engine.clone(), transport.clone(), cfg).unwrap();

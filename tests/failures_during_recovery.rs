@@ -309,7 +309,6 @@ fn a_commit_during_phase2_earns_exactly_one_more_pass() {
             peers: sites.iter().map(|s| (*s, addr(*s))).collect(),
             coordinator: None,
             auto_consensus: false,
-            use_deletion_log: true,
             crash_schedule: Default::default(),
         };
         let worker = Worker::start(engine.clone(), net.clone(), cfg).unwrap();

@@ -99,7 +99,6 @@ fn build(name: &str) -> Fixture {
                 peers: peers.clone(),
                 coordinator: None,
                 auto_consensus: false,
-                use_deletion_log: true,
                 crash_schedule: Default::default(),
             },
         )
@@ -197,7 +196,6 @@ fn recover(f: &mut Fixture, site: SiteId) {
             peers: f.peers.clone(),
             coordinator: None,
             auto_consensus: false,
-            use_deletion_log: true,
             crash_schedule: Default::default(),
         },
     )

@@ -6,11 +6,12 @@
 //! class and its fields.
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
+use harbor_common::codec::{Wire, MAX_DEPTH};
 use harbor_common::config::DEFAULT_RETRY_AFTER_MS;
 use harbor_common::{DbError, Metrics, StorageConfig, Timestamp, Value};
 use harbor_dist::{ProtocolKind, UpdateRequest};
 use harbor_exec::{Expr, ReadMode};
-use harbor_front::{FrontClient, FrontConfig, FrontServer};
+use harbor_front::{FrontClient, FrontConfig, FrontRequest, FrontServer};
 use harbor_net::tcp::TcpTransport;
 use harbor_net::Transport;
 use std::path::PathBuf;
@@ -248,4 +249,41 @@ fn a_front_door_client_sees_sheds_deadlines_and_engine_errors_as_themselves() {
     assert_eq!(cluster.read_latest("t").unwrap().len(), 2);
     assert_aborted_everywhere(&cluster);
     cluster.shutdown();
+}
+
+/// A frame nested past the decoder's depth bound is `Corrupt`, not a stack
+/// overflow: a `FrontRequest::Txn` whose `DeleteWhere` predicate is 100 000
+/// `NOT`s (~100 KB, far under the frame cap), decoded on a thread with the
+/// default stack as a connection thread would, ends in an error instead of
+/// aborting the process. `MAX_DEPTH` of them decode; one more does not.
+#[test]
+fn a_predicate_nested_past_the_bound_is_corrupt_not_a_stack_overflow() {
+    let frame = |pred: Expr| {
+        FrontRequest::Txn {
+            client: 1,
+            req: 1,
+            deadline_ms: 0,
+            ops: vec![UpdateRequest::DeleteWhere {
+                table: "t".into(),
+                pred,
+            }],
+        }
+        .to_vec()
+    };
+    // `nots` times the bytes one `NOT` adds, spliced in where it sits.
+    let leaf = frame(Expr::col(2));
+    let one = frame(Expr::col(2).not());
+    let at = leaf.iter().zip(&one).take_while(|(a, b)| a == b).count();
+    let not = &one[at..at + one.len() - leaf.len()];
+    let nested = |nots: usize| [&leaf[..at], &not.repeat(nots), &leaf[at..]].concat();
+    let decode = |bytes: Vec<u8>| {
+        std::thread::spawn(move || FrontRequest::from_slice(&bytes).map(drop))
+            .join()
+            .expect("the decoding thread panicked")
+    };
+    decode(nested(MAX_DEPTH)).unwrap();
+    for nots in [MAX_DEPTH + 1, 100_000] {
+        let err = decode(nested(nots)).unwrap_err();
+        assert!(err.is_corrupt(), "{nots} NOTs: {err:?}");
+    }
 }

@@ -263,7 +263,6 @@ fn worker_config(site: SiteId, addr: String) -> WorkerConfig {
         peers: HashMap::new(),
         coordinator: None,
         auto_consensus: false,
-        use_deletion_log: true,
         crash_schedule: Default::default(),
     }
 }

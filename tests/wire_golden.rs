@@ -21,7 +21,7 @@ use harbor_engine::{Catalog, Engine, EngineOptions};
 use harbor_exec::expr::{ArithOp, CmpOp, Expr};
 use harbor_front::{FrontReply, FrontRequest};
 use harbor_net::{Channel, InMemNetwork, Listener, Transport};
-use harbor_storage::CheckpointRecord;
+use harbor_storage::{CheckpointRecord, Directory, TableFile};
 use harbor_wal::record::{CkptTxnState, LogPayload, LogRecord, RedoOp, TsField, TxnOutcome};
 use harbor_wal::Lsn;
 use std::fmt::Debug;
@@ -661,7 +661,7 @@ fn temp(name: &str) -> std::path::PathBuf {
 #[test]
 fn catalog_file_is_byte_identical() {
     let path = temp("catalog");
-    let cat = Catalog::open(&path).expect("open");
+    let cat = Catalog::open(&path, DiskProfile::fast()).expect("open");
     let sales = cat
         .add(
             "sales",
@@ -679,7 +679,9 @@ fn catalog_file_is_byte_identical() {
     drop(cat);
     file_is(&path, "4842435402000000010000000500000073616c65730400000002000000696401000003000000717479000000020000006174020000040000006e616d65030c00020000000700000072657475726e7301000000020000006964010000");
     assert_eq!(
-        Catalog::open(&path).expect("reopen").all(),
+        Catalog::open(&path, DiskProfile::fast())
+            .expect("reopen")
+            .all(),
         [sales, returns]
     );
     std::fs::remove_file(&path).expect("remove");
@@ -705,6 +707,53 @@ fn checkpoint_record_is_byte_identical() {
         CheckpointRecord::read(&path).expect("read"),
         CheckpointRecord::default()
     );
+    std::fs::remove_file(&path).expect("remove");
+}
+
+/// A segment directory spilling onto a second header page: each header
+/// page's header and first entry, its last entry, and its checksum trailer,
+/// which covers every other byte of the page.
+#[test]
+fn directory_header_pages_are_byte_identical() {
+    let path = temp("directory");
+    let file = TableFile::create(&path, DiskProfile::fast(), Metrics::new()).expect("create");
+    let mut dir = Directory::create(&file, 76).expect("directory");
+    // A header page holds 127 entries; the directory starts with one segment.
+    for i in 0..134u64 {
+        let page = dir.allocate_page().expect("allocate");
+        dir.note_bounds(
+            page,
+            (Timestamp(i * 3 + 1), Timestamp(i * 5 + 2), Timestamp(i * 7)),
+        );
+        dir.create_segment(&file).expect("segment");
+    }
+    dir.persist(&file).expect("persist");
+    for (page_no, entries, first, last, trailer) in [
+        (
+            0,
+            127,
+            "475342484c0000007f0080000000\
+             0100000000000000020000000000000000000000000000000100000001000000",
+            "7b01000000000000780200000000000072030000000000007f00000001000000",
+            "5ccc96a5",
+        ),
+        (
+            128,
+            8,
+            "475342484c000000080000000000\
+             7e010000000000007d0200000000000079030000000000008100000001000000",
+            "ffffffffffffffff000000000000000000000000000000008800000000000000",
+            "03d73fa6",
+        ),
+    ] {
+        let page = file.read_page(page_no).expect("read");
+        let end = 14 + entries * 32;
+        assert_eq!(hex(&page[..46]), first, "page {page_no}");
+        assert_eq!(hex(&page[end - 32..end]), last, "page {page_no}");
+        assert_eq!(hex(&page[PAGE_SIZE - 4..]), trailer, "page {page_no}");
+    }
+    let back = Directory::load(&file, 76).expect("load");
+    assert_eq!(back.segments(), dir.segments());
     std::fs::remove_file(&path).expect("remove");
 }
 
@@ -800,7 +849,6 @@ fn recovery_scans_are_byte_identical() {
             peers: sites.iter().map(|s| (*s, addr(*s))).collect(),
             coordinator: None,
             auto_consensus: false,
-            use_deletion_log: true,
             crash_schedule: Default::default(),
         };
         let worker = Worker::start(engine.clone(), net.clone(), cfg).expect("start worker");
