@@ -24,7 +24,7 @@ pub use config::{DiskProfile, StorageConfig};
 pub use error::{DbError, DbResult};
 pub use ids::{PageId, RecordId, SegmentNo, SiteId, TableId, TransactionId};
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use retry::{retry_with, RetryPolicy};
+pub use retry::{retry_with, splitmix64, RetryPolicy};
 pub use schema::{FieldType, TupleDesc};
 pub use time::Timestamp;
 pub use tuple::Tuple;

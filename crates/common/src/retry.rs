@@ -64,10 +64,11 @@ impl RetryPolicy {
     }
 }
 
-/// SplitMix64: the same tiny generator the chaos layer uses — one
-/// multiply-xor-shift chain, uniform, stateless here (we feed it a fresh
-/// `seed ^ f(attempt)` each time).
-fn splitmix64(mut z: u64) -> u64 {
+/// SplitMix64: one add and a multiply-xor-shift chain, uniform and pure.
+/// Every seeded draw in the system goes through it — retry jitter, the
+/// network chaos plane's and the disk-fault plan's per-event decisions, the
+/// chaos harness's schedule — so each depends only on its input.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -183,16 +183,14 @@ impl ChaosRunReport {
 }
 
 /// Deterministic splitmix64 stream for the event schedule (the chaos layer
-/// has its own, keyed per link; this one is per run).
+/// draws its own, keyed per link; this one is per run).
 struct Rng(u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
+        let z = harbor_common::splitmix64(self.0);
         self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        z
     }
 
     fn below(&mut self, n: u64) -> u64 {

@@ -36,7 +36,7 @@ use harbor_dist::{
     DEFAULT_RETRY_BACKOFF,
 };
 use harbor_engine::Engine;
-use harbor_exec::{scan_rids, ReadMode};
+use harbor_exec::{scan_pages, visit_page, ReadMode, ScanRow};
 use harbor_net::{Channel, Transport};
 use harbor_storage::{Page, ScanBounds, SegmentedHeapFile};
 use parking_lot::Mutex;
@@ -381,23 +381,36 @@ fn phase1(ctx: &RecoveryContext, table: TableId, t_ckpt: Timestamp) -> DbResult<
         uncommitted_from_segment: Some(scan_start),
         ..Default::default()
     };
-    let victims = scan_rids(engine.pool(), table, ReadMode::SeeDeleted, bounds, |t| {
-        let ins = t.insertion_ts()?;
-        Ok(ins.is_uncommitted() || ins > t_ckpt)
-    })?;
-    for (rid, _) in victims {
+    for rid in local_rows(engine, table, &bounds, |row| Some(row.rid))? {
         engine.remove_physical(rid)?;
     }
     // UPDATE LOCALLY rec SET deletion_time = 0 SEE DELETED
     //   WHERE deletion_time > T_checkpoint
     let bounds = ScanBounds::deleted_after(t_ckpt);
-    let victims = scan_rids(engine.pool(), table, ReadMode::SeeDeleted, bounds, |t| {
-        Ok(t.deletion_ts()? > t_ckpt)
-    })?;
-    for (rid, _) in victims {
+    for rid in local_rows(engine, table, &bounds, |row| Some(row.rid))? {
         engine.set_deletion(rid, Timestamp::ZERO)?;
     }
     Ok(())
+}
+
+/// The rows a local `SEE DELETED` statement with `bounds` reaches: what
+/// `pick` takes from each row the page visitor admits (its place, and what
+/// it read off the row's bytes), collected before the statement changes any.
+fn local_rows<T>(
+    engine: &Engine,
+    table: TableId,
+    bounds: &ScanBounds,
+    mut pick: impl FnMut(&ScanRow<'_>) -> Option<T>,
+) -> DbResult<Vec<T>> {
+    let (pool, mut rows) = (engine.pool(), Vec::new());
+    let heap = pool.table(table)?;
+    for pid in scan_pages(&heap, bounds) {
+        visit_page(pool, &heap, pid, ReadMode::SeeDeleted, bounds, |row| {
+            rows.extend(pick(&row));
+            Ok(())
+        })?;
+    }
+    Ok(rows)
 }
 
 // ====================================================================
@@ -690,8 +703,8 @@ fn walk_ranges(
 ///     WHERE recovery_predicate AND insertion_time <= T_checkpoint
 ///       AND deletion_time > lo
 /// Historical visibility hides deletions after `hi`, so the ranges ship
-/// disjoint `del ∈ (lo, hi]` slices and keep the buddy's deletion-log fast
-/// path (an insertion-time bound would defeat it).
+/// disjoint `del ∈ (lo, hi]` slices, each answered from the buddy's
+/// deletion log (an insertion lower bound would send it to the pages).
 fn phase2_deletions(
     ctx: &RecoveryContext,
     table: TableId,
@@ -718,7 +731,8 @@ fn phase2_deletions(
 ///   UPDATE LOCALLY rec SET deletion_time = del_time SEE DELETED
 ///     WHERE tuple_id = tup_id AND deletion_time = 0
 /// Implemented as one batch scan (an index lookup per pair in the thesis;
-/// batching keeps recovery independent of index warmth).
+/// batching keeps recovery independent of index warmth) that reads each
+/// row's deletion time and key off its page bytes.
 fn apply_deletion_pairs(
     ctx: &RecoveryContext,
     table: TableId,
@@ -728,28 +742,16 @@ fn apply_deletion_pairs(
         return Ok(0);
     }
     let engine = &ctx.engine;
-    let victims = scan_rids(
-        engine.pool(),
-        table,
-        ReadMode::SeeDeleted,
-        ScanBounds::all(),
-        |t| {
-            if t.deletion_ts()? != Timestamp::ZERO {
-                return Ok(false); // "AND deletion_time = 0": newest version
-            }
-            let id = t.get(2).as_i64()?;
-            Ok(pairs.contains_key(&id))
-        },
-    )?;
-    let mut applied = 0u64;
-    for (rid, tup) in victims {
-        let id = tup.get(2).as_i64()?;
-        if let Some(del) = pairs.get(&id) {
-            engine.set_deletion(rid, *del)?;
-            applied += 1;
-        }
+    let index = engine.index(table)?;
+    let victims = local_rows(engine, table, &ScanBounds::all(), |row| {
+        let del = pairs.get(&index.key_from_bytes(row.bytes))?;
+        // "AND deletion_time = 0": the newest version.
+        (row.del == Timestamp::ZERO).then_some((row.rid, *del))
+    })?;
+    for &(rid, del) in &victims {
+        engine.set_deletion(rid, del)?;
     }
-    Ok(applied)
+    Ok(victims.len() as u64)
 }
 
 /// Phase 2, second half (§5.3): copy whole tuples inserted in

@@ -17,11 +17,12 @@ use crate::protocol::ProtocolKind;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use harbor_common::codec::Wire;
 use harbor_common::config::SCAN_BATCH;
-use harbor_common::schema::{COL_DELETION_TS, NUM_VERSION_COLS};
+use harbor_common::schema::NUM_VERSION_COLS;
 use harbor_common::{DbError, DbResult, SiteId, Timestamp, TransactionId, Value};
 use harbor_engine::Engine;
 use harbor_exec::{
-    key_probes, run_update_by_key, scan_pages, visit_key, visit_page, ReadMode, ScanRow,
+    key_probes, run_update_by_key, scan_pages, visit_key, visit_page, visit_versions, ReadMode,
+    ScanRow,
 };
 use harbor_net::{Channel, Transport};
 use harbor_storage::{LockKey, LockMode, ScanBounds};
@@ -350,16 +351,11 @@ impl Worker {
                 // Not yet prepared, or prepared-voted-NO: safe to abort
                 // unilaterally under every protocol (§4.3.2).
                 BackupState::Pending | BackupState::PreparedNo => {
-                    // Recorded only if the rollback went through: one that
-                    // failed (a disk fault under the undo) stays undecided,
-                    // so termination retries it instead of its tuples and
-                    // locks staying behind at a site nobody presumes dead.
-                    let aborted = self
-                        .engine
-                        .abort(*tid, self.cfg.protocol.worker_commit_logging());
-                    if aborted.is_ok() {
-                        self.dist_txns.lock().entry(*tid).or_default().outcome = Some(false);
-                    }
+                    // A rollback that fails (a disk fault under the undo)
+                    // stays undecided, so termination retries it instead of
+                    // its tuples and locks staying behind at a site nobody
+                    // presumes dead.
+                    let _ = self.apply_abort(*tid);
                 }
                 BackupState::Committed(_) | BackupState::Aborted => {}
                 // Prepared-YES or beyond: 2PC must block for the
@@ -471,9 +467,7 @@ impl Worker {
             // the worker can safely abort unilaterally (§4.3.3: "if a
             // worker detects a coordinator failure before a transaction's
             // commit processing stage ... the worker can safely abort").
-            self.engine
-                .abort(tid, self.cfg.protocol.worker_commit_logging())?;
-            self.dist_txns.lock().entry(tid).or_default().outcome = Some(false);
+            self.apply_abort(tid)?;
             return Ok(true);
         }
         // 2PC: the coordinator's forced log is the outcome authority — the
@@ -487,11 +481,11 @@ impl Worker {
         if !self.cfg.protocol.is_three_phase() {
             match self.query_coordinator_outcome(tid) {
                 Some(WireTxnState::Committed(t)) => {
-                    self.adopt_outcome(tid, Some(t))?;
+                    self.apply_commit(tid, t)?;
                     return Ok(true);
                 }
                 Some(WireTxnState::Aborted) | Some(WireTxnState::Unknown) => {
-                    self.adopt_outcome(tid, None)?;
+                    self.apply_abort(tid)?;
                     return Ok(true);
                 }
                 // The coordinator is alive but the transaction is still in
@@ -518,11 +512,11 @@ impl Worker {
         loop {
             match consensus::query_backup_state(self, tid, &workers) {
                 Some(BackupState::Committed(t)) => {
-                    self.adopt_outcome(tid, Some(t))?;
+                    self.apply_commit(tid, t)?;
                     return Ok(true);
                 }
                 Some(BackupState::Aborted) => {
-                    self.adopt_outcome(tid, None)?;
+                    self.apply_abort(tid)?;
                     return Ok(true);
                 }
                 _ => {
@@ -563,36 +557,6 @@ impl Worker {
             Ok(Response::TxnState { state }) => Some(state),
             _ => None,
         }
-    }
-
-    /// Applies a decided outcome learned out-of-band (from the coordinator's
-    /// log, or from the backup that decided it): `Some(t)` commits at `t`,
-    /// `None` aborts. Idempotent — a transaction the engine no longer knows
-    /// only has its bookkeeping updated.
-    fn adopt_outcome(
-        self: &Arc<Self>,
-        tid: TransactionId,
-        outcome: Option<Timestamp>,
-    ) -> DbResult<()> {
-        match outcome {
-            Some(t) => {
-                if self.engine.txn_status(tid).is_some() {
-                    self.engine
-                        .commit(tid, t, self.cfg.protocol.worker_commit_logging())?;
-                }
-                self.engine.advance_applied_clock(t);
-                let mut dist = self.dist_txns.lock();
-                let info = dist.entry(tid).or_default();
-                info.outcome = Some(true);
-                info.commit_time = Some(t);
-            }
-            None => {
-                self.engine
-                    .abort(tid, self.cfg.protocol.worker_commit_logging())?;
-                self.dist_txns.lock().entry(tid).or_default().outcome = Some(false);
-            }
-        }
-        Ok(())
     }
 
     /// One peer's current address (owned — no guard escapes, so callers
@@ -831,8 +795,7 @@ impl Worker {
                 // The coordinator never sends a NO voter the outcome, so
                 // nothing may stay open behind a NO (a no-op when the
                 // earlier NO already rolled back).
-                self.engine
-                    .abort(tid, self.cfg.protocol.worker_commit_logging())?;
+                self.apply_abort(tid)?;
                 return Ok(false);
             }
             _ => {}
@@ -848,17 +811,18 @@ impl Worker {
             Err(_) => {
                 // NO vote: roll back immediately (Figs 4-2/4-3).
                 self.dist_txns.lock().entry(tid).or_default().voted = Some(false);
-                self.engine
-                    .abort(tid, self.cfg.protocol.worker_commit_logging())?;
-                self.dist_txns.lock().entry(tid).or_default().outcome = Some(false);
+                self.apply_abort(tid)?;
                 Ok(false)
             }
         }
     }
 
-    /// Applies one COMMIT decision — shared by the serial and batched
-    /// second phases. Duplicate deliveries are fine (the engine no longer
-    /// knows the txn); the applied clock always advances.
+    /// Applies one COMMIT decision, whoever made it: the coordinator's
+    /// second phase, serial or batched, its forced log, or a consensus
+    /// backup (§4.3.3). Duplicate deliveries are fine (the engine no longer
+    /// knows the txn); the applied clock always advances. With
+    /// [`apply_abort`](Self::apply_abort), the only place a worker records a
+    /// transaction's outcome.
     fn apply_commit(&self, tid: TransactionId, commit_time: Timestamp) -> DbResult<()> {
         if self.engine.txn_status(tid).is_some() {
             self.engine
@@ -872,7 +836,10 @@ impl Worker {
         Ok(())
     }
 
-    /// Applies one ABORT decision — shared by the serial and batched paths.
+    /// Applies one ABORT decision, whoever made it — the coordinator, a
+    /// consensus backup, this worker's NO vote or its unilateral abort of a
+    /// transaction whose coordinator is gone. The outcome is recorded only
+    /// once the rollback went through.
     fn apply_abort(&self, tid: TransactionId) -> DbResult<()> {
         self.engine
             .abort(tid, self.cfg.protocol.worker_commit_logging())?;
@@ -929,14 +896,6 @@ impl Worker {
 
     /// Streams a scan's result in batches.
     fn stream_scan(&self, scan: &RemoteScan, chan: &mut Box<dyn Channel>) -> DbResult<()> {
-        // Deletion-log fast path (§5.2 footnote): a pure deletion query is
-        // answered from the ordered deletion log — cost proportional to the
-        // number of deletions rather than to the segments they touched.
-        if scan.ids_and_deletions_only && scan.ins_after.is_none() {
-            if let Some(after) = scan.del_after {
-                return self.stream_deletions_from_log(scan, after, chan);
-            }
-        }
         let metrics = self.engine.metrics();
         let recovery = recovery_crash_point(scan).is_some();
         ship_scan(&self.engine, scan, |frame, done| {
@@ -958,14 +917,19 @@ impl Worker {
             // scans blocked on a merge channel (EXPERIMENTS.md, "One page
             // visitor").
             std::thread::yield_now();
+            if rows == 0 {
+                return Ok(());
+            }
             self.maybe_crash_serving_scan(scan)
         })
     }
 
     /// Probes the buddy-death crash points while serving a recovery scan:
     /// Phase-2 historical catch-up scans and Phase-3 locked scans die
-    /// *mid-stream*, after at least one batch is on the wire, so the
+    /// *mid-stream*, after a frame that carried rows is on the wire, so the
     /// recovering side must detect the severed stream and reassign (§5.5).
+    /// An empty answer probes nothing, so it cannot use up a point meant for
+    /// the stream that follows it.
     fn maybe_crash_serving_scan(&self, scan: &RemoteScan) -> DbResult<()> {
         let Some(point) = recovery_crash_point(scan) else {
             return Ok(());
@@ -991,88 +955,27 @@ fn recovery_crash_point(scan: &RemoteScan) -> Option<CrashPoint> {
     }
 }
 
-impl Worker {
-    /// The deletion-log fast path behind `stream_scan`.
-    fn stream_deletions_from_log(
-        &self,
-        scan: &RemoteScan,
-        after: Timestamp,
-        chan: &mut Box<dyn Channel>,
-    ) -> DbResult<()> {
-        let table = table_def(&self.engine, &scan.table)?.id;
-        let dlog = self.engine.deletion_log(table)?;
-        let entries = dlog.deleted_after(self.engine.pool(), after)?;
-        let hwm = match scan.mode {
-            WireReadMode::SeeDeletedHistorical(t) => Some(t),
-            _ => None,
-        };
-        let mut batch = Vec::with_capacity(SCAN_BATCH);
-        let shipped = self.engine.metrics().clone();
-        for (rid, del) in entries {
-            // Deletions after the HWM read as "not deleted" in historical
-            // mode, so they never satisfy `deletion_time > after` (§5.3).
-            if let Some(hwm) = hwm {
-                if del > hwm {
-                    continue;
-                }
-            }
-            let tup = match self.engine.read_tuple(rid) {
-                Ok(t) => t,
-                Err(_) => continue, // physically removed since logging
-            };
-            if tup.deletion_ts()? != del {
-                continue; // undeleted or re-deleted since logging
-            }
-            let ins = tup.insertion_ts()?;
-            if ins.is_uncommitted() {
-                continue;
-            }
-            if let Some(hwm) = hwm {
-                if ins > hwm {
-                    continue;
-                }
-            }
-            if let Some(bound) = scan.ins_at_or_before {
-                if ins > bound {
-                    continue;
-                }
-            }
-            if let Some(p) = &scan.predicate {
-                if !p.eval_bool(&tup)? {
-                    continue;
-                }
-            }
-            // (tuple_id, deletion_time): the key is the first user field.
-            batch.push(tup.project(&[NUM_VERSION_COLS, COL_DELETION_TS])?);
-            if batch.len() >= SCAN_BATCH {
-                shipped.add_recovery_tuples_shipped(batch.len() as u64);
-                let framed = Response::Tuples {
-                    batch: std::mem::take(&mut batch),
-                    done: false,
-                }
-                .to_framed_vec();
-                shipped.add_recovery_bytes_shipped((framed.len() - 4) as u64);
-                chan.send_framed(&framed)?;
-                self.maybe_crash_serving_scan(scan)?;
-            }
-        }
-        shipped.add_recovery_tuples_shipped(batch.len() as u64);
-        let framed = Response::Tuples { batch, done: true }.to_framed_vec();
-        shipped.add_recovery_bytes_shipped((framed.len() - 4) as u64);
-        chan.send_framed(&framed)?;
-        Ok(())
-    }
-}
-
-/// The scan service. Walks `scan`'s rows through the page visitor — or,
-/// when its predicate pins the key column, through the tuple-id index (the
-/// rule SQL's planner applies: [`key_probes`]) — and transcodes each from
-/// page bytes into a pre-framed `Response::Tuples`. `ship` gets the frame,
-/// and whether it ends the stream, each time a page or a key leaves
-/// [`SCAN_BATCH`] rows in it, and once more at the end. No page latch is held
-/// while `ship` runs. Plain reads, filtered reads and every recovery range
-/// go out through this one loop; it is public so the benches time it as it
-/// is.
+/// The scan service. Walks `scan`'s rows through the page visitor from one
+/// of three row sources, and transcodes each from page bytes into a
+/// pre-framed `Response::Tuples`:
+///
+/// * a pure deletion query (`(tuple_id, deletion_time)` pairs of rows
+///   deleted after `del_after`, no insertion lower bound) visits the rows
+///   the table's deletion log lists after that time, in deletion-time order
+///   (the §5.2 footnote's deletion vector), and ships a row only while its
+///   deletion time is still the one logged;
+/// * a predicate that pins the key column visits the versions the tuple-id
+///   index holds for each key (the rule SQL's planner applies:
+///   [`key_probes`]);
+/// * anything else visits the pages segment pruning leaves.
+///
+/// Each visit is the one visibility rule ([`ReadMode::admit`] and the
+/// bounds), so an unreadable page fails every source alike. `ship` gets the
+/// frame, and whether it ends the stream, each time a page, a key or a
+/// logged row leaves [`SCAN_BATCH`] rows in it, and once more at the end. No
+/// page latch is held while `ship` runs. Plain reads, filtered reads and
+/// every recovery query go out through this one loop; it is public so the
+/// benches time it as it is.
 pub fn ship_scan(
     engine: &Engine,
     scan: &RemoteScan,
@@ -1103,20 +1006,35 @@ pub fn ship_scan(
         }
         Ok(())
     };
-    match pred.and_then(|p| key_probes(p, NUM_VERSION_COLS)) {
-        Some(keys) => {
-            for key in keys {
-                visit_key(engine, table, key, mode, &bounds, |row| {
-                    put(&mut frame, row)
-                })?;
-                ship_if_full(&mut frame)?;
-            }
+    // A §5.3 deletion query asks for what the log lists: the rows deleted
+    // after a time, whenever they were inserted.
+    let deletions = scan
+        .del_after
+        .filter(|_| scan.ids_and_deletions_only && scan.ins_after.is_none());
+    if let Some(after) = deletions {
+        let logged = engine.deletion_log(table)?.deleted_after(pool, after)?;
+        for (rid, del) in logged {
+            // The log may lag the page: a row undeleted, re-deleted or
+            // removed since it was noted is not this entry's row.
+            visit_versions(engine, table, &[rid], mode, &bounds, |row| {
+                if row.del != del {
+                    return Ok(());
+                }
+                put(&mut frame, row)
+            })?;
+            ship_if_full(&mut frame)?;
         }
-        None => {
-            for pid in scan_pages(&heap, &bounds) {
-                visit_page(pool, &heap, pid, mode, &bounds, |row| put(&mut frame, row))?;
-                ship_if_full(&mut frame)?;
-            }
+    } else if let Some(keys) = pred.and_then(|p| key_probes(p, NUM_VERSION_COLS)) {
+        for key in keys {
+            visit_key(engine, table, key, mode, &bounds, |row| {
+                put(&mut frame, row)
+            })?;
+            ship_if_full(&mut frame)?;
+        }
+    } else {
+        for pid in scan_pages(&heap, &bounds) {
+            visit_page(pool, &heap, pid, mode, &bounds, |row| put(&mut frame, row))?;
+            ship_if_full(&mut frame)?;
         }
     }
     ship(frame, true)

@@ -839,7 +839,10 @@ fn disk_backed_worker_survives_restart_of_its_server() {
 /// surface `Corrupt` to the remote caller — the site-local, *repairable*
 /// classification — not a timeout or disconnect (which would mark the
 /// site dead and strike it from recovery plans) and not an opaque
-/// protocol error (which recovery treats as fatal).
+/// protocol error (which recovery treats as fatal). A deletion query,
+/// answered from the deletion log, fails the same way when a row the log
+/// lists sits on the bad page: an answer without that row would lose the
+/// deletion instead of moving the range to another buddy.
 #[test]
 fn corrupt_page_classifies_as_corrupt_over_the_wire() {
     use std::io::{Read, Seek, SeekFrom, Write};
@@ -847,12 +850,29 @@ fn corrupt_page_classifies_as_corrupt_over_the_wire() {
     let rows: Vec<Vec<Value>> = (0..200i64)
         .map(|i| vec![Value::Int64(i), Value::Int32(i as i32)])
         .collect();
-    let t = f.txn(
+    let t_load = f.txn(
         1,
         vec![UpdateRequest::InsertMany {
             table: "t".into(),
             rows,
         }],
+    );
+    // Row 0 sits on the table's first data page, the one flipped below.
+    let t = f.txn(
+        2,
+        vec![UpdateRequest::DeleteWhere {
+            table: "t".into(),
+            pred: Expr::col(2).eq(Expr::lit(0i64)),
+        }],
+    );
+    let mut deletions = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(t));
+    deletions.ids_and_deletions_only = true;
+    deletions.del_after = Some(t_load);
+    deletions.ins_at_or_before = Some(t_load);
+    let pairs = scan_rpc(f.connect().as_mut(), &deletions).unwrap();
+    assert_eq!(
+        pairs,
+        vec![Tuple::new(vec![Value::Int64(0), Value::Time(t)])]
     );
     // Push the pages to disk, drop every resident frame (so the scan must
     // fault the bad page back in), and flip one payload bit behind the
@@ -887,6 +907,11 @@ fn corrupt_page_classifies_as_corrupt_over_the_wire() {
     assert!(
         !err.is_timeout() && !err.is_disconnect(),
         "corruption is not a liveness failure: {err}"
+    );
+    let err = scan_rpc(f.connect().as_mut(), &deletions).unwrap_err();
+    assert!(
+        err.is_corrupt(),
+        "a deletion query skipped a bad page: {err}"
     );
     let _ = std::fs::remove_dir_all(&f.dir);
 }

@@ -6,9 +6,10 @@
 //! times" that recovery could scan instead — trading a little runtime
 //! bookkeeping for recovery time. This module implements that idea as a
 //! per-table **deletion log**: an ordered set of `(deletion_time, record id)`
-//! pairs, maintained whenever a deletion timestamp is written and consulted
-//! by the worker's remote-scan fast path for `ids_and_deletions_only` recovery
-//! queries. The ablation bench (`ablations.rs` #4) measures what it buys.
+//! pairs, maintained whenever a deletion timestamp is written. It is one of
+//! the worker's scan sources: a deletion query (`ids_and_deletions_only`)
+//! visits the rows it lists, each through the page visitor, instead of the
+//! segments they sit in.
 //! Writes far outnumber reads (a read is a recovery query), so a note is an
 //! append to an unsorted tail, and a read sorts the tail into the set first:
 //! it pays once for every note since the last read.
@@ -118,10 +119,9 @@ impl DeletionLog {
         g.merged().remove(&(ts.0, pack(rid)));
     }
 
-    /// All `(rid, deletion_time)` pairs with `deletion_time > after`,
-    /// rebuilding first if cold. This is the recovery fast path: its cost
-    /// is proportional to the number of *deletions*, not to the segments
-    /// they touched.
+    /// All `(rid, deletion_time)` pairs with `deletion_time > after`, in
+    /// time order, rebuilding first if cold. Their number is that of the
+    /// *deletions*, not of the segments they touched.
     pub fn deleted_after(
         &self,
         pool: &BufferPool,

@@ -21,6 +21,7 @@ pub use expr::{ArithOp, CmpOp, Expr};
 pub use join::NestedLoopsJoin;
 pub use op::{collect, Filter, Limit, Operator, Project, Values};
 pub use scan::{
-    index_lookup, scan_pages, scan_rids, visit_key, visit_page, ReadMode, ScanRow, SeqScan,
+    index_lookup, scan_pages, scan_rids, visit_key, visit_page, visit_versions, ReadMode, ScanRow,
+    SeqScan,
 };
 pub use sql::{execute as execute_sql, key_probes, query as query_sql};

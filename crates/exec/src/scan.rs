@@ -15,7 +15,8 @@
 //! touching any page (§4.2).
 //!
 //! Every read walks pages through **one visitor** ([`visit_page`], and
-//! [`visit_key`] for index probes): it takes the page lock or latch, skips
+//! [`visit_key`] / [`visit_versions`] for the rows an index probe or a
+//! deletion log names): it takes the page lock or latch, skips
 //! or fast-paths whole pages from their zone-map summary, admits rows on
 //! their raw timestamp words ([`ReadMode::admit`]), re-applies the bounds
 //! per row, and hands each admitted row to a sink as a [`ScanRow`] —
@@ -330,8 +331,10 @@ pub fn visit_key(
     visit_versions(engine, table, &versions, mode, bounds, sink)
 }
 
-/// [`visit_key`] for the versions a probe of the index found.
-pub(crate) fn visit_versions(
+/// Visits the rows at `versions` that a read at `mode` with `bounds` sees,
+/// one single-slot page visit each: the versions a probe of the index found
+/// ([`visit_key`]), or the rows a deletion log lists.
+pub fn visit_versions(
     engine: &harbor_engine::Engine,
     table: TableId,
     versions: &[RecordId],
@@ -475,8 +478,8 @@ impl Operator for SeqScan {
     }
 }
 
-/// Materializing scan that also yields physical record ids — the form DML
-/// executors and the local halves of the recovery queries need.
+/// Materializing scan that also yields physical record ids — the form the
+/// DML executors need.
 pub fn scan_rids(
     pool: &Arc<BufferPool>,
     table: TableId,

@@ -49,7 +49,7 @@
 //! the accepting side learns the remote's name too.
 
 use crate::{closed, Channel, Listener, Transport};
-use harbor_common::{DbResult, Metrics};
+use harbor_common::{splitmix64, DbResult, Metrics};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -197,15 +197,6 @@ impl ChaosState {
     }
 }
 
-/// SplitMix64: the standard 64-bit finalizer-style PRNG step. Pure, so fault
-/// decisions depend only on `(seed, link, seq)`.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
 fn fnv1a(s: &str) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for b in s.as_bytes() {
@@ -215,7 +206,8 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// Per-mille draw for fault stream `k` of event `(seed, link, seq)`.
+/// Per-mille draw for fault stream `k` of event `(seed, link, seq)`: pure,
+/// so fault decisions depend only on those coordinates.
 fn draw(seed: u64, link_hash: u64, seq: u64, k: u64) -> u64 {
     splitmix64(seed ^ link_hash.rotate_left(17) ^ seq.wrapping_mul(0x9E3779B97F4A7C15) ^ (k << 56))
 }

@@ -28,7 +28,7 @@
 //! never fault.
 
 use harbor_common::config::PAGE_SIZE;
-use harbor_common::TableId;
+use harbor_common::{splitmix64, TableId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -185,15 +185,6 @@ impl fmt::Debug for DiskFaultPlan {
             .field("injected", &self.injected())
             .finish()
     }
-}
-
-/// SplitMix64 — the same generator the network chaos plane uses.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Pure draw for decision slot `k` of I/O `(table, page, ordinal)`.

@@ -290,6 +290,14 @@ fn buddy_crash_mid_phase2_scan_reassigns() {
         "victim diverged from the alternate that finished serving it"
     );
 
+    // It died inside its insert stream, not on the empty deletion answer
+    // that went before it: rows of the range it was shipping are out.
+    let shipped = cluster.worker_metrics(SiteId(2)).unwrap().snapshot();
+    assert!(
+        shipped.recovery_tuples_shipped > 0,
+        "the crash point fired before an inserted row was shipped"
+    );
+
     // The fired buddy fail-stopped; bring it back and verify it converges
     // to the same state as the replica that finished serving recovery.
     let reaped = cluster.reap_scheduled_crashes();
