@@ -15,18 +15,80 @@
 //!   `retry_after` hints instead of stalling sockets, and the p99 of
 //!   *admitted* work must stay bounded.
 //!
+//! Two more rows price the hand-off under all of it, with nothing else
+//! running: `handoff_inmem` and `handoff_tcp` time request/reply round
+//! trips over one connection, one thread a side, pinned to one CPU as
+//! `harbor-benchmark` is (`ns_per_row` is a round trip), and `handoff_tcp`
+//! counts the receive syscalls a frame costs (`socket_reads_per_frame`).
+//!
 //! Writes `BENCH_serve.json`: p50/p99/p999 client-observed latency per
-//! scenario plus sheds/retries/admissions and the drain time.
+//! scenario plus sheds/retries/admissions and the drain time, the two
+//! hand-off rows, and the machine it ran on.
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
-use harbor_bench::{experiment_dir, print_table, throughput_storage, BenchReport, Scale};
+use harbor_bench::{
+    experiment_dir, pin_to_one_cpu, print_table, throughput_storage, BenchReport, Scale,
+};
 use harbor_common::metrics::Group;
 use harbor_common::{Metrics, RetryPolicy, SiteId};
 use harbor_dist::ProtocolKind;
 use harbor_front::{FrontConfig, FrontServer};
-use harbor_net::{TcpTransport, Transport};
+use harbor_net::{recv_or_stop, InMemNetwork, TcpTransport, Transport};
 use harbor_workload::{insert_request, run_front_clients, DriverConfig, DriverReport};
+use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
+
+/// Round trips a hand-off row times, after as many again to warm up.
+const ROUND_TRIPS: u64 = 10_000;
+
+/// A hand-off row: the nanoseconds `ROUND_TRIPS` request/reply round trips
+/// took, and the receive syscalls made meanwhile.
+struct Handoff {
+    ns: u128,
+    socket_reads: u64,
+}
+
+/// Times round trips of a 128-byte frame over one connection of
+/// `transport` (whose counters are `metrics`), one thread a side, on one
+/// CPU. The serving side reads as every server's connection threads do
+/// (`recv_or_stop`), the requesting side with a fixed patience as
+/// `FrontClient` does.
+fn handoff(transport: Box<dyn Transport>, metrics: Metrics, addr: &str) -> Handoff {
+    let addr = addr.to_string();
+    let pinned = std::thread::spawn(move || {
+        pin_to_one_cpu();
+        let listener = transport.listen(&addr).expect("bind hand-off");
+        let bound = listener.local_addr();
+        let server = std::thread::spawn(move || {
+            let mut chan = listener.accept().expect("accept hand-off");
+            let stop = AtomicBool::new(false);
+            while let Ok(Some(request)) = recv_or_stop(chan.as_mut(), &stop) {
+                chan.send(&request).expect("reply");
+            }
+        });
+        let mut chan = transport.connect(&bound).expect("connect hand-off");
+        let request = [7u8; 128];
+        let mut round_trip = || {
+            chan.send(&request).expect("request");
+            let reply = chan.recv_timeout(Duration::from_secs(5)).expect("reply");
+            assert_eq!(reply.as_deref(), Some(&request[..]), "hand-off reply");
+        };
+        for _ in 0..ROUND_TRIPS {
+            round_trip();
+        }
+        let reads = metrics.socket_reads();
+        let t = Instant::now();
+        for _ in 0..ROUND_TRIPS {
+            round_trip();
+        }
+        let ns = t.elapsed().as_nanos();
+        let socket_reads = metrics.socket_reads() - reads;
+        drop(chan);
+        server.join().expect("hand-off server");
+        Handoff { ns, socket_reads }
+    });
+    pinned.join().expect("hand-off thread")
+}
 
 fn build_cluster(name: &str, protocol: ProtocolKind, workers: usize, clients: usize) -> Cluster {
     let mut cfg = ClusterConfig::new(protocol, workers);
@@ -120,7 +182,8 @@ fn main() {
         .config(
             "transport",
             "front door on loopback TCP, cluster in-process",
-        );
+        )
+        .environment();
 
     let mut rows = Vec::new();
     let record =
@@ -240,6 +303,35 @@ fn main() {
     let burst = run_scenario(&cluster, burst_front, &burst_driver, |_| {});
     cluster.shutdown();
     record(&mut report, &mut rows, "overload_burst", &burst);
+
+    // --- the hand-off under it all ------------------------------------
+    let metrics = Metrics::new();
+    let inmem = handoff(
+        Box::new(InMemNetwork::new(metrics.clone())),
+        metrics,
+        "handoff",
+    );
+    let metrics = Metrics::new();
+    let tcp = handoff(
+        Box::new(TcpTransport::new(metrics.clone())),
+        metrics,
+        "127.0.0.1:0",
+    );
+    let frames = 2 * ROUND_TRIPS;
+    let reads_per_frame = tcp.socket_reads as f64 / frames as f64;
+    report.entry("handoff_inmem", inmem.ns, ROUND_TRIPS);
+    report.entry_with(
+        "handoff_tcp",
+        tcp.ns,
+        ROUND_TRIPS,
+        &[("socket_reads_per_frame", format!("{reads_per_frame:.3}"))],
+    );
+    println!(
+        "\nhand-off round trip, one CPU: in-memory {:.2} us, loopback TCP {:.2} us \
+         ({reads_per_frame:.3} socket reads a frame)",
+        inmem.ns as f64 / ROUND_TRIPS as f64 / 1e3,
+        tcp.ns as f64 / ROUND_TRIPS as f64 / 1e3,
+    );
 
     print_table(
         "front-door serving: client-observed latency",

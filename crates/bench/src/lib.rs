@@ -175,6 +175,40 @@ pub fn rows_per_segment(storage: &StorageConfig) -> i64 {
     per_page * storage.segment_pages as i64
 }
 
+/// Restricts the calling thread, and every thread it starts from then on,
+/// to one CPU it may run on (the highest-numbered), as `harbor-benchmark`
+/// runs: on one CPU a hand-off between threads is a wake on the same core,
+/// and there is one answer instead of one per placement. Returns the CPU,
+/// or `None` where the kernel refused.
+#[cfg(target_os = "linux")]
+pub fn pin_to_one_cpu() -> Option<usize> {
+    extern "C" {
+        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+    }
+    // Room for 1024 CPUs, the size of glibc's `cpu_set_t`.
+    const WORDS: usize = 16;
+    let size = WORDS * std::mem::size_of::<u64>();
+    let mut allowed = [0u64; WORDS];
+    // SAFETY: `allowed` is a live, writable buffer of exactly `size` bytes;
+    // the kernel writes no more. Pid 0 is the calling thread.
+    if unsafe { sched_getaffinity(0, size, allowed.as_mut_ptr()) } != 0 {
+        return None;
+    }
+    let word = allowed.iter().rposition(|w| *w != 0)?;
+    let cpu = word * 64 + 63 - allowed[word].leading_zeros() as usize;
+    let mut one = [0u64; WORDS];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `one` is a live buffer of exactly `size` bytes, only read; it
+    // names a CPU the kernel has just said this thread may use.
+    (unsafe { sched_setaffinity(0, size, one.as_ptr()) } == 0).then_some(cpu)
+}
+
+#[cfg(not(target_os = "linux"))]
+pub fn pin_to_one_cpu() -> Option<usize> {
+    None
+}
+
 // ----------------------------------------------------------------------
 // Machine-readable baselines (BENCH_*.json)
 // ----------------------------------------------------------------------
@@ -216,6 +250,22 @@ impl BenchReport {
     pub fn config(&mut self, key: &str, value: impl ToString) -> &mut Self {
         self.config.push((key.to_string(), value.to_string()));
         self
+    }
+
+    /// Stamps the machine the report was measured on: the CPU model, the
+    /// CPUs the process may use, and the kernel.
+    pub fn environment(&mut self) -> &mut Self {
+        let read = |path: &str| std::fs::read_to_string(path).unwrap_or_default();
+        let cpuinfo = read("/proc/cpuinfo");
+        let model = cpuinfo
+            .lines()
+            .find_map(|l| l.strip_prefix("model name"))
+            .and_then(|l| l.split_once(':'))
+            .map_or("unknown", |(_, m)| m.trim());
+        let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+        self.config("cpu", model)
+            .config("cpus", cpus)
+            .config("kernel", read("/proc/sys/kernel/osrelease").trim())
     }
 
     /// Records one measurement: median wall nanoseconds over `rows` items,

@@ -172,6 +172,9 @@ counters! {
     messages_sent: sum add_messages_sent, Base;
     /// Bytes sent over the transport.
     bytes_sent: sum add_bytes_sent, Base;
+    /// Receive syscalls the TCP transport made (reads and peeks): what
+    /// taking a frame off a socket costs.
+    socket_reads: sum add_socket_reads, Base;
     /// Transactions committed.
     commits: sum add_commits, Base;
     /// Transactions aborted.

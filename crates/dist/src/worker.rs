@@ -1040,7 +1040,7 @@ pub fn ship_scan(
     ship(frame, true)
 }
 
-fn table_def(engine: &Engine, name: &str) -> DbResult<harbor_engine::TableDef> {
+fn table_def(engine: &Engine, name: &str) -> DbResult<Arc<harbor_engine::TableDef>> {
     engine
         .table_def(name)
         .ok_or_else(|| DbError::Schema(format!("no table {name:?}")))

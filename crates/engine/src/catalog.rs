@@ -7,6 +7,7 @@ use harbor_common::{wire_struct, DbError, DbResult, DiskProfile, FieldType, Tabl
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 wire_struct! {
     /// Definition of one stored table.
@@ -40,7 +41,9 @@ pub struct Catalog {
     path: PathBuf,
     /// How [`Catalog::add`] makes the file durable: the engine's profile.
     disk: DiskProfile,
-    tables: Mutex<BTreeMap<u32, TableDef>>,
+    /// Shared, so that a statement's lookup is a reference count, not a
+    /// copy of every field name.
+    tables: Mutex<BTreeMap<u32, Arc<TableDef>>>,
 }
 
 impl Catalog {
@@ -61,7 +64,11 @@ impl Catalog {
     /// Registers a new table and persists the catalog. The first user field
     /// must be an `Int64` — it is the unique tuple identifier recovery keys
     /// on (§5.3).
-    pub fn add(&self, name: &str, user_fields: Vec<(String, FieldType)>) -> DbResult<TableDef> {
+    pub fn add(
+        &self,
+        name: &str,
+        user_fields: Vec<(String, FieldType)>,
+    ) -> DbResult<Arc<TableDef>> {
         if user_fields.is_empty() || user_fields[0].1 != FieldType::Int64 {
             return Err(DbError::Schema(
                 "the first user field must be an int64 tuple identifier".into(),
@@ -73,17 +80,17 @@ impl Catalog {
             return Err(DbError::Schema(format!("table {name:?} already exists")));
         }
         let id = TableId(tables.keys().next_back().map(|k| k + 1).unwrap_or(1));
-        let def = TableDef {
+        let def = Arc::new(TableDef {
             id,
             name: name.to_string(),
             user_fields,
-        };
+        });
         tables.insert(id.0, def.clone());
         self.disk.replace(&self.path, &encode(&tables))?;
         Ok(def)
     }
 
-    pub fn by_name(&self, name: &str) -> Option<TableDef> {
+    pub fn by_name(&self, name: &str) -> Option<Arc<TableDef>> {
         self.tables
             .lock()
             .values()
@@ -91,19 +98,23 @@ impl Catalog {
             .cloned()
     }
 
-    pub fn all(&self) -> Vec<TableDef> {
+    pub fn all(&self) -> Vec<Arc<TableDef>> {
         let _rank = lockrank::acquire(Rank::Catalog);
         self.tables.lock().values().cloned().collect()
     }
 }
 
-fn encode(tables: &BTreeMap<u32, TableDef>) -> Vec<u8> {
-    codec::to_file(MAGIC, &tables.values().cloned().collect::<Vec<_>>())
+fn encode(tables: &BTreeMap<u32, Arc<TableDef>>) -> Vec<u8> {
+    let defs: Vec<TableDef> = tables.values().map(|def| TableDef::clone(def)).collect();
+    codec::to_file(MAGIC, &defs)
 }
 
-fn decode(bytes: &[u8]) -> DbResult<BTreeMap<u32, TableDef>> {
+fn decode(bytes: &[u8]) -> DbResult<BTreeMap<u32, Arc<TableDef>>> {
     let defs: Vec<TableDef> = codec::from_file(MAGIC, bytes)?;
-    Ok(defs.into_iter().map(|def| (def.id.0, def)).collect())
+    Ok(defs
+        .into_iter()
+        .map(|def| (def.id.0, Arc::new(def)))
+        .collect())
 }
 
 #[cfg(test)]
@@ -171,7 +182,7 @@ mod tests {
             name: "t".into(),
             user_fields: fields(),
         };
-        let bytes = encode(&BTreeMap::from([(1, def)]));
+        let bytes = encode(&BTreeMap::from([(1, Arc::new(def))]));
         assert_eq!(decode(&bytes).unwrap().len(), 1);
         // Layout: magic | table count u32 | id u32 | name (u32 + 1) | field count u32 | ...
         let mut inflated = bytes.clone();

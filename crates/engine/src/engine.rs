@@ -252,17 +252,18 @@ impl Engine {
         &self,
         name: &str,
         user_fields: Vec<(String, FieldType)>,
-    ) -> DbResult<TableDef> {
+    ) -> DbResult<Arc<TableDef>> {
         let def = self.catalog.add(name, user_fields)?;
         self.open_heap(&def, /*cold_index=*/ false)?;
         Ok(def)
     }
 
-    pub fn table_def(&self, name: &str) -> Option<TableDef> {
+    /// The definition of table `name`, shared with the catalog.
+    pub fn table_def(&self, name: &str) -> Option<Arc<TableDef>> {
         self.catalog.by_name(name)
     }
 
-    pub fn tables(&self) -> Vec<TableDef> {
+    pub fn tables(&self) -> Vec<Arc<TableDef>> {
         self.catalog.all()
     }
 

@@ -152,6 +152,34 @@ mod tests {
                 .recv_timeout(Duration::from_millis(30))
                 .unwrap()
                 .is_none());
+            // A zero timeout is a poll: with nothing pending it returns
+            // `None` at once. Run beside a watchdog, so that a transport
+            // that waits for the next frame instead fails, not hangs.
+            let (polled, watchdog) = std::sync::mpsc::channel();
+            let poller = std::thread::spawn(move || {
+                let got = client.recv_timeout(Duration::ZERO).map(|f| f.is_none());
+                polled.send(()).ok();
+                (client, got)
+            });
+            watchdog
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a zero-timeout receive waited for a frame");
+            let (mut client, got) = poller.join().unwrap();
+            assert!(got.unwrap(), "nothing was pending");
+            // A frame that is pending is polled off whole, and a receive
+            // after a poll waits again.
+            client.send(b"poll").unwrap();
+            let until = std::time::Instant::now() + Duration::from_secs(5);
+            let reply = loop {
+                if let Some(reply) = client.recv_timeout(Duration::ZERO).unwrap() {
+                    break reply;
+                }
+                assert!(std::time::Instant::now() < until, "the reply never came");
+                std::thread::yield_now();
+            };
+            assert_eq!(reply, b"llop");
+            client.send(b"wait").unwrap();
+            assert_eq!(client.recv().unwrap(), b"tiaw");
         } // client drops: server sees a disconnect
         server.join().unwrap();
     }

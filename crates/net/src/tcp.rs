@@ -3,7 +3,7 @@
 //! (§6.1.6).
 
 use crate::{closed, Channel, Listener, Transport};
-use harbor_common::config::MAX_FRAME_BYTES;
+use harbor_common::config::{MAX_FRAME_BYTES, PAGE_SIZE};
 use harbor_common::{DbError, DbResult, Metrics};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -36,12 +36,11 @@ impl Transport for TcpTransport {
     fn connect(&self, addr: &str) -> DbResult<Box<dyn Channel>> {
         let stream =
             TcpStream::connect(addr).map_err(|e| DbError::net(format!("connect {addr}: {e}")))?;
-        stream.set_nodelay(true).ok();
-        Ok(Box::new(TcpChannel {
+        Ok(Box::new(TcpChannel::new(
             stream,
-            peer: addr.to_string(),
-            metrics: self.metrics.clone(),
-        }))
+            addr.to_string(),
+            self.metrics.clone(),
+        )))
     }
 }
 
@@ -117,12 +116,11 @@ impl TcpListenerWrap {
     }
 
     fn wrap(&self, stream: TcpStream, peer: SocketAddr) -> Box<dyn Channel> {
-        stream.set_nodelay(true).ok();
-        Box::new(TcpChannel {
+        Box::new(TcpChannel::new(
             stream,
-            peer: peer.to_string(),
-            metrics: self.metrics.clone(),
-        })
+            peer.to_string(),
+            self.metrics.clone(),
+        ))
     }
 
     fn take_ready(
@@ -211,41 +209,125 @@ impl Drop for TcpListenerWrap {
     }
 }
 
-struct TcpChannel {
+/// One end of a TCP connection: the socket and the receive mode it is in.
+struct Socket {
     stream: TcpStream,
     peer: String,
     metrics: Metrics,
+    /// The receive timeout as last set (`None`: reads block).
+    timeout: Option<Duration>,
+    /// Whether a zero-timeout poll left the socket non-blocking.
+    nonblocking: bool,
+}
+
+/// A read that ran out of time, or found nothing to take without blocking.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+impl Socket {
+    /// Puts the socket in the mode a wait for a frame's first byte wants:
+    /// `None` blocks, zero polls, anything else times out. A mode costs a
+    /// syscall only when it is not the one the socket is already in.
+    fn wait_for(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
+        let poll = timeout == Some(Duration::ZERO);
+        if self.nonblocking != poll {
+            self.stream.set_nonblocking(poll)?;
+            self.nonblocking = poll;
+        }
+        if !poll && self.timeout != timeout {
+            self.stream.set_read_timeout(timeout)?;
+            self.timeout = timeout;
+        }
+        Ok(())
+    }
+
+    /// One `recv`, counted (and made again if a signal interrupts it).
+    fn recv(&self, into: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            self.metrics.add_socket_reads(1);
+            match (&self.stream).read(into) {
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                got => return got,
+            }
+        }
+    }
+
+    /// Bytes of a frame already begun. The peer wrote the frame whole, so a
+    /// read that times out, or finds nothing after a poll, waits on; the
+    /// end of the stream or any error here is a connection gone mid-frame.
+    fn recv_owed(&mut self, into: &mut [u8]) -> DbResult<usize> {
+        loop {
+            match self.recv(into) {
+                Ok(0) => return Err(closed(&self.peer)),
+                Ok(n) => return Ok(n),
+                Err(e) if timed_out(&e) => {
+                    if self.nonblocking {
+                        self.wait_for(None).map_err(|_| closed(&self.peer))?;
+                    }
+                }
+                Err(_) => return Err(closed(&self.peer)),
+            }
+        }
+    }
+}
+
+struct TcpChannel {
+    sock: Socket,
+    /// Read-ahead: `buf[at..end]` came off the socket and is not handed out
+    /// yet. A page, so that a frame of the common size arrives with its
+    /// prefix in one `recv`; a larger frame is read into a buffer of its
+    /// own size.
+    buf: Box<[u8]>,
+    at: usize,
+    end: usize,
 }
 
 impl TcpChannel {
-    /// Reads a frame. `first` is a header byte already consumed by a
-    /// timed-out poll (see `recv_timeout`): the poll only ever times out
-    /// *between* frames, never mid-frame, so the stream cannot desync.
-    fn read_frame(&mut self, first: Option<u8>) -> DbResult<Vec<u8>> {
-        let mut len = [0u8; 4];
-        let rest = match first {
-            Some(b) => {
-                len[0] = b;
-                &mut len[1..]
-            }
-            None => &mut len[..],
-        };
-        match self.stream.read_exact(rest) {
-            Ok(()) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::UnexpectedEof
-                        | ErrorKind::ConnectionReset
-                        | ErrorKind::ConnectionAborted
-                        | ErrorKind::BrokenPipe
-                ) =>
-            {
-                return Err(closed(&self.peer));
-            }
-            Err(e) => return Err(e.into()),
+    fn new(stream: TcpStream, peer: String, metrics: Metrics) -> Self {
+        stream.set_nodelay(true).ok();
+        TcpChannel {
+            sock: Socket {
+                stream,
+                peer,
+                metrics,
+                timeout: None,
+                nonblocking: false,
+            },
+            buf: vec![0; PAGE_SIZE].into_boxed_slice(),
+            at: 0,
+            end: 0,
         }
-        let len = u32::from_le_bytes(len) as usize;
+    }
+
+    /// The next frame. `timeout` bounds only the wait for its first byte
+    /// (`None`: unbounded; zero: a poll). Once any of a frame has arrived
+    /// the rest is waited for, so a timeout never leaves the stream
+    /// mid-frame.
+    fn read_frame(&mut self, timeout: Option<Duration>) -> DbResult<Option<Vec<u8>>> {
+        if self.at == self.end {
+            self.sock.wait_for(timeout)?;
+            match self.sock.recv(&mut self.buf) {
+                Ok(0) => return Err(closed(&self.sock.peer)),
+                Ok(n) => (self.at, self.end) = (0, n),
+                Err(e) if timed_out(&e) => return Ok(None),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::ConnectionReset
+                            | ErrorKind::ConnectionAborted
+                            | ErrorKind::BrokenPipe
+                    ) =>
+                {
+                    return Err(closed(&self.sock.peer));
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.buffer(4)?;
+        let mut prefix = [0; 4];
+        prefix.copy_from_slice(&self.buf[self.at..self.at + 4]);
+        let len = u32::from_le_bytes(prefix) as usize;
         if len > MAX_FRAME_BYTES {
             // A hostile or corrupt 4-byte prefix must not size an allocation
             // (it can claim up to 4 GiB). The stream is desynced once the
@@ -253,14 +335,38 @@ impl TcpChannel {
             // framing, not a timeout and not site death.
             return Err(DbError::corrupt(format!(
                 "frame length {len} from {} exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})",
-                self.peer
+                self.sock.peer
             )));
         }
-        let mut buf = vec![0u8; len];
-        self.stream
-            .read_exact(&mut buf)
-            .map_err(|_| closed(&self.peer))?;
-        Ok(buf)
+        self.at += 4;
+        if len <= self.buf.len() {
+            self.buffer(len)?;
+            let frame = self.buf[self.at..self.at + len].to_vec();
+            self.at += len;
+            return Ok(Some(frame));
+        }
+        let mut frame = vec![0; len];
+        let mut filled = self.end - self.at;
+        frame[..filled].copy_from_slice(&self.buf[self.at..self.end]);
+        self.at = self.end;
+        while filled < len {
+            filled += self.sock.recv_owed(&mut frame[filled..])?;
+        }
+        Ok(Some(frame))
+    }
+
+    /// Reads until the read-ahead holds `n` bytes (no more than its size),
+    /// moving what is left of it to the front first.
+    fn buffer(&mut self, n: usize) -> DbResult<()> {
+        if self.end - self.at >= n {
+            return Ok(());
+        }
+        self.buf.copy_within(self.at..self.end, 0);
+        (self.at, self.end) = (0, self.end - self.at);
+        while self.end < n {
+            self.end += self.sock.recv_owed(&mut self.buf[self.end..])?;
+        }
+        Ok(())
     }
 
     fn map_write_err(&self, e: std::io::Error) -> DbError {
@@ -268,7 +374,7 @@ impl TcpChannel {
             e.kind(),
             ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
         ) {
-            closed(&self.peer)
+            closed(&self.sock.peer)
         } else {
             e.into()
         }
@@ -282,7 +388,7 @@ impl TcpChannel {
         let mut bufs: &mut [IoSlice<'_>] = &mut slices;
         let mut remaining = header.len() + payload.len();
         while remaining > 0 {
-            let n = match self.stream.write_vectored(bufs) {
+            let n = match self.sock.stream.write_vectored(bufs) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         ErrorKind::WriteZero,
@@ -307,8 +413,8 @@ impl Channel for TcpChannel {
         let len = (frame.len() as u32).to_le_bytes();
         match self.write_frame_parts(&len, frame) {
             Ok(()) => {
-                self.metrics.add_messages_sent(1);
-                self.metrics.add_bytes_sent(frame.len() as u64 + 4);
+                self.sock.metrics.add_messages_sent(1);
+                self.sock.metrics.add_bytes_sent(frame.len() as u64 + 4);
                 Ok(())
             }
             Err(e) => Err(self.map_write_err(e)),
@@ -317,10 +423,10 @@ impl Channel for TcpChannel {
 
     fn send_framed(&mut self, frame: &[u8]) -> DbResult<()> {
         debug_assert!(frame.len() >= 4, "framed message missing its prefix");
-        match self.stream.write_all(frame) {
+        match self.sock.stream.write_all(frame) {
             Ok(()) => {
-                self.metrics.add_messages_sent(1);
-                self.metrics.add_bytes_sent(frame.len() as u64);
+                self.sock.metrics.add_messages_sent(1);
+                self.sock.metrics.add_bytes_sent(frame.len() as u64);
                 Ok(())
             }
             Err(e) => Err(self.map_write_err(e)),
@@ -328,51 +434,39 @@ impl Channel for TcpChannel {
     }
 
     fn recv(&mut self) -> DbResult<Vec<u8>> {
-        self.stream.set_read_timeout(None).ok();
-        self.read_frame(None)
+        loop {
+            if let Some(frame) = self.read_frame(None)? {
+                return Ok(frame);
+            }
+        }
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>> {
-        // Time out only on the first header byte; once anything of a frame
-        // has arrived, block for the rest (the sender wrote it whole).
-        self.stream.set_read_timeout(Some(timeout)).ok();
-        let mut first = [0u8; 1];
-        let got = self.stream.read_exact(&mut first);
-        self.stream.set_read_timeout(None).ok();
-        match got {
-            Ok(()) => Ok(Some(self.read_frame(Some(first[0]))?)),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => Ok(None),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::UnexpectedEof
-                        | ErrorKind::ConnectionReset
-                        | ErrorKind::ConnectionAborted
-                        | ErrorKind::BrokenPipe
-                ) =>
-            {
-                Err(closed(&self.peer))
-            }
-            Err(e) => Err(e.into()),
-        }
+        self.read_frame(Some(timeout))
     }
 
     fn peer(&self) -> String {
-        self.peer.clone()
+        self.sock.peer.clone()
     }
 
     fn is_closed(&self) -> bool {
-        // A non-blocking peek: an idle connection that is open has nothing
-        // to read (`WouldBlock`); end-of-stream, a reset, or unrequested
-        // bytes all mean it must not carry another exchange.
-        if self.stream.set_nonblocking(true).is_err() {
+        // Bytes read ahead that nobody asked for yet, or a non-blocking
+        // peek that finds end-of-stream, a reset or such bytes: the
+        // connection must not carry another exchange. An idle connection
+        // that is open has nothing to read (`WouldBlock`).
+        if self.at < self.end {
             return true;
         }
+        let sock = &self.sock;
+        if !sock.nonblocking && sock.stream.set_nonblocking(true).is_err() {
+            return true;
+        }
+        sock.metrics.add_socket_reads(1);
         let idle = matches!(
-            self.stream.peek(&mut [0u8; 1]),
+            sock.stream.peek(&mut [0u8; 1]),
             Err(e) if e.kind() == ErrorKind::WouldBlock
         );
-        !(idle && self.stream.set_nonblocking(false).is_ok())
+        !(idle && (sock.nonblocking || sock.stream.set_nonblocking(false).is_ok()))
     }
 }
 
@@ -435,6 +529,75 @@ mod tests {
         }
         // The very write that would have carried a frame still succeeds.
         assert!(client.send(b"lost").is_ok());
+    }
+
+    /// A frame of the common size costs one `recv` and, once the socket is
+    /// in the wanted mode, no `setsockopt`; frames written back to back
+    /// are read ahead, and a read-ahead frame costs nothing.
+    #[test]
+    fn a_frame_is_one_read() {
+        let server_metrics = Metrics::new();
+        let l = TcpTransport::new(server_metrics.clone())
+            .listen("127.0.0.1:0")
+            .unwrap();
+        let mut client = TcpTransport::new(Metrics::new())
+            .connect(&l.local_addr())
+            .unwrap();
+        let mut server = l.accept().unwrap();
+        for i in 0..100u8 {
+            client.send(&[i; 300]).unwrap();
+            let frame = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(frame.unwrap(), [i; 300]);
+        }
+        assert_eq!(server_metrics.socket_reads(), 100);
+        let mut raw = TcpStream::connect(l.local_addr()).unwrap();
+        let mut server = l.accept().unwrap();
+        let two = [&3u32.to_le_bytes()[..], b"one", &3u32.to_le_bytes(), b"two"].concat();
+        raw.write_all(&two).unwrap();
+        let before = server_metrics.socket_reads();
+        assert_eq!(server.recv().unwrap(), b"one");
+        // The second frame came with the first: nobody has asked for it,
+        // so the connection must not carry another exchange.
+        assert!(server.is_closed());
+        assert_eq!(server.recv().unwrap(), b"two");
+        assert_eq!(server_metrics.socket_reads() - before, 1);
+    }
+
+    /// A timeout bounds only the wait for a frame's first byte: a frame that
+    /// arrives in pieces slower than the timeout is still read whole, and
+    /// a frame larger than the read-ahead gets a buffer of its own.
+    #[test]
+    fn a_timeout_never_splits_a_frame() {
+        let (_t, l, addr) = bind();
+        let mut raw = TcpStream::connect(&addr).unwrap();
+        let mut server = l.accept().unwrap();
+        for len in [10usize, PAGE_SIZE - 4, PAGE_SIZE + 1, 3 * PAGE_SIZE] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let frame = [&(len as u32).to_le_bytes()[..], &payload].concat();
+            raw.write_all(&frame[..2]).unwrap();
+            let writer = {
+                let mut raw = raw.try_clone().unwrap();
+                std::thread::spawn(move || {
+                    for piece in [&frame[2..7], &frame[7..]] {
+                        std::thread::sleep(Duration::from_millis(30));
+                        raw.write_all(piece).unwrap();
+                    }
+                })
+            };
+            let got = server.recv_timeout(Duration::from_millis(5)).unwrap();
+            assert_eq!(
+                got.expect("a frame begun is waited for"),
+                payload,
+                "len {len}"
+            );
+            writer.join().unwrap();
+        }
+        assert!(server
+            .recv_timeout(Duration::from_millis(5))
+            .unwrap()
+            .is_none());
+        drop(raw);
+        assert!(server.recv().unwrap_err().is_disconnect());
     }
 
     #[test]

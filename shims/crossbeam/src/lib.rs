@@ -7,6 +7,18 @@
 //! disconnect semantics (send fails once every receiver is gone; recv drains
 //! the queue and then fails once every sender is gone).
 //!
+//! **The wake rule.** A `notify` on a std condvar is a `FUTEX_WAKE` syscall
+//! whether or not anybody sleeps on it, so, like the crate it stands in for,
+//! the shim wakes only a thread that is asleep. Receivers parked in a
+//! blocking receive and senders blocked on a full bounded channel count
+//! themselves in and out under the queue lock; a send wakes one receiver
+//! only if one is parked, and a receive wakes one sender only if one is
+//! blocked, each deciding under the lock after its push or pop. A hand-off
+//! to a thread that is not asleep costs no syscall, and a strict ping-pong
+//! costs at most one wake a message. Disconnects still wake everybody.
+//! Waits are 50 ms slices that re-check the queue, so a lost wake would
+//! show as a slice's delay, never as a hang.
+//!
 //! Because every channel in the workspace flows through this shim, it doubles
 //! as the message half of **ShimSan** (`harbor_common::shimsan`): each queued
 //! element carries a vector-clock [`MsgClock`](harbor_common::shimsan::MsgClock)
@@ -26,13 +38,20 @@ pub mod channel {
     struct Shared<T> {
         queue: Mutex<VecDeque<(T, MsgClock)>>,
         cap: Option<usize>,
-        /// Receivers of a rendezvous channel parked in a blocking receive
-        /// (changed under the queue lock): what its senders wait for.
+        /// Receivers parked in a blocking receive: what a send wakes, and on
+        /// a rendezvous channel what its senders wait for.
         parked: AtomicUsize,
+        /// Senders waiting for room in a full bounded channel: what a
+        /// receive wakes.
+        blocked: AtomicUsize,
         senders: AtomicUsize,
         receivers: AtomicUsize,
         not_empty: Condvar,
         not_full: Condvar,
+        /// `notify_one`s issued, for the tests' lost-wake and wasted-wake
+        /// checks.
+        #[cfg(test)]
+        wakes: AtomicUsize,
     }
 
     type Queue<'a, T> = std::sync::MutexGuard<'a, VecDeque<(T, MsgClock)>>;
@@ -42,22 +61,39 @@ pub mod channel {
             self.queue.lock().unwrap_or_else(PoisonError::into_inner)
         }
 
-        /// A receiver's wait for a value; on a rendezvous channel it is
-        /// counted, so that a sender knows somebody is there to take one.
+        /// Wakes one thread waiting on `cv`. Callers decide under the queue
+        /// lock that one is waiting: a notify nobody waits for is a syscall
+        /// for nothing.
+        fn wake(&self, cv: &Condvar) {
+            #[cfg(test)]
+            self.wakes.fetch_add(1, Ordering::SeqCst);
+            cv.notify_one();
+        }
+
+        /// The queue's next value, waking a sender blocked for its room.
+        fn take(&self, q: &mut Queue<'_, T>) -> Option<T> {
+            let (v, mc) = q.pop_front()?;
+            if self.blocked.load(Ordering::SeqCst) > 0 {
+                self.wake(&self.not_full);
+            }
+            mc.join_into_current();
+            Some(v)
+        }
+
+        /// A receiver's wait for a value, counted so that a send knows to
+        /// wake it (and, on a rendezvous channel, that somebody is there to
+        /// take one).
         fn park<'a>(&self, q: Queue<'a, T>, slice: Duration) -> Queue<'a, T> {
-            let rendezvous = self.cap == Some(0);
-            if rendezvous {
-                self.parked.fetch_add(1, Ordering::SeqCst);
-                self.not_full.notify_one();
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            if self.cap == Some(0) && self.blocked.load(Ordering::SeqCst) > 0 {
+                self.wake(&self.not_full);
             }
             let q = self
                 .not_empty
                 .wait_timeout(q, slice)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
-            if rendezvous {
-                self.parked.fetch_sub(1, Ordering::SeqCst);
-            }
+            self.parked.fetch_sub(1, Ordering::SeqCst);
             q
         }
     }
@@ -99,10 +135,13 @@ pub mod channel {
             queue: Mutex::new(VecDeque::new()),
             cap,
             parked: AtomicUsize::new(0),
+            blocked: AtomicUsize::new(0),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            #[cfg(test)]
+            wakes: AtomicUsize::new(0),
         });
         (
             Sender {
@@ -139,18 +178,23 @@ pub mod channel {
                 };
                 match room {
                     Some(room) if q.len() >= room => {
+                        shared.blocked.fetch_add(1, Ordering::SeqCst);
                         q = shared
                             .not_full
                             .wait_timeout(q, Duration::from_millis(50))
                             .unwrap_or_else(PoisonError::into_inner)
                             .0;
+                        shared.blocked.fetch_sub(1, Ordering::SeqCst);
                     }
                     _ => break,
                 }
             }
             q.push_back((value, MsgClock::stamp()));
+            let wake = shared.parked.load(Ordering::SeqCst) > 0;
             drop(q);
-            shared.not_empty.notify_one();
+            if wake {
+                shared.wake(&shared.not_empty);
+            }
             Ok(())
         }
     }
@@ -160,9 +204,7 @@ pub mod channel {
             let shared = &*self.shared;
             let mut q = shared.lock();
             loop {
-                if let Some((v, mc)) = q.pop_front() {
-                    shared.not_full.notify_one();
-                    mc.join_into_current();
+                if let Some(v) = shared.take(&mut q) {
                     return Ok(v);
                 }
                 if shared.senders.load(Ordering::SeqCst) == 0 {
@@ -175,9 +217,7 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let shared = &*self.shared;
             let mut q = shared.lock();
-            if let Some((v, mc)) = q.pop_front() {
-                shared.not_full.notify_one();
-                mc.join_into_current();
+            if let Some(v) = shared.take(&mut q) {
                 return Ok(v);
             }
             if shared.senders.load(Ordering::SeqCst) == 0 {
@@ -192,9 +232,7 @@ pub mod channel {
             let shared = &*self.shared;
             let mut q = shared.lock();
             loop {
-                if let Some((v, mc)) = q.pop_front() {
-                    shared.not_full.notify_one();
-                    mc.join_into_current();
+                if let Some(v) = shared.take(&mut q) {
                     return Ok(v);
                 }
                 if shared.senders.load(Ordering::SeqCst) == 0 {
@@ -338,6 +376,86 @@ pub mod channel {
             assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(1));
             t.join().unwrap();
             assert_eq!(rx.recv(), Err(RecvError));
+        }
+
+        fn wakes<T>(rx: &Receiver<T>) -> usize {
+            rx.shared.wakes.load(Ordering::SeqCst)
+        }
+
+        /// Spins (without parking) until `rx` has a receiver parked on it.
+        fn until_parked<T>(rx: &Receiver<T>) {
+            while rx.shared.parked.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+        }
+
+        #[test]
+        fn a_send_nobody_waits_for_wakes_nobody() {
+            let (tx, rx) = unbounded();
+            for i in 0..100 {
+                tx.send(i).unwrap();
+            }
+            for i in 0..100 {
+                assert_eq!(rx.try_recv(), Ok(i));
+            }
+            assert_eq!(wakes(&rx), 0);
+            // A receiver that is parked is woken, once.
+            let t = {
+                let rx = rx.clone();
+                std::thread::spawn(move || rx.recv().unwrap())
+            };
+            until_parked(&rx);
+            tx.send(7).unwrap();
+            assert_eq!(t.join().unwrap(), 7);
+            assert_eq!(wakes(&rx), 1);
+        }
+
+        /// The rendezvous handshake: a sender that came first is blocked
+        /// until a receiver arrives, and the receiver's arrival wakes it
+        /// rather than leaving it to its slice.
+        #[test]
+        fn a_sender_that_came_first_is_woken_by_the_receiver() {
+            let (tx, rx) = bounded(0);
+            let sender = std::thread::spawn(move || tx.send(5).unwrap());
+            while rx.shared.blocked.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(rx.recv(), Ok(5));
+            sender.join().unwrap();
+            assert_eq!(wakes(&rx), 2, "the receiver's arrival, then the value");
+        }
+
+        /// Each side of a strict ping-pong is parked, or about to be, when
+        /// its message arrives: no more than one wake a message, and every
+        /// round trip completes (a lost wake would stall it for a slice). A
+        /// rendezvous message may cost two: a sender that came first is
+        /// woken by the receiver's arrival, and then wakes it in turn.
+        #[test]
+        fn a_ping_pong_costs_at_most_a_wake_a_message() {
+            const N: usize = 2_000;
+            for (cap, per_message) in [(None, 1), (Some(1), 1), (Some(0), 2)] {
+                let (ping_tx, ping_rx) = with_cap::<usize>(cap);
+                let (pong_tx, pong_rx) = with_cap::<usize>(cap);
+                let echo = std::thread::spawn(move || {
+                    while let Ok(v) = ping_rx.recv() {
+                        pong_tx.send(v).unwrap();
+                    }
+                    ping_rx
+                });
+                let start = Instant::now();
+                for i in 0..N {
+                    ping_tx.send(i).unwrap();
+                    assert_eq!(pong_rx.recv(), Ok(i));
+                }
+                assert!(start.elapsed() < Duration::from_secs(20), "{cap:?}");
+                drop(ping_tx);
+                let ping_rx = echo.join().unwrap();
+                let total = wakes(&ping_rx) + wakes(&pong_rx);
+                assert!(
+                    total <= 2 * N * per_message,
+                    "{cap:?}: {total} wakes for {N} round trips"
+                );
+            }
         }
 
         #[test]

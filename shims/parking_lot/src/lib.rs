@@ -16,6 +16,12 @@
 //! the underlying lock does. In release builds `SyncClock` is zero-sized and
 //! every call compiles to nothing; the `#[cfg(debug_assertions)]` guard
 //! fields keep release guard layouts identical to the uninstrumented shim.
+//!
+//! `Condvar` follows the real crate's wake rule: `notify_one`/`notify_all`
+//! make a syscall only when a thread is waiting (a std notify always enters
+//! the kernel). Waiters are counted under the caller's mutex, so the rule
+//! holds for every caller that changes the waited-for state under the
+//! mutex it waits with — which a std condvar requires anyway.
 //! (Imprecision note: read-guard drops also publish, so ShimSan treats
 //! concurrent readers as ordered — it under-reports read/read ordering,
 //! never write races.)
@@ -23,6 +29,7 @@
 use harbor_common::shimsan::SyncClock;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
@@ -259,15 +266,25 @@ impl WaitTimeoutResult {
     }
 }
 
+/// A condition variable that wakes only threads that are asleep on it.
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
+    /// Threads in `wait`/`wait_for`, counted in before the caller's mutex is
+    /// released and out after it is taken back.
+    waiters: AtomicUsize,
+    /// Notifies that reached the std condvar, for the tests' wake counts.
+    #[cfg(test)]
+    wakes: AtomicUsize,
 }
 
 impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
+            #[cfg(test)]
+            wakes: AtomicUsize::new(0),
         }
     }
 
@@ -275,7 +292,9 @@ impl Condvar {
         let g = guard.inner.take().expect("guard active");
         #[cfg(debug_assertions)]
         guard.san.release();
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         #[cfg(debug_assertions)]
         guard.san.acquire();
         guard.inner = Some(g);
@@ -289,10 +308,12 @@ impl Condvar {
         let g = guard.inner.take().expect("guard active");
         #[cfg(debug_assertions)]
         guard.san.release();
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (g, res) = match self.inner.wait_timeout(g, timeout) {
             Ok((g, r)) => (g, r),
             Err(p) => p.into_inner(),
         };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         #[cfg(debug_assertions)]
         guard.san.acquire();
         guard.inner = Some(g);
@@ -313,12 +334,26 @@ impl Condvar {
         self.wait_for(guard, deadline - now)
     }
 
+    /// Wakes one waiter; with none waiting, returns without a syscall. A
+    /// waiter counts itself in while it still holds the mutex, so a
+    /// notifier that changed the waited-for state under that mutex sees
+    /// every waiter that could have missed the change.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            #[cfg(test)]
+            self.wakes.fetch_add(1, Ordering::SeqCst);
+            self.inner.notify_one();
+        }
     }
 
+    /// Wakes every waiter; as [`notify_one`](Self::notify_one), free when
+    /// there are none.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            #[cfg(test)]
+            self.wakes.fetch_add(1, Ordering::SeqCst);
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -375,6 +410,59 @@ mod tests {
         let mut g = m.lock();
         let res = c.wait_until(&mut g, Instant::now() + Duration::from_millis(5));
         assert!(res.timed_out());
+    }
+
+    #[test]
+    fn a_notify_nobody_waits_for_is_free() {
+        let c = Condvar::new();
+        for _ in 0..10 {
+            c.notify_one();
+            c.notify_all();
+        }
+        assert_eq!(c.wakes.load(Ordering::SeqCst), 0);
+    }
+
+    /// Four threads pass a token round a ring with untimed waits: a lost
+    /// wake hangs them (and the watchdog fails the test). Every pass wakes
+    /// the sleepers at most once.
+    #[test]
+    fn a_token_ring_never_loses_a_wake() {
+        const THREADS: usize = 4;
+        const PASSES: usize = 4_000;
+        let ring = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let handles: Vec<_> = (0..THREADS)
+            .map(|me| {
+                let ring = ring.clone();
+                let done_tx = done_tx.clone();
+                std::thread::spawn(move || {
+                    let (m, c) = &*ring;
+                    let mut turn = m.lock();
+                    loop {
+                        while *turn < PASSES && *turn % THREADS != me {
+                            c.wait(&mut turn);
+                        }
+                        if *turn >= PASSES {
+                            break;
+                        }
+                        *turn += 1;
+                        c.notify_all();
+                    }
+                    drop(turn);
+                    done_tx.send(()).unwrap();
+                })
+            })
+            .collect();
+        for _ in 0..THREADS {
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a waiter missed its wake");
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let wakes = ring.1.wakes.load(Ordering::SeqCst);
+        assert!(wakes <= PASSES, "{wakes} wakes for {PASSES} passes");
     }
 
     /// The lock half of ShimSan: a mutex hand-off is a happens-before edge,

@@ -62,7 +62,7 @@ fn a_crashed_catalog_save_leaves_the_old_catalog_or_the_new() {
         let path = temp_dir("catalog").join("catalog");
         let names = || -> DbResult<Vec<String>> {
             let all = Catalog::open(&path, disk)?.all();
-            Ok(all.into_iter().map(|def| def.name).collect())
+            Ok(all.into_iter().map(|def| def.name.clone()).collect())
         };
         Catalog::open(&path, disk)
             .unwrap()
