@@ -253,7 +253,8 @@ fn bench_transport(c: &mut Criterion) {
     let addr = listener.local_addr();
     let sink = std::thread::spawn(move || {
         let mut chan = listener.accept().unwrap();
-        while chan.recv().is_ok() {}
+        // Drains until the sender hangs up; an idle second is no end.
+        while chan.recv_timeout(Duration::from_secs(1)).is_ok() {}
     });
     let mut chan = transport.connect(&addr).unwrap();
     let framed = resp.to_framed_vec();

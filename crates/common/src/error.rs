@@ -20,10 +20,9 @@ crate::wire_enum! {
         0 => Corrupt(String),
         /// The page / segment / log buffer is full.
         1 => Full(String),
-        /// A single request exceeded its deadline. *Transient*: the peer may be
-        /// slow, the link may be lossy, or a frame was delayed — the site is not
-        /// presumed dead. Idempotent reads may retry; commit-protocol messages
-        /// must never be retransmitted blindly.
+        /// A client's request outran its own budget at the front door (before
+        /// or while it was served). Says nothing of any site: a peer that does
+        /// not answer another site in time is [`DbError::SiteUnavailable`].
         2 => Timeout(String),
         /// Schema mismatch: wrong arity or field type.
         3 => Schema(String),
@@ -64,10 +63,10 @@ crate::wire_enum! {
         /// A heap page's checksum trailer did not match its contents on
         /// fault-in: the on-disk copy is damaged (torn write, bit rot, bad
         /// sector). *Site-local and repairable* — the page can be rebuilt from
-        /// a live buddy's copy of the same key range, so this is neither a
-        /// transient [`DbError::Timeout`] (re-reading the same bytes cannot
-        /// help) nor a reason to escalate to [`DbError::SiteUnavailable`]
-        /// (the site is otherwise live).
+        /// a live buddy's copy of the same key range, so it is not worth a
+        /// retry (re-reading the same bytes cannot help) nor a reason to
+        /// escalate to [`DbError::SiteUnavailable`] (the site is otherwise
+        /// live).
         16 => CorruptPage { table: TableId, page: u32 },
         /// The serving layer declined to admit the request: its bounded queue
         /// was over its depth/age watermark or no in-flight permit was
@@ -159,14 +158,14 @@ impl DbError {
         matches!(self, DbError::Degraded(_))
     }
 
-    /// `true` for a transient per-request deadline expiry. Never implies the
-    /// peer is dead; see [`DbError::is_disconnect`] for that.
+    /// `true` for a client's spent budget. Never implies a peer is dead; see
+    /// [`DbError::is_disconnect`] for that.
     pub fn is_timeout(&self) -> bool {
         matches!(self, DbError::Timeout(_))
     }
 
     /// `true` for errors that indicate the remote party is gone, which the
-    /// commit protocols treat as a worker/coordinator failure. A transient
+    /// commit protocols treat as a worker/coordinator failure. A client's
     /// [`DbError::Timeout`] is deliberately *not* a disconnect — only a
     /// closed connection or an expired liveness deadline
     /// ([`DbError::SiteUnavailable`]) counts as site death.
@@ -297,10 +296,10 @@ mod tests {
         );
         let tid = TransactionId::from_parts(SiteId(0), 1);
         assert!(!DbError::TransactionAborted(tid).is_disconnect());
-        // Liveness-deadline expiry is site death; a transient per-request
-        // timeout is not (the conflation this distinction exists to prevent).
+        // Liveness-deadline expiry is site death; a client's spent budget
+        // is not (the conflation this distinction exists to prevent).
         assert!(DbError::unavailable("site-1: liveness deadline").is_disconnect());
-        assert!(!DbError::timeout("site-1: slow reply").is_disconnect());
+        assert!(!DbError::timeout("client budget spent").is_disconnect());
         assert!(DbError::timeout("x").is_timeout());
         assert!(!DbError::unavailable("x").is_timeout());
         assert!(!DbError::net("x").is_timeout());

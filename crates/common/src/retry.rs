@@ -8,10 +8,10 @@
 //! schedule byte-identically under the same seed (the determinism contract),
 //! while distinct seeds decorrelate retry storms across sites.
 //!
-//! Taxonomy: callers retry *transient* failures ([`DbError::Timeout`], and
-//! optionally disconnect-classified errors for connection establishment);
-//! [`DbError::SiteUnavailable`] is already an escalated verdict and must
-//! never be retried blindly: each caller's classifier says so.
+//! Taxonomy: what is worth another attempt is each caller's classifier —
+//! a disconnect for an idempotent read (a closed connection, a refused
+//! connect, or a peer silent past its liveness deadline), a lock timeout for
+//! a recovery lock. Commit-protocol messages never pass through here.
 
 use crate::error::{DbError, DbResult};
 use crate::metrics::Metrics;
@@ -149,7 +149,7 @@ mod tests {
             let msg = err.to_string();
             let calls = Cell::new(0u32);
             let moved = Cell::new(Some(err));
-            let r: DbResult<()> = retry_with(&policy(), None, DbError::is_timeout, |_| {
+            let r: DbResult<()> = retry_with(&policy(), None, DbError::is_corrupt, |_| {
                 calls.set(calls.get() + 1);
                 Err(moved.take().expect("called once"))
             });
@@ -161,9 +161,9 @@ mod tests {
     #[test]
     fn success_mid_schedule_stops_retrying() {
         let m = Metrics::new();
-        let r = retry_with(&policy(), Some(&m), DbError::is_timeout, |attempt| {
+        let r = retry_with(&policy(), Some(&m), DbError::is_disconnect, |attempt| {
             if attempt < 2 {
-                Err(DbError::timeout("warming up"))
+                Err(DbError::net("warming up"))
             } else {
                 Ok(attempt)
             }
@@ -178,7 +178,7 @@ mod tests {
         let r: DbResult<()> = retry_with(
             &policy(),
             None,
-            |e| e.is_timeout() || e.is_disconnect(),
+            |e| e.is_corrupt() || e.is_disconnect(),
             |_| {
                 calls.set(calls.get() + 1);
                 Err(DbError::net("connection refused"))

@@ -31,9 +31,8 @@ use harbor_common::{
     Timestamp, TransactionId, Tuple,
 };
 use harbor_dist::{
-    rpc_deadline, rpc_liveness, scan_rpc_streaming_deadline, segment_bounds_rpc, with_read_retries,
-    Placement, RecoveryObject, RemoteScan, Request, Response, WireReadMode, DEFAULT_READ_RETRIES,
-    DEFAULT_RETRY_BACKOFF,
+    rpc, scan_rpc, with_read_retries, Placement, RecoveryObject, RemoteScan, Request, Response,
+    WireReadMode, DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF,
 };
 use harbor_engine::Engine;
 use harbor_exec::{scan_pages, visit_page, ReadMode, ScanRow};
@@ -200,6 +199,12 @@ impl RecoveryContext {
         self.transport.connect(self.placement.coordinator_addr()?)
     }
 
+    /// One round trip with a buddy or the coordinator, under the liveness
+    /// deadline; an expiry is counted on this site.
+    fn ask(&self, chan: &mut dyn Channel, req: &Request) -> DbResult<Response> {
+        rpc(chan, req, self.rpc_deadline, self.engine.metrics())
+    }
+
     /// The objects this site holds: the tables the catalog places here that
     /// the engine has.
     fn local_objects(&self) -> Vec<String> {
@@ -216,12 +221,13 @@ impl RecoveryContext {
 /// whose COMMIT round is still out, else the current time — so every
 /// transaction with a commit time at or below it is committed on every live
 /// replica's pages and a historical query as of it misses none of them.
-/// Idempotent, so a transient timeout or dropped connection gets bounded
+/// Idempotent, so a silent peer or a dropped connection gets bounded
 /// retries.
 fn stable_hwm(ctx: &RecoveryContext) -> DbResult<Timestamp> {
-    let reply = with_read_retries(None, DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF, || {
+    let metrics = ctx.engine.metrics();
+    let reply = with_read_retries(metrics, DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF, || {
         let mut chan = ctx.connect_coordinator()?;
-        rpc_deadline(chan.as_mut(), &Request::GetTime, ctx.rpc_deadline)
+        ctx.ask(chan.as_mut(), &Request::GetTime)
     })?;
     match reply {
         Response::Time { now } => Ok(now.prev()),
@@ -505,7 +511,8 @@ fn fetch_deletions(
     scan: &RemoteScan,
 ) -> DbResult<HashMap<i64, Timestamp>> {
     let mut pairs = HashMap::new();
-    scan_rpc_streaming_deadline(chan, scan, ctx.rpc_deadline, |rows, wire| {
+    let metrics = ctx.engine.metrics();
+    scan_rpc(chan, scan, ctx.rpc_deadline, metrics, |rows, wire| {
         for _ in 0..rows {
             let pair = Tuple::read_wire(wire)?;
             pairs.insert(pair.try_get(0)?.as_i64()?, pair.try_get(1)?.as_time()?);
@@ -531,9 +538,13 @@ fn fetch_inserts(
     let engine = &ctx.engine;
     let mut inserter = engine.recovered_inserter(table)?;
     let mut placed: Vec<RecordId> = Vec::new();
-    let streamed = scan_rpc_streaming_deadline(chan, scan, ctx.rpc_deadline, |rows, wire| {
-        inserter.insert_wire(rows, wire, |rid| placed.push(rid))
-    });
+    let streamed = scan_rpc(
+        chan,
+        scan,
+        ctx.rpc_deadline,
+        engine.metrics(),
+        |rows, wire| inserter.insert_wire(rows, wire, |rid| placed.push(rid)),
+    );
     match streamed {
         Ok(()) => Ok(placed.len() as u64),
         Err(e) => {
@@ -620,7 +631,13 @@ type SegmentBound = (Timestamp, Timestamp, Timestamp, u64);
 fn segment_bounds(ctx: &RecoveryContext, obj: &RecoveryObject) -> DbResult<Vec<SegmentBound>> {
     first_live(obj.buddies.iter().copied(), no_live_buddy(obj), |buddy| {
         let mut chan = ctx.connect(buddy)?;
-        segment_bounds_rpc(chan.as_mut(), &obj.table, ctx.rpc_deadline)
+        let req = Request::SegmentBounds {
+            table: obj.table.clone(),
+        };
+        match ctx.ask(chan.as_mut(), &req)? {
+            Response::SegmentBounds { segments } => Ok(segments),
+            other => Err(other.into_error("segment-bounds")),
+        }
     })
 }
 
@@ -831,7 +848,7 @@ fn phase3(
                         tid: lock_tid,
                         table: obj.table.clone(),
                     };
-                    match rpc_liveness(chan.as_mut(), &req, ctx.rpc_deadline, None)? {
+                    match ctx.ask(chan.as_mut(), &req)? {
                         Response::Ok => Ok(()),
                         other => Err(other.into_error("table-lock").at(buddy)),
                     }
@@ -872,28 +889,24 @@ fn phase3(
     // 4) Join pending transactions (Fig 5-4): announce to the coordinator
     //    and wait for "all done".
     let mut coord = ctx.connect_coordinator()?;
-    match rpc_liveness(
-        coord.as_mut(),
-        &Request::RecComingOnline {
-            site: ctx.site,
-            table: table_name.to_string(),
-        },
-        ctx.rpc_deadline,
-        None,
-    )? {
+    let online = Request::RecComingOnline {
+        site: ctx.site,
+        table: table_name.to_string(),
+    };
+    match ctx.ask(coord.as_mut(), &online)? {
         Response::AllDone => {}
         other => return Err(other.into_error("RecComingOnline")),
     }
-    // 5) RELEASE REMOTELY LOCK — rec is fully online.
+    // 5) RELEASE REMOTELY LOCK — rec is fully online, and the coordinator
+    //    already routes updates to it, so nothing here may fail the
+    //    recovery: a buddy that does not hear the release frees the lock
+    //    when its lock connection closes (§5.5.1), as `lock_chans` drops.
     for (obj, chan) in plan.iter().zip(&mut lock_chans) {
-        let _ = rpc_deadline(
-            chan.as_mut(),
-            &Request::ReleaseTableLock {
-                tid: lock_tid,
-                table: obj.table.clone(),
-            },
-            ctx.rpc_deadline,
-        )?;
+        let release = Request::ReleaseTableLock {
+            tid: lock_tid,
+            table: obj.table.clone(),
+        };
+        let _ = ctx.ask(chan.as_mut(), &release);
     }
     Ok(consistent_up_to)
 }

@@ -22,7 +22,7 @@
 use crate::failpoint::CrashPoint;
 use crate::message::{Request, Response};
 use crate::worker::Worker;
-use crate::{rpc_deadline, rpc_liveness, with_read_retries};
+use crate::{rpc, with_read_retries};
 use harbor_common::{DbError, DbResult, SiteId, Timestamp, TransactionId};
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,10 +32,10 @@ use std::time::Duration;
 /// it is treated as dead (§5.5.1 extended to blackholed links).
 pub(crate) const CONSENSUS_DEADLINE: Duration = Duration::from_secs(2);
 
-/// Bounded retries for *transient* timeouts during the election ping and the
+/// Bounded retries for an expired deadline during the election ping and the
 /// idempotent state query. A site must not be declared dead — and its backup
-/// role usurped — on a single slow reply; only a true disconnect or repeated
-/// deadline expiry counts as death.
+/// role usurped — on a single slow reply; only a closed connection or
+/// repeated deadline expiry counts as death.
 pub(crate) const CONSENSUS_RETRIES: u32 = 2;
 
 /// A participant's consensus-relevant state (Fig 4-5 states plus the vote).
@@ -182,16 +182,19 @@ pub fn query_backup_state(
         let Some(addr) = worker.peer_addr(site) else {
             continue;
         };
-        // The query is idempotent, so transient timeouts get bounded retries
-        // before the site is skipped as unreachable.
-        let reply = with_read_retries(None, CONSENSUS_RETRIES, Duration::from_millis(10), || {
-            let mut chan = worker.transport().connect(&addr)?;
-            rpc_deadline(
-                chan.as_mut(),
-                &Request::QueryTxnState { tid },
-                CONSENSUS_DEADLINE,
-            )
-        });
+        // The query is idempotent, so a silent or closed peer gets bounded
+        // retries before the site is skipped as unreachable.
+        let metrics = worker.engine().metrics();
+        let reply = with_read_retries(
+            metrics,
+            CONSENSUS_RETRIES,
+            Duration::from_millis(10),
+            || {
+                let mut chan = worker.transport().connect(&addr)?;
+                let req = Request::QueryTxnState { tid };
+                rpc(chan.as_mut(), &req, CONSENSUS_DEADLINE, metrics)
+            },
+        );
         match reply {
             Ok(Response::TxnState { state }) => {
                 use crate::message::WireTxnState as W;
@@ -214,15 +217,16 @@ fn ping(worker: &Arc<Worker>, site: SiteId) -> bool {
     let Some(addr) = worker.peer_addr(site) else {
         return false;
     };
-    // Only a true disconnect or repeated deadline expiry declares the site
-    // dead; a single transient timeout must not usurp its backup role.
+    // Only a closed connection or repeated deadline expiry declares the
+    // site dead; a single silent deadline must not usurp its backup role.
+    let metrics = worker.engine().metrics();
     for attempt in 0..=CONSENSUS_RETRIES {
         let Ok(mut chan) = worker.transport().connect(&addr) else {
             return false;
         };
-        match rpc_deadline(chan.as_mut(), &Request::Ping, CONSENSUS_DEADLINE) {
+        match rpc(chan.as_mut(), &Request::Ping, CONSENSUS_DEADLINE, metrics) {
             Ok(Response::Ok) => return true,
-            Err(DbError::Timeout(_)) if attempt < CONSENSUS_RETRIES => continue,
+            Err(DbError::SiteUnavailable(_)) if attempt < CONSENSUS_RETRIES => continue,
             _ => return false,
         }
     }
@@ -233,6 +237,7 @@ fn ping(worker: &Arc<Worker>, site: SiteId) -> bool {
 /// server, for uniformity). Crashed participants are skipped — they will
 /// learn the outcome through recovery.
 fn broadcast(worker: &Arc<Worker>, participants: &[SiteId], req: &Request) -> DbResult<()> {
+    let metrics = worker.engine().metrics();
     let mut reached = 0usize;
     for site in participants {
         let Some(addr) = worker.peer_addr(*site) else {
@@ -245,7 +250,7 @@ fn broadcast(worker: &Arc<Worker>, participants: &[SiteId], req: &Request) -> Db
         // closes is treated as died mid-step, not waited on forever. Phase
         // messages are never retransmitted here — the recovering site learns
         // the outcome through recovery instead.
-        match rpc_liveness(chan.as_mut(), req, CONSENSUS_DEADLINE, None) {
+        match rpc(chan.as_mut(), req, CONSENSUS_DEADLINE, metrics) {
             // The step was rejected, not lost: the participant says why.
             Ok(Response::Err(e)) => return Err(e.at(*site)),
             Ok(_) => reached += 1,

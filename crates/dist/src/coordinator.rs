@@ -8,7 +8,7 @@ use crate::message::{RemoteScan, Request, Response, UpdateRequest, WireTxnState}
 use crate::placement::SharedPlacement;
 use crate::protocol::ProtocolKind;
 use crate::{
-    collect_scan_replies, liveness_expired, with_read_retries, DEFAULT_READ_RETRIES,
+    drain_scan_replies, next_frame, silent_peer, with_read_retries, DEFAULT_READ_RETRIES,
     DEFAULT_RETRY_BACKOFF,
 };
 use crossbeam::channel::{bounded, Receiver, SendError, Sender};
@@ -761,22 +761,13 @@ impl Coordinator {
         let left = expires
             .saturating_duration_since(Instant::now())
             .max(Duration::from_millis(1));
-        let resp = match chan.recv_timeout(left) {
-            Ok(Some(frame)) => match Response::from_slice(&frame) {
+        let resp = next_frame(chan.as_mut(), left, &self.metrics).and_then(|frame| {
+            match Response::from_slice(&frame) {
                 // Not a reply to `req`: the site never ran it.
                 Ok(Response::Err(e @ DbError::BeginRefused { .. })) => Err(e),
                 decoded => decoded,
-            },
-            Ok(None) => Err(liveness_expired(
-                Some(&self.metrics),
-                &format!(
-                    "{}: no reply within {:?}",
-                    chan.peer(),
-                    self.cfg.rpc_deadline
-                ),
-            )),
-            Err(e) => Err(e),
-        };
+            }
+        });
         if let Err(e) = &resp {
             Self::forget_if_refused(ctx, site, e);
         }
@@ -1115,19 +1106,19 @@ impl Coordinator {
             if !self.is_usable(site, table) {
                 continue;
             }
-            // Historical reads are idempotent, so a transient timeout or a
+            // Historical reads are idempotent, so a silent replica or a
             // torn connection earns a bounded retry with backoff before
             // failing over to the next replica. The session is leased for
             // the one scan and pooled again after its status frame; one
             // that fails takes the site's idle list with it, so the retry
             // connects afresh.
             let result = with_read_retries(
-                Some(&self.metrics),
+                &self.metrics,
                 DEFAULT_READ_RETRIES,
                 DEFAULT_RETRY_BACKOFF,
                 || {
                     let mut chan = self.lease(site, &request)?;
-                    match collect_scan_replies(chan.as_mut(), self.cfg.rpc_deadline) {
+                    match self.scan_rows(chan.as_mut()) {
                         Ok(tuples) => {
                             self.release(site, chan);
                             Ok(tuples)
@@ -1167,7 +1158,6 @@ impl Coordinator {
             .ok_or_else(|| DbError::Unrecoverable("no live replica".into()))?;
         let mut rs = RemoteScan::new(table, crate::message::WireReadMode::Current(tid));
         scan(&mut rs);
-        let deadline = self.cfg.rpc_deadline;
         let slot = ctx.inner.lock().chans.entry(site).or_default().clone();
         let mut s = slot.lock();
         // Lock-taking read inside a transaction: single attempt (a retry
@@ -1175,9 +1165,8 @@ impl Coordinator {
         let result = self
             .hand(tid, &ctx, site, &mut s, &Request::Scan(rs).to_vec())
             .and_then(|()| match s.chan.as_mut() {
-                // Read under the session mutex: it is the
-                // per-(transaction, site) serialization point.
-                Some(chan) => collect_scan_replies(chan.as_mut(), deadline),
+                // harbor-lint: allow(lock-across-blocking) — read under the session mutex: it is the per-(transaction, site) serialization point
+                Some(chan) => self.scan_rows(chan.as_mut()),
                 None => Err(session_dropped(site)),
             });
         if let Err(e) = &result {
@@ -1185,6 +1174,18 @@ impl Coordinator {
             Self::forget_if_refused(&ctx, site, e);
         }
         result
+    }
+
+    /// All rows of a scan whose request is already on `chan`.
+    fn scan_rows(&self, chan: &mut dyn Channel) -> DbResult<Vec<Tuple>> {
+        let mut out = Vec::new();
+        drain_scan_replies(chan, self.cfg.rpc_deadline, &self.metrics, |rows, wire| {
+            for _ in 0..rows {
+                out.push(Tuple::read_wire(wire)?);
+            }
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Commits: runs the configured protocol, one round per phase — less the
@@ -1742,7 +1743,8 @@ impl Coordinator {
     }
 
     /// Receives one frame of a wave under the liveness deadline, watching
-    /// the shutdown flag between poll slices.
+    /// the shutdown flag between poll slices; a peer silent for the whole
+    /// deadline gets [`next_frame`]'s verdict.
     fn wave_recv(&self, chan: &mut dyn Channel) -> DbResult<Response> {
         let expires = Instant::now() + self.cfg.rpc_deadline;
         loop {
@@ -1753,7 +1755,8 @@ impl Coordinator {
                         return Err(DbError::SiteDown("coordinator crashed".into()));
                     }
                     if Instant::now() >= expires {
-                        return Err(liveness_expired(Some(&self.metrics), "commit wave stalled"));
+                        let waited = self.cfg.rpc_deadline;
+                        return Err(silent_peer(&self.metrics, &chan.peer(), waited));
                     }
                 }
             }

@@ -256,83 +256,72 @@ impl Worker {
                 // votes after its fail-stop began.
                 return;
             }
-            let req = match Request::from_slice(&frame) {
-                Ok(r) => r,
-                Err(e) => {
-                    let _ = chan.send(&Response::Err(e).to_vec());
-                    continue;
-                }
+            let resp = match Request::from_slice(&frame) {
+                Ok(req) => self.serve_request(req, &mut chan, &mut conn_txns, &mut conn_locks),
+                Err(e) => Response::Err(e),
             };
-            // The begin marker: open the transaction, then serve the frame
-            // it rode in on as any other — one reply either way.
-            let req = match req {
-                Request::Begin { tid, first } => match self.begin_txn(tid) {
-                    Ok(()) => {
-                        // The session's previous transaction ended before
-                        // the coordinator leased it out again.
-                        conn_txns.retain(|t| self.is_undecided(*t));
-                        conn_txns.push(tid);
-                        *first
-                    }
-                    Err(e) => {
-                        let refused = Response::Err(DbError::BeginRefused {
-                            tid,
-                            why: e.to_string(),
-                        });
-                        if chan.send(&refused.to_vec()).is_err() {
-                            self.on_disconnect(&conn_txns, &conn_locks);
-                            return;
-                        }
-                        continue;
-                    }
-                },
-                unmarked => unmarked,
-            };
-            match &req {
-                Request::AcquireTableLock { tid, table } => {
-                    let resp = self.handle(&req, &mut chan);
-                    if matches!(resp, Response::Ok) {
-                        if let Some(def) = self.engine.table_def(table) {
-                            conn_locks.push((*tid, LockKey::Table(def.id)));
-                        }
-                    }
-                    let _ = chan.send(&resp.to_vec());
-                }
-                Request::ReleaseTableLock { tid, table } => {
-                    let resp = self.handle(&req, &mut chan);
-                    if let Some(def) = self.engine.table_def(table) {
-                        conn_locks.retain(|(t, k)| !(t == tid && *k == LockKey::Table(def.id)));
-                    }
-                    let _ = chan.send(&resp.to_vec());
-                }
-                Request::Scan(_) => {
-                    // Streaming: handle() sends the batches itself.
-                    let resp = self.handle(&req, &mut chan);
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return; // crashed mid-stream: the status frame is never sent
-                    }
-                    let _ = chan.send(&resp.to_vec());
-                }
-                _ => {
-                    let resp = self.handle(&req, &mut chan);
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        // A crash point fired while handling (e.g. during
-                        // the PREPARE vote): a crashed site sends nothing.
-                        return;
-                    }
-                    if chan.send(&resp.to_vec()).is_err() {
-                        self.on_disconnect(&conn_txns, &conn_locks);
-                        return;
-                    }
-                    if self.crash_after_reply.swap(false, Ordering::SeqCst) {
-                        // WorkerAfterPtcAck: the ack is on the wire; die in
-                        // the prepared-to-commit state (Table 4.1).
-                        self.initiate_crash();
-                        return;
-                    }
-                }
+            if self.shutdown.load(Ordering::SeqCst) {
+                // A crash point fired while handling (e.g. during the
+                // PREPARE vote, or mid-stream of a scan): a crashed site
+                // sends nothing.
+                return;
+            }
+            if chan.send(&resp.to_vec()).is_err() {
+                self.on_disconnect(&conn_txns, &conn_locks);
+                return;
+            }
+            if self.crash_after_reply.swap(false, Ordering::SeqCst) {
+                // WorkerAfterPtcAck: the ack is on the wire; die in the
+                // prepared-to-commit state (Table 4.1).
+                self.initiate_crash();
+                return;
             }
         }
+    }
+
+    /// The reply to one request of a connection, with the connection's own
+    /// bookkeeping: the begin marker opens the transaction and is served as
+    /// the frame it rode in on, and a recovery lock granted through the
+    /// connection lives with it until released.
+    fn serve_request(
+        self: &Arc<Self>,
+        req: Request,
+        chan: &mut Box<dyn Channel>,
+        conn_txns: &mut Vec<TransactionId>,
+        conn_locks: &mut Vec<(TransactionId, LockKey)>,
+    ) -> Response {
+        let req = match req {
+            Request::Begin { tid, first } => match self.begin_txn(tid) {
+                Ok(()) => {
+                    // The session's previous transaction ended before the
+                    // coordinator leased it out again.
+                    conn_txns.retain(|t| self.is_undecided(*t));
+                    conn_txns.push(tid);
+                    *first
+                }
+                Err(e) => {
+                    let why = e.to_string();
+                    return Response::Err(DbError::BeginRefused { tid, why });
+                }
+            },
+            unmarked => unmarked,
+        };
+        // Streaming requests send their batches through `chan` themselves.
+        let resp = self.handle(&req, chan);
+        match &req {
+            Request::AcquireTableLock { tid, table } if matches!(resp, Response::Ok) => {
+                if let Some(def) = self.engine.table_def(table) {
+                    conn_locks.push((*tid, LockKey::Table(def.id)));
+                }
+            }
+            Request::ReleaseTableLock { tid, table } => {
+                if let Some(def) = self.engine.table_def(table) {
+                    conn_locks.retain(|(t, k)| !(t == tid && *k == LockKey::Table(def.id)));
+                }
+            }
+            _ => {}
+        }
+        resp
     }
 
     /// Coordinator (or recovering-site) connection died (§4.3.2, §5.5.1).
@@ -536,21 +525,19 @@ impl Worker {
     }
 
     /// Asks the coordinator for `tid`'s authoritative outcome (bounded
-    /// retries on transient timeouts — the query is idempotent). `None`
+    /// retries on a silent or closed peer — the query is idempotent). `None`
     /// when no coordinator address is configured or it is unreachable.
     fn query_coordinator_outcome(&self, tid: TransactionId) -> Option<WireTxnState> {
         let addr = self.cfg.coordinator.as_deref()?;
+        let metrics = self.engine.metrics();
         let reply = crate::with_read_retries(
-            None,
+            metrics,
             consensus::CONSENSUS_RETRIES,
             Duration::from_millis(10),
             || {
                 let mut chan = self.transport.connect(addr)?;
-                crate::rpc_deadline(
-                    chan.as_mut(),
-                    &Request::QueryTxnState { tid },
-                    consensus::CONSENSUS_DEADLINE,
-                )
+                let req = Request::QueryTxnState { tid };
+                crate::rpc(chan.as_mut(), &req, consensus::CONSENSUS_DEADLINE, metrics)
             },
         );
         match reply {
@@ -594,7 +581,7 @@ impl Worker {
         chan: &mut Box<dyn Channel>,
     ) -> DbResult<Response> {
         match req {
-            // `serve_connection` opens the marker before it gets here.
+            // `serve_request` opens the marker before it gets here.
             Request::Begin { .. } => Err(DbError::protocol("nested begin marker")),
             Request::Update { tid, req } => {
                 self.apply_update(*tid, req)?;

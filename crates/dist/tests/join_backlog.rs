@@ -6,7 +6,7 @@
 use harbor_common::{DbError, FieldType, Metrics, SiteId, StorageConfig, Timestamp, Value};
 use harbor_dist::{
     rpc, Coordinator, CoordinatorConfig, Placement, ProtocolKind, Request, Response, UpdateRequest,
-    Worker, WorkerConfig,
+    Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_net::{InMemNetwork, Transport};
@@ -112,7 +112,16 @@ fn a_refused_statement_is_not_replayed_to_a_site_that_joins_later() {
         site: SiteId(3),
         table: "t".into(),
     };
-    assert_eq!(rpc(chan.as_mut(), &online).unwrap(), Response::AllDone);
+    assert_eq!(
+        rpc(
+            chan.as_mut(),
+            &online,
+            DEFAULT_RPC_DEADLINE,
+            &Metrics::new()
+        )
+        .unwrap(),
+        Response::AllDone
+    );
     coordinator.update(tid, insert("u", 2)).unwrap();
     coordinator.commit(tid).unwrap();
 

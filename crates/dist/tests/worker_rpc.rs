@@ -4,18 +4,46 @@
 use harbor_common::codec::Wire;
 use harbor_common::time::TimestampAuthority;
 use harbor_common::{
-    DbError, FieldType, Metrics, SiteId, StorageConfig, Timestamp, TransactionId, Tuple, Value,
+    DbError, DbResult, FieldType, Metrics, SiteId, StorageConfig, Timestamp, TransactionId, Tuple,
+    Value,
 };
 use harbor_dist::{
-    rpc, scan_rpc, scan_rpc_streaming_deadline, ProtocolKind, RemoteScan, Request, Response,
-    UpdateRequest, WireReadMode, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
+    next_frame, rpc, scan_rpc, ProtocolKind, RemoteScan, Request, Response, UpdateRequest,
+    WireReadMode, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_exec::Expr;
-use harbor_net::{InMemNetwork, Transport};
+use harbor_net::{Channel, InMemNetwork, Transport};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// One round trip under the default deadline.
+fn call(chan: &mut dyn Channel, req: &Request) -> DbResult<Response> {
+    rpc(chan, req, DEFAULT_RPC_DEADLINE, &Metrics::new())
+}
+
+/// Every row a scan answers.
+fn rows_of(chan: &mut dyn Channel, scan: &RemoteScan) -> DbResult<Vec<Tuple>> {
+    let mut out = Vec::new();
+    scan_rpc(
+        chan,
+        scan,
+        DEFAULT_RPC_DEADLINE,
+        &Metrics::new(),
+        |rows, wire| {
+            out.append(&mut Tuple::decode_n(wire, rows)?);
+            Ok(())
+        },
+    )?;
+    Ok(out)
+}
+
+/// The next reply on `chan`, of a request sent by hand.
+fn answer(chan: &mut dyn Channel) -> Response {
+    let frame = next_frame(chan, DEFAULT_RPC_DEADLINE, &Metrics::new()).unwrap();
+    Response::from_slice(&frame).unwrap()
+}
 
 struct Fixture {
     dir: PathBuf,
@@ -85,13 +113,13 @@ impl Fixture {
             if i == 0 {
                 update = begin(tid, update);
             }
-            match rpc(chan.as_mut(), &update).unwrap() {
+            match call(chan.as_mut(), &update).unwrap() {
                 Response::Ok => {}
                 other => panic!("update failed: {other:?}"),
             }
         }
         let bound = self.authority.now();
-        match rpc(
+        match call(
             chan.as_mut(),
             &Request::Prepare {
                 tid,
@@ -105,7 +133,7 @@ impl Fixture {
             other => panic!("bad vote {other:?}"),
         }
         let t = self.authority.next_commit_time();
-        rpc(
+        call(
             chan.as_mut(),
             &Request::PrepareToCommit {
                 tid,
@@ -113,7 +141,7 @@ impl Fixture {
             },
         )
         .unwrap();
-        rpc(
+        call(
             chan.as_mut(),
             &Request::Commit {
                 tid,
@@ -146,7 +174,7 @@ fn insert(tid: TransactionId, id: i64) -> Request {
 /// Every version of every row of `t`, committed or not.
 fn all_rows(chan: &mut dyn harbor_net::Channel) -> usize {
     let scan = RemoteScan::new("t", WireReadMode::SeeDeletedLocked(TransactionId(0)));
-    scan_rpc(chan, &scan).unwrap().len()
+    rows_of(chan, &scan).unwrap().len()
 }
 
 #[test]
@@ -165,23 +193,32 @@ fn streamed_scan_crosses_batch_boundaries() {
     );
     let mut chan = f.connect();
     let scan = RemoteScan::new("t", WireReadMode::Historical(t));
-    let tuples = scan_rpc(chan.as_mut(), &scan).unwrap();
+    let tuples = rows_of(chan.as_mut(), &scan).unwrap();
     assert_eq!(tuples.len(), 1300);
     // Streaming visitor sees multiple batches, and the same rows in them.
     let (mut batches, mut streamed) = (0, Vec::new());
-    scan_rpc_streaming_deadline(chan.as_mut(), &scan, DEFAULT_RPC_DEADLINE, |rows, wire| {
-        batches += (rows > 0) as usize;
-        streamed.append(&mut Tuple::decode_n(wire, rows)?);
-        Ok(())
-    })
+    scan_rpc(
+        chan.as_mut(),
+        &scan,
+        DEFAULT_RPC_DEADLINE,
+        &Metrics::new(),
+        |rows, wire| {
+            batches += (rows > 0) as usize;
+            streamed.append(&mut Tuple::decode_n(wire, rows)?);
+            Ok(())
+        },
+    )
     .unwrap();
     assert!(batches >= 3, "1300 rows should stream in >= 3 batches");
     assert_eq!(streamed, tuples);
     // A visitor that leaves rows of a reply unread is refused, not skipped.
-    let lazy =
-        scan_rpc_streaming_deadline(f.connect().as_mut(), &scan, DEFAULT_RPC_DEADLINE, |_, _| {
-            Ok(())
-        });
+    let lazy = scan_rpc(
+        f.connect().as_mut(),
+        &scan,
+        DEFAULT_RPC_DEADLINE,
+        &Metrics::new(),
+        |_, _| Ok(()),
+    );
     assert!(lazy.unwrap_err().is_corrupt());
     let _ = std::fs::remove_dir_all(&f.dir);
 }
@@ -212,12 +249,12 @@ fn only_recovery_scans_count_as_recovery_shipping() {
     };
     let mut chan = f.connect();
     let read = RemoteScan::new("t", WireReadMode::Historical(t));
-    assert_eq!(scan_rpc(chan.as_mut(), &read).unwrap().len(), 100);
+    assert_eq!(rows_of(chan.as_mut(), &read).unwrap().len(), 100);
     let (tuples, bytes, zero_copy) = shipped();
     assert_eq!((tuples, bytes), (0, 0), "a read is not recovery traffic");
     assert!(zero_copy > 0);
     let catch_up = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(t));
-    assert_eq!(scan_rpc(chan.as_mut(), &catch_up).unwrap().len(), 100);
+    assert_eq!(rows_of(chan.as_mut(), &catch_up).unwrap().len(), 100);
     let (tuples, bytes, after) = shipped();
     assert_eq!(tuples, 100);
     assert!(bytes > 0 && after > zero_copy);
@@ -258,7 +295,7 @@ fn key_scan_respects_visibility() {
     let point = |chan: &mut Box<dyn harbor_net::Channel>, key: i64, mode: WireReadMode| {
         let mut scan = RemoteScan::new("t", mode);
         scan.predicate = Some(Expr::col(2).eq(Expr::lit(key)));
-        scan_rpc(chan.as_mut(), &scan).unwrap()
+        rows_of(chan.as_mut(), &scan).unwrap()
     };
     // Latest snapshot: the updated version only.
     let rows = point(&mut chan, 7, WireReadMode::Historical(t2));
@@ -281,11 +318,11 @@ fn key_scan_respects_visibility() {
             .eq(Expr::lit(7i64))
             .and(Expr::col(3).lt(Expr::lit(100))),
     );
-    assert_eq!(scan_rpc(chan.as_mut(), &scan).unwrap().len(), 1);
+    assert_eq!(rows_of(chan.as_mut(), &scan).unwrap().len(), 1);
     scan.predicate = Some(Expr::col(2).eq(Expr::lit(7i64)));
-    assert_eq!(scan_rpc(chan.as_mut(), &scan).unwrap().len(), 2);
+    assert_eq!(rows_of(chan.as_mut(), &scan).unwrap().len(), 2);
     scan.ins_after = Some(t1);
-    let rows = scan_rpc(chan.as_mut(), &scan).unwrap();
+    let rows = rows_of(chan.as_mut(), &scan).unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].get(3), Value::Int32(700));
     let _ = std::fs::remove_dir_all(&f.dir);
@@ -318,10 +355,10 @@ fn key_scan_examines_only_its_hits() {
             .and(Expr::col(2).lt(Expr::lit(110i64))),
     );
     let before = examined();
-    assert_eq!(scan_rpc(chan.as_mut(), &scan).unwrap().len(), 10);
+    assert_eq!(rows_of(chan.as_mut(), &scan).unwrap().len(), 10);
     assert_eq!(examined() - before, 10);
     scan.table = "nope".into();
-    match scan_rpc(chan.as_mut(), &scan) {
+    match rows_of(chan.as_mut(), &scan) {
         Err(DbError::Schema(m)) => assert!(m.contains("nope"), "{m}"),
         other => panic!("an unknown table answered {other:?}"),
     }
@@ -357,7 +394,7 @@ fn predicate_updates_and_deletes_over_the_wire() {
         }],
     );
     let mut chan = f.connect();
-    let tuples = scan_rpc(
+    let tuples = rows_of(
         chan.as_mut(),
         &RemoteScan::new("t", WireReadMode::Historical(t)),
     )
@@ -391,13 +428,13 @@ fn scan_bounds_filter_remotely() {
     let mut chan = f.connect();
     let mut scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(t2));
     scan.ins_after = Some(t1);
-    let rows = scan_rpc(chan.as_mut(), &scan).unwrap();
+    let rows = rows_of(chan.as_mut(), &scan).unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].get(2), Value::Int64(2));
     // ids_and_deletions_only projects to two columns.
     let mut scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(t2));
     scan.ids_and_deletions_only = true;
-    let rows = scan_rpc(chan.as_mut(), &scan).unwrap();
+    let rows = rows_of(chan.as_mut(), &scan).unwrap();
     assert_eq!(rows.len(), 2);
     assert_eq!(rows[0].len(), 2);
     let _ = std::fs::remove_dir_all(&f.dir);
@@ -409,7 +446,7 @@ fn unknown_transactions_vote_no_and_abort_acks() {
     let tid = TransactionId::from_parts(SiteId(0), 999);
     let mut chan = f.connect();
     // Vote request for a transaction this worker never saw: NO (§4.3.2).
-    match rpc(
+    match call(
         chan.as_mut(),
         &Request::Prepare {
             tid,
@@ -424,7 +461,7 @@ fn unknown_transactions_vote_no_and_abort_acks() {
     }
     // Abort of an unknown transaction is acknowledged (idempotent).
     assert!(matches!(
-        rpc(chan.as_mut(), &Request::Abort { tid }).unwrap(),
+        call(chan.as_mut(), &Request::Abort { tid }).unwrap(),
         Response::Ack
     ));
     let _ = std::fs::remove_dir_all(&f.dir);
@@ -442,7 +479,7 @@ fn a_statement_for_a_closed_transaction_takes_no_locks() {
         (begin(tid, insert.clone()), false),
         (Request::Abort { tid }, true),
     ] {
-        let reply = rpc(chan.as_mut(), &req).unwrap();
+        let reply = call(chan.as_mut(), &req).unwrap();
         assert!(
             matches!(
                 (&reply, want_ack),
@@ -452,12 +489,12 @@ fn a_statement_for_a_closed_transaction_takes_no_locks() {
         );
     }
     assert!(matches!(
-        rpc(chan.as_mut(), &insert).unwrap(),
+        call(chan.as_mut(), &insert).unwrap(),
         Response::Err(DbError::UnknownTransaction(t)) if t == tid
     ));
     assert_eq!(f.engine.locks().held_count(), 0);
     let scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(Timestamp(1_000)));
-    assert!(scan_rpc(chan.as_mut(), &scan).unwrap().is_empty());
+    assert!(rows_of(chan.as_mut(), &scan).unwrap().is_empty());
     let _ = std::fs::remove_dir_all(&f.dir);
 }
 
@@ -469,24 +506,24 @@ fn a_marked_first_frame_begins_and_executes_with_one_reply() {
     let tid = TransactionId::from_parts(SiteId(0), 11);
     let mut chan = f.connect();
     // Unmarked, for a transaction the worker has never seen: refused.
-    match rpc(chan.as_mut(), &insert(tid, 1)).unwrap() {
+    match call(chan.as_mut(), &insert(tid, 1)).unwrap() {
         Response::Err(DbError::UnknownTransaction(t)) => assert_eq!(t, tid),
         other => panic!("{other:?}"),
     }
     assert_eq!(f.engine.locks().held_count(), 0);
     assert!(matches!(
-        rpc(chan.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
+        call(chan.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
         Response::Ok
     ));
     assert!(f.engine.txn_status(tid).is_some());
     // Exactly one reply: the next frame on the session is the answer to
     // the next request, and the transaction runs on without a marker.
     assert!(matches!(
-        rpc(chan.as_mut(), &Request::Ping).unwrap(),
+        call(chan.as_mut(), &Request::Ping).unwrap(),
         Response::Ok
     ));
     assert!(matches!(
-        rpc(chan.as_mut(), &insert(tid, 2)).unwrap(),
+        call(chan.as_mut(), &insert(tid, 2)).unwrap(),
         Response::Ok
     ));
     assert_eq!(all_rows(chan.as_mut()), 2);
@@ -498,16 +535,11 @@ fn a_marked_first_frame_begins_and_executes_with_one_reply() {
     other
         .send(&begin(reader, Request::Scan(scan)).to_vec())
         .unwrap();
-    let Response::Tuples { batch, done: true } =
-        Response::from_slice(&other.recv().unwrap()).unwrap()
-    else {
+    let Response::Tuples { batch, done: true } = answer(other.as_mut()) else {
         panic!("scan stream");
     };
     assert!(batch.is_empty(), "nothing is committed yet");
-    assert!(matches!(
-        Response::from_slice(&other.recv().unwrap()).unwrap(),
-        Response::Ok
-    ));
+    assert!(matches!(answer(other.as_mut()), Response::Ok));
     assert!(f.engine.txn_status(reader).is_some());
     let voter = TransactionId::from_parts(SiteId(0), 13);
     let prepare = Request::Prepare {
@@ -516,7 +548,7 @@ fn a_marked_first_frame_begins_and_executes_with_one_reply() {
         time_bound: Timestamp(1),
     };
     assert!(matches!(
-        rpc(other.as_mut(), &begin(voter, prepare)).unwrap(),
+        call(other.as_mut(), &begin(voter, prepare)).unwrap(),
         Response::Vote { yes: true }
     ));
     let _ = std::fs::remove_dir_all(&f.dir);
@@ -533,11 +565,8 @@ fn a_duplicated_first_frame_does_not_apply_twice() {
     let mut chan = f.connect();
     chan.send(&first).unwrap();
     chan.send(&first).unwrap();
-    assert!(matches!(
-        Response::from_slice(&chan.recv().unwrap()).unwrap(),
-        Response::Ok
-    ));
-    match Response::from_slice(&chan.recv().unwrap()).unwrap() {
+    assert!(matches!(answer(chan.as_mut()), Response::Ok));
+    match answer(chan.as_mut()) {
         Response::Err(DbError::BeginRefused { tid: refused, .. }) => assert_eq!(refused, tid),
         other => panic!("{other:?}"),
     }
@@ -545,7 +574,7 @@ fn a_duplicated_first_frame_does_not_apply_twice() {
     // The transaction the original opened is untouched by the refusal.
     assert!(f.engine.txn_status(tid).is_some());
     assert!(matches!(
-        rpc(chan.as_mut(), &Request::Abort { tid }).unwrap(),
+        call(chan.as_mut(), &Request::Abort { tid }).unwrap(),
         Response::Ack
     ));
     assert_eq!(all_rows(chan.as_mut()), 0);
@@ -575,7 +604,7 @@ fn a_last_statement_executes_then_votes_in_one_reply() {
     let tid = TransactionId::from_parts(SiteId(0), 41);
     let mut chan = f.connect();
     assert!(matches!(
-        rpc(chan.as_mut(), &begin(tid, last_insert(tid, "t", 1))).unwrap(),
+        call(chan.as_mut(), &begin(tid, last_insert(tid, "t", 1))).unwrap(),
         Response::Vote { yes: true }
     ));
     assert_eq!(
@@ -583,7 +612,7 @@ fn a_last_statement_executes_then_votes_in_one_reply() {
         harbor_dist::BackupState::PreparedYes
     );
     assert!(matches!(
-        rpc(chan.as_mut(), &Request::Ping).unwrap(),
+        call(chan.as_mut(), &Request::Ping).unwrap(),
         Response::Ok
     ));
     let t = f.authority.next_commit_time();
@@ -597,10 +626,10 @@ fn a_last_statement_executes_then_votes_in_one_reply() {
             commit_time: t,
         },
     ] {
-        assert!(matches!(rpc(chan.as_mut(), &req).unwrap(), Response::Ack));
+        assert!(matches!(call(chan.as_mut(), &req).unwrap(), Response::Ack));
     }
     let scan = RemoteScan::new("t", WireReadMode::Historical(t));
-    assert_eq!(scan_rpc(chan.as_mut(), &scan).unwrap().len(), 1);
+    assert_eq!(rows_of(chan.as_mut(), &scan).unwrap().len(), 1);
     assert_eq!(f.engine.locks().held_count(), 0);
     let _ = std::fs::remove_dir_all(&f.dir);
 }
@@ -614,10 +643,10 @@ fn a_failed_last_statement_prepares_nothing() {
     let tid = TransactionId::from_parts(SiteId(0), 42);
     let mut chan = f.connect();
     assert!(matches!(
-        rpc(chan.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
+        call(chan.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
         Response::Ok
     ));
-    match rpc(chan.as_mut(), &last_insert(tid, "nope", 2)).unwrap() {
+    match call(chan.as_mut(), &last_insert(tid, "nope", 2)).unwrap() {
         Response::Err(DbError::Schema(m)) => assert!(m.contains("nope"), "{m}"),
         other => panic!("{other:?}"),
     }
@@ -626,7 +655,7 @@ fn a_failed_last_statement_prepares_nothing() {
         harbor_dist::BackupState::Pending
     );
     assert!(matches!(
-        rpc(chan.as_mut(), &Request::Abort { tid }).unwrap(),
+        call(chan.as_mut(), &Request::Abort { tid }).unwrap(),
         Response::Ack
     ));
     assert_eq!(all_rows(chan.as_mut()), 0);
@@ -642,12 +671,12 @@ fn a_no_vote_on_a_last_statement_rolls_back_locally() {
     let tid = TransactionId::from_parts(SiteId(0), 43);
     let mut chan = f.connect();
     assert!(matches!(
-        rpc(chan.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
+        call(chan.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
         Response::Ok
     ));
     f.engine.poison(tid);
     assert!(matches!(
-        rpc(chan.as_mut(), &last_insert(tid, "t", 2)).unwrap(),
+        call(chan.as_mut(), &last_insert(tid, "t", 2)).unwrap(),
         Response::Vote { yes: false }
     ));
     assert_eq!(
@@ -669,7 +698,7 @@ fn a_duplicated_last_frame_neither_applies_nor_votes_twice() {
     let tid = TransactionId::from_parts(SiteId(0), 44);
     let mut chan = f.connect();
     assert!(matches!(
-        rpc(chan.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
+        call(chan.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
         Response::Ok
     ));
     let last = last_insert(tid, "t", 2).to_vec();
@@ -677,7 +706,7 @@ fn a_duplicated_last_frame_neither_applies_nor_votes_twice() {
     chan.send(&last).unwrap();
     for _ in 0..2 {
         assert!(matches!(
-            Response::from_slice(&chan.recv().unwrap()).unwrap(),
+            answer(chan.as_mut()),
             Response::Vote { yes: true }
         ));
     }
@@ -687,7 +716,7 @@ fn a_duplicated_last_frame_neither_applies_nor_votes_twice() {
         harbor_dist::BackupState::PreparedYes
     );
     assert!(matches!(
-        rpc(chan.as_mut(), &Request::Abort { tid }).unwrap(),
+        call(chan.as_mut(), &Request::Abort { tid }).unwrap(),
         Response::Ack
     ));
     assert_eq!(all_rows(chan.as_mut()), 0);
@@ -712,21 +741,21 @@ fn a_late_first_frame_cannot_reopen_an_ended_transaction() {
     let aborted = TransactionId::from_parts(SiteId(0), 2);
     let mut chan = f.connect();
     assert!(matches!(
-        rpc(chan.as_mut(), &begin(aborted, insert(aborted, 2))).unwrap(),
+        call(chan.as_mut(), &begin(aborted, insert(aborted, 2))).unwrap(),
         Response::Ok
     ));
     assert!(matches!(
-        rpc(chan.as_mut(), &Request::Abort { tid: aborted }).unwrap(),
+        call(chan.as_mut(), &Request::Abort { tid: aborted }).unwrap(),
         Response::Ack
     ));
     // An ABORT that overtook its transaction's first frame ends it too.
     let overtaken = TransactionId::from_parts(SiteId(0), 3);
     assert!(matches!(
-        rpc(chan.as_mut(), &Request::Abort { tid: overtaken }).unwrap(),
+        call(chan.as_mut(), &Request::Abort { tid: overtaken }).unwrap(),
         Response::Ack
     ));
     for tid in [committed, aborted, overtaken] {
-        match rpc(chan.as_mut(), &begin(tid, insert(tid, 9))).unwrap() {
+        match call(chan.as_mut(), &begin(tid, insert(tid, 9))).unwrap() {
             Response::Err(DbError::BeginRefused { tid: refused, .. }) => assert_eq!(refused, tid),
             other => panic!("{tid}: {other:?}"),
         }
@@ -757,20 +786,20 @@ fn a_refused_begin_is_one_reply_and_leaves_the_session_in_step() {
     let tid = TransactionId::from_parts(SiteId(0), 31);
     let mut poisoned = f.connect();
     assert!(matches!(
-        rpc(poisoned.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
+        call(poisoned.as_mut(), &begin(tid, insert(tid, 1))).unwrap(),
         Response::Ok
     ));
     let mut chan = f.connect();
-    match rpc(chan.as_mut(), &begin(tid, insert(tid, 2))).unwrap() {
+    match call(chan.as_mut(), &begin(tid, insert(tid, 2))).unwrap() {
         Response::Err(DbError::BeginRefused { tid: refused, .. }) => assert_eq!(refused, tid),
         other => panic!("{other:?}"),
     }
     // In step: each later request gets its own answer, not a stale one.
     assert!(matches!(
-        rpc(chan.as_mut(), &Request::Ping).unwrap(),
+        call(chan.as_mut(), &Request::Ping).unwrap(),
         Response::Ok
     ));
-    match rpc(chan.as_mut(), &Request::QueryTxnState { tid }).unwrap() {
+    match call(chan.as_mut(), &Request::QueryTxnState { tid }).unwrap() {
         Response::TxnState { state } => assert_eq!(state, harbor_dist::WireTxnState::Pending),
         other => panic!("{other:?}"),
     }
@@ -825,7 +854,7 @@ fn disk_backed_worker_survives_restart_of_its_server() {
     )
     .unwrap();
     let mut chan = f.transport.connect(worker2.addr()).unwrap();
-    let rows = scan_rpc(
+    let rows = rows_of(
         chan.as_mut(),
         &RemoteScan::new("t", WireReadMode::Historical(t)),
     )
@@ -869,7 +898,7 @@ fn corrupt_page_classifies_as_corrupt_over_the_wire() {
     deletions.ids_and_deletions_only = true;
     deletions.del_after = Some(t_load);
     deletions.ins_at_or_before = Some(t_load);
-    let pairs = scan_rpc(f.connect().as_mut(), &deletions).unwrap();
+    let pairs = rows_of(f.connect().as_mut(), &deletions).unwrap();
     assert_eq!(
         pairs,
         vec![Tuple::new(vec![Value::Int64(0), Value::Time(t)])]
@@ -898,7 +927,7 @@ fn corrupt_page_classifies_as_corrupt_over_the_wire() {
     file.sync_all().unwrap();
 
     let mut chan = f.connect();
-    let err = scan_rpc(
+    let err = rows_of(
         chan.as_mut(),
         &RemoteScan::new("t", WireReadMode::Historical(t)),
     )
@@ -908,7 +937,7 @@ fn corrupt_page_classifies_as_corrupt_over_the_wire() {
         !err.is_timeout() && !err.is_disconnect(),
         "corruption is not a liveness failure: {err}"
     );
-    let err = scan_rpc(f.connect().as_mut(), &deletions).unwrap_err();
+    let err = rows_of(f.connect().as_mut(), &deletions).unwrap_err();
     assert!(
         err.is_corrupt(),
         "a deletion query skipped a bad page: {err}"
@@ -966,20 +995,20 @@ fn table_lock_replies_tell_a_timeout_from_a_missing_table() {
         tid: recoverer,
         table: table.into(),
     };
-    match rpc(chan.as_mut(), &lock("t")).unwrap() {
+    match call(chan.as_mut(), &lock("t")).unwrap() {
         Response::Err(DbError::LockTimeout { txn, what }) => {
             assert_eq!(txn, recoverer);
             assert!(what.contains(&table_id.to_string()), "{what}");
         }
         other => panic!("{other:?}"),
     }
-    match rpc(chan.as_mut(), &lock("nope")).unwrap() {
+    match call(chan.as_mut(), &lock("nope")).unwrap() {
         Response::Err(DbError::Schema(m)) => assert!(m.contains("nope"), "{m}"),
         other => panic!("{other:?}"),
     }
     f.engine.locks().release_all(holder);
     assert!(matches!(
-        rpc(chan.as_mut(), &lock("t")).unwrap(),
+        call(chan.as_mut(), &lock("t")).unwrap(),
         Response::Ok
     ));
     let _ = std::fs::remove_dir_all(&f.dir);
@@ -989,7 +1018,7 @@ fn table_lock_replies_tell_a_timeout_from_a_missing_table() {
 fn workers_reject_coordinator_only_requests() {
     let f = build("coord-only");
     let mut chan = f.connect();
-    match rpc(chan.as_mut(), &Request::GetTime).unwrap() {
+    match call(chan.as_mut(), &Request::GetTime).unwrap() {
         Response::Err(DbError::Protocol(m)) => assert!(m.contains("coordinator"), "{m}"),
         other => panic!("{other:?}"),
     }
@@ -1050,7 +1079,7 @@ fn deletion_log_fast_path_matches_segment_scan() {
         scan.ins_at_or_before = Some(after);
         // A whole row's key follows its two version columns.
         let key = if ids_only { 0 } else { 2 };
-        let mut out: Vec<(i64, u64)> = scan_rpc(chan.as_mut(), &scan)
+        let mut out: Vec<(i64, u64)> = rows_of(chan.as_mut(), &scan)
             .unwrap()
             .iter()
             .map(|t| (t.get(key).as_i64().unwrap(), t.get(1).as_time().unwrap().0))

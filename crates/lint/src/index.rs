@@ -17,23 +17,33 @@ use crate::{is_test_path, statement_end, test_regions, BLOCKING_HELPERS, BLOCKIN
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Idents whose presence in a fn body counts as "consults the deadline":
-/// the repo's deadline-carrying helpers plus the obvious budget vocabulary.
-pub const DEADLINE_TOKENS: [&str; 14] = [
+/// the obvious budget vocabulary, plus [`DEADLINE_HELPERS`].
+pub const DEADLINE_TOKENS: [&str; 8] = [
     "deadline",
+    "rpc_deadline",
     "deadline_ms",
     "budget",
     "remaining",
     "elapsed",
-    "recv_timeout",
-    "accept_timeout",
     "wait_for",
     "wait_until",
-    "rpc_deadline",
-    "rpc_liveness",
-    "scan_rpc_deadline",
-    "liveness_expired",
+];
+
+/// The repo's deadline-carrying helpers: each is a `fn` defined under
+/// `crates/*/src` that is given a deadline or classifies one's expiry.
+pub const DEADLINE_HELPERS: [&str; 7] = [
+    "recv_timeout",
+    "accept_timeout",
+    "next_frame",
+    "rpc",
+    "scan_rpc",
+    "silent_peer",
     "deadline_expired",
 ];
+
+fn consults_deadline(ident: &str) -> bool {
+    DEADLINE_TOKENS.contains(&ident) || DEADLINE_HELPERS.contains(&ident)
+}
 
 /// Loop-bounding vocabulary: a retry loop naming one of these is treating
 /// attempts as finite even if we can't prove it.
@@ -157,7 +167,7 @@ pub struct FnDef {
     pub is_test: bool,
     /// A param named `deadline`/`budget` or typed `Instant`.
     pub has_deadline_param: bool,
-    /// Body names any [`DEADLINE_TOKENS`] ident.
+    /// Body names any [`DEADLINE_TOKENS`] or [`DEADLINE_HELPERS`] ident.
     pub mentions_deadline: bool,
     pub calls: Vec<CallSite>,
     /// Untimed `.recv()` sites.
@@ -579,7 +589,7 @@ fn walk_fn_body(
                     if s == "continue" {
                         has_continue = true;
                     }
-                    if DEADLINE_TOKENS.contains(&s) || BOUND_TOKENS.contains(&s) {
+                    if consults_deadline(s) || BOUND_TOKENS.contains(&s) {
                         consults = true;
                     }
                     let called = k + 1 < body.len() && tok_is(&body[k + 1], "(");
@@ -599,7 +609,7 @@ fn walk_fn_body(
             }
 
             // Deadline vocabulary anywhere in the body.
-            if DEADLINE_TOKENS.contains(&t.text.as_str()) {
+            if consults_deadline(&t.text) {
                 def.mentions_deadline = true;
             }
 
@@ -833,6 +843,32 @@ mod tests {
 
     fn build_one(rel: &str, src: &str) -> WorkspaceIndex {
         build(&[(rel.to_string(), src.to_string())])
+    }
+
+    /// Every helper the rules name is a `fn` under `crates/*/src`: a name
+    /// that is not matches nothing, and a guard held across the helper it
+    /// was meant to be goes unflagged.
+    #[test]
+    fn every_listed_helper_is_a_workspace_fn() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut sources = Vec::new();
+        for path in crate::collect_files(&root.join("crates")).unwrap() {
+            let rel = path.strip_prefix(&root).unwrap().to_string_lossy();
+            let rel = rel.replace('\\', "/");
+            if rel.split('/').nth(2) == Some("src") {
+                sources.push((rel, std::fs::read_to_string(&path).unwrap()));
+            }
+        }
+        let idx = build(&sources);
+        let defined: BTreeSet<&str> = idx
+            .fns
+            .iter()
+            .filter(|f| !f.is_test)
+            .map(|f| f.name.as_str())
+            .collect();
+        let listed = BLOCKING_HELPERS.iter().chain(&DEADLINE_HELPERS);
+        let missing: Vec<&str> = listed.copied().filter(|n| !defined.contains(n)).collect();
+        assert!(missing.is_empty(), "listed but never defined: {missing:?}");
     }
 
     #[test]

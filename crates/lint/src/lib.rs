@@ -100,7 +100,7 @@ pub const DETERMINISM_MODULES: [&str; 4] = [
 /// helpers, page-checksum verification, serving-path admission control).
 pub const TAXONOMY_BOUNDARIES: [&str; 4] = [
     "common/src/error.rs",    // the taxonomy, its constructors, its wire decoder
-    "dist/src/lib.rs",        // rpc_deadline/rpc_liveness: timeout vs liveness death
+    "dist/src/lib.rs",        // next_frame: a silent peer is SiteUnavailable
     "storage/src/file.rs",    // checksum verification: the only CorruptPage source
     "front/src/admission.rs", // load shedding: the only Overloaded source
 ];
@@ -197,13 +197,17 @@ pub(crate) const BLOCKING_METHODS: [&str; 9] = [
     "write_page",
 ];
 
-/// Free-function / repo helper names that block internally (RPC round
-/// trips, retry loops). Matched as `name(`.
-pub(crate) const BLOCKING_HELPERS: [&str; 6] = [
-    "rpc_live",
-    "rpc_liveness",
-    "rpc_expect_ok",
-    "scan_rpc_deadline",
+/// Free-function / repo helper names that block internally (the waits for
+/// a peer and what is built on them, retry loops). Matched as `name(`; each
+/// is a `fn` defined under `crates/*/src`.
+pub(crate) const BLOCKING_HELPERS: [&str; 9] = [
+    "next_frame",
+    "rpc",
+    "scan_rpc",
+    "drain_scan_replies",
+    "scan_rows",
+    "recv_or_stop",
+    "ask",
     "with_read_retries",
     "retry_with",
 ];

@@ -533,16 +533,6 @@ impl Channel for ChaosChannel {
         }
     }
 
-    fn recv(&mut self) -> DbResult<Vec<u8>> {
-        if let Some(frame) = self.pending.take() {
-            return Ok(frame);
-        }
-        match &mut self.inner {
-            Some(c) => c.recv(),
-            None => Err(closed(&self.peer_label())),
-        }
-    }
-
     fn recv_timeout(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>> {
         if let Some(frame) = self.pending.take() {
             return Ok(Some(frame));
@@ -565,6 +555,7 @@ impl Channel for ChaosChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::RecvWithin;
     use crate::InMemNetwork;
 
     type ChaosPair = (
@@ -588,9 +579,9 @@ mod tests {
         let (_chaos, _l, mut client, mut server) = chaos_pair(ChaosConfig::quiet(1));
         assert_eq!(server.peer(), "site-a");
         client.send(b"ping").unwrap();
-        assert_eq!(server.recv().unwrap(), b"ping");
+        assert_eq!(server.recv_within().unwrap(), b"ping");
         server.send(b"pong").unwrap();
-        assert_eq!(client.recv().unwrap(), b"pong");
+        assert_eq!(client.recv_within().unwrap(), b"pong");
     }
 
     #[test]
@@ -606,7 +597,7 @@ mod tests {
             .is_none());
         // Asymmetric: b → a still flows.
         server.send(b"back").unwrap();
-        assert_eq!(client.recv().unwrap(), b"back");
+        assert_eq!(client.recv_within().unwrap(), b"back");
         // Symmetric blocks both directions.
         chaos.heal();
         chaos.partition(&["site-a"], &["site-b"], true);
@@ -618,7 +609,7 @@ mod tests {
         // Healing restores the link without reconnecting.
         chaos.heal();
         client.send(b"alive").unwrap();
-        assert_eq!(server.recv().unwrap(), b"alive");
+        assert_eq!(server.recv_within().unwrap(), b"alive");
         assert!(chaos.metrics().chaos_partition_drops() >= 2);
         assert!(chaos
             .trace()
@@ -635,7 +626,7 @@ mod tests {
         client.send(b"gone").unwrap();
         // ...but the receiver sees a reset instead of a silent gap, and the
         // sender learns at its next operation.
-        assert!(server.recv().unwrap_err().is_disconnect());
+        assert!(server.recv_within().unwrap_err().is_disconnect());
         assert!(client.send(b"next").unwrap_err().is_disconnect());
         assert_eq!(chaos.metrics().chaos_drops(), 1);
     }
@@ -646,8 +637,8 @@ mod tests {
         cfg.dup_per_mille = 1000;
         let (chaos, _l, mut client, mut server) = chaos_pair(cfg);
         client.send(b"twice").unwrap();
-        assert_eq!(server.recv().unwrap(), b"twice");
-        assert_eq!(server.recv().unwrap(), b"twice");
+        assert_eq!(server.recv_within().unwrap(), b"twice");
+        assert_eq!(server.recv_within().unwrap(), b"twice");
         assert_eq!(chaos.metrics().chaos_dups(), 1);
     }
 
@@ -657,7 +648,7 @@ mod tests {
         cfg.disconnect_per_mille = 1000;
         let (chaos, _l, mut client, mut server) = chaos_pair(cfg);
         assert!(client.send(b"x").unwrap_err().is_disconnect());
-        assert!(server.recv().unwrap_err().is_disconnect());
+        assert!(server.recv_within().unwrap_err().is_disconnect());
         assert_eq!(chaos.metrics().chaos_disconnects(), 1);
     }
 
@@ -669,7 +660,7 @@ mod tests {
         let (chaos, _l, mut client, mut server) = chaos_pair(cfg);
         for i in 0..10u8 {
             client.send(&[i]).unwrap();
-            assert_eq!(server.recv().unwrap(), vec![i]);
+            assert_eq!(server.recv_within().unwrap(), vec![i]);
         }
         assert_eq!(chaos.metrics().chaos_delays(), 10);
     }
@@ -683,7 +674,7 @@ mod tests {
         chaos.set_enabled(false);
         for i in 0..20u8 {
             client.send(&[i]).unwrap();
-            assert_eq!(server.recv().unwrap(), vec![i]);
+            assert_eq!(server.recv_within().unwrap(), vec![i]);
         }
         assert!(chaos.trace().is_empty());
     }
@@ -702,7 +693,7 @@ mod tests {
             let listener = chaos.listen("site-b").unwrap();
             let sink = std::thread::spawn(move || {
                 while let Ok(Some(mut chan)) = listener.accept_timeout(Duration::from_millis(200)) {
-                    while chan.recv().is_ok() {}
+                    while chan.recv_within().is_ok() {}
                 }
             });
             for conn in 0..20 {

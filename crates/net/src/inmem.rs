@@ -177,10 +177,6 @@ impl Channel for InMemChannel {
         Ok(())
     }
 
-    fn recv(&mut self) -> DbResult<Vec<u8>> {
-        self.rx.recv().map_err(|_| closed(&self.peer))
-    }
-
     fn recv_timeout(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>> {
         match self.rx.recv_timeout(timeout) {
             Ok(f) => Ok(Some(f)),

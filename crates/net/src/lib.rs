@@ -21,8 +21,11 @@
 //! Failure detection is "the detection of an abruptly closed TCP socket
 //! connection as a signal for failure" (§5.5.1): both transports surface a
 //! closed peer as [`DbError::Net`], and [`DbError::is_disconnect`] is true
-//! for it. A connection that is merely silent — a partition — never closes;
-//! callers bound every receive with a deadline instead. A pooled connection
+//! for it. A connection that is merely silent — a partition — never closes,
+//! so there is no untimed receive: [`Channel::recv_timeout`] is the only
+//! one, and a site waiting for a peer's reply does so through
+//! `harbor_dist::next_frame`, which treats silence past its deadline as a
+//! failed peer. A pooled connection
 //! whose peer went away while it idled is found out *before* it carries the
 //! next frame ([`Channel::is_closed`]): over TCP the write would succeed
 //! and the loss show only at the read, too late to send that frame again.
@@ -55,11 +58,11 @@ pub trait Channel: Send {
         self.send(&frame[4..])
     }
 
-    /// Receives the next frame, blocking until one arrives or the peer
-    /// closes (then `Err` with `is_disconnect() == true`).
-    fn recv(&mut self) -> DbResult<Vec<u8>>;
-
-    /// As [`recv`](Self::recv) with a timeout; `Ok(None)` on timeout.
+    /// Receives the next frame, waiting at most `timeout` for it to begin:
+    /// `Ok(None)` when none has, `Err` with `is_disconnect() == true` when
+    /// the peer has closed. A zero timeout is a poll. There is no untimed
+    /// receive: a partitioned peer never closes its socket, so every wait is
+    /// bounded, and a wait for a peer's reply is `harbor_dist::next_frame`.
     fn recv_timeout(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>>;
 
     /// Human-readable peer address (diagnostics).
@@ -106,10 +109,24 @@ pub(crate) fn closed(peer: &str) -> DbError {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use harbor_common::Metrics;
     use std::sync::Arc;
+
+    /// A test's receive: the next frame within ten seconds, or the error of
+    /// a closed peer. A frame that never comes is an error that is no
+    /// disconnect, so it fails the test instead of hanging it.
+    pub(crate) trait RecvWithin {
+        fn recv_within(&mut self) -> DbResult<Vec<u8>>;
+    }
+
+    impl<C: Channel + ?Sized> RecvWithin for C {
+        fn recv_within(&mut self) -> DbResult<Vec<u8>> {
+            self.recv_timeout(Duration::from_secs(10))?
+                .ok_or_else(|| DbError::internal("no frame within 10 s"))
+        }
+    }
 
     /// Exercises one transport implementation through the trait object
     /// surface (both impls must pass identically).
@@ -120,7 +137,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             let mut chan = listener.accept().unwrap();
             loop {
-                match chan.recv() {
+                match chan.recv_within() {
                     Ok(frame) => {
                         let mut reply = frame.clone();
                         reply.reverse();
@@ -136,17 +153,17 @@ mod tests {
         {
             let mut client = t2.connect(&addr_owned).unwrap();
             client.send(b"hello").unwrap();
-            assert_eq!(client.recv().unwrap(), b"olleh");
+            assert_eq!(client.recv_within().unwrap(), b"olleh");
             // Large frame crosses any internal buffer boundaries.
             let big = vec![7u8; 1_000_000];
             client.send(&big).unwrap();
-            assert_eq!(client.recv().unwrap().len(), big.len());
+            assert_eq!(client.recv_within().unwrap().len(), big.len());
             // A pre-framed message (length prefix in place) arrives the same
             // as a plain send.
             let mut framed = 5u32.to_le_bytes().to_vec();
             framed.extend_from_slice(b"world");
             client.send_framed(&framed).unwrap();
-            assert_eq!(client.recv().unwrap(), b"dlrow");
+            assert_eq!(client.recv_within().unwrap(), b"dlrow");
             // recv_timeout with no pending data returns None.
             assert!(client
                 .recv_timeout(Duration::from_millis(30))
@@ -179,7 +196,7 @@ mod tests {
             };
             assert_eq!(reply, b"llop");
             client.send(b"wait").unwrap();
-            assert_eq!(client.recv().unwrap(), b"tiaw");
+            assert_eq!(client.recv_within().unwrap(), b"tiaw");
         } // client drops: server sees a disconnect
         server.join().unwrap();
     }
@@ -210,7 +227,7 @@ mod tests {
         let mut c = t.connect("m").unwrap();
         let mut s = listener.accept().unwrap();
         c.send(b"abc").unwrap();
-        assert_eq!(s.recv().unwrap(), b"abc");
+        assert_eq!(s.recv_within().unwrap(), b"abc");
         assert_eq!(metrics.messages_sent(), 1);
         assert_eq!(metrics.bytes_sent(), 7, "3 payload bytes + 4 framing");
     }

@@ -77,6 +77,7 @@ pub fn recv_or_stop(chan: &mut dyn Channel, stop: &AtomicBool) -> DbResult<Optio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::RecvWithin;
     use crate::{InMemNetwork, Transport};
     use harbor_common::Metrics;
     use std::sync::atomic::AtomicUsize;
@@ -103,7 +104,7 @@ mod tests {
         let mut kept = net.connect("srv").unwrap();
         for chan in [&mut gone, &mut kept] {
             chan.send(b"hi").unwrap();
-            assert_eq!(chan.recv().unwrap(), b"hi");
+            assert_eq!(chan.recv_within().unwrap(), b"hi");
         }
         // A peer that hangs up ends its thread while the server runs on.
         drop(gone);
@@ -111,7 +112,7 @@ mod tests {
             std::thread::yield_now();
         }
         kept.send(b"still").unwrap();
-        assert_eq!(kept.recv().unwrap(), b"still");
+        assert_eq!(kept.recv_within().unwrap(), b"still");
         // Stop: the silent connection's thread is joined with the loop.
         stop.store(true, Ordering::SeqCst);
         server.join().unwrap();

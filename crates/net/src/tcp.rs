@@ -301,12 +301,11 @@ impl TcpChannel {
     }
 
     /// The next frame. `timeout` bounds only the wait for its first byte
-    /// (`None`: unbounded; zero: a poll). Once any of a frame has arrived
-    /// the rest is waited for, so a timeout never leaves the stream
-    /// mid-frame.
-    fn read_frame(&mut self, timeout: Option<Duration>) -> DbResult<Option<Vec<u8>>> {
+    /// (zero: a poll). Once any of a frame has arrived the rest is waited
+    /// for, so a timeout never leaves the stream mid-frame.
+    fn read_frame(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>> {
         if self.at == self.end {
-            self.sock.wait_for(timeout)?;
+            self.sock.wait_for(Some(timeout))?;
             match self.sock.recv(&mut self.buf) {
                 Ok(0) => return Err(closed(&self.sock.peer)),
                 Ok(n) => (self.at, self.end) = (0, n),
@@ -433,16 +432,8 @@ impl Channel for TcpChannel {
         }
     }
 
-    fn recv(&mut self) -> DbResult<Vec<u8>> {
-        loop {
-            if let Some(frame) = self.read_frame(None)? {
-                return Ok(frame);
-            }
-        }
-    }
-
     fn recv_timeout(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>> {
-        self.read_frame(Some(timeout))
+        self.read_frame(timeout)
     }
 
     fn peer(&self) -> String {
@@ -473,6 +464,7 @@ impl Channel for TcpChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::RecvWithin;
 
     fn bind() -> (TcpTransport, Box<dyn Listener>, String) {
         let t = TcpTransport::new(Metrics::new());
@@ -490,7 +482,9 @@ mod tests {
         raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
         raw.flush().unwrap();
         let mut server = l.accept().unwrap();
-        let err = server.recv().expect_err("oversized frame must be refused");
+        let err = server
+            .recv_within()
+            .expect_err("oversized frame must be refused");
         assert!(err.is_corrupt(), "got {err}");
         assert!(err.to_string().contains("MAX_FRAME_BYTES"));
         // A frame just over the cap is refused too; at the cap it would be
@@ -499,7 +493,7 @@ mod tests {
         raw.write_all(&((MAX_FRAME_BYTES as u32 + 1).to_le_bytes()))
             .unwrap();
         let mut server = l.accept().unwrap();
-        assert!(server.recv().unwrap_err().is_corrupt());
+        assert!(server.recv_within().unwrap_err().is_corrupt());
     }
 
     #[test]
@@ -509,7 +503,7 @@ mod tests {
         let mut server = l.accept().unwrap();
         assert!(!client.is_closed(), "open and idle");
         client.send(b"ping").unwrap();
-        assert_eq!(server.recv().unwrap(), b"ping");
+        assert_eq!(server.recv_within().unwrap(), b"ping");
         server.send(b"pong").unwrap();
         // The check left the socket blocking: the timed read waits.
         assert_eq!(
@@ -555,11 +549,11 @@ mod tests {
         let two = [&3u32.to_le_bytes()[..], b"one", &3u32.to_le_bytes(), b"two"].concat();
         raw.write_all(&two).unwrap();
         let before = server_metrics.socket_reads();
-        assert_eq!(server.recv().unwrap(), b"one");
+        assert_eq!(server.recv_within().unwrap(), b"one");
         // The second frame came with the first: nobody has asked for it,
         // so the connection must not carry another exchange.
         assert!(server.is_closed());
-        assert_eq!(server.recv().unwrap(), b"two");
+        assert_eq!(server.recv_within().unwrap(), b"two");
         assert_eq!(server_metrics.socket_reads() - before, 1);
     }
 
@@ -597,7 +591,7 @@ mod tests {
             .unwrap()
             .is_none());
         drop(raw);
-        assert!(server.recv().unwrap_err().is_disconnect());
+        assert!(server.recv_within().unwrap_err().is_disconnect());
     }
 
     #[test]

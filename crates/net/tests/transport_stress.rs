@@ -1,10 +1,18 @@
 //! Transport stress: many concurrent connections, per-connection frame
 //! ordering, mixed frame sizes, and injected-latency behaviour.
 
-use harbor_common::Metrics;
-use harbor_net::{InMemNetwork, TcpTransport, Transport};
+use harbor_common::{DbError, DbResult, Metrics};
+use harbor_net::{Channel, InMemNetwork, TcpTransport, Transport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The next frame within ten seconds, or the error of a closed peer. A frame
+/// that never comes is an error too, so a lost echo fails the test instead
+/// of hanging it.
+fn next(chan: &mut dyn Channel) -> DbResult<Vec<u8>> {
+    chan.recv_timeout(Duration::from_secs(10))?
+        .ok_or_else(|| DbError::internal("no frame within 10 s"))
+}
 
 fn stress(transport: Arc<dyn Transport>, addr: &str) {
     let listener = transport.listen(addr).unwrap();
@@ -16,7 +24,7 @@ fn stress(transport: Arc<dyn Transport>, addr: &str) {
             let chan = listener.accept().unwrap();
             conns.push(std::thread::spawn(move || {
                 let mut chan = chan;
-                while let Ok(frame) = chan.recv() {
+                while let Ok(frame) = next(chan.as_mut()) {
                     if chan.send(&frame).is_err() {
                         break;
                     }
@@ -40,7 +48,7 @@ fn stress(transport: Arc<dyn Transport>, addr: &str) {
                     let mut frame = vec![c; len];
                     frame[..4].copy_from_slice(&i.to_le_bytes());
                     chan.send(&frame).unwrap();
-                    let echo = chan.recv().unwrap();
+                    let echo = next(chan.as_mut()).unwrap();
                     // Per-connection ordering and integrity.
                     assert_eq!(echo.len(), len);
                     assert_eq!(u32::from_le_bytes(echo[..4].try_into().unwrap()), i);
@@ -72,7 +80,7 @@ fn injected_latency_slows_sends_measurably() {
     let listener = t.listen("latency").unwrap();
     let server = std::thread::spawn(move || {
         let mut chan = listener.accept().unwrap();
-        while let Ok(f) = chan.recv() {
+        while let Ok(f) = next(chan.as_mut()) {
             if chan.send(&f).is_err() {
                 break;
             }
@@ -83,7 +91,7 @@ fn injected_latency_slows_sends_measurably() {
     let t0 = Instant::now();
     for _ in 0..n {
         chan.send(b"x").unwrap();
-        chan.recv().unwrap();
+        next(chan.as_mut()).unwrap();
     }
     let elapsed = t0.elapsed();
     // Each round trip pays the latency twice (request + reply).

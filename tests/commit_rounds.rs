@@ -13,7 +13,7 @@ use harbor_common::{
 };
 use harbor_dist::{
     rpc, BackupState, Coordinator, CoordinatorConfig, CrashPoint, Placement, ProtocolKind, Request,
-    Response, UpdateRequest, Worker, WorkerConfig,
+    Response, UpdateRequest, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_front::FrontHandler;
@@ -193,10 +193,6 @@ impl Channel for SlowChannel {
     fn send(&mut self, frame: &[u8]) -> DbResult<()> {
         std::thread::sleep(self.delay);
         self.inner.send(frame)
-    }
-
-    fn recv(&mut self) -> DbResult<Vec<u8>> {
-        self.inner.recv()
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>> {
@@ -384,10 +380,6 @@ impl Channel for ParkingChannel {
         self.inner.send(frame)
     }
 
-    fn recv(&mut self) -> DbResult<Vec<u8>> {
-        self.inner.recv()
-    }
-
     fn recv_timeout(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>> {
         self.inner.recv_timeout(timeout)
     }
@@ -430,7 +422,14 @@ fn get_time_stays_at_a_commit_time_until_its_round_is_in() {
         })
     };
     let mut chan = transport.connect(built.coordinator.addr()).unwrap();
-    let mut get_time = || match rpc(chan.as_mut(), &Request::GetTime).unwrap() {
+    let mut get_time = || match rpc(
+        chan.as_mut(),
+        &Request::GetTime,
+        DEFAULT_RPC_DEADLINE,
+        &Metrics::new(),
+    )
+    .unwrap()
+    {
         Response::Time { now } => now,
         other => panic!("GetTime answered {other:?}"),
     };

@@ -14,12 +14,12 @@ use harbor::RecoveryFailPoint;
 use harbor::{recover_site, Cluster, ClusterConfig, RecoveryConfig, RecoveryContext};
 use harbor_common::codec::Wire;
 use harbor_common::{
-    DbResult, DiskProfile, FieldType, Metrics, SiteId, StorageConfig, Timestamp, TransactionId,
-    Value,
+    DbError, DbResult, DiskProfile, FieldType, Metrics, SiteId, StorageConfig, Timestamp,
+    TransactionId, Value,
 };
 use harbor_dist::{
     rpc, Coordinator, CoordinatorConfig, Placement, ProtocolKind, Request, Response, UpdateRequest,
-    WireReadMode, Worker, WorkerConfig,
+    WireReadMode, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_front::FrontHandler;
@@ -196,53 +196,40 @@ fn recovery_error_when_all_copies_are_down() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A transport that, the first time the recovering site asks a buddy for
-/// Phase-2 inserts, commits one more insert through the coordinator before
-/// the request goes out: a commit that lands while Phase 2 is running.
-struct CommitDuringPhase2 {
+/// A hook on every request the recovering site sends, run before the frame
+/// goes out: an `Err` fails the send, and the frame is not sent.
+type SendHook = Arc<dyn Fn(&Request) -> DbResult<()> + Send + Sync>;
+
+/// The recovering site's transport: every channel it opens runs `hook`.
+struct Hooked {
     inner: Arc<dyn Transport>,
-    coordinator: Arc<Coordinator>,
-    fired: Arc<AtomicBool>,
+    hook: SendHook,
 }
 
-struct CommitDuringPhase2Channel {
+struct HookedChannel {
     inner: Box<dyn Channel>,
-    coordinator: Arc<Coordinator>,
-    fired: Arc<AtomicBool>,
+    hook: SendHook,
 }
 
-impl Transport for CommitDuringPhase2 {
+impl Transport for Hooked {
     fn listen(&self, addr: &str) -> DbResult<Box<dyn Listener>> {
         self.inner.listen(addr)
     }
 
     fn connect(&self, addr: &str) -> DbResult<Box<dyn Channel>> {
-        Ok(Box::new(CommitDuringPhase2Channel {
+        Ok(Box::new(HookedChannel {
             inner: self.inner.connect(addr)?,
-            coordinator: self.coordinator.clone(),
-            fired: self.fired.clone(),
+            hook: self.hook.clone(),
         }))
     }
 }
 
-impl Channel for CommitDuringPhase2Channel {
+impl Channel for HookedChannel {
     fn send(&mut self, frame: &[u8]) -> DbResult<()> {
-        if let Ok(Request::Scan(scan)) = Request::from_slice(frame) {
-            let phase2 = matches!(scan.mode, WireReadMode::SeeDeletedHistorical(_));
-            if phase2 && !scan.ids_and_deletions_only && !self.fired.swap(true, SeqCst) {
-                let insert = UpdateRequest::Insert {
-                    table: "sales".into(),
-                    values: row(100, 100),
-                };
-                let deadline = Instant::now() + Duration::from_secs(10);
-                self.coordinator.execute(vec![insert], deadline)?;
-            }
+        if let Ok(req) = Request::from_slice(frame) {
+            (self.hook)(&req)?;
         }
         self.inner.send(frame)
-    }
-
-    fn recv(&mut self) -> DbResult<Vec<u8>> {
-        self.inner.recv()
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>> {
@@ -256,6 +243,119 @@ impl Channel for CommitDuringPhase2Channel {
     fn is_closed(&self) -> bool {
         self.inner.is_closed()
     }
+}
+
+/// Two workers replicating `sales` and a coordinator on one in-memory
+/// network, built by hand so that a recovery can be given a transport of
+/// its own.
+struct TwoSites {
+    name: &'static str,
+    dir: PathBuf,
+    net: Arc<dyn Transport>,
+    placement: Placement,
+    storage: StorageConfig,
+}
+
+impl TwoSites {
+    const SITES: [SiteId; 2] = [SiteId(1), SiteId(2)];
+
+    fn new(name: &'static str, storage: StorageConfig) -> TwoSites {
+        let mut placement = Placement::new();
+        placement.add_replicated_table("sales", &Self::SITES);
+        placement.set_coordinator_addr(&format!("{name}-coordinator"));
+        for site in Self::SITES {
+            placement.set_address(site, &format!("{name}-site-{}", site.0));
+        }
+        TwoSites {
+            name,
+            dir: temp_dir(name),
+            net: Arc::new(InMemNetwork::new(Metrics::new())),
+            placement,
+            storage,
+        }
+    }
+
+    /// `site`'s worker, on its engine opened from its files.
+    fn boot_worker(&self, site: SiteId) -> (Arc<Worker>, Arc<Engine>) {
+        let engine = Engine::open(
+            self.dir.join(format!("site-{}", site.0)),
+            EngineOptions::harbor(site, self.storage.clone()),
+        )
+        .unwrap();
+        if engine.table_def("sales").is_none() {
+            let fields = vec![
+                ("id".into(), FieldType::Int64),
+                ("v".into(), FieldType::Int32),
+            ];
+            engine.create_table("sales", fields).unwrap();
+        }
+        let addr = |s: SiteId| self.placement.address(s).unwrap().to_string();
+        let cfg = WorkerConfig {
+            site,
+            addr: addr(site),
+            protocol: ProtocolKind::Opt3pc,
+            checkpoint_every: None,
+            peers: Self::SITES.iter().map(|s| (*s, addr(*s))).collect(),
+            coordinator: None,
+            auto_consensus: false,
+            crash_schedule: Default::default(),
+        };
+        let worker = Worker::start(engine.clone(), self.net.clone(), cfg).unwrap();
+        (worker, engine)
+    }
+
+    fn boot_coordinator(&self) -> Arc<Coordinator> {
+        Coordinator::start(
+            CoordinatorConfig {
+                site: SiteId(0),
+                addr: format!("{}-coordinator", self.name),
+                protocol: ProtocolKind::Opt3pc,
+                log_dir: None,
+                group_commit: harbor_wal::GroupCommit::enabled(),
+                disk: DiskProfile::fast(),
+                rpc_deadline: DEFAULT_RPC_DEADLINE,
+                crash_schedule: Default::default(),
+                epoch_commit: None,
+                degrade_read_only: false,
+            },
+            self.placement.clone(),
+            self.net.clone(),
+            Metrics::new(),
+        )
+        .unwrap()
+    }
+
+    /// A recovery of `site` on `engine` whose every send runs `hook`.
+    fn recovery(&self, site: SiteId, engine: &Arc<Engine>, hook: SendHook) -> RecoveryContext {
+        RecoveryContext {
+            engine: engine.clone(),
+            site,
+            placement: self.placement.clone(),
+            transport: Arc::new(Hooked {
+                inner: self.net.clone(),
+                hook,
+            }),
+            down: Default::default(),
+            rpc_deadline: DEFAULT_RPC_DEADLINE,
+            config: RecoveryConfig::default(),
+        }
+    }
+}
+
+impl Drop for TwoSites {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+fn insert_through(coordinator: &Arc<Coordinator>, id: i64) {
+    let op = UpdateRequest::Insert {
+        table: "sales".into(),
+        values: row(id, id as i32),
+    };
+    coordinator
+        .execute(vec![op], Instant::now() + Duration::from_secs(10))
+        .unwrap();
 }
 
 /// Every version a site holds, deleted ones included, as a sorted list.
@@ -278,95 +378,36 @@ fn versions(engine: &Engine) -> Vec<String> {
 /// second, so Phase 2 stops there and the victim matches its buddy.
 #[test]
 fn a_commit_during_phase2_earns_exactly_one_more_pass() {
-    let dir = temp_dir("phase2-passes");
-    let net: Arc<dyn Transport> = Arc::new(InMemNetwork::new(Metrics::new()));
-    let sites = [SiteId(1), SiteId(2)];
-    let addr = |site: SiteId| format!("passes-site-{}", site.0);
-    let mut placement = Placement::new();
-    placement.add_replicated_table("sales", &sites);
-    placement.set_coordinator_addr("passes-coordinator");
-    for site in sites {
-        placement.set_address(site, &addr(site));
-    }
-    let start = |site: SiteId| {
-        let engine = Engine::open(
-            dir.join(format!("site-{}", site.0)),
-            EngineOptions::harbor(site, StorageConfig::for_tests()),
-        )
-        .unwrap();
-        if engine.table_def("sales").is_none() {
-            let fields = vec![
-                ("id".into(), FieldType::Int64),
-                ("v".into(), FieldType::Int32),
-            ];
-            engine.create_table("sales", fields).unwrap();
-        }
-        let cfg = WorkerConfig {
-            site,
-            addr: addr(site),
-            protocol: ProtocolKind::Opt3pc,
-            checkpoint_every: None,
-            peers: sites.iter().map(|s| (*s, addr(*s))).collect(),
-            coordinator: None,
-            auto_consensus: false,
-            crash_schedule: Default::default(),
-        };
-        let worker = Worker::start(engine.clone(), net.clone(), cfg).unwrap();
-        (worker, engine)
-    };
-    let (buddy, buddy_engine) = start(SiteId(1));
-    let (victim, victim_engine) = start(SiteId(2));
-    let coordinator = Coordinator::start(
-        CoordinatorConfig {
-            site: SiteId(0),
-            addr: "passes-coordinator".into(),
-            protocol: ProtocolKind::Opt3pc,
-            log_dir: None,
-            group_commit: harbor_wal::GroupCommit::enabled(),
-            disk: DiskProfile::fast(),
-            rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            crash_schedule: Default::default(),
-            epoch_commit: None,
-            degrade_read_only: false,
-        },
-        placement.clone(),
-        net.clone(),
-        Metrics::new(),
-    )
-    .unwrap();
-    let insert = |id: i64| {
-        let op = UpdateRequest::Insert {
-            table: "sales".into(),
-            values: row(id, id as i32),
-        };
-        coordinator
-            .execute(vec![op], Instant::now() + Duration::from_secs(10))
-            .unwrap();
-    };
+    let sites = TwoSites::new("phase2-passes", StorageConfig::for_tests());
+    let (buddy, buddy_engine) = sites.boot_worker(SiteId(1));
+    let (victim, victim_engine) = sites.boot_worker(SiteId(2));
+    let coordinator = sites.boot_coordinator();
     for id in 0..3 {
-        insert(id);
+        insert_through(&coordinator, id);
     }
     victim.crash();
     drop(victim_engine);
     coordinator.mark_dead(SiteId(2));
     for id in 3..10 {
-        insert(id);
+        insert_through(&coordinator, id);
     }
 
-    let (victim, victim_engine) = start(SiteId(2));
-    let ctx = RecoveryContext {
-        engine: victim_engine.clone(),
-        site: SiteId(2),
-        placement,
-        transport: Arc::new(CommitDuringPhase2 {
-            inner: net.clone(),
-            coordinator: coordinator.clone(),
-            fired: Arc::new(AtomicBool::new(false)),
-        }),
-        down: Default::default(),
-        rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-        config: RecoveryConfig::default(),
+    let (victim, victim_engine) = sites.boot_worker(SiteId(2));
+    // The first time the recovering site asks a buddy for Phase-2 inserts,
+    // one more insert commits before the request goes out: a commit that
+    // lands while Phase 2 is running.
+    let fired = AtomicBool::new(false);
+    let during = coordinator.clone();
+    let commit_once = move |req: &Request| {
+        if let Request::Scan(scan) = req {
+            let phase2 = matches!(scan.mode, WireReadMode::SeeDeletedHistorical(_));
+            if phase2 && !scan.ids_and_deletions_only && !fired.swap(true, SeqCst) {
+                insert_through(&during, 100);
+            }
+        }
+        Ok(())
     };
+    let ctx = sites.recovery(SiteId(2), &victim_engine, Arc::new(commit_once));
     let report = recover_site(&ctx).unwrap();
     assert_eq!(report.objects[0].phase2_rounds, 2, "{report:?}");
     assert_eq!(versions(&victim_engine).len(), 11);
@@ -374,7 +415,53 @@ fn a_commit_during_phase2_earns_exactly_one_more_pass() {
     coordinator.crash();
     buddy.crash();
     victim.crash();
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Phase 3 releases its buddy's table lock once the object is online, when
+/// the coordinator already routes updates to the site: a release that does
+/// not get through must not fail the recovery, which would crash the site
+/// again. The buddy frees the lock itself when the lock connection closes
+/// (§5.5.1), so the next write there commits well within the lock timeout.
+#[test]
+fn a_lost_lock_release_does_not_fail_a_finished_recovery() {
+    let storage = StorageConfig {
+        lock_timeout: Duration::from_secs(5),
+        ..StorageConfig::for_tests()
+    };
+    let sites = TwoSites::new("release-lost", storage.clone());
+    let (buddy, buddy_engine) = sites.boot_worker(SiteId(1));
+    let (victim, victim_engine) = sites.boot_worker(SiteId(2));
+    let coordinator = sites.boot_coordinator();
+    for id in 0..3 {
+        insert_through(&coordinator, id);
+    }
+    victim.crash();
+    drop(victim_engine);
+    coordinator.mark_dead(SiteId(2));
+    for id in 3..10 {
+        insert_through(&coordinator, id);
+    }
+
+    let (victim, victim_engine) = sites.boot_worker(SiteId(2));
+    let lose_release = |req: &Request| match req {
+        Request::ReleaseTableLock { .. } => Err(DbError::net("injected: the release is lost")),
+        _ => Ok(()),
+    };
+    let ctx = sites.recovery(SiteId(2), &victim_engine, Arc::new(lose_release));
+    recover_site(&ctx).unwrap();
+    assert!(coordinator.is_usable(SiteId(2), "sales"));
+    let started = Instant::now();
+    insert_through(&coordinator, 10);
+    assert!(
+        started.elapsed() < storage.lock_timeout / 5,
+        "the write waited {:?} on the recovery's lock",
+        started.elapsed()
+    );
+    assert_eq!(versions(&victim_engine).len(), 11);
+    assert_eq!(versions(&victim_engine), versions(&buddy_engine));
+    coordinator.crash();
+    buddy.crash();
+    victim.crash();
 }
 
 /// Parallel recovery of several objects announces each object separately
@@ -485,7 +572,13 @@ fn a_site_that_joins_while_the_last_statement_is_blocked_gets_a_full_prepare() {
         .connect(cluster.worker(buddy).unwrap().addr())
         .unwrap();
     let table_lock = |chan: &mut dyn harbor_net::Channel, req: Request| {
-        assert!(matches!(rpc(chan, &req).unwrap(), Response::Ok), "{req:?}");
+        assert!(
+            matches!(
+                rpc(chan, &req, DEFAULT_RPC_DEADLINE, &Metrics::new()).unwrap(),
+                Response::Ok
+            ),
+            "{req:?}"
+        );
     };
     table_lock(
         to_buddy.as_mut(),
@@ -521,7 +614,13 @@ fn a_site_that_joins_while_the_last_statement_is_blocked_gets_a_full_prepare() {
         table: "sales".into(),
     };
     assert!(matches!(
-        rpc(to_coordinator.as_mut(), &online).unwrap(),
+        rpc(
+            to_coordinator.as_mut(),
+            &online,
+            DEFAULT_RPC_DEADLINE,
+            &Metrics::new()
+        )
+        .unwrap(),
         Response::AllDone
     ));
     assert!(

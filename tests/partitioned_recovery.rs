@@ -9,7 +9,7 @@ use harbor::{recover_site, RecoveryConfig, RecoveryContext};
 use harbor_common::{FieldType, Metrics, SiteId, StorageConfig, Timestamp, Value};
 use harbor_dist::{
     rpc, Coordinator, CoordinatorConfig, Copy, Part, Placement, ProtocolKind, Request, Response,
-    UpdateRequest, Worker, WorkerConfig,
+    UpdateRequest, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_exec::{collect, Expr, ReadMode, SeqScan};
@@ -322,7 +322,13 @@ fn a_transaction_spanning_partitions_keeps_each_row_in_its_own() {
         table: "employees".into(),
     };
     assert!(matches!(
-        rpc(chan.as_mut(), &online).unwrap(),
+        rpc(
+            chan.as_mut(),
+            &online,
+            DEFAULT_RPC_DEADLINE,
+            &Metrics::new()
+        )
+        .unwrap(),
         Response::AllDone
     ));
     c.update(tid, employee(1007, 1)).unwrap();

@@ -10,12 +10,32 @@
 //! inserts, key updates and deletes to the same table.
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
-use harbor_common::{SiteId, StorageConfig, Timestamp, Tuple, Value};
-use harbor_dist::{scan_rpc, ProtocolKind, RemoteScan, UpdateRequest, WireReadMode};
+use harbor_common::codec::Wire;
+use harbor_common::{DbResult, Metrics, SiteId, StorageConfig, Timestamp, Tuple, Value};
+use harbor_dist::{
+    scan_rpc, ProtocolKind, RemoteScan, UpdateRequest, WireReadMode, DEFAULT_RPC_DEADLINE,
+};
 use harbor_exec::{collect, Expr, Filter, ReadMode, SeqScan};
+use harbor_net::Channel;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const ROWS: i64 = 600;
+
+/// Every row a worker's scan service answers.
+fn rows_of(chan: &mut dyn Channel, scan: &RemoteScan) -> DbResult<Vec<Tuple>> {
+    let mut out = Vec::new();
+    scan_rpc(
+        chan,
+        scan,
+        DEFAULT_RPC_DEADLINE,
+        &Metrics::new(),
+        |rows, wire| {
+            out.append(&mut Tuple::decode_n(wire, rows)?);
+            Ok(())
+        },
+    )?;
+    Ok(out)
+}
 
 fn insert(id: i64) -> UpdateRequest {
     UpdateRequest::Insert {
@@ -178,7 +198,7 @@ fn every_replica_answers_every_read_path_like_a_local_scan() {
                     let want = local(&cluster, site, ReadMode::Historical(t), pred);
                     let mut scan = RemoteScan::new("t", WireReadMode::Historical(t));
                     scan.predicate = pred.cloned();
-                    let got = sorted(scan_rpc(chan.as_mut(), &scan).unwrap(), false);
+                    let got = sorted(rows_of(chan.as_mut(), &scan).unwrap(), false);
                     assert_same(&got, &want, &format!("site {site:?}, predicate {pred:?}"));
                     // Through the coordinator (whichever replica it picks):
                     // replicas agree on the logical content at T.
@@ -210,7 +230,7 @@ fn every_replica_answers_every_read_path_like_a_local_scan() {
                 scan.ins_after = Some(t_first);
                 scan.ins_at_or_before = Some(t_lo);
                 scan.del_after = Some(t_lo);
-                let got = scan_rpc(chan.as_mut(), &scan).unwrap();
+                let got = rows_of(chan.as_mut(), &scan).unwrap();
                 assert_same(
                     &sorted(got, true),
                     &want,

@@ -9,7 +9,7 @@ use harbor::{Cluster, ClusterConfig, TableSpec};
 use harbor_common::{DbError, Metrics, SiteId, StorageConfig, Timestamp, Value};
 use harbor_dist::{
     rpc, Coordinator, CoordinatorConfig, Placement, ProtocolKind, Request, Response, UpdateRequest,
-    Worker, WorkerConfig,
+    Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_net::{ChaosConfig, InMemNetwork, TcpTransport, Transport};
@@ -241,6 +241,36 @@ fn a_session_that_missed_a_reply_is_not_reused() {
     cluster.shutdown();
 }
 
+/// (c') A silent buddy is counted on the site that waited. Site 2's frames to
+/// a recovering site 1 vanish while its socket stays open: each of site 1's
+/// waits on it expires after the liveness deadline, is a disconnect, and
+/// recovery fails over to site 3's copy and completes — with the expiries
+/// on the recovering site's own `rpc_timeouts`.
+#[test]
+fn a_silent_buddy_is_counted_on_the_recovering_site() {
+    let _one = serial();
+    let deadline = Duration::from_millis(300);
+    let cluster = three_workers("silent-buddy", Some(ChaosConfig::quiet(7)), deadline);
+    let chaos = cluster.chaos().unwrap();
+    chaos.set_enabled(true);
+    for id in 0..10 {
+        cluster.run_txn(vec![insert("t", id)]).unwrap();
+    }
+    let victim = SiteId(1);
+    cluster.crash_worker(victim).unwrap();
+    for id in 10..30 {
+        cluster.run_txn(vec![insert("t", id)]).unwrap();
+    }
+    chaos.partition(&["site-2"], &["site-1"], false);
+    cluster.recover_worker_harbor(victim).unwrap();
+    chaos.heal();
+    let waited = cluster.worker_metrics(victim).unwrap().snapshot();
+    assert!(waited.rpc_timeouts >= 1, "{} expiries", waited.rpc_timeouts);
+    assert!(!cluster.coordinator().is_dead(victim));
+    assert_eq!(cluster_counts(&cluster, "t"), vec![30; 3]);
+    cluster.shutdown();
+}
+
 // ----------------------------------------------------------------------
 // Coordinator-level scenarios: workers are restarted, and objects brought
 // online, behind the coordinator's back.
@@ -423,7 +453,13 @@ fn a_failed_join_forward_leaves_nothing_open_on_the_joining_site() {
                 site: joining,
                 table: "t".into(),
             };
-            rpc(chan.as_mut(), &online).unwrap()
+            rpc(
+                chan.as_mut(),
+                &online,
+                DEFAULT_RPC_DEADLINE,
+                &Metrics::new(),
+            )
+            .unwrap()
         });
         // The forwarder is inside its session to site 2 once the site has
         // the transaction open; the client's next statement arrives then.

@@ -798,10 +798,6 @@ impl Channel for RecordedChannel {
         self.inner.send(frame)
     }
 
-    fn recv(&mut self) -> DbResult<Vec<u8>> {
-        self.inner.recv()
-    }
-
     fn recv_timeout(&mut self, timeout: std::time::Duration) -> DbResult<Option<Vec<u8>>> {
         self.inner.recv_timeout(timeout)
     }
