@@ -9,12 +9,12 @@ use harbor_bench::{experiment_dir, print_table};
 use harbor_common::Timestamp;
 use harbor_common::{SiteId, StorageConfig, Value};
 use harbor_dist::{
-    backup_action, BackupAction, BackupState, CrashPoint, ProtocolKind, UpdateRequest,
+    backup_action, BackupAction, CrashPoint, ProtocolKind, UpdateRequest, WireTxnState,
 };
 
 /// Runs one coordinator-crash scenario; returns (backup state observed,
 /// action taken, rows visible afterwards).
-fn scenario(name: &str, fail: Option<CrashPoint>) -> (BackupState, BackupAction, usize) {
+fn scenario(name: &str, fail: Option<CrashPoint>) -> (WireTxnState, BackupAction, usize) {
     let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 2);
     cfg.storage = StorageConfig::for_tests();
     cfg.transport = TransportKind::InMem {
@@ -87,7 +87,7 @@ fn main() {
     // failure detection applies the abort the moment it sees the dropped
     // connection (§4.3.2), so by observation time the state is Aborted.
     let (st, action, n) = scenario("pending", None);
-    assert!(matches!(st, BackupState::Pending | BackupState::Aborted));
+    assert!(matches!(st, WireTxnState::Pending | WireTxnState::Aborted));
     assert_eq!(action, BackupAction::Abort);
     assert_eq!(n, 1, "pending transaction rolled back");
     rows.push(vec![
@@ -98,7 +98,7 @@ fn main() {
     ]);
     // Prepared, voted YES: coordinator dies after PREPARE → prepare, abort.
     let (st, action, n) = scenario("prepared-yes", Some(CrashPoint::CoordAfterPrepare));
-    assert!(matches!(st, BackupState::PreparedYes));
+    assert!(matches!(st, WireTxnState::PreparedVotedYes));
     assert_eq!(action, BackupAction::PrepareThenAbort);
     assert_eq!(n, 1);
     rows.push(vec![
@@ -109,7 +109,7 @@ fn main() {
     ]);
     // Prepared-to-commit: dies mid-PTC → replay last two phases, commit.
     let (st, action, n) = scenario("ptc", Some(CrashPoint::CoordAfterPtcSent(1)));
-    assert!(matches!(st, BackupState::PreparedToCommit(_)));
+    assert!(matches!(st, WireTxnState::PreparedToCommit(_)));
     assert!(matches!(action, BackupAction::PrepareToCommitThenCommit(_)));
     assert_eq!(n, 2, "transaction committed everywhere");
     rows.push(vec![
@@ -120,7 +120,7 @@ fn main() {
     ]);
     // Committed at backup: dies mid-COMMIT fan-out → commit.
     let (st, action, n) = scenario("committed", Some(CrashPoint::CoordAfterCommitSent(1)));
-    assert!(matches!(st, BackupState::Committed(_)));
+    assert!(matches!(st, WireTxnState::Committed(_)));
     assert!(matches!(action, BackupAction::Commit(_)));
     assert_eq!(n, 2);
     rows.push(vec![
@@ -130,8 +130,11 @@ fn main() {
         "committed".into(),
     ]);
     // The two pure-function rows not reachable by fail points.
-    assert_eq!(backup_action(BackupState::PreparedNo), BackupAction::Abort);
-    assert_eq!(backup_action(BackupState::Aborted), BackupAction::Abort);
+    assert_eq!(
+        backup_action(WireTxnState::PreparedVotedNo),
+        BackupAction::Abort
+    );
+    assert_eq!(backup_action(WireTxnState::Aborted), BackupAction::Abort);
     rows.push(vec![
         "prepared, voted NO".into(),
         "Abort".into(),

@@ -793,22 +793,39 @@ impl Cluster {
     }
 
     /// Terminates every undecided distributed transaction held by a live
-    /// worker via the backup-coordinator protocol (§4.3.3), visiting sites
-    /// in rank order so the lowest-ranked live participant decides and the
-    /// rest adopt its outcome. Returns `true` when no undecided state
-    /// remains. Background auto-consensus stays off in the harness (its
-    /// resolutions would race the workload's channel creation and perturb
-    /// the deterministic fault trace), so this is the failure detector's
-    /// stand-in, run at deterministic points: before any recovery, because
-    /// a buddy holding an acked commit in the prepared-to-commit state
-    /// would serve catch-up scans that silently miss it.
+    /// worker (§4.3.3), visiting sites in rank order. Returns `true` when no
+    /// undecided state remains. Background auto-consensus stays off in the
+    /// harness (its resolutions would race the workload's channel creation
+    /// and perturb the deterministic fault trace), so this is the failure
+    /// detector's stand-in, run at deterministic points: before any
+    /// recovery, join, scrub or repair, because a buddy holding an acked
+    /// commit merely prepared would serve catch-up scans that miss it.
+    ///
+    /// Why a presumed-dead last replica may then serve as a buddy: a worker
+    /// in doubt asks the coordinator first, and in a chaos run the
+    /// coordinator never fails, so each transaction ends as the coordinator
+    /// decided — as its client was told — not as a Table 4.1 election among
+    /// the survivors would have it. That holds only while the ask gets
+    /// through, so behind a partition nothing is terminated and the caller
+    /// defers (a blackholed ask would fall back to the election). An ask
+    /// lost to drops on every retry falls back to it too; an acked commit
+    /// that election loses is what the final invariant check reports.
     fn resolve_pending_txns(&self, tag: &str, report: &mut ChaosRunReport) -> bool {
+        let partitioned = self.chaos().is_some_and(|chaos| chaos.is_partitioned());
         let mut all_clear = true;
         for site in self.live_sites() {
             let Ok(worker) = self.worker(site) else {
                 continue;
             };
             for tid in worker.unresolved_dist_txns() {
+                if partitioned {
+                    all_clear = false;
+                    report.schedule.push(format!(
+                        "{tag}: {site} holds txn {} behind a partition",
+                        tid.0
+                    ));
+                    continue;
+                }
                 match worker.resolve_by_consensus(tid) {
                     Ok(true) => report
                         .schedule

@@ -1,26 +1,33 @@
-//! The consensus-building protocol for coordinator failures under 3PC
-//! (thesis §4.3.3, Table 4.1; originally Skeen 1981).
+//! Termination of a transaction a worker holds in doubt (thesis §4.3.3,
+//! Table 4.1; originally Skeen 1981). One rule under every commit protocol:
 //!
-//! When workers detect a coordinator crash during commit processing, a
-//! backup coordinator is chosen "by some arbitrarily pre-assigned ranking"
-//! — here, the lowest-numbered live participant. Because 3PC state
-//! transitions proceed in lock-step, no site can be more than one state
-//! away from the backup, so the backup can decide the global outcome from
-//! *its own* state alone:
+//! 1. Ask the coordinator ([`ask_state`]). It recorded the decision when it
+//!    passed the commit point, so it answers committed, aborted (presumed
+//!    abort) or still in flight — and a live coordinator may have
+//!    acknowledged a commit no surviving worker has seen yet. Committed or
+//!    aborted is adopted; in flight, the worker asks again later.
+//! 2. Only when the coordinator cannot be reached — it has failed — is a
+//!    backup coordinator chosen "by some arbitrarily pre-assigned ranking":
+//!    here, the lowest-numbered live participant. Because 3PC state
+//!    transitions proceed in lock-step, no site can be more than one state
+//!    away from the backup, so the backup decides the global outcome from
+//!    *its own* state alone, and the others ask it:
 //!
 //! | backup state            | action                          |
 //! |-------------------------|---------------------------------|
 //! | pending                 | abort                           |
 //! | prepared, voted NO      | abort                           |
 //! | prepared, voted YES     | prepare, then abort             |
-//! | aborted                 | abort                           |
+//! | aborted (or unknown)    | abort                           |
 //! | prepared-to-commit      | prepare-to-commit, then commit  |
 //! | committed               | commit                          |
 //!
-//! Workers disregard duplicate messages, so replaying phases is safe.
+//! Workers disregard duplicate messages, so replaying phases is safe. A
+//! 2PC worker never starts termination by itself: without lock-step states
+//! the election is no substitute for a coordinator that forced COMMIT.
 
 use crate::failpoint::CrashPoint;
-use crate::message::{Request, Response};
+use crate::message::{Request, Response, WireTxnState};
 use crate::worker::Worker;
 use crate::{rpc, with_read_retries};
 use harbor_common::{DbError, DbResult, SiteId, Timestamp, TransactionId};
@@ -38,17 +45,6 @@ pub(crate) const CONSENSUS_DEADLINE: Duration = Duration::from_secs(2);
 /// repeated deadline expiry counts as death.
 pub(crate) const CONSENSUS_RETRIES: u32 = 2;
 
-/// A participant's consensus-relevant state (Fig 4-5 states plus the vote).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum BackupState {
-    Pending,
-    PreparedYes,
-    PreparedNo,
-    PreparedToCommit(Timestamp),
-    Committed(Timestamp),
-    Aborted,
-}
-
 /// What the backup coordinator does (Table 4.1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BackupAction {
@@ -59,31 +55,29 @@ pub enum BackupAction {
 }
 
 /// The pure decision function of Table 4.1.
-pub fn backup_action(state: BackupState) -> BackupAction {
+pub fn backup_action(state: WireTxnState) -> BackupAction {
     match state {
-        BackupState::Pending => BackupAction::Abort,
-        BackupState::PreparedNo => BackupAction::Abort,
-        BackupState::Aborted => BackupAction::Abort,
-        BackupState::PreparedYes => BackupAction::PrepareThenAbort,
-        BackupState::PreparedToCommit(t) => BackupAction::PrepareToCommitThenCommit(t),
-        BackupState::Committed(t) => BackupAction::Commit(t),
+        WireTxnState::Unknown
+        | WireTxnState::Pending
+        | WireTxnState::PreparedVotedNo
+        | WireTxnState::Aborted => BackupAction::Abort,
+        WireTxnState::PreparedVotedYes => BackupAction::PrepareThenAbort,
+        WireTxnState::PreparedToCommit(t) => BackupAction::PrepareToCommitThenCommit(t),
+        WireTxnState::Committed(t) => BackupAction::Commit(t),
     }
 }
 
-/// Runs the protocol from `worker`'s point of view. Returns `Ok(true)` if
-/// this site acted as backup and drove the transaction to an outcome,
-/// `Ok(false)` if another live site outranks it (that site is the backup;
-/// this one waits to be told).
-pub fn resolve(
+/// The election of step 2, from `worker`'s point of view, over the
+/// participants in rank order. Returns `Ok(true)` if this site is the
+/// backup and drove the transaction to an outcome, `Ok(false)` if another
+/// live site outranks it (that site is the backup; this one asks it).
+pub(crate) fn resolve(
     worker: &Arc<Worker>,
     tid: TransactionId,
-    participants: &[SiteId],
+    ranked: &[SiteId],
 ) -> DbResult<bool> {
-    let mut ranked: Vec<SiteId> = participants.to_vec();
-    ranked.sort();
-    ranked.dedup();
     // Election: the lowest-ranked live participant is the backup.
-    for site in &ranked {
+    for site in ranked {
         if *site == worker.site() {
             break; // we are the highest-priority live site
         }
@@ -96,29 +90,29 @@ pub fn resolve(
     match action {
         BackupAction::Abort => {
             maybe_crash_mid_resolution(worker)?;
-            broadcast(worker, &ranked, &Request::Abort { tid })?;
+            broadcast(worker, ranked, &Request::Abort { tid })?;
         }
         BackupAction::PrepareThenAbort => {
             // Ask every site to reach the prepared state (no-ops where it
             // already is), then abort.
             broadcast(
                 worker,
-                &ranked,
+                ranked,
                 &Request::Prepare {
                     tid,
-                    workers: ranked.clone(),
+                    workers: ranked.to_vec(),
                     time_bound: Timestamp::ZERO,
                 },
             )?;
             maybe_crash_mid_resolution(worker)?;
-            broadcast(worker, &ranked, &Request::Abort { tid })?;
+            broadcast(worker, ranked, &Request::Abort { tid })?;
         }
         BackupAction::PrepareToCommitThenCommit(t) => {
             // Replay the last two phases, reusing the commit time received
             // from the old coordinator (§4.3.3).
             broadcast(
                 worker,
-                &ranked,
+                ranked,
                 &Request::PrepareToCommit {
                     tid,
                     commit_time: t,
@@ -127,7 +121,7 @@ pub fn resolve(
             maybe_crash_mid_resolution(worker)?;
             broadcast(
                 worker,
-                &ranked,
+                ranked,
                 &Request::Commit {
                     tid,
                     commit_time: t,
@@ -138,7 +132,7 @@ pub fn resolve(
             maybe_crash_mid_resolution(worker)?;
             broadcast(
                 worker,
-                &ranked,
+                ranked,
                 &Request::Commit {
                     tid,
                     commit_time: t,
@@ -164,53 +158,26 @@ fn maybe_crash_mid_resolution(worker: &Arc<Worker>) -> DbResult<()> {
     Ok(())
 }
 
-/// Asks the highest-priority live participant (other than this site) for
-/// its state of `tid`. `None` when unreachable or still undecided in a way
-/// that maps to no [`BackupState`] progress.
-pub fn query_backup_state(
-    worker: &Arc<Worker>,
-    tid: TransactionId,
-    participants: &[SiteId],
-) -> Option<BackupState> {
-    let mut ranked: Vec<SiteId> = participants.to_vec();
-    ranked.sort();
-    ranked.dedup();
-    for site in ranked {
-        if site == worker.site() {
-            return None; // we outrank the rest: we are the backup
-        }
-        let Some(addr) = worker.peer_addr(site) else {
-            continue;
-        };
-        // The query is idempotent, so a silent or closed peer gets bounded
-        // retries before the site is skipped as unreachable.
-        let metrics = worker.engine().metrics();
-        let reply = with_read_retries(
-            metrics,
-            CONSENSUS_RETRIES,
-            Duration::from_millis(10),
-            || {
-                let mut chan = worker.transport().connect(&addr)?;
-                let req = Request::QueryTxnState { tid };
-                rpc(chan.as_mut(), &req, CONSENSUS_DEADLINE, metrics)
-            },
-        );
-        match reply {
-            Ok(Response::TxnState { state }) => {
-                use crate::message::WireTxnState as W;
-                return Some(match state {
-                    W::Unknown | W::Aborted => BackupState::Aborted,
-                    W::Pending => BackupState::Pending,
-                    W::PreparedVotedYes => BackupState::PreparedYes,
-                    W::PreparedVotedNo => BackupState::PreparedNo,
-                    W::PreparedToCommit(t) => BackupState::PreparedToCommit(t),
-                    W::Committed(t) => BackupState::Committed(t),
-                });
-            }
-            _ => continue,
-        }
+/// What the site at `addr` — the coordinator, or a backup that outranks
+/// this worker — knows of `tid`: the one sender of
+/// [`Request::QueryTxnState`]. The query is idempotent, so a silent or
+/// closed peer gets bounded retries; `None` when it stays unreachable.
+pub(crate) fn ask_state(worker: &Worker, addr: &str, tid: TransactionId) -> Option<WireTxnState> {
+    let metrics = worker.engine().metrics();
+    let reply = with_read_retries(
+        metrics,
+        CONSENSUS_RETRIES,
+        Duration::from_millis(10),
+        || {
+            let mut chan = worker.transport().connect(addr)?;
+            let req = Request::QueryTxnState { tid };
+            rpc(chan.as_mut(), &req, CONSENSUS_DEADLINE, metrics)
+        },
+    );
+    match reply {
+        Ok(Response::TxnState { state }) => Some(state),
+        _ => None,
     }
-    None
 }
 
 fn ping(worker: &Arc<Worker>, site: SiteId) -> bool {
@@ -271,19 +238,20 @@ mod tests {
 
     #[test]
     fn table_4_1_actions() {
-        assert_eq!(backup_action(BackupState::Pending), BackupAction::Abort);
-        assert_eq!(backup_action(BackupState::PreparedNo), BackupAction::Abort);
-        assert_eq!(backup_action(BackupState::Aborted), BackupAction::Abort);
+        use WireTxnState as S;
+        for state in [S::Unknown, S::Pending, S::PreparedVotedNo, S::Aborted] {
+            assert_eq!(backup_action(state), BackupAction::Abort, "{state:?}");
+        }
         assert_eq!(
-            backup_action(BackupState::PreparedYes),
+            backup_action(S::PreparedVotedYes),
             BackupAction::PrepareThenAbort
         );
         assert_eq!(
-            backup_action(BackupState::PreparedToCommit(Timestamp(7))),
+            backup_action(S::PreparedToCommit(Timestamp(7))),
             BackupAction::PrepareToCommitThenCommit(Timestamp(7))
         );
         assert_eq!(
-            backup_action(BackupState::Committed(Timestamp(9))),
+            backup_action(S::Committed(Timestamp(9))),
             BackupAction::Commit(Timestamp(9))
         );
     }

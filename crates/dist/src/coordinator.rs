@@ -216,10 +216,10 @@ pub struct Coordinator {
     epoch: Option<Arc<EpochState>>,
     /// Commit decisions this coordinator is the authority for: tid → commit
     /// time, recorded the moment the COMMIT record is durable (2PC) or the
-    /// commit point passes (3PC), and rebuilt from the log on restart.
-    /// In-doubt 2PC workers resolve against this table (presumed abort for
-    /// finished transactions it does not contain) instead of the worker-only
-    /// §4.3.3 consensus, which is sound only under 3PC's lock-step states.
+    /// commit point passes (3PC), and rebuilt from the log on restart. A
+    /// worker in doubt asks here first under every protocol (presumed abort
+    /// for finished transactions it does not contain); the §4.3.3 election
+    /// runs only while this coordinator is unreachable.
     decided_commits: Mutex<HashMap<TransactionId, Timestamp>>,
 }
 
@@ -385,8 +385,10 @@ impl Coordinator {
     /// The coordinator's authoritative answer for a transaction's outcome:
     /// committed iff its COMMIT record was forced here (2PC) or its commit
     /// point passed (3PC); still-running transactions report `Pending`;
-    /// everything else is aborted by presumed abort. In-doubt 2PC workers
-    /// dispatch on this instead of running worker-only consensus.
+    /// everything else is aborted by presumed abort. A worker in doubt asks
+    /// this first under every protocol. A 3PC coordinator keeps no log, so
+    /// its presumed-abort answer holds only for the incarnation that ran the
+    /// transaction; nothing restarts a coordinator at the same address.
     pub fn txn_outcome(&self, tid: TransactionId) -> WireTxnState {
         if let Some(t) = self.decided_commits.lock().get(&tid) {
             return WireTxnState::Committed(*t);
@@ -1255,12 +1257,19 @@ impl Coordinator {
             // Phase 2: PREPARE-TO-COMMIT; all ACKs = commit point. No ack
             // (dead or deadline-expired) or a protocol-violating one: commit
             // with the remaining workers (K-1 safety, §4.3.5) — the site
-            // will recover or be fenced.
+            // will recover or be fenced. With no ack at all the commit point
+            // has no holder to pass with: abort instead.
             let ptc = Request::PrepareToCommit { tid, commit_time };
-            self.counted_round(tid, &ctx, &participants, &ptc, |p| match p {
+            let holders = self.counted_round(tid, &ctx, &participants, &ptc, |p| match p {
                 CrashPoint::CoordAfterPtcSent(n) => Some(*n),
                 _ => None,
             })?;
+            if holders.is_empty() {
+                let delivered = self.abort_afresh(tid, &participants);
+                self.finish(tid, false)?;
+                delivered?;
+                return Err(DbError::TransactionAborted(tid));
+            }
         } else if let Some(wal) = &self.wal {
             // 2PC commit point: force-write the COMMIT record.
             wal.append_forced(&LogRecord::new(
@@ -1294,7 +1303,8 @@ impl Coordinator {
     }
 
     /// A round every participant is expected to acknowledge (PREPARE-TO-
-    /// COMMIT, COMMIT); one that does not is marked dead. `count_of` reads
+    /// COMMIT, COMMIT); one that does not is marked dead. Returns the sites
+    /// that acknowledged, in site order. `count_of` reads
     /// the round's counting fail point (`AfterPtcSentTo(n)` /
     /// `AfterCommitSentTo(n)`): while one is armed the round is split at
     /// `n`, so that when it fires exactly the first `n` participants have
@@ -1306,7 +1316,7 @@ impl Coordinator {
         sites: &[SiteId],
         req: &Request,
         count_of: impl Fn(&CrashPoint) -> Option<usize>,
-    ) -> DbResult<()> {
+    ) -> DbResult<Vec<SiteId>> {
         let armed = self.cfg.crash_schedule.armed();
         let me = self.cfg.site;
         let split = armed
@@ -1314,6 +1324,7 @@ impl Coordinator {
             .find_map(|(site, p)| count_of(p).filter(|_| *site == me))
             .map_or(sites.len(), |n| n.max(1).min(sites.len()));
         let mut sent = 0;
+        let mut acked = Vec::with_capacity(sites.len());
         for part in [&sites[..split], &sites[split..]] {
             if part.is_empty() {
                 continue;
@@ -1322,12 +1333,14 @@ impl Coordinator {
             sent += part.len();
             self.maybe_fail_counting(|p| count_of(p).is_some_and(|n| sent >= n))?;
             for (site, ack) in acks {
-                if !matches!(ack, Ok(Response::Ack)) {
+                if matches!(ack, Ok(Response::Ack)) {
+                    acked.push(site);
+                } else {
                     self.mark_dead(site);
                 }
             }
         }
-        Ok(())
+        Ok(acked)
     }
 
     /// Aborts the transaction everywhere.
@@ -1364,6 +1377,36 @@ impl Coordinator {
             ));
         }
         Ok(())
+    }
+
+    /// ABORT after a PREPARE-TO-COMMIT round nobody acknowledged, which
+    /// dropped every session of the transaction: each of `sites` gets it on
+    /// a session leased for it, under one deadline. A site whose ack alone
+    /// was lost holds prepared-to-commit, and were this coordinator to fail
+    /// its election would commit; so the client may hear "aborted" only once
+    /// every site has acknowledged. Otherwise the first failure is returned:
+    /// the outcome is in doubt, as after a coordinator crash, and a worker
+    /// that asks here is told aborted.
+    fn abort_afresh(&self, tid: TransactionId, sites: &[SiteId]) -> DbResult<()> {
+        let abort = Request::Abort { tid }.to_vec();
+        let leased: Vec<_> = sites.iter().map(|site| self.lease(*site, &abort)).collect();
+        let expires = Instant::now() + self.cfg.rpc_deadline;
+        let mut delivered = Ok(());
+        for chan in leased {
+            let acked = chan.and_then(|mut chan| {
+                let left = expires
+                    .saturating_duration_since(Instant::now())
+                    .max(Duration::from_millis(1));
+                match Response::from_slice(&next_frame(chan.as_mut(), left, &self.metrics)?)? {
+                    Response::Ack => Ok(()),
+                    other => Err(DbError::protocol(format!("ABORT answered {other:?}"))),
+                }
+            });
+            if delivered.is_ok() {
+                delivered = acked;
+            }
+        }
+        delivered
     }
 
     /// Cleans up a finished transaction ("the coordinator can safely delete
@@ -1820,8 +1863,7 @@ impl Coordinator {
                     Ok(()) => Response::AllDone,
                     Err(e) => Response::Err(e),
                 },
-                // In-doubt 2PC workers resolve against the coordinator's
-                // forced log (presumed abort), not worker-only consensus.
+                // A worker in doubt asks here first, under every protocol.
                 Request::QueryTxnState { tid } => Response::TxnState {
                     state: self.txn_outcome(tid),
                 },

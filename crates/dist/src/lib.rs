@@ -1,8 +1,8 @@
 //! The distributed layer of the HARBOR reproduction: coordinators, workers,
 //! the K-safety placement catalog, and the four commit protocols of thesis
 //! Chapter 4 (traditional/optimized two-phase and canonical/optimized
-//! three-phase commit), plus the consensus-building protocol that makes the
-//! 3PC variants non-blocking under coordinator failure.
+//! three-phase commit), plus the termination protocol that makes the 3PC
+//! variants non-blocking under coordinator failure.
 //!
 //! Every site-to-site reply is awaited through one function, [`next_frame`]:
 //! a peer silent past the deadline is [`DbError::SiteUnavailable`], counted
@@ -18,7 +18,7 @@ pub mod placement;
 pub mod protocol;
 pub mod worker;
 
-pub use consensus::{backup_action, BackupAction, BackupState};
+pub use consensus::{backup_action, BackupAction};
 pub use coordinator::{Coordinator, CoordinatorConfig, EpochCommitConfig};
 pub use failpoint::{CrashPoint, CrashSchedule};
 pub use message::{RemoteScan, Request, Response, UpdateRequest, WireReadMode, WireTxnState};

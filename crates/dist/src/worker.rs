@@ -8,7 +8,7 @@
 //! closed" still means "the coordinator of the transaction open on it is
 //! gone" (§4.3.2, §5.5.1).
 
-use crate::consensus::{self, BackupState};
+use crate::consensus;
 use crate::failpoint::{CrashPoint, CrashSchedule};
 use crate::message::{
     RemoteScan, Request, Response, TuplesFrameBuilder, UpdateRequest, WireReadMode, WireTxnState,
@@ -56,10 +56,9 @@ pub struct WorkerConfig {
     pub checkpoint_every: Option<Duration>,
     /// Addresses of peer workers (consensus) — site id → address.
     pub peers: HashMap<SiteId, String>,
-    /// Address of the coordinator's server. In-doubt 2PC transactions
-    /// resolve against its forced log (presumed abort); `None` leaves only
-    /// the worker-side consensus election, which is the coordinator-dead
-    /// fallback.
+    /// Address of the coordinator's server, which a worker in doubt asks
+    /// first under every protocol (§4.3.3); `None` leaves only the
+    /// worker-side election, which is the coordinator-dead fallback.
     pub coordinator: Option<String>,
     /// Automatically run the consensus protocol when the coordinator's
     /// connection drops mid-commit (3PC only; 2PC blocks by design).
@@ -339,16 +338,16 @@ impl Worker {
             match state {
                 // Not yet prepared, or prepared-voted-NO: safe to abort
                 // unilaterally under every protocol (§4.3.2).
-                BackupState::Pending | BackupState::PreparedNo => {
+                WireTxnState::Pending | WireTxnState::PreparedVotedNo => {
                     // A rollback that fails (a disk fault under the undo)
                     // stays undecided, so termination retries it instead of
                     // its tuples and locks staying behind at a site nobody
                     // presumes dead.
                     let _ = self.apply_abort(*tid);
                 }
-                BackupState::Committed(_) | BackupState::Aborted => {}
+                WireTxnState::Committed(_) | WireTxnState::Aborted | WireTxnState::Unknown => {}
                 // Prepared-YES or beyond: 2PC must block for the
-                // coordinator; 3PC runs the consensus protocol.
+                // coordinator; 3PC runs the termination protocol.
                 _ => {
                     if self.cfg.protocol.is_three_phase() && self.cfg.auto_consensus {
                         let w = self.clone();
@@ -404,17 +403,23 @@ impl Worker {
     }
 
     /// The participant list of `tid` as the last PREPARE this worker saw
-    /// named it — who the consensus protocol would ask (§4.3.3). Empty if no
-    /// PREPARE has arrived.
+    /// named it, in rank order — who the election would ask (§4.3.3).
+    /// Empty if no PREPARE has arrived.
     pub fn participants(&self, tid: TransactionId) -> Vec<SiteId> {
         let dist = self.dist_txns.lock();
-        dist.get(&tid)
+        let mut ranked = dist
+            .get(&tid)
             .map(|i| i.workers.clone())
-            .unwrap_or_default()
+            .unwrap_or_default();
+        ranked.sort_unstable();
+        ranked.dedup();
+        ranked
     }
 
-    /// This worker's consensus-relevant state for `tid` (Fig 4-5).
-    pub fn backup_state(&self, tid: TransactionId) -> BackupState {
+    /// This worker's state of `tid` (Fig 4-5, plus the vote), as Table 4.1
+    /// and `QueryTxnState` read it. A transaction the engine does not know
+    /// is aborted (presumed abort).
+    pub fn backup_state(&self, tid: TransactionId) -> WireTxnState {
         let dist = self.dist_txns.lock();
         let info = dist.get(&tid);
         if let Some(info) = info {
@@ -424,33 +429,36 @@ impl Worker {
                         .commit_time
                         .or(info.ptc_time)
                         .unwrap_or(Timestamp::ZERO);
-                    BackupState::Committed(t)
+                    WireTxnState::Committed(t)
                 } else {
-                    BackupState::Aborted
+                    WireTxnState::Aborted
                 };
             }
             if let Some(t) = info.ptc_time {
-                return BackupState::PreparedToCommit(t);
+                return WireTxnState::PreparedToCommit(t);
             }
             match info.voted {
-                Some(true) => return BackupState::PreparedYes,
-                Some(false) => return BackupState::PreparedNo,
+                Some(true) => return WireTxnState::PreparedVotedYes,
+                Some(false) => return WireTxnState::PreparedVotedNo,
                 None => {}
             }
         }
         drop(dist);
         match self.engine.txn_status(tid) {
-            Some(_) => BackupState::Pending,
-            None => BackupState::Aborted, // unknown = treated as aborted
+            Some(_) => WireTxnState::Pending,
+            None => WireTxnState::Aborted,
         }
     }
 
-    /// Runs the consensus-building protocol for `tid` (§4.3.3): elects the
-    /// lowest-ranked live participant as backup coordinator; if that is
-    /// this site, drives the outcome per Table 4.1.
+    /// Terminates `tid`, which this worker holds in doubt (§4.3.3; the rule
+    /// is in [`consensus`]): asks the coordinator, and only if it cannot be
+    /// reached runs the election, in which the lowest-ranked live
+    /// participant drives the outcome per Table 4.1 and the rest ask it.
+    /// `Ok(false)` leaves the transaction blocked: the coordinator kept it
+    /// in flight, or no backup reached an outcome, for the whole retry
+    /// schedule.
     pub fn resolve_by_consensus(self: &Arc<Self>, tid: TransactionId) -> DbResult<bool> {
         let workers = self.participants(tid);
-        // Let in-flight protocol messages land before deciding.
         if workers.is_empty() {
             // No PREPARE ever arrived: commit processing never began, so
             // the worker can safely abort unilaterally (§4.3.3: "if a
@@ -459,91 +467,68 @@ impl Worker {
             self.apply_abort(tid)?;
             return Ok(true);
         }
-        // 2PC: the coordinator's forced log is the outcome authority — the
-        // worker-only Table 4.1 election is sound only under 3PC's lock-step
-        // state transitions. A 2PC coordinator may have forced COMMIT and
-        // acked the client while every surviving worker is still merely
-        // prepared (its COMMIT frame lost); electing a prepared-YES backup
-        // would then abort an acknowledged transaction. Ask the coordinator
-        // first; fall back to the election only when it is unreachable
-        // (coordinator-death termination).
-        if !self.cfg.protocol.is_three_phase() {
-            match self.query_coordinator_outcome(tid) {
-                Some(WireTxnState::Committed(t)) => {
-                    self.apply_commit(tid, t)?;
-                    return Ok(true);
-                }
-                Some(WireTxnState::Aborted) | Some(WireTxnState::Unknown) => {
-                    self.apply_abort(tid)?;
-                    return Ok(true);
-                }
-                // The coordinator is alive but the transaction is still in
-                // flight: stay blocked, the protocol will finish it.
-                Some(_) => return Ok(false),
-                None => {} // unreachable: consensus election below
-            }
-        }
-        if consensus::resolve(self, tid, &workers)? {
-            return Ok(true);
-        }
-        // A higher-ranked live site is the backup: follow the termination
-        // protocol by polling its view of the transaction and adopting the
-        // outcome it reaches. Paced by the shared seeded-backoff schedule
-        // (per-site seed decorrelates concurrent elections) instead of an
-        // ad-hoc fixed-sleep wall-clock deadline.
+        // One schedule paces every ask that brings no outcome, the
+        // coordinator's and the backup's: the shared seeded backoff (the
+        // per-site seed decorrelates concurrent elections).
         let policy = harbor_common::RetryPolicy::new(
             200,
             std::time::Duration::from_millis(25),
             std::time::Duration::from_millis(100),
             0x0BAC_C0FF ^ u64::from(self.cfg.site.0),
         );
-        let mut attempt = 0u32;
+        let mut waits = (0..policy.attempts).map(|attempt| policy.delay(attempt));
+        // While the coordinator answers, its answer is the outcome. One that
+        // still has the transaction in flight is asked again: it may have
+        // dropped this worker's session, and with it the decision it would
+        // have sent.
+        if let Some(addr) = self.cfg.coordinator.as_deref() {
+            while let Some(state) = consensus::ask_state(self, addr, tid) {
+                if self.adopt(tid, state)? {
+                    return Ok(true);
+                }
+                let Some(wait) = waits.next() else {
+                    return Ok(false);
+                };
+                std::thread::sleep(wait);
+            }
+        }
+        if consensus::resolve(self, tid, &workers)? {
+            return Ok(true);
+        }
+        // A higher-ranked live site is the backup: poll its view of the
+        // transaction and adopt the outcome it reaches.
+        let me = self.site();
         loop {
-            match consensus::query_backup_state(self, tid, &workers) {
-                Some(BackupState::Committed(t)) => {
-                    self.apply_commit(tid, t)?;
+            let backup = workers
+                .iter()
+                .take_while(|site| **site != me)
+                .find_map(|site| consensus::ask_state(self, &self.peer_addr(*site)?, tid));
+            if let Some(state) = backup {
+                if self.adopt(tid, state)? {
                     return Ok(true);
                 }
-                Some(BackupState::Aborted) => {
-                    self.apply_abort(tid)?;
-                    return Ok(true);
-                }
-                _ => {
-                    // Backup undecided (or we are next in line if it died):
-                    // retry, re-running the election each time.
-                    if attempt >= policy.attempts {
-                        return Ok(false);
-                    }
-                    std::thread::sleep(policy.delay(attempt));
-                    attempt += 1;
-                    if consensus::resolve(self, tid, &workers)? {
-                        return Ok(true);
-                    }
-                }
+            }
+            // Backup undecided (or we are next in line if it died): retry,
+            // re-running the election each time.
+            let Some(wait) = waits.next() else {
+                return Ok(false);
+            };
+            std::thread::sleep(wait);
+            if consensus::resolve(self, tid, &workers)? {
+                return Ok(true);
             }
         }
     }
 
-    /// Asks the coordinator for `tid`'s authoritative outcome (bounded
-    /// retries on a silent or closed peer — the query is idempotent). `None`
-    /// when no coordinator address is configured or it is unreachable.
-    fn query_coordinator_outcome(&self, tid: TransactionId) -> Option<WireTxnState> {
-        let addr = self.cfg.coordinator.as_deref()?;
-        let metrics = self.engine.metrics();
-        let reply = crate::with_read_retries(
-            metrics,
-            consensus::CONSENSUS_RETRIES,
-            Duration::from_millis(10),
-            || {
-                let mut chan = self.transport.connect(addr)?;
-                let req = Request::QueryTxnState { tid };
-                crate::rpc(chan.as_mut(), &req, consensus::CONSENSUS_DEADLINE, metrics)
-            },
-        );
-        match reply {
-            Ok(Response::TxnState { state }) => Some(state),
-            _ => None,
+    /// Adopts the outcome another site holds for `tid` — the coordinator's
+    /// or the backup's. `Ok(false)` while it holds none.
+    fn adopt(&self, tid: TransactionId, state: WireTxnState) -> DbResult<bool> {
+        match state {
+            WireTxnState::Committed(t) => self.apply_commit(tid, t)?,
+            WireTxnState::Aborted | WireTxnState::Unknown => self.apply_abort(tid)?,
+            _ => return Ok(false),
         }
+        Ok(true)
     }
 
     /// One peer's current address (owned — no guard escapes, so callers
@@ -718,17 +703,9 @@ impl Worker {
                 self.engine.locks().release_all(*tid);
                 Ok(Response::Ok)
             }
-            Request::QueryTxnState { tid } => {
-                let state = match self.backup_state(*tid) {
-                    BackupState::Pending => WireTxnState::Pending,
-                    BackupState::PreparedYes => WireTxnState::PreparedVotedYes,
-                    BackupState::PreparedNo => WireTxnState::PreparedVotedNo,
-                    BackupState::PreparedToCommit(t) => WireTxnState::PreparedToCommit(t),
-                    BackupState::Committed(t) => WireTxnState::Committed(t),
-                    BackupState::Aborted => WireTxnState::Aborted,
-                };
-                Ok(Response::TxnState { state })
-            }
+            Request::QueryTxnState { tid } => Ok(Response::TxnState {
+                state: self.backup_state(*tid),
+            }),
             Request::Ping => Ok(Response::Ok),
             Request::GetTime
             | Request::RecComingOnline { .. }
@@ -777,8 +754,8 @@ impl Worker {
         // Duplicate PREPARE (a backup coordinator replaying the
         // first phase, §4.3.3): repeat the previous vote.
         match self.backup_state(tid) {
-            BackupState::PreparedYes | BackupState::PreparedToCommit(_) => return Ok(true),
-            BackupState::PreparedNo | BackupState::Aborted => {
+            WireTxnState::PreparedVotedYes | WireTxnState::PreparedToCommit(_) => return Ok(true),
+            WireTxnState::PreparedVotedNo | WireTxnState::Aborted => {
                 // The coordinator never sends a NO voter the outcome, so
                 // nothing may stay open behind a NO (a no-op when the
                 // earlier NO already rolled back).

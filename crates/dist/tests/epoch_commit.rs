@@ -327,7 +327,7 @@ fn coordinator_crash_after_epoch_force_resolves_per_txn() {
             assert!(
                 matches!(
                     f.workers[&site].backup_state(*tid),
-                    harbor_dist::BackupState::Aborted
+                    harbor_dist::WireTxnState::Aborted
                 ),
                 "{tid:?} unresolved at {site}"
             );

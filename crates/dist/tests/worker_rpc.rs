@@ -609,7 +609,7 @@ fn a_last_statement_executes_then_votes_in_one_reply() {
     ));
     assert_eq!(
         f.worker.backup_state(tid),
-        harbor_dist::BackupState::PreparedYes
+        harbor_dist::WireTxnState::PreparedVotedYes
     );
     assert!(matches!(
         call(chan.as_mut(), &Request::Ping).unwrap(),
@@ -652,7 +652,7 @@ fn a_failed_last_statement_prepares_nothing() {
     }
     assert_eq!(
         f.worker.backup_state(tid),
-        harbor_dist::BackupState::Pending
+        harbor_dist::WireTxnState::Pending
     );
     assert!(matches!(
         call(chan.as_mut(), &Request::Abort { tid }).unwrap(),
@@ -681,7 +681,7 @@ fn a_no_vote_on_a_last_statement_rolls_back_locally() {
     ));
     assert_eq!(
         f.worker.backup_state(tid),
-        harbor_dist::BackupState::Aborted
+        harbor_dist::WireTxnState::Aborted
     );
     assert!(f.engine.txn_status(tid).is_none());
     assert_eq!(all_rows(chan.as_mut()), 0);
@@ -713,7 +713,7 @@ fn a_duplicated_last_frame_neither_applies_nor_votes_twice() {
     assert_eq!(all_rows(chan.as_mut()), 2, "rows 1 and 2, once each");
     assert_eq!(
         f.worker.backup_state(tid),
-        harbor_dist::BackupState::PreparedYes
+        harbor_dist::WireTxnState::PreparedVotedYes
     );
     assert!(matches!(
         call(chan.as_mut(), &Request::Abort { tid }).unwrap(),
@@ -766,11 +766,11 @@ fn a_late_first_frame_cannot_reopen_an_ended_transaction() {
     // What the worker knows of the outcomes is what it knew before.
     assert!(matches!(
         f.worker.backup_state(committed),
-        harbor_dist::BackupState::Committed(_)
+        harbor_dist::WireTxnState::Committed(_)
     ));
     assert_eq!(
         f.worker.backup_state(aborted),
-        harbor_dist::BackupState::Aborted
+        harbor_dist::WireTxnState::Aborted
     );
     let _ = std::fs::remove_dir_all(&f.dir);
 }

@@ -271,6 +271,11 @@ impl ChaosTransport {
         });
     }
 
+    /// `true` while any partition is installed.
+    pub fn is_partitioned(&self) -> bool {
+        !self.state.partitions.lock().is_empty()
+    }
+
     /// Removes every installed partition.
     pub fn heal(&self) {
         self.state.partitions.lock().clear();

@@ -12,15 +12,15 @@ use harbor_common::{
     DbError, DbResult, DiskProfile, Metrics, SiteId, StorageConfig, Timestamp, Value,
 };
 use harbor_dist::{
-    rpc, BackupState, Coordinator, CoordinatorConfig, CrashPoint, Placement, ProtocolKind, Request,
-    Response, UpdateRequest, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
+    rpc, Coordinator, CoordinatorConfig, CrashPoint, CrashSchedule, Placement, ProtocolKind,
+    Request, Response, UpdateRequest, WireTxnState, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_front::FrontHandler;
 use harbor_net::{Channel, ChaosConfig, InMemNetwork, Listener, Transport};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -40,20 +40,18 @@ fn insert(id: i64) -> UpdateRequest {
 
 /// The committed ids of `t` at one replica, sorted.
 fn ids_at(engine: &Arc<Engine>) -> Vec<i64> {
-    let def = engine.table_def("t").unwrap();
-    let mut scan = harbor_exec::SeqScan::new(
-        engine.pool().clone(),
-        def.id,
-        harbor_exec::ReadMode::Historical(Timestamp(1_000_000)),
-    )
-    .unwrap();
-    let mut ids: Vec<i64> = harbor_exec::collect(&mut scan)
-        .unwrap()
-        .iter()
-        .map(|t| t.get(2).as_i64().unwrap())
-        .collect();
+    let mut ids = ids_as_of(engine, Timestamp(1_000_000));
     ids.sort_unstable();
     ids
+}
+
+/// The ids of `t` visible at one replica as of `at`.
+fn ids_as_of(engine: &Arc<Engine>, at: Timestamp) -> Vec<i64> {
+    let def = engine.table_def("t").unwrap();
+    let mode = harbor_exec::ReadMode::Historical(at);
+    let mut scan = harbor_exec::SeqScan::new(engine.pool().clone(), def.id, mode).unwrap();
+    let rows = harbor_exec::collect(&mut scan).unwrap();
+    rows.iter().map(|t| t.get(2).as_i64().unwrap()).collect()
 }
 
 fn three_workers(name: &str, chaos: Option<ChaosConfig>, rpc_deadline: Duration) -> Cluster {
@@ -133,70 +131,123 @@ fn concurrent_loaders(
 // (a) A round lasts as long as its slowest worker.
 // ----------------------------------------------------------------------
 
-/// A network whose *accepting* side answers late: every frame a server
-/// sends on a connection it accepted waits `delay` first, in the server's
-/// own thread — the workers' replies are slow, the coordinator's requests
-/// are not. (`InMemNetwork::with_latency` would not do: it sleeps in the
-/// sender of every frame, so the coordinator's own sends would queue up.)
-struct SlowReplies {
+/// What becomes of a request a [`Faulty`] network picks on its way to a
+/// site.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Fault {
+    /// Never delivered. The connection stays open, so the sender learns of
+    /// the loss only from its deadline.
+    Lost,
+    /// Delivered and processed; the reply is lost on its way back.
+    ReplyLost,
+    /// Held in the sender's thread until the test opens the network's gate.
+    Parked,
+    /// Delivered; the reply is read no sooner than this long after the
+    /// request left. Measured from the send, replies to requests sent
+    /// together are late together, as if each site answered late in its
+    /// own thread.
+    SlowReply(Duration),
+}
+
+type FaultRule = Arc<dyn Fn(&str, &Request) -> Option<Fault> + Send + Sync>;
+
+/// A network that does to every request what `rule` picks for it, given
+/// the address it goes to.
+struct Faulty {
     inner: Arc<dyn Transport>,
-    delay: Duration,
+    rule: FaultRule,
+    gate: Arc<Gate>,
 }
 
-struct SlowListener {
-    inner: Box<dyn Listener>,
-    delay: Duration,
-}
-
-struct SlowChannel {
+struct FaultyChannel {
     inner: Box<dyn Channel>,
-    delay: Duration,
+    to: String,
+    rule: FaultRule,
+    gate: Arc<Gate>,
+    reply_lost: bool,
+    reply_due: Option<Instant>,
 }
 
-impl Transport for SlowReplies {
-    fn listen(&self, addr: &str) -> DbResult<Box<dyn Listener>> {
-        Ok(Box::new(SlowListener {
-            inner: self.inner.listen(addr)?,
-            delay: self.delay,
-        }))
+/// Where [`Fault::Parked`] requests wait: the test learns that one has
+/// arrived, then opens the gate for good.
+#[derive(Default)]
+struct Gate {
+    /// (a request is parked, the gate is open)
+    state: Mutex<(bool, bool)>,
+    cond: Condvar,
+}
+
+impl Gate {
+    fn park(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.0 = true;
+        self.cond.notify_all();
+        drop(self.cond.wait_while(state, |s| !s.1).unwrap());
     }
 
-    fn connect(&self, addr: &str) -> DbResult<Box<dyn Channel>> {
-        self.inner.connect(addr)
+    fn await_parked(&self) {
+        let state = self.state.lock().unwrap();
+        drop(self.cond.wait_while(state, |s| !s.0).unwrap());
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.cond.notify_all();
     }
 }
 
-impl SlowListener {
-    fn slow(&self, inner: Box<dyn Channel>) -> Box<dyn Channel> {
-        Box::new(SlowChannel {
-            inner,
-            delay: self.delay,
+impl Faulty {
+    fn new(rule: impl Fn(&str, &Request) -> Option<Fault> + Send + Sync + 'static) -> Arc<Self> {
+        Arc::new(Faulty {
+            inner: Arc::new(InMemNetwork::new(Metrics::new())),
+            rule: Arc::new(rule),
+            gate: Arc::default(),
         })
     }
 }
 
-impl Listener for SlowListener {
-    fn accept(&self) -> DbResult<Box<dyn Channel>> {
-        Ok(self.slow(self.inner.accept()?))
+impl Transport for Faulty {
+    fn listen(&self, addr: &str) -> DbResult<Box<dyn Listener>> {
+        self.inner.listen(addr)
     }
 
-    fn accept_timeout(&self, timeout: Duration) -> DbResult<Option<Box<dyn Channel>>> {
-        Ok(self.inner.accept_timeout(timeout)?.map(|c| self.slow(c)))
-    }
-
-    fn local_addr(&self) -> String {
-        self.inner.local_addr()
+    fn connect(&self, addr: &str) -> DbResult<Box<dyn Channel>> {
+        Ok(Box::new(FaultyChannel {
+            inner: self.inner.connect(addr)?,
+            to: addr.to_string(),
+            rule: self.rule.clone(),
+            gate: self.gate.clone(),
+            reply_lost: false,
+            reply_due: None,
+        }))
     }
 }
 
-impl Channel for SlowChannel {
+impl Channel for FaultyChannel {
     fn send(&mut self, frame: &[u8]) -> DbResult<()> {
-        std::thread::sleep(self.delay);
+        let fault = Request::from_slice(frame)
+            .ok()
+            .and_then(|req| (self.rule)(&self.to, &req));
+        self.reply_lost = fault == Some(Fault::ReplyLost);
+        self.reply_due = None;
+        match fault {
+            Some(Fault::Lost) => return Ok(()),
+            Some(Fault::Parked) => self.gate.park(),
+            Some(Fault::SlowReply(d)) => self.reply_due = Some(Instant::now() + d),
+            _ => {}
+        }
         self.inner.send(frame)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>> {
-        self.inner.recv_timeout(timeout)
+        if let Some(due) = self.reply_due.take() {
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        }
+        let frame = self.inner.recv_timeout(timeout)?;
+        if std::mem::take(&mut self.reply_lost) {
+            return Ok(None);
+        }
+        Ok(frame)
     }
 
     fn peer(&self) -> String {
@@ -208,17 +259,41 @@ impl Channel for SlowChannel {
     }
 }
 
-/// Three Opt3pc workers holding `t` and their coordinator, started by hand
-/// on `transport` (the cluster facade builds its own).
+/// Workers holding `t` and their coordinator, started by hand on
+/// `transport` (the cluster facade builds its own). Each worker knows every
+/// worker and the coordinator, as the cluster facade's do.
 struct HandBuilt {
     dir: PathBuf,
     coordinator: Arc<Coordinator>,
     workers: Vec<(Arc<Worker>, Arc<Engine>)>,
+    crash_schedule: Arc<CrashSchedule>,
 }
 
+/// Three Opt3pc workers under the default deadline.
 fn hand_built(name: &str, transport: Arc<dyn Transport>) -> HandBuilt {
+    built_with(
+        name,
+        transport,
+        ProtocolKind::Opt3pc,
+        3,
+        DEFAULT_RPC_DEADLINE,
+        false,
+    )
+}
+
+fn built_with(
+    name: &str,
+    transport: Arc<dyn Transport>,
+    protocol: ProtocolKind,
+    copies: u16,
+    rpc_deadline: Duration,
+    auto_consensus: bool,
+) -> HandBuilt {
     let dir = temp_dir(name);
-    let sites: Vec<SiteId> = (1..=3).map(SiteId).collect();
+    let sites: Vec<SiteId> = (1..=copies).map(SiteId).collect();
+    let addr = |site: &SiteId| format!("{name}-site-{}", site.0);
+    let peers: HashMap<SiteId, String> = sites.iter().map(|s| (*s, addr(s))).collect();
+    let crash_schedule: Arc<CrashSchedule> = Default::default();
     let mut placement = Placement::new();
     let mut workers = Vec::new();
     for site in &sites {
@@ -232,13 +307,13 @@ fn hand_built(name: &str, transport: Arc<dyn Transport>) -> HandBuilt {
             .unwrap();
         let cfg = WorkerConfig {
             site: *site,
-            addr: format!("{name}-site-{}", site.0),
-            protocol: ProtocolKind::Opt3pc,
+            addr: addr(site),
+            protocol,
             checkpoint_every: None,
-            peers: HashMap::new(),
-            coordinator: None,
-            auto_consensus: false,
-            crash_schedule: Default::default(),
+            peers: peers.clone(),
+            coordinator: Some(format!("{name}-coordinator")),
+            auto_consensus,
+            crash_schedule: crash_schedule.clone(),
         };
         let worker = Worker::start(engine.clone(), transport.clone(), cfg).unwrap();
         placement.set_address(*site, worker.addr());
@@ -249,12 +324,12 @@ fn hand_built(name: &str, transport: Arc<dyn Transport>) -> HandBuilt {
         CoordinatorConfig {
             site: SiteId(0),
             addr: format!("{name}-coordinator"),
-            protocol: ProtocolKind::Opt3pc,
+            protocol,
             log_dir: None,
             group_commit: harbor_wal::GroupCommit::enabled(),
             disk: DiskProfile::fast(),
-            rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            crash_schedule: Default::default(),
+            rpc_deadline,
+            crash_schedule: crash_schedule.clone(),
             epoch_commit: None,
             degrade_read_only: false,
         },
@@ -267,6 +342,7 @@ fn hand_built(name: &str, transport: Arc<dyn Transport>) -> HandBuilt {
         dir,
         coordinator,
         workers,
+        crash_schedule,
     }
 }
 
@@ -287,11 +363,10 @@ impl HandBuilt {
 #[test]
 fn a_commit_round_lasts_as_long_as_its_slowest_worker() {
     let d = Duration::from_millis(40);
-    let transport: Arc<dyn Transport> = Arc::new(SlowReplies {
-        inner: Arc::new(InMemNetwork::new(Metrics::new())),
-        delay: d,
-    });
-    let built = hand_built("slowest", transport);
+    let built = hand_built(
+        "slowest",
+        Faulty::new(move |_, _| Some(Fault::SlowReply(d))),
+    );
     let (coordinator, workers) = (&built.coordinator, &built.workers);
 
     let tid = coordinator.begin().unwrap();
@@ -338,61 +413,6 @@ fn a_commit_round_lasts_as_long_as_its_slowest_worker() {
 // (a') A commit time is not behind the clock until its round is in.
 // ----------------------------------------------------------------------
 
-/// A network that holds a COMMIT frame on its way to one address back until
-/// the test lets it go, and says so when it does.
-struct ParkedCommit {
-    inner: Arc<dyn Transport>,
-    to: String,
-    parked: mpsc::Sender<()>,
-    release: Arc<Mutex<mpsc::Receiver<()>>>,
-}
-
-struct ParkingChannel {
-    inner: Box<dyn Channel>,
-    parked: mpsc::Sender<()>,
-    release: Arc<Mutex<mpsc::Receiver<()>>>,
-}
-
-impl Transport for ParkedCommit {
-    fn listen(&self, addr: &str) -> DbResult<Box<dyn Listener>> {
-        self.inner.listen(addr)
-    }
-
-    fn connect(&self, addr: &str) -> DbResult<Box<dyn Channel>> {
-        let inner = self.inner.connect(addr)?;
-        if addr != self.to {
-            return Ok(inner);
-        }
-        Ok(Box::new(ParkingChannel {
-            inner,
-            parked: self.parked.clone(),
-            release: self.release.clone(),
-        }))
-    }
-}
-
-impl Channel for ParkingChannel {
-    fn send(&mut self, frame: &[u8]) -> DbResult<()> {
-        if let Ok(Request::Commit { .. }) = Request::from_slice(frame) {
-            self.parked.send(()).unwrap();
-            self.release.lock().unwrap().recv().unwrap();
-        }
-        self.inner.send(frame)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> DbResult<Option<Vec<u8>>> {
-        self.inner.recv_timeout(timeout)
-    }
-
-    fn peer(&self) -> String {
-        self.inner.peer()
-    }
-
-    fn is_closed(&self) -> bool {
-        self.inner.is_closed()
-    }
-}
-
 /// §5.3 reads a buddy as of `GetTime − 1` and assumes every transaction with
 /// a commit time at or below that is committed there. The coordinator
 /// assigns the time before COMMIT reaches the workers, so while a COMMIT
@@ -404,13 +424,9 @@ impl Channel for ParkingChannel {
 /// history.
 #[test]
 fn get_time_stays_at_a_commit_time_until_its_round_is_in() {
-    let (parked, is_parked) = mpsc::channel();
-    let (release, released) = mpsc::channel();
-    let transport: Arc<dyn Transport> = Arc::new(ParkedCommit {
-        inner: Arc::new(InMemNetwork::new(Metrics::new())),
-        to: "watermark-site-3".into(),
-        parked,
-        release: Arc::new(Mutex::new(released)),
+    let transport = Faulty::new(|to, req| {
+        let held = to == "watermark-site-3" && matches!(req, Request::Commit { .. });
+        held.then_some(Fault::Parked)
     });
     let built = hand_built("watermark", transport.clone());
     let client = {
@@ -433,9 +449,9 @@ fn get_time_stays_at_a_commit_time_until_its_round_is_in() {
         Response::Time { now } => now,
         other => panic!("GetTime answered {other:?}"),
     };
-    is_parked.recv().unwrap();
+    transport.gate.await_parked();
     let during = get_time();
-    release.send(()).unwrap();
+    transport.gate.open();
     let commit_time = client.join().unwrap().unwrap();
     let after = get_time();
     assert!(
@@ -510,12 +526,12 @@ fn a_counting_fail_point_splits_the_round() {
     // and processed PREPARE-TO-COMMIT, the others were never sent it.
     let state = |site: u16| cluster.worker(SiteId(site)).unwrap().backup_state(tid);
     assert!(
-        matches!(state(1), BackupState::PreparedToCommit(_)),
+        matches!(state(1), WireTxnState::PreparedToCommit(_)),
         "{:?}",
         state(1)
     );
-    assert_eq!(state(2), BackupState::PreparedYes);
-    assert_eq!(state(3), BackupState::PreparedYes);
+    assert_eq!(state(2), WireTxnState::PreparedVotedYes);
+    assert_eq!(state(3), WireTxnState::PreparedVotedYes);
     // Table 4.1: a backup that is prepared-to-commit replays the last two
     // phases, and the transaction commits everywhere.
     let backup = cluster.worker(SiteId(1)).unwrap();
@@ -643,4 +659,238 @@ fn a_forced_prepare_does_not_ride_the_statement() {
         );
         committed
     });
+}
+
+// ----------------------------------------------------------------------
+// (e) A worker in doubt ends the transaction the way the client was told.
+// ----------------------------------------------------------------------
+
+/// What a lost frame costs: every reply that is not lost arrives well
+/// within it, even beside busy loops.
+const LOSS_DEADLINE: Duration = Duration::from_millis(500);
+
+/// `copies` workers of `protocol` on a network that does to each request
+/// what `rule` picks.
+fn lossy(
+    name: &str,
+    protocol: ProtocolKind,
+    copies: u16,
+    rule: impl Fn(&str, &Request) -> Option<Fault> + Send + Sync + 'static,
+) -> HandBuilt {
+    built_with(
+        name,
+        Faulty::new(rule),
+        protocol,
+        copies,
+        LOSS_DEADLINE,
+        false,
+    )
+}
+
+fn is_ptc(req: &Request) -> bool {
+    matches!(req, Request::PrepareToCommit { .. })
+}
+
+/// The state every copy must end in for what the client was told.
+fn as_told(told: &DbResult<Timestamp>) -> WireTxnState {
+    match told {
+        Ok(t) => WireTxnState::Committed(*t),
+        Err(DbError::TransactionAborted(_)) => WireTxnState::Aborted,
+        Err(e) => panic!("the client was told {e}"),
+    }
+}
+
+/// Terminates `tid` at every worker, then holds each copy to `end`: the
+/// row from the commit time on, or nowhere.
+fn assert_terminates_as(built: &HandBuilt, tid: harbor_common::TransactionId, end: WireTxnState) {
+    for (worker, engine) in &built.workers {
+        let site = worker.site();
+        assert!(
+            worker.resolve_by_consensus(tid).unwrap(),
+            "{site} stayed blocked"
+        );
+        assert!(engine.active_txns().is_empty(), "{site}");
+        assert_eq!(engine.locks().held_count(), 0, "{site}");
+        assert_eq!(worker.backup_state(tid), end, "{site}");
+        match end {
+            WireTxnState::Committed(t) => {
+                assert_eq!(ids_as_of(engine, t), vec![1], "{site} at {t}");
+                assert!(ids_as_of(engine, t.prev()).is_empty(), "{site} before {t}");
+            }
+            _ => assert!(ids_at(engine).is_empty(), "{site} holds an aborted row"),
+        }
+    }
+}
+
+/// One live copy, the coordinator alive, and the last frame before the
+/// decision — PREPARE-TO-COMMIT under 3PC, COMMIT under 2PC — lost on its
+/// way there. Under 2PC the coordinator has decided commit and the worker
+/// is left prepared; its termination asks the coordinator. Under 3PC no
+/// copy holds the decision, so the coordinator aborts, on a session of its
+/// own, before the client hears of it — instead of acknowledging a commit
+/// the copy's election would abort.
+#[test]
+fn a_worker_in_doubt_ends_as_the_client_was_told_under_every_protocol() {
+    for protocol in ProtocolKind::ALL {
+        let name = format!("told-{protocol:?}");
+        let built = lossy(&name, protocol, 1, move |_, req| {
+            let last = if protocol.is_three_phase() {
+                is_ptc(req)
+            } else {
+                matches!(req, Request::Commit { .. })
+            };
+            last.then_some(Fault::Lost)
+        });
+        let tid = built.coordinator.begin().unwrap();
+        built.coordinator.update(tid, insert(1)).unwrap();
+        let told = built.coordinator.commit(tid);
+        let (worker, _) = &built.workers[0];
+        let left = if protocol.is_three_phase() {
+            WireTxnState::Aborted
+        } else {
+            WireTxnState::PreparedVotedYes
+        };
+        assert_eq!(worker.backup_state(tid), left, "{protocol:?}");
+        assert_terminates_as(&built, tid, as_told(&told));
+        built.stop();
+    }
+}
+
+/// Two Opt3pc copies, both PREPARE-TO-COMMIT frames lost: neither copy holds
+/// the decision, so the client must not hear of one.
+#[test]
+fn two_copies_that_both_miss_prepare_to_commit_end_aborted() {
+    let built = lossy("both-ptc", ProtocolKind::Opt3pc, 2, |_, req| {
+        is_ptc(req).then_some(Fault::Lost)
+    });
+    let tid = built.coordinator.begin().unwrap();
+    built.coordinator.update(tid, insert(1)).unwrap();
+    let told = built.coordinator.commit(tid);
+    assert!(
+        matches!(told, Err(DbError::TransactionAborted(_))),
+        "{told:?}"
+    );
+    assert_terminates_as(&built, tid, as_told(&told));
+    built.stop();
+}
+
+/// With no PREPARE-TO-COMMIT acknowledged the coordinator never reaches the
+/// commit point: a crash armed for right after it would send COMMIT never
+/// fires, and no copy holds the row once each has terminated.
+#[test]
+fn no_commit_point_passes_without_a_holder() {
+    let built = lossy("no-holder", ProtocolKind::Opt3pc, 3, |_, req| {
+        is_ptc(req).then_some(Fault::Lost)
+    });
+    let coordinator = &built.coordinator;
+    let tid = coordinator.begin().unwrap();
+    coordinator.update(tid, insert(1)).unwrap();
+    built
+        .crash_schedule
+        .arm(coordinator.site(), CrashPoint::CoordAfterCommitSent(0));
+    let told = coordinator.commit(tid);
+    assert!(
+        matches!(told, Err(DbError::TransactionAborted(_))),
+        "{told:?}"
+    );
+    assert!(coordinator.begin().is_ok(), "the coordinator crashed");
+    assert_eq!(coordinator.txn_outcome(tid), WireTxnState::Aborted);
+    assert_terminates_as(&built, tid, as_told(&told));
+    built.stop();
+}
+
+/// PREPARE-TO-COMMIT reaches the one copy but its ack is lost. The copy
+/// holds prepared-to-commit, which alone would elect commit, and the
+/// coordinator, with no ack, aborts: so the ABORT must reach the copy before
+/// the client is told. Then not even a coordinator crash lets the copy's
+/// election decide otherwise.
+#[test]
+fn a_copy_whose_ack_was_lost_hears_the_abort_before_the_client_does() {
+    let built = lossy("ack-lost", ProtocolKind::Opt3pc, 1, |_, req| {
+        is_ptc(req).then_some(Fault::ReplyLost)
+    });
+    let tid = built.coordinator.begin().unwrap();
+    built.coordinator.update(tid, insert(1)).unwrap();
+    let told = built.coordinator.commit(tid);
+    assert!(
+        matches!(told, Err(DbError::TransactionAborted(_))),
+        "{told:?}"
+    );
+    assert_eq!(built.workers[0].0.backup_state(tid), WireTxnState::Aborted);
+    built.coordinator.crash();
+    assert_terminates_as(&built, tid, as_told(&told));
+    built.stop();
+}
+
+/// As above, but the ABORT is lost too. The coordinator cannot say the
+/// transaction aborted — the copy still holds prepared-to-commit — so the
+/// client is told the outcome is in doubt. The coordinator stays alive, and
+/// the copy, asking it first, aborts.
+#[test]
+fn a_copy_that_missed_the_abort_too_asks_the_coordinator() {
+    let built = lossy("abort-lost", ProtocolKind::Opt3pc, 1, |_, req| match req {
+        Request::PrepareToCommit { .. } => Some(Fault::ReplyLost),
+        Request::Abort { .. } => Some(Fault::Lost),
+        _ => None,
+    });
+    let tid = built.coordinator.begin().unwrap();
+    built.coordinator.update(tid, insert(1)).unwrap();
+    let told = built.coordinator.commit(tid);
+    assert!(
+        matches!(&told, Err(e) if e.is_disconnect()),
+        "in doubt, not {told:?}"
+    );
+    assert!(matches!(
+        built.workers[0].0.backup_state(tid),
+        WireTxnState::PreparedToCommit(_)
+    ));
+    assert_eq!(built.coordinator.txn_outcome(tid), WireTxnState::Aborted);
+    assert_terminates_as(&built, tid, WireTxnState::Aborted);
+    built.stop();
+}
+
+/// A worker terminating on its own (`auto_consensus`) whose coordinator is
+/// alive but still has the transaction in flight asks again until it hears
+/// the outcome. Canon3pc, two copies: the first copy's vote is lost, so the
+/// coordinator drops its session — the worker sees the disconnect and starts
+/// termination — and aborts at the second copy, whose ABORT the network
+/// holds until the worker has had time to ask.
+#[test]
+fn a_worker_asks_until_its_live_coordinator_decides() {
+    let transport = Faulty::new(|to, req| match req {
+        Request::Prepare { .. } if to == "in-flight-site-1" => Some(Fault::ReplyLost),
+        Request::Abort { .. } if to == "in-flight-site-2" => Some(Fault::Parked),
+        _ => None,
+    });
+    let built = built_with(
+        "in-flight",
+        transport.clone(),
+        ProtocolKind::Canon3pc,
+        2,
+        LOSS_DEADLINE,
+        true,
+    );
+    let tid = built.coordinator.begin().unwrap();
+    built.coordinator.update(tid, insert(1)).unwrap();
+    let client = {
+        let coordinator = built.coordinator.clone();
+        std::thread::spawn(move || coordinator.commit(tid))
+    };
+    transport.gate.await_parked();
+    std::thread::sleep(Duration::from_millis(300));
+    transport.gate.open();
+    let told = client.join().unwrap();
+    assert!(
+        matches!(told, Err(DbError::TransactionAborted(_))),
+        "{told:?}"
+    );
+    let (worker, engine) = &built.workers[0];
+    let asked_until = Instant::now() + Duration::from_secs(10);
+    while worker.backup_state(tid) != WireTxnState::Aborted && Instant::now() < asked_until {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(worker.backup_state(tid), WireTxnState::Aborted);
+    assert!(engine.active_txns().is_empty());
+    assert_eq!(engine.locks().held_count(), 0);
+    built.stop();
 }
