@@ -179,15 +179,6 @@ impl TupleDesc {
         &self.inner.types
     }
 
-    /// Resolves a field name to its index.
-    pub fn index_of(&self, name: &str) -> DbResult<usize> {
-        self.inner
-            .names
-            .iter()
-            .position(|n| n == name)
-            .ok_or_else(|| DbError::Schema(format!("no field named {name:?}")))
-    }
-
     /// Validates that `values` conforms to this descriptor.
     pub fn check(&self, values: &[Value]) -> DbResult<()> {
         if values.len() != self.len() {
@@ -208,27 +199,6 @@ impl TupleDesc {
             }
         }
         Ok(())
-    }
-
-    /// Descriptor for the concatenation of two tuples (join output).
-    pub fn concat(&self, other: &TupleDesc) -> TupleDesc {
-        let mut fields: Vec<(&str, FieldType)> = Vec::with_capacity(self.len() + other.len());
-        for i in 0..self.len() {
-            fields.push((self.field_name(i), self.field_type(i)));
-        }
-        for i in 0..other.len() {
-            fields.push((other.field_name(i), other.field_type(i)));
-        }
-        TupleDesc::new(fields)
-    }
-
-    /// Descriptor for a projection of the given column indices.
-    pub fn project(&self, cols: &[usize]) -> TupleDesc {
-        let fields = cols
-            .iter()
-            .map(|&i| (self.field_name(i), self.field_type(i)))
-            .collect();
-        TupleDesc::new(fields)
     }
 }
 
@@ -259,7 +229,7 @@ mod tests {
         assert!(d.has_version_columns());
         assert_eq!(d.len(), 4);
         assert_eq!(d.byte_width(), 8 + 8 + 8 + 4);
-        assert_eq!(d.index_of("id").unwrap(), 2);
+        assert_eq!(d.field_name(2), "id");
     }
 
     #[test]
@@ -277,16 +247,5 @@ mod tests {
         let mut bad_type = ok.clone();
         bad_type[3] = Value::Str("x".into());
         assert!(d.check(&bad_type).is_err());
-    }
-
-    #[test]
-    fn concat_and_project() {
-        let d = sales_desc();
-        let joined = d.concat(&d);
-        assert_eq!(joined.len(), 8);
-        let proj = d.project(&[2, 3]);
-        assert_eq!(proj.len(), 2);
-        assert_eq!(proj.field_name(0), "id");
-        assert!(!proj.has_version_columns());
     }
 }

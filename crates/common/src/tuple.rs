@@ -179,16 +179,6 @@ impl Tuple {
         }
     }
 
-    /// The row of fields `cols` of this one, in that order; a column the
-    /// row lacks is [`DbError::Schema`].
-    pub fn project(&self, cols: &[usize]) -> DbResult<Tuple> {
-        let values = cols
-            .iter()
-            .map(|&i| self.try_get(i))
-            .collect::<DbResult<_>>()?;
-        Ok(Tuple::new(values))
-    }
-
     /// Where field `i` starts.
     #[inline]
     fn seek(&self, i: usize) -> DbResult<usize> {
@@ -644,16 +634,5 @@ mod tests {
         let row = Tuple::versioned(Timestamp(1), Timestamp::ZERO, user);
         assert_eq!(row.wire.len(), 94);
         assert_eq!(row.to_vec().len(), 94);
-    }
-
-    #[test]
-    fn projection_picks_fields_in_order() {
-        let t = sample();
-        let p = t.project(&[4, 2]).unwrap();
-        assert_eq!(
-            p.values(),
-            vec![Value::Str("colgate".into()), Value::Int64(42)]
-        );
-        assert!(t.project(&[5]).is_err());
     }
 }

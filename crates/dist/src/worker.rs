@@ -21,7 +21,7 @@ use harbor_common::schema::NUM_VERSION_COLS;
 use harbor_common::{DbError, DbResult, SiteId, Timestamp, TransactionId, Value};
 use harbor_engine::Engine;
 use harbor_exec::{
-    key_probes, run_update_by_key, scan_pages, visit_key, visit_page, visit_versions, ReadMode,
+    run_update_by_key, scan_pages, visit_key, visit_page, visit_versions, CmpOp, Expr, ReadMode,
     ScanRow,
 };
 use harbor_net::{Channel, Transport};
@@ -928,9 +928,9 @@ fn recovery_crash_point(scan: &RemoteScan) -> Option<CrashPoint> {
 ///   the table's deletion log lists after that time, in deletion-time order
 ///   (the §5.2 footnote's deletion vector), and ships a row only while its
 ///   deletion time is still the one logged;
-/// * a predicate that pins the key column visits the versions the tuple-id
-///   index holds for each key (the rule SQL's planner applies:
-///   [`key_probes`]);
+/// * a predicate that pins the key column to at most [`INDEX_PROBE_CAP`]
+///   keys visits the versions the tuple-id index holds for each key
+///   (`key_probes`);
 /// * anything else visits the pages segment pruning leaves.
 ///
 /// Each visit is the one visibility rule ([`ReadMode::admit`] and the
@@ -1004,6 +1004,86 @@ pub fn ship_scan(
     ship(frame, true)
 }
 
+/// Widest key range [`ship_scan`] will expand into individual index probes.
+/// The key index holds keys as runs and hashed buckets (`KeyIndex`) and has
+/// no range lookup: a range read costs one probe per key — a run search or
+/// a hash lookup, then a page access for each version found. Past this span
+/// the scan walks the pages segment pruning leaves, examining every row on
+/// them.
+pub const INDEX_PROBE_CAP: i64 = 256;
+
+/// If `pred` restricts the key column (stored column `key_col`) to an
+/// equality or a tight range, returns the concrete keys to probe.
+///
+/// Only conjuncts reachable through `AND` count: a key constraint nested
+/// under `OR`/`NOT` does not restrict the result set on its own. The full
+/// predicate is always re-applied as a residual filter, so the probe set
+/// only needs to be a *superset* of the qualifying keys — contradictory
+/// bounds simply yield an empty probe set.
+fn key_probes(pred: &Expr, key_col: usize) -> Option<Vec<i64>> {
+    fn gather(
+        e: &Expr,
+        key_col: usize,
+        eq: &mut Option<i64>,
+        lo: &mut Option<i64>,
+        hi: &mut Option<i64>,
+    ) {
+        match e {
+            Expr::And(a, b) => {
+                gather(a, key_col, eq, lo, hi);
+                gather(b, key_col, eq, lo, hi);
+            }
+            Expr::Cmp(op, a, b) => {
+                let (op, n) = match (&**a, &**b) {
+                    (Expr::Col(c), Expr::Lit(Value::Int64(n))) if *c == key_col => (*op, *n),
+                    (Expr::Lit(Value::Int64(n)), Expr::Col(c)) if *c == key_col => {
+                        // Flip `lit OP col` into `col OP' lit`.
+                        let flipped = match op {
+                            CmpOp::Lt => CmpOp::Gt,
+                            CmpOp::Le => CmpOp::Ge,
+                            CmpOp::Gt => CmpOp::Lt,
+                            CmpOp::Ge => CmpOp::Le,
+                            other => *other,
+                        };
+                        (flipped, *n)
+                    }
+                    _ => return,
+                };
+                match op {
+                    CmpOp::Eq => *eq = Some(n),
+                    CmpOp::Ge => *lo = Some(lo.map_or(n, |l: i64| l.max(n))),
+                    CmpOp::Gt => {
+                        if let Some(n) = n.checked_add(1) {
+                            *lo = Some(lo.map_or(n, |l: i64| l.max(n)));
+                        }
+                    }
+                    CmpOp::Le => *hi = Some(hi.map_or(n, |h: i64| h.min(n))),
+                    CmpOp::Lt => {
+                        if let Some(n) = n.checked_sub(1) {
+                            *hi = Some(hi.map_or(n, |h: i64| h.min(n)));
+                        }
+                    }
+                    CmpOp::Ne => {}
+                }
+            }
+            _ => {}
+        }
+    }
+    let (mut eq, mut lo, mut hi) = (None, None, None);
+    gather(pred, key_col, &mut eq, &mut lo, &mut hi);
+    if let Some(k) = eq {
+        return Some(vec![k]);
+    }
+    let (lo, hi) = (lo?, hi?);
+    if hi < lo {
+        return Some(Vec::new());
+    }
+    if hi.checked_sub(lo)? >= INDEX_PROBE_CAP {
+        return None;
+    }
+    Some((lo..=hi).collect())
+}
+
 fn table_def(engine: &Engine, name: &str) -> DbResult<Arc<harbor_engine::TableDef>> {
     engine
         .table_def(name)
@@ -1053,4 +1133,47 @@ pub fn simulate_cpu_work(cycles: u64) {
         acc = std::hint::black_box(acc.wrapping_mul(6364136223846793005).wrapping_add(i));
     }
     std::hint::black_box(acc);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn key_probes_extraction() {
+        let k = 0usize;
+        // Equality, either orientation.
+        let p = Expr::col(k).eq(Expr::lit(7i64));
+        assert_eq!(key_probes(&p, k), Some(vec![7]));
+        let p = Expr::lit(7i64).eq(Expr::col(k));
+        assert_eq!(key_probes(&p, k), Some(vec![7]));
+        // Tight range, including flipped comparisons and conjunction with
+        // unrelated terms.
+        let p = Expr::col(k)
+            .ge(Expr::lit(3i64))
+            .and(Expr::lit(5i64).ge(Expr::col(k)))
+            .and(Expr::col(1).gt(Expr::lit(0i64)));
+        assert_eq!(key_probes(&p, k), Some(vec![3, 4, 5]));
+        // Exclusive bounds narrow the range.
+        let p = Expr::col(k)
+            .gt(Expr::lit(3i64))
+            .and(Expr::col(k).lt(Expr::lit(6i64)));
+        assert_eq!(key_probes(&p, k), Some(vec![4, 5]));
+        // Contradictory bounds: empty probe set, not a scan.
+        let p = Expr::col(k)
+            .ge(Expr::lit(9i64))
+            .and(Expr::col(k).le(Expr::lit(2i64)));
+        assert_eq!(key_probes(&p, k), Some(vec![]));
+        // Too wide, half-open, OR-nested, or wrong column: no index access.
+        let p = Expr::col(k)
+            .ge(Expr::lit(0i64))
+            .and(Expr::col(k).le(Expr::lit(INDEX_PROBE_CAP)));
+        assert_eq!(key_probes(&p, k), None);
+        assert_eq!(key_probes(&Expr::col(k).ge(Expr::lit(3i64)), k), None);
+        let p = Expr::col(k)
+            .eq(Expr::lit(1i64))
+            .or(Expr::col(1).eq(Expr::lit(2i64)));
+        assert_eq!(key_probes(&p, k), None);
+        assert_eq!(key_probes(&Expr::col(2).eq(Expr::lit(1i64)), k), None);
+    }
 }

@@ -9,7 +9,7 @@ use harbor_common::{
 };
 use harbor_dist::{
     next_frame, rpc, scan_rpc, ProtocolKind, RemoteScan, Request, Response, UpdateRequest,
-    WireReadMode, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
+    WireReadMode, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE, INDEX_PROBE_CAP,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_exec::Expr;
@@ -357,6 +357,27 @@ fn key_scan_examines_only_its_hits() {
     let before = examined();
     assert_eq!(rows_of(chan.as_mut(), &scan).unwrap().len(), 10);
     assert_eq!(examined() - before, 10);
+    // A range of INDEX_PROBE_CAP keys is still probed key by key; one key
+    // wider walks the pages, examining every stored row, and returns the
+    // same rows a probe set would.
+    for (keys, examines) in [
+        (INDEX_PROBE_CAP, INDEX_PROBE_CAP),
+        (INDEX_PROBE_CAP + 1, 2000),
+    ] {
+        scan.predicate = Some(
+            Expr::col(2)
+                .ge(Expr::lit(100i64))
+                .and(Expr::col(2).lt(Expr::lit(100 + keys))),
+        );
+        let before = examined();
+        let got: Vec<i64> = rows_of(chan.as_mut(), &scan)
+            .unwrap()
+            .iter()
+            .map(|row| row.get(2).as_i64().unwrap())
+            .collect();
+        assert_eq!(got, (100..100 + keys).collect::<Vec<_>>(), "{keys} keys");
+        assert_eq!(examined() - before, examines as u64, "{keys} keys");
+    }
     scan.table = "nope".into();
     match rows_of(chan.as_mut(), &scan) {
         Err(DbError::Schema(m)) => assert!(m.contains("nope"), "{m}"),

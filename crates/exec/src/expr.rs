@@ -1,4 +1,4 @@
-//! A small expression language for predicates and projections.
+//! A small expression language for predicates.
 //!
 //! Query plans are built programmatically (the thesis implementation has no
 //! SQL frontend either: "query plans must be manually constructed", §6.1.5);
@@ -114,22 +114,6 @@ impl Expr {
         Expr::Arith(ArithOp::Add, Box::new(self), Box::new(other))
     }
 
-    #[allow(clippy::should_implement_trait)]
-    pub fn mul(self, other: Expr) -> Expr {
-        Expr::Arith(ArithOp::Mul, Box::new(self), Box::new(other))
-    }
-
-    /// Nodes on the longest path from this one to a leaf.
-    pub fn depth(&self) -> usize {
-        1 + match self {
-            Expr::Col(_) | Expr::Lit(_) => 0,
-            Expr::Not(a) => a.depth(),
-            Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
-                a.depth().max(b.depth())
-            }
-        }
-    }
-
     /// Evaluates against `tuple`. A column the tuple does not have is
     /// [`DbError::Schema`](harbor_common::DbError::Schema): an expression
     /// may have come off the wire.
@@ -238,15 +222,11 @@ mod tests {
         let t = tup();
         let e = Expr::col(2).add(Expr::lit(8i64));
         assert_eq!(e.eval(&t).unwrap(), Value::Int64(50));
-        let e = Expr::col(3).mul(Expr::lit(6));
+        let arith = |op, a, b| Expr::Arith(op, Box::new(a), Box::new(b));
+        let e = arith(ArithOp::Mul, Expr::col(3), Expr::lit(6));
         assert_eq!(e.eval(&t).unwrap(), Value::Int64(42));
-        assert!(Expr::Arith(
-            ArithOp::Div,
-            Box::new(Expr::lit(1i64)),
-            Box::new(Expr::lit(0i64))
-        )
-        .eval(&t)
-        .is_err());
+        let e = arith(ArithOp::Div, Expr::lit(1i64), Expr::lit(0i64));
+        assert!(e.eval(&t).is_err());
     }
 
     #[test]

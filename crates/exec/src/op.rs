@@ -1,17 +1,13 @@
-//! The operator interface (thesis §6.1.5) and the simple relational
-//! operators: filter, projection, limit, and an in-memory values source.
+//! The operator interface (thesis §6.1.5) and the predicate filter.
 
 use crate::expr::Expr;
-use harbor_common::{DbResult, Tuple, TupleDesc};
+use harbor_common::{DbResult, Tuple};
 
 /// The standard iterator interface every operator exports (§6.1.5).
 pub trait Operator: Send {
     fn open(&mut self) -> DbResult<()>;
     fn next(&mut self) -> DbResult<Option<Tuple>>;
-    fn rewind(&mut self) -> DbResult<()>;
     fn close(&mut self);
-    /// Relational schema of the operator's output tuples.
-    fn tuple_desc(&self) -> TupleDesc;
 
     /// Appends roughly `max` more tuples to `out`, returning `false` once
     /// the stream is exhausted (a final partial batch may still have been
@@ -40,47 +36,6 @@ pub fn collect(op: &mut dyn Operator) -> DbResult<Vec<Tuple>> {
     Ok(out)
 }
 
-/// A source over a materialized vector of tuples (test fixture and the
-/// receiving end of network scans).
-pub struct Values {
-    desc: TupleDesc,
-    rows: Vec<Tuple>,
-    at: usize,
-}
-
-impl Values {
-    pub fn new(desc: TupleDesc, rows: Vec<Tuple>) -> Self {
-        Values { desc, rows, at: 0 }
-    }
-}
-
-impl Operator for Values {
-    fn open(&mut self) -> DbResult<()> {
-        self.at = 0;
-        Ok(())
-    }
-
-    fn next(&mut self) -> DbResult<Option<Tuple>> {
-        if self.at < self.rows.len() {
-            self.at += 1;
-            Ok(Some(self.rows[self.at - 1].clone()))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn rewind(&mut self) -> DbResult<()> {
-        self.at = 0;
-        Ok(())
-    }
-
-    fn close(&mut self) {}
-
-    fn tuple_desc(&self) -> TupleDesc {
-        self.desc.clone()
-    }
-}
-
 /// Predicate filter.
 pub struct Filter {
     input: Box<dyn Operator>,
@@ -107,146 +62,43 @@ impl Operator for Filter {
         Ok(None)
     }
 
-    fn rewind(&mut self) -> DbResult<()> {
-        self.input.rewind()
-    }
-
     fn close(&mut self) {
         self.input.close()
-    }
-
-    fn tuple_desc(&self) -> TupleDesc {
-        self.input.tuple_desc()
-    }
-}
-
-/// Column projection (by input column indices).
-pub struct Project {
-    input: Box<dyn Operator>,
-    cols: Vec<usize>,
-    desc: TupleDesc,
-}
-
-impl Project {
-    pub fn new(input: Box<dyn Operator>, cols: Vec<usize>) -> Self {
-        let desc = input.tuple_desc().project(&cols);
-        Project { input, cols, desc }
-    }
-}
-
-impl Operator for Project {
-    fn open(&mut self) -> DbResult<()> {
-        self.input.open()
-    }
-
-    fn next(&mut self) -> DbResult<Option<Tuple>> {
-        self.input
-            .next()?
-            .map(|t| t.project(&self.cols))
-            .transpose()
-    }
-
-    fn rewind(&mut self) -> DbResult<()> {
-        self.input.rewind()
-    }
-
-    fn close(&mut self) {
-        self.input.close()
-    }
-
-    fn tuple_desc(&self) -> TupleDesc {
-        self.desc.clone()
-    }
-}
-
-/// LIMIT n.
-pub struct Limit {
-    input: Box<dyn Operator>,
-    limit: usize,
-    seen: usize,
-}
-
-impl Limit {
-    pub fn new(input: Box<dyn Operator>, limit: usize) -> Self {
-        Limit {
-            input,
-            limit,
-            seen: 0,
-        }
-    }
-}
-
-impl Operator for Limit {
-    fn open(&mut self) -> DbResult<()> {
-        self.seen = 0;
-        self.input.open()
-    }
-
-    fn next(&mut self) -> DbResult<Option<Tuple>> {
-        if self.seen >= self.limit {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            Some(t) => {
-                self.seen += 1;
-                Ok(Some(t))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn rewind(&mut self) -> DbResult<()> {
-        self.seen = 0;
-        self.input.rewind()
-    }
-
-    fn close(&mut self) {
-        self.input.close()
-    }
-
-    fn tuple_desc(&self) -> TupleDesc {
-        self.input.tuple_desc()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harbor_common::{FieldType, Value};
+    use harbor_common::Value;
 
-    fn desc() -> TupleDesc {
-        TupleDesc::new(vec![("a", FieldType::Int64), ("b", FieldType::Int32)])
-    }
+    /// A source over a vector of tuples.
+    struct Rows(std::vec::IntoIter<Tuple>);
 
-    fn rows() -> Vec<Tuple> {
-        (0..10)
-            .map(|i| Tuple::new(vec![Value::Int64(i), Value::Int32((i * 10) as i32)]))
-            .collect()
-    }
-
-    #[test]
-    fn filter_project_limit_pipeline() {
-        let src = Values::new(desc(), rows());
-        let filtered = Filter::new(Box::new(src), Expr::col(0).ge(Expr::lit(5i64)));
-        let projected = Project::new(Box::new(filtered), vec![1]);
-        let mut limited = Limit::new(Box::new(projected), 3);
-        let out = collect(&mut limited).unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].get(0), Value::Int32(50));
-        assert_eq!(limited.tuple_desc().len(), 1);
-        assert_eq!(limited.tuple_desc().field_name(0), "b");
-    }
-
-    #[test]
-    fn rewind_restarts_the_stream() {
-        let mut src = Values::new(desc(), rows());
-        src.open().unwrap();
-        assert!(src.next().unwrap().is_some());
-        src.rewind().unwrap();
-        let mut n = 0;
-        while src.next().unwrap().is_some() {
-            n += 1;
+    impl Operator for Rows {
+        fn open(&mut self) -> DbResult<()> {
+            Ok(())
         }
-        assert_eq!(n, 10);
+
+        fn next(&mut self) -> DbResult<Option<Tuple>> {
+            Ok(self.0.next())
+        }
+
+        fn close(&mut self) {}
+    }
+
+    #[test]
+    fn filter_keeps_the_rows_its_predicate_admits() {
+        let rows: Vec<Tuple> = (0..10)
+            .map(|i| Tuple::new(vec![Value::Int64(i), Value::Int32((i * 10) as i32)]))
+            .collect();
+        let src = Rows(rows.into_iter());
+        let mut filtered = Filter::new(Box::new(src), Expr::col(0).ge(Expr::lit(5i64)));
+        let out = collect(&mut filtered).unwrap();
+        let seen: Vec<Value> = out.iter().map(|t| t.get(1)).collect();
+        assert_eq!(
+            seen,
+            (5..10).map(|i| Value::Int32(i * 10)).collect::<Vec<_>>()
+        );
     }
 }

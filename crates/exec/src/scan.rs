@@ -466,16 +466,7 @@ impl Operator for SeqScan {
         self.fill_into(budget, out)
     }
 
-    fn rewind(&mut self) -> DbResult<()> {
-        self.load_pages();
-        Ok(())
-    }
-
     fn close(&mut self) {}
-
-    fn tuple_desc(&self) -> TupleDesc {
-        self.heap.desc().clone()
-    }
 }
 
 /// Materializing scan that also yields physical record ids — the form the

@@ -15,6 +15,11 @@
 //! reference decodes another way: a `Value` at a time, by the fixed-width
 //! codec below, and builds its rows from those values.
 //!
+//! Two inputs load a table through the ordinary transaction path instead
+//! and check a `SeqScan` against a straight computation over what was
+//! loaded: a historical sum across a later delete, and a `Filter` over a
+//! table that spans segments.
+//!
 //! The wire sink has an inverse on the apply side, `transcode_wire_to_fixed`
 //! (receive buffer → page slot); its reference is `read_wire`, then the same
 //! codec's encoder, at the end of this file.
@@ -26,9 +31,10 @@ use harbor_common::{
     DbError, DbResult, FieldType, RecordId, SiteId, StorageConfig, TableId, Timestamp,
     TransactionId, Tuple, TupleDesc, Value,
 };
-use harbor_engine::{Engine, EngineOptions};
+use harbor_engine::{Engine, EngineOptions, StepLogging};
 use harbor_exec::{
-    collect, index_lookup, op::Operator, scan_pages, scan_rids, visit_page, Expr, ReadMode, SeqScan,
+    collect, index_lookup, op::Operator, run_delete, scan_pages, scan_rids, visit_page, Expr,
+    Filter, ReadMode, SeqScan,
 };
 use harbor_storage::{BufferPool, ScanBounds};
 use proptest::prelude::*;
@@ -422,6 +428,89 @@ proptest! {
         drop((e, pool));
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Rows of the committed-table inputs below.
+const N_ORDERS: i64 = 600;
+
+/// The amount of order `o`, a value in `0..50`.
+fn amount(o: i64) -> i64 {
+    o * 7 % 50
+}
+
+/// An engine holding `orders(id, amount)` with [`N_ORDERS`] rows inserted
+/// and committed at time 2 through the ordinary transaction path.
+fn committed_orders(name: &str) -> (Arc<Engine>, TableId, std::path::PathBuf) {
+    let dir = std::env::temp_dir()
+        .join("harbor-scan-equiv")
+        .join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let e = Engine::open(
+        &dir,
+        EngineOptions::harbor(SiteId(0), StorageConfig::for_tests()),
+    )
+    .unwrap();
+    let def = e
+        .create_table(
+            "orders",
+            vec![
+                ("id".into(), FieldType::Int64),
+                ("amount".into(), FieldType::Int32),
+            ],
+        )
+        .unwrap();
+    let t = TransactionId::from_parts(SiteId(0), 1);
+    e.begin(t).unwrap();
+    for o in 0..N_ORDERS {
+        let row = vec![Value::Int64(o), Value::Int32(amount(o) as i32)];
+        e.insert(t, def.id, row).unwrap();
+    }
+    e.commit(t, Timestamp(2), StepLogging::OFF).unwrap();
+    (e, def.id, dir)
+}
+
+/// A historical read is immutable: the sum of a column as of time 2 is the
+/// same before and after a later delete commits, and the read at the
+/// delete's commit time sees the rows go.
+#[test]
+fn a_historical_sum_survives_a_later_delete() {
+    let (e, orders, dir) = committed_orders("hist-sum");
+    let sum_at = |t: u64| -> i64 {
+        let mode = ReadMode::Historical(Timestamp(t));
+        let mut scan = SeqScan::new(e.pool().clone(), orders, mode).unwrap();
+        let rows = collect(&mut scan).unwrap();
+        rows.iter().map(|row| row.get(3).as_i64().unwrap()).sum()
+    };
+    let before = sum_at(2);
+    assert_eq!(before, (0..N_ORDERS).map(amount).sum::<i64>());
+    let t = TransactionId::from_parts(SiteId(0), 2);
+    e.begin(t).unwrap();
+    run_delete(&e, t, orders, &Expr::col(3).ge(Expr::lit(40))).unwrap();
+    e.commit(t, Timestamp(5), StepLogging::OFF).unwrap();
+    assert_eq!(sum_at(2), before, "an old snapshot does not move");
+    let kept = (0..N_ORDERS).map(amount).filter(|a| *a < 40).sum::<i64>();
+    assert_eq!(sum_at(5), kept);
+    drop(e);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Filter` over a historical `SeqScan` of a table that spans several
+/// segments keeps exactly the rows a straight computation picks.
+#[test]
+fn a_filter_over_a_segmented_table_keeps_what_it_should() {
+    let (e, orders, dir) = committed_orders("filter-segments");
+    assert!(e.pool().table(orders).unwrap().num_segments() >= 2);
+    let scan = SeqScan::new(e.pool().clone(), orders, ReadMode::Historical(Timestamp(2))).unwrap();
+    let mut filter = Filter::new(Box::new(scan), Expr::col(3).lt(Expr::lit(10)));
+    let ids: Vec<i64> = collect(&mut filter)
+        .unwrap()
+        .iter()
+        .map(|row| row.get(2).as_i64().unwrap())
+        .collect();
+    let expected: Vec<i64> = (0..N_ORDERS).filter(|o| amount(*o) < 10).collect();
+    assert_eq!(ids, expected);
+    drop(e);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A stored schema over every field type, and a row that conforms to it

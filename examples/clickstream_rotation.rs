@@ -12,7 +12,7 @@
 
 use harbor_common::{FieldType, SiteId, StorageConfig, Timestamp, Tuple, Value};
 use harbor_engine::{Engine, EngineOptions};
-use harbor_exec::{collect, AggFunc, AggSpec, Expr, HashAggregate, ReadMode, SeqScan};
+use harbor_exec::{collect, ReadMode, SeqScan};
 
 const CLICKS_PER_DAY: i64 = 3_000;
 const RETENTION_DAYS: usize = 3;
@@ -64,21 +64,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             table.num_data_pages()
         );
 
-        // ---- rolling report over the retained window.
-        let scan = SeqScan::new(engine.pool().clone(), def.id, ReadMode::Historical(day_ts))?;
-        let mut agg = HashAggregate::new(
-            Box::new(scan),
-            vec![],
-            vec![
-                AggSpec::new(AggFunc::Count, Expr::col(2), "clicks"),
-                AggSpec::new(AggFunc::Avg, Expr::col(4), "avg_dwell"),
-            ],
-        );
-        let row = collect(&mut agg)?.remove(0);
+        // ---- rolling report over the retained window (stored column 4 is
+        // dwell_ms).
+        let mut scan = SeqScan::new(engine.pool().clone(), def.id, ReadMode::Historical(day_ts))?;
+        let clicks = collect(&mut scan)?;
+        let dwell_ms: i64 = clicks
+            .iter()
+            .map(|c| c.get(4).as_i64())
+            .sum::<Result<_, _>>()?;
         println!(
             "  retained clicks: {}, average dwell: {} ms",
-            row.get(0),
-            row.get(1)
+            clicks.len(),
+            dwell_ms / clicks.len() as i64
         );
 
         // ---- bulk drop: rotate out days beyond the retention window.

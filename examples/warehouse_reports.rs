@@ -4,15 +4,16 @@
 //! and after a set of changes".
 //!
 //! Demonstrates: historical queries never block the load stream (they take
-//! no locks), snapshot-consistent aggregation via the local operator
-//! pipeline, and the versioned delete/update representation.
+//! no locks), snapshot-consistent reports read from one replica through the
+//! coordinator, and the versioned delete/update representation.
 //!
 //! Run with: `cargo run --release --example warehouse_reports`
 
 use harbor::{Cluster, ClusterConfig, TableSpec, TransportKind};
 use harbor_common::{FieldType, StorageConfig, Timestamp, Value};
 use harbor_dist::{ProtocolKind, UpdateRequest};
-use harbor_exec::{collect, AggFunc, AggSpec, Expr, Filter, HashAggregate, ReadMode, SeqScan};
+use harbor_exec::Expr;
+use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("harbor-warehouse-{}", std::process::id()));
@@ -49,37 +50,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let day1_close = cluster.coordinator().authority().now().prev();
 
-    // The morning report: revenue per region as of last night's close,
-    // computed with the operator pipeline on one replica (reads go to a
-    // single site, §3.1).
+    // The morning report: revenue per region as of last night's close. A
+    // historical read goes to a single live replica (§3.1) and takes no
+    // locks; the rows are folded here. Stored columns: 2=id, 3=region,
+    // 4=units, 5=unit_price.
     let report =
         |as_of: Timestamp, label: &str| -> Result<Vec<(i64, i64)>, harbor_common::DbError> {
-            let site = cluster.worker_sites()[0];
-            let engine = cluster.engine(site)?;
-            let def = engine.table_def("orders").unwrap();
-            // SELECT region, SUM(units * unit_price) FROM orders
-            //   [AS OF as_of] GROUP BY region   (stored cols: 2=id, 3=region,
-            //   4=units, 5=unit_price)
-            let scan = SeqScan::new(engine.pool().clone(), def.id, ReadMode::Historical(as_of))?;
-            let revenue = Expr::col(4).mul(Expr::col(5));
-            let mut agg = HashAggregate::new(
-                Box::new(scan),
-                vec![Expr::col(3)],
-                vec![
-                    AggSpec::new(AggFunc::Sum, revenue, "revenue"),
-                    AggSpec::new(AggFunc::Count, Expr::col(2), "orders"),
-                ],
-            );
-            let mut rows: Vec<(i64, i64)> = collect(&mut agg)?
-                .into_iter()
-                .map(|t| (t.get(0).as_i64().unwrap(), t.get(1).as_i64().unwrap()))
-                .collect();
-            rows.sort();
+            let mut revenue = BTreeMap::new();
+            for row in cluster.read_historical("orders", as_of)? {
+                let units = row.get(4).as_i64()?;
+                let unit_price = row.get(5).as_i64()?;
+                *revenue.entry(row.get(3).as_i64()?).or_insert(0) += units * unit_price;
+            }
             println!("{label}");
-            for (region, revenue) in &rows {
+            for (region, revenue) in &revenue {
                 println!("  region {region}: revenue {revenue}");
             }
-            Ok(rows)
+            Ok(revenue.into_iter().collect())
         };
     let before = report(day1_close, "report as of day-1 close:")?;
 
@@ -108,18 +95,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let after = report(now, "\nreport as of now (corrections applied):")?;
     assert_ne!(before, after);
 
-    // A filtered drill-down: region 0 orders of at least 8 units.
-    let site = cluster.worker_sites()[1];
-    let engine = cluster.engine(site)?;
-    let def = engine.table_def("orders").unwrap();
-    let scan = SeqScan::new(engine.pool().clone(), def.id, ReadMode::Historical(now))?;
-    let mut filter = Filter::new(
-        Box::new(scan),
-        Expr::col(3)
-            .eq(Expr::lit(0))
-            .and(Expr::col(4).ge(Expr::lit(8))),
-    );
-    let big_orders = collect(&mut filter)?;
+    // A filtered drill-down: region 0 orders of at least 8 units. The
+    // predicate ships with the read and is applied at the replica.
+    let big_orders = cluster
+        .coordinator()
+        .read_historical("orders", now, |scan| {
+            scan.predicate = Some(
+                Expr::col(3)
+                    .eq(Expr::lit(0))
+                    .and(Expr::col(4).ge(Expr::lit(8))),
+            )
+        })?;
     println!("\nregion 0 orders with >= 8 units: {}", big_orders.len());
 
     cluster.shutdown();
