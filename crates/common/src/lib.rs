@@ -15,7 +15,6 @@ pub mod lockrank;
 pub mod metrics;
 pub mod retry;
 pub mod schema;
-pub mod shimsan;
 pub mod time;
 pub mod tuple;
 pub mod value;

@@ -1205,7 +1205,7 @@ impl Coordinator {
         if participants.is_empty() {
             // Read-only: nothing to agree on (§4.3: multi-phase protocols
             // apply only to update transactions).
-            self.finish(tid, true)?;
+            self.finish(tid);
             return Ok(self.authority.now().prev());
         }
         if let Some(es) = self.epoch.clone() {
@@ -1246,7 +1246,7 @@ impl Coordinator {
         self.maybe_fail(CrashPoint::CoordAfterPrepare)?;
         if voters_yes.len() < participants.len() {
             self.abort_prepared(tid, &ctx, &voters_yes)?;
-            self.finish(tid, false)?;
+            self.finish(tid);
             return Err(DbError::TransactionAborted(tid));
         }
         // All YES: assign the commit time, unsettled until this function
@@ -1266,7 +1266,7 @@ impl Coordinator {
             })?;
             if holders.is_empty() {
                 let delivered = self.abort_afresh(tid, &participants);
-                self.finish(tid, false)?;
+                self.finish(tid);
                 delivered?;
                 return Err(DbError::TransactionAborted(tid));
             }
@@ -1298,7 +1298,7 @@ impl Coordinator {
             ));
         }
         self.metrics.add_commits(1);
-        self.finish(tid, true)?;
+        self.finish(tid);
         Ok(commit_time)
     }
 
@@ -1352,7 +1352,8 @@ impl Coordinator {
         let participants: Vec<SiteId> = ctx.inner.lock().participants.iter().copied().collect();
         self.abort_prepared(tid, &ctx, &participants)?;
         self.metrics.add_aborts(1);
-        self.finish(tid, false)
+        self.finish(tid);
+        Ok(())
     }
 
     fn abort_prepared(&self, tid: TransactionId, ctx: &TxnCtx, sites: &[SiteId]) -> DbResult<()> {
@@ -1420,7 +1421,7 @@ impl Coordinator {
     /// the outcome goes back to its site's idle list; every other one is
     /// closed here, which is also what tells its worker that the coordinator
     /// of exactly this transaction is done with it (§4.3.2).
-    fn finish(&self, tid: TransactionId, _committed: bool) -> DbResult<()> {
+    fn finish(&self, tid: TransactionId) {
         let removed = self.txns.lock().remove(&tid);
         let sessions = removed.map(|ctx| {
             let mut g = ctx.inner.lock();
@@ -1439,7 +1440,6 @@ impl Coordinator {
         self.cfg
             .crash_schedule
             .disarm_if(self.cfg.site, |p| p.is_coordinator_point());
-        Ok(())
     }
 
     fn maybe_fail(&self, at: CrashPoint) -> DbResult<()> {
@@ -1463,11 +1463,6 @@ impl Coordinator {
             return Err(DbError::SiteDown("coordinator crashed (fail point)".into()));
         }
         Ok(())
-    }
-
-    /// Number of in-flight transactions (tests).
-    pub fn inflight(&self) -> usize {
-        self.txns.lock().len()
     }
 
     // ------------------------------------------------------------------
@@ -1774,11 +1769,11 @@ impl Coordinator {
             match t {
                 Some(t) => {
                     self.metrics.add_commits(1);
-                    let _ = self.finish(p.tid, true);
+                    self.finish(p.tid);
                     p.waiter.resolve(Ok(*t));
                 }
                 None => {
-                    let _ = self.finish(p.tid, false);
+                    self.finish(p.tid);
                     p.waiter.resolve(Err(DbError::TransactionAborted(p.tid)));
                 }
             }

@@ -30,9 +30,7 @@
 //!
 //! * **`lockset-race`** ([`lockset`]) — RacerD-style: plain fields of
 //!   shared-intent structs must see consistent locksets at every access
-//!   site workspace-wide, guards must not cross spawn boundaries. The
-//!   runtime complement is ShimSan (`harbor_common::shimsan`), vector-clock
-//!   happens-before witnesses armed in the instrumented shims.
+//!   site workspace-wide, guards must not cross spawn boundaries.
 //! * **`deadline-propagation`** ([`taint`]) — dataflow from `crates/front`'s
 //!   deadline-carrying entry points along the call graph: tainted paths
 //!   must not `recv()` untimed, retry unboundedly, or do page I/O without

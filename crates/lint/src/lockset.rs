@@ -22,9 +22,7 @@
 //!
 //! Every finding honours `// harbor-lint: allow(lockset-race) — reason`,
 //! and suppressed findings are counted into `lint-baseline.toml`'s
-//! `[allows.lockset-race]` section. ShimSan (`harbor_common::shimsan`) is the dynamic complement:
-//! a witness next to the field confirms or refutes the static verdict
-//! under the chaos soak.
+//! `[allows.lockset-race]` section.
 
 use crate::index::WorkspaceIndex;
 use crate::{Violation, RULE_LOCKSET};

@@ -53,7 +53,7 @@ fn main() -> ExitCode {
                 );
                 println!("error-taxonomy       Timeout/SiteUnavailable/CorruptPage minted only at classification boundaries");
                 println!("panic-ratchet        unwrap/expect counts pinned in lint-baseline.toml, only shrink");
-                println!("lockset-race         shared fields need consistent locksets workspace-wide; no guard crosses a spawn (runtime twin: ShimSan)");
+                println!("lockset-race         shared fields need consistent locksets workspace-wide; no guard crosses a spawn");
                 println!("deadline-propagation paths reachable from front-door deadline entries must thread the deadline (no untimed recv, unbounded retry, budget-blind page I/O)");
                 println!("lint-allow           every allow(<rule>) must carry a reason; graph-rule allows ratchet in lint-baseline.toml");
                 return ExitCode::SUCCESS;

@@ -19,16 +19,9 @@
 //! Waits are 50 ms slices that re-check the queue, so a lost wake would
 //! show as a slice's delay, never as a hang.
 //!
-//! Because every channel in the workspace flows through this shim, it doubles
-//! as the message half of **ShimSan** (`harbor_common::shimsan`): each queued
-//! element carries a vector-clock [`MsgClock`](harbor_common::shimsan::MsgClock)
-//! stamped by the sender and joined into the receiving thread on delivery, so
-//! a receiver is ordered after exactly the sender that produced its message.
-//! In release builds `MsgClock` is zero-sized and the queue layout is
-//! identical to the uninstrumented shim.
+//! Like the crate it stands in for, it depends on nothing but `std`.
 
 pub mod channel {
-    use harbor_common::shimsan::MsgClock;
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,7 +29,7 @@ pub mod channel {
     use std::time::{Duration, Instant};
 
     struct Shared<T> {
-        queue: Mutex<VecDeque<(T, MsgClock)>>,
+        queue: Mutex<VecDeque<T>>,
         cap: Option<usize>,
         /// Receivers parked in a blocking receive: what a send wakes, and on
         /// a rendezvous channel what its senders wait for.
@@ -54,7 +47,7 @@ pub mod channel {
         wakes: AtomicUsize,
     }
 
-    type Queue<'a, T> = std::sync::MutexGuard<'a, VecDeque<(T, MsgClock)>>;
+    type Queue<'a, T> = std::sync::MutexGuard<'a, VecDeque<T>>;
 
     impl<T> Shared<T> {
         fn lock(&self) -> Queue<'_, T> {
@@ -72,11 +65,10 @@ pub mod channel {
 
         /// The queue's next value, waking a sender blocked for its room.
         fn take(&self, q: &mut Queue<'_, T>) -> Option<T> {
-            let (v, mc) = q.pop_front()?;
+            let v = q.pop_front()?;
             if self.blocked.load(Ordering::SeqCst) > 0 {
                 self.wake(&self.not_full);
             }
-            mc.join_into_current();
             Some(v)
         }
 
@@ -189,7 +181,7 @@ pub mod channel {
                     _ => break,
                 }
             }
-            q.push_back((value, MsgClock::stamp()));
+            q.push_back(value);
             let wake = shared.parked.load(Ordering::SeqCst) > 0;
             drop(q);
             if wake {
@@ -463,25 +455,6 @@ pub mod channel {
             let (tx, rx) = unbounded();
             drop(rx);
             assert_eq!(tx.send(5), Err(SendError(5)));
-        }
-
-        /// The message half of ShimSan: a send/recv pair is a happens-before
-        /// edge, so the receiver's witness write is ordered after the
-        /// sender's (debug builds panic on a real race).
-        #[test]
-        fn shimsan_message_edge_orders_witness_accesses() {
-            use harbor_common::shimsan::RaceWitness;
-            use std::sync::Arc;
-            let w = Arc::new(RaceWitness::new());
-            let (tx, rx) = unbounded::<u32>();
-            let w2 = w.clone();
-            let t = std::thread::spawn(move || {
-                w2.check_write("handed-off cell");
-                tx.send(11).unwrap();
-            });
-            assert_eq!(rx.recv(), Ok(11));
-            w.check_write("handed-off cell");
-            t.join().unwrap();
         }
 
         #[test]

@@ -7,48 +7,42 @@
 //! poisoning), and `Condvar` takes `&mut MutexGuard` like the real crate by
 //! temporarily moving the std guard out of an `Option`.
 //!
-//! Because every lock in the workspace flows through this shim, it doubles as
-//! the lock half of **ShimSan** (`harbor_common::shimsan`): each lock carries
-//! a vector-clock [`SyncClock`] that is joined into the acquiring thread on
-//! `lock`/`read`/`write` and published back on guard drop, so debug builds
-//! track real happens-before edges for the race witnesses. `Condvar` waits
-//! release the clock before parking and re-acquire it on wake, mirroring what
-//! the underlying lock does. In release builds `SyncClock` is zero-sized and
-//! every call compiles to nothing; the `#[cfg(debug_assertions)]` guard
-//! fields keep release guard layouts identical to the uninstrumented shim.
+//! Like the crate it stands in for, it depends on nothing but `std`.
 //!
 //! `Condvar` follows the real crate's wake rule: `notify_one`/`notify_all`
 //! make a syscall only when a thread is waiting (a std notify always enters
 //! the kernel). Waiters are counted under the caller's mutex, so the rule
 //! holds for every caller that changes the waited-for state under the
 //! mutex it waits with — which a std condvar requires anyway.
-//! (Imprecision note: read-guard drops also publish, so ShimSan treats
-//! concurrent readers as ordered — it under-reports read/read ordering,
-//! never write races.)
 
-use harbor_common::shimsan::SyncClock;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::PoisonError;
+use std::sync::{PoisonError, TryLockError, TryLockResult};
 use std::time::{Duration, Instant};
 
+/// A `try_*` result as parking_lot gives it: the guard, poisoned or not, or
+/// `None` when the lock is held.
+fn unpoisoned<G>(r: TryLockResult<G>) -> Option<G> {
+    match r {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
 pub struct Mutex<T: ?Sized> {
-    san: SyncClock,
     inner: std::sync::Mutex<T>,
 }
 
 pub struct MutexGuard<'a, T: ?Sized> {
     // `Option` so `Condvar::wait` can move the std guard out and back.
     inner: Option<std::sync::MutexGuard<'a, T>>,
-    #[cfg(debug_assertions)]
-    san: &'a SyncClock,
 }
 
 impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Mutex {
-            san: SyncClock::new(),
             inner: std::sync::Mutex::new(value),
         }
     }
@@ -61,25 +55,14 @@ impl<T> Mutex<T> {
 }
 
 impl<T: ?Sized> Mutex<T> {
-    fn guard<'a>(&'a self, g: std::sync::MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        self.san.acquire();
-        MutexGuard {
-            inner: Some(g),
-            #[cfg(debug_assertions)]
-            san: &self.san,
-        }
-    }
-
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.guard(self.inner.lock().unwrap_or_else(PoisonError::into_inner))
+        MutexGuard {
+            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
+        }
     }
 
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(self.guard(g)),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(self.guard(p.into_inner())),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        unpoisoned(self.inner.try_lock()).map(|g| MutexGuard { inner: Some(g) })
     }
 
     pub fn get_mut(&mut self) -> &mut T {
@@ -115,38 +98,21 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-#[cfg(debug_assertions)]
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        // `inner` is only `None` mid-`Condvar::wait`, which already published
-        // the clock before parking.
-        if self.inner.is_some() {
-            self.san.release();
-        }
-    }
-}
-
 pub struct RwLock<T: ?Sized> {
-    san: SyncClock,
     inner: std::sync::RwLock<T>,
 }
 
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     inner: std::sync::RwLockReadGuard<'a, T>,
-    #[cfg(debug_assertions)]
-    san: &'a SyncClock,
 }
 
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     inner: std::sync::RwLockWriteGuard<'a, T>,
-    #[cfg(debug_assertions)]
-    san: &'a SyncClock,
 }
 
 impl<T> RwLock<T> {
     pub const fn new(value: T) -> Self {
         RwLock {
-            san: SyncClock::new(),
             inner: std::sync::RwLock::new(value),
         }
     }
@@ -159,46 +125,24 @@ impl<T> RwLock<T> {
 }
 
 impl<T: ?Sized> RwLock<T> {
-    fn read_guard<'a>(&'a self, g: std::sync::RwLockReadGuard<'a, T>) -> RwLockReadGuard<'a, T> {
-        self.san.acquire();
-        RwLockReadGuard {
-            inner: g,
-            #[cfg(debug_assertions)]
-            san: &self.san,
-        }
-    }
-
-    fn write_guard<'a>(&'a self, g: std::sync::RwLockWriteGuard<'a, T>) -> RwLockWriteGuard<'a, T> {
-        self.san.acquire();
-        RwLockWriteGuard {
-            inner: g,
-            #[cfg(debug_assertions)]
-            san: &self.san,
-        }
-    }
-
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.read_guard(self.inner.read().unwrap_or_else(PoisonError::into_inner))
+        RwLockReadGuard {
+            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
+        }
     }
 
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.write_guard(self.inner.write().unwrap_or_else(PoisonError::into_inner))
+        RwLockWriteGuard {
+            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
+        }
     }
 
     pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(self.read_guard(g)),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(self.read_guard(p.into_inner())),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        unpoisoned(self.inner.try_read()).map(|inner| RwLockReadGuard { inner })
     }
 
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(g) => Some(self.write_guard(g)),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(self.write_guard(p.into_inner())),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        unpoisoned(self.inner.try_write()).map(|inner| RwLockWriteGuard { inner })
     }
 
     pub fn get_mut(&mut self) -> &mut T {
@@ -228,13 +172,6 @@ impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
     }
 }
 
-#[cfg(debug_assertions)]
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.san.release();
-    }
-}
-
 impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
@@ -245,13 +182,6 @@ impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
 impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.inner
-    }
-}
-
-#[cfg(debug_assertions)]
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.san.release();
     }
 }
 
@@ -290,13 +220,9 @@ impl Condvar {
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let g = guard.inner.take().expect("guard active");
-        #[cfg(debug_assertions)]
-        guard.san.release();
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
         self.waiters.fetch_sub(1, Ordering::SeqCst);
-        #[cfg(debug_assertions)]
-        guard.san.acquire();
         guard.inner = Some(g);
     }
 
@@ -306,16 +232,12 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let g = guard.inner.take().expect("guard active");
-        #[cfg(debug_assertions)]
-        guard.san.release();
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let (g, res) = match self.inner.wait_timeout(g, timeout) {
             Ok((g, r)) => (g, r),
             Err(p) => p.into_inner(),
         };
         self.waiters.fetch_sub(1, Ordering::SeqCst);
-        #[cfg(debug_assertions)]
-        guard.san.acquire();
         guard.inner = Some(g);
         WaitTimeoutResult {
             timed_out: res.timed_out(),
@@ -465,27 +387,23 @@ mod tests {
         assert!(wakes <= PASSES, "{wakes} wakes for {PASSES} passes");
     }
 
-    /// The lock half of ShimSan: a mutex hand-off is a happens-before edge,
-    /// so two threads that only ever touch the witness under this shim's
-    /// lock never race (debug builds panic on a real race).
+    /// Four threads' guarded increments all land: no update is lost.
     #[test]
-    fn shimsan_mutex_edge_orders_witness_accesses() {
-        use harbor_common::shimsan::RaceWitness;
-        let shared = Arc::new((Mutex::new(0u64), RaceWitness::new()));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let sh = shared.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    let mut g = sh.0.lock();
-                    sh.1.check_write("parking_lot-guarded counter");
-                    *g += 1;
-                }
-            }));
-        }
+    fn concurrent_guarded_increments_all_land() {
+        let counter = Arc::new(Mutex::new(0u64));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let counter = counter.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..100 {
+                        *counter.lock() += 1;
+                    }
+                })
+            })
+            .collect();
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*shared.0.lock(), 400);
+        assert_eq!(*counter.lock(), 400);
     }
 }

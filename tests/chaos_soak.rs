@@ -70,14 +70,6 @@ fn pinned_seeds_hold_invariants() {
         cfg!(debug_assertions),
         "lockrank witness arming must track debug_assertions"
     );
-    // Same for ShimSan: debug soaks run with vector-clock happens-before
-    // tracking inside the shim locks and channels, so an access to an
-    // instrumented witness with no ordering edge panics the failing seed.
-    assert_eq!(
-        harbor_common::shimsan::is_armed(),
-        cfg!(debug_assertions),
-        "ShimSan arming must track debug_assertions"
-    );
     for seed in SEEDS {
         let report = run_seed("pinned", seed);
         assert!(
@@ -114,16 +106,6 @@ fn pinned_seeds_hold_invariants() {
             println!("  read path {line}");
         }
         println!("  commit path {}", report.commit_path);
-    }
-    // In debug builds the whole battery just ran under ShimSan: the shim
-    // locks and channels must actually have published happens-before edges
-    // (a zero here would mean the sanitizer was silently disconnected and
-    // the race coverage above was vacuous).
-    if cfg!(debug_assertions) {
-        assert!(
-            harbor_common::shimsan::sync_edges() > 0,
-            "soak ran without recording a single ShimSan sync edge"
-        );
     }
 }
 

@@ -226,7 +226,7 @@ fn worker_crash_during_a_riding_prepare_vote_aborts_everywhere() {
     );
     assert_eq!(cluster.reap_scheduled_crashes(), vec![SiteId(2)]);
     assert!(coordinator.is_dead(SiteId(2)));
-    assert_eq!(coordinator.inflight(), 0);
+    assert_eq!(coordinator.inflight_txns(), 0);
     let survivors = [SiteId(1), SiteId(3)];
     await_counts(&cluster, &survivors, 1, "riding-vote-crash");
     for site in survivors {

@@ -476,7 +476,7 @@ fn a_failed_join_forward_leaves_nothing_open_on_the_joining_site() {
     let during = c.metrics().snapshot().since(&before);
     assert_eq!(during.sessions_opened, 1, "one session to the joining site");
     assert!(!c.is_dead(joining), "the join itself succeeded");
-    assert_eq!(c.inflight(), 0);
+    assert_eq!(c.inflight_txns(), 0);
     for (site, e) in &f.engines {
         assert!(e.active_txns().is_empty(), "{site} still has {tid} open");
         assert_eq!(e.locks().held_count(), 0, "{site} still holds locks");
