@@ -7,6 +7,8 @@
 //! types, runtime configuration, and the metrics counters that the evaluation
 //! harness reads to *measure* (rather than assert) Table 4.2.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod config;
 pub mod error;

@@ -1,16 +1,13 @@
-//! Runtime lock-rank witness — the dynamic complement to harbor-lint's
-//! static `lock-rank` rule.
+//! Runtime lock-rank witness: the one check of the declared lock order.
 //!
-//! The static rule is intra-function: it sees `self.frames.lock()` under a
-//! held `tables.read()` guard inside one body, but not an inversion spread
-//! across a call chain (`flush_frame` → `table()` → catalog). This witness
-//! closes that gap at runtime: every ranked acquisition pushes its
-//! [`Rank`] onto a thread-local stack and panics if the new rank sorts
-//! *before* the current top — i.e. the thread is acquiring a lock that the
-//! declared order says must be taken earlier.
+//! Every ranked acquisition pushes its [`Rank`] onto a thread-local stack
+//! and panics if the new rank sorts *before* the current top — i.e. the
+//! thread is acquiring a lock that the declared order says must be taken
+//! earlier. Because it runs, it sees inversions spread across a call chain
+//! (`flush_frame` → `table()` → catalog) as well as those inside one body,
+//! which is why harbor-lint keeps no static copy of this order.
 //!
-//! Declared order (lowest acquired first — keep in sync with
-//! `harbor_lint::LOCK_RANK_ORDER`):
+//! Declared order (lowest acquired first):
 //!
 //! ```text
 //! catalog → lock-manager → table-map → pool-shard → frame → wal

@@ -48,6 +48,8 @@
 //! println!("recovered in {:?}", report.total);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chaos_harness;
 pub mod cluster;
 pub mod recovery;

@@ -10,6 +10,8 @@
 //! reply) and [`scan_rpc`] (one scan, its rows streamed) are built on it,
 //! and so are the coordinator's rounds and reads.
 
+#![forbid(unsafe_code)]
+
 pub mod consensus;
 pub mod coordinator;
 pub mod failpoint;

@@ -8,6 +8,8 @@
 //! model — only what reached the heap files, the checkpoint record, and (in
 //! baseline mode) the forced prefix of the WAL survives.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod deletion_log;
 pub mod engine;

@@ -12,6 +12,8 @@
 //! `SeqScan`, wraps it in a `Filter` if it has a predicate, and
 //! [`collect`]s it.
 
+#![forbid(unsafe_code)]
+
 pub mod dml;
 pub mod expr;
 pub mod op;

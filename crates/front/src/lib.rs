@@ -15,6 +15,8 @@
 //! protocol-host split): [`FrontHandler`] is the whole downward interface,
 //! and [`harbor_dist::Coordinator`] implements it directly.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod server;
 pub mod wire;

@@ -2,20 +2,12 @@
 //! invariants. Zero external dependencies (the container is offline), built
 //! on a small hand-rolled lexer ([`lexer`]) plus a brace/scope tracker.
 //!
-//! Four rule families (see DESIGN.md "Enforced invariants"):
+//! Three per-file rule families (see DESIGN.md "Enforced invariants"):
 //!
-//! * **`determinism`** — the determinism-contract modules (the chaos and
-//!   disk-fault planes) must compute every fault decision as a pure
-//!   function of `(seed, …, ordinal)`: no wall clocks, no ambient
-//!   randomness, no `HashMap` iteration-order dependence.
 //! * **`lock-across-blocking`** — a `MutexGuard`/`RwLock` guard must not
 //!   span a blocking call (channel send/recv, page I/O, RPC helpers, a
-//!   nested lock acquisition): PR 3's lost-write race was born exactly in
-//!   this class of lock-scope subtlety.
-//! * **`lock-rank`** — the declared lock order `catalog → lock-manager →
-//!   table-map → pool-shard → frame → WAL` is enforced intra-function; the
-//!   runtime complement (`harbor_common::lockrank`) catches cross-function
-//!   inversions under the chaos soak.
+//!   thread spawn, a nested lock acquisition): PR 3's lost-write race was
+//!   born exactly in this class of lock-scope subtlety.
 //! * **`error-taxonomy`** — `DbError::Timeout` / `SiteUnavailable` /
 //!   `CorruptPage` may only be *constructed* at classification boundaries
 //!   (the RPC deadline helpers, checksum verification, admission control,
@@ -25,40 +17,40 @@
 //! * **`panic-ratchet`** — `.unwrap()` / `.expect()` counts per crate are
 //!   pinned in `lint-baseline.toml` and may only shrink (test code exempt).
 //!
-//! Two workspace-graph rule families run over a cross-file index
-//! ([`index`]) rather than one file at a time:
+//! One workspace-graph rule runs over a cross-file index ([`index`]) rather
+//! than one file at a time:
 //!
-//! * **`lockset-race`** ([`lockset`]) — RacerD-style: plain fields of
-//!   shared-intent structs must see consistent locksets at every access
-//!   site workspace-wide, guards must not cross spawn boundaries.
 //! * **`deadline-propagation`** ([`taint`]) — dataflow from `crates/front`'s
-//!   deadline-carrying entry points along the call graph: tainted paths
-//!   must not `recv()` untimed, retry unboundedly, or do page I/O without
-//!   consulting the budget.
+//!   deadline-carrying entry points along a call graph resolved by bare
+//!   name: a path in that graph must not `recv()` untimed, retry
+//!   unboundedly, or do page I/O without consulting the budget.
 //!
 //! Suppressed graph findings ratchet in `lint-baseline.toml` beside the
 //! panic ratchet, and like it exact-match: new findings and stale entries
 //! both fail.
 //!
+//! What other witnesses already prove is not re-checked here: rustc and
+//! `#![forbid(unsafe_code)]` rule out data races, the runtime
+//! `harbor_common::lockrank` witness holds the lock order, and the
+//! same-seed replay tests hold the fault planes' determinism.
+//!
 //! Escape hatch: `// harbor-lint: allow(<rule>) — <reason>` on the
 //! offending line (or the line above). The reason is mandatory.
 
+#![forbid(unsafe_code)]
+
 pub mod index;
 pub mod lexer;
-pub mod lockset;
 pub mod taint;
 
 use lexer::{lex, Token, TokenKind};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_LOCK_BLOCKING: &str = "lock-across-blocking";
-pub const RULE_LOCK_RANK: &str = "lock-rank";
 pub const RULE_TAXONOMY: &str = "error-taxonomy";
 pub const RULE_RATCHET: &str = "panic-ratchet";
 pub const RULE_ALLOW: &str = "lint-allow";
-pub const RULE_LOCKSET: &str = "lockset-race";
 pub const RULE_DEADLINE: &str = "deadline-propagation";
 
 /// One finding.
@@ -84,15 +76,6 @@ impl std::fmt::Display for Violation {
 // Repo-specific rule configuration
 // ---------------------------------------------------------------------------
 
-/// Modules under the determinism contract: every fault decision must be a
-/// pure function of `(seed, …, ordinal)` so a seed replays byte-identically.
-pub const DETERMINISM_MODULES: [&str; 4] = [
-    "net/src/chaos.rs",
-    "storage/src/fault.rs",
-    "core/src/chaos_harness.rs",
-    "dist/src/failpoint.rs",
-];
-
 /// Files allowed to construct the classified error variants: the taxonomy
 /// definition itself plus the classification boundaries (RPC deadline
 /// helpers, page-checksum verification, serving-path admission control).
@@ -112,72 +95,6 @@ const CLASSIFIED_VARIANTS: [&str; 7] = [
     "timeout",     // DbError::timeout(..) convenience constructor
     "unavailable", // DbError::unavailable(..)
     "overloaded",  // DbError::overloaded(..)
-];
-
-/// The declared lock-rank order, lowest acquired first. Mirrors
-/// `harbor_common::lockrank::Rank` — keep the two in sync.
-pub const LOCK_RANK_ORDER: [&str; 6] = [
-    "catalog",
-    "lock-manager",
-    "table-map",
-    "pool-shard",
-    "frame",
-    "wal",
-];
-
-struct RankPattern {
-    file_suffix: &'static str,
-    /// Token texts to match, e.g. `[".", "frames", ".", "lock"]`.
-    pattern: &'static [&'static str],
-    rank: usize,
-}
-
-const RANK_PATTERNS: &[RankPattern] = &[
-    RankPattern {
-        file_suffix: "engine/src/catalog.rs",
-        pattern: &[".", "tables", ".", "lock"],
-        rank: 0,
-    },
-    RankPattern {
-        file_suffix: "storage/src/lock.rs",
-        pattern: &[".", "state", ".", "lock"],
-        rank: 1,
-    },
-    RankPattern {
-        file_suffix: "storage/src/buffer.rs",
-        pattern: &[".", "tables", ".", "read"],
-        rank: 2,
-    },
-    RankPattern {
-        file_suffix: "storage/src/buffer.rs",
-        pattern: &[".", "tables", ".", "write"],
-        rank: 2,
-    },
-    RankPattern {
-        file_suffix: "storage/src/buffer.rs",
-        pattern: &[".", "frames", ".", "lock"],
-        rank: 3,
-    },
-    RankPattern {
-        file_suffix: "storage/src/buffer.rs",
-        pattern: &[".", "page", ".", "read"],
-        rank: 4,
-    },
-    RankPattern {
-        file_suffix: "storage/src/buffer.rs",
-        pattern: &[".", "page", ".", "write"],
-        rank: 4,
-    },
-    RankPattern {
-        file_suffix: "storage/src/buffer.rs",
-        pattern: &[".", "wal", ".", "read"],
-        rank: 5,
-    },
-    RankPattern {
-        file_suffix: "storage/src/buffer.rs",
-        pattern: &[".", "wal", ".", "write"],
-        rank: 5,
-    },
 ];
 
 /// Method names (after a `.`) that block: channel traffic, page I/O,
@@ -208,25 +125,6 @@ pub(crate) const BLOCKING_HELPERS: [&str; 9] = [
     "ask",
     "with_read_retries",
     "retry_with",
-];
-
-/// Idents banned outright in determinism-contract modules.
-const BANNED_DETERMINISM_IDENTS: [&str; 3] = ["thread_rng", "from_entropy", "OsRng"];
-
-/// `A::now`-style paths banned in determinism-contract modules.
-const BANNED_NOW_RECEIVERS: [&str; 4] = ["Instant", "SystemTime", "Utc", "Local"];
-
-/// Order-dependent consumers of a `HashMap`.
-const HASHMAP_ITER_METHODS: [&str; 9] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
 ];
 
 /// Guard-producing zero-arg methods (`m.lock()`, `rw.read()`, `rw.write()`).
@@ -272,40 +170,6 @@ struct Guard {
     /// Brace depth at the binding; the guard dies when depth drops below.
     depth: usize,
     line: u32,
-    rank: Option<usize>,
-}
-
-/// Names with a `HashMap`-bearing type annotation or initializer in this
-/// file (fields and let-bindings) — the receivers whose iteration the
-/// determinism rule flags.
-fn collect_hashmap_names(tokens: &[Token]) -> HashSet<String> {
-    let mut names = HashSet::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident || t.text != "HashMap" {
-            continue;
-        }
-        // Walk back over wrapper generics (`Mutex<`, `Arc<RwLock<` …) and
-        // the `=`/`::` of initializers to the introducing `name :` / `name =`.
-        let mut j = i;
-        while j > 0 {
-            let prev = &tokens[j - 1];
-            let is_wrapper = prev.kind == TokenKind::Ident || tok_is(prev, "<");
-            if !is_wrapper {
-                break;
-            }
-            j -= 1;
-        }
-        if j >= 2 && tok_is(&tokens[j - 1], ":") && !(j >= 3 && tok_is(&tokens[j - 2], ":")) {
-            // `name : [wrappers] HashMap` — a field or typed binding.
-            if tokens[j - 2].kind == TokenKind::Ident {
-                names.insert(tokens[j - 2].text.clone());
-            }
-        } else if j >= 2 && tok_is(&tokens[j - 1], "=") && tokens[j - 2].kind == TokenKind::Ident {
-            // `let name = HashMap::new()`.
-            names.insert(tokens[j - 2].text.clone());
-        }
-    }
-    names
 }
 
 /// Token ranges (by index) lying inside `#[cfg(test)] mod … { … }` bodies
@@ -388,7 +252,7 @@ pub(crate) fn test_regions(tokens: &[Token]) -> Vec<bool> {
 /// Statement end: index of the `;` terminating the statement starting at
 /// `start`, honouring (), [], {} nesting. Returns `None` when the file ends
 /// first (malformed input; the caller just skips tracking).
-pub(crate) fn statement_end(tokens: &[Token], start: usize) -> Option<usize> {
+fn statement_end(tokens: &[Token], start: usize) -> Option<usize> {
     let mut parens = 0i32;
     let mut brackets = 0i32;
     let mut braces = 0i32;
@@ -413,7 +277,7 @@ pub(crate) fn statement_end(tokens: &[Token], start: usize) -> Option<usize> {
 /// Does `rhs` (the tokens after `=` up to `;`) end in a guard acquisition —
 /// `….lock()`, `….read()`, `….write()`, optionally wrapped in a trailing
 /// `.unwrap()` / `.expect(…)` or `?`?
-pub(crate) fn rhs_is_guard_acquisition(rhs: &[Token]) -> bool {
+fn rhs_is_guard_acquisition(rhs: &[Token]) -> bool {
     let mut end = rhs.len();
     // Strip a trailing `?`.
     while end > 0 && tok_is(&rhs[end - 1], "?") {
@@ -482,18 +346,7 @@ pub fn analyze_source(rel: &str, src: &str) -> FileReport {
         test_regions(tokens)
     };
 
-    let determinism_module = DETERMINISM_MODULES.iter().any(|m| rel.ends_with(m));
     let taxonomy_boundary = TAXONOMY_BOUNDARIES.iter().any(|m| rel.ends_with(m));
-    let hashmap_names = if determinism_module {
-        collect_hashmap_names(tokens)
-    } else {
-        HashSet::new()
-    };
-    let rank_patterns: Vec<&RankPattern> = RANK_PATTERNS
-        .iter()
-        .filter(|p| rel.ends_with(p.file_suffix))
-        .collect();
-
     let mut depth = 0usize;
     let mut paren_depth = 0i32;
     let mut guards: Vec<Guard> = Vec::new();
@@ -571,30 +424,18 @@ pub fn analyze_source(rel: &str, src: &str) -> FileReport {
                     {
                         let rhs = &tokens[j + 2..end];
                         if rhs_is_guard_acquisition(rhs) {
-                            let rank = rank_patterns
-                                .iter()
-                                .filter(|p| (0..rhs.len()).any(|k| match_seq(rhs, k, p.pattern)))
-                                .map(|p| p.rank)
-                                .max();
-                            // A second guard while one is already live:
-                            // either a rank-ordered pair (fine — the rank
-                            // rule governs) or a flagged nesting.
                             if !tested && !allowed(RULE_LOCK_BLOCKING, line) {
                                 for g in &guards {
-                                    let ordered =
-                                        matches!((g.rank, rank), (Some(a), Some(b)) if b >= a);
-                                    if !ordered {
-                                        report.violations.push(Violation {
-                                            file: rel.to_string(),
-                                            line,
-                                            rule: RULE_LOCK_BLOCKING,
-                                            msg: format!(
-                                                "guard `{}` (line {}) is still held while acquiring guard `{}` — \
-                                                 scope the first guard tighter or drop() it first",
-                                                g.name, g.line, tokens[j].text
-                                            ),
-                                        });
-                                    }
+                                    report.violations.push(Violation {
+                                        file: rel.to_string(),
+                                        line,
+                                        rule: RULE_LOCK_BLOCKING,
+                                        msg: format!(
+                                            "guard `{}` (line {}) is still held while acquiring guard `{}` — \
+                                             scope the first guard tighter or drop() it first",
+                                            g.name, g.line, tokens[j].text
+                                        ),
+                                    });
                                 }
                             }
                             pending_guards.push((
@@ -603,38 +444,8 @@ pub fn analyze_source(rel: &str, src: &str) -> FileReport {
                                     name: tokens[j].text.clone(),
                                     depth,
                                     line,
-                                    rank,
                                 },
                             ));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Lock-rank: every acquisition (bound or temporary) checks against
-        // the live ranked guards.
-        for p in &rank_patterns {
-            if match_seq(tokens, i, p.pattern) && !tested && !allowed(RULE_LOCK_RANK, line) {
-                for g in &guards {
-                    if let Some(held) = g.rank {
-                        if held > p.rank {
-                            report.violations.push(Violation {
-                                file: rel.to_string(),
-                                line,
-                                rule: RULE_LOCK_RANK,
-                                msg: format!(
-                                    "acquiring `{}` (rank {}) while holding `{}` (rank {}, guard `{}` line {}); \
-                                     declared order is {}",
-                                    LOCK_RANK_ORDER[p.rank],
-                                    p.rank,
-                                    LOCK_RANK_ORDER[held],
-                                    held,
-                                    g.name,
-                                    g.line,
-                                    LOCK_RANK_ORDER.join(" → ")
-                                ),
-                            });
                         }
                     }
                 }
@@ -658,6 +469,12 @@ pub fn analyze_source(rel: &str, src: &str) -> FileReport {
                 Some(t.text.as_str())
             } else if match_seq(tokens, i, &["thread", ":", ":", "sleep"]) {
                 Some("thread::sleep")
+            } else if match_seq(tokens, i, &["thread", ":", ":", "spawn", "("]) {
+                // A guard across a spawn: the child runs concurrently
+                // against a held lock.
+                Some("thread::spawn")
+            } else if match_seq(tokens, i, &[".", "spawn", "("]) {
+                Some("spawn")
             } else {
                 None
             };
@@ -677,75 +494,6 @@ pub fn analyze_source(rel: &str, src: &str) -> FileReport {
                             ),
                         });
                     }
-                }
-            }
-        }
-
-        // Determinism-contract module rules.
-        if determinism_module && !tested {
-            if BANNED_DETERMINISM_IDENTS.contains(&t.text.as_str())
-                && !allowed(RULE_DETERMINISM, line)
-            {
-                report.violations.push(Violation {
-                    file: rel.to_string(),
-                    line,
-                    rule: RULE_DETERMINISM,
-                    msg: format!(
-                        "`{}` in a determinism-contract module — fault decisions must be a pure \
-                         function of (seed, …, ordinal)",
-                        t.text
-                    ),
-                });
-            }
-            if BANNED_NOW_RECEIVERS.contains(&t.text.as_str())
-                && match_seq(tokens, i + 1, &[":", ":", "now"])
-                && !allowed(RULE_DETERMINISM, line)
-            {
-                report.violations.push(Violation {
-                    file: rel.to_string(),
-                    line,
-                    rule: RULE_DETERMINISM,
-                    msg: format!(
-                        "`{}::now` in a determinism-contract module — wall clocks break seed replay",
-                        t.text
-                    ),
-                });
-            }
-            if hashmap_names.contains(&t.text) {
-                // `name[.lock()/.read()/…].iter()`-style iteration, or
-                // `for … in [&[mut]] name`.
-                let mut j = i + 1;
-                while j + 3 < tokens.len()
-                    && tok_is(&tokens[j], ".")
-                    && ["lock", "read", "write", "borrow", "borrow_mut"]
-                        .contains(&tokens[j + 1].text.as_str())
-                    && tok_is(&tokens[j + 2], "(")
-                    && tok_is(&tokens[j + 3], ")")
-                {
-                    j += 4;
-                }
-                let iterated_by_method = j + 2 < tokens.len()
-                    && tok_is(&tokens[j], ".")
-                    && HASHMAP_ITER_METHODS.contains(&tokens[j + 1].text.as_str())
-                    && tok_is(&tokens[j + 2], "(");
-                let iterated_by_for = {
-                    let mut k = i;
-                    while k > 0 && (tok_is(&tokens[k - 1], "&") || tok_is(&tokens[k - 1], "mut")) {
-                        k -= 1;
-                    }
-                    k > 0 && tok_is(&tokens[k - 1], "in")
-                };
-                if (iterated_by_method || iterated_by_for) && !allowed(RULE_DETERMINISM, line) {
-                    report.violations.push(Violation {
-                        file: rel.to_string(),
-                        line,
-                        rule: RULE_DETERMINISM,
-                        msg: format!(
-                            "iteration over `HashMap` `{}` in a determinism-contract module — \
-                             iteration order is unstable across runs; use BTreeMap or sort first",
-                            t.text
-                        ),
-                    });
                 }
             }
         }
@@ -955,11 +703,12 @@ pub fn parse_baseline(text: &str) -> Baseline {
 pub fn render_baseline(map: &Baseline) -> String {
     let mut out = String::from(
         "# harbor-lint ratchet. [unwraps]: .unwrap()/.expect() counts per crate in\n\
-         # non-test code. [allows.<rule>]: workspace-graph findings (lockset-race,\n\
-         # deadline-propagation) suppressed by a reasoned `// harbor-lint: allow(...)`,\n\
-         # per crate. Every count must match exactly: a higher one is a regression,\n\
-         # a lower or vanished one means this file is stale. After removing unwraps\n\
-         # or adding/removing an allow on purpose, regenerate in the same change:\n\
+         # non-test code. [allows.<rule>]: findings of the workspace-graph rule\n\
+         # (deadline-propagation) suppressed by a reasoned\n\
+         # `// harbor-lint: allow(...)`, per crate. Every count must match exactly:\n\
+         # a higher one is a regression, a lower or vanished one means this file\n\
+         # is stale. After removing unwraps or adding/removing an allow on\n\
+         # purpose, regenerate in the same change:\n\
          # cargo run -p harbor-lint -- --update\n",
     );
     for (section, counts) in map.iter().filter(|(_, counts)| !counts.is_empty()) {
@@ -1014,11 +763,11 @@ pub fn check_ratchet(current: &Baseline, committed: &Baseline) -> Vec<Violation>
 }
 
 // ---------------------------------------------------------------------------
-// Workspace-graph analysis (pass 1 + pass 2)
+// Workspace-graph analysis (the index, then the taint pass)
 // ---------------------------------------------------------------------------
 
-/// Aggregate result of the full analysis: per-file rules plus the two
-/// workspace-graph passes, and the allow-suppressed graph findings that
+/// Aggregate result of the full analysis: per-file rules plus the
+/// workspace-graph pass, and the allow-suppressed graph findings that
 /// the ratchet pins beside the unwrap counts.
 #[derive(Debug, Default)]
 pub struct WorkspaceReport {
@@ -1057,13 +806,6 @@ pub fn analyze_sources(sources: &[(String, String)]) -> WorkspaceReport {
         report.files_scanned += 1;
     }
     let idx = index::build(sources);
-    let (lockset_viols, lockset_allowed) = lockset::check(&idx);
-    report.violations.extend(lockset_viols);
-    if !lockset_allowed.is_empty() {
-        report
-            .allowed_findings
-            .insert(RULE_LOCKSET, lockset_allowed);
-    }
     let (taint_viols, taint_allowed) = taint::check(&idx);
     report.violations.extend(taint_viols);
     if !taint_allowed.is_empty() {

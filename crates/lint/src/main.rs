@@ -6,6 +6,8 @@
 //!   harbor-lint --update [--root]           # rewrite lint-baseline.toml
 //!   harbor-lint --list-rules
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -43,18 +45,12 @@ fn main() -> ExitCode {
                 }
             },
             "--list-rules" => {
-                println!("determinism          pure (seed, …, ordinal) fault decisions in chaos/fault modules");
                 println!(
-                    "lock-across-blocking no guard held across send/recv/page-IO/RPC/nested lock"
-                );
-                println!(
-                    "lock-rank            declared order: {}",
-                    harbor_lint::LOCK_RANK_ORDER.join(" → ")
+                    "lock-across-blocking no guard held across send/recv/page-IO/RPC/spawn/nested lock"
                 );
                 println!("error-taxonomy       Timeout/SiteUnavailable/CorruptPage minted only at classification boundaries");
                 println!("panic-ratchet        unwrap/expect counts pinned in lint-baseline.toml, only shrink");
-                println!("lockset-race         shared fields need consistent locksets workspace-wide; no guard crosses a spawn");
-                println!("deadline-propagation paths reachable from front-door deadline entries must thread the deadline (no untimed recv, unbounded retry, budget-blind page I/O)");
+                println!("deadline-propagation paths in the bare-name call graph from front-door deadline entries must thread the deadline (no untimed recv, unbounded retry, budget-blind page I/O)");
                 println!("lint-allow           every allow(<rule>) must carry a reason; graph-rule allows ratchet in lint-baseline.toml");
                 return ExitCode::SUCCESS;
             }

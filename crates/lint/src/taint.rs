@@ -1,17 +1,17 @@
-//! Pass 2b: the deadline-propagation taint rule.
+//! Pass 2: the deadline-propagation taint rule.
 //!
 //! The front door (PR 9) promises a per-request deadline: admission rejects
 //! stale work, and `FrontHandler::execute` re-checks the budget between
-//! engine steps. That promise only holds if every path *reachable* from a
-//! deadline-carrying entry point keeps consulting the deadline — one
-//! untimed `recv()` or unbounded retry loop deep in `dist`/`core` and the
-//! worker pool wedges a slot until the wire goes away, which is exactly
-//! the tail-latency bug class BENCH_serve's p99-under-chaos exists to pin.
+//! engine steps. That promise only holds if the code a request runs keeps
+//! consulting the deadline — one untimed `recv()` or unbounded retry loop
+//! deep in `dist`/`core` and the worker pool wedges a slot until the wire
+//! goes away, which is exactly the tail-latency bug class BENCH_serve's
+//! p99-under-chaos exists to pin.
 //!
 //! The rule: seed taint at every non-test fn in `crates/front` that takes
-//! a deadline-shaped parameter, propagate along the name-resolved call
-//! graph (a stoplist of ubiquitous/leaf names bounds the blast radius),
-//! and flag on tainted fns:
+//! a deadline-shaped parameter, propagate along the call graph (a stoplist
+//! of ubiquitous/leaf names bounds the blast radius), and flag on tainted
+//! fns:
 //!
 //! * **untimed `recv()`** — waits forever on a path that promised a bound;
 //! * **unbounded retry loops** — a `loop` with blocking work and a
@@ -21,6 +21,12 @@
 //!   I/O without receiving *or* mentioning a deadline has dropped the
 //!   budget on the floor (engine/storage leaf I/O is one bounded step of a
 //!   caller that re-checks between steps).
+//!
+//! The call graph has no types: a call edge goes to every fn of the called
+//! bare name, so the graph over-approximates. A finding is a path in that
+//! graph (the diagnostic prints up to six hops of it), not a proof that the
+//! flagged code is reachable from a front-door entry point; read the chain
+//! before fixing.
 //!
 //! Findings honour `// harbor-lint: allow(deadline-propagation) — reason`
 //! and suppressed findings count into `lint-baseline.toml`'s

@@ -20,3 +20,10 @@ pub fn fake_corruption(table: TableId, page: u32) -> DbError {
     // declare a page corrupt.
     DbError::CorruptPage { table, page }
 }
+
+pub fn sloppy(site: SiteId) -> DbError {
+    // Violation: bare allow — the escape hatch without a reason is itself
+    // reported (rule `lint-allow`) and suppresses nothing.
+    // harbor-lint: allow(error-taxonomy)
+    DbError::unavailable(format!("site {site:?} looks sloppy"))
+}

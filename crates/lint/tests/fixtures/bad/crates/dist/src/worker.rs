@@ -38,4 +38,19 @@ impl Worker {
         drop(b);
         drop(a);
     }
+
+    // Violation: a thread spawned while the txn-table guard is held — the
+    // child runs concurrently against a lock its parent still holds.
+    pub fn spawn_flusher(&self) {
+        let g = self.txns.lock();
+        std::thread::spawn(move || fixture_flush());
+        drop(g);
+    }
+
+    // Violation: the same through a builder's `.spawn(`.
+    pub fn spawn_named(&self) {
+        let g = self.peers.lock();
+        std::thread::Builder::new().name("peer".into()).spawn(move || fixture_flush());
+        drop(g);
+    }
 }

@@ -38,4 +38,17 @@ impl Worker {
         // harbor-lint: allow(lock-across-blocking) — the SharedChan mutex IS the per-site RPC serialization point
         c.send(&Msg::Ping)
     }
+
+    // The guard is released before the spawn, and the child takes the lock
+    // on its own thread.
+    pub fn spawn_flusher(self: Arc<Self>) {
+        let n = {
+            let g = self.txns.lock();
+            g.len()
+        };
+        std::thread::spawn(move || {
+            let g = self.txns.lock();
+            fixture_flush(n, &g);
+        });
+    }
 }

@@ -30,6 +30,8 @@
 //! next frame ([`Channel::is_closed`]): over TCP the write would succeed
 //! and the loss show only at the read, too late to send that frame again.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod inmem;
 pub mod serve;

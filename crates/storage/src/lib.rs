@@ -19,6 +19,8 @@
 //! write-back, page LSNs); a HARBOR site attaches nothing and relies on
 //! checkpoints plus replica queries.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod checkpoint;
 pub mod directory;

@@ -16,6 +16,8 @@
 //!   generic over a [`aries::RecoveryStorage`] so it stays decoupled from the
 //!   concrete heap-file implementation.
 
+#![forbid(unsafe_code)]
+
 pub mod aries;
 pub mod log;
 pub mod record;

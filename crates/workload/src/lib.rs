@@ -8,6 +8,8 @@
 //! workloads against a [`harbor::Cluster`] and measures throughput,
 //! latency, and per-second timelines.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod gen;
 pub mod measure;

@@ -21,6 +21,8 @@
 //!
 //! Like the crate it stands in for, it depends on nothing but `std`.
 
+#![forbid(unsafe_code)]
+
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;

@@ -15,6 +15,8 @@
 //! holds for every caller that changes the waited-for state under the
 //! mutex it waits with — which a std condvar requires anyway.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
