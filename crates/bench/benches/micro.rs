@@ -362,7 +362,8 @@ fn bench_scan(_c: &mut Criterion) {
         .config("rows", rows)
         .config("iters", iters)
         .config("deleted_fraction", "0.5")
-        .config("pool_shards", pool.num_shards());
+        .config("pool_shards", pool.num_shards())
+        .environment();
 
     // `units` is what one call of `f` is divided by: the table's rows for a
     // scan, 1 for a lookup.

@@ -209,6 +209,79 @@ pub fn pin_to_one_cpu() -> Option<usize> {
     None
 }
 
+/// Allocation counts for tests and benches. A binary that installs
+/// [`Counting`] as its `#[global_allocator]` can read, around the path it
+/// measures, how many allocations (`alloc`, `alloc_zeroed` and `realloc`
+/// calls) and bytes every thread of the process asked for. The counts are
+/// process-wide, so a test that reads them is the only one in its binary.
+pub mod alloc_count {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+    static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+    static BYTES: AtomicU64 = AtomicU64::new(0);
+
+    /// The system allocator, counting.
+    pub struct Counting;
+
+    fn count(bytes: usize) {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(bytes as u64, Relaxed);
+    }
+
+    // SAFETY: every call is forwarded to `System` with the caller's own
+    // arguments; the counters are atomics and allocate nothing.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count(layout.size());
+            // SAFETY: the caller's contract for `alloc`, passed on.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count(layout.size());
+            // SAFETY: the caller's contract for `alloc_zeroed`, passed on.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count(new_size);
+            // SAFETY: the caller's contract for `realloc`, passed on.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: the caller's contract for `dealloc`, passed on.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    /// Allocations and bytes asked for so far, or between two reads.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Counts {
+        pub allocations: u64,
+        pub bytes: u64,
+    }
+
+    impl Counts {
+        /// The counts now (all zero unless [`Counting`] is installed).
+        pub fn now() -> Counts {
+            Counts {
+                allocations: ALLOCATIONS.load(Relaxed),
+                bytes: BYTES.load(Relaxed),
+            }
+        }
+
+        /// What was counted from `earlier` to `self`.
+        pub fn since(self, earlier: Counts) -> Counts {
+            Counts {
+                allocations: self.allocations - earlier.allocations,
+                bytes: self.bytes - earlier.bytes,
+            }
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // Machine-readable baselines (BENCH_*.json)
 // ----------------------------------------------------------------------

@@ -1,11 +1,19 @@
 //! The in-memory row, and the codecs between it and the store's slots.
 //!
-//! A [`Tuple`] is the bytes a row crosses the wire in, held as one
-//! exact-size allocation: a `u16` field count, then each field as
-//! [`Value`]'s codec writes it — a tag byte and a payload (4 bytes for
-//! `Int32`, 8 for `Int64` and `Time`, a `u32` length and UTF-8 bytes for
-//! `Str`). The encoding is canonical, so two rows are equal exactly when
-//! their bytes are. A paper row of sixteen integer fields is 94 bytes.
+//! A [`Tuple`] is the bytes a row crosses the wire in: a `u16` field count,
+//! then each field as [`Value`]'s codec writes it — a tag byte and a
+//! payload (4 bytes for `Int32`, 8 for `Int64` and `Time`, a `u32` length
+//! and UTF-8 bytes for `Str`). The encoding is canonical, so two rows are
+//! equal exactly when their bytes are. A paper row of sixteen integer
+//! fields is 94 bytes.
+//!
+//! Those bytes are held one of two ways. A row built from values, from a
+//! page slot or off a request has an exact-size allocation of its own. A
+//! row read off a scan reply ([`Tuple::read_shared`]) is a range of the
+//! reply frame it arrived in and keeps that frame alive: the rows of one
+//! frame share its one allocation, and the frame is freed with the last of
+//! them. Writing to a shared row ([`Tuple::set_deletion_ts`]) copies it out
+//! first, so its siblings never see the write.
 //!
 //! Every row is checked field by field when it is built — from values,
 //! from a page slot or off the wire — so reading a field of one cannot fail;
@@ -14,11 +22,13 @@
 //! The row codecs, none with a [`Value`] between:
 //! * a page slot into a row: [`transcode_fixed_to_wire`] (the ship sink's
 //!   own function, which [`Tuple::from_fixed`] runs into the row) and its
-//!   projecting twin [`transcode_fixed_cols_to_wire`];
+//!   projecting twin [`transcode_fixed_cols_to_wire`]; one field of a slot,
+//!   without the row: [`fixed_field`] (a predicate's column read);
 //! * a row into a page slot: [`transcode_wire_to_fixed`], straight off a
 //!   receive buffer or from a row in memory ([`Tuple::write_fixed`]);
 //! * a row off the wire and back: [`Tuple::read_wire`] checks and copies,
-//!   [`Tuple::write_wire`] copies.
+//!   [`Tuple::read_shared`] checks and keeps the frame, [`Tuple::write_wire`]
+//!   copies.
 
 use crate::codec::{bad_tag, Decoder, Encoder, Wire};
 use crate::error::{DbError, DbResult};
@@ -27,19 +37,62 @@ use crate::time::Timestamp;
 use crate::value::Value;
 use crate::FieldType;
 use std::fmt;
+use std::sync::Arc;
 
 /// A row: its self-describing wire encoding, conforming to some
-/// [`TupleDesc`].
+/// [`TupleDesc`] — in an allocation of its own, or as a range of the reply
+/// frame it arrived in, which it keeps alive (see the module doc).
 ///
 /// Stored tuples carry the two reserved version columns in positions 0 and 1;
 /// query outputs may have arbitrary shapes.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Tuple {
     /// A `u16` field count, then the fields; checked when built.
-    wire: Box<[u8]>,
+    held: Held,
+}
+
+/// Where a row's bytes are.
+#[derive(Clone)]
+enum Held {
+    /// An exact-size allocation of the row's own.
+    Own(Box<[u8]>),
+    /// `frame[start..end]` of a received reply, shared with the rows beside
+    /// it.
+    Frame {
+        frame: Arc<Vec<u8>>,
+        start: u32,
+        end: u32,
+    },
 }
 
 impl Tuple {
+    fn own(wire: Box<[u8]>) -> Self {
+        Tuple {
+            held: Held::Own(wire),
+        }
+    }
+
+    /// The row's bytes, wherever they are held.
+    #[inline]
+    fn wire(&self) -> &[u8] {
+        match &self.held {
+            Held::Own(wire) => wire,
+            Held::Frame { frame, start, end } => &frame[*start as usize..*end as usize],
+        }
+    }
+
+    /// The row's bytes to write to: a shared row is copied out of its frame
+    /// first, so the rows beside it keep theirs.
+    fn wire_mut(&mut self) -> &mut [u8] {
+        if let Held::Frame { .. } = self.held {
+            self.held = Held::Own(self.wire().into());
+        }
+        match &mut self.held {
+            Held::Own(wire) => wire,
+            Held::Frame { .. } => unreachable!("copied out above"),
+        }
+    }
+
     pub fn new(values: Vec<Value>) -> Self {
         Self::encode(&[], &values)
     }
@@ -55,15 +108,13 @@ impl Tuple {
     fn encode(times: &[Timestamp], values: &[Value]) -> Self {
         let mut stack = [0u8; 256];
         if let Some(len) = write_fields(&mut stack, times, values) {
-            return Tuple {
-                wire: stack[..len].into(),
-            };
+            return Tuple::own(stack[..len].into());
         }
         let size = 2 + 9 * times.len() + values.iter().map(wire_size).sum::<usize>();
         let mut wire = vec![0; size].into_boxed_slice();
         let written = write_fields(&mut wire, times, values);
         debug_assert_eq!(written, Some(size));
-        Tuple { wire }
+        Tuple::own(wire)
     }
 
     /// Decodes a stored row: its slot's bytes transcoded into the row by
@@ -85,9 +136,7 @@ impl Tuple {
         }
         let mut enc = Encoder::with_capacity(size);
         transcode_fixed_to_wire(desc, bytes, deletion, &mut enc)?;
-        Ok(Tuple {
-            wire: enc.into_bytes().into_boxed_slice(),
-        })
+        Ok(Tuple::own(enc.into_bytes().into_boxed_slice()))
     }
 
     /// Every field, in order.
@@ -119,7 +168,8 @@ impl Tuple {
     /// [`Value`]'s codec.
     #[inline]
     pub fn try_get(&self, i: usize) -> DbResult<Value> {
-        let (wire, at) = (&self.wire, self.seek(i)?);
+        let wire = self.wire();
+        let at = seek(wire, i)?;
         let payload = at + 1;
         Ok(match wire[at] {
             Value::INT32_TAG => Value::Int32(i32::from_le_bytes(field_bytes(wire, payload)?)),
@@ -132,7 +182,7 @@ impl Tuple {
     }
 
     pub fn len(&self) -> usize {
-        u16::from_le_bytes([self.wire[0], self.wire[1]]) as usize
+        field_count(self.wire())
     }
 
     pub fn is_empty(&self) -> bool {
@@ -149,61 +199,30 @@ impl Tuple {
         self.version(COL_DELETION_TS)
     }
 
-    /// Overwrites a stored tuple's deletion timestamp in place. A row whose
-    /// first two fields are not timestamps is [`DbError::Schema`].
+    /// Overwrites a stored tuple's deletion timestamp: in place in a row of
+    /// its own, in a copy of a shared row (its frame is left as it is). A
+    /// row whose first two fields are not timestamps is [`DbError::Schema`].
     pub fn set_deletion_ts(&mut self, t: Timestamp) -> DbResult<()> {
-        let at = self
-            .version_at(COL_DELETION_TS)
+        let at = version_at(self.wire(), COL_DELETION_TS)
             .ok_or_else(|| DbError::Schema(format!("{self} has no deletion time")))?;
-        self.wire[at..at + 8].copy_from_slice(&t.0.to_le_bytes());
+        self.wire_mut()[at..at + 8].copy_from_slice(&t.0.to_le_bytes());
         Ok(())
     }
 
-    /// Where version field `i` (0 or 1) keeps its 8 bytes, when fields 0
-    /// through `i` are timestamps: a tag and 8 bytes each, at fixed offsets.
-    fn version_at(&self, i: usize) -> Option<usize> {
-        let tag_at = |field: usize| 2 + 9 * field;
-        (0..=i)
-            .all(|f| self.wire.get(tag_at(f)) == Some(&Value::TIME_TAG))
-            .then_some(tag_at(i) + 1)
-    }
-
     fn version(&self, i: usize) -> DbResult<Timestamp> {
-        match self.version_at(i) {
-            Some(at) => {
-                let mut word = [0u8; 8];
-                word.copy_from_slice(&self.wire[at..at + 8]);
-                Ok(Timestamp(u64::from_le_bytes(word)))
-            }
+        let wire = self.wire();
+        match version_at(wire, i) {
+            Some(at) => Ok(Timestamp(u64::from_le_bytes(field_bytes(wire, at)?))),
             None => self.try_get(i)?.as_time(),
         }
-    }
-
-    /// Where field `i` starts.
-    #[inline]
-    fn seek(&self, i: usize) -> DbResult<usize> {
-        if i >= self.len() {
-            return Err(DbError::Schema(format!(
-                "no column {i} in a row of {} fields",
-                self.len()
-            )));
-        }
-        // A stored row's user fields start right after its deletion time.
-        let (mut at, from) = match self.version_at(COL_DELETION_TS) {
-            Some(deletion) if i >= NUM_VERSION_COLS => (deletion + 8, NUM_VERSION_COLS),
-            _ => (2, 0),
-        };
-        for _ in from..i {
-            at = field_end(&self.wire, at)?;
-        }
-        Ok(at)
     }
 
     /// The fields in order. A built row's fields all decode, so this stops
     /// only at the end.
     fn fields(&self) -> impl Iterator<Item = Value> + '_ {
-        let mut dec = Decoder::new(&self.wire[2..]);
-        (0..self.len()).map_while(move |_| Value::decode(&mut dec).ok())
+        let wire = self.wire();
+        let mut dec = Decoder::new(&wire[2..]);
+        (0..field_count(wire)).map_while(move |_| Value::decode(&mut dec).ok())
     }
 
     /// Writes this row into a page slot (`out`, exactly `desc.byte_width()`
@@ -218,7 +237,7 @@ impl Tuple {
                 out.len()
             )));
         }
-        transcode_wire_to_fixed(desc, &mut Decoder::new(&self.wire), out).or_else(|e| {
+        transcode_wire_to_fixed(desc, &mut Decoder::new(self.wire()), out).or_else(|e| {
             // The transcoder refuses exactly what `check` does; `check`
             // words it.
             desc.check(&self.values())?;
@@ -228,7 +247,7 @@ impl Tuple {
 
     /// Appends the row's wire encoding: one copy.
     pub fn write_wire(&self, enc: &mut Encoder) {
-        enc.put_raw(&self.wire);
+        enc.put_raw(self.wire());
     }
 
     /// Reads one wire row: every tag, length and string is checked, then
@@ -236,20 +255,100 @@ impl Tuple {
     /// short, an unknown tag or a string that is not UTF-8 is
     /// [`DbError::Corrupt`].
     pub fn read_wire(dec: &mut Decoder<'_>) -> DbResult<Tuple> {
-        let row = dec.rest();
-        let mut at = 2;
-        for _ in 0..u16::from_le_bytes(field_bytes(row, 0)?) {
-            let end = field_end(row, at)?;
-            if row[at] == Value::STR_TAG && std::str::from_utf8(&row[at + 5..end]).is_err() {
-                return Err(DbError::corrupt("invalid utf-8 in string"));
-            }
-            at = end;
-        }
-        Ok(Tuple {
-            wire: dec.take(at)?.into(),
+        let len = checked_row_len(dec.rest())?;
+        Ok(Tuple::own(dec.take(len)?.into()))
+    }
+
+    /// Reads one wire row of a received `frame` with
+    /// [`read_wire`](Self::read_wire)'s checks, but copies nothing: the
+    /// row is its range of the frame and keeps the frame alive. `dec` must
+    /// stand in `frame`, its rest the frame's tail — the decoder a reply's
+    /// visitor is handed with its frame; any other is
+    /// [`DbError::Internal`].
+    pub fn read_shared(frame: &Arc<Vec<u8>>, dec: &mut Decoder<'_>) -> DbResult<Tuple> {
+        let in_frame = |at: &usize| std::ptr::eq(frame[*at..].as_ptr(), dec.rest().as_ptr());
+        let Some(start) = frame.len().checked_sub(dec.remaining()).filter(in_frame) else {
+            return Err(DbError::Internal("a decoder outside its frame".into()));
+        };
+        let len = checked_row_len(dec.rest())?;
+        dec.take(len)?;
+        let end = start + len;
+        Ok(match (u32::try_from(start), u32::try_from(end)) {
+            (Ok(start), Ok(end)) => Tuple {
+                held: Held::Frame {
+                    frame: frame.clone(),
+                    start,
+                    end,
+                },
+            },
+            _ => Tuple::own(frame[start..end].into()),
         })
     }
 }
+
+/// A built row's field count.
+#[inline]
+fn field_count(wire: &[u8]) -> usize {
+    u16::from_le_bytes([wire[0], wire[1]]) as usize
+}
+
+/// Where version field `i` (0 or 1) of a built row keeps its 8 bytes, when
+/// fields 0 through `i` are timestamps: a tag and 8 bytes each, at fixed
+/// offsets.
+#[inline]
+fn version_at(wire: &[u8], i: usize) -> Option<usize> {
+    let tag_at = |field: usize| 2 + 9 * field;
+    (0..=i)
+        .all(|f| wire.get(tag_at(f)) == Some(&Value::TIME_TAG))
+        .then_some(tag_at(i) + 1)
+}
+
+/// Where field `i` of a built row starts.
+#[inline]
+fn seek(wire: &[u8], i: usize) -> DbResult<usize> {
+    let len = field_count(wire);
+    if i >= len {
+        return Err(no_column(i, len));
+    }
+    // A stored row's user fields start right after its deletion time.
+    let (mut at, from) = match version_at(wire, COL_DELETION_TS) {
+        Some(deletion) if i >= NUM_VERSION_COLS => (deletion + 8, NUM_VERSION_COLS),
+        _ => (2, 0),
+    };
+    for _ in from..i {
+        at = field_end(wire, at)?;
+    }
+    Ok(at)
+}
+
+/// The length of the wire row `row` starts with, every tag, length and
+/// string checked: a row cut short, an unknown tag or a string that is not
+/// UTF-8 is [`DbError::Corrupt`].
+fn checked_row_len(row: &[u8]) -> DbResult<usize> {
+    let mut at = 2;
+    for _ in 0..u16::from_le_bytes(field_bytes(row, 0)?) {
+        let end = field_end(row, at)?;
+        if row[at] == Value::STR_TAG && std::str::from_utf8(&row[at + 5..end]).is_err() {
+            return Err(DbError::corrupt("invalid utf-8 in string"));
+        }
+        at = end;
+    }
+    Ok(at)
+}
+
+/// A row of `len` fields has no column `i`.
+#[cold]
+fn no_column(i: usize, len: usize) -> DbError {
+    DbError::Schema(format!("no column {i} in a row of {len} fields"))
+}
+
+impl PartialEq for Tuple {
+    fn eq(&self, other: &Self) -> bool {
+        self.wire() == other.wire()
+    }
+}
+
+impl Eq for Tuple {}
 
 /// The field walker: where the field of a wire row that starts at `at`
 /// ends — its tag, then its payload. An unknown tag or a field cut short is
@@ -379,6 +478,35 @@ pub fn transcode_fixed_cols_to_wire(
     Ok(())
 }
 
+/// Field `i` of a stored row's slot, `deletion` in place of the stored
+/// deletion time: the value the row [`Tuple::from_fixed`] builds would
+/// answer [`Tuple::try_get`] with, read without building it — a number
+/// straight off its bytes, a string checked and copied out. A slot cut
+/// short or a string that is not UTF-8 is [`DbError::Corrupt`], as the
+/// decode's is; a column the schema does not have is [`DbError::Schema`].
+#[inline]
+pub fn fixed_field(
+    desc: &TupleDesc,
+    bytes: &[u8],
+    i: usize,
+    deletion: Timestamp,
+) -> DbResult<Value> {
+    check_fixed_len(desc, bytes)?;
+    if i >= desc.len() {
+        return Err(no_column(i, desc.len()));
+    }
+    if i == COL_DELETION_TS && masked_column(desc).is_some() {
+        return Ok(Value::Time(deletion));
+    }
+    let field = &bytes[desc.field_offset(i)..];
+    Ok(match desc.field_type(i) {
+        FieldType::Int32 => Value::Int32(i32::from_le_bytes(slot_bytes(field))),
+        FieldType::Int64 => Value::Int64(i64::from_le_bytes(slot_bytes(field))),
+        FieldType::Time => Value::Time(Timestamp(u64::from_le_bytes(slot_bytes(field)))),
+        FieldType::FixedStr(n) => Value::Str(fixed_str(&field[..n as usize])?.to_owned()),
+    })
+}
+
 /// The column a masked deletion time replaces: a stored row's deletion
 /// time.
 fn masked_column(desc: &TupleDesc) -> Option<usize> {
@@ -417,13 +545,18 @@ fn transcode_field(
         }
         (FieldType::Time, None) => enc.put_raw(&tagged::<8, 9>(Value::TIME_TAG, slot_bytes(field))),
         (FieldType::FixedStr(n), None) => {
-            let s = std::str::from_utf8(unpadded(&field[..n as usize]))
-                .map_err(|_| DbError::corrupt("invalid utf-8 in fixed string"))?;
             enc.put_u8(Value::STR_TAG);
-            enc.put_str(s);
+            enc.put_str(fixed_str(&field[..n as usize])?);
         }
     }
     Ok(())
+}
+
+/// A stored string column's text: its bytes up to the NUL padding, which
+/// must be UTF-8.
+fn fixed_str(raw: &[u8]) -> DbResult<&str> {
+    std::str::from_utf8(unpadded(raw))
+        .map_err(|_| DbError::corrupt("invalid utf-8 in fixed string"))
 }
 
 /// A stored string column's bytes up to its NUL padding.
@@ -624,15 +757,121 @@ mod tests {
         assert!(sample().write_fixed(&d, &mut bytes[1..]).is_err());
     }
 
-    /// A row is a 16-byte handle on exactly its wire bytes: the paper's row
-    /// (two timestamps, an `Int64` key, thirteen `Int32`s) holds 94.
+    /// A row is a 24-byte handle on exactly its wire bytes: the paper's row
+    /// (two timestamps, an `Int64` key, thirteen `Int32`s) holds 94. The
+    /// handle is a pointer and a length for a row of its own, and a frame
+    /// pointer and a range for a shared one, so it needs a tag beside them.
     #[test]
     fn a_row_is_its_wire_bytes() {
-        assert_eq!(std::mem::size_of::<Tuple>(), 16);
+        assert_eq!(std::mem::size_of::<Tuple>(), 24);
         let mut user = vec![Value::Int64(7)];
         user.extend((0..13).map(Value::Int32));
         let row = Tuple::versioned(Timestamp(1), Timestamp::ZERO, user);
-        assert_eq!(row.wire.len(), 94);
+        assert_eq!(row.wire().len(), 94);
         assert_eq!(row.to_vec().len(), 94);
+    }
+
+    /// A reply frame as the scan service sends it: a header, then `rows`.
+    fn reply_frame(rows: &[Tuple]) -> Arc<Vec<u8>> {
+        let mut enc = Encoder::new();
+        enc.put_raw(b"head");
+        for row in rows {
+            row.write_wire(&mut enc);
+        }
+        Arc::new(enc.into_bytes())
+    }
+
+    fn read_all_shared(frame: &Arc<Vec<u8>>, n: usize) -> Vec<Tuple> {
+        let mut dec = Decoder::new(&frame[4..]);
+        let rows = (0..n)
+            .map(|_| Tuple::read_shared(frame, &mut dec).unwrap())
+            .collect();
+        dec.finish().unwrap();
+        rows
+    }
+
+    #[test]
+    fn a_reply_row_outlives_its_siblings_and_its_frame() {
+        let sent = vec![sample(), Tuple::new(vec![Value::Int32(3)]), sample()];
+        let frame = reply_frame(&sent);
+        let mut rows = read_all_shared(&frame, sent.len());
+        assert!(rows.iter().all(|r| matches!(r.held, Held::Frame { .. })));
+        // The frame's `Vec` goes with its last holder: the caller's handle
+        // and every row but one are dropped first.
+        let weak = Arc::downgrade(&frame);
+        drop(frame);
+        let last = rows.pop().unwrap();
+        drop(rows);
+        assert_eq!(weak.strong_count(), 1);
+        assert_eq!(last, sent[2]);
+        assert_eq!(last.get(4), Value::Str("colgate".into()));
+        drop(last);
+        assert_eq!(
+            weak.strong_count(),
+            0,
+            "the frame is freed with its last row"
+        );
+    }
+
+    #[test]
+    fn writing_a_shared_row_leaves_its_siblings_alone() {
+        let sent = vec![sample(), sample()];
+        let frame = reply_frame(&sent);
+        let before = frame.as_ref().clone();
+        let mut rows = read_all_shared(&frame, 2);
+        rows[0].set_deletion_ts(Timestamp(9)).unwrap();
+        assert_eq!(rows[0].deletion_ts().unwrap(), Timestamp(9));
+        assert!(matches!(rows[0].held, Held::Own(_)), "copied out");
+        assert_eq!(rows[1], sent[1]);
+        assert_eq!(rows[1].deletion_ts().unwrap(), Timestamp::ZERO);
+        assert_eq!(*frame, before, "the frame's bytes are unchanged");
+    }
+
+    #[test]
+    fn an_owned_and_a_shared_row_with_the_same_bytes_are_one_row() {
+        let own = sample();
+        let frame = reply_frame(std::slice::from_ref(&own));
+        let shared = read_all_shared(&frame, 1).pop().unwrap();
+        assert!(matches!(shared.held, Held::Frame { .. }));
+        assert_eq!(own, shared);
+        assert_eq!(shared, own);
+        assert_eq!(own.to_string(), shared.to_string());
+        assert_eq!(format!("{own:?}"), format!("{shared:?}"));
+        assert_ne!(shared, Tuple::new(vec![Value::Int32(3)]));
+    }
+
+    /// A frame row gets `read_wire`'s refusals.
+    #[test]
+    fn a_shared_read_refuses_what_read_wire_refuses() {
+        let mut bytes = reply_frame(&[sample()]).as_ref().clone();
+        bytes.truncate(bytes.len() - 1);
+        let frame = Arc::new(bytes);
+        let mut dec = Decoder::new(&frame[4..]);
+        let err = Tuple::read_shared(&frame, &mut dec).unwrap_err();
+        assert!(err.is_corrupt(), "{err}");
+        let mut dec = Decoder::new(&frame[4..]);
+        assert!(Tuple::read_wire(&mut dec).unwrap_err().is_corrupt());
+        // A decoder over other bytes has no range in this frame.
+        let other = frame.as_ref().clone();
+        let err = Tuple::read_shared(&frame, &mut Decoder::new(&other[4..])).unwrap_err();
+        assert!(matches!(err, DbError::Internal(_)), "{err}");
+    }
+
+    /// A slot's field reads as the decoded row's does, the deletion time
+    /// masked; a column past the end is a schema error.
+    #[test]
+    fn a_slot_field_reads_as_the_decoded_row() {
+        let d = desc();
+        let mut bytes = vec![0u8; d.byte_width()];
+        sample().write_fixed(&d, &mut bytes).unwrap();
+        let row = Tuple::from_fixed(&d, &bytes, Timestamp(7)).unwrap();
+        for i in 0..d.len() {
+            let field = fixed_field(&d, &bytes, i, Timestamp(7)).unwrap();
+            assert_eq!(field, row.get(i), "column {i}");
+        }
+        let err = fixed_field(&d, &bytes, d.len(), Timestamp(7)).unwrap_err();
+        assert!(matches!(err, DbError::Schema(_)), "{err}");
+        let err = fixed_field(&d, &bytes[1..], 2, Timestamp(7)).unwrap_err();
+        assert!(err.is_corrupt(), "{err}");
     }
 }

@@ -1178,12 +1178,16 @@ impl Coordinator {
         result
     }
 
-    /// All rows of a scan whose request is already on `chan`.
+    /// All rows of a scan whose request is already on `chan`, each a range
+    /// of the reply frame it arrived in: a frame is one allocation, however
+    /// many rows it carries.
     fn scan_rows(&self, chan: &mut dyn Channel) -> DbResult<Vec<Tuple>> {
         let mut out = Vec::new();
-        drain_scan_replies(chan, self.cfg.rpc_deadline, &self.metrics, |rows, wire| {
+        let deadline = self.cfg.rpc_deadline;
+        drain_scan_replies(chan, deadline, &self.metrics, |rows, frame, wire| {
+            out.reserve(rows);
             for _ in 0..rows {
-                out.push(Tuple::read_wire(wire)?);
+                out.push(Tuple::read_shared(frame, wire)?);
             }
             Ok(())
         })?;

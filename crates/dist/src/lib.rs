@@ -36,6 +36,7 @@ use harbor_common::codec::{Decoder, Wire};
 use harbor_common::{retry_with, DbError, DbResult, Metrics, RetryPolicy};
 use harbor_net::Channel;
 use message::open_tuples_frame;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The one wait for a peer: its next frame, within `deadline`. A peer that
@@ -119,31 +120,35 @@ pub fn scan_rpc(
     scan: &RemoteScan,
     deadline: Duration,
     metrics: &Metrics,
-    visit: impl FnMut(usize, &mut Decoder<'_>) -> DbResult<()>,
+    mut visit: impl FnMut(usize, &mut Decoder<'_>) -> DbResult<()>,
 ) -> DbResult<()> {
     chan.send(&Request::Scan(scan.clone()).to_vec())?;
-    drain_scan_replies(chan, deadline, metrics, visit)
+    drain_scan_replies(chan, deadline, metrics, |rows, _, wire| visit(rows, wire))
 }
 
 /// Drains the replies of a scan whose request is already on the wire: the
 /// worker streams tuple batches, the last marked `done`, then `Response::Ok`.
-/// A buddy that stops producing bytes for `deadline` — the partitioned-peer
-/// case whose socket never closes — is a disconnect, so Phase 2 re-deals
-/// the range exactly as for a buddy death instead of hanging recovery.
+/// `visit(rows, frame, wire)` gets each batch's row count, the received
+/// frame, and a decoder standing at the first row in it: rows read with
+/// [`Tuple::read_shared`](harbor_common::Tuple::read_shared) keep the frame
+/// instead of a copy each. A buddy that stops producing bytes for
+/// `deadline` — the partitioned-peer case whose socket never closes — is a
+/// disconnect, so Phase 2 re-deals the range exactly as for a buddy death
+/// instead of hanging recovery.
 pub(crate) fn drain_scan_replies(
     chan: &mut dyn Channel,
     deadline: Duration,
     metrics: &Metrics,
-    mut visit: impl FnMut(usize, &mut Decoder<'_>) -> DbResult<()>,
+    mut visit: impl FnMut(usize, &Arc<Vec<u8>>, &mut Decoder<'_>) -> DbResult<()>,
 ) -> DbResult<()> {
     loop {
-        let frame = next_frame(chan, deadline, metrics)?;
+        let frame = Arc::new(next_frame(chan, deadline, metrics)?);
         let Some((done, rows, mut wire)) = open_tuples_frame(&frame)? else {
             // A buddy that read a corrupt page of its own says `Corrupt`
             // (site-local, repairable): the fetcher fails over.
             return Err(Response::from_slice(&frame)?.into_error("scan"));
         };
-        visit(rows, &mut wire)?;
+        visit(rows, &frame, &mut wire)?;
         wire.finish()?;
         if done {
             break;

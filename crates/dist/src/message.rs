@@ -333,10 +333,16 @@ pub struct TuplesFrameBuilder {
 // [5] done flag, [6..10] row count (`Vec<Tuple>`'s), [10..] wire tuples.
 const TUPLES_DONE_OFFSET: usize = 5;
 const TUPLES_COUNT_OFFSET: usize = 6;
+const TUPLES_HEADER: usize = 10;
 
 impl TuplesFrameBuilder {
     pub fn new() -> Self {
-        let mut enc = Encoder::new();
+        Self::with_capacity(0)
+    }
+
+    /// A builder with room for `row_bytes` of rows before its buffer grows.
+    pub fn with_capacity(row_bytes: usize) -> Self {
+        let mut enc = Encoder::with_capacity(TUPLES_HEADER + row_bytes);
         enc.put_u32(0); // frame length, patched in finish()
         enc.put_u8(Response::TUPLES_TAG);
         enc.put_bool(false); // done flag, patched in finish()

@@ -25,7 +25,7 @@ use harbor_exec::{
     ScanRow,
 };
 use harbor_net::{Channel, Transport};
-use harbor_storage::{LockKey, LockMode, ScanBounds};
+use harbor_storage::{slots_per_page, LockKey, LockMode, ScanBounds};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -958,15 +958,22 @@ pub fn ship_scan(
     let pred = scan.predicate.as_ref();
     let put = |frame: &mut TuplesFrameBuilder, row: ScanRow<'_>| {
         let ids_only = scan.ids_and_deletions_only;
-        if row.ship(heap.desc(), pred, ids_only, frame.encoder())? {
+        if row.ship(pred, ids_only, frame.encoder())? {
             frame.note_row();
         }
         Ok(())
     };
+    // The first frame grows from empty, so a small answer (a key probe's)
+    // takes small allocations. A frame after a full one is sized up front
+    // for the most it can hold — a batch less one row, then a whole page —
+    // so it is one allocation, not a dozen doublings.
+    let most_rows = SCAN_BATCH - 1 + slots_per_page(heap.tuple_size());
+    let batch_bytes = most_rows * heap.desc().wire_capacity();
     let mut frame = TuplesFrameBuilder::new();
     let mut ship_if_full = |frame: &mut TuplesFrameBuilder| -> DbResult<()> {
         if frame.rows() as usize >= SCAN_BATCH {
-            ship(std::mem::take(frame), false)?;
+            let next = TuplesFrameBuilder::with_capacity(batch_bytes);
+            ship(std::mem::replace(frame, next), false)?;
         }
         Ok(())
     };

@@ -84,11 +84,7 @@ pub fn run_update_by_key(
     mut f: impl FnMut(Vec<Value>) -> Vec<Value>,
 ) -> DbResult<bool> {
     let index = engine.index(table)?;
-    let (heap, mode, bounds) = (
-        engine.pool().table(table)?,
-        ReadMode::Current(tid),
-        ScanBounds::all(),
-    );
+    let (mode, bounds) = (ReadMode::Current(tid), ScanBounds::all());
     let mut probed = index.lookup(engine.pool(), key)?;
     loop {
         // At most one live version exists per key under correct usage;
@@ -96,7 +92,7 @@ pub fn run_update_by_key(
         let mut hit = None;
         visit_versions(engine, table, &probed, mode, &bounds, |row| {
             if hit.is_none() {
-                hit = Some((row.rid, row.decode(heap.desc())?));
+                hit = Some((row.rid, row.decode()?));
             }
             Ok(())
         })?;

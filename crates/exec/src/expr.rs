@@ -4,10 +4,29 @@
 //! SQL frontend either: "query plans must be manually constructed", §6.1.5);
 //! expressions give those plans their WHERE clauses, including the timestamp
 //! range predicates of the recovery queries.
+//!
+//! There is one evaluator, [`Expr::eval`], over anything that can read a
+//! column ([`Columns`]): a decoded [`Tuple`], or a row still in its page
+//! slot ([`ScanRow`](crate::ScanRow)), which is how the scan service tests
+//! a predicate before it transcodes anything.
 
 use harbor_common::{wire_enum, DbResult, Timestamp, Tuple, Value};
 use std::cmp::Ordering;
 use std::fmt;
+
+/// How an expression reads the row it is evaluated on.
+pub trait Columns {
+    /// Column `i`, or [`DbError::Schema`](harbor_common::DbError::Schema)
+    /// if the row has none.
+    fn column(&self, i: usize) -> DbResult<Value>;
+}
+
+impl Columns for Tuple {
+    #[inline]
+    fn column(&self, i: usize) -> DbResult<Value> {
+        self.try_get(i)
+    }
+}
 
 wire_enum! {
     /// Comparison operators.
@@ -114,21 +133,21 @@ impl Expr {
         Expr::Arith(ArithOp::Add, Box::new(self), Box::new(other))
     }
 
-    /// Evaluates against `tuple`. A column the tuple does not have is
+    /// Evaluates against `row`. A column the row does not have is
     /// [`DbError::Schema`](harbor_common::DbError::Schema): an expression
     /// may have come off the wire.
-    pub fn eval(&self, tuple: &Tuple) -> DbResult<Value> {
+    pub fn eval<R: Columns>(&self, row: &R) -> DbResult<Value> {
         match self {
-            Expr::Col(i) => tuple.try_get(*i),
+            Expr::Col(i) => row.column(*i),
             Expr::Lit(v) => Ok(v.clone()),
             Expr::Cmp(op, a, b) => {
-                let a = a.eval(tuple)?;
-                let b = b.eval(tuple)?;
+                let a = a.eval(row)?;
+                let b = b.eval(row)?;
                 Ok(Value::Int32(op.test(a.total_cmp(&b)) as i32))
             }
             Expr::Arith(op, a, b) => {
-                let a = a.eval(tuple)?.as_i64()?;
-                let b = b.eval(tuple)?.as_i64()?;
+                let a = a.eval(row)?.as_i64()?;
+                let b = b.eval(row)?.as_i64()?;
                 let v = match op {
                     ArithOp::Add => a.wrapping_add(b),
                     ArithOp::Sub => a.wrapping_sub(b),
@@ -149,18 +168,18 @@ impl Expr {
                 Ok(Value::Int64(v))
             }
             Expr::And(a, b) => Ok(Value::Int32(
-                (a.eval_bool(tuple)? && b.eval_bool(tuple)?) as i32,
+                (a.eval_bool(row)? && b.eval_bool(row)?) as i32,
             )),
             Expr::Or(a, b) => Ok(Value::Int32(
-                (a.eval_bool(tuple)? || b.eval_bool(tuple)?) as i32,
+                (a.eval_bool(row)? || b.eval_bool(row)?) as i32,
             )),
-            Expr::Not(a) => Ok(Value::Int32(!a.eval_bool(tuple)? as i32)),
+            Expr::Not(a) => Ok(Value::Int32(!a.eval_bool(row)? as i32)),
         }
     }
 
     /// Evaluates as a predicate.
-    pub fn eval_bool(&self, tuple: &Tuple) -> DbResult<bool> {
-        Ok(self.eval(tuple)?.as_i64()? != 0)
+    pub fn eval_bool<R: Columns>(&self, row: &R) -> DbResult<bool> {
+        Ok(self.eval(row)?.as_i64()? != 0)
     }
 }
 

@@ -20,7 +20,7 @@ pub mod op;
 pub mod scan;
 
 pub use dml::{run_delete, run_insert, run_update, run_update_by_key};
-pub use expr::{ArithOp, CmpOp, Expr};
+pub use expr::{ArithOp, CmpOp, Columns, Expr};
 pub use op::{collect, Filter, Operator};
 pub use scan::{
     index_lookup, scan_pages, scan_rids, visit_key, visit_page, visit_versions, ReadMode, ScanRow,

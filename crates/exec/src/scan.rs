@@ -25,16 +25,18 @@
 //! the record id), [`index_lookup`] and the worker's scan service
 //! ([`ScanRow::ship`]) are its sinks. A decode is a transcode: the slot's
 //! bytes into the row's wire bytes ([`Tuple::from_fixed`]), one allocation
-//! a row.
+//! a row. The ship sink decodes nothing: a predicate reads its columns off
+//! the slot ([`ScanRow`] is [`Columns`]), and only a row that passes is
+//! transcoded, straight into the reply frame.
 
-use crate::expr::Expr;
+use crate::expr::{Columns, Expr};
 use crate::op::Operator;
 use harbor_common::codec::Encoder;
 use harbor_common::schema::{COL_DELETION_TS, NUM_VERSION_COLS};
 use harbor_common::time::visible_at;
-use harbor_common::tuple::{transcode_fixed_cols_to_wire, transcode_fixed_to_wire};
+use harbor_common::tuple::{fixed_field, transcode_fixed_cols_to_wire, transcode_fixed_to_wire};
 use harbor_common::{
-    DbResult, PageId, RecordId, TableId, Timestamp, TransactionId, Tuple, TupleDesc,
+    DbResult, PageId, RecordId, TableId, Timestamp, TransactionId, Tuple, TupleDesc, Value,
 };
 use harbor_storage::table::ts_word;
 use harbor_storage::{BufferPool, ScanBounds, SegmentedHeapFile, ZoneEntry};
@@ -124,6 +126,8 @@ fn zone_class(t: Timestamp, z: &ZoneEntry) -> ZoneClass {
 /// ever crosses a channel send.
 pub struct ScanRow<'a> {
     pub rid: RecordId,
+    /// The table's row layout, which `bytes` is in.
+    pub desc: &'a TupleDesc,
     /// The row's fixed-width stored encoding.
     pub bytes: &'a [u8],
     /// Deletion time as the mode sees it (§5.3: a deletion after the
@@ -135,44 +139,46 @@ pub struct ScanRow<'a> {
 impl ScanRow<'_> {
     /// Materializes the row, with the masked deletion time in place.
     #[inline]
-    pub fn decode(&self, desc: &TupleDesc) -> DbResult<Tuple> {
-        Tuple::from_fixed(desc, self.bytes, self.del)
+    pub fn decode(&self) -> DbResult<Tuple> {
+        Tuple::from_fixed(self.desc, self.bytes, self.del)
     }
 
     /// The wire sink: appends the row to `enc` in the self-describing wire
     /// layout — the full row, or the `(tuple_id, deletion_time)` projection
     /// of the §5.3 deletion queries — transcoding from the page bytes.
-    /// `pred`, if any, is evaluated first, on the row decoded into its wire
-    /// bytes; a full row that passes goes out as those bytes. Returns
-    /// whether the row was written.
+    /// `pred`, if any, is tested first, on the slot: its columns are read
+    /// where they are stored, nothing is decoded or allocated for a number,
+    /// and a row that fails it is never transcoded. Returns whether the row
+    /// was written.
     #[inline]
     pub fn ship(
         &self,
-        desc: &TupleDesc,
         pred: Option<&Expr>,
         ids_and_deletions_only: bool,
         enc: &mut Encoder,
     ) -> DbResult<bool> {
-        let row = match pred {
-            Some(p) => {
-                let row = self.decode(desc)?;
-                if !p.eval_bool(&row)? {
-                    return Ok(false);
-                }
-                Some(row)
+        if let Some(p) = pred {
+            if !p.eval_bool(self)? {
+                return Ok(false);
             }
-            None => None,
-        };
+        }
         if ids_and_deletions_only {
             // The key is the first user field.
             let cols = [NUM_VERSION_COLS, COL_DELETION_TS];
-            transcode_fixed_cols_to_wire(desc, self.bytes, &cols, self.del, enc)?;
-        } else if let Some(row) = row {
-            row.write_wire(enc);
+            transcode_fixed_cols_to_wire(self.desc, self.bytes, &cols, self.del, enc)?;
         } else {
-            transcode_fixed_to_wire(desc, self.bytes, self.del, enc)?;
+            transcode_fixed_to_wire(self.desc, self.bytes, self.del, enc)?;
         }
         Ok(true)
+    }
+}
+
+/// A slot's column reads as the decoded row's would: the masked deletion
+/// time for the deletion column, every other field off its stored bytes.
+impl Columns for ScanRow<'_> {
+    #[inline]
+    fn column(&self, i: usize) -> DbResult<Value> {
+        fixed_field(self.desc, self.bytes, i, self.del)
     }
 }
 
@@ -261,6 +267,7 @@ fn visit(
         let all = class == ZoneClass::AllVisible && unbounded;
         let tsize = page.tuple_size();
         let data = page.slot_data();
+        let desc = heap.desc();
         let chunks = match only {
             Some(slot) => slot as usize / 64..slot as usize / 64 + 1,
             None => 0..page.slot_count().div_ceil(64),
@@ -288,6 +295,7 @@ fn visit(
                 };
                 sink(ScanRow {
                     rid: RecordId::new(pid, slot as u16),
+                    desc,
                     bytes,
                     del: Timestamp(del),
                 })?;
@@ -411,7 +419,6 @@ impl SeqScan {
         while self.page_idx < self.pages.len() && out.len() - start < min_rows {
             let pid = self.pages[self.page_idx];
             self.page_idx += 1;
-            let desc = self.heap.desc();
             visit_page(
                 &self.pool,
                 &self.heap,
@@ -419,7 +426,7 @@ impl SeqScan {
                 self.mode,
                 &self.bounds,
                 |row| {
-                    out.push(row.decode(desc)?);
+                    out.push(row.decode()?);
                     Ok(())
                 },
             )?;
@@ -485,7 +492,7 @@ pub fn scan_rids(
     let mut page_buf: Vec<(RecordId, Tuple)> = Vec::new();
     for pid in scan_pages(&heap, &bounds) {
         visit_page(pool, &heap, pid, mode, &bounds, |row| {
-            page_buf.push((row.rid, row.decode(heap.desc())?));
+            page_buf.push((row.rid, row.decode()?));
             Ok(())
         })?;
         for (rid, tup) in page_buf.drain(..) {
@@ -504,10 +511,9 @@ pub fn index_lookup(
     key: i64,
     mode: ReadMode,
 ) -> DbResult<Vec<(RecordId, Tuple)>> {
-    let heap = engine.pool().table(table)?;
     let mut out = Vec::new();
     visit_key(engine, table, key, mode, &ScanBounds::all(), |row| {
-        out.push((row.rid, row.decode(heap.desc())?));
+        out.push((row.rid, row.decode()?));
         Ok(())
     })?;
     Ok(out)

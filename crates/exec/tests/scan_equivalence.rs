@@ -28,13 +28,13 @@ use harbor_common::codec::{Decoder, Encoder};
 use harbor_common::schema::COL_DELETION_TS;
 use harbor_common::tuple::{transcode_fixed_to_wire, transcode_wire_to_fixed};
 use harbor_common::{
-    DbError, DbResult, FieldType, RecordId, SiteId, StorageConfig, TableId, Timestamp,
+    DbError, DbResult, FieldType, PageId, RecordId, SiteId, StorageConfig, TableId, Timestamp,
     TransactionId, Tuple, TupleDesc, Value,
 };
 use harbor_engine::{Engine, EngineOptions, StepLogging};
 use harbor_exec::{
-    collect, index_lookup, op::Operator, run_delete, scan_pages, scan_rids, visit_page, Expr,
-    Filter, ReadMode, SeqScan,
+    collect, index_lookup, op::Operator, run_delete, scan_pages, scan_rids, visit_page, ArithOp,
+    CmpOp, Columns, Expr, Filter, ReadMode, ScanRow, SeqScan,
 };
 use harbor_storage::{BufferPool, ScanBounds};
 use proptest::prelude::*;
@@ -292,7 +292,7 @@ fn shipped(
     let mut enc = Encoder::new();
     for pid in scan_pages(&heap, bounds) {
         visit_page(pool, &heap, pid, mode, bounds, |row| {
-            row.ship(heap.desc(), pred, ids_and_deletions_only, &mut enc)?;
+            row.ship(pred, ids_and_deletions_only, &mut enc)?;
             Ok(())
         })
         .unwrap();
@@ -624,6 +624,197 @@ proptest! {
                 (got, want) => prop_assert!(false, "{:?} against {:?}", got, want),
             }
             prop_assert!(!(must_fail && got.is_ok()));
+        }
+    }
+}
+
+/// A stored row as raw slot bytes over every field type, numbers often
+/// small so comparisons meet, strings empty, full-width, padded or not
+/// UTF-8 — and the time it is read at, which masks a deletion after it.
+fn slot_and_mask() -> impl Strategy<Value = (TupleDesc, Vec<u8>, Timestamp)> {
+    let field = prop_oneof![
+        Just(FieldType::Int32),
+        Just(FieldType::Int64),
+        Just(FieldType::Time),
+        (1u16..10).prop_map(FieldType::FixedStr),
+    ];
+    proptest::collection::vec(field, 1..6).prop_flat_map(|types| {
+        let fields: Vec<(&str, FieldType)> = types.iter().map(|ty| ("f", *ty)).collect();
+        let desc = TupleDesc::with_version_columns(fields);
+        let raw: Vec<BoxedStrategy<Vec<u8>>> = desc
+            .types()
+            .iter()
+            .enumerate()
+            .map(|(i, ty)| match *ty {
+                FieldType::Time if i < 2 => (0u64..=T_MAX)
+                    .prop_map(|t| t.to_le_bytes().to_vec())
+                    .boxed(),
+                FieldType::Int32 => prop_oneof![any::<i32>(), -3i32..3]
+                    .prop_map(|v| v.to_le_bytes().to_vec())
+                    .boxed(),
+                FieldType::Int64 => prop_oneof![any::<i64>(), -3i64..3]
+                    .prop_map(|v| v.to_le_bytes().to_vec())
+                    .boxed(),
+                FieldType::Time => prop_oneof![any::<u64>(), 0u64..3]
+                    .prop_map(|v| v.to_le_bytes().to_vec())
+                    .boxed(),
+                FieldType::FixedStr(n) => fixed_str(n as usize).boxed(),
+            })
+            .collect();
+        (raw, 0u64..=T_MAX + 1)
+            .prop_map(move |(raw, read_at)| (desc.clone(), raw.concat(), Timestamp(read_at)))
+    })
+}
+
+/// A stored string of width `n`: empty, full width, NUL-padded, or with a
+/// byte that is not UTF-8.
+fn fixed_str(n: usize) -> impl Strategy<Value = Vec<u8>> {
+    let ascii = move |len: usize| proptest::collection::vec(0x20u8..0x7f, len..=len);
+    prop_oneof![
+        Just(vec![0u8; n]),
+        ascii(n),
+        (0..n).prop_flat_map(move |len| ascii(len).prop_map(move |mut b| {
+            b.resize(n, 0);
+            b
+        })),
+        (ascii(n), 0..n, 0x80u8..=0xff).prop_map(|(mut b, at, bad)| {
+            b[at] = bad;
+            b
+        }),
+    ]
+}
+
+/// Every operator, over columns of the row (one past its end too) and
+/// literals of every type, small numbers and zero among them.
+fn expr(cols: usize) -> BoxedStrategy<Expr> {
+    let literal = prop_oneof![
+        (-3i32..3).prop_map(Value::Int32),
+        any::<i64>().prop_map(Value::Int64),
+        (-3i64..3).prop_map(Value::Int64),
+        (0u64..=T_MAX + 1).prop_map(|t| Value::Time(Timestamp(t))),
+        proptest::collection::vec(0x61u8..0x64, 0..3)
+            .prop_map(|b| Value::Str(String::from_utf8(b).unwrap())),
+    ];
+    let leaf = prop_oneof![
+        (0..cols + 1).prop_map(Expr::Col),
+        literal.prop_map(Expr::Lit)
+    ];
+    let cmp = prop_oneof![
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne),
+        Just(CmpOp::Lt),
+        Just(CmpOp::Le),
+        Just(CmpOp::Gt),
+        Just(CmpOp::Ge),
+    ]
+    .boxed();
+    let arith = prop_oneof![
+        Just(ArithOp::Add),
+        Just(ArithOp::Sub),
+        Just(ArithOp::Mul),
+        Just(ArithOp::Div),
+        Just(ArithOp::Mod),
+    ]
+    .boxed();
+    leaf.prop_recursive(4, 32, 2, move |inner| {
+        prop_oneof![
+            (cmp.clone(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::Cmp(
+                op,
+                Box::new(a),
+                Box::new(b)
+            )),
+            (arith.clone(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::Arith(
+                op,
+                Box::new(a),
+                Box::new(b)
+            )),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            inner.prop_map(Expr::not),
+        ]
+    })
+}
+
+/// The decoded row, but a column whose stored string is not UTF-8 reads as
+/// the decode's refusal of it: the row a decode a column at a time would
+/// give, for a slot `ScanRow::decode` refuses whole.
+struct Refusing {
+    row: Tuple,
+    refused: Vec<usize>,
+}
+
+impl Columns for Refusing {
+    fn column(&self, i: usize) -> DbResult<Value> {
+        if self.refused.contains(&i) {
+            return Err(DbError::corrupt("invalid utf-8 in fixed string"));
+        }
+        self.row.try_get(i)
+    }
+}
+
+/// What evaluating `e` on `row`'s decoded row gives; a column the decode
+/// refuses is refused when it is read.
+fn eval_decoded(e: &Expr, row: &ScanRow<'_>) -> DbResult<Value> {
+    let Err(refusal) = row.decode() else {
+        return e.eval(&row.decode().unwrap());
+    };
+    assert!(refusal.is_corrupt(), "{refusal}");
+    let mut blanked = row.bytes.to_vec();
+    let mut refused = Vec::new();
+    for (i, ty) in row.desc.types().iter().enumerate() {
+        let at = row.desc.field_offset(i);
+        let field = &mut blanked[at..at + ty.width()];
+        if matches!(ty, FieldType::FixedStr(_)) && std::str::from_utf8(field).is_err() {
+            field.fill(0);
+            refused.push(i);
+        }
+    }
+    let row = ScanRow {
+        bytes: &blanked,
+        ..*row
+    };
+    e.eval(&Refusing {
+        row: row.decode().unwrap(),
+        refused,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// One evaluator, two ways of reading a column: on the slot, an
+    /// expression gives what it gives on the decoded row — the same value,
+    /// or an error of the same variant and words — for every operator,
+    /// `/ 0` and `% 0`, a column past the end, strings of every shape and
+    /// the deletion column masked by a read before the stored deletion.
+    #[test]
+    fn a_predicate_on_the_slot_is_the_predicate_on_the_decoded_row(
+        (desc, bytes, read_at) in slot_and_mask(),
+        e in expr(8),
+    ) {
+        let stored = Timestamp(u64::from_le_bytes(bytes[8..16].try_into().unwrap()));
+        let del = ReadMode::SeeDeletedHistorical(read_at)
+            .admit(Timestamp::ZERO, stored)
+            .unwrap();
+        let row = ScanRow {
+            rid: RecordId::new(PageId::new(TableId(1), 1), 0),
+            desc: &desc,
+            bytes: &bytes,
+            del,
+        };
+        let got = e.eval(&row);
+        let want = eval_decoded(&e, &row);
+        match (&got, &want) {
+            (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "{}", e),
+            (Err(got), Err(want)) => {
+                prop_assert_eq!(
+                    std::mem::discriminant(got),
+                    std::mem::discriminant(want),
+                    "{} on {}", e, desc
+                );
+                prop_assert_eq!(got.to_string(), want.to_string());
+            }
+            _ => prop_assert!(false, "{}: {:?} on the slot, {:?} decoded", e, got, want),
         }
     }
 }
