@@ -1,5 +1,5 @@
 //! Commit-throughput experiment: epoch group commit vs the serial,
-//! paper-faithful 2PC path (DESIGN.md extension 14).
+//! paper-faithful 2PC path (DESIGN.md "Epoch group commit").
 //!
 //! N closed-loop client streams run an InsertStream/update-by-key mix
 //! against a 2-worker Opt2pc cluster on the emulated paper LAN (~150 µs per

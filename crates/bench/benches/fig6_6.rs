@@ -11,7 +11,7 @@
 //! fetch timers plus the recovery throughput counters (tuples/bytes
 //! shipped, ranges fetched/reassigned).
 
-use harbor::{Cluster, ClusterConfig, ReplicationSupervisor, SupervisorConfig, TableSpec};
+use harbor::{Cluster, ClusterConfig, ReplicationSupervisor, TableSpec};
 use harbor_bench::{
     experiment_dir, paper_lan, prefill, print_table, recovery_storage, rows_per_segment,
     run_historical_updates, run_insert_txns, run_recovery_scenario, BenchReport, RecoveryScenario,
@@ -172,7 +172,7 @@ fn main() {
             p.add_replicated_table("sales", &[SiteId(1), SiteId(2)]);
         });
         prefill(&cluster, "sales", prefill_rows).expect("prefill");
-        let mut sup = ReplicationSupervisor::new(SupervisorConfig::for_tests(0x5EED), &cluster);
+        let mut sup = ReplicationSupervisor::new(0x5EED, &cluster);
         // Kill one host and evict it: capacity is gone for good, so only
         // re-replication onto the spare can restore K.
         cluster.crash_worker(SiteId(2)).expect("crash");

@@ -1,5 +1,6 @@
 //! Front-door serving experiment: client-observed latency through the
-//! `harbor-front` daemon over real loopback TCP (DESIGN.md extension 17).
+//! `harbor-front` daemon over real loopback TCP (DESIGN.md "Front-door
+//! serving layer").
 //!
 //! Three scenarios, each measured with the closed-loop multi-client driver
 //! (`harbor_workload::run_front_clients`, seeded retry/backoff on typed

@@ -87,7 +87,10 @@ pub fn visible_at(insertion: Timestamp, deletion: Timestamp, t: Timestamp) -> bo
 /// while a transaction holds a time below `now` and is still uncommitted on
 /// some replica's pages. §5.3 assumes a historical query at T sees every
 /// transaction with commit time ≤ T; [`watermark`](Self::watermark) is the
-/// time for which that holds.
+/// time for which that holds. The rule sits here, not at a serving worker,
+/// which would have to hold each historical scan at T until no prepared
+/// transaction bounded below T is open there: a wait, a deadline and an
+/// answer for a dead coordinator on every historical read.
 #[derive(Debug)]
 pub struct TimestampAuthority {
     now: AtomicU64,

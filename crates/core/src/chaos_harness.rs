@@ -23,7 +23,7 @@
 
 use crate::cluster::Cluster;
 use crate::recovery::ScrubReport;
-use crate::supervisor::{ReplicationSupervisor, SupervisorConfig};
+use crate::supervisor::ReplicationSupervisor;
 use harbor_common::metrics::Group;
 use harbor_common::{DbResult, SiteId, Value};
 use harbor_dist::{CrashPoint, UpdateRequest};
@@ -251,7 +251,7 @@ impl Cluster {
         // background thread of `Cluster::start_supervisor`.
         let mut supervisor = cfg
             .supervisor
-            .then(|| ReplicationSupervisor::new(SupervisorConfig::for_tests(cfg.seed), self));
+            .then(|| ReplicationSupervisor::new(cfg.seed, self));
         if let Some(chaos) = self.chaos() {
             chaos.clear_trace();
             chaos.set_enabled(true);

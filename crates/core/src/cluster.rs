@@ -101,9 +101,6 @@ pub struct ClusterConfig {
     /// [`Cluster::set_disk_faults_enabled`]. Plans survive worker restarts,
     /// so a seed replays one byte-identical fault trace per site.
     pub disk_faults: Option<DiskFaultConfig>,
-    /// Cluster-wide crash schedule probed by the coordinator and workers at
-    /// the [`CrashPoint`] protocol steps.
-    pub crash_schedule: Arc<CrashSchedule>,
     /// Liveness deadline for commit-protocol round trips and recovery scan
     /// frames. Must comfortably exceed the engine's lock timeout, which is
     /// a *normal* source of slow replies.
@@ -134,7 +131,6 @@ impl ClusterConfig {
             recovery: RecoveryConfig::default(),
             chaos: None,
             disk_faults: None,
-            crash_schedule: Arc::new(CrashSchedule::new()),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
             epoch_commit: None,
             degrade_read_only: false,
@@ -161,6 +157,9 @@ pub struct Cluster {
     /// once at `build` and reused across worker restarts so ordinals and
     /// the fault trace accumulate site-wide.
     disk_plans: HashMap<SiteId, Arc<DiskFaultPlan>>,
+    /// The crash schedule the coordinator and every worker probe at the
+    /// [`CrashPoint`] protocol steps; empty until a test arms a point.
+    crash_schedule: Arc<CrashSchedule>,
     /// Counts every message/byte crossing the cluster's transport.
     net_metrics: Metrics,
     /// The live placement catalog, shared with the coordinator: membership
@@ -279,6 +278,7 @@ impl Cluster {
         // so membership changes (join/decommission/re-replication) are never
         // stale on either side.
         let placement = SharedPlacement::new(placement);
+        let crash_schedule = Arc::new(CrashSchedule::new());
         let coordinator = Coordinator::start_with_listener(
             CoordinatorConfig {
                 site: COORDINATOR_SITE,
@@ -288,7 +288,7 @@ impl Cluster {
                 group_commit: cfg.group_commit,
                 disk: cfg.storage.disk,
                 rpc_deadline: cfg.rpc_deadline,
-                crash_schedule: cfg.crash_schedule.clone(),
+                crash_schedule: crash_schedule.clone(),
                 epoch_commit: cfg.epoch_commit,
                 degrade_read_only: cfg.degrade_read_only,
             },
@@ -303,6 +303,7 @@ impl Cluster {
             transport: base,
             chaos,
             disk_plans,
+            crash_schedule,
             net_metrics,
             placement,
             coordinator,
@@ -359,12 +360,12 @@ impl Cluster {
 
     /// The cluster-wide crash schedule (see [`CrashPoint`]).
     pub fn crash_schedule(&self) -> &Arc<CrashSchedule> {
-        &self.cfg.crash_schedule
+        &self.crash_schedule
     }
 
     /// Arms a crash point for `site` on the shared schedule.
     pub fn arm_crash(&self, site: SiteId, point: CrashPoint) {
-        self.cfg.crash_schedule.arm(site, point);
+        self.crash_schedule.arm(site, point);
     }
 
     /// `site`'s own view of the transport (see [`transport_as`]).
@@ -535,7 +536,7 @@ impl Cluster {
             peers,
             coordinator,
             auto_consensus: cfg.auto_consensus,
-            crash_schedule: cfg.crash_schedule.clone(),
+            crash_schedule: self.crash_schedule.clone(),
         };
         let worker = Worker::start_with_listener(engine, transport, worker_cfg, listener)?;
         self.workers.lock().insert(site, worker);

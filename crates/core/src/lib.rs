@@ -61,4 +61,4 @@ pub use recovery::{
     quarantine_site, recover_object, recover_site, ObjectReport, RecoveryConfig, RecoveryContext,
     RecoveryFailPoint, RecoveryReport, ScrubReport,
 };
-pub use supervisor::{Repair, ReplicationSupervisor, SupervisorConfig, SupervisorHandle};
+pub use supervisor::{Repair, ReplicationSupervisor, SupervisorHandle};

@@ -11,8 +11,8 @@
 //! backoff (the same [`RetryPolicy`] schedule the RPC layer uses), so a
 //! chaos run with a pinned seed replays the identical repair trace.
 //! Admission throttling keeps repair I/O from starving the commit path:
-//! while the coordinator has more in-flight transactions than the
-//! configured ceiling, the supervisor yields its tick.
+//! while the coordinator has more in-flight transactions than
+//! `MAX_INFLIGHT`, the supervisor yields its tick.
 
 use crate::cluster::Cluster;
 use harbor_common::{RetryPolicy, SiteId};
@@ -21,37 +21,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Supervisor policy knobs.
-#[derive(Clone, Debug)]
-pub struct SupervisorConfig {
-    /// Cadence of the background loop (and the unit a backoff delay is
-    /// converted into for the synchronous, tick-driven chaos harness).
-    pub tick: Duration,
-    /// Admission throttle: when the coordinator holds more in-flight
-    /// transactions than this, the supervisor skips its tick entirely so
-    /// re-replication can never starve the commit path.
-    pub max_inflight: usize,
-    /// Seeded retry schedule for failed repairs of one target. Attempts
-    /// past `backoff.attempts` keep retrying at the capped delay — the
-    /// supervisor never gives up on a deficit, it only slows down.
-    pub backoff: RetryPolicy,
-}
+/// Cadence of the background loop, and the unit a backoff delay is
+/// converted into for the synchronous, tick-driven chaos harness.
+const TICK: Duration = Duration::from_millis(20);
 
-impl SupervisorConfig {
-    /// Deterministic defaults for tests and the chaos harness.
-    pub fn for_tests(seed: u64) -> Self {
-        SupervisorConfig {
-            tick: Duration::from_millis(20),
-            max_inflight: 8,
-            backoff: RetryPolicy::new(
-                6,
-                Duration::from_millis(20),
-                Duration::from_millis(500),
-                seed,
-            ),
-        }
-    }
-}
+/// Admission throttle: while the coordinator holds more in-flight
+/// transactions than this, the supervisor skips its tick, so
+/// re-replication never starves the commit path.
+const MAX_INFLIGHT: usize = 8;
 
 /// One repair the supervisor decided to run.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -83,7 +60,10 @@ struct BackoffState {
 /// [`tick`](Self::tick) (the chaos harness does, for determinism) or in a
 /// background thread via [`Cluster::start_supervisor`].
 pub struct ReplicationSupervisor {
-    cfg: SupervisorConfig,
+    /// The seeded retry schedule for failed repairs of one target. Attempts
+    /// past its last keep retrying at the capped delay: the supervisor never
+    /// gives up on a deficit, it only slows down.
+    retry: RetryPolicy,
     /// Per-table live-copy floor, captured from the placement catalog when
     /// the supervisor attached: the replica count it defends.
     floors: BTreeMap<String, usize>,
@@ -94,8 +74,9 @@ pub struct ReplicationSupervisor {
 }
 
 impl ReplicationSupervisor {
-    /// Captures each table's current placed-copy count as its floor.
-    pub fn new(cfg: SupervisorConfig, cluster: &Cluster) -> Self {
+    /// Captures each table's current placed-copy count as its floor;
+    /// `seed` seeds the backoff jitter.
+    pub fn new(seed: u64, cluster: &Cluster) -> Self {
         let snap = cluster.placement().snapshot();
         let mut floors = BTreeMap::new();
         for table in snap.table_names() {
@@ -104,7 +85,12 @@ impl ReplicationSupervisor {
             }
         }
         ReplicationSupervisor {
-            cfg,
+            retry: RetryPolicy::new(
+                6,
+                Duration::from_millis(20),
+                Duration::from_millis(500),
+                seed,
+            ),
             floors,
             backoff: BTreeMap::new(),
             stats: Arc::new(SupervisorStats::default()),
@@ -121,7 +107,7 @@ impl ReplicationSupervisor {
     /// *succeeded* this tick, if any.
     pub fn tick(&mut self, cluster: &Cluster, tick_no: u64) -> Option<Repair> {
         self.stats.ticks.fetch_add(1, Ordering::Relaxed);
-        if cluster.coordinator().inflight_txns() > self.cfg.max_inflight {
+        if cluster.coordinator().inflight_txns() > MAX_INFLIGHT {
             self.stats.throttled.fetch_add(1, Ordering::Relaxed);
             return None;
         }
@@ -149,7 +135,7 @@ impl ReplicationSupervisor {
                 let attempt = self
                     .backoff
                     .get(&repair)
-                    .map(|b| b.attempt.min(self.cfg.backoff.attempts))
+                    .map(|b| b.attempt.min(self.retry.attempts))
                     .unwrap_or(0);
                 let due_tick = tick_no + self.delay_ticks(attempt);
                 self.backoff.insert(
@@ -166,8 +152,8 @@ impl ReplicationSupervisor {
 
     /// Converts a backoff delay into whole ticks (at least one).
     fn delay_ticks(&self, attempt: u32) -> u64 {
-        let delay = self.cfg.backoff.delay(attempt);
-        let unit = self.cfg.tick.as_nanos().max(1);
+        let delay = self.retry.delay(attempt);
+        let unit = TICK.as_nanos();
         delay.as_nanos().div_ceil(unit).max(1) as u64
     }
 
@@ -250,15 +236,14 @@ impl Drop for SupervisorHandle {
 
 impl Cluster {
     /// Spawns the replication supervisor in a background thread: every
-    /// `cfg.tick` it scans for under-replicated objects and repairs at
-    /// most one, with seeded backoff on failure. The returned handle stops
+    /// tick it scans for under-replicated objects and repairs at most one,
+    /// with backoff seeded by `seed` on failure. The returned handle stops
     /// and joins the thread on drop.
     pub fn start_supervisor(
         self: &Arc<Self>,
-        cfg: SupervisorConfig,
+        seed: u64,
     ) -> harbor_common::DbResult<SupervisorHandle> {
-        let tick = cfg.tick;
-        let mut sup = ReplicationSupervisor::new(cfg, self);
+        let mut sup = ReplicationSupervisor::new(seed, self);
         let stats = sup.stats().clone();
         let stop = Arc::new(AtomicBool::new(false));
         let cluster = self.clone();
@@ -270,7 +255,7 @@ impl Cluster {
                 while !stop2.load(Ordering::SeqCst) {
                     let _ = sup.tick(&cluster, tick_no);
                     tick_no += 1;
-                    std::thread::sleep(tick);
+                    std::thread::sleep(TICK);
                 }
             })
             .map_err(|e| {

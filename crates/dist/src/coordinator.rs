@@ -1470,7 +1470,7 @@ impl Coordinator {
     }
 
     // ------------------------------------------------------------------
-    // Epoch group commit (extension 14): batched 2PC waves
+    // Epoch group commit (DESIGN.md "Epoch group commit"): batched 2PC waves
     // ------------------------------------------------------------------
 
     /// Client side of epoch commit: enqueue the transaction for the next

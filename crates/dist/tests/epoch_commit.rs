@@ -1,4 +1,4 @@
-//! Epoch group commit (extension 14): batched PREPARE/COMMIT waves,
+//! Epoch group commit (DESIGN.md "Epoch group commit"): batched PREPARE/COMMIT waves,
 //! per-transaction failure isolation, and §4.3.3 per-transaction
 //! consensus resolution after a mid-epoch coordinator crash.
 

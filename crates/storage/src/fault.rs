@@ -65,8 +65,11 @@ pub struct TargetedFault {
     pub kind: DiskFaultKind,
 }
 
-/// Seed + rates + targeted coordinates for one site's disk.
-#[derive(Clone, Debug)]
+/// Seed + rates + targeted coordinates for one site's disk. Page 0 — the
+/// directory header root — is spared from the probabilistic rates: a
+/// damaged directory root only manifests at reopen and is full-rebuild
+/// territory, not page repair; targeted faults still reach it.
+#[derive(Clone, Debug, Default)]
 pub struct DiskFaultConfig {
     pub seed: u64,
     /// ‰ of page reads that fail with an injected I/O error.
@@ -75,26 +78,8 @@ pub struct DiskFaultConfig {
     pub torn_write_per_mille: u16,
     /// ‰ of page writes that land with one bit inverted.
     pub bit_flip_per_mille: u16,
-    /// Spare page 0 — the directory header root — from the probabilistic
-    /// rates. A damaged directory root only manifests at reopen and is
-    /// full-rebuild territory, not page repair; unit tests exercise it via
-    /// targeted faults instead. Defaults to `true`.
-    pub spare_page_zero: bool,
     /// Exact faults injected regardless of the rates.
     pub targeted: Vec<TargetedFault>,
-}
-
-impl Default for DiskFaultConfig {
-    fn default() -> Self {
-        DiskFaultConfig {
-            seed: 0,
-            read_error_per_mille: 0,
-            torn_write_per_mille: 0,
-            bit_flip_per_mille: 0,
-            spare_page_zero: true,
-            targeted: Vec::new(),
-        }
-    }
 }
 
 impl DiskFaultConfig {
@@ -109,7 +94,6 @@ impl DiskFaultConfig {
             read_error_per_mille: 60,
             torn_write_per_mille: 90,
             bit_flip_per_mille: 90,
-            spare_page_zero: true,
             targeted: Vec::new(),
         }
     }
@@ -261,7 +245,7 @@ impl DiskFaultPlan {
             cur
         };
         let hit = self.targeted(table, page, ordinal, false).is_some()
-            || (!(self.cfg.spare_page_zero && page == 0)
+            || (page != 0
                 && self.cfg.read_error_per_mille > 0
                 && draw(self.cfg.seed, table.0, page, ordinal, 0) % 1000
                     < self.cfg.read_error_per_mille as u64);
@@ -290,10 +274,9 @@ impl DiskFaultPlan {
             *o += 1;
             cur
         };
-        let spare = self.cfg.spare_page_zero && page == 0;
         let kind = match self.targeted(table, page, ordinal, true) {
             Some(k) => Some(k),
-            None if spare => None,
+            None if page == 0 => None,
             None => {
                 let d = draw(self.cfg.seed, table.0, page, ordinal, 1) % 1000;
                 if d < self.cfg.torn_write_per_mille as u64 {

@@ -1,4 +1,4 @@
-//! Storage-fault-plane measurements (DESIGN.md extension 12): scrub
+//! Storage-fault-plane measurements (DESIGN.md "Storage fault model"): scrub
 //! throughput over a clean table, the full-object recovery baseline, and
 //! the repair of one corrupt page in the oldest, the middle and the newest
 //! segment. A repair is a recovery from a checkpoint rewound to just before

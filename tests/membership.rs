@@ -8,9 +8,7 @@
 //! deletion timestamps included — because a joined copy is built by the
 //! same Phase-2/Phase-3 machinery that rebuilds a crashed one.
 
-use harbor::{
-    Cluster, ClusterConfig, Repair, ReplicationSupervisor, SupervisorConfig, COORDINATOR_SITE,
-};
+use harbor::{Cluster, ClusterConfig, Repair, ReplicationSupervisor, COORDINATOR_SITE};
 use harbor_common::{DbError, SiteId, Value};
 use harbor_dist::ProtocolKind;
 use proptest::prelude::*;
@@ -233,9 +231,7 @@ fn supervisor_auto_recovers_killed_site() {
     for i in 30..45 {
         cluster.insert_one("sales", row(i, i as i32)).unwrap();
     }
-    let mut handle = cluster
-        .start_supervisor(SupervisorConfig::for_tests(0xD0C))
-        .unwrap();
+    let mut handle = cluster.start_supervisor(0xD0C).unwrap();
     let deadline = Instant::now() + Duration::from_secs(30);
     while cluster.is_crashed(SiteId(2)) {
         assert!(
@@ -278,7 +274,7 @@ fn supervisor_replicates_onto_spare_member() {
     }
     assert!(version_history(&cluster, SiteId(3)).is_empty());
     // Floor captured at attach: 2 copies.
-    let mut sup = ReplicationSupervisor::new(SupervisorConfig::for_tests(0x5A5A), &cluster);
+    let mut sup = ReplicationSupervisor::new(0x5A5A, &cluster);
     // Losing site 2 leaves one live copy — below the floor, spare on hand.
     let affected = cluster.decommission_worker(SiteId(2)).unwrap();
     assert_eq!(affected, vec!["sales".to_string()]);
@@ -326,7 +322,7 @@ fn degrade_read_only_gates_updates_at_last_copy() {
     // Reads still serve from the survivor.
     assert_eq!(cluster.read_latest("sales").unwrap().len(), 10);
     // The supervisor restores K; the gate lifts without intervention.
-    let mut sup = ReplicationSupervisor::new(SupervisorConfig::for_tests(0xDE6), &cluster);
+    let mut sup = ReplicationSupervisor::new(0xDE6, &cluster);
     assert_eq!(sup.tick(&cluster, 0), Some(Repair::RecoverSite(SiteId(2))));
     cluster.insert_one("sales", row(100, 1)).unwrap();
     assert_live_replicas_identical(&cluster, "after degradation lifted");
