@@ -623,7 +623,7 @@ pub fn run_recovery_scenario(
     // recovery queries pay per-message latency like everything else.
     cfg.transport = paper_lan();
     cfg.checkpoint_every = None;
-    cfg.recovery.parallel_objects = scenario != RecoveryScenario::HarborSerial2;
+    cfg.parallel_recovery = scenario != RecoveryScenario::HarborSerial2;
     for t in &table_refs {
         cfg.tables.push(TableSpec::paper_table(t));
     }

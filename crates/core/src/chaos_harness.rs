@@ -818,6 +818,14 @@ impl Cluster {
                 continue;
             };
             for tid in worker.unresolved_dist_txns() {
+                // No PREPARE came, so the worker aborts alone (§4.3.2) once it
+                // sees its coordinator's session close, perhaps already: this
+                // abort needs no peer and writes no line, so that race cannot
+                // fork the schedule.
+                if worker.participants(tid).is_empty() {
+                    all_clear &= worker.resolve_by_consensus(tid).is_ok();
+                    continue;
+                }
                 if partitioned {
                     all_clear = false;
                     report.schedule.push(format!(

@@ -7,8 +7,7 @@
 //! historically — all in a few lines (see `examples/quickstart.rs`).
 
 use crate::recovery::{
-    quarantine_site, recover_object, recover_site, RecoveryConfig, RecoveryContext, RecoveryReport,
-    ScrubReport,
+    quarantine_site, recover_object, recover_site, RecoveryContext, RecoveryReport, ScrubReport,
 };
 use harbor_common::{
     DbError, DbResult, FieldType, Metrics, SiteId, StorageConfig, Timestamp, Tuple, Value,
@@ -88,7 +87,9 @@ pub struct ClusterConfig {
     /// Workers run the consensus protocol automatically on coordinator
     /// disconnect (3PC).
     pub auto_consensus: bool,
-    pub recovery: RecoveryConfig,
+    /// A recovering site recovers its objects in parallel (§5.1) or one at
+    /// a time — the comparison of Figs 6-4/6-5.
+    pub parallel_recovery: bool,
     /// Deterministic fault injection: when set, every inter-site link goes
     /// through a seeded [`ChaosTransport`]. The chaos layer is built
     /// *disabled* so cluster bootstrap is fault-free; tests flip it on via
@@ -128,7 +129,7 @@ impl ClusterConfig {
             },
             tables: Vec::new(),
             auto_consensus: false,
-            recovery: RecoveryConfig::default(),
+            parallel_recovery: true,
             chaos: None,
             disk_faults: None,
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
@@ -559,7 +560,7 @@ impl Cluster {
     /// after a crash, to repair a page, as a new site or as a new replica:
     /// the site's running engine, the catalog as it stands, and the sites
     /// the harness knows to be down.
-    fn recovery_context(&self, site: SiteId, config: RecoveryConfig) -> DbResult<RecoveryContext> {
+    fn recovery_context(&self, site: SiteId) -> DbResult<RecoveryContext> {
         let mut down = self.crashed.lock().clone();
         down.remove(&site);
         Ok(RecoveryContext {
@@ -569,28 +570,27 @@ impl Cluster {
             transport: self.transport_of(site),
             down,
             rpc_deadline: self.cfg.rpc_deadline,
-            config,
+            parallel_objects: self.cfg.parallel_recovery,
+            crash_schedule: self.crash_schedule.clone(),
+            died_at: Default::default(),
         })
+    }
+
+    /// Ends a recovery of `site`: a recovery point armed for it that the
+    /// recovery did not reach is disarmed, so it cannot fire in a later one.
+    fn end_recovery(&self, site: SiteId) {
+        self.crash_schedule
+            .disarm_if(site, CrashPoint::is_recovery_point);
     }
 
     /// Brings a crashed worker back online with HARBOR's three-phase
     /// replica-query recovery (the site serves forwarded updates while
-    /// joining pending transactions).
+    /// joining pending transactions). On error the site stays crashed — the
+    /// worker server it briefly started is torn down so a later attempt can
+    /// rebind.
     pub fn recover_worker_harbor(&self, site: SiteId) -> DbResult<RecoveryReport> {
-        self.recover_worker_harbor_with(site, self.cfg.recovery.clone())
-    }
-
-    /// As [`recover_worker_harbor`](Self::recover_worker_harbor) with an
-    /// explicit recovery configuration (fault injection or serial objects).
-    /// On error the site stays crashed — the worker
-    /// server it briefly started is torn down so a later attempt can rebind.
-    pub fn recover_worker_harbor_with(
-        &self,
-        site: SiteId,
-        config: RecoveryConfig,
-    ) -> DbResult<RecoveryReport> {
         self.restart_worker(site)?;
-        let result = self.recovery_context(site, config).and_then(|ctx| {
+        let result = self.recovery_context(site).and_then(|ctx| {
             // With a disk-fault plan armed, the pages that survived the
             // crash may be checksum-corrupt; Phase 1's local restore would
             // trip over them. Quarantine them first: the rewound objects
@@ -600,6 +600,7 @@ impl Cluster {
             }
             recover_site(&ctx)
         });
+        self.end_recovery(site);
         match result {
             Ok(report) => {
                 self.crashed.lock().remove(&site);
@@ -626,7 +627,7 @@ impl Cluster {
     /// A repair that fails after its rewind fail-stops the site, so a
     /// half-repaired object is never served; the next recovery finishes it.
     pub fn scrub_worker(&self, site: SiteId) -> DbResult<ScrubReport> {
-        let ctx = self.recovery_context(site, self.cfg.recovery.clone())?;
+        let ctx = self.recovery_context(site)?;
         let checkpointer = ctx.engine.checkpointer();
         checkpointer.set_suspended(true);
         let mut report = ScrubReport::default();
@@ -637,6 +638,9 @@ impl Cluster {
             Ok(())
         });
         checkpointer.set_suspended(false);
+        if !report.repairs.is_empty() {
+            self.end_recovery(site);
+        }
         match scrubbed {
             Err(e) if !report.repairs.is_empty() => {
                 self.crash_worker(site)?;
@@ -690,8 +694,9 @@ impl Cluster {
             for w in self.workers.lock().values() {
                 w.add_peer(site, &addr);
             }
-            recover_site(&self.recovery_context(site, self.cfg.recovery.clone())?)
+            recover_site(&self.recovery_context(site)?)
         });
+        self.end_recovery(site);
         if joined.is_err() {
             if let Some(w) = self.workers.lock().remove(&site) {
                 w.crash();
@@ -745,7 +750,7 @@ impl Cluster {
         // next global checkpoint subsumes it.
         engine.checkpointer().set_suspended(true);
         let copied = self
-            .recovery_context(target, self.cfg.recovery.clone())
+            .recovery_context(target)
             .and_then(|ctx| recover_object(&ctx, table));
         engine.checkpointer().set_suspended(false);
         if copied.is_err() {

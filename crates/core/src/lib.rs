@@ -58,7 +58,7 @@ pub mod supervisor;
 pub use chaos_harness::{ChaosRunConfig, ChaosRunReport};
 pub use cluster::{Cluster, ClusterConfig, TableSpec, TransportKind, TxnRouter, COORDINATOR_SITE};
 pub use recovery::{
-    quarantine_site, recover_object, recover_site, ObjectReport, RecoveryConfig, RecoveryContext,
-    RecoveryFailPoint, RecoveryReport, ScrubReport,
+    quarantine_site, recover_object, recover_site, ObjectReport, RecoveryContext, RecoveryReport,
+    ScrubReport,
 };
 pub use supervisor::{Repair, ReplicationSupervisor, SupervisorHandle};

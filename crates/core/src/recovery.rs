@@ -31,8 +31,8 @@ use harbor_common::{
     Timestamp, TransactionId, Tuple,
 };
 use harbor_dist::{
-    rpc, scan_rpc, with_read_retries, Placement, RecoveryObject, RemoteScan, Request, Response,
-    WireReadMode, DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF,
+    rpc, scan_rpc, with_read_retries, CrashPoint, CrashSchedule, Placement, RecoveryObject,
+    RemoteScan, Request, Response, WireReadMode, DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF,
 };
 use harbor_engine::Engine;
 use harbor_exec::{scan_pages, visit_page, ReadMode, ScanRow};
@@ -43,48 +43,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Fault-injection points inside the recovery algorithm (drives the §5.5
-/// failure-during-recovery scenarios in tests and benches).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum RecoveryFailPoint {
-    #[default]
-    None,
-    /// Crash after Phase 1 completes (local state at the checkpoint).
-    AfterPhase1,
-    /// Crash right after the first Phase-2 pass records its object
-    /// checkpoint: a restart resumes from it, so what the pass copied must
-    /// already be on disk.
-    AfterObjectCheckpoint,
-    /// Crash after the Phase 2 historical catch-up (object checkpoint
-    /// written; restart should resume from it, §5.5.1).
-    AfterPhase2,
-    /// Crash during Phase 3 while holding the remote table read locks —
-    /// the buddies must detect the death and override the locks (§5.5.1).
-    WhileHoldingLocks,
-}
-
 /// How long Phase 3 keeps retrying its table-lock acquisition (deadlocks
 /// resolve by timeout and retry, §5.4.1).
 const LOCK_RETRY_FOR: Duration = Duration::from_secs(30);
-
-/// How a site recovers.
-#[derive(Clone, Debug)]
-pub struct RecoveryConfig {
-    /// Recover multiple objects in parallel (§5.1) or serially — the
-    /// comparison of Figs 6-4/6-5.
-    pub parallel_objects: bool,
-    /// Fault injection (tests only).
-    pub fail_point: RecoveryFailPoint,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            parallel_objects: true,
-            fail_point: RecoveryFailPoint::None,
-        }
-    }
-}
 
 /// One ranged Phase-2 fetch: which buddy served `(lo, hi]`, how much it
 /// shipped, and how long the fetch took (Fig 6-6's per-range breakdown).
@@ -186,10 +147,29 @@ pub struct RecoveryContext {
     /// as dead ([`harbor_common::DbError::SiteUnavailable`]), which triggers
     /// the same range-reassignment path as a closed connection.
     pub rpc_deadline: Duration,
-    pub config: RecoveryConfig,
+    /// Recover the site's objects in parallel (§5.1) or one at a time — the
+    /// comparison of Figs 6-4/6-5.
+    pub parallel_objects: bool,
+    /// The cluster's crash schedule, probed at the `Recovery*` points.
+    pub crash_schedule: Arc<CrashSchedule>,
+    /// The recovery point that fired in this recovery, if one did. The
+    /// site died there, so every object recovered in parallel stops at that
+    /// step too (§5.5), not only the one that reached it first.
+    pub died_at: Mutex<Option<CrashPoint>>,
 }
 
 impl RecoveryContext {
+    /// Fails the recovery as if the site died here, if `point` is armed or
+    /// has already fired in this recovery.
+    fn crash_at(&self, point: CrashPoint) -> DbResult<()> {
+        let mut died_at = self.died_at.lock();
+        if *died_at == Some(point) || self.crash_schedule.fire(self.site, point) {
+            *died_at = Some(point);
+            return Err(DbError::SiteDown(format!("injected crash at {point:?}")));
+        }
+        Ok(())
+    }
+
     fn connect(&self, site: SiteId) -> DbResult<Box<dyn Channel>> {
         let addr = self.placement.address(site)?;
         self.transport.connect(addr)
@@ -244,7 +224,7 @@ pub fn recover_site(ctx: &RecoveryContext) -> DbResult<RecoveryReport> {
     // §5.2: periodically scheduled checkpoints are disabled during recovery.
     ctx.engine.checkpointer().set_suspended(true);
     let tables = ctx.local_objects();
-    let objects: Vec<ObjectReport> = if ctx.config.parallel_objects {
+    let objects: Vec<ObjectReport> = if ctx.parallel_objects {
         // Each object proceeds through its three phases at its own pace
         // (§5.1: "multiple rec objects ... recovered in parallel").
         let outcomes = fan_out(&tables, |_, t| recover_object(ctx, t));
@@ -287,9 +267,7 @@ pub fn recover_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<Objec
     let t0 = Instant::now();
     phase1(ctx, def.id, t_ckpt)?;
     report.phase1 = t0.elapsed();
-    if ctx.config.fail_point == RecoveryFailPoint::AfterPhase1 {
-        return Err(DbError::SiteDown("injected crash after phase 1".into()));
-    }
+    ctx.crash_at(CrashPoint::RecoveryAfterPhase1)?;
 
     // ---------------- Phase 2: historical catch-up, pass by pass -------
     let plan = ctx
@@ -311,11 +289,7 @@ pub fn recover_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<Objec
         // then record).
         ctx.engine.pool().flush_all()?;
         ctx.engine.checkpointer().checkpoint_object(def.id, hwm)?;
-        if ctx.config.fail_point == RecoveryFailPoint::AfterObjectCheckpoint {
-            return Err(DbError::SiteDown(
-                "injected crash after an object checkpoint".into(),
-            ));
-        }
+        ctx.crash_at(CrashPoint::RecoveryAfterObjectCheckpoint)?;
         ckpt = hwm;
         let (next, copied) = (stable_hwm(ctx)?, deletions + tuples);
         if !repeat_phase2(hwm, next, copied, before) {
@@ -323,9 +297,7 @@ pub fn recover_object(ctx: &RecoveryContext, table_name: &str) -> DbResult<Objec
         }
         (hwm, before) = (next, copied);
     }
-    if ctx.config.fail_point == RecoveryFailPoint::AfterPhase2 {
-        return Err(DbError::SiteDown("injected crash after phase 2".into()));
-    }
+    ctx.crash_at(CrashPoint::RecoveryAfterPhase2)?;
 
     // ---------------- Phase 3: locked catch-up + join pending ----------
     let t0 = Instant::now();
@@ -873,15 +845,9 @@ fn phase3(
         let scan = inserts_query(obj, locked, hwm, None);
         report.tuples_copied += fetch_inserts(ctx, table, chan.as_mut(), &scan)?;
     }
-    if ctx.config.fail_point == RecoveryFailPoint::WhileHoldingLocks {
-        // Simulated death of the recovering site: drop the lock channels
-        // without releasing; the buddies' failure detection must override
-        // the orphaned locks (§5.5.1).
-        drop(lock_chans);
-        return Err(DbError::SiteDown(
-            "injected crash while holding locks".into(),
-        ));
-    }
+    // A death here drops `lock_chans` unreleased; the buddies' failure
+    // detection must override the orphaned locks (§5.5.1).
+    ctx.crash_at(CrashPoint::RecoveryHoldingLocks)?;
     // rec now holds all committed data; checkpoint at current time - 1
     // ("the current time has not expired", §5.4.1).
     let consistent_up_to = stable_hwm(ctx)?;

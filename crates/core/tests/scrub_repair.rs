@@ -4,10 +4,10 @@
 //! page and recovers the object from there — ending logically identical to
 //! a never-corrupted replica.
 
-use harbor::{Cluster, ClusterConfig, RecoveryConfig, RecoveryFailPoint};
+use harbor::{Cluster, ClusterConfig};
 use harbor_common::config::PAGE_SIZE;
 use harbor_common::{SiteId, TableId, Value};
-use harbor_dist::{ProtocolKind, UpdateRequest};
+use harbor_dist::{CrashPoint, ProtocolKind, UpdateRequest};
 use harbor_exec::{scan_rids, Expr, ReadMode};
 use harbor_storage::{DiskFaultConfig, DiskFaultKind, ScanBounds, TargetedFault};
 use std::collections::HashSet;
@@ -363,9 +363,7 @@ fn scrub_without_a_live_buddy_reports_unrecoverable() {
 #[test]
 fn a_repair_that_dies_after_its_rewind_is_finished_by_the_next_recovery() {
     let dir = temp_dir("dies-after-rewind");
-    let mut cfg = ClusterConfig::for_tests(ProtocolKind::Opt3pc);
-    cfg.recovery.fail_point = RecoveryFailPoint::AfterPhase1;
-    let cluster = Cluster::build(&dir, cfg).unwrap();
+    let cluster = Cluster::build(&dir, ClusterConfig::for_tests(ProtocolKind::Opt3pc)).unwrap();
     load(&cluster, 400);
     let site = SiteId(1);
     cluster.engine(site).unwrap().checkpoint().unwrap();
@@ -379,11 +377,10 @@ fn a_repair_that_dies_after_its_rewind_is_finished_by_the_next_recovery() {
     let pages = occupied_disk_pages(&cluster, site);
     flip_bit_on_disk(&dir, site, &table_file(&cluster, site), pages[1]);
 
+    cluster.arm_crash(site, CrashPoint::RecoveryAfterPhase1);
     assert!(cluster.scrub_worker(site).is_err());
     assert!(cluster.is_crashed(site), "a rewound object is not served");
-    cluster
-        .recover_worker_harbor_with(site, RecoveryConfig::default())
-        .unwrap();
+    cluster.recover_worker_harbor(site).unwrap();
     assert_eq!(
         version_history(&cluster, site),
         version_history(&cluster, SiteId(2))

@@ -1247,7 +1247,7 @@ impl Coordinator {
             }
         }
         voters_yes.sort_unstable();
-        self.maybe_fail(CrashPoint::CoordAfterPrepare)?;
+        self.maybe_fail(|p| *p == CrashPoint::CoordAfterPrepare)?;
         if voters_yes.len() < participants.len() {
             self.abort_prepared(tid, &ctx, &voters_yes)?;
             self.finish(tid);
@@ -1335,7 +1335,7 @@ impl Coordinator {
             }
             let acks = self.round(tid, ctx, part, req, |_, _| None);
             sent += part.len();
-            self.maybe_fail_counting(|p| count_of(p).is_some_and(|n| sent >= n))?;
+            self.maybe_fail(|p| count_of(p).is_some_and(|n| sent >= n))?;
             for (site, ack) in acks {
                 if matches!(ack, Ok(Response::Ack)) {
                     acked.push(site);
@@ -1446,23 +1446,11 @@ impl Coordinator {
             .disarm_if(self.cfg.site, |p| p.is_coordinator_point());
     }
 
-    fn maybe_fail(&self, at: CrashPoint) -> DbResult<()> {
-        if self.cfg.crash_schedule.fire(self.cfg.site, at) {
-            self.crash();
-            return Err(DbError::SiteDown("coordinator crashed (fail point)".into()));
-        }
-        Ok(())
-    }
-
-    /// Fires a counting point (`AfterPtcSentTo(n)` / `AfterCommitSentTo(n)`)
-    /// once the caller's predicate says the threshold is reached.
-    fn maybe_fail_counting(&self, pred: impl Fn(&CrashPoint) -> bool) -> DbResult<()> {
-        if self
-            .cfg
-            .crash_schedule
-            .take_if(self.cfg.site, pred)
-            .is_some()
-        {
+    /// Crashes the coordinator if an armed point of its own matches `pred`:
+    /// a plain point, or a counting one (`AfterPtcSentTo(n)` /
+    /// `AfterCommitSentTo(n)`) whose threshold the caller says is reached.
+    fn maybe_fail(&self, pred: impl Fn(&CrashPoint) -> bool) -> DbResult<()> {
+        if self.cfg.crash_schedule.fire_if(self.cfg.site, pred) {
             self.crash();
             return Err(DbError::SiteDown("coordinator crashed (fail point)".into()));
         }
@@ -1627,7 +1615,7 @@ impl Coordinator {
                 false
             }
         });
-        if self.fire_from_runner(CrashPoint::CoordAfterPrepare) {
+        if self.fire_from_runner(|p| *p == CrashPoint::CoordAfterPrepare) {
             Self::resolve_crashed(&batch);
             return;
         }
@@ -1679,7 +1667,7 @@ impl Coordinator {
                 }
             }
         }
-        if self.fire_from_runner(CrashPoint::CoordAfterEpochForce) {
+        if self.fire_from_runner(|p| *p == CrashPoint::CoordAfterEpochForce) {
             Self::resolve_crashed(&batch);
             return;
         }
@@ -1721,7 +1709,7 @@ impl Coordinator {
             }
             sent += 1;
             waved.push(*site);
-            if self.fire_from_runner_counting(
+            if self.fire_from_runner(
                 |p| matches!(p, CrashPoint::CoordAfterCommitSent(n) if sent >= *n),
             ) {
                 Self::resolve_crashed(&batch);
@@ -1819,22 +1807,8 @@ impl Coordinator {
 
     /// [`maybe_fail`](Self::maybe_fail) for epoch runner threads: initiates
     /// the crash but does not join (a tracked thread cannot join itself).
-    fn fire_from_runner(&self, at: CrashPoint) -> bool {
-        if self.cfg.crash_schedule.fire(self.cfg.site, at) {
-            self.initiate_crash();
-            return true;
-        }
-        false
-    }
-
-    /// [`maybe_fail_counting`](Self::maybe_fail_counting) for epoch runners.
-    fn fire_from_runner_counting(&self, pred: impl Fn(&CrashPoint) -> bool) -> bool {
-        if self
-            .cfg
-            .crash_schedule
-            .take_if(self.cfg.site, pred)
-            .is_some()
-        {
+    fn fire_from_runner(&self, pred: impl Fn(&CrashPoint) -> bool) -> bool {
+        if self.cfg.crash_schedule.fire_if(self.cfg.site, pred) {
             self.initiate_crash();
             return true;
         }

@@ -1,11 +1,12 @@
 //! Cluster-wide crash schedules.
 //!
-//! The harness arms `(site, CrashPoint)` pairs up front, and the coordinator
-//! and workers probe the schedule at the protocol steps named by
-//! [`CrashPoint`]. A fired point is *consumed* — it can never fire twice —
-//! and a coordinator point that is armed but never reached is disarmed when
-//! its transaction finishes on any path (`Coordinator::finish`), so a
-//! leftover point cannot leak into a later transaction.
+//! The harness arms `(site, CrashPoint)` pairs up front, and the coordinator,
+//! the workers and a recovering site probe the schedule at the steps named
+//! by [`CrashPoint`]. A fired point is *consumed* — it can never fire twice.
+//! A coordinator point armed but never reached is disarmed when its
+//! transaction ends on any path, and a recovery point when the cluster ends
+//! the site's recovery (a restart, a join or a scrub's repairs), so a
+//! leftover point cannot leak into a later one.
 //!
 //! Worker-side points make the thesis' cascading-failure cases reachable
 //! from tests instead of only by luck: Table 4.1's backup-coordinator rows
@@ -49,6 +50,15 @@ pub enum CrashPoint {
     /// coordinator — between its consensus broadcasts, so the next-ranked
     /// live participant must take over with the Table 4.1 outcome unchanged.
     WorkerDuringConsensusResolve,
+    /// Recovering site: after Phase 1 (local state at the checkpoint).
+    RecoveryAfterPhase1,
+    /// Recovering site: after a Phase-2 pass records its object checkpoint.
+    RecoveryAfterObjectCheckpoint,
+    /// Recovering site: after Phase 2 (a restart resumes from its checkpoint).
+    RecoveryAfterPhase2,
+    /// Recovering site: in Phase 3, dropping the buddies' table locks
+    /// unreleased — their failure detection must override them (§5.5.1).
+    RecoveryHoldingLocks,
 }
 
 impl CrashPoint {
@@ -60,6 +70,17 @@ impl CrashPoint {
                 | CrashPoint::CoordAfterPtcSent(_)
                 | CrashPoint::CoordAfterCommitSent(_)
                 | CrashPoint::CoordAfterEpochForce
+        )
+    }
+
+    /// `true` for points probed by a recovering site.
+    pub fn is_recovery_point(&self) -> bool {
+        matches!(
+            self,
+            CrashPoint::RecoveryAfterPhase1
+                | CrashPoint::RecoveryAfterObjectCheckpoint
+                | CrashPoint::RecoveryAfterPhase2
+                | CrashPoint::RecoveryHoldingLocks
         )
     }
 }
@@ -83,16 +104,17 @@ impl CrashSchedule {
         self.armed.lock().push((site, point));
     }
 
-    /// Consumes and returns the first entry for `site` matching `pred`.
-    pub fn take_if(&self, site: SiteId, pred: impl Fn(&CrashPoint) -> bool) -> Option<CrashPoint> {
+    /// Consumes the first entry for `site` matching `pred`; `true` if one
+    /// was armed.
+    pub fn fire_if(&self, site: SiteId, pred: impl Fn(&CrashPoint) -> bool) -> bool {
         let mut armed = self.armed.lock();
-        let idx = armed.iter().position(|(s, p)| *s == site && pred(p))?;
-        Some(armed.remove(idx).1)
+        let found = armed.iter().position(|(s, p)| *s == site && pred(p));
+        found.map(|idx| armed.remove(idx)).is_some()
     }
 
     /// Consumes the exact `(site, point)` entry; `true` if it was armed.
     pub fn fire(&self, site: SiteId, point: CrashPoint) -> bool {
-        self.take_if(site, |p| *p == point).is_some()
+        self.fire_if(site, |p| *p == point)
     }
 
     /// Disarms every entry for `site` matching `pred` without firing it.
@@ -129,22 +151,15 @@ mod tests {
     }
 
     #[test]
-    fn take_if_matches_counting_points() {
+    fn fire_if_matches_counting_points() {
         let s = CrashSchedule::new();
         s.arm(SiteId(0), CrashPoint::CoordAfterPtcSent(2));
-        assert!(s
-            .take_if(
-                SiteId(0),
-                |p| matches!(p, CrashPoint::CoordAfterPtcSent(n) if 1 >= *n)
-            )
-            .is_none());
-        assert_eq!(
-            s.take_if(
-                SiteId(0),
-                |p| matches!(p, CrashPoint::CoordAfterPtcSent(n) if 2 >= *n)
-            ),
-            Some(CrashPoint::CoordAfterPtcSent(2))
-        );
+        fn reached(k: usize) -> impl Fn(&CrashPoint) -> bool {
+            move |p| matches!(p, CrashPoint::CoordAfterPtcSent(n) if k >= *n)
+        }
+        assert!(!s.fire_if(SiteId(0), reached(1)));
+        assert!(s.fire_if(SiteId(0), reached(2)));
+        assert!(s.is_empty());
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! fault plan: message drop, duplicate delivery, extra delay, abrupt
 //! mid-stream disconnect, and symmetric/asymmetric partitions between site
 //! groups. Every decision is a pure function of `(seed, link, ordinal,
-//! seq)` where `ordinal` numbers the channels opened on a directed link in
-//! creation order and `seq` is a per-channel logical event counter — never
-//! of wall-clock time — so the same seed replays the identical fault
-//! trace, and a failing soak seed reproduces from the log. The coordinator
+//! seq)` where `ordinal` numbers the channels dialed on a directed link in
+//! creation order (a session's reply direction, `#rN`, takes its dialer's)
+//! and `seq` is a per-channel logical event counter — never of wall-clock
+//! time — so the same seed replays the identical fault trace (sorted by
+//! `(link, seq)`, a total order), and a failing soak seed reproduces from
+//! the log. The coordinator
 //! keeps its sessions to a worker open across transactions, so `seq` runs
 //! on through many of them and a long run samples deep into one channel's
 //! plan. The ordinal is for the channel that comes *after* a fault: a
@@ -46,7 +48,7 @@
 //! layer must know which site each channel belongs to. Cluster code obtains
 //! a per-site view via [`ChaosTransport::for_site`]; on `connect` the
 //! wrapper sends one control-plane identity frame (exempt from faults) so
-//! the accepting side learns the remote's name too.
+//! the accepting side learns the remote's name and the session's ordinal.
 
 use crate::{closed, Channel, Listener, Transport};
 use harbor_common::{splitmix64, DbResult, Metrics};
@@ -57,7 +59,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Magic prefix of the control-plane identity frame sent on connect.
-const ID_MAGIC: &[u8] = b"HARBOR-CHAOS-ID\x01";
+const ID_MAGIC: &[u8] = b"HARBOR-CHAOS-ID\x02";
 
 /// How long an accepting side waits for the identity frame before treating
 /// the peer as anonymous.
@@ -166,12 +168,7 @@ struct ChaosState {
     partitions: Mutex<Vec<Partition>>,
     trace: Mutex<Vec<FaultRecord>>,
     metrics: Metrics,
-    /// Next channel ordinal per directed link. Every channel on a link
-    /// samples a *fresh* slice of the fault plan: without this, the channel
-    /// opened to replace a severed one (and every short-lived recovery or
-    /// consensus channel) would replay the first few `seq` values of the
-    /// same link forever, and a fault in that prefix would cut every
-    /// replacement exactly where it cut the original.
+    /// Next channel ordinal per directed link (see the module docs).
     link_ordinals: Mutex<HashMap<String, u64>>,
 }
 
@@ -325,14 +322,18 @@ impl Transport for ChaosTransport {
         // perturbs the protocol, not the instrumentation. A partitioned pair
         // can still connect — real SYNs may predate the partition; the
         // blackhole applies to every data frame that follows.
+        let ordinal = self
+            .state
+            .next_ordinal(&format!("{}->{addr}", self.identity));
         let mut frame = ID_MAGIC.to_vec();
-        frame.extend_from_slice(self.identity.as_bytes());
+        frame.extend_from_slice(format!("{}#{ordinal}", self.identity).as_bytes());
         chan.send(&frame)?;
         Ok(Box::new(ChaosChannel::new(
             chan,
             self.state.clone(),
             self.identity.clone(),
             addr.to_string(),
+            ordinal.to_string(),
             None,
         )))
     }
@@ -345,22 +346,28 @@ struct ChaosListener {
 
 impl ChaosListener {
     fn wrap(&self, mut chan: Box<dyn Channel>) -> DbResult<Box<dyn Channel>> {
-        // Learn the remote identity from the preamble. A peer that isn't
-        // chaos-wrapped sends data immediately; hand that frame back to the
-        // application untouched and treat the peer as anonymous.
-        let (remote, pending) = match chan.recv_timeout(ID_WAIT)? {
-            Some(frame) if frame.starts_with(ID_MAGIC) => (
-                String::from_utf8_lossy(&frame[ID_MAGIC.len()..]).into_owned(),
-                None,
-            ),
-            Some(frame) => (String::new(), Some(frame)),
-            None => (String::new(), None),
+        // Learn the remote identity and the dialer's ordinal from the
+        // preamble, so no ordinal is drawn here to race the site's own
+        // outbound channels. A peer that isn't chaos-wrapped sends data
+        // immediately; hand that frame back untouched, the peer anonymous.
+        let local = self.inner.local_addr();
+        let (remote, ordinal, pending) = match chan.recv_timeout(ID_WAIT)? {
+            Some(frame) if frame.starts_with(ID_MAGIC) => {
+                let id = String::from_utf8_lossy(&frame[ID_MAGIC.len()..]).into_owned();
+                let (remote, ordinal) = id.rsplit_once('#').unwrap_or((&id, ""));
+                (remote.to_string(), format!("r{ordinal}"), None)
+            }
+            pending => {
+                let ordinal = self.state.next_ordinal(&format!("{local}->"));
+                (String::new(), ordinal.to_string(), pending)
+            }
         };
         Ok(Box::new(ChaosChannel::new(
             chan,
             self.state.clone(),
-            self.inner.local_addr(),
+            local,
             remote,
+            ordinal,
             pending,
         )))
     }
@@ -419,18 +426,11 @@ impl ChaosChannel {
         state: Arc<ChaosState>,
         local: String,
         remote: String,
+        ordinal: String,
         pending: Option<Vec<u8>>,
     ) -> Self {
-        // `link` carries the per-link channel ordinal (`src->dst#n`): the
-        // ordinal keys this channel's slice of the fault plan and makes the
-        // canonical trace's `(link, seq)` ordering total — two channels on
-        // the same directed link never collide on a trace key.
-        let link = format!(
-            "{}->{}#{}",
-            local,
-            remote,
-            state.next_ordinal(&format!("{}->{}", local, remote))
-        );
+        // The ordinal keys this channel's slice of the fault plan.
+        let link = format!("{local}->{remote}#{ordinal}");
         let link_hash = fnv1a(&link);
         ChaosChannel {
             inner: Some(inner),
@@ -587,6 +587,30 @@ mod tests {
         assert_eq!(server.recv_within().unwrap(), b"ping");
         server.send(b"pong").unwrap();
         assert_eq!(client.recv_within().unwrap(), b"pong");
+        // The accepted side of a session is keyed by its dialer's ordinal,
+        // whichever of two sessions is accepted first and whatever the
+        // acceptor's site dials meanwhile.
+        for reversed in [false, true] {
+            let mut cfg = ChaosConfig::quiet(1);
+            (cfg.delay_per_mille, cfg.max_delay) = (1000, Duration::ZERO); // every send traced
+            let base: Arc<dyn Transport> = Arc::new(InMemNetwork::new(Metrics::new()));
+            let chaos = ChaosTransport::new(base.clone(), cfg, Metrics::new());
+            let (inner, state) = (base.listen("site-b").unwrap(), chaos.state.clone());
+            let (listener, _a) = (ChaosListener { inner, state }, chaos.listen("site-a"));
+            let _dialed = [0, 1].map(|_| chaos.for_site("site-a").connect("site-b").unwrap());
+            let mut accepted = [0, 1].map(|_| listener.inner.accept().unwrap());
+            if reversed {
+                accepted.reverse();
+            }
+            let mut own = chaos.for_site("site-b").connect("site-a").unwrap();
+            for chan in accepted {
+                listener.wrap(chan).unwrap().send(b"reply").unwrap();
+            }
+            own.send(b"own").unwrap();
+            let links: Vec<String> = chaos.trace().into_iter().map(|r| r.link).collect();
+            let order = [["r0", "r1", "0"], ["r1", "r0", "0"]][usize::from(reversed)];
+            assert_eq!(links, order.map(|n| format!("site-b->site-a#{n}")));
+        }
     }
 
     #[test]

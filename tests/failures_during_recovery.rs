@@ -10,16 +10,15 @@
 //!   recovery plan from the remaining replicas (§5.5.2);
 //! * K = 2: two workers down simultaneously, recovered one after the other.
 
-use harbor::RecoveryFailPoint;
-use harbor::{recover_site, Cluster, ClusterConfig, RecoveryConfig, RecoveryContext};
+use harbor::{recover_site, Cluster, ClusterConfig, RecoveryContext};
 use harbor_common::codec::Wire;
 use harbor_common::{
     DbError, DbResult, DiskProfile, FieldType, Metrics, SiteId, StorageConfig, Timestamp,
     TransactionId, Value,
 };
 use harbor_dist::{
-    rpc, Coordinator, CoordinatorConfig, Placement, ProtocolKind, Request, Response, UpdateRequest,
-    WireReadMode, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
+    rpc, Coordinator, CoordinatorConfig, CrashPoint, Placement, ProtocolKind, Request, Response,
+    UpdateRequest, WireReadMode, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_front::FrontHandler;
@@ -60,11 +59,10 @@ fn count_at(cluster: &Cluster, site: SiteId) -> usize {
     harbor_exec::collect(&mut scan).unwrap().len()
 }
 
-fn failing(fp: RecoveryFailPoint) -> RecoveryConfig {
-    RecoveryConfig {
-        fail_point: fp,
-        ..RecoveryConfig::default()
-    }
+/// One attempt to recover `victim` that dies at `point`.
+fn recover_dying_at(cluster: &Cluster, victim: SiteId, point: CrashPoint) -> DbError {
+    cluster.arm_crash(victim, point);
+    cluster.recover_worker_harbor(victim).unwrap_err()
 }
 
 #[test]
@@ -80,22 +78,16 @@ fn recovering_site_dies_after_each_phase_and_retries() {
     cluster.crash_worker(victim).unwrap();
     fill(&cluster, 60, 80);
     // First attempt dies after Phase 1.
-    let err = cluster
-        .recover_worker_harbor_with(victim, failing(RecoveryFailPoint::AfterPhase1))
-        .unwrap_err();
+    let err = recover_dying_at(&cluster, victim, CrashPoint::RecoveryAfterPhase1);
     assert!(err.to_string().contains("injected"));
     assert!(cluster.is_crashed(victim));
     // The next dies right after its first pass records an object
     // checkpoint: the rows that pass copied must be on disk by then, or
     // every later attempt resumes past rows the site no longer has.
-    let err = cluster
-        .recover_worker_harbor_with(victim, failing(RecoveryFailPoint::AfterObjectCheckpoint))
-        .unwrap_err();
+    let err = recover_dying_at(&cluster, victim, CrashPoint::RecoveryAfterObjectCheckpoint);
     assert!(err.to_string().contains("injected"));
     // The next dies after Phase 2 — its object checkpoint survives.
-    let err = cluster
-        .recover_worker_harbor_with(victim, failing(RecoveryFailPoint::AfterPhase2))
-        .unwrap_err();
+    let err = recover_dying_at(&cluster, victim, CrashPoint::RecoveryAfterPhase2);
     assert!(err.to_string().contains("injected"));
     // Progress continues between attempts.
     fill(&cluster, 80, 90);
@@ -126,9 +118,7 @@ fn buddies_override_a_dead_recoverers_locks() {
     let victim = SiteId(1);
     cluster.crash_worker(victim).unwrap();
     // The recoverer dies while holding the buddy's table read lock.
-    let err = cluster
-        .recover_worker_harbor_with(victim, failing(RecoveryFailPoint::WhileHoldingLocks))
-        .unwrap_err();
+    let err = recover_dying_at(&cluster, victim, CrashPoint::RecoveryHoldingLocks);
     assert!(err.to_string().contains("injected"));
     // Give the buddy's disconnect detection a moment to fire.
     std::thread::sleep(std::time::Duration::from_millis(200));
@@ -143,6 +133,63 @@ fn buddies_override_a_dead_recoverers_locks() {
     // And a clean retry brings the site fully online.
     cluster.recover_worker_harbor(victim).unwrap();
     assert_eq!(count_at(&cluster, victim), 21);
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A recovery point armed but not reached goes with the recovery that did
+/// not reach it: two points armed, the first recovery dies at the first,
+/// and the next is not killed by the one its predecessor never reached.
+#[test]
+fn a_recovery_point_not_reached_is_disarmed_when_the_recovery_ends() {
+    let dir = temp_dir("unreached-point");
+    let cluster = Cluster::build(&dir, ClusterConfig::for_tests(ProtocolKind::Opt3pc)).unwrap();
+    fill(&cluster, 0, 20);
+    let victim = SiteId(1);
+    cluster.crash_worker(victim).unwrap();
+    fill(&cluster, 20, 30);
+    cluster.arm_crash(victim, CrashPoint::RecoveryAfterPhase1);
+    let err = recover_dying_at(&cluster, victim, CrashPoint::RecoveryAfterPhase2);
+    assert!(
+        err.to_string().contains("RecoveryAfterPhase1"),
+        "the first point reached fires: {err}"
+    );
+    assert!(cluster.crash_schedule().is_empty());
+    cluster.recover_worker_harbor(victim).unwrap();
+    assert_eq!(count_at(&cluster, victim), 30);
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A recovery point that fires is the site's death, not one object's: with
+/// two objects recovered in parallel, neither gets past Phase 1, so the
+/// next recovery copies what each missed, not only what the first missed.
+#[test]
+fn a_recovery_point_stops_every_object_recovered_in_parallel() {
+    let dir = temp_dir("parallel-death");
+    let mut cfg = ClusterConfig::for_tests(ProtocolKind::Opt3pc);
+    cfg.tables = vec![
+        harbor::TableSpec::small("sales"),
+        harbor::TableSpec::small("returns"),
+    ];
+    let cluster = Cluster::build(&dir, cfg).unwrap();
+    let victim = SiteId(1);
+    cluster.crash_worker(victim).unwrap();
+    for id in 0..10 {
+        cluster.insert_one("sales", row(id, 0)).unwrap();
+        cluster.insert_one("returns", row(id, 0)).unwrap();
+    }
+    let err = recover_dying_at(&cluster, victim, CrashPoint::RecoveryAfterPhase1);
+    assert!(err.to_string().contains("injected"));
+    let report = cluster.recover_worker_harbor(victim).unwrap();
+    assert_eq!(report.objects.len(), 2);
+    for object in &report.objects {
+        assert_eq!(
+            object.tuples_copied, 10,
+            "{} was recovered by the attempt that died",
+            object.table
+        );
+    }
     drop(cluster);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -337,7 +384,9 @@ impl TwoSites {
             }),
             down: Default::default(),
             rpc_deadline: DEFAULT_RPC_DEADLINE,
-            config: RecoveryConfig::default(),
+            parallel_objects: true,
+            crash_schedule: Default::default(),
+            died_at: Default::default(),
         }
     }
 }
@@ -478,7 +527,7 @@ fn per_object_announcements_gate_update_routing() {
     ];
     // Force heavily skewed recovery: serial object order with traffic in
     // flight maximizes the window between the two announcements.
-    cfg.recovery.parallel_objects = false;
+    cfg.parallel_recovery = false;
     let cluster = std::sync::Arc::new(Cluster::build(&dir, cfg).unwrap());
     for i in 0..20 {
         cluster.insert_one("sales", row(i, 0)).unwrap();

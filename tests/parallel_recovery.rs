@@ -9,9 +9,9 @@
 //! * the recovered site's version history equals the surviving replicas',
 //!   including under concurrent update load.
 
-use harbor::{Cluster, ClusterConfig, RecoveryConfig, RecoveryFailPoint, TableSpec};
+use harbor::{Cluster, ClusterConfig, TableSpec};
 use harbor_common::{SiteId, StorageConfig, Timestamp, Value};
-use harbor_dist::ProtocolKind;
+use harbor_dist::{CrashPoint, ProtocolKind};
 use std::path::PathBuf;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -187,15 +187,8 @@ fn parallel_phase2_resumes_from_object_checkpoint() {
     let victim = SiteId(1);
     cluster.crash_worker(victim).unwrap();
     fill(&cluster, 80, 120);
-    let err = cluster
-        .recover_worker_harbor_with(
-            victim,
-            RecoveryConfig {
-                fail_point: RecoveryFailPoint::AfterPhase2,
-                ..RecoveryConfig::default()
-            },
-        )
-        .unwrap_err();
+    cluster.arm_crash(victim, CrashPoint::RecoveryAfterPhase2);
+    let err = cluster.recover_worker_harbor(victim).unwrap_err();
     assert!(err.to_string().contains("injected"));
     assert!(cluster.is_crashed(victim));
     fill(&cluster, 120, 140);

@@ -5,7 +5,7 @@
 //! recovery predicate; recovery of a partition uses the full copy with the
 //! partition's predicate.
 
-use harbor::{recover_site, RecoveryConfig, RecoveryContext};
+use harbor::{recover_site, RecoveryContext};
 use harbor_common::{FieldType, Metrics, SiteId, StorageConfig, Timestamp, Value};
 use harbor_dist::{
     rpc, Coordinator, CoordinatorConfig, Copy, Part, Placement, ProtocolKind, Request, Response,
@@ -207,7 +207,9 @@ fn recover(f: &mut Fixture, site: SiteId) {
         transport: f.transport.clone(),
         down: HashSet::new(),
         rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-        config: RecoveryConfig::default(),
+        parallel_objects: true,
+        crash_schedule: Default::default(),
+        died_at: Default::default(),
     };
     let report = recover_site(&ctx).unwrap();
     assert!(!report.objects.is_empty());

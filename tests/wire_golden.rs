@@ -4,9 +4,7 @@
 //! per type, and decoded back to the value. Round-trip tests hold encode
 //! and decode to each other; only this holds both to the format.
 
-use harbor::{
-    quarantine_site, recover_object, recover_site, RecoveryConfig, RecoveryContext, ScrubReport,
-};
+use harbor::{quarantine_site, recover_object, recover_site, RecoveryContext, ScrubReport};
 use harbor_common::codec::Wire;
 use harbor_common::config::PAGE_SIZE;
 use harbor_common::{
@@ -908,7 +906,9 @@ fn recovery_scans_are_byte_identical() {
         }),
         down: Default::default(),
         rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-        config: RecoveryConfig::default(),
+        parallel_objects: true,
+        crash_schedule: Default::default(),
+        died_at: Default::default(),
     };
     recover_site(&ctx).expect("recover");
     // A page that is corrupt on disk and in no frame: scrub rewinds the
