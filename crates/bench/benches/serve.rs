@@ -95,18 +95,14 @@ fn build_cluster(name: &str, protocol: ProtocolKind, workers: usize, clients: us
     let mut cfg = ClusterConfig::new(protocol, workers);
     cfg.storage = throughput_storage();
     cfg.checkpoint_every = Some(Duration::from_secs(1));
-    // Every scenario carries the chaos layer (built disabled); the crash
-    // scenario arms it so the crash+recovery window runs with seeded
+    // Every scenario carries a fault plan (built off); the crash scenario
+    // switches it on so the crash+recovery window runs with seeded
     // inter-site delay jitter. Drops/disconnects stay off: a severed link
     // marks a *second* site dead, which turns the experiment into a
     // cascading-failure story instead of the paper's single-crash claim.
-    cfg.chaos = Some(harbor_net::ChaosConfig {
-        seed: 0xF00D_5EED,
-        drop_per_mille: 0,
-        dup_per_mille: 0,
+    cfg.faults = Some(harbor_common::fault::FaultConfig {
         delay_per_mille: 150,
-        max_delay: Duration::from_millis(2),
-        disconnect_per_mille: 0,
+        ..harbor_common::fault::FaultConfig::quiet(0xF00D_5EED)
     });
     cfg.rpc_deadline = Duration::from_secs(2);
     // One table per client session: the experiment measures the serving
@@ -256,18 +252,14 @@ fn main() {
             }
         };
         until_committed(total / 8);
-        if let Some(chaos) = cluster.chaos() {
-            chaos.set_enabled(true);
-        }
+        cluster.faults().set_enabled(true);
         let victim = SiteId(2);
         cluster.crash_worker(victim).expect("crash worker");
         until_committed(total / 2);
         let rec = cluster
             .recover_worker_harbor(victim)
             .expect("harbor recovery");
-        if let Some(chaos) = cluster.chaos() {
-            chaos.set_enabled(false);
-        }
+        cluster.faults().set_enabled(false);
         println!(
             "  crash_recovery: site-2 recovered {} objects in {:?}",
             rec.objects.len(),

@@ -12,6 +12,7 @@
 pub mod codec;
 pub mod config;
 pub mod error;
+pub mod fault;
 pub mod ids;
 pub mod lockrank;
 pub mod metrics;

@@ -211,8 +211,6 @@ counters! {
     inserter_drop_failures: sum add_inserter_drop_failures, Recovery;
     /// Frames the chaos layer dropped (and severed the link for).
     chaos_drops: sum add_chaos_drops, Chaos;
-    /// Frames the chaos layer delivered twice.
-    chaos_dups: sum add_chaos_dups, Chaos;
     /// Frames the chaos layer delayed before delivery.
     chaos_delays: sum add_chaos_delays, Chaos;
     /// Links the chaos layer severed abruptly mid-stream.

@@ -66,8 +66,8 @@ impl RetryPolicy {
 
 /// SplitMix64: one add and a multiply-xor-shift chain, uniform and pure.
 /// Every seeded draw in the system goes through it — retry jitter, the
-/// network chaos plane's and the disk-fault plan's per-event decisions, the
-/// chaos harness's schedule — so each depends only on its input.
+/// fault plan's per-effect decisions, the chaos harness's schedule — so each
+/// depends only on its input.
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

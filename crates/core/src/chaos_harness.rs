@@ -1,12 +1,12 @@
 //! Deterministic chaos soak harness: a seeded mixed workload driven through
-//! a cluster whose links run over a [`harbor_net::ChaosTransport`] and whose
-//! sites crash on a [`harbor_dist::CrashSchedule`], with cluster invariants
-//! checked after every run.
+//! a cluster whose [`harbor_common::fault::FaultPlan`] faults its links and
+//! disks and crashes its sites, with cluster invariants checked after every
+//! run.
 //!
-//! The harness is deliberately *serial*: one seeded RNG decides the whole
-//! run — each operation, each crash, each partition, each recovery — so the
-//! same seed replays the identical event schedule, and (because the chaos
-//! layer's per-frame decisions are themselves seed-derived) the identical
+//! The harness is deliberately *serial*: one RNG, seeded from the plan,
+//! decides the whole run — each operation, each crash, each partition, each
+//! recovery — so the same seed replays the identical event schedule, and
+//! (because the plan's decisions are themselves seed-derived) the identical
 //! fault trace. A failing seed is a reproducer, not an anecdote.
 //!
 //! Invariants checked at quiesce (`ChaosRunReport::violations` empty):
@@ -24,18 +24,17 @@
 use crate::cluster::Cluster;
 use crate::recovery::ScrubReport;
 use crate::supervisor::ReplicationSupervisor;
+use harbor_common::fault::Armed;
 use harbor_common::metrics::Group;
 use harbor_common::{DbResult, SiteId, Value};
 use harbor_dist::{CrashPoint, UpdateRequest};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering;
 
-/// One run's knobs. All probabilities are per-mille per operation.
+/// One run's knobs. All probabilities are per-mille per operation. The
+/// run's seed is the cluster's fault plan's.
 #[derive(Clone, Debug)]
 pub struct ChaosRunConfig {
-    /// Master seed: drives the workload RNG; callers normally also build
-    /// the cluster's [`harbor_net::ChaosConfig`] from it.
-    pub seed: u64,
     /// Operations in the workload (inserts/updates/reads).
     pub ops: usize,
     /// Probability (‰) that an operation is preceded by a worker crash
@@ -77,9 +76,8 @@ pub struct ChaosRunConfig {
 impl ChaosRunConfig {
     /// The CI soak profile: short, bounded, but with every fault class
     /// reachable.
-    pub fn soak(seed: u64) -> Self {
+    pub fn soak() -> Self {
         ChaosRunConfig {
-            seed,
             ops: 120,
             crash_per_mille: 40,
             partition_per_mille: 25,
@@ -97,10 +95,10 @@ impl ChaosRunConfig {
     /// The batched-commit soak profile: the same fault classes, but write
     /// slots run 4-wide bursts so epochs form at the coordinator (pair with
     /// a 2PC cluster built with `epoch_commit` set).
-    pub fn soak_batched(seed: u64) -> Self {
+    pub fn soak_batched() -> Self {
         ChaosRunConfig {
             concurrent_streams: 4,
-            ..Self::soak(seed)
+            ..Self::soak()
         }
     }
 
@@ -108,13 +106,13 @@ impl ChaosRunConfig {
     /// membership churn — sites join mid-burst, live sites decommission
     /// mid-recovery — with the replication supervisor healing
     /// kill-below-K deficits.
-    pub fn soak_membership(seed: u64) -> Self {
+    pub fn soak_membership() -> Self {
         ChaosRunConfig {
             join_per_mille: 35,
             decommission_per_mille: 25,
             max_joins: 2,
             supervisor: true,
-            ..Self::soak(seed)
+            ..Self::soak()
         }
     }
 }
@@ -134,11 +132,10 @@ pub struct ChaosRunReport {
     pub min_live_seen: usize,
     /// The deterministic event schedule ("op 12: crash site-2 fail-stop").
     pub schedule: Vec<String>,
-    /// The chaos layer's canonical fault trace (empty when chaos is off),
-    /// followed by each site's canonical disk-fault trace when the cluster
-    /// was built with a [`harbor_storage::DiskFaultConfig`].
+    /// The fault plan's canonical trace: the faulted sends, then each
+    /// site's page faults (empty without [`crate::ClusterConfig::faults`]).
     pub fault_trace: String,
-    /// Disk faults injected across all sites (0 without a fault plan).
+    /// Page faults injected across all sites.
     pub disk_faults_injected: u64,
     /// Pages checksum-scanned by the quiesce scrub.
     pub scrub_pages_scanned: u64,
@@ -182,8 +179,8 @@ impl ChaosRunReport {
     }
 }
 
-/// Deterministic splitmix64 stream for the event schedule (the chaos layer
-/// draws its own, keyed per link; this one is per run).
+/// Deterministic splitmix64 stream for the event schedule (the fault plan
+/// draws its own, keyed per effect; this one is per run).
 struct Rng(u64);
 
 impl Rng {
@@ -215,8 +212,8 @@ struct KeyState {
 impl Cluster {
     /// Runs a seeded chaos workload against this cluster and checks the
     /// invariants at quiesce. The cluster should be built with
-    /// [`crate::ClusterConfig::chaos`] set (the harness also works without
-    /// chaos — then only crash-schedule faults fire) and one or more
+    /// [`crate::ClusterConfig::faults`] set (the harness also works without
+    /// it — then only armed crash points fire) and one or more
     /// `(id Int64, v Int32)` tables, which the workload targets. With
     /// `concurrent_streams > 1` each burst lane is pinned round-robin to a
     /// table, so a cluster with as many tables as lanes gives every lane a
@@ -230,7 +227,8 @@ impl Cluster {
                 tables[lane % tables.len()].name.clone()
             })
             .collect();
-        let mut rng = Rng(cfg.seed ^ 0xC0FFEE);
+        let seed = self.faults().seed();
+        let mut rng = Rng(seed ^ 0xC0FFEE);
         let mut report = ChaosRunReport::default();
         let mut keys: BTreeMap<String, BTreeMap<i64, KeyState>> = BTreeMap::new();
         let all_sites = self.worker_sites();
@@ -251,14 +249,10 @@ impl Cluster {
         // background thread of `Cluster::start_supervisor`.
         let mut supervisor = cfg
             .supervisor
-            .then(|| ReplicationSupervisor::new(cfg.seed, self));
-        if let Some(chaos) = self.chaos() {
-            chaos.clear_trace();
-            chaos.set_enabled(true);
-        }
-        // Disk faults are independent of network chaos: arm them for the
-        // whole run (a no-op when the cluster has no fault plan).
-        self.set_disk_faults_enabled(true);
+            .then(|| ReplicationSupervisor::new(seed, self));
+        let faults = self.faults();
+        faults.clear_trace();
+        faults.set_enabled(true);
 
         for op in 0..cfg.ops {
             // --- scheduled events -------------------------------------
@@ -396,13 +390,9 @@ impl Cluster {
             let live = self.live_sites();
             if live.len() == 1 {
                 let last = live[0];
-                if self
-                    .crash_schedule()
-                    .armed()
-                    .iter()
-                    .any(|(s, _)| *s == last)
-                {
-                    self.crash_schedule().disarm_if(last, |_| true);
+                let crash = |a: &Armed| matches!(a, Armed::Crash(_));
+                if faults.armed().iter().any(|(s, a)| *s == last && crash(a)) {
+                    faults.disarm(last, |_| true);
                     report
                         .schedule
                         .push(format!("op {op}: disarm {last} (last live replica)"));
@@ -564,9 +554,8 @@ impl Cluster {
         // --- quiesce ----------------------------------------------------
         if let Some(chaos) = self.chaos() {
             chaos.heal();
-            chaos.set_enabled(false);
         }
-        self.set_disk_faults_enabled(false);
+        faults.set_enabled(false);
         // Membership may have churned mid-run: quiesce against the
         // catalog's *current* roster (joined sites included, decommissioned
         // sites gone), not the boot-time one.
@@ -576,7 +565,7 @@ impl Cluster {
             v
         };
         for site in &all_sites {
-            self.crash_schedule().disarm_if(*site, |_| true);
+            faults.disarm(*site, |_| true);
         }
         for site in self.reap_scheduled_crashes() {
             report.schedule.push(format!("quiesce: reaped {site}"));
@@ -585,6 +574,7 @@ impl Cluster {
         // dead, one was kept up (deferred fail-stop) to serve as the
         // recovery buddy, and can only be fail-stopped and re-synced itself
         // once a peer has rejoined.
+        let disk_faults = self.config().faults.is_some();
         let mut scrubbed: HashSet<SiteId> = HashSet::new();
         for round in 0..=all_sites.len() {
             let tag = format!("quiesce[{round}]");
@@ -596,7 +586,7 @@ impl Cluster {
             // already committed at the buddy.
             if txns_clear {
                 for site in self.live_sites() {
-                    if self.disk_fault_plan(site).is_none() || scrubbed.contains(&site) {
+                    if !disk_faults || scrubbed.contains(&site) {
                         continue;
                     }
                     match self.scrub_worker(site) {
@@ -660,7 +650,7 @@ impl Cluster {
                 report
                     .violations
                     .push(format!("{site} still presumed dead at quiesce"));
-            } else if self.disk_fault_plan(*site).is_some() && !scrubbed.contains(site) {
+            } else if disk_faults && !scrubbed.contains(site) {
                 // A site recovered in the final round was already scrubbed
                 // inside recovery; every other live site must have come
                 // through `scrub_worker` clean.
@@ -672,18 +662,8 @@ impl Cluster {
                 }
             }
         }
-        if let Some(chaos) = self.chaos() {
-            report.fault_trace = chaos.trace_canonical();
-        }
-        report.disk_faults_injected = self.disk_faults_injected();
-        for site in &all_sites {
-            if let Some(plan) = self.disk_fault_plan(*site) {
-                let t = plan.trace_canonical();
-                if !t.is_empty() {
-                    report.fault_trace.push_str(&format!("[disk {site}]\n{t}"));
-                }
-            }
-        }
+        report.fault_trace = faults.trace_canonical();
+        report.disk_faults_injected = faults.page_faults_injected();
 
         // --- membership convergence -------------------------------------
         // No copy may still be mid-join at quiesce, and every member must

@@ -9,16 +9,17 @@
 use crate::recovery::{
     quarantine_site, recover_object, recover_site, RecoveryContext, RecoveryReport, ScrubReport,
 };
+use harbor_common::fault::{Armed, FaultConfig, FaultPlan};
 use harbor_common::{
     DbError, DbResult, FieldType, Metrics, SiteId, StorageConfig, Timestamp, Tuple, Value,
 };
 use harbor_dist::{
-    Coordinator, CoordinatorConfig, CrashPoint, CrashSchedule, Placement, ProtocolKind,
-    SharedPlacement, UpdateRequest, Worker, WorkerConfig,
+    Coordinator, CoordinatorConfig, CrashPoint, Placement, ProtocolKind, SharedPlacement,
+    UpdateRequest, Worker, WorkerConfig,
 };
 use harbor_engine::{Engine, EngineOptions};
-use harbor_net::{ChaosConfig, ChaosTransport, InMemNetwork, TcpTransport, Transport};
-use harbor_storage::{DiskFaultConfig, DiskFaultPlan, PagePolicy};
+use harbor_net::{ChaosTransport, InMemNetwork, TcpTransport, Transport};
+use harbor_storage::PagePolicy;
 use harbor_wal::aries::AriesReport;
 use harbor_wal::GroupCommit;
 use parking_lot::Mutex;
@@ -90,18 +91,15 @@ pub struct ClusterConfig {
     /// A recovering site recovers its objects in parallel (§5.1) or one at
     /// a time — the comparison of Figs 6-4/6-5.
     pub parallel_recovery: bool,
-    /// Deterministic fault injection: when set, every inter-site link goes
-    /// through a seeded [`ChaosTransport`]. The chaos layer is built
-    /// *disabled* so cluster bootstrap is fault-free; tests flip it on via
-    /// [`Cluster::chaos`].
-    pub chaos: Option<ChaosConfig>,
-    /// Deterministic disk-fault injection: when set, every worker's heap
-    /// files go through a per-site [`DiskFaultPlan`] derived from this
-    /// master config (see [`DiskFaultConfig::for_site`]). Plans are built
-    /// *disarmed* so bootstrap is fault-free; tests flip them on via
-    /// [`Cluster::set_disk_faults_enabled`]. Plans survive worker restarts,
-    /// so a seed replays one byte-identical fault trace per site.
-    pub disk_faults: Option<DiskFaultConfig>,
+    /// Deterministic fault injection: when set, the cluster's one
+    /// [`FaultPlan`] decides every send on an inter-site link (each goes
+    /// through a [`ChaosTransport`]), every worker's heap-file page I/O and
+    /// every crash point. The plan is built *off*, so bootstrap is
+    /// fault-free; tests switch it through [`Cluster::faults`]. It outlives
+    /// worker restarts, so a seed replays one byte-identical fault trace.
+    /// Without it the crash points are still asked, of a plan that draws
+    /// nothing.
+    pub faults: Option<FaultConfig>,
     /// Liveness deadline for commit-protocol round trips and recovery scan
     /// frames. Must comfortably exceed the engine's lock timeout, which is
     /// a *normal* source of slow replies.
@@ -130,8 +128,7 @@ impl ClusterConfig {
             tables: Vec::new(),
             auto_consensus: false,
             parallel_recovery: true,
-            chaos: None,
-            disk_faults: None,
+            faults: None,
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
             epoch_commit: None,
             degrade_read_only: false,
@@ -152,15 +149,13 @@ pub struct Cluster {
     cfg: ClusterConfig,
     dir: PathBuf,
     transport: Arc<dyn Transport>,
-    /// The shared fault-injection layer (None when chaos is off).
+    /// The fault plan every site asks, at its [`CrashPoint`]s and — when
+    /// the cluster was built with [`ClusterConfig::faults`] — at every send
+    /// and heap-file page I/O.
+    faults: Arc<FaultPlan>,
+    /// The chaos network every site talks through (`None` without
+    /// [`ClusterConfig::faults`]).
     chaos: Option<Arc<ChaosTransport>>,
-    /// Per-site disk-fault plans (empty when disk faults are off). Built
-    /// once at `build` and reused across worker restarts so ordinals and
-    /// the fault trace accumulate site-wide.
-    disk_plans: HashMap<SiteId, Arc<DiskFaultPlan>>,
-    /// The crash schedule the coordinator and every worker probe at the
-    /// [`CrashPoint`] protocol steps; empty until a test arms a point.
-    crash_schedule: Arc<CrashSchedule>,
     /// Counts every message/byte crossing the cluster's transport.
     net_metrics: Metrics,
     /// The live placement catalog, shared with the coordinator: membership
@@ -185,21 +180,24 @@ pub type TxnRouter = Arc<dyn Fn(Vec<UpdateRequest>) -> DbResult<Timestamp> + Sen
 /// Site id of the coordinator.
 pub const COORDINATOR_SITE: SiteId = SiteId(0);
 
-/// What a worker site is called: its directory under the cluster's, its
-/// identity on the chaos layer and its in-process address.
+/// What a site is called: its directory under the cluster's, its identity
+/// on the chaos layer and its in-process address.
 fn site_name(site: SiteId) -> String {
-    format!("site-{}", site.0)
+    match site {
+        COORDINATOR_SITE => "coordinator".to_string(),
+        _ => format!("site-{}", site.0),
+    }
 }
 
-/// `name`'s identity-carrying view of the transport: chaos-wrapped when
+/// `site`'s identity-carrying view of the transport: chaos-wrapped when
 /// fault injection is on, the base transport otherwise.
 fn transport_as(
     chaos: &Option<Arc<ChaosTransport>>,
     base: &Arc<dyn Transport>,
-    name: &str,
+    site: SiteId,
 ) -> Arc<dyn Transport> {
     match chaos {
-        Some(ct) => Arc::new(ct.for_site(name)),
+        Some(ct) => Arc::new(ct.for_site(site, &site_name(site))),
         None => base.clone(),
     }
 }
@@ -210,11 +208,11 @@ fn transport_as(
 fn bind(
     kind: TransportKind,
     transport: &dyn Transport,
-    name: &str,
+    site: SiteId,
 ) -> DbResult<Box<dyn harbor_net::Listener>> {
     match kind {
         TransportKind::Tcp => transport.listen("127.0.0.1:0"),
-        TransportKind::InMem { .. } => transport.listen(name),
+        TransportKind::InMem { .. } => transport.listen(&site_name(site)),
     }
 }
 
@@ -238,22 +236,25 @@ impl Cluster {
         };
         // Every site talks through its own identity-carrying view of the
         // one shared chaos layer, so fault decisions and partitions are
-        // keyed on logical site names, not transport addresses. Chaos
-        // starts disabled: bootstrap is always fault-free.
-        let chaos = cfg.chaos.clone().map(|c| {
-            let ct = ChaosTransport::new(base.clone(), c, net_metrics.clone());
-            ct.set_enabled(false);
-            Arc::new(ct)
+        // keyed on logical site names, not transport addresses. The plan
+        // starts off: bootstrap is always fault-free.
+        let faults = Arc::new(FaultPlan::new(cfg.faults.clone().unwrap_or_default()));
+        let chaos = cfg.faults.is_some().then(|| {
+            Arc::new(ChaosTransport::new(
+                base.clone(),
+                faults.clone(),
+                net_metrics.clone(),
+            ))
         });
-        let coord_transport = transport_as(&chaos, &base, "coordinator");
+        let coord_transport = transport_as(&chaos, &base, COORDINATOR_SITE);
         // Bind all listeners first so TCP port 0 resolves before the
         // address book is built.
-        let coord_listener = bind(cfg.transport, coord_transport.as_ref(), "coordinator")?;
+        let coord_listener = bind(cfg.transport, coord_transport.as_ref(), COORDINATOR_SITE)?;
         let mut worker_listeners = Vec::new();
         for i in 1..=cfg.num_workers {
             let site = SiteId(i as u16);
-            let wt = transport_as(&chaos, &base, &site_name(site));
-            let l = bind(cfg.transport, wt.as_ref(), &site_name(site))?;
+            let wt = transport_as(&chaos, &base, site);
+            let l = bind(cfg.transport, wt.as_ref(), site)?;
             worker_listeners.push((site, l, wt));
         }
         let mut placement = Placement::new();
@@ -265,31 +266,20 @@ impl Cluster {
         for spec in &cfg.tables {
             placement.add_replicated_table(&spec.name, &worker_sites);
         }
-        // Per-site disk-fault plans, disarmed until a test flips them on.
-        let disk_plans: HashMap<SiteId, Arc<DiskFaultPlan>> = match &cfg.disk_faults {
-            Some(base) => (1..=cfg.num_workers)
-                .map(|i| {
-                    let site = SiteId(i as u16);
-                    (site, DiskFaultPlan::new(base.for_site(site.0)))
-                })
-                .collect(),
-            None => HashMap::new(),
-        };
         // Coordinator. It shares the SAME catalog handle the cluster keeps,
         // so membership changes (join/decommission/re-replication) are never
         // stale on either side.
         let placement = SharedPlacement::new(placement);
-        let crash_schedule = Arc::new(CrashSchedule::new());
         let coordinator = Coordinator::start_with_listener(
             CoordinatorConfig {
                 site: COORDINATOR_SITE,
                 addr: coord_listener.local_addr(),
                 protocol: cfg.protocol,
-                log_dir: Some(dir.join("coordinator")),
+                log_dir: Some(dir.join(site_name(COORDINATOR_SITE))),
                 group_commit: cfg.group_commit,
                 disk: cfg.storage.disk,
                 rpc_deadline: cfg.rpc_deadline,
-                crash_schedule: crash_schedule.clone(),
+                faults: faults.clone(),
                 epoch_commit: cfg.epoch_commit,
                 degrade_read_only: cfg.degrade_read_only,
             },
@@ -302,9 +292,8 @@ impl Cluster {
             cfg,
             dir,
             transport: base,
+            faults,
             chaos,
-            disk_plans,
-            crash_schedule,
             net_metrics,
             placement,
             coordinator,
@@ -332,46 +321,26 @@ impl Cluster {
         &self.transport
     }
 
-    /// The fault-injection layer, when the cluster was built with
-    /// [`ClusterConfig::chaos`]. Enable/partition/heal through this handle;
-    /// the same seed replays the identical fault trace.
+    /// The cluster's fault plan (see [`ClusterConfig::faults`]): switch it,
+    /// arm it, read its trace. The same seed replays the identical trace.
+    pub fn faults(&self) -> &Arc<FaultPlan> {
+        &self.faults
+    }
+
+    /// The chaos network, when the cluster was built with
+    /// [`ClusterConfig::faults`]: partition and heal through this handle.
     pub fn chaos(&self) -> Option<&Arc<ChaosTransport>> {
         self.chaos.as_ref()
     }
 
-    /// One site's disk-fault plan, when the cluster was built with
-    /// [`ClusterConfig::disk_faults`].
-    pub fn disk_fault_plan(&self, site: SiteId) -> Option<&Arc<DiskFaultPlan>> {
-        self.disk_plans.get(&site)
-    }
-
-    /// Arms or disarms disk-fault injection on every site at once.
-    /// Disarmed I/Os consume no ordinals, so the armed I/O sequence alone
-    /// determines the fault trace.
-    pub fn set_disk_faults_enabled(&self, on: bool) {
-        for plan in self.disk_plans.values() {
-            plan.set_enabled(on);
-        }
-    }
-
-    /// Total disk faults injected across all sites.
-    pub fn disk_faults_injected(&self) -> u64 {
-        self.disk_plans.values().map(|p| p.injected()).sum()
-    }
-
-    /// The cluster-wide crash schedule (see [`CrashPoint`]).
-    pub fn crash_schedule(&self) -> &Arc<CrashSchedule> {
-        &self.crash_schedule
-    }
-
-    /// Arms a crash point for `site` on the shared schedule.
+    /// Arms a crash point for `site` on the cluster's plan.
     pub fn arm_crash(&self, site: SiteId, point: CrashPoint) {
-        self.crash_schedule.arm(site, point);
+        self.faults.arm(site, Armed::Crash(point));
     }
 
     /// `site`'s own view of the transport (see [`transport_as`]).
     fn transport_of(&self, site: SiteId) -> Arc<dyn Transport> {
-        transport_as(&self.chaos, &self.transport, &site_name(site))
+        transport_as(&self.chaos, &self.transport, site)
     }
 
     /// Transport-level counters (messages/bytes for the whole cluster).
@@ -480,8 +449,8 @@ impl Cluster {
         self.crashed.lock().contains(&site)
     }
 
-    /// Tears down workers that crashed *themselves* through the crash
-    /// schedule (a fired [`CrashPoint`] only sets the worker's shutdown
+    /// Tears down workers that crashed *themselves* at an armed crash point
+    /// (a fired [`CrashPoint`] only sets the worker's shutdown
     /// flag — the site's threads cannot reap their own handle). Returns the
     /// sites reaped. Harness code calls this after driving traffic.
     pub fn reap_scheduled_crashes(&self) -> Vec<SiteId> {
@@ -515,7 +484,7 @@ impl Cluster {
             logging: cfg.protocol.workers_log(),
             group_commit: cfg.group_commit,
             policy: PagePolicy::steal_no_force(),
-            disk_faults: self.disk_plans.get(&site).cloned(),
+            faults: self.cfg.faults.is_some().then(|| self.faults.clone()),
         };
         let engine = Engine::open(self.dir.join(site_name(site)), opts)?;
         for spec in &cfg.tables {
@@ -537,7 +506,7 @@ impl Cluster {
             peers,
             coordinator,
             auto_consensus: cfg.auto_consensus,
-            crash_schedule: self.crash_schedule.clone(),
+            faults: self.faults.clone(),
         };
         let worker = Worker::start_with_listener(engine, transport, worker_cfg, listener)?;
         self.workers.lock().insert(site, worker);
@@ -571,7 +540,7 @@ impl Cluster {
             down,
             rpc_deadline: self.cfg.rpc_deadline,
             parallel_objects: self.cfg.parallel_recovery,
-            crash_schedule: self.crash_schedule.clone(),
+            faults: self.faults.clone(),
             died_at: Default::default(),
         })
     }
@@ -579,8 +548,7 @@ impl Cluster {
     /// Ends a recovery of `site`: a recovery point armed for it that the
     /// recovery did not reach is disarmed, so it cannot fire in a later one.
     fn end_recovery(&self, site: SiteId) {
-        self.crash_schedule
-            .disarm_if(site, CrashPoint::is_recovery_point);
+        self.faults.disarm(site, CrashPoint::is_recovery_point);
     }
 
     /// Brings a crashed worker back online with HARBOR's three-phase
@@ -591,11 +559,11 @@ impl Cluster {
     pub fn recover_worker_harbor(&self, site: SiteId) -> DbResult<RecoveryReport> {
         self.restart_worker(site)?;
         let result = self.recovery_context(site).and_then(|ctx| {
-            // With a disk-fault plan armed, the pages that survived the
-            // crash may be checksum-corrupt; Phase 1's local restore would
-            // trip over them. Quarantine them first: the rewound objects
-            // are then repaired by this one recovery.
-            if self.disk_plans.contains_key(&site) {
+            // Under a fault plan, the pages that survived the crash may be
+            // checksum-corrupt; Phase 1's local restore would trip over
+            // them. Quarantine them first: the rewound objects are then
+            // repaired by this one recovery.
+            if self.cfg.faults.is_some() {
                 quarantine_site(&ctx, &mut ScrubReport::default())?;
             }
             recover_site(&ctx)
@@ -681,7 +649,7 @@ impl Cluster {
             )));
         }
         let wt = self.transport_of(site);
-        let listener = bind(self.cfg.transport, wt.as_ref(), &site_name(site))?;
+        let listener = bind(self.cfg.transport, wt.as_ref(), site)?;
         let addr = listener.local_addr();
         // Catalog first: `admit_site` registers the address, allocates a
         // joining full copy of every table, and marks the site dead so no

@@ -26,13 +26,14 @@
 //! Scrub repairs a corrupt page with the same three phases, from a
 //! checkpoint its quarantine step ([`quarantine_site`]) rewound.
 
+use harbor_common::fault::{Effect, Fault, FaultPlan};
 use harbor_common::{
     retry_with, DbError, DbResult, Metrics, PageId, RecordId, RetryPolicy, SiteId, TableId,
     Timestamp, TransactionId, Tuple,
 };
 use harbor_dist::{
-    rpc, scan_rpc, with_read_retries, CrashPoint, CrashSchedule, Placement, RecoveryObject,
-    RemoteScan, Request, Response, WireReadMode, DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF,
+    rpc, scan_rpc, with_read_retries, CrashPoint, Placement, RecoveryObject, RemoteScan, Request,
+    Response, WireReadMode, DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF,
 };
 use harbor_engine::Engine;
 use harbor_exec::{scan_pages, visit_page, ReadMode, ScanRow};
@@ -150,8 +151,8 @@ pub struct RecoveryContext {
     /// Recover the site's objects in parallel (§5.1) or one at a time — the
     /// comparison of Figs 6-4/6-5.
     pub parallel_objects: bool,
-    /// The cluster's crash schedule, probed at the `Recovery*` points.
-    pub crash_schedule: Arc<CrashSchedule>,
+    /// The cluster's fault plan, asked at the `Recovery*` points.
+    pub faults: Arc<FaultPlan>,
     /// The recovery point that fired in this recovery, if one did. The
     /// site died there, so every object recovered in parallel stops at that
     /// step too (§5.5), not only the one that reached it first.
@@ -163,7 +164,8 @@ impl RecoveryContext {
     /// has already fired in this recovery.
     fn crash_at(&self, point: CrashPoint) -> DbResult<()> {
         let mut died_at = self.died_at.lock();
-        if *died_at == Some(point) || self.crash_schedule.fire(self.site, point) {
+        let step = Effect::Step(point);
+        if *died_at == Some(point) || self.faults.decide(self.site, step) == Fault::Crash {
             *died_at = Some(point);
             return Err(DbError::SiteDown(format!("injected crash at {point:?}")));
         }

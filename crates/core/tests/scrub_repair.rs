@@ -6,10 +6,11 @@
 
 use harbor::{Cluster, ClusterConfig};
 use harbor_common::config::PAGE_SIZE;
+use harbor_common::fault::{Armed, FaultConfig, PageFault};
 use harbor_common::{SiteId, TableId, Value};
 use harbor_dist::{CrashPoint, ProtocolKind, UpdateRequest};
 use harbor_exec::{scan_rids, Expr, ReadMode};
-use harbor_storage::{DiskFaultConfig, DiskFaultKind, ScanBounds, TargetedFault};
+use harbor_storage::ScanBounds;
 use std::collections::HashSet;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -237,20 +238,22 @@ fn a_two_segment_repair_is_dealt_across_the_buddies() {
 fn bit_flip_during_phase2_recovery_is_detected_and_refetched() {
     let dir = temp_dir("phase2-flip");
     let mut cfg = ClusterConfig::for_tests(ProtocolKind::Opt3pc);
-    // The first write of data page 1 while the plan is armed lands with
-    // one bit inverted — and the plan is armed only around recovery.
-    cfg.disk_faults = Some(DiskFaultConfig::targeted_only(
-        7,
-        vec![TargetedFault {
-            table: TableId(1),
-            page: 1,
-            ordinal: 0,
-            kind: DiskFaultKind::BitFlip,
-        }],
-    ));
+    // The first write of data page 1 while the plan is on lands with one
+    // bit inverted — and the plan is on only around recovery.
+    cfg.faults = Some(FaultConfig::quiet(7));
     let cluster = Cluster::build(&dir, cfg).unwrap();
     load(&cluster, 200);
     let site = SiteId(1);
+    let (table, page, fault) = (TableId(1), 1, PageFault::BitFlip);
+    (cluster.faults()).arm(
+        site,
+        Armed::Page {
+            table,
+            page,
+            ordinal: 0,
+            fault,
+        },
+    );
     {
         let def = cluster.engine(site).unwrap().table_def("sales").unwrap();
         assert_eq!(def.id, TableId(1), "targeted fault must name the table");
@@ -262,11 +265,11 @@ fn bit_flip_during_phase2_recovery_is_detected_and_refetched() {
             .insert_one("sales", row(1000 + i, i as i32))
             .unwrap();
     }
-    cluster.disk_fault_plan(site).unwrap().set_enabled(true);
+    cluster.faults().enable_only(site);
     cluster.recover_worker_harbor(site).unwrap();
-    cluster.disk_fault_plan(site).unwrap().set_enabled(false);
+    cluster.faults().set_enabled(false);
     assert_eq!(
-        cluster.disk_faults_injected(),
+        cluster.faults().page_faults_injected(),
         1,
         "the targeted flip must have fired during recovery"
     );

@@ -26,9 +26,9 @@
 //! 2PC worker never starts termination by itself: without lock-step states
 //! the election is no substitute for a coordinator that forced COMMIT.
 
-use crate::failpoint::CrashPoint;
 use crate::message::{Request, Response, WireTxnState};
 use crate::worker::Worker;
+use crate::CrashPoint;
 use crate::{rpc, with_read_retries};
 use harbor_common::{DbError, DbResult, SiteId, Timestamp, TransactionId};
 use std::sync::Arc;

@@ -3,16 +3,16 @@
 //! replica, runs the chosen commit protocol, and — for HARBOR recovery —
 //! serves the timestamp authority and the join-pending protocol (Fig 5-4).
 
-use crate::failpoint::{CrashPoint, CrashSchedule};
 use crate::message::{RemoteScan, Request, Response, UpdateRequest, WireTxnState};
 use crate::placement::SharedPlacement;
 use crate::protocol::ProtocolKind;
 use crate::{
-    drain_scan_replies, next_frame, silent_peer, with_read_retries, DEFAULT_READ_RETRIES,
-    DEFAULT_RETRY_BACKOFF,
+    drain_scan_replies, next_frame, silent_peer, with_read_retries, CrashPoint,
+    DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF,
 };
 use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use harbor_common::codec::Wire;
+use harbor_common::fault::{Armed, Effect, Fault, FaultPlan};
 use harbor_common::time::TimestampAuthority;
 use harbor_common::{
     retry_with, DbError, DbResult, DiskProfile, Metrics, RetryPolicy, SiteId, Timestamp,
@@ -108,9 +108,9 @@ pub struct CoordinatorConfig {
     /// its socket never closes (partition detection, complementing §5.5.1's
     /// closed-connection detection).
     pub rpc_deadline: Duration,
-    /// Cluster-wide crash schedule, probed at the coordinator's
+    /// The cluster's fault plan, asked at the coordinator's
     /// [`CrashPoint`]s.
-    pub crash_schedule: Arc<CrashSchedule>,
+    pub faults: Arc<FaultPlan>,
     /// Batch commits into epochs (2PC variants only; `None` = the
     /// paper-faithful per-transaction path).
     pub epoch_commit: Option<EpochCommitConfig>,
@@ -1247,7 +1247,7 @@ impl Coordinator {
             }
         }
         voters_yes.sort_unstable();
-        self.maybe_fail(|p| *p == CrashPoint::CoordAfterPrepare)?;
+        self.maybe_fail(CrashPoint::CoordAfterPrepare)?;
         if voters_yes.len() < participants.len() {
             self.abort_prepared(tid, &ctx, &voters_yes)?;
             self.finish(tid);
@@ -1264,10 +1264,13 @@ impl Coordinator {
             // will recover or be fenced. With no ack at all the commit point
             // has no holder to pass with: abort instead.
             let ptc = Request::PrepareToCommit { tid, commit_time };
-            let holders = self.counted_round(tid, &ctx, &participants, &ptc, |p| match p {
-                CrashPoint::CoordAfterPtcSent(n) => Some(*n),
-                _ => None,
-            })?;
+            let holders = self.counted_round(
+                tid,
+                &ctx,
+                &participants,
+                &ptc,
+                CrashPoint::CoordAfterPtcSent,
+            )?;
             if holders.is_empty() {
                 let delivered = self.abort_afresh(tid, &participants);
                 self.finish(tid);
@@ -1288,10 +1291,13 @@ impl Coordinator {
         // Final phase: COMMIT. A site that does not acknowledge will recover
         // the commit.
         let commit = Request::Commit { tid, commit_time };
-        self.counted_round(tid, &ctx, &participants, &commit, |p| match p {
-            CrashPoint::CoordAfterCommitSent(n) => Some(*n),
-            _ => None,
-        })?;
+        self.counted_round(
+            tid,
+            &ctx,
+            &participants,
+            &commit,
+            CrashPoint::CoordAfterCommitSent,
+        )?;
         if let Some(wal) = &self.wal {
             wal.append(&LogRecord::new(
                 tid,
@@ -1308,24 +1314,25 @@ impl Coordinator {
 
     /// A round every participant is expected to acknowledge (PREPARE-TO-
     /// COMMIT, COMMIT); one that does not is marked dead. Returns the sites
-    /// that acknowledged, in site order. `count_of` reads
-    /// the round's counting fail point (`AfterPtcSentTo(n)` /
-    /// `AfterCommitSentTo(n)`): while one is armed the round is split at
-    /// `n`, so that when it fires exactly the first `n` participants have
-    /// received *and processed* the frame and the rest were never sent it.
+    /// that acknowledged, in site order. `step` names the round's counting
+    /// crash point (`CoordAfterPtcSent` / `CoordAfterCommitSent`): while one
+    /// is armed the round is split at its `n`, so that when it fires exactly
+    /// the first `n` participants have received *and processed* the frame
+    /// and the rest were never sent it.
     fn counted_round(
         &self,
         tid: TransactionId,
         ctx: &TxnCtx,
         sites: &[SiteId],
         req: &Request,
-        count_of: impl Fn(&CrashPoint) -> Option<usize>,
+        step: fn(usize) -> CrashPoint,
     ) -> DbResult<Vec<SiteId>> {
-        let armed = self.cfg.crash_schedule.armed();
         let me = self.cfg.site;
-        let split = armed
-            .iter()
-            .find_map(|(site, p)| count_of(p).filter(|_| *site == me))
+        let split = (self.cfg.faults.armed().into_iter())
+            .find_map(|(site, armed)| match armed {
+                Armed::Crash(p) if site == me => p.count().filter(|n| step(*n) == p),
+                _ => None,
+            })
             .map_or(sites.len(), |n| n.max(1).min(sites.len()));
         let mut sent = 0;
         let mut acked = Vec::with_capacity(sites.len());
@@ -1335,7 +1342,7 @@ impl Coordinator {
             }
             let acks = self.round(tid, ctx, part, req, |_, _| None);
             sent += part.len();
-            self.maybe_fail(|p| count_of(p).is_some_and(|n| sent >= n))?;
+            self.maybe_fail(step(sent))?;
             for (site, ack) in acks {
                 if matches!(ack, Ok(Response::Ack)) {
                     acked.push(site);
@@ -1442,19 +1449,25 @@ impl Coordinator {
             }
         }
         self.cfg
-            .crash_schedule
-            .disarm_if(self.cfg.site, |p| p.is_coordinator_point());
+            .faults
+            .disarm(self.cfg.site, CrashPoint::is_coordinator_point);
     }
 
-    /// Crashes the coordinator if an armed point of its own matches `pred`:
-    /// a plain point, or a counting one (`AfterPtcSentTo(n)` /
-    /// `AfterCommitSentTo(n)`) whose threshold the caller says is reached.
-    fn maybe_fail(&self, pred: impl Fn(&CrashPoint) -> bool) -> DbResult<()> {
-        if self.cfg.crash_schedule.fire_if(self.cfg.site, pred) {
+    /// Crashes the coordinator if the plan fires an armed point of its own
+    /// at `step`: the same point, or a counting one (`CoordAfterPtcSent(n)`
+    /// / `CoordAfterCommitSent(n)`) whose count `step` has reached.
+    fn maybe_fail(&self, step: CrashPoint) -> DbResult<()> {
+        if self.crashes_at(step) {
             self.crash();
             return Err(DbError::SiteDown("coordinator crashed (fail point)".into()));
         }
         Ok(())
+    }
+
+    /// `true` if the plan fires an armed point of the coordinator's at
+    /// `step`.
+    fn crashes_at(&self, step: CrashPoint) -> bool {
+        self.cfg.faults.decide(self.cfg.site, Effect::Step(step)) == Fault::Crash
     }
 
     // ------------------------------------------------------------------
@@ -1615,7 +1628,7 @@ impl Coordinator {
                 false
             }
         });
-        if self.fire_from_runner(|p| *p == CrashPoint::CoordAfterPrepare) {
+        if self.fire_from_runner(CrashPoint::CoordAfterPrepare) {
             Self::resolve_crashed(&batch);
             return;
         }
@@ -1667,7 +1680,7 @@ impl Coordinator {
                 }
             }
         }
-        if self.fire_from_runner(|p| *p == CrashPoint::CoordAfterEpochForce) {
+        if self.fire_from_runner(CrashPoint::CoordAfterEpochForce) {
             Self::resolve_crashed(&batch);
             return;
         }
@@ -1709,9 +1722,7 @@ impl Coordinator {
             }
             sent += 1;
             waved.push(*site);
-            if self.fire_from_runner(
-                |p| matches!(p, CrashPoint::CoordAfterCommitSent(n) if sent >= *n),
-            ) {
+            if self.fire_from_runner(CrashPoint::CoordAfterCommitSent(sent)) {
                 Self::resolve_crashed(&batch);
                 return;
             }
@@ -1807,8 +1818,8 @@ impl Coordinator {
 
     /// [`maybe_fail`](Self::maybe_fail) for epoch runner threads: initiates
     /// the crash but does not join (a tracked thread cannot join itself).
-    fn fire_from_runner(&self, pred: impl Fn(&CrashPoint) -> bool) -> bool {
-        if self.cfg.crash_schedule.fire_if(self.cfg.site, pred) {
+    fn fire_from_runner(&self, step: CrashPoint) -> bool {
+        if self.crashes_at(step) {
             self.initiate_crash();
             return true;
         }
@@ -1993,7 +2004,7 @@ mod tests {
             group_commit: GroupCommit::enabled(),
             disk: DiskProfile::fast(),
             rpc_deadline: crate::DEFAULT_RPC_DEADLINE,
-            crash_schedule: Default::default(),
+            faults: Default::default(),
             epoch_commit: None,
             degrade_read_only: false,
         };

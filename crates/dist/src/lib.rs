@@ -14,7 +14,6 @@
 
 pub mod consensus;
 pub mod coordinator;
-pub mod failpoint;
 pub mod message;
 pub mod placement;
 pub mod protocol;
@@ -22,7 +21,7 @@ pub mod worker;
 
 pub use consensus::{backup_action, BackupAction};
 pub use coordinator::{Coordinator, CoordinatorConfig, EpochCommitConfig};
-pub use failpoint::{CrashPoint, CrashSchedule};
+pub use harbor_common::fault::CrashPoint;
 pub use message::{RemoteScan, Request, Response, UpdateRequest, WireReadMode, WireTxnState};
 pub use placement::{Copy, Part, Placement, RecoveryObject, SharedPlacement, TablePlacement};
 pub use protocol::ProtocolKind;

@@ -9,14 +9,15 @@
 //! gone" (§4.3.2, §5.5.1).
 
 use crate::consensus;
-use crate::failpoint::{CrashPoint, CrashSchedule};
 use crate::message::{
     RemoteScan, Request, Response, TuplesFrameBuilder, UpdateRequest, WireReadMode, WireTxnState,
 };
 use crate::protocol::ProtocolKind;
+use crate::CrashPoint;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use harbor_common::codec::Wire;
 use harbor_common::config::SCAN_BATCH;
+use harbor_common::fault::{Effect, Fault, FaultPlan};
 use harbor_common::schema::NUM_VERSION_COLS;
 use harbor_common::{DbError, DbResult, SiteId, Timestamp, TransactionId, Value};
 use harbor_engine::Engine;
@@ -63,10 +64,9 @@ pub struct WorkerConfig {
     /// Automatically run the consensus protocol when the coordinator's
     /// connection drops mid-commit (3PC only; 2PC blocks by design).
     pub auto_consensus: bool,
-    /// Cluster-wide crash schedule; the worker probes it at the protocol
-    /// steps of [`CrashPoint`] (PREPARE vote, PTC ack, recovery scans,
-    /// consensus resolution).
-    pub crash_schedule: Arc<CrashSchedule>,
+    /// The cluster's fault plan, asked at the worker's [`CrashPoint`]s
+    /// (PREPARE vote, PTC ack, recovery scans, consensus resolution).
+    pub faults: Arc<FaultPlan>,
 }
 
 /// A running worker site.
@@ -206,16 +206,20 @@ impl Worker {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Probes the cluster crash schedule for `point`; on a hit, starts the
-    /// fail-stop crash and reports `true` so the caller can vanish without
-    /// replying.
+    /// Asks the fault plan about `point`; on a crash, starts the fail-stop
+    /// crash and reports `true` so the caller can vanish without replying.
     pub(crate) fn fire_crash(&self, point: CrashPoint) -> bool {
-        if self.cfg.crash_schedule.fire(self.cfg.site, point) {
+        if self.crashes_at(point) {
             self.initiate_crash();
             true
         } else {
             false
         }
+    }
+
+    /// `true` if the plan fires an armed point of this site's at `point`.
+    fn crashes_at(&self, point: CrashPoint) -> bool {
+        self.cfg.faults.decide(self.cfg.site, Effect::Step(point)) == Fault::Crash
     }
 
     fn checkpoint_loop(self: &Arc<Self>, every: Duration, hung_up: Receiver<()>) {
@@ -628,11 +632,7 @@ impl Worker {
                     self.cfg.protocol.worker_ptc_logging(),
                 )?;
                 self.dist_txns.lock().entry(*tid).or_default().ptc_time = Some(*commit_time);
-                if self
-                    .cfg
-                    .crash_schedule
-                    .fire(self.cfg.site, CrashPoint::WorkerAfterPtcAck)
-                {
+                if self.crashes_at(CrashPoint::WorkerAfterPtcAck) {
                     // The point is "after the ack is on the wire", so don't
                     // flip the shutdown flag yet (that would suppress the
                     // ack): the serving loop crashes right after the send.

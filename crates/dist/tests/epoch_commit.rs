@@ -2,6 +2,7 @@
 //! per-transaction failure isolation, and §4.3.3 per-transaction
 //! consensus resolution after a mid-epoch coordinator crash.
 
+use harbor_common::fault::{Armed, FaultPlan};
 use harbor_common::{FieldType, Metrics, SiteId, StorageConfig, Timestamp, Value};
 use harbor_dist::{
     Coordinator, CoordinatorConfig, Copy, CrashPoint, EpochCommitConfig, Part, Placement,
@@ -21,7 +22,7 @@ struct Fixture {
     workers: HashMap<SiteId, Arc<Worker>>,
     engines: HashMap<SiteId, Arc<Engine>>,
     metrics: Metrics,
-    crash_schedule: Arc<harbor_dist::CrashSchedule>,
+    faults: Arc<FaultPlan>,
 }
 
 /// Builds an Opt2pc cluster with epoch commit enabled. `tables` maps each
@@ -37,7 +38,7 @@ fn build(
         .join(format!("{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let transport: Arc<dyn Transport> = Arc::new(InMemNetwork::new(Metrics::new()));
-    let crash_schedule: Arc<harbor_dist::CrashSchedule> = Default::default();
+    let faults: Arc<FaultPlan> = Default::default();
 
     let peers: HashMap<SiteId, String> = sites
         .iter()
@@ -91,7 +92,7 @@ fn build(
                 peers: peers.clone(),
                 coordinator: None,
                 auto_consensus: false,
-                crash_schedule: crash_schedule.clone(),
+                faults: faults.clone(),
             },
         )
         .unwrap();
@@ -108,7 +109,7 @@ fn build(
             group_commit: GroupCommit::enabled(),
             disk: harbor_common::DiskProfile::fast(),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            crash_schedule: crash_schedule.clone(),
+            faults: faults.clone(),
             epoch_commit: Some(epoch),
             degrade_read_only: false,
         },
@@ -123,7 +124,7 @@ fn build(
         workers,
         engines,
         metrics,
-        crash_schedule,
+        faults,
     }
 }
 
@@ -237,8 +238,10 @@ fn worker_crash_during_batch_prepare_aborts_only_its_txns() {
         },
     );
     // Site 1 fail-stops while handling the batched PREPARE wave.
-    f.crash_schedule
-        .arm(SiteId(1), CrashPoint::WorkerDuringBatchPrepare);
+    f.faults.arm(
+        SiteId(1),
+        Armed::Crash(CrashPoint::WorkerDuringBatchPrepare),
+    );
 
     let results = std::thread::scope(|scope| {
         let ca = f.coordinator.clone();
@@ -286,8 +289,8 @@ fn coordinator_crash_after_epoch_force_resolves_per_txn() {
             pipeline_depth: 2,
         },
     );
-    f.crash_schedule
-        .arm(SiteId(0), CrashPoint::CoordAfterEpochForce);
+    f.faults
+        .arm(SiteId(0), Armed::Crash(CrashPoint::CoordAfterEpochForce));
 
     // Clients record their txn ids before committing, so the test can
     // resolve each one after the crash.

@@ -116,7 +116,7 @@ fn build_mode(name: &str, case: u64, epoch: Option<EpochCommitConfig>, streams: 
                 peers: peers.clone(),
                 coordinator: None,
                 auto_consensus: false,
-                crash_schedule: Default::default(),
+                faults: Default::default(),
             },
         )
         .unwrap();
@@ -132,7 +132,7 @@ fn build_mode(name: &str, case: u64, epoch: Option<EpochCommitConfig>, streams: 
             group_commit: GroupCommit::enabled(),
             disk: harbor_common::DiskProfile::fast(),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            crash_schedule: Default::default(),
+            faults: Default::default(),
             epoch_commit: epoch,
             degrade_read_only: false,
         },

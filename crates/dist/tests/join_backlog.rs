@@ -70,7 +70,7 @@ fn a_refused_statement_is_not_replayed_to_a_site_that_joins_later() {
             peers: HashMap::new(),
             coordinator: None,
             auto_consensus: false,
-            crash_schedule: Default::default(),
+            faults: Default::default(),
         };
         let worker = Worker::start(engine.clone(), transport.clone(), cfg).unwrap();
         placement.set_address(*site, worker.addr());
@@ -87,7 +87,7 @@ fn a_refused_statement_is_not_replayed_to_a_site_that_joins_later() {
             group_commit: harbor_wal::GroupCommit::enabled(),
             disk: harbor_common::DiskProfile::fast(),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            crash_schedule: Default::default(),
+            faults: Default::default(),
             epoch_commit: None,
             degrade_read_only: true,
         },

@@ -84,7 +84,7 @@ fn build(name: &str) -> Fixture {
             peers: HashMap::new(),
             coordinator: None,
             auto_consensus: false,
-            crash_schedule: Default::default(),
+            faults: Default::default(),
         },
     )
     .unwrap();
@@ -870,7 +870,7 @@ fn disk_backed_worker_survives_restart_of_its_server() {
             peers: HashMap::new(),
             coordinator: None,
             auto_consensus: false,
-            crash_schedule: Default::default(),
+            faults: Default::default(),
         },
     )
     .unwrap();

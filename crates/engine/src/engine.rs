@@ -24,6 +24,7 @@ use crate::deletion_log::DeletionLog;
 use crate::index::KeyIndex;
 use crate::txn::{LocalTxnStatus, TxnState};
 use harbor_common::codec::Decoder;
+use harbor_common::fault::FaultPlan;
 use harbor_common::tuple::transcode_wire_to_fixed;
 use harbor_common::{
     DbError, DbResult, FieldType, Metrics, RecordId, SiteId, StorageConfig, TableId, Timestamp,
@@ -31,8 +32,8 @@ use harbor_common::{
 };
 use harbor_storage::table::ts_word;
 use harbor_storage::{
-    slots_per_page, BufferPool, Checkpointer, DiskFaultPlan, LockManager, LockMode, PagePolicy,
-    PoolRecovery, SegmentedHeapFile,
+    slots_per_page, BufferPool, Checkpointer, LockManager, LockMode, PagePolicy, PoolRecovery,
+    SegmentedHeapFile,
 };
 use harbor_wal::aries::{self, AriesReport};
 use harbor_wal::record::{CkptTxnState, LogPayload, LogRecord, RedoOp, TsField};
@@ -84,9 +85,9 @@ pub struct EngineOptions {
     pub logging: bool,
     pub group_commit: GroupCommit,
     pub policy: PagePolicy,
-    /// Seeded disk-fault plan armed on every heap file of the site (chaos
-    /// harness). `None` = pristine disks.
-    pub disk_faults: Option<Arc<DiskFaultPlan>>,
+    /// The cluster's fault plan, which decides every heap-file page I/O of
+    /// the site. `None` = pristine disks.
+    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl EngineOptions {
@@ -97,7 +98,7 @@ impl EngineOptions {
             logging: false,
             group_commit: GroupCommit::enabled(),
             policy: PagePolicy::steal_no_force(),
-            disk_faults: None,
+            faults: None,
         }
     }
 
@@ -108,13 +109,13 @@ impl EngineOptions {
             logging: true,
             group_commit: GroupCommit::enabled(),
             policy: PagePolicy::steal_no_force(),
-            disk_faults: None,
+            faults: None,
         }
     }
 
-    /// Arms a seeded disk-fault plan on every heap file of the site.
-    pub fn with_disk_faults(mut self, plan: Arc<DiskFaultPlan>) -> Self {
-        self.disk_faults = Some(plan);
+    /// Puts every heap file of the site under `plan`.
+    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
+        self.faults = Some(plan);
         self
     }
 }
@@ -228,9 +229,10 @@ impl Engine {
                 self.metrics.clone(),
             )?
         };
-        if let Some(plan) = &self.opts.disk_faults {
-            heap.arm_disk_faults(plan.clone());
-        }
+        let heap = match &self.opts.faults {
+            Some(plan) => heap.with_faults(plan.clone(), self.site),
+            None => heap,
+        };
         self.pool.register_table(Arc::new(heap));
         let idx = if cold_index {
             KeyIndex::cold(def.id, KEY_OFFSET)
@@ -297,11 +299,6 @@ impl Engine {
 
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// The site's disk-fault plan, if one was armed at open.
-    pub fn disk_fault_plan(&self) -> Option<Arc<DiskFaultPlan>> {
-        self.opts.disk_faults.clone()
     }
 
     /// The table's deletion log (§5.2-footnote deletion vector).

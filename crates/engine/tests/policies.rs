@@ -184,7 +184,7 @@ fn concurrent_transactions_on_disjoint_tables_commit_independently() {
 /// needs the table lock at this site.
 #[test]
 fn a_rollback_stopped_by_a_disk_fault_resumes_where_it_failed() {
-    use harbor_storage::{DiskFaultConfig, DiskFaultKind, DiskFaultPlan, TargetedFault};
+    use harbor_common::fault::{Armed, FaultConfig, FaultPlan, PageFault};
     let dir = temp_dir("abort-resumes");
     // The table and page are not known until rows are in: build the plan
     // around the first data page of the first table, and check below.
@@ -199,18 +199,21 @@ fn a_rollback_stopped_by_a_disk_fault_resumes_where_it_failed() {
         let rid = probe.insert(tid(1), def.id, row(0)).unwrap();
         (def.id, rid.page.page_no)
     };
-    let plan = DiskFaultPlan::new(DiskFaultConfig::targeted_only(
-        7,
-        vec![TargetedFault {
-            table: first_page.0,
-            page: first_page.1,
+    let plan = std::sync::Arc::new(FaultPlan::new(FaultConfig::quiet(7)));
+    let (table, page) = first_page;
+    let fault = PageFault::ReadError;
+    plan.arm(
+        SiteId(1),
+        Armed::Page {
+            table,
+            page,
             ordinal: 0,
-            kind: DiskFaultKind::ReadError,
-        }],
-    ));
+            fault,
+        },
+    );
     let e = Engine::open(
         dir.join("site"),
-        EngineOptions::harbor(SiteId(1), StorageConfig::for_tests()).with_disk_faults(plan.clone()),
+        EngineOptions::harbor(SiteId(1), StorageConfig::for_tests()).with_faults(plan.clone()),
     )
     .unwrap();
     let def = e.create_table("t", fields()).unwrap();
@@ -238,7 +241,7 @@ fn a_rollback_stopped_by_a_disk_fault_resumes_where_it_failed() {
     plan.set_enabled(true);
     let first = e.abort(t, StepLogging::OFF);
     assert!(first.is_err(), "the injected read error stops the rollback");
-    assert_eq!(plan.injected(), 1);
+    assert_eq!(plan.page_faults_injected(), 1);
     assert!(
         e.txn_status(t).is_some(),
         "still open: nothing is forgotten"

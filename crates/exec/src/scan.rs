@@ -700,24 +700,26 @@ mod tests {
     /// never hear of it.
     #[test]
     fn index_lookup_surfaces_a_corrupt_page() {
-        use harbor_storage::{DiskFaultConfig, DiskFaultKind, DiskFaultPlan, TargetedFault};
+        use harbor_common::fault::{Armed, FaultConfig, FaultPlan, PageFault};
         let dir = std::env::temp_dir()
             .join("harbor-scan-tests")
             .join(format!("idx-fault-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // The first write of the table's first data page lands with a bit
         // flipped: the next fault-in fails its checksum.
-        let plan = DiskFaultPlan::new(DiskFaultConfig::targeted_only(
-            7,
-            vec![TargetedFault {
-                table: TableId(1),
-                page: 1,
+        let plan = std::sync::Arc::new(FaultPlan::new(FaultConfig::quiet(7)));
+        let (table, page, fault) = (TableId(1), 1, PageFault::BitFlip);
+        plan.arm(
+            SiteId(0),
+            Armed::Page {
+                table,
+                page,
                 ordinal: 0,
-                kind: DiskFaultKind::BitFlip,
-            }],
-        ));
+                fault,
+            },
+        );
         let opts = EngineOptions::harbor(SiteId(0), StorageConfig::for_tests());
-        let e = Engine::open(&dir, opts.with_disk_faults(plan.clone())).unwrap();
+        let e = Engine::open(&dir, opts.with_faults(plan.clone())).unwrap();
         let fields = vec![
             ("id".into(), FieldType::Int64),
             ("v".into(), FieldType::Int32),
@@ -732,7 +734,7 @@ mod tests {
         plan.set_enabled(true);
         e.pool().flush_all().unwrap();
         plan.set_enabled(false);
-        assert_eq!(plan.injected(), 1);
+        assert_eq!(plan.page_faults_injected(), 1);
         // Drop the resident frames so the probe has to fault the page in.
         let heap = e.pool().table(table).unwrap();
         e.pool().deregister_table(table);

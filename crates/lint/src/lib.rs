@@ -32,7 +32,7 @@
 //! What other witnesses already prove is not re-checked here: rustc and
 //! `#![forbid(unsafe_code)]` rule out data races, the runtime
 //! `harbor_common::lockrank` witness holds the lock order, and the
-//! same-seed replay tests hold the fault planes' determinism.
+//! same-seed replay tests hold the fault plane's determinism.
 //!
 //! Escape hatch: `// harbor-lint: allow(<rule>) — <reason>` on the
 //! offending line (or the line above). The reason is mandatory.

@@ -37,7 +37,7 @@ pub mod inmem;
 pub mod serve;
 pub mod tcp;
 
-pub use chaos::{ChaosConfig, ChaosTransport, FaultKind, FaultRecord};
+pub use chaos::ChaosTransport;
 pub use inmem::InMemNetwork;
 pub use serve::{recv_or_stop, serve_connections};
 pub use tcp::TcpTransport;

@@ -1,10 +1,11 @@
 //! Raw page-granular file I/O and the on-disk checkpoint record.
 
-use crate::fault::{DiskFaultPlan, WriteFault};
 use harbor_common::codec;
 use harbor_common::config::{PAGE_PAYLOAD, PAGE_SIZE};
-use harbor_common::{wire_struct, DbError, DbResult, DiskProfile, Metrics, TableId, Timestamp};
-use parking_lot::Mutex;
+use harbor_common::fault::{Effect, Fault, FaultPlan};
+use harbor_common::{
+    wire_struct, DbError, DbResult, DiskProfile, Metrics, SiteId, TableId, Timestamp,
+};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
@@ -67,8 +68,10 @@ pub struct TableFile {
     /// The owning table, stamped by `SegmentedHeapFile` right after
     /// construction so corrupt-page errors carry a real coordinate.
     table: AtomicU32,
-    /// Seeded fault injection; `None` outside chaos runs.
-    faults: Mutex<Option<Arc<DiskFaultPlan>>>,
+    /// The cluster's fault plan and this file's site, given once the file
+    /// is open (`SegmentedHeapFile::with_faults`); `None` outside fault
+    /// runs.
+    pub(crate) faults: Option<(Arc<FaultPlan>, SiteId)>,
 }
 
 impl TableFile {
@@ -95,7 +98,7 @@ impl TableFile {
             disk,
             metrics,
             table: AtomicU32::new(u32::MAX),
-            faults: Mutex::new(None),
+            faults: None,
         })
     }
 
@@ -109,13 +112,20 @@ impl TableFile {
         TableId(self.table.load(Ordering::SeqCst))
     }
 
-    /// Attaches a site-wide disk-fault plan to this file's I/O.
-    pub fn arm_faults(&self, plan: Arc<DiskFaultPlan>) {
-        *self.faults.lock() = Some(plan);
-    }
-
-    fn fault_plan(&self) -> Option<Arc<DiskFaultPlan>> {
-        self.faults.lock().clone()
+    /// The plan's decision on the next read (`write` false) or write of
+    /// page `page`.
+    fn decide(&self, page: u32, write: bool) -> Fault {
+        let Some((plan, site)) = &self.faults else {
+            return Fault::None;
+        };
+        let table = self.table_id();
+        plan.decide(
+            *site,
+            match write {
+                false => Effect::PageRead { table, page },
+                true => Effect::PageWrite { table, page },
+            },
+        )
     }
 
     /// Reads page `page_no` into a fresh buffer, verifying its checksum
@@ -123,14 +133,12 @@ impl TableFile {
     /// repairable from a buddy, and deliberately *not* garbage handed to
     /// the buffer pool.
     pub fn read_page(&self, page_no: u32) -> DbResult<Box<[u8; PAGE_SIZE]>> {
-        if let Some(plan) = self.fault_plan() {
-            if plan.on_read(self.table_id(), page_no).is_some() {
-                self.metrics.add_disk_faults_injected(1);
-                return Err(DbError::from(std::io::Error::other(format!(
-                    "injected disk read error (table {}, page {page_no})",
-                    self.table_id()
-                ))));
-            }
+        if self.decide(page_no, false) == Fault::ReadError {
+            self.metrics.add_disk_faults_injected(1);
+            return Err(DbError::from(std::io::Error::other(format!(
+                "injected disk read error (table {}, page {page_no})",
+                self.table_id()
+            ))));
         }
         let off = page_no as u64 * PAGE_SIZE as u64;
         if off + PAGE_SIZE as u64 > self.len.load(Ordering::SeqCst) {
@@ -176,7 +184,6 @@ impl TableFile {
     /// after a crash.
     pub fn write_run(&self, first: u32, run: &mut [u8]) -> DbResult<()> {
         debug_assert!(run.len().is_multiple_of(PAGE_SIZE));
-        let plan = self.fault_plan();
         // Pages `first + from ..` are stamped but not yet written.
         let mut from = 0;
         for (i, page_no) in (0..run.len() / PAGE_SIZE).zip(first..) {
@@ -184,10 +191,8 @@ impl TableFile {
                 .map_err(|_| DbError::internal("a run is whole pages"))?;
             let crc = page_crc(page);
             page[PAGE_PAYLOAD..].copy_from_slice(&crc.to_le_bytes());
-            let fault = plan
-                .as_ref()
-                .and_then(|p| p.on_write(self.table_id(), page_no));
-            if let Some(fault) = fault {
+            let fault = self.decide(page_no, true);
+            if fault != Fault::None {
                 let image = Box::new(*page);
                 self.write_stretch(first + from as u32, &run[from * PAGE_SIZE..i * PAGE_SIZE])?;
                 self.write_faulted(page_no, image, fault)?;
@@ -217,12 +222,12 @@ impl TableFile {
         &self,
         page_no: u32,
         mut image: Box<[u8; PAGE_SIZE]>,
-        fault: WriteFault,
+        fault: Fault,
     ) -> DbResult<()> {
         self.metrics.add_disk_faults_injected(1);
         match fault {
-            WriteFault::FlipBit { bit } => image[bit / 8] ^= 1 << (bit % 8),
-            WriteFault::Torn { keep } => {
+            Fault::FlipBit { bit } => image[bit / 8] ^= 1 << (bit % 8),
+            Fault::Torn { keep } => {
                 // Only a sector-aligned prefix of the new image reached the
                 // platter; the tail keeps its previous contents except the
                 // final sector, which was mid-write at the tear and reads
@@ -232,6 +237,8 @@ impl TableFile {
                 image[keep..].copy_from_slice(&old[keep..]);
                 image[PAGE_SIZE - 512..].fill(0);
             }
+            // A write is decided as a tear, a flip or nothing.
+            _ => {}
         }
         self.write_stretch(page_no, &image[..])
     }
@@ -454,34 +461,28 @@ mod tests {
 
     #[test]
     fn injected_write_faults_are_detected_on_read() {
-        use crate::fault::{DiskFaultConfig, DiskFaultKind, DiskFaultPlan, TargetedFault};
+        use harbor_common::fault::{Armed, FaultConfig, PageFault};
         let path = temp("faulty.tbl");
-        let f = TableFile::create(&path, DiskProfile::fast(), Metrics::new()).unwrap();
+        let mut f = TableFile::create(&path, DiskProfile::fast(), Metrics::new()).unwrap();
         f.set_table(TableId(4));
-        let plan = DiskFaultPlan::new(DiskFaultConfig::targeted_only(
-            11,
-            vec![
-                TargetedFault {
-                    table: TableId(4),
-                    page: 1,
-                    ordinal: 0,
-                    kind: DiskFaultKind::BitFlip,
+        let plan = Arc::new(FaultPlan::new(FaultConfig::quiet(11)));
+        for (page, ordinal, fault) in [
+            (1, 0, PageFault::BitFlip),
+            (2, 1, PageFault::TornWrite),
+            (0, 1, PageFault::ReadError),
+        ] {
+            let table = TableId(4);
+            plan.arm(
+                SiteId(1),
+                Armed::Page {
+                    table,
+                    page,
+                    ordinal,
+                    fault,
                 },
-                TargetedFault {
-                    table: TableId(4),
-                    page: 2,
-                    ordinal: 1,
-                    kind: DiskFaultKind::TornWrite,
-                },
-                TargetedFault {
-                    table: TableId(4),
-                    page: 0,
-                    ordinal: 1,
-                    kind: DiskFaultKind::ReadError,
-                },
-            ],
-        ));
-        f.arm_faults(plan.clone());
+            );
+        }
+        f.faults = Some((plan.clone(), SiteId(1)));
         plan.set_enabled(true);
         let mut page = [0u8; PAGE_SIZE];
         page[50] = 0xee;
@@ -505,7 +506,7 @@ mod tests {
         assert!(f.read_page(0).is_ok());
         assert!(matches!(f.read_page(0), Err(DbError::Io(..))));
         assert!(f.read_page(0).is_ok());
-        assert_eq!(plan.injected(), 3);
+        assert_eq!(plan.page_faults_injected(), 3);
         // Repair by rewriting: a clean write restamps the trailer.
         f.write_page(1, &mut page).unwrap();
         assert!(f.read_page(1).is_ok());

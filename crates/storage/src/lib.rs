@@ -24,7 +24,6 @@
 pub mod buffer;
 pub mod checkpoint;
 pub mod directory;
-pub mod fault;
 pub mod file;
 pub mod lock;
 pub mod page;
@@ -33,7 +32,6 @@ pub mod table;
 pub use buffer::{BufferPool, BulkAppender, PagePolicy, PoolRecovery, RUN_PAGES};
 pub use checkpoint::Checkpointer;
 pub use directory::{Directory, ScanBounds, SegmentMeta};
-pub use fault::{DiskFaultConfig, DiskFaultKind, DiskFaultPlan, TargetedFault, WriteFault};
 pub use file::{page_crc, CheckpointRecord, TableFile};
 pub use lock::{LockKey, LockManager, LockMode};
 pub use page::{slots_per_page, Page};

@@ -180,10 +180,15 @@ impl SegmentedHeapFile {
         self.id
     }
 
-    /// Attaches a site-wide disk-fault plan to this table's page I/O
-    /// (chaos runs only; see [`crate::fault`]).
-    pub fn arm_disk_faults(&self, plan: std::sync::Arc<crate::fault::DiskFaultPlan>) {
-        self.file.arm_faults(plan);
+    /// Puts this table's page I/O at `site` under the cluster's fault plan,
+    /// once it is open: opening it (the directory's load) never faults.
+    pub fn with_faults(
+        mut self,
+        plan: std::sync::Arc<harbor_common::fault::FaultPlan>,
+        site: harbor_common::SiteId,
+    ) -> Self {
+        self.file.faults = Some((plan, site));
+        self
     }
 
     /// Stored schema (with version columns).

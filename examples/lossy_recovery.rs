@@ -9,33 +9,33 @@
 //! Run with: `cargo run --release --example lossy_recovery [seed]`
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
+use harbor_common::fault::FaultConfig;
 use harbor_common::{SiteId, StorageConfig, Value};
 use harbor_dist::ProtocolKind;
-use harbor_net::ChaosConfig;
 use std::time::Duration;
 
 const ROWS_BEFORE: i64 = 400;
 const ROWS_MISSED: i64 = 2_000;
 
-fn build(dir: &std::path::Path, chaos: Option<ChaosConfig>) -> Cluster {
+fn build(dir: &std::path::Path, faults: Option<FaultConfig>) -> Cluster {
     let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 3);
     cfg.storage = StorageConfig::for_tests();
     cfg.storage.segment_pages = 2; // several segments => several Phase-2 ranges
     cfg.tables = vec![TableSpec::small("sales")];
-    cfg.chaos = chaos;
+    cfg.faults = faults;
     cfg.rpc_deadline = Duration::from_secs(2);
     Cluster::build(dir, cfg).unwrap()
 }
 
-/// One crash-and-recover cycle; chaos (if any) is enabled only for the
-/// recovery itself, so both runs catch up the identical missed window.
-fn run(label: &str, chaos: Option<ChaosConfig>) {
+/// One crash-and-recover cycle; the fault plan (if any) is on only for the
+/// recovery itself, so every run catches up the identical missed window.
+fn run(label: &str, faults: Option<FaultConfig>) {
     let dir = std::env::temp_dir().join(format!(
         "harbor-lossy-recovery-{label}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let cluster = build(&dir, chaos);
+    let cluster = build(&dir, faults);
 
     for id in 0..ROWS_BEFORE {
         cluster
@@ -53,13 +53,9 @@ fn run(label: &str, chaos: Option<ChaosConfig>) {
             .unwrap();
     }
 
-    if let Some(chaos) = cluster.chaos() {
-        chaos.set_enabled(true);
-    }
+    cluster.faults().set_enabled(true);
     let report = cluster.recover_worker_harbor(victim).unwrap();
-    if let Some(chaos) = cluster.chaos() {
-        chaos.set_enabled(false);
-    }
+    cluster.faults().set_enabled(false);
 
     let m = cluster.net_metrics().snapshot();
     println!(
@@ -72,11 +68,10 @@ fn run(label: &str, chaos: Option<ChaosConfig>) {
         report.ranges_reassigned(),
     );
     println!(
-        "{:>9}  chaos: {} drops, {} dups, {} delays, {} disconnects, \
+        "{:>9}  chaos: {} drops, {} delays, {} disconnects, \
          {} partition drops; rpc: {} timeouts, {} retries",
         "",
         m.chaos_drops,
-        m.chaos_dups,
         m.chaos_delays,
         m.chaos_disconnects,
         m.chaos_partition_drops,
@@ -93,16 +88,16 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0x6006);
     run("clean", None);
-    run("lossy-lan", Some(ChaosConfig::lossy_lan(seed)));
+    run("lossy-lan", Some(FaultConfig::lossy_lan(seed)));
     // A much nastier link than the stock profile: 2.5% of frames lost (each
     // loss severing its stream) and 1% abrupt resets — recovery only
     // converges by failing ranges over to the surviving buddy.
     run(
         "flaky-lan",
-        Some(ChaosConfig {
+        Some(FaultConfig {
             drop_per_mille: 25,
             disconnect_per_mille: 10,
-            ..ChaosConfig::lossy_lan(seed)
+            ..FaultConfig::lossy_lan(seed)
         }),
     );
 }

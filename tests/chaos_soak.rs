@@ -10,11 +10,10 @@
 //! fault trace are printed — re-running that seed reproduces the run.
 
 use harbor::{ChaosRunConfig, Cluster, ClusterConfig, TableSpec};
+use harbor_common::fault::FaultConfig;
 use harbor_common::metrics::Group;
 use harbor_common::StorageConfig;
 use harbor_dist::ProtocolKind;
-use harbor_net::ChaosConfig;
-use harbor_storage::DiskFaultConfig;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -39,8 +38,7 @@ fn chaos_cluster(dir: &PathBuf, seed: u64) -> Cluster {
     let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 3);
     cfg.storage = StorageConfig::for_tests();
     cfg.tables = vec![TableSpec::small("sales")];
-    cfg.chaos = Some(ChaosConfig::lossy_lan(seed));
-    cfg.disk_faults = Some(DiskFaultConfig::soak(seed));
+    cfg.faults = Some(FaultConfig::soak(seed));
     cfg.rpc_deadline = Duration::from_secs(2);
     cfg.parallel_recovery = false;
     Cluster::build(dir, cfg).unwrap()
@@ -51,7 +49,7 @@ fn chaos_cluster(dir: &PathBuf, seed: u64) -> Cluster {
 fn run_seed(tag: &str, seed: u64) -> harbor::ChaosRunReport {
     let dir = temp_dir(&format!("{tag}-{seed:x}"));
     let cluster = chaos_cluster(&dir, seed);
-    let report = cluster.run_chaos(&ChaosRunConfig::soak(seed)).unwrap();
+    let report = cluster.run_chaos(&ChaosRunConfig::soak()).unwrap();
     drop(cluster);
     let _ = std::fs::remove_dir_all(&dir);
     report
@@ -139,8 +137,7 @@ fn batched_commit_seed_holds_invariants() {
     cfg.tables = (0..4)
         .map(|i| TableSpec::small(&format!("sales{i}")))
         .collect();
-    cfg.chaos = Some(ChaosConfig::lossy_lan(seed));
-    cfg.disk_faults = Some(DiskFaultConfig::soak(seed));
+    cfg.faults = Some(FaultConfig::soak(seed));
     cfg.rpc_deadline = Duration::from_secs(2);
     cfg.parallel_recovery = false;
     cfg.epoch_commit = Some(harbor_dist::EpochCommitConfig {
@@ -153,9 +150,7 @@ fn batched_commit_seed_holds_invariants() {
         pipeline_depth: 2,
     });
     let cluster = Cluster::build(&dir, cfg).unwrap();
-    let report = cluster
-        .run_chaos(&ChaosRunConfig::soak_batched(seed))
-        .unwrap();
+    let report = cluster.run_chaos(&ChaosRunConfig::soak_batched()).unwrap();
     drop(cluster);
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -215,7 +210,7 @@ fn membership_seed_holds_invariants() {
         let dir = temp_dir(&format!("membership-{seed:x}"));
         let cluster = chaos_cluster(&dir, seed);
         let report = cluster
-            .run_chaos(&ChaosRunConfig::soak_membership(seed))
+            .run_chaos(&ChaosRunConfig::soak_membership())
             .unwrap();
         drop(cluster);
         let _ = std::fs::remove_dir_all(&dir);
@@ -314,7 +309,7 @@ fn front_door_seed_holds_invariants() {
         cluster.set_txn_router(Some(std::sync::Arc::new(move |ops| {
             client.lock().unwrap().txn(&ops, Duration::from_secs(30))
         })));
-        let report = cluster.run_chaos(&ChaosRunConfig::soak(seed)).unwrap();
+        let report = cluster.run_chaos(&ChaosRunConfig::soak()).unwrap();
         cluster.set_txn_router(None);
         server.shutdown();
         drop(cluster);

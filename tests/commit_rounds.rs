@@ -8,16 +8,17 @@
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
 use harbor_common::codec::Wire;
+use harbor_common::fault::{Armed, FaultConfig, FaultPlan};
 use harbor_common::{
     DbError, DbResult, DiskProfile, Metrics, SiteId, StorageConfig, Timestamp, Value,
 };
 use harbor_dist::{
-    rpc, Coordinator, CoordinatorConfig, CrashPoint, CrashSchedule, Placement, ProtocolKind,
-    Request, Response, UpdateRequest, WireTxnState, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
+    rpc, Coordinator, CoordinatorConfig, CrashPoint, Placement, ProtocolKind, Request, Response,
+    UpdateRequest, WireTxnState, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_front::FrontHandler;
-use harbor_net::{Channel, ChaosConfig, InMemNetwork, Listener, Transport};
+use harbor_net::{Channel, InMemNetwork, Listener, Transport};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -54,11 +55,11 @@ fn ids_as_of(engine: &Arc<Engine>, at: Timestamp) -> Vec<i64> {
     rows.iter().map(|t| t.get(2).as_i64().unwrap()).collect()
 }
 
-fn three_workers(name: &str, chaos: Option<ChaosConfig>, rpc_deadline: Duration) -> Cluster {
+fn three_workers(name: &str, faults: Option<FaultConfig>, rpc_deadline: Duration) -> Cluster {
     let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 3);
     cfg.storage = StorageConfig::for_tests();
     cfg.tables = vec![TableSpec::small("t")];
-    cfg.chaos = chaos;
+    cfg.faults = faults;
     cfg.rpc_deadline = rpc_deadline;
     Cluster::build(temp_dir(name), cfg).unwrap()
 }
@@ -266,7 +267,7 @@ struct HandBuilt {
     dir: PathBuf,
     coordinator: Arc<Coordinator>,
     workers: Vec<(Arc<Worker>, Arc<Engine>)>,
-    crash_schedule: Arc<CrashSchedule>,
+    faults: Arc<FaultPlan>,
 }
 
 /// Three Opt3pc workers under the default deadline.
@@ -293,7 +294,7 @@ fn built_with(
     let sites: Vec<SiteId> = (1..=copies).map(SiteId).collect();
     let addr = |site: &SiteId| format!("{name}-site-{}", site.0);
     let peers: HashMap<SiteId, String> = sites.iter().map(|s| (*s, addr(s))).collect();
-    let crash_schedule: Arc<CrashSchedule> = Default::default();
+    let faults: Arc<FaultPlan> = Default::default();
     let mut placement = Placement::new();
     let mut workers = Vec::new();
     for site in &sites {
@@ -313,7 +314,7 @@ fn built_with(
             peers: peers.clone(),
             coordinator: Some(format!("{name}-coordinator")),
             auto_consensus,
-            crash_schedule: crash_schedule.clone(),
+            faults: faults.clone(),
         };
         let worker = Worker::start(engine.clone(), transport.clone(), cfg).unwrap();
         placement.set_address(*site, worker.addr());
@@ -329,7 +330,7 @@ fn built_with(
             group_commit: harbor_wal::GroupCommit::enabled(),
             disk: DiskProfile::fast(),
             rpc_deadline,
-            crash_schedule: crash_schedule.clone(),
+            faults: faults.clone(),
             epoch_commit: None,
             degrade_read_only: false,
         },
@@ -342,7 +343,7 @@ fn built_with(
         dir,
         coordinator,
         workers,
-        crash_schedule,
+        faults,
     }
 }
 
@@ -472,10 +473,10 @@ fn get_time_stays_at_a_commit_time_until_its_round_is_in() {
 #[test]
 fn two_silent_participants_cost_one_deadline() {
     let deadline = Duration::from_millis(400);
-    let cluster = three_workers("silent", Some(ChaosConfig::quiet(11)), deadline);
+    let cluster = three_workers("silent", Some(FaultConfig::quiet(11)), deadline);
     let coordinator = cluster.coordinator();
     let chaos = cluster.chaos().unwrap();
-    chaos.set_enabled(true);
+    cluster.faults().set_enabled(true);
     cluster.run_txn(vec![insert(0)]).unwrap();
 
     let tid = coordinator.begin().unwrap();
@@ -785,9 +786,10 @@ fn no_commit_point_passes_without_a_holder() {
     let coordinator = &built.coordinator;
     let tid = coordinator.begin().unwrap();
     coordinator.update(tid, insert(1)).unwrap();
-    built
-        .crash_schedule
-        .arm(coordinator.site(), CrashPoint::CoordAfterCommitSent(0));
+    built.faults.arm(
+        coordinator.site(),
+        Armed::Crash(CrashPoint::CoordAfterCommitSent(0)),
+    );
     let told = coordinator.commit(tid);
     assert!(
         matches!(told, Err(DbError::TransactionAborted(_))),

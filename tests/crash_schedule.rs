@@ -1,4 +1,4 @@
-//! Cluster-wide crash schedules (the generalized fail-point machinery):
+//! Crash points armed on the cluster's fault plan:
 //!
 //! * a coordinator fail point armed for a transaction is consumed exactly
 //!   once and cleared on *both* finish paths — commit and abort — so a
@@ -85,9 +85,9 @@ fn armed_fail_point_cleared_on_commit() {
     cluster.arm_crash(coordinator.site(), CrashPoint::CoordAfterPtcSent(99));
     coordinator.commit(tid).unwrap();
     assert!(
-        cluster.crash_schedule().is_empty(),
+        cluster.faults().armed().is_empty(),
         "fail point survived a committed transaction: {:?}",
-        cluster.crash_schedule().armed()
+        cluster.faults().armed()
     );
 
     // The next transaction runs with no schedule interference.
@@ -116,9 +116,9 @@ fn armed_fail_point_cleared_on_abort() {
     // Abort without ever reaching PREPARE: the point is never consumed.
     coordinator.abort(tid).unwrap();
     assert!(
-        cluster.crash_schedule().is_empty(),
+        cluster.faults().armed().is_empty(),
         "fail point survived an aborted transaction: {:?}",
-        cluster.crash_schedule().armed()
+        cluster.faults().armed()
     );
 
     // If the point had leaked, this commit would die at AfterPrepare.
@@ -177,7 +177,7 @@ fn cascading_backup(name: &str, fail: CrashPoint, expect_rows: usize) {
         "{name}: next-ranked site did not act as backup"
     );
     await_counts(&cluster, &[SiteId(2), SiteId(3)], expect_rows, name);
-    assert!(cluster.crash_schedule().is_empty());
+    assert!(cluster.faults().armed().is_empty());
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -239,7 +239,7 @@ fn worker_crash_during_a_riding_prepare_vote_aborts_everywhere() {
     cluster.recover_worker_harbor(SiteId(2)).unwrap();
     coordinator.execute(vec![insert(2)], patience).unwrap();
     await_counts(&cluster, &cluster.worker_sites(), 2, "riding-vote-crash");
-    assert!(cluster.crash_schedule().is_empty());
+    assert!(cluster.faults().armed().is_empty());
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

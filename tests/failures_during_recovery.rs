@@ -154,7 +154,7 @@ fn a_recovery_point_not_reached_is_disarmed_when_the_recovery_ends() {
         err.to_string().contains("RecoveryAfterPhase1"),
         "the first point reached fires: {err}"
     );
-    assert!(cluster.crash_schedule().is_empty());
+    assert!(cluster.faults().armed().is_empty());
     cluster.recover_worker_harbor(victim).unwrap();
     assert_eq!(count_at(&cluster, victim), 30);
     drop(cluster);
@@ -345,7 +345,7 @@ impl TwoSites {
             peers: Self::SITES.iter().map(|s| (*s, addr(*s))).collect(),
             coordinator: None,
             auto_consensus: false,
-            crash_schedule: Default::default(),
+            faults: Default::default(),
         };
         let worker = Worker::start(engine.clone(), self.net.clone(), cfg).unwrap();
         (worker, engine)
@@ -361,7 +361,7 @@ impl TwoSites {
                 group_commit: harbor_wal::GroupCommit::enabled(),
                 disk: DiskProfile::fast(),
                 rpc_deadline: DEFAULT_RPC_DEADLINE,
-                crash_schedule: Default::default(),
+                faults: Default::default(),
                 epoch_commit: None,
                 degrade_read_only: false,
             },
@@ -385,7 +385,7 @@ impl TwoSites {
             down: Default::default(),
             rpc_deadline: DEFAULT_RPC_DEADLINE,
             parallel_objects: true,
-            crash_schedule: Default::default(),
+            faults: Default::default(),
             died_at: Default::default(),
         }
     }

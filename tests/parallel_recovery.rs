@@ -134,7 +134,7 @@ fn buddy_error_mid_phase2_fails_recovery_promptly() {
     // A pool far smaller than the table: site 3 must go to disk to serve
     // its share of the catch-up.
     cfg.storage.buffer_pool_pages = 2;
-    cfg.disk_faults = Some(harbor_storage::DiskFaultConfig {
+    cfg.faults = Some(harbor_common::fault::FaultConfig {
         read_error_per_mille: 1000,
         ..Default::default()
     });
@@ -146,8 +146,8 @@ fn buddy_error_mid_phase2_fails_recovery_promptly() {
     let victim = SiteId(1);
     cluster.crash_worker(victim).unwrap();
     fill(&cluster, 50, 1250);
-    let site3_disk = cluster.disk_fault_plan(SiteId(3)).unwrap();
-    site3_disk.set_enabled(true);
+    let faults = cluster.faults();
+    faults.enable_only(SiteId(3));
     let (done, outcome) = std::sync::mpsc::channel();
     let recovering = cluster.clone();
     std::thread::spawn(move || done.send(recovering.recover_worker_harbor(victim)));
@@ -159,9 +159,9 @@ fn buddy_error_mid_phase2_fails_recovery_promptly() {
         matches!(&err, harbor_common::DbError::Protocol(m) if m.contains("io error")),
         "{err}"
     );
-    assert!(site3_disk.injected() > 0);
+    assert!(faults.page_faults_injected() > 0);
     assert!(cluster.is_crashed(victim));
-    site3_disk.set_enabled(false);
+    faults.set_enabled(false);
     let report = cluster.recover_worker_harbor(victim).unwrap();
     assert!(report.ranges_fetched() >= 3, "deletions, then two shares");
     assert_eq!(count_at(&cluster, victim), 1250);

@@ -99,7 +99,7 @@ fn build(name: &str) -> Fixture {
                 peers: peers.clone(),
                 coordinator: None,
                 auto_consensus: false,
-                crash_schedule: Default::default(),
+                faults: Default::default(),
             },
         )
         .unwrap();
@@ -115,7 +115,7 @@ fn build(name: &str) -> Fixture {
             group_commit: GroupCommit::enabled(),
             disk: harbor_common::DiskProfile::fast(),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            crash_schedule: Default::default(),
+            faults: Default::default(),
             epoch_commit: None,
             degrade_read_only: false,
         },
@@ -196,7 +196,7 @@ fn recover(f: &mut Fixture, site: SiteId) {
             peers: f.peers.clone(),
             coordinator: None,
             auto_consensus: false,
-            crash_schedule: Default::default(),
+            faults: Default::default(),
         },
     )
     .unwrap();
@@ -208,7 +208,7 @@ fn recover(f: &mut Fixture, site: SiteId) {
         down: HashSet::new(),
         rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
         parallel_objects: true,
-        crash_schedule: Default::default(),
+        faults: Default::default(),
         died_at: Default::default(),
     };
     let report = recover_site(&ctx).unwrap();

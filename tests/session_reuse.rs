@@ -6,13 +6,14 @@
 //! idle ones included (that last scenario lives in `auto_consensus.rs`).
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
+use harbor_common::fault::FaultConfig;
 use harbor_common::{DbError, Metrics, SiteId, StorageConfig, Timestamp, Value};
 use harbor_dist::{
     rpc, Coordinator, CoordinatorConfig, Placement, ProtocolKind, Request, Response, UpdateRequest,
     Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
 };
 use harbor_engine::{Engine, EngineOptions};
-use harbor_net::{ChaosConfig, InMemNetwork, TcpTransport, Transport};
+use harbor_net::{InMemNetwork, TcpTransport, Transport};
 use harbor_storage::{LockKey, LockMode};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -76,17 +77,17 @@ fn proc_footprint() -> (usize, usize) {
     (maps, threads)
 }
 
-fn three_workers_config(chaos: Option<ChaosConfig>, rpc_deadline: Duration) -> ClusterConfig {
+fn three_workers_config(faults: Option<FaultConfig>, rpc_deadline: Duration) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(ProtocolKind::Opt3pc, 3);
     cfg.storage = StorageConfig::for_tests();
     cfg.tables = vec![TableSpec::small("t")];
-    cfg.chaos = chaos;
+    cfg.faults = faults;
     cfg.rpc_deadline = rpc_deadline;
     cfg
 }
 
-fn three_workers(name: &str, chaos: Option<ChaosConfig>, rpc_deadline: Duration) -> Cluster {
-    Cluster::build(temp_dir(name), three_workers_config(chaos, rpc_deadline)).unwrap()
+fn three_workers(name: &str, faults: Option<FaultConfig>, rpc_deadline: Duration) -> Cluster {
+    Cluster::build(temp_dir(name), three_workers_config(faults, rpc_deadline)).unwrap()
 }
 
 /// (a) Three thousand serial transactions on one cluster cost the process a
@@ -203,10 +204,10 @@ fn a_recovered_worker_is_reached_on_new_sessions() {
 fn a_session_that_missed_a_reply_is_not_reused() {
     let _one = serial();
     let deadline = Duration::from_millis(300);
-    let cluster = three_workers("partition", Some(ChaosConfig::quiet(7)), deadline);
+    let cluster = three_workers("partition", Some(FaultConfig::quiet(7)), deadline);
     let coordinator = cluster.coordinator();
     let chaos = cluster.chaos().unwrap();
-    chaos.set_enabled(true);
+    cluster.faults().set_enabled(true);
     cluster.run_txn(vec![insert("t", 0)]).unwrap();
     let cut = SiteId(2);
     assert_eq!(coordinator.idle_sessions(cut), 1);
@@ -254,9 +255,9 @@ fn a_session_that_missed_a_reply_is_not_reused() {
 fn a_silent_buddy_is_counted_on_the_recovering_site() {
     let _one = serial();
     let deadline = Duration::from_millis(300);
-    let cluster = three_workers("silent-buddy", Some(ChaosConfig::quiet(7)), deadline);
+    let cluster = three_workers("silent-buddy", Some(FaultConfig::quiet(7)), deadline);
     let chaos = cluster.chaos().unwrap();
-    chaos.set_enabled(true);
+    cluster.faults().set_enabled(true);
     for id in 0..10 {
         cluster.run_txn(vec![insert("t", id)]).unwrap();
     }
@@ -297,7 +298,7 @@ fn worker_config(site: SiteId, addr: String) -> WorkerConfig {
         peers: HashMap::new(),
         coordinator: None,
         auto_consensus: false,
-        crash_schedule: Default::default(),
+        faults: Default::default(),
     }
 }
 
@@ -341,7 +342,7 @@ fn sites(name: &str, n: u16, tcp: bool) -> Sites {
             group_commit: harbor_wal::GroupCommit::enabled(),
             disk: harbor_common::DiskProfile::fast(),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            crash_schedule: Default::default(),
+            faults: Default::default(),
             epoch_commit: None,
             degrade_read_only: false,
         },

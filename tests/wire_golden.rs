@@ -843,7 +843,7 @@ fn recovery_scans_are_byte_identical() {
             peers: sites.iter().map(|s| (*s, addr(*s))).collect(),
             coordinator: None,
             auto_consensus: false,
-            crash_schedule: Default::default(),
+            faults: Default::default(),
         };
         let worker = Worker::start(engine.clone(), net.clone(), cfg).expect("start worker");
         (worker, engine)
@@ -859,7 +859,7 @@ fn recovery_scans_are_byte_identical() {
             group_commit: harbor_wal::GroupCommit::enabled(),
             disk: DiskProfile::fast(),
             rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
-            crash_schedule: Default::default(),
+            faults: Default::default(),
             epoch_commit: None,
             degrade_read_only: false,
         },
@@ -907,7 +907,7 @@ fn recovery_scans_are_byte_identical() {
         down: Default::default(),
         rpc_deadline: harbor_dist::DEFAULT_RPC_DEADLINE,
         parallel_objects: true,
-        crash_schedule: Default::default(),
+        faults: Default::default(),
         died_at: Default::default(),
     };
     recover_site(&ctx).expect("recover");

@@ -4,14 +4,15 @@
 //! while a frame is marked clean only once its bytes are in the file.
 
 use harbor_common::config::PAGE_SIZE;
+use harbor_common::fault::{FaultConfig, FaultPlan};
 use harbor_common::{
     DiskProfile, FieldType, Metrics, RecordId, SiteId, StorageConfig, TableId, Timestamp,
     TransactionId, Tuple, TupleDesc, Value,
 };
 use harbor_engine::{Engine, EngineOptions, StepLogging};
 use harbor_storage::{
-    slots_per_page, BufferPool, Checkpointer, DiskFaultConfig, DiskFaultPlan, LockManager, Page,
-    PagePolicy, SegmentedHeapFile, RUN_PAGES,
+    slots_per_page, BufferPool, Checkpointer, LockManager, Page, PagePolicy, SegmentedHeapFile,
+    RUN_PAGES,
 };
 use harbor_wal::record::TsField;
 use std::collections::HashMap;
@@ -62,7 +63,7 @@ impl Site {
         dir: &Path,
         capacity: usize,
         segment_pages: u32,
-        faults: Option<&Arc<DiskFaultPlan>>,
+        faults: Option<&Arc<FaultPlan>>,
     ) -> Self {
         let metrics = Metrics::new();
         let locks = Arc::new(LockManager::new(
@@ -84,9 +85,10 @@ impl Site {
             metrics.clone(),
         )
         .unwrap();
-        if let Some(plan) = faults {
-            heap.arm_disk_faults(plan.clone());
-        }
+        let heap = match faults {
+            Some(plan) => heap.with_faults(plan.clone(), SiteId(1)),
+            None => heap,
+        };
         pool.register_table(Arc::new(heap));
         Site {
             dir: dir.to_path_buf(),
@@ -205,7 +207,7 @@ fn page_order_write_back_draws_the_same_faults_as_page_at_a_time() {
     let (runs, pages) = (dir.join("runs"), dir.join("pages"));
     std::fs::create_dir_all(&runs).unwrap();
     std::fs::create_dir_all(&pages).unwrap();
-    let plans = [0, 1].map(|_| DiskFaultPlan::new(DiskFaultConfig::soak(SEED)));
+    let plans = [0, 1].map(|_| Arc::new(FaultPlan::new(FaultConfig::soak(SEED))));
     let by_runs = Site::new(&runs, 1024, 16, Some(&plans[0]));
     let by_pages = Site::new(&pages, 1024, 16, Some(&plans[1]));
     for site in [&by_runs, &by_pages] {
@@ -234,7 +236,7 @@ fn page_order_write_back_draws_the_same_faults_as_page_at_a_time() {
         }
     }
     let traces = plans.each_ref().map(|p| p.trace_canonical());
-    assert!(plans[0].injected() > 0, "the seed fires faults");
+    assert!(plans[0].page_faults_injected() > 0, "the seed fires faults");
     assert_eq!(traces[0], traces[1]);
     assert!(
         by_runs.writes().1 < by_pages.writes().1,
