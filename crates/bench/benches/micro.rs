@@ -230,39 +230,34 @@ fn bench_transport(c: &mut Criterion) {
         return;
     }
     let mut g = c.benchmark_group("transport");
-    // Framing a streamed batch: encode-then-copy-behind-a-prefix (the old
-    // Response→send path) vs encoding straight into the framed buffer.
+    // Encoding a streamed batch: the frame that is moved into `send`.
     let resp = tuples_response(512);
-    g.bench_function("frame_batch_encode_then_copy", |b| {
-        b.iter(|| {
-            let body = resp.to_vec();
-            let mut framed = Vec::with_capacity(body.len() + 4);
-            framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            framed.extend_from_slice(&body);
-            black_box(framed)
-        });
+    g.bench_function("frame_batch_encode", |b| {
+        b.iter(|| black_box(resp.to_vec()));
     });
-    g.bench_function("frame_batch_to_framed_vec", |b| {
-        b.iter(|| black_box(resp.to_framed_vec()));
-    });
-    // Shipping it over TCP loopback into a draining peer: `send` (header +
-    // payload, vectored) vs `send_framed` (pre-framed, one write).
+    // Shipping it over TCP loopback into a draining peer: the length prefix
+    // and the payload in one vectored write. Each sample sends a frame of
+    // its own, copied outside the timed section.
     use harbor_net::Transport;
     let transport = harbor_net::TcpTransport::new(Metrics::new());
     let listener = transport.listen("127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
     let sink = std::thread::spawn(move || {
-        let mut chan = listener.accept().unwrap();
+        let mut chan = listener
+            .accept_timeout(Duration::from_secs(10))
+            .unwrap()
+            .expect("a connection");
         // Drains until the sender hangs up; an idle second is no end.
         while chan.recv_timeout(Duration::from_secs(1)).is_ok() {}
     });
     let mut chan = transport.connect(&addr).unwrap();
-    let framed = resp.to_framed_vec();
+    let frame = resp.to_vec();
     g.bench_function("tcp_send", |b| {
-        b.iter(|| chan.send(black_box(&framed[4..])).unwrap());
-    });
-    g.bench_function("tcp_send_framed", |b| {
-        b.iter(|| chan.send_framed(black_box(&framed)).unwrap());
+        b.iter_batched(
+            || frame.clone(),
+            |frame| chan.send(black_box(frame)).unwrap(),
+            BatchSize::SmallInput,
+        );
     });
     drop(chan);
     sink.join().unwrap();
@@ -500,8 +495,7 @@ fn bench_scan(_c: &mut Criterion) {
             let mut inserter = e.recovered_inserter(target).unwrap();
             let mut applied = 0;
             for frame in &frames {
-                // A frame as the channel hands it over: without its length.
-                let (_, rows, mut wire) = open_tuples_frame(black_box(&frame[4..]))
+                let (_, rows, mut wire) = open_tuples_frame(black_box(frame))
                     .unwrap()
                     .expect("a tuples frame");
                 inserter.insert_wire(rows, &mut wire, |_| {}).unwrap();

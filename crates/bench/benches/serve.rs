@@ -61,18 +61,23 @@ fn handoff(transport: Box<dyn Transport>, metrics: Metrics, addr: &str) -> Hando
         let listener = transport.listen(&addr).expect("bind hand-off");
         let bound = listener.local_addr();
         let server = std::thread::spawn(move || {
-            let mut chan = listener.accept().expect("accept hand-off");
+            let mut chan = listener
+                .accept_timeout(Duration::from_secs(10))
+                .expect("accept hand-off")
+                .expect("a hand-off connection");
             let stop = AtomicBool::new(false);
             while let Ok(Some(request)) = recv_or_stop(chan.as_mut(), &stop) {
-                chan.send(&request).expect("reply");
+                chan.send(request).expect("reply");
             }
         });
         let mut chan = transport.connect(&bound).expect("connect hand-off");
-        let request = [7u8; 128];
+        // Each reply is sent back as the next request.
+        let mut frame = vec![7u8; 128];
         let mut round_trip = || {
-            chan.send(&request).expect("request");
+            chan.send(std::mem::take(&mut frame)).expect("request");
             let reply = chan.recv_timeout(Duration::from_secs(5)).expect("reply");
-            assert_eq!(reply.as_deref(), Some(&request[..]), "hand-off reply");
+            frame = reply.expect("hand-off reply");
+            assert_eq!(frame, [7u8; 128], "hand-off reply");
         };
         for _ in 0..ROUND_TRIPS {
             round_trip();

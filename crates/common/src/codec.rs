@@ -110,6 +110,16 @@ impl Encoder {
         self.buf.is_empty()
     }
 
+    /// Makes room for `additional` more bytes, doubling the buffer as a push
+    /// would, but not past `most` bytes unless `additional` needs more.
+    pub fn reserve_up_to(&mut self, additional: usize, most: usize) {
+        let (len, cap) = (self.buf.len(), self.buf.capacity());
+        if cap - len < additional {
+            let want = (2 * cap).min(most).max(len + additional);
+            self.buf.reserve_exact(want - len);
+        }
+    }
+
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
@@ -275,19 +285,6 @@ pub trait Wire: Sized {
     fn to_vec(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         self.encode(&mut enc);
-        enc.into_bytes()
-    }
-
-    /// Encodes with a leading 4-byte little-endian length prefix (the frame
-    /// header the transports use), so a channel can write `len || payload`
-    /// with a single syscall and no extra copy. The prefix covers the
-    /// payload only.
-    fn to_framed_vec(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_u32(0); // placeholder for the length prefix
-        self.encode(&mut enc);
-        let len = (enc.len() - 4) as u32;
-        enc.patch_u32(0, len);
         enc.into_bytes()
     }
 

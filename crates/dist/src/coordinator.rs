@@ -615,19 +615,20 @@ impl Coordinator {
 
     /// Takes a session to `site` on lease — the newest idle one, else a new
     /// connection; this is the only place the coordinator connects to a
-    /// worker — and sends `first`, the first frame of the lease's first
-    /// exchange, on it.
+    /// worker — and sends the frame `first` encodes, the first of the
+    /// lease's first exchange, on it.
     ///
     /// A stale idle session is not a dead site: a worker that restarted at
     /// the same address leaves dead sessions in the idle list. An idle
     /// session found closed — by asking the transport, which over TCP knows
     /// what a write would not reveal, or by that very first send failing —
     /// has carried nothing, so nothing can have been executed, and the
-    /// frame goes out on a new connection before the failure counts against
-    /// the site. A failure any later in the exchange is the holder's to
-    /// classify and is never retried: a frame has left by then and may yet
-    /// be executed, and commit-protocol messages are not retransmitted.
-    fn lease(&self, site: SiteId, first: &[u8]) -> DbResult<Box<dyn Channel>> {
+    /// frame, encoded again, goes out on a new connection before the
+    /// failure counts against the site. A failure any later in the exchange
+    /// is the holder's to classify and is never retried: a frame has left by
+    /// then and may yet be executed, and commit-protocol messages are not
+    /// retransmitted.
+    fn lease(&self, site: SiteId, first: impl Fn() -> Vec<u8>) -> DbResult<Box<dyn Channel>> {
         if self.shutdown.load(Ordering::SeqCst) {
             return Err(DbError::SiteDown("coordinator crashed".into()));
         }
@@ -637,7 +638,7 @@ impl Coordinator {
             let sent = if chan.is_closed() {
                 Err(DbError::net(format!("idle session to {site} was closed")))
             } else {
-                chan.send(first)
+                chan.send(first())
             };
             match sent {
                 Ok(()) => return Ok(chan),
@@ -654,7 +655,7 @@ impl Coordinator {
         let addr = self.placement.address(site)?;
         let mut chan = self.transport.connect(&addr)?;
         self.metrics.add_sessions_opened(1);
-        chan.send(first)?;
+        chan.send(first())?;
         Ok(chan)
     }
 
@@ -699,7 +700,7 @@ impl Coordinator {
         first: &[u8],
     ) -> DbResult<()> {
         s.begun = true;
-        let chan = self.lease(site, &Request::mark_beginning(tid, first))?;
+        let chan = self.lease(site, || Request::mark_beginning(tid, first))?;
         let mut g = ctx.inner.lock();
         if g.finished || g.committing {
             return Err(DbError::TransactionAborted(tid));
@@ -719,10 +720,10 @@ impl Coordinator {
         ctx: &TxnCtx,
         site: SiteId,
         s: &mut TxnSession,
-        frame: &[u8],
+        frame: Vec<u8>,
     ) -> DbResult<()> {
         if !s.begun {
-            return self.first_contact(tid, ctx, site, s, frame);
+            return self.first_contact(tid, ctx, site, s, &frame);
         }
         let Some(chan) = s.chan.as_mut() else {
             return Err(if ctx.inner.lock().finished {
@@ -804,7 +805,7 @@ impl Coordinator {
         s: &mut TxnSession,
         req: &Request,
     ) -> DbResult<Response> {
-        self.hand(tid, ctx, site, s, &req.to_vec())?;
+        self.hand(tid, ctx, site, s, req.to_vec())?;
         self.reply(ctx, site, s, req, Instant::now() + self.cfg.rpc_deadline)
     }
 
@@ -842,12 +843,23 @@ impl Coordinator {
         // per-(transaction, site) serialization point. Site order is the one
         // lock order, and only the brief ctx lock is ever taken under it.
         let mut sessions: Vec<_> = slots.iter().map(|slot| slot.lock()).collect();
-        let frame = req.to_vec();
+        // Encoded once for the round: each site but the last is handed a
+        // copy, the last the frame itself.
+        let mut frame = req.to_vec();
+        let last = sites.len().saturating_sub(1);
         let handed: Vec<Option<DbResult<Response>>> = sites
             .iter()
             .zip(sessions.iter_mut())
-            .map(|(site, s)| {
-                before(*site, s).or_else(|| self.hand(tid, ctx, *site, s, &frame).err().map(Err))
+            .enumerate()
+            .map(|(i, (site, s))| {
+                before(*site, s).or_else(|| {
+                    let frame = if i == last {
+                        std::mem::take(&mut frame)
+                    } else {
+                        frame.clone()
+                    };
+                    self.hand(tid, ctx, *site, s, frame).err().map(Err)
+                })
             })
             .collect();
         let expires = Instant::now() + self.cfg.rpc_deadline;
@@ -1119,7 +1131,7 @@ impl Coordinator {
                 DEFAULT_READ_RETRIES,
                 DEFAULT_RETRY_BACKOFF,
                 || {
-                    let mut chan = self.lease(site, &request)?;
+                    let mut chan = self.lease(site, || request.clone())?;
                     match self.scan_rows(chan.as_mut()) {
                         Ok(tuples) => {
                             self.release(site, chan);
@@ -1165,7 +1177,7 @@ impl Coordinator {
         // Lock-taking read inside a transaction: single attempt (a retry
         // could double-wait on locks), but still under the liveness deadline.
         let result = self
-            .hand(tid, &ctx, site, &mut s, &Request::Scan(rs).to_vec())
+            .hand(tid, &ctx, site, &mut s, Request::Scan(rs).to_vec())
             .and_then(|()| match s.chan.as_mut() {
                 // harbor-lint: allow(lock-across-blocking) — read under the session mutex: it is the per-(transaction, site) serialization point
                 Some(chan) => self.scan_rows(chan.as_mut()),
@@ -1400,8 +1412,8 @@ impl Coordinator {
     /// the outcome is in doubt, as after a coordinator crash, and a worker
     /// that asks here is told aborted.
     fn abort_afresh(&self, tid: TransactionId, sites: &[SiteId]) -> DbResult<()> {
-        let abort = Request::Abort { tid }.to_vec();
-        let leased: Vec<_> = sites.iter().map(|site| self.lease(*site, &abort)).collect();
+        let abort = || Request::Abort { tid }.to_vec();
+        let leased: Vec<_> = sites.iter().map(|site| self.lease(*site, abort)).collect();
         let expires = Instant::now() + self.cfg.rpc_deadline;
         let mut delivered = Ok(());
         for chan in leased {
@@ -1604,7 +1616,7 @@ impl Coordinator {
                 txns,
                 time_bound: bound,
             };
-            match self.lease(*site, &req.to_vec()) {
+            match self.lease(*site, || req.to_vec()) {
                 Ok(chan) => {
                     wave.insert(*site, chan);
                 }
@@ -1715,7 +1727,7 @@ impl Coordinator {
                 commits,
                 aborts,
             };
-            if chan.send(&req.to_vec()).is_err() {
+            if chan.send(req.to_vec()).is_err() {
                 wave.remove(site);
                 self.mark_dead(*site);
                 continue;
@@ -1861,7 +1873,7 @@ impl Coordinator {
                 },
                 _ => Response::Err(DbError::protocol("not a coordinator request")),
             };
-            if chan.send(&resp.to_vec()).is_err() {
+            if chan.send(resp.to_vec()).is_err() {
                 return;
             }
         }

@@ -74,7 +74,7 @@ pub fn rpc(
     deadline: Duration,
     metrics: &Metrics,
 ) -> DbResult<Response> {
-    chan.send(&req.to_vec())?;
+    chan.send(req.to_vec())?;
     Response::from_slice(&next_frame(chan, deadline, metrics)?)
 }
 
@@ -121,7 +121,7 @@ pub fn scan_rpc(
     metrics: &Metrics,
     mut visit: impl FnMut(usize, &mut Decoder<'_>) -> DbResult<()>,
 ) -> DbResult<()> {
-    chan.send(&Request::Scan(scan.clone()).to_vec())?;
+    chan.send(Request::Scan(scan.clone()).to_vec())?;
     drain_scan_replies(chan, deadline, metrics, |rows, _, wire| visit(rows, wire))
 }
 

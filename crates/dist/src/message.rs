@@ -317,33 +317,28 @@ impl Response {
     }
 }
 
-/// Incrementally built, pre-framed `Response::Tuples` message.
+/// Incrementally built `Response::Tuples` frame.
 ///
 /// The scan service (`worker::ship_scan`) transcodes admitted rows from page
-/// bytes straight into this buffer; `finish` patches the frame length, done
-/// flag, and row count once the batch is complete. The output is byte-identical
-/// to `Response::Tuples { batch, done }.to_framed_vec()` (asserted by the
-/// wire tests), so the receiving side needs no changes.
+/// bytes straight into this buffer; `finish` patches the done flag and the
+/// row count once the batch is complete. The output is byte-identical to
+/// `Response::Tuples { batch, done }.to_vec()` (asserted by the wire tests),
+/// so the receiving side needs no changes.
 pub struct TuplesFrameBuilder {
     enc: Encoder,
     rows: u32,
 }
 
-// Byte offsets within the frame: [0..4] length prefix, [4] response tag,
-// [5] done flag, [6..10] row count (`Vec<Tuple>`'s), [10..] wire tuples.
-const TUPLES_DONE_OFFSET: usize = 5;
-const TUPLES_COUNT_OFFSET: usize = 6;
-const TUPLES_HEADER: usize = 10;
+// Byte offsets within the frame: [0] response tag, [1] done flag, [2..6]
+// row count (`Vec<Tuple>`'s), [6..] wire tuples.
+const TUPLES_DONE_OFFSET: usize = 1;
+const TUPLES_COUNT_OFFSET: usize = 2;
+const TUPLES_HEADER: usize = 6;
 
 impl TuplesFrameBuilder {
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
     /// A builder with room for `row_bytes` of rows before its buffer grows.
     pub fn with_capacity(row_bytes: usize) -> Self {
         let mut enc = Encoder::with_capacity(TUPLES_HEADER + row_bytes);
-        enc.put_u32(0); // frame length, patched in finish()
         enc.put_u8(Response::TUPLES_TAG);
         enc.put_bool(false); // done flag, patched in finish()
         enc.put_u32(0); // row count, patched in finish()
@@ -364,10 +359,8 @@ impl TuplesFrameBuilder {
         self.rows
     }
 
-    /// Finalizes into a pre-framed buffer ready for `send_framed`.
+    /// Finalizes into a frame ready to be moved into `Channel::send`.
     pub fn finish(mut self, done: bool) -> Vec<u8> {
-        let len = (self.enc.len() - 4) as u32;
-        self.enc.patch_u32(0, len);
         self.enc.patch_u32(TUPLES_COUNT_OFFSET, self.rows);
         let mut bytes = self.enc.into_bytes();
         bytes[TUPLES_DONE_OFFSET] = done as u8;
@@ -389,12 +382,6 @@ pub fn open_tuples_frame(frame: &[u8]) -> DbResult<Option<(bool, usize, Decoder<
     Ok(Some((done, rows, wire)))
 }
 
-impl Default for TuplesFrameBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,7 +399,7 @@ mod tests {
             Tuple::new(vec![Value::Int64(1), Value::Time(Timestamp(9))]),
         ];
         for done in [false, true] {
-            let mut b = TuplesFrameBuilder::new();
+            let mut b = TuplesFrameBuilder::with_capacity(0);
             for t in &batch {
                 t.write_wire(b.encoder());
                 b.note_row();
@@ -422,17 +409,17 @@ mod tests {
                 batch: batch.clone(),
                 done,
             }
-            .to_framed_vec();
+            .to_vec();
             assert_eq!(built, reference);
         }
         // Empty final frame (every stream ends with one).
         assert_eq!(
-            TuplesFrameBuilder::new().finish(true),
+            TuplesFrameBuilder::with_capacity(0).finish(true),
             Response::Tuples {
                 batch: vec![],
                 done: true
             }
-            .to_framed_vec()
+            .to_vec()
         );
     }
 

@@ -269,7 +269,7 @@ impl Worker {
                 // sends nothing.
                 return;
             }
-            if chan.send(&resp.to_vec()).is_err() {
+            if chan.send(resp.to_vec()).is_err() {
                 self.on_disconnect(&conn_txns, &conn_locks);
                 return;
             }
@@ -864,14 +864,14 @@ impl Worker {
         let recovery = recovery_crash_point(scan).is_some();
         ship_scan(&self.engine, scan, |frame, done| {
             let rows = frame.rows() as u64;
-            let framed = frame.finish(done);
-            let payload = (framed.len() - 4) as u64;
+            let frame = frame.finish(done);
+            let payload = frame.len() as u64;
             if recovery {
                 metrics.add_recovery_tuples_shipped(rows);
                 metrics.add_recovery_bytes_shipped(payload);
             }
             metrics.add_scan_bytes_zero_copy(payload);
-            chan.send_framed(&framed)?;
+            chan.send(frame)?;
             // A scan is the one long CPU-bound request a connection thread
             // serves, and nothing above makes it wait (the in-memory
             // transport queues without bound). On a saturated core the
@@ -921,7 +921,7 @@ fn recovery_crash_point(scan: &RemoteScan) -> Option<CrashPoint> {
 
 /// The scan service. Walks `scan`'s rows through the page visitor from one
 /// of three row sources, and transcodes each from page bytes into a
-/// pre-framed `Response::Tuples`:
+/// `Response::Tuples` frame:
 ///
 /// * a pure deletion query (`(tuple_id, deletion_time)` pairs of rows
 ///   deleted after `del_after`, no insertion lower bound) visits the rows
@@ -956,20 +956,23 @@ pub fn ship_scan(
     let pool = engine.pool();
     let heap = pool.table(table)?;
     let pred = scan.predicate.as_ref();
+    // The first frame has room for one row and doubles from there, so a
+    // small answer (a key probe's) takes one allocation or a few; it never
+    // doubles past the most a frame can hold — a batch less one row, then a
+    // whole page. A frame after a full one is sized for that much up front,
+    // so it is one allocation, not a dozen doublings.
+    let row_bytes = heap.desc().wire_capacity();
+    let most_rows = SCAN_BATCH - 1 + slots_per_page(heap.tuple_size());
+    let batch_bytes = most_rows * row_bytes;
     let put = |frame: &mut TuplesFrameBuilder, row: ScanRow<'_>| {
-        let ids_only = scan.ids_and_deletions_only;
-        if row.ship(pred, ids_only, frame.encoder())? {
+        let enc = frame.encoder();
+        enc.reserve_up_to(row_bytes, batch_bytes);
+        if row.ship(pred, scan.ids_and_deletions_only, enc)? {
             frame.note_row();
         }
         Ok(())
     };
-    // The first frame grows from empty, so a small answer (a key probe's)
-    // takes small allocations. A frame after a full one is sized up front
-    // for the most it can hold — a batch less one row, then a whole page —
-    // so it is one allocation, not a dozen doublings.
-    let most_rows = SCAN_BATCH - 1 + slots_per_page(heap.tuple_size());
-    let batch_bytes = most_rows * heap.desc().wire_capacity();
-    let mut frame = TuplesFrameBuilder::new();
+    let mut frame = TuplesFrameBuilder::with_capacity(row_bytes);
     let mut ship_if_full = |frame: &mut TuplesFrameBuilder| -> DbResult<()> {
         if frame.rows() as usize >= SCAN_BATCH {
             let next = TuplesFrameBuilder::with_capacity(batch_bytes);

@@ -554,7 +554,7 @@ fn a_marked_first_frame_begins_and_executes_with_one_reply() {
     let scan = RemoteScan::new("t", WireReadMode::SeeDeletedHistorical(Timestamp(1_000)));
     let mut other = f.connect();
     other
-        .send(&begin(reader, Request::Scan(scan)).to_vec())
+        .send(begin(reader, Request::Scan(scan)).to_vec())
         .unwrap();
     let Response::Tuples { batch, done: true } = answer(other.as_mut()) else {
         panic!("scan stream");
@@ -584,8 +584,8 @@ fn a_duplicated_first_frame_does_not_apply_twice() {
     let tid = TransactionId::from_parts(SiteId(0), 21);
     let first = begin(tid, insert(tid, 1)).to_vec();
     let mut chan = f.connect();
-    chan.send(&first).unwrap();
-    chan.send(&first).unwrap();
+    chan.send(first.clone()).unwrap();
+    chan.send(first).unwrap();
     assert!(matches!(answer(chan.as_mut()), Response::Ok));
     match answer(chan.as_mut()) {
         Response::Err(DbError::BeginRefused { tid: refused, .. }) => assert_eq!(refused, tid),
@@ -723,8 +723,8 @@ fn a_duplicated_last_frame_neither_applies_nor_votes_twice() {
         Response::Ok
     ));
     let last = last_insert(tid, "t", 2).to_vec();
-    chan.send(&last).unwrap();
-    chan.send(&last).unwrap();
+    chan.send(last.clone()).unwrap();
+    chan.send(last).unwrap();
     for _ in 0..2 {
         assert!(matches!(
             answer(chan.as_mut()),

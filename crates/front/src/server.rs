@@ -190,7 +190,7 @@ impl Shared {
                     (reply, true)
                 }
             };
-            if chan.send_framed(&reply.to_framed_vec()).is_err() || !keep {
+            if chan.send(reply.to_vec()).is_err() || !keep {
                 break;
             }
         }

@@ -111,7 +111,7 @@ impl FrontClient {
     /// Round-trips a liveness probe, bounded by the server's default
     /// request deadline plus slack.
     pub fn ping(&mut self) -> DbResult<()> {
-        self.chan.send(&FrontRequest::Ping.to_vec())?;
+        self.chan.send(FrontRequest::Ping.to_vec())?;
         match FrontReply::from_slice(&self.recv_reply(Duration::ZERO)?)? {
             FrontReply::Pong => Ok(()),
             other => Err(DbError::protocol(format!("expected Pong, got {other:?}"))),
@@ -134,7 +134,7 @@ impl FrontClient {
             deadline_ms: deadline.as_millis().min(u32::MAX as u128) as u32,
             ops: ops.to_vec(),
         };
-        self.chan.send_framed(&msg.to_framed_vec())?;
+        self.chan.send(msg.to_vec())?;
         match FrontReply::from_slice(&self.recv_reply(deadline)?)? {
             FrontReply::Committed { ts, .. } => Ok(ts),
             FrontReply::Err { err, .. } => Err(err),

@@ -101,7 +101,7 @@ fn unknown_request_tag_is_answered_corrupt_and_the_session_dropped() {
     let engine = SlowEngine::new(Duration::ZERO);
     let (transport, server, addr, metrics) = start_tcp(FrontConfig::default(), &engine);
     let mut chan = transport.connect(&addr).expect("connect");
-    chan.send(&[9]).expect("send");
+    chan.send(vec![9]).expect("send");
     let reply = chan
         .recv_timeout(Duration::from_secs(5))
         .expect("recv")

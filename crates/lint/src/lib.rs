@@ -100,9 +100,8 @@ const CLASSIFIED_VARIANTS: [&str; 7] = [
 /// Method names (after a `.`) that block: channel traffic, page I/O,
 /// connection setup. Holding a lock guard across any of these is rule
 /// `lock-across-blocking`.
-pub(crate) const BLOCKING_METHODS: [&str; 9] = [
+pub(crate) const BLOCKING_METHODS: [&str; 8] = [
     "send",
-    "send_framed",
     "recv",
     "recv_timeout",
     "connect",

@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// Callee names never followed when propagating taint: ubiquitous std/
 /// container vocabulary plus the wire-leaf primitives whose *timed*
 /// variants are the deadline consult.
-const STOPLIST: [&str; 58] = [
+const STOPLIST: [&str; 57] = [
     // std / container ubiquity
     "new",
     "default",
@@ -97,7 +97,6 @@ const STOPLIST: [&str; 58] = [
     "lock", // guard methods, not calls to follow
     // wire-leaf primitives: their internals are the transport's concern
     "send",
-    "send_framed",
     "recv",
     "recv_timeout",
 ];

@@ -100,12 +100,19 @@ fn scan_pool_holds_no_guard_across_merge_channel_send() {
         .iter()
         .filter(|v| v.rule == RULE_LOCK_BLOCKING)
         .collect();
+    // Both violations are `send`s: name each by its line.
+    let flagged = |call: &str| {
+        let line = bad.lines().position(|l| l.contains(call)).unwrap() as u32 + 1;
+        sends
+            .iter()
+            .any(|v| v.line == line && v.msg.contains("`send`"))
+    };
     assert!(
-        sends.iter().any(|v| v.msg.contains("`send`")),
+        flagged("tx.send(Ok(framed))"),
         "frame latch across merge-channel send not caught: {sends:#?}"
     );
     assert!(
-        sends.iter().any(|v| v.msg.contains("`send_framed`")),
+        flagged("chan.send(framed)"),
         "merger guard across downstream ship not caught: {sends:#?}"
     );
 

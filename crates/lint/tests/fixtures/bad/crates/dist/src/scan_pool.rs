@@ -19,9 +19,9 @@ impl ScanPool {
     // Violation: the merger ships downstream while the partition list is
     // locked, so workers cannot touch the partition state until the remote
     // peer drains the wire.
-    pub fn merge(&self, chan: &mut Chan, framed: &[u8]) {
+    pub fn merge(&self, chan: &mut Chan, framed: Vec<u8>) {
         let parts = self.partitions.lock();
-        chan.send_framed(framed);
+        chan.send(framed);
         drop(parts);
     }
 }

@@ -20,11 +20,12 @@ impl ScanPool {
 
     // The merger snapshots its partition order up front and holds no guard
     // while shipping downstream.
-    pub fn merge(&self, chan: &mut Chan, framed: &[u8]) {
+    pub fn merge(&self, chan: &mut Chan, mut framed: Vec<u8>) {
         let order = {
             let parts = self.partitions.lock();
             parts.len()
         };
-        chan.send_framed(&framed[..order]);
+        framed.truncate(order);
+        chan.send(framed);
     }
 }

@@ -197,7 +197,7 @@ impl Transport for ChaosTransport {
             .next_ordinal(&format!("{}->{addr}", self.identity));
         let mut frame = ID_MAGIC.to_vec();
         frame.extend_from_slice(format!("{}#{ordinal}", self.identity).as_bytes());
-        chan.send(&frame)?;
+        chan.send(frame)?;
         Ok(Box::new(ChaosChannel::new(
             chan,
             self.state.clone(),
@@ -247,11 +247,6 @@ impl ChaosListener {
 }
 
 impl Listener for ChaosListener {
-    fn accept(&self) -> DbResult<Box<dyn Channel>> {
-        let chan = self.inner.accept()?;
-        self.wrap(chan)
-    }
-
     fn accept_timeout(&self, timeout: Duration) -> DbResult<Option<Box<dyn Channel>>> {
         match self.inner.accept_timeout(timeout)? {
             Some(chan) => Ok(Some(self.wrap(chan)?)),
@@ -358,16 +353,9 @@ impl ChaosChannel {
 }
 
 impl Channel for ChaosChannel {
-    fn send(&mut self, frame: &[u8]) -> DbResult<()> {
+    fn send(&mut self, frame: Vec<u8>) -> DbResult<()> {
         match self.admit()? {
             Some(inner) => inner.send(frame),
-            None => Ok(()),
-        }
-    }
-
-    fn send_framed(&mut self, frame: &[u8]) -> DbResult<()> {
-        match self.admit()? {
-            Some(inner) => inner.send_framed(frame),
             None => Ok(()),
         }
     }
@@ -394,7 +382,7 @@ impl Channel for ChaosChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::RecvWithin;
+    use crate::tests::{accept_within, RecvWithin};
     use crate::InMemNetwork;
     use harbor_common::fault::FaultConfig;
 
@@ -421,7 +409,7 @@ mod tests {
             .for_site(SiteId(1), "site-a")
             .connect("site-b")
             .unwrap();
-        let server = listener.accept().unwrap();
+        let server = accept_within(listener.as_ref());
         (chaos, plan, listener, client, server)
     }
 
@@ -429,9 +417,9 @@ mod tests {
     fn identity_preamble_names_the_link() {
         let (_chaos, _plan, _l, mut client, mut server) = chaos_pair(FaultConfig::quiet(1));
         assert_eq!(server.peer(), "site-a");
-        client.send(b"ping").unwrap();
+        client.send(b"ping".to_vec()).unwrap();
         assert_eq!(server.recv_within().unwrap(), b"ping");
-        server.send(b"pong").unwrap();
+        server.send(b"pong".to_vec()).unwrap();
         assert_eq!(client.recv_within().unwrap(), b"pong");
         // The accepted side of a session is keyed by its dialer's ordinal,
         // whichever of two sessions is accepted first and whatever the
@@ -457,19 +445,23 @@ mod tests {
             };
             let _a = a.listen("site-a");
             let _dialed = [0, 1].map(|_| a.connect("site-b").unwrap());
-            let mut accepted = [0, 1].map(|_| listener.inner.accept().unwrap());
+            let mut accepted = [0, 1].map(|_| accept_within(listener.inner.as_ref()));
             if reversed {
                 accepted.reverse();
             }
             let mut own = b.connect("site-a").unwrap();
             let order = [["r0", "r1"], ["r1", "r0"]][usize::from(reversed)];
             for (chan, n) in accepted.into_iter().zip(order) {
-                listener.wrap(chan).unwrap().send(b"reply").unwrap();
+                listener
+                    .wrap(chan)
+                    .unwrap()
+                    .send(b"reply".to_vec())
+                    .unwrap();
                 let trace = plan.trace_canonical();
                 assert!(trace.contains(&format!("site-b->site-a#{n} #0")), "{trace}");
                 plan.clear_trace();
             }
-            own.send(b"own").unwrap();
+            own.send(b"own".to_vec()).unwrap();
             assert_eq!(plan.trace_canonical(), "delay(1us) site-b->site-a#0 #0\n");
         }
     }
@@ -480,25 +472,25 @@ mod tests {
         chaos.partition(&["site-a"], &["site-b"], false);
         // a → b blocked: the send "succeeds" but nothing arrives — the
         // liveness-deadline case.
-        client.send(b"lost").unwrap();
+        client.send(b"lost".to_vec()).unwrap();
         assert!(server
             .recv_timeout(Duration::from_millis(30))
             .unwrap()
             .is_none());
         // Asymmetric: b → a still flows.
-        server.send(b"back").unwrap();
+        server.send(b"back".to_vec()).unwrap();
         assert_eq!(client.recv_within().unwrap(), b"back");
         // Symmetric blocks both directions.
         chaos.heal();
         chaos.partition(&["site-a"], &["site-b"], true);
-        server.send(b"lost2").unwrap();
+        server.send(b"lost2".to_vec()).unwrap();
         assert!(client
             .recv_timeout(Duration::from_millis(30))
             .unwrap()
             .is_none());
         // Healing restores the link without reconnecting.
         chaos.heal();
-        client.send(b"alive").unwrap();
+        client.send(b"alive".to_vec()).unwrap();
         assert_eq!(server.recv_within().unwrap(), b"alive");
         assert!(chaos.metrics().chaos_partition_drops() >= 2);
         assert!(plan.trace_canonical().starts_with("blackhole "));
@@ -510,11 +502,11 @@ mod tests {
         cfg.drop_per_mille = 1000;
         let (chaos, _plan, _l, mut client, mut server) = chaos_pair(cfg);
         // The sender is not told at the faulted send itself...
-        client.send(b"gone").unwrap();
+        client.send(b"gone".to_vec()).unwrap();
         // ...but the receiver sees a reset instead of a silent gap, and the
         // sender learns at its next operation.
         assert!(server.recv_within().unwrap_err().is_disconnect());
-        assert!(client.send(b"next").unwrap_err().is_disconnect());
+        assert!(client.send(b"next".to_vec()).unwrap_err().is_disconnect());
         assert_eq!(chaos.metrics().chaos_drops(), 1);
     }
 
@@ -523,7 +515,7 @@ mod tests {
         let mut cfg = FaultConfig::quiet(5);
         cfg.disconnect_per_mille = 1000;
         let (chaos, _plan, _l, mut client, mut server) = chaos_pair(cfg);
-        assert!(client.send(b"x").unwrap_err().is_disconnect());
+        assert!(client.send(b"x".to_vec()).unwrap_err().is_disconnect());
         assert!(server.recv_within().unwrap_err().is_disconnect());
         assert_eq!(chaos.metrics().chaos_disconnects(), 1);
     }
@@ -535,7 +527,7 @@ mod tests {
         cfg.max_delay = Duration::from_micros(500);
         let (chaos, _plan, _l, mut client, mut server) = chaos_pair(cfg);
         for i in 0..10u8 {
-            client.send(&[i]).unwrap();
+            client.send(vec![i]).unwrap();
             assert_eq!(server.recv_within().unwrap(), vec![i]);
         }
         assert_eq!(chaos.metrics().chaos_delays(), 10);
@@ -550,7 +542,7 @@ mod tests {
         plan.set_enabled(false);
         chaos.partition(&["site-a"], &["site-b"], true);
         for i in 0..20u8 {
-            client.send(&[i]).unwrap();
+            client.send(vec![i]).unwrap();
             assert_eq!(server.recv_within().unwrap(), vec![i]);
         }
         assert!(plan.trace_canonical().is_empty());
@@ -583,7 +575,7 @@ mod tests {
                     .connect("site-b")
                     .unwrap();
                 for msg in 0..10 {
-                    if c.send(format!("m{}-{}", conn, msg).as_bytes()).is_err() {
+                    if c.send(format!("m{conn}-{msg}").into_bytes()).is_err() {
                         break; // severed by a fault; next connection continues
                     }
                 }

@@ -119,13 +119,6 @@ struct InMemListener {
 }
 
 impl Listener for InMemListener {
-    fn accept(&self) -> DbResult<Box<dyn Channel>> {
-        self.inbound
-            .recv()
-            .map(|c| Box::new(c) as Box<dyn Channel>)
-            .map_err(|_| DbError::net("listener closed"))
-    }
-
     fn accept_timeout(&self, timeout: Duration) -> DbResult<Option<Box<dyn Channel>>> {
         match self.inbound.recv_timeout(timeout) {
             Ok(c) => Ok(Some(Box::new(c))),
@@ -161,19 +154,18 @@ struct InMemChannel {
 }
 
 impl Channel for InMemChannel {
-    fn send(&mut self, frame: &[u8]) -> DbResult<()> {
+    fn send(&mut self, frame: Vec<u8>) -> DbResult<()> {
+        let bytes = frame.len() as u64 + 4;
         let mut wire = self.latency.unwrap_or(Duration::ZERO);
         if let Some(bps) = self.bandwidth {
-            wire += Duration::from_secs_f64((frame.len() as u64 + 4) as f64 / bps as f64);
+            wire += Duration::from_secs_f64(bytes as f64 / bps as f64);
         }
         if wire > Duration::ZERO {
             std::thread::sleep(wire);
         }
-        self.tx
-            .send(frame.to_vec())
-            .map_err(|_| closed(&self.peer))?;
+        self.tx.send(frame).map_err(|_| closed(&self.peer))?;
         self.metrics.add_messages_sent(1);
-        self.metrics.add_bytes_sent(frame.len() as u64 + 4);
+        self.metrics.add_bytes_sent(bytes);
         Ok(())
     }
 

@@ -47,18 +47,11 @@ use std::time::Duration;
 
 /// One bidirectional, framed, ordered byte channel (a "connection").
 pub trait Channel: Send {
-    /// Sends one frame. Blocks until handed to the transport.
-    fn send(&mut self, frame: &[u8]) -> DbResult<()>;
-
-    /// Sends one pre-framed message: `frame` starts with the 4-byte
-    /// little-endian length prefix already in place (see
-    /// `Wire::to_framed_vec`). Transports that put the prefix on the wire
-    /// verbatim can override this to skip re-framing; the default strips the
-    /// prefix and forwards to [`send`](Self::send).
-    fn send_framed(&mut self, frame: &[u8]) -> DbResult<()> {
-        debug_assert!(frame.len() >= 4, "framed message missing its prefix");
-        self.send(&frame[4..])
-    }
+    /// Sends one frame, its payload without the length prefix. Blocks until
+    /// handed to the transport. The frame is moved, never copied: the
+    /// in-memory transport queues this very buffer, and TCP writes the
+    /// prefix and the payload with one vectored write.
+    fn send(&mut self, frame: Vec<u8>) -> DbResult<()>;
 
     /// Receives the next frame, waiting at most `timeout` for it to begin:
     /// `Ok(None)` when none has, `Err` with `is_disconnect() == true` when
@@ -82,12 +75,11 @@ pub trait Channel: Send {
     }
 }
 
-/// Accepts inbound connections at one address.
+/// Accepts inbound connections at one address. As with receiving, there is
+/// no untimed wait.
 pub trait Listener: Send + Sync {
-    /// Blocks for the next inbound connection.
-    fn accept(&self) -> DbResult<Box<dyn Channel>>;
-
-    /// As [`accept`](Self::accept) with a timeout; `Ok(None)` on timeout.
+    /// The next inbound connection, waiting at most `timeout` for it:
+    /// `Ok(None)` when none came.
     fn accept_timeout(&self, timeout: Duration) -> DbResult<Option<Box<dyn Channel>>>;
 
     fn local_addr(&self) -> String;
@@ -130,6 +122,14 @@ pub(crate) mod tests {
         }
     }
 
+    /// A test's accept: the next connection within ten seconds, or a panic.
+    pub(crate) fn accept_within(listener: &(impl Listener + ?Sized)) -> Box<dyn Channel> {
+        listener
+            .accept_timeout(Duration::from_secs(10))
+            .unwrap()
+            .expect("no connection within 10 s")
+    }
+
     /// Exercises one transport implementation through the trait object
     /// surface (both impls must pass identically).
     fn exercise(transport: Arc<dyn Transport>, addr: &str) {
@@ -137,13 +137,12 @@ pub(crate) mod tests {
         let addr_owned = listener.local_addr();
         let t2 = transport.clone();
         let server = std::thread::spawn(move || {
-            let mut chan = listener.accept().unwrap();
+            let mut chan = accept_within(listener.as_ref());
             loop {
                 match chan.recv_within() {
-                    Ok(frame) => {
-                        let mut reply = frame.clone();
+                    Ok(mut reply) => {
                         reply.reverse();
-                        chan.send(&reply).unwrap();
+                        chan.send(reply).unwrap();
                     }
                     Err(e) => {
                         assert!(e.is_disconnect());
@@ -154,18 +153,11 @@ pub(crate) mod tests {
         });
         {
             let mut client = t2.connect(&addr_owned).unwrap();
-            client.send(b"hello").unwrap();
+            client.send(b"hello".to_vec()).unwrap();
             assert_eq!(client.recv_within().unwrap(), b"olleh");
             // Large frame crosses any internal buffer boundaries.
-            let big = vec![7u8; 1_000_000];
-            client.send(&big).unwrap();
-            assert_eq!(client.recv_within().unwrap().len(), big.len());
-            // A pre-framed message (length prefix in place) arrives the same
-            // as a plain send.
-            let mut framed = 5u32.to_le_bytes().to_vec();
-            framed.extend_from_slice(b"world");
-            client.send_framed(&framed).unwrap();
-            assert_eq!(client.recv_within().unwrap(), b"dlrow");
+            client.send(vec![7u8; 1_000_000]).unwrap();
+            assert_eq!(client.recv_within().unwrap().len(), 1_000_000);
             // recv_timeout with no pending data returns None.
             assert!(client
                 .recv_timeout(Duration::from_millis(30))
@@ -187,7 +179,7 @@ pub(crate) mod tests {
             assert!(got.unwrap(), "nothing was pending");
             // A frame that is pending is polled off whole, and a receive
             // after a poll waits again.
-            client.send(b"poll").unwrap();
+            client.send(b"poll".to_vec()).unwrap();
             let until = std::time::Instant::now() + Duration::from_secs(5);
             let reply = loop {
                 if let Some(reply) = client.recv_timeout(Duration::ZERO).unwrap() {
@@ -197,7 +189,7 @@ pub(crate) mod tests {
                 std::thread::yield_now();
             };
             assert_eq!(reply, b"llop");
-            client.send(b"wait").unwrap();
+            client.send(b"wait".to_vec()).unwrap();
             assert_eq!(client.recv_within().unwrap(), b"tiaw");
         } // client drops: server sees a disconnect
         server.join().unwrap();
@@ -215,6 +207,30 @@ pub(crate) mod tests {
         exercise(t, "site-a");
     }
 
+    /// A frame is moved through the transport, never copied: it arrives as
+    /// the allocation that was sent, on the in-memory transport and through
+    /// a chaos layer whose plan is off.
+    #[test]
+    fn a_sent_frame_arrives_as_the_same_allocation() {
+        use harbor_common::fault::{FaultConfig, FaultPlan};
+        let inmem: Arc<dyn Transport> = Arc::new(InMemNetwork::new(Metrics::new()));
+        let plan = Arc::new(FaultPlan::new(FaultConfig::quiet(1)));
+        let chaos: Arc<dyn Transport> =
+            Arc::new(ChaosTransport::new(inmem.clone(), plan, Metrics::new()));
+        for (t, addr) in [(inmem, "plain"), (chaos, "chaos")] {
+            let listener = t.listen(addr).unwrap();
+            let mut client = t.connect(addr).unwrap();
+            let mut server = accept_within(listener.as_ref());
+            // Spare capacity, so that a copy differs in it as well.
+            let mut frame = Vec::with_capacity(512);
+            frame.extend_from_slice(&[5u8; 300]);
+            let sent = (frame.as_ptr(), frame.capacity());
+            client.send(frame).unwrap();
+            let got = server.recv_within().unwrap();
+            assert_eq!((got.as_ptr(), got.capacity()), sent, "{addr}: copied");
+        }
+    }
+
     #[test]
     fn connect_to_missing_listener_fails() {
         let t = InMemNetwork::new(Metrics::new());
@@ -227,8 +243,8 @@ pub(crate) mod tests {
         let t: Arc<dyn Transport> = Arc::new(InMemNetwork::new(metrics.clone()));
         let listener = t.listen("m").unwrap();
         let mut c = t.connect("m").unwrap();
-        let mut s = listener.accept().unwrap();
-        c.send(b"abc").unwrap();
+        let mut s = accept_within(listener.as_ref());
+        c.send(b"abc".to_vec()).unwrap();
         assert_eq!(s.recv_within().unwrap(), b"abc");
         assert_eq!(metrics.messages_sent(), 1);
         assert_eq!(metrics.bytes_sent(), 7, "3 payload bytes + 4 framing");

@@ -94,7 +94,7 @@ mod tests {
             move || {
                 serve_connections(listener.as_ref(), &stop, "echo", |mut chan| {
                     while let Ok(Some(frame)) = recv_or_stop(chan.as_mut(), &stop) {
-                        chan.send(&frame).unwrap();
+                        chan.send(frame).unwrap();
                     }
                     left.fetch_add(1, Ordering::SeqCst);
                 })
@@ -103,7 +103,7 @@ mod tests {
         let mut gone = net.connect("srv").unwrap();
         let mut kept = net.connect("srv").unwrap();
         for chan in [&mut gone, &mut kept] {
-            chan.send(b"hi").unwrap();
+            chan.send(b"hi".to_vec()).unwrap();
             assert_eq!(chan.recv_within().unwrap(), b"hi");
         }
         // A peer that hangs up ends its thread while the server runs on.
@@ -111,7 +111,7 @@ mod tests {
         while left.load(Ordering::SeqCst) < 1 {
             std::thread::yield_now();
         }
-        kept.send(b"still").unwrap();
+        kept.send(b"still".to_vec()).unwrap();
         assert_eq!(kept.recv_within().unwrap(), b"still");
         // Stop: the silent connection's thread is joined with the loop.
         stop.store(true, Ordering::SeqCst);

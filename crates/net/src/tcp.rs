@@ -44,8 +44,8 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Connections handed from the acceptor thread to `accept`/`accept_timeout`
-/// callers, plus the stop latch for shutdown.
+/// Connections handed from the acceptor thread to `accept_timeout` callers,
+/// plus the stop latch for shutdown.
 struct AcceptState {
     ready: VecDeque<std::io::Result<(TcpStream, SocketAddr)>>,
     stopped: bool,
@@ -135,20 +135,6 @@ impl TcpListenerWrap {
 }
 
 impl Listener for TcpListenerWrap {
-    fn accept(&self) -> DbResult<Box<dyn Channel>> {
-        let mut st = self.queue.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(got) = st.ready.pop_front() {
-                drop(st);
-                return self.take_ready(got);
-            }
-            if st.stopped {
-                return Err(DbError::net("accept: listener closed"));
-            }
-            st = self.queue.cv.wait(st).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
     fn accept_timeout(&self, timeout: Duration) -> DbResult<Option<Box<dyn Channel>>> {
         let deadline = std::time::Instant::now() + timeout;
         let mut st = self.queue.state.lock().unwrap_or_else(|p| p.into_inner());
@@ -408,24 +394,12 @@ impl TcpChannel {
 }
 
 impl Channel for TcpChannel {
-    fn send(&mut self, frame: &[u8]) -> DbResult<()> {
+    fn send(&mut self, frame: Vec<u8>) -> DbResult<()> {
         let len = (frame.len() as u32).to_le_bytes();
-        match self.write_frame_parts(&len, frame) {
+        match self.write_frame_parts(&len, &frame) {
             Ok(()) => {
                 self.sock.metrics.add_messages_sent(1);
                 self.sock.metrics.add_bytes_sent(frame.len() as u64 + 4);
-                Ok(())
-            }
-            Err(e) => Err(self.map_write_err(e)),
-        }
-    }
-
-    fn send_framed(&mut self, frame: &[u8]) -> DbResult<()> {
-        debug_assert!(frame.len() >= 4, "framed message missing its prefix");
-        match self.sock.stream.write_all(frame) {
-            Ok(()) => {
-                self.sock.metrics.add_messages_sent(1);
-                self.sock.metrics.add_bytes_sent(frame.len() as u64);
                 Ok(())
             }
             Err(e) => Err(self.map_write_err(e)),
@@ -464,7 +438,7 @@ impl Channel for TcpChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::RecvWithin;
+    use crate::tests::{accept_within, RecvWithin};
 
     fn bind() -> (TcpTransport, Box<dyn Listener>, String) {
         let t = TcpTransport::new(Metrics::new());
@@ -481,7 +455,7 @@ mod tests {
         let mut raw = TcpStream::connect(&addr).unwrap();
         raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
         raw.flush().unwrap();
-        let mut server = l.accept().unwrap();
+        let mut server = accept_within(l.as_ref());
         let err = server
             .recv_within()
             .expect_err("oversized frame must be refused");
@@ -492,7 +466,7 @@ mod tests {
         let mut raw = TcpStream::connect(&addr).unwrap();
         raw.write_all(&((MAX_FRAME_BYTES as u32 + 1).to_le_bytes()))
             .unwrap();
-        let mut server = l.accept().unwrap();
+        let mut server = accept_within(l.as_ref());
         assert!(server.recv_within().unwrap_err().is_corrupt());
     }
 
@@ -500,11 +474,11 @@ mod tests {
     fn is_closed_sees_what_a_write_would_not() {
         let (t, l, addr) = bind();
         let mut client = t.connect(&addr).unwrap();
-        let mut server = l.accept().unwrap();
+        let mut server = accept_within(l.as_ref());
         assert!(!client.is_closed(), "open and idle");
-        client.send(b"ping").unwrap();
+        client.send(b"ping".to_vec()).unwrap();
         assert_eq!(server.recv_within().unwrap(), b"ping");
-        server.send(b"pong").unwrap();
+        server.send(b"pong".to_vec()).unwrap();
         // The check left the socket blocking: the timed read waits.
         assert_eq!(
             client
@@ -522,7 +496,7 @@ mod tests {
             std::thread::yield_now();
         }
         // The very write that would have carried a frame still succeeds.
-        assert!(client.send(b"lost").is_ok());
+        assert!(client.send(b"lost".to_vec()).is_ok());
     }
 
     /// A frame of the common size costs one `recv` and, once the socket is
@@ -537,15 +511,15 @@ mod tests {
         let mut client = TcpTransport::new(Metrics::new())
             .connect(&l.local_addr())
             .unwrap();
-        let mut server = l.accept().unwrap();
+        let mut server = accept_within(l.as_ref());
         for i in 0..100u8 {
-            client.send(&[i; 300]).unwrap();
+            client.send(vec![i; 300]).unwrap();
             let frame = server.recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(frame.unwrap(), [i; 300]);
         }
         assert_eq!(server_metrics.socket_reads(), 100);
         let mut raw = TcpStream::connect(l.local_addr()).unwrap();
-        let mut server = l.accept().unwrap();
+        let mut server = accept_within(l.as_ref());
         let two = [&3u32.to_le_bytes()[..], b"one", &3u32.to_le_bytes(), b"two"].concat();
         raw.write_all(&two).unwrap();
         let before = server_metrics.socket_reads();
@@ -564,7 +538,7 @@ mod tests {
     fn a_timeout_never_splits_a_frame() {
         let (_t, l, addr) = bind();
         let mut raw = TcpStream::connect(&addr).unwrap();
-        let mut server = l.accept().unwrap();
+        let mut server = accept_within(l.as_ref());
         for len in [10usize, PAGE_SIZE - 4, PAGE_SIZE + 1, 3 * PAGE_SIZE] {
             let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
             let frame = [&(len as u32).to_le_bytes()[..], &payload].concat();

@@ -26,7 +26,7 @@ fn mappings() -> usize {
 fn cycle(net: &InMemNetwork, served: &AtomicUsize) {
     let before = served.load(Ordering::SeqCst);
     let mut chan = net.connect("srv").unwrap();
-    chan.send(b"ping").unwrap();
+    chan.send(b"ping".to_vec()).unwrap();
     let echo = chan.recv_timeout(Duration::from_secs(10)).unwrap();
     assert_eq!(echo.as_deref(), Some(&b"ping"[..]));
     drop(chan);
@@ -51,7 +51,7 @@ fn finished_connection_threads_are_joined_while_the_server_runs() {
         move || {
             serve_connections(listener.as_ref(), &stop, "echo", |mut chan| {
                 while let Ok(Some(frame)) = recv_or_stop(chan.as_mut(), &stop) {
-                    chan.send(&frame).unwrap();
+                    chan.send(frame).unwrap();
                 }
                 served.fetch_add(1, Ordering::SeqCst);
             })

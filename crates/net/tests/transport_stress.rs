@@ -2,7 +2,7 @@
 //! ordering, mixed frame sizes, and injected-latency behaviour.
 
 use harbor_common::{DbError, DbResult, Metrics};
-use harbor_net::{Channel, InMemNetwork, TcpTransport, Transport};
+use harbor_net::{Channel, InMemNetwork, Listener, TcpTransport, Transport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -14,6 +14,14 @@ fn next(chan: &mut dyn Channel) -> DbResult<Vec<u8>> {
         .ok_or_else(|| DbError::internal("no frame within 10 s"))
 }
 
+/// The next connection within ten seconds.
+fn accept(listener: &dyn Listener) -> Box<dyn Channel> {
+    listener
+        .accept_timeout(Duration::from_secs(10))
+        .unwrap()
+        .expect("no connection within 10 s")
+}
+
 fn stress(transport: Arc<dyn Transport>, addr: &str) {
     let listener = transport.listen(addr).unwrap();
     let real_addr = listener.local_addr();
@@ -21,11 +29,11 @@ fn stress(transport: Arc<dyn Transport>, addr: &str) {
     let server = std::thread::spawn(move || {
         let mut conns = Vec::new();
         for _ in 0..4 {
-            let chan = listener.accept().unwrap();
+            let chan = accept(listener.as_ref());
             conns.push(std::thread::spawn(move || {
                 let mut chan = chan;
                 while let Ok(frame) = next(chan.as_mut()) {
-                    if chan.send(&frame).is_err() {
+                    if chan.send(frame).is_err() {
                         break;
                     }
                 }
@@ -47,7 +55,7 @@ fn stress(transport: Arc<dyn Transport>, addr: &str) {
                     let len = 4 + ((i as usize * 769) % 65_536);
                     let mut frame = vec![c; len];
                     frame[..4].copy_from_slice(&i.to_le_bytes());
-                    chan.send(&frame).unwrap();
+                    chan.send(frame).unwrap();
                     let echo = next(chan.as_mut()).unwrap();
                     // Per-connection ordering and integrity.
                     assert_eq!(echo.len(), len);
@@ -79,9 +87,9 @@ fn injected_latency_slows_sends_measurably() {
     let t: Arc<dyn Transport> = Arc::new(InMemNetwork::with_latency(Metrics::new(), lat));
     let listener = t.listen("latency").unwrap();
     let server = std::thread::spawn(move || {
-        let mut chan = listener.accept().unwrap();
+        let mut chan = accept(listener.as_ref());
         while let Ok(f) = next(chan.as_mut()) {
-            if chan.send(&f).is_err() {
+            if chan.send(f).is_err() {
                 break;
             }
         }
@@ -90,7 +98,7 @@ fn injected_latency_slows_sends_measurably() {
     let n = 10;
     let t0 = Instant::now();
     for _ in 0..n {
-        chan.send(b"x").unwrap();
+        chan.send(b"x".to_vec()).unwrap();
         next(chan.as_mut()).unwrap();
     }
     let elapsed = t0.elapsed();

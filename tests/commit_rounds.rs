@@ -225,8 +225,8 @@ impl Transport for Faulty {
 }
 
 impl Channel for FaultyChannel {
-    fn send(&mut self, frame: &[u8]) -> DbResult<()> {
-        let fault = Request::from_slice(frame)
+    fn send(&mut self, frame: Vec<u8>) -> DbResult<()> {
+        let fault = Request::from_slice(&frame)
             .ok()
             .and_then(|req| (self.rule)(&self.to, &req));
         self.reply_lost = fault == Some(Fault::ReplyLost);

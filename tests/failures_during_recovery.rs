@@ -272,8 +272,8 @@ impl Transport for Hooked {
 }
 
 impl Channel for HookedChannel {
-    fn send(&mut self, frame: &[u8]) -> DbResult<()> {
-        if let Ok(req) = Request::from_slice(frame) {
+    fn send(&mut self, frame: Vec<u8>) -> DbResult<()> {
+        if let Ok(req) = Request::from_slice(&frame) {
             (self.hook)(&req)?;
         }
         self.inner.send(frame)

@@ -35,30 +35,6 @@ fn cluster(dir: &PathBuf, workers: usize) -> Arc<Cluster> {
     Arc::new(Cluster::build(dir, cfg).unwrap())
 }
 
-/// Every version a site holds — visible or deleted — as
-/// `(id, v, ins, del)`, sorted: the byte-identity fingerprint of a replica.
-fn version_history(cluster: &Cluster, site: SiteId) -> Vec<(i64, i64, u64, u64)> {
-    let e = cluster.engine(site).unwrap();
-    let def = e.table_def("sales").unwrap();
-    let mut scan =
-        harbor_exec::SeqScan::new(e.pool().clone(), def.id, harbor_exec::ReadMode::SeeDeleted)
-            .unwrap();
-    let mut out: Vec<(i64, i64, u64, u64)> = harbor_exec::collect(&mut scan)
-        .unwrap()
-        .iter()
-        .map(|t| {
-            (
-                t.get(2).as_i64().unwrap(),
-                t.get(3).as_i64().unwrap(),
-                t.get(0).as_time().unwrap().0,
-                t.get(1).as_time().unwrap().0,
-            )
-        })
-        .collect();
-    out.sort_unstable();
-    out
-}
-
 fn assert_live_replicas_identical(cluster: &Cluster, context: &str) {
     let live: Vec<SiteId> = cluster
         .worker_sites()
@@ -66,9 +42,9 @@ fn assert_live_replicas_identical(cluster: &Cluster, context: &str) {
         .filter(|s| !cluster.is_crashed(*s) && cluster.worker(*s).is_ok())
         .collect();
     assert!(!live.is_empty(), "{context}: no live replicas");
-    let reference = version_history(cluster, live[0]);
+    let reference = cluster.version_history("sales", live[0]).unwrap();
     for site in live.iter().skip(1) {
-        let other = version_history(cluster, *site);
+        let other = cluster.version_history("sales", *site).unwrap();
         assert_eq!(
             reference,
             other,
@@ -148,9 +124,12 @@ fn join_under_load_yields_byte_identical_replica() {
         "copies still joining after join_worker returned"
     );
     // The new copy is votable: a post-join commit lands on all three.
-    let before = version_history(&cluster, new_site).len();
+    let before = cluster.version_history("sales", new_site).unwrap().len();
     cluster.insert_one("sales", row(99_999, 7)).unwrap();
-    assert_eq!(version_history(&cluster, new_site).len(), before + 1);
+    assert_eq!(
+        cluster.version_history("sales", new_site).unwrap().len(),
+        before + 1
+    );
     assert_live_replicas_identical(&cluster, "after join under load");
     cluster.shutdown();
     drop(cluster);
@@ -272,7 +251,10 @@ fn supervisor_replicates_onto_spare_member() {
     for i in 0..20 {
         cluster.insert_one("sales", row(i, i as i32)).unwrap();
     }
-    assert!(version_history(&cluster, SiteId(3)).is_empty());
+    assert!(cluster
+        .version_history("sales", SiteId(3))
+        .unwrap()
+        .is_empty());
     // Floor captured at attach: 2 copies.
     let mut sup = ReplicationSupervisor::new(0x5A5A, &cluster);
     // Losing site 2 leaves one live copy — below the floor, spare on hand.
@@ -438,9 +420,9 @@ proptest! {
             "every member holds a full copy after quiesce"
         );
         prop_assert!(cluster.placement().joining_copies().is_empty());
-        let reference = version_history(&cluster, members[0]);
+        let reference = cluster.version_history("sales", members[0]).unwrap();
         for site in members.iter().skip(1) {
-            prop_assert_eq!(&reference, &version_history(&cluster, *site));
+            prop_assert_eq!(&reference, &cluster.version_history("sales", *site).unwrap());
         }
         let visible: std::collections::BTreeSet<i64> = reference
             .iter()

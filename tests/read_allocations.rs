@@ -10,9 +10,11 @@
 //! examines and ships the rows, the transport, and the coordinator that
 //! reads them off the replies.
 //!
-//! * The full read may make at most one allocation for every 64 rows it
-//!   returns. A reply row that copies its bytes out of the frame costs one
-//!   each.
+//! * The full read may make at most three allocations for each frame the
+//!   worker sends, and allocate less than twice the wire bytes of the rows
+//!   it returns: the frames, once, and a handle a row. A reply row that
+//!   copies its bytes out of the frame breaks both, and so does a frame
+//!   copied on its way through the transport.
 //! * The filter may make at most [`PER_FRAME`] allocations for each frame
 //!   the worker sends, its closing status frame included: the read's own
 //!   fixed cost (its request, the worker's decode of it, the page list, the
@@ -23,6 +25,7 @@
 
 use harbor::{Cluster, ClusterConfig, TableSpec};
 use harbor_bench::alloc_count::{Counting, Counts};
+use harbor_common::codec::Encoder;
 use harbor_common::config::SCAN_BATCH;
 use harbor_common::{DiskProfile, StorageConfig, Timestamp, Tuple, Value};
 use harbor_dist::{ProtocolKind, INDEX_PROBE_CAP};
@@ -112,8 +115,13 @@ fn a_historical_read_allocates_per_frame_not_per_row() {
 
     let (rows, full) = counted_read(&cluster, None);
     assert_eq!(rows.len() as i64, KEYS);
+    let full_frames = (rows.len() / SCAN_BATCH + 2) as u64;
+    let mut wire = Encoder::new();
+    rows.iter().for_each(|r| r.write_wire(&mut wire));
+    let wire_bytes = wire.len();
     println!(
-        "full read: {} rows, {} allocations, {} bytes",
+        "full read: {} rows ({wire_bytes} wire bytes) in at most {full_frames} frames, \
+         {} allocations, {} bytes",
         rows.len(),
         full.allocations,
         full.bytes
@@ -143,9 +151,14 @@ fn a_historical_read_allocates_per_frame_not_per_row() {
     );
 
     assert!(
-        full.allocations <= KEYS as u64 / 64,
-        "a full read of {KEYS} rows made {} allocations",
+        full.allocations <= 3 * full_frames,
+        "a full read shipping {full_frames} frames made {} allocations",
         full.allocations
+    );
+    assert!(
+        full.bytes < 2 * wire_bytes as u64,
+        "a full read of {wire_bytes} wire bytes allocated {} bytes",
+        full.bytes
     );
     assert!(
         filter.allocations <= PER_FRAME * frames,

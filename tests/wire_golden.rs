@@ -789,9 +789,9 @@ impl Transport for ScanRecorder {
 }
 
 impl Channel for RecordedChannel {
-    fn send(&mut self, frame: &[u8]) -> DbResult<()> {
-        if let Ok(Request::Scan(_)) = Request::from_slice(frame) {
-            self.scans.lock().unwrap().push(hex(frame));
+    fn send(&mut self, frame: Vec<u8>) -> DbResult<()> {
+        if let Ok(Request::Scan(_)) = Request::from_slice(&frame) {
+            self.scans.lock().unwrap().push(hex(&frame));
         }
         self.inner.send(frame)
     }
