@@ -265,9 +265,9 @@ counters! {
     backoff_retries: sum add_backoff_retries, Membership;
     /// Key-index rebuilds (cold build after restart or post-invalidation).
     index_rebuilds: sum add_index_rebuilds, ReadPath;
-    /// Key-index probes that found at least one record id.
+    /// Key-index lookups (a key or a range) that found at least one record id.
     index_hits: sum add_index_hits, ReadPath;
-    /// Key-index probes that found no record id.
+    /// Key-index lookups (a key or a range) that found no record id.
     index_misses: sum add_index_misses, ReadPath;
     /// Client sessions the front door accepted.
     sessions_accepted: sum add_sessions_accepted, Serve;

@@ -7,7 +7,7 @@
 use harbor::{Cluster, ClusterConfig};
 use harbor_common::config::PAGE_SIZE;
 use harbor_common::fault::{Armed, FaultConfig, PageFault};
-use harbor_common::{SiteId, TableId, Value};
+use harbor_common::{SiteId, TableId, Timestamp, Tuple, Value};
 use harbor_dist::{CrashPoint, ProtocolKind, UpdateRequest};
 use harbor_exec::{scan_rids, Expr, ReadMode};
 use harbor_storage::ScanBounds;
@@ -190,8 +190,10 @@ fn scrub_refetches_cold_corrupt_pages_from_a_buddy() {
 }
 
 /// A repair of two segments is Phase 2's walk from the rewound checkpoint:
-/// with two buddies it is dealt across both, and the repaired site still
-/// matches an untouched replica.
+/// with two buddies it is dealt across both, each range carrying rows of the
+/// window — the segments past the window, which Phase 3 copies, weigh
+/// nothing in the cut — and the repaired site still matches an untouched
+/// replica.
 #[test]
 fn a_two_segment_repair_is_dealt_across_the_buddies() {
     let dir = temp_dir("two-buddies");
@@ -199,6 +201,20 @@ fn a_two_segment_repair_is_dealt_across_the_buddies() {
     cfg.num_workers = 3;
     let cluster = Cluster::build(&dir, cfg).unwrap();
     load(&cluster, 3000);
+    // Rows a bulk load stamped past the time the repair reads as of, on
+    // every replica alike: the table runs on past the repair's window, by
+    // more pages than the window holds.
+    let ahead = Timestamp(1_000_000);
+    for site in cluster.worker_sites() {
+        let e = cluster.engine(site).unwrap();
+        let table = e.table_def("sales").unwrap().id;
+        let mut inserter = e.recovered_inserter(table).unwrap();
+        for id in 10_000..13_500 {
+            let tuple = Tuple::versioned(ahead, Timestamp::ZERO, row(id, 0));
+            inserter.insert(&tuple).unwrap();
+        }
+        inserter.flush().unwrap();
+    }
     let site = SiteId(1);
     let reference = version_history(&cluster, SiteId(2));
     assert_eq!(version_history(&cluster, site), reference);
@@ -221,8 +237,13 @@ fn a_two_segment_repair_is_dealt_across_the_buddies() {
     let [repair] = &report.repairs[..] else {
         panic!("one object rewound: {report:?}");
     };
-    let buddies: HashSet<SiteId> = repair.range_timings.iter().map(|r| r.buddy).collect();
-    assert_eq!(buddies.len(), 2, "one walk, two buddies: {repair:?}");
+    let carrying = repair.range_timings.iter().filter(|r| r.tuples > 0);
+    let buddies: HashSet<SiteId> = carrying.map(|r| r.buddy).collect();
+    assert_eq!(
+        buddies.len(),
+        2,
+        "one walk, two buddies with rows: {repair:?}"
+    );
     assert!(repair.tuples_copied > 0);
     assert_eq!(version_history(&cluster, site), reference);
     drop(cluster);

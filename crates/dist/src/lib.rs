@@ -25,7 +25,7 @@ pub use harbor_common::fault::CrashPoint;
 pub use message::{RemoteScan, Request, Response, UpdateRequest, WireReadMode, WireTxnState};
 pub use placement::{Copy, Part, Placement, RecoveryObject, SharedPlacement, TablePlacement};
 pub use protocol::ProtocolKind;
-pub use worker::{ship_scan, simulate_cpu_work, Worker, WorkerConfig, INDEX_PROBE_CAP};
+pub use worker::{ship_scan, simulate_cpu_work, Worker, WorkerConfig};
 
 pub use harbor_common::config::{
     DEFAULT_READ_RETRIES, DEFAULT_RETRY_BACKOFF, DEFAULT_RPC_DEADLINE,

@@ -22,13 +22,14 @@ use harbor_common::schema::NUM_VERSION_COLS;
 use harbor_common::{DbError, DbResult, SiteId, Timestamp, TransactionId, Value};
 use harbor_engine::Engine;
 use harbor_exec::{
-    run_update_by_key, scan_pages, visit_key, visit_page, visit_versions, CmpOp, Expr, ReadMode,
-    ScanRow,
+    key_stretches, run_update_by_key, scan_pages, visit_page, visit_stretch, visit_versions, CmpOp,
+    Expr, ReadMode, ScanRow,
 };
 use harbor_net::{Channel, Transport};
 use harbor_storage::{slots_per_page, LockKey, LockMode, ScanBounds};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -928,14 +929,15 @@ fn recovery_crash_point(scan: &RemoteScan) -> Option<CrashPoint> {
 ///   the table's deletion log lists after that time, in deletion-time order
 ///   (the §5.2 footnote's deletion vector), and ships a row only while its
 ///   deletion time is still the one logged;
-/// * a predicate that pins the key column to at most [`INDEX_PROBE_CAP`]
-///   keys visits the versions the tuple-id index holds for each key
-///   (`key_probes`);
+/// * a predicate that bounds the key column, through `AND`s, visits the
+///   stretches of slots the tuple-id index's range lookup finds for those
+///   keys on the segments pruning leaves ([`key_stretches`], bounds from
+///   `key_interval`);
 /// * anything else visits the pages segment pruning leaves.
 ///
 /// Each visit is the one visibility rule ([`ReadMode::admit`] and the
 /// bounds), so an unreadable page fails every source alike. `ship` gets the
-/// frame, and whether it ends the stream, each time a page, a key or a
+/// frame, and whether it ends the stream, each time a page, a stretch or a
 /// logged row leaves [`SCAN_BATCH`] rows in it, and once more at the end. No
 /// page latch is held while `ship` runs. Plain reads, filtered reads and
 /// every recovery query go out through this one loop; it is public so the
@@ -957,7 +959,7 @@ pub fn ship_scan(
     let heap = pool.table(table)?;
     let pred = scan.predicate.as_ref();
     // The first frame has room for one row and doubles from there, so a
-    // small answer (a key probe's) takes one allocation or a few; it never
+    // small answer (a point read's) takes one allocation or a few; it never
     // doubles past the most a frame can hold — a batch less one row, then a
     // whole page. A frame after a full one is sized for that much up front,
     // so it is one allocation, not a dozen doublings.
@@ -998,9 +1000,9 @@ pub fn ship_scan(
             })?;
             ship_if_full(&mut frame)?;
         }
-    } else if let Some(keys) = pred.and_then(|p| key_probes(p, NUM_VERSION_COLS)) {
-        for key in keys {
-            visit_key(engine, table, key, mode, &bounds, |row| {
+    } else if let Some(keys) = pred.and_then(|p| key_interval(p, NUM_VERSION_COLS)) {
+        for stretch in key_stretches(engine, table, keys, &bounds)? {
+            visit_stretch(pool, &heap, &stretch, mode, &bounds, |row| {
                 put(&mut frame, row)
             })?;
             ship_if_full(&mut frame)?;
@@ -1014,34 +1016,20 @@ pub fn ship_scan(
     ship(frame, true)
 }
 
-/// Widest key range [`ship_scan`] will expand into individual index probes.
-/// The key index holds keys as runs and hashed buckets (`KeyIndex`) and has
-/// no range lookup: a range read costs one probe per key — a run search or
-/// a hash lookup, then a page access for each version found. Past this span
-/// the scan walks the pages segment pruning leaves, examining every row on
-/// them.
-pub const INDEX_PROBE_CAP: i64 = 256;
-
-/// If `pred` restricts the key column (stored column `key_col`) to an
-/// equality or a tight range, returns the concrete keys to probe.
+/// The keys `pred` bounds the key column (stored column `key_col`) to, if it
+/// bounds it at all: an equality, a closed range or a half-open one.
 ///
 /// Only conjuncts reachable through `AND` count: a key constraint nested
 /// under `OR`/`NOT` does not restrict the result set on its own. The full
-/// predicate is always re-applied as a residual filter, so the probe set
-/// only needs to be a *superset* of the qualifying keys — contradictory
-/// bounds simply yield an empty probe set.
-fn key_probes(pred: &Expr, key_col: usize) -> Option<Vec<i64>> {
-    fn gather(
-        e: &Expr,
-        key_col: usize,
-        eq: &mut Option<i64>,
-        lo: &mut Option<i64>,
-        hi: &mut Option<i64>,
-    ) {
+/// predicate is always re-applied as a residual filter, so the interval
+/// only needs to hold every qualifying key — contradictory bounds simply
+/// yield an empty one.
+fn key_interval(pred: &Expr, key_col: usize) -> Option<RangeInclusive<i64>> {
+    fn gather(e: &Expr, key_col: usize, keys: &mut Option<(i64, i64)>) {
         match e {
             Expr::And(a, b) => {
-                gather(a, key_col, eq, lo, hi);
-                gather(b, key_col, eq, lo, hi);
+                gather(a, key_col, keys);
+                gather(b, key_col, keys);
             }
             Expr::Cmp(op, a, b) => {
                 let (op, n) = match (&**a, &**b) {
@@ -1059,39 +1047,28 @@ fn key_probes(pred: &Expr, key_col: usize) -> Option<Vec<i64>> {
                     }
                     _ => return,
                 };
-                match op {
-                    CmpOp::Eq => *eq = Some(n),
-                    CmpOp::Ge => *lo = Some(lo.map_or(n, |l: i64| l.max(n))),
-                    CmpOp::Gt => {
-                        if let Some(n) = n.checked_add(1) {
-                            *lo = Some(lo.map_or(n, |l: i64| l.max(n)));
-                        }
-                    }
-                    CmpOp::Le => *hi = Some(hi.map_or(n, |h: i64| h.min(n))),
-                    CmpOp::Lt => {
-                        if let Some(n) = n.checked_sub(1) {
-                            *hi = Some(hi.map_or(n, |h: i64| h.min(n)));
-                        }
-                    }
-                    CmpOp::Ne => {}
-                }
+                let (lo, hi) = match op {
+                    CmpOp::Eq => (n, n),
+                    CmpOp::Ge => (n, i64::MAX),
+                    CmpOp::Le => (i64::MIN, n),
+                    CmpOp::Gt => match n.checked_add(1) {
+                        Some(n) => (n, i64::MAX),
+                        None => return,
+                    },
+                    CmpOp::Lt => match n.checked_sub(1) {
+                        Some(n) => (i64::MIN, n),
+                        None => return,
+                    },
+                    CmpOp::Ne => return,
+                };
+                *keys = Some(keys.map_or((lo, hi), |(l, h)| (l.max(lo), h.min(hi))));
             }
             _ => {}
         }
     }
-    let (mut eq, mut lo, mut hi) = (None, None, None);
-    gather(pred, key_col, &mut eq, &mut lo, &mut hi);
-    if let Some(k) = eq {
-        return Some(vec![k]);
-    }
-    let (lo, hi) = (lo?, hi?);
-    if hi < lo {
-        return Some(Vec::new());
-    }
-    if hi.checked_sub(lo)? >= INDEX_PROBE_CAP {
-        return None;
-    }
-    Some((lo..=hi).collect())
+    let mut keys = None;
+    gather(pred, key_col, &mut keys);
+    keys.map(|(lo, hi)| lo..=hi)
 }
 
 fn table_def(engine: &Engine, name: &str) -> DbResult<Arc<harbor_engine::TableDef>> {
@@ -1150,40 +1127,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn key_probes_extraction() {
+    fn key_interval_extraction() {
         let k = 0usize;
         // Equality, either orientation.
         let p = Expr::col(k).eq(Expr::lit(7i64));
-        assert_eq!(key_probes(&p, k), Some(vec![7]));
+        assert_eq!(key_interval(&p, k), Some(7..=7));
         let p = Expr::lit(7i64).eq(Expr::col(k));
-        assert_eq!(key_probes(&p, k), Some(vec![7]));
-        // Tight range, including flipped comparisons and conjunction with
-        // unrelated terms.
+        assert_eq!(key_interval(&p, k), Some(7..=7));
+        // A closed range, including flipped comparisons and conjunction with
+        // unrelated terms, however wide.
         let p = Expr::col(k)
             .ge(Expr::lit(3i64))
-            .and(Expr::lit(5i64).ge(Expr::col(k)))
+            .and(Expr::lit(5_000_000i64).ge(Expr::col(k)))
             .and(Expr::col(1).gt(Expr::lit(0i64)));
-        assert_eq!(key_probes(&p, k), Some(vec![3, 4, 5]));
+        assert_eq!(key_interval(&p, k), Some(3..=5_000_000));
         // Exclusive bounds narrow the range.
         let p = Expr::col(k)
             .gt(Expr::lit(3i64))
             .and(Expr::col(k).lt(Expr::lit(6i64)));
-        assert_eq!(key_probes(&p, k), Some(vec![4, 5]));
-        // Contradictory bounds: empty probe set, not a scan.
+        assert_eq!(key_interval(&p, k), Some(4..=5));
+        // Half-open either way.
+        let p = Expr::col(k).ge(Expr::lit(3i64));
+        assert_eq!(key_interval(&p, k), Some(3..=i64::MAX));
+        let p = Expr::lit(3i64).gt(Expr::col(k));
+        assert_eq!(key_interval(&p, k), Some(i64::MIN..=2));
+        // Contradictory bounds: an empty interval, not a scan.
         let p = Expr::col(k)
             .ge(Expr::lit(9i64))
             .and(Expr::col(k).le(Expr::lit(2i64)));
-        assert_eq!(key_probes(&p, k), Some(vec![]));
-        // Too wide, half-open, OR-nested, or wrong column: no index access.
+        assert!(key_interval(&p, k).unwrap().is_empty());
         let p = Expr::col(k)
-            .ge(Expr::lit(0i64))
-            .and(Expr::col(k).le(Expr::lit(INDEX_PROBE_CAP)));
-        assert_eq!(key_probes(&p, k), None);
-        assert_eq!(key_probes(&Expr::col(k).ge(Expr::lit(3i64)), k), None);
+            .eq(Expr::lit(1i64))
+            .and(Expr::col(k).gt(Expr::lit(1i64)));
+        assert!(key_interval(&p, k).unwrap().is_empty());
+        // OR-nested, NOT-nested, `<>` or another column: no index access.
         let p = Expr::col(k)
             .eq(Expr::lit(1i64))
             .or(Expr::col(1).eq(Expr::lit(2i64)));
-        assert_eq!(key_probes(&p, k), None);
-        assert_eq!(key_probes(&Expr::col(2).eq(Expr::lit(1i64)), k), None);
+        assert_eq!(key_interval(&p, k), None);
+        assert_eq!(
+            key_interval(&Expr::col(k).ge(Expr::lit(1i64)).not(), k),
+            None
+        );
+        let p = Expr::Cmp(CmpOp::Ne, Box::new(Expr::col(k)), Box::new(Expr::lit(1i64)));
+        assert_eq!(key_interval(&p, k), None);
+        assert_eq!(key_interval(&Expr::col(2).eq(Expr::lit(1i64)), k), None);
     }
 }

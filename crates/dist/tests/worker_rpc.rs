@@ -9,7 +9,7 @@ use harbor_common::{
 };
 use harbor_dist::{
     next_frame, rpc, scan_rpc, ProtocolKind, RemoteScan, Request, Response, UpdateRequest,
-    WireReadMode, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE, INDEX_PROBE_CAP,
+    WireReadMode, Worker, WorkerConfig, DEFAULT_RPC_DEADLINE,
 };
 use harbor_engine::{Engine, EngineOptions};
 use harbor_exec::Expr;
@@ -328,12 +328,52 @@ fn key_scan_respects_visibility() {
     let _ = std::fs::remove_dir_all(&f.dir);
 }
 
-/// The key rule reads the rows it returns, not the table; an unknown table
-/// is an error, not a crash.
+/// Rows a scan has looked at so far, admitted or not.
+fn examined(f: &Fixture) -> u64 {
+    let m = f.engine.metrics().snapshot();
+    m.scan_rows_admitted + m.scan_rows_skipped_predecode
+}
+
+/// `scan`'s rows by key and insertion time, and the rows it examined.
+fn sorted_rows(f: &Fixture, scan: &RemoteScan) -> (Vec<Tuple>, u64) {
+    let before = examined(f);
+    let mut rows = rows_of(f.connect().as_mut(), scan).unwrap();
+    rows.sort_by_key(|row| (row.get(2).as_i64().unwrap(), row.get(0).as_time().unwrap()));
+    (rows, examined(f) - before)
+}
+
+/// `scan` as the key index answers it and as the page walk does (the same
+/// predicate, `OR`ed with itself, bounds no key through `AND`s): the same
+/// rows, the index examining no more than the walk. Returns the rows and
+/// what each source examined.
+fn index_matches_walk(f: &Fixture, scan: &RemoteScan) -> (Vec<Tuple>, u64, u64) {
+    let (rows, by_index) = sorted_rows(f, scan);
+    let mut walk = scan.clone();
+    let pred = scan.predicate.clone().unwrap();
+    walk.predicate = Some(pred.clone().or(pred));
+    let (walked, by_walk) = sorted_rows(f, &walk);
+    assert_eq!(rows, walked, "{:?}", scan.predicate);
+    assert!(
+        by_index <= by_walk,
+        "{by_index} > {by_walk}: {:?}",
+        scan.predicate
+    );
+    (rows, by_index, by_walk)
+}
+
+/// `lo <= id < hi`.
+fn keys_between(lo: i64, hi: i64) -> Expr {
+    Expr::col(2)
+        .ge(Expr::lit(lo))
+        .and(Expr::col(2).lt(Expr::lit(hi)))
+}
+
+/// A key range reads the versions in range, not the table, however wide;
+/// an unknown table is an error, not a crash.
 #[test]
 fn key_scan_examines_only_its_hits() {
     let f = build("key-scan-cost");
-    let rows: Vec<Vec<Value>> = (0..2000i64)
+    let rows: Vec<Vec<Value>> = (0..5000i64)
         .map(|i| vec![Value::Int64(i), Value::Int32(i as i32)])
         .collect();
     let t = f.txn(
@@ -343,45 +383,124 @@ fn key_scan_examines_only_its_hits() {
             rows,
         }],
     );
-    let examined = || {
-        let m = f.engine.metrics().snapshot();
-        m.scan_rows_admitted + m.scan_rows_skipped_predecode
-    };
     let mut chan = f.connect();
     let mut scan = RemoteScan::new("t", WireReadMode::Historical(t));
-    scan.predicate = Some(
-        Expr::col(2)
-            .ge(Expr::lit(100i64))
-            .and(Expr::col(2).lt(Expr::lit(110i64))),
-    );
-    let before = examined();
-    assert_eq!(rows_of(chan.as_mut(), &scan).unwrap().len(), 10);
-    assert_eq!(examined() - before, 10);
-    // A range of INDEX_PROBE_CAP keys is still probed key by key; one key
-    // wider walks the pages, examining every stored row, and returns the
-    // same rows a probe set would.
-    for (keys, examines) in [
-        (INDEX_PROBE_CAP, INDEX_PROBE_CAP),
-        (INDEX_PROBE_CAP + 1, 2000),
-    ] {
-        scan.predicate = Some(
-            Expr::col(2)
-                .ge(Expr::lit(100i64))
-                .and(Expr::col(2).lt(Expr::lit(100 + keys))),
-        );
-        let before = examined();
+    // Ten keys, and 2 000 that start and end in the middle of a page.
+    for (lo, hi) in [(100, 110), (1001, 3001)] {
+        scan.predicate = Some(keys_between(lo, hi));
+        let before = examined(&f);
         let got: Vec<i64> = rows_of(chan.as_mut(), &scan)
             .unwrap()
             .iter()
             .map(|row| row.get(2).as_i64().unwrap())
             .collect();
-        assert_eq!(got, (100..100 + keys).collect::<Vec<_>>(), "{keys} keys");
-        assert_eq!(examined() - before, examines as u64, "{keys} keys");
+        assert_eq!(got, (lo..hi).collect::<Vec<_>>(), "{lo}..{hi}");
+        assert_eq!(examined(&f) - before, (hi - lo) as u64, "{lo}..{hi}");
     }
     scan.table = "nope".into();
     match rows_of(chan.as_mut(), &scan) {
         Err(DbError::Schema(m)) => assert!(m.contains("nope"), "{m}"),
         other => panic!("an unknown table answered {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&f.dir);
+}
+
+/// Every key-bounded read answered from the key index returns the rows the
+/// page walk returns: a half-open range, a range over keys an update moved
+/// out of their runs (a first version, and a later one elsewhere), a range
+/// over a cold index, and a Phase-2 partition read with an insertion bound
+/// that pruning narrows to the segments the update wrote. A predicate that
+/// bounds no key through `AND`s still walks the pages.
+#[test]
+fn key_range_reads_match_the_page_walk() {
+    let f = build("key-range-walk");
+    let rows: Vec<Vec<Value>> = (0..3000i64)
+        .map(|i| vec![Value::Int64(i), Value::Int32(i as i32)])
+        .collect();
+    let t1 = f.txn(
+        1,
+        vec![UpdateRequest::InsertMany {
+            table: "t".into(),
+            rows,
+        }],
+    );
+    // Keys 3, 5, 7 of the first segment and 1500..1510 of the middle leave
+    // their runs; key 1511 is deleted.
+    let mut moves: Vec<UpdateRequest> = [3i64, 5, 7]
+        .into_iter()
+        .chain(1500..1510)
+        .map(|key| UpdateRequest::UpdateByKey {
+            table: "t".into(),
+            key,
+            set: vec![(1, Value::Int32(-1))],
+        })
+        .collect();
+    moves.push(UpdateRequest::DeleteWhere {
+        table: "t".into(),
+        pred: Expr::col(2).eq(Expr::lit(1511i64)),
+    });
+    let t2 = f.txn(2, moves);
+    let table = f.engine.table_def("t").unwrap().id;
+    let stored = 3000 + 13;
+    let at = |t: Timestamp, pred: Expr| {
+        let mut scan = RemoteScan::new("t", WireReadMode::Historical(t));
+        scan.predicate = Some(pred);
+        scan
+    };
+
+    // Half-open, from the middle of a run to past the last key.
+    let (rows, _, by_walk) = index_matches_walk(&f, &at(t2, Expr::col(2).ge(Expr::lit(2990i64))));
+    assert_eq!(rows.len(), 10);
+    assert_eq!(by_walk, stored, "the walk examines every stored row");
+    let (rows, ..) = index_matches_walk(&f, &at(t2, Expr::lit(5i64).ge(Expr::col(2))));
+    assert_eq!(rows.len(), 6);
+    // The moved keys, before and after their update, and every version.
+    for t in [t1, t2] {
+        let (rows, ..) = index_matches_walk(&f, &at(t, keys_between(1498, 1512)));
+        assert_eq!(rows.len(), if t == t1 { 14 } else { 13 });
+    }
+    let mut every = at(t2, keys_between(0, 10));
+    every.mode = WireReadMode::SeeDeletedHistorical(t2);
+    let (rows, by_index, _) = index_matches_walk(&f, &every);
+    assert_eq!(
+        (rows.len(), by_index),
+        (13, 13),
+        "three keys with two versions"
+    );
+    // An equality, and contradictory bounds.
+    let (rows, ..) = index_matches_walk(&f, &at(t2, Expr::col(2).eq(Expr::lit(1505i64))));
+    assert_eq!(rows.len(), 1);
+    let none = keys_between(10, 20).and(Expr::col(2).lt(Expr::lit(5i64)));
+    assert!(index_matches_walk(&f, &at(t2, none)).0.is_empty());
+
+    // A cold index, as after a restart: the range read builds it first.
+    let index = f.engine.index(table).unwrap();
+    index.invalidate();
+    let rebuilds = f.engine.metrics().snapshot().index_rebuilds;
+    let (rows, _, _) = index_matches_walk(&f, &at(t2, keys_between(1000, 2000)));
+    assert_eq!(rows.len(), 999);
+    assert_eq!(f.engine.metrics().snapshot().index_rebuilds, rebuilds + 1);
+
+    // Phase 2's partition read: every version inserted after the load, of
+    // the keys in a partition. The load's segments are pruned, so the index
+    // examines only the update's new versions.
+    let mut partition = at(t2, keys_between(0, 1600));
+    partition.mode = WireReadMode::SeeDeletedHistorical(t2);
+    partition.ins_after = Some(t1);
+    let (rows, by_index, _) = index_matches_walk(&f, &partition);
+    assert_eq!(rows.len(), 13);
+    assert_eq!(by_index, 13, "a stretch on a pruned segment was visited");
+
+    // No key bound through `AND`s: the walk, whatever else bounds the key.
+    for pred in [
+        Expr::col(2)
+            .eq(Expr::lit(5i64))
+            .or(Expr::col(2).eq(Expr::lit(6i64))),
+        Expr::col(2).lt(Expr::lit(5i64)).not(),
+        Expr::col(3).lt(Expr::lit(10)),
+    ] {
+        let (_, by_source) = sorted_rows(&f, &at(t2, pred));
+        assert_eq!(by_source, stored);
     }
     let _ = std::fs::remove_dir_all(&f.dir);
 }

@@ -4,12 +4,14 @@
 //! primary key" (§5.3) and recovers indices "as a side effect of adding or
 //! deleting tuples from the object during recovery" (§5.1). We keep the
 //! index in memory, maintained by the engine's mutation paths, and rebuild
-//! it lazily by a single sequential scan after a restart — recovery itself
-//! never consults it (the recovery queries are written as batch scans), so
-//! the rebuild cost never pollutes the recovery-time measurements.
+//! it lazily by a single sequential scan after a restart — the recovering
+//! site never consults it (its statements are batch scans); a buddy does
+//! only for a recovery predicate that bounds the key, a partition's.
 //!
 //! A key maps to *all* versions of the tuple (an update creates a second
-//! tuple with the same id); readers filter by visibility.
+//! tuple with the same id); readers filter by visibility. A range of keys is
+//! one lookup ([`KeyIndex::range`]): the runs that overlap it and the hashed
+//! keys in it, as stretches of slots in page order.
 //!
 //! Tuple ids are the warehouse's surrogate keys: a load or a recovery
 //! places them in key order into consecutive slots of a page, and a key
@@ -432,6 +434,61 @@ impl Inner {
             .insert(key, if still_more { first | HAS_MORE } else { first });
     }
 
+    /// The versions of every key in `lo..=hi`, as `(first, end)` place
+    /// spans: the keys of each run that overlaps the range — the closed runs
+    /// from the one that holds `lo`, and the open run — as one span of its
+    /// slots, then each hashed key in the range and its later versions, one
+    /// place each. The hashed keys are found by probing every key of the
+    /// range or by scanning `first`, whichever is fewer operations.
+    fn range(&self, lo: i64, hi: i64, out: &mut Vec<(u64, u64)>) {
+        if lo > hi {
+            return;
+        }
+        let mut span = |start: i64, run: Run| {
+            let last = start + (run.len as i64 - 1);
+            let (from, to) = (lo.max(start), hi.min(last));
+            if from <= to {
+                let first = run.versions((from - start) as u64).start;
+                let end = run.versions((to - start) as u64).end;
+                out.push((run.at + first, run.at + end));
+            }
+        };
+        let below = self.runs.range(..=lo).next_back().map_or(lo, |(s, _)| *s);
+        for (&start, &run) in self.runs.range(below..=hi) {
+            span(start, run);
+        }
+        if let Some((start, run)) = self.open {
+            span(start, run);
+        }
+        let Some(top) = self
+            .first_max
+            .map(|max| max.min(hi))
+            .filter(|top| lo <= *top)
+        else {
+            return;
+        };
+        let mut hashed = |key: i64, word: u64| {
+            let first = word & !HAS_MORE;
+            out.push((first, first + 1));
+            if word & HAS_MORE != 0 {
+                let more = self.more.range(later(key));
+                out.extend(more.map(|(_, at)| (*at, *at + 1)));
+            }
+        };
+        if top.abs_diff(lo) < self.first.len() as u64 {
+            for key in lo..=top {
+                if let Some(&word) = self.first.get(&key) {
+                    hashed(key, word);
+                }
+            }
+        } else {
+            let keys = lo..=top;
+            for (&key, &word) in self.first.iter().filter(|(key, _)| keys.contains(key)) {
+                hashed(key, word);
+            }
+        }
+    }
+
     /// Every run, the open one included.
     fn all_runs(&self) -> impl Iterator<Item = Run> + '_ {
         self.runs
@@ -439,6 +496,13 @@ impl Inner {
             .copied()
             .chain(self.open.map(|(_, run)| run))
     }
+}
+
+/// Consecutive slots of one page, which a range lookup found versions in.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Stretch {
+    pub page: PageId,
+    pub slots: Range<u16>,
 }
 
 /// Primary-key index for one table.
@@ -514,6 +578,39 @@ impl KeyIndex {
             pool.metrics().add_index_hits(1);
         }
         Ok(rids)
+    }
+
+    /// Every version of every key in `keys`, building the index first if
+    /// cold, as stretches of consecutive slots in page and slot order: one
+    /// range lookup under one lock, whatever the width of the range.
+    pub fn range(&self, pool: &BufferPool, keys: RangeInclusive<i64>) -> DbResult<Vec<Stretch>> {
+        let mut spans = Vec::new();
+        {
+            let mut g = self.inner.lock();
+            if !g.built {
+                self.build_locked(pool, &mut g)?;
+            }
+            g.range(*keys.start(), *keys.end(), &mut spans);
+        }
+        if spans.is_empty() {
+            pool.metrics().add_index_misses(1);
+        } else {
+            pool.metrics().add_index_hits(1);
+        }
+        spans.sort_unstable();
+        // Spans that meet on one page are one stretch.
+        spans.dedup_by(|next, prev| {
+            let meets = next.0 == prev.1 && same_page(next.0, prev.0);
+            if meets {
+                prev.1 = next.1;
+            }
+            meets
+        });
+        let stretch = |(at, end): (u64, u64)| Stretch {
+            page: unpack(self.table, at).page,
+            slots: at as u16..end as u16,
+        };
+        Ok(spans.into_iter().map(stretch).collect())
     }
 
     /// Forces a (re)build by sequential scan.

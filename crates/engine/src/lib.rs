@@ -19,7 +19,7 @@ pub mod txn;
 pub use catalog::{Catalog, TableDef};
 pub use deletion_log::DeletionLog;
 pub use engine::{Engine, EngineOptions, RecoveredInserter, StepLogging, KEY_OFFSET};
-pub use index::KeyIndex;
+pub use index::{KeyIndex, Stretch};
 pub use txn::{LocalTxnStatus, TxnState};
 
 #[cfg(test)]

@@ -23,6 +23,6 @@ pub use dml::{run_delete, run_insert, run_update, run_update_by_key};
 pub use expr::{ArithOp, CmpOp, Columns, Expr};
 pub use op::{collect, Filter, Operator};
 pub use scan::{
-    index_lookup, scan_pages, scan_rids, visit_key, visit_page, visit_versions, ReadMode, ScanRow,
-    SeqScan,
+    index_lookup, key_stretches, scan_pages, scan_rids, visit_page, visit_stretch, visit_versions,
+    ReadMode, ScanRow, SeqScan,
 };

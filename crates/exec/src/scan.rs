@@ -15,8 +15,8 @@
 //! touching any page (§4.2).
 //!
 //! Every read walks pages through **one visitor** ([`visit_page`], and
-//! [`visit_key`] / [`visit_versions`] for the rows an index probe or a
-//! deletion log names): it takes the page lock or latch, skips
+//! [`visit_stretch`] / [`visit_versions`] for the slots a key-range lookup
+//! or a deletion log names): it takes the page lock or latch, skips
 //! or fast-paths whole pages from their zone-map summary, admits rows on
 //! their raw timestamp words ([`ReadMode::admit`]), re-applies the bounds
 //! per row, and hands each admitted row to a sink as a [`ScanRow`] —
@@ -38,9 +38,11 @@ use harbor_common::tuple::{fixed_field, transcode_fixed_cols_to_wire, transcode_
 use harbor_common::{
     DbResult, PageId, RecordId, TableId, Timestamp, TransactionId, Tuple, TupleDesc, Value,
 };
+use harbor_engine::Stretch;
 use harbor_storage::table::ts_word;
 use harbor_storage::{BufferPool, ScanBounds, SegmentedHeapFile, ZoneEntry};
 use std::collections::VecDeque;
+use std::ops::{Range, RangeInclusive};
 use std::sync::Arc;
 
 /// Visibility/locking mode for reads.
@@ -194,6 +196,15 @@ fn in_bounds(b: &ScanBounds, ins: u64, del: u64) -> bool {
         && b.del_after.is_none_or(|t| del > t.0)
 }
 
+/// The bits of occupancy word `chunk` that stand for slots in `slots`, a
+/// range that chunk overlaps.
+#[inline]
+fn chunk_bits(slots: &Range<u16>, chunk: usize) -> u64 {
+    let base = chunk * 64;
+    let (from, end) = (slots.start as usize, slots.end as usize);
+    (u64::MAX << from.saturating_sub(base)) & (u64::MAX >> (64 - (end - base).min(64)))
+}
+
 /// Pages a scan with `bounds` has to visit, in scan order (§4.2 pruning).
 pub fn scan_pages(heap: &SegmentedHeapFile, bounds: &ScanBounds) -> Vec<PageId> {
     let mut pages = Vec::new();
@@ -214,53 +225,53 @@ pub fn scan_pages(heap: &SegmentedHeapFile, bounds: &ScanBounds) -> Vec<PageId> 
 /// * **Zone map** (lock-free [`ReadMode::Historical`] only): a page whose
 ///   summary says nothing is visible is skipped without being faulted in; a
 ///   fully visible page hands out rows straight off the occupancy words; a
-///   page without a summary gets one computed here under the read latch
-///   (safe: mutators invalidate under the frame *write* latch, so the store
-///   is latch-serialized).
+///   whole-page visit of a page without a summary computes one here under
+///   the read latch (safe: mutators invalidate under the frame *write*
+///   latch, so the store is latch-serialized).
 /// * **Per-row visibility.** Otherwise each occupied slot's two leading
 ///   timestamp words go through [`ReadMode::admit`], then the bounds.
 ///
-/// `only` narrows the visit to one slot (an index probe); an empty or
-/// out-of-range slot admits nothing. Row counts go to the pool's
-/// `scan_rows_*` metrics.
+/// `slots` narrows the visit to a stretch of the page (a key-range lookup's,
+/// or one logged row); empty or out-of-range slots admit nothing. Row counts
+/// go to the pool's `scan_rows_*` metrics.
 fn visit(
     pool: &BufferPool,
     heap: &SegmentedHeapFile,
     pid: PageId,
-    only: Option<u16>,
+    slots: Option<Range<u16>>,
     mode: ReadMode,
     bounds: &ScanBounds,
     sink: &mut impl FnMut(ScanRow<'_>) -> DbResult<()>,
 ) -> DbResult<()> {
     let metrics = pool.metrics();
     let zone_t = match mode {
-        ReadMode::Historical(t) if only.is_none() => Some(t),
+        ReadMode::Historical(t) => Some(t),
         _ => None,
     };
+    // A page skipped whole skips at most the visit's slots of its rows.
+    let skipped_of = |rows: u64| slots.as_ref().map_or(rows, |s| rows.min(s.len() as u64));
     if let Some(t) = zone_t {
         if let Some(z) = heap.zone_entry(pid.page_no) {
             if zone_class(t, &z) == ZoneClass::NoneVisible {
-                metrics.add_scan_rows_skipped_predecode(z.rows as u64);
+                metrics.add_scan_rows_skipped_predecode(skipped_of(z.rows as u64));
                 return Ok(());
             }
         }
     }
-    let unbounded = bounds.ins_at_or_before.is_none()
-        && bounds.ins_after.is_none()
-        && bounds.del_after.is_none();
+    let unbounded = bounds.is_unbounded();
     let mut admitted = 0u64;
     let mut skipped = 0u64;
     let result = pool.with_page(mode.lock_tid(), pid, |page| {
         let class = zone_t.map_or(ZoneClass::Mixed, |t| {
-            let z = heap.zone_entry(pid.page_no).unwrap_or_else(|| {
-                let z = ZoneEntry::compute(page);
+            let z = heap.zone_entry(pid.page_no).or_else(|| {
+                let z = slots.is_none().then(|| ZoneEntry::compute(page))?;
                 heap.store_zone(pid.page_no, z);
-                z
+                Some(z)
             });
-            zone_class(t, &z)
+            z.map_or(ZoneClass::Mixed, |z| zone_class(t, &z))
         });
         if class == ZoneClass::NoneVisible {
-            skipped += page.used() as u64;
+            skipped += skipped_of(page.used() as u64);
             return Ok(());
         }
         // Every occupied slot is in, as stored: no per-row decision.
@@ -268,14 +279,14 @@ fn visit(
         let tsize = page.tuple_size();
         let data = page.slot_data();
         let desc = heap.desc();
-        let chunks = match only {
-            Some(slot) => slot as usize / 64..slot as usize / 64 + 1,
+        let chunks = match &slots {
+            Some(s) => s.start as usize / 64..(s.end as usize).div_ceil(64),
             None => 0..page.slot_count().div_ceil(64),
         };
         for chunk in chunks {
             let mut occ = page.occupancy_word(chunk);
-            if let Some(slot) = only {
-                occ &= 1 << (slot % 64);
+            if let Some(s) = &slots {
+                occ &= chunk_bits(s, chunk);
             }
             while occ != 0 {
                 let slot = chunk * 64 + occ.trailing_zeros() as usize;
@@ -322,26 +333,54 @@ pub fn visit_page(
     visit(pool, heap, pid, None, mode, bounds, &mut sink)
 }
 
-/// Visits the versions of primary key `key` that a read at `mode` with
-/// `bounds` sees, through the engine's tuple-id index (§5.3): one
-/// single-slot page visit per indexed version, so a probe locks before it
-/// reads, a version removed since it was indexed admits nothing, and a
-/// damaged page surfaces as the typed error it is.
-pub fn visit_key(
+/// The stretches of slots that hold the versions of the keys in `keys`, in
+/// scan order, for a scan with `bounds`: the tuple-id index's range lookup
+/// (§5.3), less the stretches on segments that §4.2 pruning skips. Visiting
+/// each ([`visit_stretch`]) sees exactly the rows of those keys that a walk
+/// of [`scan_pages`] sees, and no page that walk would not visit.
+pub fn key_stretches(
     engine: &harbor_engine::Engine,
     table: TableId,
-    key: i64,
+    keys: RangeInclusive<i64>,
+    bounds: &ScanBounds,
+) -> DbResult<Vec<Stretch>> {
+    let mut stretches = engine.index(table)?.range(engine.pool(), keys)?;
+    if !bounds.is_unbounded() {
+        // Both lists are in page order.
+        let kept = engine.pool().table(table)?.prune(bounds);
+        let mut segments = kept.iter().map(|(_, m)| m.pages()).peekable();
+        stretches.retain(|s| {
+            while segments
+                .next_if(|pages| pages.end <= s.page.page_no)
+                .is_some()
+            {}
+            segments
+                .peek()
+                .is_some_and(|pages| pages.contains(&s.page.page_no))
+        });
+    }
+    Ok(stretches)
+}
+
+/// Visits the rows of `stretch` that a read at `mode` with `bounds` sees:
+/// one pin of its page, so a stretch locks before it reads, a version
+/// removed since it was indexed admits nothing, and a damaged page surfaces
+/// as the typed error it is.
+pub fn visit_stretch(
+    pool: &BufferPool,
+    heap: &SegmentedHeapFile,
+    stretch: &Stretch,
     mode: ReadMode,
     bounds: &ScanBounds,
-    sink: impl FnMut(ScanRow<'_>) -> DbResult<()>,
+    mut sink: impl FnMut(ScanRow<'_>) -> DbResult<()>,
 ) -> DbResult<()> {
-    let versions = engine.index(table)?.lookup(engine.pool(), key)?;
-    visit_versions(engine, table, &versions, mode, bounds, sink)
+    let slots = Some(stretch.slots.clone());
+    visit(pool, heap, stretch.page, slots, mode, bounds, &mut sink)
 }
 
 /// Visits the rows at `versions` that a read at `mode` with `bounds` sees,
-/// one single-slot page visit each: the versions a probe of the index found
-/// ([`visit_key`]), or the rows a deletion log lists.
+/// one single-slot page visit each: the versions a probe of the index found,
+/// or the rows a deletion log lists.
 pub fn visit_versions(
     engine: &harbor_engine::Engine,
     table: TableId,
@@ -353,15 +392,8 @@ pub fn visit_versions(
     let pool = engine.pool();
     let heap = pool.table(table)?;
     for rid in versions {
-        visit(
-            pool,
-            &heap,
-            rid.page,
-            Some(rid.slot),
-            mode,
-            bounds,
-            &mut sink,
-        )?;
+        let slot = Some(rid.slot..rid.slot + 1);
+        visit(pool, &heap, rid.page, slot, mode, bounds, &mut sink)?;
     }
     Ok(())
 }
@@ -504,18 +536,22 @@ pub fn scan_rids(
     Ok(out)
 }
 
-/// Primary-key lookup through the engine's index with mode visibility.
+/// Primary-key lookup through the engine's index with mode visibility, in
+/// page order.
 pub fn index_lookup(
     engine: &harbor_engine::Engine,
     table: TableId,
     key: i64,
     mode: ReadMode,
 ) -> DbResult<Vec<(RecordId, Tuple)>> {
+    let (heap, bounds) = (engine.pool().table(table)?, ScanBounds::all());
     let mut out = Vec::new();
-    visit_key(engine, table, key, mode, &ScanBounds::all(), |row| {
-        out.push((row.rid, row.decode()?));
-        Ok(())
-    })?;
+    for stretch in key_stretches(engine, table, key..=key, &bounds)? {
+        visit_stretch(engine.pool(), &heap, &stretch, mode, &bounds, |row| {
+            out.push((row.rid, row.decode()?));
+            Ok(())
+        })?;
+    }
     Ok(out)
 }
 

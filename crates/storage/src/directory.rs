@@ -120,6 +120,12 @@ impl ScanBounds {
         }
     }
 
+    /// Whether no time bound is set: every segment and every row is in.
+    #[inline]
+    pub fn is_unbounded(&self) -> bool {
+        self.ins_at_or_before.is_none() && self.ins_after.is_none() && self.del_after.is_none()
+    }
+
     /// Does segment `idx` with metadata `m` possibly match?
     pub fn segment_may_match(&self, idx: u32, m: &SegmentMeta) -> bool {
         if let Some(from) = self.uncommitted_from_segment {

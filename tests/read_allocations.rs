@@ -2,13 +2,14 @@
 //!
 //! A three-worker in-memory cluster is loaded directly, every site the same
 //! rows plus an older version of every fourth key. Then the coordinator
-//! reads the table at a fixed time twice: a full read, and a 1 % key-range
-//! filter wider than [`INDEX_PROBE_CAP`], so the worker walks every page and
-//! tests the predicate on every visible row. Both run once to warm the
-//! sessions, zone maps and pool, then once under `harbor_bench`'s counting
-//! allocator, which sees every thread of the process: the worker that
-//! examines and ships the rows, the transport, and the coordinator that
-//! reads them off the replies.
+//! reads the table at a fixed time three times: a full read; a filter on a
+//! column that is not the key, which selects the rows of a 1 % key range,
+//! so the worker walks every page and tests the predicate on every visible
+//! row; and that key range itself, which the worker answers from the key
+//! index. Each runs once to warm the sessions, zone maps and pool, then once
+//! under `harbor_bench`'s counting allocator, which sees every thread of the
+//! process: the worker that examines and ships the rows, the transport, and
+//! the coordinator that reads them off the replies.
 //!
 //! * The full read may make at most three allocations for each frame the
 //!   worker sends, and allocate less than twice the wire bytes of the rows
@@ -20,6 +21,9 @@
 //!   fixed cost (its request, the worker's decode of it, the page list, the
 //!   session) fits in that. A predicate evaluated on a decoded row costs
 //!   one for every row examined.
+//! * The key range may make at most [`KEY_RANGE_PER_FRAME`] for each frame:
+//!   its fixed cost and the one range lookup's stretches. Its frames are
+//!   few and its keys many, so one allocation a key breaks it.
 //!
 //! The counters are process-wide, so this binary holds one test.
 
@@ -28,7 +32,7 @@ use harbor_bench::alloc_count::{Counting, Counts};
 use harbor_common::codec::Encoder;
 use harbor_common::config::SCAN_BATCH;
 use harbor_common::{DiskProfile, StorageConfig, Timestamp, Tuple, Value};
-use harbor_dist::{ProtocolKind, INDEX_PROBE_CAP};
+use harbor_dist::ProtocolKind;
 use harbor_exec::Expr;
 use harbor_workload::paper_row;
 use std::time::Duration;
@@ -43,6 +47,8 @@ const KEYS: i64 = 30_000;
 const AS_OF: u64 = 101;
 /// Allocations a filtered read may make for each frame it ships.
 const PER_FRAME: u64 = 48;
+/// Allocations a key-range read may make for each frame it ships.
+const KEY_RANGE_PER_FRAME: u64 = 24;
 
 /// The stored versions of key `id`: an older one replaced at a time in
 /// `2..AS_OF` for every fourth key, then the current one.
@@ -129,26 +135,39 @@ fn a_historical_read_allocates_per_frame_not_per_row() {
     drop(rows);
 
     let span = KEYS / 100;
-    assert!(span > INDEX_PROBE_CAP, "the filter must walk the pages");
     let (lo, hi) = (KEYS / 2, KEYS / 2 + span);
+    // Stored column 3 is `f0`: the key for a current version, -1 for an
+    // older one.
+    let not_the_key = Expr::col(3)
+        .ge(Expr::lit(lo as i32))
+        .and(Expr::col(3).lt(Expr::lit(hi as i32)));
     let key_range = Expr::col(2)
         .ge(Expr::lit(lo))
         .and(Expr::col(2).lt(Expr::lit(hi)));
-    let (rows, filter) = counted_read(&cluster, Some(key_range));
-    assert_eq!(rows.len() as i64, span);
-    assert!(rows
-        .iter()
-        .all(|r| (lo..hi).contains(&r.get(2).as_i64().unwrap())));
-    // Every batch but the last holds at least `SCAN_BATCH` rows; then the
-    // status frame.
-    let frames = (rows.len() / SCAN_BATCH + 2) as u64;
-    println!(
-        "filtered read: {} of {} stored rows in at most {frames} frames, {} allocations, {} bytes",
-        rows.len(),
-        KEYS + KEYS / 4,
-        filter.allocations,
-        filter.bytes
-    );
+    let mut reads = Vec::new();
+    for (what, pred) in [("filtered", not_the_key), ("key-range", key_range)] {
+        let (rows, counts) = counted_read(&cluster, Some(pred));
+        assert_eq!(rows.len() as i64, span, "{what}");
+        assert!(
+            rows.iter()
+                .all(|r| (lo..hi).contains(&r.get(2).as_i64().unwrap())),
+            "{what}"
+        );
+        // Every batch but the last holds at least `SCAN_BATCH` rows; then
+        // the status frame.
+        let frames = (rows.len() / SCAN_BATCH + 2) as u64;
+        println!(
+            "{what} read: {} of {} stored rows in at most {frames} frames, {} allocations, {} bytes",
+            rows.len(),
+            KEYS + KEYS / 4,
+            counts.allocations,
+            counts.bytes
+        );
+        reads.push((frames, counts));
+    }
+    let [(frames, filter), (key_frames, key_range)] = &reads[..] else {
+        unreachable!()
+    };
 
     assert!(
         full.allocations <= 3 * full_frames,
@@ -164,6 +183,15 @@ fn a_historical_read_allocates_per_frame_not_per_row() {
         filter.allocations <= PER_FRAME * frames,
         "a filtered read shipping {frames} frames made {} allocations",
         filter.allocations
+    );
+    assert!(
+        KEY_RANGE_PER_FRAME * key_frames < span as u64,
+        "the key-range bound must not leave room for an allocation a key"
+    );
+    assert!(
+        key_range.allocations <= KEY_RANGE_PER_FRAME * key_frames,
+        "a key-range read shipping {key_frames} frames made {} allocations",
+        key_range.allocations
     );
     cluster.shutdown();
     drop(cluster);
