@@ -10,6 +10,8 @@
 //! Scaling: set `HARBOR_BENCH_SCALE` to `quick` (CI default), `standard`,
 //! or `paper` (closest to thesis parameters; minutes of runtime).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use harbor::{Cluster, ClusterConfig, TableSpec, TransportKind};
 use harbor_common::metrics::Group;
 use harbor_common::{DbResult, DiskProfile, StorageConfig, Timestamp, Tuple};
@@ -52,6 +54,10 @@ pub fn experiment_dir(name: &str) -> PathBuf {
         .join("harbor-bench")
         .join(format!("{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    #[expect(
+        clippy::expect_used,
+        reason = "a bench without its directory cannot run"
+    )]
     std::fs::create_dir_all(&dir).expect("create experiment dir");
     dir
 }
@@ -145,6 +151,10 @@ pub fn recovery_cluster(
 pub fn prefill(cluster: &Cluster, table: &str, rows: i64) -> DbResult<()> {
     for site in cluster.worker_sites() {
         let engine = cluster.engine(site)?;
+        #[expect(
+            clippy::expect_used,
+            reason = "a bench prefills only the tables it created"
+        )]
         let def = engine.table_def(table).expect("prefill of existing table");
         let mut inserter = engine.recovered_inserter(def.id)?;
         for id in 0..rows {
@@ -675,6 +685,10 @@ pub fn run_recovery_scenario(
         let mut counts = Vec::new();
         for site in [victim, harbor_common::SiteId(2)] {
             let e = cluster.engine(site)?;
+            #[expect(
+                clippy::expect_used,
+                reason = "the bench created every table it verifies"
+            )]
             let def = e.table_def(t).expect("table exists");
             let mut scan = harbor_exec::SeqScan::new(
                 e.pool().clone(),

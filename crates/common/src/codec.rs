@@ -172,22 +172,42 @@ impl<'a> Decoder<'a> {
         Ok(self.take(1)?[0])
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`take` returned exactly the width asked for"
+    )]
     pub fn get_u16(&mut self) -> DbResult<u16> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`take` returned exactly the width asked for"
+    )]
     pub fn get_u32(&mut self) -> DbResult<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`take` returned exactly the width asked for"
+    )]
     pub fn get_u64(&mut self) -> DbResult<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`take` returned exactly the width asked for"
+    )]
     pub fn get_i32(&mut self) -> DbResult<i32> {
         Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`take` returned exactly the width asked for"
+    )]
     pub fn get_i64(&mut self) -> DbResult<i64> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }

@@ -8,6 +8,7 @@
 //! harness reads to *measure* (rather than assert) Table 4.2.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod codec;
 pub mod config;

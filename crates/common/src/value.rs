@@ -72,6 +72,7 @@ impl Value {
             // predicates like `insertion_time <= 5`); negative integers
             // sort below every timestamp.
             (Value::Time(a), b @ (Value::Int64(_) | Value::Int32(_))) => {
+                #[expect(clippy::expect_used, reason = "the arm matched an integer")]
                 let n = b.as_i64().expect("integer");
                 if n < 0 {
                     Ordering::Greater
@@ -80,6 +81,7 @@ impl Value {
                 }
             }
             (a @ (Value::Int64(_) | Value::Int32(_)), Value::Time(b)) => {
+                #[expect(clippy::expect_used, reason = "the arm matched an integer")]
                 let n = a.as_i64().expect("integer");
                 if n < 0 {
                     Ordering::Less

@@ -265,6 +265,7 @@ impl Cluster {
                     if live.len() > cfg.min_live {
                         let victim = live[rng.below(live.len() as u64) as usize];
                         let name = format!("site-{}", victim.0);
+                        #[expect(clippy::unwrap_used, reason = "`chaos()` was checked just above")]
                         self.chaos()
                             .unwrap()
                             .partition(&[&name], &["coordinator"], true);

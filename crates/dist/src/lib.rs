@@ -11,6 +11,7 @@
 //! and so are the coordinator's rounds and reads.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod consensus;
 pub mod coordinator;

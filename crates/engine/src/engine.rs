@@ -361,6 +361,10 @@ impl Engine {
     }
 
     /// Appends an `Update` log record for `tid`, maintaining its chain.
+    #[expect(
+        clippy::expect_used,
+        reason = "callers log only on a logging engine, for a transaction it began"
+    )]
     fn log_update(&self, tid: TransactionId, op: &RedoOp) -> Lsn {
         let wal = self.wal.as_ref().expect("log_update requires logging");
         let mut txns = self.txns.lock();
@@ -708,6 +712,10 @@ impl Engine {
     /// Walks one transaction's log chain backwards, applying inverses and
     /// writing CLRs (normal-processing rollback under the baseline).
     fn undo_chain(&self, tid: TransactionId, from: Lsn) -> DbResult<()> {
+        #[expect(
+            clippy::expect_used,
+            reason = "only a logging engine rolls back by its log"
+        )]
         let wal = self.wal.as_ref().expect("undo requires logging");
         let mut cursor = from;
         while !cursor.is_none() {

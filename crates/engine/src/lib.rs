@@ -9,6 +9,7 @@
 //! baseline mode) the forced prefix of the WAL survives.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod catalog;
 pub mod deletion_log;

@@ -13,6 +13,7 @@
 //! [`collect`]s it.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod dml;
 pub mod expr;

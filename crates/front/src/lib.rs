@@ -16,6 +16,7 @@
 //! and [`harbor_dist::Coordinator`] implements it directly.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod admission;
 pub mod server;

@@ -1,16 +1,17 @@
-//! Pass 1 of the workspace-graph analyzer: a cross-file index over every
-//! workspace `.rs` file.
+//! Pass 1 of the workspace-graph analyzer: the fns of every workspace `.rs`
+//! file, with the facts that only exist across files.
 //!
 //! The per-file rules in `lib.rs` see one token stream at a time; the
-//! [`taint`](crate::taint) rule needs facts that only exist across files:
-//! which functions call which, and which carry or consult a deadline. This
-//! module extracts them from the same hand-rolled lexer — no type
-//! information, so everything is name-based and deliberately conservative
-//! (see the imprecision notes on [`WorkspaceIndex`]).
+//! [`taint`](crate::taint) rule needs to know which functions call which,
+//! and which carry or consult a deadline. This module reads them off the
+//! same token stream — no type information, so everything is name-based
+//! and deliberately conservative (see the imprecision note on [`FnDef`]).
+//! Test code (`#[test]` and `#[cfg(test)]` fns) gets no node: a test helper
+//! that shares a name with a callee must not link a front-door fn to code
+//! only tests reach.
 
-use crate::lexer::{lex, Allow, Token, TokenKind};
-use crate::{is_test_path, test_regions, BLOCKING_HELPERS, BLOCKING_METHODS};
-use std::collections::BTreeMap;
+use crate::lexer::{Token, TokenKind};
+use crate::{blocks, body_open, matching_close, BLOCKING_HELPERS, PAGE_IO};
 
 /// Idents whose presence in a fn body counts as "consults the deadline":
 /// the obvious budget vocabulary, plus [`DEADLINE_HELPERS`].
@@ -58,13 +59,6 @@ const KEYWORDS: [&str; 26] = [
     "continue", "crate", "super",
 ];
 
-/// One call site inside a fn body (method or free call, name-based).
-#[derive(Clone, Debug)]
-pub struct CallSite {
-    pub callee: String,
-    pub line: u32,
-}
-
 /// An (often intentionally) infinite `loop` containing blocking work.
 #[derive(Clone, Debug)]
 pub struct LoopSite {
@@ -76,105 +70,55 @@ pub struct LoopSite {
     pub consults_deadline: bool,
 }
 
+/// One non-test fn.
+///
+/// Imprecision, by design (token-level, no types): a call is recorded by
+/// its bare name, and pass 2 resolves it to every fn of that name. A
+/// stoplist of ubiquitous names keeps this sane, but the graph still
+/// over-approximates what can really run.
 #[derive(Clone, Debug)]
 pub struct FnDef {
-    pub id: usize,
     pub name: String,
     pub file: String,
-    pub line: u32,
-    pub crate_key: String,
-    pub is_test: bool,
     /// A param named `deadline`/`budget` or typed `Instant`.
     pub has_deadline_param: bool,
     /// Body names any [`DEADLINE_TOKENS`] or [`DEADLINE_HELPERS`] ident.
     pub mentions_deadline: bool,
-    pub calls: Vec<CallSite>,
+    /// Callee names, method or free.
+    pub calls: Vec<String>,
     /// Untimed `.recv()` sites.
     pub recv_sites: Vec<u32>,
     pub loops: Vec<LoopSite>,
-    /// `.read_page(` / `.write_page(` sites.
+    /// [`PAGE_IO`] call sites.
     pub page_io: Vec<(String, u32)>,
-}
-
-/// The whole-workspace index: pass 1's output, pass 2's input.
-///
-/// Imprecision, by design (token-level, no types):
-/// * Call edges are resolved by bare name — a call to `commit` is an edge
-///   to every fn named `commit`. A stoplist of ubiquitous names keeps this
-///   sane, but the graph still over-approximates what can really run.
-#[derive(Debug, Default)]
-pub struct WorkspaceIndex {
-    pub fns: Vec<FnDef>,
-    /// Per-file resolved allow directives, for finding suppression.
-    pub allows: BTreeMap<String, Vec<Allow>>,
-}
-
-impl WorkspaceIndex {
-    /// `true` when an `allow(<rule>)` directive covers `file:line`.
-    pub fn allowed(&self, file: &str, rule: &str, line: u32) -> bool {
-        self.allows
-            .get(file)
-            .map(|a| a.iter().any(|x| x.rule == rule && x.line == line))
-            .unwrap_or(false)
-    }
 }
 
 fn tok_is(t: &Token, s: &str) -> bool {
     t.text == s
 }
 
-fn matching_brace(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (k, t) in tokens.iter().enumerate().skip(open) {
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
-            _ => {}
-        }
-    }
-    tokens.len()
-}
-
-fn walk_fn_body(def: &mut FnDef, tokens: &[Token], body_open: usize, body_close: usize) {
-    let mut i = body_open;
-    while i < body_close {
+fn walk_fn_body(def: &mut FnDef, tokens: &[Token], open: usize, close: usize) {
+    let mut i = open;
+    while i < close {
         let t = &tokens[i];
 
         if t.kind == TokenKind::Ident {
             // Nested `fn` items get their own FnDef; skip their bodies here.
             if tok_is(t, "fn")
-                && i > body_open
-                && i + 1 < body_close
+                && i > open
+                && i + 1 < close
                 && tokens[i + 1].kind == TokenKind::Ident
             {
-                let mut j = i + 1;
-                let mut parens = 0i32;
-                while j < body_close {
-                    match tokens[j].text.as_str() {
-                        "(" => parens += 1,
-                        ")" => parens -= 1,
-                        ";" if parens == 0 => break,
-                        "{" if parens == 0 => {
-                            j = matching_brace(tokens, j);
-                            break;
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                i = j + 1;
+                i = body_open(tokens, i)
+                    .and_then(|o| matching_close(tokens, o))
+                    .map_or(i + 1, |c| c + 1);
                 continue;
             }
 
             // `loop { … }` sites.
-            if tok_is(t, "loop") && i + 1 < body_close && tok_is(&tokens[i + 1], "{") {
-                let close = matching_brace(tokens, i + 1);
-                let body = &tokens[i + 1..close.min(body_close)];
+            if tok_is(t, "loop") && i + 1 < close && tok_is(&tokens[i + 1], "{") {
+                let end = matching_close(tokens, i + 1).unwrap_or(tokens.len());
+                let body = &tokens[i + 1..end.min(close)];
                 let mut has_blocking = false;
                 let mut has_continue = false;
                 let mut consults = false;
@@ -191,7 +135,7 @@ fn walk_fn_body(def: &mut FnDef, tokens: &[Token], body_open: usize, body_close:
                     }
                     let called = k + 1 < body.len() && tok_is(&body[k + 1], "(");
                     if called
-                        && (BLOCKING_METHODS.contains(&s) || BLOCKING_HELPERS.contains(&s))
+                        && (blocks(s) || BLOCKING_HELPERS.contains(&s))
                         && !(k >= 1 && tok_is(&body[k - 1], "fn"))
                     {
                         has_blocking = true;
@@ -211,28 +155,18 @@ fn walk_fn_body(def: &mut FnDef, tokens: &[Token], body_open: usize, body_close:
             }
 
             // Call sites: `name (` — method (`.name(`) or free/path call.
-            if i + 1 < body_close
+            if i + 1 < close
                 && tok_is(&tokens[i + 1], "(")
                 && !KEYWORDS.contains(&t.text.as_str())
                 && !(i >= 1 && tok_is(&tokens[i - 1], "fn"))
             {
-                def.calls.push(CallSite {
-                    callee: t.text.clone(),
-                    line: t.line,
-                });
+                def.calls.push(t.text.clone());
+                let method = i >= 1 && tok_is(&tokens[i - 1], ".");
                 // Untimed `.recv()` — empty argument list.
-                if tok_is(t, "recv")
-                    && i >= 1
-                    && tok_is(&tokens[i - 1], ".")
-                    && i + 2 < body_close
-                    && tok_is(&tokens[i + 2], ")")
-                {
+                if method && tok_is(t, "recv") && i + 2 < close && tok_is(&tokens[i + 2], ")") {
                     def.recv_sites.push(t.line);
                 }
-                if (tok_is(t, "read_page") || tok_is(t, "write_page"))
-                    && i >= 1
-                    && tok_is(&tokens[i - 1], ".")
-                {
+                if method && PAGE_IO.contains(&t.text.as_str()) {
                     def.page_io.push((t.text.clone(), t.line));
                 }
             }
@@ -242,26 +176,16 @@ fn walk_fn_body(def: &mut FnDef, tokens: &[Token], body_open: usize, body_close:
     }
 }
 
-fn collect_fns(
-    rel: &str,
-    tokens: &[Token],
-    in_test: &[bool],
-    next_id: &mut usize,
-    out: &mut Vec<FnDef>,
-) {
-    let file_is_test = is_test_path(rel);
-    let mut i = 0usize;
-    while i + 1 < tokens.len() {
-        if !(tokens[i].kind == TokenKind::Ident
-            && tok_is(&tokens[i], "fn")
-            && tokens[i + 1].kind == TokenKind::Ident)
+/// Appends the non-test fns of one lexed file to `out`.
+pub(crate) fn collect_fns(rel: &str, tokens: &[Token], in_test: &[bool], out: &mut Vec<FnDef>) {
+    for i in 0..tokens.len().saturating_sub(1) {
+        if in_test[i]
+            || !(tokens[i].kind == TokenKind::Ident
+                && tok_is(&tokens[i], "fn")
+                && tokens[i + 1].kind == TokenKind::Ident)
         {
-            i += 1;
             continue;
         }
-        let name = tokens[i + 1].text.clone();
-        let line = tokens[i + 1].line;
-
         // Params: the `(`…`)` after the name (skipping generics).
         let mut j = i + 2;
         let mut angle = 0i32;
@@ -276,62 +200,22 @@ fn collect_fns(
             j += 1;
         }
         if j >= tokens.len() || !tok_is(&tokens[j], "(") {
-            i += 1;
             continue;
         }
-        let params_open = j;
-        let mut parens = 0i32;
-        let mut params_close = j;
-        while params_close < tokens.len() {
-            match tokens[params_close].text.as_str() {
-                "(" => parens += 1,
-                ")" => {
-                    parens -= 1;
-                    if parens == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            params_close += 1;
-        }
-
-        // Body `{` (or `;` for a signature-only decl).
-        let mut k = params_close + 1;
-        let mut body = None;
-        let mut kparens = 0i32;
-        while k < tokens.len() {
-            match tokens[k].text.as_str() {
-                "(" => kparens += 1,
-                ")" => kparens -= 1,
-                ";" if kparens == 0 => break,
-                "{" if kparens == 0 => {
-                    body = Some(k);
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        let Some(body_open) = body else {
-            i = k.max(i + 1);
+        let params_close = matching_close(tokens, j).unwrap_or(tokens.len() - 1);
+        // Body `{` (none for a signature-only decl).
+        let Some(open) = body_open(tokens, params_close + 1) else {
             continue;
         };
-        let body_close = matching_brace(tokens, body_open);
-
-        let params = &tokens[params_open..=params_close.min(tokens.len() - 1)];
-        let has_deadline_param = params.iter().any(|p| {
+        let close = matching_close(tokens, open).unwrap_or(tokens.len());
+        let has_deadline_param = tokens[j..=params_close].iter().any(|p| {
             p.kind == TokenKind::Ident
                 && matches!(p.text.as_str(), "deadline" | "budget" | "Instant")
         });
 
         let mut def = FnDef {
-            id: *next_id,
-            name,
+            name: tokens[i + 1].text.clone(),
             file: rel.to_string(),
-            line,
-            crate_key: crate::crate_key(rel),
-            is_test: file_is_test || in_test.get(i).copied().unwrap_or(false),
             has_deadline_param,
             mentions_deadline: false,
             calls: Vec::new(),
@@ -339,36 +223,23 @@ fn collect_fns(
             loops: Vec::new(),
             page_io: Vec::new(),
         };
-        *next_id += 1;
-        walk_fn_body(&mut def, tokens, body_open, body_close);
+        walk_fn_body(&mut def, tokens, open, close);
         out.push(def);
-
-        i = body_open + 1; // descend: nested fns found by the scan itself
     }
-}
-
-/// Builds the index over `(rel_path, source)` pairs.
-pub fn build(sources: &[(String, String)]) -> WorkspaceIndex {
-    let mut idx = WorkspaceIndex::default();
-    let mut next_id = 0usize;
-    for (rel, src) in sources {
-        let lx = lex(src);
-        let in_test = test_regions(&lx.tokens);
-        if !lx.allows.is_empty() {
-            idx.allows.insert(rel.clone(), lx.allows.clone());
-        }
-        collect_fns(rel, &lx.tokens, &in_test, &mut next_id, &mut idx.fns);
-    }
-    idx
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
+    use crate::test_regions;
     use std::collections::BTreeSet;
 
-    fn build_one(rel: &str, src: &str) -> WorkspaceIndex {
-        build(&[(rel.to_string(), src.to_string())])
+    fn fns_of(rel: &str, src: &str) -> Vec<FnDef> {
+        let lexed = lex(src);
+        let mut fns = Vec::new();
+        collect_fns(rel, &lexed.tokens, &test_regions(&lexed.tokens), &mut fns);
+        fns
     }
 
     /// Every helper the rules name is a `fn` under `crates/*/src`: a name
@@ -376,22 +247,13 @@ mod tests {
     /// was meant to be goes unflagged.
     #[test]
     fn every_listed_helper_is_a_workspace_fn() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut sources = Vec::new();
-        for path in crate::collect_files(&root.join("crates")).unwrap() {
-            let rel = path.strip_prefix(&root).unwrap().to_string_lossy();
-            let rel = rel.replace('\\', "/");
-            if rel.split('/').nth(2) == Some("src") {
-                sources.push((rel, std::fs::read_to_string(&path).unwrap()));
-            }
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut fns = Vec::new();
+        for path in crate::collect_files(&crates).unwrap() {
+            let src = std::fs::read_to_string(&path).unwrap();
+            fns.extend(fns_of(&path.to_string_lossy(), &src));
         }
-        let idx = build(&sources);
-        let defined: BTreeSet<&str> = idx
-            .fns
-            .iter()
-            .filter(|f| !f.is_test)
-            .map(|f| f.name.as_str())
-            .collect();
+        let defined: BTreeSet<&str> = fns.iter().map(|f| f.name.as_str()).collect();
         let listed = BLOCKING_HELPERS.iter().chain(&DEADLINE_HELPERS);
         let missing: Vec<&str> = listed.copied().filter(|n| !defined.contains(n)).collect();
         assert!(missing.is_empty(), "listed but never defined: {missing:?}");
@@ -399,7 +261,7 @@ mod tests {
 
     #[test]
     fn fn_index_records_calls_recv_and_deadline() {
-        let idx = build_one(
+        let fns = fns_of(
             "crates/x/src/lib.rs",
             r#"
             impl S {
@@ -410,13 +272,18 @@ mod tests {
                 }
             }
             fn helper(deadline: Instant) {}
+            #[cfg(test)]
+            mod tests {
+                fn helper() {}
+            }
             "#,
         );
-        let fetch = idx.fns.iter().find(|f| f.name == "fetch").unwrap();
+        let fetch = fns.iter().find(|f| f.name == "fetch").unwrap();
         assert!(fetch.has_deadline_param);
         assert!(fetch.mentions_deadline);
         assert_eq!(fetch.recv_sites.len(), 1);
-        assert!(fetch.calls.iter().any(|c| c.callee == "helper"));
+        assert!(fetch.calls.iter().any(|c| c == "helper"));
+        assert_eq!(fns.iter().filter(|f| f.name == "helper").count(), 1);
     }
 
     #[test]
@@ -434,10 +301,10 @@ mod tests {
             }
         }
         "#;
-        let idx = build_one("crates/x/src/lib.rs", src);
-        let f = idx.fns.iter().find(|f| f.name == "retry_forever").unwrap();
+        let fns = fns_of("crates/x/src/lib.rs", src);
+        let f = fns.iter().find(|f| f.name == "retry_forever").unwrap();
         assert!(f.loops[0].has_continue && !f.loops[0].consults_deadline);
-        let g = idx.fns.iter().find(|f| f.name == "bounded").unwrap();
+        let g = fns.iter().find(|f| f.name == "bounded").unwrap();
         assert!(g.loops[0].consults_deadline && g.loops[0].has_blocking);
     }
 }

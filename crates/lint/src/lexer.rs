@@ -6,10 +6,10 @@
 //! comments and correctly crossing string/char/lifetime literals (a naive
 //! substring grep would misfire on `"Instant::now"` inside an error
 //! message, or treat `// .lock()` in prose as an acquisition). Line
-//! comments are additionally scanned for `harbor-lint: allow(<rule>)`
-//! escape-hatch directives, which are attached to the line of code they
-//! govern: the directive's own line for a trailing comment, the next line
-//! bearing a token for a standalone comment line.
+//! comments other than doc comments are additionally scanned for
+//! `harbor-lint: allow(<rule>)` escape-hatch directives, which are attached
+//! to the line of code they govern: the directive's own line for a trailing
+//! comment, the next line bearing a token for a standalone comment line.
 
 /// One lexed token.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,12 +38,11 @@ pub enum TokenKind {
     Punct,
 }
 
-/// A `// harbor-lint: allow(<rule>) — <reason>` directive, resolved to the
-/// source line it suppresses.
+/// A `// harbor-lint: allow(<rule>) — <reason>` directive that gives a
+/// reason, resolved to the source line it suppresses.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Allow {
     pub rule: String,
-    pub reason: String,
     /// The line of code this allow applies to.
     pub line: u32,
 }
@@ -60,17 +59,12 @@ pub struct Lexed {
 
 const ALLOW_PREFIX: &str = "harbor-lint:";
 
-/// Pending allow from a standalone comment line, waiting for the next code
-/// line to attach to.
-struct PendingAllow {
-    rule: String,
-    reason: String,
-}
-
 pub fn lex(src: &str) -> Lexed {
     let bytes = src.as_bytes();
     let mut out = Lexed::default();
-    let mut pending: Vec<PendingAllow> = Vec::new();
+    // Rules of allows on standalone comment lines, waiting for the next
+    // code line to attach to.
+    let mut pending: Vec<String> = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
     // Lines that carried at least one token; used to classify a comment as
@@ -79,12 +73,8 @@ pub fn lex(src: &str) -> Lexed {
 
     macro_rules! flush_pending_to {
         ($line:expr) => {
-            for p in pending.drain(..) {
-                out.allows.push(Allow {
-                    rule: p.rule,
-                    reason: p.reason,
-                    line: $line,
-                });
+            for rule in pending.drain(..) {
+                out.allows.push(Allow { rule, line: $line });
             }
         };
     }
@@ -108,16 +98,18 @@ pub fn lex(src: &str) -> Lexed {
             }
             c if c.is_whitespace() => i += 1,
             '/' if bytes.get(i + 1) == Some(&b'/') => {
-                // Line comment: scan for allow directives, then skip.
+                // Line comment: scan for allow directives, then skip. A doc
+                // comment only describes them.
                 let end = src[i..].find('\n').map(|n| i + n).unwrap_or(bytes.len());
                 let body = &src[i + 2..end];
-                if let Some((rule, reason)) = parse_allow(body) {
+                let doc = body.starts_with(['/', '!']);
+                if let Some((rule, reason)) = parse_allow(body).filter(|_| !doc) {
                     if reason.is_empty() {
                         out.bare_allows.push((rule, line));
                     } else if line_has_token {
-                        out.allows.push(Allow { rule, reason, line });
+                        out.allows.push(Allow { rule, line });
                     } else {
-                        pending.push(PendingAllow { rule, reason });
+                        pending.push(rule);
                     }
                 }
                 i = end;
@@ -333,7 +325,13 @@ fn skip_string(src: &str, start: usize, line: &mut u32) -> usize {
     let mut i = start + 1;
     while i < bytes.len() {
         match bytes[i] {
-            b'\\' => i += 2,
+            b'\\' => {
+                // An escaped newline continues the string on the next line.
+                if bytes.get(i + 1) == Some(&b'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
             b'"' => return i + 1,
             b'\n' => {
                 *line += 1;
@@ -441,7 +439,6 @@ mod tests {
         assert_eq!(lexed.allows.len(), 1);
         assert_eq!(lexed.allows[0].line, 2);
         assert_eq!(lexed.allows[0].rule, "lock-across-blocking");
-        assert!(lexed.allows[0].reason.contains("serialized"));
     }
 
     #[test]
@@ -462,13 +459,13 @@ mod tests {
 
     #[test]
     fn line_numbers_survive_multiline_strings() {
-        let src = "let s = \"line one\nline two\";\nlet x = y;";
+        let src = "let s = \"line one\nline two \\\n continued\";\nlet x = y;";
         let lexed = lex(src);
         let x = lexed
             .tokens
             .iter()
             .find(|t| t.text == "x")
             .expect("x token");
-        assert_eq!(x.line, 3);
+        assert_eq!(x.line, 4);
     }
 }

@@ -8,8 +8,8 @@
 //! goes away, which is exactly the tail-latency bug class BENCH_serve's
 //! p99-under-chaos exists to pin.
 //!
-//! The rule: seed taint at every non-test fn in `crates/front` that takes
-//! a deadline-shaped parameter, propagate along the call graph (a stoplist
+//! The rule: seed taint at every fn in `crates/front` that takes a
+//! deadline-shaped parameter, propagate along the call graph (a stoplist
 //! of ubiquitous/leaf names bounds the blast radius), and flag on tainted
 //! fns:
 //!
@@ -29,12 +29,11 @@
 //! before fixing.
 //!
 //! Findings honour `// harbor-lint: allow(deadline-propagation) — reason`
-//! and suppressed findings count into `lint-baseline.toml`'s
-//! `[allows.deadline-propagation]` section.
+//! like every other rule's.
 
-use crate::index::WorkspaceIndex;
+use crate::index::FnDef;
 use crate::{Violation, RULE_DEADLINE};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// Callee names never followed when propagating taint: ubiquitous std/
 /// container vocabulary plus the wire-leaf primitives whose *timed*
@@ -102,14 +101,14 @@ const STOPLIST: [&str; 57] = [
 ];
 
 /// Crates where page I/O on a tainted path must consult the deadline.
-const ORCHESTRATION_CRATES: [&str; 3] = ["crates/front", "crates/dist", "crates/core"];
+const ORCHESTRATION_CRATES: [&str; 3] = ["crates/front/", "crates/dist/", "crates/core/"];
 
 /// Renders the taint chain `entry → … → fn` for a diagnostic.
-fn chain(idx: &WorkspaceIndex, pred: &HashMap<usize, usize>, mut id: usize) -> String {
-    let mut names = vec![idx.fns[id].name.clone()];
+fn chain(fns: &[FnDef], pred: &HashMap<usize, usize>, mut id: usize) -> String {
+    let mut names = vec![fns[id].name.clone()];
     let mut hops = 0;
     while let Some(&p) = pred.get(&id) {
-        names.push(idx.fns[p].name.clone());
+        names.push(fns[p].name.clone());
         id = p;
         hops += 1;
         if hops >= 6 {
@@ -121,40 +120,34 @@ fn chain(idx: &WorkspaceIndex, pred: &HashMap<usize, usize>, mut id: usize) -> S
     names.join(" → ")
 }
 
-/// Runs the taint pass. Returns findings plus, per crate, the count of
-/// findings suppressed by a reasoned allow (the findings-ratchet input).
-pub fn check(idx: &WorkspaceIndex) -> (Vec<Violation>, BTreeMap<String, usize>) {
+/// Runs the taint pass over the fns of the workspace; an fn's id is its
+/// index in `fns`.
+pub fn check(fns: &[FnDef]) -> Vec<Violation> {
     let mut out = Vec::new();
-    let mut allowed_counts: BTreeMap<String, usize> = BTreeMap::new();
 
     // Name → fn ids (bare-name resolution).
     let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
-    for f in &idx.fns {
-        by_name.entry(f.name.as_str()).or_default().push(f.id);
+    for (id, f) in fns.iter().enumerate() {
+        by_name.entry(f.name.as_str()).or_default().push(id);
     }
 
     // Seed: deadline-carrying entry points in crates/front.
-    let mut tainted: HashSet<usize> = HashSet::new();
+    let mut queue: Vec<usize> = (0..fns.len())
+        .filter(|&id| fns[id].file.starts_with("crates/front/") && fns[id].has_deadline_param)
+        .collect();
+    let mut tainted: HashSet<usize> = queue.iter().copied().collect();
     let mut pred: HashMap<usize, usize> = HashMap::new();
-    let mut queue: Vec<usize> = Vec::new();
-    for f in &idx.fns {
-        if f.file.starts_with("crates/front/") && f.has_deadline_param && !f.is_test {
-            tainted.insert(f.id);
-            queue.push(f.id);
-        }
-    }
-    queue.sort();
 
     // BFS along name-resolved call edges.
     let mut qi = 0usize;
     while qi < queue.len() {
         let id = queue[qi];
         qi += 1;
-        for call in &idx.fns[id].calls {
-            if STOPLIST.contains(&call.callee.as_str()) {
+        for call in &fns[id].calls {
+            if STOPLIST.contains(&call.as_str()) {
                 continue;
             }
-            if let Some(targets) = by_name.get(call.callee.as_str()) {
+            if let Some(targets) = by_name.get(call.as_str()) {
                 for &t in targets {
                     if tainted.insert(t) {
                         pred.insert(t, id);
@@ -165,20 +158,12 @@ pub fn check(idx: &WorkspaceIndex) -> (Vec<Violation>, BTreeMap<String, usize>) 
         }
     }
 
-    // Findings on tainted, non-test fns.
-    let mut ids: Vec<usize> = tainted.iter().copied().collect();
+    // Findings on tainted fns.
+    let mut ids: Vec<usize> = tainted.into_iter().collect();
     ids.sort();
     for id in ids {
-        let f = &idx.fns[id];
-        if f.is_test {
-            continue;
-        }
-
+        let f = &fns[id];
         for &line in &f.recv_sites {
-            if idx.allowed(&f.file, RULE_DEADLINE, line) {
-                *allowed_counts.entry(f.crate_key.clone()).or_insert(0) += 1;
-                continue;
-            }
             out.push(Violation {
                 file: f.file.clone(),
                 line,
@@ -188,17 +173,13 @@ pub fn check(idx: &WorkspaceIndex) -> (Vec<Violation>, BTreeMap<String, usize>) 
                      here wedges the caller past its promised deadline; use recv_timeout \
                      bounded by the remaining budget",
                     f.name,
-                    chain(idx, &pred, id),
+                    chain(fns, &pred, id),
                 ),
             });
         }
 
         for lp in &f.loops {
             if !(lp.has_blocking && lp.has_continue && !lp.consults_deadline) {
-                continue;
-            }
-            if idx.allowed(&f.file, RULE_DEADLINE, lp.line) {
-                *allowed_counts.entry(f.crate_key.clone()).or_insert(0) += 1;
                 continue;
             }
             out.push(Violation {
@@ -210,18 +191,14 @@ pub fn check(idx: &WorkspaceIndex) -> (Vec<Violation>, BTreeMap<String, usize>) 
                      blocks and retries without ever consulting a deadline/budget/attempt \
                      bound; thread the deadline through and break when it expires",
                     f.name,
-                    chain(idx, &pred, id),
+                    chain(fns, &pred, id),
                 ),
             });
         }
 
-        let orchestration = ORCHESTRATION_CRATES.iter().any(|c| f.crate_key == *c);
+        let orchestration = ORCHESTRATION_CRATES.iter().any(|c| f.file.starts_with(c));
         if orchestration && !f.has_deadline_param && !f.mentions_deadline {
             for (method, line) in &f.page_io {
-                if idx.allowed(&f.file, RULE_DEADLINE, *line) {
-                    *allowed_counts.entry(f.crate_key.clone()).or_insert(0) += 1;
-                    continue;
-                }
                 out.push(Violation {
                     file: f.file.clone(),
                     line: *line,
@@ -231,13 +208,12 @@ pub fn check(idx: &WorkspaceIndex) -> (Vec<Violation>, BTreeMap<String, usize>) 
                          neither receives nor consults a deadline — thread the budget into \
                          this fn so slow disks can't blow the front-door promise",
                         f.name,
-                        chain(idx, &pred, id),
+                        chain(fns, &pred, id),
                     ),
                 });
             }
         }
     }
 
-    out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    (out, allowed_counts)
+    out
 }

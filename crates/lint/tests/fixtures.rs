@@ -2,32 +2,10 @@
 //! `bad/` case and stay silent on the `good/` mirror.
 
 use harbor_lint::{
-    analyze_source, analyze_sources, check_ratchet, collect_files, parse_baseline, render_baseline,
-    Baseline, Violation, WorkspaceReport, RULE_ALLOW, RULE_DEADLINE, RULE_LOCK_BLOCKING,
+    analyze_sources, collect_files, Violation, RULE_ALLOW, RULE_DEADLINE, RULE_LOCK_BLOCKING,
     RULE_TAXONOMY,
 };
-use std::collections::BTreeMap;
 use std::path::Path;
-
-/// Runs the full analysis (per-file rules and the graph pass) over one
-/// fixture tree, each file under its tree-relative path.
-fn analyze_fixture_tree(root: &Path) -> (Vec<String>, WorkspaceReport) {
-    let files = collect_files(root).expect("walk fixture tree");
-    assert!(!files.is_empty(), "no fixtures under {}", root.display());
-    let sources: Vec<(String, String)> = files
-        .iter()
-        .map(|path| {
-            let rel = path
-                .strip_prefix(root)
-                .expect("fixture under root")
-                .to_string_lossy()
-                .replace('\\', "/");
-            (rel, std::fs::read_to_string(path).expect("read fixture"))
-        })
-        .collect();
-    let rels = sources.iter().map(|(rel, _)| rel.clone()).collect();
-    (rels, analyze_sources(&sources))
-}
 
 fn fixtures(sub: &str) -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -35,10 +13,49 @@ fn fixtures(sub: &str) -> std::path::PathBuf {
         .join(sub)
 }
 
+fn read(tree: &str, rel: &str) -> String {
+    std::fs::read_to_string(fixtures(tree).join(rel)).expect("read fixture")
+}
+
+/// Runs the full analysis (per-file rules and the graph pass) over one
+/// fixture tree, each file under its tree-relative path.
+fn analyze_fixture_tree(tree: &str) -> (Vec<String>, Vec<Violation>) {
+    let root = fixtures(tree);
+    let files = collect_files(&root).expect("walk fixture tree");
+    assert!(!files.is_empty(), "no fixtures under {}", root.display());
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .map(|path| {
+            let rel = path
+                .strip_prefix(&root)
+                .expect("fixture under root")
+                .to_string_lossy()
+                .replace('\\', "/");
+            let src = read(tree, &rel);
+            (rel, src)
+        })
+        .collect();
+    let rels = sources.iter().map(|(rel, _)| rel.clone()).collect();
+    (rels, analyze_sources(&sources))
+}
+
+/// The full analysis of `src` as the one file `rel`.
+fn analyze(rel: &str, src: &str) -> Vec<Violation> {
+    analyze_sources(&[(rel.to_string(), src.to_string())])
+}
+
+/// The full analysis of one fixture under its tree-relative path.
+fn analyze_fixture(tree: &str, rel: &str) -> Vec<Violation> {
+    analyze(rel, &read(tree, rel))
+}
+
+fn of_rule<'a>(violations: &'a [Violation], rule: &str) -> Vec<&'a Violation> {
+    violations.iter().filter(|v| v.rule == rule).collect()
+}
+
 #[test]
 fn bad_tree_trips_every_rule_family() {
-    let (files, report) = analyze_fixture_tree(&fixtures("bad"));
-    let violations = &report.violations;
+    let (files, violations) = analyze_fixture_tree("bad");
     for rule in [RULE_LOCK_BLOCKING, RULE_TAXONOMY, RULE_DEADLINE, RULE_ALLOW] {
         assert!(
             violations.iter().any(|v| v.rule == rule),
@@ -55,12 +72,10 @@ fn bad_tree_trips_every_rule_family() {
 
 #[test]
 fn guard_across_spawn_is_lock_across_blocking() {
-    let src = std::fs::read_to_string(fixtures("bad/crates/dist/src/worker.rs")).unwrap();
-    let report = analyze_source("crates/dist/src/worker.rs", &src);
-    let spawns: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == RULE_LOCK_BLOCKING && v.msg.contains("spawn`"))
+    let violations = analyze_fixture("bad", "crates/dist/src/worker.rs");
+    let spawns: Vec<_> = of_rule(&violations, RULE_LOCK_BLOCKING)
+        .into_iter()
+        .filter(|v| v.msg.contains("spawn`"))
         .collect();
     assert!(
         spawns.iter().any(|v| v.msg.contains("`thread::spawn`")),
@@ -72,34 +87,67 @@ fn guard_across_spawn_is_lock_across_blocking() {
     );
 }
 
+/// The pool's one durable page write is page I/O, also when the latches are
+/// collected out of a closure rather than bound by a `let`.
+#[test]
+fn guard_across_write_run_is_lock_across_blocking() {
+    let rel = "crates/storage/src/buffer.rs";
+    let bad = read("bad", rel);
+    let violations = analyze(rel, &bad);
+    let runs = of_rule(&violations, RULE_LOCK_BLOCKING);
+    let line_of = |text: &str, nth: usize| {
+        bad.lines()
+            .enumerate()
+            .filter(|(_, l)| l.contains(text))
+            .nth(nth)
+            .map(|(k, _)| k as u32 + 1)
+            .unwrap()
+    };
+    for (nth, guard) in [(0, "`page`"), (1, "`latched`")] {
+        let line = line_of("table.write_run(", nth);
+        assert!(
+            runs.iter()
+                .any(|v| v.line == line && v.msg.contains("`write_run`") && v.msg.contains(guard)),
+            "guard {guard} across write_run on line {line} not caught: {runs:#?}"
+        );
+    }
+    assert!(analyze_fixture("good", rel).is_empty());
+}
+
 #[test]
 fn bare_allow_is_reported_and_suppresses_nothing() {
-    let src = std::fs::read_to_string(fixtures("bad/crates/core/src/recovery.rs")).unwrap();
-    let report = analyze_source("crates/core/src/recovery.rs", &src);
-    let allow = report
-        .violations
+    let violations = analyze_fixture("bad", "crates/core/src/recovery.rs");
+    let allow = violations
         .iter()
         .find(|v| v.rule == RULE_ALLOW)
         .expect("bare allow reported");
     assert!(
-        report
-            .violations
+        violations
             .iter()
             .any(|v| v.rule == RULE_TAXONOMY && v.line == allow.line + 1),
-        "a bare allow must not suppress the construction under it: {:#?}",
-        report.violations
+        "a bare allow must not suppress the construction under it: {violations:#?}"
     );
 }
 
 #[test]
+fn an_allow_that_waives_nothing_is_a_violation() {
+    let rel = "crates/dist/src/worker.rs";
+    let src = read("good", rel).replace(
+        "        chan.recv_timeout(deadline)",
+        "        // harbor-lint: allow(lock-across-blocking) — the guard is dropped above\n        chan.recv_timeout(deadline)",
+    );
+    let violations = analyze(rel, &src);
+    assert_eq!(violations.len(), 1, "{violations:#?}");
+    assert_eq!(violations[0].rule, RULE_ALLOW);
+    assert!(violations[0].msg.contains("waives no finding"));
+}
+
+#[test]
 fn scan_pool_holds_no_guard_across_merge_channel_send() {
-    let bad = std::fs::read_to_string(fixtures("bad/crates/dist/src/scan_pool.rs")).unwrap();
-    let report = analyze_source("crates/dist/src/scan_pool.rs", &bad);
-    let sends: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == RULE_LOCK_BLOCKING)
-        .collect();
+    let rel = "crates/dist/src/scan_pool.rs";
+    let bad = read("bad", rel);
+    let violations = analyze(rel, &bad);
+    let sends = of_rule(&violations, RULE_LOCK_BLOCKING);
     // Both violations are `send`s: name each by its line.
     let flagged = |call: &str| {
         let line = bad.lines().position(|l| l.contains(call)).unwrap() as u32 + 1;
@@ -116,12 +164,10 @@ fn scan_pool_holds_no_guard_across_merge_channel_send() {
         "merger guard across downstream ship not caught: {sends:#?}"
     );
 
-    let good = std::fs::read_to_string(fixtures("good/crates/dist/src/scan_pool.rs")).unwrap();
-    let report = analyze_source("crates/dist/src/scan_pool.rs", &good);
+    let violations = analyze_fixture("good", rel);
     assert!(
-        report.violations.is_empty(),
-        "latch-scoped transcode + post-drop send must be clean: {:#?}",
-        report.violations
+        violations.is_empty(),
+        "latch-scoped transcode + post-drop send must be clean: {violations:#?}"
     );
 }
 
@@ -129,13 +175,8 @@ fn scan_pool_holds_no_guard_across_merge_channel_send() {
 fn overloaded_is_confined_to_the_admission_boundary() {
     // Minting a shed outside front/src/admission.rs is a violation — both
     // the struct literal and the convenience constructor.
-    let bad = std::fs::read_to_string(fixtures("bad/crates/front/src/server.rs")).unwrap();
-    let report = analyze_source("crates/front/src/server.rs", &bad);
-    let taxonomy: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == RULE_TAXONOMY)
-        .collect();
+    let violations = analyze_fixture("bad", "crates/front/src/server.rs");
+    let taxonomy = of_rule(&violations, RULE_TAXONOMY);
     assert!(
         taxonomy
             .iter()
@@ -149,118 +190,46 @@ fn overloaded_is_confined_to_the_admission_boundary() {
         "convenience-constructor shed outside the boundary not caught: {taxonomy:#?}"
     );
 
-    // Matching on the variant (to forward it) is legal anywhere.
-    let good = std::fs::read_to_string(fixtures("good/crates/front/src/server.rs")).unwrap();
-    let report = analyze_source("crates/front/src/server.rs", &good);
-    assert!(
-        report.violations.is_empty(),
-        "propagating a shed must be clean: {:#?}",
-        report.violations
-    );
-
-    // And the admission boundary itself may mint it.
-    let boundary = std::fs::read_to_string(fixtures("good/crates/front/src/admission.rs")).unwrap();
-    let report = analyze_source("crates/front/src/admission.rs", &boundary);
-    assert!(
-        report.violations.is_empty(),
-        "the admission boundary must be allowed to shed: {:#?}",
-        report.violations
-    );
+    // Matching on the variant (to forward it) is legal anywhere, and the
+    // admission boundary itself may mint it.
+    for rel in [
+        "crates/front/src/server.rs",
+        "crates/front/src/admission.rs",
+    ] {
+        let violations = analyze_fixture("good", rel);
+        assert!(violations.is_empty(), "{rel}: {violations:#?}");
+    }
 }
 
 #[test]
 fn good_tree_is_clean() {
-    let (_, report) = analyze_fixture_tree(&fixtures("good"));
+    let (_, violations) = analyze_fixture_tree("good");
     assert!(
-        report.violations.is_empty(),
-        "good fixtures should be clean, got: {:#?}",
-        report.violations
+        violations.is_empty(),
+        "good fixtures should be clean, got: {violations:#?}"
     );
 }
 
+/// Test, bench and example code is never collected, so no rule reads it.
 #[test]
-fn test_files_are_exempt() {
-    let src = std::fs::read_to_string(fixtures("bad/crates/dist/src/worker.rs")).unwrap();
-    let report = analyze_source("crates/dist/tests/worker.rs", &src);
+fn only_non_test_sources_are_collected() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let files = collect_files(root).expect("walk the lint crate");
+    assert!(!files.is_empty());
     assert!(
-        report.violations.is_empty(),
-        "test paths must be exempt from lock rules: {:#?}",
-        report.violations
+        files.iter().all(|f| f.starts_with(root.join("src"))),
+        "{files:#?}"
     );
-    assert_eq!(report.unwraps, 0, "test paths never feed the ratchet");
-}
-
-#[test]
-fn ratchet_counts_only_non_test_unwraps() {
-    let src = r#"
-        fn hot() { x.unwrap(); y.expect("boom"); z.unwrap_or(3); }
-        #[cfg(test)]
-        mod tests {
-            #[test]
-            fn t() { a.unwrap(); b.expect("fine in tests"); }
-        }
-    "#;
-    let report = analyze_source("crates/core/src/hot.rs", src);
-    assert_eq!(
-        report.unwraps, 2,
-        "unwrap_or and test-mod calls must not count"
-    );
-}
-
-#[test]
-fn ratchet_flags_growth_and_stale_shrink() {
-    let unwraps = |counts: &[(&str, usize)]| -> Baseline {
-        let counts = counts.iter().map(|(k, n)| (k.to_string(), *n)).collect();
-        BTreeMap::from([("unwraps".to_string(), counts)])
-    };
-    let baseline = unwraps(&[("crates/core", 5), ("crates/dist", 2)]);
-
-    // Growth is a violation.
-    let grown = unwraps(&[("crates/core", 6), ("crates/dist", 2)]);
-    assert_eq!(check_ratchet(&grown, &baseline).len(), 1);
-
-    // A shrink must tighten the committed baseline (stale file = violation).
-    let shrunk = unwraps(&[("crates/core", 3), ("crates/dist", 2)]);
-    assert_eq!(check_ratchet(&shrunk, &baseline).len(), 1);
-
-    // Exact match is clean.
-    assert!(check_ratchet(&baseline, &baseline).is_empty());
-
-    // A new crate with unwraps needs a baseline entry, and so does a new
-    // section: a first suppressed graph finding.
-    let extra = unwraps(&[("crates/core", 5), ("crates/dist", 2), ("crates/new", 1)]);
-    assert_eq!(check_ratchet(&extra, &baseline).len(), 1);
-    let mut allowed = baseline.clone();
-    let counts = BTreeMap::from([("crates/storage".to_string(), 1)]);
-    allowed.insert("allows.deadline-propagation".to_string(), counts);
-    assert_eq!(check_ratchet(&allowed, &baseline).len(), 1);
-    // And an entry with nothing left to pin is stale, whatever its section.
-    assert_eq!(check_ratchet(&baseline, &allowed).len(), 1);
 }
 
 // ---------------------------------------------------------------------------
 // Workspace-graph rule corpus (deadline-propagation)
 // ---------------------------------------------------------------------------
 
-/// Reads one fixture by tree-relative path and runs the *full* analysis
-/// (per-file rules + both graph passes) over it under that same path.
-fn analyze_graph_fixture(tree: &str, rel: &str) -> WorkspaceReport {
-    let src = std::fs::read_to_string(fixtures(tree).join(rel)).expect("read fixture");
-    analyze_sources(&[(rel.to_string(), src)])
-}
-
-fn rule_violations<'a>(report: &'a WorkspaceReport, rule: &str) -> Vec<&'a Violation> {
-    report
-        .violations
-        .iter()
-        .filter(|v| v.rule == rule)
-        .collect()
-}
-
 #[test]
 fn deadline_bad_corpus_is_fully_flagged() {
-    let report = analyze_graph_fixture("bad", "crates/front/src/fixture_entry.rs");
-    let v = rule_violations(&report, RULE_DEADLINE);
+    let violations = analyze_fixture("bad", "crates/front/src/fixture_entry.rs");
+    let v = of_rule(&violations, RULE_DEADLINE);
     assert_eq!(v.len(), 3, "{v:#?}");
     assert!(
         v.iter()
@@ -285,55 +254,58 @@ fn deadline_bad_corpus_is_fully_flagged() {
 }
 
 #[test]
-fn reasoned_allow_suppresses_and_counts_into_findings_ratchet() {
+fn reasoned_allow_suppresses_its_finding() {
     let rel = "crates/front/src/fixture_entry.rs";
-    let src = std::fs::read_to_string(fixtures("bad").join(rel))
-        .expect("read fixture")
-        .replace(
-            "let reply = fixture_chan().recv();",
-            "let reply = fixture_chan().recv(); // harbor-lint: allow(deadline-propagation) — fixture hold",
-        );
-    let report = analyze_sources(&[(rel.to_string(), src)]);
-    let v = rule_violations(&report, RULE_DEADLINE);
+    let src = read("bad", rel).replace(
+        "let reply = fixture_chan().recv();",
+        "let reply = fixture_chan().recv(); // harbor-lint: allow(deadline-propagation) — fixture hold",
+    );
+    let violations = analyze(rel, &src);
+    let v = of_rule(&violations, RULE_DEADLINE);
     assert_eq!(v.len(), 2, "recv finding should be suppressed: {v:#?}");
     assert!(v.iter().all(|x| !x.msg.contains("`fixture_wait`")));
-    let counts = report
-        .allowed_findings
-        .get(RULE_DEADLINE)
-        .expect("suppressed finding recorded for the ratchet");
-    assert_eq!(counts.get("crates/front"), Some(&1));
+    assert!(
+        of_rule(&violations, RULE_ALLOW).is_empty(),
+        "{violations:#?}"
+    );
 }
 
 #[test]
 fn bare_allow_on_graph_rule_is_itself_a_violation() {
     let rel = "crates/front/src/fixture_entry.rs";
-    let src = std::fs::read_to_string(fixtures("bad").join(rel))
-        .expect("read fixture")
-        .replace(
-            "let reply = fixture_chan().recv();",
-            "let reply = fixture_chan().recv(); // harbor-lint: allow(deadline-propagation)",
-        );
-    let report = analyze_sources(&[(rel.to_string(), src)]);
+    let src = read("bad", rel).replace(
+        "let reply = fixture_chan().recv();",
+        "let reply = fixture_chan().recv(); // harbor-lint: allow(deadline-propagation)",
+    );
+    let violations = analyze(rel, &src);
     // The reason-less directive does not suppress, and is flagged itself.
-    assert_eq!(rule_violations(&report, RULE_DEADLINE).len(), 3);
+    assert_eq!(of_rule(&violations, RULE_DEADLINE).len(), 3);
     assert!(
-        report.violations.iter().any(|v| v.rule == RULE_ALLOW),
-        "{:#?}",
-        report.violations
+        !of_rule(&violations, RULE_ALLOW).is_empty(),
+        "{violations:#?}"
     );
 }
 
+/// A `#[cfg(test)]` helper that shares a callee's name is no node of the
+/// call graph: without the attribute the same helper links the front-door
+/// entry to budget-blind page I/O.
 #[test]
-fn baseline_round_trips() {
-    let unwraps = BTreeMap::from([
-        ("crates/storage".to_string(), 29),
-        ("crates/core".to_string(), 4),
-    ]);
-    let allows = BTreeMap::from([("crates/storage".to_string(), 1)]);
-    let map: Baseline = BTreeMap::from([
-        ("unwraps".to_string(), unwraps),
-        ("allows.deadline-propagation".to_string(), allows),
-    ]);
-    let text = render_baseline(&map);
-    assert_eq!(parse_baseline(&text), map);
+fn test_fns_are_not_in_the_call_graph() {
+    let entry = "crates/front/src/session.rs";
+    let helper = "crates/core/src/scrub.rs";
+    let run = |helper_src: String| {
+        analyze_sources(&[
+            (entry.to_string(), read("good", entry)),
+            (helper.to_string(), helper_src),
+        ])
+    };
+    assert!(run(read("good", helper)).is_empty());
+    let untested = run(read("good", helper).replace("#[cfg(test)]", ""));
+    let v = of_rule(&untested, RULE_DEADLINE);
+    assert!(
+        v.iter().any(|x| x.file == helper
+            && x.msg
+                .contains("fixture_serve → fixture_validate → fixture_rewrite")),
+        "{untested:#?}"
+    );
 }

@@ -31,6 +31,7 @@
 //! and the loss show only at the read, too late to send that frame again.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chaos;
 pub mod inmem;

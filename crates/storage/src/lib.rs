@@ -20,6 +20,7 @@
 //! checkpoints plus replica queries.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod buffer;
 pub mod checkpoint;

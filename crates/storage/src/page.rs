@@ -49,6 +49,10 @@ pub struct Page {
 
 impl Page {
     /// A zeroed, uninitialized buffer (for reading raw bytes into).
+    #[expect(
+        clippy::unwrap_used,
+        reason = "a `PAGE_SIZE` vector fits the `PAGE_SIZE` array"
+    )]
     pub fn blank() -> Self {
         Page {
             buf: vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().unwrap(),
@@ -89,6 +93,7 @@ impl Page {
         &mut self.buf
     }
 
+    #[expect(clippy::unwrap_used, reason = "a two-byte slice fits a `[u8; 2]`")]
     fn u16_at(&self, off: usize) -> u16 {
         u16::from_le_bytes(self.buf[off..off + 2].try_into().unwrap())
     }
@@ -97,6 +102,7 @@ impl Page {
         self.buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
     }
 
+    #[expect(clippy::unwrap_used, reason = "an eight-byte slice fits a `[u8; 8]`")]
     pub fn page_lsn(&self) -> Lsn {
         Lsn(u64::from_le_bytes(
             self.buf[OFF_LSN..OFF_LSN + 8].try_into().unwrap(),
@@ -357,6 +363,7 @@ impl Page {
                 TsField::Insertion => 0,
                 TsField::Deletion => 8,
             };
+        #[expect(clippy::unwrap_used, reason = "an eight-byte slice fits a `[u8; 8]`")]
         Ok(Timestamp(u64::from_le_bytes(
             self.buf[off..off + 8].try_into().unwrap(),
         )))

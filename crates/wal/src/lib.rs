@@ -17,6 +17,7 @@
 //!   concrete heap-file implementation.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod aries;
 pub mod log;

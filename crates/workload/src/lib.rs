@@ -9,6 +9,7 @@
 //! latency, and per-second timelines.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod driver;
 pub mod gen;

@@ -69,6 +69,10 @@ pub fn run_concurrent_streams(
 ) -> DbResult<ThroughputSample> {
     let start = Instant::now();
     let make_ops = &make_ops;
+    #[expect(
+        clippy::expect_used,
+        reason = "a stream that panicked fails the measurement"
+    )]
     let reports: Vec<StreamReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..streams)
             .map(|s| {
@@ -230,6 +234,10 @@ impl BackgroundLoad {
     }
 
     /// Stops the load; returns `(committed, aborted)`.
+    #[expect(
+        clippy::expect_used,
+        reason = "`stop` takes `self`, and a load that panicked fails the measurement"
+    )]
     pub fn stop(mut self) -> (u64, u64) {
         self.stop.store(true, Ordering::SeqCst);
         self.handle

@@ -4,6 +4,8 @@
 //! integration tests in `tests/`. The re-exports below give examples a
 //! single import surface.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub use harbor;
 pub use harbor_common as common;
 pub use harbor_dist as dist;

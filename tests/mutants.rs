@@ -1,9 +1,9 @@
 //! The mutant catalogue (`tests/mutants.txt`) still applies to the tree:
 //! every entry's `old` text occurs exactly once in its file and differs
-//! from its `new` text. A mutant whose text has drifted is stale, like a
-//! stale ratchet, and must be rewritten against the code or retired with a
-//! line in CHANGES.md. That check runs no mutant; it keeps the catalogue
-//! runnable.
+//! from its `new` text. A mutant whose text has drifted is stale, like an
+//! allow that waives nothing, and must be rewritten against the code or
+//! retired with a line in CHANGES.md. That check runs no mutant; it keeps
+//! the catalogue runnable.
 //!
 //! `every_mutant_is_killed` (ignored: a build of the tree per mutant) runs
 //! them: `cargo test --test mutants -- --ignored`. It copies the tree once
